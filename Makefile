@@ -80,7 +80,8 @@ bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
 ## bench-json: run the tracked benchmark set (vectorized kernels vs
-## scalar reference, candidate filtering, end-to-end k-NN pages/query)
+## scalar reference, candidate filtering, end-to-end k-NN pages/query,
+## concurrent engine vs sequential driver queries/sec)
 ## at a fixed iteration count with the deterministic in-repo seeds, and
 ## render the output as a schema-versioned JSON report via cmd/benchjson.
 ## BENCH_JSON_OUT defaults to BENCH_<utc-date>.json in the repo root.
@@ -88,7 +89,7 @@ BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
 BENCH_BASELINE   ?= BENCH_2026-08-08.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates'
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \

@@ -60,7 +60,15 @@ func New[K comparable, V any](capacity int) *Pool[K, V] {
 }
 
 // Get looks up key, promoting it to most-recently-used on a hit.
-func (p *Pool[K, V]) Get(key K) (V, bool) {
+func (p *Pool[K, V]) Get(key K) (V, bool) { return p.lookup(key, true) }
+
+// Probe is Get without the miss accounting: a hit is promoted and
+// counted, a miss counts nothing. It is for a caller that follows a
+// miss with a counting lookup of the same key (Get, GetOrFetch), so
+// the request still counts exactly one hit or one miss.
+func (p *Pool[K, V]) Probe(key K) (V, bool) { return p.lookup(key, false) }
+
+func (p *Pool[K, V]) lookup(key K, countMiss bool) (V, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if el, ok := p.items[key]; ok {
@@ -68,7 +76,9 @@ func (p *Pool[K, V]) Get(key K) (V, bool) {
 		p.stats.Hits++
 		return el.Value.(*lruEntry[K, V]).val, true
 	}
-	p.stats.Misses++
+	if countMiss {
+		p.stats.Misses++
+	}
 	var zero V
 	return zero, false
 }

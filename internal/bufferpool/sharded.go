@@ -73,6 +73,17 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	return sh.pool.Get(key)
 }
 
+// Probe is Get that counts only a hit (see Pool.Probe). The engine
+// probes on the querying goroutine and sends a miss to the page's disk
+// worker, whose GetOrFetchHit then counts the request's one miss — or
+// its one hit, when another fetch filled the page in between.
+func (s *Sharded[K, V]) Probe(key K) (V, bool) {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.pool.Probe(key)
+}
+
 // Put inserts or refreshes key. Safe for concurrent use.
 func (s *Sharded[K, V]) Put(key K, val V) {
 	sh := s.shardOf(key)

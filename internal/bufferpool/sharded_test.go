@@ -162,3 +162,45 @@ func TestShardedMoreShardsThanCapacity(t *testing.T) {
 		t.Fatal("expected inserts recorded")
 	}
 }
+
+// TestShardedProbeCountsOnlyHits pins the contract the engine's caller
+// probe relies on: Probe followed, on a miss, by GetOrFetchHit counts
+// the request once — one miss when the fetch runs, one hit when the
+// key was resident either time — and a Probe hit promotes like Get.
+func TestShardedProbeCountsOnlyHits(t *testing.T) {
+	s := NewSharded[int, string](2, 1, idHash)
+	fetch := func() (string, error) { return "one", nil }
+
+	if _, ok := s.Probe(1); ok {
+		t.Fatal("Probe hit on an empty pool")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("a Probe miss counted: %+v", st)
+	}
+	if _, hit, err := s.GetOrFetchHit(1, fetch); hit || err != nil {
+		t.Fatalf("GetOrFetchHit on a cold key: hit %v, err %v", hit, err)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("probe + fetch of a cold key: %+v, want exactly one miss", st)
+	}
+	if v, ok := s.Probe(1); !ok || v != "one" {
+		t.Fatalf("Probe(1) = %q, %v after the fill", v, ok)
+	}
+	if st := s.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("a Probe hit: %+v, want one hit beside the earlier miss", st)
+	}
+
+	// The probe's hit made key 1 the most recently used: filling the
+	// two-entry pool evicts key 2, not key 1.
+	s.Put(2, "two")
+	if _, ok := s.Probe(1); !ok {
+		t.Fatal("key 1 gone before the pool was full")
+	}
+	s.Put(3, "three")
+	if _, ok := s.Probe(2); ok {
+		t.Error("key 2 survived although key 1 was probed after it")
+	}
+	if _, ok := s.Probe(1); !ok {
+		t.Error("a probed key was evicted before an unprobed one")
+	}
+}

@@ -7,16 +7,17 @@ import (
 )
 
 // coalescer is the cross-request page-fetch coalescing layer
-// (Config.CoalesceFetches): when concurrent queries ask for the same
-// page at the same time, exactly one fetch job goes through the disk
-// queue — the others join the in-flight "flight" and share its result.
-// This is singleflight at the *request* level, one layer above the
-// decoded-page cache's singleflight (bufferpool.Sharded): the cache
+// (Config.CoalesceFetches): when concurrent queries miss the page cache
+// on the same page at the same time, exactly one fetch job goes through
+// the disk queue — the others join the in-flight "flight" and share its
+// result. This is singleflight at the *request* level, one layer above
+// the decoded-page cache's singleflight (bufferpool.Sharded): the cache
 // deduplicates decodes once a job reaches a worker, while the
 // coalescer deduplicates the jobs themselves, so merged fetches share
 // one queue slot and one in-flight semaphore slot. Under a saturated
 // array that is the difference between N queries queueing N copies of
-// a hot directory page and all of them riding one fetch.
+// a cold directory page and all of them riding one fetch. Requests the
+// cache serves never get here.
 //
 // A flight is keyed by page id (pages live on exactly one logical
 // disk, so the page identifies the disk too) and lives in a sharded
@@ -60,8 +61,10 @@ func (c *coalescer) shardOf(id rtree.PageID) *coShard {
 }
 
 // join registers out/idx on an existing flight for page, reporting
-// whether one was found. When it returns false the caller must lead a
-// new flight (lead) or abort it (abort) so joiners never hang.
+// whether one was found. When it returns false the caller leads a new
+// flight: it must either enqueue a job carrying the shard, so the
+// worker that serves it resolves the flight, or abort the flight, so
+// joiners never hang.
 func (c *coalescer) join(page rtree.PageID, out chan<- fetchResult, idx int) (*coShard, bool) {
 	sh := c.shardOf(page)
 	sh.mu.Lock()
@@ -90,27 +93,21 @@ func (sh *coShard) resolve(page rtree.PageID) []flightWaiter {
 	return f.waiters
 }
 
-// fanOut delivers one worker result to the flight leader and every
-// joined waiter. It runs on its own goroutine (spawned when the leader
-// job is enqueued) so batch collection loops stay driver-agnostic:
-// every slot — led or joined — receives exactly one fetchResult on its
-// batch's channel. Joined deliveries are marked coalesced (for the
-// cancellation-retry path in fetchBatch) and, on success, count as
-// served-without-a-decode for trace attribution, mirroring the cache's
-// shared-flight hits.
-func (e *Engine) fanOut(sh *coShard, page rtree.PageID, jobOut <-chan fetchResult, leader flightWaiter) {
-	res := <-jobOut
-	lres := res
-	lres.idx = leader.idx
-	leader.out <- lres
+// resolveFlight closes page's flight and hands res to every request
+// that joined it. It runs on the disk worker that served the flight's
+// leader, right after the leader's own delivery, so every slot — led or
+// joined — receives exactly one fetchResult on its batch's channel and
+// batch collection stays unaware of coalescing. Joined deliveries are
+// marked coalesced (for the cancellation-retry path in fetchStage) and,
+// on success, count as served-without-a-decode for trace attribution,
+// mirroring the cache's shared-flight hits. Waiter channels are
+// buffered to their batch's size, so the worker never blocks here.
+func (e *Engine) resolveFlight(sh *coShard, page rtree.PageID, res fetchResult) {
+	res.coalesced = true
+	res.hit = res.err == nil
 	for _, w := range sh.resolve(page) {
-		r := res
-		r.idx = w.idx
-		r.coalesced = true
-		if r.err == nil {
-			r.hit = true
-		}
-		w.out <- r
+		res.idx = w.idx
+		w.out <- res
 	}
 }
 
@@ -119,7 +116,5 @@ func (e *Engine) fanOut(sh *coShard, page rtree.PageID, jobOut <-chan fetchResul
 // submission error so its batch can retry or unwind — a joiner must
 // never be left waiting on a flight that will not fly.
 func (e *Engine) abortFlight(sh *coShard, page rtree.PageID, err error) {
-	for _, w := range sh.resolve(page) {
-		w.out <- fetchResult{idx: w.idx, err: err, coalesced: true}
-	}
+	e.resolveFlight(sh, page, fetchResult{err: err})
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -215,6 +216,8 @@ func TestValidationMatchesDriver(t *testing.T) {
 		{"k negative", pts[0], -3},
 		{"nil point", nil, 5},
 		{"dim mismatch", []float64{1, 2, 3}, 5},
+		{"NaN coordinate", []float64{math.NaN(), 0.5}, 5},
+		{"infinite coordinate", []float64{0.5, math.Inf(-1)}, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, drvErr := drv.RunChecked(query.CRSS{}, tc.q, tc.k, query.Options{})

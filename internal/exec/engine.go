@@ -5,15 +5,19 @@
 // disk's encoded page images and draining a per-disk fetch channel —
 // the Go-native analogue of the paper's array, where a page fetch
 // really costs work (a page decode) on the worker that owns the disk.
+// As in the paper's model (§4.1), only a page that needs a physical
+// read enters a disk queue: a page resident in the decoded-page cache
+// is served on the querying goroutine.
 //
 // The same stage-driven query.Execution state machines that run under
 // the immediate Driver and the system simulator run here unchanged: the
-// Engine resolves each stage's batched page requests by fanning them
-// out to the disk workers, collecting completions asynchronously, and
-// delivering the nodes in request order so results are bit-for-bit
-// identical to the sequential paths. Many client goroutines may query a
-// shared Engine concurrently; total outstanding page fetches are
-// bounded, and queries honor context cancellation mid-flight.
+// Engine resolves each stage's batched page requests by serving the
+// cached pages inline and fanning the rest out to the disk workers,
+// collecting completions asynchronously, and delivering the nodes in
+// request order so results are bit-for-bit identical to the sequential
+// paths. Many client goroutines may query a shared Engine concurrently;
+// total outstanding page reads are bounded, and queries honor context
+// cancellation mid-flight.
 package exec
 
 import (
@@ -47,25 +51,30 @@ type Config struct {
 	WorkersPerDisk int
 	// QueueDepth is the per-disk fetch channel buffer (default 32).
 	// When a disk's queue is full, request submission blocks — natural
-	// backpressure against one hot disk.
+	// backpressure against one hot disk. Only cache misses are queued.
 	QueueDepth int
-	// MaxInFlight bounds the total outstanding page fetches across all
-	// queries (default 4 fetches per worker). Admission of new stage
-	// batches blocks once the bound is reached.
+	// MaxInFlight bounds the total outstanding page reads across all
+	// queries (default 4 reads per worker): requests the page cache
+	// could not serve, each holding a slot from submission until its
+	// disk worker delivers. Cache hits are served on the querying
+	// goroutine and take no slot. Admission of further reads blocks
+	// once the bound is reached.
 	MaxInFlight int
 	// CachePages enables a shared decoded-page LRU cache of that many
 	// pages with singleflight fetch deduplication (0 = no cache; every
-	// request decodes from its disk's page image).
+	// request decodes from its disk's page image). A resident page is
+	// served on the querying goroutine; only a miss goes to the page's
+	// disk worker, which fills the cache.
 	CachePages int
-	// CoalesceFetches merges concurrent fetches of the same page
-	// across queries into one disk job: later requests join the
+	// CoalesceFetches merges concurrent fetches of the same uncached
+	// page across queries into one disk job: later requests join the
 	// in-flight fetch and share its result instead of queueing their
 	// own copy. This is request-level singleflight, one layer above
 	// the decoded-page cache's (which deduplicates decodes, not queue
 	// and in-flight slots) — the network query service enables it so
-	// concurrent clients hammering the same hot directory pages share
-	// fan-outs instead of multiplying queue depth. Results are
-	// bit-identical with or without coalescing.
+	// concurrent clients missing on the same pages share fan-outs
+	// instead of multiplying queue depth. Results are bit-identical
+	// with or without coalescing.
 	CoalesceFetches bool
 	// CacheShards is the lock sharding of the page cache (default 8).
 	CacheShards int
@@ -151,7 +160,7 @@ func (c *Config) fill() {
 type Stats struct {
 	Queries      uint64 // queries completed successfully
 	Cancelled    uint64 // queries aborted by context or Close
-	PagesFetched uint64 // page fetches served by disk workers
+	PagesFetched uint64 // page fetches served: by a disk worker, or from the page cache on the querying goroutine
 	Decodes      uint64 // physical page decodes (cache misses when caching)
 	// FetchesCancelled counts fetch jobs abandoned on a cancelled
 	// query context — either before a worker picked them up or while
@@ -166,7 +175,8 @@ type Stats struct {
 	// FetchesCoalesced counts fetch requests served by joining another
 	// query's in-flight fetch of the same page (Config.CoalesceFetches)
 	// instead of queueing their own disk job. They do not count as
-	// PagesFetched — no worker served them.
+	// PagesFetched (nor as a cache hit or miss) — the flight's leader
+	// did.
 	FetchesCoalesced uint64
 }
 
@@ -237,13 +247,19 @@ type replica struct {
 	degraded atomic.Bool
 }
 
-// fetchJob asks a disk worker for one page of a stage batch.
+// fetchJob asks a disk worker for one page of a stage batch — a page
+// the querying goroutine did not find in the cache. It travels through
+// the disk queue by value.
 type fetchJob struct {
 	page      rtree.PageID
 	idx       int // position in the stage's request slice
 	ctx       context.Context
 	out       chan<- fetchResult
 	submitted time.Time // when the job entered the disk queue
+	// flight is the coalescer shard holding the flight this job leads
+	// (nil without Config.CoalesceFetches): the worker that serves the
+	// job resolves the flight.
+	flight *coShard
 }
 
 type fetchResult struct {
@@ -252,7 +268,7 @@ type fetchResult struct {
 	err  error
 	wall time.Duration // queue wait + service, worker-measured
 	hit  bool          // served without a decode: page cache or a coalesced flight
-	done bool          // a worker actually processed this slot
+	done bool          // the slot was processed: by a worker, or inline from the cache
 	// coalesced marks a result delivered through another request's
 	// flight (request-level coalescing). A coalesced cancellation may
 	// be the flight leader's, not this query's — fetchBatch refetches
@@ -270,8 +286,8 @@ type Engine struct {
 	stores   []*diskStore
 	replicas [][]*replica           // [logical disk][mirror]
 	files    []*pagestore.FileStore // file-backed replica stores (DataDir mode), closed by Close
-	queues   []chan *fetchJob
-	sem      chan struct{} // in-flight fetch slots
+	queues   []chan fetchJob
+	sem      chan struct{} // in-flight read slots (cache misses only)
 	cache    *bufferpool.Sharded[rtree.PageID, *rtree.Node]
 	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
 
@@ -321,7 +337,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		stores:   make([]*diskStore, n),
 		replicas: make([][]*replica, n),
-		queues:   make([]chan *fetchJob, n),
+		queues:   make([]chan fetchJob, n),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		closed:   make(chan struct{}),
 		gauges:   make([]obs.DiskGauges, n),
@@ -386,7 +402,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		e.co = newCoalescer()
 	}
 	for d := 0; d < n; d++ {
-		e.queues[d] = make(chan *fetchJob, cfg.QueueDepth)
+		e.queues[d] = make(chan fetchJob, cfg.QueueDepth)
 		for w := 0; w < cfg.WorkersPerDisk; w++ {
 			e.workers.Add(1)
 			go e.worker(d)
@@ -463,12 +479,15 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// QueueDepths reports each logical disk's current fetch backlog: jobs
+// QueueDepths reports each logical disk's current read backlog: jobs
 // sitting in (or blocked entering) the disk's queue plus jobs a worker
-// is serving right now. The network query service's admission control
-// sheds load when any disk's depth crosses its watermark — queue depth
-// is the earliest saturation signal the array gives (the paper's
-// queueing collapse shows up here before it shows up in latency).
+// is serving right now. Only cache misses become jobs, so an engine
+// answering from its page cache reports zero however busy it is — the
+// depth measures the disks, as in the paper's model. The network query
+// service's admission control sheds load when any disk's depth crosses
+// its watermark — queue depth is the earliest saturation signal the
+// array gives (the paper's queueing collapse shows up here before it
+// shows up in latency).
 func (e *Engine) QueueDepths() []int64 {
 	out := make([]int64, len(e.gauges))
 	for d := range e.gauges {
@@ -505,7 +524,9 @@ func (e *Engine) CacheStats() bufferpool.Stats {
 // page: the context error is delivered and the job counts under the
 // cancellation telemetry, not under PagesFetched. A job that fails
 // after the read path exhausted every replica counts under the I/O
-// error telemetry — the two classes never mix.
+// error telemetry — the two classes never mix. The worker that served
+// a coalesced flight's leader also resolves the flight, handing the
+// same result to every request that joined it.
 func (e *Engine) worker(d int) {
 	defer e.workers.Done()
 	g := &e.gauges[d]
@@ -535,7 +556,10 @@ func (e *Engine) worker(d int) {
 			}
 		}
 		job.out <- res // buffered to batch size; never blocks
-		<-e.sem        // release the in-flight slot
+		if job.flight != nil {
+			e.resolveFlight(job.flight, job.page, res)
+		}
+		<-e.sem // release the in-flight slot
 	}
 }
 
@@ -544,8 +568,11 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// readPage resolves one page through the shared cache (singleflight
-// deduplicated) or straight from the disk's replica set. hit reports
+// readPage resolves one page on its disk worker: through the shared
+// cache (singleflight deduplicated) or straight from the disk's replica
+// set. The querying goroutine already probed the cache and missed, so
+// this lookup counts the request's one cache miss — or its one hit,
+// when another query's fetch filled the page in between. hit reports
 // whether the page was served without a decode in this call.
 func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.Node, bool, error) {
 	if e.cache == nil {
@@ -568,16 +595,31 @@ func (e *Engine) readReplicated(ctx context.Context, d int, id rtree.PageID) (*r
 	// The primary is a pure function of the page so mirrored load
 	// spreads without per-query state and results stay deterministic.
 	start := int(uint32(id)) % len(reps)
+	primary := reps[start]
+	var lastErr error
+	tried := 0 // 1 once the primary has been read and failed
+	if !primary.degraded.Load() && (len(reps) == 1 || !e.cfg.HedgeReads) {
+		// The healthy, unhedged read — every read of a RAID-0 array —
+		// needs no fallback order.
+		n, err := e.readReplica(ctx, primary, id)
+		if err == nil {
+			return n, nil
+		}
+		if isCancellation(err) {
+			return nil, err
+		}
+		lastErr, tried = err, 1
+	}
 	order := make([]*replica, 0, len(reps))
-	for i := 0; i < len(reps); i++ {
+	for i := tried; i < len(reps); i++ {
 		if r := reps[(start+i)%len(reps)]; !r.degraded.Load() {
 			order = append(order, r)
 		}
 	}
 	if len(order) == 0 {
-		return nil, &fault.ErrDataUnavailable{Disk: d, Page: id}
+		return nil, &fault.ErrDataUnavailable{Disk: d, Page: id, Last: lastErr}
 	}
-	if order[0] != reps[start] {
+	if tried == 0 && order[0] != primary {
 		// The primary itself is degraded: this fetch is redirected
 		// before it even starts.
 		e.faults.Redirects.Add(1)
@@ -585,9 +627,8 @@ func (e *Engine) readReplicated(ctx context.Context, d int, id rtree.PageID) (*r
 	if e.cfg.HedgeReads && len(order) > 1 {
 		return e.readHedged(ctx, d, order, id)
 	}
-	var lastErr error
 	for i, rep := range order {
-		if i > 0 {
+		if tried+i > 0 {
 			e.faults.Redirects.Add(1)
 		}
 		n, err := e.readReplica(ctx, rep, id)
@@ -791,8 +832,9 @@ func (e *Engine) degrade(rep *replica) {
 // read failure (no live replica, data unavailable) must surface even
 // when the failure also cancelled the query context and flooded the
 // remaining fetches with cancellation noise. submitErr (from the
-// fan-out loop) outranks collected cancellations for the same reason —
-// it may be ErrClosed, which callers must see over a context error.
+// stage's liveness check or its fan-out loop) outranks collected
+// cancellations for the same reason — it may be ErrClosed, which
+// callers must see over a context error.
 func batchError(ioErr, submitErr, cancelErr error) error {
 	if ioErr != nil {
 		return ioErr
@@ -803,119 +845,167 @@ func batchError(ioErr, submitErr, cancelErr error) error {
 	return cancelErr
 }
 
-// submitOne submits one page request of a batch: it acquires an
-// in-flight slot and enqueues a job on the page's disk, delivering the
-// result to out at idx. With request-level coalescing enabled it first
-// tries to join an in-flight fetch of the same page — a join consumes
-// no semaphore slot and no queue slot, and the shared result arrives
-// on out like any other. When this call starts a new flight, later
-// requests may join it until the worker's result is fanned out; if the
-// job cannot be enqueued (cancelled context or closed engine), every
-// waiter that joined meanwhile is aborted with the submission error so
-// none is left hanging. A nil return means exactly one fetchResult for
-// idx will eventually arrive on out.
+// submitOne sends one page request the cache could not serve to its
+// disk: it acquires an in-flight slot and enqueues a job on the page's
+// disk, whose worker delivers the result to out at idx. With
+// request-level coalescing enabled it first tries to join an in-flight
+// fetch of the same page — a join consumes no semaphore slot and no
+// queue slot, and the shared result arrives on out like any other. When
+// this call starts a new flight, later requests may join it until the
+// worker that serves the job resolves it; if the job cannot be enqueued
+// (cancelled context or closed engine), every waiter that joined
+// meanwhile is aborted with the submission error so none is left
+// hanging. A nil return means exactly one fetchResult for idx will
+// eventually arrive on out.
 func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, idx int, out chan fetchResult, semWait *time.Duration) error {
-	var sh *coShard
-	leads := false
+	var flight *coShard // set when this request leads a new flight
 	if e.co != nil {
-		var joined bool
-		sh, joined = e.co.join(r.Page, out, idx)
+		sh, joined := e.co.join(r.Page, out, idx)
 		if joined {
 			e.fetchesCoalesced.Add(1)
 			return nil
 		}
-		leads = true
+		flight = sh
 	}
 	acquire := time.Now()
+	var err error
 	select {
 	case e.sem <- struct{}{}:
-		*semWait += time.Since(acquire)
 	case <-ctx.Done():
-		if leads {
-			e.abortFlight(sh, r.Page, ctx.Err())
-		}
-		return ctx.Err()
+		err = ctx.Err()
 	case <-e.closed:
-		if leads {
-			e.abortFlight(sh, r.Page, ErrClosed)
+		err = ErrClosed
+	}
+	if err == nil {
+		now := time.Now()
+		*semWait += now.Sub(acquire)
+		g := &e.gauges[r.Disk]
+		g.Queued.Add(1)
+		select {
+		case e.queues[r.Disk] <- fetchJob{page: r.Page, idx: idx, ctx: ctx, out: out, submitted: now, flight: flight}:
+			return nil
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-e.closed:
+			err = ErrClosed
 		}
-		return ErrClosed
-	}
-	jobOut := out
-	if leads {
-		// The worker delivers once to the flight's private channel; the
-		// fan-out goroutine forwards it to the leader and every joiner.
-		jobOut = make(chan fetchResult, 1)
-	}
-	job := &fetchJob{page: r.Page, idx: idx, ctx: ctx, out: jobOut, submitted: time.Now()}
-	e.gauges[r.Disk].Queued.Add(1)
-	select {
-	case e.queues[r.Disk] <- job:
-	case <-ctx.Done():
-		e.gauges[r.Disk].Queued.Add(-1)
+		g.Queued.Add(-1)
 		<-e.sem
-		if leads {
-			e.abortFlight(sh, r.Page, ctx.Err())
-		}
-		return ctx.Err()
-	case <-e.closed:
-		e.gauges[r.Disk].Queued.Add(-1)
-		<-e.sem
-		if leads {
-			e.abortFlight(sh, r.Page, ErrClosed)
-		}
-		return ErrClosed
 	}
-	if leads {
-		go e.fanOut(sh, r.Page, jobOut, flightWaiter{out: out, idx: idx})
+	if flight != nil {
+		e.abortFlight(flight, r.Page, err)
 	}
-	return nil
+	return err
 }
 
-// fetchBatch resolves one stage's requests through the disk workers:
-// jobs fan out to the per-disk queues (respecting the in-flight bound)
-// and completions are collected asynchronously, then reordered to
-// request order — executions depend on request-order delivery for
-// deterministic tie-breaking, which is what makes engine results
-// identical to the sequential Driver's. With an observer attached the
-// stage emits SemWait, per-fetch FetchDone (request order, wall-clock
-// latency and cache attribution, completed fetches only) and StageDone
-// events on every exit path, success or failure, so traces stay
-// well-formed under cancellation and injected faults.
-func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.Node, error) {
-	start := time.Now()
-	out := make(chan fetchResult, len(reqs))
-	submitted := 0
-	var semWait time.Duration
-	var submitErr error
-	for i, r := range reqs {
-		if err := e.submitOne(ctx, r, i, out, &semWait); err != nil {
-			submitErr = err
-			break
-		}
-		submitted++
+// stageScratch is one query's per-stage fetch state, reused from stage
+// to stage. That is safe because executions may not retain the
+// delivered slice (query.Driver reuses its own the same way) and every
+// stage receives all the results it is owed before it returns, so the
+// next stage finds the channel empty.
+type stageScratch struct {
+	out     chan fetchResult // made by the first stage that misses the cache
+	results []fetchResult
+	nodes   []*rtree.Node
+}
+
+// reset sizes the scratch for a stage of n requests and returns the
+// zeroed result slots.
+func (sc *stageScratch) reset(n int) []fetchResult {
+	if cap(sc.results) < n {
+		sc.results = make([]fetchResult, n)
+		sc.nodes = make([]*rtree.Node, n)
 	}
+	sc.results, sc.nodes = sc.results[:n], sc.nodes[:n]
+	clear(sc.results)
+	return sc.results
+}
+
+// liveErr is the inline path's once-per-stage liveness check: a stage
+// served entirely from the cache passes no select on the query context
+// or the engine's close signal, and must still fail a cancelled query
+// or a closed engine with the error a submission would have returned.
+func (e *Engine) liveErr(ctx context.Context) error {
+	select {
+	case <-e.closed:
+		return ErrClosed
+	default:
+		return ctx.Err()
+	}
+}
+
+// fetchBatch resolves one stage with scratch of its own. KNN reuses one
+// scratch for all the stages of a query (fetchStage).
+func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.Node, error) {
+	return e.fetchStage(ctx, new(stageScratch), stage, reqs, obsv)
+}
+
+// fetchStage resolves one stage's requests. Each page is first looked
+// up in the decoded-page cache on the calling goroutine: a resident
+// page fills its result slot at once — no in-flight slot, no coalescer,
+// no queue hop — and counts as a fetch its disk served, so the
+// counters, gauges and traces of a warm engine read as they would had a
+// worker answered. Only the misses fan out to the per-disk queues
+// (respecting the in-flight bound); their completions are collected
+// asynchronously. Nodes are delivered in request order — executions
+// depend on that for deterministic tie-breaking, which is what makes
+// engine results identical to the sequential Driver's. With an observer
+// attached the stage emits SemWait, per-fetch FetchDone (request order,
+// wall-clock latency and cache attribution, completed fetches only) and
+// StageDone events on every exit path, success or failure, so traces
+// stay well-formed under cancellation and injected faults. The returned
+// slice belongs to sc and is overwritten by the next stage.
+func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.Node, error) {
+	start := time.Now()
+	results := sc.reset(len(reqs))
+	submitErr := e.liveErr(ctx)
+	pending := 0      // results owed on sc.out
+	hits := uint64(0) // requests served inline
+	var semWait time.Duration
+	mark := start // when the previous request was dealt with: a hit's latency runs from here
+	for i := 0; i < len(reqs) && submitErr == nil; i++ {
+		r := reqs[i]
+		if e.cache != nil {
+			if n, ok := e.cache.Probe(r.Page); ok {
+				now := time.Now()
+				results[i] = fetchResult{idx: i, node: n, wall: now.Sub(mark), hit: true, done: true}
+				mark = now
+				hits++
+				e.gauges[r.Disk].Served.Add(1)
+				e.fetchLat.Observe(results[i].wall.Seconds())
+				continue
+			}
+		}
+		if pending == 0 && cap(sc.out) < len(reqs) {
+			sc.out = make(chan fetchResult, len(reqs)) // a worker's delivery must never block
+		}
+		if submitErr = e.submitOne(ctx, r, i, sc.out, &semWait); submitErr == nil {
+			pending++
+			mark = time.Now()
+		}
+	}
+	e.pagesFetched.Add(hits)
 	e.semWait.Observe(semWait.Seconds())
-	// Drain every submitted job even after an error: workers own sem
-	// slots until delivery, and the first I/O error must not be masked
-	// by cancellation noise from sibling fetches.
+	// Receive every owed result even after an error: workers own sem
+	// slots until delivery, the channel must be empty for the next
+	// stage, and the first I/O error must not be masked by cancellation
+	// noise from sibling fetches.
 	var ioErr, cancelErr error
 	var retryWait time.Duration // refetch sem waits, past the SemWait observation
-	results := make([]fetchResult, len(reqs))
-	for remaining := submitted; remaining > 0; {
-		res := <-out
+	for pending > 0 {
+		res := <-sc.out
 		if res.coalesced && res.err != nil && isCancellation(res.err) && ctx.Err() == nil {
 			// The flight this slot joined was cancelled by its leader's
 			// query, not ours. This query is still live, so refetch the
 			// page directly — another query's cancellation must never
 			// fail an innocent bystander.
-			if err := e.submitOne(ctx, reqs[res.idx], res.idx, out, &retryWait); err == nil {
-				continue // the refetched result will arrive on out
+			if err := e.submitOne(ctx, reqs[res.idx], res.idx, sc.out, &retryWait); err == nil {
+				continue // the refetched result will arrive on sc.out
 			} else {
 				res.err = err // engine closed (or we just got cancelled)
 			}
 		}
-		remaining--
+		pending--
 		results[res.idx] = res
 		switch {
 		case res.err == nil:
@@ -951,21 +1041,22 @@ func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageReq
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]*rtree.Node, len(reqs))
 	for i := range results {
-		nodes[i] = results[i].node
+		sc.nodes[i] = results[i].node
 	}
-	return nodes, nil
+	return sc.nodes, nil
 }
 
 // KNN answers one k-nearest-neighbor query. It is safe to call from
-// many goroutines concurrently; the query's page fetches execute on the
-// per-disk workers. The context cancels the query between (and during)
-// fetch stages. opts.SharedCache may be shared across concurrent
-// queries (bufferpool.Pool is internally locked); residency accounting
-// is admit-on-delivery, so a cancelled query never plants a page it did
-// not fetch. For a decoded-page cache prefer the engine's own
-// Config.CachePages, which also deduplicates concurrent fetches.
+// many goroutines concurrently; pages resident in the engine's cache
+// are served on the calling goroutine, the rest of the query's page
+// fetches execute on the per-disk workers. The context cancels the
+// query between (and during) fetch stages. opts.SharedCache may be
+// shared across concurrent queries (bufferpool.Pool is internally
+// locked); residency accounting is admit-on-delivery, so a cancelled
+// query never plants a page it did not fetch. For a decoded-page cache
+// prefer the engine's own Config.CachePages, which also deduplicates
+// concurrent fetches.
 func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k int, opts query.Options) ([]query.Neighbor, *query.Stats, error) {
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err
@@ -977,9 +1068,10 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 
 	start := time.Now()
 	stage := 0
+	var sc stageScratch
 	ex := alg.NewExecution(e.tree, q, k, opts)
 	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.Node, error) {
-		nodes, err := e.fetchBatch(ctx, stage, reqs, opts.Observer)
+		nodes, err := e.fetchStage(ctx, &sc, stage, reqs, opts.Observer)
 		stage++
 		return nodes, err
 	})

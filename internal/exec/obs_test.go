@@ -209,7 +209,7 @@ func TestWorkerAbandonsCancelledJob(t *testing.T) {
 	eng.gauges[0].Queued.Add(1)
 	// The page id never matters: the worker must notice the dead
 	// context before touching the disk store.
-	eng.queues[0] <- &fetchJob{page: rtree.PageID(1), idx: 0, ctx: ctx, out: out, submitted: time.Now()}
+	eng.queues[0] <- fetchJob{page: rtree.PageID(1), idx: 0, ctx: ctx, out: out, submitted: time.Now()}
 	res := <-out
 
 	if res.err != context.Canceled {

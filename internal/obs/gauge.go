@@ -4,16 +4,23 @@ import "sync/atomic"
 
 // DiskGauges is the live telemetry of one disk's fetch path: how many
 // jobs are queued, how many are being served right now, and the
-// cumulative serve/cancel counts. All fields are atomics; a DiskGauges
-// must not be copied once in use (index into a slice instead).
+// cumulative serve/cancel counts. A job is a real read: the engine
+// serves a page resident in its cache on the querying goroutine, which
+// moves Served but never Queued or InFlight. All fields are atomics; a
+// DiskGauges must not be copied once in use (index into a slice
+// instead).
 type DiskGauges struct {
 	// Queued counts jobs submitted to the disk's queue and not yet
 	// picked up by a worker (includes submitters blocked on a full
-	// queue — exactly the backpressure a hot disk exerts).
+	// queue — exactly the backpressure a hot disk exerts). Cache hits
+	// are never queued.
 	Queued atomic.Int64
-	// InFlight counts jobs a worker is serving at this instant.
+	// InFlight counts jobs a worker is serving at this instant: reads
+	// the cache could not answer.
 	InFlight atomic.Int64
-	// Served counts pages this disk's workers delivered (cumulative).
+	// Served counts pages of this disk delivered to queries, by the
+	// disk's workers or from the page cache (cumulative) — the load the
+	// declustering placed on the disk, whoever answered.
 	Served atomic.Uint64
 	// Cancelled counts jobs abandoned because their query's context
 	// was cancelled — either before a worker picked them up or while

@@ -76,7 +76,8 @@ type FileStoreOptions struct {
 type FileStore struct {
 	codec    Codec
 	counters *obs.StorageCounters
-	osf      *os.File // non-nil only for OS-backed stores; needed for mmap
+	osf      *os.File  // non-nil only for OS-backed stores; needed for mmap
+	images   sync.Pool // *[]byte page buffers for ReadPage, which decodes and drops the image
 
 	mu   sync.Mutex
 	f    BlockFile // guarded by mu
@@ -310,16 +311,25 @@ func (fs *FileStore) ZeroPage(id rtree.PageID) error {
 	return nil
 }
 
-// ReadImage reads the raw image of one page. A short read — the slot
-// lies past the end of the file, or the file was truncated mid-page —
-// surfaces as an error wrapping io.ErrUnexpectedEOF, exactly what a
-// real drive returning fewer bytes than asked looks like to callers.
+// ReadImage reads the raw image of one page into a buffer the caller
+// owns. A short read — the slot lies past the end of the file, or the
+// file was truncated mid-page — surfaces as an error wrapping
+// io.ErrUnexpectedEOF, exactly what a real drive returning fewer bytes
+// than asked looks like to callers.
 func (fs *FileStore) ReadImage(id rtree.PageID) ([]byte, error) {
-	off, err := fs.pageOffset(id)
-	if err != nil {
+	buf := make([]byte, fs.codec.PageSize)
+	if err := fs.readImageInto(id, buf); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, fs.codec.PageSize)
+	return buf, nil
+}
+
+// readImageInto is ReadImage into buf, which must be one page long.
+func (fs *FileStore) readImageInto(id rtree.PageID, buf []byte) error {
+	off, err := fs.pageOffset(id)
+	if err != nil {
+		return err
+	}
 	fs.mu.Lock()
 	m := fs.mmap
 	f := fs.f
@@ -330,26 +340,33 @@ func (fs *FileStore) ReadImage(id rtree.PageID) ([]byte, error) {
 		n, err := f.ReadAt(buf, off)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, fmt.Errorf("pagestore: short read of page %d (%d of %d bytes): %w",
+				return fmt.Errorf("pagestore: short read of page %d (%d of %d bytes): %w",
 					id, n, fs.codec.PageSize, io.ErrUnexpectedEOF)
 			}
-			return nil, fmt.Errorf("pagestore: reading page %d: %w", id, err)
+			return fmt.Errorf("pagestore: reading page %d: %w", id, err)
 		}
 	}
 	if fs.counters != nil {
 		fs.counters.PageReads.Add(1)
 	}
-	return buf, nil
+	return nil
 }
 
 // ReadPage implements Reader: a physical page read plus decode, with
 // the misdirected-read identity check (decoded id must equal the slot).
+// The image is read into a pooled buffer: Decode copies every field
+// out, so the node keeps no reference to it.
 func (fs *FileStore) ReadPage(id rtree.PageID) (*rtree.Node, error) {
-	buf, err := fs.ReadImage(id)
-	if err != nil {
+	bp, _ := fs.images.Get().(*[]byte)
+	if bp == nil {
+		buf := make([]byte, fs.codec.PageSize)
+		bp = &buf
+	}
+	defer fs.images.Put(bp)
+	if err := fs.readImageInto(id, *bp); err != nil {
 		return nil, err
 	}
-	n, err := fs.codec.Decode(buf)
+	n, err := fs.codec.Decode(*bp)
 	if err != nil {
 		return nil, fmt.Errorf("pagestore: page %d: %w", id, err)
 	}

@@ -174,39 +174,42 @@ func (c Codec) Decode(buf []byte) (*rtree.Node, error) {
 		Level:   level,
 		Entries: make([]rtree.Entry, count),
 	}
+	// One coordinate slab per page, not two or three slices per entry.
+	// Each point is a capacity-capped sub-slice, so an append to one can
+	// never run into its neighbour.
+	per := 2 * dim
+	if c.Spheres {
+		per += dim
+	}
+	slab := make([]float64, count*per)
+	point := func(off int) (geom.Point, int) {
+		p := slab[:dim:dim]
+		slab = slab[dim:]
+		for d := range p {
+			p[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+		}
+		return p, off
+	}
 	off := headerSize
 	for i := 0; i < count; i++ {
-		lo := make(geom.Point, dim)
-		hi := make(geom.Point, dim)
-		for d := 0; d < dim; d++ {
-			lo[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for d := 0; d < dim; d++ {
-			hi[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
+		e := &n.Entries[i]
+		e.Rect.Lo, off = point(off)
+		e.Rect.Hi, off = point(off)
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
-		cnt := int(binary.LittleEndian.Uint32(buf[off:]))
+		e.Count = int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		e := rtree.Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Count: cnt}
 		if c.Spheres {
-			center := make(geom.Point, dim)
-			for d := 0; d < dim; d++ {
-				center[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-				off += 8
-			}
-			radius := math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			e.Sphere.Center, off = point(off)
+			e.Sphere.Radius = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
-			e.Sphere = geom.Sphere{Center: center, Radius: radius}
 		}
 		if level == 0 {
 			e.Object = rtree.ObjectID(ref)
 		} else {
 			e.Child = rtree.PageID(ref)
 		}
-		n.Entries[i] = e
 	}
 	// Build the flat geometry view eagerly: a decoded node is about to
 	// be scanned by the batch distance kernels, and building here means

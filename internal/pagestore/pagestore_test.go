@@ -247,3 +247,66 @@ func TestPagedStoreConcurrentReads(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestDecodeAllocsIndependentOfEntryCount pins the decoded page's
+// coordinate slab: a full page costs the same few allocations as a
+// page with one entry (node, entries, slab, and the flat view's
+// share), and the points cut from the slab cannot grow into each
+// other.
+func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
+	for _, spheres := range []bool{false, true} {
+		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
+		rnd := rand.New(rand.NewSource(5))
+		allocs := func(entries int) float64 {
+			n := randomNode(rnd, c.Dim, entries, true)
+			if spheres {
+				for i := range n.Entries {
+					n.Entries[i].Sphere = geom.Sphere{Center: n.Entries[i].Rect.Lo, Radius: 1}
+				}
+			}
+			buf, err := c.Encode(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(50, func() {
+				if _, err := c.Decode(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		one, full := allocs(1), allocs(c.Capacity())
+		t.Logf("spheres=%v: %.0f allocations per decode", spheres, full)
+		if full != one {
+			t.Errorf("spheres=%v: full page decodes in %.0f allocations, one entry in %.0f", spheres, full, one)
+		}
+		if full > 12 {
+			t.Errorf("spheres=%v: full page decodes in %.0f allocations, want a small constant", spheres, full)
+		}
+	}
+
+	c := Codec{Dim: 2, PageSize: 4096, Spheres: true}
+	n := randomNode(rand.New(rand.NewSource(6)), 2, 3, true)
+	for i := range n.Entries {
+		n.Entries[i].Sphere = geom.Sphere{Center: n.Entries[i].Rect.Hi, Radius: 2}
+	}
+	buf, err := c.Encode(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := c.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range dec.Entries {
+		e := &dec.Entries[i]
+		for _, p := range []geom.Point{e.Rect.Lo, e.Rect.Hi, e.Sphere.Center} {
+			_ = append(p, -1) // must reallocate, not write into the next point
+		}
+	}
+	for i := range n.Entries {
+		a, b := n.Entries[i], dec.Entries[i]
+		if !rectBitsEqual(a.Rect, b.Rect) || !pointBitsEqual(a.Sphere.Center, b.Sphere.Center) {
+			t.Fatalf("entry %d: an append to one decoded point overwrote another", i)
+		}
+	}
+}

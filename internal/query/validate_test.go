@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -25,6 +26,10 @@ func TestValidateKNN(t *testing.T) {
 		{"dim too high", geom.Point{1, 2, 3}, 5, true},
 		{"dim too low", geom.Point{1}, 5, true},
 		{"empty point", geom.Point{}, 5, true},
+		{"NaN coordinate", geom.Point{0.5, math.NaN()}, 5, true},
+		{"+Inf coordinate", geom.Point{math.Inf(1), 0.5}, 5, true},
+		{"-Inf coordinate", geom.Point{0.5, math.Inf(-1)}, 5, true},
+		{"largest finite coordinate", geom.Point{math.MaxFloat64, -math.MaxFloat64}, 5, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := ValidateKNN(tree, tc.q, tc.k)

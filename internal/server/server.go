@@ -30,7 +30,8 @@ type Backend interface {
 	// mid-flight. Must be safe for concurrent use.
 	KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k int, opts query.Options) ([]query.Neighbor, *query.Stats, error)
 	// QueueDepths reports each disk's pending load (queued plus
-	// in-flight fetches) — the admission-control signal.
+	// in-flight page reads; pages the engine serves from its cache
+	// never queue) — the admission-control signal.
 	QueueDepths() []int64
 }
 
@@ -187,6 +188,12 @@ func (s *Server) waitServe() error {
 	return err
 }
 
+// maxKNNBodyBytes bounds the POST /v1/knn body: the server buffers a
+// request's point while decoding, so an unbounded body is memory a
+// client controls. A query point of a thousand dimensions is under
+// 32 KiB of JSON; a larger body is refused with 413.
+const maxKNNBodyBytes = 64 << 10
+
 // knnRequest is the POST /v1/knn body.
 type knnRequest struct {
 	Point     []float64 `json:"point"`
@@ -258,8 +265,14 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var req knnRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxKNNBodyBytes)).Decode(&req); err != nil {
 		tm.ObserveError()
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

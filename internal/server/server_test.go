@@ -634,3 +634,52 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		t.Fatalf("/healthz: status %d", hresp.StatusCode)
 	}
 }
+
+// TestServerBoundsRequestBody pins the /v1/knn body limit: a body of
+// exactly maxKNNBodyBytes is decoded and served, one byte more is
+// refused with 413 before the rest is read, and the server keeps
+// answering afterwards.
+func TestServerBoundsRequestBody(t *testing.T) {
+	tree, _ := buildTree(t, 200, 2)
+	eng, err := exec.New(tree, exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Config{Backend: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	url := fmt.Sprintf("http://%s/v1/knn", srv.Addr())
+
+	query := `{"point":[0.5,0.5],"k":3}`
+	padded := func(size int) []byte { // the query behind leading whitespace, size bytes in all
+		return append(bytes.Repeat([]byte(" "), size-len(query)), query...)
+	}
+	coords := bytes.Repeat([]byte("0.25,"), maxKNNBodyBytes/4)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"small", []byte(query), http.StatusOK},
+		{"exactly the limit", padded(maxKNNBodyBytes), http.StatusOK},
+		{"one byte over", padded(maxKNNBodyBytes + 1), http.StatusRequestEntityTooLarge},
+		{"oversized point", []byte(`{"k":3,"point":[` + string(coords) + `0.25]}`), http.StatusRequestEntityTooLarge},
+		{"endless string", append([]byte(`{"algorithm":"`), bytes.Repeat([]byte("a"), 4*maxKNNBodyBytes)...), http.StatusRequestEntityTooLarge},
+		{"small again", []byte(query), http.StatusOK},
+	} {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s (%d bytes): status %d, want %d", tc.name, len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}
