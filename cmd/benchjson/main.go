@@ -12,15 +12,17 @@
 // recorded in the `speedups` section — the kernel-vectorization
 // trajectory this repo tracks across commits.
 //
-// Compare mode diffs a new report against a baseline and warns (never
-// fails) when ns/op regresses by more than the threshold:
+// Compare mode diffs a new report against a baseline:
 //
 //	benchjson compare -threshold 10 BENCH_baseline.json BENCH_new.json
 //
-// Under GitHub Actions (GITHUB_ACTIONS=true, or -github) regressions are
-// emitted as ::warning:: workflow annotations. The exit status is 0 as
-// long as both reports parse: benchmark noise on shared CI runners must
-// not block merges, it should only leave a visible trail.
+// A benchmark whose median allocs/op rises by more than the threshold
+// fails the comparison (exit status 1): allocation counts repeat run to
+// run, so a rise is a code change. An ns/op regression beyond the same
+// threshold only warns — benchmark noise on shared CI runners must not
+// block merges, it should only leave a visible trail. Under GitHub
+// Actions (GITHUB_ACTIONS=true, or -github) both are emitted as
+// workflow annotations (::error:: and ::warning::).
 package main
 
 import (
@@ -363,8 +365,8 @@ func deriveSpeedups(benches []Benchmark) []Speedup {
 
 func runCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 10, "regression warning threshold, percent ns/op increase")
-	github := fs.Bool("github", false, "emit ::warning:: annotations (auto-on under GITHUB_ACTIONS)")
+	threshold := fs.Float64("threshold", 10, "regression threshold, percent increase: ns/op warns, allocs/op fails")
+	github := fs.Bool("github", false, "emit ::warning::/::error:: annotations (auto-on under GITHUB_ACTIONS)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
@@ -379,7 +381,21 @@ func runCompare(args []string) error {
 	if err != nil {
 		return fmt.Errorf("new report: %w", err)
 	}
+	fmt.Printf("comparing %s (%s) -> %s (%s), threshold +%.0f%%: ns/op warns, allocs/op fails\n",
+		fs.Arg(0), base.Date, fs.Arg(1), cur.Date, *threshold)
+	if n := compareReports(os.Stdout, base, cur, *threshold, annotate); n > 0 {
+		return fmt.Errorf("%d benchmark(s) allocate more than %.0f%% above the baseline", n, *threshold)
+	}
+	return nil
+}
 
+// compareReports prints the benchmark-by-benchmark comparison and
+// returns the number of allocation regressions — the gating half. A
+// benchmark's allocs/op is a count the program makes of itself and
+// repeats from run to run, so a rise beyond the
+// threshold is a change in the code, never runner noise; ns/op on a
+// shared runner is noise-prone and only ever warns.
+func compareReports(w io.Writer, base, cur *Report, threshold float64, annotate bool) (allocRegressions int) {
 	type key struct{ pkg, name string }
 	baseBy := make(map[key]Benchmark, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
@@ -387,51 +403,57 @@ func runCompare(args []string) error {
 	}
 
 	regressions, improvements, missing := 0, 0, 0
-	fmt.Printf("comparing %s (%s) -> %s (%s), warn threshold +%.0f%% ns/op\n",
-		fs.Arg(0), base.Date, fs.Arg(1), cur.Date, *threshold)
 	for _, b := range cur.Benchmarks {
 		old, ok := baseBy[key{b.Package, b.Name}]
 		if !ok {
-			fmt.Printf("  new   %-60s %12.1f ns/op\n", b.Name, b.NsPerOp)
+			fmt.Fprintf(w, "  new   %-60s %12.1f ns/op\n", b.Name, b.NsPerOp)
 			continue
 		}
 		delete(baseBy, key{b.Package, b.Name})
+		if old.AllocsPerOp != nil && b.AllocsPerOp != nil && *b.AllocsPerOp > *old.AllocsPerOp*(1+threshold/100) {
+			allocRegressions++
+			msg := fmt.Sprintf("%s allocates more: %g -> %g allocs/op", b.Name, *old.AllocsPerOp, *b.AllocsPerOp)
+			fmt.Fprintf(w, "  ALLOCS %s\n", msg)
+			if annotate {
+				fmt.Fprintf(w, "::error title=allocation regression::%s\n", msg)
+			}
+		}
 		if old.NsPerOp <= 0 {
 			continue
 		}
 		pct := (b.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
 		switch {
-		case pct > *threshold:
+		case pct > threshold:
 			regressions++
 			msg := fmt.Sprintf("%s regressed: %.1f -> %.1f ns/op (%+.1f%%)",
 				b.Name, old.NsPerOp, b.NsPerOp, pct)
-			fmt.Printf("  SLOWER %s\n", msg)
+			fmt.Fprintf(w, "  SLOWER %s\n", msg)
 			if annotate {
-				fmt.Printf("::warning title=benchmark regression::%s\n", msg)
+				fmt.Fprintf(w, "::warning title=benchmark regression::%s\n", msg)
 			}
-		case pct < -*threshold:
+		case pct < -threshold:
 			improvements++
-			fmt.Printf("  faster %s: %.1f -> %.1f ns/op (%+.1f%%)\n",
+			fmt.Fprintf(w, "  faster %s: %.1f -> %.1f ns/op (%+.1f%%)\n",
 				b.Name, old.NsPerOp, b.NsPerOp, pct)
 		}
 	}
 	for k := range baseBy {
 		missing++
 		msg := fmt.Sprintf("benchmark %s present in baseline but missing from new report", k.name)
-		fmt.Printf("  gone   %s\n", msg)
+		fmt.Fprintf(w, "  gone   %s\n", msg)
 		if annotate {
-			fmt.Printf("::warning title=benchmark removed::%s\n", msg)
+			fmt.Fprintf(w, "::warning title=benchmark removed::%s\n", msg)
 		}
 	}
-	compareSpeedups(base, cur, annotate)
-	fmt.Printf("summary: %d regression(s), %d improvement(s), %d missing — informational only, not a gate\n",
-		regressions, improvements, missing)
-	return nil
+	compareSpeedups(w, base, cur, annotate)
+	fmt.Fprintf(w, "summary: %d allocation regression(s) — gating; %d ns/op regression(s), %d improvement(s), %d missing — informational\n",
+		allocRegressions, regressions, improvements, missing)
+	return allocRegressions
 }
 
 // compareSpeedups reports movement in the scalar/batch speedup pairs —
 // the headline series of this repo's benchmark trajectory.
-func compareSpeedups(base, cur *Report, annotate bool) {
+func compareSpeedups(w io.Writer, base, cur *Report, annotate bool) {
 	baseBy := make(map[string]Speedup, len(base.Speedups))
 	for _, s := range base.Speedups {
 		baseBy[s.Name] = s
@@ -439,12 +461,12 @@ func compareSpeedups(base, cur *Report, annotate bool) {
 	for _, s := range cur.Speedups {
 		old, ok := baseBy[s.Name]
 		if !ok {
-			fmt.Printf("  speedup %-50s %6.2fx (new)\n", s.Name, s.Speedup)
+			fmt.Fprintf(w, "  speedup %-50s %6.2fx (new)\n", s.Name, s.Speedup)
 			continue
 		}
-		fmt.Printf("  speedup %-50s %6.2fx (was %.2fx)\n", s.Name, s.Speedup, old.Speedup)
+		fmt.Fprintf(w, "  speedup %-50s %6.2fx (was %.2fx)\n", s.Name, s.Speedup, old.Speedup)
 		if old.Speedup > 0 && s.Speedup < old.Speedup*0.9 && annotate {
-			fmt.Printf("::warning title=speedup regression::%s batch speedup fell %.2fx -> %.2fx\n",
+			fmt.Fprintf(w, "::warning title=speedup regression::%s batch speedup fell %.2fx -> %.2fx\n",
 				s.Name, old.Speedup, s.Speedup)
 		}
 	}

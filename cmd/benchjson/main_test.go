@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -131,5 +134,75 @@ func TestParseSkipsMalformedLines(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkOK" {
 		t.Errorf("benchmarks = %+v", rep.Benchmarks)
+	}
+}
+
+func allocBench(name string, ns, allocs float64) Benchmark {
+	return Benchmark{Name: name, Package: "repro", Samples: 5, NsPerOp: ns, AllocsPerOp: &allocs}
+}
+
+// TestCompareGatesOnAllocs: an allocs/op rise beyond the threshold is
+// counted (runCompare turns the count into a non-zero exit); ns/op
+// regressions, rises within the threshold, falls, and benchmarks
+// without -benchmem data are not.
+func TestCompareGatesOnAllocs(t *testing.T) {
+	base := &Report{Benchmarks: []Benchmark{
+		allocBench("BenchmarkKNNCRSS", 20000, 10),
+		allocBench("BenchmarkKNNFPSS", 20000, 40),
+		allocBench("BenchmarkKernels/batch/dmin/d=2", 200, 0),
+		{Name: "BenchmarkNoBenchmem", Package: "repro", NsPerOp: 100},
+	}}
+	cases := []struct {
+		name string
+		cur  []Benchmark
+		want int
+		say  string
+	}{
+		{"unchanged", base.Benchmarks, 0, ""},
+		{"slower only", []Benchmark{allocBench("BenchmarkKNNCRSS", 90000, 10)}, 0, "SLOWER"},
+		{"within threshold", []Benchmark{allocBench("BenchmarkKNNFPSS", 20000, 44)}, 0, ""},
+		{"fewer", []Benchmark{allocBench("BenchmarkKNNCRSS", 20000, 4)}, 0, ""},
+		{"one more of ten", []Benchmark{allocBench("BenchmarkKNNCRSS", 20000, 12)}, 1, "ALLOCS BenchmarkKNNCRSS allocates more: 10 -> 12 allocs/op"},
+		{"first allocation", []Benchmark{allocBench("BenchmarkKernels/batch/dmin/d=2", 200, 1)}, 1, "0 -> 1 allocs/op"},
+		{"no data", []Benchmark{allocBench("BenchmarkNoBenchmem", 100, 7), {Name: "BenchmarkKNNCRSS", Package: "repro", NsPerOp: 20000}}, 0, ""},
+		{"two", []Benchmark{allocBench("BenchmarkKNNCRSS", 20000, 63), allocBench("BenchmarkKNNFPSS", 20000, 45)}, 2, "::error title=allocation regression::"},
+	}
+	for _, c := range cases {
+		var out strings.Builder
+		got := compareReports(&out, base, &Report{Benchmarks: c.cur}, 10, true)
+		if got != c.want {
+			t.Errorf("%s: %d allocation regressions, want %d\n%s", c.name, got, c.want, out.String())
+		}
+		if !strings.Contains(out.String(), c.say) {
+			t.Errorf("%s: output lacks %q:\n%s", c.name, c.say, out.String())
+		}
+		if (got > 0) != strings.Contains(out.String(), "::error") {
+			t.Errorf("%s: ::error:: annotations do not match the count:\n%s", c.name, out.String())
+		}
+	}
+}
+
+// TestRunCompareExitStatus drives compare mode over report files: the
+// error main turns into exit status 1 comes back exactly when allocs/op
+// rose.
+func TestRunCompareExitStatus(t *testing.T) {
+	write := func(name string, allocs float64) string {
+		path := filepath.Join(t.TempDir(), name)
+		buf, err := json.Marshal(Report{SchemaVersion: SchemaVersion, Date: "2026-09-30",
+			Benchmarks: []Benchmark{allocBench("BenchmarkKNNCRSS", 20000, allocs)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base, same, worse := write("base.json", 4), write("same.json", 4), write("worse.json", 5)
+	if err := runCompare([]string{base, same}); err != nil {
+		t.Errorf("unchanged allocs/op: %v", err)
+	}
+	if err := runCompare([]string{base, worse}); err == nil {
+		t.Error("allocs/op 4 -> 5 passed the gate")
 	}
 }

@@ -290,6 +290,7 @@ type Engine struct {
 	sem      chan struct{} // in-flight read slots (cache misses only)
 	cache    *bufferpool.Sharded[rtree.PageID, *rtree.Node]
 	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
+	scratch  sync.Pool  // *stageScratch, one per running query
 
 	mu       sync.Mutex
 	isClosed bool           // guarded by mu
@@ -347,6 +348,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		stageLat: obs.NewLatencyHistogram(),
 		semWait:  obs.NewLatencyHistogram(),
 	}
+	e.scratch.New = func() any { return new(stageScratch) }
 	tc := t.Config()
 	codec := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}
 	for d := range e.stores {
@@ -899,10 +901,11 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, idx int, ou
 }
 
 // stageScratch is one query's per-stage fetch state, reused from stage
-// to stage. That is safe because executions may not retain the
-// delivered slice (query.Driver reuses its own the same way) and every
-// stage receives all the results it is owed before it returns, so the
-// next stage finds the channel empty.
+// to stage and, through Engine.scratch, from query to query. That is
+// safe because executions may not retain the delivered slice
+// (query.Driver reuses its own the same way) and every stage receives
+// all the results it is owed before it returns, failed or not, so the
+// next stage — or the next query — finds the channel empty.
 type stageScratch struct {
 	out     chan fetchResult // made by the first stage that misses the cache
 	results []fetchResult
@@ -919,6 +922,13 @@ func (sc *stageScratch) reset(n int) []fetchResult {
 	sc.results, sc.nodes = sc.results[:n], sc.nodes[:n]
 	clear(sc.results)
 	return sc.results
+}
+
+// unpin drops the node references of the query that used the scratch,
+// so a pooled scratch keeps no decoded page alive.
+func (sc *stageScratch) unpin() {
+	clear(sc.results[:cap(sc.results)])
+	clear(sc.nodes[:cap(sc.nodes)])
 }
 
 // liveErr is the inline path's once-per-stage liveness check: a stage
@@ -1068,13 +1078,18 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 
 	start := time.Now()
 	stage := 0
-	var sc stageScratch
+	// A panic below drops the scratch instead of pooling it: its channel
+	// may still be owed results.
+	sc := e.scratch.Get().(*stageScratch)
 	ex := alg.NewExecution(e.tree, q, k, opts)
+	defer ex.Release()
 	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.Node, error) {
-		nodes, err := e.fetchStage(ctx, &sc, stage, reqs, opts.Observer)
+		nodes, err := e.fetchStage(ctx, sc, stage, reqs, opts.Observer)
 		stage++
 		return nodes, err
 	})
+	sc.unpin()
+	e.scratch.Put(sc)
 	if err != nil {
 		e.cancelled.Add(1)
 		return nil, nil, err

@@ -140,13 +140,18 @@ func (r Rect) Margin() float64 {
 
 // Union returns the minimum bounding rectangle of r and s.
 func (r Rect) Union(s Rect) Rect {
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Hi))
+	out := Rect{Lo: make(Point, len(r.Lo)), Hi: make(Point, len(r.Hi))}
+	r.UnionInto(s, out)
+	return out
+}
+
+// UnionInto is Union into a rectangle the caller owns: it overwrites
+// dst's coordinates, which must have r's dimensionality.
+func (r Rect) UnionInto(s, dst Rect) {
 	for i := range r.Lo {
-		lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		hi[i] = math.Max(r.Hi[i], s.Hi[i])
+		dst.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
+		dst.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
 	}
-	return Rect{Lo: lo, Hi: hi}
 }
 
 // UnionInPlace grows r to enclose s, reusing r's backing arrays.

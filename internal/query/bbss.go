@@ -26,11 +26,12 @@ func (BBSS) Name() string { return "BBSS" }
 
 // NewExecution implements Algorithm.
 func (BBSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &bbssExec{base: newBase(t, q, k, opts), best: newBestList(k), dmmBoundSq: math.Inf(1)}
+	return &bbssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len()), dmmBoundSq: math.Inf(1)}
 }
 
-// bbssFrame is one level of the explicit DFS stack: the pruned active
-// branch list of a visited node, in Dmin order, and the scan cursor.
+// bbssFrame is one level of the explicit DFS stack (scratch.frames):
+// the pruned active branch list of a visited node, in Dmin order and cut
+// from the scratch arena, and the scan cursor.
 type bbssFrame struct {
 	abl []candidate
 	idx int
@@ -38,17 +39,14 @@ type bbssFrame struct {
 
 type bbssExec struct {
 	base
-	best    *bestList
-	stack   []bbssFrame
+	best    bestList
 	started bool
 	// upper bounds the answer distance for k == 1 via Dmm (rule 2).
 	dmmBoundSq float64
 }
 
 func (e *bbssExec) Results() []Neighbor {
-	r := e.best.results()
-	sortNeighbors(r)
-	return r
+	return e.best.results()
 }
 
 // pruneDistSq is the current rule-3 pruning radius: the k-th best actual
@@ -64,14 +62,12 @@ func (e *bbssExec) pruneDistSq() float64 {
 func (e *bbssExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		root := e.tree.Root()
-		rootLevel := e.tree.Height() - 1
-		return e.finishStep([]PageRequest{e.request(root, rootLevel)}, 0, 0)
+		return e.requestRoot()
 	}
 
 	scanned, sorted := 0, 0
 	// Process the delivered page (BBSS always requests exactly one).
-	for _, n := range delivered {
+	for ni, n := range delivered {
 		if n.IsLeaf() {
 			scanned += len(n.Entries)
 			for i, d := range e.leafDmin(n) {
@@ -81,7 +77,7 @@ func (e *bbssExec) Step(delivered []*rtree.Node) StepResult {
 				}
 			}
 		} else {
-			cands := makeCandidates(e.q, []*rtree.Node{n})
+			cands := e.sc.makeCandidates(e.q, delivered[ni:ni+1])
 			scanned += len(cands)
 			if e.k == 1 {
 				for _, c := range cands {
@@ -93,25 +89,25 @@ func (e *bbssExec) Step(delivered []*rtree.Node) StepResult {
 			cands = pruneByDmin(cands, e.pruneDistSq())
 			sortByDmin(cands)
 			sorted += len(cands)
-			e.stack = append(e.stack, bbssFrame{abl: cands})
+			e.sc.frames = append(e.sc.frames, bbssFrame{abl: e.sc.keep(cands)})
 		}
 	}
 
 	// Descend into the next unpruned branch, backtracking as needed
 	// (rule 3 is re-applied lazily at visit time: the pruning radius may
 	// have shrunk since the frame was built).
-	for len(e.stack) > 0 {
-		top := &e.stack[len(e.stack)-1]
+	for len(e.sc.frames) > 0 {
+		top := &e.sc.frames[len(e.sc.frames)-1]
 		for top.idx < len(top.abl) {
 			c := top.abl[top.idx]
 			top.idx++
 			if c.dminSq <= e.pruneDistSq() {
-				return e.finishStep([]PageRequest{e.request(c.child, c.level)}, scanned, sorted)
+				return e.finishStep(e.single(c.child, c.level), scanned, sorted)
 			}
 			// Dmin-sorted: the rest of this frame is pruned too.
 			top.idx = len(top.abl)
 		}
-		e.stack = e.stack[:len(e.stack)-1]
+		e.sc.frames = e.sc.frames[:len(e.sc.frames)-1]
 	}
 
 	e.done = true

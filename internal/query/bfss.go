@@ -1,8 +1,6 @@
 package query
 
 import (
-	"container/heap"
-
 	"repro/internal/geom"
 	"repro/internal/parallel"
 	"repro/internal/rtree"
@@ -26,7 +24,7 @@ func (BFSS) Name() string { return "BFSS" }
 
 // NewExecution implements Algorithm.
 func (BFSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &bfssExec{base: newBase(t, q, k, opts), best: newBestList(k)}
+	return &bfssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len())}
 }
 
 // bfssItem is a frontier element: a page with the Dmin of its region.
@@ -36,43 +34,30 @@ type bfssItem struct {
 	level  int
 }
 
-type bfssHeap []bfssItem
-
-func (h bfssHeap) Len() int { return len(h) }
-func (h bfssHeap) Less(i, j int) bool {
+// nearerPage orders the frontier (scratch.frontier, a min-heap): by
+// distance, exact ties deliberately broken by the page ID.
+func nearerPage(a, b bfssItem) bool {
 	//lint:allow floatcmp exact-equal distances deliberately fall through to the page-ID tie-break
-	if h[i].distSq != h[j].distSq {
-		return h[i].distSq < h[j].distSq
+	if a.distSq != b.distSq {
+		return a.distSq < b.distSq
 	}
-	return h[i].page < h[j].page
-}
-func (h bfssHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *bfssHeap) Push(x interface{}) { *h = append(*h, x.(bfssItem)) }
-func (h *bfssHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.page < b.page
 }
 
 type bfssExec struct {
 	base
-	best     *bestList
-	frontier bfssHeap
-	started  bool
+	best    bestList
+	started bool
 }
 
 func (e *bfssExec) Results() []Neighbor {
-	r := e.best.results()
-	sortNeighbors(r)
-	return r
+	return e.best.results()
 }
 
 func (e *bfssExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		return e.requestRoot()
 	}
 
 	scanned, sorted := 0, 0
@@ -89,7 +74,7 @@ func (e *bfssExec) Step(delivered []*rtree.Node) StepResult {
 			for _, en := range n.Entries {
 				d := geom.SphereRectMin(e.q, en.Rect, en.Sphere)
 				if d <= e.best.kthDistSq() {
-					heap.Push(&e.frontier, bfssItem{distSq: d, page: en.Child, level: n.Level - 1})
+					e.sc.frontier = heapPush(e.sc.frontier, bfssItem{distSq: d, page: en.Child, level: n.Level - 1}, nearerPage)
 					sorted++ // heap maintenance charged as sort work
 				}
 			}
@@ -98,14 +83,15 @@ func (e *bfssExec) Step(delivered []*rtree.Node) StepResult {
 
 	// Expand the globally nearest pending page, discarding stale
 	// entries pruned by the tightened k-th distance.
-	for e.frontier.Len() > 0 {
-		it := heap.Pop(&e.frontier).(bfssItem)
-		if it.distSq > e.best.kthDistSq() {
-			// Everything else in the heap is at least this far: done.
-			e.frontier = e.frontier[:0]
-			break
+	if len(e.sc.frontier) > 0 {
+		it := e.sc.frontier[0]
+		// Beyond the k-th distance everything else in the heap is at
+		// least as far: done.
+		if it.distSq <= e.best.kthDistSq() {
+			e.sc.frontier = heapPop(e.sc.frontier, nearerPage)
+			return e.finishStep(e.single(it.page, it.level), scanned, sorted)
 		}
-		return e.finishStep([]PageRequest{e.request(it.page, it.level)}, scanned, sorted)
+		e.sc.frontier = e.sc.frontier[:0]
 	}
 
 	e.done = true

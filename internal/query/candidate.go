@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -21,7 +22,7 @@ type candidate struct {
 
 // candScratch holds the reusable batch-kernel output buffers of one
 // makeCandidates pass, sliced out of a single allocation sized to the
-// largest node seen so far.
+// largest node seen so far. It is part of the query's scratch.
 type candScratch struct {
 	buf []float64
 }
@@ -50,16 +51,12 @@ func (s *candScratch) views(m int) (dmin, dmm, dmax, tmp []float64) {
 // the node's flat geometry view, which is bit-identical to the scalar
 // per-entry path (makeCandidatesScalar, kept as the test reference and
 // the fallback for mixed-sphere nodes).
-func makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate {
-	total := 0
-	for _, n := range nodes {
-		total += len(n.Entries)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]candidate, 0, total)
-	var scratch candScratch
+//
+// The returned slice is the scratch's candidate array, valid until the
+// next makeCandidates call; callers prune and sort it in place and copy
+// out (scratch.keep) what must outlive the stage.
+func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate {
+	out := s.cands[:0]
 	for _, n := range nodes {
 		m := len(n.Entries)
 		if m == 0 {
@@ -72,7 +69,7 @@ func makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate {
 			out = appendCandidatesScalar(out, q, n)
 			continue
 		}
-		dmin, dmm, dmax, tmp := scratch.views(m)
+		dmin, dmm, dmax, tmp := s.kern.views(m)
 		geom.MinDistSqBatch(q, &f.Rects, dmin)
 		geom.MinMaxDistSqBatch(q, &f.Rects, dmm)
 		geom.MaxDistSqBatch(q, &f.Rects, dmax)
@@ -104,6 +101,7 @@ func makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate {
 			})
 		}
 	}
+	s.cands = out[:0]
 	return out
 }
 
@@ -146,41 +144,59 @@ func makeCandidatesScalar(q geom.Point, nodes []*rtree.Node) []candidate {
 	return out
 }
 
-// lemma1BoundSq computes the paper's Lemma 1 threshold: sort the MBRs by
-// Dmax and find the smallest prefix whose subtree object counts sum to
-// at least k; every one of the k nearest neighbors then lies within the
-// sphere of radius Dmax of the prefix's last MBR. It returns +Inf when
-// the candidates hold fewer than k objects (no bound can be derived).
-func lemma1BoundSq(cands []candidate, k int) float64 {
-	total := 0
-	for _, c := range cands {
-		total += c.count
-	}
-	if total < k {
-		return math.Inf(1)
-	}
-	byDmax := make([]candidate, len(cands))
-	copy(byDmax, cands)
-	sort.Slice(byDmax, func(i, j int) bool { return byDmax[i].dmaxSq < byDmax[j].dmaxSq })
-	cum := 0
-	for _, c := range byDmax {
-		cum += c.count
-		if cum >= k {
-			return c.dmaxSq
+// lemmaItem is what Lemma 1 reads of a candidate.
+type lemmaItem struct {
+	dmaxSq float64
+	count  int
+}
+
+func fartherDmax(a, b lemmaItem) bool { return a.dmaxSq > b.dmaxSq }
+
+// lemma1BoundSq computes the paper's Lemma 1 threshold: take the MBRs in
+// Dmax order and find the smallest prefix whose subtree object counts
+// sum to at least k; every one of the k nearest neighbors then lies
+// within the sphere of radius Dmax of the prefix's last MBR. It returns
+// +Inf when the candidates hold fewer than k objects (no bound can be
+// derived).
+//
+// Only that one Dmax is wanted, so the candidates are not sorted: one
+// pass keeps the prefix in a max-heap on Dmax, evicting the farthest
+// member whenever the rest still covers k. The result is the smallest v
+// with Σ count(Dmax ≤ v) ≥ k whatever the input order and however ties
+// fall. The input is not modified.
+func (s *scratch) lemma1BoundSq(cands []candidate, k int) float64 {
+	h := s.lemma[:0]
+	covered := 0
+	for i := range cands {
+		c := &cands[i]
+		if covered >= k && c.dmaxSq >= h[0].dmaxSq {
+			continue // beyond the prefix
+		}
+		h = heapPush(h, lemmaItem{dmaxSq: c.dmaxSq, count: c.count}, fartherDmax)
+		covered += c.count
+		for covered-h[0].count >= k {
+			covered -= h[0].count
+			h = heapPop(h, fartherDmax)
 		}
 	}
-	return math.Inf(1) // unreachable given the total check
+	s.lemma = h[:0]
+	if covered < k {
+		return math.Inf(1)
+	}
+	return h[0].dmaxSq
 }
 
 // sortByDmin orders candidates by increasing Dmin (ties by child page ID
-// for determinism).
+// for determinism; a child appears once, so the order is total).
 func sortByDmin(cands []candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		//lint:allow floatcmp exact-equal Dmin deliberately falls through to the child-ID tie-break
-		if cands[i].dminSq != cands[j].dminSq {
-			return cands[i].dminSq < cands[j].dminSq
+	slices.SortFunc(cands, func(a, b candidate) int {
+		switch {
+		case a.dminSq < b.dminSq:
+			return -1
+		case a.dminSq > b.dminSq:
+			return 1
 		}
-		return cands[i].child < cands[j].child
+		return cmp.Compare(a.child, b.child)
 	})
 }
 

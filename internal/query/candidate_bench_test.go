@@ -60,8 +60,9 @@ func BenchmarkMakeCandidates(b *testing.B) {
 		}
 		name := fmt.Sprintf("d=%d/fanout=%d/spheres=%v", cfg.dim, cfg.perNode, cfg.spheres)
 		b.Run("batch/"+name, func(b *testing.B) {
+			sc := new(scratch)
 			for i := 0; i < b.N; i++ {
-				_ = makeCandidates(q, nodes)
+				_ = sc.makeCandidates(q, nodes)
 			}
 		})
 		b.Run("scalar/"+name, func(b *testing.B) {

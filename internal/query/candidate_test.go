@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -24,21 +25,71 @@ func TestLemma1Bound(t *testing.T) {
 		cand(2, 1, 2, 9, 4),
 		cand(3, 2, 3, 16, 5),
 	}
-	if got := lemma1BoundSq(cands, 5); got != 9 {
+	if got := new(scratch).lemma1BoundSq(cands, 5); got != 9 {
 		t.Errorf("lemma1(k=5) = %g, want 9", got)
 	}
-	if got := lemma1BoundSq(cands, 1); got != 4 {
+	if got := new(scratch).lemma1BoundSq(cands, 1); got != 4 {
 		t.Errorf("lemma1(k=1) = %g, want 4", got)
 	}
-	if got := lemma1BoundSq(cands, 12); got != 16 {
+	if got := new(scratch).lemma1BoundSq(cands, 12); got != 16 {
 		t.Errorf("lemma1(k=12) = %g, want 16", got)
 	}
 	// Fewer than k objects: no bound.
-	if got := lemma1BoundSq(cands, 13); !math.IsInf(got, 1) {
+	if got := new(scratch).lemma1BoundSq(cands, 13); !math.IsInf(got, 1) {
 		t.Errorf("lemma1(k=13) = %g, want +Inf", got)
 	}
-	if got := lemma1BoundSq(nil, 1); !math.IsInf(got, 1) {
+	if got := new(scratch).lemma1BoundSq(nil, 1); !math.IsInf(got, 1) {
 		t.Errorf("lemma1(empty) = %g, want +Inf", got)
+	}
+}
+
+// lemma1BySort is Lemma 1 as the paper words it — sort the MBRs by Dmax,
+// take the shortest prefix whose counts cover k — and the reference the
+// selection in lemma1BoundSq is tested against.
+func lemma1BySort(cands []candidate, k int) float64 {
+	byDmax := make([]candidate, len(cands))
+	copy(byDmax, cands)
+	sort.Slice(byDmax, func(i, j int) bool { return byDmax[i].dmaxSq < byDmax[j].dmaxSq })
+	cum := 0
+	for _, c := range byDmax {
+		cum += c.count
+		if cum >= k {
+			return c.dmaxSq
+		}
+	}
+	return math.Inf(1)
+}
+
+// TestLemma1SelectionMatchesSort is the property test of the selection
+// against the sort-based reference: duplicated Dmax values, counts of 1,
+// too few objects for k, and k beyond a 16-entry prefix, with one
+// scratch reused across cases as a query reuses it across stages.
+func TestLemma1SelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1998))
+	sc := new(scratch)
+	for trial := 0; trial < 5000; trial++ {
+		n := rng.Intn(60)
+		maxCount := []int{1, 3, 50}[rng.Intn(3)]
+		distinct := 1 + rng.Intn(12) // few distinct Dmax values: many ties
+		cands := make([]candidate, n)
+		total := 0
+		for i := range cands {
+			cands[i] = cand(i, 0, 0, float64(rng.Intn(distinct)), 1+rng.Intn(maxCount))
+			if rng.Intn(4) == 0 {
+				cands[i].dmaxSq = rng.Float64() * 12
+			}
+			total += cands[i].count
+		}
+		for _, k := range []int{1, 2, 10, 17, 40, total, total + 1} {
+			if k < 1 {
+				continue
+			}
+			got, want := sc.lemma1BoundSq(cands, k), lemma1BySort(cands, k)
+			if got != want {
+				t.Fatalf("trial %d: n=%d total=%d k=%d: selection %g, sort %g\n%+v",
+					trial, n, total, k, got, want, cands)
+			}
+		}
 	}
 }
 
@@ -49,7 +100,7 @@ func TestLemma1UnsortedInput(t *testing.T) {
 		cand(1, 0, 1, 4, 3),
 		cand(2, 1, 2, 9, 4),
 	}
-	if got := lemma1BoundSq(cands, 5); got != 9 {
+	if got := new(scratch).lemma1BoundSq(cands, 5); got != 9 {
 		t.Errorf("unsorted lemma1 = %g, want 9", got)
 	}
 	// And the input slice must not be reordered.
@@ -127,7 +178,7 @@ func TestMakeCandidatesSphereTightening(t *testing.T) {
 	n := &rtree.Node{ID: 1, Level: 1, Entries: []rtree.Entry{
 		{Rect: rect, Sphere: sph, Child: 2, Count: 10},
 	}}
-	c := makeCandidates(q, []*rtree.Node{n})[0]
+	c := new(scratch).makeCandidates(q, []*rtree.Node{n})[0]
 	// Rect dmin² = 9; sphere dmin = 3.5 → 12.25 (tighter lower bound).
 	if math.Abs(c.dminSq-12.25) > 1e-9 {
 		t.Errorf("dmin² = %g, want 12.25", c.dminSq)
@@ -184,7 +235,7 @@ func TestMakeCandidatesBatchScalarParity(t *testing.T) {
 				}
 				nodes = append(nodes, n)
 			}
-			got := makeCandidates(q, nodes)
+			got := new(scratch).makeCandidates(q, nodes)
 			want := makeCandidatesScalar(q, nodes)
 			if len(got) != len(want) {
 				t.Fatalf("%s/d=%d: %d candidates, want %d", mode, dim, len(got), len(want))
@@ -210,10 +261,10 @@ func TestMakeCandidatesInvalidation(t *testing.T) {
 	})
 	st.Update(n)
 	q := geom.Point{0, 0}
-	before := makeCandidates(q, []*rtree.Node{n})[0].dminSq
+	before := new(scratch).makeCandidates(q, []*rtree.Node{n})[0].dminSq
 	n.Entries[0].Rect = geom.NewRect(geom.Point{3, 4}, geom.Point{5, 6})
 	st.Update(n)
-	after := makeCandidates(q, []*rtree.Node{n})[0].dminSq
+	after := new(scratch).makeCandidates(q, []*rtree.Node{n})[0].dminSq
 	if before != 2 || after != 25 {
 		t.Fatalf("dmin² before/after update = %g/%g, want 2/25", before, after)
 	}

@@ -48,7 +48,7 @@ func (c CRSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 	}
 	return &crssExec{
 		base:  newBase(t, q, k, opts),
-		best:  newBestList(k),
+		best:  newBestList(k, t.Len()),
 		dthSq: math.Inf(1),
 		u:     u,
 	}
@@ -56,25 +56,24 @@ func (c CRSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 
 type crssExec struct {
 	base
-	best          *bestList
+	best          bestList
 	dthSq         float64
-	stack         runStack
 	u             int // activation upper bound: the number of disks
 	started       bool
 	reachedLeaves bool
 }
 
 func (e *crssExec) Results() []Neighbor {
-	r := e.best.results()
-	sortNeighbors(r)
-	return r
+	return e.best.results()
 }
 
 func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		e.tracef("CRSS start: k=%d, u=%d, read root", e.k, e.u)
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		if e.opts.Trace != nil {
+			e.tracef("CRSS start: k=%d, u=%d, read root", e.k, e.u)
+		}
+		return e.requestRoot()
 	}
 
 	scanned, sorted := 0, 0
@@ -95,14 +94,16 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 			if kth := e.best.kthDistSq(); kth < e.dthSq {
 				e.dthSq = kth
 			}
-			e.tracef("UPDATE: %d data pages, Dth²=%.6g, stack=%d candidates",
-				len(delivered), e.dthSq, e.stack.len())
+			if e.opts.Trace != nil {
+				e.tracef("UPDATE: %d data pages, Dth²=%.6g, stack=%d candidates",
+					len(delivered), e.dthSq, e.sc.stack.len())
+			}
 		} else {
 			// ADAPTIVE (before the leaf level) or NORMAL: process the
 			// fetched directory pages.
-			cands := makeCandidates(e.q, delivered)
+			cands := e.sc.makeCandidates(e.q, delivered)
 			scanned += len(cands)
-			if b := lemma1BoundSq(cands, e.k); b < e.dthSq {
+			if b := e.sc.lemma1BoundSq(cands, e.k); b < e.dthSq {
 				e.dthSq = b // adapt the threshold from this level
 			}
 			cands = pruneByDmin(cands, e.dthSq) // criterion (i): reject
@@ -110,7 +111,7 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 			sorted += len(cands)
 
 			// Criterion (ii)/(iii): split into active and saved.
-			var actives, saved []candidate
+			actives, saved := e.sc.actives[:0], e.sc.saved[:0]
 			for _, c := range cands {
 				if c.dmmSq < e.dthSq {
 					actives = append(actives, c)
@@ -126,6 +127,7 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 				sortByDmin(saved)
 				actives = actives[:e.u]
 			}
+			e.sc.saved = saved[:0] // keep what the stage grew; saved only shrinks from here
 			// Lower bound l: guarantee that the activated MBRs contain
 			// at least k objects, promoting the nearest saved
 			// candidates while disks remain.
@@ -147,27 +149,26 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 				saved = saved[1:]
 			}
 
-			e.stack.push(saved)
-			mode := "NORMAL"
-			if !e.reachedLeaves {
-				mode = "ADAPTIVE"
-			}
-			e.tracef("%s: Dth²=%.6g, %d scanned → %d active, %d saved",
-				mode, e.dthSq, scanned, len(actives), len(saved))
-			if len(actives) > 0 {
-				reqs := make([]PageRequest, 0, len(actives))
-				for _, a := range actives {
-					reqs = append(reqs, e.request(a.child, a.level))
+			e.sc.actives = actives[:0]
+			e.sc.stack.push(e.sc.keep(saved))
+			if e.opts.Trace != nil {
+				mode := "NORMAL"
+				if !e.reachedLeaves {
+					mode = "ADAPTIVE"
 				}
-				return e.finishStep(reqs, scanned, sorted)
+				e.tracef("%s: Dth²=%.6g, %d scanned → %d active, %d saved",
+					mode, e.dthSq, scanned, len(actives), len(saved))
+			}
+			if len(actives) > 0 {
+				return e.finishStep(e.activate(actives), scanned, sorted)
 			}
 		}
 	}
 
 	// NORMAL mode / after UPDATE: pop candidate runs until one yields an
 	// activation batch.
-	for !e.stack.empty() {
-		run := e.stack.pop()
+	for !e.sc.stack.empty() {
+		run := e.sc.stack.pop()
 		scanned += len(run)
 		run = truncateRun(run, e.dthSq) // guard: reject the run's tail
 		if len(run) == 0 {
@@ -178,16 +179,25 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 			cut = len(run)
 		}
 		actives := run[:cut]
-		e.stack.push(run[cut:]) // remainder stays a run at the top
-		e.tracef("NORMAL: popped run, %d survived guard, activating %d", len(run), len(actives))
-		reqs := make([]PageRequest, 0, len(actives))
-		for _, a := range actives {
-			reqs = append(reqs, e.request(a.child, a.level))
+		e.sc.stack.push(run[cut:]) // remainder stays a run at the top
+		if e.opts.Trace != nil {
+			e.tracef("NORMAL: popped run, %d survived guard, activating %d", len(run), len(actives))
 		}
-		return e.finishStep(reqs, scanned, sorted)
+		return e.finishStep(e.activate(actives), scanned, sorted)
 	}
 
 	e.done = true
-	e.tracef("TERMINATE: %d results, %d nodes visited", len(e.best.items), e.stats.NodesVisited)
+	if e.opts.Trace != nil {
+		e.tracef("TERMINATE: %d results, %d nodes visited", len(e.best.items), e.stats.NodesVisited)
+	}
 	return e.finishStep(nil, scanned, sorted)
+}
+
+// activate builds the stage's requests for the activated candidates.
+func (e *crssExec) activate(actives []candidate) []PageRequest {
+	reqs := e.sc.reqs[:0]
+	for _, a := range actives {
+		reqs = append(reqs, e.request(a.child, a.level))
+	}
+	return reqs
 }

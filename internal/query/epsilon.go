@@ -54,13 +54,13 @@ func (e *epsExec) Results() []Neighbor {
 func (e *epsExec) restart() StepResult {
 	e.found = e.found[:0]
 	e.epsSq *= e.growth * e.growth
-	return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+	return e.requestRoot()
 }
 
 func (e *epsExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		return e.requestRoot()
 	}
 
 	scanned := 0
@@ -92,21 +92,21 @@ func (e *epsExec) Step(delivered []*rtree.Node) StepResult {
 	}
 
 	// Directory level.
-	cands := makeCandidates(e.q, delivered)
+	cands := e.sc.makeCandidates(e.q, delivered)
 	scanned += len(cands)
 	if e.epsSq < 0 {
 		// Seed the initial radius from the Lemma-1 bound at the root —
 		// an optimistic guess a real system might derive from
 		// statistics — shrunk so that undershooting (and hence radius
 		// growth) actually occurs, as in the paper's discussion.
-		b := lemma1BoundSq(cands, e.k)
+		b := e.sc.lemma1BoundSq(cands, e.k)
 		if math.IsInf(b, 1) {
 			// Fewer than k objects in the tree: cover everything.
 			b = math.MaxFloat64 / 4
 		}
 		e.epsSq = b / 16
 	}
-	var reqs []PageRequest
+	reqs := e.sc.reqs[:0]
 	for _, c := range cands {
 		if c.dminSq <= e.epsSq {
 			reqs = append(reqs, e.request(c.child, c.level))

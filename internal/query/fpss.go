@@ -22,26 +22,24 @@ func (FPSS) Name() string { return "FPSS" }
 
 // NewExecution implements Algorithm.
 func (FPSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &fpssExec{base: newBase(t, q, k, opts), best: newBestList(k), dthSq: math.Inf(1)}
+	return &fpssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len()), dthSq: math.Inf(1)}
 }
 
 type fpssExec struct {
 	base
-	best    *bestList
+	best    bestList
 	dthSq   float64
 	started bool
 }
 
 func (e *fpssExec) Results() []Neighbor {
-	r := e.best.results()
-	sortNeighbors(r)
-	return r
+	return e.best.results()
 }
 
 func (e *fpssExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		return e.requestRoot()
 	}
 
 	scanned, sorted := 0, 0
@@ -63,16 +61,16 @@ func (e *fpssExec) Step(delivered []*rtree.Node) StepResult {
 	}
 
 	// Directory level: threshold, prune, activate everything.
-	cands := makeCandidates(e.q, delivered)
+	cands := e.sc.makeCandidates(e.q, delivered)
 	scanned = len(cands)
-	if b := lemma1BoundSq(cands, e.k); b < e.dthSq {
+	if b := e.sc.lemma1BoundSq(cands, e.k); b < e.dthSq {
 		e.dthSq = b
 	}
 	cands = pruneByDmin(cands, e.dthSq)
 	sortByDmin(cands) // deterministic request order; counted as CPU sort work
 	sorted = len(cands)
 
-	reqs := make([]PageRequest, 0, len(cands))
+	reqs := e.sc.reqs[:0]
 	for _, c := range cands {
 		reqs = append(reqs, e.request(c.child, c.level))
 	}

@@ -25,9 +25,11 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/bufferpool"
@@ -52,7 +54,8 @@ type PageRequest struct {
 type StepResult struct {
 	// Requests lists the pages to fetch before the next step. Pages on
 	// different disks are fetched in parallel; pages on the same disk
-	// queue up.
+	// queue up. The slice belongs to the execution and is valid until
+	// its next Step.
 	Requests []PageRequest
 	// Instructions is the CPU work of this stage under the paper's cost
 	// model: 2N + 3M·log2(M) instructions for scanning N entries and
@@ -64,7 +67,8 @@ type StepResult struct {
 type Execution interface {
 	// Step processes pages delivered for the previous request batch
 	// (nil on the first call) and returns the next batch. An empty
-	// request list means the query has completed.
+	// request list means the query has completed. The execution does
+	// not retain delivered; the driver may reuse it for the next stage.
 	Step(delivered []*rtree.Node) StepResult
 	// Done reports whether the query has produced its final answer.
 	Done() bool
@@ -73,6 +77,12 @@ type Execution interface {
 	Results() []Neighbor
 	// Stats returns access counters accumulated so far.
 	Stats() *Stats
+	// Release hands the execution's scratch memory back for reuse by
+	// later queries. The driver calls it once the query has finished or
+	// failed; Step must not be called afterwards (it panics). Results
+	// and the Stats pointer stay valid. A second call is a no-op, and a
+	// missed call only costs garbage.
+	Release()
 }
 
 // Neighbor is one answer: an object and its squared distance.
@@ -117,9 +127,9 @@ type Options struct {
 	SharedCache *bufferpool.Pool[rtree.PageID, struct{}]
 	// Trace, when non-nil, receives one line per algorithm stage —
 	// CRSS reports its operating mode transitions (ADAPTIVE, UPDATE,
-	// NORMAL, TERMINATE; the paper's Figure 6 state machine), the other
-	// algorithms their expansion decisions. For debugging and teaching;
-	// nil costs nothing.
+	// NORMAL, TERMINATE; the paper's Figure 6 state machine). For
+	// debugging and teaching; nil costs nothing — call sites test it
+	// before they gather or format a line's arguments.
 	Trace func(line string)
 	// Observer, when non-nil, receives the structured trace events of
 	// package obs: the algorithm emits the driver-independent core
@@ -139,7 +149,7 @@ type Algorithm interface {
 	NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution
 }
 
-// base carries the plumbing shared by all four algorithms.
+// base carries the plumbing shared by all algorithms.
 type base struct {
 	tree  *parallel.Tree
 	q     geom.Point
@@ -147,36 +157,29 @@ type base struct {
 	opts  Options
 	stats Stats
 	done  bool
-	// pendingAdmit holds pages requested from disk in the previous
-	// stage but not yet admitted to the shared cache, and
-	// stageRequested the current stage's disk requests. Admission
-	// happens on delivery (when the next stage runs), never at request
-	// time, so a fetch that fails or is cancelled mid-flight cannot
-	// leave a false residency behind.
-	pendingAdmit   []rtree.PageID
-	stageRequested []rtree.PageID
+	// sc is the query's pooled working memory; nil once released.
+	sc *scratch
 	// stage numbers the fetch rounds for trace events; started flags
 	// the QueryStart emission.
 	stage      int
 	obsStarted bool
-	// scanBuf and scanTmp are the reusable batch-kernel output buffers
-	// for entry scans (see leafDmin / entrySphereRectMin), sized to the
-	// largest node scanned so far.
-	scanBuf []float64
-	scanTmp []float64
 }
 
 // leafDmin returns Dmin²(q, entry) for every entry of the node, computed
 // with the batch kernel over the node's flat view. The returned slice is
 // the execution's scratch buffer, valid until the next scan call.
 func (b *base) leafDmin(n *rtree.Node) []float64 {
-	m := len(n.Entries)
-	if cap(b.scanBuf) < m {
-		b.scanBuf = make([]float64, m)
-	}
-	out := b.scanBuf[:m]
+	out := b.scanBuf(len(n.Entries))
 	geom.MinDistSqBatch(b.q, &n.Flat().Rects, out)
 	return out
+}
+
+// scanBuf returns the scan output buffer sized for m entries.
+func (b *base) scanBuf(m int) []float64 {
+	if cap(b.sc.scanBuf) < m {
+		b.sc.scanBuf = make([]float64, m)
+	}
+	return b.sc.scanBuf[:m]
 }
 
 // entrySphereRectMin returns the intersected rect/sphere lower bound
@@ -184,10 +187,7 @@ func (b *base) leafDmin(n *rtree.Node) []float64 {
 // like leafDmin.
 func (b *base) entrySphereRectMin(n *rtree.Node) []float64 {
 	m := len(n.Entries)
-	if cap(b.scanBuf) < m {
-		b.scanBuf = make([]float64, m)
-	}
-	out := b.scanBuf[:m]
+	out := b.scanBuf(m)
 	f := n.Flat()
 	if f.MixedSpheres {
 		// No SoA sphere view exists for mixed nodes; match the scalar
@@ -197,10 +197,10 @@ func (b *base) entrySphereRectMin(n *rtree.Node) []float64 {
 		}
 		return out
 	}
-	if cap(b.scanTmp) < m {
-		b.scanTmp = make([]float64, m)
+	if cap(b.sc.scanTmp) < m {
+		b.sc.scanTmp = make([]float64, m)
 	}
-	geom.SphereRectMinBatch(b.q, &f.Rects, f.Spheres, out, b.scanTmp[:m])
+	geom.SphereRectMinBatch(b.q, &f.Rects, f.Spheres, out, b.sc.scanTmp[:m])
 	return out
 }
 
@@ -211,17 +211,27 @@ func newBase(t *parallel.Tree, q geom.Point, k int, opts Options) base {
 		k:     k,
 		opts:  opts,
 		stats: Stats{PerDisk: make([]int, t.NumDisks())},
+		sc:    scratchPool.Get().(*scratch),
 	}
+}
+
+// Release implements Execution for every algorithm.
+func (b *base) Release() {
+	if b.sc == nil {
+		return
+	}
+	b.sc.reset()
+	scratchPool.Put(b.sc)
+	b.sc = nil
 }
 
 func (b *base) Done() bool    { return b.done }
 func (b *base) Stats() *Stats { return &b.stats }
 
-// tracef emits a trace line when tracing is enabled.
+// tracef emits a trace line. Callers guard it with opts.Trace != nil so
+// that an untraced query neither boxes the arguments nor computes them.
 func (b *base) tracef(format string, args ...interface{}) {
-	if b.opts.Trace != nil {
-		b.opts.Trace(fmt.Sprintf(format, args...))
-	}
+	b.opts.Trace(fmt.Sprintf(format, args...))
 }
 
 // admitDelivered moves the previous stage's fetched pages into the
@@ -229,15 +239,15 @@ func (b *base) tracef(format string, args ...interface{}) {
 // first request() of the following stage, or finishStep on query
 // completion — so a failed or cancelled fetch never admits anything.
 func (b *base) admitDelivered() {
-	if len(b.pendingAdmit) == 0 {
+	if len(b.sc.pendingAdmit) == 0 {
 		return
 	}
 	if b.opts.SharedCache != nil {
-		for _, id := range b.pendingAdmit {
+		for _, id := range b.sc.pendingAdmit {
 			b.opts.SharedCache.Put(id, struct{}{})
 		}
 	}
-	b.pendingAdmit = b.pendingAdmit[:0]
+	b.sc.pendingAdmit = b.sc.pendingAdmit[:0]
 }
 
 // request builds a PageRequest for a page, honoring level caching, and
@@ -256,11 +266,21 @@ func (b *base) request(id rtree.PageID, level int) PageRequest {
 			// The page will be admitted when its fetch delivers — see
 			// admitDelivered; admitting here would let a failed or
 			// cancelled fetch masquerade as resident to later queries.
-			b.stageRequested = append(b.stageRequested, id)
+			b.sc.stageRequested = append(b.sc.stageRequested, id)
 		}
 	}
 	pages := b.tree.Store().Get(id).Pages(b.tree.Config().MaxEntries)
 	return PageRequest{Page: id, Disk: pl.Disk, Cylinder: pl.Cylinder, Pages: pages, Cached: cached}
+}
+
+// single is a stage's request list of one page.
+func (b *base) single(id rtree.PageID, level int) []PageRequest {
+	return append(b.sc.reqs[:0], b.request(id, level))
+}
+
+// requestRoot is the first stage of a traversal: fetch the root page.
+func (b *base) requestRoot() StepResult {
+	return b.finishStep(b.single(b.tree.Root(), b.tree.Height()-1), 0, 0)
 }
 
 // account records a finished batch in the stats.
@@ -282,8 +302,12 @@ func (b *base) account(reqs []PageRequest) {
 }
 
 // finishStep tallies CPU cost for a stage, emits the stage's trace
-// events, rotates the cache-admission lists and stamps the result.
+// events, rotates the cache-admission lists and stamps the result. reqs
+// is nil or built on the scratch's request buffer.
 func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
+	if b.sc == nil {
+		panic("query: Step after Release")
+	}
 	b.stats.Scanned += scanned
 	b.stats.Sorted += sorted
 	inst := cpuCost(scanned, sorted)
@@ -315,7 +339,8 @@ func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
 		// This stage's disk requests become admissible once the next
 		// stage runs (pendingAdmit is empty here: either request()
 		// flushed it, or no pages were requested).
-		b.pendingAdmit, b.stageRequested = b.stageRequested, b.pendingAdmit[:0]
+		b.sc.pendingAdmit, b.sc.stageRequested = b.sc.stageRequested, b.sc.pendingAdmit[:0]
+		b.sc.reqs = reqs[:0] // keep what the stage grew
 		b.stage++
 	}
 	return StepResult{Requests: reqs, Instructions: inst}
@@ -327,13 +352,20 @@ type bestList struct {
 	items []Neighbor
 }
 
-func newBestList(k int) *bestList { return &bestList{k: k} }
+// newBestList sizes the list for the k nearest of n objects: one slot
+// beyond the most it holds, so offer never grows it.
+func newBestList(k, n int) bestList {
+	return bestList{k: k, items: make([]Neighbor, 0, min(k, n)+1)}
+}
 
-// offer inserts a candidate object, keeping only the k nearest.
+// offer inserts a candidate object behind every one at most as far,
+// keeping only the k nearest.
 func (bl *bestList) offer(n Neighbor) {
-	i := sort.Search(len(bl.items), func(i int) bool { return bl.items[i].DistSq > n.DistSq })
-	bl.items = append(bl.items, Neighbor{})
-	copy(bl.items[i+1:], bl.items[i:])
+	i := len(bl.items)
+	bl.items = append(bl.items, n)
+	for ; i > 0 && bl.items[i-1].DistSq > n.DistSq; i-- {
+		bl.items[i] = bl.items[i-1]
+	}
 	bl.items[i] = n
 	if len(bl.items) > bl.k {
 		bl.items = bl.items[:bl.k]
@@ -349,9 +381,11 @@ func (bl *bestList) kthDistSq() float64 {
 	return bl.items[len(bl.items)-1].DistSq
 }
 
+// results returns the list in the canonical result order, as memory
+// the caller owns.
 func (bl *bestList) results() []Neighbor {
-	out := make([]Neighbor, len(bl.items))
-	copy(out, bl.items)
+	out := slices.Clone(bl.items)
+	sortNeighbors(out)
 	return out
 }
 
@@ -359,10 +393,13 @@ func (bl *bestList) results() []Neighbor {
 // slice must hold the node for Requests[i] at position i — executions
 // rely on request-order delivery for deterministic tie-breaking, so a
 // concurrent fetcher must reorder completions before handing them back.
-// A Fetcher is the driver abstraction shared by the three execution
-// environments: the immediate Driver below, the event-driven system
-// simulator (package simarray), and the real concurrent engine
-// (package exec).
+// The execution reads the returned slice only during the Step that
+// follows, so a fetcher may reuse it from call to call; reqs in turn is
+// the execution's memory (StepResult.Requests) and is valid only until
+// that Step, so a fetcher must not keep it. A Fetcher is the driver
+// abstraction shared by the three execution environments: the immediate
+// Driver below, the event-driven system simulator (package simarray),
+// and the real concurrent engine (package exec).
 type Fetcher func(reqs []PageRequest) ([]*rtree.Node, error)
 
 // RunWith drives an execution to completion, resolving each stage's
@@ -398,11 +435,15 @@ type Driver struct {
 	Tree *parallel.Tree
 }
 
+// deliveredPool recycles the Driver's per-query delivery buffers.
+var deliveredPool = sync.Pool{New: func() any { return new([]*rtree.Node) }}
+
 // Run executes alg on the driver's tree and returns the results and
 // access statistics.
 func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbor, *Stats) {
 	exec := alg.NewExecution(d.Tree, q, k, opts)
-	var delivered []*rtree.Node
+	defer exec.Release()
+	buf := deliveredPool.Get().(*[]*rtree.Node)
 	stage := 0
 	_ = RunWith(exec, alg.Name(), func(reqs []PageRequest) ([]*rtree.Node, error) {
 		var start time.Time
@@ -410,10 +451,11 @@ func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbo
 			//lint:allow simdeterminism observer wall-clock latency only, never feeds results
 			start = time.Now()
 		}
-		delivered = delivered[:0]
+		delivered := (*buf)[:0]
 		for _, r := range reqs {
 			delivered = append(delivered, d.Tree.Store().Get(r.Page))
 		}
+		*buf = delivered
 		if ob := opts.Observer; ob != nil {
 			//lint:allow simdeterminism observer wall-clock latency only, never feeds results
 			wall := time.Since(start)
@@ -428,17 +470,21 @@ func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbo
 		stage++
 		return delivered, nil
 	})
+	clear((*buf)[:cap(*buf)]) // a pooled buffer must not pin the tree's nodes
+	deliveredPool.Put(buf)
 	return exec.Results(), exec.Stats()
 }
 
 // sortNeighbors orders results by distance then object ID, the canonical
 // result order used across algorithms so outputs are comparable.
 func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		//lint:allow floatcmp exact-equal distances deliberately fall through to the object-ID tie-break
-		if ns[i].DistSq != ns[j].DistSq {
-			return ns[i].DistSq < ns[j].DistSq
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		switch {
+		case a.DistSq < b.DistSq:
+			return -1
+		case a.DistSq > b.DistSq:
+			return 1
 		}
-		return ns[i].Object < ns[j].Object
+		return cmp.Compare(a.Object, b.Object)
 	})
 }

@@ -44,7 +44,7 @@ func (e *rangeExec) Results() []Neighbor {
 func (e *rangeExec) Step(delivered []*rtree.Node) StepResult {
 	if !e.started {
 		e.started = true
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		return e.requestRoot()
 	}
 	scanned := 0
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
@@ -60,7 +60,7 @@ func (e *rangeExec) Step(delivered []*rtree.Node) StepResult {
 		e.done = true
 		return e.finishStep(nil, scanned, 0)
 	}
-	var reqs []PageRequest
+	reqs := e.sc.reqs[:0]
 	for _, n := range delivered {
 		scanned += len(n.Entries)
 		for i, d := range e.entrySphereRectMin(n) {

@@ -24,7 +24,7 @@ func (WOPTSS) Name() string { return "WOPTSS" }
 // charged to the execution's statistics (the paper assumes the distance
 // is simply known).
 func (WOPTSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	e := &woptssExec{base: newBase(t, q, k, opts), best: newBestList(k)}
+	e := &woptssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len())}
 	nn, _ := t.NearestNeighbors(q, k)
 	if len(nn) > 0 {
 		e.dkSq = nn[len(nn)-1].DistSq
@@ -35,16 +35,14 @@ func (WOPTSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 
 type woptssExec struct {
 	base
-	best       *bestList
+	best       bestList
 	dkSq       float64
 	haveOracle bool
 	started    bool
 }
 
 func (e *woptssExec) Results() []Neighbor {
-	r := e.best.results()
-	sortNeighbors(r)
-	return r
+	return e.best.results()
 }
 
 func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
@@ -55,7 +53,7 @@ func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
 			e.done = true
 			return e.finishStep(nil, 0, 0)
 		}
-		return e.finishStep([]PageRequest{e.request(e.tree.Root(), e.tree.Height()-1)}, 0, 0)
+		return e.requestRoot()
 	}
 
 	scanned := 0
@@ -76,7 +74,7 @@ func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
 	// Directory level: exactly the query-sphere-intersecting children.
 	// On SR-tree entries the intersected rect/sphere lower bound applies,
 	// so WOPTSS stays the floor for that access method too.
-	var reqs []PageRequest
+	reqs := e.sc.reqs[:0]
 	for _, n := range delivered {
 		scanned += len(n.Entries)
 		for i, d := range e.entrySphereRectMin(n) {

@@ -122,6 +122,10 @@ type Tree struct {
 	// the tree mid-recursion: a reentrant insert could split an ancestor
 	// while a stack frame still holds an index into it.
 	pending []pendingReinsert
+
+	// enlarged is chooseSubtree's working rectangle (an entry's MBR
+	// grown by the new entry); a tree has a single writer.
+	enlarged geom.Rect
 }
 
 type pendingReinsert struct {
@@ -378,8 +382,12 @@ func (t *Tree) chooseSubtree(n *Node, newEntry Entry) int {
 	bestArea := math.Inf(1)
 	childrenAreLeaves := n.Level == 1
 
+	if t.enlarged.Lo == nil {
+		t.enlarged = geom.Rect{Lo: make(geom.Point, t.cfg.Dim), Hi: make(geom.Point, t.cfg.Dim)}
+	}
+	enlarged := t.enlarged
 	for i, e := range n.Entries {
-		enlarged := e.Rect.Union(r)
+		e.Rect.UnionInto(r, enlarged)
 		enlarge := enlarged.Area() - e.Rect.Area()
 		area := e.Rect.Area()
 		var overlap float64

@@ -316,8 +316,11 @@ type queryProc struct {
 	exec    query.Execution
 	out     *QueryOutcome
 	pending int
-	batch   []*rtree.Node
-	done    func()
+	// batch collects the stage's pages in request order, whatever order
+	// they arrive in; the execution reads it only during the Step that
+	// follows, so it is reused from stage to stage.
+	batch []*rtree.Node
+	done  func()
 	// obsv receives FetchDone/StageDone events stamped with the
 	// virtual clock; stage and arrivals support request-order emission.
 	obsv     obs.QueryObserver
@@ -367,7 +370,10 @@ func (p *queryProc) advance(delivered []*rtree.Node) {
 // controller) and then one bus slot.
 func (p *queryProc) issue(reqs []query.PageRequest) {
 	p.pending = len(reqs)
-	p.batch = p.batch[:0]
+	if cap(p.batch) < len(reqs) {
+		p.batch = make([]*rtree.Node, len(reqs))
+	}
+	p.batch = p.batch[:len(reqs)]
 	for i, r := range reqs {
 		i, r := i, r
 		node := p.sys.tree.Store().Get(r.Page)
@@ -397,8 +403,9 @@ func (p *queryProc) issue(reqs []query.PageRequest) {
 	}
 }
 
-// deliver collects one page; when the whole stage has arrived its trace
-// events are emitted in request order and the next stage begins.
+// deliver collects one page at its request's position; when the whole
+// stage has arrived its trace events are emitted in request order and
+// the next stage begins.
 func (p *queryProc) deliver(n *rtree.Node, idx int, r query.PageRequest) {
 	if p.failed {
 		return
@@ -406,7 +413,7 @@ func (p *queryProc) deliver(n *rtree.Node, idx int, r query.PageRequest) {
 	if p.obsv != nil {
 		p.arrivals = append(p.arrivals, fetchArrival{req: r, idx: idx, at: p.sys.sim.Now()})
 	}
-	p.batch = append(p.batch, n)
+	p.batch[idx] = n
 	p.pending--
 	if p.pending == 0 {
 		if p.obsv != nil {
@@ -425,9 +432,7 @@ func (p *queryProc) deliver(n *rtree.Node, idx int, r query.PageRequest) {
 			p.arrivals = p.arrivals[:0]
 		}
 		p.stage++
-		stage := make([]*rtree.Node, len(p.batch))
-		copy(stage, p.batch)
-		p.advance(stage)
+		p.advance(p.batch)
 	}
 }
 
@@ -436,6 +441,7 @@ func (p *queryProc) finish() {
 	p.out.Response = p.out.Completion - p.out.Arrival
 	p.out.Results = p.exec.Results()
 	p.out.Stats = p.exec.Stats()
+	p.exec.Release()
 	if p.done != nil {
 		p.done()
 	}
@@ -449,6 +455,7 @@ func (p *queryProc) fail(err error) {
 		return
 	}
 	p.failed = true
+	p.exec.Release()
 	p.out.Err = err
 	p.out.Completion = p.sys.sim.Now()
 	p.out.Response = p.out.Completion - p.out.Arrival
