@@ -335,6 +335,28 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			reportQPS(b)
 		})
 	}
+
+	// The miss path: file-backed replicas read with pread and a cache of
+	// 5 % of the pages, so nearly every page request reads and decodes.
+	// One client: which pages hit then depends on the queries alone, and
+	// allocs/op repeats closely enough for the bench-check gate.
+	b.Run("engine-store=file-cache=5pct", func(b *testing.B) {
+		eng, err := exec.New(knnTree, exec.Config{DataDir: b.TempDir(), CachePages: knnTree.Store().Len() / 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := knnQueries[i%len(knnQueries)]
+			if _, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportQPS(b)
+	})
 }
 
 // BenchmarkEngineObserved is the engine-workers=10x2 sub-benchmark of
@@ -432,6 +454,45 @@ func BenchmarkPageCodecEncode(b *testing.B) {
 		if _, err := c.Encode(n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPageDecode measures what a page miss pays to turn an image
+// into something a query can read: the read path's decoder (flat: the
+// kernels' columns straight from the image) beside the write side's
+// (node: a mutable rtree.Node), on leaf pages filled to about 70 %.
+func BenchmarkPageDecode(b *testing.B) {
+	for _, cfg := range []struct{ dim, entries int }{{2, 64}, {8, 21}} {
+		c := pagestore.Codec{Dim: cfg.dim, PageSize: 4096}
+		n := &rtree.Node{ID: 1, Level: 0}
+		rnd := rand.New(rand.NewSource(1))
+		for i := 0; i < cfg.entries; i++ {
+			p := make(geom.Point, cfg.dim)
+			for a := range p {
+				p[a] = rnd.Float64()
+			}
+			n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i)))
+		}
+		buf, err := c.Encode(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("flat/d=%d", cfg.dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Decode(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("node/d=%d", cfg.dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.DecodeNode(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

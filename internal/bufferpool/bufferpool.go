@@ -93,7 +93,8 @@ func (p *Pool[K, V]) Contains(key K) bool {
 }
 
 // Put inserts or refreshes key. When the pool is full the least recently
-// used entry is evicted.
+// used entry is evicted: its list element and record are re-keyed for
+// the newcomer, so an insert into a full pool allocates nothing.
 func (p *Pool[K, V]) Put(key K, val V) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -103,14 +104,17 @@ func (p *Pool[K, V]) Put(key K, val V) {
 		return
 	}
 	p.stats.Inserts++
-	el := p.ll.PushFront(&lruEntry[K, V]{key, val})
-	p.items[key] = el
-	if p.ll.Len() > p.capacity {
-		oldest := p.ll.Back()
-		p.ll.Remove(oldest)
-		delete(p.items, oldest.Value.(*lruEntry[K, V]).key)
-		p.stats.Evictions++
+	if p.ll.Len() < p.capacity {
+		p.items[key] = p.ll.PushFront(&lruEntry[K, V]{key, val})
+		return
 	}
+	oldest := p.ll.Back()
+	ent := oldest.Value.(*lruEntry[K, V])
+	delete(p.items, ent.key)
+	ent.key, ent.val = key, val
+	p.ll.MoveToFront(oldest)
+	p.items[key] = oldest
+	p.stats.Evictions++
 }
 
 // Remove drops key from the pool if present.

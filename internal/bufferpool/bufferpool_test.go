@@ -143,3 +143,27 @@ func TestLRUModelProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A full pool re-keys the evicted entry's list element and record for
+// the newcomer: the steady state of a cache smaller than its working
+// set allocates nothing per insert, and evicts in LRU order as before.
+func TestPutIntoFullPoolAllocatesNothing(t *testing.T) {
+	p := New[int, *int](64)
+	v := new(int)
+	for k := 0; k < 64; k++ {
+		p.Put(k, v)
+	}
+	next := 64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		p.Put(next, v)
+		next++
+	}); allocs != 0 {
+		t.Errorf("insert into a full pool: %.2f allocations, want 0", allocs)
+	}
+	if p.Len() != 64 || p.Contains(next-65) || !p.Contains(next-64) || !p.Contains(next-1) {
+		t.Errorf("after %d inserts the pool does not hold exactly the 64 newest keys", next)
+	}
+	if s := p.Stats(); s.Inserts != uint64(next) || s.Evictions != uint64(next-64) {
+		t.Errorf("stats = %+v, want %d inserts and %d evictions", s, next, next-64)
+	}
+}

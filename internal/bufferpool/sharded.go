@@ -26,9 +26,10 @@ type shard[K comparable, V any] struct {
 	inflight map[K]*flight[V] // guarded by mu
 }
 
-// flight is one in-progress fetch; waiters block on done.
+// flight is one in-progress fetch; waiters block on done, which the
+// fetching caller releases once val and err are set.
 type flight[V any] struct {
-	done chan struct{}
+	done sync.WaitGroup
 	val  V
 	err  error
 }
@@ -124,10 +125,11 @@ func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit 
 	}
 	if f, ok := sh.inflight[key]; ok {
 		sh.mu.Unlock()
-		<-f.done
+		f.done.Wait()
 		return f.val, true, f.err
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	f := new(flight[V])
+	f.done.Add(1)
 	sh.inflight[key] = f
 	sh.mu.Unlock()
 
@@ -139,7 +141,7 @@ func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit 
 	}
 	delete(sh.inflight, key)
 	sh.mu.Unlock()
-	close(f.done)
+	f.done.Done()
 	return f.val, false, f.err
 }
 

@@ -204,3 +204,26 @@ func TestShardedProbeCountsOnlyHits(t *testing.T) {
 		t.Error("a probed key was evicted before an unprobed one")
 	}
 }
+
+// A miss on a full shard pays for its flight record and nothing else:
+// the eviction reuses the evicted entry's bookkeeping.
+func TestShardedMissOnFullShardAllocs(t *testing.T) {
+	s := NewSharded[int, *int](32, 1, func(k int) uint64 { return uint64(k) })
+	v := new(int)
+	fetch := func() (*int, error) { return v, nil }
+	for k := 0; k < 32; k++ {
+		s.GetOrFetchHit(k, fetch)
+	}
+	next := 32
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, hit, err := s.GetOrFetchHit(next, fetch); hit || err != nil {
+			t.Fatalf("key %d: hit=%v err=%v, want a clean miss", next, hit, err)
+		}
+		next++
+	}); allocs > 2 {
+		t.Errorf("miss on a full shard: %.2f allocations, want at most 2", allocs)
+	}
+	if st := s.Stats(); st.Misses != uint64(next) || st.Evictions != uint64(next-32) || st.Hits != 0 {
+		t.Errorf("stats = %+v", st)
+	}
+}

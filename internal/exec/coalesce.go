@@ -27,16 +27,14 @@ type coalescer struct {
 	shards []coShard
 }
 
+// coShard holds its pages' open flights: a page is in the map from the
+// moment a request leads a fetch of it until that fetch is resolved,
+// and maps to the requests that joined meanwhile (nil while nobody
+// has). Once resolve has taken a waiter list out of the map it is
+// immutable and delivered.
 type coShard struct {
 	mu      sync.Mutex
-	flights map[rtree.PageID]*pageFlight // guarded by mu
-}
-
-// pageFlight is one in-flight page fetch that later requests may join.
-// waiters is guarded by the owning shard's mu; once the flight is
-// removed from the shard map it is immutable and delivered.
-type pageFlight struct {
-	waiters []flightWaiter
+	flights map[rtree.PageID][]flightWaiter // guarded by mu
 }
 
 // flightWaiter is one joined request: the joining batch's result
@@ -51,7 +49,7 @@ const coalesceShards = 16
 func newCoalescer() *coalescer {
 	c := &coalescer{shards: make([]coShard, coalesceShards)}
 	for i := range c.shards {
-		c.shards[i].flights = make(map[rtree.PageID]*pageFlight) //lint:allow lockcheck construction: no other goroutine can hold the shard yet
+		c.shards[i].flights = make(map[rtree.PageID][]flightWaiter) //lint:allow lockcheck construction: no other goroutine can hold the shard yet
 	}
 	return c
 }
@@ -68,15 +66,13 @@ func (c *coalescer) shardOf(id rtree.PageID) *coShard {
 func (c *coalescer) join(page rtree.PageID, out chan<- fetchResult, idx int) (*coShard, bool) {
 	sh := c.shardOf(page)
 	sh.mu.Lock()
-	if f, ok := sh.flights[page]; ok {
-		f.waiters = append(f.waiters, flightWaiter{out: out, idx: idx})
-		sh.mu.Unlock()
-		return sh, true
+	defer sh.mu.Unlock()
+	waiters, open := sh.flights[page]
+	if open {
+		waiters = append(waiters, flightWaiter{out: out, idx: idx})
 	}
-	f := &pageFlight{}
-	sh.flights[page] = f
-	sh.mu.Unlock()
-	return sh, false
+	sh.flights[page] = waiters
+	return sh, open
 }
 
 // resolve removes page's flight from the shard and returns the waiters
@@ -84,13 +80,10 @@ func (c *coalescer) join(page rtree.PageID, out chan<- fetchResult, idx int) (*c
 // page start a fresh flight.
 func (sh *coShard) resolve(page rtree.PageID) []flightWaiter {
 	sh.mu.Lock()
-	f := sh.flights[page]
+	defer sh.mu.Unlock()
+	waiters := sh.flights[page]
 	delete(sh.flights, page)
-	sh.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f.waiters
+	return waiters
 }
 
 // resolveFlight closes page's flight and hands res to every request

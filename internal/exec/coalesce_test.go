@@ -186,11 +186,7 @@ func waitForWaiter(t *testing.T, sh *coShard, page rtree.PageID) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sh.mu.Lock()
-		f := sh.flights[page]
-		waiters := 0
-		if f != nil {
-			waiters = len(f.waiters)
-		}
+		waiters := len(sh.flights[page])
 		sh.mu.Unlock()
 		if waiters > 0 {
 			return

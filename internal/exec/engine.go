@@ -205,12 +205,12 @@ type diskStore struct {
 }
 
 // ReadPage implements pagestore.Reader.
-func (s *diskStore) ReadPage(id rtree.PageID) (*rtree.Node, error) {
+func (s *diskStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	if buf, ok := s.pages[id]; ok {
 		return s.codec.Decode(buf)
 	}
 	if n, ok := s.resident[id]; ok {
-		return n, nil
+		return n.Flat(), nil
 	}
 	return nil, fmt.Errorf("exec: page %d not stored on this disk", id)
 }
@@ -225,9 +225,9 @@ type fileReplica struct {
 }
 
 // ReadPage implements pagestore.Reader.
-func (r *fileReplica) ReadPage(id rtree.PageID) (*rtree.Node, error) {
+func (r *fileReplica) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	if n, ok := r.resident[id]; ok {
-		return n, nil
+		return n.Flat(), nil
 	}
 	return r.fs.ReadPage(id)
 }
@@ -264,7 +264,7 @@ type fetchJob struct {
 
 type fetchResult struct {
 	idx  int
-	node *rtree.Node
+	node *rtree.FlatNode
 	err  error
 	wall time.Duration // queue wait + service, worker-measured
 	hit  bool          // served without a decode: page cache or a coalesced flight
@@ -288,7 +288,7 @@ type Engine struct {
 	files    []*pagestore.FileStore // file-backed replica stores (DataDir mode), closed by Close
 	queues   []chan fetchJob
 	sem      chan struct{} // in-flight read slots (cache misses only)
-	cache    *bufferpool.Sharded[rtree.PageID, *rtree.Node]
+	cache    *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
 	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
 	scratch  sync.Pool  // *stageScratch, one per running query
 
@@ -396,7 +396,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		}
 	}
 	if cfg.CachePages > 0 {
-		e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.Node](
+		e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](
 			cfg.CachePages, cfg.CacheShards,
 			func(id rtree.PageID) uint64 { return uint64(uint32(id)) * 0x9e3779b97f4a7c15 })
 	}
@@ -576,12 +576,12 @@ func isCancellation(err error) bool {
 // this lookup counts the request's one cache miss — or its one hit,
 // when another query's fetch filled the page in between. hit reports
 // whether the page was served without a decode in this call.
-func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.Node, bool, error) {
+func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.FlatNode, bool, error) {
 	if e.cache == nil {
 		n, err := e.readReplicated(ctx, d, id)
 		return n, false, err
 	}
-	return e.cache.GetOrFetchHit(id, func() (*rtree.Node, error) {
+	return e.cache.GetOrFetchHit(id, func() (*rtree.FlatNode, error) {
 		return e.readReplicated(ctx, d, id)
 	})
 }
@@ -592,7 +592,7 @@ func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.N
 // next live mirror when a replica fails or is degraded, and optionally
 // hedging the primary read. When no replica can serve the page it
 // returns *fault.ErrDataUnavailable — never a wrong or partial node.
-func (e *Engine) readReplicated(ctx context.Context, d int, id rtree.PageID) (*rtree.Node, error) {
+func (e *Engine) readReplicated(ctx context.Context, d int, id rtree.PageID) (*rtree.FlatNode, error) {
 	reps := e.replicas[d]
 	// The primary is a pure function of the page so mirrored load
 	// spreads without per-query state and results stay deterministic.
@@ -648,7 +648,7 @@ func (e *Engine) readReplicated(ctx context.Context, d int, id rtree.PageID) (*r
 // repRead is one replica read's outcome, tagged with its source for
 // hedge-win attribution.
 type repRead struct {
-	node *rtree.Node
+	node *rtree.FlatNode
 	err  error
 	rep  *replica
 }
@@ -669,7 +669,7 @@ var hedgeTimersLive atomic.Int64
 // the remaining live mirrors sequentially. The hedge timer is resolved
 // (stopped or fired) in the race select itself — never carried into
 // the fallback walk, whose retry backoffs can outlive the delay.
-func (e *Engine) readHedged(ctx context.Context, d int, order []*replica, id rtree.PageID) (*rtree.Node, error) {
+func (e *Engine) readHedged(ctx context.Context, d int, order []*replica, id rtree.PageID) (*rtree.FlatNode, error) {
 	primary, backup := order[0], order[1]
 	out := make(chan repRead, 2) // buffered: a loser never blocks or leaks
 	go func() {
@@ -780,12 +780,12 @@ func (e *Engine) hedgeDelay() time.Duration {
 // capped exponential backoff. A success resets the replica's
 // consecutive-failure count; crossing Config.DegradeAfter (or a
 // fail-stop error) marks the replica degraded and returns immediately
-// so the caller redirects to a mirror. A decoded node whose id differs
+// so the caller redirects to a mirror. A decoded page whose id differs
 // from the requested page — a misdirected read the reader underneath
 // failed to catch — is converted to a typed integrity failure here and
 // treated exactly like any other failed I/O, so a lying replica can
 // never leak a wrong node into a query.
-func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID) (*rtree.Node, error) {
+func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID) (*rtree.FlatNode, error) {
 	backoff := e.cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
 		begin := time.Now()
@@ -909,7 +909,7 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, idx int, ou
 type stageScratch struct {
 	out     chan fetchResult // made by the first stage that misses the cache
 	results []fetchResult
-	nodes   []*rtree.Node
+	nodes   []*rtree.FlatNode
 }
 
 // reset sizes the scratch for a stage of n requests and returns the
@@ -917,7 +917,7 @@ type stageScratch struct {
 func (sc *stageScratch) reset(n int) []fetchResult {
 	if cap(sc.results) < n {
 		sc.results = make([]fetchResult, n)
-		sc.nodes = make([]*rtree.Node, n)
+		sc.nodes = make([]*rtree.FlatNode, n)
 	}
 	sc.results, sc.nodes = sc.results[:n], sc.nodes[:n]
 	clear(sc.results)
@@ -946,7 +946,7 @@ func (e *Engine) liveErr(ctx context.Context) error {
 
 // fetchBatch resolves one stage with scratch of its own. KNN reuses one
 // scratch for all the stages of a query (fetchStage).
-func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.Node, error) {
+func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	return e.fetchStage(ctx, new(stageScratch), stage, reqs, obsv)
 }
 
@@ -965,7 +965,7 @@ func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageReq
 // StageDone events on every exit path, success or failure, so traces
 // stay well-formed under cancellation and injected faults. The returned
 // slice belongs to sc and is overwritten by the next stage.
-func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.Node, error) {
+func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	start := time.Now()
 	results := sc.reset(len(reqs))
 	submitErr := e.liveErr(ctx)
@@ -1083,7 +1083,7 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 	sc := e.scratch.Get().(*stageScratch)
 	ex := alg.NewExecution(e.tree, q, k, opts)
 	defer ex.Release()
-	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.Node, error) {
+	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
 		nodes, err := e.fetchStage(ctx, sc, stage, reqs, opts.Observer)
 		stage++
 		return nodes, err

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,7 +43,8 @@ func buildTree(t testing.TB, n, numDisks int, spheres bool, overlap float64) (*p
 	return tree, pts
 }
 
-// sameNeighbors fails unless a and b are the identical result set.
+// sameNeighbors fails unless a and b are the identical result set:
+// objects, distances and the rectangles the results carry, bitwise.
 func sameNeighbors(t *testing.T, label string, a, b []query.Neighbor) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -52,7 +55,14 @@ func sameNeighbors(t *testing.T, label string, a, b []query.Neighbor) {
 			t.Fatalf("%s: result %d differs: (%d, %g) vs (%d, %g)",
 				label, i, a[i].Object, a[i].DistSq, b[i].Object, b[i].DistSq)
 		}
+		if !sameBits(a[i].Rect.Lo, b[i].Rect.Lo) || !sameBits(a[i].Rect.Hi, b[i].Rect.Hi) {
+			t.Fatalf("%s: result %d rect differs: %v vs %v", label, i, a[i].Rect, b[i].Rect)
+		}
 	}
+}
+
+func sameBits(a, b geom.Point) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // TestEngineMatchesDriver is the real-vs-immediate equivalence gate:

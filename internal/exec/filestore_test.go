@@ -3,12 +3,17 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/decluster"
 	"repro/internal/fault"
+	"repro/internal/geom"
+	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/rtree"
 )
@@ -191,6 +196,75 @@ func TestEngineFileBackedSupernodes(t *testing.T) {
 			t.Fatalf("query %d: %v", qi, err)
 		}
 		sameNeighbors(t, "file-backed supernodes", want, got)
+	}
+}
+
+// Decoded views against live-node views, where nearly every page is a
+// miss: a file-backed engine with a 16-page cache must return the
+// driver's neighbours — rectangles included — and the driver's Stats,
+// on a cold cache and again once the cache has churned, for every
+// access method the codec has a layout for and the X-tree's resident
+// supernodes.
+func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
+	// 10-d uniform data splits with heavy overlap: the X-tree answers
+	// with supernodes, which exceed a page and stay memory-resident.
+	xpts := dataset.Uniform(4000, 10, 121)
+	xtree, err := parallel.New(parallel.Config{
+		Dim: 10, NumDisks: 4, Cylinders: 1449,
+		MaxOverlapRatio: 0.2, Policy: decluster.ProximityIndex{}, Seed: 121,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := xtree.BuildPoints(xpts); err != nil {
+		t.Fatal(err)
+	}
+	resident := 0
+	xtree.Walk(func(n *rtree.Node, _ int) bool {
+		if n.Pages(xtree.Config().MaxEntries) > 1 {
+			resident++
+		}
+		return true
+	})
+	if resident == 0 {
+		t.Fatal("the X-tree grew no supernode: the resident path is not exercised")
+	}
+	rstar, pts := buildTree(t, 2500, 4, false, 0)
+	sr, _ := buildTree(t, 2500, 4, true, 0)
+
+	for _, tc := range []struct {
+		name string
+		tree *parallel.Tree
+		pts  []geom.Point
+	}{{"rstar", rstar, pts}, {"sr", sr, pts}, {"xtree", xtree, xpts}} {
+		queries := dataset.SampleQueries(tc.pts, 12, 23)
+		drv := query.Driver{Tree: tc.tree}
+		eng, err := New(tc.tree, Config{DataDir: t.TempDir(), CachePages: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm"} {
+			for _, alg := range []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}, query.BFSS{}} {
+				for qi, q := range queries {
+					want, wantStats := drv.Run(alg, q, 10, query.Options{})
+					got, gotStats, err := eng.KNN(context.Background(), alg, q, 10, query.Options{})
+					label := fmt.Sprintf("%s %s %s q%d", tc.name, pass, alg.Name(), qi)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameNeighbors(t, label, want, got)
+					if !reflect.DeepEqual(wantStats, gotStats) {
+						t.Fatalf("%s: stats differ: driver %+v, engine %+v", label, wantStats, gotStats)
+					}
+				}
+			}
+		}
+		if cs := eng.CacheStats(); cs.Evictions == 0 || cs.Hits == 0 {
+			t.Errorf("%s: cache stats %+v: the 16-page cache never churned", tc.name, cs)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -67,6 +67,41 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 	}
 }
 
+// TestWarmCachedEngineAllocBudget: a query over decoded pages that are
+// all resident allocates what the sequential driver's does — the
+// execution, its per-disk counters, the best list and the results. The
+// entry-major rectangles the results carry were gathered once per page
+// while the cache warmed up, not per query.
+func TestWarmCachedEngineAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	const budget = 4
+	tree, pts := buildTree(t, 4000, 5, false, 0)
+	q := dataset.SampleQueries(pts, 1, 3)[0]
+	for _, dataDir := range []string{"", t.TempDir()} {
+		eng, err := New(tree, Config{CachePages: 2 * tree.Store().Len(), DataDir: dataDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}} {
+			run := func() {
+				if _, _, err := eng.KNN(context.Background(), alg, q, 10, query.Options{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if got := testing.AllocsPerRun(200, run); got > budget {
+				t.Errorf("file=%v %s: %.1f allocations per warm cached query, budget %d",
+					dataDir != "", alg.Name(), got, budget)
+			}
+		}
+		eng.Close()
+	}
+}
+
 // TestHitPathAccounting drives concurrent clients through caches that
 // hold everything and nearly nothing, with and without coalescing, and
 // checks the books at rest: every page request that was not coalesced

@@ -194,20 +194,20 @@ func (in *Injector) checkRead(id int, page rtree.PageID, isRead bool) (time.Dura
 }
 
 // readerFunc adapts a function to pagestore.Reader.
-type readerFunc func(id rtree.PageID) (*rtree.Node, error)
+type readerFunc func(id rtree.PageID) (*rtree.FlatNode, error)
 
-func (f readerFunc) ReadPage(id rtree.PageID) (*rtree.Node, error) { return f(id) }
+func (f readerFunc) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) { return f(id) }
 
 // Reader wraps a page reader with this injector's program for one
 // drive: every ReadPage first pays the injected latency, then either
 // fails with the injected error or delegates to the underlying reader —
 // possibly against a different page, when the injector misdirects the
 // I/O. The wrapper enforces the Reader contract on what comes back: a
-// decoded node whose id differs from the requested page (however that
+// decoded page whose id differs from the requested page (however that
 // happened — injection or a real store bug underneath) surfaces as a
 // typed *pagestore.IntegrityError, never as a silently wrong node.
 func (in *Injector) Reader(id int, r pagestore.Reader) pagestore.Reader {
-	return readerFunc(func(page rtree.PageID) (*rtree.Node, error) {
+	return readerFunc(func(page rtree.PageID) (*rtree.FlatNode, error) {
 		delay, readPage, err := in.CheckRead(id, page)
 		if delay > 0 {
 			time.Sleep(delay)

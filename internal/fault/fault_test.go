@@ -154,13 +154,13 @@ func TestSpikes(t *testing.T) {
 	}
 }
 
-// fakeReader serves a fixed node and counts calls.
+// fakeReader serves a fixed page and counts calls.
 type fakeReader struct {
-	node  *rtree.Node
+	node  *rtree.FlatNode
 	calls int
 }
 
-func (f *fakeReader) ReadPage(rtree.PageID) (*rtree.Node, error) {
+func (f *fakeReader) ReadPage(rtree.PageID) (*rtree.FlatNode, error) {
 	f.calls++
 	return f.node, nil
 }
@@ -169,7 +169,7 @@ func (f *fakeReader) ReadPage(rtree.PageID) (*rtree.Node, error) {
 // touches the underlying store once the drive is dead.
 func TestReaderWrapper(t *testing.T) {
 	in := NewInjector(3)
-	under := &fakeReader{node: &rtree.Node{ID: 77}}
+	under := &fakeReader{node: &rtree.FlatNode{ID: 77}}
 	rd := in.Reader(0, under)
 
 	n, err := rd.ReadPage(77)

@@ -154,7 +154,7 @@ func (s *DurableStore) materialize() error {
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		n, err := s.codec.Decode(s.cur.pages[id])
+		n, err := s.codec.DecodeNode(s.cur.pages[id])
 		if err != nil {
 			return fmt.Errorf("pagestore: recovering page %d: %w", id, err)
 		}
@@ -480,7 +480,7 @@ func (s *DurableStore) Snapshot() *EpochView {
 // ReadPage implements Reader against the committed epoch: uncommitted
 // staged pages are invisible, exactly like a reader that snapshotted
 // this instant.
-func (s *DurableStore) ReadPage(id rtree.PageID) (*rtree.Node, error) {
+func (s *DurableStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	s.mu.RLock()
 	buf, ok := s.cur.pages[id]
 	s.mu.RUnlock()
@@ -519,32 +519,38 @@ func (s *DurableStore) Close() error {
 	return errors.Join(s.wal.Close(), s.fs.Close())
 }
 
-// decodeChecked decodes an image and enforces the misdirected-read
+// decodeChecked is the one decode of every Reader in this package: it
+// builds the page's view from an image and enforces the misdirected-read
 // identity check.
-func decodeChecked(codec Codec, id rtree.PageID, buf []byte) (*rtree.Node, error) {
-	n, err := codec.Decode(buf)
+func decodeChecked(codec Codec, id rtree.PageID, buf []byte) (*rtree.FlatNode, error) {
+	f, err := codec.Decode(buf)
 	if err != nil {
+		var ie *IntegrityError
+		if errors.As(err, &ie) {
+			ie.Want = id // the decoder's own error, not yet shared
+			return nil, ie
+		}
 		return nil, fmt.Errorf("pagestore: page %d: %w", id, err)
 	}
-	if n.ID != id {
-		return nil, &IntegrityError{Want: id, Got: n.ID}
+	if f.ID != id {
+		return nil, &IntegrityError{Want: id, Got: f.ID}
 	}
-	return n, nil
+	return f, nil
 }
 
 // EpochView is an immutable reader over one committed epoch. Safe for
-// concurrent use; decoded nodes are optionally cached (WithCache).
+// concurrent use; decoded pages are optionally cached (WithCache).
 type EpochView struct {
 	codec Codec
 	epoch *storeEpoch
-	cache *bufferpool.Sharded[rtree.PageID, *rtree.Node]
+	cache *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
 }
 
 // WithCache attaches a decoded-page cache (singleflight LRU) to the
 // view and returns it. Each view owns its cache: page ids are not
 // stable keys across epochs.
 func (v *EpochView) WithCache(capacity, shards int) *EpochView {
-	v.cache = bufferpool.NewSharded[rtree.PageID, *rtree.Node](capacity, shards, func(id rtree.PageID) uint64 {
+	v.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](capacity, shards, func(id rtree.PageID) uint64 {
 		return uint64(id) * 0x9E3779B97F4A7C15
 	})
 	return v
@@ -560,16 +566,16 @@ func (v *EpochView) Size() int { return v.epoch.size }
 func (v *EpochView) Pages() int { return len(v.epoch.pages) }
 
 // ReadPage implements Reader over the frozen page set.
-func (v *EpochView) ReadPage(id rtree.PageID) (*rtree.Node, error) {
+func (v *EpochView) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	if v.cache != nil {
-		return v.cache.GetOrFetch(id, func() (*rtree.Node, error) {
+		return v.cache.GetOrFetch(id, func() (*rtree.FlatNode, error) {
 			return v.decode(id)
 		})
 	}
 	return v.decode(id)
 }
 
-func (v *EpochView) decode(id rtree.PageID) (*rtree.Node, error) {
+func (v *EpochView) decode(id rtree.PageID) (*rtree.FlatNode, error) {
 	buf, ok := v.epoch.pages[id]
 	if !ok {
 		return nil, fmt.Errorf("pagestore: page %d not in epoch", id)

@@ -195,11 +195,11 @@ func TestDurableStoreEpochIsolation(t *testing.T) {
 				t.Errorf("view read %d: %v", id, err)
 				return
 			}
-			for _, e := range n.Entries {
+			for i := 0; i < n.Len(); i++ {
 				if n.IsLeaf() {
 					count++
 				} else {
-					rec(e.Child)
+					rec(n.Child(i))
 				}
 			}
 		}

@@ -77,7 +77,7 @@ type FileStore struct {
 	codec    Codec
 	counters *obs.StorageCounters
 	osf      *os.File  // non-nil only for OS-backed stores; needed for mmap
-	images   sync.Pool // *[]byte page buffers for ReadPage, which decodes and drops the image
+	images   sync.Pool // *[]byte page buffers for ReadPage's pread path, which decodes and drops the image
 
 	mu   sync.Mutex
 	f    BlockFile // guarded by mu
@@ -317,63 +317,78 @@ func (fs *FileStore) ZeroPage(id rtree.PageID) error {
 // io.ErrUnexpectedEOF, exactly what a real drive returning fewer bytes
 // than asked looks like to callers.
 func (fs *FileStore) ReadImage(id rtree.PageID) ([]byte, error) {
-	buf := make([]byte, fs.codec.PageSize)
-	if err := fs.readImageInto(id, buf); err != nil {
+	off, err := fs.pageOffset(id)
+	if err != nil {
 		return nil, err
+	}
+	buf := make([]byte, fs.codec.PageSize)
+	if m, f := fs.source(off); m != nil {
+		copy(buf, m)
+	} else if err := fs.pread(f, id, off, buf); err != nil {
+		return nil, err
+	}
+	if fs.counters != nil {
+		fs.counters.PageReads.Add(1)
 	}
 	return buf, nil
 }
 
-// readImageInto is ReadImage into buf, which must be one page long.
-func (fs *FileStore) readImageInto(id rtree.PageID, buf []byte) error {
-	off, err := fs.pageOffset(id)
-	if err != nil {
-		return err
-	}
+// source returns where the page at off is read from: its image inside
+// the current mapping when the mapping covers it, else the block file
+// to pread. A mapping handed out stays valid until Close — Sync only
+// supersedes it.
+func (fs *FileStore) source(off int64) (mapped []byte, f BlockFile) {
 	fs.mu.Lock()
 	m := fs.mmap
-	f := fs.f
+	f = fs.f
 	fs.mu.Unlock()
 	if end := off + int64(fs.codec.PageSize); m != nil && end <= int64(len(m)) {
-		copy(buf, m[off:end])
-	} else {
-		n, err := f.ReadAt(buf, off)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("pagestore: short read of page %d (%d of %d bytes): %w",
-					id, n, fs.codec.PageSize, io.ErrUnexpectedEOF)
-			}
-			return fmt.Errorf("pagestore: reading page %d: %w", id, err)
-		}
+		return m[off:end:end], nil
 	}
-	if fs.counters != nil {
-		fs.counters.PageReads.Add(1)
+	return nil, f
+}
+
+// pread fills buf with the page at off, mapping a short read to
+// io.ErrUnexpectedEOF.
+func (fs *FileStore) pread(f BlockFile, id rtree.PageID, off int64, buf []byte) error {
+	n, err := f.ReadAt(buf, off)
+	if err != nil {
+		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+			return fmt.Errorf("pagestore: short read of page %d (%d of %d bytes): %w",
+				id, n, fs.codec.PageSize, io.ErrUnexpectedEOF)
+		}
+		return fmt.Errorf("pagestore: reading page %d: %w", id, err)
 	}
 	return nil
 }
 
 // ReadPage implements Reader: a physical page read plus decode, with
 // the misdirected-read identity check (decoded id must equal the slot).
-// The image is read into a pooled buffer: Decode copies every field
-// out, so the node keeps no reference to it.
-func (fs *FileStore) ReadPage(id rtree.PageID) (*rtree.Node, error) {
-	bp, _ := fs.images.Get().(*[]byte)
-	if bp == nil {
-		buf := make([]byte, fs.codec.PageSize)
-		bp = &buf
-	}
-	defer fs.images.Put(bp)
-	if err := fs.readImageInto(id, *bp); err != nil {
+// On the mmap path the decoder reads the image where it is mapped; the
+// pread path reads it into a pooled buffer. Either way the decoder
+// copies every field out, so the view keeps no reference to the image.
+func (fs *FileStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
+	off, err := fs.pageOffset(id)
+	if err != nil {
 		return nil, err
 	}
-	n, err := fs.codec.Decode(*bp)
-	if err != nil {
-		return nil, fmt.Errorf("pagestore: page %d: %w", id, err)
+	img, f := fs.source(off)
+	if img == nil {
+		bp, _ := fs.images.Get().(*[]byte)
+		if bp == nil {
+			buf := make([]byte, fs.codec.PageSize)
+			bp = &buf
+		}
+		defer fs.images.Put(bp)
+		if err := fs.pread(f, id, off, *bp); err != nil {
+			return nil, err
+		}
+		img = *bp
 	}
-	if n.ID != id {
-		return nil, &IntegrityError{Want: id, Got: n.ID}
+	if fs.counters != nil {
+		fs.counters.PageReads.Add(1)
 	}
-	return n, nil
+	return decodeChecked(fs.codec, id, img)
 }
 
 // LoadPages scans every page slot and returns the images that hold an
@@ -426,7 +441,7 @@ func (fs *FileStore) Sync() error {
 // current length. Mapping failures silently fall back to pread — mmap
 // is an optimization, never a correctness requirement. Superseded
 // mappings are retired (unmapped) at Close, not here: a concurrent
-// ReadImage may still be copying out of one. Callers hold fs.mu.
+// ReadPage may still be decoding out of one. Callers hold fs.mu.
 func (fs *FileStore) remapLocked() {
 	if fs.osf == nil {
 		return

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -63,7 +65,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.ID != id || len(n.Entries) != 1 || n.Entries[0].Object != rtree.ObjectID(id) {
+		if n.ID != id || n.Len() != 1 || n.Object(0) != rtree.ObjectID(id) {
 			t.Errorf("page %d decoded wrong: %+v", id, n)
 		}
 	}
@@ -251,5 +253,65 @@ func TestFileStoreMmapReads(t *testing.T) {
 		if _, err := fs.ReadPage(id); err != nil {
 			t.Fatalf("ReadPage(%d) after remap: %v", id, err)
 		}
+	}
+}
+
+// Readers decode straight out of the mapping while a writer appends
+// pages and Syncs, superseding the mapping over and over: every read
+// must still yield one whole page with the identity that was asked for,
+// from whichever mapping — or pread, past the mapped length — served it.
+func TestFileStoreMmapReadersAcrossRemap(t *testing.T) {
+	codec := Codec{Dim: 2, PageSize: 512}
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "drive.pages"), codec, FileStoreOptions{Mmap: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := fs.WriteNode(leafNode(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if !fs.Mapped() {
+		t.Skip("no mmap on this platform")
+	}
+	const pages = 400
+	var written atomic.Int64 // highest page id fully written
+	written.Store(1)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; written.Load() < pages || i < 2*pages; i++ {
+				id := rtree.PageID(1 + (i*7+g)%int(written.Load()))
+				f, err := fs.ReadPage(id)
+				if err != nil {
+					t.Errorf("ReadPage(%d): %v", id, err)
+					return
+				}
+				want := geom.PointRect(geom.Point{float64(id), float64(id) + 1})
+				if f.ID != id || f.Len() != 1 || f.Object(0) != rtree.ObjectID(id) || !rectBitsEqual(f.Rect(0), want) {
+					t.Errorf("ReadPage(%d) returned page %d, %d entries, object %d, rect %v",
+						id, f.ID, f.Len(), f.Object(0), f.Rect(0))
+					return
+				}
+			}
+		}(g)
+	}
+	var werr error
+	for id := rtree.PageID(2); id <= pages && werr == nil; id++ {
+		if werr = fs.WriteNode(leafNode(id, float64(id))); werr == nil {
+			written.Store(int64(id))
+			if id%8 == 0 {
+				werr = fs.Sync() // remap: the file grew
+			}
+		}
+	}
+	written.Store(pages) // a failed writer must not leave the readers spinning
+	wg.Wait()            // before Close unmaps what they read
+	if werr != nil {
+		t.Fatal(werr)
 	}
 }

@@ -76,11 +76,14 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// FuzzPageCodec exercises the page codec from both directions: Decode
-// must reject (never panic on) arbitrary byte images, and every node
-// the harness synthesizes must survive Encode → Decode → Encode with a
-// bit-identical page image. The second Encode pins the codec as a
-// fixpoint: any field Decode drops or rewrites shows up as a byte diff.
+// FuzzPageCodec exercises the page codec from both directions and both
+// decoders against each other: Decode and DecodeNode must reject (never
+// panic on) arbitrary byte images and agree on which they accept, the
+// view Decode builds must equal the view of the node DecodeNode builds
+// field by field, and every node the harness synthesizes must survive
+// Encode → DecodeNode → Encode with a bit-identical page image. The
+// second Encode pins the codec as a fixpoint: any field a decoder drops
+// or rewrites shows up as a byte diff.
 func FuzzPageCodec(f *testing.F) {
 	// A genuine version-1 page for each shape so coverage starts past
 	// the header checks.
@@ -102,20 +105,44 @@ func FuzzPageCodec(f *testing.F) {
 	}
 	f.Add([]byte{}, byte(0), false)
 	f.Add([]byte{magic, versionRect, 0, 0, 255, 255}, byte(0), false) // truncated header
+	// Full-size images whose stored page id is 7+2³² and whose child
+	// reference is 9+2³²: both used to truncate to valid-looking ids.
+	{
+		c := Codec{Dim: 2, PageSize: 512}
+		n := &rtree.Node{ID: 7, Level: 1, Entries: []rtree.Entry{{
+			Rect: geom.Rect{Lo: geom.Point{0, 1}, Hi: geom.Point{2, 3}}, Child: 9, Count: 4,
+		}}}
+		for _, off := range []int{8, headerSize + 2*2*8} {
+			buf, err := c.Encode(n)
+			if err != nil {
+				f.Fatalf("seed encode: %v", err)
+			}
+			binary.LittleEndian.PutUint64(buf[off:], binary.LittleEndian.Uint64(buf[off:])+1<<32)
+			f.Add(buf, byte(1), false)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, dimByte byte, spheres bool) {
 		dim := 1 + int(dimByte)%8
 		c := Codec{Dim: dim, PageSize: 512, Spheres: spheres}
 
-		// Direction 1: arbitrary bytes. Decode must return an error or a
-		// node; any successfully decoded node must re-encode and decode
-		// to the same page image.
-		if n, err := c.Decode(data); err == nil {
+		// Direction 1: arbitrary bytes. Both decoders return an error, or
+		// one page in two forms that agree; the decoded node must
+		// re-encode and decode to the same page image.
+		view, errFlat := c.Decode(data)
+		n, errNode := c.DecodeNode(data)
+		if (errFlat == nil) != (errNode == nil) {
+			t.Fatalf("decoders disagree: Decode %v, DecodeNode %v", errFlat, errNode)
+		}
+		if errNode == nil {
+			if err := flatEqual(view, rtree.BuildFlat(n)); err != nil {
+				t.Fatalf("Decode differs from BuildFlat(DecodeNode): %v", err)
+			}
 			buf, err := c.Encode(n)
 			if err != nil {
 				t.Fatalf("re-encode of decoded node failed: %v", err)
 			}
-			n2, err := c.Decode(buf)
+			n2, err := c.DecodeNode(buf)
 			if err != nil {
 				t.Fatalf("decode of re-encoded page failed: %v", err)
 			}
@@ -140,7 +167,7 @@ func FuzzPageCodec(f *testing.F) {
 
 		level := int(next() % 3)
 		count := int(next() % uint64(c.Capacity()+1))
-		n := &rtree.Node{ID: rtree.PageID(next()%(1<<30) + 1), Level: level}
+		n = &rtree.Node{ID: rtree.PageID(next()%(1<<30) + 1), Level: level}
 		for i := 0; i < count; i++ {
 			lo := make(geom.Point, dim)
 			hi := make(geom.Point, dim)
@@ -155,7 +182,7 @@ func FuzzPageCodec(f *testing.F) {
 			if level == 0 {
 				e.Object = rtree.ObjectID(next())
 			} else {
-				e.Child = rtree.PageID(next() % (1 << 30))
+				e.Child = rtree.PageID(next()%(1<<30) + 1)
 			}
 			if spheres {
 				center := make(geom.Point, dim)
@@ -174,7 +201,7 @@ func FuzzPageCodec(f *testing.F) {
 		if len(buf) != c.PageSize {
 			t.Fatalf("encoded page is %d bytes, want %d", len(buf), c.PageSize)
 		}
-		n2, err := c.Decode(buf)
+		n2, err := c.DecodeNode(buf)
 		if err != nil {
 			t.Fatalf("decode of synthesized page failed: %v", err)
 		}
@@ -188,6 +215,13 @@ func FuzzPageCodec(f *testing.F) {
 		}
 		if !bytes.Equal(buf, buf2) {
 			t.Fatalf("round trip is not lossless:\n% x\n% x", buf, buf2)
+		}
+		view, err = c.Decode(buf)
+		if err != nil {
+			t.Fatalf("flat decode of synthesized page failed: %v", err)
+		}
+		if err := viewsNode(view, n); err != nil {
+			t.Fatalf("flat decode of synthesized page: %v", err)
 		}
 	})
 }

@@ -78,14 +78,16 @@ func TestDecodeRejectsOversizedBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := append(append([]byte(nil), buf...), 0xDE, 0xAD)
-	if _, err := c.Decode(long); err == nil {
-		t.Error("Decode accepted an oversized page image")
-	}
-	if _, err := c.Decode(buf[:len(buf)-1]); err == nil {
-		t.Error("Decode accepted an undersized page image")
-	}
-	if _, err := c.Decode(buf); err != nil {
-		t.Errorf("Decode rejected an exact page image: %v", err)
+	for name, decode := range bothDecoders(c) {
+		if decode(long) == nil {
+			t.Errorf("%s accepted an oversized page image", name)
+		}
+		if decode(buf[:len(buf)-1]) == nil {
+			t.Errorf("%s accepted an undersized page image", name)
+		}
+		if err := decode(buf); err != nil {
+			t.Errorf("%s rejected an exact page image: %v", name, err)
+		}
 	}
 }
 

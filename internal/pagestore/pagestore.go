@@ -42,14 +42,14 @@ const (
 	headerSize    = 16
 )
 
-// Reader resolves one page into its decoded node. It is the seam the
+// Reader resolves one page into its read-only view. It is the seam the
 // fault-injection layer (package fault) and the replicated read path of
 // the concurrent engine wrap: a Reader may be a raw per-disk page
 // store, an injected store that fails or delays reads, or a mirror set
 // that redirects between them. Implementations must be safe for
 // concurrent use.
 type Reader interface {
-	ReadPage(id rtree.PageID) (*rtree.Node, error)
+	ReadPage(id rtree.PageID) (*rtree.FlatNode, error)
 }
 
 // Codec encodes and decodes nodes for a fixed page size and
@@ -139,41 +139,121 @@ func (c Codec) Encode(n *rtree.Node) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode reconstructs a node from a page image. The image must be
-// exactly one page: a short buffer is a torn read, and a long one is a
-// misdirected or overlapping read — both are integrity faults, not
-// layouts to tolerate (trailing garbage used to be silently accepted).
-func (c Codec) Decode(buf []byte) (*rtree.Node, error) {
+// pageHeader is the validated fixed part of a page image.
+type pageHeader struct {
+	id    rtree.PageID
+	level int
+	count int
+}
+
+// header validates everything about a page image that does not depend
+// on the entries. The image must be exactly one page: a short buffer is
+// a torn read, and a long one is a misdirected or overlapping read —
+// both are integrity faults, not layouts to tolerate.
+func (c Codec) header(buf []byte) (pageHeader, error) {
 	if len(buf) != c.PageSize {
-		return nil, fmt.Errorf("pagestore: page image is %d bytes, want page size %d", len(buf), c.PageSize)
+		return pageHeader{}, fmt.Errorf("pagestore: page image is %d bytes, want page size %d", len(buf), c.PageSize)
 	}
 	if len(buf) < headerSize {
-		return nil, fmt.Errorf("pagestore: page too short: %d bytes", len(buf))
+		return pageHeader{}, fmt.Errorf("pagestore: page too short: %d bytes", len(buf))
 	}
 	if buf[0] != magic {
-		return nil, fmt.Errorf("pagestore: bad magic 0x%02x", buf[0])
+		return pageHeader{}, fmt.Errorf("pagestore: bad magic 0x%02x", buf[0])
 	}
 	if buf[1] != c.version() {
-		return nil, fmt.Errorf("pagestore: page version %d, codec expects %d", buf[1], c.version())
+		return pageHeader{}, fmt.Errorf("pagestore: page version %d, codec expects %d", buf[1], c.version())
 	}
-	level := int(binary.LittleEndian.Uint16(buf[2:]))
-	count := int(binary.LittleEndian.Uint16(buf[4:]))
-	dim := int(binary.LittleEndian.Uint16(buf[6:]))
-	if dim != c.Dim {
-		return nil, fmt.Errorf("pagestore: page dim %d, codec dim %d", dim, c.Dim)
+	h := pageHeader{
+		level: int(binary.LittleEndian.Uint16(buf[2:])),
+		count: int(binary.LittleEndian.Uint16(buf[4:])),
 	}
-	if count > c.Capacity() {
-		return nil, fmt.Errorf("pagestore: entry count %d exceeds capacity %d", count, c.Capacity())
+	if dim := int(binary.LittleEndian.Uint16(buf[6:])); dim != c.Dim {
+		return pageHeader{}, fmt.Errorf("pagestore: page dim %d, codec dim %d", dim, c.Dim)
 	}
-	if need := headerSize + count*c.EntrySize(); len(buf) < need {
-		return nil, fmt.Errorf("pagestore: page truncated: %d bytes, need %d for %d entries",
-			len(buf), need, count)
+	if h.count > c.Capacity() {
+		return pageHeader{}, fmt.Errorf("pagestore: entry count %d exceeds capacity %d", h.count, c.Capacity())
 	}
-	n := &rtree.Node{
-		ID:      rtree.PageID(binary.LittleEndian.Uint64(buf[8:])),
-		Level:   level,
-		Entries: make([]rtree.Entry, count),
+	if need := headerSize + h.count*c.EntrySize(); len(buf) < need {
+		return pageHeader{}, fmt.Errorf("pagestore: page truncated: %d bytes, need %d for %d entries",
+			len(buf), need, h.count)
 	}
+	var err error
+	h.id, err = pageRef(binary.LittleEndian.Uint64(buf[8:]))
+	return h, err
+}
+
+// pageRef narrows a stored 64-bit page id or child reference to a
+// PageID. The format stores 64 bits and a PageID has 32, so a value
+// outside 1..MaxInt32 cannot name a page: it is rejected here, before
+// any identity check could compare its truncation and pass.
+func pageRef(raw uint64) (rtree.PageID, error) {
+	if raw < 1 || raw > math.MaxInt32 {
+		return rtree.NilPage, &IntegrityError{Raw: raw}
+	}
+	return rtree.PageID(raw), nil
+}
+
+func float64At(buf []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+}
+
+// fillColumn gathers one float64 field of every entry into dst: the
+// field of entry i sits at entries[off+i*stride].
+func fillColumn(dst []float64, entries []byte, off, stride int) {
+	for i := range dst {
+		dst[i] = float64At(entries, off)
+		off += stride
+	}
+}
+
+// Decode builds the read-only view of a page straight from its image —
+// the decoder of the read path: every Reader in this package, the
+// engine's replicas and its page cache carry what it returns. Each
+// field of the image is read once, into the axis-major columns the
+// batch kernels read or the compact identity column; no rtree.Node and
+// no per-entry slices exist on this path. All image checks are those of
+// DecodeNode.
+func (c Codec) Decode(buf []byte) (*rtree.FlatNode, error) {
+	h, err := c.header(buf)
+	if err != nil {
+		return nil, err
+	}
+	dim, size := c.Dim, c.EntrySize()
+	f, refs := rtree.NewPageView(h.id, h.level, dim, h.count, c.Spheres)
+	entries := buf[headerSize : headerSize+h.count*size]
+	for a := 0; a < dim && h.count > 0; a++ {
+		fillColumn(f.Rects.Lo[a], entries, 8*a, size)
+		fillColumn(f.Rects.Hi[a], entries, 8*(dim+a), size)
+	}
+	for i, off := 0, 16*dim; i < len(refs); i, off = i+1, off+size {
+		ref := binary.LittleEndian.Uint64(entries[off:])
+		if h.level != 0 {
+			if _, err := pageRef(ref); err != nil {
+				return nil, err
+			}
+		}
+		refs[i] = rtree.PageRef{Ref: int64(ref), Count: binary.LittleEndian.Uint32(entries[off+8:])}
+	}
+	if s := f.Spheres; s != nil {
+		for a := 0; a < dim; a++ {
+			fillColumn(s.Center[a], entries, 16*dim+12+8*a, size)
+		}
+		fillColumn(s.Radius, entries, 24*dim+12, size)
+	}
+	return f, nil
+}
+
+// DecodeNode reconstructs a full, mutable node from a page image — the
+// write side's decoder: recovery rebuilds the working set with it, and
+// the shadow audits and snapshot loading compare or adopt whole nodes.
+// It accepts exactly the images Decode accepts.
+func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
+	h, err := c.header(buf)
+	if err != nil {
+		return nil, err
+	}
+	dim := c.Dim
+	n := &rtree.Node{ID: h.id, Level: h.level, Entries: make([]rtree.Entry, h.count)}
 	// One coordinate slab per page, not two or three slices per entry.
 	// Each point is a capacity-capped sub-slice, so an append to one can
 	// never run into its neighbour.
@@ -181,18 +261,18 @@ func (c Codec) Decode(buf []byte) (*rtree.Node, error) {
 	if c.Spheres {
 		per += dim
 	}
-	slab := make([]float64, count*per)
+	slab := make([]float64, h.count*per)
 	point := func(off int) (geom.Point, int) {
 		p := slab[:dim:dim]
 		slab = slab[dim:]
 		for d := range p {
-			p[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			p[d] = float64At(buf, off)
 			off += 8
 		}
 		return p, off
 	}
 	off := headerSize
-	for i := 0; i < count; i++ {
+	for i := range n.Entries {
 		e := &n.Entries[i]
 		e.Rect.Lo, off = point(off)
 		e.Rect.Hi, off = point(off)
@@ -202,19 +282,15 @@ func (c Codec) Decode(buf []byte) (*rtree.Node, error) {
 		off += 4
 		if c.Spheres {
 			e.Sphere.Center, off = point(off)
-			e.Sphere.Radius = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+			e.Sphere.Radius = float64At(buf, off)
 			off += 8
 		}
-		if level == 0 {
+		if h.level == 0 {
 			e.Object = rtree.ObjectID(ref)
-		} else {
-			e.Child = rtree.PageID(ref)
+		} else if e.Child, err = pageRef(ref); err != nil {
+			return nil, err
 		}
 	}
-	// Build the flat geometry view eagerly: a decoded node is about to
-	// be scanned by the batch distance kernels, and building here means
-	// the buffer pool caches the flat form along with the node.
-	n.Flat()
 	return n, nil
 }
 
@@ -328,27 +404,20 @@ func (s *PagedStore) Len() int {
 }
 
 // ReadPage implements Reader: the page's encoded image is decoded into
-// a fresh node. Unlike Get it performs a physical decode and returns an
+// a fresh view. Unlike Get it performs a physical decode and returns an
 // error (not a panic) for pages without an image, which is what the
-// degraded-mode read path needs. The decoded node's self-declared ID
+// degraded-mode read path needs. The decoded page's self-declared ID
 // must match the requested page: a mismatch means a misdirected read (a
 // valid page served from the wrong address) and surfaces as a typed
-// *IntegrityError instead of a silently wrong node.
-func (s *PagedStore) ReadPage(id rtree.PageID) (*rtree.Node, error) {
+// *IntegrityError instead of a silently wrong page.
+func (s *PagedStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	s.mu.RLock()
 	buf, ok := s.pages[id]
 	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("pagestore: page %d has no encoded image", id)
 	}
-	n, err := s.codec.Decode(buf)
-	if err != nil {
-		return nil, err
-	}
-	if n.ID != id {
-		return nil, &IntegrityError{Want: id, Got: n.ID}
-	}
-	return n, nil
+	return decodeChecked(s.codec, id, buf)
 }
 
 // Page returns a copy of the encoded image of a page (nil when the node
@@ -409,7 +478,7 @@ func (s *PagedStore) VerifyShadow() error {
 // difference at all — including a NaN payload or a -0/+0 flip — is
 // corruption, not numeric noise.
 func verifyShadowNode(codec Codec, n *rtree.Node, buf []byte) error {
-	dec, err := codec.Decode(buf)
+	dec, err := codec.DecodeNode(buf)
 	if err != nil {
 		return fmt.Errorf("pagestore: page %d: %v", n.ID, err)
 	}

@@ -19,8 +19,17 @@ func TestCodecCapacityMatchesRtree(t *testing.T) {
 	}
 }
 
+// bothDecoders names the codec's two decoders by what they do to an
+// image, for the checks every image must pass or fail on both.
+func bothDecoders(c Codec) map[string]func([]byte) error {
+	return map[string]func([]byte) error{
+		"Decode":     func(img []byte) error { _, err := c.Decode(img); return err },
+		"DecodeNode": func(img []byte) error { _, err := c.DecodeNode(img); return err },
+	}
+}
+
 func randomNode(rnd *rand.Rand, dim, entries int, leaf bool) *rtree.Node {
-	n := &rtree.Node{ID: rtree.PageID(rnd.Intn(1 << 20)), Level: 0}
+	n := &rtree.Node{ID: rtree.PageID(1 + rnd.Intn(1<<20)), Level: 0}
 	if !leaf {
 		n.Level = 1 + rnd.Intn(5)
 	}
@@ -39,7 +48,7 @@ func randomNode(rnd *rand.Rand, dim, entries int, leaf bool) *rtree.Node {
 			e.Object = rtree.ObjectID(rnd.Int63())
 			e.Count = 1
 		} else {
-			e.Child = rtree.PageID(rnd.Intn(1 << 20))
+			e.Child = rtree.PageID(1 + rnd.Intn(1<<20))
 			e.Count = rnd.Intn(100000)
 		}
 		n.Entries = append(n.Entries, e)
@@ -47,7 +56,8 @@ func randomNode(rnd *rand.Rand, dim, entries int, leaf bool) *rtree.Node {
 	return n
 }
 
-// Property: Decode(Encode(n)) == n for random nodes of all shapes.
+// Property: DecodeNode(Encode(n)) == n and Decode(Encode(n)) views n,
+// for random nodes of all shapes.
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64, dimRaw, entRaw uint8, leaf bool) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -62,7 +72,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if len(buf) != 4096 {
 			return false
 		}
-		dec, err := c.Decode(buf)
+		dec, err := c.DecodeNode(buf)
 		if err != nil {
 			return false
 		}
@@ -74,6 +84,14 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			if !a.Rect.Equal(b.Rect) || a.Child != b.Child || a.Object != b.Object || a.Count != b.Count {
 				return false
 			}
+		}
+		view, err := c.Decode(buf)
+		if err != nil {
+			return false
+		}
+		if err := viewsNode(view, n); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -107,24 +125,20 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := buf[:8]
-	if _, err := c.Decode(short); err == nil {
-		t.Error("Decode accepted truncated page")
-	}
 	badMagic := append([]byte(nil), buf...)
 	badMagic[0] = 0x00
-	if _, err := c.Decode(badMagic); err == nil {
-		t.Error("Decode accepted bad magic")
-	}
 	badVer := append([]byte(nil), buf...)
 	badVer[1] = 99
-	if _, err := c.Decode(badVer); err == nil {
-		t.Error("Decode accepted bad version")
-	}
 	badDim := append([]byte(nil), buf...)
 	badDim[6] = 7
-	if _, err := c.Decode(badDim); err == nil {
-		t.Error("Decode accepted dim mismatch")
+	for what, img := range map[string][]byte{
+		"truncated page": buf[:8], "bad magic": badMagic, "bad version": badVer, "dim mismatch": badDim,
+	} {
+		for name, decode := range bothDecoders(c) {
+			if decode(img) == nil {
+				t.Errorf("%s accepted %s", name, what)
+			}
+		}
 	}
 }
 
@@ -248,16 +262,15 @@ func TestPagedStoreConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodeAllocsIndependentOfEntryCount pins the decoded page's
-// coordinate slab: a full page costs the same few allocations as a
-// page with one entry (node, entries, slab, and the flat view's
-// share), and the points cut from the slab cannot grow into each
+// TestDecodeAllocsIndependentOfEntryCount pins both decoders' slabs: a
+// full page costs the same few allocations as a page with one entry,
+// and the points DecodeNode cuts from its slab cannot grow into each
 // other.
 func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
 		rnd := rand.New(rand.NewSource(5))
-		allocs := func(entries int) float64 {
+		image := func(entries int) []byte {
 			n := randomNode(rnd, c.Dim, entries, true)
 			if spheres {
 				for i := range n.Entries {
@@ -268,19 +281,24 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return testing.AllocsPerRun(50, func() {
-				if _, err := c.Decode(buf); err != nil {
-					t.Fatal(err)
-				}
-			})
+			return buf
 		}
-		one, full := allocs(1), allocs(c.Capacity())
-		t.Logf("spheres=%v: %.0f allocations per decode", spheres, full)
-		if full != one {
-			t.Errorf("spheres=%v: full page decodes in %.0f allocations, one entry in %.0f", spheres, full, one)
-		}
-		if full > 12 {
-			t.Errorf("spheres=%v: full page decodes in %.0f allocations, want a small constant", spheres, full)
+		for name, decode := range bothDecoders(c) {
+			allocs := func(buf []byte) float64 {
+				return testing.AllocsPerRun(50, func() {
+					if err := decode(buf); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			one, full := allocs(image(1)), allocs(image(c.Capacity()))
+			t.Logf("%s spheres=%v: %.0f allocations per page", name, spheres, full)
+			if full != one {
+				t.Errorf("%s spheres=%v: full page decodes in %.0f allocations, one entry in %.0f", name, spheres, full, one)
+			}
+			if full > 4 {
+				t.Errorf("%s spheres=%v: full page decodes in %.0f allocations, want at most 4", name, spheres, full)
+			}
 		}
 	}
 
@@ -293,7 +311,7 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := c.Decode(buf)
+	dec, err := c.DecodeNode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func LoadSnapshot(r io.Reader) (*Tree, error) {
 		// was the minimal fit). Decode strictly against it.
 		pcodec := codec
 		pcodec.PageSize = blen
-		node, err := pcodec.Decode(buf)
+		node, err := pcodec.DecodeNode(buf)
 		if err != nil {
 			return nil, fmt.Errorf("parallel: page %d: %w", i, err)
 		}

@@ -59,7 +59,7 @@ func (e *bbssExec) pruneDistSq() float64 {
 	return d
 }
 
-func (e *bbssExec) Step(delivered []*rtree.Node) StepResult {
+func (e *bbssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		return e.requestRoot()
@@ -69,11 +69,10 @@ func (e *bbssExec) Step(delivered []*rtree.Node) StepResult {
 	// Process the delivered page (BBSS always requests exactly one).
 	for ni, n := range delivered {
 		if n.IsLeaf() {
-			scanned += len(n.Entries)
+			scanned += n.Len()
 			for i, d := range e.leafDmin(n) {
 				if d <= e.best.kthDistSq() {
-					en := n.Entries[i]
-					e.best.offer(Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		} else {

@@ -54,7 +54,7 @@ func (e *bfssExec) Results() []Neighbor {
 	return e.best.results()
 }
 
-func (e *bfssExec) Step(delivered []*rtree.Node) StepResult {
+func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		return e.requestRoot()
@@ -62,19 +62,17 @@ func (e *bfssExec) Step(delivered []*rtree.Node) StepResult {
 
 	scanned, sorted := 0, 0
 	for _, n := range delivered {
-		scanned += len(n.Entries)
+		scanned += n.Len()
 		if n.IsLeaf() {
-			for _, en := range n.Entries {
-				d := geom.SphereRectMin(e.q, en.Rect, en.Sphere)
+			for i, d := range e.entrySphereRectMin(n) {
 				if d <= e.best.kthDistSq() {
-					e.best.offer(Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		} else {
-			for _, en := range n.Entries {
-				d := geom.SphereRectMin(e.q, en.Rect, en.Sphere)
+			for i, d := range e.entrySphereRectMin(n) {
 				if d <= e.best.kthDistSq() {
-					e.sc.frontier = heapPush(e.sc.frontier, bfssItem{distSq: d, page: en.Child, level: n.Level - 1}, nearerPage)
+					e.sc.frontier = heapPush(e.sc.frontier, bfssItem{distSq: d, page: n.Child(i), level: n.Level - 1}, nearerPage)
 					sorted++ // heap maintenance charged as sort work
 				}
 			}

@@ -26,7 +26,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 	// have been admitted.
 	bang := errors.New("disk on fire")
 	ex := CRSS{}.NewExecution(tree, q, 5, opts)
-	err := RunWith(ex, "CRSS", func(reqs []PageRequest) ([]*rtree.Node, error) {
+	err := RunWith(ex, "CRSS", func(reqs []PageRequest) ([]*rtree.FlatNode, error) {
 		return nil, bang
 	})
 	if !errors.Is(err, bang) {
@@ -42,7 +42,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 	var delivered, inFlight []rtree.PageID
 	stage := 0
 	ex = CRSS{}.NewExecution(tree, q, 5, opts)
-	err = RunWith(ex, "CRSS", func(reqs []PageRequest) ([]*rtree.Node, error) {
+	err = RunWith(ex, "CRSS", func(reqs []PageRequest) ([]*rtree.FlatNode, error) {
 		if stage == 2 {
 			for _, r := range reqs {
 				if !r.Cached {
@@ -52,9 +52,9 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 			return nil, bang
 		}
 		stage++
-		nodes := make([]*rtree.Node, len(reqs))
+		nodes := make([]*rtree.FlatNode, len(reqs))
 		for i, r := range reqs {
-			nodes[i] = tree.Store().Get(r.Page)
+			nodes[i] = tree.Store().Get(r.Page).Flat()
 			if !r.Cached {
 				delivered = append(delivered, r.Page)
 			}

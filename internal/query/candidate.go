@@ -55,18 +55,17 @@ func (s *candScratch) views(m int) (dmin, dmm, dmax, tmp []float64) {
 // The returned slice is the scratch's candidate array, valid until the
 // next makeCandidates call; callers prune and sort it in place and copy
 // out (scratch.keep) what must outlive the stage.
-func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate {
+func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.FlatNode) []candidate {
 	out := s.cands[:0]
-	for _, n := range nodes {
-		m := len(n.Entries)
+	for _, f := range nodes {
+		m := f.Len()
 		if m == 0 {
 			continue
 		}
-		f := n.Flat()
 		if f.MixedSpheres {
 			// Some but not all entries carry spheres: no SoA sphere view
 			// exists, so tighten per entry with the scalar kernels.
-			out = appendCandidatesScalar(out, q, n)
+			out = appendCandidatesScalar(out, q, f)
 			continue
 		}
 		dmin, dmm, dmax, tmp := s.kern.views(m)
@@ -90,11 +89,11 @@ func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate 
 				}
 			}
 		}
-		for i := range n.Entries {
+		for i := 0; i < m; i++ {
 			out = append(out, candidate{
-				child:  n.Entries[i].Child,
-				count:  n.Entries[i].Count,
-				level:  n.Level - 1,
+				child:  f.Child(i),
+				count:  f.Count(i),
+				level:  f.Level - 1,
 				dminSq: dmin[i],
 				dmmSq:  dmm[i],
 				dmaxSq: dmax[i],
@@ -108,21 +107,22 @@ func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.Node) []candidate 
 // appendCandidatesScalar is the per-entry scalar candidate pass: the
 // reference implementation the batch path is tested against, and the
 // fallback for nodes whose entries mix present and absent spheres.
-func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.Node) []candidate {
-	for _, e := range n.Entries {
+func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.FlatNode) []candidate {
+	for i, m := 0, n.Len(); i < m; i++ {
+		rect, sphere := n.Rect(i), n.Sphere(i)
 		c := candidate{
-			child:  e.Child,
-			count:  e.Count,
+			child:  n.Child(i),
+			count:  n.Count(i),
 			level:  n.Level - 1,
-			dminSq: geom.MinDistSq(q, e.Rect),
-			dmmSq:  geom.MinMaxDistSq(q, e.Rect),
-			dmaxSq: geom.MaxDistSq(q, e.Rect),
+			dminSq: geom.MinDistSq(q, rect),
+			dmmSq:  geom.MinMaxDistSq(q, rect),
+			dmaxSq: geom.MaxDistSq(q, rect),
 		}
-		if e.Sphere.Valid() {
-			if sm := e.Sphere.MinDistSq(q); sm > c.dminSq {
+		if sphere.Valid() {
+			if sm := sphere.MinDistSq(q); sm > c.dminSq {
 				c.dminSq = sm
 			}
-			if sM := e.Sphere.MaxDistSq(q); sM < c.dmaxSq {
+			if sM := sphere.MaxDistSq(q); sM < c.dmaxSq {
 				c.dmaxSq = sM
 				if sM < c.dmmSq {
 					c.dmmSq = sM
@@ -136,7 +136,7 @@ func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.Node) []cand
 
 // makeCandidatesScalar is the all-scalar equivalent of makeCandidates,
 // kept for differential tests and benchmarks.
-func makeCandidatesScalar(q geom.Point, nodes []*rtree.Node) []candidate {
+func makeCandidatesScalar(q geom.Point, nodes []*rtree.FlatNode) []candidate {
 	var out []candidate
 	for _, n := range nodes {
 		out = appendCandidatesScalar(out, q, n)

@@ -12,9 +12,9 @@ import (
 
 // benchNodes builds directory nodes with the given entry count and
 // dimensionality, optionally with SR-tree spheres on every entry.
-func benchNodes(dim, perNode, count int, spheres bool) []*rtree.Node {
+func benchNodes(dim, perNode, count int, spheres bool) []*rtree.FlatNode {
 	rng := rand.New(rand.NewSource(7))
-	nodes := make([]*rtree.Node, count)
+	nodes := make([]*rtree.FlatNode, count)
 	for nn := range nodes {
 		n := &rtree.Node{ID: rtree.PageID(nn + 1), Level: 2}
 		for i := 0; i < perNode; i++ {
@@ -34,7 +34,7 @@ func benchNodes(dim, perNode, count int, spheres bool) []*rtree.Node {
 			}
 			n.Entries = append(n.Entries, e)
 		}
-		nodes[nn] = n
+		nodes[nn] = n.Flat()
 	}
 	return nodes
 }

@@ -178,7 +178,7 @@ func TestMakeCandidatesSphereTightening(t *testing.T) {
 	n := &rtree.Node{ID: 1, Level: 1, Entries: []rtree.Entry{
 		{Rect: rect, Sphere: sph, Child: 2, Count: 10},
 	}}
-	c := new(scratch).makeCandidates(q, []*rtree.Node{n})[0]
+	c := new(scratch).makeCandidates(q, []*rtree.FlatNode{n.Flat()})[0]
 	// Rect dmin² = 9; sphere dmin = 3.5 → 12.25 (tighter lower bound).
 	if math.Abs(c.dminSq-12.25) > 1e-9 {
 		t.Errorf("dmin² = %g, want 12.25", c.dminSq)
@@ -209,7 +209,7 @@ func TestMakeCandidatesBatchScalarParity(t *testing.T) {
 			for a := range q {
 				q[a] = rng.NormFloat64() * 50
 			}
-			var nodes []*rtree.Node
+			var nodes []*rtree.FlatNode
 			for nn := 0; nn < 3; nn++ {
 				n := &rtree.Node{ID: rtree.PageID(nn + 1), Level: 2}
 				for i := 0; i < 17; i++ {
@@ -233,7 +233,7 @@ func TestMakeCandidatesBatchScalarParity(t *testing.T) {
 					}
 					n.Entries = append(n.Entries, e)
 				}
-				nodes = append(nodes, n)
+				nodes = append(nodes, n.Flat())
 			}
 			got := new(scratch).makeCandidates(q, nodes)
 			want := makeCandidatesScalar(q, nodes)
@@ -261,10 +261,10 @@ func TestMakeCandidatesInvalidation(t *testing.T) {
 	})
 	st.Update(n)
 	q := geom.Point{0, 0}
-	before := new(scratch).makeCandidates(q, []*rtree.Node{n})[0].dminSq
+	before := new(scratch).makeCandidates(q, []*rtree.FlatNode{n.Flat()})[0].dminSq
 	n.Entries[0].Rect = geom.NewRect(geom.Point{3, 4}, geom.Point{5, 6})
 	st.Update(n)
-	after := new(scratch).makeCandidates(q, []*rtree.Node{n})[0].dminSq
+	after := new(scratch).makeCandidates(q, []*rtree.FlatNode{n.Flat()})[0].dminSq
 	if before != 2 || after != 25 {
 		t.Fatalf("dmin² before/after update = %g/%g, want 2/25", before, after)
 	}

@@ -67,7 +67,7 @@ func (e *crssExec) Results() []Neighbor {
 	return e.best.results()
 }
 
-func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
+func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		if e.opts.Trace != nil {
@@ -83,11 +83,10 @@ func (e *crssExec) Step(delivered []*rtree.Node) StepResult {
 			// UPDATE mode: data objects tighten the threshold.
 			e.reachedLeaves = true
 			for _, n := range delivered {
-				scanned += len(n.Entries)
+				scanned += n.Len()
 				for i, d := range e.leafDmin(n) {
 					if d <= e.best.kthDistSq() {
-						en := n.Entries[i]
-						e.best.offer(Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+						e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 					}
 				}
 			}

@@ -57,7 +57,7 @@ func (e *epsExec) restart() StepResult {
 	return e.requestRoot()
 }
 
-func (e *epsExec) Step(delivered []*rtree.Node) StepResult {
+func (e *epsExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		return e.requestRoot()
@@ -71,11 +71,10 @@ func (e *epsExec) Step(delivered []*rtree.Node) StepResult {
 			e.epsSq = math.MaxFloat64 / 4
 		}
 		for _, n := range delivered {
-			scanned += len(n.Entries)
+			scanned += n.Len()
 			for i, d := range e.leafDmin(n) {
 				if d <= e.epsSq {
-					en := n.Entries[i]
-					e.found = append(e.found, Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.found = append(e.found, Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		}

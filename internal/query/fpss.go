@@ -36,7 +36,7 @@ func (e *fpssExec) Results() []Neighbor {
 	return e.best.results()
 }
 
-func (e *fpssExec) Step(delivered []*rtree.Node) StepResult {
+func (e *fpssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		return e.requestRoot()
@@ -48,11 +48,10 @@ func (e *fpssExec) Step(delivered []*rtree.Node) StepResult {
 		// page possibly holding an answer was fetched) makes the best
 		// list exact.
 		for _, n := range delivered {
-			scanned += len(n.Entries)
+			scanned += n.Len()
 			for i, d := range e.leafDmin(n) {
 				if d <= e.best.kthDistSq() {
-					en := n.Entries[i]
-					e.best.offer(Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		}

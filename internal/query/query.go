@@ -69,7 +69,9 @@ type Execution interface {
 	// (nil on the first call) and returns the next batch. An empty
 	// request list means the query has completed. The execution does
 	// not retain delivered; the driver may reuse it for the next stage.
-	Step(delivered []*rtree.Node) StepResult
+	// A delivered page is its read-only view (rtree.FlatNode), whether
+	// the driver took it from a live node or decoded it from an image.
+	Step(delivered []*rtree.FlatNode) StepResult
 	// Done reports whether the query has produced its final answer.
 	Done() bool
 	// Results returns the k nearest neighbors, ordered by distance.
@@ -165,12 +167,12 @@ type base struct {
 	obsStarted bool
 }
 
-// leafDmin returns Dmin²(q, entry) for every entry of the node, computed
-// with the batch kernel over the node's flat view. The returned slice is
-// the execution's scratch buffer, valid until the next scan call.
-func (b *base) leafDmin(n *rtree.Node) []float64 {
-	out := b.scanBuf(len(n.Entries))
-	geom.MinDistSqBatch(b.q, &n.Flat().Rects, out)
+// leafDmin returns Dmin²(q, entry) for every entry of the page, computed
+// with the batch kernel. The returned slice is the execution's scratch
+// buffer, valid until the next scan call.
+func (b *base) leafDmin(n *rtree.FlatNode) []float64 {
+	out := b.scanBuf(n.Len())
+	geom.MinDistSqBatch(b.q, &n.Rects, out)
 	return out
 }
 
@@ -183,17 +185,16 @@ func (b *base) scanBuf(m int) []float64 {
 }
 
 // entrySphereRectMin returns the intersected rect/sphere lower bound
-// SphereRectMin(q, entry) for every entry of the node. Scratch-backed
+// SphereRectMin(q, entry) for every entry of the page. Scratch-backed
 // like leafDmin.
-func (b *base) entrySphereRectMin(n *rtree.Node) []float64 {
-	m := len(n.Entries)
+func (b *base) entrySphereRectMin(f *rtree.FlatNode) []float64 {
+	m := f.Len()
 	out := b.scanBuf(m)
-	f := n.Flat()
 	if f.MixedSpheres {
 		// No SoA sphere view exists for mixed nodes; match the scalar
 		// per-entry semantics exactly.
-		for i, e := range n.Entries {
-			out[i] = geom.SphereRectMin(b.q, e.Rect, e.Sphere)
+		for i := range out {
+			out[i] = geom.SphereRectMin(b.q, f.Rect(i), f.Sphere(i))
 		}
 		return out
 	}
@@ -389,8 +390,8 @@ func (bl *bestList) results() []Neighbor {
 	return out
 }
 
-// Fetcher resolves one batch of page requests into nodes. The returned
-// slice must hold the node for Requests[i] at position i — executions
+// Fetcher resolves one batch of page requests into page views. The
+// returned slice must hold the page for Requests[i] at position i — executions
 // rely on request-order delivery for deterministic tie-breaking, so a
 // concurrent fetcher must reorder completions before handing them back.
 // The execution reads the returned slice only during the Step that
@@ -400,14 +401,14 @@ func (bl *bestList) results() []Neighbor {
 // abstraction shared by the three execution environments: the immediate
 // Driver below, the event-driven system simulator (package simarray),
 // and the real concurrent engine (package exec).
-type Fetcher func(reqs []PageRequest) ([]*rtree.Node, error)
+type Fetcher func(reqs []PageRequest) ([]*rtree.FlatNode, error)
 
 // RunWith drives an execution to completion, resolving each stage's
 // page requests through fetch. It returns the first fetch error
 // (typically a cancelled context in the concurrent engine); on success
 // the execution is Done and its Results/Stats are valid.
 func RunWith(exec Execution, name string, fetch Fetcher) error {
-	var delivered []*rtree.Node
+	var delivered []*rtree.FlatNode
 	for {
 		sr := exec.Step(delivered)
 		if len(sr.Requests) == 0 {
@@ -436,16 +437,16 @@ type Driver struct {
 }
 
 // deliveredPool recycles the Driver's per-query delivery buffers.
-var deliveredPool = sync.Pool{New: func() any { return new([]*rtree.Node) }}
+var deliveredPool = sync.Pool{New: func() any { return new([]*rtree.FlatNode) }}
 
 // Run executes alg on the driver's tree and returns the results and
 // access statistics.
 func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbor, *Stats) {
 	exec := alg.NewExecution(d.Tree, q, k, opts)
 	defer exec.Release()
-	buf := deliveredPool.Get().(*[]*rtree.Node)
+	buf := deliveredPool.Get().(*[]*rtree.FlatNode)
 	stage := 0
-	_ = RunWith(exec, alg.Name(), func(reqs []PageRequest) ([]*rtree.Node, error) {
+	_ = RunWith(exec, alg.Name(), func(reqs []PageRequest) ([]*rtree.FlatNode, error) {
 		var start time.Time
 		if opts.Observer != nil {
 			//lint:allow simdeterminism observer wall-clock latency only, never feeds results
@@ -453,7 +454,7 @@ func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbo
 		}
 		delivered := (*buf)[:0]
 		for _, r := range reqs {
-			delivered = append(delivered, d.Tree.Store().Get(r.Page))
+			delivered = append(delivered, d.Tree.Store().Get(r.Page).Flat())
 		}
 		*buf = delivered
 		if ob := opts.Observer; ob != nil {

@@ -41,7 +41,7 @@ func (e *rangeExec) Results() []Neighbor {
 	return out
 }
 
-func (e *rangeExec) Step(delivered []*rtree.Node) StepResult {
+func (e *rangeExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		return e.requestRoot()
@@ -49,11 +49,10 @@ func (e *rangeExec) Step(delivered []*rtree.Node) StepResult {
 	scanned := 0
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
 		for _, n := range delivered {
-			scanned += len(n.Entries)
+			scanned += n.Len()
 			for i, d := range e.entrySphereRectMin(n) {
 				if d <= e.epsSq {
-					en := n.Entries[i]
-					e.found = append(e.found, Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.found = append(e.found, Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		}
@@ -62,10 +61,10 @@ func (e *rangeExec) Step(delivered []*rtree.Node) StepResult {
 	}
 	reqs := e.sc.reqs[:0]
 	for _, n := range delivered {
-		scanned += len(n.Entries)
+		scanned += n.Len()
 		for i, d := range e.entrySphereRectMin(n) {
 			if d <= e.epsSq {
-				reqs = append(reqs, e.request(n.Entries[i].Child, n.Level-1))
+				reqs = append(reqs, e.request(n.Child(i), n.Level-1))
 			}
 		}
 	}

@@ -87,10 +87,10 @@ func TestReleaseContract(t *testing.T) {
 	tree := buildTree(t, pts, 2, 5, 8)
 	d := Driver{Tree: tree}
 	qs := dataset.SampleQueries(pts, 12, 77)
-	fetch := func(reqs []PageRequest) ([]*rtree.Node, error) {
-		nodes := make([]*rtree.Node, len(reqs))
+	fetch := func(reqs []PageRequest) ([]*rtree.FlatNode, error) {
+		nodes := make([]*rtree.FlatNode, len(reqs))
 		for i, r := range reqs {
-			nodes[i] = tree.Store().Get(r.Page)
+			nodes[i] = tree.Store().Get(r.Page).Flat()
 		}
 		return nodes, nil
 	}

@@ -45,7 +45,7 @@ func (e *woptssExec) Results() []Neighbor {
 	return e.best.results()
 }
 
-func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
+func (e *woptssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if !e.started {
 		e.started = true
 		if !e.haveOracle {
@@ -59,11 +59,10 @@ func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
 	scanned := 0
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
 		for _, n := range delivered {
-			scanned += len(n.Entries)
+			scanned += n.Len()
 			for i, d := range e.leafDmin(n) {
 				if d <= e.dkSq {
-					en := n.Entries[i]
-					e.best.offer(Neighbor{Object: en.Object, Rect: en.Rect, DistSq: d})
+					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
 				}
 			}
 		}
@@ -76,10 +75,10 @@ func (e *woptssExec) Step(delivered []*rtree.Node) StepResult {
 	// so WOPTSS stays the floor for that access method too.
 	reqs := e.sc.reqs[:0]
 	for _, n := range delivered {
-		scanned += len(n.Entries)
+		scanned += n.Len()
 		for i, d := range e.entrySphereRectMin(n) {
 			if d <= e.dkSq {
-				reqs = append(reqs, e.request(n.Entries[i].Child, n.Level-1))
+				reqs = append(reqs, e.request(n.Child(i), n.Level-1))
 			}
 		}
 	}

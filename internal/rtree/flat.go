@@ -1,21 +1,32 @@
 package rtree
 
 import (
+	"sync/atomic"
+
 	"repro/internal/geom"
 )
 
-// FlatNode is the struct-of-arrays view of a node's geometry, the input
-// format of the batch distance kernels in package geom: entry i's MBR
-// spans Rects.Lo[a][i]..Rects.Hi[a][i] on axis a. Identity data (child
-// pages, object IDs, counts) stays in Node.Entries — the flat form
-// carries only what the candidate-filtering passes compute on, packed
-// into one contiguous allocation per node.
+// FlatNode is the read-only form of a page that every query execution
+// consumes: the page's identity, its entries' geometry laid out
+// struct-of-arrays — the input format of the batch distance kernels in
+// package geom, entry i's MBR spanning Rects.Lo[a][i]..Rects.Hi[a][i]
+// on axis a — and per-entry accessors for what the kernels do not read
+// (child pages, object ids, counts, and the entry-major rectangle a
+// result carries).
 //
-// A FlatNode is immutable once built. It is built lazily by Node.Flat
-// on the live-node paths (immediate driver, simulator) and eagerly at
-// page-decode time by pagestore.Codec (the concurrent engine's read
-// path), so the buffer pool caches the flat form along with the node.
+// There are two builders. BuildFlat (behind Node.Flat) views a live
+// node: the geometry is copied into the SoA slab, identity and
+// entry-major rectangles alias Node.Entries. pagestore.Codec.Decode
+// builds the view straight from a page image through NewPageView: one
+// axis-major slab, one compact identity array, no Entry per slot; the
+// entry-major coordinates that Rect and Sphere hand out are gathered
+// from the slab once, on the first call, and published through an
+// atomic pointer.
+//
+// A FlatNode is immutable once built.
 type FlatNode struct {
+	ID    PageID
+	Level int
 	// Rects is the SoA view of every entry's MBR.
 	Rects geom.RectSoA
 	// Spheres is non-nil iff every entry carries a valid bounding
@@ -27,49 +38,212 @@ type FlatNode struct {
 	// ones. Consumers must fall back to the per-entry scalar path so the
 	// sphere tightening stays bit-identical with the scalar semantics.
 	MixedSpheres bool
+
+	entries []Entry   // view of a live node: alias of Node.Entries
+	refs    []PageRef // decoded page: the identity column
+	sph     geom.SphereSoA
+	// aos is a decoded page's entry-major coordinate slab (lo, hi and,
+	// in the sphere layout, center per entry), nil until the first Rect
+	// or Sphere call. Immutable once published.
+	aos atomic.Pointer[[]float64]
 }
 
-// BuildFlat constructs the flat view of a node. The node's entries must
-// share one dimensionality (a tree invariant).
+// PageRef is the identity of one entry of a decoded page: the child
+// page (directory levels) or the object (leaf level) it refers to, and
+// the number of data objects below it.
+type PageRef struct {
+	Ref   int64
+	Count uint32
+}
+
+// NewPageView allocates the view of a decoded page of m entries and
+// returns it with its identity column; the decoder fills that column
+// and the SoA columns (Rects, and Spheres when spheres is set) before
+// it lets the view out of its hands. An empty page has no columns,
+// like the view of an empty node.
+func NewPageView(id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
+	f := &FlatNode{ID: id, Level: level}
+	if m == 0 {
+		return f, nil
+	}
+	f.refs = make([]PageRef, m)
+	f.allocColumns(dim, m, spheres)
+	return f, f.refs
+}
+
+// allocColumns backs the SoA columns of m entries with one slab — the
+// rectangle axes (lo, hi interleaved per axis), then the sphere center
+// axes and the radii — and one array of column headers.
+func (f *FlatNode) allocColumns(dim, m int, spheres bool) {
+	cols, hdrs := 2*dim, 2*dim
+	if spheres {
+		cols, hdrs = 3*dim+1, 3*dim
+	}
+	slab := make([]float64, cols*m)
+	hdr := make([][]float64, hdrs)
+	col := func(j int) []float64 { return slab[j*m : (j+1)*m : (j+1)*m] }
+	for a := 0; a < dim; a++ {
+		hdr[a], hdr[dim+a] = col(2*a), col(2*a+1)
+	}
+	f.Rects = geom.RectSoA{Lo: hdr[:dim:dim], Hi: hdr[dim : 2*dim : 2*dim]}
+	if spheres {
+		for a := 0; a < dim; a++ {
+			hdr[2*dim+a] = col(2*dim + a)
+		}
+		f.sph = geom.SphereSoA{Center: hdr[2*dim:], Radius: col(3 * dim)}
+		f.Spheres = &f.sph
+	}
+}
+
+// BuildFlat constructs the view of a live node. The node's entries must
+// share one dimensionality (a tree invariant). The view aliases
+// n.Entries, so it is valid only until the node is next mutated — which
+// is when Node.Flat drops it.
 func BuildFlat(n *Node) *FlatNode {
 	m := len(n.Entries)
-	f := &FlatNode{}
+	f := &FlatNode{ID: n.ID, Level: n.Level, entries: n.Entries}
 	if m == 0 {
 		return f
 	}
 	dim := n.Entries[0].Rect.Dim()
-	f.Rects = geom.MakeRectSoA(dim, m)
 	withSphere := 0
+	for i := range n.Entries {
+		if n.Entries[i].Sphere.Valid() {
+			withSphere++
+		}
+	}
+	f.allocColumns(dim, m, withSphere == m)
+	f.MixedSpheres = withSphere != 0 && withSphere != m
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		for a := 0; a < dim; a++ {
 			f.Rects.Lo[a][i] = e.Rect.Lo[a]
 			f.Rects.Hi[a][i] = e.Rect.Hi[a]
 		}
-		if e.Sphere.Valid() {
-			withSphere++
-		}
-	}
-	switch withSphere {
-	case 0:
-	case m:
-		s := geom.MakeSphereSoA(dim, m)
-		for i := range n.Entries {
-			e := &n.Entries[i]
+		if f.Spheres != nil {
 			for a := 0; a < dim; a++ {
-				s.Center[a][i] = e.Sphere.Center[a]
+				f.sph.Center[a][i] = e.Sphere.Center[a]
 			}
-			s.Radius[i] = e.Sphere.Radius
+			f.sph.Radius[i] = e.Sphere.Radius
 		}
-		f.Spheres = &s
-	default:
-		f.MixedSpheres = true
 	}
 	return f
 }
 
-// Flat returns the node's flat geometry view, building and caching it on
-// first use. The cache is dropped whenever the node is mutated (every
+// Len returns the number of entries.
+func (f *FlatNode) Len() int {
+	if f.entries != nil {
+		return len(f.entries)
+	}
+	return len(f.refs)
+}
+
+// IsLeaf reports whether the page is at the leaf level.
+func (f *FlatNode) IsLeaf() bool { return f.Level == 0 }
+
+// Child returns the page entry i points to (NilPage in a leaf).
+func (f *FlatNode) Child(i int) PageID {
+	if f.entries != nil {
+		return f.entries[i].Child
+	}
+	if f.Level == 0 {
+		return NilPage
+	}
+	return PageID(f.refs[i].Ref)
+}
+
+// Object returns the data object of leaf entry i (0 in a directory
+// page).
+func (f *FlatNode) Object(i int) ObjectID {
+	if f.entries != nil {
+		return f.entries[i].Object
+	}
+	if f.Level != 0 {
+		return 0
+	}
+	return ObjectID(f.refs[i].Ref)
+}
+
+// Count returns the number of data objects below entry i.
+func (f *FlatNode) Count(i int) int {
+	if f.entries != nil {
+		return f.entries[i].Count
+	}
+	return int(f.refs[i].Count)
+}
+
+// Rect returns entry i's MBR in entry-major form. The corners are
+// shared memory — the live node's, or the page's gathered slab — and
+// must not be written.
+func (f *FlatNode) Rect(i int) geom.Rect {
+	if f.entries != nil {
+		return f.entries[i].Rect
+	}
+	return f.gatheredRect(i)
+}
+
+// Sphere returns entry i's bounding sphere (the invalid zero Sphere
+// when the page carries none), shared like Rect's corners.
+func (f *FlatNode) Sphere(i int) geom.Sphere {
+	if f.entries != nil {
+		return f.entries[i].Sphere
+	}
+	return f.gatheredSphere(i)
+}
+
+// gatheredRect and gatheredSphere are the decoded page's half of Rect
+// and Sphere, apart so that the live half inlines into the executions.
+func (f *FlatNode) gatheredRect(i int) geom.Rect {
+	dim := f.Rects.Dim()
+	c := f.entryMajor()[i*f.stride():]
+	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim : 2*dim : 2*dim]}
+}
+
+func (f *FlatNode) gatheredSphere(i int) geom.Sphere {
+	if f.Spheres == nil {
+		return geom.Sphere{}
+	}
+	dim := f.Rects.Dim()
+	c := f.entryMajor()[i*f.stride():]
+	return geom.Sphere{Center: c[2*dim : 3*dim : 3*dim], Radius: f.sph.Radius[i]}
+}
+
+// stride is the number of entry-major coordinates per entry.
+func (f *FlatNode) stride() int {
+	if f.Spheres != nil {
+		return 3 * f.Rects.Dim()
+	}
+	return 2 * f.Rects.Dim()
+}
+
+// entryMajor returns a decoded page's entry-major coordinates,
+// gathering them from the columns on first use. Racing first callers
+// each gather; one slab is published and all of them return it.
+func (f *FlatNode) entryMajor() []float64 {
+	if p := f.aos.Load(); p != nil {
+		return *p
+	}
+	dim, m, per := f.Rects.Dim(), len(f.refs), f.stride()
+	g := make([]float64, m*per)
+	for a := 0; a < dim; a++ {
+		lo, hi := f.Rects.Lo[a], f.Rects.Hi[a]
+		for i := 0; i < m; i++ {
+			g[i*per+a], g[i*per+dim+a] = lo[i], hi[i]
+		}
+		if f.Spheres != nil {
+			for i, c := range f.sph.Center[a] {
+				g[i*per+2*dim+a] = c
+			}
+		}
+	}
+	if !f.aos.CompareAndSwap(nil, &g) {
+		return *f.aos.Load()
+	}
+	return g
+}
+
+// Flat returns the node's flat view, building and caching it on first
+// use. The cache is dropped whenever the node is mutated (every
 // structural mutation flows through Store.Update or removeEntry).
 // Concurrent first calls may build duplicate views; that race is benign
 // — the views are identical and the last store wins — which is what the

@@ -319,7 +319,7 @@ type queryProc struct {
 	// batch collects the stage's pages in request order, whatever order
 	// they arrive in; the execution reads it only during the Step that
 	// follows, so it is reused from stage to stage.
-	batch []*rtree.Node
+	batch []*rtree.FlatNode
 	done  func()
 	// obsv receives FetchDone/StageDone events stamped with the
 	// virtual clock; stage and arrivals support request-order emission.
@@ -350,7 +350,7 @@ func (p *queryProc) start() {
 // advance runs one algorithm stage: Step consumes the delivered pages,
 // its CPU cost is paid on the CPU station, and then the stage's page
 // requests fan out to the disks.
-func (p *queryProc) advance(delivered []*rtree.Node) {
+func (p *queryProc) advance(delivered []*rtree.FlatNode) {
 	if p.failed {
 		return
 	}
@@ -371,12 +371,12 @@ func (p *queryProc) advance(delivered []*rtree.Node) {
 func (p *queryProc) issue(reqs []query.PageRequest) {
 	p.pending = len(reqs)
 	if cap(p.batch) < len(reqs) {
-		p.batch = make([]*rtree.Node, len(reqs))
+		p.batch = make([]*rtree.FlatNode, len(reqs))
 	}
 	p.batch = p.batch[:len(reqs)]
 	for i, r := range reqs {
 		i, r := i, r
-		node := p.sys.tree.Store().Get(r.Page)
+		node := p.sys.tree.Store().Get(r.Page).Flat()
 		if r.Cached {
 			// Delivered from memory at this instant.
 			p.sys.sim.After(0, func() { p.deliver(node, i, r) })
@@ -406,7 +406,7 @@ func (p *queryProc) issue(reqs []query.PageRequest) {
 // deliver collects one page at its request's position; when the whole
 // stage has arrived its trace events are emitted in request order and
 // the next stage begins.
-func (p *queryProc) deliver(n *rtree.Node, idx int, r query.PageRequest) {
+func (p *queryProc) deliver(n *rtree.FlatNode, idx int, r query.PageRequest) {
 	if p.failed {
 		return
 	}
