@@ -81,15 +81,16 @@ bench:
 
 ## bench-json: run the tracked benchmark set (vectorized kernels vs
 ## scalar reference, candidate filtering, end-to-end k-NN pages/query,
-## concurrent engine vs sequential driver queries/sec)
+## concurrent engine vs sequential driver queries/sec, the engine's miss
+## path on file-backed replicas, page decoding)
 ## at a fixed iteration count with the deterministic in-repo seeds, and
 ## render the output as a schema-versioned JSON report via cmd/benchjson.
 ## BENCH_JSON_OUT defaults to BENCH_<utc-date>.json in the repo root.
 BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
-BENCH_BASELINE   ?= BENCH_2026-09-30-pr15.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkPageDecode'
+BENCH_BASELINE   ?= BENCH_2026-09-30-pr16.json
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \

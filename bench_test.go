@@ -336,27 +336,89 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		})
 	}
 
-	// The miss path: file-backed replicas read with pread and a cache of
-	// 5 % of the pages, so nearly every page request reads and decodes.
-	// One client: which pages hit then depends on the queries alone, and
-	// allocs/op repeats closely enough for the bench-check gate.
-	b.Run("engine-store=file-cache=5pct", func(b *testing.B) {
-		eng, err := exec.New(knnTree, exec.Config{DataDir: b.TempDir(), CachePages: knnTree.Store().Len() / 20})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		ctx := context.Background()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q := knnQueries[i%len(knnQueries)]
-			if _, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{}); err != nil {
+	// The miss path: file-backed replicas and a cache of 5 % of the
+	// pages, so nearly every page request reads and decodes — once with
+	// pread, once through the mapping. One client: which pages hit then
+	// depends on the queries alone, and allocs/op repeats closely enough
+	// for the bench-check gate.
+	for _, store := range []struct {
+		name string
+		mmap bool
+	}{{"file", false}, {"mmap", true}} {
+		b.Run("engine-store="+store.name+"-cache=5pct", func(b *testing.B) {
+			eng, err := exec.New(knnTree, exec.Config{
+				DataDir: b.TempDir(), Mmap: store.mmap, CachePages: knnTree.Store().Len() / 20})
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		reportQPS(b)
+			defer eng.Close()
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := knnQueries[i%len(knnQueries)]
+				if _, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportQPS(b)
+		})
+	}
+}
+
+// BenchmarkEngineMissPath is the engine where a page request is almost
+// always a physical read: 8-d Gaussian points (a query touches a third
+// of the tree's pages), file-backed pread replicas, a cache of 5 % of
+// the pages with fetch coalescing on, two client goroutines. What it
+// tracks is what the engine spends around each read — ns/op and above
+// all B/op and allocs/op, which say whether decoded views are recycled
+// or left to the collector — against pages/query, which a change to the
+// engine must not move.
+func BenchmarkEngineMissPath(b *testing.B) {
+	pts := dataset.Gaussian(12000, 8, 1998)
+	tree, err := parallel.New(parallel.Config{
+		Dim: 8, NumDisks: 10, Cylinders: disk.HPC2200A().Cylinders,
+		Policy: decluster.ProximityIndex{}, Seed: 1,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.BuildPoints(pts); err != nil {
+		b.Fatal(err)
+	}
+	queries := dataset.SampleQueries(pts, 256, 4)
+	eng, err := exec.New(tree, exec.Config{
+		DataDir: b.TempDir(), CachePages: tree.Store().Len() / 20, CoalesceFetches: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	before := eng.Stats()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i > b.N {
+					return
+				}
+				if _, _, err := eng.KNN(ctx, query.CRSS{}, queries[i%len(queries)], 10, query.Options{}); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	after := eng.Stats()
+	b.ReportMetric(float64(after.PagesFetched-before.PagesFetched)/float64(b.N), "pages/query")
 }
 
 // BenchmarkEngineObserved is the engine-workers=10x2 sub-benchmark of

@@ -6,32 +6,41 @@ import (
 )
 
 // Sharded is a thread-safe LRU cache built from independently locked
-// Pool shards, with singleflight-style fetch deduplication: when many
-// goroutines miss on the same key simultaneously, exactly one runs the
-// fetch and the rest wait for its result. The concurrent query engine
-// (package exec) uses it as its shared decoded-page cache — the paper's
-// model has no buffer pool, but a real multi-client server would thrash
-// the disks without one.
+// shards of the package's LRU core, with singleflight-style fetch
+// deduplication: when many goroutines miss on the same key
+// simultaneously, exactly one runs the fetch and the rest wait for its
+// result. The concurrent query engine (package exec) uses it as its
+// shared decoded-page cache — the paper's model has no buffer pool, but
+// a real multi-client server would thrash the disks without one.
 //
 // Keys are mapped to shards by the caller-supplied hash function, so
 // the type works for any comparable key without reflection.
 type Sharded[K comparable, V any] struct {
-	hash   func(K) uint64
-	shards []*shard[K, V]
+	hash    func(K) uint64
+	shards  []*shard[K, V]
+	onEvict func(V) // see OnEvict
 }
 
+// shard is one lock's worth of the cache: every operation on a key
+// takes exactly this mutex.
 type shard[K comparable, V any] struct {
 	mu       sync.Mutex
-	pool     *Pool[K, V]
+	lru      lru[K, V]        // guarded by mu
 	inflight map[K]*flight[V] // guarded by mu
+	free     *flight[V]       // guarded by mu: recycled flight records
 }
 
 // flight is one in-progress fetch; waiters block on done, which the
-// fetching caller releases once val and err are set.
+// fetching caller releases once val and err are set. Records are
+// recycled through the shard's free list: whoever is last to need one —
+// the fetching caller when nobody joined, else the last waiter to have
+// read the result — puts it back, so a miss allocates nothing.
 type flight[V any] struct {
-	done sync.WaitGroup
-	val  V
-	err  error
+	done    sync.WaitGroup
+	val     V
+	err     error
+	waiters int        // joined callers that have not read the result yet (under the shard's lock)
+	next    *flight[V] // free-list link
 }
 
 // NewSharded builds a sharded pool with the given total capacity spread
@@ -55,12 +64,21 @@ func NewSharded[K comparable, V any](capacity, numShards int, hash func(K) uint6
 	per := (capacity + numShards - 1) / numShards
 	for i := range s.shards {
 		s.shards[i] = &shard[K, V]{
-			pool:     New[K, V](per),
+			lru:      newLRU[K, V](per),
 			inflight: make(map[K]*flight[V]),
 		}
 	}
 	return s
 }
+
+// OnEvict installs a hook that receives every value the LRU evicts to
+// make room, exactly once, after the value has left the cache and
+// outside the shard lock (so the hook may take locks of its own). It is
+// the hand-over point for an owner that recycles values. Values that
+// leave any other way — refreshed by Put, dropped by Remove — are not
+// reported: they go to the collector. Call it once, before the cache is
+// shared between goroutines.
+func (s *Sharded[K, V]) OnEvict(hook func(V)) { s.onEvict = hook }
 
 func (s *Sharded[K, V]) shardOf(key K) *shard[K, V] {
 	return s.shards[s.hash(key)%uint64(len(s.shards))]
@@ -71,7 +89,7 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.pool.Get(key)
+	return sh.lru.lookup(key, true)
 }
 
 // Probe is Get that counts only a hit (see Pool.Probe). The engine
@@ -82,15 +100,23 @@ func (s *Sharded[K, V]) Probe(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.pool.Probe(key)
+	return sh.lru.lookup(key, false)
 }
 
 // Put inserts or refreshes key. Safe for concurrent use.
 func (s *Sharded[K, V]) Put(key K, val V) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.pool.Put(key, val)
+	evicted, ok := sh.lru.put(key, val)
+	sh.mu.Unlock()
+	s.evicted(evicted, ok)
+}
+
+// evicted hands a value the LRU just pushed out to the hook, if any.
+func (s *Sharded[K, V]) evicted(v V, ok bool) {
+	if ok && s.onEvict != nil {
+		s.onEvict(v)
+	}
 }
 
 // Remove drops key if present.
@@ -98,7 +124,7 @@ func (s *Sharded[K, V]) Remove(key K) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.pool.Remove(key)
+	sh.lru.remove(key)
 }
 
 // GetOrFetch returns the cached value for key, or runs fetch to produce
@@ -115,34 +141,64 @@ func (s *Sharded[K, V]) GetOrFetch(key K, fetch func() (V, error)) (V, error) {
 // when the value was served without running fetch in this call — a
 // resident entry, or the shared result of another caller's in-progress
 // flight. The engine's telemetry uses it to label per-fetch trace
-// events without a second cache probe.
+// events without a second cache probe. A miss takes the shard lock
+// twice (lookup, admit) and allocates nothing beyond what fetch does.
 func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit bool, err error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	if v, ok := sh.pool.Get(key); ok {
+	if v, ok := sh.lru.lookup(key, true); ok {
 		sh.mu.Unlock()
 		return v, true, nil
 	}
 	if f, ok := sh.inflight[key]; ok {
+		f.waiters++
 		sh.mu.Unlock()
 		f.done.Wait()
-		return f.val, true, f.err
+		v, err = f.val, f.err
+		sh.mu.Lock()
+		if f.waiters--; f.waiters == 0 {
+			sh.free = f.recycled(sh.free)
+		}
+		sh.mu.Unlock()
+		return v, true, err
 	}
-	f := new(flight[V])
+	f := sh.free
+	if f != nil {
+		sh.free = f.next
+	} else {
+		f = new(flight[V])
+	}
 	f.done.Add(1)
 	sh.inflight[key] = f
 	sh.mu.Unlock()
 
-	f.val, f.err = fetch()
+	v, err = fetch()
 
 	sh.mu.Lock()
-	if f.err == nil {
-		sh.pool.Put(key, f.val)
+	f.val, f.err = v, err
+	var old V
+	var full bool
+	if err == nil {
+		old, full = sh.lru.put(key, v)
 	}
+	// Off the map under the lock that admitted the value: nobody joins
+	// the flight from here on.
 	delete(sh.inflight, key)
+	f.done.Done() // never blocks; Wait is what may not run under mu
+	if f.waiters == 0 {
+		sh.free = f.recycled(sh.free)
+	}
 	sh.mu.Unlock()
-	f.done.Done()
-	return f.val, false, f.err
+	s.evicted(old, full)
+	return v, false, err
+}
+
+// recycled clears a flight record nobody reads any more and links it in
+// front of the free list, returning the new head.
+func (f *flight[V]) recycled(free *flight[V]) *flight[V] {
+	var zero V
+	f.val, f.err, f.next = zero, nil, free
+	return f
 }
 
 // Len returns the total number of cached entries across shards.
@@ -150,7 +206,7 @@ func (s *Sharded[K, V]) Len() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		n += sh.pool.Len()
+		n += sh.lru.ll.Len()
 		sh.mu.Unlock()
 	}
 	return n
@@ -161,7 +217,9 @@ func (s *Sharded[K, V]) Len() int {
 func (s *Sharded[K, V]) Capacity() int {
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.pool.Capacity()
+		sh.mu.Lock()
+		n += sh.lru.capacity
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -171,7 +229,7 @@ func (s *Sharded[K, V]) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		st := sh.pool.Stats()
+		st := sh.lru.stats
 		sh.mu.Unlock()
 		out.Hits += st.Hits
 		out.Misses += st.Misses

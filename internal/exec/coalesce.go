@@ -37,10 +37,10 @@ type coShard struct {
 	flights map[rtree.PageID][]flightWaiter // guarded by mu
 }
 
-// flightWaiter is one joined request: the joining batch's result
-// channel and the request's slot in that batch.
+// flightWaiter is one joined request: the joining stage and the
+// request's slot in it.
 type flightWaiter struct {
-	out chan<- fetchResult
+	sc  *stageScratch
 	idx int
 }
 
@@ -58,18 +58,18 @@ func (c *coalescer) shardOf(id rtree.PageID) *coShard {
 	return &c.shards[(uint64(uint32(id))*0x9e3779b97f4a7c15)%coalesceShards]
 }
 
-// join registers out/idx on an existing flight for page, reporting
-// whether one was found. When it returns false the caller leads a new
-// flight: it must either enqueue a job carrying the shard, so the
-// worker that serves it resolves the flight, or abort the flight, so
-// joiners never hang.
-func (c *coalescer) join(page rtree.PageID, out chan<- fetchResult, idx int) (*coShard, bool) {
+// join registers slot idx of stage sc on an existing flight for page,
+// reporting whether one was found. When it returns false the caller
+// leads a new flight: it must either enqueue a job carrying the shard,
+// so the worker that serves it resolves the flight, or abort the
+// flight, so joiners never hang.
+func (c *coalescer) join(page rtree.PageID, sc *stageScratch, idx int) (*coShard, bool) {
 	sh := c.shardOf(page)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	waiters, open := sh.flights[page]
 	if open {
-		waiters = append(waiters, flightWaiter{out: out, idx: idx})
+		waiters = append(waiters, flightWaiter{sc: sc, idx: idx})
 	}
 	sh.flights[page] = waiters
 	return sh, open
@@ -86,21 +86,30 @@ func (sh *coShard) resolve(page rtree.PageID) []flightWaiter {
 	return waiters
 }
 
+// open reports whether page has a flight in progress.
+func (c *coalescer) open(page rtree.PageID) bool {
+	sh := c.shardOf(page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, open := sh.flights[page]
+	return open
+}
+
 // resolveFlight closes page's flight and hands res to every request
 // that joined it. It runs on the disk worker that served the flight's
 // leader, right after the leader's own delivery, so every slot — led or
-// joined — receives exactly one fetchResult on its batch's channel and
-// batch collection stays unaware of coalescing. Joined deliveries are
-// marked coalesced (for the cancellation-retry path in fetchStage) and,
-// on success, count as served-without-a-decode for trace attribution,
-// mirroring the cache's shared-flight hits. Waiter channels are
-// buffered to their batch's size, so the worker never blocks here.
+// joined — is delivered exactly one fetchResult and the stage's
+// countdown stays unaware of coalescing. Joined deliveries are marked
+// coalesced (for the cancellation-retry path in fetchStage) and, on
+// success, count as served-without-a-decode for trace attribution,
+// mirroring the cache's shared-flight hits. A delivery never blocks:
+// it is a slot write and, from whoever completes the stage, one send on
+// a channel with room for it.
 func (e *Engine) resolveFlight(sh *coShard, page rtree.PageID, res fetchResult) {
 	res.coalesced = true
 	res.hit = res.err == nil
 	for _, w := range sh.resolve(page) {
-		res.idx = w.idx
-		w.out <- res
+		w.sc.deliver(w.idx, res)
 	}
 }
 

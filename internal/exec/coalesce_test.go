@@ -107,8 +107,7 @@ func TestCoalesceCancelledLeaderRetries(t *testing.T) {
 	req := query.PageRequest{Page: root, Disk: pl.Disk, Pages: 1}
 
 	// Plant the doomed leader's flight.
-	sink := make(chan fetchResult, 1)
-	sh, joined := eng.co.join(root, sink, 0)
+	sh, joined := eng.co.join(root, newStageScratch(), 0)
 	if joined {
 		t.Fatal("fresh engine already had a flight for the root page")
 	}
@@ -160,8 +159,7 @@ func TestCoalesceClosedEngineAborts(t *testing.T) {
 	pl, _ := tree.Placement(root)
 	req := query.PageRequest{Page: root, Disk: pl.Disk, Pages: 1}
 
-	sink := make(chan fetchResult, 1)
-	sh, _ := eng.co.join(root, sink, 0)
+	sh, _ := eng.co.join(root, newStageScratch(), 0)
 	done := make(chan error, 1)
 	go func() {
 		_, err := eng.fetchBatch(context.Background(), 0, []query.PageRequest{req}, nil)

@@ -254,8 +254,8 @@ type fetchJob struct {
 	page      rtree.PageID
 	idx       int // position in the stage's request slice
 	ctx       context.Context
-	out       chan<- fetchResult
-	submitted time.Time // when the job entered the disk queue
+	sc        *stageScratch // the stage the result is delivered to
+	submitted time.Time     // when the job entered the disk queue
 	// flight is the coalescer shard holding the flight this job leads
 	// (nil without Config.CoalesceFetches): the worker that serves the
 	// job resolves the flight.
@@ -263,7 +263,6 @@ type fetchJob struct {
 }
 
 type fetchResult struct {
-	idx  int
 	node *rtree.FlatNode
 	err  error
 	wall time.Duration // queue wait + service, worker-measured
@@ -271,7 +270,7 @@ type fetchResult struct {
 	done bool          // the slot was processed: by a worker, or inline from the cache
 	// coalesced marks a result delivered through another request's
 	// flight (request-level coalescing). A coalesced cancellation may
-	// be the flight leader's, not this query's — fetchBatch refetches
+	// be the flight leader's, not this query's — fetchStage refetches
 	// such slots directly while its own context is live.
 	coalesced bool
 }
@@ -293,10 +292,19 @@ type Engine struct {
 	scratch  sync.Pool  // *stageScratch, one per running query
 
 	mu       sync.Mutex
-	isClosed bool           // guarded by mu
-	closed   chan struct{}  // signals Close to blocked submitters
-	active   sync.WaitGroup // running KNN calls
+	isClosed bool          // guarded by mu
+	closed   chan struct{} // signals Close to blocked submitters
 	workers  sync.WaitGroup
+
+	// Ownership of evicted page views (retire.go). A running query pins
+	// the generation it began in; pins also are what Close waits on.
+	gen      uint64               // guarded by mu
+	limbo    [2][]*rtree.FlatNode // guarded by mu: evicted views, by the parity of the generation that parked them
+	pins     [2]atomic.Int64      // running queries, by generation parity; raised under mu
+	drained  chan struct{}        // capacity 2: a pin count reaching zero after Close
+	views    *rtree.ViewPool      // where retired views go and decodes come from; nil when nothing is recycled
+	limboCap int                  // views one generation may park
+	poison   bool                 // tests: scribble over a view as it is retired
 
 	queries          atomic.Uint64
 	cancelled        atomic.Uint64
@@ -341,6 +349,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		queues:   make([]chan fetchJob, n),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		closed:   make(chan struct{}),
+		drained:  make(chan struct{}, 2),
 		gauges:   make([]obs.DiskGauges, n),
 		queryLat: obs.NewLatencyHistogram(),
 		fetchLat: obs.NewLatencyHistogram(),
@@ -348,7 +357,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		stageLat: obs.NewLatencyHistogram(),
 		semWait:  obs.NewLatencyHistogram(),
 	}
-	e.scratch.New = func() any { return new(stageScratch) }
+	e.scratch.New = func() any { return newStageScratch() }
 	tc := t.Config()
 	codec := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}
 	for d := range e.stores {
@@ -378,6 +387,20 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
+	pages := 0
+	for _, st := range e.stores {
+		pages += len(st.pages)
+	}
+	if cfg.CachePages > 0 && cfg.CachePages < pages {
+		// The cache cannot hold the page set, so it will evict: the
+		// engine owns the evicted views and the decoders reuse them.
+		e.limboCap = limboPerCachePage * cfg.CachePages
+		e.views = rtree.NewViewPool(e.limboCap)
+		codec.Views = e.views
+		for _, st := range e.stores {
+			st.codec = codec
+		}
+	}
 	// RAID-1 replica set: mirrors share the disk's encoded content but
 	// carry independent fault programs and health state. In DataDir
 	// mode each replica additionally owns its own on-disk copy, so a
@@ -399,6 +422,9 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](
 			cfg.CachePages, cfg.CacheShards,
 			func(id rtree.PageID) uint64 { return uint64(uint32(id)) * 0x9e3779b97f4a7c15 })
+		if e.views != nil {
+			e.cache.OnEvict(e.retire)
+		}
 	}
 	if cfg.CoalesceFetches {
 		e.co = newCoalescer()
@@ -534,7 +560,7 @@ func (e *Engine) worker(d int) {
 	g := &e.gauges[d]
 	for job := range e.queues[d] {
 		g.Queued.Add(-1)
-		res := fetchResult{idx: job.idx, done: true}
+		res := fetchResult{done: true}
 		if err := job.ctx.Err(); err != nil {
 			res.err = err
 			g.Cancelled.Add(1)
@@ -557,7 +583,7 @@ func (e *Engine) worker(d int) {
 				e.fetchErrors.Add(1)
 			}
 		}
-		job.out <- res // buffered to batch size; never blocks
+		job.sc.deliver(job.idx, res)
 		if job.flight != nil {
 			e.resolveFlight(job.flight, job.page, res)
 		}
@@ -836,7 +862,10 @@ func (e *Engine) degrade(rep *replica) {
 // remaining fetches with cancellation noise. submitErr (from the
 // stage's liveness check or its fan-out loop) outranks collected
 // cancellations for the same reason — it may be ErrClosed, which
-// callers must see over a context error.
+// callers must see over a context error. ioErr and cancelErr are the
+// first of their class among the stage's slots in request order (not
+// in order of arrival: the stage looks at its slots once, after the
+// last delivery).
 func batchError(ioErr, submitErr, cancelErr error) error {
 	if ioErr != nil {
 		return ioErr
@@ -849,42 +878,56 @@ func batchError(ioErr, submitErr, cancelErr error) error {
 
 // submitOne sends one page request the cache could not serve to its
 // disk: it acquires an in-flight slot and enqueues a job on the page's
-// disk, whose worker delivers the result to out at idx. With
+// disk, whose worker delivers the result to slot idx of sc. With
 // request-level coalescing enabled it first tries to join an in-flight
 // fetch of the same page — a join consumes no semaphore slot and no
-// queue slot, and the shared result arrives on out like any other. When
+// queue slot, and the shared result is delivered like any other. When
 // this call starts a new flight, later requests may join it until the
 // worker that serves the job resolves it; if the job cannot be enqueued
 // (cancelled context or closed engine), every waiter that joined
 // meanwhile is aborted with the submission error so none is left
-// hanging. A nil return means exactly one fetchResult for idx will
-// eventually arrive on out.
-func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, idx int, out chan fetchResult, semWait *time.Duration) error {
+// hanging. The in-flight slot and the queue slot are taken without
+// blocking when they are free — the common case — and only a full
+// semaphore or a full queue pays for a select on the query context and
+// the close signal. A nil return means exactly one delivery to slot idx
+// of sc is owed, which the caller must wait for (stageScratch.wait).
+func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageScratch, idx int, semWait *time.Duration) error {
 	var flight *coShard // set when this request leads a new flight
 	if e.co != nil {
-		sh, joined := e.co.join(r.Page, out, idx)
+		sh, joined := e.co.join(r.Page, sc, idx)
 		if joined {
 			e.fetchesCoalesced.Add(1)
 			return nil
 		}
 		flight = sh
 	}
-	acquire := time.Now()
 	var err error
+	now := time.Now()
 	select {
 	case e.sem <- struct{}{}:
-	case <-ctx.Done():
-		err = ctx.Err()
-	case <-e.closed:
-		err = ErrClosed
+	default:
+		select {
+		case e.sem <- struct{}{}:
+			acquired := time.Now()
+			*semWait += acquired.Sub(now)
+			now = acquired
+		case <-ctx.Done():
+			err = ctx.Err()
+		case <-e.closed:
+			err = ErrClosed
+		}
 	}
 	if err == nil {
-		now := time.Now()
-		*semWait += now.Sub(acquire)
 		g := &e.gauges[r.Disk]
 		g.Queued.Add(1)
+		job := fetchJob{page: r.Page, idx: idx, ctx: ctx, sc: sc, submitted: now, flight: flight}
 		select {
-		case e.queues[r.Disk] <- fetchJob{page: r.Page, idx: idx, ctx: ctx, out: out, submitted: now, flight: flight}:
+		case e.queues[r.Disk] <- job:
+			return nil
+		default:
+		}
+		select {
+		case e.queues[r.Disk] <- job:
 			return nil
 		case <-ctx.Done():
 			err = ctx.Err()
@@ -903,13 +946,29 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, idx int, ou
 // stageScratch is one query's per-stage fetch state, reused from stage
 // to stage and, through Engine.scratch, from query to query. That is
 // safe because executions may not retain the delivered slice
-// (query.Driver reuses its own the same way) and every stage receives
-// all the results it is owed before it returns, failed or not, so the
-// next stage — or the next query — finds the channel empty.
+// (query.Driver reuses its own the same way) and every stage waits for
+// all the deliveries it is owed before it returns, failed or not, so the
+// next stage — or the next query — finds the countdown at zero and the
+// token channel empty.
+//
+// A stage completes once, not once per page: whoever serves a request
+// (a disk worker, or the resolver of a coalesced flight) writes the
+// result into the request's slot and counts pending down by one; the
+// stage, once it has submitted everything, counts it up by the number
+// of deliveries it is owed. Whoever of them brings it to zero made the
+// last move: if that is a delivery it sends the one token the stage
+// waits for, if it is the stage itself everything was delivered already
+// and there is no token at all. One countdown therefore has at most one
+// sender, and the token it sends is always received.
 type stageScratch struct {
-	out     chan fetchResult // made by the first stage that misses the cache
 	results []fetchResult
 	nodes   []*rtree.FlatNode
+	pending atomic.Int32  // deliveries owed (negative while deliveries run ahead of the stage's count)
+	done    chan struct{} // capacity 1: the completion token
+}
+
+func newStageScratch() *stageScratch {
+	return &stageScratch{done: make(chan struct{}, 1)}
 }
 
 // reset sizes the scratch for a stage of n requests and returns the
@@ -931,6 +990,24 @@ func (sc *stageScratch) unpin() {
 	clear(sc.nodes[:cap(sc.nodes)])
 }
 
+// wait blocks until the owed deliveries — one per submitOne that
+// returned nil since the last wait — have all been made.
+func (sc *stageScratch) wait(owed int) {
+	if owed != 0 && sc.pending.Add(int32(owed)) != 0 {
+		<-sc.done
+	}
+}
+
+// deliver completes slot idx. The slot is written before the count
+// moves, so the stage reads it after wait without further
+// synchronization.
+func (sc *stageScratch) deliver(idx int, res fetchResult) {
+	sc.results[idx] = res
+	if sc.pending.Add(-1) == 0 {
+		sc.done <- struct{}{}
+	}
+}
+
 // liveErr is the inline path's once-per-stage liveness check: a stage
 // served entirely from the cache passes no select on the query context
 // or the engine's close signal, and must still fail a cancelled query
@@ -944,10 +1021,18 @@ func (e *Engine) liveErr(ctx context.Context) error {
 	}
 }
 
-// fetchBatch resolves one stage with scratch of its own. KNN reuses one
-// scratch for all the stages of a query (fetchStage).
+// fetchBatch resolves one stage with scratch of its own and no
+// generation pin — a test seam for the stage machinery, on engines that
+// do not recycle views. KNN reuses one scratch for all the stages of a
+// query (fetchStage).
 func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
-	return e.fetchStage(ctx, new(stageScratch), stage, reqs, obsv)
+	return e.fetchStage(ctx, newStageScratch(), stage, reqs, obsv)
+}
+
+// foreignCancellation reports whether a slot holds a cancellation that
+// reached it through another query's flight while this query is live.
+func foreignCancellation(ctx context.Context, res *fetchResult) bool {
+	return res.coalesced && res.err != nil && isCancellation(res.err) && ctx.Err() == nil
 }
 
 // fetchStage resolves one stage's requests. Each page is first looked
@@ -956,29 +1041,37 @@ func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageReq
 // no queue hop — and counts as a fetch its disk served, so the
 // counters, gauges and traces of a warm engine read as they would had a
 // worker answered. Only the misses fan out to the per-disk queues
-// (respecting the in-flight bound); their completions are collected
-// asynchronously. Nodes are delivered in request order — executions
-// depend on that for deterministic tie-breaking, which is what makes
-// engine results identical to the sequential Driver's. With an observer
-// attached the stage emits SemWait, per-fetch FetchDone (request order,
-// wall-clock latency and cache attribution, completed fetches only) and
-// StageDone events on every exit path, success or failure, so traces
-// stay well-formed under cancellation and injected faults. The returned
-// slice belongs to sc and is overwritten by the next stage.
+// (respecting the in-flight bound); their results are written into the
+// stage's slots by whoever serves them, and the stage waits once, for
+// the last one (stageScratch). It then reads the slots in request
+// order: a slot that joined another query's flight and got that query's
+// cancellation is refetched under a fresh countdown while this query is
+// live — another query's cancellation must never fail an innocent
+// bystander — and the stage's error is picked by batchError from the
+// first I/O error and the first cancellation in request order. Nodes
+// are delivered in request order — executions depend on that for
+// deterministic tie-breaking, which is what makes engine results
+// identical to the sequential Driver's. With an observer attached the
+// stage emits SemWait (every in-flight-slot wait of the stage, refetches
+// included), per-fetch FetchDone (request order, wall-clock latency and
+// cache attribution, completed fetches only) and StageDone events on
+// every exit path, success or failure, so traces stay well-formed under
+// cancellation and injected faults. The returned slice belongs to sc
+// and is overwritten by the next stage.
 func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	start := time.Now()
 	results := sc.reset(len(reqs))
 	submitErr := e.liveErr(ctx)
-	pending := 0      // results owed on sc.out
 	hits := uint64(0) // requests served inline
 	var semWait time.Duration
 	mark := start // when the previous request was dealt with: a hit's latency runs from here
+	owed := 0     // deliveries to wait for
 	for i := 0; i < len(reqs) && submitErr == nil; i++ {
 		r := reqs[i]
 		if e.cache != nil {
 			if n, ok := e.cache.Probe(r.Page); ok {
 				now := time.Now()
-				results[i] = fetchResult{idx: i, node: n, wall: now.Sub(mark), hit: true, done: true}
+				results[i] = fetchResult{node: n, wall: now.Sub(mark), hit: true, done: true}
 				mark = now
 				hits++
 				e.gauges[r.Disk].Served.Add(1)
@@ -986,46 +1079,45 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 				continue
 			}
 		}
-		if pending == 0 && cap(sc.out) < len(reqs) {
-			sc.out = make(chan fetchResult, len(reqs)) // a worker's delivery must never block
-		}
-		if submitErr = e.submitOne(ctx, r, i, sc.out, &semWait); submitErr == nil {
-			pending++
+		if submitErr = e.submitOne(ctx, r, sc, i, &semWait); submitErr == nil {
+			owed++
 			mark = time.Now()
 		}
 	}
 	e.pagesFetched.Add(hits)
-	e.semWait.Observe(semWait.Seconds())
-	// Receive every owed result even after an error: workers own sem
-	// slots until delivery, the channel must be empty for the next
-	// stage, and the first I/O error must not be masked by cancellation
+	// Wait for every owed delivery even after an error: workers own sem
+	// slots until delivery, the countdown must be back at zero before the
+	// next stage, and the first I/O error must not be masked by cancellation
 	// noise from sibling fetches.
-	var ioErr, cancelErr error
-	var retryWait time.Duration // refetch sem waits, past the SemWait observation
-	for pending > 0 {
-		res := <-sc.out
-		if res.coalesced && res.err != nil && isCancellation(res.err) && ctx.Err() == nil {
-			// The flight this slot joined was cancelled by its leader's
-			// query, not ours. This query is still live, so refetch the
-			// page directly — another query's cancellation must never
-			// fail an innocent bystander.
-			if err := e.submitOne(ctx, reqs[res.idx], res.idx, sc.out, &retryWait); err == nil {
-				continue // the refetched result will arrive on sc.out
+	sc.wait(owed)
+	for refetch := true; refetch; {
+		refetch, owed = false, 0
+		for i := range results {
+			if !foreignCancellation(ctx, &results[i]) {
+				continue
+			}
+			refetch = true
+			results[i] = fetchResult{}
+			if err := e.submitOne(ctx, reqs[i], sc, i, &semWait); err != nil {
+				results[i] = fetchResult{err: err} // engine closed (or we just got cancelled)
 			} else {
-				res.err = err // engine closed (or we just got cancelled)
+				owed++
 			}
 		}
-		pending--
-		results[res.idx] = res
-		switch {
-		case res.err == nil:
-		case isCancellation(res.err):
+		sc.wait(owed)
+	}
+	e.semWait.Observe(semWait.Seconds())
+	var ioErr, cancelErr error
+	for i := range results {
+		switch err := results[i].err; {
+		case err == nil:
+		case isCancellation(err):
 			if cancelErr == nil {
-				cancelErr = res.err
+				cancelErr = err
 			}
 		default:
 			if ioErr == nil {
-				ioErr = res.err
+				ioErr = err
 			}
 		}
 	}
@@ -1071,19 +1163,20 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err
 	}
-	if err := e.begin(); err != nil {
+	pin, err := e.begin()
+	if err != nil {
 		return nil, nil, err
 	}
-	defer e.active.Done()
+	defer e.end(pin)
 
 	start := time.Now()
 	stage := 0
-	// A panic below drops the scratch instead of pooling it: its channel
-	// may still be owed results.
+	// A panic below drops the scratch instead of pooling it: its
+	// countdown may still be owed deliveries.
 	sc := e.scratch.Get().(*stageScratch)
 	ex := alg.NewExecution(e.tree, q, k, opts)
 	defer ex.Release()
-	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
+	err = query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
 		nodes, err := e.fetchStage(ctx, sc, stage, reqs, opts.Observer)
 		stage++
 		return nodes, err
@@ -1099,17 +1192,6 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 	return ex.Results(), ex.Stats(), nil
 }
 
-// begin admits a query unless the engine is closed.
-func (e *Engine) begin() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.isClosed {
-		return ErrClosed
-	}
-	e.active.Add(1)
-	return nil
-}
-
 // Close rejects new queries, aborts queries blocked on admission,
 // waits for running queries to unwind, and stops the workers, then
 // closes any file-backed replica stores and returns their joined close
@@ -1122,9 +1204,10 @@ func (e *Engine) Close() error {
 	}
 	e.isClosed = true
 	close(e.closed)
+	e.limbo = [2][]*rtree.FlatNode{} // parked views go to the collector
 	e.mu.Unlock()
 
-	e.active.Wait()
+	e.drain()
 	for _, q := range e.queues {
 		close(q)
 	}

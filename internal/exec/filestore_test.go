@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/decluster"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -206,29 +205,7 @@ func TestEngineFileBackedSupernodes(t *testing.T) {
 // access method the codec has a layout for and the X-tree's resident
 // supernodes.
 func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
-	// 10-d uniform data splits with heavy overlap: the X-tree answers
-	// with supernodes, which exceed a page and stay memory-resident.
-	xpts := dataset.Uniform(4000, 10, 121)
-	xtree, err := parallel.New(parallel.Config{
-		Dim: 10, NumDisks: 4, Cylinders: 1449,
-		MaxOverlapRatio: 0.2, Policy: decluster.ProximityIndex{}, Seed: 121,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := xtree.BuildPoints(xpts); err != nil {
-		t.Fatal(err)
-	}
-	resident := 0
-	xtree.Walk(func(n *rtree.Node, _ int) bool {
-		if n.Pages(xtree.Config().MaxEntries) > 1 {
-			resident++
-		}
-		return true
-	})
-	if resident == 0 {
-		t.Fatal("the X-tree grew no supernode: the resident path is not exercised")
-	}
+	xtree, xpts := xtreeWithSupernodes(t, 4000)
 	rstar, pts := buildTree(t, 2500, 4, false, 0)
 	sr, _ := buildTree(t, 2500, 4, true, 0)
 

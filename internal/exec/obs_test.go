@@ -204,13 +204,15 @@ func TestWorkerAbandonsCancelledJob(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out := make(chan fetchResult, 1)
+	sc := newStageScratch()
+	sc.reset(1)
 	eng.sem <- struct{}{}
 	eng.gauges[0].Queued.Add(1)
 	// The page id never matters: the worker must notice the dead
 	// context before touching the disk store.
-	eng.queues[0] <- fetchJob{page: rtree.PageID(1), idx: 0, ctx: ctx, out: out, submitted: time.Now()}
-	res := <-out
+	eng.queues[0] <- fetchJob{page: rtree.PageID(1), idx: 0, ctx: ctx, sc: sc, submitted: time.Now()}
+	sc.wait(1)
+	res := sc.results[0]
 
 	if res.err != context.Canceled {
 		t.Fatalf("result err = %v, want context.Canceled", res.err)

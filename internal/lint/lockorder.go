@@ -72,7 +72,6 @@ var lockAcquiredByRecv = map[string]string{
 var lockOrderBaseline = [][2]string{
 	{"DurableStore.mu", "WAL.mu"},       // Commit appends to the WAL under mu
 	{"DurableStore.mu", "FileStore.mu"}, // Checkpoint writes pages back under mu
-	{"shard.mu", "Pool.mu"},             // bufferpool shards admit into the LRU under mu
 }
 
 // ioMethods matches file-I/O calls by method name (receiver-agnostic so

@@ -1,20 +1,15 @@
 // Package lockorder is golden-test input for the lockorder analyzer.
-// The mock Pool/shard/WAL/DurableStore/FileStore types mirror the
+// The mock WAL/DurableStore/FileStore types mirror the
 // repo's lock-owning types by name: lock identity is "Type.field", so
 // these stdlib-only mocks exercise the same lock classes — including
-// the cross-package baseline edges (shard.mu -> Pool.mu,
-// DurableStore.mu -> WAL.mu) that close cycles the analyzer cannot see
-// in one package.
+// the cross-package baseline edges (DurableStore.mu -> WAL.mu) that
+// close cycles the analyzer cannot see in one package.
 package lockorder
 
 import (
 	"sync"
 	"time"
 )
-
-type Pool struct{ mu sync.Mutex }
-
-type shard struct{ mu sync.Mutex }
 
 type WAL struct{ mu sync.Mutex }
 
@@ -28,16 +23,6 @@ type FileStore struct {
 type blockFile interface {
 	WriteAt(b []byte, off int64) (int, error)
 	Sync() error
-}
-
-// badPoolOrder acquires Pool.mu then shard.mu — the reverse of the
-// baseline shard.mu -> Pool.mu edge the bufferpool establishes, so the
-// order graph gains a cycle.
-func badPoolOrder(p *Pool, s *shard) {
-	p.mu.Lock()
-	s.mu.Lock() // want "lock-order cycle .potential deadlock. among .Pool.mu, shard.mu."
-	s.mu.Unlock()
-	p.mu.Unlock()
 }
 
 // badWalOrder acquires WAL.mu then DurableStore.mu — the reverse of

@@ -299,3 +299,90 @@ func bytesPerRun(f func()) float64 {
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
+
+// A codec with a view pool decodes every page to the view a pool-less
+// codec builds, whatever page the recycled memory held before — other
+// dimensions of fill, level and layout included — and a failed check
+// hands out nothing.
+func TestPooledDecodeMatchesPlain(t *testing.T) {
+	rnd := rand.New(rand.NewSource(13))
+	for _, spheres := range []bool{false, true} {
+		plain := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
+		pooled := plain
+		pooled.Views = rtree.NewViewPool(3)
+		var held []*rtree.FlatNode
+		for round := 0; round < 200; round++ {
+			n := randomNode(rnd, plain.Dim, rnd.Intn(plain.Capacity()+1), rnd.Intn(2) == 0)
+			if spheres {
+				withSpheres(n, rnd)
+			}
+			buf, err := plain.Encode(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pooled.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := flatEqual(got, want); err != nil {
+				t.Fatalf("spheres=%v round %d: pooled vs plain: %v", spheres, round, err)
+			}
+			if err := viewsNode(got, n); err != nil {
+				t.Fatalf("spheres=%v round %d: %v", spheres, round, err)
+			}
+			// Hand views back out of order, a few rounds late.
+			if held = append(held, got); len(held) > 2 {
+				i := rnd.Intn(len(held))
+				pooled.Views.Put(held[i])
+				held = append(held[:i], held[i+1:]...)
+			}
+		}
+		if pooled.Views.Reused() == 0 {
+			t.Fatalf("spheres=%v: the pool never handed a view out again", spheres)
+		}
+		dir := randomNode(rnd, plain.Dim, 3, false)
+		if spheres {
+			withSpheres(dir, rnd)
+		}
+		bad, err := plain.Encode(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(bad[headerSize+16*plain.Dim:], 1<<40) // a child reference no page has
+		if f, err := pooled.Decode(bad); err == nil {
+			t.Fatalf("spheres=%v: a wide child reference decoded to %+v", spheres, f)
+		}
+	}
+}
+
+// The steady state of the read path: decoding into a warm pool
+// allocates nothing.
+func TestDecodeFromWarmPoolAllocatesNothing(t *testing.T) {
+	rnd := rand.New(rand.NewSource(14))
+	for _, spheres := range []bool{false, true} {
+		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres, Views: rtree.NewViewPool(2)}
+		n := randomNode(rnd, c.Dim, c.Capacity(), true)
+		if spheres {
+			withSpheres(n, rnd)
+		}
+		buf, err := c.Encode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decode := func() {
+			f, err := c.Decode(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Views.Put(f)
+		}
+		decode()
+		if allocs := testing.AllocsPerRun(200, decode); allocs != 0 {
+			t.Errorf("spheres=%v: %.2f allocations per decode from a warm pool, want 0", spheres, allocs)
+		}
+	}
+}

@@ -55,11 +55,15 @@ type Reader interface {
 // Codec encodes and decodes nodes for a fixed page size and
 // dimensionality. Spheres selects the SR-tree on-page layout, where
 // each entry additionally stores a dim-float64 sphere center and a
-// float64 radius.
+// float64 radius. Views, when non-nil, is where Decode draws the memory
+// of the views it builds from — set by a reader that owns its decoded
+// views and returns them (the engine's page cache); everyone else
+// leaves it nil and Decode allocates.
 type Codec struct {
 	Dim      int
 	PageSize int
 	Spheres  bool
+	Views    *rtree.ViewPool
 }
 
 // EntrySize returns the on-page size of one entry.
@@ -212,14 +216,16 @@ func fillColumn(dst []float64, entries []byte, off, stride int) {
 // field of the image is read once, into the axis-major columns the
 // batch kernels read or the compact identity column; no rtree.Node and
 // no per-entry slices exist on this path. All image checks are those of
-// DecodeNode.
+// DecodeNode. With Codec.Views set the view's memory is recycled; every
+// column is refilled, and a view abandoned on a failed check is the
+// collector's.
 func (c Codec) Decode(buf []byte) (*rtree.FlatNode, error) {
 	h, err := c.header(buf)
 	if err != nil {
 		return nil, err
 	}
 	dim, size := c.Dim, c.EntrySize()
-	f, refs := rtree.NewPageView(h.id, h.level, dim, h.count, c.Spheres)
+	f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, c.Spheres)
 	entries := buf[headerSize : headerSize+h.count*size]
 	for a := 0; a < dim && h.count > 0; a++ {
 		fillColumn(f.Rects.Lo[a], entries, 8*a, size)

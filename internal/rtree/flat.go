@@ -18,12 +18,17 @@ import (
 // node: the geometry is copied into the SoA slab, identity and
 // entry-major rectangles alias Node.Entries. pagestore.Codec.Decode
 // builds the view straight from a page image through NewPageView: one
-// axis-major slab, one compact identity array, no Entry per slot; the
-// entry-major coordinates that Rect and Sphere hand out are gathered
-// from the slab once, on the first call, and published through an
-// atomic pointer.
+// axis-major slab, one compact identity array, no Entry per slot. What
+// Rect and Sphere hand out for a decoded page depends on who owns the
+// view. A view nobody recycles is expected to stay (a cache that holds
+// the tree, a store's working set): its entry-major coordinates are
+// gathered from the slab once, on the first call, and published through
+// an atomic pointer. A view drawn from a ViewPool is expected to be
+// evicted a few stages later and its memory refilled, so nothing handed
+// out may alias it: Rect and Sphere copy the one entry asked for.
 //
-// A FlatNode is immutable once built.
+// A FlatNode is immutable from the moment it is built until its owner,
+// if it has one, hands it back to the pool (see ViewPool).
 type FlatNode struct {
 	ID    PageID
 	Level int
@@ -46,6 +51,9 @@ type FlatNode struct {
 	// in the sphere layout, center per entry), nil until the first Rect
 	// or Sphere call. Immutable once published.
 	aos atomic.Pointer[[]float64]
+	// owner is the pooled memory this view is part of; nil for a view
+	// the collector owns (every live-node view, every pool-less decode).
+	owner *pageView
 }
 
 // PageRef is the identity of one entry of a decoded page: the child
@@ -56,12 +64,15 @@ type PageRef struct {
 	Count uint32
 }
 
-// NewPageView allocates the view of a decoded page of m entries and
-// returns it with its identity column; the decoder fills that column
-// and the SoA columns (Rects, and Spheres when spheres is set) before
-// it lets the view out of its hands. An empty page has no columns,
-// like the view of an empty node.
-func NewPageView(id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
+// NewPageView returns the view of a decoded page of m entries with its
+// identity column; the decoder fills that column and the SoA columns
+// (Rects, and Spheres when spheres is set) before it lets the view out
+// of its hands. An empty page has no columns, like the view of an empty
+// node. The view's memory is drawn from pool; a nil pool allocates it.
+func NewPageView(pool *ViewPool, id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
+	if pool != nil {
+		return pool.newPageView(id, level, dim, m, spheres)
+	}
 	f := &FlatNode{ID: id, Level: level}
 	if m == 0 {
 		return f, nil
@@ -71,16 +82,27 @@ func NewPageView(id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageR
 	return f, f.refs
 }
 
-// allocColumns backs the SoA columns of m entries with one slab — the
-// rectangle axes (lo, hi interleaved per axis), then the sphere center
-// axes and the radii — and one array of column headers.
-func (f *FlatNode) allocColumns(dim, m int, spheres bool) {
-	cols, hdrs := 2*dim, 2*dim
+// columnCounts returns how many float64 columns of one entry each the
+// SoA layout has — the rectangle axes (lo, hi interleaved per axis),
+// then the sphere center axes and the radii — and how many of them need
+// a column header (the radii are a plain slice).
+func columnCounts(dim int, spheres bool) (cols, hdrs int) {
 	if spheres {
-		cols, hdrs = 3*dim+1, 3*dim
+		return 3*dim + 1, 3 * dim
 	}
-	slab := make([]float64, cols*m)
-	hdr := make([][]float64, hdrs)
+	return 2 * dim, 2 * dim
+}
+
+// allocColumns backs the SoA columns of m entries with one slab and one
+// array of column headers.
+func (f *FlatNode) allocColumns(dim, m int, spheres bool) {
+	cols, hdrs := columnCounts(dim, spheres)
+	f.setColumns(make([]float64, cols*m), make([][]float64, hdrs), dim, m, spheres)
+}
+
+// setColumns cuts the SoA columns of m entries out of slab (at least
+// cols*m long) and hdr (exactly hdrs long).
+func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, spheres bool) {
 	col := func(j int) []float64 { return slab[j*m : (j+1)*m : (j+1)*m] }
 	for a := 0; a < dim; a++ {
 		hdr[a], hdr[dim+a] = col(2*a), col(2*a+1)
@@ -172,9 +194,9 @@ func (f *FlatNode) Count(i int) int {
 	return int(f.refs[i].Count)
 }
 
-// Rect returns entry i's MBR in entry-major form. The corners are
+// Rect returns entry i's MBR in entry-major form. The corners may be
 // shared memory — the live node's, or the page's gathered slab — and
-// must not be written.
+// must not be written; they never alias memory a ViewPool refills.
 func (f *FlatNode) Rect(i int) geom.Rect {
 	if f.entries != nil {
 		return f.entries[i].Rect
@@ -195,6 +217,13 @@ func (f *FlatNode) Sphere(i int) geom.Sphere {
 // and Sphere, apart so that the live half inlines into the executions.
 func (f *FlatNode) gatheredRect(i int) geom.Rect {
 	dim := f.Rects.Dim()
+	if f.owner != nil {
+		c := make([]float64, 2*dim)
+		for a := 0; a < dim; a++ {
+			c[a], c[dim+a] = f.Rects.Lo[a][i], f.Rects.Hi[a][i]
+		}
+		return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
+	}
 	c := f.entryMajor()[i*f.stride():]
 	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim : 2*dim : 2*dim]}
 }
@@ -204,6 +233,13 @@ func (f *FlatNode) gatheredSphere(i int) geom.Sphere {
 		return geom.Sphere{}
 	}
 	dim := f.Rects.Dim()
+	if f.owner != nil {
+		c := make([]float64, dim)
+		for a := range c {
+			c[a] = f.sph.Center[a][i]
+		}
+		return geom.Sphere{Center: c, Radius: f.sph.Radius[i]}
+	}
 	c := f.entryMajor()[i*f.stride():]
 	return geom.Sphere{Center: c[2*dim : 3*dim : 3*dim], Radius: f.sph.Radius[i]}
 }
@@ -216,8 +252,8 @@ func (f *FlatNode) stride() int {
 	return 2 * f.Rects.Dim()
 }
 
-// entryMajor returns a decoded page's entry-major coordinates,
-// gathering them from the columns on first use. Racing first callers
+// entryMajor returns the entry-major coordinates of a decoded page that
+// no pool owns, gathering them from the columns on first use. Racing first callers
 // each gather; one slab is published and all of them return it.
 func (f *FlatNode) entryMajor() []float64 {
 	if p := f.aos.Load(); p != nil {
