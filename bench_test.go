@@ -372,8 +372,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // the pages with fetch coalescing on, two client goroutines. What it
 // tracks is what the engine spends around each read — ns/op and above
 // all B/op and allocs/op, which say whether decoded views are recycled
-// or left to the collector — against pages/query, which a change to the
-// engine must not move.
+// or left to the collector, and views/query, the frames made after
+// warm-up, which reads 0 when they are — against pages/query, which a
+// change to the engine must not move.
 func BenchmarkEngineMissPath(b *testing.B) {
 	pts := dataset.Gaussian(12000, 8, 1998)
 	tree, err := parallel.New(parallel.Config{
@@ -394,31 +395,37 @@ func BenchmarkEngineMissPath(b *testing.B) {
 	}
 	defer eng.Close()
 	ctx := context.Background()
-	before := eng.Stats()
-	var next atomic.Int64
+	// run answers n queries on two client goroutines.
+	run := func(n int) {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1))
+					if i > n {
+						return
+					}
+					if _, _, err := eng.KNN(ctx, query.CRSS{}, queries[i%len(queries)], 10, query.Options{}); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	run(len(queries)) // warm: the frames are made here
+	before := eng.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
-	var wg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i > b.N {
-					return
-				}
-				if _, _, err := eng.KNN(ctx, query.CRSS{}, queries[i%len(queries)], 10, query.Options{}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	run(b.N)
 	b.StopTimer()
-	after := eng.Stats()
-	b.ReportMetric(float64(after.PagesFetched-before.PagesFetched)/float64(b.N), "pages/query")
+	d := eng.Snapshot().Sub(before)
+	b.ReportMetric(float64(d.Stats.PagesFetched)/float64(b.N), "pages/query")
+	b.ReportMetric(float64(d.Views.Made)/float64(b.N), "views/query")
 }
 
 // BenchmarkEngineObserved is the engine-workers=10x2 sub-benchmark of

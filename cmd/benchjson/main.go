@@ -7,7 +7,8 @@
 //	go test -run xxx -bench BenchmarkKernels -benchmem . | benchjson parse -o BENCH_2026-08-08.json
 //
 // Repeated samples of the same benchmark (-count N) are folded to their
-// median and the sample count recorded. Benchmarks whose sub-name contains a `scalar`
+// median, and the sample count and the run-to-run spread of ns/op, B/op
+// and allocs/op — (max − min) ÷ median — recorded. Benchmarks whose sub-name contains a `scalar`
 // path segment are paired with their `batch` twin and the ns/op ratio is
 // recorded in the `speedups` section — the kernel-vectorization
 // trajectory this repo tracks across commits.
@@ -18,7 +19,10 @@
 //
 // A benchmark whose median allocs/op rises by more than the threshold
 // fails the comparison (exit status 1): allocation counts repeat run to
-// run, so a rise is a code change. An ns/op regression beyond the same
+// run, so a rise is a code change — and for the same reason so does a
+// benchmark of the new report whose allocs/op differ between its own
+// runs by more than 2 % of their median: an allocation that depends on
+// timing is a finding, not noise. An ns/op regression beyond the same
 // threshold only warns — benchmark noise on shared CI runners must not
 // block merges, it should only leave a visible trail. Under GitHub
 // Actions (GITHUB_ACTIONS=true, or -github) both are emitted as
@@ -67,6 +71,16 @@ type Benchmark struct {
 	BytesPerOp  *float64           `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+	// Spread is the run-to-run spread of the samples folded into this
+	// row; absent for a single sample (and in reports older than it).
+	Spread *Spread `json:"spread,omitempty"`
+}
+
+// Spread is (max − min) ÷ median over a benchmark's samples, per unit.
+type Spread struct {
+	NsPerOp     float64  `json:"ns_per_op"`
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 }
 
 // Speedup records one scalar/batch benchmark pair.
@@ -292,13 +306,24 @@ func average(pkg, name string, procs int, ss []sample) Benchmark {
 		}
 	}
 	b.NsPerOp = median(ns)
+	if len(ss) > 1 {
+		b.Spread = &Spread{NsPerOp: spread(ns)}
+	}
 	if len(bytesV) > 0 {
 		v := median(bytesV)
 		b.BytesPerOp = &v
+		if b.Spread != nil {
+			sp := spread(bytesV)
+			b.Spread.BytesPerOp = &sp
+		}
 	}
 	if len(allocV) > 0 {
 		v := median(allocV)
 		b.AllocsPerOp = &v
+		if b.Spread != nil {
+			sp := spread(allocV)
+			b.Spread.AllocsPerOp = &sp
+		}
 	}
 	if len(metricV) > 0 {
 		b.Metrics = make(map[string]float64, len(metricV))
@@ -318,6 +343,21 @@ func median(vs []float64) float64 {
 		return vs[n/2]
 	}
 	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
+// spread returns (max − min) ÷ median of a non-empty sample set: 0 when
+// every run read the same, and relative to the maximum when the median
+// itself is 0.
+func spread(vs []float64) float64 {
+	sort.Float64s(vs)
+	lo, hi := vs[0], vs[len(vs)-1]
+	if hi == lo {
+		return 0
+	}
+	if m := median(vs); m != 0 {
+		return (hi - lo) / m
+	}
+	return (hi - lo) / hi
 }
 
 // deriveSpeedups pairs every benchmark that has a path segment equal to
@@ -384,16 +424,22 @@ func runCompare(args []string) error {
 	fmt.Printf("comparing %s (%s) -> %s (%s), threshold +%.0f%%: ns/op warns, allocs/op fails\n",
 		fs.Arg(0), base.Date, fs.Arg(1), cur.Date, *threshold)
 	if n := compareReports(os.Stdout, base, cur, *threshold, annotate); n > 0 {
-		return fmt.Errorf("%d benchmark(s) allocate more than %.0f%% above the baseline", n, *threshold)
+		return fmt.Errorf("%d benchmark(s) allocate more than %.0f%% above the baseline, or differently from run to run", n, *threshold)
 	}
 	return nil
 }
+
+// maxAllocSpread is how far a benchmark's allocs/op may differ between
+// the runs of one report, as a fraction of their median.
+const maxAllocSpread = 0.02
 
 // compareReports prints the benchmark-by-benchmark comparison and
 // returns the number of allocation regressions — the gating half. A
 // benchmark's allocs/op is a count the program makes of itself and
 // repeats from run to run, so a rise beyond the
-// threshold is a change in the code, never runner noise; ns/op on a
+// threshold is a change in the code, never runner noise — and a count
+// that does not repeat between the new report's own runs (maxAllocSpread)
+// is one too, whatever the baseline says; ns/op on a
 // shared runner is noise-prone and only ever warns.
 func compareReports(w io.Writer, base, cur *Report, threshold float64, annotate bool) (allocRegressions int) {
 	type key struct{ pkg, name string }
@@ -404,6 +450,15 @@ func compareReports(w io.Writer, base, cur *Report, threshold float64, annotate 
 
 	regressions, improvements, missing := 0, 0, 0
 	for _, b := range cur.Benchmarks {
+		if sp := b.Spread; sp != nil && sp.AllocsPerOp != nil && *sp.AllocsPerOp > maxAllocSpread {
+			allocRegressions++
+			msg := fmt.Sprintf("%s allocates differently from run to run: allocs/op spread %.1f%% of the median %g over %d runs",
+				b.Name, 100**sp.AllocsPerOp, *b.AllocsPerOp, b.Samples)
+			fmt.Fprintf(w, "  ALLOCS %s\n", msg)
+			if annotate {
+				fmt.Fprintf(w, "::error title=timing-dependent allocation::%s\n", msg)
+			}
+		}
 		old, ok := baseBy[key{b.Package, b.Name}]
 		if !ok {
 			fmt.Fprintf(w, "  new   %-60s %12.1f ns/op\n", b.Name, b.NsPerOp)

@@ -79,6 +79,59 @@ func TestMedianDiscardsSpike(t *testing.T) {
 	}
 }
 
+// TestParseRecordsSpread: a row folded from several runs carries
+// (max − min) ÷ median for ns/op, B/op and allocs/op; a single run has
+// no spread to record, and a count that reads 0 in most runs is measured
+// against its maximum.
+func TestParseRecordsSpread(t *testing.T) {
+	rep, err := parseBench([]string{
+		"BenchmarkMiss-2 100 1000 ns/op 3000 B/op 50 allocs/op",
+		"BenchmarkMiss-2 100 1100 ns/op 3300 B/op 55 allocs/op",
+		"BenchmarkMiss-2 100 1200 ns/op 3150 B/op 52 allocs/op",
+		"BenchmarkSteady-2 100 500 ns/op 64 B/op 4 allocs/op",
+		"BenchmarkSteady-2 100 520 ns/op 64 B/op 4 allocs/op",
+		"BenchmarkOnce-2 100 500 ns/op 64 B/op 4 allocs/op",
+		"BenchmarkNoMem-2 100 500 ns/op",
+		"BenchmarkNoMem-2 100 500 ns/op",
+		"BenchmarkRare-2 100 500 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkRare-2 100 500 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkRare-2 100 500 ns/op 16 B/op 1 allocs/op",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]Benchmark{}
+	for _, b := range rep.Benchmarks {
+		by[b.Name] = b
+	}
+	near := func(got, want float64) bool { return got > want-1e-9 && got < want+1e-9 }
+	if sp := by["BenchmarkMiss"].Spread; sp == nil || !near(sp.NsPerOp, 200.0/1100) ||
+		sp.BytesPerOp == nil || !near(*sp.BytesPerOp, 300.0/3150) ||
+		sp.AllocsPerOp == nil || !near(*sp.AllocsPerOp, 5.0/52) {
+		t.Errorf("BenchmarkMiss spread = %+v", sp)
+	}
+	if sp := by["BenchmarkSteady"].Spread; sp == nil || !near(sp.NsPerOp, 20.0/510) || *sp.BytesPerOp != 0 || *sp.AllocsPerOp != 0 {
+		t.Errorf("BenchmarkSteady spread = %+v", sp)
+	}
+	if sp := by["BenchmarkOnce"].Spread; sp != nil {
+		t.Errorf("a single run has spread %+v", sp)
+	}
+	if sp := by["BenchmarkNoMem"].Spread; sp == nil || sp.NsPerOp != 0 || sp.BytesPerOp != nil || sp.AllocsPerOp != nil {
+		t.Errorf("BenchmarkNoMem spread = %+v", sp)
+	}
+	if sp := by["BenchmarkRare"].Spread; sp == nil || *sp.AllocsPerOp != 1 || *sp.BytesPerOp != 1 {
+		t.Errorf("BenchmarkRare spread = %+v", sp)
+	}
+	buf, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(buf, &back); err != nil || back.Benchmarks[0].Spread == nil {
+		t.Errorf("spread does not survive the report file: %v", err)
+	}
+}
+
 func TestParseBenchmemAndCustomMetrics(t *testing.T) {
 	rep := parseSample(t)
 	for _, b := range rep.Benchmarks {
@@ -141,6 +194,14 @@ func allocBench(name string, ns, allocs float64) Benchmark {
 	return Benchmark{Name: name, Package: "repro", Samples: 5, NsPerOp: ns, AllocsPerOp: &allocs}
 }
 
+// spreadBench is allocBench whose runs' allocs/op spread by frac of
+// their median.
+func spreadBench(name string, ns, allocs, frac float64) Benchmark {
+	b := allocBench(name, ns, allocs)
+	b.Spread = &Spread{NsPerOp: 0.5, AllocsPerOp: &frac}
+	return b
+}
+
 // TestCompareGatesOnAllocs: an allocs/op rise beyond the threshold is
 // counted (runCompare turns the count into a non-zero exit); ns/op
 // regressions, rises within the threshold, falls, and benchmarks
@@ -166,6 +227,15 @@ func TestCompareGatesOnAllocs(t *testing.T) {
 		{"first allocation", []Benchmark{allocBench("BenchmarkKernels/batch/dmin/d=2", 200, 1)}, 1, "0 -> 1 allocs/op"},
 		{"no data", []Benchmark{allocBench("BenchmarkNoBenchmem", 100, 7), {Name: "BenchmarkKNNCRSS", Package: "repro", NsPerOp: 20000}}, 0, ""},
 		{"two", []Benchmark{allocBench("BenchmarkKNNCRSS", 20000, 63), allocBench("BenchmarkKNNFPSS", 20000, 45)}, 2, "::error title=allocation regression::"},
+		// The new report's own runs: allocs/op that differ by more than
+		// 2 % of their median fail whatever the baseline reads — even a
+		// lower median, even a benchmark the baseline does not have;
+		// a noisy ns/op never does.
+		{"steady runs", []Benchmark{spreadBench("BenchmarkKNNCRSS", 20000, 10, 0)}, 0, ""},
+		{"runs within 2%", []Benchmark{spreadBench("BenchmarkKNNFPSS", 20000, 40, 0.02)}, 0, ""},
+		{"runs apart", []Benchmark{spreadBench("BenchmarkKNNFPSS", 20000, 30, 0.05)}, 1, "ALLOCS BenchmarkKNNFPSS allocates differently from run to run: allocs/op spread 5.0% of the median 30 over 5 runs"},
+		{"runs apart, new benchmark", []Benchmark{spreadBench("BenchmarkEngineMissPath", 500000, 52, 0.046)}, 1, "::error title=timing-dependent allocation::"},
+		{"apart and more", []Benchmark{spreadBench("BenchmarkKNNCRSS", 20000, 12, 0.25)}, 2, "allocates more"},
 	}
 	for _, c := range cases {
 		var out strings.Builder
@@ -199,6 +269,22 @@ func TestRunCompareExitStatus(t *testing.T) {
 		return path
 	}
 	base, same, worse := write("base.json", 4), write("same.json", 4), write("worse.json", 5)
+	// The same median, parsed from three runs that do not agree.
+	runs := filepath.Join(t.TempDir(), "runs.txt")
+	unsteady := filepath.Join(t.TempDir(), "unsteady.json")
+	if err := os.WriteFile(runs, []byte(`pkg: repro
+BenchmarkKNNCRSS-2   20000   20000 ns/op   1800 B/op   4 allocs/op
+BenchmarkKNNCRSS-2   20000   20100 ns/op   1800 B/op   4 allocs/op
+BenchmarkKNNCRSS-2   20000   20050 ns/op   1850 B/op   5 allocs/op
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runParse([]string{"-o", unsteady, runs}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runCompare([]string{base, unsteady}); err == nil {
+		t.Error("allocs/op 4, 4, 5 over three runs passed the gate")
+	}
 	if err := runCompare([]string{base, same}); err != nil {
 		t.Errorf("unchanged allocs/op: %v", err)
 	}

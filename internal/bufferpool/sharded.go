@@ -16,9 +16,10 @@ import (
 // Keys are mapped to shards by the caller-supplied hash function, so
 // the type works for any comparable key without reflection.
 type Sharded[K comparable, V any] struct {
-	hash    func(K) uint64
-	shards  []*shard[K, V]
-	onEvict func(V) // see OnEvict
+	hash      func(K) uint64
+	shards    []*shard[K, V]
+	onEvict   func(V)      // see OnEvict
+	onHandOut func(V, int) // see OnHandOut
 }
 
 // shard is one lock's worth of the cache: every operation on a key
@@ -80,6 +81,27 @@ func NewSharded[K comparable, V any](capacity, numShards int, hash func(K) uint6
 // shared between goroutines.
 func (s *Sharded[K, V]) OnEvict(hook func(V)) { s.onEvict = hook }
 
+// OnHandOut installs a hook that is told of every value the cache hands
+// to a caller, with the number of callers it goes to: 1 for a resident
+// entry (Get, Probe, GetOrFetchHit), and for a fetched value the fetching
+// caller plus everyone who waited on its flight — exact, because the
+// hook runs as the flight leaves the map. It runs under the shard's
+// lock, before the value can be evicted, so an owner that counts its
+// values' readers (and learns of evictions through OnEvict) never sees
+// an eviction overtake the count. It must take no lock and not call
+// back into the cache: one atomic add is what it is for. Call it once,
+// before the cache is shared between goroutines.
+func (s *Sharded[K, V]) OnHandOut(hook func(v V, callers int)) { s.onHandOut = hook }
+
+// handOut reports a resident value about to be returned to one caller.
+// The shard's lock is held.
+func (s *Sharded[K, V]) handOut(v V, ok bool) (V, bool) {
+	if ok && s.onHandOut != nil {
+		s.onHandOut(v, 1)
+	}
+	return v, ok
+}
+
 func (s *Sharded[K, V]) shardOf(key K) *shard[K, V] {
 	return s.shards[s.hash(key)%uint64(len(s.shards))]
 }
@@ -89,7 +111,7 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.lru.lookup(key, true)
+	return s.handOut(sh.lru.lookup(key, true))
 }
 
 // Probe is Get that counts only a hit (see Pool.Probe). The engine
@@ -100,7 +122,7 @@ func (s *Sharded[K, V]) Probe(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.lru.lookup(key, false)
+	return s.handOut(sh.lru.lookup(key, false))
 }
 
 // Put inserts or refreshes key. Safe for concurrent use.
@@ -146,7 +168,7 @@ func (s *Sharded[K, V]) GetOrFetch(key K, fetch func() (V, error)) (V, error) {
 func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit bool, err error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	if v, ok := sh.lru.lookup(key, true); ok {
+	if v, ok := s.handOut(sh.lru.lookup(key, true)); ok {
 		sh.mu.Unlock()
 		return v, true, nil
 	}
@@ -180,9 +202,12 @@ func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit 
 	var full bool
 	if err == nil {
 		old, full = sh.lru.put(key, v)
+		if s.onHandOut != nil {
+			s.onHandOut(v, 1+f.waiters)
+		}
 	}
 	// Off the map under the lock that admitted the value: nobody joins
-	// the flight from here on.
+	// the flight from here on, so the waiter count just reported is final.
 	delete(sh.inflight, key)
 	f.done.Done() // never blocks; Wait is what may not run under mu
 	if f.waiters == 0 {

@@ -276,6 +276,76 @@ func TestShardedOnEvict(t *testing.T) {
 // Flight records are recycled, with and without waiters: round after
 // round, every caller of a round gets that round's value, never one a
 // recycled record still carried.
+// The hand-out hook is told of every value the cache gives a caller and
+// of how many callers get it: one per hit, the fetching caller and
+// every waiter of its flight per admission — never of a miss or of a
+// failed fetch — and it always runs before the value's eviction is
+// reported.
+func TestShardedOnHandOut(t *testing.T) {
+	s := NewSharded[int, int](2, 1, func(k int) uint64 { return uint64(k) })
+	handed := map[int]int{}
+	var mu sync.Mutex // the hook runs on every caller's goroutine
+	s.OnHandOut(func(v, callers int) {
+		mu.Lock()
+		defer mu.Unlock()
+		handed[v] += callers
+	})
+	s.OnEvict(func(v int) {
+		mu.Lock()
+		defer mu.Unlock()
+		if handed[v] == 0 {
+			t.Errorf("value %d evicted before any hand-out was reported", v)
+		}
+		handed[v] = -1 << 20 // a hand-out after the eviction would show
+	})
+	fetch := func(k int) func() (int, error) { return func() (int, error) { return k, nil } }
+	s.Get(1)   // miss
+	s.Probe(1) // miss
+	s.Put(1, 1)
+	if len(handed) != 0 {
+		t.Fatalf("hand-outs reported with nothing handed out: %v", handed)
+	}
+	s.Get(1)
+	s.Probe(1)
+	s.GetOrFetchHit(1, fetch(1)) // hit
+	s.GetOrFetchHit(2, fetch(2)) // admission, nobody waiting
+	if _, _, err := s.GetOrFetchHit(3, func() (int, error) { return 3, errors.New("boom") }); err == nil {
+		t.Fatal("failed fetch returned no error")
+	}
+	if handed[1] != 3 || handed[2] != 1 || handed[3] != 0 {
+		t.Fatalf("hand-outs %v, want 1:3 2:1", handed)
+	}
+
+	// A flight with waiters: the admission reports all of them at once.
+	const waiters = 5
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i <= waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.GetOrFetchHit(4, func() (int, error) { <-release; return 4, nil })
+		}()
+	}
+	for joined := false; !joined; runtime.Gosched() {
+		sh := s.shardOf(4)
+		sh.mu.Lock()
+		f := sh.inflight[4]
+		joined = f != nil && f.waiters == waiters
+		sh.mu.Unlock()
+	}
+	close(release)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if handed[4] != 1+waiters {
+		t.Errorf("a flight of %d callers reported %d hand-outs", 1+waiters, handed[4])
+	}
+	if handed[1] >= 0 {
+		t.Errorf("value 1 should have been evicted by now: %v", handed)
+	}
+}
+
 func TestShardedFlightRecordsRecycle(t *testing.T) {
 	s := NewSharded[int, int](2, 1, func(k int) uint64 { return uint64(k) })
 	const waiters, rounds = 8, 300

@@ -31,10 +31,12 @@ type coalescer struct {
 // moment a request leads a fetch of it until that fetch is resolved,
 // and maps to the requests that joined meanwhile (nil while nobody
 // has). Once resolve has taken a waiter list out of the map it is
-// immutable and delivered.
+// immutable and delivered, and then handed back (recycle) for the next
+// flight somebody joins, so a join on a warm shard allocates nothing.
 type coShard struct {
 	mu      sync.Mutex
 	flights map[rtree.PageID][]flightWaiter // guarded by mu
+	spare   [][]flightWaiter                // guarded by mu: delivered waiter lists, emptied
 }
 
 // flightWaiter is one joined request: the joining stage and the
@@ -69,6 +71,9 @@ func (c *coalescer) join(page rtree.PageID, sc *stageScratch, idx int) (*coShard
 	defer sh.mu.Unlock()
 	waiters, open := sh.flights[page]
 	if open {
+		if n := len(sh.spare); waiters == nil && n > 0 {
+			waiters, sh.spare = sh.spare[n-1], sh.spare[:n-1]
+		}
 		waiters = append(waiters, flightWaiter{sc: sc, idx: idx})
 	}
 	sh.flights[page] = waiters
@@ -86,31 +91,43 @@ func (sh *coShard) resolve(page rtree.PageID) []flightWaiter {
 	return waiters
 }
 
-// open reports whether page has a flight in progress.
-func (c *coalescer) open(page rtree.PageID) bool {
-	sh := c.shardOf(page)
+// recycle takes back a waiter list resolve returned, once every waiter
+// on it has been delivered to. It is cleared first: a spare list must
+// not keep a finished query's stage alive.
+func (sh *coShard) recycle(waiters []flightWaiter) {
+	clear(waiters)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, open := sh.flights[page]
-	return open
+	sh.spare = append(sh.spare, waiters[:0])
 }
 
 // resolveFlight closes page's flight and hands res to every request
 // that joined it. It runs on the disk worker that served the flight's
-// leader, right after the leader's own delivery, so every slot — led or
-// joined — is delivered exactly one fetchResult and the stage's
-// countdown stays unaware of coalescing. Joined deliveries are marked
-// coalesced (for the cancellation-retry path in fetchStage) and, on
-// success, count as served-without-a-decode for trace attribution,
-// mirroring the cache's shared-flight hits. A delivery never blocks:
-// it is a slot write and, from whoever completes the stage, one send on
-// a channel with room for it.
+// leader, right before the leader's own delivery, so every slot — led
+// or joined — is delivered exactly one fetchResult and the stage's
+// countdown stays unaware of coalescing. A delivered view goes out with
+// one hold per joiner (retire.go), taken while the worker still has the
+// leader's: however fast the leader's stage moves on, the view is not
+// recycled under a joiner. Joined deliveries are marked coalesced (for
+// the cancellation-retry path in fetchStage) and, on success, count as
+// served-without-a-decode for trace attribution, mirroring the cache's
+// shared-flight hits. A delivery never blocks: it is a slot write and,
+// from whoever completes the stage, one send on a channel with room
+// for it.
 func (e *Engine) resolveFlight(sh *coShard, page rtree.PageID, res fetchResult) {
+	waiters := sh.resolve(page)
+	if len(waiters) == 0 {
+		return
+	}
 	res.coalesced = true
 	res.hit = res.err == nil
-	for _, w := range sh.resolve(page) {
+	if res.node != nil {
+		res.node.Hold(len(waiters))
+	}
+	for _, w := range waiters {
 		w.sc.deliver(w.idx, res)
 	}
+	sh.recycle(waiters)
 }
 
 // abortFlight resolves a flight whose leader failed to enqueue its job

@@ -195,3 +195,51 @@ func waitForWaiter(t *testing.T, sh *coShard, page rtree.PageID) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// TestJoinedFlightAllocatesNothing: once a shard has delivered a waiter
+// list it reuses it — a flight that is led, joined and resolved costs
+// no allocation, with one joiner or three — and the spare list holds no
+// reference to the stages it served.
+func TestJoinedFlightAllocatesNothing(t *testing.T) {
+	eng := &Engine{co: newCoalescer()}
+	const page = rtree.PageID(9)
+	leader := newStageScratch()
+	joiners := []*stageScratch{newStageScratch(), newStageScratch(), newStageScratch()}
+	flight := func(n int) {
+		leader.reset(1)
+		sh, joined := eng.co.join(page, leader, 0)
+		if joined {
+			t.Fatal("the first request joined a flight nobody leads")
+		}
+		for _, sc := range joiners[:n] {
+			sc.reset(1)
+			if _, joined := eng.co.join(page, sc, 0); !joined {
+				t.Fatal("a request did not join the open flight")
+			}
+		}
+		eng.resolveFlight(sh, page, fetchResult{done: true, err: context.Canceled})
+		for _, sc := range joiners[:n] {
+			sc.wait(1)
+			if res := sc.results[0]; !res.coalesced || res.err != context.Canceled {
+				t.Fatalf("joiner got %+v", res)
+			}
+		}
+	}
+	flight(len(joiners)) // the shard's first list grows to its size here
+	for n := 1; n <= len(joiners); n++ {
+		if allocs := testing.AllocsPerRun(100, func() { flight(n) }); allocs != 0 {
+			t.Errorf("a flight with %d joiners: %.1f allocations, want 0", n, allocs)
+		}
+	}
+	sh := eng.co.shardOf(page)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.flights) != 0 || len(sh.spare) != 1 {
+		t.Fatalf("at rest: %d flights open, %d spare lists, want 0 and 1", len(sh.flights), len(sh.spare))
+	}
+	for _, w := range sh.spare[0][:cap(sh.spare[0])] {
+		if w.sc != nil {
+			t.Error("a spare waiter list still points at a stage")
+		}
+	}
+}

@@ -295,16 +295,11 @@ type Engine struct {
 	isClosed bool          // guarded by mu
 	closed   chan struct{} // signals Close to blocked submitters
 	workers  sync.WaitGroup
+	running  sync.WaitGroup // admitted queries; raised under mu (begin)
 
-	// Ownership of evicted page views (retire.go). A running query pins
-	// the generation it began in; pins also are what Close waits on.
-	gen      uint64               // guarded by mu
-	limbo    [2][]*rtree.FlatNode // guarded by mu: evicted views, by the parity of the generation that parked them
-	pins     [2]atomic.Int64      // running queries, by generation parity; raised under mu
-	drained  chan struct{}        // capacity 2: a pin count reaching zero after Close
-	views    *rtree.ViewPool      // where retired views go and decodes come from; nil when nothing is recycled
-	limboCap int                  // views one generation may park
-	poison   bool                 // tests: scribble over a view as it is retired
+	// Ownership of decoded page views (retire.go).
+	views  *rtree.ViewPool // where recycled views go and decodes come from; nil when nothing is recycled
+	poison bool            // tests: scribble over a view as it is recycled
 
 	queries          atomic.Uint64
 	cancelled        atomic.Uint64
@@ -349,7 +344,6 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		queues:   make([]chan fetchJob, n),
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		closed:   make(chan struct{}),
-		drained:  make(chan struct{}, 2),
 		gauges:   make([]obs.DiskGauges, n),
 		queryLat: obs.NewLatencyHistogram(),
 		fetchLat: obs.NewLatencyHistogram(),
@@ -393,9 +387,9 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	}
 	if cfg.CachePages > 0 && cfg.CachePages < pages {
 		// The cache cannot hold the page set, so it will evict: the
-		// engine owns the evicted views and the decoders reuse them.
-		e.limboCap = limboPerCachePage * cfg.CachePages
-		e.views = rtree.NewViewPool(e.limboCap)
+		// engine owns the decoded views and the decoders reuse them: about
+		// as many as the cache holds plus what is being read in.
+		e.views = rtree.NewViewPool(cfg.CachePages + cfg.MaxInFlight)
 		codec.Views = e.views
 		for _, st := range e.stores {
 			st.codec = codec
@@ -423,6 +417,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 			cfg.CachePages, cfg.CacheShards,
 			func(id rtree.PageID) uint64 { return uint64(uint32(id)) * 0x9e3779b97f4a7c15 })
 		if e.views != nil {
+			e.cache.OnHandOut((*rtree.FlatNode).Hold)
 			e.cache.OnEvict(e.retire)
 		}
 	}
@@ -547,6 +542,10 @@ func (e *Engine) CacheStats() bufferpool.Stats {
 	return e.cache.Stats()
 }
 
+// ViewStats returns the counts of the frames decoded pages live in
+// (zero when the engine recycles none).
+func (e *Engine) ViewStats() rtree.ViewStats { return e.views.Stats() }
+
 // worker serves one disk's fetch queue until Close drains it. A job
 // whose context is already cancelled is abandoned without decoding its
 // page: the context error is delivered and the job counts under the
@@ -554,7 +553,8 @@ func (e *Engine) CacheStats() bufferpool.Stats {
 // after the read path exhausted every replica counts under the I/O
 // error telemetry — the two classes never mix. The worker that served
 // a coalesced flight's leader also resolves the flight, handing the
-// same result to every request that joined it.
+// same result to every request that joined it — before it delivers to
+// the leader, whose hold on the view (retire.go) it is still carrying.
 func (e *Engine) worker(d int) {
 	defer e.workers.Done()
 	g := &e.gauges[d]
@@ -583,10 +583,10 @@ func (e *Engine) worker(d int) {
 				e.fetchErrors.Add(1)
 			}
 		}
-		job.sc.deliver(job.idx, res)
 		if job.flight != nil {
 			e.resolveFlight(job.flight, job.page, res)
 		}
+		job.sc.deliver(job.idx, res)
 		<-e.sem // release the in-flight slot
 	}
 }
@@ -601,7 +601,8 @@ func isCancellation(err error) bool {
 // set. The querying goroutine already probed the cache and missed, so
 // this lookup counts the request's one cache miss — or its one hit,
 // when another query's fetch filled the page in between. hit reports
-// whether the page was served without a decode in this call.
+// whether the page was served without a decode in this call. A view
+// the engine recycles comes with one hold, the request's (retire.go).
 func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.FlatNode, bool, error) {
 	if e.cache == nil {
 		n, err := e.readReplicated(ctx, d, id)
@@ -984,7 +985,8 @@ func (sc *stageScratch) reset(n int) []fetchResult {
 }
 
 // unpin drops the node references of the query that used the scratch,
-// so a pooled scratch keeps no decoded page alive.
+// so a pooled scratch keeps no decoded page alive. The holds behind
+// them are the engine's to drop first (releaseStage).
 func (sc *stageScratch) unpin() {
 	clear(sc.results[:cap(sc.results)])
 	clear(sc.nodes[:cap(sc.nodes)])
@@ -1021,10 +1023,10 @@ func (e *Engine) liveErr(ctx context.Context) error {
 	}
 }
 
-// fetchBatch resolves one stage with scratch of its own and no
-// generation pin — a test seam for the stage machinery, on engines that
-// do not recycle views. KNN reuses one scratch for all the stages of a
-// query (fetchStage).
+// fetchBatch resolves one stage with scratch of its own — a test seam
+// for the stage machinery. The scratch is dropped with its holds, so the
+// delivered views stay the caller's and go to the collector. KNN reuses
+// one scratch for all the stages of a query (fetchStage).
 func (e *Engine) fetchBatch(ctx context.Context, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	return e.fetchStage(ctx, newStageScratch(), stage, reqs, obsv)
 }
@@ -1057,9 +1059,12 @@ func foreignCancellation(ctx context.Context, res *fetchResult) bool {
 // cache attribution, completed fetches only) and StageDone events on
 // every exit path, success or failure, so traces stay well-formed under
 // cancellation and injected faults. The returned slice belongs to sc
-// and is overwritten by the next stage.
+// and is overwritten by the next stage, which is also when the views
+// this one delivered stop being held (releaseStage): an execution reads
+// them only during the Step in between.
 func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	start := time.Now()
+	e.releaseStage(sc)
 	results := sc.reset(len(reqs))
 	submitErr := e.liveErr(ctx)
 	hits := uint64(0) // requests served inline
@@ -1163,24 +1168,25 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err
 	}
-	pin, err := e.begin()
-	if err != nil {
+	if err := e.begin(); err != nil {
 		return nil, nil, err
 	}
-	defer e.end(pin)
+	defer e.running.Done()
 
 	start := time.Now()
 	stage := 0
 	// A panic below drops the scratch instead of pooling it: its
-	// countdown may still be owed deliveries.
+	// countdown may still be owed deliveries (and its holds are never
+	// dropped: those views go to the collector).
 	sc := e.scratch.Get().(*stageScratch)
 	ex := alg.NewExecution(e.tree, q, k, opts)
 	defer ex.Release()
-	err = query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
+	err := query.RunWith(ex, alg.Name(), func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
 		nodes, err := e.fetchStage(ctx, sc, stage, reqs, opts.Observer)
 		stage++
 		return nodes, err
 	})
+	e.releaseStage(sc)
 	sc.unpin()
 	e.scratch.Put(sc)
 	if err != nil {
@@ -1204,10 +1210,9 @@ func (e *Engine) Close() error {
 	}
 	e.isClosed = true
 	close(e.closed)
-	e.limbo = [2][]*rtree.FlatNode{} // parked views go to the collector
 	e.mu.Unlock()
 
-	e.drain()
+	e.running.Wait()
 	for _, q := range e.queues {
 		close(q)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/rtree"
 )
 
 // These tests pin the contract of the engine's hit path: a page
@@ -71,7 +72,8 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 // all resident allocates what the sequential driver's does — the
 // execution, its per-disk counters, the best list and the results. The
 // entry-major rectangles the results carry were gathered once per page
-// while the cache warmed up, not per query.
+// while the cache warmed up, not per query. Such an engine evicts
+// nothing, so it builds no pool of frames and counts no holds.
 func TestWarmCachedEngineAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -83,6 +85,9 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 		eng, err := New(tree, Config{CachePages: 2 * tree.Store().Len(), DataDir: dataDir})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if eng.views != nil {
+			t.Errorf("file=%v: an engine whose cache holds the tree built a view pool", dataDir != "")
 		}
 		for _, alg := range []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}} {
 			run := func() {
@@ -97,6 +102,9 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 				t.Errorf("file=%v %s: %.1f allocations per warm cached query, budget %d",
 					dataDir != "", alg.Name(), got, budget)
 			}
+		}
+		if vs := eng.Snapshot().Views; vs != (rtree.ViewStats{}) {
+			t.Errorf("file=%v: frame counts %+v on an engine that recycles nothing", dataDir != "", vs)
 		}
 		eng.Close()
 	}

@@ -274,7 +274,7 @@ func TestCancelledQueryNeverDecodes(t *testing.T) {
 func TestSnapshotSub(t *testing.T) {
 	tree, pts := buildTree(t, 2000, 4, false, 0)
 	queries := dataset.SampleQueries(pts, 12, 31)
-	eng, err := New(tree, Config{})
+	eng, err := New(tree, Config{CachePages: 8}) // evicts: decoded pages live in frames
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,6 +308,11 @@ func TestSnapshotSub(t *testing.T) {
 	}
 	if d.BalanceRatio < 1 {
 		t.Errorf("interval balance ratio = %g, want >= 1", d.BalanceRatio)
+	}
+	// Every decode drew its view from the pool: a frame made or one
+	// handed out again.
+	if d.Views.Made+d.Views.Reused != d.Stats.Decodes || d.Views.Reused == 0 || d.Views.Idle != s2.Views.Idle {
+		t.Errorf("interval views %+v (at the end %+v) for %d decodes", d.Views, s2.Views, d.Stats.Decodes)
 	}
 	if s2.Stats.Queries != 12 || s1.Stats.Queries != 4 {
 		t.Errorf("cumulative snapshots: %d after wave 1, %d after wave 2",

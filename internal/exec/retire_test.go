@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/fault"
@@ -22,8 +27,8 @@ import (
 )
 
 // newPoisoned builds an engine that recycles views and scribbles over
-// every view at the moment it declares it unreachable: a reader the
-// generation rule missed computes with NaN coordinates and -1
+// every view at the moment it declares it unreachable: a reader whose
+// hold the engine failed to count computes with NaN coordinates and -1
 // references at once, whether or not the memory has been refilled yet.
 func newPoisoned(t testing.TB, tree *parallel.Tree, cfg Config) *Engine {
 	t.Helper()
@@ -140,7 +145,7 @@ func TestRecycledViewsMatchDriver(t *testing.T) {
 					}(c)
 				}
 				wg.Wait()
-				if eng.views.Reused() == 0 {
+				if eng.ViewStats().Reused == 0 {
 					t.Errorf("%s: no view was ever recycled: the test exercised nothing", label)
 				}
 				if cs, s := eng.CacheStats(), eng.Stats(); cs.Hits+cs.Misses != s.PagesFetched {
@@ -204,7 +209,7 @@ func TestRecycledViewsUnderFaults(t *testing.T) {
 	if snap.Faults.Retries == 0 || snap.Faults.Hedges == 0 || snap.Faults.IntegrityFailures == 0 {
 		t.Errorf("fault paths not all exercised: %+v", snap.Faults)
 	}
-	if eng.views.Reused() == 0 {
+	if eng.ViewStats().Reused == 0 {
 		t.Error("no view was ever recycled")
 	}
 }
@@ -303,58 +308,81 @@ func gatePage(t testing.TB, eng *Engine, page rtree.PageID) *gate {
 	return g
 }
 
-// pagesOf returns the pages a CRSS query requests, in request order.
-func pagesOf(tree *parallel.Tree, q geom.Point, k int) []rtree.PageID {
-	var pages []rtree.PageID
+// stagesOf returns the pages a CRSS query requests, stage by stage, in
+// request order.
+func stagesOf(tree *parallel.Tree, q geom.Point, k int) [][]rtree.PageID {
+	var stages [][]rtree.PageID
 	ex := query.CRSS{}.NewExecution(tree, q, k, query.Options{})
 	defer ex.Release()
 	query.RunWith(ex, "CRSS", func(reqs []query.PageRequest) ([]*rtree.FlatNode, error) {
 		nodes := make([]*rtree.FlatNode, len(reqs))
+		pages := make([]rtree.PageID, len(reqs))
 		for i, r := range reqs {
-			pages = append(pages, r.Page)
+			pages[i] = r.Page
 			nodes[i] = tree.Store().Get(r.Page).Flat()
 		}
+		stages = append(stages, pages)
 		return nodes, nil
 	})
-	return pages
+	return stages
 }
 
-// TestStalledQueryHoldsItsGeneration: a query stalls inside a stage —
-// holding views it was served from the cache — while other clients
-// churn the cache many times over. Generations may move once past the
-// stalled query's and no further: nothing is handed out again, the
-// limbo lists stop growing at their cap (the rest goes to the
-// collector), and the stalled query still computes the driver's answer
-// from its poisoned-if-recycled views. Once it returns, generations
-// move and the pool refills.
-func TestStalledQueryHoldsItsGeneration(t *testing.T) {
+// unrecycled is the number of views the cache has evicted that have not
+// come back to the pool: every view the pool was given is idle in it or
+// was handed out again, so that is evictions − (reused + idle). With no
+// query running it counts the evicted views somebody forgot to release.
+func unrecycled(eng *Engine) int {
+	vs := eng.ViewStats()
+	return int(eng.CacheStats().Evictions) - int(vs.Reused) - vs.Idle
+}
+
+// TestStalledStageHoldsOnlyItsViews: a query stalls inside a stage —
+// its slots holding the views of the stage's other pages — while other
+// clients churn the cache many times over. Every view evicted meanwhile
+// goes back to the pool except exactly those the stalled stage holds,
+// and the stalled query still computes the driver's answer from its
+// poisoned-if-recycled views. Once it returns, its views come back too.
+func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	const k = 10
 	tree, pts := buildTree(t, 4000, 4, false, 0)
 	queries := dataset.SampleQueries(pts, 40, 41)
-	stalled := queries[0]
-	sp := pagesOf(tree, stalled, k)
-	victim := sp[len(sp)-1] // a leaf of the query's last stage
+	// The stalled query is the one with the widest stage; the victim is
+	// that stage's last page.
+	var stalled geom.Point
+	var stage []rtree.PageID
+	for _, q := range queries {
+		for _, s := range stagesOf(tree, q, k) {
+			if len(s) > len(stage) {
+				stalled, stage = q, s
+			}
+		}
+	}
+	if len(stage) < 3 {
+		t.Fatalf("the widest stage has %d requests: nothing to hold", len(stage))
+	}
+	victim, held := stage[len(stage)-1], len(stage)-1
 	// Churn with queries that never ask for the stalled page: they would
 	// wait for its fetch in the cache's own singleflight.
 	var churn []geom.Point
-	for _, q := range queries[1:] {
+	for _, q := range queries {
 		touches := false
-		for _, p := range pagesOf(tree, q, k) {
-			touches = touches || p == victim
+		for _, s := range stagesOf(tree, q, k) {
+			touches = touches || slices.Contains(s, victim)
 		}
 		if !touches {
 			churn = append(churn, q)
 		}
 	}
 	if len(churn) < 10 {
-		t.Fatalf("only %d of %d queries avoid page %d", len(churn), len(queries)-1, victim)
+		t.Fatalf("only %d of %d queries avoid page %d", len(churn), len(queries), victim)
 	}
 	want := driverAnswers(tree, append([]geom.Point{stalled}, churn...), k)[2] // CRSS
 
 	eng := newPoisoned(t, tree, Config{CachePages: 16, CacheShards: 2, WorkersPerDisk: 2})
 	defer eng.Close()
 	g := gatePage(t, eng, victim)
-	runChurn := func(clients, rounds int) {
+	const clients = 3
+	runChurn := func(rounds int) {
 		var wg sync.WaitGroup
 		for c := 0; c < clients; c++ {
 			wg.Add(1)
@@ -375,24 +403,21 @@ func TestStalledQueryHoldsItsGeneration(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	state := func() (gen uint64, limbo [2]int) {
-		eng.mu.Lock()
-		defer eng.mu.Unlock()
-		return eng.gen, [2]int{len(eng.limbo[0]), len(eng.limbo[1])}
-	}
 
-	runChurn(3, 2) // warm: generations turn over, the pool is in use
-	if eng.views.Reused() == 0 {
+	runChurn(2) // warm: the frames are made
+	if eng.ViewStats().Reused == 0 {
 		t.Fatal("warm-up recycled nothing")
 	}
+	if n := unrecycled(eng); n != 0 {
+		t.Fatalf("%d evicted views missing from the pool with no query running", n)
+	}
 	// Fill the cache with the stalled query's own pages, then drop the
-	// victim: the re-run hits on the victim's stage-mates and stalls on
-	// the victim with those views in its slots.
+	// victim: the re-run stalls on the victim with the views of the
+	// victim's stage-mates in its slots.
 	if _, _, err := eng.KNN(context.Background(), query.CRSS{}, stalled, k, query.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	eng.cache.Remove(victim)
-	genBefore, _ := state()
 	g.armed.Store(true)
 	type answer struct {
 		res []query.Neighbor
@@ -409,19 +434,11 @@ func TestStalledQueryHoldsItsGeneration(t *testing.T) {
 		t.Fatal("the stalled query never reached its gated page")
 	}
 
-	runChurn(3, 3) // drains the pool and everything parked before the stall
-	gen1, _ := state()
-	reused1 := eng.views.Reused()
-	runChurn(3, 3)
-	gen2, limbo2 := state()
-	if gen1 > genBefore+1 || gen2 != gen1 {
-		t.Errorf("generations moved %d -> %d -> %d beside a query pinned at %d", genBefore, gen1, gen2, genBefore)
-	}
-	if got := eng.views.Reused(); got != reused1 || eng.views.Len() != 0 {
-		t.Errorf("views handed out again while the generation was held: reused %d -> %d, %d idle", reused1, got, eng.views.Len())
-	}
-	if limbo2[gen2&1] != eng.limboCap || limbo2[0] > eng.limboCap || limbo2[1] > eng.limboCap {
-		t.Errorf("limbo lists %v under a held generation, cap %d", limbo2, eng.limboCap)
+	for round := 0; round < 2; round++ {
+		runChurn(3) // the first evicts everything the stalled stage holds
+		if n := unrecycled(eng); n != held {
+			t.Errorf("%d evicted views are out of the pool beside a stage stalled with %d in its slots", n, held)
+		}
 	}
 
 	close(g.release)
@@ -430,33 +447,29 @@ func TestStalledQueryHoldsItsGeneration(t *testing.T) {
 		t.Fatal(a.err)
 	}
 	sameNeighbors(t, "stalled query", want[0].res, a.res)
-	runChurn(3, 2)
-	if gen3, _ := state(); gen3 <= gen2 {
-		t.Errorf("generation still %d after the stalled query returned", gen3)
-	}
-	if got := eng.views.Reused(); got <= reused1 {
-		t.Errorf("the pool did not refill after the stalled query returned: reused %d", got)
+	if n := unrecycled(eng); n != 0 {
+		t.Errorf("%d evicted views still out of the pool after the stalled query returned", n)
 	}
 }
 
-// TestPinRacesAdvance: queries beginning and ending as fast as they can
-// against a retirer that evicts as fast as it can. Every query takes
-// the currently cached view after it has begun — as a cache hit does —
-// and reads it until it ends; the retirer poisons what it recycles, so
-// a view recycled under a query pinned at or before its eviction
-// generation shows as a changed id (and, under -race, as a race).
-func TestPinRacesAdvance(t *testing.T) {
+// TestHoldRacesEvict: readers taking the cached view as a cache hit
+// does — a hold under the shard lock — and reading it until they drop
+// the hold, against a fetcher that admits a new view and evicts the old
+// as fast as it can. Whoever brings a view to "evicted, no holds"
+// recycles it, poisoned, so a view recycled under a reader shows as a
+// changed id (and, under -race, as a race); a view recycled twice
+// panics in the pool. The frames stay as few as the cache, the fetch in
+// flight and the readers can have out at once.
+func TestHoldRacesEvict(t *testing.T) {
 	const clients = 8
 	iters := 100000
 	if testing.Short() || raceEnabled {
 		iters = 20000
 	}
-	e := &Engine{
-		drained:  make(chan struct{}, 2),
-		views:    rtree.NewViewPool(64),
-		limboCap: 64,
-		poison:   true,
-	}
+	e := &Engine{views: rtree.NewViewPool(clients + 2), poison: true}
+	e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](1, 1, func(rtree.PageID) uint64 { return 0 })
+	e.cache.OnHandOut((*rtree.FlatNode).Hold)
+	e.cache.OnEvict(e.retire)
 	newView := func(id rtree.PageID) *rtree.FlatNode {
 		f, refs := rtree.NewPageView(e.views, id, 0, 2, 4, false)
 		for i := range refs {
@@ -466,72 +479,83 @@ func TestPinRacesAdvance(t *testing.T) {
 		}
 		return f
 	}
-	var cached atomic.Pointer[rtree.FlatNode]
-	cached.Store(newView(1))
+	// read checks a held view and drops the hold the way a stage does.
+	read := func(sc *stageScratch, v *rtree.FlatNode, id rtree.PageID) bool {
+		ok := true
+		for r := 0; r < 4 && ok; r++ {
+			if v.ID != id || v.Object(r) != rtree.ObjectID(id) || v.Rects.Lo[1][r] != float64(id) {
+				t.Errorf("view of page %d changed under a hold: id %d object %d lo %g", id, v.ID, v.Object(r), v.Rects.Lo[1][r])
+				ok = false
+			}
+		}
+		sc.reset(1)[0].node = v
+		e.releaseStage(sc)
+		sc.unpin()
+		return ok
+	}
+	var current atomic.Int64 // the page that is cached, give or take an eviction
 	stop := make(chan struct{})
-	var retirer sync.WaitGroup
-	retirer.Add(1)
+	var fetcher sync.WaitGroup
+	fetcher.Add(1)
 	go func() {
-		defer retirer.Done()
-		for id := rtree.PageID(2); ; id++ {
+		defer fetcher.Done()
+		sc := newStageScratch()
+		for id := rtree.PageID(1); ; id++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if id < 0 {
-				id = 2
+			v, _, _ := e.cache.GetOrFetchHit(id, func() (*rtree.FlatNode, error) { return newView(id), nil })
+			current.Store(int64(id))
+			if !read(sc, v, id) {
+				return
 			}
-			e.retire(cached.Swap(newView(id)))
 		}
 	}()
 	var wg sync.WaitGroup
+	var hits atomic.Int64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := newStageScratch()
 			for i := 0; i < iters; i++ {
-				pin, err := e.begin()
-				if err != nil {
-					t.Error(err)
+				id := rtree.PageID(current.Load())
+				v, ok := e.cache.Probe(id)
+				if !ok {
+					continue // evicted since: a miss takes no hold
+				}
+				hits.Add(1)
+				if !read(sc, v, id) {
 					return
 				}
-				v := cached.Load()
-				id := v.ID
-				for r := 0; r < 4; r++ {
-					if v.ID != id || v.Object(r) != rtree.ObjectID(id) || v.Rects.Lo[1][r] != float64(id) {
-						t.Errorf("view of page %d changed under a pinned query: id %d object %d lo %g",
-							id, v.ID, v.Object(r), v.Rects.Lo[1][r])
-						e.end(pin)
-						return
-					}
-				}
-				e.end(pin)
 			}
 		}()
 	}
 	wg.Wait()
 	close(stop)
-	retirer.Wait()
-	if e.views.Reused() == 0 {
-		t.Error("the retirer never recycled a view")
+	fetcher.Wait()
+	if hits.Load() == 0 {
+		t.Error("no reader ever hit the cached view")
 	}
-	e.mu.Lock()
-	e.isClosed = true
-	e.mu.Unlock()
-	e.drain() // both pin counts are back at zero: returns at once
+	vs := e.ViewStats()
+	if vs.Reused == 0 {
+		t.Error("no view was ever recycled")
+	}
+	if vs.Made > clients+2 {
+		t.Errorf("%d views made for a 1-page cache, one fetch in flight and %d readers", vs.Made, clients)
+	}
+	if n := unrecycled(e); n != 0 {
+		t.Errorf("%d evicted views missing from the pool at rest", n)
+	}
 }
 
-// TestMissPathAllocBudget: on a file-backed engine whose cache holds a
-// twentieth of the pages of an 8-d tree (a query reads a hundred pages
-// and more), a steady-state query allocates at most one object per page
-// it misses. It allocates far less — the result's rectangles and the
-// four objects every query hands its caller; what is pinned here is
-// that views, flight records and stage state are all reused.
-func TestMissPathAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries under the race detector")
-	}
+// missPathTree is the 8-d tree of the miss-path tests: with a cache of a
+// twentieth of its pages a query reads a hundred pages and more and
+// misses on most of them.
+func missPathTree(t testing.TB) (*parallel.Tree, []geom.Point) {
+	t.Helper()
 	pts := dataset.Gaussian(6000, 8, 1998)
 	tree, err := parallel.New(parallel.Config{
 		Dim: 8, NumDisks: 5, Cylinders: 1449, Policy: decluster.ProximityIndex{}, Seed: 1,
@@ -542,36 +566,247 @@ func TestMissPathAllocBudget(t *testing.T) {
 	if err := tree.BuildPoints(pts); err != nil {
 		t.Fatal(err)
 	}
-	queries := dataset.SampleQueries(pts, 32, 3)
+	return tree, dataset.SampleQueries(pts, 32, 3)
+}
+
+// mallocsPerQuery runs every query rounds times on each of clients
+// goroutines and returns the heap allocations per query of the whole
+// process meanwhile, goroutine start-up included.
+func mallocsPerQuery(t testing.TB, eng *Engine, queries []geom.Point, clients, rounds int) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(queries); i++ {
+				if _, _, err := eng.KNN(context.Background(), query.CRSS{}, queries[(i+5*c)%len(queries)], 10, query.Options{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(clients*rounds*len(queries))
+}
+
+// TestMissPathAllocBudget: on a file-backed engine whose cache holds a
+// twentieth of the pages, a steady-state query allocates a constant —
+// the four objects every query hands its caller, the result's
+// rectangles, and a margin for a pool the collector emptied — however
+// many pages it misses and however many clients run beside it. Views,
+// flight records, waiter lists, stage state and rectangle slots are all
+// reused, so what a query allocates is code, not timing: a second
+// measurement over the same query list agrees with the first within 1 %.
+func TestMissPathAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries under the race detector")
+	}
+	const budget = 8
+	tree, queries := missPathTree(t)
+	// No collection while measuring: each one empties the sync.Pools and
+	// the runtime's own caches, and what their refill allocates is not
+	// the engine's.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, coalesce := range []bool{false, true} {
+		for _, clients := range []int{1, 2, 8} {
+			label := fmt.Sprintf("coalesce=%v clients=%d", coalesce, clients)
+			eng, err := New(tree, Config{DataDir: t.TempDir(), CachePages: tree.Store().Len() / 20, CoalesceFetches: coalesce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm with more clients than are measured: frames, spare lists,
+			// and more scratch in the sync.Pools than the measured clients
+			// can have out — a pool that misses because a goroutine changed
+			// processors is the pool's timing, not the engine's.
+			mallocsPerQuery(t, eng, queries, clients+6, 2)
+			rounds := 16 / clients // five hundred queries a measurement
+			before := eng.Snapshot()
+			first := mallocsPerQuery(t, eng, queries, clients, rounds)
+			second := mallocsPerQuery(t, eng, queries, clients, rounds)
+			d := eng.Snapshot().Sub(before)
+			n := float64(d.Stats.Queries)
+			if decodes, pages := float64(d.Stats.Decodes)/n, float64(d.Stats.PagesFetched)/n; decodes < pages/2 {
+				t.Fatalf("%s: %.1f decodes for %.1f pages per query: not a miss-path workload", label, decodes, pages)
+			}
+			if first > budget || second > budget {
+				t.Errorf("%s: %.2f and %.2f allocations per query, budget %d", label, first, second, budget)
+			}
+			if diff := math.Abs(first - second); diff > 0.01*min(first, second) {
+				t.Errorf("%s: two measurements of the same query list read %.3f and %.3f allocations per query", label, first, second)
+			}
+			if made := float64(d.Views.Made) / n; made > 0.01 {
+				t.Errorf("%s: %.3f views made per query after warm-up", label, made)
+			}
+			t.Logf("%s: %.2f / %.2f allocations, %.1f decodes per query, views %+v", label, first, second, float64(d.Stats.Decodes)/n, d.Views)
+			eng.Close()
+		}
+	}
+}
+
+// TestFramesAreBounded: while clients run, the views idle in the pool
+// and the views resident in the cache never number more than the cache
+// holds, plus the reads that can be in flight, plus what the running
+// stages can hold — and neither do the views ever made, since the pool
+// makes one only when every other is out.
+func TestFramesAreBounded(t *testing.T) {
+	const clients = 4
+	tree, queries := missPathTree(t)
+	widest := 0
+	for _, q := range queries {
+		for _, s := range stagesOf(tree, q, 10) {
+			widest = max(widest, len(s))
+		}
+	}
 	for _, coalesce := range []bool{false, true} {
 		eng, err := New(tree, Config{DataDir: t.TempDir(), CachePages: tree.Store().Len() / 20, CoalesceFetches: coalesce})
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := 0
-		run := func() {
-			if _, _, err := eng.KNN(context.Background(), query.CRSS{}, queries[next%len(queries)], 10, query.Options{}); err != nil {
-				t.Fatal(err)
+		bound := eng.cache.Capacity() + eng.cfg.MaxInFlight + clients*widest
+		stop := make(chan struct{})
+		var sampler sync.WaitGroup
+		sampler.Add(1)
+		go func() {
+			defer sampler.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := eng.ViewStats().Idle + eng.cache.Len(); n > bound {
+					t.Errorf("coalesce=%v: %d views idle or resident, bound %d", coalesce, n, bound)
+					return
+				}
+				runtime.Gosched()
 			}
-			next++
+		}()
+		rounds := 6
+		if testing.Short() {
+			rounds = 2
 		}
-		for i := 0; i < 8*len(queries); i++ {
-			run()
+		mallocsPerQuery(t, eng, queries, clients, rounds)
+		close(stop)
+		sampler.Wait()
+		vs := eng.ViewStats()
+		if int(vs.Made) > bound {
+			t.Errorf("coalesce=%v: %d views made, bound %d (cache %d + in flight %d + %d stages of %d)",
+				coalesce, vs.Made, bound, eng.cache.Capacity(), eng.cfg.MaxInFlight, clients, widest)
 		}
-		const runs = 256
-		before := eng.Stats()
-		allocs := testing.AllocsPerRun(runs, run)
-		d := eng.Stats().Sub(before)
-		pages, decodes := float64(d.PagesFetched)/(runs+1), float64(d.Decodes)/(runs+1)
-		if decodes < pages/2 {
-			t.Fatalf("coalesce=%v: %.1f decodes for %.1f pages per query: not a miss-path workload", coalesce, decodes, pages)
+		if n := unrecycled(eng); n != 0 {
+			t.Errorf("coalesce=%v: %d evicted views missing from the pool at rest", coalesce, n)
 		}
-		if allocs > decodes {
-			t.Errorf("coalesce=%v: %.1f allocations per query for %.1f page misses", coalesce, allocs, decodes)
-		}
-		t.Logf("coalesce=%v: %.1f allocations, %.1f pages, %.1f decodes per query", coalesce, allocs, pages, decodes)
+		t.Logf("coalesce=%v: views %+v, bound %d", coalesce, vs, bound)
 		eng.Close()
 	}
+}
+
+// TestFailedStageLeavesNoHold: queries that fail in mid-stage — an
+// injected I/O error on one page, a context cancelled while the others
+// are in flight — drop the holds on the views their slots did get. Once
+// clean queries have churned the cache past everything the failed ones
+// touched, every evicted view is back in the pool; a hold left behind
+// would keep its view out for good.
+func TestFailedStageLeavesNoHold(t *testing.T) {
+	const k, disks = 10, 4
+	tree, pts := buildTree(t, 2500, disks, false, 0)
+	queries := dataset.SampleQueries(pts, 16, 43)
+	want := driverAnswers(tree, queries, k)
+	churn := func(t *testing.T, eng *Engine) {
+		for r := 0; r < 3; r++ {
+			for qi, q := range queries {
+				got, _, err := eng.KNN(context.Background(), query.CRSS{}, q, k, query.Options{})
+				if err != nil {
+					t.Fatalf("clean q%d: %v", qi, err)
+				}
+				sameNeighbors(t, fmt.Sprintf("clean q%d", qi), want[2][qi].res, got)
+			}
+		}
+		if n := unrecycled(eng); n != 0 {
+			t.Errorf("%d evicted views never came back to the pool", n)
+		}
+	}
+	t.Run("io error", func(t *testing.T) {
+		inj := fault.NewInjector(47)
+		for d := 0; d < disks; d++ {
+			inj.Set(d, fault.Faults{Transient: 0.05})
+		}
+		eng := newPoisoned(t, tree, Config{CachePages: 8, CoalesceFetches: true, Fault: inj, RetryLimit: -1, DegradeAfter: 1 << 30})
+		defer eng.Close()
+		var wg sync.WaitGroup
+		var failed atomic.Int64
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := range queries {
+					qi := (i + c*3) % len(queries)
+					got, _, err := eng.KNN(context.Background(), query.CRSS{}, queries[qi], k, query.Options{})
+					var dataErr *fault.ErrDataUnavailable
+					if errors.As(err, &dataErr) {
+						failed.Add(1)
+						continue
+					}
+					if err != nil {
+						t.Errorf("q%d: %v", qi, err)
+						return
+					}
+					sameNeighbors(t, fmt.Sprintf("q%d", qi), want[2][qi].res, got)
+				}
+			}(c)
+		}
+		wg.Wait()
+		if failed.Load() == 0 {
+			t.Fatal("no query failed on an injected I/O error")
+		}
+		for d := 0; d < disks; d++ {
+			inj.Set(d, fault.Faults{})
+		}
+		churn(t, eng)
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		inj := fault.NewInjector(3)
+		for d := 0; d < disks; d++ {
+			inj.Set(d, fault.Faults{SpikeProb: 0.1, SpikeDelay: 300 * time.Microsecond})
+		}
+		eng := newPoisoned(t, tree, Config{DataDir: t.TempDir(), CachePages: 8, CoalesceFetches: true, Fault: inj})
+		defer eng.Close()
+		var wg sync.WaitGroup
+		var cancelled atomic.Int64
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for r := 0; r < 3; r++ {
+					for i := range queries {
+						qi := (i + c*3) % len(queries)
+						ctx, cancel := context.WithTimeout(context.Background(), time.Duration(50+37*((i+r)%9))*time.Microsecond)
+						got, _, err := eng.KNN(ctx, query.CRSS{}, queries[qi], k, query.Options{})
+						cancel()
+						if err != nil {
+							if !isCancellation(err) {
+								t.Errorf("q%d: %v", qi, err)
+								return
+							}
+							cancelled.Add(1)
+							continue
+						}
+						sameNeighbors(t, fmt.Sprintf("q%d", qi), want[2][qi].res, got)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		if cancelled.Load() == 0 {
+			t.Fatal("no query was cancelled in flight")
+		}
+		churn(t, eng)
+	})
 }
 
 // semWaitObserver keeps the SemWait events of a stage.

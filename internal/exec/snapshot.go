@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bufferpool"
 	"repro/internal/obs"
+	"repro/internal/rtree"
 )
 
 // Snapshot is a diffable point-in-time view of the engine: cumulative
@@ -16,6 +17,9 @@ import (
 type Snapshot struct {
 	Stats Stats
 	Cache bufferpool.Stats
+	// Views counts the frames decoded pages live in (retire.go): all zero
+	// unless the cache is smaller than the page set.
+	Views rtree.ViewStats
 	Disks []obs.DiskSnapshot
 	// BalanceRatio is the busiest disk's served pages over the
 	// per-disk mean — 1.0 is the perfectly declustered load the
@@ -47,6 +51,7 @@ func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
 		Stats:        e.Stats(),
 		Cache:        e.CacheStats(),
+		Views:        e.ViewStats(),
 		Disks:        make([]obs.DiskSnapshot, len(e.gauges)),
 		Faults:       e.faults.Snapshot(),
 		Degraded:     e.ReplicaHealth(),
@@ -73,6 +78,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	out := Snapshot{
 		Stats:        s.Stats.Sub(prev.Stats),
 		Cache:        subCacheStats(s.Cache, prev.Cache),
+		Views:        s.Views.Sub(prev.Views),
 		Disks:        make([]obs.DiskSnapshot, len(s.Disks)),
 		Faults:       s.Faults.Sub(prev.Faults),
 		Degraded:     s.Degraded, // instantaneous: keep the later view

@@ -341,7 +341,7 @@ func TestPooledDecodeMatchesPlain(t *testing.T) {
 				held = append(held[:i], held[i+1:]...)
 			}
 		}
-		if pooled.Views.Reused() == 0 {
+		if pooled.Views.Stats().Reused == 0 {
 			t.Fatalf("spheres=%v: the pool never handed a view out again", spheres)
 		}
 		dir := randomNode(rnd, plain.Dim, 3, false)

@@ -46,7 +46,7 @@ type bbssExec struct {
 }
 
 func (e *bbssExec) Results() []Neighbor {
-	return e.best.results()
+	return e.results(&e.best)
 }
 
 // pruneDistSq is the current rule-3 pruning radius: the k-th best actual
@@ -70,11 +70,7 @@ func (e *bbssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	for ni, n := range delivered {
 		if n.IsLeaf() {
 			scanned += n.Len()
-			for i, d := range e.leafDmin(n) {
-				if d <= e.best.kthDistSq() {
-					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-				}
-			}
+			e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
 		} else {
 			cands := e.sc.makeCandidates(e.q, delivered[ni:ni+1])
 			scanned += len(cands)

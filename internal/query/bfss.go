@@ -1,6 +1,8 @@
 package query
 
 import (
+	"math"
+
 	"repro/internal/geom"
 	"repro/internal/parallel"
 	"repro/internal/rtree"
@@ -51,7 +53,7 @@ type bfssExec struct {
 }
 
 func (e *bfssExec) Results() []Neighbor {
-	return e.best.results()
+	return e.results(&e.best)
 }
 
 func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -64,11 +66,7 @@ func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	for _, n := range delivered {
 		scanned += n.Len()
 		if n.IsLeaf() {
-			for i, d := range e.entrySphereRectMin(n) {
-				if d <= e.best.kthDistSq() {
-					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-				}
-			}
+			e.offerLeaf(&e.best, n, e.entrySphereRectMin(n), math.Inf(1))
 		} else {
 			for i, d := range e.entrySphereRectMin(n) {
 				if d <= e.best.kthDistSq() {

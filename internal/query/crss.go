@@ -64,7 +64,7 @@ type crssExec struct {
 }
 
 func (e *crssExec) Results() []Neighbor {
-	return e.best.results()
+	return e.results(&e.best)
 }
 
 func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -84,11 +84,7 @@ func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
 			e.reachedLeaves = true
 			for _, n := range delivered {
 				scanned += n.Len()
-				for i, d := range e.leafDmin(n) {
-					if d <= e.best.kthDistSq() {
-						e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-					}
-				}
+				e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
 			}
 			if kth := e.best.kthDistSq(); kth < e.dthSq {
 				e.dthSq = kth

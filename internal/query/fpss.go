@@ -33,7 +33,7 @@ type fpssExec struct {
 }
 
 func (e *fpssExec) Results() []Neighbor {
-	return e.best.results()
+	return e.results(&e.best)
 }
 
 func (e *fpssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -49,11 +49,7 @@ func (e *fpssExec) Step(delivered []*rtree.FlatNode) StepResult {
 		// list exact.
 		for _, n := range delivered {
 			scanned += n.Len()
-			for i, d := range e.leafDmin(n) {
-				if d <= e.best.kthDistSq() {
-					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-				}
-			}
+			e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
 		}
 		e.done = true
 		return e.finishStep(nil, scanned, 0)

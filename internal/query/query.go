@@ -221,6 +221,7 @@ func (b *base) Release() {
 	if b.sc == nil {
 		return
 	}
+	b.sc.rects.detach()
 	b.sc.reset()
 	scratchPool.Put(b.sc)
 	b.sc = nil
@@ -371,6 +372,56 @@ func (bl *bestList) offer(n Neighbor) {
 	if len(bl.items) > bl.k {
 		bl.items = bl.items[:bl.k]
 	}
+}
+
+// dropped returns the neighbour the last offer pushed off the list, for
+// an offer made to a full list: it stays in the array's spare element
+// until the next offer overwrites it.
+func (bl *bestList) dropped() *Neighbor { return &bl.items[:bl.k+1][bl.k] }
+
+// offerLeaf offers the entries of leaf page n to the execution's best
+// list — dists[i] is entry i's squared distance from the query, and an
+// entry is offered when that is within limit and within the list's k-th
+// distance as it stands: the one way an entry becomes a neighbour. A
+// page nobody recycles lends its neighbours their rectangles, in the
+// loop every execution used to run itself; a pooled one is refilled once
+// the next stage begins, so the rectangle of an accepted offer is copied
+// into a slot of the scratch (rectSlots).
+func (b *base) offerLeaf(bl *bestList, n *rtree.FlatNode, dists []float64, limit float64) {
+	rs := &b.sc.rects
+	if rs.list == nil {
+		if !n.Pooled() {
+			for i, d := range dists {
+				if d <= limit && d <= bl.kthDistSq() {
+					bl.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
+				}
+			}
+			return
+		}
+		rs.adopt(bl, 2*len(b.q))
+	}
+	dim := len(b.q)
+	for i, d := range dists {
+		if d <= limit && d <= bl.kthDistSq() {
+			c := rs.slot()
+			n.CopyRect(i, c)
+			full := len(bl.items) == bl.k
+			bl.offer(Neighbor{Object: n.Object(i), Rect: geom.Rect{Lo: c[:dim], Hi: c[dim:]}, DistSq: d})
+			if full {
+				rs.spare = bl.dropped().Rect.Lo[:rs.width]
+			}
+		}
+	}
+}
+
+// results is every best-list execution's Results: the list in the
+// canonical result order, as memory the caller owns (the rectangles
+// read-only, like the pages' they may alias).
+func (b *base) results(bl *bestList) []Neighbor {
+	if b.sc != nil {
+		b.sc.rects.detach()
+	}
+	return bl.results()
 }
 
 // kthDistSq returns the current k-th best squared distance, or +Inf when

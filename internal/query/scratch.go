@@ -10,8 +10,9 @@ import (
 // fills and the traversal state that outlives a stage. newBase takes
 // one from scratchPool and base.Release hands it back, so a warm query
 // allocates only what its caller keeps (the execution with its Stats,
-// and the results). Two executions never share a scratch. Nothing in it
-// points into the tree, so a pooled scratch keeps no index alive.
+// and the results). Two executions never share a scratch. Nothing in a
+// released scratch points into the tree or at an execution, so a pooled
+// scratch keeps neither alive.
 type scratch struct {
 	cands   []candidate // the stage's candidate array (makeCandidates)
 	kern    candScratch // batch-kernel output views of one makeCandidates pass
@@ -34,9 +35,79 @@ type scratch struct {
 
 	reqs []PageRequest // backing of StepResult.Requests
 
+	rects rectSlots // the best list's rectangles, when they were read from pooled views
+
 	// Shared-cache admission lists, see base.admitDelivered.
 	pendingAdmit   []rtree.PageID
 	stageRequested []rtree.PageID
+}
+
+// rectSlots is where an execution keeps the rectangles of its best list
+// when they cannot stay where they were read: a pooled page view
+// (rtree.FlatNode.Pooled) is refilled once the stage that was handed it
+// is over, so the rectangle of an accepted neighbour is copied out — not
+// into memory of its own, which would be one allocation per offer, but
+// into one of cap(list.items) slots cut from a slab that is pooled with
+// the scratch. The list holds at most one neighbour fewer than that, and
+// the slot of a neighbour that falls off the list is the next offer's.
+// The bookkeeping is here and not in bestList or the execution so that
+// a query over views nobody recycles — whose rectangles alias the pages,
+// as ever — pays nothing for it, not even a size class.
+type rectSlots struct {
+	list  *bestList // the list whose rectangles are slots; nil while none is
+	width int       // coordinates per slot: 2·dim
+	slab  []float64
+	cut   int       // slots cut from slab so far
+	spare []float64 // the slot of the neighbour that fell off the list last
+}
+
+// adopt moves bl's rectangles into slots of width coordinates each.
+// From here on every rectangle of the list is a slot, whatever view it
+// is read from, so the one that falls off is always a slot to reuse.
+func (rs *rectSlots) adopt(bl *bestList, width int) {
+	rs.list, rs.width, rs.cut, rs.spare = bl, width, 0, nil
+	if need := cap(bl.items) * width; cap(rs.slab) < need {
+		rs.slab = make([]float64, need)
+	}
+	for i := range bl.items {
+		r := &bl.items[i].Rect
+		c := rs.slot()
+		copy(c, r.Lo)
+		copy(c[width/2:], r.Hi)
+		r.Lo, r.Hi = c[:width/2], c[width/2:]
+	}
+}
+
+// slot returns a free slot.
+func (rs *rectSlots) slot() []float64 {
+	if c := rs.spare; c != nil {
+		rs.spare = nil
+		return c
+	}
+	c := rs.slab[rs.cut*rs.width : (rs.cut+1)*rs.width : (rs.cut+1)*rs.width]
+	rs.cut++
+	return c
+}
+
+// detach gives the list memory of its own again: its rectangles are
+// copied out of the slots into one slab nobody else writes. Results
+// does this before it hands anything out, Release before the slots go
+// back to the pool.
+func (rs *rectSlots) detach() {
+	bl := rs.list
+	if bl == nil {
+		return
+	}
+	rs.list, rs.spare = nil, nil
+	w, dim := rs.width, rs.width/2
+	own := make([]float64, len(bl.items)*w)
+	for i := range bl.items {
+		r := &bl.items[i].Rect
+		c := own[i*w : (i+1)*w : (i+1)*w]
+		copy(c, r.Lo)
+		copy(c[dim:], r.Hi)
+		r.Lo, r.Hi = c[:dim:dim], c[dim:]
+	}
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

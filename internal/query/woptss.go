@@ -42,7 +42,7 @@ type woptssExec struct {
 }
 
 func (e *woptssExec) Results() []Neighbor {
-	return e.best.results()
+	return e.results(&e.best)
 }
 
 func (e *woptssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -60,11 +60,7 @@ func (e *woptssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
 		for _, n := range delivered {
 			scanned += n.Len()
-			for i, d := range e.leafDmin(n) {
-				if d <= e.dkSq {
-					e.best.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-				}
-			}
+			e.offerLeaf(&e.best, n, e.leafDmin(n), e.dkSq)
 		}
 		e.done = true
 		return e.finishStep(nil, scanned, 0)

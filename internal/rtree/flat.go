@@ -23,9 +23,11 @@ import (
 // view. A view nobody recycles is expected to stay (a cache that holds
 // the tree, a store's working set): its entry-major coordinates are
 // gathered from the slab once, on the first call, and published through
-// an atomic pointer. A view drawn from a ViewPool is expected to be
-// evicted a few stages later and its memory refilled, so nothing handed
-// out may alias it: Rect and Sphere copy the one entry asked for.
+// an atomic pointer. A view drawn from a ViewPool (Pooled) is a frame:
+// its memory is refilled once its owner has seen the last hold on it
+// dropped, so nothing that outlives the hold may alias it. Rect and
+// Sphere copy the one entry asked for into memory of their own; a
+// reader that has somewhere to keep the copy uses CopyRect.
 //
 // A FlatNode is immutable from the moment it is built until its owner,
 // if it has one, hands it back to the pool (see ViewPool).
@@ -196,12 +198,24 @@ func (f *FlatNode) Count(i int) int {
 
 // Rect returns entry i's MBR in entry-major form. The corners may be
 // shared memory — the live node's, or the page's gathered slab — and
-// must not be written; they never alias memory a ViewPool refills.
+// must not be written; they never alias memory a ViewPool refills (a
+// pooled view allocates the copy: see CopyRect for a reader that brings
+// the memory).
 func (f *FlatNode) Rect(i int) geom.Rect {
 	if f.entries != nil {
 		return f.entries[i].Rect
 	}
 	return f.gatheredRect(i)
+}
+
+// CopyRect copies entry i's MBR out of the columns into c — dim low
+// corners, then dim high corners: how a reader keeps a rectangle of a
+// pooled view past its hold on the view.
+func (f *FlatNode) CopyRect(i int, c []float64) {
+	dim := f.Rects.Dim()
+	for a := 0; a < dim; a++ {
+		c[a], c[dim+a] = f.Rects.Lo[a][i], f.Rects.Hi[a][i]
+	}
 }
 
 // Sphere returns entry i's bounding sphere (the invalid zero Sphere
@@ -219,9 +233,7 @@ func (f *FlatNode) gatheredRect(i int) geom.Rect {
 	dim := f.Rects.Dim()
 	if f.owner != nil {
 		c := make([]float64, 2*dim)
-		for a := 0; a < dim; a++ {
-			c[a], c[dim+a] = f.Rects.Lo[a][i], f.Rects.Hi[a][i]
-		}
+		f.CopyRect(i, c)
 		return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
 	}
 	c := f.entryMajor()[i*f.stride():]

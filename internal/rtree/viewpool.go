@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -10,83 +11,146 @@ import (
 // pageView is a decoded page's view together with the memory behind it:
 // what a ViewPool hands out and takes back in one piece. The view
 // points at its pageView (FlatNode.owner), so whoever holds the view
-// can return all of it.
+// can return all of it — and the owner's bookkeeping lives here, beside
+// the view, not in it.
 type pageView struct {
 	FlatNode
-	slab   []float64   // backs every SoA column
-	hdr    [][]float64 // the column headers
-	refs   []PageRef   // the identity column at full capacity
-	pooled bool        // in the pool's free list (guards against a double Put)
+	slab []float64   // backs every SoA column
+	hdr  [][]float64 // the column headers
+	refs []PageRef   // the identity column at full capacity
+	// state is the owner's count of the view's readers: the number of
+	// holds in the low half, viewEvicted once the owner's cache has let
+	// go of it (see FlatNode.Hold). Zeroed each time the pool hands the
+	// view out.
+	state  atomic.Int64
+	pooled bool // in the pool's free list (guards against a double Put)
 }
 
-// ViewPool recycles the memory of decoded page views — the FlatNode,
-// its axis-major slab, its column headers and its identity column — for
-// an owner that knows when a view has no reader left. The pool itself
-// knows nothing about readers: Put is a promise by the caller that the
-// view is unreachable, and the next NewPageView overwrites every byte
-// of it. An owner in doubt must not Put; a view that is never put back
-// is simply collected. Safe for concurrent use.
-type ViewPool struct {
-	mu      sync.Mutex
-	free    []*pageView // guarded by mu
-	limit   int
-	entries int    // guarded by mu: the fullest page seen; fresh columns are cut for it
-	reused  uint64 // guarded by mu
-}
+// viewEvicted is the bit of pageView.state above any hold count.
+const viewEvicted = 1 << 32
 
-// NewViewPool returns a pool that keeps at most limit idle views.
-func NewViewPool(limit int) *ViewPool { return &ViewPool{limit: limit} }
-
-// Len returns the number of idle views.
-func (p *ViewPool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// Reused returns how many views the pool has handed out again.
-func (p *ViewPool) Reused() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reused
-}
-
-// Put hands views nobody can reach any more back to the pool. Views the
-// pool did not hand out (live-node views, pool-less decodes) and views
-// beyond the pool's limit are left to the collector.
-func (p *ViewPool) Put(views ...*FlatNode) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range views {
-		v := f.owner
-		if v == nil {
-			continue
-		}
-		if v.pooled {
-			panic("rtree: page view returned to its pool twice")
-		}
-		if len(p.free) < p.limit {
-			v.pooled = true
-			p.free = append(p.free, v)
-		}
+// Hold takes n holds on a pooled view, one for each reader it is about
+// to be handed to. The owner calls it where the view cannot be evicted
+// in between — under the lock of the cache that holds it, or while it
+// has a hold of its own that is not yet given away. A view no pool owns
+// is not counted.
+func (f *FlatNode) Hold(n int) {
+	if v := f.owner; v != nil {
+		v.state.Add(int64(n))
 	}
 }
 
-// take pops an idle view, if there is one, and returns the entry count
-// to cut fresh columns for: the fullest page seen, so that a recycled
-// view soon fits every page.
+// Release drops one hold and Evict records that the owner's cache has
+// let go of the view (once per hand-out of the memory). Each reports
+// whether it brought the view to "evicted, no holds": nobody can reach
+// it any more, no later Release or Evict will report true, and the
+// caller — alone — may Put it back. A view that is never evicted, or
+// whose holds are never all dropped, is simply collected.
+func (f *FlatNode) Release() bool {
+	v := f.owner
+	if v == nil {
+		return false
+	}
+	s := v.state.Add(-1)
+	if int32(s) < 0 {
+		panic("rtree: page view released more often than held")
+	}
+	return s == viewEvicted
+}
+
+func (f *FlatNode) Evict() bool {
+	v := f.owner
+	return v != nil && v.state.Add(viewEvicted) == viewEvicted
+}
+
+// Pooled reports whether the view's memory belongs to a ViewPool and
+// may be refilled once its owner lets go of it: what a reader keeps of
+// such a view it must copy (CopyRect).
+func (f *FlatNode) Pooled() bool { return f.owner != nil }
+
+// ViewPool recycles the memory of decoded page views — the FlatNode,
+// its axis-major slab, its column headers and its identity column — for
+// an owner that knows when a view has no reader left (Hold, Release,
+// Evict). The pool itself knows nothing about readers: Put is a promise
+// by the caller that the view is unreachable, and the next NewPageView
+// overwrites every byte of it. An owner in doubt must not Put; a view
+// that is never put back is simply collected. The pool makes a view
+// only when none is idle and keeps every one it is given back, so the
+// views it has made number what its owner had out at once at most — a
+// fixed set of frames once the owner is warm. Safe for concurrent use.
+type ViewPool struct {
+	mu      sync.Mutex
+	free    []*pageView // guarded by mu
+	entries int         // guarded by mu: the fullest page seen; fresh columns are cut for it
+	made    uint64      // guarded by mu
+	reused  uint64      // guarded by mu
+}
+
+// ViewStats counts a pool's frames: how many views it has made, how
+// often it handed one out again instead, and how many are idle now.
+type ViewStats struct {
+	Made   uint64
+	Reused uint64
+	Idle   int
+}
+
+// Sub diffs two readings of one pool (s taken after prev): the counters
+// subtract, Idle keeps the later value.
+func (s ViewStats) Sub(prev ViewStats) ViewStats {
+	return ViewStats{Made: s.Made - prev.Made, Reused: s.Reused - prev.Reused, Idle: s.Idle}
+}
+
+// NewViewPool returns an empty pool whose idle list has room for the
+// frames views its owner expects to have out at once. No view is made
+// before the first NewPageView asks for one.
+func NewViewPool(frames int) *ViewPool {
+	return &ViewPool{free: make([]*pageView, 0, frames)}
+}
+
+// Stats returns the pool's counters; no pool (nil) has made nothing.
+func (p *ViewPool) Stats() ViewStats {
+	if p == nil {
+		return ViewStats{}
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return ViewStats{Made: p.made, Reused: p.reused, Idle: len(p.free)}
+}
+
+// Put hands a view nobody can reach any more back to the pool. A view
+// the pool did not hand out (a live-node view, a pool-less decode) is
+// left to the collector.
+func (p *ViewPool) Put(f *FlatNode) {
+	v := f.owner
+	if v == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if v.pooled {
+		panic("rtree: page view returned to its pool twice")
+	}
+	v.pooled = true
+	p.free = append(p.free, v)
+}
+
+// take pops an idle view, or makes one when none is idle, and returns
+// it with the entry count to cut fresh columns for: the fullest page
+// seen, so that a recycled view soon fits every page.
 func (p *ViewPool) take(m int) (*pageView, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.entries = max(p.entries, m)
 	n := len(p.free)
 	if n == 0 {
-		return nil, p.entries
+		p.made++
+		return new(pageView), p.entries
 	}
 	v := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	v.pooled = false
+	v.state.Store(0)
 	p.reused++
 	return v, p.entries
 }
@@ -96,9 +160,6 @@ func (p *ViewPool) take(m int) (*pageView, int) {
 // its memory is too small is replaced.
 func (p *ViewPool) newPageView(id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
 	v, room := p.take(m)
-	if v == nil {
-		v = new(pageView)
-	}
 	f := &v.FlatNode
 	f.ID, f.Level, f.owner = id, level, v
 	f.Rects, f.Spheres, f.refs = geom.RectSoA{}, nil, nil

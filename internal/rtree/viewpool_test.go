@@ -74,8 +74,8 @@ func TestViewPoolReusesMemory(t *testing.T) {
 		pool.Put(f)
 		prev = f
 	}
-	if got := pool.Reused(); got != uint64(len(shapes)-1) {
-		t.Errorf("Reused() = %d, want %d", got, len(shapes)-1)
+	if got, want := pool.Stats(), (ViewStats{Made: 1, Reused: uint64(len(shapes) - 1), Idle: 1}); got != want {
+		t.Errorf("Stats() = %+v, want %+v: one frame serves a reader that holds one view at a time", got, want)
 	}
 }
 
@@ -101,16 +101,18 @@ func TestPooledViewRectsDoNotAlias(t *testing.T) {
 	}
 }
 
-// Views no pool handed out are not the pool's to keep, a full pool
-// leaves the rest to the collector, and putting a view back twice — an
-// owner's bug that would hand one view to two decoders — panics.
+// Views no pool handed out are not the pool's to keep, every view it
+// did hand out is kept when it comes back — what the owner had out at
+// once is what the pool holds, however small the hint it was built with
+// — and putting a view back twice, an owner's bug that would hand one
+// view to two decoders, panics.
 func TestViewPoolPutRules(t *testing.T) {
 	pool := NewViewPool(1)
 	plain, _ := NewPageView(nil, 1, 0, 2, 3, false)
 	pool.Put(plain)
 	pool.Put(BuildFlat(&Node{ID: 2}))
-	if pool.Len() != 0 {
-		t.Fatalf("pool kept %d views it never handed out", pool.Len())
+	if st := pool.Stats(); st != (ViewStats{}) {
+		t.Fatalf("pool counts views it never handed out: %+v", st)
 	}
 	PoisonView(plain)
 	if plain.ID != 1 {
@@ -119,9 +121,9 @@ func TestViewPoolPutRules(t *testing.T) {
 	a, _ := NewPageView(pool, 3, 0, 2, 3, false)
 	b, _ := NewPageView(pool, 4, 0, 2, 3, false)
 	pool.Put(a)
-	pool.Put(b) // over the limit: dropped
-	if pool.Len() != 1 {
-		t.Fatalf("Len() = %d, want 1", pool.Len())
+	pool.Put(b)
+	if got, want := pool.Stats(), (ViewStats{Made: 2, Idle: 2}); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
 	}
 	defer func() {
 		if recover() == nil {
@@ -143,5 +145,78 @@ func TestViewPoolSteadyStateAllocatesNothing(t *testing.T) {
 		pool.Put(f)
 	}); allocs != 0 {
 		t.Errorf("NewPageView from a warm pool: %.2f allocations, want 0", allocs)
+	}
+}
+
+// The owner's count: whoever brings a view to "evicted, no holds" —
+// the eviction when nobody holds it, else the last release — is told
+// so, once; a view that is only ever one of the two is nobody's to put
+// back; and a release too many is the owner's bug.
+func TestViewHoldsAndEviction(t *testing.T) {
+	pool := NewViewPool(1)
+	newView := func() *FlatNode {
+		f, _ := NewPageView(pool, 1, 0, 2, 3, false)
+		return f
+	}
+	f := newView()
+	if !f.Pooled() {
+		t.Fatal("a view drawn from a pool does not say so")
+	}
+	f.Hold(3)
+	if f.Release() {
+		t.Error("a release with holds left reported the view free")
+	}
+	if f.Evict() {
+		t.Error("the eviction of a held view reported it free")
+	}
+	if f.Release() {
+		t.Error("a release with a hold left reported the view free")
+	}
+	if !f.Release() {
+		t.Error("the last release of an evicted view did not report it free")
+	}
+	pool.Put(f)
+
+	g := newView() // the same memory: the count starts over
+	if g != f {
+		t.Fatal("the view put back was not handed out again")
+	}
+	g.Hold(1)
+	if g.Release() {
+		t.Error("the last release of a view still cached reported it free")
+	}
+	if !g.Evict() {
+		t.Error("the eviction of a view nobody holds did not report it free")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a release without a hold did not panic")
+			}
+		}()
+		g.Release()
+	}()
+
+	plain, _ := NewPageView(nil, 2, 0, 2, 3, false)
+	plain.Hold(1)
+	if plain.Pooled() || plain.Release() || plain.Evict() {
+		t.Error("a view no pool owns was counted")
+	}
+}
+
+// CopyRect writes what Rect returns into the caller's memory.
+func TestCopyRect(t *testing.T) {
+	pool := NewViewPool(1)
+	f, refs := NewPageView(pool, 7, 0, 3, 5, false)
+	fillView(f, refs, 40)
+	c := make([]float64, 6)
+	for i := 0; i < f.Len(); i++ {
+		f.CopyRect(i, c)
+		r := f.Rect(i)
+		for a := 0; a < 3; a++ {
+			if c[a] != r.Lo[a] || c[3+a] != r.Hi[a] {
+				t.Fatalf("entry %d: CopyRect %v, Rect %v", i, c, r)
+			}
+		}
 	}
 }

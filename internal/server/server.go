@@ -20,6 +20,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/rtree"
 )
 
 // Backend is the query engine surface the server needs. *exec.Engine
@@ -33,6 +34,14 @@ type Backend interface {
 	// in-flight page reads; pages the engine serves from its cache
 	// never queue) — the admission-control signal.
 	QueueDepths() []int64
+}
+
+// viewReporter is an optional Backend capability: an engine that serves
+// pages out of a fixed set of recycled frames (*exec.Engine) reports
+// them, and /v1/stats carries the counts — frames made stops growing
+// once the engine is warm.
+type viewReporter interface {
+	ViewStats() rtree.ViewStats
 }
 
 // Config tunes the service. The zero value of every field except
@@ -354,6 +363,13 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 type statsResponse struct {
 	Tenants     map[string]tenantStats `json:"tenants"`
 	QueueDepths []int64                `json:"queue_depths"`
+	Views       *viewStats             `json:"views,omitempty"`
+}
+
+type viewStats struct {
+	Made   uint64 `json:"made"`
+	Reused uint64 `json:"reused"`
+	Idle   int    `json:"idle"`
 }
 
 type tenantStats struct {
@@ -375,6 +391,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		Tenants:     make(map[string]tenantStats, len(snaps)),
 		QueueDepths: s.cfg.Backend.QueueDepths(),
+	}
+	if vr, ok := s.cfg.Backend.(viewReporter); ok {
+		vs := viewStats(vr.ViewStats())
+		resp.Views = &vs
 	}
 	for name, ts := range snaps {
 		resp.Tenants[name] = tenantStats{

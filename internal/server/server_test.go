@@ -625,6 +625,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if len(stats.QueueDepths) == 0 {
 		t.Fatal("/v1/stats reported no queue depths")
 	}
+	if stats.Views == nil || *stats.Views != (viewStats{}) {
+		t.Fatalf("/v1/stats views = %+v, want the zero frame counts of an engine that recycles nothing", stats.Views)
+	}
 	hresp, err := client.Get(fmt.Sprintf("http://%s/healthz", srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
