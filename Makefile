@@ -82,7 +82,9 @@ bench:
 ## bench-json: run the tracked benchmark set (vectorized kernels vs
 ## scalar reference, candidate filtering, end-to-end k-NN pages/query,
 ## concurrent engine vs sequential driver queries/sec, the engine's miss
-## path on file-backed replicas, page decoding)
+## path on file-backed replicas, page decoding, and the write path: one
+## R*-tree insertion in 2-d and 10-d, one durable batch of 45 inserts,
+## 5 deletes and a Commit)
 ## at a fixed iteration count with the deterministic in-repo seeds, and
 ## render the output as a schema-versioned JSON report via cmd/benchjson.
 ## Each row carries the median and the run-to-run spread of its -count
@@ -90,8 +92,11 @@ bench:
 BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
-BENCH_BASELINE   ?= BENCH_2026-10-02-pr19.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode'
+# The PR 20 report also carries the parent commit's write-path rows as
+# `…/at=parent-f4d14b0`; bench-check lists them as missing from a new
+# report (informational) until the baseline moves on.
+BENCH_BASELINE   ?= BENCH_2026-10-02-pr20.json
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \

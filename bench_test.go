@@ -510,6 +510,92 @@ func TestObservedOverhead(t *testing.T) {
 	}
 }
 
+// BenchmarkDurableIngest measures the write path's unit of work: one
+// batch of 45 inserts and 5 deletes on a tree over a DurableStore in a
+// temporary directory, made durable by one Commit (page images into the
+// WAL, one fsync). The tree starts at 2 000 points of the 2-d
+// California-like set and is rebuilt, off the clock, every 250 batches,
+// so that an op costs the same at every b.N.
+func BenchmarkDurableIngest(b *testing.B) {
+	const (
+		preload, inserts, deletes = 2000, 45, 5
+		batchesPerStore           = 250
+	)
+	codec := pagestore.Codec{Dim: 2, PageSize: 4096}
+	pts := dataset.CaliforniaLike(preload+inserts*batchesPerStore, benchSeed)
+	var (
+		ds      *pagestore.DurableStore
+		tr      *rtree.Tree
+		next    int // the next point to insert
+		victim  int // the oldest point still in the tree
+		dir     string
+		batches int
+	)
+	closeStore := func() {
+		if ds == nil {
+			return
+		}
+		if err := ds.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+	}
+	defer closeStore()
+	openStore := func() {
+		closeStore()
+		var err error
+		if dir, err = os.MkdirTemp(b.TempDir(), "ingest"); err != nil {
+			b.Fatal(err)
+		}
+		if ds, err = pagestore.OpenDurable(dir, codec, pagestore.DurableOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if tr, err = rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds); err != nil {
+			b.Fatal(err)
+		}
+		for next = 0; next < preload; next++ {
+			if err := tr.InsertPoint(pts[next], rtree.ObjectID(next)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		victim, batches = 0, 0
+		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+			b.Fatal(err)
+		}
+		if err := ds.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	openStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if batches == batchesPerStore {
+			b.StopTimer()
+			openStore()
+			b.StartTimer()
+		}
+		for j := 0; j < inserts; j++ {
+			if err := tr.InsertPoint(pts[next], rtree.ObjectID(next)); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		for j := 0; j < deletes; j++ {
+			if !tr.DeletePoint(pts[victim], rtree.ObjectID(victim)) {
+				b.Fatalf("delete of live object %d failed", victim)
+			}
+			victim++
+		}
+		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+			b.Fatal(err)
+		}
+		batches++
+	}
+}
+
 func BenchmarkPageCodecEncode(b *testing.B) {
 	c := pagestore.Codec{Dim: 2, PageSize: 4096}
 	n := &rtree.Node{ID: 1, Level: 0}

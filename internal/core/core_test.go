@@ -150,3 +150,26 @@ func TestAlgorithmByName(t *testing.T) {
 		t.Error("default algorithm is not CRSS")
 	}
 }
+
+// A non-finite coordinate is an error of the caller's, returned through
+// every layer, not a panic three levels down (or a poisoned tree).
+func TestInsertRejectsNonFinitePoint(t *testing.T) {
+	ix := newTestIndex(t, 2, 4)
+	if err := ix.InsertAll(dataset.Uniform(400, 2, 5), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Point{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.Inf(-1), 0.5}} {
+		if err := ix.Insert(p, 4000); err == nil {
+			t.Errorf("Insert accepted %v", p)
+		}
+		if err := ix.Tree().InsertPoint(p, 4000); err == nil {
+			t.Errorf("parallel.Tree.InsertPoint accepted %v", p)
+		}
+	}
+	if ix.Len() != 400 {
+		t.Errorf("len = %d after rejected inserts, want 400", ix.Len())
+	}
+	if err := ix.Check(); err != nil {
+		t.Error(err)
+	}
+}

@@ -39,7 +39,7 @@ type DurableStore struct {
 
 	mu         sync.RWMutex
 	nodes      map[rtree.PageID]*rtree.Node // decoded working set; guarded by mu
-	dirty      map[rtree.PageID][]byte      // staged images since last Commit; guarded by mu
+	dirty      map[rtree.PageID]bool        // pages updated since last Commit; guarded by mu
 	freedStage map[rtree.PageID]bool        // staged frees since last Commit; guarded by mu
 	cur        *storeEpoch                  // committed state; guarded by mu
 	ckptDirty  map[rtree.PageID]bool        // committed but not yet checkpointed; guarded by mu
@@ -126,7 +126,7 @@ func newDurable(fs *FileStore, w *WAL, entries []walEntry, counters *obs.Storage
 		wal:      w,
 		counters: counters,
 		nodes:    make(map[rtree.PageID]*rtree.Node),
-		dirty:    make(map[rtree.PageID][]byte),
+		dirty:    make(map[rtree.PageID]bool),
 
 		freedStage: make(map[rtree.PageID]bool),
 		ckptDirty:  make(map[rtree.PageID]bool),
@@ -294,18 +294,19 @@ func (s *DurableStore) Allocate(level int) *rtree.Node {
 	return n
 }
 
-// Update implements rtree.Store: the node re-encodes into a staged
-// image that the next Commit logs and publishes. Encoding failure
-// panics (capacity misconfiguration, a programming error).
+// Update implements rtree.Store: the page is marked for the next
+// Commit, which encodes it once, in the state it has then — however
+// many times the batch touched it. A node that has outgrown its page
+// panics here, where it happened (capacity misconfiguration, a
+// programming error); what else can fail to encode fails the Commit.
 func (s *DurableStore) Update(n *rtree.Node) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n.InvalidateFlat()
-	buf, err := s.codec.Encode(n)
-	if err != nil {
+	if err := s.codec.checkCapacity(n); err != nil {
 		panic(err)
 	}
-	s.dirty[n.ID] = buf
+	s.dirty[n.ID] = true
 	delete(s.freedStage, n.ID)
 }
 
@@ -335,18 +336,12 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The root must always have a durable image, or recovery cannot
-	// rebuild the tree. A fresh empty root never saw Update — encode it
+	// rebuild the tree. A fresh empty root never saw Update — stage it
 	// on the spot.
-	if root != 0 {
-		_, inDirty := s.dirty[root]
-		_, inEpoch := s.cur.pages[root]
-		if !inDirty && !inEpoch {
-			if n, ok := s.nodes[root]; ok {
-				buf, err := s.codec.Encode(n)
-				if err != nil {
-					return err
-				}
-				s.dirty[root] = buf
+	if root != 0 && !s.dirty[root] {
+		if _, inEpoch := s.cur.pages[root]; !inEpoch {
+			if _, ok := s.nodes[root]; ok {
+				s.dirty[root] = true
 			}
 		}
 	}
@@ -361,8 +356,19 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	}
 	slices.Sort(freedIDs)
 
-	for _, id := range dirtyIDs {
-		if err := s.wal.Append(WALPage, PageRecordPayload(id, s.dirty[id])); err != nil {
+	// One image per dirty page, before the log sees any of the batch: an
+	// encoding failure leaves the WAL where it was.
+	images := make([][]byte, len(dirtyIDs))
+	for i, id := range dirtyIDs {
+		img, err := s.codec.Encode(s.nodes[id])
+		if err != nil {
+			return err
+		}
+		images[i] = img
+	}
+
+	for i, id := range dirtyIDs {
+		if err := s.wal.AppendPage(id, images[i]); err != nil {
 			return err
 		}
 	}
@@ -389,8 +395,8 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 		target = &storeEpoch{pages: clone}
 		s.cur = target
 	}
-	for _, id := range dirtyIDs {
-		target.pages[id] = s.dirty[id]
+	for i, id := range dirtyIDs {
+		target.pages[id] = images[i]
 		s.ckptDirty[id] = true
 		delete(s.ckptFreed, id)
 	}
@@ -401,8 +407,8 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	}
 	target.root = root
 	target.size = size
-	s.dirty = make(map[rtree.PageID][]byte)
-	s.freedStage = make(map[rtree.PageID]bool)
+	clear(s.dirty)
+	clear(s.freedStage)
 	return nil
 }
 
@@ -490,16 +496,17 @@ func (s *DurableStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	return decodeChecked(s.codec, id, buf)
 }
 
-// VerifyShadow checks every working-set node against its most recent
-// encoded image (staged if present, else committed), bitwise.
+// VerifyShadow checks every working-set node against its committed
+// image, bitwise. A page updated since the last Commit has no image to
+// be checked against yet: the Commit encodes it from the node.
 func (s *DurableStore) VerifyShadow() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for id, n := range s.nodes {
-		buf, ok := s.dirty[id]
-		if !ok {
-			buf, ok = s.cur.pages[id]
+		if s.dirty[id] {
+			continue
 		}
+		buf, ok := s.cur.pages[id]
 		if !ok {
 			if len(n.Entries) != 0 {
 				return fmt.Errorf("pagestore: page %d has entries but no encoded image", id)

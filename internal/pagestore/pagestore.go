@@ -89,9 +89,8 @@ func (c Codec) Capacity() int { return (c.PageSize - headerSize) / c.EntrySize()
 // node holds more entries than fit on a page or an entry has the wrong
 // dimensionality.
 func (c Codec) Encode(n *rtree.Node) ([]byte, error) {
-	if len(n.Entries) > c.Capacity() {
-		return nil, fmt.Errorf("pagestore: node %d: %d entries exceed page capacity %d",
-			n.ID, len(n.Entries), c.Capacity())
+	if err := c.checkCapacity(n); err != nil {
+		return nil, err
 	}
 	buf := make([]byte, c.PageSize)
 	buf[0] = magic
@@ -141,6 +140,15 @@ func (c Codec) Encode(n *rtree.Node) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// checkCapacity fails when n holds more entries than fit on a page.
+func (c Codec) checkCapacity(n *rtree.Node) error {
+	if len(n.Entries) > c.Capacity() {
+		return fmt.Errorf("pagestore: node %d: %d entries exceed page capacity %d",
+			n.ID, len(n.Entries), c.Capacity())
+	}
+	return nil
 }
 
 // pageHeader is the validated fixed part of a page image.

@@ -68,17 +68,21 @@ type WALRecord struct {
 // AppendWALRecord serializes rec and appends it to buf, returning the
 // extended slice. The inverse of DecodeWALRecord.
 func AppendWALRecord(buf []byte, rec WALRecord) []byte {
+	return appendWALRecord(buf, rec.LSN, rec.Type, rec.Payload, nil)
+}
+
+// appendWALRecord is AppendWALRecord for a payload in two parts (a page
+// record's id and image), so that no caller has to join them first.
+func appendWALRecord(buf []byte, lsn uint64, typ byte, head, tail []byte) []byte {
 	start := len(buf)
 	var hdr [walRecHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:], rec.LSN)
-	hdr[8] = rec.Type
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(rec.Payload)))
+	binary.LittleEndian.PutUint64(hdr[0:], lsn)
+	hdr[8] = typ
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(head)+len(tail)))
 	buf = append(buf, hdr[:]...)
-	buf = append(buf, rec.Payload...)
-	sum := crc32.ChecksumIEEE(buf[start:])
-	var tr [walRecTrailer]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	return append(buf, tr[:]...)
+	buf = append(buf, head...)
+	buf = append(buf, tail...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
 // errTornRecord marks a record that is incomplete or fails its
@@ -165,6 +169,7 @@ type WAL struct {
 	f       BlockFile // guarded by mu
 	end     int64     // append offset; guarded by mu
 	nextLSN uint64    // guarded by mu
+	rec     []byte    // the record being written, reused by the next; guarded by mu
 }
 
 // openWAL opens (creating if absent) the log at path, scans it, and
@@ -279,14 +284,27 @@ func (w *WAL) resetFileLocked() error {
 // syncing. Durability requires a following Sync — the commit protocol
 // appends the whole batch, then syncs once.
 func (w *WAL) Append(typ byte, payload []byte) error {
+	return w.appendRecord(typ, payload, nil)
+}
+
+// AppendPage is Append of the WALPage record for a page image: header,
+// page id, image and checksum are put together in the log's own buffer,
+// the image copied once.
+func (w *WAL) AppendPage(id rtree.PageID, image []byte) error {
+	var idBytes [8]byte
+	binary.LittleEndian.PutUint64(idBytes[:], uint64(id))
+	return w.appendRecord(WALPage, idBytes[:], image)
+}
+
+// appendRecord writes one record whose payload is head then tail.
+func (w *WAL) appendRecord(typ byte, head, tail []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec := WALRecord{LSN: w.nextLSN, Type: typ, Payload: payload}
-	buf := AppendWALRecord(nil, rec)
-	if _, err := w.f.WriteAt(buf, w.end); err != nil {
-		return fmt.Errorf("pagestore: appending WAL record lsn %d: %w", rec.LSN, err)
+	w.rec = appendWALRecord(w.rec[:0], w.nextLSN, typ, head, tail)
+	if _, err := w.f.WriteAt(w.rec, w.end); err != nil {
+		return fmt.Errorf("pagestore: appending WAL record lsn %d: %w", w.nextLSN, err)
 	}
-	w.end += int64(len(buf))
+	w.end += int64(len(w.rec))
 	w.nextLSN++
 	if w.counters != nil {
 		w.counters.WALAppends.Add(1)

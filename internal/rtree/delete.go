@@ -10,10 +10,11 @@ import (
 // level (Guttman's CondenseTree), and the root is collapsed when it is
 // internal with a single child.
 func (t *Tree) Delete(r geom.Rect, obj ObjectID) bool {
-	leafID, path := t.findLeaf(t.store.Get(t.root), r, obj, nil)
+	leafID, path := t.findLeaf(t.store.Get(t.root), r, obj, t.w.path[:0])
 	if leafID == NilPage {
 		return false
 	}
+	t.w.path = path[:0] // keep the backing for the next Delete; condense only reads path
 	leaf := t.store.Get(leafID)
 	for i, e := range leaf.Entries {
 		if e.Object == obj && e.Rect.Equal(r) {
@@ -60,11 +61,7 @@ func (t *Tree) findLeaf(n *Node, r geom.Rect, obj ObjectID, path []PageID) (Page
 // entries are reinserted at their original levels and a degenerate root
 // is collapsed.
 func (t *Tree) condense(path []PageID) {
-	type orphan struct {
-		e     Entry
-		level int
-	}
-	var orphans []orphan
+	var orphans []pendingReinsert
 
 	for i := len(path) - 1; i >= 1; i-- {
 		n := t.store.Get(path[i])
@@ -78,13 +75,13 @@ func (t *Tree) condense(path []PageID) {
 		if len(n.Entries) < t.cfg.MinEntries {
 			// Dissolve n: queue its entries for reinsertion at n's level.
 			for _, e := range n.Entries {
-				orphans = append(orphans, orphan{e, n.Level})
+				orphans = append(orphans, pendingReinsert{e, n.Level})
 			}
 			parent.removeEntry(idx)
 			t.store.Free(n.ID)
 			t.listener.NodeFreed(n.ID)
 		} else {
-			parent.Entries[idx] = t.entryFor(n)
+			t.refreshEntry(&parent.Entries[idx], n)
 		}
 		t.store.Update(parent)
 	}
@@ -92,9 +89,7 @@ func (t *Tree) condense(path []PageID) {
 	// Reinsert orphans, deepest level first so subtree entries find
 	// parents at the right height.
 	for _, o := range orphans {
-		t.reinsertedAtLevel = make(map[int]bool)
-		t.insertEntry(o.e, o.level)
-		t.drainPending()
+		t.insertTopLevel(o.e, o.level)
 	}
 
 	// Collapse a root that is internal with exactly one child.

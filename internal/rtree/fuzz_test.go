@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -15,10 +16,21 @@ import (
 // integer grid so duplicate points and distance ties are common — the
 // comparison is on sorted distance multisets, not object order, which
 // ties legitimately permute.
+//
+// With bit 0x40 of cfgByte set, every structural op is preceded by the
+// insert of a rectangle no tree may hold — a NaN, an infinity or Lo
+// above Hi on one axis — which must fail and leave the tree as it was
+// (a NaN used to panic in ChooseSubtree, an infinity to poison every
+// ancestor MBR).
 func FuzzRTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 3, 2, 2, 8}, byte(1), byte(1))
 	f.Add([]byte{2, 0, 2, 1}, byte(3), byte(2)) // deletes on an empty tree
+	// Non-finite rectangles between the ops; duplicates and collinear
+	// points (every area 0) so that ChooseSubtree decides on exact ties.
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0x40))
+	f.Add([]byte{0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 1, 5, 5, 2, 0, 3, 5, 5, 9}, byte(1), byte(0x40))
+	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 0, 8, 8, 0, 9, 9, 0, 3, 3, 2, 1}, byte(1), byte(0x41))
 	f.Fuzz(func(t *testing.T, ops []byte, dimByte, cfgByte byte) {
 		dim := 1 + int(dimByte)%3
 		cfg := Config{Dim: dim, MaxEntries: 4 + int(cfgByte)%5}
@@ -50,8 +62,31 @@ func FuzzRTreeOps(f *testing.F) {
 			}
 			return p
 		}
+		poison := func(n int) {
+			r := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+			for d := 0; d < dim; d++ {
+				r.Lo[d], r.Hi[d] = 3, 4
+			}
+			axis := n % dim
+			switch (n / dim) % 4 {
+			case 0:
+				r.Lo[axis] = math.NaN()
+			case 1:
+				r.Hi[axis] = math.Inf(1)
+			case 2:
+				r.Lo[axis] = math.Inf(-1)
+			case 3:
+				r.Lo[axis], r.Hi[axis] = 4, 3
+			}
+			if err := tr.Insert(r, -1); err == nil {
+				t.Fatalf("Insert accepted %v", r)
+			}
+		}
 		structural := 0
 		for pos < len(ops) && structural < 512 {
+			if cfgByte&0x40 != 0 {
+				poison(structural) // the checks below see an unchanged tree
+			}
 			switch next() % 4 {
 			case 0, 1: // insert
 				p := point()

@@ -85,6 +85,19 @@ func (n *Node) MBR() geom.Rect {
 	return r
 }
 
+// mbrInto writes the node's MBR into dst, which must have the node's
+// dimensionality — MBR without the allocation, value for value.
+func (n *Node) mbrInto(dst geom.Rect) {
+	if len(n.Entries) == 0 {
+		panic(fmt.Sprintf("rtree: MBR of empty node %d", n.ID))
+	}
+	copy(dst.Lo, n.Entries[0].Rect.Lo)
+	copy(dst.Hi, n.Entries[0].Rect.Hi)
+	for i := 1; i < len(n.Entries); i++ {
+		dst.UnionInPlace(n.Entries[i].Rect)
+	}
+}
+
 // ObjectCount returns the total number of data objects in the subtree
 // rooted at this node, i.e. the sum of entry counts.
 func (n *Node) ObjectCount() int {

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -506,5 +508,101 @@ func TestListenerFreeOnDelete(t *testing.T) {
 	}
 	if len(rec.freed) == 0 {
 		t.Error("no pages reported freed during full deletion")
+	}
+}
+
+// TestInsertRejectsNonFiniteRect: a NaN coordinate used to panic in
+// ChooseSubtree (no entry ever compared better, so the descent indexed
+// with −1), and an infinite one was stored, after which every ancestor
+// MBR was infinite and later enlargements computed Inf − Inf. Both, and
+// a rectangle with Lo above Hi, are refused before the tree is touched.
+func TestInsertRejectsNonFiniteRect(t *testing.T) {
+	for _, cfg := range []Config{
+		{Dim: 2, MaxEntries: 8},
+		{Dim: 3, MaxEntries: 8, UseSpheres: true},
+	} {
+		tr := mustTree(t, cfg)
+		for i, p := range randPoints(7, 300, cfg.Dim) { // height > 1: ChooseSubtree runs
+			if err := tr.InsertPoint(p, ObjectID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before, _ := tr.Bounds()
+		nan, inf := math.NaN(), math.Inf(1)
+		for _, bad := range []struct{ lo, hi float64 }{
+			{nan, 1}, {1, nan}, {nan, nan}, {1, inf}, {-inf, 1}, {inf, inf}, {2, 1},
+		} {
+			for axis := 0; axis < cfg.Dim; axis++ {
+				r := geom.Rect{Lo: make(geom.Point, cfg.Dim), Hi: make(geom.Point, cfg.Dim)}
+				r.Lo[axis], r.Hi[axis] = bad.lo, bad.hi
+				if err := tr.Insert(r, 9999); err == nil {
+					t.Errorf("Insert accepted %v", r)
+				}
+			}
+		}
+		if err := tr.InsertPoint(geom.Point{nan, 0, 0}[:cfg.Dim], 9999); err == nil {
+			t.Error("InsertPoint accepted a NaN coordinate")
+		}
+		if tr.Len() != 300 {
+			t.Errorf("Len = %d after rejected inserts, want 300", tr.Len())
+		}
+		if after, _ := tr.Bounds(); !after.Equal(before) {
+			t.Errorf("bounds moved from %v to %v", before, after)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestInsertAllocBudget: an insert that overflows nothing allocates the
+// rectangle it stores, a new rectangle for each ancestor entry whose
+// MBR it moved, and now and then a larger backing for its leaf — at
+// most height + 1 allocations, fewer than 2 on average — and nothing
+// per level, per sibling or per comparison. Before the scratch moved
+// onto the Tree the same insert made about 20.
+func TestInsertAllocBudget(t *testing.T) {
+	for _, c := range []struct{ dim, maxEntries int }{
+		{2, 92}, // the benchmark's tree
+		{8, 28},
+	} {
+		tr := mustTree(t, Config{Dim: c.dim, MaxEntries: c.maxEntries})
+		pts := randPoints(31, 4400, c.dim)
+		next := 0
+		insert := func() {
+			if err := tr.InsertPoint(pts[next], ObjectID(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for next < 4000 {
+			insert()
+		}
+		var plain, total, worst float64
+		for next < len(pts) {
+			// AllocsPerRun(1, f) runs f twice and measures the second
+			// run; both must be plain inserts (no forced reinsertion, no
+			// split) for the number to mean anything.
+			pages, overflowed := tr.store.Len(), false
+			allocs := testing.AllocsPerRun(1, func() {
+				insert()
+				overflowed = overflowed || slices.Contains(tr.reinserted, true)
+			})
+			if overflowed || tr.store.Len() != pages {
+				continue
+			}
+			plain++
+			total += allocs
+			worst = max(worst, allocs)
+		}
+		if plain < 150 {
+			t.Fatalf("dim %d: only %.0f plain inserts measured", c.dim, plain)
+		}
+		if budget := float64(tr.Height() + 1); worst > budget {
+			t.Errorf("dim %d: a plain insert allocated %.0f times, budget %.0f", c.dim, worst, budget)
+		}
+		if mean := total / plain; mean >= 2 {
+			t.Errorf("dim %d: plain inserts allocate %.2f times on average, want < 2", c.dim, mean)
+		}
 	}
 }
