@@ -84,7 +84,7 @@ bench:
 ## concurrent engine vs sequential driver queries/sec, the engine's miss
 ## path on file-backed replicas, page decoding, and the write path: one
 ## R*-tree insertion in 2-d and 10-d, one durable batch of 45 inserts,
-## 5 deletes and a Commit)
+## 5 deletes and a Commit — on a bare R*-tree and on a core.Index)
 ## at a fixed iteration count with the deterministic in-repo seeds, and
 ## render the output as a schema-versioned JSON report via cmd/benchjson.
 ## Each row carries the median and the run-to-run spread of its -count
@@ -92,10 +92,10 @@ bench:
 BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
-# The PR 20 report also carries the parent commit's write-path rows as
-# `…/at=parent-f4d14b0`; bench-check lists them as missing from a new
+# The PR 25 report also carries the parent commit's ingest rows as
+# `…/at=parent-ed0b08b`; bench-check lists them as missing from a new
 # report (informational) until the baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-02-pr20.json
+BENCH_BASELINE   ?= BENCH_2026-10-15-pr25.json
 BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson

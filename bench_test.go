@@ -10,6 +10,7 @@ package simquery_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/disk"
@@ -511,31 +513,77 @@ func TestObservedOverhead(t *testing.T) {
 }
 
 // BenchmarkDurableIngest measures the write path's unit of work: one
-// batch of 45 inserts and 5 deletes on a tree over a DurableStore in a
+// batch of 45 inserts and 5 deletes on a tree in a durable store in a
 // temporary directory, made durable by one Commit (page images into the
 // WAL, one fsync). The tree starts at 2 000 points of the 2-d
 // California-like set and is rebuilt, off the clock, every 250 batches,
-// so that an op costs the same at every b.N.
+// so that an op costs the same at every b.N. "rtree" is a bare R*-tree
+// over a DurableStore; "core-index" is a durable core.Index, whose
+// parallel.Tree runs the Proximity Index on every new page.
 func BenchmarkDurableIngest(b *testing.B) {
+	codec := pagestore.Codec{Dim: 2, PageSize: 4096}
+	b.Run("rtree", func(b *testing.B) {
+		benchDurableIngest(b, func(dir string) (durableIngest, error) {
+			ds, err := pagestore.OpenDurable(dir, codec, pagestore.DurableOptions{})
+			if err != nil {
+				return durableIngest{}, err
+			}
+			tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+			if err != nil {
+				return durableIngest{}, errors.Join(err, ds.Close())
+			}
+			return durableIngest{
+				insert:     func(p geom.Point, id int) error { return tr.InsertPoint(p, rtree.ObjectID(id)) },
+				delete:     func(p geom.Point, id int) bool { return tr.DeletePoint(p, rtree.ObjectID(id)) },
+				commit:     func() error { return ds.Commit(tr.Root(), tr.Len()) },
+				checkpoint: ds.Checkpoint,
+				close:      ds.Close,
+			}, nil
+		})
+	})
+	b.Run("core-index", func(b *testing.B) {
+		benchDurableIngest(b, func(dir string) (durableIngest, error) {
+			ix, err := core.NewIndex(core.IndexConfig{Dim: 2, NumDisks: 10, PageSize: codec.PageSize, DataDir: dir})
+			if err != nil {
+				return durableIngest{}, err
+			}
+			return durableIngest{
+				insert:     func(p geom.Point, id int) error { return ix.Insert(p, core.ObjectID(id)) },
+				delete:     func(p geom.Point, id int) bool { return ix.Delete(p, core.ObjectID(id)) },
+				commit:     ix.Commit,
+				checkpoint: ix.Checkpoint,
+				close:      ix.Close,
+			}, nil
+		})
+	})
+}
+
+// durableIngest is a durable tree as BenchmarkDurableIngest drives it.
+type durableIngest struct {
+	insert             func(p geom.Point, id int) error
+	delete             func(p geom.Point, id int) bool
+	commit, checkpoint func() error
+	close              func() error
+}
+
+func benchDurableIngest(b *testing.B, open func(dir string) (durableIngest, error)) {
 	const (
 		preload, inserts, deletes = 2000, 45, 5
 		batchesPerStore           = 250
 	)
-	codec := pagestore.Codec{Dim: 2, PageSize: 4096}
 	pts := dataset.CaliforniaLike(preload+inserts*batchesPerStore, benchSeed)
 	var (
-		ds      *pagestore.DurableStore
-		tr      *rtree.Tree
+		tree    durableIngest
 		next    int // the next point to insert
 		victim  int // the oldest point still in the tree
 		dir     string
 		batches int
 	)
 	closeStore := func() {
-		if ds == nil {
+		if tree.close == nil {
 			return
 		}
-		if err := ds.Close(); err != nil {
+		if err := tree.close(); err != nil {
 			b.Fatal(err)
 		}
 		if err := os.RemoveAll(dir); err != nil {
@@ -549,22 +597,19 @@ func BenchmarkDurableIngest(b *testing.B) {
 		if dir, err = os.MkdirTemp(b.TempDir(), "ingest"); err != nil {
 			b.Fatal(err)
 		}
-		if ds, err = pagestore.OpenDurable(dir, codec, pagestore.DurableOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		if tr, err = rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds); err != nil {
+		if tree, err = open(dir); err != nil {
 			b.Fatal(err)
 		}
 		for next = 0; next < preload; next++ {
-			if err := tr.InsertPoint(pts[next], rtree.ObjectID(next)); err != nil {
+			if err := tree.insert(pts[next], next); err != nil {
 				b.Fatal(err)
 			}
 		}
 		victim, batches = 0, 0
-		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+		if err := tree.commit(); err != nil {
 			b.Fatal(err)
 		}
-		if err := ds.Checkpoint(); err != nil {
+		if err := tree.checkpoint(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,18 +623,18 @@ func BenchmarkDurableIngest(b *testing.B) {
 			b.StartTimer()
 		}
 		for j := 0; j < inserts; j++ {
-			if err := tr.InsertPoint(pts[next], rtree.ObjectID(next)); err != nil {
+			if err := tree.insert(pts[next], next); err != nil {
 				b.Fatal(err)
 			}
 			next++
 		}
 		for j := 0; j < deletes; j++ {
-			if !tr.DeletePoint(pts[victim], rtree.ObjectID(victim)) {
+			if !tree.delete(pts[victim], victim) {
 				b.Fatalf("delete of live object %d failed", victim)
 			}
 			victim++
 		}
-		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+		if err := tree.commit(); err != nil {
 			b.Fatal(err)
 		}
 		batches++

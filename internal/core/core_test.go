@@ -151,14 +151,15 @@ func TestAlgorithmByName(t *testing.T) {
 	}
 }
 
-// A non-finite coordinate is an error of the caller's, returned through
-// every layer, not a panic three levels down (or a poisoned tree).
+// A non-finite coordinate, or a finite one outside the tree's bound, is
+// an error of the caller's, returned through every layer, not a panic
+// three levels down (or a poisoned tree).
 func TestInsertRejectsNonFinitePoint(t *testing.T) {
 	ix := newTestIndex(t, 2, 4)
 	if err := ix.InsertAll(dataset.Uniform(400, 2, 5), 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []Point{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.Inf(-1), 0.5}} {
+	for _, p := range []Point{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.Inf(-1), 0.5}, {0.5, 1e200}} {
 		if err := ix.Insert(p, 4000); err == nil {
 			t.Errorf("Insert accepted %v", p)
 		}

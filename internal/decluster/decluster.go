@@ -60,6 +60,8 @@ type Policy interface {
 	Name() string
 	// Assign returns the target disk in [0, state.NumDisks) for a new
 	// page with MBR r whose sibling pages are given with their disks.
+	// The siblings and their rectangles are the caller's scratch: valid
+	// during the call only, and read-only.
 	Assign(r geom.Rect, siblings []Sibling, state *ArrayState) int
 }
 

@@ -25,7 +25,9 @@ import (
 // torn parent/child pair, because splits only become visible at the
 // Commit that publishes both halves atomically. Once an epoch has been
 // handed to a reader its page map is never mutated again; the next
-// Commit copies it (copy-on-write at commit granularity).
+// Commit copies it (copy-on-write at commit granularity). Nor is any
+// image it holds: Commit encodes into the images earlier Commits
+// released, and only an image no pinned epoch can reach is released.
 //
 // Recovery: OpenDurable loads the checkpointed pages, then replays the
 // WAL's committed batches in LSN order (redo only — every record is
@@ -45,6 +47,18 @@ type DurableStore struct {
 	ckptDirty  map[rtree.PageID]bool        // committed but not yet checkpointed; guarded by mu
 	ckptFreed  map[rtree.PageID]bool        // freed since last checkpoint; guarded by mu
 	nextID     rtree.PageID                 // guarded by mu
+
+	// owned holds the pages whose image in cur was encoded by a Commit
+	// into cur itself: no pinned epoch can reach those images, so the one
+	// a later Commit replaces or frees goes to spare, where the next
+	// Commit encodes into it. Images cur shares with a pinned epoch, and
+	// images recovered at open, are never reused (DESIGN.md, decision 17).
+	owned map[rtree.PageID]bool // guarded by mu
+	spare [][]byte              // guarded by mu
+
+	// Commit's and Checkpoint's working lists, reused.
+	ids, freedIDs []rtree.PageID // guarded by mu
+	images        [][]byte       // guarded by mu
 }
 
 // storeEpoch is one committed, immutable-once-shared version of the
@@ -133,6 +147,7 @@ func newDurable(fs *FileStore, w *WAL, entries []walEntry, counters *obs.Storage
 		ckptFreed:  make(map[rtree.PageID]bool),
 		cur:        &storeEpoch{pages: pages, root: meta.Root, size: meta.Size},
 		nextID:     nextID,
+		owned:      make(map[rtree.PageID]bool),
 	}
 	if err := s.replay(entries); err != nil {
 		return nil, err
@@ -148,12 +163,7 @@ func newDurable(fs *FileStore, w *WAL, entries []walEntry, counters *obs.Storage
 func (s *DurableStore) materialize() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]rtree.PageID, 0, len(s.cur.pages))
-	for id := range s.cur.pages {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	for _, id := range sortedIDs(nil, s.cur.pages) {
 		n, err := s.codec.DecodeNode(s.cur.pages[id])
 		if err != nil {
 			return fmt.Errorf("pagestore: recovering page %d: %w", id, err)
@@ -345,27 +355,27 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 			}
 		}
 	}
-	dirtyIDs := make([]rtree.PageID, 0, len(s.dirty))
-	for id := range s.dirty {
-		dirtyIDs = append(dirtyIDs, id)
-	}
-	slices.Sort(dirtyIDs)
-	freedIDs := make([]rtree.PageID, 0, len(s.freedStage))
-	for id := range s.freedStage {
-		freedIDs = append(freedIDs, id)
-	}
-	slices.Sort(freedIDs)
+	s.ids = sortedIDs(s.ids, s.dirty)
+	s.freedIDs = sortedIDs(s.freedIDs, s.freedStage)
+	dirtyIDs, freedIDs := s.ids, s.freedIDs
 
 	// One image per dirty page, before the log sees any of the batch: an
-	// encoding failure leaves the WAL where it was.
-	images := make([][]byte, len(dirtyIDs))
+	// encoding failure leaves the WAL where it was. The images are the
+	// spares, last first, then fresh pages; the spare list itself changes
+	// only once the batch is published.
+	images := s.images[:0]
 	for i, id := range dirtyIDs {
-		img, err := s.codec.Encode(s.nodes[id])
+		var buf []byte
+		if i < len(s.spare) {
+			buf = s.spare[len(s.spare)-1-i]
+		}
+		img, err := s.codec.EncodeInto(buf, s.nodes[id])
 		if err != nil {
 			return err
 		}
-		images[i] = img
+		images = append(images, img)
 	}
+	s.images = images
 
 	for i, id := range dirtyIDs {
 		if err := s.wal.AppendPage(id, images[i]); err != nil {
@@ -385,7 +395,8 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	}
 
 	// Durable; now publish. If a reader pinned the current epoch, copy
-	// it — their view must stay frozen.
+	// it — their view must stay frozen, and every image in the copy is
+	// theirs too.
 	target := s.cur
 	if target.pinned {
 		clone := make(map[rtree.PageID][]byte, len(target.pages))
@@ -394,22 +405,51 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 		}
 		target = &storeEpoch{pages: clone}
 		s.cur = target
+		clear(s.owned)
+	}
+	// The spares encoded into are the epoch's now. The list keeps at most
+	// one image per page of this batch; the rest is the collector's. An
+	// image the epoch drops becomes a spare when the epoch alone held it.
+	bound := len(dirtyIDs)
+	used := min(bound, len(s.spare))
+	keep := min(len(s.spare)-used, bound)
+	clear(s.spare[keep:])
+	s.spare = s.spare[:keep]
+	release := func(id rtree.PageID) {
+		if img, ok := target.pages[id]; ok && s.owned[id] && len(s.spare) < bound {
+			s.spare = append(s.spare, img)
+		}
 	}
 	for i, id := range dirtyIDs {
+		release(id)
 		target.pages[id] = images[i]
+		s.owned[id] = true
 		s.ckptDirty[id] = true
 		delete(s.ckptFreed, id)
 	}
 	for _, id := range freedIDs {
+		release(id)
 		delete(target.pages, id)
+		delete(s.owned, id)
 		delete(s.ckptDirty, id)
 		s.ckptFreed[id] = true
 	}
+	clear(images)
 	target.root = root
 	target.size = size
 	clear(s.dirty)
 	clear(s.freedStage)
 	return nil
+}
+
+// sortedIDs refills dst with the pages of set in ascending order.
+func sortedIDs[V any](dst []rtree.PageID, set map[rtree.PageID]V) []rtree.PageID {
+	dst = dst[:0]
+	for id := range set {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // Checkpoint folds every committed-since-last-checkpoint page into the
@@ -421,12 +461,8 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 func (s *DurableStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]rtree.PageID, 0, len(s.ckptDirty))
-	for id := range s.ckptDirty {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
+	s.ids = sortedIDs(s.ids, s.ckptDirty)
+	for _, id := range s.ids {
 		img, ok := s.cur.pages[id]
 		if !ok {
 			continue
@@ -435,12 +471,8 @@ func (s *DurableStore) Checkpoint() error {
 			return err
 		}
 	}
-	freed := make([]rtree.PageID, 0, len(s.ckptFreed))
-	for id := range s.ckptFreed {
-		freed = append(freed, id)
-	}
-	slices.Sort(freed)
-	for _, id := range freed {
+	s.freedIDs = sortedIDs(s.freedIDs, s.ckptFreed)
+	for _, id := range s.freedIDs {
 		if err := s.fs.ZeroPage(id); err != nil {
 			return err
 		}
@@ -457,8 +489,8 @@ func (s *DurableStore) Checkpoint() error {
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
-	s.ckptDirty = make(map[rtree.PageID]bool)
-	s.ckptFreed = make(map[rtree.PageID]bool)
+	clear(s.ckptDirty)
+	clear(s.ckptFreed)
 	if s.counters != nil {
 		s.counters.Checkpoints.Add(1)
 	}
@@ -485,11 +517,12 @@ func (s *DurableStore) Snapshot() *EpochView {
 
 // ReadPage implements Reader against the committed epoch: uncommitted
 // staged pages are invisible, exactly like a reader that snapshotted
-// this instant.
+// this instant. It decodes under the lock: the next Commit may reuse
+// the image once the epoch has replaced it.
 func (s *DurableStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	buf, ok := s.cur.pages[id]
-	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("pagestore: page %d not in committed epoch", id)
 	}

@@ -89,10 +89,22 @@ func (c Codec) Capacity() int { return (c.PageSize - headerSize) / c.EntrySize()
 // node holds more entries than fit on a page or an entry has the wrong
 // dimensionality.
 func (c Codec) Encode(n *rtree.Node) ([]byte, error) {
+	return c.EncodeInto(nil, n)
+}
+
+// EncodeInto is Encode into buf when buf can hold a page, and into a
+// fresh buffer when it cannot; it returns the page. Whatever buf held
+// before is overwritten to the last byte — the bytes after the last
+// entry are zeroed — so the result equals Encode's byte for byte. On an
+// error the contents of buf are undefined.
+func (c Codec) EncodeInto(buf []byte, n *rtree.Node) ([]byte, error) {
 	if err := c.checkCapacity(n); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, c.PageSize)
+	if cap(buf) < c.PageSize {
+		buf = make([]byte, c.PageSize)
+	}
+	buf = buf[:c.PageSize]
 	buf[0] = magic
 	buf[1] = c.version()
 	binary.LittleEndian.PutUint16(buf[2:], uint16(n.Level))
@@ -139,6 +151,7 @@ func (c Codec) Encode(n *rtree.Node) ([]byte, error) {
 			off += 8
 		}
 	}
+	clear(buf[off:])
 	return buf, nil
 }
 

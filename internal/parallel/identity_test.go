@@ -134,6 +134,14 @@ func TestTreeIdentity(t *testing.T) {
 		"x/gaussian-8d": {
 			"15b5c8ff0ade31d225a9038e8572c47dbad08ddcf00fb0fb75f949654aa75b80",
 			"27f98db9e08834acd3380746c2ac98de878d6262a85e2c2e19dab860483e7713"},
+		// Recorded at ed0b08b, before NodeCreated computed sibling MBRs
+		// into scratch.
+		"minoverlap/california-2d": {
+			"fd39fbf305f5ca98ede30a506cdcd57ae42c495b58fe21169ba95fbd9cc2f813",
+			"80933af32cf33134906254c4cc2b218558a143902e457b65a6700bda7bdb951f"},
+		"minoverlap/gaussian-8d": {
+			"5228b188fd51458269b73c857f13e9b8050208078b4ab6a550a9dbfbff8ff0b0",
+			"ec56129ce2159143b6844d64aab053c5856dfbe3e164d55f64eea36a71e7b996"},
 	}
 	modes := []struct {
 		name string
@@ -145,6 +153,8 @@ func TestTreeIdentity(t *testing.T) {
 		// overflow at these sizes and the split-or-supernode rule refuses
 		// some splits and grants others.
 		{"x", func(c *Config) { c.MaxOverlapRatio, c.MaxEntries = 0.05, 8 }},
+		// The other policy that reads sibling rectangles.
+		{"minoverlap", func(c *Config) { c.Policy = decluster.MinOverlap{} }},
 	}
 	sets := []struct {
 		name string

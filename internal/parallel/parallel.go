@@ -98,6 +98,12 @@ type Tree struct {
 	placements map[rtree.PageID]Placement
 	rects      map[rtree.PageID]geom.Rect // last known MBR per page, for state upkeep
 	rnd        *rand.Rand
+
+	// sibs and sibSlab are where NodeCreated hands the policy the
+	// siblings' MBRs: the tree has one writer, and no policy keeps them
+	// past Assign.
+	sibs    []decluster.Sibling
+	sibSlab []float64
 }
 
 // newCylinderRand returns the generator stream used for uniform
@@ -212,16 +218,25 @@ func (t *Tree) NodeCreated(n *rtree.Node, siblingIDs []rtree.PageID) {
 	// Sibling MBRs are read live from the store — a sibling's extent may
 	// have grown since it was placed, and the policy should see current
 	// geometry.
-	sibs := make([]decluster.Sibling, 0, len(siblingIDs))
+	dim := t.cfg.Dim
+	if cap(t.sibs) < len(siblingIDs) {
+		t.sibs = make([]decluster.Sibling, 0, len(siblingIDs))
+		t.sibSlab = make([]float64, 2*dim*len(siblingIDs))
+	}
+	sibs, slab := t.sibs[:0], t.sibSlab
 	for _, id := range siblingIDs {
 		if pl, ok := t.placements[id]; ok {
 			sib := t.Store().Get(id)
 			if len(sib.Entries) == 0 {
 				continue
 			}
-			sibs = append(sibs, decluster.Sibling{Page: id, Rect: sib.MBR(), Disk: pl.Disk})
+			r := geom.Rect{Lo: slab[:dim:dim], Hi: slab[dim : 2*dim : 2*dim]}
+			slab = slab[2*dim:]
+			sib.MBRInto(r)
+			sibs = append(sibs, decluster.Sibling{Page: id, Rect: r, Disk: pl.Disk})
 		}
 	}
+	t.sibs = sibs
 	d := t.policy.Assign(mbr, sibs, t.state)
 	if d < 0 || d >= t.cfg.NumDisks {
 		panic(fmt.Sprintf("parallel: policy %s returned disk %d of %d", t.policy.Name(), d, t.cfg.NumDisks))

@@ -49,8 +49,8 @@ func (s *candScratch) views(m int) (dmin, dmm, dmax, tmp []float64) {
 //
 // The metrics are computed node-at-a-time with the batch kernels over
 // the node's flat geometry view, which is bit-identical to the scalar
-// per-entry path (makeCandidatesScalar, kept as the test reference and
-// the fallback for mixed-sphere nodes).
+// per-entry path (appendCandidatesScalar, the fallback for mixed-sphere
+// nodes; candidate_test.go runs it over every node as the reference).
 //
 // The returned slice is the scratch's candidate array, valid until the
 // next makeCandidates call; callers prune and sort it in place and copy
@@ -130,16 +130,6 @@ func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.FlatNode) []
 			}
 		}
 		out = append(out, c)
-	}
-	return out
-}
-
-// makeCandidatesScalar is the all-scalar equivalent of makeCandidates,
-// kept for differential tests and benchmarks.
-func makeCandidatesScalar(q geom.Point, nodes []*rtree.FlatNode) []candidate {
-	var out []candidate
-	for _, n := range nodes {
-		out = appendCandidatesScalar(out, q, n)
 	}
 	return out
 }

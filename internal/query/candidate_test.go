@@ -10,6 +10,16 @@ import (
 	"repro/internal/rtree"
 )
 
+// makeCandidatesScalar is the all-scalar equivalent of makeCandidates:
+// the reference the batch path is tested and benchmarked against.
+func makeCandidatesScalar(q geom.Point, nodes []*rtree.FlatNode) []candidate {
+	var out []candidate
+	for _, n := range nodes {
+		out = appendCandidatesScalar(out, q, n)
+	}
+	return out
+}
+
 func cand(child int, dmin, dmm, dmax float64, count int) candidate {
 	return candidate{
 		child: rtree.PageID(child), count: count,

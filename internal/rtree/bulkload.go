@@ -26,8 +26,8 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 		return fmt.Errorf("rtree: BulkLoadSTR requires an empty tree, have %d objects", t.size)
 	}
 	for i := range items {
-		if items[i].Rect.Dim() != t.cfg.Dim {
-			return fmt.Errorf("rtree: item %d has dim %d, tree dim %d", i, items[i].Rect.Dim(), t.cfg.Dim)
+		if err := t.checkRect(items[i].Rect); err != nil {
+			return fmt.Errorf("rtree: item %d: %w", i, err)
 		}
 		items[i].Count = 1
 		items[i].Child = NilPage

@@ -21,7 +21,12 @@ import (
 // insert of a rectangle no tree may hold — a NaN, an infinity or Lo
 // above Hi on one axis — which must fail and leave the tree as it was
 // (a NaN used to panic in ChooseSubtree, an infinity to poison every
-// ancestor MBR).
+// ancestor MBR) — or a finite one just outside CoordBound.
+//
+// With bit 0x80 of cfgByte set, the grid is stretched over the whole
+// accepted range: coordinate c becomes (c−8)/8 · CoordBound, so the
+// tree's areas, margins and overlap sums come as close to overflowing
+// as the bound lets them (such coordinates used to panic the split).
 func FuzzRTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 3, 2, 2, 8}, byte(1), byte(1))
@@ -31,6 +36,11 @@ func FuzzRTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0x40))
 	f.Add([]byte{0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 0, 5, 5, 1, 5, 5, 2, 0, 3, 5, 5, 9}, byte(1), byte(0x40))
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 0, 8, 8, 0, 9, 9, 0, 3, 3, 2, 1}, byte(1), byte(0x41))
+	// Coordinates at the bound, corners included, and poison just past it.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 15, 15, 0, 15, 0, 0, 0, 15, 0, 8, 8, 0, 3, 12, 0, 12, 3, 0, 7, 9,
+		0, 1, 14, 0, 14, 1, 0, 0, 15, 0, 15, 15, 2, 1, 3, 0, 4, 2, 3, 2, 2, 3, 15, 15, 4}, byte(1), byte(0xC0))
+	f.Add([]byte{0, 0, 0, 0, 15, 15, 0, 0, 15, 0, 15, 0, 0, 5, 9, 0, 9, 5, 0, 2, 2, 0, 13, 13, 0, 6, 6,
+		0, 11, 4, 0, 4, 11, 0, 1, 1, 2, 0, 3, 8, 8, 3}, byte(2), byte(0xA4))
 	f.Fuzz(func(t *testing.T, ops []byte, dimByte, cfgByte byte) {
 		dim := 1 + int(dimByte)%3
 		cfg := Config{Dim: dim, MaxEntries: 4 + int(cfgByte)%5}
@@ -55,10 +65,14 @@ func FuzzRTreeOps(f *testing.F) {
 			pos++
 			return b
 		}
+		bound := tr.CoordBound()
 		point := func() geom.Point {
 			p := make(geom.Point, dim)
 			for d := range p {
 				p[d] = float64(next() % 16)
+				if cfgByte&0x80 != 0 {
+					p[d] = (p[d] - 8) / 8 * bound
+				}
 			}
 			return p
 		}
@@ -68,7 +82,7 @@ func FuzzRTreeOps(f *testing.F) {
 				r.Lo[d], r.Hi[d] = 3, 4
 			}
 			axis := n % dim
-			switch (n / dim) % 4 {
+			switch (n / dim) % 5 {
 			case 0:
 				r.Lo[axis] = math.NaN()
 			case 1:
@@ -77,6 +91,8 @@ func FuzzRTreeOps(f *testing.F) {
 				r.Lo[axis] = math.Inf(-1)
 			case 3:
 				r.Lo[axis], r.Hi[axis] = 4, 3
+			case 4:
+				r.Lo[axis] = -math.Nextafter(bound, math.Inf(1))
 			}
 			if err := tr.Insert(r, -1); err == nil {
 				t.Fatalf("Insert accepted %v", r)

@@ -85,9 +85,9 @@ func (n *Node) MBR() geom.Rect {
 	return r
 }
 
-// mbrInto writes the node's MBR into dst, which must have the node's
+// MBRInto writes the node's MBR into dst, which must have the node's
 // dimensionality — MBR without the allocation, value for value.
-func (n *Node) mbrInto(dst geom.Rect) {
+func (n *Node) MBRInto(dst geom.Rect) {
 	if len(n.Entries) == 0 {
 		panic(fmt.Sprintf("rtree: MBR of empty node %d", n.ID))
 	}

@@ -110,8 +110,9 @@ type Tree struct {
 	store    Store
 	listener Listener
 	root     PageID
-	height   int // number of levels; 1 = root is a leaf
-	size     int // number of data objects
+	height   int     // number of levels; 1 = root is a leaf
+	size     int     // number of data objects
+	bound    float64 // coordBound(cfg): the largest |coordinate| Insert accepts
 
 	// reinserted flags forced reinsertion per level within one top-level
 	// insert operation (OverflowTreatment is invoked at most once per
@@ -210,7 +211,7 @@ func New(cfg Config, store Store) (*Tree, error) {
 	// All structural operations run through a tracing wrapper so that
 	// TraceOp can report the exact page I/O of an insert or delete.
 	store = &tracingStore{inner: store}
-	t := &Tree{cfg: cfg, store: store, listener: nopListener{}}
+	t := &Tree{cfg: cfg, store: store, listener: nopListener{}, bound: coordBound(cfg)}
 	root := store.Allocate(0)
 	t.root = root.ID
 	t.height = 1
@@ -239,8 +240,50 @@ func Restore(cfg Config, store Store, root PageID, size int) (*Tree, error) {
 		root:     root,
 		height:   rootNode.Level + 1,
 		size:     size,
+		bound:    coordBound(cfg),
 	}
 	return t, nil
+}
+
+// coordBound is the largest |coordinate| a tree with this geometry
+// accepts. Within it an extent is at most E = 2·bound, with
+//
+//	E^max(dim, 2) · S ≤ MaxFloat64,  S = 4 · dim · n,
+//
+// where n bounds the entries of a node an insertion works on: M+1 when
+// it overflows; an X-tree supernode has no fixed size, so there n is
+// 2^40 entries, more than any store holds. What an insertion adds up
+// then stays finite: an area is at most E^dim and an overlap sum has
+// fewer than n terms (ChooseSubtree), a margin sum has at most 4·n
+// margins of at most dim·E each (the split), a squared distance is at
+// most dim·E² (forced reinsertion, the SR descent). Rounding cannot
+// close the slack of the factor 4·dim.
+func coordBound(cfg Config) float64 {
+	n := float64(cfg.MaxEntries + 1)
+	if cfg.MaxOverlapRatio > 0 {
+		n = 1 << 40
+	}
+	s := 4 * float64(cfg.Dim) * n
+	return math.Pow(math.MaxFloat64/s, 1/float64(max(cfg.Dim, 2))) / 2
+}
+
+// CoordBound returns the largest |coordinate| Insert accepts.
+func (t *Tree) CoordBound() float64 { return t.bound }
+
+// checkRect refuses a rectangle no insertion can handle: the wrong
+// dimensionality, Lo above Hi, or a coordinate that is NaN or outside
+// ±bound (infinities included).
+func (t *Tree) checkRect(r geom.Rect) error {
+	if r.Dim() != t.cfg.Dim || len(r.Hi) != t.cfg.Dim {
+		return fmt.Errorf("dim %d in a %d-d tree", r.Dim(), t.cfg.Dim)
+	}
+	b := t.bound
+	for a := range r.Lo {
+		if lo, hi := r.Lo[a], r.Hi[a]; !(-b <= lo && lo <= hi && hi <= b) {
+			return fmt.Errorf("axis %d spans %g..%g, want -%g <= lo <= hi <= %g", a, lo, hi, b, b)
+		}
+	}
+	return nil
 }
 
 // SetListener installs a structural-change listener. It must be called
@@ -309,18 +352,15 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return root.MBR(), true
 }
 
-// Insert adds an object with the given MBR. A rectangle with a NaN or
-// infinite coordinate, or with Lo above Hi on some axis, is refused
-// before the tree is touched: every comparison ChooseSubtree and the
-// split make assumes finite, ordered corners.
+// Insert adds an object with the given MBR. A rectangle is refused,
+// before the tree is touched, when Lo is above Hi on some axis or a
+// coordinate is NaN or outside ±CoordBound(): every comparison
+// ChooseSubtree and the split make assumes ordered corners and finite
+// areas, margins and overlap sums, and within the bound none of them
+// can overflow (see coordBound).
 func (t *Tree) Insert(r geom.Rect, obj ObjectID) error {
-	if r.Dim() != t.cfg.Dim || len(r.Hi) != t.cfg.Dim {
-		return fmt.Errorf("rtree: insert dim %d into %d-d tree", r.Dim(), t.cfg.Dim)
-	}
-	for a := range r.Lo {
-		if lo, hi := r.Lo[a], r.Hi[a]; !(lo <= hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			return fmt.Errorf("rtree: insert of object %d: axis %d spans %g..%g, want finite lo <= hi", obj, a, lo, hi)
-		}
+	if err := t.checkRect(r); err != nil {
+		return fmt.Errorf("rtree: insert of object %d: %w", obj, err)
 	}
 	e := LeafEntry(copyRect(r), obj)
 	if t.cfg.UseSpheres {
@@ -396,7 +436,7 @@ func (t *Tree) scratchMBR(n *Node) geom.Rect {
 	if t.w.mbr.Lo == nil {
 		t.w.mbr = geom.Rect{Lo: make(geom.Point, t.cfg.Dim), Hi: make(geom.Point, t.cfg.Dim)}
 	}
-	n.mbrInto(t.w.mbr)
+	n.MBRInto(t.w.mbr)
 	return t.w.mbr
 }
 

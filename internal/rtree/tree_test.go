@@ -555,6 +555,70 @@ func TestInsertRejectsNonFiniteRect(t *testing.T) {
 	}
 }
 
+// TestInsertNearCoordBound: finite coordinates whose areas overflow used
+// to panic the split — 2 000 points uniform in [−1e200, 1e200]² made
+// every margin +Inf and every overlap sum NaN, no distribution won, and
+// chooseSplit grew a slice by −1. Inside the bound, a tree of points and
+// of boxes as large as the bound allows builds, shrinks and checks out;
+// just outside it, and at 1e200, Insert refuses and the tree is as it
+// was.
+func TestInsertNearCoordBound(t *testing.T) {
+	for _, cfg := range []Config{{Dim: 2, MaxEntries: 8}, {Dim: 8, MaxEntries: 8}} {
+		tr := mustTree(t, cfg)
+		b := tr.CoordBound()
+		rnd := rand.New(rand.NewSource(3))
+		coord := func() float64 { return (2*rnd.Float64() - 1) * b }
+		rects := make([]geom.Rect, 2000)
+		for i := range rects {
+			r := geom.Rect{Lo: make(geom.Point, cfg.Dim), Hi: make(geom.Point, cfg.Dim)}
+			for a := range r.Lo {
+				switch {
+				case i%100 == 0: // the largest box there is
+					r.Lo[a], r.Hi[a] = -b, b
+				case i%10 == 0:
+					x, y := coord(), coord()
+					r.Lo[a], r.Hi[a] = min(x, y), max(x, y)
+				default:
+					r.Lo[a] = coord()
+					r.Hi[a] = r.Lo[a]
+				}
+			}
+			if err := tr.Insert(r, ObjectID(i)); err != nil {
+				t.Fatalf("%d-d: insert %d inside the bound %g: %v", cfg.Dim, i, b, err)
+			}
+			rects[i] = r
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%d-d: %v", cfg.Dim, err)
+		}
+		for i := 0; i < len(rects); i += 3 {
+			if !tr.Delete(rects[i], ObjectID(i)) {
+				t.Fatalf("%d-d: delete of live object %d failed", cfg.Dim, i)
+			}
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%d-d: %v", cfg.Dim, err)
+		}
+
+		before, size := tr.Bounds()
+		n := tr.Len()
+		above := math.Nextafter(b, math.Inf(1))
+		for _, x := range []float64{above, -above, 1e200, -1e200} {
+			for axis := 0; axis < cfg.Dim; axis++ {
+				p := make(geom.Point, cfg.Dim)
+				p[axis] = x
+				if err := tr.InsertPoint(p, 9999); err == nil {
+					t.Errorf("%d-d: Insert accepted %g on axis %d, bound %g", cfg.Dim, x, axis, b)
+				}
+			}
+		}
+		if after, _ := tr.Bounds(); !size || tr.Len() != n || !after.Equal(before) {
+			t.Errorf("%d-d: refused inserts changed the tree: %d objects, bounds %v, want %d, %v",
+				cfg.Dim, tr.Len(), after, n, before)
+		}
+	}
+}
+
 // TestInsertAllocBudget: an insert that overflows nothing allocates the
 // rectangle it stores, a new rectangle for each ancestor entry whose
 // MBR it moved, and now and then a larger backing for its leaf — at
