@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Duration per fuzz target in the `fuzz` smoke target.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet analyze analyze-sarif analyze-budget audit test race lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
+.PHONY: all build vet analyze analyze-budget test race lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
 
 all: build vet analyze test
 
@@ -20,21 +20,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-## analyze: the repo-specific analyzer suite (internal/lint) run through
-## the `go vet -vettool` protocol, exactly as CI runs it, followed by
-## the suppression audit (stale //lint:allow directives fail the build).
+## analyze: the repo-specific analyzer suite (internal/lint), run once
+## over the whole module with the suppression audit (stale //lint:allow
+## directives fail the build). CI's lint job runs the same command with
+## -github and -sarif added.
 analyze:
 	$(GO) build -o bin/simquerylint ./cmd/simquerylint
-	$(GO) vet -vettool=$(abspath bin/simquerylint) ./...
 	bin/simquerylint -source . -audit
-
-## analyze-sarif: standalone whole-module scan rendered as SARIF 2.1.0
-## (lint.sarif in the repo root — CI uploads it as an artifact).
-ANALYZE_SARIF_OUT ?= lint.sarif
-analyze-sarif:
-	$(GO) build -o bin/simquerylint ./cmd/simquerylint
-	bin/simquerylint -source . -sarif $(ANALYZE_SARIF_OUT)
-	@echo "wrote $(ANALYZE_SARIF_OUT)"
 
 ## analyze-budget: `make analyze` under a wall-clock ceiling. The
 ## interprocedural analyzers (call graph + fixpoint summaries) must stay
@@ -48,13 +40,6 @@ analyze-budget:
 	echo "make analyze took $${elapsed}s (budget $(ANALYZE_BUDGET_SECS)s)"; \
 	if [ $$elapsed -gt $(ANALYZE_BUDGET_SECS) ]; then \
 		echo "analyzer runtime budget exceeded"; exit 1; fi
-
-## audit: report //lint:allow directives that no longer suppress any
-## finding. Stale suppressions are bugs-in-waiting: they hide nothing
-## today and mask a real finding tomorrow.
-audit:
-	$(GO) build -o bin/simquerylint ./cmd/simquerylint
-	bin/simquerylint -source . -audit
 
 ## test: the CI test job (short mode — slow simulations skipped).
 test:

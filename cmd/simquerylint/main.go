@@ -1,49 +1,24 @@
 // Command simquerylint is the repo's custom static-analysis suite. It
-// speaks two protocols:
+// loads every package of the module from source and runs the whole
+// suite once, in one process, which the cross-package modes need:
 //
-// As a `go vet` tool (the unitchecker protocol), for per-package runs
-// with full build-graph fidelity:
+//	simquerylint -source .                        # findings to stdout
+//	simquerylint -source . -audit                 # + stale //lint:allow report
+//	simquerylint -source . -github                # GitHub Actions annotations
+//	simquerylint -source . -sarif findings.sarif  # SARIF 2.1.0 artifact
 //
-//	go build -o bin/simquerylint ./cmd/simquerylint
-//	go vet -vettool=$(pwd)/bin/simquerylint ./...
-//
-// or simply `make analyze`. Invoked directly it is a whole-module
-// driver that loads every package from source, which is what the
-// cross-package modes need:
-//
-//	simquerylint -source . -sarif findings.sarif   # SARIF 2.1.0 artifact
-//	simquerylint -source . -audit                  # stale //lint:allow report
-//	simquerylint -source . -github                 # GitHub Actions annotations
-//
-// See internal/lint for the analyzers: the AST-local suite
-// (simdeterminism, floatcmp, lockcheck, statscomplete) and the
-// CFG/dataflow protocol suite (tracepair, fsyncorder, ctxcancel,
+// or simply `make analyze`. See internal/lint for the analyzers: the
+// AST-local suite (simdeterminism, floatcmp, lockcheck, statscomplete)
+// and the CFG/dataflow protocol suite (tracepair, fsyncorder, ctxcancel,
 // errlost).
 package main
 
 import (
 	"os"
-	"strings"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	if isVettoolInvocation(os.Args[1:]) {
-		lint.Vettool(lint.All())
-		return
-	}
 	os.Exit(lint.Standalone(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// isVettoolInvocation recognizes the three call shapes cmd/go uses for
-// a vettool: -V=full (version probe), -flags (flag discovery), and a
-// single vet.cfg path argument.
-func isVettoolInvocation(args []string) bool {
-	for _, a := range args {
-		if strings.HasPrefix(a, "-V=") || a == "-flags" {
-			return true
-		}
-	}
-	return len(args) == 1 && strings.HasSuffix(args[0], ".cfg")
 }

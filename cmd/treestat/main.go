@@ -59,7 +59,7 @@ func main() {
 		}
 		treeDim = tree.Config().Dim
 		*set = "(snapshot " + *loadFrom + ")"
-		*pageSize = snapshotPage(tree)
+		*pageSize = tree.Config().PageSize
 	} else {
 		pts, err := dataset.ByName(*set, *n, *dim, *seed)
 		if err != nil {
@@ -166,15 +166,4 @@ func main() {
 		f.Close()
 		fmt.Printf("snapshot: wrote %s (%d bytes)\n", *saveTo, info.Size())
 	}
-}
-
-// snapshotPage reports a page size compatible with a loaded tree's
-// capacity for the codec audit.
-func snapshotPage(t *parallel.Tree) int {
-	cfg := t.Config()
-	c := pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
-	if cfg.PageSize > 0 && c.Capacity() >= cfg.MaxEntries {
-		return cfg.PageSize
-	}
-	return 16 + c.EntrySize()*cfg.MaxEntries
 }

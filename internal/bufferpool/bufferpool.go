@@ -4,16 +4,13 @@
 // CPU, and caching further directory levels is a natural extension
 // studied by the ablation benchmarks.
 //
-// There is one LRU implementation (lru) with two locked fronts: Pool
-// puts a single mutex around it, Sharded spreads keys over independently
-// locked shards and adds singleflight fetch deduplication.
+// There is one LRU implementation (lru) and one locked front over it:
+// Sharded spreads keys over independently locked shards and adds
+// singleflight fetch deduplication. A one-shard Sharded is a single LRU
+// behind a single mutex.
 package bufferpool
 
-import (
-	"container/list"
-	"fmt"
-	"sync"
-)
+import "container/list"
 
 // Stats counts cache traffic.
 type Stats struct {
@@ -32,8 +29,8 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// lru is the fixed-capacity LRU core behind Pool and Sharded. It has no
-// lock of its own: the front that embeds it serializes every call.
+// lru is the fixed-capacity LRU core of each Sharded shard. It has no
+// lock of its own: the shard that embeds it serializes every call.
 type lru[K comparable, V any] struct {
 	capacity int
 	ll       *list.List
@@ -97,92 +94,4 @@ func (c *lru[K, V]) remove(key K) {
 		c.ll.Remove(el)
 		delete(c.items, key)
 	}
-}
-
-// Pool is a fixed-capacity LRU cache from K to V. The zero value is not
-// usable; call New. A single mutex guards every operation, which makes
-// the pool safe to share between the concurrent engine's query
-// goroutines; for heavy multi-core traffic prefer Sharded, which
-// spreads the lock over independently guarded shards.
-type Pool[K comparable, V any] struct {
-	mu  sync.Mutex
-	lru lru[K, V] // guarded by mu
-}
-
-// New returns a pool that holds at most capacity entries.
-// Capacity must be positive.
-func New[K comparable, V any](capacity int) *Pool[K, V] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("bufferpool: capacity must be positive, got %d", capacity))
-	}
-	return &Pool[K, V]{lru: newLRU[K, V](capacity)}
-}
-
-// Get looks up key, promoting it to most-recently-used on a hit.
-func (p *Pool[K, V]) Get(key K) (V, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.lookup(key, true)
-}
-
-// Probe is Get without the miss accounting: a hit is promoted and
-// counted, a miss counts nothing. It is for a caller that follows a
-// miss with a counting lookup of the same key (Get, GetOrFetch), so
-// the request still counts exactly one hit or one miss.
-func (p *Pool[K, V]) Probe(key K) (V, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.lookup(key, false)
-}
-
-// Contains reports whether key is cached without touching recency or
-// statistics.
-func (p *Pool[K, V]) Contains(key K) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.lru.items[key]
-	return ok
-}
-
-// Put inserts or refreshes key, evicting the least recently used entry
-// when the pool is full (allocation-free once full).
-func (p *Pool[K, V]) Put(key K, val V) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lru.put(key, val)
-}
-
-// Remove drops key from the pool if present.
-func (p *Pool[K, V]) Remove(key K) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lru.remove(key)
-}
-
-// Len returns the number of cached entries.
-func (p *Pool[K, V]) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.ll.Len()
-}
-
-// Capacity returns the configured maximum size.
-func (p *Pool[K, V]) Capacity() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.capacity
-}
-
-// Stats returns a copy of the traffic counters.
-func (p *Pool[K, V]) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lru.stats
-}
-
-// Reset empties the pool and clears statistics.
-func (p *Pool[K, V]) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.lru = newLRU[K, V](p.lru.capacity)
 }

@@ -6,8 +6,24 @@ import (
 	"testing/quick"
 )
 
+// lruOf is the cache the LRU tests drive: one shard, so a single LRU
+// behind a single lock — the simulator's shared cache.
+func lruOf[V any](capacity int) *Sharded[int, V] {
+	return NewSharded[int, V](capacity, 1, idHash)
+}
+
+// contains reports whether key is cached without touching recency or
+// statistics.
+func contains[V any](s *Sharded[int, V], key int) bool {
+	sh := s.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, ok := sh.lru.items[key]
+	return ok
+}
+
 func TestBasicPutGet(t *testing.T) {
-	p := New[int, string](2)
+	p := lruOf[string](2)
 	p.Put(1, "a")
 	p.Put(2, "b")
 	if v, ok := p.Get(1); !ok || v != "a" {
@@ -23,15 +39,15 @@ func TestBasicPutGet(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	p := New[int, int](2)
+	p := lruOf[int](2)
 	p.Put(1, 10)
 	p.Put(2, 20)
 	p.Get(1)     // 1 is now MRU
 	p.Put(3, 30) // evicts 2
-	if p.Contains(2) {
+	if contains(p, 2) {
 		t.Error("2 not evicted")
 	}
-	if !p.Contains(1) || !p.Contains(3) {
+	if !contains(p, 1) || !contains(p, 3) {
 		t.Error("wrong eviction victim")
 	}
 	if p.Stats().Evictions != 1 {
@@ -40,10 +56,10 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestPutRefreshesValue(t *testing.T) {
-	p := New[string, int](2)
-	p.Put("x", 1)
-	p.Put("x", 2)
-	if v, _ := p.Get("x"); v != 2 {
+	p := lruOf[int](2)
+	p.Put(7, 1)
+	p.Put(7, 2)
+	if v, _ := p.Get(7); v != 2 {
 		t.Errorf("refreshed value = %d", v)
 	}
 	if p.Len() != 1 {
@@ -52,22 +68,12 @@ func TestPutRefreshesValue(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	p := New[int, int](4)
+	p := lruOf[int](4)
 	p.Put(1, 1)
 	p.Remove(1)
 	p.Remove(99) // no-op
-	if p.Contains(1) || p.Len() != 0 {
+	if contains(p, 1) || p.Len() != 0 {
 		t.Error("Remove failed")
-	}
-}
-
-func TestReset(t *testing.T) {
-	p := New[int, int](4)
-	p.Put(1, 1)
-	p.Get(1)
-	p.Reset()
-	if p.Len() != 0 || p.Stats().Hits != 0 {
-		t.Error("Reset incomplete")
 	}
 }
 
@@ -77,11 +83,11 @@ func TestZeroCapacityPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	New[int, int](0)
+	lruOf[int](0)
 }
 
 func TestHitRate(t *testing.T) {
-	p := New[int, int](2)
+	p := lruOf[int](2)
 	if p.Stats().HitRate() != 0 {
 		t.Error("untouched pool hit rate != 0")
 	}
@@ -99,7 +105,7 @@ func TestLRUModelProperty(t *testing.T) {
 	f := func(seed int64, capRaw uint8) bool {
 		capacity := int(capRaw)%16 + 1
 		rnd := rand.New(rand.NewSource(seed))
-		p := New[int, int](capacity)
+		p := lruOf[int](capacity)
 		model := map[int]int{}
 		var recency []int // most recent last
 		touch := func(k int) {
@@ -148,7 +154,7 @@ func TestLRUModelProperty(t *testing.T) {
 // the newcomer: the steady state of a cache smaller than its working
 // set allocates nothing per insert, and evicts in LRU order as before.
 func TestPutIntoFullPoolAllocatesNothing(t *testing.T) {
-	p := New[int, *int](64)
+	p := lruOf[*int](64)
 	v := new(int)
 	for k := 0; k < 64; k++ {
 		p.Put(k, v)
@@ -160,7 +166,7 @@ func TestPutIntoFullPoolAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("insert into a full pool: %.2f allocations, want 0", allocs)
 	}
-	if p.Len() != 64 || p.Contains(next-65) || !p.Contains(next-64) || !p.Contains(next-1) {
+	if p.Len() != 64 || contains(p, next-65) || !contains(p, next-64) || !contains(p, next-1) {
 		t.Errorf("after %d inserts the pool does not hold exactly the 64 newest keys", next)
 	}
 	if s := p.Stats(); s.Inserts != uint64(next) || s.Evictions != uint64(next-64) {

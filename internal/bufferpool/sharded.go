@@ -114,10 +114,11 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	return s.handOut(sh.lru.lookup(key, true))
 }
 
-// Probe is Get that counts only a hit (see Pool.Probe). The engine
-// probes on the querying goroutine and sends a miss to the page's disk
-// worker, whose GetOrFetchHit then counts the request's one miss — or
-// its one hit, when another fetch filled the page in between.
+// Probe is Get without the miss accounting: a hit is promoted and
+// counted, a miss counts nothing. The engine probes on the querying
+// goroutine and sends a miss to the page's disk worker, whose
+// GetOrFetchHit then counts the request's one miss — or its one hit,
+// when another fetch filled the page in between.
 func (s *Sharded[K, V]) Probe(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()

@@ -2,7 +2,6 @@ package bufferpool
 
 import (
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -377,39 +376,5 @@ func TestShardedFlightRecordsRecycle(t *testing.T) {
 		if n := fetches.Load(); n != 1 {
 			t.Fatalf("round %d: fetch ran %d times", round, n)
 		}
-	}
-}
-
-// One shard of Sharded and a Pool are the same LRU behind two locks:
-// the same operations leave the same contents and the same counters.
-func TestShardedMatchesPool(t *testing.T) {
-	s := NewSharded[int, int](8, 1, func(k int) uint64 { return uint64(k) })
-	p := New[int, int](8)
-	rnd := rand.New(rand.NewSource(5))
-	for i := 0; i < 5000; i++ {
-		k := rnd.Intn(24)
-		switch rnd.Intn(4) {
-		case 0:
-			s.Put(k, i)
-			p.Put(k, i)
-		case 1:
-			sv, sok := s.Get(k)
-			pv, pok := p.Get(k)
-			if sv != pv || sok != pok {
-				t.Fatalf("op %d Get(%d): sharded %d,%v pool %d,%v", i, k, sv, sok, pv, pok)
-			}
-		case 2:
-			sv, sok := s.Probe(k)
-			pv, pok := p.Probe(k)
-			if sv != pv || sok != pok {
-				t.Fatalf("op %d Probe(%d): sharded %d,%v pool %d,%v", i, k, sv, sok, pv, pok)
-			}
-		case 3:
-			s.Remove(k)
-			p.Remove(k)
-		}
-	}
-	if s.Stats() != p.Stats() || s.Len() != p.Len() {
-		t.Fatalf("sharded %+v len %d, pool %+v len %d", s.Stats(), s.Len(), p.Stats(), p.Len())
 	}
 }

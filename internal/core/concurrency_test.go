@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"math"
 	"sync"
 	"testing"
 
@@ -105,6 +106,59 @@ func TestSnapshotLoadIndex(t *testing.T) {
 	}
 	if run.MeanResponse <= 0 {
 		t.Error("loaded index simulation produced no timing")
+	}
+}
+
+// TestLoadIndexOpensFileBackedEngine: an index restored by LoadIndex
+// keeps its page size, so an engine over it can write its replicas to
+// files, and that engine answers bit for bit like one over the original.
+// A snapshot used to restore page size 0, and the replica files refused
+// to open.
+func TestLoadIndexOpensFileBackedEngine(t *testing.T) {
+	ix, err := NewIndex(IndexConfig{Dim: 2, NumDisks: 10, Seed: 1998})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := dataset.CaliforniaLike(3000, 1998)
+	if err := ix.InsertAll(pts, 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := ix.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadIndex(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Tree().Config().PageSize; got != 4096 {
+		t.Fatalf("restored page size %d, want 4096", got)
+	}
+	engines := make([]*Engine, 2)
+	for i, x := range []*Index{ix, loaded} {
+		if engines[i], err = x.NewEngine(EngineConfig{DataDir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+		defer engines[i].Close()
+	}
+	for qi, q := range dataset.SampleQueries(pts, 20, 1999) {
+		want, _, err := engines[0].KNN(context.Background(), q, 10, "crss")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := engines[1].KNN(context.Background(), q, 10, "crss")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Object != w.Object || math.Float64bits(g.DistSq) != math.Float64bits(w.DistSq) || !g.Rect.Equal(w.Rect) {
+				t.Fatalf("q%d: result %d is %+v over the loaded index, %+v over the original", qi, i, g, w)
+			}
+		}
 	}
 }
 

@@ -345,7 +345,9 @@ func (ix *Index) Simulate(w SimulatedWorkload) (RunResult, error) {
 	defer ix.mu.RUnlock()
 	opts := query.Options{CachedLevels: w.CachedLevels}
 	if w.SharedCachePages > 0 {
-		opts.SharedCache = bufferpool.New[rtree.PageID, struct{}](w.SharedCachePages)
+		// One shard: a single LRU behind a single lock.
+		opts.SharedCache = bufferpool.NewSharded[rtree.PageID, struct{}](w.SharedCachePages, 1,
+			func(rtree.PageID) uint64 { return 0 })
 	}
 	return sys.Run(simarray.Workload{
 		Algorithm:   alg,

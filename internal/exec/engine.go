@@ -43,16 +43,21 @@ import (
 // ErrClosed is returned by KNN after Close.
 var ErrClosed = errors.New("exec: engine closed")
 
+const (
+	// queueDepth is the per-disk fetch channel buffer. When a disk's
+	// queue is full, request submission blocks — natural backpressure
+	// against one hot disk. Only cache misses are queued.
+	queueDepth = 32
+	// cacheShards is the lock sharding of the page cache.
+	cacheShards = 8
+)
+
 // Config tunes the engine. The zero value picks sensible defaults.
 type Config struct {
 	// WorkersPerDisk is the number of goroutines serving each simulated
 	// disk's fetch queue (default 1 — the paper's one-arm-per-disk
 	// model; more overlaps page decodes on multi-core hosts).
 	WorkersPerDisk int
-	// QueueDepth is the per-disk fetch channel buffer (default 32).
-	// When a disk's queue is full, request submission blocks — natural
-	// backpressure against one hot disk. Only cache misses are queued.
-	QueueDepth int
 	// MaxInFlight bounds the total outstanding page reads across all
 	// queries (default 4 reads per worker): requests the page cache
 	// could not serve, each holding a slot from submission until its
@@ -76,8 +81,6 @@ type Config struct {
 	// instead of multiplying queue depth. Results are bit-identical
 	// with or without coalescing.
 	CoalesceFetches bool
-	// CacheShards is the lock sharding of the page cache (default 8).
-	CacheShards int
 	// Mirrors is the number of physical replicas of every logical
 	// disk's page store (default 1 — the paper's RAID-0; 2 models
 	// RAID-1 shadowing, mirroring simarray.Config.Mirrors). Reads pick
@@ -127,12 +130,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.WorkersPerDisk <= 0 {
 		c.WorkersPerDisk = 1
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
 	}
 	if c.Mirrors <= 0 {
 		c.Mirrors = 1
@@ -414,7 +411,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	}
 	if cfg.CachePages > 0 {
 		e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](
-			cfg.CachePages, cfg.CacheShards,
+			cfg.CachePages, cacheShards,
 			func(id rtree.PageID) uint64 { return uint64(uint32(id)) * 0x9e3779b97f4a7c15 })
 		if e.views != nil {
 			e.cache.OnHandOut((*rtree.FlatNode).Hold)
@@ -425,7 +422,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		e.co = newCoalescer()
 	}
 	for d := 0; d < n; d++ {
-		e.queues[d] = make(chan fetchJob, cfg.QueueDepth)
+		e.queues[d] = make(chan fetchJob, queueDepth)
 		for w := 0; w < cfg.WorkersPerDisk; w++ {
 			e.workers.Add(1)
 			go e.worker(d)
@@ -1159,7 +1156,7 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 // are served on the calling goroutine, the rest of the query's page
 // fetches execute on the per-disk workers. The context cancels the
 // query between (and during) fetch stages. opts.SharedCache may be
-// shared across concurrent queries (bufferpool.Pool is internally
+// shared across concurrent queries (bufferpool.Sharded is internally
 // locked); residency accounting is admit-on-delivery, so a cancelled
 // query never plants a page it did not fetch. For a decoded-page cache
 // prefer the engine's own Config.CachePages, which also deduplicates

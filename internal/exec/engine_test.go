@@ -233,8 +233,8 @@ func TestEngineConcurrentClients(t *testing.T) {
 func TestEngineSharedCacheStatsParity(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 5, false, 0)
 	queries := dataset.SampleQueries(pts, 20, 13)
-	newPool := func() *bufferpool.Pool[rtree.PageID, struct{}] {
-		return bufferpool.New[rtree.PageID, struct{}](256)
+	newPool := func() *bufferpool.Sharded[rtree.PageID, struct{}] {
+		return bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
 	}
 
 	drv := query.Driver{Tree: tree}
@@ -297,7 +297,7 @@ func TestEngineCancelledQueryDoesNotPoisonSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	pool := bufferpool.New[rtree.PageID, struct{}](256)
+	pool := bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -125,7 +125,7 @@ func TestObservedConcurrentSharedCache(t *testing.T) {
 	}
 	defer eng.Close()
 
-	pool := bufferpool.New[rtree.PageID, struct{}](512)
+	pool := bufferpool.NewSharded[rtree.PageID, struct{}](512, 1, func(rtree.PageID) uint64 { return 0 })
 	var col obs.Collector
 	clients, perClient := 6, 20
 	if testing.Short() {

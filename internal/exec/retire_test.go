@@ -378,7 +378,7 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	}
 	want := driverAnswers(tree, append([]geom.Point{stalled}, churn...), k)[2] // CRSS
 
-	eng := newPoisoned(t, tree, Config{CachePages: 16, CacheShards: 2, WorkersPerDisk: 2})
+	eng := newPoisoned(t, tree, Config{CachePages: 16, WorkersPerDisk: 2})
 	defer eng.Close()
 	g := gatePage(t, eng, victim)
 	const clients = 3

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -217,34 +218,29 @@ func TestErrDataUnavailable(t *testing.T) {
 // a typed *pagestore.IntegrityError through the injected Reader, never
 // as a silently wrong node.
 func TestInjectorMisdirectedRead(t *testing.T) {
-	ps := pagestore.NewPagedStore(4096, 2)
-	a := ps.Allocate(0)
-	a.Entries = append(a.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 1}), 1))
-	ps.Update(a)
-	b := ps.Allocate(0)
-	b.Entries = append(b.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{2, 2}), 2))
-	ps.Update(b)
+	const a, b = 1, 2
+	fs := fileStoreOf(t, a, b)
 
 	in := NewInjector(1)
 	in.Set(0, Faults{MisdirectOn: 2})
-	r := in.Reader(0, ps)
+	r := in.Reader(0, fs)
 
-	n, err := r.ReadPage(a.ID)
-	if err != nil || n.ID != a.ID {
+	n, err := r.ReadPage(a)
+	if err != nil || n.ID != a {
 		t.Fatalf("first read: n=%v err=%v", n, err)
 	}
 	// Second I/O is misdirected: the drive serves the previously read
 	// page (a) instead of b.
-	_, err = r.ReadPage(b.ID)
+	_, err = r.ReadPage(b)
 	var ie *pagestore.IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("misdirected read: err = %v, want *pagestore.IntegrityError", err)
 	}
-	if ie.Want != b.ID || ie.Got != a.ID {
-		t.Errorf("IntegrityError = %+v, want Want=%d Got=%d", ie, b.ID, a.ID)
+	if ie.Want != b || ie.Got != a {
+		t.Errorf("IntegrityError = %+v, want Want=%d Got=%d", ie, b, a)
 	}
 	// Subsequent I/Os are healthy again.
-	if n, err := r.ReadPage(b.ID); err != nil || n.ID != b.ID {
+	if n, err := r.ReadPage(b); err != nil || n.ID != b {
 		t.Errorf("read after misdirection: n=%v err=%v", n, err)
 	}
 }
@@ -253,14 +249,36 @@ func TestInjectorMisdirectedRead(t *testing.T) {
 // the next page id, which may not even exist — an error either way,
 // never the wrong node.
 func TestInjectorMisdirectFirstIO(t *testing.T) {
-	ps := pagestore.NewPagedStore(4096, 2)
-	a := ps.Allocate(0)
-	a.Entries = append(a.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 1}), 1))
-	ps.Update(a)
+	fs := fileStoreOf(t, 1)
 	in := NewInjector(2)
 	in.Set(0, Faults{MisdirectOn: 1})
-	n, err := in.Reader(0, ps).ReadPage(a.ID)
+	n, err := in.Reader(0, fs).ReadPage(1)
 	if err == nil {
 		t.Fatalf("misdirected first read succeeded with node %d", n.ID)
 	}
+}
+
+// fileStoreOf writes one single-entry leaf per id into a page file
+// under a fresh directory.
+func fileStoreOf(t *testing.T, ids ...rtree.PageID) *pagestore.FileStore {
+	t.Helper()
+	codec := pagestore.Codec{Dim: 2, PageSize: 4096}
+	fs, err := pagestore.OpenFileStore(filepath.Join(t.TempDir(), "drive.pages"), codec, pagestore.FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := fs.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	for _, id := range ids {
+		n := &rtree.Node{ID: id}
+		x := float64(id)
+		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{x, x}), rtree.ObjectID(id)))
+		if err := fs.WriteNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return fs
 }

@@ -10,10 +10,9 @@ import (
 // analyzers (lockorder, goroleak, wgbalance, chanclose): a per-package
 // static call graph with CHA-style (class-hierarchy) resolution,
 // standing in for golang.org/x/tools/go/callgraph (unavailable
-// offline). Build-tag awareness comes from the drivers — the vettool
-// receives cmd/go's file list and LoadModule/LoadDir match files
-// through go/build — so the graph only ever sees files that compile
-// into the package.
+// offline). Build-tag awareness comes from the loader — LoadModule and
+// LoadDir match files through go/build — so the graph only ever sees
+// files that compile into the package.
 //
 // Resolution policy, from precise to conservative:
 //
@@ -29,8 +28,8 @@ import (
 //     marked Dynamic; summary-based analyzers treat it as "unknown
 //     effects" per their own documented policy.
 //
-// Calls that cross the package boundary have no body here (the vettool
-// analyzes one package at a time); analyzers that need cross-package
+// Calls that cross the package boundary have no body here (analysis
+// runs one package at a time); analyzers that need cross-package
 // facts declare them in small tables (see lockorder's baseline edges).
 
 // FuncInfo is one function body known to the call graph: a named
@@ -317,7 +316,6 @@ var concurrencyAnalyzerNames = []string{"lockorder", "goroleak", "wgbalance", "c
 // starts with one of the analyzer names — the golden testdata and
 // regression fixtures.
 func inConcurrencyScope(path string) bool {
-	path = normalizePkgPath(path)
 	if concurrencyScopePackages[path] {
 		return true
 	}

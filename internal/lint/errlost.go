@@ -45,7 +45,7 @@ func isTrackedErrCall(pass *Pass, call *ast.CallExpr) bool {
 	if fn == nil || fn.Pkg() == nil {
 		return false
 	}
-	pkgPath := normalizePkgPath(fn.Pkg().Path())
+	pkgPath := fn.Pkg().Path()
 	if !errLostCalleePkgs[pkgPath] && !strings.HasPrefix(pkgPath, pass.Analyzer.Name) {
 		return false
 	}

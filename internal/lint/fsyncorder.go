@@ -77,7 +77,6 @@ var fsyncOrderPackages = map[string]bool{
 }
 
 func inFsyncOrderScope(path, analyzer string) bool {
-	path = normalizePkgPath(path)
 	return fsyncOrderPackages[path] || strings.HasPrefix(path, analyzer)
 }
 

@@ -6,10 +6,10 @@
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library only — the build
-// environment is offline, so x/tools cannot be vendored. Analyzers run
-// in two drivers: the unitchecker-protocol vettool (cmd/simquerylint via
-// `go vet -vettool=...`, see vettool.go) and the source-importer loader
-// used by the golden tests (source.go).
+// environment is offline, so x/tools cannot be vendored. One loader
+// (module.go) type-checks packages from source, and one driver runs the
+// suite over them: Standalone, behind cmd/simquerylint, over the whole
+// module; the golden tests call LoadDir for a single directory.
 //
 // # Suppressions
 //
@@ -251,17 +251,6 @@ func collectAllows(fset *token.FileSet, files []*ast.File) (*allowSet, []Diagnos
 		}
 	}
 	return set, malformed
-}
-
-// normalizePkgPath strips the test-variant suffix cmd/go appends when
-// vetting a package's test unit ("repro/internal/query
-// [repro/internal/query.test]"), so path-scoped analyzers recognize the
-// package either way.
-func normalizePkgPath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // callee resolves the *types.Func a call invokes, or nil for builtins,

@@ -146,7 +146,7 @@ func Stats() T {
 // TestSelfCheck runs the whole suite over a real dependency-free repo
 // package (geom is both a determinism-scope package and the home of the
 // approved Equal helpers) and requires it to be clean — the same gate
-// `make analyze` enforces via go vet.
+// `make analyze` enforces over the whole module.
 func TestSelfCheck(t *testing.T) {
 	pkg, err := LoadDir(filepath.Join("..", "geom"), "repro/internal/geom")
 	if err != nil {

@@ -50,13 +50,12 @@ var ioBearingLocks = map[string]bool{
 }
 
 // lockAcquiredByRecv declares, for calls whose body is outside the
-// package under analysis (the vettool sees one package at a time),
-// which lock class any method of the named receiver type may acquire.
+// package under analysis (analysis runs one package at a time), which
+// lock class any method of the named receiver type may acquire.
 // This over-approximates — most methods of these types do lock their
 // receiver's mutex — and is what lets an exec-side path record its
-// edge into a bufferpool or pagestore lock.
+// edge into a pagestore lock.
 var lockAcquiredByRecv = map[string]string{
-	"Pool":         "Pool.mu",
 	"FileStore":    "FileStore.mu",
 	"WAL":          "WAL.mu",
 	"DurableStore": "DurableStore.mu",

@@ -17,9 +17,7 @@ import (
 // LoadModule parses and type-checks every package under root (a module
 // root directory whose module path is modPath) and returns them in
 // import-path order, ready for RunAnalyzers/Audit. It is the loader
-// behind cmd/simquerylint's standalone modes: SARIF output and the
-// suppression audit need the whole repo in one process, which the
-// per-unit vettool protocol cannot provide.
+// behind cmd/simquerylint.
 //
 // Intra-module imports resolve from source, recursively; the standard
 // library resolves through the go/importer source compiler (offline,
@@ -33,15 +31,7 @@ import (
 // Directories named testdata, .git, or starting with "." or "_" are
 // skipped, as are directories with no buildable .go files.
 func LoadModule(root, modPath string) ([]*Package, error) {
-	ld := &moduleLoader{
-		root:    root,
-		modPath: modPath,
-		fset:    token.NewFileSet(),
-		deps:    map[string]*types.Package{},
-		loading: map[string]bool{},
-	}
-	ld.std = importer.ForCompiler(ld.fset, "source", nil)
-
+	ld := newModuleLoader(root, modPath)
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -90,6 +80,14 @@ func LoadModule(root, modPath string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// LoadDir loads the package in dir, with its in-package test files,
+// as LoadModule would were dir the root of a module named importPath.
+// It is the loader of the golden tests under testdata/src and of the
+// inline fixtures, which import only the standard library.
+func LoadDir(dir, importPath string) (*Package, error) {
+	return newModuleLoader(dir, importPath).loadDir(dir, importPath, true)
+}
+
 type moduleLoader struct {
 	root    string
 	modPath string
@@ -97,6 +95,19 @@ type moduleLoader struct {
 	std     types.Importer
 	deps    map[string]*types.Package // memoized no-test dependency loads
 	loading map[string]bool           // cycle guard
+}
+
+// newModuleLoader resolves imports under modPath from root's source tree.
+func newModuleLoader(root, modPath string) *moduleLoader {
+	fset := token.NewFileSet()
+	return &moduleLoader{
+		root:    root,
+		modPath: modPath,
+		fset:    fset,
+		std:     importer.ForCompiler(fset, "source", nil),
+		deps:    map[string]*types.Package{},
+		loading: map[string]bool{},
+	}
 }
 
 func (ld *moduleLoader) importPathOf(dir string) (string, error) {
@@ -240,4 +251,16 @@ func goFilesIn(dir string, withTests bool) ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
+}
+
+func newTypesInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Implicits:  map[ast.Node]types.Object{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
 }

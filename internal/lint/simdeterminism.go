@@ -26,7 +26,6 @@ var determinismPackages = map[string]bool{
 // inDeterminismScope also admits the analyzer's own golden-test
 // packages (loaded with their testdata directory name as import path).
 func inDeterminismScope(path, analyzer string) bool {
-	path = normalizePkgPath(path)
 	return determinismPackages[path] || strings.HasPrefix(path, analyzer)
 }
 

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// Standalone is the whole-module driver behind cmd/simquerylint when it
-// is invoked directly rather than as a `go vet -vettool`. It loads
-// every package under -source from source (LoadModule), runs the full
-// analyzer suite, and renders the findings as plain text, GitHub
+// Standalone is the whole-module driver behind cmd/simquerylint. It
+// loads every package under -source from source (LoadModule), runs the
+// full analyzer suite, and renders the findings as plain text, GitHub
 // workflow annotations (-github), and/or a SARIF 2.1.0 artifact
 // (-sarif). With -audit it additionally reports stale //lint:allow
 // suppressions. The exit code is 1 when anything is found, 2 on driver
@@ -28,8 +27,7 @@ func Standalone(args []string, stdout, stderr io.Writer) int {
 		github = fs.Bool("github", false, "emit GitHub Actions ::error/::warning annotations")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: simquerylint [flags]            (standalone: analyze a module from source)\n")
-		fmt.Fprintf(stderr, "       go vet -vettool=simquerylint ./...  (unitchecker protocol)\n\n")
+		fmt.Fprintf(stderr, "usage: simquerylint [flags]  (analyze a module from source)\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {

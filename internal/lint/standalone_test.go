@@ -1,0 +1,126 @@
+package lint
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// writeModule lays out a two-file module "m": the root package's Stats
+// fills the fields named in fill, and package q, which imports it,
+// carries the given directive above its call.
+func writeModule(t *testing.T, dir, fill, directive string) {
+	t.Helper()
+	files := map[string]string{
+		"t.go": fmt.Sprintf(`package m
+
+// T is a telemetry snapshot.
+type T struct{ A, B int }
+
+// Stats reports the counters.
+func Stats() T { return T{%s} }
+`, fill),
+		"q/q.go": fmt.Sprintf(`package q
+
+import "m"
+
+// Sum adds the counters.
+func Sum() int {
+	s := m.Stats()
+	%s
+	return s.A + s.B
+}
+`, directive),
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStandalone drives cmd/simquerylint's entry point over a two-file
+// module: the exit codes, the text and -github renderings of a finding,
+// the stale-directive audit and the SARIF artifact.
+func TestStandalone(t *testing.T) {
+	run := func(args ...string) (code int, stdout string) {
+		var out, errOut bytes.Buffer
+		code = Standalone(args, &out, &errOut)
+		t.Logf("simquerylint %s: exit %d\n%s%s", strings.Join(args, " "), code, &out, &errOut)
+		return code, out.String()
+	}
+	dir := t.TempDir()
+	mod := []string{"-source", dir, "-module", "m"}
+
+	writeModule(t, dir, "A: 1, B: 2", "")
+	if code, out := run(append(mod, "-audit")...); code != 0 || out != "" {
+		t.Errorf("clean module: exit %d, output %q; want 0 and nothing", code, out)
+	}
+
+	// A seeded finding: Stats leaves B unset.
+	writeModule(t, dir, "A: 1", "")
+	code, out := run(append(mod, "-github")...)
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if code != 1 || len(lines) != 2 {
+		t.Fatalf("seeded finding under -github: exit %d, %d lines; want 1 and a finding plus its annotation", code, len(lines))
+	}
+	m := regexp.MustCompile(`^(.*t\.go):(\d+):(\d+): \[statscomplete\] (.*B.*)$`).FindStringSubmatch(lines[0])
+	if m == nil {
+		t.Fatalf("finding line %q is not file:line:col: [statscomplete] message", lines[0])
+	}
+	annotation := fmt.Sprintf("::error file=%s,line=%s,col=%s::[statscomplete] %s", m[1], m[2], m[3], m[4])
+	if lines[1] != annotation {
+		t.Errorf("annotation %q, want %q", lines[1], annotation)
+	}
+
+	// The SARIF artifact is written although the run fails.
+	sarif := filepath.Join(t.TempDir(), "lint.sarif")
+	if code, _ := run(append(mod, "-sarif", sarif)...); code != 1 {
+		t.Errorf("-sarif with a finding: exit %d, want 1", code)
+	}
+	var log struct {
+		Runs []struct {
+			Results []struct {
+				RuleID string `json:"ruleId"`
+			} `json:"results"`
+		} `json:"runs"`
+	}
+	if data, err := os.ReadFile(sarif); err != nil {
+		t.Error(err)
+	} else if err := json.Unmarshal(data, &log); err != nil {
+		t.Errorf("SARIF artifact is not JSON: %v", err)
+	} else if len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 || log.Runs[0].Results[0].RuleID != "statscomplete" {
+		t.Errorf("SARIF results %+v, want the one statscomplete finding", log.Runs)
+	}
+
+	// A directive that suppresses nothing is news only to the audit.
+	writeModule(t, dir, "A: 1, B: 2", "//lint:allow floatcmp nothing here compares floats")
+	if code, out := run(mod...); code != 0 || out != "" {
+		t.Errorf("stale directive without -audit: exit %d, output %q", code, out)
+	}
+	if code, out := run(append(mod, "-audit")...); code != 1 ||
+		!regexp.MustCompile(`^.*q\.go:\d+:\d+: \[audit\] stale //lint:allow floatcmp`).MatchString(out) {
+		t.Errorf("stale directive under -audit: exit %d, output %q", code, out)
+	}
+
+	// Driver errors: an unknown flag, a directory that does not load.
+	if code, _ := run("-nope"); code != 2 {
+		t.Errorf("unknown flag: exit %d, want 2", code)
+	}
+	writeModule(t, dir, "A: 1, B: undefined", "")
+	if code, _ := run(mod...); code != 2 {
+		t.Errorf("module that does not type-check: exit %d, want 2", code)
+	}
+	if code, _ := run("-source", filepath.Join(dir, "missing")); code != 2 {
+		t.Errorf("missing directory: exit %d, want 2", code)
+	}
+}

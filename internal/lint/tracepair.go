@@ -67,7 +67,6 @@ var tracePairPackages = map[string]bool{
 }
 
 func inTracePairScope(path, analyzer string) bool {
-	path = normalizePkgPath(path)
 	return tracePairPackages[path] || strings.HasPrefix(path, analyzer)
 }
 

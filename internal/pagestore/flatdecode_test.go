@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -232,17 +233,23 @@ func TestDecodeRejectsWidePageReferences(t *testing.T) {
 	}
 
 	// Through a reader the error names the page that was asked for.
-	ps := NewPagedStore(512, 2)
-	n := ps.Allocate(0)
-	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2}), 1))
-	ps.Update(n)
-	ps.mu.Lock()
-	binary.LittleEndian.PutUint64(ps.pages[n.ID][idOff:], uint64(n.ID)+1<<32)
-	ps.mu.Unlock()
-	_, err := ps.ReadPage(n.ID)
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "drive.pages"), c, FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	img, err := c.Encode(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(img[idOff:], uint64(leaf.ID)+1<<32)
+	if err := fs.WriteImage(leaf.ID, img); err != nil {
+		t.Fatal(err)
+	}
+	_, err = fs.ReadPage(leaf.ID)
 	var ie *IntegrityError
-	if !errors.As(err, &ie) || ie.Want != n.ID {
-		t.Errorf("ReadPage of a wide-id image: %v, want *IntegrityError for page %d", err, n.ID)
+	if !errors.As(err, &ie) || ie.Want != leaf.ID {
+		t.Errorf("ReadPage of a wide-id image: %v, want *IntegrityError for page %d", err, leaf.ID)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package pagestore serializes R*-tree nodes to fixed-size disk pages and
-// provides a Store implementation backed by those pages. A node occupies
+// stores those pages: FileStore is one drive's page file, DurableStore
+// the crash-safe rtree.Store over it. A node occupies
 // exactly one page (the paper's assumption: "each node of the tree
 // corresponds to one disk page", §2.1, and the RAID-0 striping unit is a
 // disk block, §2.2).
@@ -18,18 +19,12 @@
 //	           8 bytes ref (child page for internal, object id for leaf)
 //	           4 bytes uint32 subtree object count
 //	           [version 2 only] dim*8 bytes sphere center + 8 bytes radius
-//
-// The decoded image lives in RAM (the simulated machine holds its
-// directory working set in memory; physical read timing is modelled by
-// the simulator). The encoded shadow guarantees that every node the tree
-// builds actually fits its page and enables snapshot/restore.
 package pagestore
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -319,184 +314,6 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 		}
 	}
 	return n, nil
-}
-
-// PagedStore is an rtree.Store whose nodes shadow into encoded
-// fixed-size pages on every Update. The decoded working set stays in
-// memory; the encoded image proves page-fit and supports Snapshot.
-//
-// A readers-writer lock makes the store safe for concurrent readers
-// (Get, Page, Len) alongside each other and serializes mutations
-// (Allocate, Update, Free) — the concurrent query engine reads pages
-// from many goroutines at once. Mutating while reads are in flight is
-// safe at the store level, though returned *Node values are shared and
-// must not be read while tree structural operations rewrite them.
-type PagedStore struct {
-	mu     sync.RWMutex
-	codec  Codec
-	nodes  map[rtree.PageID]*rtree.Node // guarded by mu
-	pages  map[rtree.PageID][]byte      // guarded by mu
-	nextID rtree.PageID                 // guarded by mu
-
-	encodes uint64 // write-backs performed; guarded by mu
-	bytes   int    // total encoded bytes held; guarded by mu
-}
-
-// NewPagedStore creates a store for pages of the given size and
-// dimensionality (rectangle-only layout). It panics if even a minimal
-// node cannot fit, mirroring rtree's capacity floor.
-func NewPagedStore(pageSize, dim int) *PagedStore {
-	return NewPagedStoreEx(pageSize, dim, false)
-}
-
-// NewPagedStoreEx creates a store with the SR-tree sphere layout when
-// spheres is true.
-func NewPagedStoreEx(pageSize, dim int, spheres bool) *PagedStore {
-	c := Codec{Dim: dim, PageSize: pageSize, Spheres: spheres}
-	if c.Capacity() < 4 {
-		panic(fmt.Sprintf("pagestore: page size %d too small for dim %d (capacity %d < 4)",
-			pageSize, dim, c.Capacity()))
-	}
-	return &PagedStore{
-		codec:  c,
-		nodes:  make(map[rtree.PageID]*rtree.Node),
-		pages:  make(map[rtree.PageID][]byte),
-		nextID: 1,
-	}
-}
-
-// Codec returns the store's codec.
-func (s *PagedStore) Codec() Codec { return s.codec }
-
-// Get implements rtree.Store.
-func (s *PagedStore) Get(id rtree.PageID) *rtree.Node {
-	s.mu.RLock()
-	n, ok := s.nodes[id]
-	s.mu.RUnlock()
-	if !ok {
-		panic(fmt.Sprintf("pagestore: unknown page %d", id))
-	}
-	return n
-}
-
-// Allocate implements rtree.Store.
-func (s *PagedStore) Allocate(level int) *rtree.Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := &rtree.Node{ID: s.nextID, Level: level}
-	s.nextID++
-	s.nodes[n.ID] = n
-	return n
-}
-
-// Update implements rtree.Store: the node is re-encoded into its page.
-// Encoding failure (node overflow beyond page capacity) panics — it
-// means the tree was configured with a capacity larger than the page
-// holds, a programming error surfaced as early as possible.
-func (s *PagedStore) Update(n *rtree.Node) {
-	// Invalidate and encode under the write lock: a split rewrites the
-	// node's entries in place, and concurrent ReadPage decoders must
-	// never observe the store mid-write-back.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n.InvalidateFlat()
-	buf, err := s.codec.Encode(n)
-	if err != nil {
-		panic(err)
-	}
-	if old, ok := s.pages[n.ID]; ok {
-		s.bytes -= len(old)
-	}
-	s.pages[n.ID] = buf
-	s.bytes += len(buf)
-	s.encodes++
-}
-
-// Free implements rtree.Store.
-func (s *PagedStore) Free(id rtree.PageID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.nodes, id)
-	if old, ok := s.pages[id]; ok {
-		s.bytes -= len(old)
-		delete(s.pages, id)
-	}
-}
-
-// Len implements rtree.Store.
-func (s *PagedStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.nodes)
-}
-
-// ReadPage implements Reader: the page's encoded image is decoded into
-// a fresh view. Unlike Get it performs a physical decode and returns an
-// error (not a panic) for pages without an image, which is what the
-// degraded-mode read path needs. The decoded page's self-declared ID
-// must match the requested page: a mismatch means a misdirected read (a
-// valid page served from the wrong address) and surfaces as a typed
-// *IntegrityError instead of a silently wrong page.
-func (s *PagedStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	s.mu.RLock()
-	buf, ok := s.pages[id]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("pagestore: page %d has no encoded image", id)
-	}
-	return decodeChecked(s.codec, id, buf)
-}
-
-// Page returns a copy of the encoded image of a page (nil when the node
-// was never updated). Callers get their own buffer: the internal image
-// is the shadow VerifyShadow audits, and handing it out by reference
-// would let a caller corrupt the evidence.
-func (s *PagedStore) Page(id rtree.PageID) []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	buf, ok := s.pages[id]
-	if !ok {
-		return nil
-	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	return out
-}
-
-// Encodes returns the number of write-backs performed.
-func (s *PagedStore) Encodes() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.encodes
-}
-
-// Bytes returns the total encoded bytes held.
-func (s *PagedStore) Bytes() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.bytes
-}
-
-// VerifyShadow re-decodes every encoded page and checks it matches the
-// in-memory node. Used by tests and by treestat as a consistency audit.
-func (s *PagedStore) VerifyShadow() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id, n := range s.nodes {
-		buf, ok := s.pages[id]
-		if !ok {
-			// Never updated since allocation; an empty node is legal
-			// only for a fresh root.
-			if len(n.Entries) != 0 {
-				return fmt.Errorf("pagestore: page %d has entries but no encoded image", id)
-			}
-			continue
-		}
-		if err := verifyShadowNode(s.codec, n, buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // verifyShadowNode checks one node against its encoded shadow image.

@@ -2,7 +2,6 @@ package pagestore
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -140,126 +139,6 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestPagedStoreDrivesTree(t *testing.T) {
-	ps := NewPagedStore(4096, 2)
-	cfg := rtree.Config{Dim: 2, MaxEntries: ps.Codec().Capacity()}
-	tr, err := rtree.New(cfg, ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnd := rand.New(rand.NewSource(4))
-	pts := make([]geom.Point, 3000)
-	for i := range pts {
-		pts[i] = geom.Point{rnd.Float64() * 1000, rnd.Float64() * 1000}
-		if err := tr.InsertPoint(pts[i], rtree.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ps.VerifyShadow(); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Encodes() == 0 {
-		t.Error("no pages were encoded")
-	}
-	// Deletes keep the shadow consistent too.
-	for i := 0; i < 1000; i++ {
-		if !tr.DeletePoint(pts[i], rtree.ObjectID(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if err := ps.VerifyShadow(); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Len() == 0 || ps.Bytes() == 0 {
-		t.Error("store emptied unexpectedly")
-	}
-	// kNN over the paged store must match results over a mem store.
-	q := geom.Point{500, 500}
-	got, _ := tr.NearestNeighbors(q, 10)
-	if len(got) != 10 {
-		t.Fatalf("kNN returned %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].DistSq < got[i-1].DistSq {
-			t.Error("kNN results out of order")
-		}
-	}
-}
-
-func TestPagedStoreTooSmallPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for tiny page")
-		}
-	}()
-	NewPagedStore(64, 10)
-}
-
-func TestPagedStoreFreeReclaims(t *testing.T) {
-	ps := NewPagedStore(4096, 2)
-	n := ps.Allocate(0)
-	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2}), 7))
-	ps.Update(n)
-	if ps.Bytes() != 4096 {
-		t.Errorf("bytes = %d", ps.Bytes())
-	}
-	ps.Free(n.ID)
-	if ps.Bytes() != 0 || ps.Len() != 0 {
-		t.Error("Free did not reclaim")
-	}
-}
-
-// TestPagedStoreConcurrentReads drives concurrent Get/Page/Len readers
-// against a populated store while a writer keeps updating; under -race
-// this is the pagestore concurrency gate.
-func TestPagedStoreConcurrentReads(t *testing.T) {
-	ps := NewPagedStore(4096, 2)
-	ids := make([]rtree.PageID, 64)
-	for i := range ids {
-		n := ps.Allocate(0)
-		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{float64(i), 1}), rtree.ObjectID(i)))
-		ps.Update(n)
-		ids[i] = n.ID
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := ids[(g*17+i)%len(ids)]
-				if ps.Get(id).ID != id {
-					t.Errorf("Get(%d) returned wrong node", id)
-					return
-				}
-				if ps.Page(id) == nil {
-					t.Errorf("Page(%d) nil", id)
-					return
-				}
-				_ = ps.Len()
-				_ = ps.Bytes()
-			}
-		}(g)
-	}
-	writer := ps.Allocate(0)
-	for i := 0; i < 2000; i++ {
-		writer.Entries = writer.Entries[:0]
-		writer.Entries = append(writer.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{float64(i), 2}), rtree.ObjectID(i)))
-		ps.Update(writer)
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestDecodeAllocsIndependentOfEntryCount pins both decoders' slabs: a

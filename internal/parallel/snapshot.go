@@ -176,7 +176,6 @@ func LoadSnapshot(r io.Reader) (*Tree, error) {
 	}
 	cfg.Policy = policy
 
-	codec := pagestore.Codec{Dim: cfg.Dim, PageSize: snapshotPageSize(cfg), Spheres: cfg.UseSpheres}
 	store := rtree.NewMemStore()
 	pt := &Tree{
 		cfg:        cfg,
@@ -200,16 +199,20 @@ func LoadSnapshot(r io.Reader) (*Tree, error) {
 		if blen < 16 || blen > maxSnapshotPage {
 			return nil, fmt.Errorf("parallel: page %d: implausible encoded length %d", i, blen)
 		}
+		// Every page is encoded at the writer's page size, which the
+		// format records only as this length: the first page sets it, and
+		// a page of any other length is corrupt.
+		if i == 0 {
+			pt.cfg.PageSize = blen
+		} else if blen != pt.cfg.PageSize {
+			return nil, fmt.Errorf("parallel: page %d: encoded length %d, earlier pages %d", i, blen, pt.cfg.PageSize)
+		}
 		buf := make([]byte, blen)
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return nil, fmt.Errorf("parallel: page %d body: %w", i, err)
 		}
-		// The recorded length is the page size the writer encoded with
-		// (the writer's PageSize is not serialized, only derivable when it
-		// was the minimal fit). Decode strictly against it.
-		pcodec := codec
-		pcodec.PageSize = blen
-		node, err := pcodec.DecodeNode(buf)
+		codec := pagestore.Codec{Dim: cfg.Dim, PageSize: blen, Spheres: cfg.UseSpheres}
+		node, err := codec.DecodeNode(buf)
 		if err != nil {
 			return nil, fmt.Errorf("parallel: page %d: %w", i, err)
 		}

@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/decluster"
@@ -110,5 +112,12 @@ func TestLoadSnapshotRejectsGarbage(t *testing.T) {
 	raw[4] = 1
 	if _, err := LoadSnapshot(bytes.NewReader(raw[:len(raw)/2])); err == nil {
 		t.Error("accepted truncated snapshot")
+	}
+	// A second page longer than the first: every page is one page long.
+	first := 4 + 1 + 13 + 1 + len(orig.policy.Name()) + 24
+	size := int(binary.LittleEndian.Uint32(raw[first+14:]))
+	binary.LittleEndian.PutUint32(raw[first+18+size+14:], uint32(size+8))
+	if _, err := LoadSnapshot(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "encoded length") {
+		t.Errorf("pages of two lengths: err = %v", err)
 	}
 }

@@ -19,7 +19,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 	pts := dataset.CaliforniaLike(2000, 51)
 	tree := buildTree(t, pts, 2, 4, 16)
 	q := dataset.SampleQueries(pts, 1, 52)[0]
-	pool := bufferpool.New[rtree.PageID, struct{}](256)
+	pool := bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
 	opts := Options{SharedCache: pool}
 
 	// Fail the very first fetch: nothing was delivered, so nothing may
@@ -68,7 +68,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 		t.Fatal("test never reached stage 2; tree too shallow")
 	}
 	for _, id := range inFlight {
-		if pool.Contains(id) {
+		if _, ok := pool.Probe(id); ok {
 			t.Errorf("page %d admitted although its fetch failed", id)
 		}
 	}
@@ -76,7 +76,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 	// delivered batch is admitted when the next stage runs — which
 	// here was the failing one, so it is admitted too).
 	for _, id := range delivered[:len(delivered)-1] {
-		if !pool.Contains(id) {
+		if _, ok := pool.Probe(id); !ok {
 			t.Errorf("delivered page %d missing from the shared cache", id)
 		}
 	}
@@ -90,7 +90,7 @@ func TestSharedCacheCompletedQueryAdmitsAll(t *testing.T) {
 	pts := dataset.CaliforniaLike(2000, 53)
 	tree := buildTree(t, pts, 2, 4, 16)
 	q := dataset.SampleQueries(pts, 1, 54)[0]
-	pool := bufferpool.New[rtree.PageID, struct{}](1024)
+	pool := bufferpool.NewSharded[rtree.PageID, struct{}](1024, 1, func(rtree.PageID) uint64 { return 0 })
 	opts := Options{SharedCache: pool}
 	d := Driver{Tree: tree}
 

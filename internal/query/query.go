@@ -126,7 +126,7 @@ type Options struct {
 	// queries (a buffer pool): a request for a cached page skips disk
 	// I/O, and every fetched page enters the cache. The paper's model
 	// has no buffer pool; this drives the inter-query caching ablation.
-	SharedCache *bufferpool.Pool[rtree.PageID, struct{}]
+	SharedCache *bufferpool.Sharded[rtree.PageID, struct{}]
 	// Trace, when non-nil, receives one line per algorithm stage —
 	// CRSS reports its operating mode transitions (ADAPTIVE, UPDATE,
 	// NORMAL, TERMINATE; the paper's Figure 6 state machine). For

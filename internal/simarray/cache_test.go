@@ -22,7 +22,7 @@ func TestSharedCacheReducesDiskIO(t *testing.T) {
 	run := func(cachePages int) (float64, int) {
 		opts := query.Options{}
 		if cachePages > 0 {
-			opts.SharedCache = bufferpool.New[rtree.PageID, struct{}](cachePages)
+			opts.SharedCache = bufferpool.NewSharded[rtree.PageID, struct{}](cachePages, 1, func(rtree.PageID) uint64 { return 0 })
 		}
 		sys, err := NewSystem(tree, Config{Seed: 41})
 		if err != nil {
@@ -76,7 +76,7 @@ func TestSharedCacheResultsUnchanged(t *testing.T) {
 	}
 	resB, err := cached.Run(Workload{
 		Algorithm: query.CRSS{}, K: 8, Queries: qs, ArrivalRate: 5,
-		Options: query.Options{SharedCache: bufferpool.New[rtree.PageID, struct{}](256)},
+		Options: query.Options{SharedCache: bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })},
 	})
 	if err != nil {
 		t.Fatal(err)

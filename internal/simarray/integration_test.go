@@ -46,7 +46,7 @@ func TestKitchenSink(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := bufferpool.New[rtree.PageID, struct{}](256)
+	cache := bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
 	res, err := sys.RunMixed(MixedWorkload{
 		Queries: Workload{
 			Algorithm:   query.CRSS{},
