@@ -339,33 +339,27 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 
 	// The miss path: file-backed replicas and a cache of 5 % of the
-	// pages, so nearly every page request reads and decodes — once with
-	// pread, once through the mapping. One client: which pages hit then
-	// depends on the queries alone, and allocs/op repeats closely enough
-	// for the bench-check gate.
-	for _, store := range []struct {
-		name string
-		mmap bool
-	}{{"file", false}, {"mmap", true}} {
-		b.Run("engine-store="+store.name+"-cache=5pct", func(b *testing.B) {
-			eng, err := exec.New(knnTree, exec.Config{
-				DataDir: b.TempDir(), Mmap: store.mmap, CachePages: knnTree.Store().Len() / 20})
-			if err != nil {
+	// pages, so nearly every page request reads (pread) and decodes. One
+	// client: which pages hit then depends on the queries alone, and
+	// allocs/op repeats closely enough for the bench-check gate.
+	b.Run("engine-store=file-cache=5pct", func(b *testing.B) {
+		eng, err := exec.New(knnTree, exec.Config{
+			DataDir: b.TempDir(), CachePages: knnTree.Store().Len() / 20})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer eng.Close()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			q := knnQueries[i%len(knnQueries)]
+			if _, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{}); err != nil {
 				b.Fatal(err)
 			}
-			defer eng.Close()
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				q := knnQueries[i%len(knnQueries)]
-				if _, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportQPS(b)
-		})
-	}
+		}
+		reportQPS(b)
+	})
 }
 
 // BenchmarkEngineMissPath is the engine where a page request is almost
@@ -698,7 +692,7 @@ func BenchmarkPageDecode(b *testing.B) {
 
 func BenchmarkSimKernelEvents(b *testing.B) {
 	s := sim.New()
-	st := sim.NewStation(s, "d")
+	st := sim.NewStation(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.Submit(0.001, nil)

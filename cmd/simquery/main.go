@@ -72,7 +72,6 @@ func main() {
 		// with real files instead of memory.
 		storeFl = flag.String("store", "mem", "page store: mem (volatile) or file (disk-backed with WAL crash recovery)")
 		dataDir = flag.String("data-dir", "", "directory for -store=file; an existing committed tree is recovered instead of rebuilt")
-		mmapFl  = flag.Bool("mmap", false, "with -store=file: serve page reads from a read-only file mapping")
 
 		// Fault injection (engine mode): replicate the page stores and
 		// inject deterministic drive failures into the read path.
@@ -119,7 +118,6 @@ func main() {
 			log.Fatal(err)
 		}
 		icfg.DataDir = *dataDir
-		icfg.Mmap = *mmapFl
 	default:
 		log.Fatalf("unknown -store %q (want mem or file)", *storeFl)
 	}
@@ -157,7 +155,6 @@ func main() {
 			// File mode extends to the engine: every replica gets its own
 			// on-disk page file under <data-dir>/replicas.
 			cfg.DataDir = filepath.Join(*dataDir, "replicas")
-			cfg.Mmap = *mmapFl
 			if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 				log.Fatal(err)
 			}

@@ -20,15 +20,6 @@ type Stats struct {
 	Inserts   uint64
 }
 
-// HitRate returns hits / (hits+misses), or 0 when the pool is untouched.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // lru is the fixed-capacity LRU core of each Sharded shard. It has no
 // lock of its own: the shard that embeds it serializes every call.
 type lru[K comparable, V any] struct {
@@ -87,11 +78,4 @@ func (c *lru[K, V]) put(key K, val V) (evicted V, ok bool) {
 	c.items[key] = oldest
 	c.stats.Evictions++
 	return evicted, true
-}
-
-func (c *lru[K, V]) remove(key K) {
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
 }

@@ -67,16 +67,6 @@ func TestPutRefreshesValue(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	p := lruOf[int](4)
-	p.Put(1, 1)
-	p.Remove(1)
-	p.Remove(99) // no-op
-	if contains(p, 1) || p.Len() != 0 {
-		t.Error("Remove failed")
-	}
-}
-
 func TestZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -84,19 +74,6 @@ func TestZeroCapacityPanics(t *testing.T) {
 		}
 	}()
 	lruOf[int](0)
-}
-
-func TestHitRate(t *testing.T) {
-	p := lruOf[int](2)
-	if p.Stats().HitRate() != 0 {
-		t.Error("untouched pool hit rate != 0")
-	}
-	p.Put(1, 1)
-	p.Get(1)
-	p.Get(2)
-	if got := p.Stats().HitRate(); got != 0.5 {
-		t.Errorf("hit rate = %g", got)
-	}
 }
 
 // Property: the pool never exceeds capacity and behaves like a model

@@ -75,10 +75,10 @@ func NewSharded[K comparable, V any](capacity, numShards int, hash func(K) uint6
 // OnEvict installs a hook that receives every value the LRU evicts to
 // make room, exactly once, after the value has left the cache and
 // outside the shard lock (so the hook may take locks of its own). It is
-// the hand-over point for an owner that recycles values. Values that
-// leave any other way — refreshed by Put, dropped by Remove — are not
-// reported: they go to the collector. Call it once, before the cache is
-// shared between goroutines.
+// the hand-over point for an owner that recycles values. A value
+// replaced by a refreshing Put is not reported: it goes to the
+// collector. Call it once, before the cache is shared between
+// goroutines.
 func (s *Sharded[K, V]) OnEvict(hook func(V)) { s.onEvict = hook }
 
 // OnHandOut installs a hook that is told of every value the cache hands
@@ -142,30 +142,17 @@ func (s *Sharded[K, V]) evicted(v V, ok bool) {
 	}
 }
 
-// Remove drops key if present.
-func (s *Sharded[K, V]) Remove(key K) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.lru.remove(key)
-}
-
-// GetOrFetch returns the cached value for key, or runs fetch to produce
-// it. Concurrent callers for the same key are deduplicated: one runs
-// fetch, the others wait and share its result. A successful fetch is
-// admitted to the cache; a failed fetch is not, and the shared error is
-// returned to every waiter of that flight (later callers retry).
-func (s *Sharded[K, V]) GetOrFetch(key K, fetch func() (V, error)) (V, error) {
-	v, _, err := s.GetOrFetchHit(key, fetch)
-	return v, err
-}
-
-// GetOrFetchHit is GetOrFetch with cache-hit attribution: hit is true
-// when the value was served without running fetch in this call — a
-// resident entry, or the shared result of another caller's in-progress
-// flight. The engine's telemetry uses it to label per-fetch trace
-// events without a second cache probe. A miss takes the shard lock
-// twice (lookup, admit) and allocates nothing beyond what fetch does.
+// GetOrFetchHit returns the cached value for key, or runs fetch to
+// produce it. Concurrent callers for the same key are deduplicated: one
+// runs fetch, the others wait and share its result. A successful fetch
+// is admitted to the cache; a failed fetch is not, and the shared error
+// is returned to every waiter of that flight (later callers retry). hit
+// is true when the value was served without running fetch in this call
+// — a resident entry, or the shared result of another caller's
+// in-progress flight. The engine's telemetry uses it to label
+// per-fetch trace events without a second cache probe. A miss takes the
+// shard lock twice (lookup, admit) and allocates nothing beyond what
+// fetch does.
 func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit bool, err error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()

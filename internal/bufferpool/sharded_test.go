@@ -19,10 +19,6 @@ func TestShardedBasic(t *testing.T) {
 	if v, ok := s.Get(1); !ok || v != "one" {
 		t.Fatalf("Get(1) = %q, %v; want one, true", v, ok)
 	}
-	s.Remove(1)
-	if _, ok := s.Get(1); ok {
-		t.Fatal("hit after Remove")
-	}
 	if s.Capacity() < 8 {
 		t.Fatalf("Capacity() = %d, want >= 8", s.Capacity())
 	}
@@ -52,13 +48,13 @@ func TestShardedGetOrFetchDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := s.GetOrFetch(7, func() (int, error) {
+			v, _, err := s.GetOrFetchHit(7, func() (int, error) {
 				fetches.Add(1)
 				<-release // hold the flight open so everyone piles on
 				return 42, nil
 			})
 			if err != nil {
-				t.Errorf("GetOrFetch: %v", err)
+				t.Errorf("GetOrFetchHit: %v", err)
 			}
 			results[i] = v
 		}(i)
@@ -81,14 +77,14 @@ func TestShardedGetOrFetchDeduplicates(t *testing.T) {
 func TestShardedGetOrFetchErrorNotCached(t *testing.T) {
 	s := NewSharded[int, int](8, 2, idHash)
 	boom := errors.New("boom")
-	if _, err := s.GetOrFetch(3, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.GetOrFetchHit(3, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, ok := s.Get(3); ok {
 		t.Fatal("failed fetch must not be cached")
 	}
 	// A later caller retries and can succeed.
-	if v, err := s.GetOrFetch(3, func() (int, error) { return 9, nil }); err != nil || v != 9 {
+	if v, _, err := s.GetOrFetchHit(3, func() (int, error) { return 9, nil }); err != nil || v != 9 {
 		t.Fatalf("retry = %d, %v; want 9, nil", v, err)
 	}
 }
@@ -118,12 +114,14 @@ func TestShardedConcurrentGetEvict(t *testing.T) {
 						t.Errorf("Get(%d) = %d", k, v)
 					}
 				case 2:
-					v, err := s.GetOrFetch(k, func() (int, error) { return k, nil })
+					v, _, err := s.GetOrFetchHit(k, func() (int, error) { return k, nil })
 					if err != nil || v != k {
-						t.Errorf("GetOrFetch(%d) = %d, %v", k, v, err)
+						t.Errorf("GetOrFetchHit(%d) = %d, %v", k, v, err)
 					}
 				default:
-					s.Remove(k)
+					if v, ok := s.Probe(k); ok && v != k {
+						t.Errorf("Probe(%d) = %d", k, v)
+					}
 				}
 			}
 		}(g)
@@ -231,8 +229,8 @@ func TestShardedMissOnFullShardAllocs(t *testing.T) {
 }
 
 // The eviction hook sees every value the LRU pushes out, exactly once,
-// after it has left the cache and outside the shard lock; values that
-// leave any other way are not reported.
+// after it has left the cache and outside the shard lock; a value
+// replaced by a refresh is not reported.
 func TestShardedOnEvict(t *testing.T) {
 	s := NewSharded[int, int](4, 1, func(k int) uint64 { return uint64(k) })
 	seen := map[int]int{}
@@ -248,9 +246,7 @@ func TestShardedOnEvict(t *testing.T) {
 	for k := 0; k < 4; k++ {
 		s.Put(k, k)
 	}
-	s.Put(2, 2)   // refresh: nobody leaves
-	s.Remove(3)   // not an eviction
-	s.Put(10, 10) // room left by the Remove
+	s.Put(2, 2) // refresh: nobody leaves
 	if len(seen) != 0 {
 		t.Fatalf("hook ran without an eviction: %v", seen)
 	}
@@ -349,8 +345,7 @@ func TestShardedFlightRecordsRecycle(t *testing.T) {
 	s := NewSharded[int, int](2, 1, func(k int) uint64 { return uint64(k) })
 	const waiters, rounds = 8, 300
 	for round := 1; round <= rounds; round++ {
-		key := round % 5 // a 2-entry cache: most rounds miss
-		s.Remove(key)
+		key := round // a new key: every round misses
 		release := make(chan struct{})
 		var wg sync.WaitGroup
 		var fetches atomic.Int64
@@ -358,7 +353,7 @@ func TestShardedFlightRecordsRecycle(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				v, err := s.GetOrFetch(key, func() (int, error) {
+				v, _, err := s.GetOrFetchHit(key, func() (int, error) {
 					fetches.Add(1)
 					<-release
 					return round, nil

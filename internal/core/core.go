@@ -88,9 +88,6 @@ type IndexConfig struct {
 	// restored object count). The geometry (Dim, PageSize, UseSpheres)
 	// must match the directory's. Close releases the files.
 	DataDir string
-	// Mmap serves durable-store page reads from a read-only file
-	// mapping where possible (DataDir mode only).
-	Mmap bool
 }
 
 // Index is a similarity-search index distributed over a simulated disk
@@ -136,9 +133,7 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 	ix := &Index{cfg: cfg}
 	if cfg.DataDir != "" {
 		codec := pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
-		ds, err := pagestore.OpenDurable(cfg.DataDir, codec, pagestore.DurableOptions{
-			Mmap: cfg.Mmap, Counters: &ix.storage,
-		})
+		ds, err := pagestore.OpenDurable(cfg.DataDir, codec, pagestore.DurableOptions{Counters: &ix.storage})
 		if err != nil {
 			return nil, err
 		}
@@ -419,10 +414,6 @@ func (e *Engine) Exec() *exec.Engine { return e.eng }
 
 // Stats returns the engine's cumulative counters.
 func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
-
-// CacheStats returns the engine's shared page-cache counters (zero
-// when EngineConfig.CachePages is 0).
-func (e *Engine) CacheStats() bufferpool.Stats { return e.eng.CacheStats() }
 
 // NumWorkers returns the number of disk worker goroutines.
 func (e *Engine) NumWorkers() int { return e.eng.NumWorkers() }

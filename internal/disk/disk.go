@@ -145,11 +145,3 @@ func (d *Drive) ServiceTime(cylinder int, rnd *rand.Rand) float64 {
 	d.TotalSeek += seek
 	return t
 }
-
-// Reset parks the arm at cylinder 0 and clears counters.
-func (d *Drive) Reset() {
-	d.arm = 0
-	d.Requests = 0
-	d.TotalService = 0
-	d.TotalSeek = 0
-}

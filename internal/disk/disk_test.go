@@ -164,15 +164,6 @@ func TestDriveOutOfRangePanics(t *testing.T) {
 	d.ServiceTime(d.Cylinders, nil)
 }
 
-func TestDriveReset(t *testing.T) {
-	d, _ := NewDrive(3, HPC2200A())
-	d.ServiceTime(700, nil)
-	d.Reset()
-	if d.Arm() != 0 || d.Requests != 0 || d.TotalService != 0 || d.TotalSeek != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
 func TestNewDriveRejectsInvalid(t *testing.T) {
 	p := HPC2200A()
 	p.Cylinders = 0

@@ -160,10 +160,7 @@ func TestChaosTransientRetries(t *testing.T) {
 	for d := 0; d < disks*mirrors; d++ {
 		inj.Set(d, fault.Faults{Transient: 0.2})
 	}
-	eng, err := New(tree, Config{
-		Mirrors: mirrors, Fault: inj,
-		RetryBackoff: 10 * time.Microsecond, RetryMaxBackoff: 100 * time.Microsecond,
-	})
+	eng, err := New(tree, Config{Mirrors: mirrors, Fault: inj})
 	if err != nil {
 		t.Fatal(err)
 	}

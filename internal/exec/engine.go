@@ -50,6 +50,14 @@ const (
 	queueDepth = 32
 	// cacheShards is the lock sharding of the page cache.
 	cacheShards = 8
+	// slotsPerWorker is how many outstanding page reads each disk
+	// worker is allowed (the in-flight bound, see Engine.sem).
+	slotsPerWorker = 4
+	// retryBackoff is the pause before a transiently failed read's
+	// first retry; it doubles per attempt up to retryMaxBackoff, honoring
+	// the query context's deadline.
+	retryBackoff    = 200 * time.Microsecond
+	retryMaxBackoff = 5 * time.Millisecond
 )
 
 // Config tunes the engine. The zero value picks sensible defaults.
@@ -58,13 +66,6 @@ type Config struct {
 	// disk's fetch queue (default 1 — the paper's one-arm-per-disk
 	// model; more overlaps page decodes on multi-core hosts).
 	WorkersPerDisk int
-	// MaxInFlight bounds the total outstanding page reads across all
-	// queries (default 4 reads per worker): requests the page cache
-	// could not serve, each holding a slot from submission until its
-	// disk worker delivers. Cache hits are served on the querying
-	// goroutine and take no slot. Admission of further reads blocks
-	// once the bound is reached.
-	MaxInFlight int
 	// CachePages enables a shared decoded-page LRU cache of that many
 	// pages with singleflight fetch deduplication (0 = no cache; every
 	// request decodes from its disk's page image). A resident page is
@@ -95,11 +96,6 @@ type Config struct {
 	// re-attempted on the same replica before redirecting to a mirror
 	// (default 2; negative disables retries).
 	RetryLimit int
-	// RetryBackoff is the initial pause between retry attempts; it
-	// doubles per attempt up to RetryMaxBackoff, honoring the query
-	// context's deadline (defaults 200µs / 5ms).
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
 	// DegradeAfter marks a replica degraded — skipped by all future
 	// reads — after that many consecutive failed I/Os (default 4). A
 	// fail-stop error (fault.ErrDiskDead) degrades immediately.
@@ -115,16 +111,12 @@ type Config struct {
 	// DataDir, when non-empty, backs every replica with a real
 	// file-backed page store (one file per disk×mirror, created under
 	// DataDir at construction, closed by Close) instead of in-memory
-	// page images. Reads then go through page-aligned pread — or mmap
-	// with Mmap — so injected faults coexist with genuine I/O errors: a
-	// truncated replica file yields a real short read the degraded-mode
-	// path must survive. Nodes too large for one page (X-tree
-	// supernodes) stay memory-resident in either mode.
+	// page images. Reads then go through page-aligned pread, so
+	// injected faults coexist with genuine I/O errors: a truncated
+	// replica file yields a real short read the degraded-mode path must
+	// survive. Nodes too large for one page (X-tree supernodes) stay
+	// memory-resident in either mode.
 	DataDir string
-	// Mmap selects the mmap read path for file-backed replicas; it is
-	// ignored without DataDir (and silently falls back to pread on
-	// platforms without mmap support).
-	Mmap bool
 }
 
 func (c *Config) fill() {
@@ -138,12 +130,6 @@ func (c *Config) fill() {
 		c.RetryLimit = 2
 	} else if c.RetryLimit < 0 {
 		c.RetryLimit = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 200 * time.Microsecond
-	}
-	if c.RetryMaxBackoff <= 0 {
-		c.RetryMaxBackoff = 5 * time.Millisecond
 	}
 	if c.DegradeAfter <= 0 {
 		c.DegradeAfter = 4
@@ -213,7 +199,7 @@ func (s *diskStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 }
 
 // fileReplica is one replica's file-backed read path: page-aligned
-// pread (or mmap) against the replica's own file, with memory-resident
+// pread against the replica's own file, with memory-resident
 // fallback for nodes that do not fit one page. Both maps are immutable
 // after construction; FileStore handles its own locking.
 type fileReplica struct {
@@ -283,10 +269,16 @@ type Engine struct {
 	replicas [][]*replica           // [logical disk][mirror]
 	files    []*pagestore.FileStore // file-backed replica stores (DataDir mode), closed by Close
 	queues   []chan fetchJob
-	sem      chan struct{} // in-flight read slots (cache misses only)
-	cache    *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
-	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
-	scratch  sync.Pool  // *stageScratch, one per running query
+	// sem bounds the outstanding page reads across all queries to
+	// slotsPerWorker per disk worker: requests the page cache could not
+	// serve, each holding a slot from submission until its disk worker
+	// delivers. Cache hits are served on the querying goroutine and take
+	// no slot. Admission of further reads blocks once the bound is
+	// reached.
+	sem     chan struct{}
+	cache   *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
+	co      *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
+	scratch sync.Pool  // *stageScratch, one per running query
 
 	mu       sync.Mutex
 	isClosed bool          // guarded by mu
@@ -330,16 +322,14 @@ type Engine struct {
 func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	cfg.fill()
 	n := t.NumDisks()
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 4 * n * cfg.WorkersPerDisk
-	}
+	maxInFlight := slotsPerWorker * n * cfg.WorkersPerDisk
 	e := &Engine{
 		tree:     t,
 		cfg:      cfg,
 		stores:   make([]*diskStore, n),
 		replicas: make([][]*replica, n),
 		queues:   make([]chan fetchJob, n),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
+		sem:      make(chan struct{}, maxInFlight),
 		closed:   make(chan struct{}),
 		gauges:   make([]obs.DiskGauges, n),
 		queryLat: obs.NewLatencyHistogram(),
@@ -386,7 +376,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		// The cache cannot hold the page set, so it will evict: the
 		// engine owns the decoded views and the decoders reuse them: about
 		// as many as the cache holds plus what is being read in.
-		e.views = rtree.NewViewPool(cfg.CachePages + cfg.MaxInFlight)
+		e.views = rtree.NewViewPool(cfg.CachePages + maxInFlight)
 		codec.Views = e.views
 		for _, st := range e.stores {
 			st.codec = codec
@@ -447,10 +437,7 @@ func (e *Engine) buildReplicaReader(d, m int, codec pagestore.Codec) (pagestore.
 		return e.stores[d], nil
 	}
 	path := filepath.Join(e.cfg.DataDir, ReplicaFileName(d, m))
-	fs, err := pagestore.OpenFileStore(path, codec, pagestore.FileStoreOptions{
-		Mmap:     e.cfg.Mmap,
-		Counters: &e.storage,
-	})
+	fs, err := pagestore.OpenFileStore(path, codec, pagestore.FileStoreOptions{Counters: &e.storage})
 	if err != nil {
 		return nil, fmt.Errorf("exec: replica %d/%d store: %w", d, m, err)
 	}
@@ -528,15 +515,6 @@ func (e *Engine) ReplicaHealth() [][]bool {
 		}
 	}
 	return out
-}
-
-// CacheStats returns the shared page cache counters (zero when the
-// cache is disabled).
-func (e *Engine) CacheStats() bufferpool.Stats {
-	if e.cache == nil {
-		return bufferpool.Stats{}
-	}
-	return e.cache.Stats()
 }
 
 // ViewStats returns the counts of the frames decoded pages live in
@@ -810,7 +788,7 @@ func (e *Engine) hedgeDelay() time.Duration {
 // treated exactly like any other failed I/O, so a lying replica can
 // never leak a wrong node into a query.
 func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID) (*rtree.FlatNode, error) {
-	backoff := e.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		begin := time.Now()
 		n, err := rep.reader.ReadPage(id)
@@ -841,9 +819,7 @@ func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID)
 			return nil, ctx.Err()
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > e.cfg.RetryMaxBackoff {
-			backoff = e.cfg.RetryMaxBackoff
-		}
+		backoff = min(2*backoff, retryMaxBackoff)
 	}
 }
 

@@ -174,7 +174,7 @@ func TestEngineConcurrentClients(t *testing.T) {
 		want[i], _ = drv.Run(query.CRSS{}, q, 10, query.Options{})
 	}
 
-	eng, err := New(tree, Config{WorkersPerDisk: 2, CachePages: 256, MaxInFlight: 24})
+	eng, err := New(tree, Config{WorkersPerDisk: 2, CachePages: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEngineConcurrentClients(t *testing.T) {
 	if st.PagesFetched == 0 {
 		t.Fatal("no pages fetched")
 	}
-	if cs := eng.CacheStats(); cs.Hits == 0 {
+	if cs := eng.Snapshot().Cache; cs.Hits == 0 {
 		t.Error("shared cache saw no hits under concurrent load")
 	}
 }

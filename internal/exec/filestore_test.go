@@ -18,8 +18,8 @@ import (
 )
 
 // File-backed replicas must answer bit-identically to the in-memory
-// page images, through both the pread and mmap read paths, and the
-// storage telemetry must show the real file traffic.
+// page images, and the storage telemetry must show the real file
+// traffic.
 func TestEngineFileBackedParity(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 4, false, 0)
 	queries := dataset.SampleQueries(pts, 20, 5)
@@ -29,31 +29,25 @@ func TestEngineFileBackedParity(t *testing.T) {
 	}
 	defer memEng.Close()
 
-	for _, mmap := range []bool{false, true} {
-		eng, err := New(tree, Config{DataDir: t.TempDir(), Mmap: mmap})
+	eng, err := New(tree, Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, q := range queries {
+		want, _, err := memEng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for qi, q := range queries {
-			want, _, err := memEng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameNeighbors(t, "file vs mem", want, got)
-			_ = qi
+		got, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := eng.Snapshot()
-		if s.Storage.PageWrites == 0 || s.Storage.DataSyncs == 0 {
-			t.Errorf("mmap=%v: storage telemetry empty: %+v", mmap, s.Storage)
-		}
-		if !mmap && s.Storage.PageReads == 0 {
-			t.Errorf("pread mode served no reads from the files: %+v", s.Storage)
-		}
-		eng.Close()
+		sameNeighbors(t, "file vs mem", want, got)
+	}
+	s := eng.Snapshot()
+	if s.Storage.PageWrites == 0 || s.Storage.DataSyncs == 0 || s.Storage.PageReads == 0 {
+		t.Errorf("storage telemetry misses the file traffic: %+v", s.Storage)
 	}
 }
 
@@ -236,7 +230,7 @@ func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 				}
 			}
 		}
-		if cs := eng.CacheStats(); cs.Evictions == 0 || cs.Hits == 0 {
+		if cs := eng.Snapshot().Cache; cs.Evictions == 0 || cs.Hits == 0 {
 			t.Errorf("%s: cache stats %+v: the 16-page cache never churned", tc.name, cs)
 		}
 		if err := eng.Close(); err != nil {

@@ -119,7 +119,7 @@ func checkTrace(t *testing.T, label string, evs []obs.Event) {
 func TestObservedConcurrentSharedCache(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 5, false, 0)
 	queries := dataset.SampleQueries(pts, 32, 21)
-	eng, err := New(tree, Config{WorkersPerDisk: 2, MaxInFlight: 16})
+	eng, err := New(tree, Config{WorkersPerDisk: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,8 +148,8 @@ func TestRecycledViewsMatchDriver(t *testing.T) {
 				if eng.ViewStats().Reused == 0 {
 					t.Errorf("%s: no view was ever recycled: the test exercised nothing", label)
 				}
-				if cs, s := eng.CacheStats(), eng.Stats(); cs.Hits+cs.Misses != s.PagesFetched {
-					t.Errorf("%s: cache hits %d + misses %d != pages fetched %d", label, cs.Hits, cs.Misses, s.PagesFetched)
+				if s := eng.Snapshot(); s.Cache.Hits+s.Cache.Misses != s.Stats.PagesFetched {
+					t.Errorf("%s: cache hits %d + misses %d != pages fetched %d", label, s.Cache.Hits, s.Cache.Misses, s.Stats.PagesFetched)
 				}
 				if err := eng.Close(); err != nil {
 					t.Fatal(err)
@@ -177,7 +177,7 @@ func TestRecycledViewsUnderFaults(t *testing.T) {
 	eng := newPoisoned(t, tree, Config{
 		DataDir: t.TempDir(), CachePages: 8, CoalesceFetches: true,
 		Mirrors: mirrors, Fault: inj, HedgeReads: true, HedgeDelayFloor: 200 * time.Microsecond,
-		RetryBackoff: 10 * time.Microsecond, RetryMaxBackoff: 100 * time.Microsecond, DegradeAfter: 1 << 30,
+		DegradeAfter: 1 << 30,
 	})
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), chaosTimeout)
@@ -333,7 +333,7 @@ func stagesOf(tree *parallel.Tree, q geom.Point, k int) [][]rtree.PageID {
 // query running it counts the evicted views somebody forgot to release.
 func unrecycled(eng *Engine) int {
 	vs := eng.ViewStats()
-	return int(eng.CacheStats().Evictions) - int(vs.Reused) - vs.Idle
+	return int(eng.cache.Stats().Evictions) - int(vs.Reused) - vs.Idle
 }
 
 // TestStalledStageHoldsOnlyItsViews: a query stalls inside a stage —
@@ -411,13 +411,9 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	if n := unrecycled(eng); n != 0 {
 		t.Fatalf("%d evicted views missing from the pool with no query running", n)
 	}
-	// Fill the cache with the stalled query's own pages, then drop the
-	// victim: the re-run stalls on the victim with the views of the
-	// victim's stage-mates in its slots.
-	if _, _, err := eng.KNN(context.Background(), query.CRSS{}, stalled, k, query.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	eng.cache.Remove(victim)
+	// No query has asked for the victim yet, so it is not cached: the
+	// stalled query's run stalls on it with the views of the victim's
+	// stage-mates in its slots.
 	g.armed.Store(true)
 	type answer struct {
 		res []query.Neighbor
@@ -667,7 +663,7 @@ func TestFramesAreBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := eng.cache.Capacity() + eng.cfg.MaxInFlight + clients*widest
+		bound := eng.cache.Capacity() + cap(eng.sem) + clients*widest
 		stop := make(chan struct{})
 		var sampler sync.WaitGroup
 		sampler.Add(1)
@@ -696,7 +692,7 @@ func TestFramesAreBounded(t *testing.T) {
 		vs := eng.ViewStats()
 		if int(vs.Made) > bound {
 			t.Errorf("coalesce=%v: %d views made, bound %d (cache %d + in flight %d + %d stages of %d)",
-				coalesce, vs.Made, bound, eng.cache.Capacity(), eng.cfg.MaxInFlight, clients, widest)
+				coalesce, vs.Made, bound, eng.cache.Capacity(), cap(eng.sem), clients, widest)
 		}
 		if n := unrecycled(eng); n != 0 {
 			t.Errorf("coalesce=%v: %d evicted views missing from the pool at rest", coalesce, n)
@@ -818,6 +814,14 @@ func (o *semWaitObserver) Observe(ev obs.Event) {
 	}
 }
 
+// leaveOneSlot takes all but one of the engine's in-flight slots for
+// good: the engine then admits one outstanding page read at a time.
+func leaveOneSlot(eng *Engine) {
+	for len(eng.sem) < cap(eng.sem)-1 {
+		eng.sem <- struct{}{}
+	}
+}
+
 // TestRefetchSemWaitIsReported: a stage whose coalesced flight was
 // cancelled by its leader refetches the page, and the in-flight slot it
 // waits for then — the only slot is held by a blocker — must reach the
@@ -825,11 +829,12 @@ func (o *semWaitObserver) Observe(ev obs.Event) {
 // accumulated and dropped.
 func TestRefetchSemWaitIsReported(t *testing.T) {
 	tree, _ := buildTree(t, 400, 3, false, 0)
-	eng, err := New(tree, Config{CoalesceFetches: true, MaxInFlight: 1})
+	eng, err := New(tree, Config{CoalesceFetches: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	leaveOneSlot(eng)
 	root := tree.Root()
 	pl, _ := tree.Placement(root)
 	req := query.PageRequest{Page: root, Disk: pl.Disk, Pages: 1}
@@ -956,11 +961,12 @@ func TestStageRefetchesEveryAbortedFlight(t *testing.T) {
 // the countdown spent: the same scratch then runs a clean stage.
 func TestLateDeliveryAfterFailedSubmit(t *testing.T) {
 	tree, _ := buildTree(t, 2000, 4, false, 0)
-	eng, err := New(tree, Config{MaxInFlight: 1})
+	eng, err := New(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	leaveOneSlot(eng)
 	byDisk := pagesByDisk(t, tree, func(id rtree.PageID) (int, bool) {
 		pl, ok := tree.Placement(id)
 		return pl.Disk, ok

@@ -50,7 +50,6 @@ type Snapshot struct {
 func (e *Engine) Snapshot() Snapshot {
 	s := Snapshot{
 		Stats:        e.Stats(),
-		Cache:        e.CacheStats(),
 		Views:        e.ViewStats(),
 		Disks:        make([]obs.DiskSnapshot, len(e.gauges)),
 		Faults:       e.faults.Snapshot(),
@@ -61,6 +60,9 @@ func (e *Engine) Snapshot() Snapshot {
 		ReadLatency:  e.readLat.Snapshot(),
 		StageLatency: e.stageLat.Snapshot(),
 		SemWait:      e.semWait.Snapshot(),
+	}
+	if e.cache != nil {
+		s.Cache = e.cache.Stats()
 	}
 	served := make([]uint64, len(e.gauges))
 	for d := range e.gauges {

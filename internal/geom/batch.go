@@ -522,21 +522,3 @@ func SphereRectMinBatch(p Point, r *RectSoA, s *SphereSoA, out, scratch []float6
 		}
 	}
 }
-
-// SphereRectMaxBatch computes the SR-tree intersected upper bound for
-// every entry: out[i] = min(MaxDistSq(p, r_i), Sphere_i.MaxDistSq(p)),
-// bit-identical to SphereRectMax per entry. s may be nil; scratch as in
-// SphereRectMinBatch.
-func SphereRectMaxBatch(p Point, r *RectSoA, s *SphereSoA, out, scratch []float64) {
-	MaxDistSqBatch(p, r, out)
-	if s == nil {
-		return
-	}
-	n := r.Len()
-	SphereMaxDistSqBatch(p, s, scratch[:n])
-	for i, sm := range scratch[:n] {
-		if sm < out[i] {
-			out[i] = sm
-		}
-	}
-}

@@ -89,7 +89,7 @@ func checkRectParity(t *testing.T, p Point, rects []Rect) {
 }
 
 // checkSphereParity asserts the sphere batch kernels agree bit-for-bit
-// with the scalar Sphere methods and with SphereRectMin/Max.
+// with the scalar Sphere methods and with SphereRectMin.
 func checkSphereParity(t *testing.T, p Point, rects []Rect, spheres []Sphere) {
 	t.Helper()
 	rsoa := buildSoA(rects)
@@ -119,25 +119,11 @@ func checkSphereParity(t *testing.T, p Point, rects []Rect, spheres []Sphere) {
 				math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
-	SphereRectMaxBatch(p, &rsoa, &ssoa, got, scratch)
-	for i := range spheres {
-		if want := SphereRectMax(p, rects[i], spheres[i]); !bitEq(got[i], want) {
-			t.Fatalf("SphereRectMaxBatch[%d] = %x, scalar %x", i,
-				math.Float64bits(got[i]), math.Float64bits(want))
-		}
-	}
 	// Nil sphere view: the combined bounds degrade to the rect bounds.
 	SphereRectMinBatch(p, &rsoa, nil, got, nil)
 	for i, r := range rects {
 		if want := MinDistSq(p, r); !bitEq(got[i], want) {
 			t.Fatalf("SphereRectMinBatch(nil)[%d] = %x, rect bound %x", i,
-				math.Float64bits(got[i]), math.Float64bits(want))
-		}
-	}
-	SphereRectMaxBatch(p, &rsoa, nil, got, nil)
-	for i, r := range rects {
-		if want := MaxDistSq(p, r); !bitEq(got[i], want) {
-			t.Fatalf("SphereRectMaxBatch(nil)[%d] = %x, rect bound %x", i,
 				math.Float64bits(got[i]), math.Float64bits(want))
 		}
 	}
@@ -210,7 +196,7 @@ func TestBatchScalarParityRandom(t *testing.T) {
 }
 
 // TestBatchScalarParityFuzzCorpus replays every committed FuzzGeomMetrics
-// corpus entry — including the MinMaxDist absorption-bug reproducer —
+// corpus entry — including the MinMaxDistSq absorption-bug reproducer —
 // through the batch kernels and asserts bit-identity with the scalar
 // results. The corpus entries were minimized against real invariant
 // violations, so they concentrate on the numerically nastiest inputs.

@@ -9,7 +9,7 @@ import (
 // FuzzGeomMetrics checks the ordering the paper's pruning rules depend
 // on — 0 ≤ Dmin² ≤ Dmm² ≤ Dmax² for every point/rectangle pair — plus
 // the containment, degenerate-rectangle and sphere-predicate identities
-// that tie the three metrics together. A violation of any of these
+// that tie the three metrics together, all in squared form. A violation of any of these
 // breaks branch-and-bound correctness silently (wrong prune, wrong
 // result), which is why they get a fuzzer rather than a few examples.
 func FuzzGeomMetrics(f *testing.F) {
@@ -62,7 +62,7 @@ func FuzzGeomMetrics(f *testing.F) {
 
 		// A contained point has Dmin² exactly 0: every axis contributes
 		// nothing.
-		if r.ContainsPoint(p) && dmin != 0 {
+		if r.Contains(PointRect(p)) && dmin != 0 {
 			t.Fatalf("p=%v inside r=%v but Dmin²=%g", p, r, dmin)
 		}
 
@@ -91,22 +91,10 @@ func FuzzGeomMetrics(f *testing.F) {
 			t.Fatalf("Dmax² to degenerate rect: got %g, want %g", got, want)
 		}
 
-		// Root/squared consistency.
-		if got, want := MinDist(p, r), math.Sqrt(dmin); got != want {
-			t.Fatalf("MinDist %g != Sqrt(MinDistSq) %g", got, want)
-		}
-		if got, want := MaxDist(p, r), math.Sqrt(dmax); got != want {
-			t.Fatalf("MaxDist %g != Sqrt(MaxDistSq) %g", got, want)
-		}
-
-		// The sphere predicates are definitionally tied to the metrics.
-		if got, want := SphereIntersectsSq(p, r, radiusSq), dmin <= radiusSq; got != want {
-			t.Fatalf("SphereIntersectsSq=%v, Dmin²=%g radius²=%g", got, dmin, radiusSq)
-		}
-		if got, want := SphereContainsSq(p, r, radiusSq), dmax <= radiusSq; got != want {
-			t.Fatalf("SphereContainsSq=%v, Dmax²=%g radius²=%g", got, dmax, radiusSq)
-		}
-		if SphereContainsSq(p, r, radiusSq) && !SphereIntersectsSq(p, r, radiusSq) {
+		// The sphere of squared radius radiusSq around p encloses r when
+		// Dmax² ≤ radiusSq and meets it when Dmin² ≤ radiusSq: enclosing
+		// must imply meeting.
+		if dmax <= radiusSq && dmin > radiusSq {
 			t.Fatalf("sphere contains r but does not intersect it (radius²=%g)", radiusSq)
 		}
 	})

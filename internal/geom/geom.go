@@ -106,10 +106,6 @@ func (r Rect) Clone() Rect { return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()} }
 // Equal reports whether r and s cover the identical region.
 func (r Rect) Equal(s Rect) bool { return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi) }
 
-// IsPoint reports whether the rectangle is degenerate (zero extent in
-// every axis).
-func (r Rect) IsPoint() bool { return r.Lo.Equal(r.Hi) }
-
 // Center returns the center point of the rectangle.
 func (r Rect) Center() Point {
 	c := make(Point, len(r.Lo))
@@ -166,11 +162,6 @@ func (r *Rect) UnionInPlace(s Rect) {
 	}
 }
 
-// EnlargementArea returns the increase in area of r needed to enclose s.
-func (r Rect) EnlargementArea(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 // Intersects reports whether r and s share at least one point
 // (touching boundaries count as intersection).
 func (r Rect) Intersects(s Rect) bool {
@@ -207,16 +198,6 @@ func (r Rect) Contains(s Rect) bool {
 	return true
 }
 
-// ContainsPoint reports whether p lies inside or on the boundary of r.
-func (r Rect) ContainsPoint(p Point) bool {
-	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the rectangle as "[lo .. hi]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s .. %s]", r.Lo, r.Hi)
@@ -240,9 +221,6 @@ func MinDistSq(p Point, r Rect) float64 {
 	}
 	return s
 }
-
-// MinDist returns Dmin(p, r). See MinDistSq.
-func MinDist(p Point, r Rect) float64 { return math.Sqrt(MinDistSq(p, r)) }
 
 // MinMaxDistSq returns Dmm²(p, r), the squared MINMAXDIST (Definition 4):
 // the minimum over all faces of r of the maximum distance from p to that
@@ -302,9 +280,6 @@ func MinMaxDistSq(p Point, r Rect) float64 {
 	return best
 }
 
-// MinMaxDist returns Dmm(p, r). See MinMaxDistSq.
-func MinMaxDist(p Point, r Rect) float64 { return math.Sqrt(MinMaxDistSq(p, r)) }
-
 // MaxDistSq returns Dmax²(p, r) (Definition 5): the squared distance from
 // p to the farthest vertex of r. Every object inside r lies within Dmax
 // of p, so Dmax upper-bounds the distance to anything in the subtree.
@@ -317,21 +292,4 @@ func MaxDistSq(p Point, r Rect) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// MaxDist returns Dmax(p, r). See MaxDistSq.
-func MaxDist(p Point, r Rect) float64 { return math.Sqrt(MaxDistSq(p, r)) }
-
-// SphereIntersectsSq reports whether the hyper-sphere centered at p with
-// squared radius radiusSq intersects rectangle r, i.e. Dmin²(p,r) <=
-// radiusSq. This is the weak-optimality test from Definition 6.
-func SphereIntersectsSq(p Point, r Rect, radiusSq float64) bool {
-	return MinDistSq(p, r) <= radiusSq
-}
-
-// SphereContainsSq reports whether the hyper-sphere centered at p with
-// squared radius radiusSq fully encloses rectangle r, i.e. Dmax²(p,r) <=
-// radiusSq.
-func SphereContainsSq(p Point, r Rect, radiusSq float64) bool {
-	return MaxDistSq(p, r) <= radiusSq
 }

@@ -79,12 +79,6 @@ func TestRectBasics(t *testing.T) {
 	if c := r.Center(); !c.Equal(Point{1, 1.5}) {
 		t.Errorf("Center = %v", c)
 	}
-	if r.IsPoint() {
-		t.Error("non-degenerate rect reported as point")
-	}
-	if !PointRect(Point{1, 1}).IsPoint() {
-		t.Error("PointRect not degenerate")
-	}
 }
 
 func TestRectUnion(t *testing.T) {
@@ -161,10 +155,10 @@ func TestRectContains(t *testing.T) {
 	if a.Contains(NewRect(Point{1, 1}, Point{5, 2})) {
 		t.Error("overflowing rect reported contained")
 	}
-	if !a.ContainsPoint(Point{0, 4}) {
+	if !a.Contains(PointRect(Point{0, 4})) {
 		t.Error("boundary point not contained")
 	}
-	if a.ContainsPoint(Point{-0.1, 2}) {
+	if a.Contains(PointRect(Point{-0.1, 2})) {
 		t.Error("outside point contained")
 	}
 }
@@ -349,30 +343,19 @@ func TestOverlapProperty(t *testing.T) {
 	}
 }
 
+// TestSphereIntersects pins the sphere/rectangle predicates in the
+// squared form the searches write them: the sphere of squared radius ρ
+// around p meets r iff Dmin²(p, r) ≤ ρ (Definition 6; rtree.SearchSphere
+// prunes on Dmin² > ε²) and encloses it iff Dmax²(p, r) ≤ ρ. A touching
+// sphere meets the rectangle; one a hair short does not.
 func TestSphereIntersects(t *testing.T) {
 	r := NewRect(Point{2, 0}, Point{3, 1})
 	p := Point{0, 0}
-	if !SphereIntersectsSq(p, r, 4.0) { // Dmin² = 4
-		t.Error("sphere touching rect must intersect")
+	if d := MinDistSq(p, r); !(d <= 4.0) || d <= 3.9 { // Dmin² = 4
+		t.Errorf("Dmin² = %g: a sphere of radius² 4 touches r, 3.9 falls short", d)
 	}
-	if SphereIntersectsSq(p, r, 3.9) {
-		t.Error("sphere short of rect must not intersect")
-	}
-	if !SphereContainsSq(p, r, 10.0) { // Dmax² = 9+1 = 10
-		t.Error("sphere covering farthest vertex must contain")
-	}
-	if SphereContainsSq(p, r, 9.9) {
-		t.Error("sphere short of farthest vertex must not contain")
-	}
-}
-
-func TestEnlargementArea(t *testing.T) {
-	a := NewRect(Point{0, 0}, Point{2, 2})
-	if got := a.EnlargementArea(NewRect(Point{1, 1}, Point{1.5, 1.5})); got != 0 {
-		t.Errorf("enclosed rect enlargement = %g, want 0", got)
-	}
-	if got := a.EnlargementArea(NewRect(Point{0, 0}, Point{4, 2})); got != 4 {
-		t.Errorf("enlargement = %g, want 4", got)
+	if d := MaxDistSq(p, r); !(d <= 10.0) || d <= 9.9 { // Dmax² = 9+1 = 10
+		t.Errorf("Dmax² = %g: a sphere of radius² 10 encloses r, 9.9 does not", d)
 	}
 }
 

@@ -120,18 +120,6 @@ func SphereRectMin(p Point, r Rect, s Sphere) float64 {
 	return m
 }
 
-// SphereRectMax intersects the two upper bounds: the tightest Dmax² is
-// the smaller of the rectangle's and the sphere's.
-func SphereRectMax(p Point, r Rect, s Sphere) float64 {
-	m := MaxDistSq(p, r)
-	if s.Valid() {
-		if sm := s.MaxDistSq(p); sm < m {
-			m = sm
-		}
-	}
-	return m
-}
-
 // SphereEps is the tolerance used when verifying maintained spheres in
 // invariant checks (radii accumulate floating-point error through
 // centroid updates).

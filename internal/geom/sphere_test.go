@@ -182,7 +182,7 @@ func TestSphereRectBoundsProperty(t *testing.T) {
 			q[d] = rnd.Float64()*30 - 10
 		}
 		minB := SphereRectMin(q, r, s)
-		maxB := SphereRectMax(q, r, s)
+		maxB := min(MaxDistSq(q, r), s.MaxDistSq(q)) // the candidate's Dmax² (query.MakeCandidates)
 		const eps = 1e-9
 		if minB < MinDistSq(q, r)-eps || minB < s.MinDistSq(q)-eps {
 			return false // not the tighter lower bound

@@ -4,21 +4,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-}
 
 // Mean returns the arithmetic mean (0 for an empty sample).
 func Mean(xs []float64) float64 {
@@ -55,11 +43,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted is Percentile over an already-sorted sample.
-func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -76,26 +59,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Summarize computes a full Summary of the sample, sorting one private
-// copy and deriving Min/Max and both percentiles from it; the caller's
-// slice is left untouched.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		P50:    percentileSorted(sorted, 50),
-		P95:    percentileSorted(sorted, 95),
-	}
-}
-
 // Ratio returns a/b, guarding the b == 0 case with NaN (so downstream
 // formatting shows the degenerate case rather than +Inf surprises).
 func Ratio(a, b float64) float64 {
@@ -103,10 +66,4 @@ func Ratio(a, b float64) float64 {
 		return math.NaN()
 	}
 	return a / b
-}
-
-// String renders the summary compactly for logs.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
 }

@@ -53,53 +53,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 100})
-	if s.N != 5 || s.Min != 1 || s.Max != 100 || s.P50 != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	if Summarize(nil).N != 0 {
-		t.Error("empty summary N != 0")
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-// TestSummarizeDoesNotMutate is the regression test for the
-// single-sort rewrite: Summarize must sort a private copy, never the
-// caller's slice.
-func TestSummarizeDoesNotMutate(t *testing.T) {
-	rnd := rand.New(rand.NewSource(9))
-	xs := make([]float64, 101)
-	for i := range xs {
-		xs[i] = rnd.NormFloat64()
-	}
-	orig := append([]float64(nil), xs...)
-	s := Summarize(xs)
-	for i := range xs {
-		if xs[i] != orig[i] {
-			t.Fatalf("Summarize reordered the input at %d", i)
-		}
-	}
-	// And the sorted-once derivation matches the reference helpers.
-	if s.P50 != Percentile(xs, 50) || s.P95 != Percentile(xs, 95) {
-		t.Errorf("percentiles diverge from Percentile: %+v", s)
-	}
-	min, max := xs[0], xs[0]
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	if s.Min != min || s.Max != max {
-		t.Errorf("min/max diverge: got %g/%g want %g/%g", s.Min, s.Max, min, max)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 {
 		t.Error("ratio wrong")
@@ -109,7 +62,8 @@ func TestRatio(t *testing.T) {
 	}
 }
 
-// Property: Min <= P50 <= P95 <= Max and Mean within [Min, Max].
+// Property: the order statistics and the mean of any sample are
+// ordered — P0 ≤ P50 ≤ P95 ≤ P100, with the mean inside [P0, P100].
 func TestSummaryOrderingProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%50 + 1
@@ -118,9 +72,9 @@ func TestSummaryOrderingProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rnd.NormFloat64() * 100
 		}
-		s := Summarize(xs)
-		return s.Min <= s.P50 && s.P50 <= s.P95 && s.P95 <= s.Max &&
-			s.Mean >= s.Min && s.Mean <= s.Max
+		lo, p50, p95, hi := Percentile(xs, 0), Percentile(xs, 50), Percentile(xs, 95), Percentile(xs, 100)
+		m := Mean(xs)
+		return lo <= p50 && p50 <= p95 && p95 <= hi && m >= lo && m <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

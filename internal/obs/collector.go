@@ -39,10 +39,3 @@ func (c *Collector) CoreSchema() []Event {
 	}
 	return out
 }
-
-// Reset discards the recorded events.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = nil
-	c.mu.Unlock()
-}

@@ -109,14 +109,6 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Mean returns the average observed value (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // Quantile returns the p-th percentile (0 <= p <= 100) of the
 // snapshot. It uses the same rank rule as metrics.Percentile —
 // rank = p/100·(N−1) with linear interpolation between order

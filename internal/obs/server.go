@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"errors"
 	"expvar"
 	"net"
@@ -11,11 +10,10 @@ import (
 )
 
 // DebugServer is a running expvar/pprof endpoint with a shutdown path.
-// Callers own its lifecycle: Close (or Shutdown) must be called on
-// teardown, and either returns the background Serve error if the
-// listener died early — previously that error was silently dropped, so
-// a debug server killed by the OS looked identical to one that was
-// never scraped.
+// Callers own its lifecycle: Close must be called on teardown, and it
+// returns the background Serve error if the listener died early —
+// previously that error was silently dropped, so a debug server killed
+// by the OS looked identical to one that was never scraped.
 type DebugServer struct {
 	srv      *http.Server
 	addr     net.Addr
@@ -35,20 +33,9 @@ func (d *DebugServer) Close() error {
 	return cerr
 }
 
-// Shutdown stops the server gracefully, waiting for in-flight scrapes
-// (profiles can run for seconds) until ctx expires, and returns the
-// error Serve exited with.
-func (d *DebugServer) Shutdown(ctx context.Context) error {
-	serr := d.srv.Shutdown(ctx)
-	if err := d.waitServe(); err != nil {
-		return err
-	}
-	return serr
-}
-
 func (d *DebugServer) waitServe() error {
 	err := <-d.serveErr
-	d.serveErr <- err // re-arm so Close and Shutdown are both safe to call
+	d.serveErr <- err // re-arm so a second Close is safe
 	if errors.Is(err, http.ErrServerClosed) {
 		return nil
 	}
@@ -58,10 +45,9 @@ func (d *DebugServer) waitServe() error {
 // StartDebugServer serves expvar (/debug/vars) and net/http/pprof
 // (/debug/pprof/...) on addr in a background goroutine, returning once
 // the listener is bound so the caller can report the actual address
-// (use ":0" for an ephemeral port). The caller must Close or Shutdown
-// the returned server on teardown. A dedicated mux is used so
-// importing this package never publishes handlers on
-// http.DefaultServeMux.
+// (use ":0" for an ephemeral port). The caller must Close the returned
+// server on teardown. A dedicated mux is used so importing this package
+// never publishes handlers on http.DefaultServeMux.
 func StartDebugServer(addr string) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"sync"
 
-	"repro/internal/bufferpool"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -73,8 +72,6 @@ type storeEpoch struct {
 
 // DurableOptions configures OpenDurable. The zero value is valid.
 type DurableOptions struct {
-	// Mmap enables the FileStore's mapped read path.
-	Mmap bool
 	// Counters, when non-nil, receives all storage telemetry.
 	Counters *obs.StorageCounters
 }
@@ -88,9 +85,7 @@ const (
 // OpenDurable opens (creating if absent) the store rooted at dir,
 // running crash recovery if the WAL holds committed batches.
 func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, error) {
-	fs, err := OpenFileStore(filepath.Join(dir, DataFileName), codec, FileStoreOptions{
-		Mmap: opts.Mmap, Counters: opts.Counters,
-	})
+	fs, err := OpenFileStore(filepath.Join(dir, DataFileName), codec, FileStoreOptions{Counters: opts.Counters})
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +103,7 @@ func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, e
 // OpenDurableOn assembles a store over caller-supplied block files —
 // the dependency-injection seam the crash-recovery torture tests use to
 // run the full commit/checkpoint/recover protocol against in-memory
-// files that tear their writes at programmed sync points. No mmap
-// (that needs a real OS file).
+// files that tear their writes at programmed sync points.
 func OpenDurableOn(data, wal BlockFile, codec Codec, opts DurableOptions) (*DurableStore, error) {
 	fs, err := NewFileStoreOn(data, codec, FileStoreOptions{Counters: opts.Counters})
 	if err != nil {
@@ -579,21 +573,10 @@ func decodeChecked(codec Codec, id rtree.PageID, buf []byte) (*rtree.FlatNode, e
 }
 
 // EpochView is an immutable reader over one committed epoch. Safe for
-// concurrent use; decoded pages are optionally cached (WithCache).
+// concurrent use.
 type EpochView struct {
 	codec Codec
 	epoch *storeEpoch
-	cache *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
-}
-
-// WithCache attaches a decoded-page cache (singleflight LRU) to the
-// view and returns it. Each view owns its cache: page ids are not
-// stable keys across epochs.
-func (v *EpochView) WithCache(capacity, shards int) *EpochView {
-	v.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](capacity, shards, func(id rtree.PageID) uint64 {
-		return uint64(id) * 0x9E3779B97F4A7C15
-	})
-	return v
 }
 
 // Root returns the epoch's root page.
@@ -607,15 +590,6 @@ func (v *EpochView) Pages() int { return len(v.epoch.pages) }
 
 // ReadPage implements Reader over the frozen page set.
 func (v *EpochView) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	if v.cache != nil {
-		return v.cache.GetOrFetch(id, func() (*rtree.FlatNode, error) {
-			return v.decode(id)
-		})
-	}
-	return v.decode(id)
-}
-
-func (v *EpochView) decode(id rtree.PageID) (*rtree.FlatNode, error) {
 	buf, ok := v.epoch.pages[id]
 	if !ok {
 		return nil, fmt.Errorf("pagestore: page %d not in epoch", id)

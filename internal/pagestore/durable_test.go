@@ -181,7 +181,7 @@ func TestDurableStoreEpochIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	view := ds.Snapshot().WithCache(64, 4)
+	view := ds.Snapshot()
 	wantRoot, wantSize, wantPages := view.Root(), view.Size(), view.Pages()
 
 	// walkView counts objects reachable from the view's root and checks

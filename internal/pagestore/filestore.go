@@ -17,12 +17,11 @@ import (
 // FileStore is a page-aligned file of encoded R*-tree nodes — the
 // persistent realization of the paper's "one node = one disk page"
 // layout (§2.1) for a single simulated drive. Page id n lives at byte
-// offset n*PageSize; slot 0 is the superblock. Reads are positional
-// (pread) or, when enabled and supported, served from a read-only mmap
-// of the file; writes are positional (pwrite) and become durable at
-// Sync. FileStore itself is a dumb block device with a checksummed
-// superblock — crash consistency across multi-page tree operations is
-// the job of DurableStore's write-ahead log, which replays into it.
+// offset n*PageSize; slot 0 is the superblock. Reads and writes are
+// positional (pread/pwrite); writes become durable at Sync. FileStore
+// itself is a dumb block device with a checksummed superblock — crash
+// consistency across multi-page tree operations is the job of
+// DurableStore's write-ahead log, which replays into it.
 //
 // The superblock layout (always in slot 0, pages start at slot 1 —
 // rtree page ids start at 1, so the slots line up with ids):
@@ -60,13 +59,8 @@ type FileMeta struct {
 }
 
 // FileStoreOptions configures OpenFileStore. The zero value is valid:
-// pread-only access and no telemetry.
+// no telemetry.
 type FileStoreOptions struct {
-	// Mmap maps the file read-only and serves page reads from the
-	// mapping when possible (reads past the mapped length fall back to
-	// pread; the mapping is refreshed on Sync). Silently ignored on
-	// platforms without mmap support and on non-OS block files.
-	Mmap bool
 	// Counters, when non-nil, receives PageReads/PageWrites/DataSyncs.
 	Counters *obs.StorageCounters
 }
@@ -76,15 +70,11 @@ type FileStoreOptions struct {
 type FileStore struct {
 	codec    Codec
 	counters *obs.StorageCounters
-	osf      *os.File  // non-nil only for OS-backed stores; needed for mmap
-	images   sync.Pool // *[]byte page buffers for ReadPage's pread path, which decodes and drops the image
+	images   sync.Pool // *[]byte page buffers for ReadPage, which decodes and drops the image
 
 	mu   sync.Mutex
 	f    BlockFile // guarded by mu
 	meta FileMeta  // guarded by mu
-	mmap []byte    // current read-only mapping, nil when disabled; guarded by mu
-	old  [][]byte  // superseded mappings, unmapped at Close; guarded by mu
-	want bool      // mmap requested; guarded by mu
 }
 
 // OpenFileStore opens (creating if absent) the page file at path. An
@@ -95,35 +85,22 @@ func OpenFileStore(path string, codec Codec, opts FileStoreOptions) (*FileStore,
 	if err != nil {
 		return nil, err
 	}
-	fs, err := newFileStore(osBlockFile{f: f}, codec, opts)
+	fs, err := NewFileStoreOn(osBlockFile{f: f}, codec, opts)
 	if err != nil {
 		f.Close()
 		return nil, err
-	}
-	fs.osf = f
-	if opts.Mmap {
-		fs.mu.Lock()
-		fs.remapLocked()
-		fs.mu.Unlock()
 	}
 	return fs, nil
 }
 
 // NewFileStoreOn builds a store over a caller-supplied block file (the
-// crash-test injection seam). The Mmap option is ignored — mapping
-// needs a real OS file.
+// crash-test injection seam).
 func NewFileStoreOn(f BlockFile, codec Codec, opts FileStoreOptions) (*FileStore, error) {
-	return newFileStore(f, codec, opts)
-}
-
-// newFileStore builds a store over an arbitrary block file (the seam
-// the crash tests use; mmap is only possible over real OS files).
-func newFileStore(f BlockFile, codec Codec, opts FileStoreOptions) (*FileStore, error) {
 	if codec.PageSize < superblockBackupOff+superblockSize {
 		return nil, fmt.Errorf("pagestore: page size %d smaller than the superblock pair (%d bytes)",
 			codec.PageSize, superblockBackupOff+superblockSize)
 	}
-	fs := &FileStore{codec: codec, counters: opts.Counters, f: f, want: opts.Mmap}
+	fs := &FileStore{codec: codec, counters: opts.Counters, f: f}
 	// Open-time: the store is not shared yet, but lock anyway to keep
 	// the guarded-field discipline uniform.
 	fs.mu.Lock()
@@ -322,9 +299,7 @@ func (fs *FileStore) ReadImage(id rtree.PageID) ([]byte, error) {
 		return nil, err
 	}
 	buf := make([]byte, fs.codec.PageSize)
-	if m, f := fs.source(off); m != nil {
-		copy(buf, m)
-	} else if err := fs.pread(f, id, off, buf); err != nil {
+	if err := fs.pread(id, off, buf); err != nil {
 		return nil, err
 	}
 	if fs.counters != nil {
@@ -333,24 +308,12 @@ func (fs *FileStore) ReadImage(id rtree.PageID) ([]byte, error) {
 	return buf, nil
 }
 
-// source returns where the page at off is read from: its image inside
-// the current mapping when the mapping covers it, else the block file
-// to pread. A mapping handed out stays valid until Close — Sync only
-// supersedes it.
-func (fs *FileStore) source(off int64) (mapped []byte, f BlockFile) {
-	fs.mu.Lock()
-	m := fs.mmap
-	f = fs.f
-	fs.mu.Unlock()
-	if end := off + int64(fs.codec.PageSize); m != nil && end <= int64(len(m)) {
-		return m[off:end:end], nil
-	}
-	return nil, f
-}
-
 // pread fills buf with the page at off, mapping a short read to
 // io.ErrUnexpectedEOF.
-func (fs *FileStore) pread(f BlockFile, id rtree.PageID, off int64, buf []byte) error {
+func (fs *FileStore) pread(id rtree.PageID, off int64, buf []byte) error {
+	fs.mu.Lock()
+	f := fs.f
+	fs.mu.Unlock()
 	n, err := f.ReadAt(buf, off)
 	if err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
@@ -364,31 +327,26 @@ func (fs *FileStore) pread(f BlockFile, id rtree.PageID, off int64, buf []byte) 
 
 // ReadPage implements Reader: a physical page read plus decode, with
 // the misdirected-read identity check (decoded id must equal the slot).
-// On the mmap path the decoder reads the image where it is mapped; the
-// pread path reads it into a pooled buffer. Either way the decoder
-// copies every field out, so the view keeps no reference to the image.
+// The image is read into a pooled buffer; the decoder copies every field
+// out, so the view keeps no reference to it.
 func (fs *FileStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	off, err := fs.pageOffset(id)
 	if err != nil {
 		return nil, err
 	}
-	img, f := fs.source(off)
-	if img == nil {
-		bp, _ := fs.images.Get().(*[]byte)
-		if bp == nil {
-			buf := make([]byte, fs.codec.PageSize)
-			bp = &buf
-		}
-		defer fs.images.Put(bp)
-		if err := fs.pread(f, id, off, *bp); err != nil {
-			return nil, err
-		}
-		img = *bp
+	bp, _ := fs.images.Get().(*[]byte)
+	if bp == nil {
+		buf := make([]byte, fs.codec.PageSize)
+		bp = &buf
+	}
+	defer fs.images.Put(bp)
+	if err := fs.pread(id, off, *bp); err != nil {
+		return nil, err
 	}
 	if fs.counters != nil {
 		fs.counters.PageReads.Add(1)
 	}
-	return decodeChecked(fs.codec, id, img)
+	return decodeChecked(fs.codec, id, *bp)
 }
 
 // LoadPages scans every page slot and returns the images that hold an
@@ -420,8 +378,7 @@ func (fs *FileStore) LoadPages() (map[rtree.PageID][]byte, error) {
 // Codec returns the store's codec.
 func (fs *FileStore) Codec() Codec { return fs.codec }
 
-// Sync flushes all writes to stable storage and refreshes the read
-// mapping (the file may have grown past the mapped length).
+// Sync flushes all writes to stable storage.
 func (fs *FileStore) Sync() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -431,56 +388,12 @@ func (fs *FileStore) Sync() error {
 	if fs.counters != nil {
 		fs.counters.DataSyncs.Add(1)
 	}
-	if fs.want {
-		fs.remapLocked()
-	}
 	return nil
 }
 
-// remapLocked (re)establishes the read-only mapping over the file's
-// current length. Mapping failures silently fall back to pread — mmap
-// is an optimization, never a correctness requirement. Superseded
-// mappings are retired (unmapped) at Close, not here: a concurrent
-// ReadPage may still be decoding out of one. Callers hold fs.mu.
-func (fs *FileStore) remapLocked() {
-	if fs.osf == nil {
-		return
-	}
-	size, err := fs.f.Size() //lint:allow lockcheck callers hold fs.mu
-	if err != nil || size == 0 {
-		return
-	}
-	m, err := mmapFile(fs.osf, int(size))
-	if err != nil {
-		return
-	}
-	if prev := fs.mmap; prev != nil { //lint:allow lockcheck callers hold fs.mu
-		fs.old = append(fs.old, prev) //lint:allow lockcheck callers hold fs.mu
-	}
-	fs.mmap = m //lint:allow lockcheck callers hold fs.mu
-}
-
-// Mapped reports whether reads are currently served from an mmap.
-func (fs *FileStore) Mapped() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.mmap != nil
-}
-
-// Close unmaps every mapping (current and superseded) and closes the
-// file. Unmap failures don't stop the remaining cleanup; all errors
-// are joined.
+// Close closes the file.
 func (fs *FileStore) Close() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	var err error
-	if fs.mmap != nil {
-		err = errors.Join(err, munmap(fs.mmap))
-		fs.mmap = nil
-	}
-	for _, m := range fs.old {
-		err = errors.Join(err, munmap(m))
-	}
-	fs.old = nil
-	return errors.Join(err, fs.f.Close())
+	return fs.f.Close()
 }

@@ -216,65 +216,18 @@ func TestFileStoreSuperblockCorruption(t *testing.T) {
 	}
 }
 
-// The mmap read path must serve the same bytes as pread, including
-// pages written after the last remap (those fall back to pread until
-// the next Sync).
-func TestFileStoreMmapReads(t *testing.T) {
-	dir := t.TempDir()
+// Readers decode pages through pooled buffers while a writer appends
+// pages and Syncs: every read must still yield one whole page with the
+// identity that was asked for.
+func TestFileStoreReadersWhileWriting(t *testing.T) {
 	codec := Codec{Dim: 2, PageSize: 512}
-	fs, err := OpenFileStore(filepath.Join(dir, "drive.pages"), codec, FileStoreOptions{Mmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	for id := rtree.PageID(1); id <= 8; id++ {
-		if err := fs.WriteNode(leafNode(id, float64(id))); err != nil {
-			t.Fatal(err)
-		}
-		if id == 4 {
-			if err := fs.Sync(); err != nil { // remap covers pages 1..4
-				t.Fatal(err)
-			}
-		}
-	}
-	for id := rtree.PageID(1); id <= 8; id++ {
-		n, err := fs.ReadPage(id)
-		if err != nil {
-			t.Fatalf("ReadPage(%d): %v", id, err)
-		}
-		if n.ID != id {
-			t.Errorf("ReadPage(%d) returned node %d", id, n.ID)
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	for id := rtree.PageID(1); id <= 8; id++ {
-		if _, err := fs.ReadPage(id); err != nil {
-			t.Fatalf("ReadPage(%d) after remap: %v", id, err)
-		}
-	}
-}
-
-// Readers decode straight out of the mapping while a writer appends
-// pages and Syncs, superseding the mapping over and over: every read
-// must still yield one whole page with the identity that was asked for,
-// from whichever mapping — or pread, past the mapped length — served it.
-func TestFileStoreMmapReadersAcrossRemap(t *testing.T) {
-	codec := Codec{Dim: 2, PageSize: 512}
-	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "drive.pages"), codec, FileStoreOptions{Mmap: true})
+	fs, err := OpenFileStore(filepath.Join(t.TempDir(), "drive.pages"), codec, FileStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Close()
 	if err := fs.WriteNode(leafNode(1, 1)); err != nil {
 		t.Fatal(err)
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Mapped() {
-		t.Skip("no mmap on this platform")
 	}
 	const pages = 400
 	var written atomic.Int64 // highest page id fully written
@@ -310,7 +263,7 @@ func TestFileStoreMmapReadersAcrossRemap(t *testing.T) {
 		}
 	}
 	written.Store(pages) // a failed writer must not leave the readers spinning
-	wg.Wait()            // before Close unmaps what they read
+	wg.Wait()
 	if werr != nil {
 		t.Fatal(werr)
 	}

@@ -3,6 +3,7 @@ package pagestore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 
@@ -43,7 +44,7 @@ func FuzzWALRecord(f *testing.F) {
 			if !bytes.Equal(buf, data[:n]) {
 				t.Fatalf("re-encode is not a fixpoint:\n% x\n% x", buf, data[:n])
 			}
-		} else if !IsTornWALRecord(err) {
+		} else if !errors.Is(err, errTornRecord) {
 			t.Fatalf("decode error is not a torn-record error: %v", err)
 		}
 

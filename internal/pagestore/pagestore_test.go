@@ -9,11 +9,44 @@ import (
 	"repro/internal/rtree"
 )
 
+// TestCodecCapacityMatchesRtree pins the fanout the on-page layout
+// gives a 4 KiB page: a 16-byte header, then per entry 2·dim float64
+// corners, an 8-byte reference and a 4-byte count, plus a dim-float64
+// center and a float64 radius in the SR-tree layout. The trees derive
+// their node capacity from it (parallel.Config), so these numbers are
+// the paper's fanouts, and a full rtree node of that many entries must
+// encode into one page while one entry more must not.
 func TestCodecCapacityMatchesRtree(t *testing.T) {
+	for _, c := range []struct {
+		dim     int
+		spheres bool
+		want    int
+	}{
+		{2, false, 92},  // (4096-16)/(32+12)
+		{10, false, 23}, // (4096-16)/(160+12)
+		{2, true, 60},   // (4096-16)/(44+24)
+	} {
+		if got := (Codec{Dim: c.dim, PageSize: 4096, Spheres: c.spheres}).Capacity(); got != c.want {
+			t.Errorf("dim %d spheres %v: capacity %d, want %d", c.dim, c.spheres, got, c.want)
+		}
+	}
+	rnd := rand.New(rand.NewSource(4))
 	for _, dim := range []int{2, 3, 5, 10, 16} {
-		c := Codec{Dim: dim, PageSize: 4096}
-		if got, want := c.Capacity(), rtree.CapacityForPage(4096, dim); got != want && want > 4 {
-			t.Errorf("dim %d: codec capacity %d, rtree capacity %d", dim, got, want)
+		for _, spheres := range []bool{false, true} {
+			c := Codec{Dim: dim, PageSize: 4096, Spheres: spheres}
+			full := randomNode(rnd, dim, c.Capacity(), false)
+			if spheres {
+				for i := range full.Entries {
+					full.Entries[i].Sphere = geom.Sphere{Center: full.Entries[i].Rect.Lo, Radius: 1}
+				}
+			}
+			if _, err := c.Encode(full); err != nil {
+				t.Errorf("dim %d spheres %v: full node of %d entries: %v", dim, spheres, c.Capacity(), err)
+			}
+			full.Entries = append(full.Entries, full.Entries[0])
+			if _, err := c.Encode(full); err == nil {
+				t.Errorf("dim %d spheres %v: Encode accepted %d entries", dim, spheres, len(full.Entries))
+			}
 		}
 	}
 }

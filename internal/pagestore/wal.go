@@ -92,8 +92,8 @@ var errTornRecord = errors.New("pagestore: torn or corrupt WAL record")
 
 // DecodeWALRecord decodes one record from the front of buf, returning
 // the record and the number of bytes it occupied. A short buffer or a
-// checksum mismatch returns errTornRecord (matchable with errors.Is via
-// IsTornWALRecord); structurally impossible records (absurd payload
+// checksum mismatch returns errTornRecord (matchable with errors.Is);
+// structurally impossible records (absurd payload
 // length, unknown type) are also torn — after a crash the tail can hold
 // any bytes at all.
 func DecodeWALRecord(buf []byte) (WALRecord, int, error) {
@@ -123,10 +123,6 @@ func DecodeWALRecord(buf []byte) (WALRecord, int, error) {
 	copy(rec.Payload, buf[walRecHeader:walRecHeader+plen])
 	return rec, total, nil
 }
-
-// IsTornWALRecord reports whether err marks a torn/corrupt record (the
-// normal crash tail, as opposed to an I/O failure).
-func IsTornWALRecord(err error) bool { return errors.Is(err, errTornRecord) }
 
 // PageRecordPayload builds a WALPage payload.
 func PageRecordPayload(id rtree.PageID, image []byte) []byte {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/decluster"
 	"repro/internal/geom"
+	"repro/internal/pagestore"
 	"repro/internal/rtree"
 )
 
@@ -60,7 +61,9 @@ func (cfg *Config) fill() error {
 		cfg.PageSize = 4096
 	}
 	if cfg.MaxEntries == 0 {
-		cfg.MaxEntries = rtree.CapacityForPageEx(cfg.PageSize, cfg.Dim, cfg.UseSpheres)
+		// What fits one page of the on-page layout, but never below the
+		// tree's minimum fanout.
+		cfg.MaxEntries = max(4, pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}.Capacity())
 	}
 	return nil
 }
@@ -179,16 +182,6 @@ func (t *Tree) NumDisks() int { return t.cfg.NumDisks }
 func (t *Tree) Placement(id rtree.PageID) (Placement, bool) {
 	p, ok := t.placements[id]
 	return p, ok
-}
-
-// DiskOf returns the disk holding a page; it panics on unknown pages
-// (every live page must have been placed).
-func (t *Tree) DiskOf(id rtree.PageID) int {
-	p, ok := t.placements[id]
-	if !ok {
-		panic(fmt.Sprintf("parallel: page %d has no placement", id))
-	}
-	return p.Disk
 }
 
 // PagesPerDisk returns a copy of the per-disk live page counts.

@@ -47,11 +47,19 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Config().MaxEntries != rtree.CapacityForPage(4096, 10) {
-		t.Errorf("derived capacity = %d", pt.Config().MaxEntries)
+	if got := pt.Config().MaxEntries; got != 23 { // (4096-16)/(160+12), pagestore.Codec.Capacity
+		t.Errorf("derived capacity = %d, want 23", got)
 	}
 	if pt.Config().Policy == nil {
 		t.Error("no default policy")
+	}
+	// A page too small for the tree's minimum fanout still gets 4.
+	tiny, err := New(Config{Dim: 10, NumDisks: 4, Cylinders: 100, PageSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tiny.Config().MaxEntries; got != 4 {
+		t.Errorf("tiny page capacity = %d, want 4", got)
 	}
 }
 
@@ -175,7 +183,8 @@ func TestProximityBeatsRandomOnSiblingSeparation(t *testing.T) {
 			}
 			disks := map[int]bool{}
 			for _, e := range n.Entries {
-				disks[pt.DiskOf(e.Child)] = true
+				pl, _ := pt.Placement(e.Child)
+				disks[pl.Disk] = true
 			}
 			total++
 			good += float64(len(disks)) / float64(len(n.Entries))
@@ -188,16 +197,6 @@ func TestProximityBeatsRandomOnSiblingSeparation(t *testing.T) {
 	if pi < rnd-0.02 {
 		t.Errorf("PI sibling spread %.3f worse than random %.3f", pi, rnd)
 	}
-}
-
-func TestDiskOfUnknownPanics(t *testing.T) {
-	pt, _ := New(testConfig(2, nil))
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	pt.DiskOf(9999)
 }
 
 func TestCylindersInRange(t *testing.T) {

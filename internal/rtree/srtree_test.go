@@ -17,21 +17,6 @@ func srTree(t *testing.T, dim, maxEntries int) *Tree {
 	return tr
 }
 
-func TestSRCapacitySmaller(t *testing.T) {
-	// Sphere entries cost page space, so the SR fanout must be smaller.
-	for _, dim := range []int{2, 5, 10} {
-		r := CapacityForPageEx(4096, dim, false)
-		s := CapacityForPageEx(4096, dim, true)
-		if s >= r {
-			t.Errorf("dim %d: SR capacity %d not below rect capacity %d", dim, s, r)
-		}
-	}
-	// 2-d SR: (4096-16)/(44+24) = 60
-	if got := CapacityForPageEx(4096, 2, true); got != 60 {
-		t.Errorf("2-d SR capacity = %d, want 60", got)
-	}
-}
-
 func TestSRInvariantsUnderInserts(t *testing.T) {
 	tr := srTree(t, 3, 10)
 	pts := randPoints(21, 1500, 3)

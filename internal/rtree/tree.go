@@ -45,7 +45,7 @@ type Config struct {
 	// bounding sphere centered at its subtree's point centroid, the
 	// descent follows nearest centroids, and queries intersect the
 	// rectangle and sphere bounds. Spheres consume page space, so the
-	// fanout shrinks (see CapacityForPageEx).
+	// fanout shrinks (see pagestore.Codec.Capacity).
 	UseSpheres bool
 	// MaxOverlapRatio enables the X-tree variant (Berchtold, Keim &
 	// Kriegel, VLDB 1996): when splitting a directory node would
@@ -56,30 +56,6 @@ type Config struct {
 	// the query layer via Node.Pages). 0 disables the behavior; the
 	// X-tree's recommended value is 0.2. Leaf nodes always split.
 	MaxOverlapRatio float64
-}
-
-// CapacityForPage derives the node capacity from a page size in bytes
-// and the space dimensionality, using the on-page layout of package
-// pagestore (16-byte header, per entry: 2*dim float64 corners + 8-byte
-// reference + 4-byte count).
-func CapacityForPage(pageBytes, dim int) int {
-	return CapacityForPageEx(pageBytes, dim, false)
-}
-
-// CapacityForPageEx is CapacityForPage with the SR-tree layout option:
-// sphere entries additionally store a dim-float64 center and a float64
-// radius, reducing the fanout — the SR-tree's inherent trade.
-func CapacityForPageEx(pageBytes, dim int, spheres bool) int {
-	const header = 16
-	entry := dim*2*8 + 8 + 4
-	if spheres {
-		entry += dim*8 + 8
-	}
-	c := (pageBytes - header) / entry
-	if c < 4 {
-		c = 4
-	}
-	return c
 }
 
 func (c *Config) fill() error {

@@ -55,21 +55,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestCapacityForPage(t *testing.T) {
-	// 2-d: (4096-16)/(32+12) = 92
-	if got := CapacityForPage(4096, 2); got != 92 {
-		t.Errorf("capacity 2-d = %d, want 92", got)
-	}
-	// 10-d: (4096-16)/(160+12) = 23
-	if got := CapacityForPage(4096, 10); got != 23 {
-		t.Errorf("capacity 10-d = %d, want 23", got)
-	}
-	// Floor of 4 for tiny pages.
-	if got := CapacityForPage(64, 10); got != 4 {
-		t.Errorf("tiny page capacity = %d, want 4", got)
-	}
-}
-
 func TestEmptyTree(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
 	if tr.Len() != 0 || tr.Height() != 1 {
@@ -131,7 +116,7 @@ func TestSearchRectExactness(t *testing.T) {
 	}
 	want := map[ObjectID]bool{}
 	for i, p := range pts {
-		if query.ContainsPoint(p) {
+		if query.Contains(geom.PointRect(p)) {
 			want[ObjectID(i)] = true
 		}
 	}

@@ -38,7 +38,10 @@ func newQuotaSet(rate, burst float64, now func() time.Time) *quotaSet {
 
 // allow spends one token from tenant's bucket if available. When the
 // bucket is dry it reports false plus how long until the next token
-// accrues — the Retry-After hint.
+// accrues — the Retry-After hint. The clock is read before the lock is
+// taken, so a request may bring an older reading than the bucket's last
+// refill: it refills nothing and leaves last where it is, or the next
+// request would be credited the same interval again.
 func (q *quotaSet) allow(tenant string) (bool, time.Duration) {
 	t := q.now()
 	q.mu.Lock()
@@ -53,8 +56,8 @@ func (q *quotaSet) allow(tenant string) (bool, time.Duration) {
 		if b.tokens > q.burst {
 			b.tokens = q.burst
 		}
+		b.last = t
 	}
-	b.last = t
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0

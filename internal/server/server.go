@@ -44,6 +44,17 @@ type viewReporter interface {
 	ViewStats() rtree.ViewStats
 }
 
+const (
+	// tenantHeader carries the tenant's API key; requests without it are
+	// tenant "anonymous".
+	tenantHeader = "X-API-Key"
+	// shedRetryAfter is the hint sent with shed-load 429s (quota 429s
+	// compute their own from the token deficit).
+	shedRetryAfter = time.Second
+	// maxK caps the per-query k.
+	maxK = 1024
+)
+
 // Config tunes the service. The zero value of every field except
 // Backend is usable: no quotas, no load shedding, no SLO accounting.
 type Config struct {
@@ -53,9 +64,6 @@ type Config struct {
 	// QueueWatermark sheds load (429) while any disk's queue depth is
 	// at or above this value. 0 disables admission control.
 	QueueWatermark int64
-	// RetryAfter is the hint sent with shed-load 429s (quota 429s
-	// compute their own from the token deficit). Default 1s.
-	RetryAfter time.Duration
 
 	// QuotaRate is each tenant's sustained admission rate in queries
 	// per second. 0 disables quotas.
@@ -63,19 +71,10 @@ type Config struct {
 	// QuotaBurst is the token-bucket capacity (instantaneous burst).
 	// Default max(QuotaRate, 1).
 	QuotaBurst float64
-	// TenantHeader names the header carrying the tenant's API key.
-	// Default "X-API-Key"; requests without it are tenant "anonymous".
-	TenantHeader string
 
 	// SLOTarget counts a served query as an SLO violation when its
 	// end-to-end latency exceeds this. 0 disables the counter.
 	SLOTarget time.Duration
-	// MaxK caps the per-query k. Default 1024.
-	MaxK int
-
-	// Tenants receives per-tenant latency histograms and SLO counters;
-	// a fresh set is created when nil.
-	Tenants *obs.TenantSet
 
 	// Now is the clock (test seam). Default time.Now.
 	Now func() time.Time
@@ -98,22 +97,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, errors.New("server: Config.Backend is required")
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.TenantHeader == "" {
-		cfg.TenantHeader = "X-API-Key"
-	}
-	if cfg.MaxK <= 0 {
-		cfg.MaxK = 1024
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{cfg: cfg, tenants: cfg.Tenants, serveErr: make(chan error, 1)}
-	if s.tenants == nil {
-		s.tenants = obs.NewTenantSet()
-	}
+	s := &Server{cfg: cfg, tenants: obs.NewTenantSet(), serveErr: make(chan error, 1)}
 	if cfg.QuotaRate > 0 {
 		burst := cfg.QuotaBurst
 		if burst <= 0 {
@@ -248,7 +235,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	tenant := r.Header.Get(s.cfg.TenantHeader)
+	tenant := r.Header.Get(tenantHeader)
 	if tenant == "" {
 		tenant = "anonymous"
 	}
@@ -267,7 +254,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if wm := s.cfg.QueueWatermark; wm > 0 {
 		if depth := maxQueueDepth(s.cfg.Backend.QueueDepths()); depth >= wm {
 			tm.ObserveLoadShed()
-			writeRetryAfter(w, s.cfg.RetryAfter,
+			writeRetryAfter(w, shedRetryAfter,
 				fmt.Sprintf("array saturated (queue depth %d >= watermark %d)", depth, wm))
 			return
 		}
@@ -290,10 +277,10 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "point is required")
 		return
 	}
-	if req.K < 1 || req.K > s.cfg.MaxK {
+	if req.K < 1 || req.K > maxK {
 		tm.ObserveError()
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("k must be in [1, %d]", s.cfg.MaxK))
+			fmt.Sprintf("k must be in [1, %d]", maxK))
 		return
 	}
 	alg, err := query.AlgorithmByName(req.Algorithm)

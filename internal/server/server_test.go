@@ -215,7 +215,7 @@ func (f *fakeBackend) QueueDepths() []int64 {
 // same request is admitted.
 func TestServerShedsLoad(t *testing.T) {
 	fb := &fakeBackend{}
-	srv, err := New(Config{Backend: fb, QueueWatermark: 8, RetryAfter: 2 * time.Second})
+	srv, err := New(Config{Backend: fb, QueueWatermark: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +232,8 @@ func TestServerShedsLoad(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("saturated: status %d, want 429", status)
 	}
-	if retry != "2" {
-		t.Fatalf("saturated: Retry-After %q, want \"2\"", retry)
+	if retry != "1" {
+		t.Fatalf("saturated: Retry-After %q, want \"1\"", retry)
 	}
 	if fb.calls.Load() != 0 {
 		t.Fatal("shed request reached the backend")
@@ -307,6 +307,28 @@ func TestServerQuotaPerTenant(t *testing.T) {
 	}
 	if b := snap["bob"]; b.Served != 1 || b.QuotaRejected != 0 {
 		t.Fatalf("bob snapshot = %+v, want 1 served + 0 rejected", b)
+	}
+}
+
+// TestQuotaClockNeverRunsBackward: a request whose clock reading is
+// older than the bucket's last refill (it read the clock first but
+// reached the lock second) must not move the refill time back, or the
+// next request is credited the same interval twice.
+func TestQuotaClockNeverRunsBackward(t *testing.T) {
+	var now time.Time
+	q := newQuotaSet(1, 1, func() time.Time { return now })
+	for i, step := range []struct {
+		at    time.Duration
+		admit bool
+	}{
+		{10 * time.Second, true},  // spends the burst
+		{5 * time.Second, false},  // an earlier reading, late to the lock
+		{10 * time.Second, false}, // no time has passed since the first
+	} {
+		now = time.Unix(0, 0).Add(step.at)
+		if ok, _ := q.allow("alice"); ok != step.admit {
+			t.Fatalf("request %d at t=%v: admitted %v, want %v", i, step.at, ok, step.admit)
+		}
 	}
 }
 
@@ -402,7 +424,7 @@ func TestServerSaturationSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := New(Config{Backend: eng, QueueWatermark: 1, RetryAfter: time.Second})
+	srv, err := New(Config{Backend: eng, QueueWatermark: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +591,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv, err := New(Config{Backend: eng, MaxK: 16})
+	srv, err := New(Config{Backend: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,9 +612,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 
 	cases := []knnRequest{
-		{K: 1},                              // missing point
-		{Point: []float64{0.5, 0.5}, K: 0},  // k below range
-		{Point: []float64{0.5, 0.5}, K: 17}, // k above MaxK
+		{K: 1},                             // missing point
+		{Point: []float64{0.5, 0.5}, K: 0}, // k below range
+		{Point: []float64{0.5, 0.5}, K: maxK + 1},             // k above the cap
 		{Point: []float64{0.5, 0.5}, K: 1, Algorithm: "nope"}, // unknown algorithm
 		{Point: []float64{0.5, 0.5, 0.5}, K: 1},               // wrong dimensionality
 	}

@@ -51,7 +51,6 @@ type Simulator struct {
 	now    float64
 	events eventHeap
 	seq    uint64
-	steps  uint64
 }
 
 // New returns a simulator with the clock at zero.
@@ -61,12 +60,6 @@ func New() *Simulator {
 
 // Now returns the current virtual time in seconds.
 func (s *Simulator) Now() float64 { return s.now }
-
-// Steps returns the number of events executed so far.
-func (s *Simulator) Steps() uint64 { return s.steps }
-
-// Pending returns the number of events still scheduled.
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it would silently reorder causality.
@@ -97,7 +90,6 @@ func (s *Simulator) Step() bool {
 	}
 	e := heap.Pop(&s.events).(*event)
 	s.now = e.time
-	s.steps++
 	e.fn()
 	return true
 }
@@ -105,17 +97,6 @@ func (s *Simulator) Step() bool {
 // Run executes events until none remain.
 func (s *Simulator) Run() {
 	for s.Step() {
-	}
-}
-
-// RunUntil executes events with time <= t, then sets the clock to t.
-// Events scheduled beyond t stay pending.
-func (s *Simulator) RunUntil(t float64) {
-	for len(s.events) > 0 && s.events[0].time <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
 	}
 }
 
@@ -151,32 +132,25 @@ func (st StationStats) Utilization(horizon float64) float64 {
 // which keeps all causality visible to the virtual clock.
 type Station struct {
 	sim      *Simulator
-	name     string
 	freeAt   float64 // time the server finishes its last accepted job
 	inFlight int
 	stats    StationStats
 }
 
-// NewStation returns a named FCFS station bound to sim.
-func NewStation(sim *Simulator, name string) *Station {
-	return &Station{sim: sim, name: name}
+// NewStation returns an FCFS station bound to sim.
+func NewStation(sim *Simulator) *Station {
+	return &Station{sim: sim}
 }
-
-// Name returns the station's diagnostic name.
-func (q *Station) Name() string { return q.name }
 
 // Stats returns a copy of the station's statistics.
 func (q *Station) Stats() StationStats { return q.stats }
-
-// QueueLen returns the number of jobs queued or in service right now.
-func (q *Station) QueueLen() int { return q.inFlight }
 
 // Submit enqueues a job with the given service demand (seconds). done, if
 // non-nil, runs at the job's departure instant and receives the times at
 // which service started and finished.
 func (q *Station) Submit(service float64, done func(start, finish float64)) {
 	if service < 0 || math.IsNaN(service) {
-		panic(fmt.Sprintf("sim: station %s: invalid service time %g", q.name, service))
+		panic(fmt.Sprintf("sim: invalid service time %g", service))
 	}
 	now := q.sim.Now()
 	start := now

@@ -20,9 +20,6 @@ func TestEventOrdering(t *testing.T) {
 	if s.Now() != 3.0 {
 		t.Errorf("final clock = %g", s.Now())
 	}
-	if s.Steps() != 3 {
-		t.Errorf("steps = %d", s.Steps())
-	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
@@ -76,32 +73,9 @@ func TestInvalidTimePanics(t *testing.T) {
 	s.At(math.NaN(), func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	var fired []float64
-	for _, tm := range []float64{1, 2, 3, 4} {
-		tm := tm
-		s.At(tm, func() { fired = append(fired, tm) })
-	}
-	s.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v", fired)
-	}
-	if s.Now() != 2.5 {
-		t.Errorf("clock = %g, want 2.5", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Errorf("pending = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 4 {
-		t.Errorf("after Run fired = %v", fired)
-	}
-}
-
 func TestStationFCFSNoOverlap(t *testing.T) {
 	s := New()
-	st := NewStation(s, "disk0")
+	st := NewStation(s)
 	type span struct{ start, finish float64 }
 	var spans []span
 	// Three jobs submitted at t=0 with service 1s each must run
@@ -139,7 +113,7 @@ func TestStationFCFSNoOverlap(t *testing.T) {
 
 func TestStationIdleGap(t *testing.T) {
 	s := New()
-	st := NewStation(s, "d")
+	st := NewStation(s)
 	var finishes []float64
 	s.At(0, func() { st.Submit(1, func(_, f float64) { finishes = append(finishes, f) }) })
 	// Second job arrives after the first finished: no queueing delay.
@@ -158,7 +132,7 @@ func TestStationIdleGap(t *testing.T) {
 
 func TestStationNegativeServicePanics(t *testing.T) {
 	s := New()
-	st := NewStation(s, "d")
+	st := NewStation(s)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -175,7 +149,7 @@ func TestStationFCFSProperty(t *testing.T) {
 		n := int(nRaw)%30 + 1
 		rnd := rand.New(rand.NewSource(seed))
 		s := New()
-		st := NewStation(s, "d")
+		st := NewStation(s)
 		arr := make([]float64, n)
 		svc := make([]float64, n)
 		tcur := 0.0
@@ -228,7 +202,7 @@ func TestStationFCFSProperty(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []float64 {
 		s := New()
-		st := NewStation(s, "d")
+		st := NewStation(s)
 		rnd := rand.New(rand.NewSource(42))
 		var trace []float64
 		for i := 0; i < 50; i++ {

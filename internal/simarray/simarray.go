@@ -187,9 +187,9 @@ func NewSystem(tree *parallel.Tree, cfg Config) (*System, error) {
 	s := &System{cfg: cfg, tree: tree, sim: sim.New()}
 	s.cpus = make([]*sim.Station, cfg.CPUs)
 	for i := range s.cpus {
-		s.cpus[i] = sim.NewStation(s.sim, fmt.Sprintf("cpu%d", i))
+		s.cpus[i] = sim.NewStation(s.sim)
 	}
-	s.bus = sim.NewStation(s.sim, "bus")
+	s.bus = sim.NewStation(s.sim)
 	n := tree.NumDisks()
 	s.disks = make([][]*sim.Station, n)
 	s.drive = make([][]*disk.Drive, n)
@@ -199,7 +199,7 @@ func NewSystem(tree *parallel.Tree, cfg Config) (*System, error) {
 		s.disks[i] = make([]*sim.Station, cfg.Mirrors)
 		s.drive[i] = make([]*disk.Drive, cfg.Mirrors)
 		for m := 0; m < cfg.Mirrors; m++ {
-			s.disks[i][m] = sim.NewStation(s.sim, fmt.Sprintf("disk%d.%d", i, m))
+			s.disks[i][m] = sim.NewStation(s.sim)
 			d, err := disk.NewDrive(i*cfg.Mirrors+m, cfg.Disk)
 			if err != nil {
 				return nil, err
