@@ -69,7 +69,8 @@ bench:
 ## concurrent engine vs sequential driver queries/sec, the engine's miss
 ## path on file-backed replicas, page decoding, and the write path: one
 ## R*-tree insertion in 2-d and 10-d, one durable batch of 45 inserts,
-## 5 deletes and a Commit — on a bare R*-tree and on a core.Index)
+## 5 deletes and a Commit — on a bare R*-tree and on a core.Index, and
+## one POST /v1/knn through the server's handler over a real engine)
 ## at a fixed iteration count with the deterministic in-repo seeds, and
 ## render the output as a schema-versioned JSON report via cmd/benchjson.
 ## Each row carries the median and the run-to-run spread of its -count
@@ -77,15 +78,15 @@ bench:
 BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
-# The PR 25 report also carries the parent commit's ingest rows as
-# `…/at=parent-ed0b08b`; bench-check lists them as missing from a new
+# The baseline report also carries the parent commit's server row as
+# `…/at=parent-7dd2ae5`; bench-check lists it as missing from a new
 # report (informational) until the baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-15-pr25.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest'
+BENCH_BASELINE   ?= BENCH_2026-10-15-pr30.json
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest|BenchmarkServerKNN'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \
-		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ | tee bin/bench.out
+		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ ./internal/server/ | tee bin/bench.out
 	bin/benchjson parse -o $(BENCH_JSON_OUT) bin/bench.out
 	@echo "wrote $(BENCH_JSON_OUT)"
 
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/pagestore/
 	$(GO) test -fuzz=FuzzGeomMetrics -fuzztime=$(FUZZTIME) ./internal/geom/
 	$(GO) test -fuzz=FuzzRTreeOps -fuzztime=$(FUZZTIME) ./internal/rtree/
+	$(GO) test -fuzz=FuzzKNNRequest -fuzztime=$(FUZZTIME) ./internal/server/
 
 ## chaos: the fault-injection suite under the race detector — injector
 ## determinism, degraded-mode engine reads, simulator fail-stop, mirror

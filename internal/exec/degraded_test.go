@@ -218,6 +218,7 @@ func TestValidationMatchesDriver(t *testing.T) {
 		{"dim mismatch", []float64{1, 2, 3}, 5},
 		{"NaN coordinate", []float64{math.NaN(), 0.5}, 5},
 		{"infinite coordinate", []float64{0.5, math.Inf(-1)}, 5},
+		{"coordinate beyond the bound", []float64{1e200, 1e200}, 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, drvErr := drv.RunChecked(query.CRSS{}, tc.q, tc.k, query.Options{})

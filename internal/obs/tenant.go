@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // TenantMetrics tracks one tenant's query service experience: an
 // end-to-end latency histogram plus outcome and SLO counters. Fields
@@ -20,7 +17,8 @@ type TenantMetrics struct {
 	sloViolations atomic.Uint64 // served queries slower than the SLO target
 }
 
-func newTenantMetrics() *TenantMetrics {
+// NewTenantMetrics returns a tenant's metrics with nothing observed.
+func NewTenantMetrics() *TenantMetrics {
 	return &TenantMetrics{latency: NewLatencyHistogram()}
 }
 
@@ -64,47 +62,4 @@ type TenantSnapshot struct {
 	QuotaRejected uint64
 	LoadShed      uint64
 	SLOViolations uint64
-}
-
-// TenantSet is a registry of per-tenant metrics, keyed by tenant name.
-// Tenant lazily creates entries, so the serving path needs no
-// pre-registration; lookups take a short mutex (creation is rare, and
-// the per-tenant hot counters are lock-free once the entry exists).
-type TenantSet struct {
-	mu      sync.Mutex
-	tenants map[string]*TenantMetrics // guarded by mu
-}
-
-// NewTenantSet returns an empty registry.
-func NewTenantSet() *TenantSet {
-	return &TenantSet{tenants: make(map[string]*TenantMetrics)}
-}
-
-// Tenant returns name's metrics, creating them on first use.
-func (s *TenantSet) Tenant(name string) *TenantMetrics {
-	s.mu.Lock()
-	m, ok := s.tenants[name]
-	if !ok {
-		m = newTenantMetrics()
-		s.tenants[name] = m
-	}
-	s.mu.Unlock()
-	return m
-}
-
-// Snapshot freezes every tenant's metrics, keyed by tenant name. The
-// histogram copies happen outside the registry lock so a scrape never
-// stalls tenant creation.
-func (s *TenantSet) Snapshot() map[string]TenantSnapshot {
-	s.mu.Lock()
-	live := make(map[string]*TenantMetrics, len(s.tenants))
-	for name, m := range s.tenants {
-		live[name] = m
-	}
-	s.mu.Unlock()
-	out := make(map[string]TenantSnapshot, len(live))
-	for name, m := range live {
-		out[name] = m.Snapshot()
-	}
-	return out
 }

@@ -1,65 +1,25 @@
 package obs
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestTenantMetrics(t *testing.T) {
-	set := NewTenantSet()
-	a := set.Tenant("alice")
-	if set.Tenant("alice") != a {
-		t.Fatal("Tenant returned a fresh entry for an existing name")
-	}
-
+	a := NewTenantMetrics()
 	a.ObserveServed(0.001, false)
 	a.ObserveServed(0.250, true)
 	a.ObserveError()
 	a.ObserveQuotaRejected()
 	a.ObserveQuotaRejected()
 	a.ObserveLoadShed()
-	set.Tenant("bob").ObserveServed(0.002, false)
 
-	snaps := set.Snapshot()
-	if len(snaps) != 2 {
-		t.Fatalf("%d tenants in snapshot, want 2", len(snaps))
-	}
-	as := snaps["alice"]
+	as := a.Snapshot()
 	if as.Served != 2 || as.Errored != 1 || as.QuotaRejected != 2 ||
 		as.LoadShed != 1 || as.SLOViolations != 1 {
-		t.Fatalf("alice snapshot = %+v", as)
+		t.Fatalf("snapshot = %+v", as)
 	}
 	if as.Latency.Count != 2 {
-		t.Fatalf("alice latency count = %d, want 2", as.Latency.Count)
+		t.Fatalf("latency count = %d, want 2", as.Latency.Count)
 	}
-	if bs := snaps["bob"]; bs.Served != 1 || bs.SLOViolations != 0 {
-		t.Fatalf("bob snapshot = %+v", bs)
-	}
-}
-
-func TestTenantSetConcurrent(t *testing.T) {
-	set := NewTenantSet()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			names := []string{"a", "b", "c"}
-			for i := 0; i < 200; i++ {
-				m := set.Tenant(names[(g+i)%len(names)])
-				m.ObserveServed(0.001, i%10 == 0)
-				if i%50 == 0 {
-					set.Snapshot()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	var served uint64
-	for _, s := range set.Snapshot() {
-		served += s.Served
-	}
-	if served != 8*200 {
-		t.Fatalf("served total = %d, want %d", served, 8*200)
+	if bs := NewTenantMetrics().Snapshot(); bs.Served != 0 || bs.Latency.Count != 0 {
+		t.Fatalf("fresh metrics snapshot = %+v", bs)
 	}
 }

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -20,12 +19,16 @@ type InvalidQueryError struct {
 func (e *InvalidQueryError) Error() string { return "query: invalid query: " + e.Reason }
 
 // ValidateKNN checks a k-NN query's inputs against the tree it will
-// run on: k must be positive, the query point non-nil with finite
-// coordinates, and its dimensionality must match the tree's. A NaN or
+// run on: k must be positive, the query point non-nil, its
+// dimensionality the tree's, and every coordinate within
+// ±t.CoordBound(), the bound Insert holds the data to. A NaN or
 // infinite coordinate would make every distance NaN or +Inf, so the
 // pruning comparisons would silently pass or fail and the "nearest"
-// neighbors returned would be arbitrary. A nil error means the query
-// is admissible; any failure is an *InvalidQueryError.
+// neighbors returned would be arbitrary; a finite one beyond the bound
+// can do the same, as a squared distance that overflows to +Inf. Within
+// it no squared distance can (dim·E² is finite, see rtree's coordBound).
+// A nil error means the query is admissible; any failure is an
+// *InvalidQueryError.
 func ValidateKNN(t *parallel.Tree, q geom.Point, k int) error {
 	if k <= 0 {
 		return &InvalidQueryError{Reason: fmt.Sprintf("k must be positive, got %d", k)}
@@ -36,9 +39,10 @@ func ValidateKNN(t *parallel.Tree, q geom.Point, k int) error {
 	if dim := t.Config().Dim; q.Dim() != dim {
 		return &InvalidQueryError{Reason: fmt.Sprintf("query dim %d, tree dim %d", q.Dim(), dim)}
 	}
+	b := t.CoordBound()
 	for i, c := range q {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return &InvalidQueryError{Reason: fmt.Sprintf("query coordinate %d is %g, want a finite number", i, c)}
+		if !(-b <= c && c <= b) { // false for NaN, too
+			return &InvalidQueryError{Reason: fmt.Sprintf("query coordinate %d is %g, want a finite number within ±%g", i, c, b)}
 		}
 	}
 	return nil

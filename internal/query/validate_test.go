@@ -29,7 +29,10 @@ func TestValidateKNN(t *testing.T) {
 		{"NaN coordinate", geom.Point{0.5, math.NaN()}, 5, true},
 		{"+Inf coordinate", geom.Point{math.Inf(1), 0.5}, 5, true},
 		{"-Inf coordinate", geom.Point{0.5, math.Inf(-1)}, 5, true},
-		{"largest finite coordinate", geom.Point{math.MaxFloat64, -math.MaxFloat64}, 5, false},
+		{"coordinates at the bound", geom.Point{tree.CoordBound(), -tree.CoordBound()}, 5, false},
+		{"coordinate beyond the bound", geom.Point{0.5, math.Nextafter(tree.CoordBound(), math.Inf(1))}, 5, true},
+		{"far query point", geom.Point{1e200, 1e200}, 5, true},
+		{"largest finite coordinate", geom.Point{math.MaxFloat64, -math.MaxFloat64}, 5, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := ValidateKNN(tree, tc.q, tc.k)

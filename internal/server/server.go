@@ -45,14 +45,28 @@ type viewReporter interface {
 }
 
 const (
-	// tenantHeader carries the tenant's API key; requests without it are
-	// tenant "anonymous".
-	tenantHeader = "X-API-Key"
+	// tenantHeader carries the tenant's API key (X-API-Key), in the
+	// canonical form net/http files incoming headers under, so reading it
+	// is a plain map lookup; requests without it are tenant "anonymous".
+	tenantHeader = "X-Api-Key"
 	// shedRetryAfter is the hint sent with shed-load 429s (quota 429s
 	// compute their own from the token deficit).
 	shedRetryAfter = time.Second
 	// maxK caps the per-query k.
 	maxK = 1024
+)
+
+// The connection timeouts Start sets. A request has ReadTimeout to
+// arrive whole (its body is at most 64 KiB) and WriteTimeout from then
+// until its answer is written, query included; an idle keep-alive
+// connection is closed after IdleTimeout. The server sets no deadline
+// per query: context.WithTimeout would allocate a timer context on every
+// request, and a client that gives up cancels its query anyway.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Config tunes the service. The zero value of every field except
@@ -83,8 +97,7 @@ type Config struct {
 // Server is a running (or startable) query service.
 type Server struct {
 	cfg     Config
-	tenants *obs.TenantSet
-	quotas  *quotaSet // nil when quotas are disabled
+	tenants *TenantTable
 	mux     *http.ServeMux
 
 	httpSrv  *http.Server
@@ -100,13 +113,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{cfg: cfg, tenants: obs.NewTenantSet(), serveErr: make(chan error, 1)}
-	if cfg.QuotaRate > 0 {
-		burst := cfg.QuotaBurst
-		if burst <= 0 {
-			burst = cfg.QuotaRate
-		}
-		s.quotas = newQuotaSet(cfg.QuotaRate, burst, cfg.Now)
+	s := &Server{
+		cfg:      cfg,
+		tenants:  newTenantTable(cfg.QuotaRate, cfg.QuotaBurst, cfg.Now),
+		serveErr: make(chan error, 1),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/knn", s.handleKNN)
@@ -118,8 +128,9 @@ func New(cfg Config) (*Server, error) {
 // Handler exposes the routing mux (for httptest and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Tenants exposes the per-tenant metrics registry.
-func (s *Server) Tenants() *obs.TenantSet { return s.tenants }
+// Tenants exposes the tenant table; its Snapshot is the per-tenant
+// metrics map.
+func (s *Server) Tenants() *TenantTable { return s.tenants }
 
 // Start binds addr (use ":0" for an ephemeral port) and serves in a
 // background goroutine, returning once the listener is bound. Pass
@@ -133,7 +144,13 @@ func (s *Server) Start(addr, certFile, keyFile string) error {
 		return err
 	}
 	s.addr = ln.Addr()
-	s.httpSrv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
+	s.httpSrv = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() {
 		if certFile != "" || keyFile != "" {
 			s.serveErr <- s.httpSrv.ServeTLS(ln, certFile, keyFile)
@@ -184,72 +201,39 @@ func (s *Server) waitServe() error {
 	return err
 }
 
-// maxKNNBodyBytes bounds the POST /v1/knn body: the server buffers a
-// request's point while decoding, so an unbounded body is memory a
-// client controls. A query point of a thousand dimensions is under
-// 32 KiB of JSON; a larger body is refused with 413.
-const maxKNNBodyBytes = 64 << 10
-
-// knnRequest is the POST /v1/knn body.
-type knnRequest struct {
-	Point     []float64 `json:"point"`
-	K         int       `json:"k"`
-	Algorithm string    `json:"algorithm,omitempty"`
-	Trace     bool      `json:"trace,omitempty"`
-}
-
-// knnNeighbor is one result: the object id and its squared distance.
-// float64 JSON round-trips exactly (shortest-representation encoding),
-// so responses can be compared bit-identical to in-process results.
-type knnNeighbor struct {
-	Object int64   `json:"object"`
-	DistSq float64 `json:"distsq"`
-}
-
-type knnResponse struct {
-	Algorithm string        `json:"algorithm"`
-	Neighbors []knnNeighbor `json:"neighbors"`
-	Stats     *query.Stats  `json:"stats,omitempty"`
-	Trace     []traceEvent  `json:"trace,omitempty"`
-}
-
-// traceEvent is the wire form of one obs.Event.
-type traceEvent struct {
-	Type     string `json:"type"`
-	Stage    int    `json:"stage"`
-	Page     int64  `json:"page,omitempty"`
-	Disk     int    `json:"disk,omitempty"`
-	Pages    int    `json:"pages,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
-	Batch    int    `json:"batch,omitempty"`
-	CacheHit bool   `json:"cache_hit,omitempty"`
-	WallNS   int64  `json:"wall_ns,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
+var (
+	// Header values assigned, not Set, into a response's header: a shared
+	// slice costs nothing per request. Nothing writes through it: net/http
+	// copies the header map when the status goes out, and an append to a
+	// full slice copies the slice.
+	jsonContentType = []string{"application/json"}
+	allowPost       = []string{http.MethodPost}
+	allowGet        = []string{http.MethodGet}
+)
+
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
+		w.Header()["Allow"] = allowPost
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	tenant := r.Header.Get(tenantHeader)
-	if tenant == "" {
-		tenant = "anonymous"
+	key := "anonymous"
+	if v := r.Header[tenantHeader]; len(v) > 0 && v[0] != "" {
+		key = v[0]
 	}
-	tm := s.tenants.Tenant(tenant)
 
 	// Admission, cheapest gate first: the tenant's own quota, then the
 	// array-wide queue-depth watermark. Both shed with 429 so clients
 	// back off instead of queueing behind a saturated array.
-	if s.quotas != nil {
-		if ok, wait := s.quotas.allow(tenant); !ok {
-			tm.ObserveQuotaRejected()
-			writeRetryAfter(w, wait, "tenant quota exhausted")
-			return
-		}
+	tm, ok, wait := s.tenants.admit(key)
+	if !ok {
+		tm.ObserveQuotaRejected()
+		writeRetryAfter(w, wait, "tenant quota exhausted")
+		return
 	}
 	if wm := s.cfg.QueueWatermark; wm > 0 {
 		if depth := maxQueueDepth(s.cfg.Backend.QueueDepths()); depth >= wm {
@@ -260,45 +244,55 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var req knnRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxKNNBodyBytes)).Decode(&req); err != nil {
+	sc := scratchPool.Get().(*knnScratch)
+	defer scratchPool.Put(sc)
+	if err := sc.readBody(r.Body); err != nil {
 		tm.ObserveError()
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		if errors.Is(err, errBodyTooLarge) {
+			// As http.MaxBytesReader does: the rest of the body is not
+			// read, so the connection is not reused.
+			w.Header().Set("Connection", "close")
+			writeError(w, http.StatusRequestEntityTooLarge, err.Error())
 			return
 		}
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if len(req.Point) == 0 {
+	if err := sc.decode(); err != nil {
+		tm.ObserveError()
+		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	if len(sc.point) == 0 {
 		tm.ObserveError()
 		writeError(w, http.StatusBadRequest, "point is required")
 		return
 	}
-	if req.K < 1 || req.K > maxK {
+	if sc.k < 1 || sc.k > maxK {
 		tm.ObserveError()
 		writeError(w, http.StatusBadRequest,
 			fmt.Sprintf("k must be in [1, %d]", maxK))
 		return
 	}
-	alg, err := query.AlgorithmByName(req.Algorithm)
-	if err != nil {
-		tm.ObserveError()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	alg, ok := algorithms[string(sc.alg)]
+	if !ok {
+		var err error
+		if alg, err = query.AlgorithmByName(string(sc.alg)); err != nil {
+			tm.ObserveError()
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
 	}
 
 	var opts query.Options
 	var collector *obs.Collector
-	if req.Trace {
+	if sc.trace {
 		collector = &obs.Collector{}
 		opts.Observer = collector
 	}
 
 	start := s.cfg.Now()
-	neighbors, stats, err := s.cfg.Backend.KNN(r.Context(), alg, geom.Point(req.Point), req.K, opts)
+	neighbors, stats, err := s.cfg.Backend.KNN(r.Context(), alg, geom.Point(sc.point), sc.k, opts)
 	elapsed := s.cfg.Now().Sub(start)
 	if err != nil {
 		tm.ObserveError()
@@ -314,41 +308,33 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+
+	// The status goes out only once the whole body is encoded, so an
+	// answer that cannot be encoded is still a clean 500.
+	var events []obs.Event
+	if collector != nil {
+		events = collector.Events()
+	}
+	sc.out, err = appendKNN(sc.out[:0], alg.Name(), neighbors, stats, events)
+	if err != nil {
+		tm.ObserveError()
+		writeError(w, http.StatusInternalServerError, "encoding the answer: "+err.Error())
+		return
+	}
 	tm.ObserveServed(elapsed.Seconds(),
 		s.cfg.SLOTarget > 0 && elapsed > s.cfg.SLOTarget)
-
-	resp := knnResponse{
-		Algorithm: alg.Name(),
-		Neighbors: make([]knnNeighbor, len(neighbors)),
-		Stats:     stats,
-	}
-	for i, n := range neighbors {
-		resp.Neighbors[i] = knnNeighbor{Object: int64(n.Object), DistSq: n.DistSq}
-	}
-	if collector != nil {
-		events := collector.Events()
-		resp.Trace = make([]traceEvent, len(events))
-		for i, e := range events {
-			resp.Trace[i] = traceEvent{
-				Type:     e.Type.String(),
-				Stage:    e.Stage,
-				Page:     e.Page,
-				Disk:     e.Disk,
-				Pages:    e.Pages,
-				Cached:   e.Cached,
-				Batch:    e.Batch,
-				CacheHit: e.CacheHit,
-				WallNS:   e.Wall.Nanoseconds(),
-			}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.out)
 }
 
 // statsResponse is the GET /v1/stats body: per-tenant service metrics
-// plus the live admission-control signal.
+// plus the live admission-control signal. Overflow is the row the
+// tenants past the table's cap share, under a field of its own so no
+// client-chosen key can name it.
 type statsResponse struct {
 	Tenants     map[string]tenantStats `json:"tenants"`
+	Overflow    *tenantStats           `json:"overflow,omitempty"`
 	QueueDepths []int64                `json:"queue_depths"`
 	Views       *viewStats             `json:"views,omitempty"`
 }
@@ -371,10 +357,11 @@ type tenantStats struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
+		w.Header()["Allow"] = allowGet
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	snaps := s.tenants.Snapshot()
+	snaps, overflow := s.tenants.snapshot()
 	resp := statsResponse{
 		Tenants:     make(map[string]tenantStats, len(snaps)),
 		QueueDepths: s.cfg.Backend.QueueDepths(),
@@ -384,17 +371,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Views = &vs
 	}
 	for name, ts := range snaps {
-		resp.Tenants[name] = tenantStats{
-			Served:        ts.Served,
-			Errored:       ts.Errored,
-			QuotaRejected: ts.QuotaRejected,
-			LoadShed:      ts.LoadShed,
-			SLOViolations: ts.SLOViolations,
-			LatencyP50:    ts.Latency.P50(),
-			LatencyP99:    ts.Latency.P99(),
-		}
+		resp.Tenants[name] = tenantStatsOf(ts)
+	}
+	if overflow != nil {
+		ts := tenantStatsOf(*overflow)
+		resp.Overflow = &ts
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+func tenantStatsOf(ts obs.TenantSnapshot) tenantStats {
+	return tenantStats{
+		Served:        ts.Served,
+		Errored:       ts.Errored,
+		QuotaRejected: ts.QuotaRejected,
+		LoadShed:      ts.LoadShed,
+		SLOViolations: ts.SLOViolations,
+		LatencyP50:    ts.Latency.P50(),
+		LatencyP99:    ts.Latency.P99(),
+	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -414,7 +409,7 @@ func maxQueueDepth(depths []int64) int64 {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -316,7 +319,7 @@ func TestServerQuotaPerTenant(t *testing.T) {
 // next request is credited the same interval twice.
 func TestQuotaClockNeverRunsBackward(t *testing.T) {
 	var now time.Time
-	q := newQuotaSet(1, 1, func() time.Time { return now })
+	q := newTenantTable(1, 1, func() time.Time { return now })
 	for i, step := range []struct {
 		at    time.Duration
 		admit bool
@@ -326,7 +329,7 @@ func TestQuotaClockNeverRunsBackward(t *testing.T) {
 		{10 * time.Second, false}, // no time has passed since the first
 	} {
 		now = time.Unix(0, 0).Add(step.at)
-		if ok, _ := q.allow("alice"); ok != step.admit {
+		if _, ok, _ := q.admit("alice"); ok != step.admit {
 			t.Fatalf("request %d at t=%v: admitted %v, want %v", i, step.at, ok, step.admit)
 		}
 	}
@@ -623,15 +626,26 @@ func TestServerRejectsBadRequests(t *testing.T) {
 			t.Fatalf("case %d (%+v): status %d, want 400", i, req, status)
 		}
 	}
-	if status := func() int {
-		resp, err := client.Get(url)
+	// A 405 names the method the endpoint takes (RFC 9110 §15.5.6).
+	for _, tc := range []struct{ method, path, allow string }{
+		{http.MethodGet, "/v1/knn", "POST"},
+		{http.MethodPost, "/v1/stats", "GET"},
+	} {
+		req, err := http.NewRequest(tc.method, fmt.Sprintf("http://%s%s", srv.Addr(), tc.path), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		return resp.StatusCode
-	}(); status != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/knn: status %d, want 405", status)
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Fatalf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
 	}
 
 	// /v1/stats and /healthz answer.
@@ -705,6 +719,171 @@ func TestServerBoundsRequestBody(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s (%d bytes): status %d, want %d", tc.name, len(tc.body), resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestServerRejectsFarQueryPoint: a finite query point beyond the
+// tree's coordinate bound is refused with a 400, counted as errored —
+// its squared distances would overflow to +Inf, which no JSON carries.
+func TestServerRejectsFarQueryPoint(t *testing.T) {
+	tree, _ := buildTree(t, 200, 2)
+	eng, err := exec.New(tree, exec.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	srv, err := New(Config{Backend: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/knn",
+		strings.NewReader(`{"point":[1e200,1e200],"k":3}`)))
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, body %q (%v): want 400 with a JSON error", rec.Code, rec.Body.Bytes(), err)
+	}
+	if !strings.Contains(body.Error, "1e+200") {
+		t.Fatalf("error %q does not name the coordinate", body.Error)
+	}
+	if snap := srv.Tenants().Snapshot()["anonymous"]; snap.Errored != 1 || snap.Served != 0 {
+		t.Fatalf("tenant snapshot = %+v, want 1 errored and none served", snap)
+	}
+}
+
+// TestServerAnswerItCannotEncode: an answer with a float JSON cannot
+// carry is a 500 with a JSON error, counted as errored, never a 200
+// with an empty body.
+func TestServerAnswerItCannotEncode(t *testing.T) {
+	for _, st := range []*query.Stats{nil, {Instructions: math.NaN()}} {
+		be := &staticBackend{ns: []query.Neighbor{{Object: 1, DistSq: 2}, {Object: 3, DistSq: math.Inf(1)}}, st: st}
+		if st != nil {
+			be.ns = be.ns[:1]
+		}
+		srv, err := New(Config{Backend: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/knn",
+			strings.NewReader(`{"point":[0.5,0.5],"k":2}`)))
+		var body errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError || body.Error == "" {
+			t.Fatalf("stats %+v: status %d, body %q (%v): want 500 with a JSON error", st, rec.Code, rec.Body.Bytes(), err)
+		}
+		if snap := srv.Tenants().Snapshot()["anonymous"]; snap.Errored != 1 || snap.Served != 0 {
+			t.Fatalf("stats %+v: tenant snapshot = %+v, want 1 errored and none served", st, snap)
+		}
+	}
+}
+
+// TestServerCapsTenants: client-chosen keys cannot grow the tenant
+// table past maxTenants. Keys past the cap share one overflow row —
+// its metrics, reported under /v1/stats' own overflow field, and its
+// bucket.
+func TestServerCapsTenants(t *testing.T) {
+	const keys = 3000
+	for _, quota := range []bool{false, true} {
+		cfg := Config{Backend: &fakeBackend{}}
+		if quota {
+			// Every named tenant has a burst of 2; the overflow tenants
+			// share one bucket of 2, and the clock never refills it.
+			at := time.Unix(0, 0)
+			cfg.QuotaRate, cfg.QuotaBurst, cfg.Now = 1, 2, func() time.Time { return at }
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/v1/knn", strings.NewReader(`{"point":[0.5,0.5],"k":1}`))
+			req.Header.Set("X-API-Key", fmt.Sprintf("key-%d", i))
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			wantStatus := http.StatusOK
+			if quota && i >= maxTenants+2 {
+				wantStatus = http.StatusTooManyRequests
+			}
+			if rec.Code != wantStatus {
+				t.Fatalf("quota %v, key %d: status %d, want %d", quota, i, rec.Code, wantStatus)
+			}
+		}
+		if n := len(srv.Tenants().Snapshot()); n > maxTenants {
+			t.Fatalf("quota %v: %d rows in the tenant table, cap %d", quota, n, maxTenants)
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+		var stats statsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		if len(stats.Tenants) != maxTenants || stats.Overflow == nil {
+			t.Fatalf("quota %v: /v1/stats has %d tenants and overflow %+v", quota, len(stats.Tenants), stats.Overflow)
+		}
+		want := tenantStats{Served: keys - maxTenants}
+		if quota {
+			want = tenantStats{Served: 2, QuotaRejected: keys - maxTenants - 2}
+		}
+		if got := *stats.Overflow; got.Served != want.Served || got.QuotaRejected != want.QuotaRejected {
+			t.Fatalf("quota %v: overflow row %+v, want %d served and %d rejected", quota, got, want.Served, want.QuotaRejected)
+		}
+	}
+}
+
+// TestTenantTableConcurrent: concurrent admissions and snapshots see
+// every admitted query exactly once.
+func TestTenantTableConcurrent(t *testing.T) {
+	table := newTenantTable(0, 0, time.Now)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			names := []string{"a", "b", "c"}
+			for i := 0; i < 200; i++ {
+				m, ok, _ := table.admit(names[(g+i)%len(names)])
+				if !ok {
+					t.Error("admission refused with quotas off")
+					return
+				}
+				m.ObserveServed(0.001, i%10 == 0)
+				if i%50 == 0 {
+					table.Snapshot()
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	var served uint64
+	for _, s := range table.Snapshot() {
+		served += s.Served
+	}
+	if served != 8*200 {
+		t.Fatalf("served total = %d, want %d", served, 8*200)
+	}
+}
+
+// TestStartSetsTimeouts: the listener Start opens bounds how long a
+// client may take to send a request, how long the answer may take, and
+// how long an idle connection is kept.
+func TestStartSetsTimeouts(t *testing.T) {
+	srv, err := New(Config{Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0", "", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.httpSrv
+	if h.ReadHeaderTimeout != readHeaderTimeout || h.ReadTimeout != readTimeout ||
+		h.WriteTimeout != writeTimeout || h.IdleTimeout != idleTimeout {
+		t.Fatalf("timeouts: header %v, read %v, write %v, idle %v", h.ReadHeaderTimeout, h.ReadTimeout, h.WriteTimeout, h.IdleTimeout)
+	}
+	for _, d := range []time.Duration{readHeaderTimeout, readTimeout, writeTimeout, idleTimeout} {
+		if d <= 0 {
+			t.Fatalf("timeout %v disables the bound", d)
 		}
 	}
 }
