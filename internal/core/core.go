@@ -372,11 +372,15 @@ type EngineSnapshot = exec.Snapshot
 // section "Real vs. simulated parallelism".
 //
 // The engine snapshots the index's pages when it is created and
-// queries answer as of that snapshot. Do not mutate the index while an
-// engine is open — structural changes (splits, frees) invalidate the
-// snapshot; build a new engine after loading data. Each engine query
-// holds the index's read lock, so an accidental concurrent mutation is
-// a stale-snapshot error, not a data race.
+// queries answer as of that snapshot. With EngineConfig.DataDir the
+// snapshot is the replica files under it — NewEngine replaces files of
+// the same name, an engine still open on them keeps its own — and the
+// engine's memory is the tree plus its page cache plus the pages being
+// read in. Do not mutate the index while an engine is open — structural
+// changes (splits, frees) invalidate the snapshot; build a new engine
+// after loading data. Each engine query holds the index's read lock, so
+// an accidental concurrent mutation is a stale-snapshot error, not a
+// data race.
 type Engine struct {
 	ix  *Index
 	eng *exec.Engine

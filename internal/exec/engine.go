@@ -1,8 +1,8 @@
 // Package exec is the real concurrent query-execution engine: it maps
 // the paper's N-disk parallelism onto actual goroutines instead of the
 // event-driven simulator's virtual clock. One worker goroutine serves
-// each simulated disk (more with Config.WorkersPerDisk), owning that
-// disk's encoded page images and draining a per-disk fetch channel —
+// each simulated disk (more with Config.WorkersPerDisk), reading that
+// disk's encoded pages and draining a per-disk fetch channel —
 // the Go-native analogue of the paper's array, where a page fetch
 // really costs work (a page decode) on the worker that owns the disk.
 // As in the paper's model (§4.1), only a page that needs a physical
@@ -24,8 +24,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,11 +111,14 @@ type Config struct {
 	// DataDir, when non-empty, backs every replica with a real
 	// file-backed page store (one file per disk×mirror, created under
 	// DataDir at construction, closed by Close) instead of in-memory
-	// page images. Reads then go through page-aligned pread, so
-	// injected faults coexist with genuine I/O errors: a truncated
-	// replica file yields a real short read the degraded-mode path must
-	// survive. Nodes too large for one page (X-tree supernodes) stay
-	// memory-resident in either mode.
+	// page images. The replica files are then the engine's snapshot of
+	// the tree: New replaces any file of the same name (an engine still
+	// reading the old one keeps it) and keeps no page image in memory.
+	// Reads go through page-aligned pread, so injected faults coexist
+	// with genuine I/O errors: a truncated replica file yields a real
+	// short read the degraded-mode path must survive. Nodes too large
+	// for one page (X-tree supernodes) stay memory-resident in either
+	// mode.
 	DataDir string
 }
 
@@ -176,11 +179,11 @@ func (s Stats) Sub(prev Stats) Stats {
 	}
 }
 
-// diskStore is one disk's content: the encoded image of every page
-// placed on the disk, built once at engine construction and immutable
-// afterwards, so the disk's workers read it without locks. Nodes that
-// cannot be encoded into a single page (X-tree supernodes) stay
-// resident as live node references.
+// diskStore is one disk's content in memory mode: the encoded image of
+// every page placed on the disk, built once at engine construction and
+// immutable afterwards, so the disk's workers read it without locks.
+// Nodes that cannot be encoded into a single page (X-tree supernodes)
+// stay resident as live node references.
 type diskStore struct {
 	codec    pagestore.Codec
 	pages    map[rtree.PageID][]byte
@@ -199,9 +202,10 @@ func (s *diskStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 }
 
 // fileReplica is one replica's file-backed read path: page-aligned
-// pread against the replica's own file, with memory-resident
-// fallback for nodes that do not fit one page. Both maps are immutable
-// after construction; FileStore handles its own locking.
+// pread against the replica's own file, with memory-resident fallback
+// for nodes that do not fit one page. The page images are only in the
+// file. The resident map is the disk's, shared by its mirrors and
+// immutable after construction; FileStore handles its own locking.
 type fileReplica struct {
 	fs       *pagestore.FileStore
 	resident map[rtree.PageID]*rtree.Node
@@ -216,9 +220,9 @@ func (r *fileReplica) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 }
 
 // replica is one physical copy of a logical disk's page store, with
-// its own health state. All replicas of a disk share the encoded page
-// content; they differ in the (possibly fault-injected) reader and in
-// whether they have been marked degraded.
+// its own health state. All replicas of a disk hold the same encoded
+// page content; they differ in the (possibly fault-injected) reader and
+// in whether they have been marked degraded.
 type replica struct {
 	disk   int
 	mirror int
@@ -260,12 +264,13 @@ type fetchResult struct {
 
 // Engine executes k-NN queries concurrently against a shared parallel
 // R*-tree. The tree must not be mutated while the engine is open: the
-// engine snapshots page content at construction and reads tree
-// placement metadata without locks.
+// engine snapshots page content at construction — into per-disk page
+// images, or with Config.DataDir into the replica files — and reads
+// tree placement metadata without locks. A file-backed engine's memory
+// is the tree plus the page cache plus the frames being read in.
 type Engine struct {
 	tree     *parallel.Tree
 	cfg      Config
-	stores   []*diskStore
 	replicas [][]*replica           // [logical disk][mirror]
 	files    []*pagestore.FileStore // file-backed replica stores (DataDir mode), closed by Close
 	queues   []chan fetchJob
@@ -316,9 +321,14 @@ type Engine struct {
 	semWait  *obs.Histogram      // per stage: total in-flight-slot wait
 }
 
-// New builds an engine over a tree: every live page is encoded into its
-// disk's store (per the tree's declustering placements) and the disk
-// workers are started. Close releases them.
+// New builds an engine over a tree and starts the disk workers; Close
+// releases them. One walk of the tree places every live page on its
+// disk (per the tree's declustering placements): a node that fits one
+// page is stored as its image, a larger one (an X-tree supernode) stays
+// resident as the live node. In memory mode each disk keeps the images
+// of its pages — they are its disk. With Config.DataDir each page is
+// encoded once, into one reused buffer, and written to the replica file
+// of every mirror of its disk; nothing keeps the image afterwards.
 func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	cfg.fill()
 	n := t.NumDisks()
@@ -326,7 +336,6 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	e := &Engine{
 		tree:     t,
 		cfg:      cfg,
-		stores:   make([]*diskStore, n),
 		replicas: make([][]*replica, n),
 		queues:   make([]chan fetchJob, n),
 		sem:      make(chan struct{}, maxInFlight),
@@ -341,58 +350,51 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	e.scratch.New = func() any { return newStageScratch() }
 	tc := t.Config()
 	codec := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}
-	for d := range e.stores {
-		e.stores[d] = &diskStore{
-			codec:    codec,
-			pages:    make(map[rtree.PageID][]byte),
-			resident: make(map[rtree.PageID]*rtree.Node),
-		}
+	stored := make([][]*rtree.Node, n) // per disk, the nodes stored as page images
+	resident := make([]map[rtree.PageID]*rtree.Node, n)
+	for d, pages := range t.PagesPerDisk() {
+		stored[d] = make([]*rtree.Node, 0, pages)
+		resident[d] = make(map[rtree.PageID]*rtree.Node)
 	}
+	pages := 0
 	var buildErr error
-	t.Walk(func(n *rtree.Node, _ int) bool {
-		pl, ok := t.Placement(n.ID)
+	t.Walk(func(nd *rtree.Node, _ int) bool {
+		pl, ok := t.Placement(nd.ID)
 		if !ok {
-			buildErr = fmt.Errorf("exec: live page %d has no placement", n.ID)
+			buildErr = fmt.Errorf("exec: live page %d has no placement", nd.ID)
 			return false
 		}
-		st := e.stores[pl.Disk]
-		if buf, err := codec.Encode(n); err == nil {
-			st.pages[n.ID] = buf
+		if len(nd.Entries) > codec.Capacity() {
+			resident[pl.Disk][nd.ID] = nd
 		} else {
-			// Supernodes (and any other node exceeding one page) are
-			// served from the live in-memory node.
-			st.resident[n.ID] = n
+			stored[pl.Disk] = append(stored[pl.Disk], nd)
+			pages++
 		}
 		return true
 	})
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	pages := 0
-	for _, st := range e.stores {
-		pages += len(st.pages)
-	}
 	if cfg.CachePages > 0 && cfg.CachePages < pages {
 		// The cache cannot hold the page set, so it will evict: the
 		// engine owns the decoded views and the decoders reuse them: about
-		// as many as the cache holds plus what is being read in.
+		// as many as the cache holds plus what is being read in. Decided
+		// before any replica opens: a FileStore keeps a copy of the codec.
 		e.views = rtree.NewViewPool(cfg.CachePages + maxInFlight)
 		codec.Views = e.views
-		for _, st := range e.stores {
-			st.codec = codec
-		}
 	}
-	// RAID-1 replica set: mirrors share the disk's encoded content but
-	// carry independent fault programs and health state. In DataDir
-	// mode each replica additionally owns its own on-disk copy, so a
-	// fault on one physical file never corrupts its mirror.
+	// RAID-1 replica set: mirrors hold the disk's content but carry
+	// independent fault programs and health state. In DataDir mode each
+	// replica owns its own on-disk copy, so a fault on one physical file
+	// never corrupts its mirror.
+	buf := make([]byte, codec.PageSize) // the image a DataDir build writes from
 	for d := 0; d < n; d++ {
+		base, err := e.loadDisk(d, stored[d], resident[d], codec, buf)
+		if err != nil {
+			return nil, errors.Join(err, e.closeFiles())
+		}
 		e.replicas[d] = make([]*replica, cfg.Mirrors)
-		for m := 0; m < cfg.Mirrors; m++ {
-			rd, err := e.buildReplicaReader(d, m, codec)
-			if err != nil {
-				return nil, errors.Join(err, e.closeFiles())
-			}
+		for m, rd := range base {
 			if cfg.Fault != nil {
 				rd = cfg.Fault.Reader(d*cfg.Mirrors+m, rd)
 			}
@@ -428,35 +430,60 @@ func ReplicaFileName(disk, mirror int) string {
 	return fmt.Sprintf("drive-%02d-%d.pages", disk, mirror)
 }
 
-// buildReplicaReader returns one replica's base (pre-fault-injection)
-// read path. Without DataDir that is the disk's in-memory page images;
-// with DataDir the disk's pages are materialized into the replica's own
-// file and reads go through real file I/O.
-func (e *Engine) buildReplicaReader(d, m int, codec pagestore.Codec) (pagestore.Reader, error) {
+// loadDisk stores the pages placed on disk d and returns the base
+// (pre-fault-injection) read path of each of its mirrors. Without
+// DataDir the mirrors share one in-memory store of the disk's page
+// images. With DataDir every mirror gets a new replica file — a file of
+// the same name is unlinked first, so an engine still reading it keeps
+// its own — and each page is encoded into buf and written to all of
+// them.
+func (e *Engine) loadDisk(d int, nodes []*rtree.Node, resident map[rtree.PageID]*rtree.Node, codec pagestore.Codec, buf []byte) ([]pagestore.Reader, error) {
+	base := make([]pagestore.Reader, e.cfg.Mirrors)
 	if e.cfg.DataDir == "" {
-		return e.stores[d], nil
+		st := &diskStore{codec: codec, pages: make(map[rtree.PageID][]byte, len(nodes)), resident: resident}
+		for _, nd := range nodes {
+			img, err := codec.Encode(nd)
+			if err != nil {
+				return nil, fmt.Errorf("exec: page %d: %w", nd.ID, err)
+			}
+			st.pages[nd.ID] = img
+		}
+		for m := range base {
+			base[m] = st
+		}
+		return base, nil
 	}
-	path := filepath.Join(e.cfg.DataDir, ReplicaFileName(d, m))
-	fs, err := pagestore.OpenFileStore(path, codec, pagestore.FileStoreOptions{Counters: &e.storage})
-	if err != nil {
-		return nil, fmt.Errorf("exec: replica %d/%d store: %w", d, m, err)
+	stores := make([]*pagestore.FileStore, e.cfg.Mirrors)
+	for m := range stores {
+		path := filepath.Join(e.cfg.DataDir, ReplicaFileName(d, m))
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("exec: replica %d/%d: %w", d, m, err)
+		}
+		fs, err := pagestore.OpenFileStore(path, codec, pagestore.FileStoreOptions{Counters: &e.storage})
+		if err != nil {
+			return nil, fmt.Errorf("exec: replica %d/%d store: %w", d, m, err)
+		}
+		e.files = append(e.files, fs)
+		stores[m] = fs
+		base[m] = &fileReplica{fs: fs, resident: resident}
 	}
-	e.files = append(e.files, fs)
-	st := e.stores[d]
-	ids := make([]rtree.PageID, 0, len(st.pages))
-	for id := range st.pages {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids) // deterministic file layout regardless of map order
-	for _, id := range ids {
-		if err := fs.WriteImage(id, st.pages[id]); err != nil {
-			return nil, fmt.Errorf("exec: replica %d/%d page %d: %w", d, m, id, err)
+	for _, nd := range nodes {
+		img, err := codec.EncodeInto(buf, nd)
+		if err != nil {
+			return nil, fmt.Errorf("exec: page %d: %w", nd.ID, err)
+		}
+		for m, fs := range stores {
+			if err := fs.WriteImage(nd.ID, img); err != nil {
+				return nil, fmt.Errorf("exec: replica %d/%d page %d: %w", d, m, nd.ID, err)
+			}
 		}
 	}
-	if err := fs.Sync(); err != nil {
-		return nil, fmt.Errorf("exec: replica %d/%d sync: %w", d, m, err)
+	for m, fs := range stores {
+		if err := fs.Sync(); err != nil {
+			return nil, fmt.Errorf("exec: replica %d/%d sync: %w", d, m, err)
+		}
 	}
-	return &fileReplica{fs: fs, resident: st.resident}, nil
+	return base, nil
 }
 
 // closeFiles closes the file-backed replica stores (DataDir mode),

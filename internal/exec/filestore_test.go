@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/decluster"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/parallel"
@@ -270,5 +272,180 @@ func TestEngineCloseReportsFileErrors(t *testing.T) {
 	if err := eng.Close(); err == nil {
 		// Before the fix, closeFiles discarded this double-close error.
 		t.Error("Close swallowed the replica store's close error")
+	}
+}
+
+// gaussianTree is knn-file's shape: n 8-d Gaussian points on 10 disks.
+func gaussianTree(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
+	t.Helper()
+	pts := dataset.Gaussian(n, 8, 1998)
+	tree, err := parallel.New(parallel.Config{
+		Dim: 8, NumDisks: 10, Cylinders: 1449, Policy: decluster.ProximityIndex{}, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BuildPoints(pts); err != nil {
+		t.Fatal(err)
+	}
+	return tree, pts
+}
+
+// Every engine owns its replica files: a second engine built on the
+// DataDir of an open one leaves the first one's pages alone — both
+// share page ids, so the identity check could not tell the other
+// tree's page from its own — and both answer as their own driver does.
+func TestEngineFileBackedSharedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	treeA, ptsA := buildTree(t, 3000, 5, false, 0)
+	treeB, ptsB := buildTree(t, 2000, 5, false, 0)
+	engA, err := New(treeA, Config{DataDir: dir, CachePages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engA.Close()
+	engB, err := New(treeB, Config{DataDir: dir, CachePages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engB.Close()
+	for _, tc := range []struct {
+		name string
+		eng  *Engine
+		tree *parallel.Tree
+		pts  []geom.Point
+	}{{"A", engA, treeA, ptsA}, {"B", engB, treeB, ptsB}} {
+		drv := query.Driver{Tree: tc.tree}
+		for qi, q := range dataset.SampleQueries(tc.pts, 15, 29) {
+			want, _ := drv.Run(query.CRSS{}, q, 10, query.Options{})
+			got, _, err := tc.eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
+			if err != nil {
+				t.Fatalf("engine %s query %d: %v", tc.name, qi, err)
+			}
+			sameNeighbors(t, fmt.Sprintf("engine %s q%d", tc.name, qi), want, got)
+		}
+	}
+}
+
+// A replica file another layout left behind does not block New: an
+// 8-d engine builds on the directory a closed 2-d engine used.
+func TestEngineFileBackedReplacesStaleFiles(t *testing.T) {
+	dir := t.TempDir()
+	tree2, _ := buildTree(t, 1000, 3, false, 0)
+	eng, err := New(tree2, Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tree8, pts := gaussianTree(t, 2000)
+	eng, err = New(tree8, Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	drv := query.Driver{Tree: tree8}
+	for qi, q := range dataset.SampleQueries(pts, 10, 31) {
+		want, _ := drv.Run(query.CRSS{}, q, 10, query.Options{})
+		got, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
+		if err != nil {
+			t.Fatalf("query %d: %v", qi, err)
+		}
+		sameNeighbors(t, fmt.Sprintf("8-d over 2-d files q%d", qi), want, got)
+	}
+}
+
+// TestFileBackedEngineHoldsNoImages: a file-backed engine's pages live
+// in its replica files. New may keep less than an eighth of the encoded
+// page bytes on the heap (queues, histograms, an empty cache); an
+// engine over the same tree in memory mode, the control, keeps at least
+// all of them.
+func TestFileBackedEngineHoldsNoImages(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts heap sizes")
+	}
+	tree, _ := gaussianTree(t, 12000)
+	pages := 0
+	tree.Walk(func(*rtree.Node, int) bool { pages++; return true })
+	images := uint64(pages * tree.Config().PageSize)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"file", Config{DataDir: t.TempDir(), CachePages: pages / 20}},
+		{"mem", Config{CachePages: pages / 20}},
+	} {
+		retained, err := retainedByNew(tree, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: New retains %d B; the %d page images are %d B", tc.name, retained, pages, images)
+		if tc.cfg.DataDir != "" && retained >= images/8 {
+			t.Errorf("file-backed engine retains %d B, want < %d (an eighth of the page images)", retained, images/8)
+		}
+		if tc.cfg.DataDir == "" && retained < images {
+			t.Errorf("memory-mode engine retains %d B, want ≥ %d: the control holds no images", retained, images)
+		}
+	}
+}
+
+// retainedByNew is the live heap an engine built by New keeps, measured
+// after a forced collection on either side of New.
+func retainedByNew(tree *parallel.Tree, cfg Config) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	eng, err := New(tree, cfg)
+	if err != nil {
+		return 0, err
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	err = eng.Close()
+	if after.HeapAlloc < before.HeapAlloc {
+		return 0, err
+	}
+	return after.HeapAlloc - before.HeapAlloc, err
+}
+
+// BenchmarkEngineNew is building an engine over knn-file's tree, and
+// what the engine keeps: retained-B is the live heap one engine holds
+// (retainedByNew). In memory mode every page image stays on the heap —
+// the images are the disks. With store=file each page is encoded once,
+// into one buffer, and written to its replica file, and the heap keeps
+// none of them; ns/op then includes the writes and the fsync of each
+// replica file. An op is one New and its Close; a file-mode op builds
+// into a directory of its own, as a first New does, so that what the
+// file system spends freeing an earlier engine's files (New replaces
+// them) is not charged to it.
+func BenchmarkEngineNew(b *testing.B) {
+	tree, _ := gaussianTree(b, 12000)
+	for _, store := range []string{"mem", "file"} {
+		b.Run("store="+store, func(b *testing.B) {
+			cfg := Config{CachePages: tree.Store().Len() / 20}
+			if store == "file" {
+				cfg.DataDir = b.TempDir()
+			}
+			retained, err := retainedByNew(tree, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if store == "file" {
+					cfg.DataDir = b.TempDir()
+				}
+				eng, err := New(tree, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := eng.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(retained), "retained-B")
+		})
 	}
 }

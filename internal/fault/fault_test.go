@@ -276,7 +276,11 @@ func fileStoreOf(t *testing.T, ids ...rtree.PageID) *pagestore.FileStore {
 		n := &rtree.Node{ID: id}
 		x := float64(id)
 		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{x, x}), rtree.ObjectID(id)))
-		if err := fs.WriteNode(n); err != nil {
+		buf, err := codec.Encode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.WriteImage(id, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

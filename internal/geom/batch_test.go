@@ -223,7 +223,9 @@ func TestBatchScalarParityFuzzCorpus(t *testing.T) {
 		// A batch holding the corpus rect alone, and a batch mixing it
 		// with neighbors (so specializations see it at several lanes).
 		checkRectParity(t, p, []Rect{r})
-		mixed := []Rect{r, PointRect(p), r, r.Union(PointRect(p)), r}
+		grown := Rect{Lo: make(Point, len(p)), Hi: make(Point, len(p))}
+		r.UnionInto(PointRect(p), grown)
+		mixed := []Rect{r, PointRect(p), r, grown, r}
 		checkRectParity(t, p, mixed)
 	}
 	if cases == 0 {

@@ -134,15 +134,9 @@ func (r Rect) Margin() float64 {
 	return m
 }
 
-// Union returns the minimum bounding rectangle of r and s.
-func (r Rect) Union(s Rect) Rect {
-	out := Rect{Lo: make(Point, len(r.Lo)), Hi: make(Point, len(r.Hi))}
-	r.UnionInto(s, out)
-	return out
-}
-
-// UnionInto is Union into a rectangle the caller owns: it overwrites
-// dst's coordinates, which must have r's dimensionality.
+// UnionInto writes the minimum bounding rectangle of r and s into a
+// rectangle the caller owns: it overwrites dst's coordinates, which must
+// have r's dimensionality.
 func (r Rect) UnionInto(s, dst Rect) {
 	for i := range r.Lo {
 		dst.Lo[i] = math.Min(r.Lo[i], s.Lo[i])

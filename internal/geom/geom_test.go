@@ -84,15 +84,20 @@ func TestRectBasics(t *testing.T) {
 func TestRectUnion(t *testing.T) {
 	a := NewRect(Point{0, 0}, Point{1, 1})
 	b := NewRect(Point{2, -1}, Point{3, 0.5})
-	u := a.Union(b)
+	u := Rect{Lo: make(Point, 2), Hi: make(Point, 2)}
+	a.UnionInto(b, u)
 	want := NewRect(Point{0, -1}, Point{3, 1})
 	if !u.Equal(want) {
-		t.Errorf("Union = %v, want %v", u, want)
+		t.Errorf("UnionInto = %v, want %v", u, want)
 	}
-	// Union must not alias the inputs.
-	u.Lo[0] = -50
 	if a.Lo[0] != 0 || b.Lo[0] != 2 {
-		t.Error("Union aliases input arrays")
+		t.Error("UnionInto wrote to an input")
+	}
+	// dst may be one of the inputs.
+	c := a.Clone()
+	c.UnionInto(b, c)
+	if !c.Equal(want) {
+		t.Errorf("UnionInto into its receiver = %v, want %v", c, want)
 	}
 }
 
@@ -306,7 +311,8 @@ func TestUnionProperty(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		_, a := randPointRect(rnd, dim)
 		_, b := randPointRect(rnd, dim)
-		u := a.Union(b)
+		u := Rect{Lo: make(Point, dim), Hi: make(Point, dim)}
+		a.UnionInto(b, u)
 		if !u.Contains(a) || !u.Contains(b) {
 			return false
 		}

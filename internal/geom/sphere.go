@@ -35,36 +35,6 @@ func (s Sphere) MaxDistSq(p Point) float64 {
 	return d * d
 }
 
-// Union returns the smallest sphere enclosing both input spheres
-// (exactly, along the line of centers).
-func (s Sphere) Union(o Sphere) Sphere {
-	if !s.Valid() {
-		return o
-	}
-	if !o.Valid() {
-		return s
-	}
-	d := s.Center.Dist(o.Center)
-	// One sphere may already contain the other.
-	if d+o.Radius <= s.Radius {
-		return Sphere{Center: s.Center.Clone(), Radius: s.Radius}
-	}
-	if d+s.Radius <= o.Radius {
-		return Sphere{Center: o.Center.Clone(), Radius: o.Radius}
-	}
-	r := (d + s.Radius + o.Radius) / 2
-	// New center sits on the segment between the two centers.
-	t := 0.5
-	if d > 0 {
-		t = (r - s.Radius) / d
-	}
-	c := make(Point, len(s.Center))
-	for i := range c {
-		c[i] = s.Center[i] + (o.Center[i]-s.Center[i])*t
-	}
-	return Sphere{Center: c, Radius: r}
-}
-
 // WeightedCentroid returns the weighted mean of the given centers — the
 // SR-tree keeps each directory sphere centered at the centroid of the
 // points below it, which the per-entry object counts make maintainable

@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -32,53 +31,6 @@ func TestSphereDistances(t *testing.T) {
 	}
 	if s.Contains(Point{0, 2.1}, 0) {
 		t.Error("outside point contained")
-	}
-}
-
-func TestSphereUnionKnown(t *testing.T) {
-	a := Sphere{Center: Point{0, 0}, Radius: 1}
-	b := Sphere{Center: Point{4, 0}, Radius: 1}
-	u := a.Union(b)
-	if math.Abs(u.Radius-3) > 1e-12 {
-		t.Errorf("union radius = %g, want 3", u.Radius)
-	}
-	if !u.Center.Equal(Point{2, 0}) {
-		t.Errorf("union center = %v", u.Center)
-	}
-	// Containment cases.
-	inner := Sphere{Center: Point{0.5, 0}, Radius: 0.1}
-	if u2 := a.Union(inner); u2.Radius != 1 || !u2.Center.Equal(a.Center) {
-		t.Errorf("union with contained sphere changed: %+v", u2)
-	}
-	if u3 := inner.Union(a); u3.Radius != 1 {
-		t.Errorf("reverse containment union radius = %g", u3.Radius)
-	}
-	// Union with invalid spheres.
-	if u4 := (Sphere{}).Union(a); !u4.Center.Equal(a.Center) {
-		t.Error("union with invalid lost sphere")
-	}
-}
-
-// Property: the union sphere contains both input spheres.
-func TestSphereUnionContainsProperty(t *testing.T) {
-	f := func(seed int64, dimRaw uint8) bool {
-		dim := int(dimRaw)%5 + 1
-		rnd := rand.New(rand.NewSource(seed))
-		mk := func() Sphere {
-			c := make(Point, dim)
-			for d := range c {
-				c[d] = rnd.Float64()*10 - 5
-			}
-			return Sphere{Center: c, Radius: rnd.Float64() * 3}
-		}
-		a, b := mk(), mk()
-		u := a.Union(b)
-		const eps = 1e-9
-		return u.Center.Dist(a.Center)+a.Radius <= u.Radius+eps &&
-			u.Center.Dist(b.Center)+b.Radius <= u.Radius+eps
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

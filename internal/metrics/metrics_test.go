@@ -16,16 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5}) != 0 {
-		t.Error("single-sample sd != 0")
-	}
-	got := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2.138) > 0.01 {
-		t.Errorf("sd = %g", got)
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{

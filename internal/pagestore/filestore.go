@@ -252,15 +252,6 @@ func (fs *FileStore) WriteImage(id rtree.PageID, buf []byte) error {
 	return nil
 }
 
-// WriteNode encodes and writes a node to its page slot.
-func (fs *FileStore) WriteNode(n *rtree.Node) error {
-	buf, err := fs.codec.Encode(n)
-	if err != nil {
-		return err
-	}
-	return fs.WriteImage(n.ID, buf)
-}
-
 // ZeroPage overwrites a page slot with zeroes — the on-disk
 // representation of a freed page (LoadPages skips slots without the
 // node magic).

@@ -20,6 +20,16 @@ func leafNode(id rtree.PageID, x float64) *rtree.Node {
 	return n
 }
 
+// writeLeaf writes leafNode(id, id) to its slot the way the engine
+// fills a replica: Codec.Encode, then WriteImage.
+func writeLeaf(fs *FileStore, id rtree.PageID) error {
+	buf, err := fs.Codec().Encode(leafNode(id, float64(id)))
+	if err != nil {
+		return err
+	}
+	return fs.WriteImage(id, buf)
+}
+
 func TestFileStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "drive.pages")
@@ -30,7 +40,7 @@ func TestFileStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := rtree.PageID(1); id <= 5; id++ {
-		if err := fs.WriteNode(leafNode(id, float64(id))); err != nil {
+		if err := writeLeaf(fs, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +96,7 @@ func TestFileStoreShortRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if err := fs.WriteNode(leafNode(1, 1)); err != nil {
+	if err := writeLeaf(fs, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.ReadImage(7); !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -136,7 +146,7 @@ func TestFileStoreZeroPageSkippedByLoad(t *testing.T) {
 	}
 	defer fs.Close()
 	for id := rtree.PageID(1); id <= 3; id++ {
-		if err := fs.WriteNode(leafNode(id, float64(id))); err != nil {
+		if err := writeLeaf(fs, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,7 +236,7 @@ func TestFileStoreReadersWhileWriting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	if err := fs.WriteNode(leafNode(1, 1)); err != nil {
+	if err := writeLeaf(fs, 1); err != nil {
 		t.Fatal(err)
 	}
 	const pages = 400
@@ -255,7 +265,7 @@ func TestFileStoreReadersWhileWriting(t *testing.T) {
 	}
 	var werr error
 	for id := rtree.PageID(2); id <= pages && werr == nil; id++ {
-		if werr = fs.WriteNode(leafNode(id, float64(id))); werr == nil {
+		if werr = writeLeaf(fs, id); werr == nil {
 			written.Store(int64(id))
 			if id%8 == 0 {
 				werr = fs.Sync() // remap: the file grew
