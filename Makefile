@@ -72,11 +72,13 @@ bench:
 ## 5 deletes and a Commit — on a bare R*-tree and on a core.Index, and
 ## one POST /v1/knn through the server's handler over a real engine,
 ## and exec.New over the 8-d miss-path tree in memory and file mode with
-## the heap the engine keeps) at a fixed iteration count with the
-## deterministic in-repo seeds, and render the output as a
+## the heap the engine keeps, and the reopen of a durable core.Index of
+## ingest-mixed's shape with a WAL tail) at a fixed iteration count with
+## the deterministic in-repo seeds, and render the output as a
 ## schema-versioned JSON report via cmd/benchjson. BenchmarkEngineNew
 ## builds a whole engine per op — ten replica files written and synced
-## in file mode — so it runs at its own, smaller iteration count.
+## in file mode — and BenchmarkIndexReopen recovers a whole index per
+## op, so both run at their own, smaller iteration count.
 ## Each row carries the median and the run-to-run spread of its -count
 ## runs. BENCH_JSON_OUT defaults to BENCH_<utc-date>.json in the repo root.
 BENCH_JSON_TIME  ?= 20000x
@@ -88,13 +90,13 @@ BENCH_JSON_NEW_TIME ?= 20x
 # report (informational) until the baseline moves on.
 BENCH_BASELINE   ?= BENCH_2026-10-16-pr32.json
 BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest|BenchmarkServerKNN'
-BENCH_JSON_NEW_SET = 'BenchmarkEngineNew'
+BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \
 		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ ./internal/server/ | tee bin/bench.out
 	$(GO) test -run xxx -bench $(BENCH_JSON_NEW_SET) -benchtime=$(BENCH_JSON_NEW_TIME) \
-		-count=$(BENCH_JSON_COUNT) -benchmem ./internal/exec/ | tee -a bin/bench.out
+		-count=$(BENCH_JSON_COUNT) -benchmem ./internal/exec/ . | tee -a bin/bench.out
 	bin/benchjson parse -o $(BENCH_JSON_OUT) bin/bench.out
 	@echo "wrote $(BENCH_JSON_OUT)"
 

@@ -529,7 +529,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 			return durableIngest{
 				insert:     func(p geom.Point, id int) error { return tr.InsertPoint(p, rtree.ObjectID(id)) },
 				delete:     func(p geom.Point, id int) bool { return tr.DeletePoint(p, rtree.ObjectID(id)) },
-				commit:     func() error { return ds.Commit(tr.Root(), tr.Len()) },
+				commit:     func() error { return ds.Commit(tr.Root(), tr.Len(), nil, nil) },
 				checkpoint: ds.Checkpoint,
 				close:      ds.Close,
 			}, nil
@@ -550,6 +550,65 @@ func BenchmarkDurableIngest(b *testing.B) {
 			}, nil
 		})
 	})
+}
+
+// BenchmarkIndexReopen measures recovery: core.NewIndex over a
+// committed directory of ingest-mixed's shape — 6 000 2-d California-
+// like points on 10 disks, checkpointed, then a WAL tail of 50 committed
+// batches of 45 inserts and 5 deletes that the open replays — and Close.
+// A reopen writes nothing, so every op opens the same directory.
+func BenchmarkIndexReopen(b *testing.B) {
+	const (
+		preload, inserts, deletes, tail = 6000, 45, 5, 50
+	)
+	pts := dataset.CaliforniaLike(preload+inserts*tail, benchSeed)
+	cfg := core.IndexConfig{Dim: 2, NumDisks: 10, DataDir: b.TempDir()}
+	ix, err := core.NewIndex(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.InsertAll(pts[:preload], 0); err != nil {
+		b.Fatal(err)
+	}
+	if err := errors.Join(ix.Commit(), ix.Checkpoint()); err != nil {
+		b.Fatal(err)
+	}
+	next, victim := preload, 0
+	for batch := 0; batch < tail; batch++ {
+		for i := 0; i < inserts; i++ {
+			if err := ix.Insert(pts[next], core.ObjectID(next)); err != nil {
+				b.Fatal(err)
+			}
+			next++
+			if i%(inserts/deletes) == 0 {
+				if !ix.Delete(pts[victim], core.ObjectID(victim)) {
+					b.Fatalf("delete of live object %d failed", victim)
+				}
+				victim++
+			}
+		}
+		if err := ix.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := ix.Len()
+	if err := ix.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := core.NewIndex(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := ix.Recovered(); got != want {
+			b.Fatalf("recovered %d objects, want %d", got, want)
+		}
+		if err := ix.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // durableIngest is a durable tree as BenchmarkDurableIngest drives it.

@@ -7,11 +7,19 @@
 //
 //	treestat -set california -disks 10
 //	treestat -set gaussian -n 60000 -dim 10 -disks 10 -policy roundrobin
-//	treestat -set longbeach -disks 8 -save lb.tree
-//	treestat -load lb.tree
+//	treestat -set longbeach -disks 8 -dir lb.tree
+//	treestat -set longbeach -disks 8 -dir lb.tree   # reopens it
+//
+// With -dir the tree lives in a durable directory: an empty directory
+// gets the tree built, committed and checkpointed into it; a directory
+// that already holds one is reopened instead, every page on the disk
+// and cylinder it was placed on. A reopen takes the flags the directory
+// was built with (-dim, -page, -sr, -disks, -policy, -seed) and refuses
+// any other.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -40,45 +48,48 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed")
 		spheres  = flag.Bool("sr", false, "build the SR-tree variant (bounding spheres)")
 		packed   = flag.Bool("packed", false, "bulk-load with STR packing instead of inserting")
-		saveTo   = flag.String("save", "", "write a snapshot of the built tree to this file")
-		loadFrom = flag.String("load", "", "load a snapshot instead of building")
+		dir      = flag.String("dir", "", "durable directory: build the tree into it when it holds none, else reopen the tree it holds")
 	)
 	flag.Parse()
 
+	pts, err := dataset.ByName(*set, *n, *dim, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	treeDim := pts[0].Dim()
+	pol, err := decluster.ByName(*policy, *seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := parallel.Config{
+		Dim:        treeDim,
+		NumDisks:   *disks,
+		Cylinders:  disk.HPC2200A().Cylinders,
+		PageSize:   *pageSize,
+		Policy:     pol,
+		Seed:       *seed,
+		UseSpheres: *spheres,
+	}
+	var ds *pagestore.DurableStore
+	if *dir != "" {
+		if err := os.MkdirAll(*dir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+		codec := pagestore.Codec{Dim: treeDim, PageSize: *pageSize, Spheres: *spheres}
+		if ds, err = pagestore.OpenDurable(*dir, codec, pagestore.DurableOptions{}); err != nil {
+			log.Fatal(err)
+		}
+		cfg.Store = ds
+	}
 	var tree *parallel.Tree
-	var treeDim int
-	if *loadFrom != "" {
-		f, err := os.Open(*loadFrom)
-		if err != nil {
+	if ds != nil && ds.Meta().Root != 0 {
+		cfg.Store = nil
+		if tree, err = parallel.Open(cfg, ds); err != nil {
 			log.Fatal(err)
 		}
-		tree, err = parallel.LoadSnapshot(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		treeDim = tree.Config().Dim
-		*set = "(snapshot " + *loadFrom + ")"
-		*pageSize = tree.Config().PageSize
+		fmt.Printf("dir %s: reopened, %d points\n", *dir, tree.Len())
 	} else {
-		pts, err := dataset.ByName(*set, *n, *dim, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pol, err := decluster.ByName(*policy, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tree, err = parallel.New(parallel.Config{
-			Dim:        pts[0].Dim(),
-			NumDisks:   *disks,
-			Cylinders:  disk.HPC2200A().Cylinders,
-			PageSize:   *pageSize,
-			Policy:     pol,
-			Seed:       *seed,
-			UseSpheres: *spheres,
-		})
-		if err != nil {
+		if tree, err = parallel.New(cfg); err != nil {
 			log.Fatal(err)
 		}
 		if *packed {
@@ -89,7 +100,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		treeDim = pts[0].Dim()
+		if ds != nil {
+			if err := errors.Join(tree.Commit(ds), ds.Checkpoint()); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("dir %s: built, committed and checkpointed\n", *dir)
+		}
 	}
 
 	st := tree.ComputeStats()
@@ -153,17 +169,9 @@ func main() {
 		log.Fatalf("PAGE CODEC VIOLATION: %v", bad)
 	}
 	fmt.Printf("page codec: OK (%d nodes fit %dB pages)\n", pages, *pageSize)
-
-	if *saveTo != "" {
-		f, err := os.Create(*saveTo)
-		if err != nil {
+	if ds != nil {
+		if err := ds.Close(); err != nil {
 			log.Fatal(err)
 		}
-		if err := tree.Snapshot(f); err != nil {
-			log.Fatal(err)
-		}
-		info, _ := f.Stat()
-		f.Close()
-		fmt.Printf("snapshot: wrote %s (%d bytes)\n", *saveTo, info.Size())
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"sync"
@@ -63,59 +62,13 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	}
 }
 
-func TestSnapshotLoadIndex(t *testing.T) {
-	ix, err := NewIndex(IndexConfig{Dim: 3, NumDisks: 5, Seed: 21, UseSpheres: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := dataset.Clustered(1500, 3, 8, 22)
-	if err := ix.InsertAll(pts, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := ix.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != ix.Len() {
-		t.Fatalf("len %d vs %d", loaded.Len(), ix.Len())
-	}
-	q := pts[42]
-	a, _, err := ix.KNN(q, 9, "crss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := loaded.KNN(q, 9, "crss")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].DistSq != b[i].DistSq {
-			t.Fatal("kNN differs after LoadIndex")
-		}
-	}
-	// The loaded index is fully functional: simulate on it.
-	run, err := loaded.Simulate(SimulatedWorkload{
-		K: 5, Queries: dataset.SampleQueries(pts, 5, 23),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.MeanResponse <= 0 {
-		t.Error("loaded index simulation produced no timing")
-	}
-}
-
-// TestLoadIndexOpensFileBackedEngine: an index restored by LoadIndex
-// keeps its page size, so an engine over it can write its replicas to
-// files, and that engine answers bit for bit like one over the original.
-// A snapshot used to restore page size 0, and the replica files refused
-// to open.
-func TestLoadIndexOpensFileBackedEngine(t *testing.T) {
-	ix, err := NewIndex(IndexConfig{Dim: 2, NumDisks: 10, Seed: 1998})
+// TestReopenedIndexEngineAnswersAlike: an engine over a reopened
+// durable index answers bit for bit like one over the index before it
+// was closed, with replicas in memory and in files: the reopen keeps the
+// page size, every page and every page's disk.
+func TestReopenedIndexEngineAnswersAlike(t *testing.T) {
+	cfg := IndexConfig{Dim: 2, NumDisks: 10, Seed: 1998, DataDir: t.TempDir()}
+	ix, err := NewIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,40 +76,48 @@ func TestLoadIndexOpensFileBackedEngine(t *testing.T) {
 	if err := ix.InsertAll(pts, 0); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Snapshot(&buf); err != nil {
+	if err := ix.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadIndex(&buf)
+	queries := dataset.SampleQueries(pts, 20, 1999)
+	answers := func(x *Index, ecfg EngineConfig) [][]Neighbor {
+		eng, err := x.NewEngine(ecfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		out := make([][]Neighbor, len(queries))
+		for i, q := range queries {
+			if out[i], _, err = eng.KNN(context.Background(), q, 10, "crss"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	engines := []EngineConfig{{}, {DataDir: t.TempDir()}}
+	want := make([][][]Neighbor, len(engines))
+	for i, ecfg := range engines {
+		want[i] = answers(ix, ecfg)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewIndex(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Tree().Config().PageSize; got != 4096 {
-		t.Fatalf("restored page size %d, want 4096", got)
-	}
-	engines := make([]*Engine, 2)
-	for i, x := range []*Index{ix, loaded} {
-		if engines[i], err = x.NewEngine(EngineConfig{DataDir: t.TempDir()}); err != nil {
-			t.Fatal(err)
-		}
-		defer engines[i].Close()
-	}
-	for qi, q := range dataset.SampleQueries(pts, 20, 1999) {
-		want, _, err := engines[0].KNN(context.Background(), q, 10, "crss")
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := engines[1].KNN(context.Background(), q, 10, "crss")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("q%d: %d results, want %d", qi, len(got), len(want))
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.Object != w.Object || math.Float64bits(g.DistSq) != math.Float64bits(w.DistSq) || !g.Rect.Equal(w.Rect) {
-				t.Fatalf("q%d: result %d is %+v over the loaded index, %+v over the original", qi, i, g, w)
+	defer re.Close()
+	for i, ecfg := range engines {
+		for qi, got := range answers(re, ecfg) {
+			w := want[i][qi]
+			if len(got) != len(w) {
+				t.Fatalf("engine %d q%d: %d results, want %d", i, qi, len(got), len(w))
+			}
+			for j := range got {
+				g := got[j]
+				if g.Object != w[j].Object || math.Float64bits(g.DistSq) != math.Float64bits(w[j].DistSq) || !g.Rect.Equal(w[j].Rect) {
+					t.Fatalf("engine %d q%d: result %d is %+v over the reopened index, %+v before", i, qi, j, g, w[j])
+				}
 			}
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/bufferpool"
@@ -85,8 +84,10 @@ type IndexConfig struct {
 	// write-ahead log providing crash recovery. Mutations stage in
 	// memory until Commit; a directory already holding a committed tree
 	// is recovered instead of starting empty (Recovered reports the
-	// restored object count). The geometry (Dim, PageSize, UseSpheres)
-	// must match the directory's. Close releases the files.
+	// restored object count), every page on the disk and cylinder it was
+	// placed on. The geometry (Dim, PageSize, UseSpheres) and the array
+	// (NumDisks, Policy, Seed) must match the directory's; a mismatch is
+	// refused. Close releases the files.
 	DataDir string
 }
 
@@ -138,11 +139,11 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 			return nil, err
 		}
 		ix.store = ds
-		if meta := ds.Meta(); meta.Size > 0 {
-			// The directory holds a committed tree: adopt it instead of
+		if meta := ds.Meta(); meta.Root != 0 {
+			// The directory holds a committed tree: restore it instead of
 			// starting empty.
 			//lint:allow lockcheck construction: ix is not shared until NewIndex returns
-			ix.tree, err = parallel.Adopt(pcfg, ds, meta.Root, meta.Size)
+			ix.tree, err = parallel.Open(pcfg, ds)
 			ix.recovered = meta.Size
 		} else {
 			pcfg.Store = ds
@@ -175,7 +176,7 @@ func (ix *Index) Commit() error {
 	if ix.store == nil {
 		return nil
 	}
-	return ix.store.Commit(ix.tree.Root(), ix.tree.Len())
+	return ix.tree.Commit(ix.store)
 }
 
 // Checkpoint folds committed WAL state into the data file and truncates
@@ -453,32 +454,4 @@ func (ix *Index) Distribution() parallel.DistributionStats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.tree.Distribution()
-}
-
-// Snapshot persists the index (configuration, every page and its
-// placement) to w; LoadIndex restores it.
-func (ix *Index) Snapshot(w io.Writer) error {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.tree.Snapshot(w)
-}
-
-// LoadIndex restores an index previously written by Snapshot.
-func LoadIndex(r io.Reader) (*Index, error) {
-	tree, err := parallel.LoadSnapshot(r)
-	if err != nil {
-		return nil, err
-	}
-	cfg := IndexConfig{
-		Dim:        tree.Config().Dim,
-		NumDisks:   tree.Config().NumDisks,
-		PageSize:   tree.Config().PageSize,
-		Policy:     tree.Config().Policy.Name(),
-		Seed:       tree.Config().Seed,
-		UseSpheres: tree.Config().UseSpheres,
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	return &Index{cfg: cfg, tree: tree}, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -118,6 +121,56 @@ func TestIndexDurableUncommittedTailDiscarded(t *testing.T) {
 	defer ix2.Close()
 	if got := ix2.Recovered(); got != 200 {
 		t.Errorf("recovered %d points, want the 200 committed ones", got)
+	}
+}
+
+// A reopen with another geometry or another array is refused, with an
+// error that names the field and both values once, not as corruption.
+func TestIndexDurableReopenMismatchRefused(t *testing.T) {
+	dir := t.TempDir()
+	base := IndexConfig{Dim: 2, NumDisks: 10, Seed: 1998, DataDir: dir}
+	ix, err := NewIndex(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.InsertAll(dataset.CaliforniaLike(2000, 1998), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(ix.Commit(), ix.Close()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		field, dir, opened string
+		set                func(*IndexConfig)
+	}{
+		{"Dim", "2", "3", func(c *IndexConfig) { c.Dim = 3 }},
+		{"PageSize", "4096", "8192", func(c *IndexConfig) { c.PageSize = 8192 }},
+		{"UseSpheres", "false", "true", func(c *IndexConfig) { c.UseSpheres = true }},
+		{"NumDisks", "10", "3", func(c *IndexConfig) { c.NumDisks = 3 }},
+		{"Policy", "proximity", "roundrobin", func(c *IndexConfig) { c.Policy = "roundrobin" }},
+		{"Seed", "1998", "99", func(c *IndexConfig) { c.Seed = 99 }},
+	} {
+		t.Run(c.field, func(t *testing.T) {
+			cfg := base
+			c.set(&cfg)
+			ix, err := NewIndex(cfg)
+			if err == nil {
+				ix.Close()
+				t.Fatalf("reopen with %s %s accepted a directory written with %s", c.field, c.opened, c.dir)
+			}
+			want := fmt.Sprintf("written with %s %s, opened with %s", c.field, c.dir, c.opened)
+			if msg := err.Error(); strings.Count(msg, want) != 1 || strings.Contains(msg, "invalid") {
+				t.Errorf("error %q, want it to say %q once and nothing about corruption", msg, want)
+			}
+		})
+	}
+	// The matching configuration still opens.
+	ix, err = NewIndex(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(ix.Check(), ix.Close()); err != nil {
+		t.Fatal(err)
 	}
 }
 

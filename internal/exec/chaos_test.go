@@ -231,7 +231,7 @@ func TestChaosHedgedReads(t *testing.T) {
 	}
 }
 
-// TestChaosRuntimeKillSwitch: a drive killed mid-workload (Injector.Fail)
+// TestChaosRuntimeKillSwitch: a drive set dead mid-workload (Injector.Set)
 // degrades on first touch and the mirror carries the rest of the run.
 func TestChaosRuntimeKillSwitch(t *testing.T) {
 	const disks, mirrors, k = 4, 2, 5
@@ -250,7 +250,7 @@ func TestChaosRuntimeKillSwitch(t *testing.T) {
 	defer cancel()
 	for qi, q := range queries {
 		if qi == len(queries)/2 {
-			inj.Fail(0) // disk 0, mirror 0
+			inj.Set(0, fault.Faults{Dead: true}) // disk 0, mirror 0
 		}
 		want, _ := drv.Run(query.CRSS{}, q, k, query.Options{})
 		got, _, err := eng.KNN(ctx, query.CRSS{}, q, k, query.Options{})

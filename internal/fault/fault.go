@@ -127,13 +127,6 @@ func (in *Injector) Set(id int, f Faults) {
 	}
 }
 
-// Fail is the runtime kill switch: it fail-stops a drive immediately.
-func (in *Injector) Fail(id int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.drive(id).dead = true
-}
-
 // IOs reports how many I/Os the injector has decided for a drive.
 func (in *Injector) IOs(id int) uint64 {
 	in.mu.Lock()
@@ -141,24 +134,14 @@ func (in *Injector) IOs(id int) uint64 {
 	return in.drive(id).ios
 }
 
-// Check decides the fate of a drive's next I/O: an optional injected
-// latency (to be paid before the read) and the error, if any. A nil
-// error means the I/O succeeds after the returned delay.
-func (in *Injector) Check(id int) (time.Duration, error) {
-	delay, _, err := in.checkRead(id, 0, false)
-	return delay, err
-}
-
-// CheckRead is Check for page reads: it additionally decides which page
-// the drive actually serves. readPage equals page except on a
+// CheckRead decides the fate of a drive's next page read: an optional
+// injected latency (to be paid before the read), the error, if any, and
+// which page the drive actually serves. A nil error means the read
+// succeeds after the returned delay. readPage equals page except on a
 // misdirected I/O, where the drive successfully returns the wrong page
 // — the caller must perform the read against readPage and let the read
 // path's identity check discover the substitution.
-func (in *Injector) CheckRead(id int, page rtree.PageID) (time.Duration, rtree.PageID, error) {
-	return in.checkRead(id, page, true)
-}
-
-func (in *Injector) checkRead(id int, page rtree.PageID, isRead bool) (time.Duration, rtree.PageID, error) {
+func (in *Injector) CheckRead(id int, page rtree.PageID) (delay time.Duration, readPage rtree.PageID, err error) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	st := in.drive(id)
@@ -169,7 +152,6 @@ func (in *Injector) checkRead(id int, page rtree.PageID, isRead bool) (time.Dura
 	if st.dead {
 		return 0, page, ErrDiskDead
 	}
-	var delay time.Duration
 	// One draw per configured mode keeps each drive's fate sequence a
 	// pure function of its I/O ordinal.
 	if st.faults.SpikeProb > 0 && st.rng.Float64() < st.faults.SpikeProb {
@@ -178,18 +160,16 @@ func (in *Injector) checkRead(id int, page rtree.PageID, isRead bool) (time.Dura
 	if st.faults.Transient > 0 && st.rng.Float64() < st.faults.Transient {
 		return delay, page, ErrTransient
 	}
-	readPage := page
-	if isRead {
-		if st.faults.MisdirectOn > 0 && st.ios == uint64(st.faults.MisdirectOn) {
-			if st.hasLast && st.lastPage != page {
-				readPage = st.lastPage
-			} else {
-				readPage = page + 1
-			}
+	readPage = page
+	if st.faults.MisdirectOn > 0 && st.ios == uint64(st.faults.MisdirectOn) {
+		if st.hasLast && st.lastPage != page {
+			readPage = st.lastPage
+		} else {
+			readPage = page + 1
 		}
-		st.lastPage = page
-		st.hasLast = true
 	}
+	st.lastPage = page
+	st.hasLast = true
 	return delay, readPage, nil
 }
 

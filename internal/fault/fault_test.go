@@ -18,7 +18,7 @@ func fates(seed int64, drive int, f Faults, n int) []string {
 	in.Set(drive, f)
 	out := make([]string, n)
 	for i := range out {
-		delay, err := in.Check(drive)
+		delay, _, err := in.CheckRead(drive, 0)
 		out[i] = delay.String() + "/" + errString(err)
 	}
 	return out
@@ -50,9 +50,9 @@ func TestInjectorDeterministic(t *testing.T) {
 	in.Set(7, f)
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
-			in.Check(7)
+			in.CheckRead(7, 0)
 		}
-		delay, err := in.Check(3)
+		delay, _, err := in.CheckRead(3, 0)
 		if got := delay.String() + "/" + errString(err); got != a[i] {
 			t.Fatalf("io %d: %q under interleaving, %q solo", i, got, a[i])
 		}
@@ -77,7 +77,7 @@ func TestFailStopAfterN(t *testing.T) {
 	in := NewInjector(1)
 	in.Set(0, Faults{FailAfter: 5})
 	for i := 1; i <= 10; i++ {
-		_, err := in.Check(0)
+		_, _, err := in.CheckRead(0, 0)
 		if i < 5 && err != nil {
 			t.Fatalf("io %d failed before FailAfter: %v", i, err)
 		}
@@ -90,22 +90,25 @@ func TestFailStopAfterN(t *testing.T) {
 	}
 }
 
-// TestDeadOnArrival: Dead and the Fail kill switch stop a drive before
-// its first I/O.
+// TestDeadOnArrival: Dead stops a drive before its first I/O, whether it
+// is programmed up front or set on a drive at run time.
 func TestDeadOnArrival(t *testing.T) {
 	in := NewInjector(1)
 	in.Set(0, Faults{Dead: true})
-	if _, err := in.Check(0); !errors.Is(err, ErrDiskDead) {
+	if _, _, err := in.CheckRead(0, 0); !errors.Is(err, ErrDiskDead) {
 		t.Fatalf("Dead drive served an I/O: %v", err)
 	}
 
-	in.Fail(1)
-	if _, err := in.Check(1); !errors.Is(err, ErrDiskDead) {
-		t.Fatalf("Fail()ed drive served an I/O: %v", err)
+	if _, _, err := in.CheckRead(1, 0); err != nil {
+		t.Fatalf("healthy drive failed: %v", err)
+	}
+	in.Set(1, Faults{Dead: true})
+	if _, _, err := in.CheckRead(1, 0); !errors.Is(err, ErrDiskDead) {
+		t.Fatalf("drive set dead at run time served an I/O: %v", err)
 	}
 
 	// Unprogrammed drives never fail.
-	if _, err := in.Check(2); err != nil {
+	if _, _, err := in.CheckRead(2, 0); err != nil {
 		t.Fatalf("healthy drive failed: %v", err)
 	}
 }
@@ -118,7 +121,7 @@ func TestTransientRate(t *testing.T) {
 	fails := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if _, err := in.Check(0); errors.Is(err, ErrTransient) {
+		if _, _, err := in.CheckRead(0, 0); errors.Is(err, ErrTransient) {
 			fails++
 		} else if err != nil {
 			t.Fatalf("unexpected error class: %v", err)
@@ -138,7 +141,7 @@ func TestSpikes(t *testing.T) {
 	spikes := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
-		delay, err := in.Check(0)
+		delay, _, err := in.CheckRead(0, 0)
 		if err != nil {
 			t.Fatalf("spike-only program failed an I/O: %v", err)
 		}
@@ -181,7 +184,7 @@ func TestReaderWrapper(t *testing.T) {
 		t.Fatalf("underlying reader called %d times, want 1", under.calls)
 	}
 
-	in.Fail(0)
+	in.Set(0, Faults{Dead: true})
 	if _, err := rd.ReadPage(77); !errors.Is(err, ErrDiskDead) {
 		t.Fatalf("dead drive read: %v, want ErrDiskDead", err)
 	}

@@ -48,19 +48,6 @@ func (r *RectSoA) Len() int {
 	return len(r.Lo[0])
 }
 
-// Rect gathers the i-th rectangle into AoS form (fresh allocation; for
-// tests and diagnostics, not the hot path).
-func (r *RectSoA) Rect(i int) Rect {
-	dim := r.Dim()
-	lo := make(Point, dim)
-	hi := make(Point, dim)
-	for a := 0; a < dim; a++ {
-		lo[a] = r.Lo[a][i]
-		hi[a] = r.Hi[a][i]
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // MakeRectSoA allocates a RectSoA for n rectangles of the given
 // dimensionality, all axes backed by a single contiguous array.
 func MakeRectSoA(dim, n int) RectSoA {

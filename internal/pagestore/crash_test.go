@@ -14,10 +14,12 @@
 package pagestore_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/rand"
 	"sync"
@@ -214,6 +216,54 @@ func resize(b []byte, size int64) []byte {
 
 func crashCodec() pagestore.Codec { return pagestore.Codec{Dim: 2, PageSize: 512} }
 
+// crashConfig is the array the schedule's tree is declustered over.
+func crashConfig(store rtree.Store) parallel.Config {
+	return parallel.Config{
+		Dim: 2, NumDisks: 4, Cylinders: disk.HPC2200A().Cylinders,
+		MaxEntries: crashCodec().Capacity(), Seed: 1, Store: store,
+	}
+}
+
+// crashFiles are the files of one store: the data file, the WAL and
+// the two record tables, all on one power supply.
+type crashFiles struct {
+	data, wal *crashFile
+	tables    [2]*crashFile
+}
+
+func newCrashFiles(env *crashEnv) crashFiles {
+	return crashFiles{newCrashFile(env, nil), newCrashFile(env, nil),
+		[2]*crashFile{newCrashFile(env, nil), newCrashFile(env, nil)}}
+}
+
+// rebooted returns files on a healthy machine holding exactly what was
+// durable on f.
+func (f crashFiles) rebooted() crashFiles {
+	env := &crashEnv{}
+	boot := func(c *crashFile) *crashFile { return newCrashFile(env, c.durableBytes()) }
+	return crashFiles{boot(f.data), boot(f.wal), [2]*crashFile{boot(f.tables[0]), boot(f.tables[1])}}
+}
+
+func (f crashFiles) open(opts pagestore.DurableOptions) (*pagestore.DurableStore, error) {
+	return pagestore.OpenDurableOn(f.data, f.wal, [2]pagestore.BlockFile{f.tables[0], f.tables[1]}, crashCodec(), opts)
+}
+
+// committedState is what one commit made durable beside the pages:
+// every live page's placement and the state record.
+type committedState struct {
+	placements map[rtree.PageID]parallel.Placement
+	state      []byte
+}
+
+func stateOf(pt *parallel.Tree, ds *pagestore.DurableStore) committedState {
+	c := committedState{placements: make(map[rtree.PageID]parallel.Placement), state: ds.State()}
+	pt.Walk(func(n *rtree.Node, _ int) bool {
+		c.placements[n.ID], _ = pt.Placement(n.ID)
+		return true
+	})
+	return c
+}
+
 // objSet is a recovered or expected object population.
 type objSet map[rtree.ObjectID]geom.Point
 
@@ -247,24 +297,27 @@ type schedResult struct {
 	committed objSet
 	inflight  objSet // non-nil only when the crash hit inside Commit
 	crashed   bool
+	// states holds, per acknowledged Commit in order, the placements and
+	// state record it made durable.
+	states []committedState
 }
 
 // runCrashSchedule drives a fixed, seeded insert/delete workload over a
-// DurableStore on the given files: a Commit every 7 ops, checkpoints a
-// third and two thirds of the way in, and a final Commit. The schedule
-// is identical on every run; only the kill point differs.
-func runCrashSchedule(t *testing.T, data, wal *crashFile) schedResult {
+// declustered tree in a DurableStore on the given files: a Commit every
+// 7 ops, checkpoints a third and two thirds of the way in, and a final
+// Commit. The schedule is identical on every run; only the kill point
+// differs.
+func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 	t.Helper()
 	const (
 		ops         = 160
 		commitEvery = 7
 	)
-	codec := crashCodec()
-	ds, err := pagestore.OpenDurableOn(data, wal, codec, pagestore.DurableOptions{})
+	ds, err := files.open(pagestore.DurableOptions{})
 	if err != nil {
 		t.Fatalf("initial open: %v", err)
 	}
-	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+	tr, err := parallel.New(crashConfig(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +326,13 @@ func runCrashSchedule(t *testing.T, data, wal *crashFile) schedResult {
 	live := make(objSet)
 	var liveIDs []rtree.ObjectID
 	committed := make(objSet)
+	var states []committedState
 
 	crashed := func(err error) schedResult {
 		if !errors.Is(err, errCrashed) {
 			t.Fatalf("schedule failed with a non-crash error: %v", err)
 		}
-		return schedResult{committed: committed, crashed: true}
+		return schedResult{committed: committed, crashed: true, states: states}
 	}
 
 	for i := 0; i < ops; i++ {
@@ -302,12 +356,13 @@ func runCrashSchedule(t *testing.T, data, wal *crashFile) schedResult {
 		}
 		if i%commitEvery == commitEvery-1 {
 			inflight := live.clone()
-			if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+			if err := tr.Commit(ds); err != nil {
 				res := crashed(err)
 				res.inflight = inflight
 				return res
 			}
 			committed = inflight
+			states = append(states, stateOf(tr, ds))
 		}
 		if i == ops/3 || i == 2*ops/3 {
 			if err := ds.Checkpoint(); err != nil {
@@ -316,26 +371,27 @@ func runCrashSchedule(t *testing.T, data, wal *crashFile) schedResult {
 		}
 	}
 	inflight := live.clone()
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := tr.Commit(ds); err != nil {
 		res := crashed(err)
 		res.inflight = inflight
 		return res
 	}
 	committed = inflight
-	return schedResult{committed: committed}
+	states = append(states, stateOf(tr, ds))
+	return schedResult{committed: committed, states: states}
 }
 
 // recoverAndCheck reboots from the durable images, recovers, and runs
 // the full gauntlet: open must succeed, the tree must restore with
 // clean invariants and a bitwise shadow, the recovered object set must
-// be one of the two legal states, and the concurrent engine must agree
-// with the serial driver on the recovered tree, bit for bit.
-func recoverAndCheck(t *testing.T, res schedResult, dataImg, walImg []byte, counters *obs.StorageCounters) {
+// be one of the two legal states, every page's placement and the state
+// record must be what the same commit made durable on a run that never
+// crashed (ref), and the concurrent engine must agree with the serial
+// driver on the recovered tree, bit for bit.
+func recoverAndCheck(t *testing.T, res schedResult, files crashFiles, ref []committedState, counters *obs.StorageCounters) {
 	t.Helper()
 	codec := crashCodec()
-	env := &crashEnv{} // recovery runs on a healthy machine
-	ds, err := pagestore.OpenDurableOn(newCrashFile(env, dataImg), newCrashFile(env, walImg),
-		codec, pagestore.DurableOptions{Counters: counters})
+	ds, err := files.rebooted().open(pagestore.DurableOptions{Counters: counters})
 	if err != nil {
 		t.Fatalf("recovery open failed: %v", err)
 	}
@@ -367,9 +423,11 @@ func recoverAndCheck(t *testing.T, res schedResult, dataImg, walImg []byte, coun
 	if len(got) != meta.Size {
 		t.Fatalf("recovered tree holds %d objects, superblock says %d", len(got), meta.Size)
 	}
+	commits := len(res.states)
 	switch {
 	case got.equal(res.committed):
 	case res.inflight != nil && got.equal(res.inflight):
+		commits++
 	default:
 		t.Fatalf("recovered %d objects; want the last committed set (%d) or the in-flight commit (%d)",
 			len(got), len(res.committed), len(res.inflight))
@@ -378,17 +436,28 @@ func recoverAndCheck(t *testing.T, res schedResult, dataImg, walImg []byte, coun
 		return
 	}
 
-	// Driver/engine parity on the recovered tree: adopt it into the
-	// parallel placement and require the concurrent engine to answer
-	// bit-identically to the serial driver.
-	pcfg := parallel.Config{
-		Dim: 2, NumDisks: 4, Cylinders: disk.HPC2200A().Cylinders,
-		MaxEntries: codec.Capacity(), Seed: 1,
-	}
-	pt, err := parallel.Adopt(pcfg, ds, meta.Root, meta.Size)
+	pt, err := parallel.Open(crashConfig(nil), ds)
 	if err != nil {
-		t.Fatalf("adopting recovered tree: %v", err)
+		t.Fatalf("opening recovered tree: %v", err)
 	}
+	want := ref[commits-1]
+	have := stateOf(pt, ds)
+	if !maps.Equal(have.placements, want.placements) {
+		t.Fatalf("commit %d: recovered placements differ from the ones it made durable", commits)
+	}
+	if !bytes.Equal(have.state, want.state) {
+		t.Fatalf("commit %d: recovered state record %x, committed %x", commits, have.state, want.state)
+	}
+	// The restored tree encodes the same state again.
+	if err := pt.Commit(ds); err != nil {
+		t.Fatal(err)
+	}
+	if again := ds.State(); !bytes.Equal(again, want.state) {
+		t.Fatalf("commit %d: the recovered tree commits state %x, the original %x", commits, again, want.state)
+	}
+
+	// Driver/engine parity on the recovered tree: the concurrent engine
+	// must answer bit-identically to the serial driver.
 	eng, err := exec.New(pt, exec.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -425,8 +494,8 @@ func recoverAndCheck(t *testing.T, res schedResult, dataImg, walImg []byte, coun
 // checks the no-crash baseline.
 func TestCrashRecoveryTorture(t *testing.T) {
 	env := &crashEnv{}
-	data, wal := newCrashFile(env, nil), newCrashFile(env, nil)
-	res := runCrashSchedule(t, data, wal)
+	files := newCrashFiles(env)
+	res := runCrashSchedule(t, files)
 	if res.crashed {
 		t.Fatal("dry run crashed")
 	}
@@ -434,7 +503,8 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	if total < 10 {
 		t.Fatalf("schedule produced only %d sync points — not much of a torture", total)
 	}
-	recoverAndCheck(t, res, data.durableBytes(), wal.durableBytes(), nil)
+	ref := res.states
+	recoverAndCheck(t, res, files, ref, nil)
 
 	step := 1
 	if testing.Short() {
@@ -446,13 +516,13 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		t.Run(fmt.Sprintf("kill=%02d", kill), func(t *testing.T) {
 			t.Parallel()
 			env := &crashEnv{crashAt: kill, rng: rand.New(rand.NewSource(int64(9000 + kill)))}
-			data, wal := newCrashFile(env, nil), newCrashFile(env, nil)
-			res := runCrashSchedule(t, data, wal)
+			files := newCrashFiles(env)
+			res := runCrashSchedule(t, files)
 			if !res.crashed {
 				t.Fatalf("schedule survived kill point %d of %d", kill, total)
 			}
 			var counters obs.StorageCounters
-			recoverAndCheck(t, res, data.durableBytes(), wal.durableBytes(), &counters)
+			recoverAndCheck(t, res, files, ref, &counters)
 			s := counters.Snapshot()
 			recoveries.Add(s.Recoveries)
 			replayed.Add(s.ReplayedRecords)
@@ -473,14 +543,14 @@ func TestCrashRecoveryTorture(t *testing.T) {
 // syncs, so the durable images are untouched: recovering twice from the
 // same images must give the same answer.
 func TestCrashRecoveryIsRepeatable(t *testing.T) {
+	ref := runCrashSchedule(t, newCrashFiles(&crashEnv{})).states
 	env := &crashEnv{crashAt: 7, rng: rand.New(rand.NewSource(77))}
-	data, wal := newCrashFile(env, nil), newCrashFile(env, nil)
-	res := runCrashSchedule(t, data, wal)
+	files := newCrashFiles(env)
+	res := runCrashSchedule(t, files)
 	if !res.crashed {
 		t.Skip("schedule has fewer than 7 sync points")
 	}
-	dataImg, walImg := data.durableBytes(), wal.durableBytes()
 	for i := 0; i < 3; i++ {
-		recoverAndCheck(t, res, dataImg, walImg, nil)
+		recoverAndCheck(t, res, files, ref, nil)
 	}
 }

@@ -1,9 +1,12 @@
 package pagestore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -28,14 +31,20 @@ import (
 // image it holds: Commit encodes into the images earlier Commits
 // released, and only an image no pinned epoch can reach is released.
 //
-// Recovery: OpenDurable loads the checkpointed pages, then replays the
-// WAL's committed batches in LSN order (redo only — every record is
-// idempotent, so replaying after a crash mid-checkpoint is safe), and
-// truncates whatever follows the last commit record.
+// Recovery: OpenDurable loads the checkpointed pages and the record
+// table, then replays the WAL's committed batches in LSN order (redo
+// only — every record is idempotent, so replaying after a crash
+// mid-checkpoint is safe), and truncates whatever follows the last
+// commit record.
+//
+// Beside every page the store keeps the page's opaque record, and beside
+// the committed state the last commit's state record (records.go): the
+// one place the tree's placement state is kept.
 type DurableStore struct {
 	codec    Codec
 	fs       *FileStore
 	wal      *WAL
+	tables   [2]BlockFile // record tables; the superblock names the live one
 	counters *obs.StorageCounters
 
 	mu         sync.RWMutex
@@ -46,6 +55,8 @@ type DurableStore struct {
 	ckptDirty  map[rtree.PageID]bool        // committed but not yet checkpointed; guarded by mu
 	ckptFreed  map[rtree.PageID]bool        // freed since last checkpoint; guarded by mu
 	nextID     rtree.PageID                 // guarded by mu
+	recs       map[rtree.PageID]PageRecord  // committed record of every committed page; guarded by mu
+	state      []byte                       // the last commit's state record; guarded by mu
 
 	// owned holds the pages whose image in cur was encoded by a Commit
 	// into cur itself: no pinned epoch can reach those images, so the one
@@ -58,6 +69,8 @@ type DurableStore struct {
 	// Commit's and Checkpoint's working lists, reused.
 	ids, freedIDs []rtree.PageID // guarded by mu
 	images        [][]byte       // guarded by mu
+	pageRecs      []PageRecord   // guarded by mu
+	table         []byte         // guarded by mu
 }
 
 // storeEpoch is one committed, immutable-once-shared version of the
@@ -85,17 +98,26 @@ const (
 // OpenDurable opens (creating if absent) the store rooted at dir,
 // running crash recovery if the WAL holds committed batches.
 func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, error) {
-	fs, err := OpenFileStore(filepath.Join(dir, DataFileName), codec, FileStoreOptions{Counters: opts.Counters})
-	if err != nil {
-		return nil, err
+	var files [4]BlockFile
+	closeAll := func() error {
+		var errs []error
+		for _, f := range files {
+			if f != nil {
+				errs = append(errs, f.Close())
+			}
+		}
+		return errors.Join(errs...)
 	}
-	w, entries, err := openWAL(filepath.Join(dir, WALFileName), codec.PageSize, opts.Counters)
-	if err != nil {
-		return nil, errors.Join(err, fs.Close())
+	for i, name := range [4]string{DataFileName, WALFileName, tableFileNames[0], tableFileNames[1]} {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return nil, errors.Join(err, closeAll())
+		}
+		files[i] = osBlockFile{f: f}
 	}
-	s, err := newDurable(fs, w, entries, opts.Counters)
+	s, err := OpenDurableOn(files[0], files[1], [2]BlockFile{files[2], files[3]}, codec, opts)
 	if err != nil {
-		return nil, errors.Join(err, w.Close(), fs.Close())
+		return nil, errors.Join(err, closeAll())
 	}
 	return s, nil
 }
@@ -104,7 +126,7 @@ func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, e
 // the dependency-injection seam the crash-recovery torture tests use to
 // run the full commit/checkpoint/recover protocol against in-memory
 // files that tear their writes at programmed sync points.
-func OpenDurableOn(data, wal BlockFile, codec Codec, opts DurableOptions) (*DurableStore, error) {
+func OpenDurableOn(data, wal BlockFile, tables [2]BlockFile, codec Codec, opts DurableOptions) (*DurableStore, error) {
 	fs, err := NewFileStoreOn(data, codec, FileStoreOptions{Counters: opts.Counters})
 	if err != nil {
 		return nil, err
@@ -113,17 +135,24 @@ func OpenDurableOn(data, wal BlockFile, codec Codec, opts DurableOptions) (*Dura
 	if err != nil {
 		return nil, err
 	}
-	return newDurable(fs, w, entries, opts.Counters)
+	return newDurable(fs, w, tables, entries, opts.Counters)
 }
 
 // newDurable assembles the store and performs WAL replay (the crash
 // tests call it directly over in-memory crash files).
-func newDurable(fs *FileStore, w *WAL, entries []walEntry, counters *obs.StorageCounters) (*DurableStore, error) {
+func newDurable(fs *FileStore, w *WAL, tables [2]BlockFile, entries []walEntry, counters *obs.StorageCounters) (*DurableStore, error) {
 	pages, err := fs.LoadPages()
 	if err != nil {
 		return nil, err
 	}
 	meta := fs.Meta()
+	if meta.table.file > 1 {
+		return nil, fmt.Errorf("pagestore: superblock names record table %d", meta.table.file)
+	}
+	state, recs, err := readTable(tables[meta.table.file], meta.table)
+	if err != nil {
+		return nil, err
+	}
 	nextID := meta.NextID
 	if nextID < 1 {
 		nextID = 1
@@ -141,6 +170,9 @@ func newDurable(fs *FileStore, w *WAL, entries []walEntry, counters *obs.Storage
 		ckptFreed:  make(map[rtree.PageID]bool),
 		cur:        &storeEpoch{pages: pages, root: meta.Root, size: meta.Size},
 		nextID:     nextID,
+		recs:       recs,
+		state:      state,
+		tables:     tables,
 		owned:      make(map[rtree.PageID]bool),
 	}
 	if err := s.replay(entries); err != nil {
@@ -193,7 +225,11 @@ func (s *DurableStore) replay(entries []walEntry) error {
 	if s.counters != nil {
 		s.counters.Recoveries.Add(1)
 	}
-	staged := make(map[rtree.PageID][]byte)
+	type stagedPage struct {
+		rec PageRecord
+		img []byte
+	}
+	staged := make(map[rtree.PageID]stagedPage)
 	var stagedIDs []rtree.PageID // insertion order: replay preserves LSN order
 	freed := make(map[rtree.PageID]bool)
 	var freedIDs []rtree.PageID
@@ -202,15 +238,16 @@ func (s *DurableStore) replay(entries []walEntry) error {
 		rec := e.rec
 		switch rec.Type {
 		case WALPage:
-			if len(rec.Payload) != 8+s.codec.PageSize {
+			const head = 8 + PageRecordSize
+			if len(rec.Payload) != head+s.codec.PageSize {
 				return fmt.Errorf("pagestore: WAL page record lsn %d: payload %d bytes, want %d",
-					rec.LSN, len(rec.Payload), 8+s.codec.PageSize)
+					rec.LSN, len(rec.Payload), head+s.codec.PageSize)
 			}
 			id := rtree.PageID(binary.LittleEndian.Uint64(rec.Payload))
 			if _, ok := staged[id]; !ok {
 				stagedIDs = append(stagedIDs, id)
 			}
-			staged[id] = rec.Payload[8:]
+			staged[id] = stagedPage{rec: PageRecord(rec.Payload[8:head]), img: rec.Payload[head:]}
 			delete(freed, id)
 		case WALFree:
 			if len(rec.Payload) != 8 {
@@ -224,16 +261,17 @@ func (s *DurableStore) replay(entries []walEntry) error {
 			freed[id] = true
 			delete(staged, id)
 		case WALCommit:
-			if len(rec.Payload) != 24 {
-				return fmt.Errorf("pagestore: WAL commit record lsn %d: payload %d bytes, want 24",
+			if len(rec.Payload) < 24 {
+				return fmt.Errorf("pagestore: WAL commit record lsn %d: payload %d bytes, want at least 24",
 					rec.LSN, len(rec.Payload))
 			}
 			for _, id := range stagedIDs {
-				img, ok := staged[id]
+				p, ok := staged[id]
 				if !ok {
 					continue // freed later in the same batch
 				}
-				s.cur.pages[id] = img
+				s.cur.pages[id] = p.img
+				s.recs[id] = p.rec
 				s.ckptDirty[id] = true
 				delete(s.ckptFreed, id)
 			}
@@ -242,13 +280,15 @@ func (s *DurableStore) replay(entries []walEntry) error {
 					continue // re-written later in the same batch
 				}
 				delete(s.cur.pages, id)
+				delete(s.recs, id)
 				delete(s.ckptDirty, id)
 				s.ckptFreed[id] = true
 			}
 			s.cur.root = rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[0:]))
 			s.cur.size = int(binary.LittleEndian.Uint64(rec.Payload[8:]))
 			s.nextID = rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[16:]))
-			staged = make(map[rtree.PageID][]byte)
+			s.state = rec.Payload[24:]
+			staged = make(map[rtree.PageID]stagedPage)
 			stagedIDs = stagedIDs[:0]
 			freed = make(map[rtree.PageID]bool)
 			freedIDs = freedIDs[:0]
@@ -332,11 +372,13 @@ func (s *DurableStore) Len() int {
 
 // Commit makes every staged mutation durable and visible: page and
 // free records append to the WAL in sorted page order, a commit record
-// carrying the tree metadata terminates the batch, one WAL fsync makes
-// it the new durable state, and the staged images publish as a fresh
-// reader epoch. root and size are the tree's post-batch metadata
-// (tree.Root(), tree.Len()).
-func (s *DurableStore) Commit(root rtree.PageID, size int) error {
+// carrying the tree metadata and state terminates the batch, one WAL
+// fsync makes it the new durable state, and the staged images publish
+// as a fresh reader epoch. root and size are the tree's post-batch
+// metadata (tree.Root(), tree.Len()); state is the commit's state
+// record, and recs gives each dirty page's record (nil: zero records).
+// The store copies state; the caller may reuse it.
+func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs PageRecorder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// The root must always have a durable image, or recovery cannot
@@ -357,7 +399,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	// encoding failure leaves the WAL where it was. The images are the
 	// spares, last first, then fresh pages; the spare list itself changes
 	// only once the batch is published.
-	images := s.images[:0]
+	images, pageRecs := s.images[:0], s.pageRecs[:0]
 	for i, id := range dirtyIDs {
 		var buf []byte
 		if i < len(s.spare) {
@@ -368,20 +410,25 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 			return err
 		}
 		images = append(images, img)
+		var rec PageRecord
+		if recs != nil {
+			rec = recs.PageRecord(id)
+		}
+		pageRecs = append(pageRecs, rec)
 	}
-	s.images = images
+	s.images, s.pageRecs = images, pageRecs
 
 	for i, id := range dirtyIDs {
-		if err := s.wal.AppendPage(id, images[i]); err != nil {
+		if err := s.wal.AppendPage(id, pageRecs[i], images[i]); err != nil {
 			return err
 		}
 	}
 	for _, id := range freedIDs {
-		if err := s.wal.Append(WALFree, FreeRecordPayload(id)); err != nil {
+		if err := s.wal.appendFree(id); err != nil {
 			return err
 		}
 	}
-	if err := s.wal.Append(WALCommit, CommitRecordPayload(root, size, s.nextID)); err != nil {
+	if err := s.wal.appendCommit(root, size, s.nextID, state); err != nil {
 		return err
 	}
 	if err := s.wal.Sync(); err != nil {
@@ -417,6 +464,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	for i, id := range dirtyIDs {
 		release(id)
 		target.pages[id] = images[i]
+		s.recs[id] = pageRecs[i]
 		s.owned[id] = true
 		s.ckptDirty[id] = true
 		delete(s.ckptFreed, id)
@@ -424,6 +472,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	for _, id := range freedIDs {
 		release(id)
 		delete(target.pages, id)
+		delete(s.recs, id)
 		delete(s.owned, id)
 		delete(s.ckptDirty, id)
 		s.ckptFreed[id] = true
@@ -431,6 +480,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int) error {
 	clear(images)
 	target.root = root
 	target.size = size
+	s.state = append(s.state[:0], state...)
 	clear(s.dirty)
 	clear(s.freedStage)
 	return nil
@@ -447,11 +497,13 @@ func sortedIDs[V any](dst []rtree.PageID, set map[rtree.PageID]V) []rtree.PageID
 }
 
 // Checkpoint folds every committed-since-last-checkpoint page into the
-// data file, zeroes freed slots, persists the tree metadata, fsyncs,
-// and resets the WAL. Crash-safe at any point: until the WAL reset the
-// log still holds every batch, and redo replay over an arbitrarily
-// partial checkpoint converges to the same state (records are
-// idempotent page images).
+// data file, zeroes freed slots, writes the record table into the table
+// file the superblock does not name, persists the tree metadata (now
+// naming that table), fsyncs, and resets the WAL. Crash-safe at any
+// point: until the WAL reset the log still holds every batch, redo
+// replay over an arbitrarily partial checkpoint converges to the same
+// state (records are idempotent page images), and until the superblock
+// flip the old table is the live one.
 func (s *DurableStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,7 +526,19 @@ func (s *DurableStore) Checkpoint() error {
 	if err := s.fs.Sync(); err != nil {
 		return err
 	}
-	if err := s.fs.WriteMeta(FileMeta{Root: s.cur.root, Size: s.cur.size, NextID: s.nextID}); err != nil {
+	s.ids = sortedIDs(s.ids, s.recs)
+	s.table = appendTable(s.table[:0], s.state, s.ids, s.recs)
+	table := tableRef{file: 1 - s.fs.Meta().table.file, size: uint32(len(s.table)), crc: crc32.ChecksumIEEE(s.table)}
+	if _, err := s.tables[table.file].WriteAt(s.table, 0); err != nil {
+		return fmt.Errorf("pagestore: writing record table %d: %w", table.file, err)
+	}
+	if err := s.tables[table.file].Sync(); err != nil {
+		return err
+	}
+	if s.counters != nil {
+		s.counters.DataSyncs.Add(1)
+	}
+	if err := s.fs.WriteMeta(FileMeta{Root: s.cur.root, Size: s.cur.size, NextID: s.nextID, table: table}); err != nil {
 		return err
 	}
 	if err := s.fs.Sync(); err != nil {
@@ -489,6 +553,22 @@ func (s *DurableStore) Checkpoint() error {
 		s.counters.Checkpoints.Add(1)
 	}
 	return nil
+}
+
+// Record returns a committed page's record.
+func (s *DurableStore) Record(id rtree.PageID) (PageRecord, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	rec, ok := s.recs[id]
+	return rec, ok
+}
+
+// State returns a copy of the last commit's state record (nil when the
+// store holds no commit, or its commits carried none).
+func (s *DurableStore) State() []byte {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return bytes.Clone(s.state)
 }
 
 // Meta returns the committed tree metadata (what recovery would
@@ -547,10 +627,11 @@ func (s *DurableStore) VerifyShadow() error {
 	return nil
 }
 
-// Close closes the WAL and the data file. It does not commit or
-// checkpoint — callers decide what the final durable state is.
+// Close closes the WAL, the data file and the record tables. It does
+// not commit or checkpoint — callers decide what the final durable
+// state is.
 func (s *DurableStore) Close() error {
-	return errors.Join(s.wal.Close(), s.fs.Close())
+	return errors.Join(s.wal.Close(), s.fs.Close(), s.tables[0].Close(), s.tables[1].Close())
 }
 
 // decodeChecked is the one decode of every Reader in this package: it

@@ -1,8 +1,14 @@
 package pagestore
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -70,7 +76,7 @@ func TestDurableStoreReopen(t *testing.T) {
 			}
 		}
 		if i%50 == 49 {
-			if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+			if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +92,7 @@ func TestDurableStoreReopen(t *testing.T) {
 			t.Fatalf("delete %d failed", i)
 		}
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.VerifyShadow(); err != nil {
@@ -133,7 +139,7 @@ func TestDurableStoreUncommittedTailDiscarded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 50; i < 80; i++ { // staged, never committed
@@ -177,7 +183,7 @@ func TestDurableStoreEpochIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -238,12 +244,12 @@ func TestDurableStoreEpochIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%20 == 0 {
-			if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+			if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -268,7 +274,7 @@ func TestDurableStoreReadPageSeesOnlyCommitted(t *testing.T) {
 	if _, err := ds.ReadPage(tr.Root()); err == nil {
 		t.Error("ReadPage served an uncommitted page")
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	n, err := ds.ReadPage(tr.Root())
@@ -279,3 +285,106 @@ func TestDurableStoreReadPageSeesOnlyCommitted(t *testing.T) {
 		t.Errorf("ReadPage returned node %d, want root %d", n.ID, tr.Root())
 	}
 }
+
+// A directory written before pages carried records (superblock and log
+// version 1) is refused with an error naming its version: there is no
+// second restore path that would re-derive what it lacks.
+func TestDurableStoreRefusesVersion1(t *testing.T) {
+	// The version-1 superblock: 36 bytes and their CRC-32, in both copies.
+	sb := append([]byte("SQFS\x01\x00"), make([]byte, 30)...)
+	binary.LittleEndian.PutUint16(sb[6:], 2)
+	binary.LittleEndian.PutUint32(sb[8:], durableTestPage)
+	binary.LittleEndian.PutUint64(sb[12:], 1)  // root
+	binary.LittleEndian.PutUint64(sb[20:], 40) // objects
+	binary.LittleEndian.PutUint64(sb[28:], 5)  // next page id
+	sb = binary.LittleEndian.AppendUint32(sb, crc32.ChecksumIEEE(sb))
+	page := make([]byte, durableTestPage)
+	copy(page, sb)
+	copy(page[superblockBackupOff:], sb)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, DataFileName), page, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := OpenDurable(dir, durableCodec(), DurableOptions{})
+	if err == nil {
+		ds.Close()
+		t.Fatal("opened a version-1 directory")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "version 1") || strings.Contains(msg, "invalid") {
+		t.Errorf("error %q, want one that names version 1", msg)
+	}
+
+	// A version-1 log on its own is refused the same way.
+	hdr := append([]byte("SQWL\x01\x00\x00\x00"), binary.LittleEndian.AppendUint32(nil, durableTestPage)...)
+	if _, _, err := newWAL(&memFile{buf: hdr}, durableTestPage, nil); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("version-1 WAL: err = %v, want one that names version 1", err)
+	}
+}
+
+// A checkpoint makes its record table live, with the state and every
+// committed page's record; a table whose bytes no longer match the
+// superblock's checksum is refused, never read.
+func TestDurableStoreRecordTable(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurableT(t, dir, nil)
+	tr := treeOver(t, ds)
+	rnd := rand.New(rand.NewSource(3))
+	recs := recorderFunc(func(id rtree.PageID) PageRecord { return PageRecord{byte(id), 0xAB} })
+	for batch := 0; batch < 3; batch++ {
+		for i := 0; i < 150; i++ {
+			if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(batch*150+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ds.Commit(tr.Root(), tr.Len(), []byte{byte(batch), 7}, recs); err != nil {
+			t.Fatal(err)
+		}
+		if batch < 2 {
+			if err := ds.Checkpoint(); err != nil { // the last batch stays in the WAL
+				t.Fatal(err)
+			}
+		}
+	}
+	live := ds.Meta().table.file
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds = openDurableT(t, dir, nil)
+	if got := ds.State(); !bytes.Equal(got, []byte{2, 7}) {
+		t.Errorf("state %v after reopen, want the last commit's [2 7]", got)
+	}
+	pages := 0
+	tr.Walk(func(n *rtree.Node, _ int) bool {
+		pages++
+		if rec, ok := ds.Record(n.ID); !ok || rec != recs(n.ID) {
+			t.Errorf("page %d: record %v (%v), want %v", n.ID, rec, ok, recs(n.ID))
+		}
+		return true
+	})
+	if pages < 10 || len(ds.recs) != pages {
+		t.Errorf("%d records for %d live pages", len(ds.recs), pages)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, tableFileNames[live])
+	table, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table[len(table)/2] ^= 1
+	if err := os.WriteFile(path, table, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err := OpenDurable(dir, durableCodec(), DurableOptions{}); err == nil || !strings.Contains(err.Error(), "checksum") {
+		if err == nil {
+			ds.Close()
+		}
+		t.Errorf("open over a corrupt record table: err = %v", err)
+	}
+}
+
+type recorderFunc func(rtree.PageID) PageRecord
+
+func (f recorderFunc) PageRecord(id rtree.PageID) PageRecord { return f(id) }

@@ -56,7 +56,7 @@ func TestDurableCloseJoinsBothErrors(t *testing.T) {
 	wal := &failCloseFile{closeErr: errWAL}
 	codec := pagestore.Codec{Dim: 2, PageSize: 512}
 
-	ds, err := pagestore.OpenDurableOn(data, wal, codec, pagestore.DurableOptions{})
+	ds, err := pagestore.OpenDurableOn(data, wal, [2]pagestore.BlockFile{&failCloseFile{}, &failCloseFile{}}, codec, pagestore.DurableOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestDurableCloseJoinsBothErrors(t *testing.T) {
 
 func TestDurableCloseCleanIsNil(t *testing.T) {
 	codec := pagestore.Codec{Dim: 2, PageSize: 512}
-	ds, err := pagestore.OpenDurableOn(&failCloseFile{}, &failCloseFile{}, codec, pagestore.DurableOptions{})
+	ds, err := pagestore.OpenDurableOn(&failCloseFile{}, &failCloseFile{}, [2]pagestore.BlockFile{&failCloseFile{}, &failCloseFile{}}, codec, pagestore.DurableOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}

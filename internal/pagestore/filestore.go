@@ -27,36 +27,50 @@ import (
 // rtree page ids start at 1, so the slots line up with ids):
 //
 //	offset 0   4 bytes  magic "SQFS"
-//	offset 4   uint8    version (1)
+//	offset 4   uint8    version (2)
 //	offset 5   uint8    spheres flag
 //	offset 6   uint16   dimension
 //	offset 8   uint32   page size
 //	offset 12  uint64   root page id
 //	offset 20  uint64   object count
 //	offset 28  uint64   next page id
-//	offset 36  uint32   IEEE CRC-32 of bytes 0..36
+//	offset 36  uint8    live record table (0 or 1, see records.go)
+//	offset 37  3 bytes  reserved (zero)
+//	offset 40  uint32   record table length
+//	offset 44  uint32   record table CRC-32
+//	offset 48  uint32   IEEE CRC-32 of bytes 0..48
 //
 // Slot 0 holds TWO copies of this record: the primary at offset 0 and
 // a backup at offset 64. Updates write the backup first, then the
 // primary, so a crash mid-update tears at most the copy being written
 // and open always finds a copy with a valid checksum. Falling back to
 // a stale copy is safe: the WAL is reset only after the superblock is
-// durable, so replay re-derives any newer metadata.
+// durable, so replay re-derives any newer metadata, and a checkpoint
+// writes only the record table neither copy names.
+//
+// Version 1 (no record table) is refused: its pages carry no
+// placements, and there is no second way to restore them.
 var fileMagic = [4]byte{'S', 'Q', 'F', 'S'}
 
 const (
-	fileVersion         = 1
-	superblockSize      = 40
+	fileVersion         = 2
+	superblockSize      = 52
 	superblockBackupOff = 64
 )
 
 // FileMeta is the tree metadata persisted in the superblock: everything
-// rtree.Restore needs besides the pages themselves.
+// rtree.Restore needs besides the pages themselves, and where the
+// pages' records are.
 type FileMeta struct {
 	Root   rtree.PageID
 	Size   int
 	NextID rtree.PageID
+	table  tableRef
 }
+
+// errTornSuperblock marks a superblock copy that does not check out:
+// torn by a crash, or never written. Open falls back to the other copy.
+var errTornSuperblock = errors.New("pagestore: torn superblock")
 
 // FileStoreOptions configures OpenFileStore. The zero value is valid:
 // no telemetry.
@@ -134,15 +148,17 @@ func NewFileStoreOn(f BlockFile, codec Codec, opts FileStoreOptions) (*FileStore
 
 // readSuperblock reads and validates slot 0, falling back to the backup
 // copy when the primary is torn. fromBackup reports that the fallback
-// was taken. Called before the store is shared, so no locking.
+// was taken. A copy that checks out but describes another layout or
+// version is the answer, not a tear. Called before the store is shared,
+// so no locking.
 func (fs *FileStore) readSuperblock() (meta FileMeta, fromBackup bool, err error) {
 	meta, errPrimary := fs.readSuperblockAt(0)
-	if errPrimary == nil {
-		return meta, false, nil
+	if !errors.Is(errPrimary, errTornSuperblock) {
+		return meta, false, errPrimary
 	}
 	meta, errBackup := fs.readSuperblockAt(superblockBackupOff)
-	if errBackup == nil {
-		return meta, true, nil
+	if !errors.Is(errBackup, errTornSuperblock) {
+		return meta, errBackup == nil, errBackup
 	}
 	return FileMeta{}, false, fmt.Errorf(
 		"pagestore: both superblock copies invalid: %w; backup: %v", errPrimary, errBackup)
@@ -152,30 +168,47 @@ func (fs *FileStore) readSuperblock() (meta FileMeta, fromBackup bool, err error
 func (fs *FileStore) readSuperblockAt(off int64) (FileMeta, error) {
 	var sb [superblockSize]byte
 	if _, err := fs.f.ReadAt(sb[:], off); err != nil { //lint:allow lockcheck open-time, store not yet shared
-		return FileMeta{}, fmt.Errorf("pagestore: reading superblock: %w", err)
+		return FileMeta{}, fmt.Errorf("%w: reading superblock: %v", errTornSuperblock, err)
 	}
 	if [4]byte(sb[0:4]) != fileMagic {
-		return FileMeta{}, fmt.Errorf("pagestore: bad file magic %q", sb[0:4])
+		return FileMeta{}, fmt.Errorf("%w: bad file magic %q", errTornSuperblock, sb[0:4])
 	}
 	if sb[4] != fileVersion {
-		return FileMeta{}, fmt.Errorf("pagestore: file version %d, want %d", sb[4], fileVersion)
+		// Version 1 kept its checksum at offset 36.
+		if sb[4] == 1 && crc32.ChecksumIEEE(sb[:36]) == binary.LittleEndian.Uint32(sb[36:]) {
+			return FileMeta{}, fmt.Errorf("pagestore: data file version 1, want %d: the directory predates "+
+				"per-page placement records and cannot be opened; rebuild it", fileVersion)
+		}
+		return FileMeta{}, fmt.Errorf("%w: file version %d", errTornSuperblock, sb[4])
 	}
-	sum := crc32.ChecksumIEEE(sb[:36])
-	if got := binary.LittleEndian.Uint32(sb[36:]); got != sum {
-		return FileMeta{}, fmt.Errorf("pagestore: superblock checksum mismatch: 0x%08x vs 0x%08x", got, sum)
+	sum := crc32.ChecksumIEEE(sb[:48])
+	if got := binary.LittleEndian.Uint32(sb[48:]); got != sum {
+		return FileMeta{}, fmt.Errorf("%w: checksum 0x%08x vs 0x%08x", errTornSuperblock, got, sum)
 	}
 	spheres := sb[5] == 1
 	dim := int(binary.LittleEndian.Uint16(sb[6:]))
 	pageSize := int(binary.LittleEndian.Uint32(sb[8:]))
-	if spheres != fs.codec.Spheres || dim != fs.codec.Dim || pageSize != fs.codec.PageSize {
-		return FileMeta{}, fmt.Errorf(
-			"pagestore: file layout (dim=%d page=%d spheres=%v) does not match codec (dim=%d page=%d spheres=%v)",
-			dim, pageSize, spheres, fs.codec.Dim, fs.codec.PageSize, fs.codec.Spheres)
+	for _, f := range []struct {
+		name      string
+		dir, open any
+	}{
+		{"Dim", dim, fs.codec.Dim},
+		{"PageSize", pageSize, fs.codec.PageSize},
+		{"UseSpheres", spheres, fs.codec.Spheres},
+	} {
+		if f.dir != f.open {
+			return FileMeta{}, fmt.Errorf("pagestore: directory was written with %s %v, opened with %v", f.name, f.dir, f.open)
+		}
 	}
 	return FileMeta{
 		Root:   rtree.PageID(binary.LittleEndian.Uint64(sb[12:])),
 		Size:   int(binary.LittleEndian.Uint64(sb[20:])),
 		NextID: rtree.PageID(binary.LittleEndian.Uint64(sb[28:])),
+		table: tableRef{
+			file: sb[36],
+			size: binary.LittleEndian.Uint32(sb[40:]),
+			crc:  binary.LittleEndian.Uint32(sb[44:]),
+		},
 	}, nil
 }
 
@@ -196,7 +229,10 @@ func (fs *FileStore) writeMetaLocked() error {
 	binary.LittleEndian.PutUint64(sb[12:], uint64(m.Root))
 	binary.LittleEndian.PutUint64(sb[20:], uint64(m.Size))
 	binary.LittleEndian.PutUint64(sb[28:], uint64(m.NextID))
-	binary.LittleEndian.PutUint32(sb[36:], crc32.ChecksumIEEE(sb[:36]))
+	sb[36] = m.table.file
+	binary.LittleEndian.PutUint32(sb[40:], m.table.size)
+	binary.LittleEndian.PutUint32(sb[44:], m.table.crc)
+	binary.LittleEndian.PutUint32(sb[48:], crc32.ChecksumIEEE(sb[:48]))
 	if _, err := fs.f.WriteAt(sb[:], superblockBackupOff); err != nil { //lint:allow lockcheck callers hold fs.mu or have exclusive open-time access
 		return fmt.Errorf("pagestore: writing backup superblock: %w", err)
 	}

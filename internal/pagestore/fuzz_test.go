@@ -22,15 +22,15 @@ func FuzzWALRecord(f *testing.F) {
 	// One genuine record of each type so coverage starts past the
 	// checksum, plus classic crash tails.
 	for _, rec := range []WALRecord{
-		{LSN: 1, Type: WALPage, Payload: PageRecordPayload(3, make([]byte, 64))},
-		{LSN: 2, Type: WALFree, Payload: FreeRecordPayload(9)},
-		{LSN: 3, Type: WALCommit, Payload: CommitRecordPayload(1, 100, 17)},
+		{LSN: 1, Type: WALPage, Payload: pageRecordPayload(3, PageRecord{}, make([]byte, 64))},
+		{LSN: 2, Type: WALFree, Payload: freeRecordPayload(9)},
+		{LSN: 3, Type: WALCommit, Payload: commitRecordPayload(1, 100, 17)},
 	} {
 		f.Add(AppendWALRecord(nil, rec))
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, walRecHeader+walRecTrailer)) // zeroed minimal record
-	torn := AppendWALRecord(nil, WALRecord{LSN: 4, Type: WALCommit, Payload: CommitRecordPayload(2, 5, 6)})
+	torn := AppendWALRecord(nil, WALRecord{LSN: 4, Type: WALCommit, Payload: commitRecordPayload(2, 5, 6)})
 	f.Add(torn[:len(torn)-3]) // torn trailer
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -95,7 +95,7 @@ func (c *churn) round(n int) {
 		c.ds.Update(n)
 		return true
 	})
-	if err := c.ds.Commit(c.tr.Root(), c.tr.Len()); err != nil {
+	if err := c.ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err != nil {
 		c.t.Fatal(err)
 	}
 }
@@ -249,7 +249,7 @@ func (f *memFile) Close() error         { return nil }
 // and the log as they were; the next Commit publishes the whole batch.
 func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	wal := &memFile{}
-	ds, err := OpenDurableOn(&memFile{}, wal, durableCodec(), DurableOptions{})
+	ds, err := OpenDurableOn(&memFile{}, wal, [2]BlockFile{&memFile{}, &memFile{}}, durableCodec(), DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	bad := ds.Allocate(0)
 	bad.Entries = append(bad.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1))
 	ds.Update(bad)
-	if err := ds.Commit(c.tr.Root(), c.tr.Len()); err == nil {
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err == nil {
 		t.Fatal("Commit encoded a 3-d entry into a 2-d page")
 	}
 	unchanged("encode error")
@@ -311,13 +311,13 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	ds.Free(bad.ID)
 	errFull := errors.New("disk full")
 	wal.fail = errFull
-	if err := ds.Commit(c.tr.Root(), c.tr.Len()); !errors.Is(err, errFull) {
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); !errors.Is(err, errFull) {
 		t.Fatalf("Commit with a failing log returned %v", err)
 	}
 	unchanged("append error")
 
 	wal.fail = nil
-	if err := ds.Commit(c.tr.Root(), c.tr.Len()); err != nil {
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.VerifyShadow(); err != nil {
@@ -342,7 +342,7 @@ func TestDurableStoreSpareListIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	most := 0
@@ -353,7 +353,7 @@ func TestDurableStoreSpareListIsBounded(t *testing.T) {
 		if i%25 != 24 && i != len(pts)-1 {
 			continue
 		}
-		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+		if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if len(ds.spare) > len(ds.ids) {
@@ -404,7 +404,7 @@ func TestCommitAllocBudget(t *testing.T) {
 		}
 	}
 	insert(2000)
-	if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -429,7 +429,7 @@ func TestCommitAllocBudget(t *testing.T) {
 		}
 		covered := len(ds.dirty) <= len(ds.spare)
 		runtime.ReadMemStats(&before)
-		if err := ds.Commit(tr.Root(), tr.Len()); err != nil {
+		if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)

@@ -16,7 +16,7 @@ import (
 // a page on every touch: the same log, byte for byte, from one encode
 // per dirty page at Commit.
 // AppendPage assembles a page record in the log's reused buffer; the
-// bytes in the file are the ones Append writes for the joined payload,
+// bytes in the file are those of one record of the joined payload,
 // record after record.
 func TestWALAppendPageWritesTheSameBytes(t *testing.T) {
 	images := make([][]byte, 4)
@@ -34,11 +34,11 @@ func TestWALAppendPageWritesTheSameBytes(t *testing.T) {
 			if err := page(w, rtree.PageID(i+7), img); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Append(WALFree, FreeRecordPayload(rtree.PageID(i+1))); err != nil {
+			if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.Append(WALCommit, CommitRecordPayload(7, 4, 11)); err != nil {
+		if err := w.appendRecord(WALCommit, commitRecordPayload(7, 4, 11), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := errors.Join(w.Sync(), w.Close()); err != nil {
@@ -51,11 +51,13 @@ func TestWALAppendPageWritesTheSameBytes(t *testing.T) {
 		return b
 	}
 	joined := write(func(w *WAL, id rtree.PageID, img []byte) error {
-		return w.Append(WALPage, PageRecordPayload(id, img))
+		return w.appendRecord(WALPage, pageRecordPayload(id, PageRecord{byte(id)}, img), nil)
 	})
-	inPlace := write((*WAL).AppendPage)
+	inPlace := write(func(w *WAL, id rtree.PageID, img []byte) error {
+		return w.AppendPage(id, PageRecord{byte(id)}, img)
+	})
 	if !bytes.Equal(joined, inPlace) {
-		t.Fatalf("AppendPage wrote %d bytes that differ from Append's %d", len(inPlace), len(joined))
+		t.Fatalf("AppendPage wrote %d bytes that differ from the joined payload's %d", len(inPlace), len(joined))
 	}
 }
 
@@ -80,7 +82,7 @@ func TestDurableStoreEncodesDirtyPageOnceAtCommit(t *testing.T) {
 	if err := ds.VerifyShadow(); err != nil {
 		t.Errorf("VerifyShadow with a dirty page: %v", err)
 	}
-	if err := ds.Commit(n.ID, 5); err != nil {
+	if err := ds.Commit(n.ID, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters.WALAppends.Load(); got != 2 {
@@ -97,7 +99,7 @@ func TestDurableStoreEncodesDirtyPageOnceAtCommit(t *testing.T) {
 		t.Error(err)
 	}
 	// Nothing dirty: the next Commit logs its commit record alone.
-	if err := ds.Commit(n.ID, 5); err != nil {
+	if err := ds.Commit(n.ID, 5, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters.WALAppends.Load(); got != 3 {
@@ -132,7 +134,7 @@ func TestDurableStoreCommitReportsEncodeError(t *testing.T) {
 	n := ds.Allocate(0)
 	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1)) // 3-d in a 2-d store
 	ds.Update(n)
-	if err := ds.Commit(n.ID, 1); err == nil {
+	if err := ds.Commit(n.ID, 1, nil, nil); err == nil {
 		t.Fatal("Commit encoded a 3-d entry into a 2-d page")
 	}
 	if got := counters.WALAppends.Load(); got != 0 {

@@ -25,7 +25,7 @@ func committed(t *testing.T, rects ...geom.Rect) (*DurableStore, []rtree.PageID)
 		ds.Update(n)
 		ids[i] = n.ID
 	}
-	if err := ds.Commit(ids[0], len(ids)); err != nil {
+	if err := ds.Commit(ids[0], len(ids), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return ds, ids
@@ -96,7 +96,7 @@ func TestVerifyShadowBitwise(t *testing.T) {
 	n := ds.Get(ids[0])
 	n.Entries[0].Rect.Hi[0] = 0
 	ds.Update(n)
-	if err := ds.Commit(n.ID, 1); err != nil {
+	if err := ds.Commit(n.ID, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ds.mu.Lock()

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"sync"
 
 	"repro/internal/obs"
@@ -25,7 +24,7 @@ import (
 //
 //	header (12 bytes):
 //	  offset 0  4 bytes  magic "SQWL"
-//	  offset 4  uint8    version (1)
+//	  offset 4  uint8    version (2; a version-1 log is refused)
 //	  offset 5  3 bytes  reserved (zero)
 //	  offset 8  uint32   page size
 //	records, back to back; each record is
@@ -38,13 +37,15 @@ import (
 //
 // Payloads:
 //
-//	WALPage:   uint64 page id + the encoded page image (PageSize bytes)
+//	WALPage:   uint64 page id + the page's record (PageRecordSize bytes)
+//	           + the encoded page image (PageSize bytes)
 //	WALFree:   uint64 page id
 //	WALCommit: uint64 root page id + uint64 object count + uint64 next id
+//	           + the commit's state record (the rest of the payload)
 var walMagic = [4]byte{'S', 'Q', 'W', 'L'}
 
 const (
-	walVersion    = 1
+	walVersion    = 2
 	walHeaderSize = 12
 	walRecHeader  = 16
 	walRecTrailer = 4
@@ -124,30 +125,6 @@ func DecodeWALRecord(buf []byte) (WALRecord, int, error) {
 	return rec, total, nil
 }
 
-// PageRecordPayload builds a WALPage payload.
-func PageRecordPayload(id rtree.PageID, image []byte) []byte {
-	p := make([]byte, 8+len(image))
-	binary.LittleEndian.PutUint64(p, uint64(id))
-	copy(p[8:], image)
-	return p
-}
-
-// FreeRecordPayload builds a WALFree payload.
-func FreeRecordPayload(id rtree.PageID) []byte {
-	p := make([]byte, 8)
-	binary.LittleEndian.PutUint64(p, uint64(id))
-	return p
-}
-
-// CommitRecordPayload builds a WALCommit payload.
-func CommitRecordPayload(root rtree.PageID, size int, nextID rtree.PageID) []byte {
-	p := make([]byte, 24)
-	binary.LittleEndian.PutUint64(p[0:], uint64(root))
-	binary.LittleEndian.PutUint64(p[8:], uint64(size))
-	binary.LittleEndian.PutUint64(p[16:], uint64(nextID))
-	return p
-}
-
 // walEntry is a parsed record plus the file offset just past it, so
 // recovery can truncate the log back to any record boundary.
 type walEntry struct {
@@ -168,24 +145,10 @@ type WAL struct {
 	rec     []byte    // the record being written, reused by the next; guarded by mu
 }
 
-// openWAL opens (creating if absent) the log at path, scans it, and
-// discards any torn tail. The returned entries are the surviving whole
-// records in order; the DurableStore replays the committed prefix.
-func openWAL(path string, pageSize int, counters *obs.StorageCounters) (*WAL, []walEntry, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, entries, err := newWAL(osBlockFile{f: f}, pageSize, counters)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return w, entries, nil
-}
-
-// newWAL builds a WAL over an arbitrary block file (the crash-test
-// seam) and performs the open-time scan.
+// newWAL builds a WAL over a block file and performs the open-time
+// scan: the returned entries are the surviving whole records in order,
+// any torn tail discarded; the DurableStore replays the committed
+// prefix.
 func newWAL(f BlockFile, pageSize int, counters *obs.StorageCounters) (*WAL, []walEntry, error) {
 	w := &WAL{counters: counters, pageSize: pageSize, f: f}
 	// Open-time: not shared yet, locked anyway for a uniform discipline.
@@ -276,23 +239,37 @@ func (w *WAL) resetFileLocked() error {
 	return nil
 }
 
-// Append writes one record (assigning it the next LSN) without
-// syncing. Durability requires a following Sync — the commit protocol
-// appends the whole batch, then syncs once.
-func (w *WAL) Append(typ byte, payload []byte) error {
-	return w.appendRecord(typ, payload, nil)
+// AppendPage appends the WALPage record of a page image, assigning it
+// the next LSN, without syncing: durability requires a following Sync —
+// the commit protocol appends the whole batch, then syncs once. Header,
+// page id, record, image and checksum are put together in the log's own
+// buffer, the image copied once.
+func (w *WAL) AppendPage(id rtree.PageID, rec PageRecord, image []byte) error {
+	var head [8 + PageRecordSize]byte
+	binary.LittleEndian.PutUint64(head[:], uint64(id))
+	copy(head[8:], rec[:])
+	return w.appendRecord(WALPage, head[:], image)
 }
 
-// AppendPage is Append of the WALPage record for a page image: header,
-// page id, image and checksum are put together in the log's own buffer,
-// the image copied once.
-func (w *WAL) AppendPage(id rtree.PageID, image []byte) error {
-	var idBytes [8]byte
-	binary.LittleEndian.PutUint64(idBytes[:], uint64(id))
-	return w.appendRecord(WALPage, idBytes[:], image)
+// appendFree appends the WALFree record of a page.
+func (w *WAL) appendFree(id rtree.PageID) error {
+	var head [8]byte
+	binary.LittleEndian.PutUint64(head[:], uint64(id))
+	return w.appendRecord(WALFree, head[:], nil)
 }
 
-// appendRecord writes one record whose payload is head then tail.
+// appendCommit appends a commit record: the tree metadata, then the
+// commit's state record.
+func (w *WAL) appendCommit(root rtree.PageID, size int, nextID rtree.PageID, state []byte) error {
+	var head [24]byte
+	binary.LittleEndian.PutUint64(head[0:], uint64(root))
+	binary.LittleEndian.PutUint64(head[8:], uint64(size))
+	binary.LittleEndian.PutUint64(head[16:], uint64(nextID))
+	return w.appendRecord(WALCommit, head[:], state)
+}
+
+// appendRecord writes one record whose payload is head then tail: the
+// one append of every record type.
 func (w *WAL) appendRecord(typ byte, head, tail []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,42 @@ import (
 	"repro/internal/rtree"
 )
 
+// pageRecordPayload builds a WALPage payload.
+func pageRecordPayload(id rtree.PageID, rec PageRecord, image []byte) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, uint64(id))
+	p = append(p, rec[:]...)
+	return append(p, image...)
+}
+
+// freeRecordPayload builds a WALFree payload.
+func freeRecordPayload(id rtree.PageID) []byte {
+	return binary.LittleEndian.AppendUint64(nil, uint64(id))
+}
+
+// commitRecordPayload builds the payload of a WALCommit record without
+// a state record.
+func commitRecordPayload(root rtree.PageID, size int, nextID rtree.PageID) []byte {
+	p := binary.LittleEndian.AppendUint64(nil, uint64(root))
+	p = binary.LittleEndian.AppendUint64(p, uint64(size))
+	return binary.LittleEndian.AppendUint64(p, uint64(nextID))
+}
+
+// openWAL opens (creating if absent) the log at path, scans it, and
+// discards any torn tail. The returned entries are the surviving whole
+// records in order; the DurableStore replays the committed prefix.
+func openWAL(path string, pageSize int, counters *obs.StorageCounters) (*WAL, []walEntry, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	w, entries, err := newWAL(osBlockFile{f: f}, pageSize, counters)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return w, entries, nil
+}
+
 func walPath(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "wal.log")
@@ -16,9 +53,9 @@ func walPath(t *testing.T) string {
 
 func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []WALRecord{
-		{LSN: 1, Type: WALPage, Payload: PageRecordPayload(7, make([]byte, 512))},
-		{LSN: 2, Type: WALFree, Payload: FreeRecordPayload(9)},
-		{LSN: 3, Type: WALCommit, Payload: CommitRecordPayload(1, 42, 10)},
+		{LSN: 1, Type: WALPage, Payload: pageRecordPayload(7, PageRecord{}, make([]byte, 512))},
+		{LSN: 2, Type: WALFree, Payload: freeRecordPayload(9)},
+		{LSN: 3, Type: WALCommit, Payload: commitRecordPayload(1, 42, 10)},
 	}
 	var buf []byte
 	for _, r := range recs {
@@ -51,7 +88,7 @@ func TestWALAppendScanTornTail(t *testing.T) {
 		t.Fatalf("fresh WAL returned %d entries", len(entries))
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.Append(WALFree, FreeRecordPayload(rtree.PageID(i+1))); err != nil {
+		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,7 +120,7 @@ func TestWALAppendScanTornTail(t *testing.T) {
 			t.Fatalf("cut %d: %d entries, want %d", cut, len(entries), wantRecs)
 		}
 		// Appends after a torn tail must land on a record boundary.
-		if err := w2.Append(WALCommit, CommitRecordPayload(1, 1, 2)); err != nil {
+		if err := w2.appendRecord(WALCommit, commitRecordPayload(1, 1, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 		w2.Close()
@@ -105,7 +142,7 @@ func TestWALScanStopsAtCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.Append(WALFree, FreeRecordPayload(rtree.PageID(i+1))); err != nil {
+		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,14 +185,14 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.Append(WALFree, FreeRecordPayload(rtree.PageID(i+1))); err != nil {
+		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(WALCommit, CommitRecordPayload(0, 0, 1)); err != nil {
+	if err := w.appendRecord(WALCommit, commitRecordPayload(0, 0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

@@ -1,9 +1,10 @@
-package parallel
+package parallel_test
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/decluster"
 	"repro/internal/disk"
 	"repro/internal/geom"
+	"repro/internal/pagestore"
+	"repro/internal/parallel"
 	"repro/internal/rtree"
 )
 
@@ -23,9 +26,9 @@ import (
 
 // treeHash is SHA-256 over root, height, size and every page in walk
 // order: id, level, placement, then per entry the coordinate bits, the
-// sphere bits (SR mode), child, object and count. Unlike Snapshot it
-// also covers X-tree supernodes, which no page image holds.
-func treeHash(t *Tree) string {
+// sphere bits (SR mode), child, object and count. Unlike snapshotHash
+// it also covers X-tree supernodes, which no page image holds.
+func treeHash(t *parallel.Tree) string {
 	h := sha256.New()
 	var b [8]byte
 	u64 := func(v uint64) {
@@ -61,23 +64,94 @@ func treeHash(t *Tree) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-func snapshotHash(t *testing.T, tree *Tree) string {
+// snapshotHash is SHA-256 over the byte stream the snapshot format,
+// deleted when the durable directory began to keep placements, wrote
+// for tree: the reference its two goldens were recorded against.
+//
+//	magic "SQTR", version 1
+//	uint16 dim | uint16 numDisks | uint32 cylinders
+//	uint16 maxEntries | uint16 minEntries | uint8 spheres
+//	policy name (uint8 length + bytes)
+//	int64 seed | uint64 root page | uint32 object count | uint32 pages
+//	per page, in walk order: uint64 id | uint16 disk | uint32 cylinder |
+//	          uint32 encoded length | the page encoded at cfg.PageSize
+func snapshotHash(t *testing.T, tree *parallel.Tree) string {
 	t.Helper()
-	h := sha256.New()
-	if err := tree.Snapshot(h); err != nil {
-		t.Fatal(err)
+	cfg := tree.Config()
+	var nodes []*rtree.Node
+	tree.Walk(func(n *rtree.Node, _ int) bool {
+		nodes = append(nodes, n)
+		return true
+	})
+	b := []byte("SQTR\x01")
+	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.Dim))
+	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.NumDisks))
+	b = binary.LittleEndian.AppendUint32(b, uint32(cfg.Cylinders))
+	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.MaxEntries))
+	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.MinEntries))
+	b = append(b, 0)
+	if cfg.UseSpheres {
+		b[len(b)-1] = 1
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b = append(b, byte(len(cfg.Policy.Name())))
+	b = append(b, cfg.Policy.Name()...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(cfg.Seed))
+	b = binary.LittleEndian.AppendUint64(b, uint64(tree.Root()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(tree.Len()))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
+	codec := pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
+	for _, n := range nodes {
+		img, err := codec.Encode(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, _ := tree.Placement(n.ID)
+		b = binary.LittleEndian.AppendUint64(b, uint64(n.ID))
+		b = binary.LittleEndian.AppendUint16(b, uint16(pl.Disk))
+		b = binary.LittleEndian.AppendUint32(b, uint32(pl.Cylinder))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(img)))
+		b = append(b, img...)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
-func identityConfig(dim int) Config {
-	return Config{Dim: dim, NumDisks: 10, Cylinders: disk.HPC2200A().Cylinders,
+// reopened builds pts into a tree over a durable store in a fresh
+// directory, commits it, closes the store and returns the tree Open
+// restores from the directory.
+func reopened(t *testing.T, cfg parallel.Config, pts []geom.Point) *parallel.Tree {
+	t.Helper()
+	dir := t.TempDir()
+	codec := pagestore.Codec{Dim: cfg.Dim, PageSize: 4096, Spheres: cfg.UseSpheres}
+	ds, err := pagestore.OpenDurable(dir, codec, pagestore.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := cfg
+	built.Store = ds
+	tree := buildIdentityTree(t, built, pts)
+	if err := errors.Join(tree.Commit(ds), ds.Close()); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = pagestore.OpenDurable(dir, codec, pagestore.DurableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	tree, err = parallel.Open(cfg, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+func identityConfig(dim int) parallel.Config {
+	return parallel.Config{Dim: dim, NumDisks: 10, Cylinders: disk.HPC2200A().Cylinders,
 		Policy: decluster.ProximityIndex{}, Seed: 1}
 }
 
-func buildIdentityTree(t *testing.T, cfg Config, pts []geom.Point) *Tree {
+func buildIdentityTree(t *testing.T, cfg parallel.Config, pts []geom.Point) *parallel.Tree {
 	t.Helper()
-	tree, err := New(cfg)
+	tree, err := parallel.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +161,9 @@ func buildIdentityTree(t *testing.T, cfg Config, pts []geom.Point) *Tree {
 	return tree
 }
 
-// TestSnapshotIdentity pins the two hashes the benchmark's own builds
-// were measured to have at the parent commit.
+// TestSnapshotIdentity pins the two hashes recorded for the benchmark's
+// own builds, now of the tree a durable directory gives back: a reopen
+// restores every page and its placement.
 func TestSnapshotIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 8 000 + 12 000 points")
@@ -102,7 +177,7 @@ func TestSnapshotIdentity(t *testing.T) {
 		{"gaussian-8d", dataset.Gaussian(12000, 8, 1998), "12b5185ebe7f7cab22558988a3b400ebe03aa786610bfb5b889079186d380c36"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			tree := buildIdentityTree(t, identityConfig(len(c.pts[0])), c.pts)
+			tree := reopened(t, identityConfig(len(c.pts[0])), c.pts)
 			if got := snapshotHash(t, tree); got != c.want {
 				t.Errorf("Snapshot SHA-256 = %s, want %s", got, c.want)
 			}
@@ -145,16 +220,16 @@ func TestTreeIdentity(t *testing.T) {
 	}
 	modes := []struct {
 		name string
-		set  func(*Config)
+		set  func(*parallel.Config)
 	}{
-		{"rstar", func(*Config) {}},
-		{"sr", func(c *Config) { c.UseSpheres = true }},
+		{"rstar", func(*parallel.Config) {}},
+		{"sr", func(c *parallel.Config) { c.UseSpheres = true }},
 		// A small fanout and a strict ratio, so that directory nodes
 		// overflow at these sizes and the split-or-supernode rule refuses
 		// some splits and grants others.
-		{"x", func(c *Config) { c.MaxOverlapRatio, c.MaxEntries = 0.05, 8 }},
+		{"x", func(c *parallel.Config) { c.MaxOverlapRatio, c.MaxEntries = 0.05, 8 }},
 		// The other policy that reads sibling rectangles.
-		{"minoverlap", func(c *Config) { c.Policy = decluster.MinOverlap{} }},
+		{"minoverlap", func(c *parallel.Config) { c.Policy = decluster.MinOverlap{} }},
 	}
 	sets := []struct {
 		name string

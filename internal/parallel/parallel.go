@@ -86,8 +86,7 @@ func newShell(cfg Config) *Tree {
 		cfg:        cfg,
 		policy:     cfg.Policy,
 		state:      decluster.NewArrayState(cfg.NumDisks),
-		placements: make(map[rtree.PageID]Placement),
-		rects:      make(map[rtree.PageID]geom.Rect),
+		placements: make(map[rtree.PageID]placed),
 		rnd:        rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
@@ -98,9 +97,13 @@ type Tree struct {
 	cfg        Config
 	policy     decluster.Policy
 	state      *decluster.ArrayState
-	placements map[rtree.PageID]Placement
-	rects      map[rtree.PageID]geom.Rect // last known MBR per page, for state upkeep
+	placements map[rtree.PageID]placed
 	rnd        *rand.Rand
+	// created counts the pages ever placed: the cylinder stream, and the
+	// policies that keep a stream or a cursor, advanced once for each.
+	created uint64
+	// stateRec is the state record Commit encodes, reused.
+	stateRec []byte
 
 	// sibs and sibSlab are where NodeCreated hands the policy the
 	// siblings' MBRs: the tree has one writer, and no policy keeps them
@@ -109,10 +112,11 @@ type Tree struct {
 	sibSlab []float64
 }
 
-// newCylinderRand returns the generator stream used for uniform
-// cylinder assignment (shared by New and snapshot restore).
-func newCylinderRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// placed is a page's placement and the area its MBR had when it was
+// placed: what NodeFreed takes back from the disk's area.
+type placed struct {
+	Placement
+	area float64
 }
 
 // New builds an empty parallel R*-tree (over Config.Store when set).
@@ -130,48 +134,6 @@ func New(cfg Config) (*Tree, error) {
 	return pt, nil
 }
 
-// Adopt wraps an existing consistent tree — typically one recovered
-// from a pagestore.DurableStore — in the parallel layer. The store must
-// already hold the tree rooted at root with size data objects (the
-// contract of rtree.Restore). Placements are reassigned by replaying
-// the declustering policy over a deterministic parent-first walk, so an
-// adopted tree's page-to-disk map is reproducible but need not match
-// the map the original grow-time listener produced; query results are
-// placement-independent, which is what recovery parity tests rely on.
-func Adopt(cfg Config, store rtree.Store, root rtree.PageID, size int) (*Tree, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	base, err := rtree.Restore(cfg.rtreeConfig(), store, root, size)
-	if err != nil {
-		return nil, err
-	}
-	pt := newShell(cfg)
-	pt.Tree = base
-	// Replay the policy parent-first, children in entry order; each node
-	// is placed seeing its already-placed elder siblings, mirroring what
-	// the policy sees when a split reports new siblings.
-	var place func(id rtree.PageID, elder []rtree.PageID)
-	place = func(id rtree.PageID, elder []rtree.PageID) {
-		n := store.Get(id)
-		pt.NodeCreated(n, elder)
-		if n.IsLeaf() {
-			return
-		}
-		placed := make([]rtree.PageID, 0, len(n.Entries))
-		for _, e := range n.Entries {
-			place(e.Child, placed)
-			placed = append(placed, e.Child)
-		}
-	}
-	place(root, nil)
-	base.SetListener(pt) // re-reports the root; NodeCreated skips placed pages
-	if err := pt.CheckPlacements(); err != nil {
-		return nil, err
-	}
-	return pt, nil
-}
-
 // Config returns the array configuration.
 func (t *Tree) Config() Config { return t.cfg }
 
@@ -181,7 +143,7 @@ func (t *Tree) NumDisks() int { return t.cfg.NumDisks }
 // Placement returns the disk/cylinder of a page.
 func (t *Tree) Placement(id rtree.PageID) (Placement, bool) {
 	p, ok := t.placements[id]
-	return p, ok
+	return p.Placement, ok
 }
 
 // PagesPerDisk returns a copy of the per-disk live page counts.
@@ -234,11 +196,11 @@ func (t *Tree) NodeCreated(n *rtree.Node, siblingIDs []rtree.PageID) {
 	if d < 0 || d >= t.cfg.NumDisks {
 		panic(fmt.Sprintf("parallel: policy %s returned disk %d of %d", t.policy.Name(), d, t.cfg.NumDisks))
 	}
-	pl := Placement{Disk: d, Cylinder: t.rnd.Intn(t.cfg.Cylinders)}
-	t.placements[n.ID] = pl
-	t.rects[n.ID] = mbr
+	area := mbr.Area()
+	t.placements[n.ID] = placed{Placement{Disk: d, Cylinder: t.rnd.Intn(t.cfg.Cylinders)}, area}
+	t.created++
 	t.state.PagesPerDisk[d]++
-	t.state.AreaPerDisk[d] += mbr.Area()
+	t.state.AreaPerDisk[d] += area
 	if t.state.HasSpace {
 		t.state.Space.UnionInPlace(mbr)
 	} else {
@@ -254,11 +216,8 @@ func (t *Tree) NodeFreed(id rtree.PageID) {
 		return
 	}
 	t.state.PagesPerDisk[pl.Disk]--
-	if r, ok := t.rects[id]; ok {
-		t.state.AreaPerDisk[pl.Disk] -= r.Area()
-	}
+	t.state.AreaPerDisk[pl.Disk] -= pl.area
 	delete(t.placements, id)
-	delete(t.rects, id)
 }
 
 // RootChanged implements rtree.Listener.

@@ -32,11 +32,12 @@ func fillAtPageFanout(t *testing.T, c pagestore.Codec, n int) {
 	if tr.Height() < 2 {
 		t.Fatalf("dim %d spheres %v: %d points never split a node of %d", c.Dim, c.Spheres, n, c.Capacity())
 	}
-	for _, id := range st.IDs() {
-		if _, err := c.Encode(st.Get(id)); err != nil {
+	tr.Walk(func(n *rtree.Node, _ int) bool {
+		if _, err := c.Encode(n); err != nil {
 			t.Errorf("dim %d spheres %v: %v", c.Dim, c.Spheres, err)
 		}
-	}
+		return true
+	})
 }
 
 // TestCapacityForPage checks that the fanout a 4 KiB page gives is one

@@ -14,7 +14,6 @@ package rtree
 
 import (
 	"fmt"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -240,25 +239,3 @@ func (s *MemStore) Free(id PageID) { delete(s.nodes, id) }
 
 // Len implements Store.
 func (s *MemStore) Len() int { return len(s.nodes) }
-
-// Inject installs a fully-formed node under its own ID — used when
-// rebuilding a store from a snapshot. It panics on duplicate IDs.
-func (s *MemStore) Inject(n *Node) {
-	if _, dup := s.nodes[n.ID]; dup {
-		panic(fmt.Sprintf("rtree: Inject: duplicate page %d", n.ID))
-	}
-	s.nodes[n.ID] = n
-}
-
-// SetNextID sets the allocation cursor (snapshot restore only).
-func (s *MemStore) SetNextID(id PageID) { s.nextID = id }
-
-// IDs returns all live page IDs in ascending order (test helper).
-func (s *MemStore) IDs() []PageID {
-	ids := make([]PageID, 0, len(s.nodes))
-	for id := range s.nodes {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}

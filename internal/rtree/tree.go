@@ -276,9 +276,6 @@ func (t *Tree) SetListener(l Listener) {
 	l.RootChanged(t.root)
 }
 
-// Config returns the tree's effective configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Root returns the root page ID.
 func (t *Tree) Root() PageID { return t.root }
 

@@ -47,11 +47,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("accepted reinsert fraction 0.9")
 	}
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 10})
-	if tr.Config().MinEntries != 4 {
-		t.Errorf("default min = %d, want 4 (40%% of 10)", tr.Config().MinEntries)
+	if tr.cfg.MinEntries != 4 {
+		t.Errorf("default min = %d, want 4 (40%% of 10)", tr.cfg.MinEntries)
 	}
-	if tr.Config().ReinsertFraction != 0.3 {
-		t.Errorf("default reinsert fraction = %g", tr.Config().ReinsertFraction)
+	if tr.cfg.ReinsertFraction != 0.3 {
+		t.Errorf("default reinsert fraction = %g", tr.cfg.ReinsertFraction)
 	}
 }
 
@@ -459,7 +459,7 @@ func TestListenerSeesEveryPage(t *testing.T) {
 	}
 	// Every live page must have been reported created.
 	ms := tr.Store().(*MemStore)
-	for _, id := range ms.IDs() {
+	for id := range ms.nodes {
 		if _, ok := rec.created[id]; !ok {
 			t.Errorf("page %d never reported to listener", id)
 		}

@@ -17,7 +17,7 @@ func xTree(t *testing.T, dim, maxEntries int) *Tree {
 }
 
 func countSupernodes(tr *Tree) (supers, maxPages int) {
-	cap := tr.Config().MaxEntries
+	cap := tr.cfg.MaxEntries
 	tr.Walk(func(n *Node, _ int) bool {
 		if p := n.Pages(cap); p > 1 {
 			supers++
@@ -53,7 +53,7 @@ func TestXTreeFormsSupernodesInHighDim(t *testing.T) {
 	t.Logf("supernodes: %d (largest %d pages)", supers, maxPages)
 	// Leaves never become supernodes.
 	tr.Walk(func(n *Node, _ int) bool {
-		if n.IsLeaf() && len(n.Entries) > tr.Config().MaxEntries {
+		if n.IsLeaf() && len(n.Entries) > tr.cfg.MaxEntries {
 			t.Errorf("leaf %d oversized", n.ID)
 		}
 		return true
