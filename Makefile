@@ -68,7 +68,8 @@ bench:
 ## scalar reference, candidate filtering, end-to-end k-NN pages/query,
 ## concurrent engine vs sequential driver queries/sec, the engine's miss
 ## path on file-backed replicas, page decoding, and the write path: one
-## R*-tree insertion in 2-d and 10-d, one durable batch of 45 inserts,
+## R*-tree insertion in 2-d and 10-d, one insertion into knn-file's
+## declustered 8-d tree, one durable batch of 45 inserts,
 ## 5 deletes and a Commit — on a bare R*-tree and on a core.Index, and
 ## one POST /v1/knn through the server's handler over a real engine,
 ## and exec.New over the 8-d miss-path tree in memory and file mode with
@@ -85,11 +86,12 @@ BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
 BENCH_JSON_NEW_TIME ?= 20x
-# The baseline report also carries the parent commit's engine-build rows
-# as `…/at=parent-8250bf4`; bench-check lists them as missing from a new
-# report (informational) until the baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-16-pr32.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDurableIngest|BenchmarkServerKNN'
+# The baseline report also carries the parent commit's insertion rows
+# as `…/at=parent-d4169df`, measured alternately with the change's own;
+# bench-check lists them as missing from a new report (informational)
+# until the baseline moves on.
+BENCH_BASELINE   ?= BENCH_2026-10-17-pr35.json
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN'
 BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson

@@ -242,6 +242,25 @@ func BenchmarkRStarInsert10D(b *testing.B) {
 	}
 }
 
+// BenchmarkDeclusteredInsert8D is one insertion into the tree the
+// knn-file workload builds: 8-d Gaussian points into a parallel R*-tree
+// over 10 disks under the proximity-index policy. Unlike the RStarInsert
+// benchmarks it runs the declustering listener on every split.
+func BenchmarkDeclusteredInsert8D(b *testing.B) {
+	pts := dataset.Gaussian(b.N, 8, 1998)
+	tr, err := parallel.New(parallel.Config{
+		Dim: 8, NumDisks: 10, Cylinders: disk.HPC2200A().Cylinders,
+		Policy: decluster.ProximityIndex{}, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = tr.InsertPoint(pts[i], rtree.ObjectID(i))
+	}
+}
+
 // knnTree builds a shared tree for the per-algorithm k-NN benches.
 var knnTreeOnce sync.Once
 var knnTree *parallel.Tree

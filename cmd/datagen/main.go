@@ -32,6 +32,12 @@ func main() {
 		stats = flag.Bool("stats", false, "print summary statistics")
 	)
 	flag.Parse()
+	if *n < 0 {
+		log.Fatalf("-n %d: a population cannot be negative", *n)
+	}
+	if *dim < 1 {
+		log.Fatalf("-dim %d: a point needs at least one dimension", *dim)
+	}
 
 	count := *n
 	if count == 0 && *set != "california" && *set != "cp" && *set != "longbeach" && *set != "lb" {

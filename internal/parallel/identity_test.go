@@ -295,3 +295,41 @@ func TestTreeIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestPackedTreeIdentity pins STR-packed trees, whose pages are placed
+// against the trailing window of pages made before them on their level
+// rather than against a parent's entries. Recorded at d4169df, when
+// NodeCreated still read every sibling back from the store.
+func TestPackedTreeIdentity(t *testing.T) {
+	want := map[string]string{
+		"rstar/california-2d":      "6ca2e7b79b354c3a3f3644b2fe2351c87a21d87db7746413bc24abe9741e3c15",
+		"rstar/gaussian-8d":        "e9c2d40eb8ff821a641f18090cf8f6d874db79326eb1a82bc7e183e8f0ea616d",
+		"sr/gaussian-8d":           "ebac734cb915aa84e388914c4d181fca0ebe06afe7fb1bed11bb6119f12f38bf",
+		"minoverlap/california-2d": "4afb75407c96e0906033b1c61b4ca00b2bc4bdc676d2e1c46782d0b1a68d4d9e",
+	}
+	for name, c := range map[string]struct {
+		set func(*parallel.Config)
+		pts []geom.Point
+	}{
+		"rstar/california-2d":      {func(*parallel.Config) {}, dataset.CaliforniaLike(3000, 1998)},
+		"rstar/gaussian-8d":        {func(*parallel.Config) {}, dataset.Gaussian(2500, 8, 1998)},
+		"sr/gaussian-8d":           {func(c *parallel.Config) { c.UseSpheres = true }, dataset.Gaussian(2500, 8, 1998)},
+		"minoverlap/california-2d": {func(c *parallel.Config) { c.Policy = decluster.MinOverlap{} }, dataset.CaliforniaLike(3000, 1998)},
+	} {
+		cfg := identityConfig(len(c.pts[0]))
+		c.set(&cfg)
+		tree, err := parallel.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.BuildPointsPacked(c.pts); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.CheckPlacements(); err != nil {
+			t.Fatal(err)
+		}
+		if got := treeHash(tree); got != want[name] {
+			t.Errorf("%s: tree hash %s, want %s", name, got, want[name])
+		}
+	}
+}

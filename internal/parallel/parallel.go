@@ -105,11 +105,9 @@ type Tree struct {
 	// stateRec is the state record Commit encodes, reused.
 	stateRec []byte
 
-	// sibs and sibSlab are where NodeCreated hands the policy the
-	// siblings' MBRs: the tree has one writer, and no policy keeps them
-	// past Assign.
-	sibs    []decluster.Sibling
-	sibSlab []float64
+	// sibs is where NodeCreated hands the policy the siblings: the tree
+	// has one writer, and no policy keeps them past Assign.
+	sibs []decluster.Sibling
 }
 
 // placed is a page's placement and the area its MBR had when it was
@@ -157,38 +155,22 @@ func (t *Tree) PagesPerDisk() []int {
 // record the placement. The cylinder is drawn uniformly (paper §4.1:
 // "each newly generated node ... is assigned a cylinder value with
 // respect to the uniform distribution").
-func (t *Tree) NodeCreated(n *rtree.Node, siblingIDs []rtree.PageID) {
+func (t *Tree) NodeCreated(n *rtree.Node, mbr geom.Rect, siblings []rtree.Entry) {
 	if _, ok := t.placements[n.ID]; ok {
 		return // e.g. root re-reported by SetListener
 	}
-	var mbr geom.Rect
-	if len(n.Entries) > 0 {
-		mbr = n.MBR()
-	} else {
+	if len(mbr.Lo) == 0 {
 		// Fresh empty root: a degenerate rect at the origin of the
 		// configured dimensionality.
-		z := make(geom.Point, t.cfg.Dim)
-		mbr = geom.PointRect(z)
+		mbr = geom.PointRect(make(geom.Point, t.cfg.Dim))
 	}
-	// Sibling MBRs are read live from the store — a sibling's extent may
-	// have grown since it was placed, and the policy should see current
-	// geometry.
-	dim := t.cfg.Dim
-	if cap(t.sibs) < len(siblingIDs) {
-		t.sibs = make([]decluster.Sibling, 0, len(siblingIDs))
-		t.sibSlab = make([]float64, 2*dim*len(siblingIDs))
-	}
-	sibs, slab := t.sibs[:0], t.sibSlab
-	for _, id := range siblingIDs {
-		if pl, ok := t.placements[id]; ok {
-			sib := t.Store().Get(id)
-			if len(sib.Entries) == 0 {
-				continue
-			}
-			r := geom.Rect{Lo: slab[:dim:dim], Hi: slab[dim : 2*dim : 2*dim]}
-			slab = slab[2*dim:]
-			sib.MBRInto(r)
-			sibs = append(sibs, decluster.Sibling{Page: id, Rect: r, Disk: pl.Disk})
+	// The siblings' rectangles are their current covers: a sibling's
+	// extent may have grown since it was placed, and the policy should
+	// see current geometry.
+	sibs := t.sibs[:0]
+	for _, e := range siblings {
+		if pl, ok := t.placements[e.Child]; ok {
+			sibs = append(sibs, decluster.Sibling{Page: e.Child, Rect: e.Rect, Disk: pl.Disk})
 		}
 	}
 	t.sibs = sibs

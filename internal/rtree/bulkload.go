@@ -52,7 +52,7 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 			// and node entry slices must be independently growable.
 			root.Entries = append([]Entry(nil), entries...)
 			t.store.Update(root)
-			t.listener.NodeCreated(root, nil)
+			t.listener.NodeCreated(root, t.coverOf(root), nil)
 			// Release the placeholder root the constructor made.
 			t.store.Free(oldRoot)
 			t.listener.NodeFreed(oldRoot)
@@ -65,7 +65,6 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 		groups := strTile(entries, t.cfg.MaxEntries, t.cfg.Dim, 0)
 		groups = fixMinFill(groups, t.cfg.MinEntries, t.cfg.MaxEntries)
 		next := make([]Entry, 0, len(groups))
-		var recent []PageID // spatially adjacent predecessors, for placement
 		for _, g := range groups {
 			n := t.store.Allocate(level)
 			n.Entries = append([]Entry(nil), g...)
@@ -73,13 +72,9 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 			// Report with the trailing window of same-level pages as
 			// siblings: under STR those are the spatial neighbors a
 			// declustering policy wants to scatter.
-			sibs := recent
-			if len(sibs) > 16 {
-				sibs = sibs[len(sibs)-16:]
-			}
-			t.listener.NodeCreated(n, append([]PageID(nil), sibs...))
-			recent = append(recent, n.ID)
-			next = append(next, t.entryFor(n))
+			e := t.entryFor(n)
+			t.listener.NodeCreated(n, e.Rect, next[max(0, len(next)-16):])
+			next = append(next, e)
 		}
 		entries = next
 		level++

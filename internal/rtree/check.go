@@ -9,7 +9,8 @@ import (
 // CheckInvariants validates the structural invariants of the tree and
 // returns the first violation found, or nil. It verifies:
 //
-//  1. every parent entry's MBR equals the exact cover of its child,
+//  1. every parent entry's MBR equals the exact cover of its child bit
+//     for bit (−0 and +0 differ, as they do in the page image),
 //  2. every parent entry's Count equals the child's subtree object count
 //     (the SIGMOD'98 modification this reproduction depends on),
 //  3. all leaves sit at level 0 and depth is uniform (height balance),
@@ -108,8 +109,8 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (int, error) {
 		if child.Level != n.Level-1 {
 			return 0, fmt.Errorf("node %d entry %d: child level %d, want %d", n.ID, i, child.Level, n.Level-1)
 		}
-		if !e.Rect.Equal(child.MBR()) {
-			return 0, fmt.Errorf("node %d entry %d: stale MBR %v vs child cover %v", n.ID, i, e.Rect, child.MBR())
+		if mbr := child.MBR(); !sameBits(e.Rect.Lo, mbr.Lo) || !sameBits(e.Rect.Hi, mbr.Hi) {
+			return 0, fmt.Errorf("node %d entry %d: stale MBR %v vs child cover %v", n.ID, i, e.Rect, mbr)
 		}
 		cc, err := t.checkNode(child, false)
 		if err != nil {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,6 +55,37 @@ func TestCheckInvariantsDetectsStaleMBR(t *testing.T) {
 	if !strings.Contains(err.Error(), "stale MBR") {
 		t.Fatalf("wrong violation reported: %v", err)
 	}
+}
+
+// TestCheckInvariantsDetectsSignedZeroMBR flips one +0 corner of a
+// directory entry to −0: numerically the same cover, but not the bytes
+// the page image and the identity hashes hold.
+func TestCheckInvariantsDetectsSignedZeroMBR(t *testing.T) {
+	tr := buildCorruptible(t)
+	root := rootNode(t, tr)
+	for i := range root.Entries {
+		r := root.Entries[i].Rect
+		for a, v := range r.Lo {
+			if v != 0 || math.Signbit(v) {
+				continue
+			}
+			flipped := r.Clone()
+			flipped.Lo[a] = math.Copysign(0, -1)
+			if !flipped.Equal(r) {
+				t.Fatal("−0 and +0 compare unequal: the case this test is for cannot arise")
+			}
+			root.Entries[i].Rect = flipped
+			err := tr.CheckInvariants()
+			if err == nil {
+				t.Fatal("CheckInvariants accepted a cover that differs from its child's in the sign of a zero")
+			}
+			if !strings.Contains(err.Error(), "stale MBR") {
+				t.Fatalf("wrong violation reported: %v", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no root entry has a +0 corner to flip")
 }
 
 // TestCheckInvariantsDetectsWrongCount breaks the SIGMOD'98 subtree

@@ -10,9 +10,26 @@ import (
 // level (Guttman's CondenseTree), and the root is collapsed when it is
 // internal with a single child.
 func (t *Tree) Delete(r geom.Rect, obj ObjectID) bool {
+	orphans, ok := t.remove(r, obj)
+	if !ok {
+		return false
+	}
+	// Reinsert orphans, deepest level first so subtree entries find
+	// parents at the right height.
+	for _, o := range orphans {
+		t.insertTopLevel(o.e, o.level)
+	}
+	t.collapseRoot()
+	return true
+}
+
+// remove takes the (r, obj) entry out of its leaf and condenses the
+// path, returning the entries of the nodes it dissolved; false when no
+// such entry exists.
+func (t *Tree) remove(r geom.Rect, obj ObjectID) ([]pendingReinsert, bool) {
 	leafID, path := t.findLeaf(t.store.Get(t.root), r, obj, t.w.path[:0])
 	if leafID == NilPage {
-		return false
+		return nil, false
 	}
 	t.w.path = path[:0] // keep the backing for the next Delete; condense only reads path
 	leaf := t.store.Get(leafID)
@@ -24,8 +41,7 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) bool {
 		}
 	}
 	t.size--
-	t.condense(path)
-	return true
+	return t.condense(path), true
 }
 
 // DeletePoint removes a point object.
@@ -56,13 +72,11 @@ func (t *Tree) findLeaf(n *Node, r geom.Rect, obj ObjectID, path []PageID) (Page
 }
 
 // condense walks the deletion path bottom-up: underfull non-root nodes
-// are removed and their entries queued for reinsertion; surviving nodes
-// get their parent entry's MBR and count refreshed. Finally the queued
-// entries are reinserted at their original levels and a degenerate root
-// is collapsed.
-func (t *Tree) condense(path []PageID) {
+// are removed and their entries returned for reinsertion at their
+// levels; surviving nodes get their parent entry's MBR and count
+// refreshed.
+func (t *Tree) condense(path []PageID) []pendingReinsert {
 	var orphans []pendingReinsert
-
 	for i := len(path) - 1; i >= 1; i-- {
 		n := t.store.Get(path[i])
 		parent := t.store.Get(path[i-1])
@@ -85,14 +99,11 @@ func (t *Tree) condense(path []PageID) {
 		}
 		t.store.Update(parent)
 	}
+	return orphans
+}
 
-	// Reinsert orphans, deepest level first so subtree entries find
-	// parents at the right height.
-	for _, o := range orphans {
-		t.insertTopLevel(o.e, o.level)
-	}
-
-	// Collapse a root that is internal with exactly one child.
+// collapseRoot collapses a root that is internal with exactly one child.
+func (t *Tree) collapseRoot() {
 	for {
 		root := t.store.Get(t.root)
 		if root.IsLeaf() || len(root.Entries) != 1 {

@@ -1,6 +1,9 @@
 package rtree
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"sort"
@@ -511,6 +514,251 @@ func TestInsertMatchesOracleBuild(t *testing.T) {
 			if err := tr.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+}
+
+// The insert path's reference: Insert as it ran before growEntry, every
+// ancestor entry recomputed from its child at every level of every
+// insert, and Delete with its orphans reinserted the same way. The
+// oracle's trees have no listener. Insert and Delete must build the
+// oracle's tree bit for bit.
+
+func oracleInsert(t *Tree, r geom.Rect, obj ObjectID) error {
+	if err := t.checkRect(r); err != nil {
+		return err
+	}
+	e := LeafEntry(copyRect(r), obj)
+	if t.cfg.UseSpheres {
+		c := e.Rect.Center()
+		e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(e.Rect.Hi)}
+	}
+	oracleInsertTopLevel(t, e, 0)
+	t.size++
+	return nil
+}
+
+func oracleInsertTopLevel(t *Tree, e Entry, level int) {
+	clear(t.reinserted)
+	oracleInsertEntry(t, e, level)
+	for t.pendingHead < len(t.pending) {
+		pr := t.pending[t.pendingHead]
+		t.pendingHead++
+		oracleInsertEntry(t, pr.e, pr.level)
+	}
+	clear(t.pending)
+	t.pending, t.pendingHead = t.pending[:0], 0
+}
+
+func oracleInsertEntry(t *Tree, e Entry, level int) {
+	if splitEntry := oracleInsertAt(t, t.store.Get(t.root), e, level); splitEntry != nil {
+		oldRoot := t.store.Get(t.root)
+		newRoot := t.store.Allocate(oldRoot.Level + 1)
+		newRoot.Entries = append(newRoot.Entries, t.entryFor(oldRoot), *splitEntry)
+		t.store.Update(newRoot)
+		t.root = newRoot.ID
+		t.height++
+	}
+}
+
+func oracleInsertAt(t *Tree, n *Node, e Entry, level int) *Entry {
+	if n.Level == level {
+		n.Entries = append(n.Entries, e)
+		if len(n.Entries) > t.cfg.MaxEntries {
+			return t.overflowTreatment(n)
+		}
+		t.store.Update(n)
+		return nil
+	}
+	idx := t.chooseSubtree(n, e)
+	child := t.store.Get(n.Entries[idx].Child)
+	splitEntry := oracleInsertAt(t, child, e, level)
+	t.refreshEntry(&n.Entries[idx], child)
+	if splitEntry != nil {
+		n.Entries = append(n.Entries, *splitEntry)
+		if len(n.Entries) > t.cfg.MaxEntries {
+			return t.overflowTreatment(n)
+		}
+	}
+	t.store.Update(n)
+	return nil
+}
+
+func oracleDelete(t *Tree, r geom.Rect, obj ObjectID) bool {
+	orphans, ok := t.remove(r, obj)
+	if !ok {
+		return false
+	}
+	for _, o := range orphans {
+		oracleInsertTopLevel(t, o.e, o.level)
+	}
+	t.collapseRoot()
+	return true
+}
+
+// treeHashSeed makes treeHash values comparable within one test run.
+var treeHashSeed = maphash.MakeSeed()
+
+// treeHash hashes root, height, size and every page in walk order: id,
+// level, then per entry the coordinate bits, the sphere bits, child,
+// object and count.
+func treeHash(t *Tree) uint64 {
+	var h maphash.Hash
+	h.SetSeed(treeHashSeed)
+	var b []byte
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	floats := func(p geom.Point) {
+		for _, v := range p {
+			u64(math.Float64bits(v))
+		}
+	}
+	u64(uint64(t.root))
+	u64(uint64(t.height))
+	u64(uint64(t.size))
+	t.Walk(func(n *Node, _ int) bool {
+		u64(uint64(n.ID))
+		u64(uint64(n.Level))
+		u64(uint64(len(n.Entries)))
+		for _, e := range n.Entries {
+			floats(e.Rect.Lo)
+			floats(e.Rect.Hi)
+			floats(e.Sphere.Center)
+			u64(math.Float64bits(e.Sphere.Radius))
+			u64(uint64(e.Child))
+			u64(uint64(e.Object))
+			u64(uint64(e.Count))
+		}
+		h.Write(b)
+		b = b[:0]
+		return true
+	})
+	h.Write(b)
+	return h.Sum64()
+}
+
+// zeroTieOnPath reports whether the insert of e would meet an entry on
+// its descent whose rectangle ties one of e's coordinates as a zero of
+// the other sign: where growEntry recomputes the cover, if nothing on
+// the way splits or reinserts.
+func zeroTieOnPath(t *Tree, e Entry) bool {
+	for n := t.store.Get(t.root); n.Level > 0; {
+		pe := n.Entries[t.chooseSubtree(n, e)]
+		for a := range e.Rect.Lo {
+			if zeroTie(e.Rect.Lo[a], pe.Rect.Lo[a]) || zeroTie(e.Rect.Hi[a], pe.Rect.Hi[a]) {
+				return true
+			}
+		}
+		n = t.store.Get(pe.Child)
+	}
+	return false
+}
+
+// TestInsertMatchesRefreshOracle runs the same script of inserts and
+// deletes on a tree and on the oracle and compares the two trees after
+// every operation. The signed-zero script puts −0 and +0 on the cover
+// boundaries, so that growEntry's fallback is taken — and the test
+// makes sure it was.
+func TestInsertMatchesRefreshOracle(t *testing.T) {
+	type op struct {
+		p   geom.Point
+		obj ObjectID
+		del bool
+	}
+	// gaussian8 inserts n 8-d Gaussian points (900, 300 with -short) and,
+	// from the n/3-th on, deletes the oldest live one after every second
+	// insert.
+	n := 900
+	if testing.Short() {
+		n = 300
+	}
+	gaussian8 := func() []op {
+		rnd := rand.New(rand.NewSource(35))
+		var ops []op
+		var pts []geom.Point
+		deleted := 0
+		for i := 0; i < n; i++ {
+			p := make(geom.Point, 8)
+			for a := range p {
+				p[a] = 0.5 + 0.15*rnd.NormFloat64()
+			}
+			pts = append(pts, p)
+			ops = append(ops, op{p: p, obj: ObjectID(i)})
+			if i >= n/3 && i%2 == 0 {
+				ops = append(ops, op{p: pts[deleted], obj: ObjectID(deleted), del: true})
+				deleted++
+			}
+		}
+		return ops
+	}
+	// signedZeros inserts 600 2-d points from the grid {±0, 1, 2, 3}²
+	// (each zero's sign drawn) and deletes a random live one after every
+	// fifth insert.
+	signedZeros := func() []op {
+		rnd := rand.New(rand.NewSource(36))
+		var ops []op
+		var live []op
+		for i := 0; i < 600; i++ {
+			p := geom.Point{float64(rnd.Intn(4)), float64(rnd.Intn(4))}
+			for a := range p {
+				if p[a] == 0 && rnd.Intn(2) == 0 {
+					p[a] = math.Copysign(0, -1)
+				}
+			}
+			ins := op{p: p, obj: ObjectID(i)}
+			ops = append(ops, ins)
+			live = append(live, ins)
+			if i%5 == 4 {
+				j := rnd.Intn(len(live))
+				ops = append(ops, op{p: live[j].p, obj: live[j].obj, del: true})
+				live = append(live[:j], live[j+1:]...)
+			}
+		}
+		return ops
+	}
+	for _, script := range []struct {
+		name  string
+		dim   int
+		maxM  int
+		ops   []op
+		zeros bool
+	}{
+		{"gaussian-8d", 8, 12, gaussian8(), false},
+		{"signed-zeros-2d", 2, 5, signedZeros(), true},
+	} {
+		for _, mode := range oracleModes {
+			t.Run(script.name+"/"+mode.name, func(t *testing.T) {
+				cfg := Config{Dim: script.dim, MaxEntries: script.maxM}
+				mode.set(&cfg)
+				tr, oracle := mustTree(t, cfg), mustTree(t, cfg)
+				fallbacks := 0
+				for i, o := range script.ops {
+					r := geom.PointRect(o.p)
+					if o.del {
+						if tr.Delete(r, o.obj) != oracleDelete(oracle, r, o.obj) {
+							t.Fatalf("op %d: Delete and the oracle disagree on object %d", i, o.obj)
+						}
+					} else {
+						tie := !cfg.UseSpheres && zeroTieOnPath(tr, LeafEntry(r, o.obj))
+						restructures := tr.restructures
+						if err := errors.Join(tr.Insert(r, o.obj), oracleInsert(oracle, r, o.obj)); err != nil {
+							t.Fatal(err)
+						}
+						if tie && tr.restructures == restructures {
+							fallbacks++
+						}
+					}
+					if got, want := treeHash(tr), treeHash(oracle); got != want {
+						t.Fatalf("op %d (%+v): tree hash %x, oracle %x", i, o, got, want)
+					}
+				}
+				if err := tr.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if script.zeros && !cfg.UseSpheres && fallbacks < 10 {
+					t.Errorf("%d plain inserts met a signed-zero tie: the fallback was hardly taken", fallbacks)
+				}
+				t.Logf("%d ops, height %d, %d pages, %d signed-zero fallbacks", len(script.ops), tr.Height(), tr.store.Len(), fallbacks)
+			})
 		}
 	}
 }

@@ -15,10 +15,14 @@ import (
 // moment the paper prescribes: "upon a split ... the newly created page"
 // is placed relative to its sibling pages.
 type Listener interface {
-	// NodeCreated fires when a node comes into existence. siblings holds
-	// the page IDs of the nodes that share (or will share) the new node's
-	// parent, excluding the node itself; it is empty for a new root.
-	NodeCreated(n *Node, siblings []PageID)
+	// NodeCreated fires when a node comes into existence. cover is n's
+	// MBR, the zero Rect while n is empty (a fresh root). siblings are
+	// the parent's entries for the nodes that share (or will share) n's
+	// parent, n's own excluded; their rectangles are those nodes' exact
+	// covers, bit for bit. A bulk load passes the entries of the (at
+	// most 16) pages it made just before n on n's level. siblings is
+	// empty for a new root. Neither outlives the call.
+	NodeCreated(n *Node, cover geom.Rect, siblings []Entry)
 	// NodeFreed fires when a page is released.
 	NodeFreed(id PageID)
 	// RootChanged fires when the root page changes.
@@ -28,9 +32,9 @@ type Listener interface {
 // nopListener is used when the caller installs no listener.
 type nopListener struct{}
 
-func (nopListener) NodeCreated(*Node, []PageID) {}
-func (nopListener) NodeFreed(PageID)            {}
-func (nopListener) RootChanged(PageID)          {}
+func (nopListener) NodeCreated(*Node, geom.Rect, []Entry) {}
+func (nopListener) NodeFreed(PageID)                      {}
+func (nopListener) RootChanged(PageID)                    {}
 
 // Config controls tree geometry.
 type Config struct {
@@ -103,6 +107,10 @@ type Tree struct {
 	pending     []pendingReinsert
 	pendingHead int
 
+	// restructures counts the splits and forced reinsertions: an insert
+	// whose recursion did not move it only grew the nodes on its path.
+	restructures uint64
+
 	// w is the working memory of the structural operations; a tree has
 	// a single writer.
 	w writeScratch
@@ -119,8 +127,9 @@ type pendingReinsert struct {
 // capacity (a few KB; an X-tree supernode grows it to its own size).
 type writeScratch struct {
 	// lo and hi are the axis-major columns of the node under
-	// ChooseSubtree or split: entry j spans lo[a][j]..hi[a][j] on axis a
-	// — the layout the scans read, not the 104-byte Entry.
+	// ChooseSubtree's overlap scan or split: entry j spans
+	// lo[a][j]..hi[a][j] on axis a — the layout the scans read, not the
+	// 104-byte Entry.
 	lo, hi [][]float64
 	slab   []float64
 
@@ -191,7 +200,7 @@ func New(cfg Config, store Store) (*Tree, error) {
 	root := store.Allocate(0)
 	t.root = root.ID
 	t.height = 1
-	t.listener.NodeCreated(root, nil)
+	t.listener.NodeCreated(root, geom.Rect{}, nil)
 	t.listener.RootChanged(root.ID)
 	return t, nil
 }
@@ -272,7 +281,8 @@ func (t *Tree) SetListener(l Listener) {
 	}
 	t.listener = l
 	// Report the pre-existing root so the listener's page table is complete.
-	l.NodeCreated(t.store.Get(t.root), nil)
+	root := t.store.Get(t.root)
+	l.NodeCreated(root, t.coverOf(root), nil)
 	l.RootChanged(t.root)
 }
 
@@ -404,6 +414,52 @@ func (t *Tree) refreshEntry(e *Entry, child *Node) {
 	}
 }
 
+// growEntry is refreshEntry for a child that only gained e somewhere
+// below it, nothing split or reinserted on the way: the cover becomes
+// the old one grown by e.Rect, the count goes up by e.Count, and a cover
+// e does not grow keeps its rectangle. A cover is the fold of the
+// child's entries in order with strict < and >, and old ∪ e is that
+// fold bit for bit, save one case: a coordinate of e equal to the
+// cover's in value but not in bits (−0 against +0), where the zero the
+// fold keeps depends on entry order. There, and in SR mode (a sphere
+// needs every entry), the entry is recomputed.
+func (t *Tree) growEntry(pe *Entry, child *Node, e *Entry) {
+	if t.cfg.UseSpheres {
+		t.refreshEntry(pe, child)
+		return
+	}
+	r, grown := pe.Rect, false
+	for a := range r.Lo {
+		lo, hi := e.Rect.Lo[a], e.Rect.Hi[a]
+		if zeroTie(lo, r.Lo[a]) || zeroTie(hi, r.Hi[a]) {
+			t.refreshEntry(pe, child)
+			return
+		}
+		grown = grown || lo < r.Lo[a] || hi > r.Hi[a]
+	}
+	if grown {
+		g := copyRect(r)
+		g.UnionInPlace(e.Rect)
+		pe.Rect = g
+	}
+	pe.Count += e.Count
+}
+
+// zeroTie reports whether x and y are zeros of opposite sign: the only
+// finite values neither less nor greater than each other in other bits.
+func zeroTie(x, y float64) bool {
+	return math.Signbit(x) != math.Signbit(y) && !(x < y) && !(x > y)
+}
+
+// coverOf returns n's MBR in scratch (see scratchMBR), or the zero Rect
+// when n is empty.
+func (t *Tree) coverOf(n *Node) geom.Rect {
+	if len(n.Entries) == 0 {
+		return geom.Rect{}
+	}
+	return t.scratchMBR(n)
+}
+
 // scratchMBR returns n's MBR in scratch: valid until the next call.
 func (t *Tree) scratchMBR(n *Node) geom.Rect {
 	if t.w.mbr.Lo == nil {
@@ -453,13 +509,13 @@ func (t *Tree) insertEntry(e Entry, level int) {
 		// Root split: grow the tree by one level. The split-off node's
 		// only sibling is the old root.
 		oldRoot := t.store.Get(t.root)
-		t.listener.NodeCreated(t.store.Get(splitEntry.Child), []PageID{oldRoot.ID})
 		newRoot := t.store.Allocate(oldRoot.Level + 1)
 		newRoot.Entries = append(newRoot.Entries, t.entryFor(oldRoot), *splitEntry)
+		t.listener.NodeCreated(t.store.Get(splitEntry.Child), splitEntry.Rect, newRoot.Entries[:1])
 		t.store.Update(newRoot)
 		t.root = newRoot.ID
 		t.height++
-		t.listener.NodeCreated(newRoot, nil)
+		t.listener.NodeCreated(newRoot, t.coverOf(newRoot), nil)
 		t.listener.RootChanged(newRoot.ID)
 	}
 }
@@ -481,21 +537,24 @@ func (t *Tree) insertAt(n *Node, e Entry, level int) *Entry {
 	// Descend: R* ChooseSubtree (or nearest-centroid in SR mode).
 	idx := t.chooseSubtree(n, e)
 	child := t.store.Get(n.Entries[idx].Child)
+	restructures := t.restructures
 	splitEntry := t.insertAt(child, e, level)
 
-	// Refresh the entry for the (possibly shrunk/grown/split) child.
-	t.refreshEntry(&n.Entries[idx], child)
+	// Refresh the entry for the child: grown by e when nothing below was
+	// split or reinserted (a split counts as a restructure), recomputed
+	// otherwise.
+	if t.restructures == restructures {
+		t.growEntry(&n.Entries[idx], child, &e)
+	} else {
+		t.refreshEntry(&n.Entries[idx], child)
+	}
 
 	if splitEntry != nil {
 		// Report the child's new sibling with the full sibling set under
 		// this parent, as the declustering heuristics require (paper
 		// §2.2: the new node is placed relative to its father's other
 		// children).
-		sibs := make([]PageID, 0, len(n.Entries))
-		for _, pe := range n.Entries {
-			sibs = append(sibs, pe.Child)
-		}
-		t.listener.NodeCreated(t.store.Get(splitEntry.Child), sibs)
+		t.listener.NodeCreated(t.store.Get(splitEntry.Child), splitEntry.Rect, n.Entries)
 		n.Entries = append(n.Entries, *splitEntry)
 		if len(n.Entries) > t.cfg.MaxEntries {
 			return t.overflowTreatment(n)
@@ -532,27 +591,22 @@ func (t *Tree) chooseSubtree(n *Node, newEntry Entry) int {
 		return chooseByCentroid(n, newEntry.Sphere.Center)
 	}
 	r := newEntry.Rect
-	dim, m := t.cfg.Dim, len(n.Entries)
+	m := len(n.Entries)
 	w := &t.w
-	w.load(n.Entries, dim)
 
 	// Area and area enlargement of every entry, each a product over the
 	// axes in axis order.
 	area, enlarge := floats(&w.area, m), floats(&w.enlarge, m)
-	for j := range area {
-		area[j], enlarge[j] = 1, 1
-	}
-	for a := 0; a < dim; a++ {
-		lo, hi := w.lo[a], w.hi[a]
-		rlo, rhi := r.Lo[a], r.Hi[a]
-		for j := range area {
-			area[j] *= hi[j] - lo[j]
-			enlarge[j] *= max(hi[j], rhi) - min(lo[j], rlo)
-		}
-	}
 	best := 0
-	for j := range area {
-		enlarge[j] -= area[j]
+	for j := range n.Entries {
+		er := &n.Entries[j].Rect
+		a, g := 1.0, 1.0
+		for k, lo := range er.Lo {
+			hi := er.Hi[k]
+			a *= hi - lo
+			g *= max(hi, r.Hi[k]) - min(lo, r.Lo[k])
+		}
+		area[j], enlarge[j] = a, g-a
 		if lessPair(enlarge[j], area[j], enlarge[best], area[best]) {
 			best = j
 		}
@@ -566,6 +620,7 @@ func (t *Tree) chooseSubtree(n *Node, newEntry Entry) int {
 	// area) leaves it: with a smaller pair it wins an overlap tie, with
 	// a larger one (or the same pair and a higher index) it needs a
 	// strictly smaller overlap.
+	w.load(n.Entries, t.cfg.Dim)
 	seed := best
 	bestOverlap, _ := w.overlapEnlargement(seed, r, math.Inf(1), false)
 	for i := 0; i < m; i++ {
@@ -756,6 +811,7 @@ func (w *writeScratch) sortedKeys(m int, fill func(k *sortKey)) []sortKey {
 // actual inserts run from drainPending once the current recursion has
 // fully unwound and every ancestor MBR/count is consistent.
 func (t *Tree) reinsert(n *Node) {
+	t.restructures++
 	p := int(t.cfg.ReinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
@@ -792,6 +848,7 @@ func (t *Tree) split(n *Node) *Entry {
 
 // splitInto applies a precomputed split distribution.
 func (t *Tree) splitInto(n *Node, group1, group2 []Entry) *Entry {
+	t.restructures++
 	nn := t.store.Allocate(n.Level)
 	n.Entries = group1
 	nn.Entries = group2

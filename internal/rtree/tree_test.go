@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -433,25 +434,51 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-// listenerRecorder records structural events for listener tests.
+// listenerRecorder records structural events for listener tests. With
+// tr set it also checks, as each event happens, that the cover is the
+// new node's MBR and every sibling rectangle its node's, bit for bit.
 type listenerRecorder struct {
+	tr      *Tree
 	created map[PageID][]PageID
 	freed   []PageID
 	roots   []PageID
+	badRect []string
 }
 
-func (l *listenerRecorder) NodeCreated(n *Node, sibs []PageID) {
+func (l *listenerRecorder) NodeCreated(n *Node, cover geom.Rect, sibs []Entry) {
 	if l.created == nil {
 		l.created = map[PageID][]PageID{}
 	}
-	l.created[n.ID] = append([]PageID(nil), sibs...)
+	ids := []PageID{}
+	for _, e := range sibs {
+		ids = append(ids, e.Child)
+	}
+	l.created[n.ID] = ids
+	if l.tr == nil {
+		return
+	}
+	exact := func(r geom.Rect, of *Node) bool {
+		if len(of.Entries) == 0 {
+			return len(r.Lo) == 0
+		}
+		m := of.MBR()
+		return sameBits(r.Lo, m.Lo) && sameBits(r.Hi, m.Hi)
+	}
+	if !exact(cover, n) {
+		l.badRect = append(l.badRect, fmt.Sprintf("page %d: cover %v", n.ID, cover))
+	}
+	for _, e := range sibs {
+		if !exact(e.Rect, l.tr.store.Get(e.Child)) {
+			l.badRect = append(l.badRect, fmt.Sprintf("page %d: sibling %d rect %v", n.ID, e.Child, e.Rect))
+		}
+	}
 }
 func (l *listenerRecorder) NodeFreed(id PageID)   { l.freed = append(l.freed, id) }
 func (l *listenerRecorder) RootChanged(id PageID) { l.roots = append(l.roots, id) }
 
 func TestListenerSeesEveryPage(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
-	rec := &listenerRecorder{}
+	rec := &listenerRecorder{tr: tr}
 	tr.SetListener(rec)
 	pts := randPoints(10, 800, 2)
 	for i, p := range pts {
@@ -477,6 +504,9 @@ func TestListenerSeesEveryPage(t *testing.T) {
 	}
 	if withSibs == 0 {
 		t.Error("no creation event carried sibling information")
+	}
+	for _, bad := range rec.badRect {
+		t.Errorf("not an exact cover: %s", bad)
 	}
 }
 
