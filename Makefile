@@ -20,10 +20,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-## analyze: the repo-specific analyzer suite (internal/lint), run once
-## over the whole module with the suppression audit (stale //lint:allow
-## directives fail the build). CI's lint job runs the same command with
-## -github and -sarif added.
+## analyze: the repo-specific analyzer suite (internal/lint: simdeterminism,
+## floatcmp, lockcheck, statscomplete, tracepair, fsyncorder, errlost,
+## lockorder), run once over the whole module with the suppression audit
+## (stale //lint:allow directives fail the build). CI's lint job runs the
+## same command with -github and -sarif added. Cancel-func hygiene is
+## `go vet`'s lostcancel (the vet target), not this suite's.
 analyze:
 	$(GO) build -o bin/simquerylint ./cmd/simquerylint
 	bin/simquerylint -source . -audit

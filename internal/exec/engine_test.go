@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bufferpool"
 	"repro/internal/dataset"
@@ -345,11 +347,45 @@ func TestEngineCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineClose verifies Close is idempotent, rejects later queries,
-// and tolerates racing clients.
+// closeWithin runs eng.Close on its own goroutine and fails the test if
+// Close panics or has not returned within 5 s, so a worker that never
+// calls Done fails here instead of hanging until go test's timeout.
+func closeWithin(t *testing.T, eng *Engine) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		eng.Close()
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("Close panicked: %v", p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close has not returned after 5s")
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// base, taken before New, within 5 s: every goroutine the engine started
+// has exited.
+func waitGoroutines(t *testing.T, base int, when string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before New", when, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestEngineClose verifies Close is idempotent, returns promptly, rejects
+// later queries, tolerates racing clients and leaves no goroutine behind.
 func TestEngineClose(t *testing.T) {
 	tree, pts := buildTree(t, 2000, 4, false, 0)
 	queries := dataset.SampleQueries(pts, 16, 8)
+	base := runtime.NumGoroutine()
 	eng, err := New(tree, Config{WorkersPerDisk: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -368,12 +404,13 @@ func TestEngineClose(t *testing.T) {
 			}
 		}(c)
 	}
-	eng.Close()
-	eng.Close() // idempotent
+	closeWithin(t, eng)
+	closeWithin(t, eng) // idempotent
 	wg.Wait()
 	if _, _, err := eng.KNN(context.Background(), query.CRSS{}, queries[0], 5, query.Options{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("KNN after Close: %v, want ErrClosed", err)
 	}
+	waitGoroutines(t, base, "after Close")
 }
 
 // TestEngineRejectsBadInput covers the argument validation paths.

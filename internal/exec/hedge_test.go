@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,12 +17,14 @@ import (
 // cancellation, error fallback). A path that forgets to resolve its
 // timer leaves hedgeTimersLive above zero after the workload drains;
 // under sustained load each leak pins a timer-heap entry for the full
-// hedge delay per read.
+// hedge delay per read. Each Close must also leave no goroutine behind:
+// a racer that lost must still have somewhere to put its read.
 func TestHedgeTimerLifecycle(t *testing.T) {
 	const disks, mirrors = 4, 2
 	tree, pts := buildTree(t, 2000, disks, false, 0)
 	queries := dataset.SampleQueries(pts, 10, 11)
 	before := hedgeTimersLive.Load()
+	base := runtime.NumGoroutine()
 
 	// Primary-wins path: a huge delay floor means the timer would sit
 	// in the heap for a minute per read if any path failed to stop it.
@@ -38,6 +41,7 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 	if live := hedgeTimersLive.Load() - before; live != 0 {
 		t.Fatalf("primary-wins path leaked %d hedge timers", live)
 	}
+	waitGoroutines(t, base, "primary-wins path")
 
 	// Hedge-fired path: spiked primaries push past a tiny delay floor,
 	// so the timer resolves by firing, and the error-fallback walk runs
@@ -66,6 +70,7 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 	if live := hedgeTimersLive.Load() - before; live != 0 {
 		t.Fatalf("hedge-fired/error paths leaked %d hedge timers", live)
 	}
+	waitGoroutines(t, base, "hedge-fired/error paths")
 
 	// Cancellation path: queries cancelled mid-flight against slow
 	// primaries exit readHedged through ctx.Done.
@@ -89,6 +94,7 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 	if live := hedgeTimersLive.Load() - before; live != 0 {
 		t.Fatalf("cancellation path leaked %d hedge timers", live)
 	}
+	waitGoroutines(t, base, "cancellation path")
 }
 
 // TestHedgeDelayCached pins the cached-p99 semantics: the derived

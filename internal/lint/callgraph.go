@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural layer under the concurrency
-// analyzers (lockorder, goroleak, wgbalance, chanclose): a per-package
+// This file is the interprocedural layer under lockorder: a per-package
 // static call graph with CHA-style (class-hierarchy) resolution,
 // standing in for golang.org/x/tools/go/callgraph (unavailable
 // offline). Build-tag awareness comes from the loader — LoadModule and
@@ -44,8 +43,7 @@ type FuncInfo struct {
 	// Sites lists every call expression in the body (source order,
 	// nested literal bodies excluded) with its resolved targets. The
 	// function call of a `go` statement is deliberately absent — the
-	// spawned body does not run with the caller's locks or obligations;
-	// analyzers resolve spawns through GoTargets instead.
+	// spawned body does not run with the caller's locks.
 	Sites []*CallSite
 
 	// Tarjan bookkeeping (see SCCs).
@@ -72,21 +70,9 @@ type CallGraph struct {
 	byLit map[*ast.FuncLit]*FuncInfo
 }
 
-// FuncOf returns the node for a declared function, or nil.
-func (cg *CallGraph) FuncOf(fn *types.Func) *FuncInfo {
-	if fn == nil {
-		return nil
-	}
-	return cg.byObj[fn.Origin()]
-}
-
-// LitOf returns the node for a function literal, or nil.
-func (cg *CallGraph) LitOf(lit *ast.FuncLit) *FuncInfo { return cg.byLit[lit] }
-
 // BuildCallGraph constructs the call graph of the pass's package,
-// excluding test files (the concurrency analyzers check production
-// protocols; chaos/crash tests spawn goroutines under rules of their
-// own).
+// excluding test files (lockorder checks production protocols;
+// chaos/crash tests take locks under rules of their own).
 func BuildCallGraph(pass *Pass) *CallGraph {
 	cg := &CallGraph{
 		byObj: map[*types.Func]*FuncInfo{},
@@ -215,17 +201,6 @@ func (cg *CallGraph) implementers(m *types.Func) []*FuncInfo {
 	return out
 }
 
-// GoTargets resolves the body a `go` statement spawns: the literal
-// itself for `go func(){...}()`, the package-local body for a direct
-// call, the CHA implementer set for an interface call. Nil means the
-// target is outside the package (or a bare function value) — analyzers
-// treat those as unprovable-but-unflagged, trading soundness for a
-// zero false-positive rate on code they cannot see.
-func (cg *CallGraph) GoTargets(pass *Pass, g *ast.GoStmt) []*FuncInfo {
-	site := cg.resolveCall(pass, g.Call)
-	return site.Targets
-}
-
 // SCCs returns the strongly connected components of the call graph in
 // bottom-up order: every component appears after the components it
 // calls into, so one pass over the result (iterating each component's
@@ -297,10 +272,9 @@ func (cg *CallGraph) Fixpoint(update func(fi *FuncInfo) bool) {
 	}
 }
 
-// concurrencyScopePackages are the packages whose concurrency
-// protocols the interprocedural analyzers (lockorder, goroleak,
-// wgbalance, chanclose) guard: the parallel engine and everything its
-// worker goroutines touch.
+// concurrencyScopePackages are the packages whose lock order
+// lockorder guards: the parallel engine and everything its worker
+// goroutines touch.
 var concurrencyScopePackages = map[string]bool{
 	"repro/internal/exec":       true,
 	"repro/internal/bufferpool": true,
@@ -309,43 +283,11 @@ var concurrencyScopePackages = map[string]bool{
 	"repro/internal/fault":      true,
 }
 
-var concurrencyAnalyzerNames = []string{"lockorder", "goroleak", "wgbalance", "chanclose"}
-
-// inConcurrencyScope gates the four interprocedural analyzers to the
-// concurrency-bearing packages, plus any package whose import path
-// starts with one of the analyzer names — the golden testdata and
-// regression fixtures.
+// inConcurrencyScope gates lockorder to the concurrency-bearing
+// packages, plus any package whose import path starts with
+// "lockorder" — the golden testdata and regression fixtures.
 func inConcurrencyScope(path string) bool {
-	if concurrencyScopePackages[path] {
-		return true
-	}
-	for _, n := range concurrencyAnalyzerNames {
-		if strings.HasPrefix(path, n) {
-			return true
-		}
-	}
-	return false
-}
-
-// rootSelObj resolves the identity object of a channel/WaitGroup/mutex
-// expression: the field object for a selector chain (x.mu, e.pool.mu —
-// instance-insensitive: all values of the owning type share it), the
-// variable for a bare identifier, and the underlying slice/map/array
-// field for an indexed element (indexed true: element identity is
-// conflated with its container's).
-func rootSelObj(info *types.Info, e ast.Expr) (obj types.Object, indexed bool) {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.ObjectOf(e), false
-	case *ast.SelectorExpr:
-		return info.ObjectOf(e.Sel), false
-	case *ast.IndexExpr:
-		obj, _ := rootSelObj(info, e.X)
-		return obj, true
-	case *ast.StarExpr:
-		return rootSelObj(info, e.X)
-	}
-	return nil, false
+	return concurrencyScopePackages[path] || strings.HasPrefix(path, "lockorder")
 }
 
 // syncMethod reports whether call is a method call on a sync.Mutex /

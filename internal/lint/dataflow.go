@@ -64,8 +64,6 @@ type FlowSpec struct {
 	// it holds on every path; unreached blocks start at ⊤), false =
 	// union (a fact holds if it may hold on some path; start at ⊥).
 	Must bool
-	// Entry is the boundary state at the function entry (nil = ⊥).
-	Entry BitSet
 	// Transfer maps a block's in-state to one out-state per successor
 	// edge, in Succs order. The returned sets may alias each other and
 	// the input only if unmodified; edge-refined sets must be fresh.
@@ -84,9 +82,6 @@ func (c *CFG) Flow(spec FlowSpec) []BitSet {
 		if spec.Must && i != c.Entry {
 			ins[i].Fill()
 		}
-	}
-	if spec.Entry != nil {
-		copy(ins[c.Entry], spec.Entry)
 	}
 
 	// edgeOuts[b][k] is the out-state along block b's k-th edge.
@@ -144,21 +139,9 @@ func (c *CFG) meetInto(spec FlowSpec, target int, edgeOuts [][]BitSet) BitSet {
 			}
 		}
 	}
-	if first {
+	if first && spec.Must && target != c.Entry {
 		// No predecessor has produced an out yet: initial value.
-		if spec.Must && target != c.Entry {
-			acc.Fill()
-		}
-		if target == c.Entry && spec.Entry != nil {
-			copy(acc, spec.Entry)
-		}
-	} else if target == c.Entry && spec.Entry != nil {
-		// A back edge into the entry keeps the boundary facts.
-		if spec.Must {
-			acc.IntersectWith(spec.Entry)
-		} else {
-			acc.UnionWith(spec.Entry)
-		}
+		acc.Fill()
 	}
 	return acc
 }

@@ -84,12 +84,8 @@ func All() []*Analyzer {
 		StatsComplete,
 		TracePair,
 		FsyncOrder,
-		CtxCancel,
 		ErrLost,
 		LockOrder,
-		GoroLeak,
-		WgBalance,
-		ChanClose,
 	}
 }
 

@@ -186,13 +186,7 @@ func runLockOrder(pass *Pass) error {
 		edges:      map[[2]string]*lockEdge{},
 	}
 	for _, fi := range cg.Funcs {
-		so, hd := indexSelectComms(fi.Body)
-		for k, v := range so {
-			st.selectOf[k] = v
-		}
-		for k, v := range hd {
-			st.hasDefault[k] = v
-		}
+		indexSelectComms(fi.Body, st.selectOf, st.hasDefault)
 	}
 
 	// Phase 1: transitive summaries, callee-first over the SCC
@@ -217,6 +211,31 @@ func runLockOrder(pass *Pass) error {
 	// baseline.
 	st.reportCycles()
 	return nil
+}
+
+// indexSelectComms maps every node inside a select communication clause
+// to its select, and records which selects have a default.
+func indexSelectComms(body *ast.BlockStmt, selectOf map[ast.Node]*ast.SelectStmt, hasDefault map[*ast.SelectStmt]bool) {
+	inspectOwn(body, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectStmt)
+		if !ok {
+			return true
+		}
+		for _, c := range sel.Body.List {
+			comm := c.(*ast.CommClause)
+			if comm.Comm == nil {
+				hasDefault[sel] = true
+				continue
+			}
+			ast.Inspect(comm.Comm, func(m ast.Node) bool {
+				if m != nil {
+					selectOf[m] = sel
+				}
+				return true
+			})
+		}
+		return true
+	})
 }
 
 // directBlocking classifies one node as a blocking operation when it is

@@ -81,12 +81,12 @@ func TestSortFindings(t *testing.T) {
 		return token.Position{Filename: file, Line: line, Column: col}
 	}
 	findings := []Finding{
-		{Position: pos("b.go", 3, 1), Analyzer: "goroleak", Message: "m1"},
+		{Position: pos("b.go", 3, 1), Analyzer: "tracepair", Message: "m1"},
 		{Position: pos("a.go", 9, 2), Analyzer: "lockorder", Message: "m2"},
-		{Position: pos("a.go", 9, 2), Analyzer: "chanclose", Message: "m3"},
-		{Position: pos("a.go", 9, 1), Analyzer: "wgbalance", Message: "m4"},
+		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m3"},
+		{Position: pos("a.go", 9, 1), Analyzer: "fsyncorder", Message: "m4"},
 		{Position: pos("a.go", 2, 5), Analyzer: "lockorder", Message: "m5"},
-		{Position: pos("a.go", 9, 2), Analyzer: "chanclose", Message: "m0"},
+		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m0"},
 	}
 	sortFindings(findings)
 	var got []string
@@ -163,8 +163,8 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"tracepair", "fsyncorder", "ctxcancel", "errlost",
-		"lockorder", "goroleak", "wgbalance", "chanclose", "audit", "lint"} {
+	for _, want := range []string{"tracepair", "fsyncorder", "errlost",
+		"lockorder", "audit", "lint"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule table missing %q", want)
 		}

@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// This file pins the acceptance criteria for the concurrency analyzers
-// as fail-before/pass-after pairs: each "broken" fixture reintroduces a
-// bug class the suite must catch with EXACTLY one diagnostic under the
-// full analyzer set (no noise, no duplicates), and the "fixed" twin —
-// the shape the repo actually ships — must be completely clean. The
-// fixture import paths carry an analyzer-name prefix so
-// inConcurrencyScope treats them as concurrency-bearing.
+// This file pins lockorder's acceptance criterion as a
+// fail-before/pass-after pair: the "broken" fixture reintroduces a bug
+// class the suite must catch with EXACTLY one diagnostic under the full
+// analyzer set (no noise, no duplicates), and the "fixed" twin — the
+// shape the repo actually ships — must be completely clean. The fixture
+// import path starts with "lockorder" so inConcurrencyScope treats it
+// as concurrency-bearing.
 
 // runAll loads src under importPath and runs the full suite.
 func runAll(t *testing.T, importPath, src string) []Diagnostic {
@@ -122,110 +122,4 @@ func checkpoint(d *DurableStore, s *shard) {
 }
 `
 	assertClean(t, runAll(t, "lockorder_inversion", fixed))
-}
-
-// TestRegressionWorkerDoneDeleted deletes the `defer wg.Done()` from an
-// engine-shaped worker: the WaitGroup Add in the spawner is never
-// consumed, so Close's Wait hangs. One diagnostic, at the Add; the real
-// shape with the deferred Done is clean.
-func TestRegressionWorkerDoneDeleted(t *testing.T) {
-	const broken = `package eng
-
-import "sync"
-
-type Engine struct {
-	workers sync.WaitGroup
-	queues  []chan int
-}
-
-func New(n int) *Engine {
-	e := &Engine{queues: make([]chan int, n)}
-	for i := range e.queues {
-		e.queues[i] = make(chan int, 4)
-		e.workers.Add(1)
-		go e.worker(i)
-	}
-	return e
-}
-
-func (e *Engine) worker(i int) {
-	for v := range e.queues[i] {
-		_ = v
-	}
-}
-
-func (e *Engine) Close() {
-	for _, q := range e.queues {
-		close(q)
-	}
-	e.workers.Wait()
-}
-`
-	assertOne(t, runAll(t, "wgbalance_engine", broken),
-		"wgbalance", "workers.Add has no matching Done")
-
-	const fixed = `package eng
-
-import "sync"
-
-type Engine struct {
-	workers sync.WaitGroup
-	queues  []chan int
-}
-
-func New(n int) *Engine {
-	e := &Engine{queues: make([]chan int, n)}
-	for i := range e.queues {
-		e.queues[i] = make(chan int, 4)
-		e.workers.Add(1)
-		go e.worker(i)
-	}
-	return e
-}
-
-func (e *Engine) worker(i int) {
-	defer e.workers.Done()
-	for v := range e.queues[i] {
-		_ = v
-	}
-}
-
-func (e *Engine) Close() {
-	for _, q := range e.queues {
-		close(q)
-	}
-	e.workers.Wait()
-}
-`
-	assertClean(t, runAll(t, "wgbalance_engine", fixed))
-}
-
-// TestRegressionHedgedBufferRemoved strips the buffer from the
-// hedged-read result channel: with two static senders and capacity
-// zero, the losing replica's send blocks forever and leaks its
-// goroutine. One diagnostic, at the make site; the buffered original is
-// clean.
-func TestRegressionHedgedBufferRemoved(t *testing.T) {
-	const broken = `package hedge
-
-func readHedged(primary, mirror func() int) int {
-	out := make(chan int)
-	go func() { out <- primary() }()
-	go func() { out <- mirror() }()
-	return <-out
-}
-`
-	assertOne(t, runAll(t, "goroleak_hedged", broken),
-		"goroleak", "2 static goroutine sender(s) but capacity 0")
-
-	const fixed = `package hedge
-
-func readHedged(primary, mirror func() int) int {
-	out := make(chan int, 2)
-	go func() { out <- primary() }()
-	go func() { out <- mirror() }()
-	return <-out
-}
-`
-	assertClean(t, runAll(t, "goroleak_hedged", fixed))
 }

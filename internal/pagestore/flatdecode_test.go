@@ -41,9 +41,9 @@ func viewsNode(f *rtree.FlatNode, n *rtree.Node) error {
 // flatEqual compares two views field by field: identity, level, every
 // axis of every column bitwise, references, counts and spheres.
 func flatEqual(a, b *rtree.FlatNode) error {
-	if a.ID != b.ID || a.Level != b.Level || a.Len() != b.Len() || a.MixedSpheres != b.MixedSpheres {
-		return fmt.Errorf("headers differ: (%d,%d,%d,%v) vs (%d,%d,%d,%v)",
-			a.ID, a.Level, a.Len(), a.MixedSpheres, b.ID, b.Level, b.Len(), b.MixedSpheres)
+	if a.ID != b.ID || a.Level != b.Level || a.Len() != b.Len() {
+		return fmt.Errorf("headers differ: (%d,%d,%d) vs (%d,%d,%d)",
+			a.ID, a.Level, a.Len(), b.ID, b.Level, b.Len())
 	}
 	if a.Rects.Dim() != b.Rects.Dim() || a.Rects.Len() != b.Rects.Len() {
 		return fmt.Errorf("rect columns %dx%d vs %dx%d", a.Rects.Dim(), a.Rects.Len(), b.Rects.Dim(), b.Rects.Len())

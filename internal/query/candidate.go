@@ -49,8 +49,8 @@ func (s *candScratch) views(m int) (dmin, dmm, dmax, tmp []float64) {
 //
 // The metrics are computed node-at-a-time with the batch kernels over
 // the node's flat geometry view, which is bit-identical to the scalar
-// per-entry path (appendCandidatesScalar, the fallback for mixed-sphere
-// nodes; candidate_test.go runs it over every node as the reference).
+// per-entry path (appendCandidatesScalar in candidate_test.go, run over
+// every node as the reference).
 //
 // The returned slice is the scratch's candidate array, valid until the
 // next makeCandidates call; callers prune and sort it in place and copy
@@ -60,12 +60,6 @@ func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.FlatNode) []candid
 	for _, f := range nodes {
 		m := f.Len()
 		if m == 0 {
-			continue
-		}
-		if f.MixedSpheres {
-			// Some but not all entries carry spheres: no SoA sphere view
-			// exists, so tighten per entry with the scalar kernels.
-			out = appendCandidatesScalar(out, q, f)
 			continue
 		}
 		dmin, dmm, dmax, tmp := s.kern.views(m)
@@ -101,36 +95,6 @@ func (s *scratch) makeCandidates(q geom.Point, nodes []*rtree.FlatNode) []candid
 		}
 	}
 	s.cands = out[:0]
-	return out
-}
-
-// appendCandidatesScalar is the per-entry scalar candidate pass: the
-// reference implementation the batch path is tested against, and the
-// fallback for nodes whose entries mix present and absent spheres.
-func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.FlatNode) []candidate {
-	for i, m := 0, n.Len(); i < m; i++ {
-		rect, sphere := n.Rect(i), n.Sphere(i)
-		c := candidate{
-			child:  n.Child(i),
-			count:  n.Count(i),
-			level:  n.Level - 1,
-			dminSq: geom.MinDistSq(q, rect),
-			dmmSq:  geom.MinMaxDistSq(q, rect),
-			dmaxSq: geom.MaxDistSq(q, rect),
-		}
-		if sphere.Valid() {
-			if sm := sphere.MinDistSq(q); sm > c.dminSq {
-				c.dminSq = sm
-			}
-			if sM := sphere.MaxDistSq(q); sM < c.dmaxSq {
-				c.dmaxSq = sM
-				if sM < c.dmmSq {
-					c.dmmSq = sM
-				}
-			}
-		}
-		out = append(out, c)
-	}
 	return out
 }
 

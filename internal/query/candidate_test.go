@@ -20,6 +20,35 @@ func makeCandidatesScalar(q geom.Point, nodes []*rtree.FlatNode) []candidate {
 	return out
 }
 
+// appendCandidatesScalar is the per-entry scalar candidate pass: the
+// reference implementation the batch path is tested against.
+func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.FlatNode) []candidate {
+	for i, m := 0, n.Len(); i < m; i++ {
+		rect, sphere := n.Rect(i), n.Sphere(i)
+		c := candidate{
+			child:  n.Child(i),
+			count:  n.Count(i),
+			level:  n.Level - 1,
+			dminSq: geom.MinDistSq(q, rect),
+			dmmSq:  geom.MinMaxDistSq(q, rect),
+			dmaxSq: geom.MaxDistSq(q, rect),
+		}
+		if sphere.Valid() {
+			if sm := sphere.MinDistSq(q); sm > c.dminSq {
+				c.dminSq = sm
+			}
+			if sM := sphere.MaxDistSq(q); sM < c.dmaxSq {
+				c.dmaxSq = sM
+				if sM < c.dmmSq {
+					c.dmmSq = sM
+				}
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
 func cand(child int, dmin, dmm, dmax float64, count int) candidate {
 	return candidate{
 		child: rtree.PageID(child), count: count,
@@ -208,13 +237,13 @@ func TestMakeCandidatesSphereTightening(t *testing.T) {
 }
 
 // TestMakeCandidatesBatchScalarParity checks the batch candidate pass
-// against the per-entry scalar reference, bit-for-bit, across the three
-// sphere configurations a node can have: none, all, and mixed (which
-// must take the scalar fallback).
+// against the per-entry scalar reference, bit-for-bit, across the two
+// sphere configurations a node can have: none and all (BuildFlat
+// refuses a node that mixes them).
 func TestMakeCandidatesBatchScalarParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, dim := range []int{1, 2, 3, 4, 6} {
-		for _, mode := range []string{"none", "all", "mixed"} {
+		for _, mode := range []string{"none", "all"} {
 			q := make(geom.Point, dim)
 			for a := range q {
 				q[a] = rng.NormFloat64() * 50
@@ -233,8 +262,7 @@ func TestMakeCandidatesBatchScalarParity(t *testing.T) {
 						lo[a], hi[a] = x, y
 					}
 					e := rtree.Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Child: rtree.PageID(100 + i), Count: 1 + rng.Intn(40)}
-					withSphere := mode == "all" || (mode == "mixed" && i%2 == 0)
-					if withSphere {
+					if mode == "all" {
 						c := make(geom.Point, dim)
 						for a := range c {
 							c[a] = rng.NormFloat64() * 50

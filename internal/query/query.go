@@ -190,14 +190,6 @@ func (b *base) scanBuf(m int) []float64 {
 func (b *base) entrySphereRectMin(f *rtree.FlatNode) []float64 {
 	m := f.Len()
 	out := b.scanBuf(m)
-	if f.MixedSpheres {
-		// No SoA sphere view exists for mixed nodes; match the scalar
-		// per-entry semantics exactly.
-		for i := range out {
-			out[i] = geom.SphereRectMin(b.q, f.Rect(i), f.Sphere(i))
-		}
-		return out
-	}
 	if cap(b.sc.scanTmp) < m {
 		b.sc.scanTmp = make([]float64, m)
 	}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -40,11 +41,6 @@ type FlatNode struct {
 	// sphere (the SR-tree layout guarantees this for encoded nodes; see
 	// pagestore.Codec.Encode). When nil, entries have no spheres.
 	Spheres *geom.SphereSoA
-	// MixedSpheres is true when some but not all entries carry spheres
-	// — impossible for codec-encoded nodes but reachable with hand-built
-	// ones. Consumers must fall back to the per-entry scalar path so the
-	// sphere tightening stays bit-identical with the scalar semantics.
-	MixedSpheres bool
 
 	entries []Entry   // view of a live node: alias of Node.Entries
 	refs    []PageRef // decoded page: the identity column
@@ -120,7 +116,9 @@ func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, spher
 }
 
 // BuildFlat constructs the view of a live node. The node's entries must
-// share one dimensionality (a tree invariant). The view aliases
+// share one dimensionality, and either all or none of them carry a
+// sphere (tree invariants, which CheckInvariants enforces); it panics,
+// naming the page, on a node that mixes the two. The view aliases
 // n.Entries, so it is valid only until the node is next mutated — which
 // is when Node.Flat drops it.
 func BuildFlat(n *Node) *FlatNode {
@@ -136,8 +134,10 @@ func BuildFlat(n *Node) *FlatNode {
 			withSphere++
 		}
 	}
+	if withSphere != 0 && withSphere != m {
+		panic(fmt.Sprintf("rtree: page %d mixes entries with and without spheres (%d of %d)", n.ID, withSphere, m))
+	}
 	f.allocColumns(dim, m, withSphere == m)
-	f.MixedSpheres = withSphere != 0 && withSphere != m
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		for a := 0; a < dim; a++ {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -43,4 +44,21 @@ func TestFlatViewAliasesLiveEntries(t *testing.T) {
 	if g := n.Flat(); g == f || g.Len() != 1 {
 		t.Errorf("update kept the stale view")
 	}
+}
+
+// A node whose entries mix present and absent spheres breaks a tree
+// invariant; BuildFlat refuses it and names the page.
+func TestBuildFlatRefusesMixedSpheres(t *testing.T) {
+	n := &Node{ID: 42, Level: 1, Entries: []Entry{
+		{Rect: geom.NewRect(geom.Point{1, 2}, geom.Point{3, 4}), Child: 7, Count: 5,
+			Sphere: geom.Sphere{Center: geom.Point{2, 3}, Radius: 2}},
+		{Rect: geom.NewRect(geom.Point{5, 6}, geom.Point{7, 8}), Child: 9, Count: 2},
+	}}
+	defer func() {
+		p, _ := recover().(string)
+		if !strings.Contains(p, "page 42") {
+			t.Fatalf("BuildFlat of a mixed node: panic %q, want one naming page 42", p)
+		}
+	}()
+	BuildFlat(n)
 }

@@ -50,7 +50,7 @@ func TestViewPoolReusesMemory(t *testing.T) {
 			fillView(want, wantRefs, float64(1000*n))
 		}
 		if f.ID != want.ID || f.Level != want.Level || f.Len() != want.Len() ||
-			(f.Spheres == nil) != (want.Spheres == nil) || f.MixedSpheres {
+			(f.Spheres == nil) != (want.Spheres == nil) {
 			t.Fatalf("shape %d: pooled view %+v, plain view %+v", n, f, want)
 		}
 		for i := 0; i < sh.m; i++ {
