@@ -21,8 +21,8 @@ vet:
 	$(GO) vet ./...
 
 ## analyze: the repo-specific analyzer suite (internal/lint: simdeterminism,
-## floatcmp, lockcheck, statscomplete, tracepair, fsyncorder, errlost,
-## lockorder), run once over the whole module with the suppression audit
+## floatcmp, lockcheck, fsyncorder, errlost, lockorder), run once over
+## the whole module with the suppression audit
 ## (stale //lint:allow directives fail the build). CI's lint job runs the
 ## same command with -github and -sarif added. Cancel-func hygiene is
 ## `go vet`'s lostcancel (the vet target), not this suite's.

@@ -190,7 +190,7 @@ func main() {
 			eng.PublishExpvar("engine")
 		}
 		srv, err := server.New(server.Config{
-			Backend:        eng.Exec(),
+			Backend:        eng.Engine,
 			QueueWatermark: *watermark,
 			QuotaRate:      *quotaRate,
 			QuotaBurst:     *quotaBurst,

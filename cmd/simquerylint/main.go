@@ -8,10 +8,10 @@
 //	simquerylint -source . -sarif findings.sarif  # SARIF 2.1.0 artifact
 //
 // or simply `make analyze`. See internal/lint for the analyzers: the
-// AST-local suite (simdeterminism, floatcmp, lockcheck, statscomplete),
-// the CFG/dataflow protocol suite (tracepair, fsyncorder, errlost) and
-// the interprocedural lock-order check (lockorder). Cancel-func hygiene
-// is go vet's job (lostcancel), not this suite's.
+// AST-local suite (simdeterminism, floatcmp, lockcheck), the
+// CFG/dataflow protocol suite (fsyncorder, errlost) and the
+// interprocedural lock-order check (lockorder). Cancel-func hygiene is
+// go vet's job (lostcancel), not this suite's.
 package main
 
 import (

@@ -381,10 +381,12 @@ type EngineSnapshot = exec.Snapshot
 // changes (splits, frees) invalidate the snapshot; build a new engine
 // after loading data. Each engine query holds the index's read lock, so
 // an accidental concurrent mutation is a stale-snapshot error, not a
-// data race.
+// data race. Everything but the named-algorithm KNN — Stats, Snapshot,
+// PublishExpvar, Close, and the surface the network query service
+// fronts — is the embedded exec.Engine's.
 type Engine struct {
-	ix  *Index
-	eng *exec.Engine
+	*exec.Engine
+	ix *Index
 }
 
 // NewEngine opens a concurrent execution engine over the index.
@@ -396,7 +398,7 @@ func (ix *Index) NewEngine(cfg EngineConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{ix: ix, eng: eng}, nil
+	return &Engine{Engine: eng, ix: ix}, nil
 }
 
 // KNN answers a k-nearest-neighbor query with the named algorithm
@@ -409,34 +411,8 @@ func (e *Engine) KNN(ctx context.Context, q Point, k int, algorithm string) ([]N
 	}
 	e.ix.mu.RLock()
 	defer e.ix.mu.RUnlock()
-	return e.eng.KNN(ctx, alg, q, k, query.Options{})
+	return e.Engine.KNN(ctx, alg, q, k, query.Options{})
 }
-
-// Exec exposes the underlying exec.Engine for callers that need its
-// full surface — the network query service fronts it directly (per-
-// request observers, queue-depth gauges for admission control).
-func (e *Engine) Exec() *exec.Engine { return e.eng }
-
-// Stats returns the engine's cumulative counters.
-func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
-
-// NumWorkers returns the number of disk worker goroutines.
-func (e *Engine) NumWorkers() int { return e.eng.NumWorkers() }
-
-// Snapshot captures the engine's observability state: cumulative
-// counters, per-disk serve gauges with the load-balance ratio, and
-// the latency histograms. Snapshots are diffable with Sub to profile
-// an interval.
-func (e *Engine) Snapshot() EngineSnapshot { return e.eng.Snapshot() }
-
-// PublishExpvar publishes the live engine snapshot as an expvar under
-// the given name, visible on /debug/vars (see obs.StartDebugServer).
-// Like expvar.Publish it must be called at most once per name.
-func (e *Engine) PublishExpvar(name string) { e.eng.PublishExpvar(name) }
-
-// Close stops the engine's workers (pending queries unwind first) and
-// closes any file-backed replica stores, returning their close errors.
-func (e *Engine) Close() error { return e.eng.Close() }
 
 // Check validates the index invariants (tree structure, entry counts,
 // page placements). Intended for tests and tools.

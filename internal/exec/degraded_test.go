@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -139,59 +140,181 @@ func tally(evs []obs.Event) map[int]*stageTally {
 	return out
 }
 
-// TestTraceTerminalEventsOnFailure is the satellite regression gate for
-// the observer gap: a query killed by a dead disk (and one killed by
-// cancellation) must still close every opened stage with StageDone, and
-// FetchDone must cover exactly the fetches that completed — no stage is
-// left dangling in the trace.
+// checkStagesClosed fails unless every stage the trace opened closed
+// with StageDone, and FetchDone covers no more fetches than were issued.
+func checkStagesClosed(t *testing.T, label string, evs []obs.Event) {
+	t.Helper()
+	for stage, s := range tally(evs) {
+		if s.issues != s.dones {
+			t.Fatalf("%s stage %d: %d StageIssue vs %d StageDone — stage left open",
+				label, stage, s.issues, s.dones)
+		}
+		if s.fetchDone > s.fetchIssued {
+			t.Fatalf("%s stage %d: %d FetchDone for %d FetchIssue", label, stage, s.fetchDone, s.fetchIssued)
+		}
+	}
+}
+
+// TestTraceTerminalEventsOnFailure is the regression gate for the
+// observer gap: whichever way a stage ends — a dead disk, cancellation,
+// a coalesced flight whose leader was cancelled, an engine closed under
+// a stage blocked on the in-flight bound — every opened stage closes
+// with StageDone, and FetchDone covers exactly the fetches that
+// completed. The immediate driver is held to the same rule.
 func TestTraceTerminalEventsOnFailure(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 8, false, 0)
-	rootPl, ok := tree.Placement(tree.Tree.Root())
-	if !ok {
-		t.Fatal("root has no placement")
-	}
-	dead := (rootPl.Disk + 1) % 8
-	inj := fault.NewInjector(1)
-	inj.Set(dead, fault.Faults{Dead: true})
-	eng, err := New(tree, Config{Mirrors: 1, Fault: inj})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 
-	failedTraces := 0
-	for qi, q := range pts[:40] {
+	t.Run("dead-disk", func(t *testing.T) {
+		rootPl, ok := tree.Placement(tree.Tree.Root())
+		if !ok {
+			t.Fatal("root has no placement")
+		}
+		inj := fault.NewInjector(1)
+		inj.Set((rootPl.Disk+1)%8, fault.Faults{Dead: true})
+		eng, err := New(tree, Config{Mirrors: 1, Fault: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		failedTraces := 0
+		for qi, q := range pts[:40] {
+			var col obs.Collector
+			if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 5, query.Options{Observer: &col}); err == nil {
+				continue
+			}
+			failedTraces++
+			checkStagesClosed(t, fmt.Sprintf("query %d", qi), col.Events())
+		}
+		if failedTraces == 0 {
+			t.Fatal("no query hit the dead disk; regression coverage is vacuous")
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		eng, err := New(tree, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
 		var col obs.Collector
-		_, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 5, query.Options{Observer: &col})
-		if err == nil {
-			continue
+		if _, _, err := eng.KNN(ctx, query.CRSS{}, pts[0], 5, query.Options{Observer: &col}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		failedTraces++
-		for stage, s := range tally(col.Events()) {
-			if s.issues != s.dones {
-				t.Fatalf("query %d stage %d: %d StageIssue vs %d StageDone — failing stage left open",
-					qi, stage, s.issues, s.dones)
-			}
-			if s.fetchDone > s.fetchIssued {
-				t.Fatalf("query %d stage %d: %d FetchDone for %d FetchIssue", qi, stage, s.fetchDone, s.fetchIssued)
-			}
-		}
-	}
-	if failedTraces == 0 {
-		t.Fatal("no query hit the dead disk; regression coverage is vacuous")
-	}
+		checkStagesClosed(t, "cancelled query", col.Events())
+	})
 
-	// Cancellation path: the opened stage still closes.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var col obs.Collector
-	if _, _, err := eng.KNN(ctx, query.CRSS{}, pts[0], 5, query.Options{Observer: &col}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for stage, s := range tally(col.Events()) {
-		if s.issues != s.dones {
-			t.Fatalf("cancelled query stage %d: %d StageIssue vs %d StageDone", stage, s.issues, s.dones)
+	// A query joins a flight for the root page whose leader then dies
+	// of its own cancellation: fetchStage refetches the slot and the
+	// query succeeds, its first stage closed like any other.
+	t.Run("coalesced-leader-cancelled", func(t *testing.T) {
+		eng, err := New(tree, Config{CoalesceFetches: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer eng.Close()
+		root := tree.Root()
+		sh, joined := eng.co.join(root, newStageScratch(), 0)
+		if joined {
+			t.Fatal("fresh engine already had a flight for the root page")
+		}
+		var col obs.Collector
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := eng.KNN(context.Background(), query.CRSS{}, pts[0], 5, query.Options{Observer: &col})
+			done <- err
+		}()
+		waitForWaiter(t, sh, root)
+		eng.abortFlight(sh, root, context.Canceled)
+		if err := <-done; err != nil {
+			t.Fatalf("query failed after its flight's leader was cancelled: %v", err)
+		}
+		if got := eng.Stats().FetchesCoalesced; got != 1 {
+			t.Fatalf("FetchesCoalesced = %d, want 1: the query never joined the flight", got)
+		}
+		checkStagesClosed(t, "coalesced query", col.Events())
+	})
+
+	// Slow reads hold every in-flight slot, a query's first stage blocks
+	// waiting for one, and Close makes its submit fail with ErrClosed.
+	t.Run("closed-while-blocked", func(t *testing.T) {
+		inj := fault.NewInjector(1)
+		for d := 0; d < 8; d++ {
+			inj.Set(d, fault.Faults{SpikeProb: 1, SpikeDelay: 20 * time.Millisecond})
+		}
+		eng, err := New(tree, Config{Mirrors: 1, Fault: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs []query.PageRequest
+		for d, ids := range pagesByDisk(t, eng.tree, func(id rtree.PageID) (int, bool) {
+			pl, ok := eng.tree.Placement(id)
+			return pl.Disk, ok
+		}) {
+			for _, id := range ids {
+				if id != tree.Root() {
+					reqs = append(reqs, query.PageRequest{Page: id, Disk: d})
+				}
+			}
+		}
+		if len(reqs) <= cap(eng.sem) {
+			t.Fatalf("%d pages cannot fill %d in-flight slots", len(reqs), cap(eng.sem))
+		}
+		// The holder is admitted like a query, so Close waits for it
+		// before it stops the queues it submits to.
+		if err := eng.begin(); err != nil {
+			t.Fatal(err)
+		}
+		holder := make(chan error, 1)
+		go func() {
+			defer eng.running.Done()
+			_, err := eng.fetchBatch(context.Background(), 0, reqs, nil)
+			holder <- err
+		}()
+		waitFor(t, "the slow reads to hold every in-flight slot", func() bool { return len(eng.sem) == cap(eng.sem) })
+
+		var col obs.Collector
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := eng.KNN(context.Background(), query.CRSS{}, pts[0], 5, query.Options{Observer: &col})
+			done <- err
+		}()
+		waitFor(t, "the query to open its first stage", func() bool { return len(col.Events()) > 0 })
+		time.Sleep(5 * time.Millisecond) // let it reach the full semaphore
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; !errors.Is(err, ErrClosed) {
+			t.Fatalf("query err = %v, want ErrClosed", err)
+		}
+		if err := <-holder; !errors.Is(err, ErrClosed) {
+			t.Fatalf("slot holder err = %v, want ErrClosed", err)
+		}
+		checkStagesClosed(t, "query on a closed engine", col.Events())
+	})
+
+	t.Run("driver", func(t *testing.T) {
+		for _, alg := range []query.Algorithm{query.CRSS{}, query.BBSS{}} {
+			var col obs.Collector
+			query.Driver{Tree: tree}.Run(alg, pts[1], 5, query.Options{Observer: &col})
+			if len(col.Events()) == 0 {
+				t.Fatalf("%s: no events traced", alg.Name())
+			}
+			checkStagesClosed(t, alg.Name(), col.Events())
+		}
+	})
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

@@ -167,16 +167,18 @@ type Stats struct {
 }
 
 // Sub diffs two cumulative snapshots (s taken after prev).
-func (s Stats) Sub(prev Stats) Stats {
-	return Stats{
-		Queries:          s.Queries - prev.Queries,
-		Cancelled:        s.Cancelled - prev.Cancelled,
-		PagesFetched:     s.PagesFetched - prev.PagesFetched,
-		Decodes:          s.Decodes - prev.Decodes,
-		FetchesCancelled: s.FetchesCancelled - prev.FetchesCancelled,
-		FetchErrors:      s.FetchErrors - prev.FetchErrors,
-		FetchesCoalesced: s.FetchesCoalesced - prev.FetchesCoalesced,
-	}
+func (s Stats) Sub(prev Stats) Stats { return obs.Diff(s, prev) }
+
+// counters is the live form of Stats: one atomic per Stats field, of
+// the same name.
+type counters struct {
+	Queries          atomic.Uint64
+	Cancelled        atomic.Uint64
+	PagesFetched     atomic.Uint64
+	Decodes          atomic.Uint64
+	FetchesCancelled atomic.Uint64
+	FetchErrors      atomic.Uint64
+	FetchesCoalesced atomic.Uint64
 }
 
 // diskStore is one disk's content in memory mode: the encoded image of
@@ -295,13 +297,7 @@ type Engine struct {
 	views  *rtree.ViewPool // where recycled views go and decodes come from; nil when nothing is recycled
 	poison bool            // tests: scribble over a view as it is recycled
 
-	queries          atomic.Uint64
-	cancelled        atomic.Uint64
-	pagesFetched     atomic.Uint64
-	decodes          atomic.Uint64
-	fetchesCancelled atomic.Uint64
-	fetchErrors      atomic.Uint64
-	fetchesCoalesced atomic.Uint64
+	stats counters
 
 	// hedgeP99Nanos / hedgeRefreshAt cache the p99-derived hedge delay
 	// so the hot hedged-read path does not pay a full histogram
@@ -501,17 +497,7 @@ func (e *Engine) closeFiles() error {
 func (e *Engine) NumWorkers() int { return e.tree.NumDisks() * e.cfg.WorkersPerDisk }
 
 // Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		Queries:          e.queries.Load(),
-		Cancelled:        e.cancelled.Load(),
-		PagesFetched:     e.pagesFetched.Load(),
-		Decodes:          e.decodes.Load(),
-		FetchesCancelled: e.fetchesCancelled.Load(),
-		FetchErrors:      e.fetchErrors.Load(),
-		FetchesCoalesced: e.fetchesCoalesced.Load(),
-	}
-}
+func (e *Engine) Stats() Stats { return obs.Load[Stats](&e.stats) }
 
 // QueueDepths reports each logical disk's current read backlog: jobs
 // sitting in (or blocked entering) the disk's queue plus jobs a worker
@@ -566,23 +552,23 @@ func (e *Engine) worker(d int) {
 		if err := job.ctx.Err(); err != nil {
 			res.err = err
 			g.Cancelled.Add(1)
-			e.fetchesCancelled.Add(1)
+			e.stats.FetchesCancelled.Add(1)
 		} else {
 			g.InFlight.Add(1)
 			res.node, res.hit, res.err = e.readPage(job.ctx, d, job.page)
 			g.InFlight.Add(-1)
 			switch {
 			case res.err == nil:
-				e.pagesFetched.Add(1)
+				e.stats.PagesFetched.Add(1)
 				g.Served.Add(1)
 				res.wall = time.Since(job.submitted)
 				e.fetchLat.Observe(res.wall.Seconds())
 			case isCancellation(res.err):
 				g.Cancelled.Add(1)
-				e.fetchesCancelled.Add(1)
+				e.stats.FetchesCancelled.Add(1)
 			default:
 				g.Failed.Add(1)
-				e.fetchErrors.Add(1)
+				e.stats.FetchErrors.Add(1)
 			}
 		}
 		if job.flight != nil {
@@ -824,7 +810,7 @@ func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID)
 		}
 		if err == nil {
 			rep.consecFails.Store(0)
-			e.decodes.Add(1)
+			e.stats.Decodes.Add(1)
 			e.readLat.Observe(time.Since(begin).Seconds())
 			return n, nil
 		}
@@ -897,7 +883,7 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageSc
 	if e.co != nil {
 		sh, joined := e.co.join(r.Page, sc, idx)
 		if joined {
-			e.fetchesCoalesced.Add(1)
+			e.stats.FetchesCoalesced.Add(1)
 			return nil
 		}
 		flight = sh
@@ -1089,7 +1075,7 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 			mark = time.Now()
 		}
 	}
-	e.pagesFetched.Add(hits)
+	e.stats.PagesFetched.Add(hits)
 	// Wait for every owed delivery even after an error: workers own sem
 	// slots until delivery, the countdown must be back at zero before the
 	// next stage, and the first I/O error must not be masked by cancellation
@@ -1190,10 +1176,10 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 	sc.unpin()
 	e.scratch.Put(sc)
 	if err != nil {
-		e.cancelled.Add(1)
+		e.stats.Cancelled.Add(1)
 		return nil, nil, err
 	}
-	e.queries.Add(1)
+	e.stats.Queries.Add(1)
 	e.queryLat.Observe(time.Since(start).Seconds())
 	return ex.Results(), ex.Stats(), nil
 }

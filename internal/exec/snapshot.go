@@ -52,7 +52,7 @@ func (e *Engine) Snapshot() Snapshot {
 		Stats:        e.Stats(),
 		Views:        e.ViewStats(),
 		Disks:        make([]obs.DiskSnapshot, len(e.gauges)),
-		Faults:       e.faults.Snapshot(),
+		Faults:       obs.Load[obs.FaultSnapshot](&e.faults),
 		Degraded:     e.ReplicaHealth(),
 		Storage:      e.storage.Snapshot(),
 		QueryLatency: e.queryLat.Snapshot(),
@@ -64,12 +64,10 @@ func (e *Engine) Snapshot() Snapshot {
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()
 	}
-	served := make([]uint64, len(e.gauges))
 	for d := range e.gauges {
 		s.Disks[d] = e.gauges[d].Snapshot()
-		served[d] = s.Disks[d].Served
 	}
-	s.BalanceRatio = obs.BalanceRatio(served)
+	s.BalanceRatio = balanceRatio(s.Disks)
 	return s
 }
 
@@ -77,40 +75,18 @@ func (e *Engine) Snapshot() Snapshot {
 // counters and histograms subtract, instantaneous gauges keep s's
 // values, and the balance ratio is recomputed over the interval.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Stats:        s.Stats.Sub(prev.Stats),
-		Cache:        subCacheStats(s.Cache, prev.Cache),
-		Views:        s.Views.Sub(prev.Views),
-		Disks:        make([]obs.DiskSnapshot, len(s.Disks)),
-		Faults:       s.Faults.Sub(prev.Faults),
-		Degraded:     s.Degraded, // instantaneous: keep the later view
-		Storage:      s.Storage.Sub(prev.Storage),
-		QueryLatency: s.QueryLatency.Sub(prev.QueryLatency),
-		FetchLatency: s.FetchLatency.Sub(prev.FetchLatency),
-		ReadLatency:  s.ReadLatency.Sub(prev.ReadLatency),
-		StageLatency: s.StageLatency.Sub(prev.StageLatency),
-		SemWait:      s.SemWait.Sub(prev.SemWait),
-	}
-	served := make([]uint64, len(s.Disks))
-	for d := range s.Disks {
-		p := obs.DiskSnapshot{}
-		if d < len(prev.Disks) {
-			p = prev.Disks[d]
-		}
-		out.Disks[d] = s.Disks[d].Sub(p)
-		served[d] = out.Disks[d].Served
-	}
-	out.BalanceRatio = obs.BalanceRatio(served)
+	out := obs.Diff(s, prev)
+	out.BalanceRatio = balanceRatio(out.Disks)
 	return out
 }
 
-func subCacheStats(a, b bufferpool.Stats) bufferpool.Stats {
-	return bufferpool.Stats{
-		Hits:      a.Hits - b.Hits,
-		Misses:    a.Misses - b.Misses,
-		Evictions: a.Evictions - b.Evictions,
-		Inserts:   a.Inserts - b.Inserts,
+// balanceRatio is obs.BalanceRatio over the disks' served pages.
+func balanceRatio(disks []obs.DiskSnapshot) float64 {
+	served := make([]uint64, len(disks))
+	for d := range disks {
+		served[d] = disks[d].Served
 	}
+	return obs.BalanceRatio(served)
 }
 
 // expvarView is the JSON shape published under /debug/vars: the full

@@ -9,8 +9,8 @@ import (
 // This file is the interprocedural layer under lockorder: a per-package
 // static call graph with CHA-style (class-hierarchy) resolution,
 // standing in for golang.org/x/tools/go/callgraph (unavailable
-// offline). Build-tag awareness comes from the loader — LoadModule and
-// LoadDir match files through go/build — so the graph only ever sees
+// offline). Build-tag awareness comes from the loader — LoadModule
+// matches files through go/build — so the graph only ever sees
 // files that compile into the package.
 //
 // Resolution policy, from precise to conservative:

@@ -15,7 +15,7 @@ func parseAs(t *testing.T, importPath, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, importPath)
+	pkg, err := loadDir(dir, importPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,18 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // This file is the control-flow layer under the path-sensitive
-// analyzers (tracepair, fsyncorder, errlost, lockorder): a basic-block
+// analyzers (fsyncorder, errlost, lockorder): a basic-block
 // CFG built from a function body's syntax, standing in for
 // golang.org/x/tools/go/cfg (unavailable offline). The builder handles
 // if/for/range/switch/type-switch/select, labeled and unlabeled
 // break/continue, goto, return, and calls that never return (panic,
 // os.Exit); defer and go statements stay in their block as ordinary
-// nodes and analyzers decide their semantics (see CFG.Defers).
+// nodes and analyzers decide their semantics.
 //
 // Function literals are NOT inlined: each *ast.FuncLit body is its own
 // function with its own CFG — analyzers walk them separately via
@@ -28,21 +26,10 @@ type Block struct {
 	// conditions (if/for/switch tags, range operands) are appended as
 	// bare ast.Expr nodes so transfer functions see every evaluation.
 	Nodes []ast.Node
-	Succs []Edge
+	Succs []int // indices of the successor blocks
 	// Label names the block's role for CFG tests and debug dumps
 	// ("entry", "if.then", "for.head", "select.case", ...).
 	Label string
-}
-
-// Edge is one control-flow successor. When Cond is non-nil the edge is
-// taken only for that boolean outcome of the condition (Negated false =
-// condition true), which is what lets analyzers refine facts on
-// branches — e.g. the false edge of `obs != nil` proves the observer
-// nil on that path.
-type Edge struct {
-	To      int
-	Cond    ast.Expr
-	Negated bool
 }
 
 // CFG is one function body's control-flow graph. Blocks[Entry] is the
@@ -54,11 +41,6 @@ type CFG struct {
 	Entry  int
 	Exit   int
 	Panic  int
-	// Defers lists every defer statement in the function in source
-	// order. A registered defer runs at every function exit reached
-	// after its registration point — analyzers for "must eventually
-	// happen" properties may treat the registration as the action.
-	Defers []*ast.DeferStmt
 }
 
 // BuildCFG constructs the CFG of one function body.
@@ -110,20 +92,14 @@ func (b *cfgBuilder) newBlock(label string) *Block {
 	return blk
 }
 
-// jump adds an unconditional edge.
+// jump adds an edge.
 func (b *cfgBuilder) jump(from, to *Block) {
-	from.Succs = append(from.Succs, Edge{To: to.Index})
-}
-
-// branch adds a conditional edge.
-func (b *cfgBuilder) branch(from, to *Block, cond ast.Expr, negated bool) {
-	from.Succs = append(from.Succs, Edge{To: to.Index, Cond: cond, Negated: negated})
+	from.Succs = append(from.Succs, to.Index)
 }
 
 // dead replaces the current block with a fresh unreachable one, after a
 // terminator (return, panic, goto, break, continue). Statically
-// unreachable code lands there with no predecessors; must-analyses see
-// ⊤ for it and stay quiet, which is the behavior we want.
+// unreachable code lands there with no predecessors.
 func (b *cfgBuilder) dead() {
 	b.cur = b.newBlock("unreachable")
 }
@@ -183,7 +159,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.selectStmt(s)
 
 	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s)
 		b.cur.Nodes = append(b.cur.Nodes, s)
 
 	case *ast.ExprStmt:
@@ -242,19 +217,19 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	join := b.newBlock("if.join")
 
 	then := b.newBlock("if.then")
-	b.branch(cond, then, s.Cond, false)
+	b.jump(cond, then)
 	b.cur = then
 	b.stmt(s.Body)
 	b.jump(b.cur, join)
 
 	if s.Else != nil {
 		els := b.newBlock("if.else")
-		b.branch(cond, els, s.Cond, true)
+		b.jump(cond, els)
 		b.cur = els
 		b.stmt(s.Else)
 		b.jump(b.cur, join)
 	} else {
-		b.branch(cond, join, s.Cond, true)
+		b.jump(cond, join)
 	}
 	b.cur = join
 }
@@ -271,13 +246,11 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt) {
 		post = b.newBlock("for.post")
 	}
 	b.jump(b.cur, head)
+	b.jump(head, body)
 	if s.Cond != nil {
 		head.Nodes = append(head.Nodes, s.Cond)
-		b.branch(head, body, s.Cond, false)
-		b.branch(head, join, s.Cond, true)
-	} else {
-		b.jump(head, body) // `for {}`: join reachable only via break
-	}
+		b.jump(head, join)
+	} // else `for {}`: join reachable only via break
 	b.pushLoop(join, post)
 	b.cur = body
 	b.stmt(s.Body)
@@ -420,26 +393,13 @@ func isNoReturnCall(call *ast.CallExpr) bool {
 	return false
 }
 
-// Dump renders the CFG for tests and debugging: one line per block with
-// its label and successor indices.
-func (c *CFG) Dump() string {
-	var sb strings.Builder
-	for _, blk := range c.Blocks {
-		fmt.Fprintf(&sb, "%d[%s] ->", blk.Index, blk.Label)
-		for _, e := range blk.Succs {
-			if e.Cond != nil {
-				if e.Negated {
-					fmt.Fprintf(&sb, " !%d", e.To)
-				} else {
-					fmt.Fprintf(&sb, " +%d", e.To)
-				}
-			} else {
-				fmt.Fprintf(&sb, " %d", e.To)
-			}
-		}
-		sb.WriteString("\n")
+// declName names a function body for diagnostics: the declaration's
+// name, or the literal inside it.
+func declName(decl *ast.FuncDecl, lit *ast.FuncLit) string {
+	if lit != nil {
+		return "function literal in " + decl.Name.Name
 	}
-	return sb.String()
+	return decl.Name.Name
 }
 
 // funcBodies invokes fn for every function body in the file: named

@@ -2,9 +2,9 @@ package lint
 
 // The forward dataflow engine under the path-sensitive analyzers: a
 // classic iterative fixpoint over the CFG with bitset fact lattices.
-// Analyzers express their protocol as a per-block transfer function
-// that may refine facts per outgoing edge (branch sensitivity: the
-// false edge of `obs != nil` carries "obs is nil").
+// Every analyzer asks a may-question (can a dirty write, an unchecked
+// error, a held lock reach this point on some path?), so the meet is
+// union and a block's facts flow unchanged along each of its edges.
 
 // BitSet is a fixed-capacity fact set. Analyzers allocate one bit per
 // tracked fact (an obligation, a variable's state); functions with more
@@ -35,13 +35,6 @@ func (s BitSet) Equal(o BitSet) bool {
 	return true
 }
 
-// IntersectWith sets s to s ∩ o.
-func (s BitSet) IntersectWith(o BitSet) {
-	for i := range s {
-		s[i] &= o[i]
-	}
-}
-
 // UnionWith sets s to s ∪ o.
 func (s BitSet) UnionWith(o BitSet) {
 	for i := range s {
@@ -49,43 +42,23 @@ func (s BitSet) UnionWith(o BitSet) {
 	}
 }
 
-// Fill sets every fact (the ⊤ of a must-analysis).
-func (s BitSet) Fill() {
-	for i := range s {
-		s[i] = ^uint64(0)
-	}
-}
-
-// FlowSpec describes one forward dataflow problem.
+// FlowSpec describes one forward may-analysis: a fact holds on entry
+// to a block when it may hold at the end of some predecessor.
 type FlowSpec struct {
 	// Bits is the fact-domain size.
 	Bits int
-	// Must selects the meet: true = intersection (a fact holds only if
-	// it holds on every path; unreached blocks start at ⊤), false =
-	// union (a fact holds if it may hold on some path; start at ⊥).
-	Must bool
-	// Transfer maps a block's in-state to one out-state per successor
-	// edge, in Succs order. The returned sets may alias each other and
-	// the input only if unmodified; edge-refined sets must be fresh.
-	Transfer func(b *Block, in BitSet) []BitSet
+	// Transfer maps a block's in-state to its out-state. It owns in (a
+	// copy) and may modify and return it.
+	Transfer func(b *Block, in BitSet) BitSet
 }
 
 // Flow runs the fixpoint and returns the in-state of every block.
-// Blocks unreachable from the entry keep their initial value (⊤ for
-// must, ⊥ for may), so reports never fire in dead code under a must
-// analysis.
 func (c *CFG) Flow(spec FlowSpec) []BitSet {
 	n := len(c.Blocks)
 	ins := make([]BitSet, n)
 	for i := range ins {
 		ins[i] = NewBitSet(spec.Bits)
-		if spec.Must && i != c.Entry {
-			ins[i].Fill()
-		}
 	}
-
-	// edgeOuts[b][k] is the out-state along block b's k-th edge.
-	edgeOuts := make([][]BitSet, n)
 
 	// Worklist seeded with every block in index order (the builder
 	// emits blocks roughly in source order, so this converges fast).
@@ -104,54 +77,15 @@ func (c *CFG) Flow(spec FlowSpec) []BitSet {
 		i := list[0]
 		list = list[1:]
 		inList[i] = false
-		b := c.Blocks[i]
-		edgeOuts[i] = spec.Transfer(b, ins[i].Clone())
-		for _, e := range b.Succs {
-			merged := c.meetInto(spec, e.To, edgeOuts)
-			if !merged.Equal(ins[e.To]) {
-				ins[e.To] = merged
-				push(e.To)
+		out := spec.Transfer(c.Blocks[i], ins[i].Clone())
+		for _, to := range c.Blocks[i].Succs {
+			merged := ins[to].Clone()
+			merged.UnionWith(out)
+			if !merged.Equal(ins[to]) {
+				ins[to] = merged
+				push(to)
 			}
 		}
 	}
 	return ins
-}
-
-// meetInto recomputes a block's in-state as the meet over every known
-// incoming edge-out (edges whose source has not run yet contribute the
-// initial value, which is the meet identity).
-func (c *CFG) meetInto(spec FlowSpec, target int, edgeOuts [][]BitSet) BitSet {
-	acc := NewBitSet(spec.Bits)
-	first := true
-	for _, b := range c.Blocks {
-		for k, e := range b.Succs {
-			if e.To != target || edgeOuts[b.Index] == nil {
-				continue
-			}
-			out := edgeOuts[b.Index][k]
-			if first {
-				copy(acc, out)
-				first = false
-			} else if spec.Must {
-				acc.IntersectWith(out)
-			} else {
-				acc.UnionWith(out)
-			}
-		}
-	}
-	if first && spec.Must && target != c.Entry {
-		// No predecessor has produced an out yet: initial value.
-		acc.Fill()
-	}
-	return acc
-}
-
-// UniformOuts is the common transfer tail: every successor edge gets
-// the same out-state.
-func UniformOuts(b *Block, out BitSet) []BitSet {
-	outs := make([]BitSet, len(b.Succs))
-	for i := range outs {
-		outs[i] = out
-	}
-	return outs
 }

@@ -228,14 +228,14 @@ func checkErrDeadStores(pass *Pass, fname string, body *ast.BlockStmt, sites []e
 		})
 	}
 
-	transfer := func(b *Block, in BitSet) []BitSet {
+	transfer := func(b *Block, in BitSet) BitSet {
 		out := in
 		for _, n := range b.Nodes {
 			apply(n, out, nil)
 		}
-		return UniformOuts(b, out)
+		return out
 	}
-	ins := cfg.Flow(FlowSpec{Bits: nb, Must: false, Transfer: transfer})
+	ins := cfg.Flow(FlowSpec{Bits: nb, Transfer: transfer})
 
 	// Report overwrites from the fixpoint states.
 	reportedOverwrite := map[int]bool{}

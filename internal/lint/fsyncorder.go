@@ -242,7 +242,7 @@ func fsyncApplyNode(pass *Pass, n ast.Node, dirty bool, summaries map[*types.Fun
 // bit can reach the normal exit.
 func fsyncDirtyAtExit(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func]bool) bool {
 	cfg := BuildCFG(body)
-	transfer := func(b *Block, in BitSet) []BitSet {
+	transfer := func(b *Block, in BitSet) BitSet {
 		dirty := in.Has(0)
 		for _, n := range b.Nodes {
 			dirty = fsyncApplyNode(pass, n, dirty, summaries, nil)
@@ -251,9 +251,9 @@ func fsyncDirtyAtExit(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func
 		if dirty {
 			out.Set(0)
 		}
-		return UniformOuts(b, out)
+		return out
 	}
-	ins := cfg.Flow(FlowSpec{Bits: 1, Must: false, Transfer: transfer})
+	ins := cfg.Flow(FlowSpec{Bits: 1, Transfer: transfer})
 	return ins[cfg.Exit].Has(0)
 }
 
@@ -261,7 +261,7 @@ func fsyncDirtyAtExit(pass *Pass, body *ast.BlockStmt, summaries map[*types.Func
 // unsynced write outstanding.
 func checkFsyncOrder(pass *Pass, fname string, body *ast.BlockStmt, summaries map[*types.Func]bool) {
 	cfg := BuildCFG(body)
-	transfer := func(b *Block, in BitSet) []BitSet {
+	transfer := func(b *Block, in BitSet) BitSet {
 		dirty := in.Has(0)
 		for _, n := range b.Nodes {
 			dirty = fsyncApplyNode(pass, n, dirty, summaries, nil)
@@ -270,9 +270,9 @@ func checkFsyncOrder(pass *Pass, fname string, body *ast.BlockStmt, summaries ma
 		if dirty {
 			out.Set(0)
 		}
-		return UniformOuts(b, out)
+		return out
 	}
-	ins := cfg.Flow(FlowSpec{Bits: 1, Must: false, Transfer: transfer})
+	ins := cfg.Flow(FlowSpec{Bits: 1, Transfer: transfer})
 
 	// Walk each block again from its fixpoint in-state, this time with
 	// the publish callback armed; dedupe so a publish inside a loop

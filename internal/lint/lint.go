@@ -2,14 +2,15 @@
 // invariants this reproduction depends on: bit-identical results across
 // the immediate driver, the event-driven simulator and the concurrent
 // engine (determinism), exact float comparison discipline, documented
-// mutex protection, and telemetry snapshot completeness.
+// mutex protection, durable-write ordering, storage errors that are
+// never dropped, and a consistent lock order.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library only — the build
 // environment is offline, so x/tools cannot be vendored. One loader
 // (module.go) type-checks packages from source, and one driver runs the
 // suite over them: Standalone, behind cmd/simquerylint, over the whole
-// module; the golden tests call LoadDir for a single directory.
+// module.
 //
 // # Suppressions
 //
@@ -81,8 +82,6 @@ func All() []*Analyzer {
 		SimDeterminism,
 		FloatCmp,
 		LockCheck,
-		StatsComplete,
-		TracePair,
 		FsyncOrder,
 		ErrLost,
 		LockOrder,

@@ -17,7 +17,7 @@ func TestGolden(t *testing.T) {
 		a := a
 		t.Run(a.Name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", a.Name)
-			pkg, err := LoadDir(dir, a.Name)
+			pkg, err := loadDir(dir, a.Name)
 			if err != nil {
 				t.Fatalf("loading %s: %v", dir, err)
 			}
@@ -89,14 +89,19 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 func TestSuppressionRequiresReason(t *testing.T) {
 	pkg := parseOnly(t, "p.go", `package p
 
-type T struct{ A int }
+import "sync"
 
-func Snapshot() T {
-	//lint:allow statscomplete
-	return T{}
+type T struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+
+func (t *T) Snapshot() int {
+	//lint:allow lockcheck
+	return t.n
 }
 `)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{StatsComplete})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{LockCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,7 @@ func Snapshot() T {
 		switch d.Analyzer {
 		case "lint":
 			sawMalformed = strings.Contains(d.Message, "malformed")
-		case "statscomplete":
+		case "lockcheck":
 			sawFinding = true
 		}
 	}
@@ -123,18 +128,23 @@ func Snapshot() T {
 func TestSuppressionSameAndPreviousLine(t *testing.T) {
 	pkg := parseOnly(t, "p.go", `package p
 
-type T struct{ A int }
+import "sync"
 
-func Snapshot() T {
-	return T{} //lint:allow statscomplete literal is filled by the caller
+type T struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
 
-func Stats() T {
-	//lint:allow statscomplete second helper, same contract
-	return T{}
+func (t *T) Snapshot() int {
+	return t.n //lint:allow lockcheck the caller holds t.mu
+}
+
+func (t *T) Stats() int {
+	//lint:allow lockcheck second helper, same contract
+	return t.n
 }
 `)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{StatsComplete})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{LockCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +158,7 @@ func Stats() T {
 // approved Equal helpers) and requires it to be clean — the same gate
 // `make analyze` enforces over the whole module.
 func TestSelfCheck(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("..", "geom"), "repro/internal/geom")
+	pkg, err := loadDir(filepath.Join("..", "geom"), "repro/internal/geom")
 	if err != nil {
 		t.Fatalf("loading internal/geom: %v", err)
 	}
@@ -161,6 +171,12 @@ func TestSelfCheck(t *testing.T) {
 	}
 }
 
+// loadDir loads the package in dir, with its in-package test files, as
+// LoadModule would were dir the root of a module named importPath.
+func loadDir(dir, importPath string) (*Package, error) {
+	return newModuleLoader(dir, importPath).loadDir(dir, importPath, true)
+}
+
 // parseOnly type-checks an inline single-file package for framework
 // tests.
 func parseOnly(t *testing.T, name, src string) *Package {
@@ -169,7 +185,7 @@ func parseOnly(t *testing.T, name, src string) *Package {
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, "p")
+	pkg, err := loadDir(dir, "p")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,14 +482,14 @@ func (st *lockOrderState) checkFunc(fi *FuncInfo) {
 		})
 	}
 
-	transfer := func(b *Block, in BitSet) []BitSet {
+	transfer := func(b *Block, in BitSet) BitSet {
 		out := in
 		for _, n := range b.Nodes {
 			apply(n, out, false)
 		}
-		return UniformOuts(b, out)
+		return out
 	}
-	ins := cfg.Flow(FlowSpec{Bits: len(bits), Must: false, Transfer: transfer})
+	ins := cfg.Flow(FlowSpec{Bits: len(bits), Transfer: transfer})
 
 	// Reporting walk from the fixpoint in-states.
 	st.reported = map[token.Pos]bool{}

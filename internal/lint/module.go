@@ -80,14 +80,6 @@ func LoadModule(root, modPath string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir loads the package in dir, with its in-package test files,
-// as LoadModule would were dir the root of a module named importPath.
-// It is the loader of the golden tests under testdata/src and of the
-// inline fixtures, which import only the standard library.
-func LoadDir(dir, importPath string) (*Package, error) {
-	return newModuleLoader(dir, importPath).loadDir(dir, importPath, true)
-}
-
 type moduleLoader struct {
 	root    string
 	modPath string

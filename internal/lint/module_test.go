@@ -44,18 +44,23 @@ func TestRepoProtocolsClean(t *testing.T) {
 func TestAuditReportsStaleDirective(t *testing.T) {
 	pkg := parseOnly(t, "p.go", `package p
 
-type T struct{ A int }
+import "sync"
 
-func Snapshot() T {
-	return T{} //lint:allow statscomplete literal filled by the caller
+type T struct {
+	mu sync.Mutex
+	n  int // guarded by mu
 }
 
-func Stale() T {
+func (t *T) Snapshot() int {
+	return t.n //lint:allow lockcheck the caller holds t.mu
+}
+
+func Stale() int {
 	//lint:allow floatcmp nothing here ever compared floats
-	return T{A: 1}
+	return 1
 }
 `)
-	diags, err := Audit(pkg, []*Analyzer{StatsComplete, FloatCmp})
+	diags, err := Audit(pkg, []*Analyzer{LockCheck, FloatCmp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +86,7 @@ func TestSortFindings(t *testing.T) {
 		return token.Position{Filename: file, Line: line, Column: col}
 	}
 	findings := []Finding{
-		{Position: pos("b.go", 3, 1), Analyzer: "tracepair", Message: "m1"},
+		{Position: pos("b.go", 3, 1), Analyzer: "lockcheck", Message: "m1"},
 		{Position: pos("a.go", 9, 2), Analyzer: "lockorder", Message: "m2"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m3"},
 		{Position: pos("a.go", 9, 1), Analyzer: "fsyncorder", Message: "m4"},
@@ -108,8 +113,8 @@ func TestWriteSARIF(t *testing.T) {
 	findings := []Finding{
 		{
 			Position: token.Position{Filename: "/repo/internal/exec/engine.go", Line: 42, Column: 3},
-			Analyzer: "tracepair",
-			Message:  "unpaired StageDone",
+			Analyzer: "lockcheck",
+			Message:  "access to engine.isClosed (guarded by mu)",
 		},
 		{
 			Position: token.Position{Filename: "/repo/a_test.go", Line: 7, Column: 1},
@@ -163,7 +168,7 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"tracepair", "fsyncorder", "errlost",
+	for _, want := range []string{"lockcheck", "fsyncorder", "errlost",
 		"lockorder", "audit", "lint"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule table missing %q", want)

@@ -12,28 +12,36 @@ import (
 )
 
 // writeModule lays out a two-file module "m": the root package's Stats
-// fills the fields named in fill, and package q, which imports it,
-// carries the given directive above its call.
-func writeModule(t *testing.T, dir, fill, directive string) {
+// runs lock before reading a field guarded by mu, and package q, which
+// imports it, carries the given directive above its call.
+func writeModule(t *testing.T, dir, lock, directive string) {
 	t.Helper()
 	files := map[string]string{
 		"t.go": fmt.Sprintf(`package m
 
-// T is a telemetry snapshot.
-type T struct{ A, B int }
+import "sync"
+
+// T holds the counters.
+type T struct {
+	mu sync.Mutex
+	A  int
+	B  int // guarded by mu
+}
 
 // Stats reports the counters.
-func Stats() T { return T{%s} }
-`, fill),
+func (t *T) Stats() int {
+	%s
+	return t.A + t.B
+}
+`, lock),
 		"q/q.go": fmt.Sprintf(`package q
 
 import "m"
 
 // Sum adds the counters.
-func Sum() int {
-	s := m.Stats()
+func Sum(t *m.T) int {
 	%s
-	return s.A + s.B
+	return t.Stats()
 }
 `, directive),
 	}
@@ -60,24 +68,25 @@ func TestStandalone(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mod := []string{"-source", dir, "-module", "m"}
+	const locked = "t.mu.Lock()\n\tdefer t.mu.Unlock()"
 
-	writeModule(t, dir, "A: 1, B: 2", "")
+	writeModule(t, dir, locked, "")
 	if code, out := run(append(mod, "-audit")...); code != 0 || out != "" {
 		t.Errorf("clean module: exit %d, output %q; want 0 and nothing", code, out)
 	}
 
-	// A seeded finding: Stats leaves B unset.
-	writeModule(t, dir, "A: 1", "")
+	// A seeded finding: Stats reads B without its lock.
+	writeModule(t, dir, "", "")
 	code, out := run(append(mod, "-github")...)
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	if code != 1 || len(lines) != 2 {
 		t.Fatalf("seeded finding under -github: exit %d, %d lines; want 1 and a finding plus its annotation", code, len(lines))
 	}
-	m := regexp.MustCompile(`^(.*t\.go):(\d+):(\d+): \[statscomplete\] (.*B.*)$`).FindStringSubmatch(lines[0])
+	m := regexp.MustCompile(`^(.*t\.go):(\d+):(\d+): \[lockcheck\] (.*B.*)$`).FindStringSubmatch(lines[0])
 	if m == nil {
-		t.Fatalf("finding line %q is not file:line:col: [statscomplete] message", lines[0])
+		t.Fatalf("finding line %q is not file:line:col: [lockcheck] message", lines[0])
 	}
-	annotation := fmt.Sprintf("::error file=%s,line=%s,col=%s::[statscomplete] %s", m[1], m[2], m[3], m[4])
+	annotation := fmt.Sprintf("::error file=%s,line=%s,col=%s::[lockcheck] %s", m[1], m[2], m[3], m[4])
 	if lines[1] != annotation {
 		t.Errorf("annotation %q, want %q", lines[1], annotation)
 	}
@@ -98,12 +107,12 @@ func TestStandalone(t *testing.T) {
 		t.Error(err)
 	} else if err := json.Unmarshal(data, &log); err != nil {
 		t.Errorf("SARIF artifact is not JSON: %v", err)
-	} else if len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 || log.Runs[0].Results[0].RuleID != "statscomplete" {
-		t.Errorf("SARIF results %+v, want the one statscomplete finding", log.Runs)
+	} else if len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 || log.Runs[0].Results[0].RuleID != "lockcheck" {
+		t.Errorf("SARIF results %+v, want the one lockcheck finding", log.Runs)
 	}
 
 	// A directive that suppresses nothing is news only to the audit.
-	writeModule(t, dir, "A: 1, B: 2", "//lint:allow floatcmp nothing here compares floats")
+	writeModule(t, dir, locked, "//lint:allow floatcmp nothing here compares floats")
 	if code, out := run(mod...); code != 0 || out != "" {
 		t.Errorf("stale directive without -audit: exit %d, output %q", code, out)
 	}
@@ -116,7 +125,7 @@ func TestStandalone(t *testing.T) {
 	if code, _ := run("-nope"); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
-	writeModule(t, dir, "A: 1, B: undefined", "")
+	writeModule(t, dir, "undefined()", "")
 	if code, _ := run(mod...); code != 2 {
 		t.Errorf("module that does not type-check: exit %d, want 2", code)
 	}

@@ -27,18 +27,6 @@ type FaultCounters struct {
 	DisksDegraded atomic.Int64
 }
 
-// Snapshot freezes the fault counters.
-func (c *FaultCounters) Snapshot() FaultSnapshot {
-	return FaultSnapshot{
-		Retries:           c.Retries.Load(),
-		Redirects:         c.Redirects.Load(),
-		Hedges:            c.Hedges.Load(),
-		HedgeWins:         c.HedgeWins.Load(),
-		IntegrityFailures: c.IntegrityFailures.Load(),
-		DisksDegraded:     c.DisksDegraded.Load(),
-	}
-}
-
 // FaultSnapshot is a point-in-time copy of a FaultCounters.
 type FaultSnapshot struct {
 	Retries           uint64
@@ -47,17 +35,4 @@ type FaultSnapshot struct {
 	HedgeWins         uint64
 	IntegrityFailures uint64
 	DisksDegraded     int64
-}
-
-// Sub diffs two snapshots: counters subtract, the degraded-disk gauge
-// keeps the later value.
-func (s FaultSnapshot) Sub(prev FaultSnapshot) FaultSnapshot {
-	return FaultSnapshot{
-		Retries:           s.Retries - prev.Retries,
-		Redirects:         s.Redirects - prev.Redirects,
-		Hedges:            s.Hedges - prev.Hedges,
-		HedgeWins:         s.HedgeWins - prev.HedgeWins,
-		IntegrityFailures: s.IntegrityFailures - prev.IntegrityFailures,
-		DisksDegraded:     s.DisksDegraded,
-	}
 }

@@ -32,15 +32,7 @@ type DiskGauges struct {
 }
 
 // Snapshot freezes the gauges.
-func (g *DiskGauges) Snapshot() DiskSnapshot {
-	return DiskSnapshot{
-		Queued:    g.Queued.Load(),
-		InFlight:  g.InFlight.Load(),
-		Served:    g.Served.Load(),
-		Cancelled: g.Cancelled.Load(),
-		Failed:    g.Failed.Load(),
-	}
-}
+func (g *DiskGauges) Snapshot() DiskSnapshot { return Load[DiskSnapshot](g) }
 
 // DiskSnapshot is a point-in-time copy of one disk's gauges.
 type DiskSnapshot struct {
@@ -53,15 +45,7 @@ type DiskSnapshot struct {
 
 // Sub diffs two snapshots of the same disk: counters subtract,
 // instantaneous gauges keep the later value.
-func (s DiskSnapshot) Sub(prev DiskSnapshot) DiskSnapshot {
-	return DiskSnapshot{
-		Queued:    s.Queued,
-		InFlight:  s.InFlight,
-		Served:    s.Served - prev.Served,
-		Cancelled: s.Cancelled - prev.Cancelled,
-		Failed:    s.Failed - prev.Failed,
-	}
-}
+func (s DiskSnapshot) Sub(prev DiskSnapshot) DiskSnapshot { return Diff(s, prev) }
 
 // BalanceRatio is the declustering load-balance metric: the busiest
 // disk's served-page count over the per-disk mean. 1.0 is a perfectly

@@ -9,7 +9,7 @@ import "sync/atomic"
 // StorageCounters once in use. The engine aggregates one instance
 // across all of its replica files and exposes it in its Snapshot.
 type StorageCounters struct {
-	// PageReads counts physical page reads (pread or mmap copy).
+	// PageReads counts physical page reads (pread).
 	PageReads atomic.Uint64
 	// PageWrites counts physical page writes (pwrite).
 	PageWrites atomic.Uint64
@@ -31,18 +31,7 @@ type StorageCounters struct {
 }
 
 // Snapshot freezes the storage counters.
-func (c *StorageCounters) Snapshot() StorageSnapshot {
-	return StorageSnapshot{
-		PageReads:       c.PageReads.Load(),
-		PageWrites:      c.PageWrites.Load(),
-		WALAppends:      c.WALAppends.Load(),
-		WALSyncs:        c.WALSyncs.Load(),
-		DataSyncs:       c.DataSyncs.Load(),
-		Checkpoints:     c.Checkpoints.Load(),
-		Recoveries:      c.Recoveries.Load(),
-		ReplayedRecords: c.ReplayedRecords.Load(),
-	}
-}
+func (c *StorageCounters) Snapshot() StorageSnapshot { return Load[StorageSnapshot](c) }
 
 // StorageSnapshot is a point-in-time copy of a StorageCounters.
 type StorageSnapshot struct {
@@ -57,15 +46,4 @@ type StorageSnapshot struct {
 }
 
 // Sub diffs two snapshots (s taken after prev).
-func (s StorageSnapshot) Sub(prev StorageSnapshot) StorageSnapshot {
-	return StorageSnapshot{
-		PageReads:       s.PageReads - prev.PageReads,
-		PageWrites:      s.PageWrites - prev.PageWrites,
-		WALAppends:      s.WALAppends - prev.WALAppends,
-		WALSyncs:        s.WALSyncs - prev.WALSyncs,
-		DataSyncs:       s.DataSyncs - prev.DataSyncs,
-		Checkpoints:     s.Checkpoints - prev.Checkpoints,
-		Recoveries:      s.Recoveries - prev.Recoveries,
-		ReplayedRecords: s.ReplayedRecords - prev.ReplayedRecords,
-	}
-}
+func (s StorageSnapshot) Sub(prev StorageSnapshot) StorageSnapshot { return Diff(s, prev) }

@@ -87,17 +87,12 @@ type ViewPool struct {
 }
 
 // ViewStats counts a pool's frames: how many views it has made, how
-// often it handed one out again instead, and how many are idle now.
+// often it handed one out again instead (both cumulative), and how
+// many are idle now (a gauge).
 type ViewStats struct {
 	Made   uint64
 	Reused uint64
 	Idle   int
-}
-
-// Sub diffs two readings of one pool (s taken after prev): the counters
-// subtract, Idle keeps the later value.
-func (s ViewStats) Sub(prev ViewStats) ViewStats {
-	return ViewStats{Made: s.Made - prev.Made, Reused: s.Reused - prev.Reused, Idle: s.Idle}
 }
 
 // NewViewPool returns an empty pool whose idle list has room for the
