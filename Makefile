@@ -74,9 +74,11 @@ bench:
 ## declustered 8-d tree, one durable batch of 45 inserts,
 ## 5 deletes and a Commit — on a bare R*-tree and on a core.Index, and
 ## one POST /v1/knn through the server's handler over a real engine,
-## and exec.New over the 8-d miss-path tree in memory and file mode with
-## the heap the engine keeps, and the reopen of a durable core.Index of
-## ingest-mixed's shape with a WAL tail) at a fixed iteration count with
+## the hedge delay a hedged read looks up (cached p99 vs a histogram
+## snapshot per call), and exec.New over the 8-d miss-path tree in
+## memory and file mode with the heap the engine keeps, and the reopen
+## of a durable core.Index of ingest-mixed's shape with a WAL tail) at
+## a fixed iteration count with
 ## the deterministic in-repo seeds, and render the output as a
 ## schema-versioned JSON report via cmd/benchjson. BenchmarkEngineNew
 ## builds a whole engine per op — ten replica files written and synced
@@ -88,17 +90,17 @@ BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
 BENCH_JSON_NEW_TIME ?= 20x
-# The baseline report also carries the parent commit's insertion rows
-# as `…/at=parent-d4169df`, measured alternately with the change's own;
-# bench-check lists them as missing from a new report (informational)
-# until the baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-17-pr35.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN'
+# The baseline report also carries the parent commit's engine miss-path
+# and EngineNew rows as `…/at=parent-eb16b09`, measured alternately with
+# the change's own; bench-check lists them as missing from a new report
+# (informational) until the baseline moves on.
+BENCH_BASELINE   ?= BENCH_2026-10-17-pr39.json
+BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN|BenchmarkHedgeDelay'
 BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \
-		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ ./internal/server/ | tee bin/bench.out
+		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ ./internal/server/ ./internal/exec/ | tee bin/bench.out
 	$(GO) test -run xxx -bench $(BENCH_JSON_NEW_SET) -benchtime=$(BENCH_JSON_NEW_TIME) \
 		-count=$(BENCH_JSON_COUNT) -benchmem ./internal/exec/ . | tee -a bin/bench.out
 	bin/benchjson parse -o $(BENCH_JSON_OUT) bin/bench.out

@@ -381,15 +381,16 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineMissPath is the engine where a page request is almost
+// BenchmarkEngineMissPath is the engine where a leaf request is almost
 // always a physical read: 8-d Gaussian points (a query touches a third
 // of the tree's pages), file-backed pread replicas, a cache of 5 % of
 // the pages with fetch coalescing on, two client goroutines. What it
 // tracks is what the engine spends around each read — ns/op and above
 // all B/op and allocs/op, which say whether decoded views are recycled
 // or left to the collector, and views/query, the frames made after
-// warm-up, which reads 0 when they are — against pages/query, which a
-// change to the engine must not move.
+// warm-up, which reads 0 when they are — against pages/query, the leaf
+// fetches: the directory is pinned and never read, so pages/query moves
+// only with the tree, the queries or what the drives serve.
 func BenchmarkEngineMissPath(b *testing.B) {
 	pts := dataset.Gaussian(12000, 8, 1998)
 	tree, err := parallel.New(parallel.Config{

@@ -32,7 +32,7 @@ func TestOutput(t *testing.T) {
 	if !strings.HasPrefix(string(out), simulated) {
 		t.Errorf("output\n%s\ndoes not start with\n%s", out, simulated)
 	}
-	engine := regexp.MustCompile(`(?m)^real concurrent engine: 80 queries from 8 clients in \S+ \(\d+ q/s, 5221 page fetches\)$`)
+	engine := regexp.MustCompile(`(?m)^real concurrent engine: 80 queries from 8 clients in \S+ \(\d+ q/s, 3925 page fetches\)$`)
 	if !engine.Match(out) {
 		t.Errorf("output\n%s\nhas no line matching %s", out, engine)
 	}

@@ -16,8 +16,8 @@ import (
 // coalescer deduplicates the jobs themselves, so merged fetches share
 // one queue slot and one in-flight semaphore slot. Under a saturated
 // array that is the difference between N queries queueing N copies of
-// a cold directory page and all of them riding one fetch. Requests the
-// cache serves never get here.
+// a cold leaf and all of them riding one fetch. Requests the cache
+// serves never get here.
 //
 // A flight is keyed by page id (pages live on exactly one logical
 // disk, so the page identifies the disk too) and lives in a sharded

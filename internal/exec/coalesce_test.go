@@ -99,17 +99,17 @@ func TestCoalesceCancelledLeaderRetries(t *testing.T) {
 	}
 	defer eng.Close()
 
-	root := tree.Root()
-	pl, ok := tree.Placement(root)
+	leaf := firstLeaf(t, tree)
+	pl, ok := tree.Placement(leaf)
 	if !ok {
-		t.Fatal("root unplaced")
+		t.Fatal("leaf unplaced")
 	}
-	req := query.PageRequest{Page: root, Disk: pl.Disk, Pages: 1}
+	req := query.PageRequest{Page: leaf, Disk: pl.Disk, Pages: 1}
 
 	// Plant the doomed leader's flight.
-	sh, joined := eng.co.join(root, newStageScratch(), 0)
+	sh, joined := eng.co.join(leaf, newStageScratch(), 0)
 	if joined {
-		t.Fatal("fresh engine already had a flight for the root page")
+		t.Fatal("fresh engine already had a flight for the leaf page")
 	}
 
 	done := make(chan error, 1)
@@ -119,7 +119,7 @@ func TestCoalesceCancelledLeaderRetries(t *testing.T) {
 			done <- err
 			return
 		}
-		if len(nodes) != 1 || nodes[0] == nil || nodes[0].ID != root {
+		if len(nodes) != 1 || nodes[0] == nil || nodes[0].ID != leaf {
 			done <- fmt.Errorf("wrong node delivered: %+v", nodes)
 			return
 		}
@@ -127,9 +127,9 @@ func TestCoalesceCancelledLeaderRetries(t *testing.T) {
 	}()
 
 	// Wait until the batch has joined the planted flight.
-	waitForWaiter(t, sh, root)
+	waitForWaiter(t, sh, leaf)
 	// The leader's query dies: every joiner gets its cancellation...
-	eng.abortFlight(sh, root, context.Canceled)
+	eng.abortFlight(sh, leaf, context.Canceled)
 	// ...and the live batch must recover by refetching directly.
 	select {
 	case err := <-done:

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/rtree"
 )
@@ -37,7 +38,8 @@ func TestBatchErrorPrecedence(t *testing.T) {
 	}
 }
 
-// pagesByDisk walks the tree and groups page ids by their disk.
+// pagesByDisk walks the tree and groups the ids of the pages a disk
+// holds, the leaves, by their disk.
 func pagesByDisk(t *testing.T, tree interface {
 	Walk(func(*rtree.Node, int) bool)
 }, placement func(rtree.PageID) (int, bool)) map[int][]rtree.PageID {
@@ -48,10 +50,29 @@ func pagesByDisk(t *testing.T, tree interface {
 		if !ok {
 			t.Fatalf("page %d has no placement", n.ID)
 		}
-		out[d] = append(out[d], n.ID)
+		if n.IsLeaf() {
+			out[d] = append(out[d], n.ID)
+		}
 		return true
 	})
 	return out
+}
+
+// firstLeaf returns the first leaf of a walk: a page the engine reads
+// from its disk (the directory is served from the tree).
+func firstLeaf(t *testing.T, tree *parallel.Tree) rtree.PageID {
+	t.Helper()
+	var leaf rtree.PageID
+	tree.Walk(func(n *rtree.Node, _ int) bool {
+		if n.IsLeaf() {
+			leaf = n.ID
+		}
+		return leaf == 0
+	})
+	if leaf == 0 {
+		t.Fatal("the tree has no leaf")
+	}
+	return leaf
 }
 
 // TestFetchBatchIOErrorBeatsCancellation reproduces the masking bug
@@ -205,19 +226,26 @@ func TestTraceTerminalEventsOnFailure(t *testing.T) {
 		checkStagesClosed(t, "cancelled query", col.Events())
 	})
 
-	// A query joins a flight for the root page whose leader then dies
-	// of its own cancellation: fetchStage refetches the slot and the
-	// query succeeds, its first stage closed like any other.
+	// A query joins a flight for the first leaf it reads whose leader
+	// then dies of its own cancellation: fetchStage refetches the slot
+	// and the query succeeds, its stage closed like any other.
 	t.Run("coalesced-leader-cancelled", func(t *testing.T) {
 		eng, err := New(tree, Config{CoalesceFetches: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		root := tree.Root()
-		sh, joined := eng.co.join(root, newStageScratch(), 0)
+		var plan obs.Collector
+		query.Driver{Tree: tree}.Run(query.CRSS{}, pts[0], 5, query.Options{CachedLevels: tree.Height() - 1, Observer: &plan})
+		var leaf rtree.PageID
+		for _, ev := range plan.Events() {
+			if ev.Type == obs.FetchIssue && !ev.Cached && leaf == 0 {
+				leaf = rtree.PageID(ev.Page)
+			}
+		}
+		sh, joined := eng.co.join(leaf, newStageScratch(), 0)
 		if joined {
-			t.Fatal("fresh engine already had a flight for the root page")
+			t.Fatal("fresh engine already had a flight for the leaf page")
 		}
 		var col obs.Collector
 		done := make(chan error, 1)
@@ -225,8 +253,8 @@ func TestTraceTerminalEventsOnFailure(t *testing.T) {
 			_, _, err := eng.KNN(context.Background(), query.CRSS{}, pts[0], 5, query.Options{Observer: &col})
 			done <- err
 		}()
-		waitForWaiter(t, sh, root)
-		eng.abortFlight(sh, root, context.Canceled)
+		waitForWaiter(t, sh, leaf)
+		eng.abortFlight(sh, leaf, context.Canceled)
 		if err := <-done; err != nil {
 			t.Fatalf("query failed after its flight's leader was cancelled: %v", err)
 		}
@@ -253,9 +281,7 @@ func TestTraceTerminalEventsOnFailure(t *testing.T) {
 			return pl.Disk, ok
 		}) {
 			for _, id := range ids {
-				if id != tree.Root() {
-					reqs = append(reqs, query.PageRequest{Page: id, Disk: d})
-				}
+				reqs = append(reqs, query.PageRequest{Page: id, Disk: d})
 			}
 		}
 		if len(reqs) <= cap(eng.sem) {

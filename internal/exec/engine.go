@@ -2,22 +2,26 @@
 // the paper's N-disk parallelism onto actual goroutines instead of the
 // event-driven simulator's virtual clock. One worker goroutine serves
 // each simulated disk (more with Config.WorkersPerDisk), reading that
-// disk's encoded pages and draining a per-disk fetch channel —
+// disk's encoded leaf pages and draining a per-disk fetch channel —
 // the Go-native analogue of the paper's array, where a page fetch
 // really costs work (a page decode) on the worker that owns the disk.
 // As in the paper's model (§4.1), only a page that needs a physical
-// read enters a disk queue: a page resident in the decoded-page cache
-// is served on the querying goroutine.
+// read enters a disk queue. The directory (every level above the
+// leaves) is memory-resident, like the upper levels of the paper's
+// multiplexed R-tree: the engine pins it as query.Options.CachedLevels
+// and serves it from the live tree, so the drives serve only leaves. A
+// leaf resident in the decoded-page cache is served on the querying
+// goroutine too.
 //
 // The same stage-driven query.Execution state machines that run under
 // the immediate Driver and the system simulator run here unchanged: the
 // Engine resolves each stage's batched page requests by serving the
-// cached pages inline and fanning the rest out to the disk workers,
-// collecting completions asynchronously, and delivering the nodes in
-// request order so results are bit-for-bit identical to the sequential
-// paths. Many client goroutines may query a shared Engine concurrently;
-// total outstanding page reads are bounded, and queries honor context
-// cancellation mid-flight.
+// pinned and cached pages inline and fanning the rest out to the disk
+// workers, collecting completions asynchronously, and delivering the
+// nodes in request order so results are bit-for-bit identical to the
+// sequential paths. Many client goroutines may query a shared Engine
+// concurrently; total outstanding page reads are bounded, and queries
+// honor context cancellation mid-flight.
 package exec
 
 import (
@@ -67,8 +71,8 @@ type Config struct {
 	// model; more overlaps page decodes on multi-core hosts).
 	WorkersPerDisk int
 	// CachePages enables a shared decoded-page LRU cache of that many
-	// pages with singleflight fetch deduplication (0 = no cache; every
-	// request decodes from its disk's page image). A resident page is
+	// leaves with singleflight fetch deduplication (0 = no cache; every
+	// leaf request decodes from its disk's page image). A resident page is
 	// served on the querying goroutine; only a miss goes to the page's
 	// disk worker, which fills the cache.
 	CachePages int
@@ -116,9 +120,7 @@ type Config struct {
 	// reading the old one keeps it) and keeps no page image in memory.
 	// Reads go through page-aligned pread, so injected faults coexist
 	// with genuine I/O errors: a truncated replica file yields a real
-	// short read the degraded-mode path must survive. Nodes too large
-	// for one page (X-tree supernodes) stay memory-resident in either
-	// mode.
+	// short read the degraded-mode path must survive.
 	DataDir string
 }
 
@@ -146,7 +148,7 @@ func (c *Config) fill() {
 type Stats struct {
 	Queries      uint64 // queries completed successfully
 	Cancelled    uint64 // queries aborted by context or Close
-	PagesFetched uint64 // page fetches served: by a disk worker, or from the page cache on the querying goroutine
+	PagesFetched uint64 // leaf fetches served: by a disk worker, or from the page cache on the querying goroutine
 	Decodes      uint64 // physical page decodes (cache misses when caching)
 	// FetchesCancelled counts fetch jobs abandoned on a cancelled
 	// query context — either before a worker picked them up or while
@@ -182,43 +184,20 @@ type counters struct {
 }
 
 // diskStore is one disk's content in memory mode: the encoded image of
-// every page placed on the disk, built once at engine construction and
+// every leaf placed on the disk, built once at engine construction and
 // immutable afterwards, so the disk's workers read it without locks.
-// Nodes that cannot be encoded into a single page (X-tree supernodes)
-// stay resident as live node references.
 type diskStore struct {
-	codec    pagestore.Codec
-	pages    map[rtree.PageID][]byte
-	resident map[rtree.PageID]*rtree.Node
+	codec pagestore.Codec
+	pages map[rtree.PageID][]byte
 }
 
 // ReadPage implements pagestore.Reader.
 func (s *diskStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	if buf, ok := s.pages[id]; ok {
-		return s.codec.Decode(buf)
+	buf, ok := s.pages[id]
+	if !ok {
+		return nil, fmt.Errorf("exec: page %d not stored on this disk", id)
 	}
-	if n, ok := s.resident[id]; ok {
-		return n.Flat(), nil
-	}
-	return nil, fmt.Errorf("exec: page %d not stored on this disk", id)
-}
-
-// fileReplica is one replica's file-backed read path: page-aligned
-// pread against the replica's own file, with memory-resident fallback
-// for nodes that do not fit one page. The page images are only in the
-// file. The resident map is the disk's, shared by its mirrors and
-// immutable after construction; FileStore handles its own locking.
-type fileReplica struct {
-	fs       *pagestore.FileStore
-	resident map[rtree.PageID]*rtree.Node
-}
-
-// ReadPage implements pagestore.Reader.
-func (r *fileReplica) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	if n, ok := r.resident[id]; ok {
-		return n.Flat(), nil
-	}
-	return r.fs.ReadPage(id)
+	return s.codec.Decode(buf)
 }
 
 // replica is one physical copy of a logical disk's page store, with
@@ -236,7 +215,7 @@ type replica struct {
 	degraded atomic.Bool
 }
 
-// fetchJob asks a disk worker for one page of a stage batch — a page
+// fetchJob asks a disk worker for one leaf of a stage batch — a page
 // the querying goroutine did not find in the cache. It travels through
 // the disk queue by value.
 type fetchJob struct {
@@ -265,11 +244,12 @@ type fetchResult struct {
 }
 
 // Engine executes k-NN queries concurrently against a shared parallel
-// R*-tree. The tree must not be mutated while the engine is open: the
-// engine snapshots page content at construction — into per-disk page
-// images, or with Config.DataDir into the replica files — and reads
-// tree placement metadata without locks. A file-backed engine's memory
-// is the tree plus the page cache plus the frames being read in.
+// R*-tree. The tree must stay in memory and unmutated while the engine
+// is open: the engine serves the directory from it, snapshots the leaves
+// at construction — into per-disk page images, or with Config.DataDir
+// into the replica files — and reads tree placement metadata without
+// locks. A file-backed engine's memory is the tree plus the page cache
+// plus the frames being read in.
 type Engine struct {
 	tree     *parallel.Tree
 	cfg      Config
@@ -318,13 +298,14 @@ type Engine struct {
 }
 
 // New builds an engine over a tree and starts the disk workers; Close
-// releases them. One walk of the tree places every live page on its
-// disk (per the tree's declustering placements): a node that fits one
-// page is stored as its image, a larger one (an X-tree supernode) stays
-// resident as the live node. In memory mode each disk keeps the images
-// of its pages — they are its disk. With Config.DataDir each page is
-// encoded once, into one reused buffer, and written to the replica file
-// of every mirror of its disk; nothing keeps the image afterwards.
+// releases them. One walk of the tree places every leaf on its disk (per
+// the tree's declustering placements); the directory is served from the
+// tree. In memory mode each disk keeps the images of its leaves — they
+// are its disk. With Config.DataDir each page is encoded once, into one
+// reused buffer, and written to the replica file of every mirror of its
+// disk; nothing keeps the image afterwards. The files are the tree's
+// snapshot, so they also hold the directory pages that fit one page (all
+// but X-tree supernodes), which no query reads from them.
 func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	cfg.fill()
 	n := t.NumDisks()
@@ -347,12 +328,10 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	tc := t.Config()
 	codec := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}
 	stored := make([][]*rtree.Node, n) // per disk, the nodes stored as page images
-	resident := make([]map[rtree.PageID]*rtree.Node, n)
 	for d, pages := range t.PagesPerDisk() {
 		stored[d] = make([]*rtree.Node, 0, pages)
-		resident[d] = make(map[rtree.PageID]*rtree.Node)
 	}
-	pages := 0
+	leaves := 0
 	var buildErr error
 	t.Walk(func(nd *rtree.Node, _ int) bool {
 		pl, ok := t.Placement(nd.ID)
@@ -360,19 +339,19 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 			buildErr = fmt.Errorf("exec: live page %d has no placement", nd.ID)
 			return false
 		}
-		if len(nd.Entries) > codec.Capacity() {
-			resident[pl.Disk][nd.ID] = nd
-		} else {
+		if nd.IsLeaf() {
+			leaves++
+		}
+		if nd.IsLeaf() || cfg.DataDir != "" && len(nd.Entries) <= codec.Capacity() {
 			stored[pl.Disk] = append(stored[pl.Disk], nd)
-			pages++
 		}
 		return true
 	})
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	if cfg.CachePages > 0 && cfg.CachePages < pages {
-		// The cache cannot hold the page set, so it will evict: the
+	if cfg.CachePages > 0 && cfg.CachePages < leaves {
+		// The cache cannot hold the leaves, so it will evict: the
 		// engine owns the decoded views and the decoders reuse them: about
 		// as many as the cache holds plus what is being read in. Decided
 		// before any replica opens: a FileStore keeps a copy of the codec.
@@ -385,7 +364,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	// never corrupts its mirror.
 	buf := make([]byte, codec.PageSize) // the image a DataDir build writes from
 	for d := 0; d < n; d++ {
-		base, err := e.loadDisk(d, stored[d], resident[d], codec, buf)
+		base, err := e.loadDisk(d, stored[d], codec, buf)
 		if err != nil {
 			return nil, errors.Join(err, e.closeFiles())
 		}
@@ -433,10 +412,10 @@ func ReplicaFileName(disk, mirror int) string {
 // the same name is unlinked first, so an engine still reading it keeps
 // its own — and each page is encoded into buf and written to all of
 // them.
-func (e *Engine) loadDisk(d int, nodes []*rtree.Node, resident map[rtree.PageID]*rtree.Node, codec pagestore.Codec, buf []byte) ([]pagestore.Reader, error) {
+func (e *Engine) loadDisk(d int, nodes []*rtree.Node, codec pagestore.Codec, buf []byte) ([]pagestore.Reader, error) {
 	base := make([]pagestore.Reader, e.cfg.Mirrors)
 	if e.cfg.DataDir == "" {
-		st := &diskStore{codec: codec, pages: make(map[rtree.PageID][]byte, len(nodes)), resident: resident}
+		st := &diskStore{codec: codec, pages: make(map[rtree.PageID][]byte, len(nodes))}
 		for _, nd := range nodes {
 			img, err := codec.Encode(nd)
 			if err != nil {
@@ -461,7 +440,7 @@ func (e *Engine) loadDisk(d int, nodes []*rtree.Node, resident map[rtree.PageID]
 		}
 		e.files = append(e.files, fs)
 		stores[m] = fs
-		base[m] = &fileReplica{fs: fs, resident: resident}
+		base[m] = fs
 	}
 	for _, nd := range nodes {
 		img, err := codec.EncodeInto(buf, nd)
@@ -501,13 +480,13 @@ func (e *Engine) Stats() Stats { return obs.Load[Stats](&e.stats) }
 
 // QueueDepths reports each logical disk's current read backlog: jobs
 // sitting in (or blocked entering) the disk's queue plus jobs a worker
-// is serving right now. Only cache misses become jobs, so an engine
-// answering from its page cache reports zero however busy it is — the
-// depth measures the disks, as in the paper's model. The network query
-// service's admission control sheds load when any disk's depth crosses
-// its watermark — queue depth is the earliest saturation signal the
-// array gives (the paper's queueing collapse shows up here before it
-// shows up in latency).
+// is serving right now. Only leaves the page cache misses become jobs,
+// so an engine answering from its pinned directory and its page cache
+// reports zero however busy it is — the depth measures the disks, as in
+// the paper's model. The network query service's admission control
+// sheds load when any disk's depth crosses its watermark — queue depth
+// is the earliest saturation signal the array gives (the paper's
+// queueing collapse shows up here before it shows up in latency).
 func (e *Engine) QueueDepths() []int64 {
 	out := make([]int64, len(e.gauges))
 	for d := range e.gauges {
@@ -1023,31 +1002,33 @@ func foreignCancellation(ctx context.Context, res *fetchResult) bool {
 	return res.coalesced && res.err != nil && isCancellation(res.err) && ctx.Err() == nil
 }
 
-// fetchStage resolves one stage's requests. Each page is first looked
-// up in the decoded-page cache on the calling goroutine: a resident
-// page fills its result slot at once — no in-flight slot, no coalescer,
-// no queue hop — and counts as a fetch its disk served, so the
-// counters, gauges and traces of a warm engine read as they would had a
-// worker answered. Only the misses fan out to the per-disk queues
-// (respecting the in-flight bound); their results are written into the
-// stage's slots by whoever serves them, and the stage waits once, for
-// the last one (stageScratch). It then reads the slots in request
-// order: a slot that joined another query's flight and got that query's
-// cancellation is refetched under a fresh countdown while this query is
-// live — another query's cancellation must never fail an innocent
-// bystander — and the stage's error is picked by batchError from the
-// first I/O error and the first cancellation in request order. Nodes
-// are delivered in request order — executions depend on that for
+// fetchStage resolves one stage's requests on the calling goroutine
+// where it can. A Cached request (a pinned level: the directory, see
+// KNN) is served from the live node's view — no in-flight slot, no
+// coalescer, no queue hop, no decode — and counts as a visit, not a
+// fetch. Every other page is looked up in the decoded-page cache: a
+// resident page fills its result slot at once and counts as a fetch its
+// disk served, so the counters, gauges and traces of a warm engine read
+// as they would had a worker answered. Only the misses fan out to the
+// per-disk queues (respecting the in-flight bound); their results are
+// written into the stage's slots by whoever serves them, and the stage
+// waits once, for the last one (stageScratch). It then reads the slots
+// in request order: a slot that joined another query's flight and got
+// that query's cancellation is refetched under a fresh countdown while
+// this query is live — another query's cancellation must never fail an
+// innocent bystander — and the stage's error is picked by batchError
+// from the first I/O error and the first cancellation in request order.
+// Nodes are delivered in request order — executions depend on that for
 // deterministic tie-breaking, which is what makes engine results
 // identical to the sequential Driver's. With an observer attached the
 // stage emits SemWait (every in-flight-slot wait of the stage, refetches
 // included), per-fetch FetchDone (request order, wall-clock latency and
 // cache attribution, completed fetches only) and StageDone events on
 // every exit path, success or failure, so traces stay well-formed under
-// cancellation and injected faults. The returned slice belongs to sc
-// and is overwritten by the next stage, which is also when the views
-// this one delivered stop being held (releaseStage): an execution reads
-// them only during the Step in between.
+// cancellation and injected faults. The returned slice belongs to sc and
+// is overwritten by the next stage, which is also when the views this
+// one delivered stop being held (releaseStage): an execution reads them
+// only during the Step in between.
 func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, reqs []query.PageRequest, obsv obs.QueryObserver) ([]*rtree.FlatNode, error) {
 	start := time.Now()
 	e.releaseStage(sc)
@@ -1059,6 +1040,10 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 	owed := 0     // deliveries to wait for
 	for i := 0; i < len(reqs) && submitErr == nil; i++ {
 		r := reqs[i]
+		if r.Cached {
+			results[i] = fetchResult{node: e.tree.Store().Get(r.Page).Flat(), done: true}
+			continue
+		}
 		if e.cache != nil {
 			if n, ok := e.cache.Probe(r.Page); ok {
 				now := time.Now()
@@ -1140,16 +1125,18 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 	return sc.nodes, nil
 }
 
-// KNN answers one k-nearest-neighbor query. It is safe to call from
-// many goroutines concurrently; pages resident in the engine's cache
-// are served on the calling goroutine, the rest of the query's page
-// fetches execute on the per-disk workers. The context cancels the
-// query between (and during) fetch stages. opts.SharedCache may be
-// shared across concurrent queries (bufferpool.Sharded is internally
-// locked); residency accounting is admit-on-delivery, so a cancelled
-// query never plants a page it did not fetch. For a decoded-page cache
-// prefer the engine's own Config.CachePages, which also deduplicates
-// concurrent fetches.
+// KNN answers one k-nearest-neighbor query. It is safe to call from many
+// goroutines concurrently. The directory is pinned: opts.CachedLevels is
+// raised to at least the tree's height − 1, so the query's Stats charge
+// only leaf reads, as query.Driver's do at that setting. Pinned pages
+// and leaves resident in the engine's cache are served on the calling
+// goroutine, the rest of the query's page fetches execute on the
+// per-disk workers. The context cancels the query between (and during)
+// fetch stages. opts.SharedCache may be shared across concurrent queries
+// (bufferpool.Sharded is internally locked); residency accounting is
+// admit-on-delivery, so a cancelled query never plants a page it did not
+// fetch. For a decoded-page cache prefer the engine's own
+// Config.CachePages, which also deduplicates concurrent fetches.
 func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k int, opts query.Options) ([]query.Neighbor, *query.Stats, error) {
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err
@@ -1158,6 +1145,7 @@ func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k i
 		return nil, nil, err
 	}
 	defer e.running.Done()
+	opts.CachedLevels = max(opts.CachedLevels, e.tree.Height()-1)
 
 	start := time.Now()
 	stage := 0

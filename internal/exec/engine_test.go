@@ -45,6 +45,12 @@ func buildTree(t testing.TB, n, numDisks int, spheres bool, overlap float64) (*p
 	return tree, pts
 }
 
+// pinnedDir is the driver setting the engine answers at: Engine.KNN
+// raises CachedLevels to the directory's levels, height − 1.
+func pinnedDir(tree *parallel.Tree) query.Options {
+	return query.Options{CachedLevels: tree.Height() - 1}
+}
+
 // sameNeighbors fails unless a and b are the identical result set:
 // objects, distances and the rectangles the results carry, bitwise.
 func sameNeighbors(t *testing.T, label string, a, b []query.Neighbor) {
@@ -243,12 +249,13 @@ func TestEngineSharedCacheStatsParity(t *testing.T) {
 	pool := newPool()
 	want := make([]*query.Stats, len(queries))
 	wantRes := make([][]query.Neighbor, len(queries))
-	for i, q := range queries {
-		wantRes[i], want[i] = drv.Run(query.CRSS{}, q, 10, query.Options{SharedCache: pool})
-	}
 	hits := 0
-	for _, st := range want {
-		hits += st.NodesVisited - st.DiskAccesses
+	for i, q := range queries {
+		opts := pinnedDir(tree)
+		_, plain := drv.Run(query.CRSS{}, q, 10, opts)
+		opts.SharedCache = pool
+		wantRes[i], want[i] = drv.Run(query.CRSS{}, q, 10, opts)
+		hits += plain.DiskAccesses - want[i].DiskAccesses
 	}
 	if hits == 0 {
 		t.Fatal("query sequence produced no shared-cache hits; parity is vacuous")
@@ -260,7 +267,7 @@ func TestEngineSharedCacheStatsParity(t *testing.T) {
 	}
 	res, err := sys.Run(simarray.Workload{
 		Algorithm: query.CRSS{}, K: 10, Queries: queries,
-		Options: query.Options{SharedCache: newPool()},
+		Options: query.Options{CachedLevels: tree.Height() - 1, SharedCache: newPool()},
 	})
 	if err != nil {
 		t.Fatal(err)

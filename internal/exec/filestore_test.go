@@ -4,16 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/pagestore"
 	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/rtree"
@@ -167,7 +170,7 @@ func TestEngineFileBackedTruncatedNoMirror(t *testing.T) {
 }
 
 // File-backed supernodes (X-tree overlap variant) are served from the
-// memory-resident fallback; parity must hold there too.
+// tree with the rest of the directory; parity must hold there too.
 func TestEngineFileBackedSupernodes(t *testing.T) {
 	tree, pts := buildTree(t, 2500, 3, true, 0.35)
 	queries := dataset.SampleQueries(pts, 10, 17)
@@ -219,7 +222,7 @@ func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 		for _, pass := range []string{"cold", "warm"} {
 			for _, alg := range []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}, query.BFSS{}} {
 				for qi, q := range queries {
-					want, wantStats := drv.Run(alg, q, 10, query.Options{})
+					want, wantStats := drv.Run(alg, q, 10, pinnedDir(tc.tree))
 					got, gotStats, err := eng.KNN(context.Background(), alg, q, 10, query.Options{})
 					label := fmt.Sprintf("%s %s %s q%d", tc.name, pass, alg.Name(), qi)
 					if err != nil {
@@ -234,6 +237,131 @@ func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 		}
 		if cs := eng.Snapshot().Cache; cs.Evictions == 0 || cs.Hits == 0 {
 			t.Errorf("%s: cache stats %+v: the 16-page cache never churned", tc.name, cs)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestEngineServesDirectoryInline: no query reads the directory from a
+// drive. Over an X-tree whose supernodes exceed a page, each disk's
+// store holds exactly its leaves in memory mode; a replica file also
+// keeps the directory pages that fit one (the tree's snapshot). Before
+// anything is cached, a query that pins the leaves too decodes nothing.
+// Concurrent clients then get the driver's answers and Stats at the
+// pinned setting, and at rest every decode was a leaf's and the disks
+// served exactly the reads the Stats charge.
+func TestEngineServesDirectoryInline(t *testing.T) {
+	const k, clients = 10, 4
+	tree, pts := xtreeWithSupernodes(t, 4000)
+	queries := dataset.SampleQueries(pts, 8, 41)
+	want := driverAnswers(tree, queries, k)
+	tc := tree.Config()
+	fits := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}.Capacity()
+	leavesOn := map[int]map[rtree.PageID]bool{} // per disk, its leaves
+	fileOf := map[int]map[rtree.PageID]bool{}   // per disk, what its replica file holds
+	leaves := 0
+	tree.Walk(func(n *rtree.Node, _ int) bool {
+		pl, _ := tree.Placement(n.ID)
+		if leavesOn[pl.Disk] == nil {
+			leavesOn[pl.Disk], fileOf[pl.Disk] = map[rtree.PageID]bool{}, map[rtree.PageID]bool{}
+		}
+		if n.IsLeaf() {
+			leaves++
+			leavesOn[pl.Disk][n.ID] = true
+		}
+		if len(n.Entries) <= fits {
+			fileOf[pl.Disk][n.ID] = true
+		}
+		return true
+	})
+	allPinned := query.Options{CachedLevels: tree.Height()}
+	wantRes, wantStats := query.Driver{Tree: tree}.Run(query.CRSS{}, queries[0], k, allPinned)
+
+	for _, dataDir := range []string{"", t.TempDir()} {
+		mode := "mem"
+		if dataDir != "" {
+			mode = "file"
+		}
+		eng, err := New(tree, Config{DataDir: dataDir, CachePages: 2 * leaves})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d, reps := range eng.replicas {
+			held, wantHeld := map[rtree.PageID]bool{}, leavesOn[d]
+			switch st := reps[0].reader.(type) {
+			case *diskStore:
+				for id := range st.pages {
+					held[id] = true
+				}
+			case *pagestore.FileStore:
+				imgs, err := st.LoadPages()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range imgs {
+					held[id] = true
+				}
+				wantHeld = fileOf[d]
+			}
+			if !maps.Equal(held, wantHeld) {
+				t.Errorf("%s: disk %d holds %d pages, want %d", mode, d, len(held), len(wantHeld))
+			}
+		}
+
+		got, st, err := eng.KNN(context.Background(), query.CRSS{}, queries[0], k, allPinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameNeighbors(t, mode+" all levels pinned", wantRes, got)
+		if !reflect.DeepEqual(st, wantStats) {
+			t.Errorf("%s: all levels pinned: stats %+v, driver %+v", mode, st, wantStats)
+		}
+		if s := eng.Stats(); s.Decodes != 0 || s.PagesFetched != 0 {
+			t.Errorf("%s: a query that pins every level decoded %d pages and fetched %d", mode, s.Decodes, s.PagesFetched)
+		}
+
+		charged := make([]uint64, clients) // Stats.DiskAccesses per client
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for i := range queries {
+					qi := (i + c*3) % len(queries)
+					for a, alg := range retireAlgs {
+						label := fmt.Sprintf("%s %s q%d", mode, alg.Name(), qi)
+						got, st, err := eng.KNN(context.Background(), alg, queries[qi], k, query.Options{})
+						if err != nil {
+							t.Errorf("%s: %v", label, err)
+							return
+						}
+						w := want[a][qi]
+						sameNeighbors(t, label, w.res, got)
+						if !reflect.DeepEqual(w.stats, st) {
+							t.Errorf("%s: stats differ: driver %+v, engine %+v", label, w.stats, st)
+							return
+						}
+						charged[c] += uint64(st.DiskAccesses)
+					}
+				}
+			}(c)
+		}
+		wg.Wait()
+		s := eng.Snapshot()
+		if s.Stats.Decodes == 0 || s.Stats.Decodes > uint64(leaves) {
+			t.Errorf("%s: %d decodes after a cold pass, want 1..%d (the leaves)", mode, s.Stats.Decodes, leaves)
+		}
+		var served, reads uint64
+		for c := range charged {
+			reads += charged[c]
+		}
+		for _, d := range s.Disks {
+			served += d.Served
+		}
+		if served != reads {
+			t.Errorf("%s: disks served %d pages, the queries' Stats charge %d", mode, served, reads)
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
@@ -356,18 +484,23 @@ func TestEngineFileBackedReplacesStaleFiles(t *testing.T) {
 	}
 }
 
-// TestFileBackedEngineHoldsNoImages: a file-backed engine's pages live
+// TestFileBackedEngineHoldsNoImages: a file-backed engine's leaves live
 // in its replica files. New may keep less than an eighth of the encoded
-// page bytes on the heap (queues, histograms, an empty cache); an
+// leaf bytes on the heap (queues, histograms, an empty cache); an
 // engine over the same tree in memory mode, the control, keeps at least
-// all of them.
+// all of them. The directory is the tree's, in either mode.
 func TestFileBackedEngineHoldsNoImages(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory distorts heap sizes")
 	}
 	tree, _ := gaussianTree(t, 12000)
 	pages := 0
-	tree.Walk(func(*rtree.Node, int) bool { pages++; return true })
+	tree.Walk(func(n *rtree.Node, _ int) bool {
+		if n.IsLeaf() {
+			pages++
+		}
+		return true
+	})
 	images := uint64(pages * tree.Config().PageSize)
 	for _, tc := range []struct {
 		name string
@@ -380,9 +513,9 @@ func TestFileBackedEngineHoldsNoImages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: New retains %d B; the %d page images are %d B", tc.name, retained, pages, images)
+		t.Logf("%s: New retains %d B; the %d leaf images are %d B", tc.name, retained, pages, images)
 		if tc.cfg.DataDir != "" && retained >= images/8 {
-			t.Errorf("file-backed engine retains %d B, want < %d (an eighth of the page images)", retained, images/8)
+			t.Errorf("file-backed engine retains %d B, want < %d (an eighth of the leaf images)", retained, images/8)
 		}
 		if tc.cfg.DataDir == "" && retained < images {
 			t.Errorf("memory-mode engine retains %d B, want ≥ %d: the control holds no images", retained, images)

@@ -41,7 +41,7 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 			before := eng.Stats()
 			for _, alg := range []query.Algorithm{query.CRSS{}, query.BBSS{}, query.FPSS{}, query.BFSS{}} {
 				for qi, q := range queries {
-					want, wantStats := drv.Run(alg, q, 10, query.Options{})
+					want, wantStats := drv.Run(alg, q, 10, pinnedDir(tree))
 					got, gotStats, err := eng.KNN(context.Background(), alg, q, 10, query.Options{})
 					if err != nil {
 						t.Fatal(err)
@@ -143,7 +143,7 @@ func TestHitPathAccounting(t *testing.T) {
 			defer eng.Close()
 
 			// wave runs the clients and returns the pages the queries were
-			// delivered (no CachedLevels, so every visited node is a fetch).
+			// delivered from the disks: the leaves (the directory is pinned).
 			wave := func() uint64 {
 				var wg sync.WaitGroup
 				delivered := make([]uint64, clients)
@@ -158,7 +158,7 @@ func TestHitPathAccounting(t *testing.T) {
 								t.Errorf("client %d: %v", c, err)
 								return
 							}
-							delivered[c] += uint64(st.NodesVisited)
+							delivered[c] += uint64(st.DiskAccesses)
 						}
 					}(c)
 				}
@@ -309,10 +309,10 @@ func TestHitPathTypedErrors(t *testing.T) {
 // that serves the flight resolves it.
 func TestCoalescedColdPageOneDecode(t *testing.T) {
 	tree, _ := buildTree(t, 400, 3, false, 0)
-	root := tree.Root()
-	pl, ok := tree.Placement(root)
+	leaf := firstLeaf(t, tree)
+	pl, ok := tree.Placement(leaf)
 	if !ok {
-		t.Fatal("root unplaced")
+		t.Fatal("leaf unplaced")
 	}
 	inj := fault.NewInjector(3)
 	inj.Set(pl.Disk, fault.Faults{SpikeProb: 1, SpikeDelay: 50 * time.Millisecond})
@@ -323,21 +323,21 @@ func TestCoalescedColdPageOneDecode(t *testing.T) {
 	defer eng.Close()
 	base := runtime.NumGoroutine()
 
-	req := []query.PageRequest{{Page: root, Disk: pl.Disk, Pages: 1}}
+	req := []query.PageRequest{{Page: leaf, Disk: pl.Disk, Pages: 1}}
 	done := make(chan error, 2)
 	fetch := func() {
 		nodes, err := eng.fetchBatch(context.Background(), 0, req, nil)
-		if err == nil && (len(nodes) != 1 || nodes[0] == nil || nodes[0].ID != root) {
+		if err == nil && (len(nodes) != 1 || nodes[0] == nil || nodes[0].ID != leaf) {
 			err = fmt.Errorf("wrong node delivered: %+v", nodes)
 		}
 		done <- err
 	}
-	sh := eng.co.shardOf(root)
+	sh := eng.co.shardOf(leaf)
 	go fetch()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		sh.mu.Lock()
-		_, open := sh.flights[root]
+		_, open := sh.flights[leaf]
 		sh.mu.Unlock()
 		if open {
 			break
@@ -348,7 +348,7 @@ func TestCoalescedColdPageOneDecode(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	go fetch()
-	waitForWaiter(t, sh, root)
+	waitForWaiter(t, sh, leaf)
 	if n := runtime.NumGoroutine(); n > base+2 {
 		t.Errorf("%d goroutines with one flight open, want at most %d (workers + the two callers)", n, base+2)
 	}

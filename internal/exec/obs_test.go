@@ -37,7 +37,9 @@ func TestTraceSchemaAcrossDrivers(t *testing.T) {
 	for _, alg := range []query.Algorithm{query.CRSS{}, query.BBSS{}, query.FPSS{}} {
 		for qi, q := range queries {
 			var drvCol, simCol, engCol obs.Collector
-			drv.Run(alg, q, 8, query.Options{Observer: &drvCol})
+			drvOpts, simOpts := pinnedDir(tree), pinnedDir(tree)
+			drvOpts.Observer, simOpts.Observer = &drvCol, &simCol
+			drv.Run(alg, q, 8, drvOpts)
 
 			sys, err := simarray.NewSystem(tree, simarray.Config{Seed: 3})
 			if err != nil {
@@ -45,7 +47,7 @@ func TestTraceSchemaAcrossDrivers(t *testing.T) {
 			}
 			if _, err := sys.Run(simarray.Workload{
 				Algorithm: alg, K: 8, Queries: []geom.Point{q},
-				Options: query.Options{Observer: &simCol},
+				Options: simOpts,
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,7 @@ import "repro/internal/rtree"
 
 // Who owns a decoded page view (DESIGN decision 15).
 //
-// On a cache much smaller than the page set, evicted views are all a
+// On a cache much smaller than the leaf set, evicted views are all a
 // query would allocate. The engine therefore owns the views its decoders
 // draw from rtree.ViewPool (through pagestore.Codec.Views) and hands one
 // back the moment nobody can read it: when the cache has evicted it and
@@ -39,7 +39,7 @@ import "repro/internal/rtree"
 // What a query returns never aliases a frame: executions keep no view
 // past the Step it was delivered to, candidates copy scalars, accepted
 // neighbours copy their rectangle (query.base.offerLeaf). Views of
-// live nodes (resident supernodes) are neither pooled nor counted.
+// live nodes (the pinned directory) are neither pooled nor counted.
 
 // begin admits a query unless the engine is closed. Close waits for
 // every admitted query to call e.running.Done.

@@ -52,13 +52,13 @@ type expected struct {
 var retireAlgs = []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}, query.BFSS{}}
 
 // driverAnswers runs every query under every algorithm of retireAlgs on
-// the sequential driver.
+// the sequential driver, at the engine's setting (pinnedDir).
 func driverAnswers(tree *parallel.Tree, queries []geom.Point, k int) [][]expected {
 	drv := query.Driver{Tree: tree}
 	want := make([][]expected, len(retireAlgs))
 	for a, alg := range retireAlgs {
 		for _, q := range queries {
-			res, st := drv.Run(alg, q, k, query.Options{})
+			res, st := drv.Run(alg, q, k, pinnedDir(tree))
 			want[a] = append(want[a], expected{res, st})
 		}
 	}
@@ -67,7 +67,7 @@ func driverAnswers(tree *parallel.Tree, queries []geom.Point, k int) [][]expecte
 
 // xtreeWithSupernodes is an X-tree over n 10-d uniform points: they
 // split with heavy overlap, so the tree answers with supernodes, which
-// exceed a page and stay memory-resident.
+// exceed a page (directory nodes, served from the tree).
 func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 	t.Helper()
 	pts := dataset.Uniform(n, 10, 121)
@@ -89,7 +89,7 @@ func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 		return true
 	})
 	if resident == 0 {
-		t.Fatal("the X-tree grew no supernode: the resident path is not exercised")
+		t.Fatal("the X-tree grew no supernode: the multi-page path is not exercised")
 	}
 	return tree, pts
 }
@@ -835,24 +835,24 @@ func TestRefetchSemWaitIsReported(t *testing.T) {
 	}
 	defer eng.Close()
 	leaveOneSlot(eng)
-	root := tree.Root()
-	pl, _ := tree.Placement(root)
-	req := query.PageRequest{Page: root, Disk: pl.Disk, Pages: 1}
+	leaf := firstLeaf(t, tree)
+	pl, _ := tree.Placement(leaf)
+	req := query.PageRequest{Page: leaf, Disk: pl.Disk, Pages: 1}
 
-	sh, _ := eng.co.join(root, newStageScratch(), 0) // the doomed leader's flight
+	sh, _ := eng.co.join(leaf, newStageScratch(), 0) // the doomed leader's flight
 	before := eng.semWait.Snapshot()
 	var rec semWaitObserver
 	done := make(chan error, 1)
 	go func() {
 		nodes, err := eng.fetchBatch(context.Background(), 0, []query.PageRequest{req}, &rec)
-		if err == nil && (len(nodes) != 1 || nodes[0].ID != root) {
+		if err == nil && (len(nodes) != 1 || nodes[0].ID != leaf) {
 			err = fmt.Errorf("wrong node delivered: %+v", nodes)
 		}
 		done <- err
 	}()
-	waitForWaiter(t, sh, root)
+	waitForWaiter(t, sh, leaf)
 	eng.sem <- struct{}{} // the blocker takes the only in-flight slot
-	eng.abortFlight(sh, root, context.Canceled)
+	eng.abortFlight(sh, leaf, context.Canceled)
 	const held = 30 * time.Millisecond
 	time.Sleep(held)
 	<-eng.sem

@@ -18,7 +18,7 @@ type Snapshot struct {
 	Stats Stats
 	Cache bufferpool.Stats
 	// Views counts the frames decoded pages live in (retire.go): all zero
-	// unless the cache is smaller than the page set.
+	// unless the cache is smaller than the leaf set.
 	Views rtree.ViewStats
 	Disks []obs.DiskSnapshot
 	// BalanceRatio is the busiest disk's served pages over the

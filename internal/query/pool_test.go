@@ -52,12 +52,13 @@ func TestPooledScratchIsolation(t *testing.T) {
 		query.BFSS{}, query.EpsilonSeries{}, query.RangeBFS{Eps: 0.02}}
 	ks := []int{1, 10, 60}
 	d := query.Driver{Tree: tree}
+	pinned := query.Options{CachedLevels: tree.Height() - 1} // the engine pins the directory
 
 	want := make(map[[3]int]answer)
 	for ai, alg := range algs {
 		for qi, q := range queries {
 			for _, k := range ks {
-				res, st := d.Run(alg, q, k, query.Options{})
+				res, st := d.Run(alg, q, k, pinned)
 				want[[3]int{ai, qi, k}] = answer{res, *st}
 			}
 		}
@@ -81,7 +82,7 @@ func TestPooledScratchIsolation(t *testing.T) {
 					var res []query.Neighbor
 					var st *query.Stats
 					if (g+qi)%2 == 0 {
-						res, st = d.Run(algs[ai], q, k, query.Options{})
+						res, st = d.Run(algs[ai], q, k, pinned)
 					} else {
 						var err error
 						res, st, err = eng.KNN(context.Background(), algs[ai], q, k, query.Options{})

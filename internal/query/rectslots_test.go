@@ -15,7 +15,7 @@ import (
 // poisoned and handed back when the next stage is fetched, so whatever
 // an execution kept of one without copying it reads as NaN from then
 // on. plain, when set, picks pages that are delivered as views of the
-// live nodes instead (a resident supernode beside decoded pages).
+// live nodes instead (a pinned directory node beside decoded pages).
 type framesFetcher struct {
 	tree  *parallel.Tree
 	pool  *rtree.ViewPool

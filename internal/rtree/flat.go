@@ -295,7 +295,7 @@ func (f *FlatNode) entryMajor() []float64 {
 // structural mutation flows through Store.Update or removeEntry).
 // Concurrent first calls may build duplicate views; that race is benign
 // — the views are identical and the last store wins — which is what the
-// engine's shared resident supernodes rely on.
+// engine's shared pinned directory relies on.
 func (n *Node) Flat() *FlatNode {
 	if f := n.flat.Load(); f != nil {
 		return f

@@ -63,7 +63,7 @@ type Node struct {
 	// flat caches the struct-of-arrays geometry view consumed by the
 	// batch distance kernels; see Flat/InvalidateFlat in flat.go. The
 	// atomic pointer makes lazy builds safe from concurrent readers
-	// (the engine shares resident supernodes across query goroutines).
+	// (the engine shares its pinned directory across query goroutines).
 	flat atomic.Pointer[FlatNode]
 }
 
