@@ -296,12 +296,11 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 					held[id] = true
 				}
 			case *pagestore.FileStore:
-				imgs, err := st.LoadPages()
-				if err != nil {
-					t.Fatal(err)
-				}
-				for id := range imgs {
+				if err := st.ScanPages(func(id rtree.PageID, _ []byte) error {
 					held[id] = true
+					return nil
+				}); err != nil {
+					t.Fatal(err)
 				}
 				wantHeld = fileOf[d]
 			}

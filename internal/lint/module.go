@@ -25,7 +25,8 @@ import (
 // the returned analysis packages — suppressions live there too — but
 // excluded from packages loaded as dependencies. External-test
 // packages (package foo_test) are returned as their own analysis
-// packages under "<path>_test": the audit must see every //lint:allow
+// packages under "<path>_test", checked against the package with its
+// in-package test files: the audit must see every //lint:allow
 // directive, wherever it lives.
 //
 // Directories named testdata, .git, or starting with "." or "_" are
@@ -208,8 +209,18 @@ func (ld *moduleLoader) loadExternalTests(dir, importPath string) (*Package, err
 	if len(files) == 0 {
 		return nil, nil
 	}
+	// As `go test` builds it, an external test sees its package with the
+	// in-package test files (an export_test.go's helpers), and every
+	// module package it imports is built against that variant.
+	tl := &moduleLoader{root: ld.root, modPath: ld.modPath, fset: ld.fset, std: ld.std,
+		deps: map[string]*types.Package{}, loading: map[string]bool{}}
+	variant, err := tl.loadDir(dir, importPath, true)
+	if err != nil {
+		return nil, err
+	}
+	tl.deps[importPath] = variant.Pkg
 	info := newTypesInfo()
-	conf := types.Config{Importer: ld}
+	conf := types.Config{Importer: tl}
 	pkg, err := conf.Check(importPath+"_test", ld.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s_test: %w", importPath, err)

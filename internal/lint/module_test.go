@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -35,6 +36,39 @@ func TestRepoProtocolsClean(t *testing.T) {
 		for _, d := range diags {
 			t.Errorf("%s: [%s] %s", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 		}
+	}
+}
+
+// TestLoadModuleExternalTestSeesExportTest: an external test package is
+// checked as `go test` builds it — against its package with the
+// in-package test files, and with every module package it imports built
+// against that same variant, so a type passed between them is one type.
+func TestLoadModuleExternalTestSeesExportTest(t *testing.T) {
+	root := t.TempDir()
+	for name, src := range map[string]string{
+		"p/p.go":           "package p\n\ntype Store struct{ n int }\n",
+		"p/export_test.go": "package p\n\nfunc (s *Store) Count() int { return s.n }\n",
+		"p/x_test.go":      "package p_test\n\nimport (\n\t\"m/p\"\n\t\"m/q\"\n)\n\nvar _ = q.Wrap(&p.Store{}).Count()\n",
+		"q/q.go":           "package q\n\nimport \"m/p\"\n\nfunc Wrap(s *p.Store) *p.Store { return s }\n",
+	} {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := LoadModule(root, "m")
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Pkg.Path())
+	}
+	if want := "m/p m/p_test m/q"; strings.Join(paths, " ") != want {
+		t.Errorf("loaded %v, want %s", paths, want)
 	}
 }
 

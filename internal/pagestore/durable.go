@@ -15,25 +15,22 @@ import (
 	"repro/internal/rtree"
 )
 
-// DurableStore is the crash-safe rtree.Store: a decoded working set in
+// DurableStore is the crash-safe rtree.Store: the decoded pages in
 // memory, a FileStore holding the checkpointed pages, and a WAL holding
 // everything committed since. Mutations (Allocate/Update/Free) stage in
-// memory; Commit makes a batch durable (WAL append + one fsync) and
-// publishes it to readers as a new epoch; Checkpoint folds the
-// committed state into the data file and resets the WAL.
+// memory; Commit makes a batch durable (WAL append + one fsync);
+// Checkpoint folds the committed state into the data file and resets
+// the WAL.
 //
-// Epoch isolation: readers obtain an immutable *EpochView via Snapshot
-// and read a frozen page set — a tree mid-split never shows readers a
-// torn parent/child pair, because splits only become visible at the
-// Commit that publishes both halves atomically. Once an epoch has been
-// handed to a reader its page map is never mutated again; the next
-// Commit copies it (copy-on-write at commit granularity). Nor is any
-// image it holds: Commit encodes into the images earlier Commits
-// released, and only an image no pinned epoch can reach is released.
+// Memory holds each page once, as its node. A page committed since the
+// last checkpoint keeps its image in one place, its WAL record: tail
+// names the record, and Checkpoint reads it back from the log. Commit
+// encodes and Checkpoint copies through one page buffer (DESIGN.md,
+// decision 17).
 //
-// Recovery: OpenDurable loads the checkpointed pages and the record
-// table, then replays the WAL's committed batches in LSN order (redo
-// only — every record is idempotent, so replaying after a crash
+// Recovery: OpenDurable decodes the checkpointed pages and reads the
+// record table, then replays the WAL's committed batches in LSN order
+// (redo only — every record is idempotent, so replaying after a crash
 // mid-checkpoint is safe), and truncates whatever follows the last
 // commit record.
 //
@@ -48,39 +45,33 @@ type DurableStore struct {
 	counters *obs.StorageCounters
 
 	mu         sync.RWMutex
-	nodes      map[rtree.PageID]*rtree.Node // decoded working set; guarded by mu
+	nodes      map[rtree.PageID]*rtree.Node // every page, decoded; guarded by mu
 	dirty      map[rtree.PageID]bool        // pages updated since last Commit; guarded by mu
 	freedStage map[rtree.PageID]bool        // staged frees since last Commit; guarded by mu
-	cur        *storeEpoch                  // committed state; guarded by mu
-	ckptDirty  map[rtree.PageID]bool        // committed but not yet checkpointed; guarded by mu
+	cur        storeEpoch                   // committed root and size; guarded by mu
+	tail       map[rtree.PageID]int64       // WAL offset of each page committed since the last checkpoint; guarded by mu
 	ckptFreed  map[rtree.PageID]bool        // freed since last checkpoint; guarded by mu
 	nextID     rtree.PageID                 // guarded by mu
 	recs       map[rtree.PageID]PageRecord  // committed record of every committed page; guarded by mu
 	state      []byte                       // the last commit's state record; guarded by mu
 
-	// owned holds the pages whose image in cur was encoded by a Commit
-	// into cur itself: no pinned epoch can reach those images, so the one
-	// a later Commit replaces or frees goes to spare, where the next
-	// Commit encodes into it. Images cur shares with a pinned epoch, and
-	// images recovered at open, are never reused (DESIGN.md, decision 17).
-	owned map[rtree.PageID]bool // guarded by mu
-	spare [][]byte              // guarded by mu
+	// page is the one page buffer, sized for a whole WAL page record:
+	// Commit encodes each dirty page into it, Checkpoint reads each
+	// record back into it.
+	page []byte // guarded by mu
 
 	// Commit's and Checkpoint's working lists, reused.
 	ids, freedIDs []rtree.PageID // guarded by mu
-	images        [][]byte       // guarded by mu
+	offs          []int64        // guarded by mu
 	pageRecs      []PageRecord   // guarded by mu
 	table         []byte         // guarded by mu
 }
 
-// storeEpoch is one committed, immutable-once-shared version of the
-// page set. pinned flips to true the first time a reader snapshots it;
-// from then on Commit clones instead of mutating.
+// storeEpoch is the committed tree metadata: what recovery would
+// restore. Commit assigns it once its batch is durable.
 type storeEpoch struct {
-	pages  map[rtree.PageID][]byte
-	root   rtree.PageID
-	size   int
-	pinned bool
+	root rtree.PageID
+	size int
 }
 
 // DurableOptions configures OpenDurable. The zero value is valid.
@@ -125,23 +116,14 @@ func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, e
 // OpenDurableOn assembles a store over caller-supplied block files —
 // the dependency-injection seam the crash-recovery torture tests use to
 // run the full commit/checkpoint/recover protocol against in-memory
-// files that tear their writes at programmed sync points.
+// files that tear their writes at programmed sync points — and recovers
+// it.
 func OpenDurableOn(data, wal BlockFile, tables [2]BlockFile, codec Codec, opts DurableOptions) (*DurableStore, error) {
 	fs, err := NewFileStoreOn(data, codec, FileStoreOptions{Counters: opts.Counters})
 	if err != nil {
 		return nil, err
 	}
 	w, entries, err := newWAL(wal, codec.PageSize, opts.Counters)
-	if err != nil {
-		return nil, err
-	}
-	return newDurable(fs, w, tables, entries, opts.Counters)
-}
-
-// newDurable assembles the store and performs WAL replay (the crash
-// tests call it directly over in-memory crash files).
-func newDurable(fs *FileStore, w *WAL, tables [2]BlockFile, entries []walEntry, counters *obs.StorageCounters) (*DurableStore, error) {
-	pages, err := fs.LoadPages()
 	if err != nil {
 		return nil, err
 	}
@@ -153,54 +135,53 @@ func newDurable(fs *FileStore, w *WAL, tables [2]BlockFile, entries []walEntry, 
 	if err != nil {
 		return nil, err
 	}
-	nextID := meta.NextID
-	if nextID < 1 {
-		nextID = 1
-	}
 	s := &DurableStore{
-		codec:    fs.Codec(),
+		codec:    codec,
 		fs:       fs,
 		wal:      w,
-		counters: counters,
+		counters: opts.Counters,
 		nodes:    make(map[rtree.PageID]*rtree.Node),
 		dirty:    make(map[rtree.PageID]bool),
 
 		freedStage: make(map[rtree.PageID]bool),
-		ckptDirty:  make(map[rtree.PageID]bool),
+		tail:       make(map[rtree.PageID]int64),
 		ckptFreed:  make(map[rtree.PageID]bool),
-		cur:        &storeEpoch{pages: pages, root: meta.Root, size: meta.Size},
-		nextID:     nextID,
+		cur:        storeEpoch{root: meta.Root, size: meta.Size},
+		nextID:     max(meta.NextID, 1),
 		recs:       recs,
 		state:      state,
 		tables:     tables,
-		owned:      make(map[rtree.PageID]bool),
+		page:       make([]byte, pageRecordLen(codec.PageSize)),
 	}
 	if err := s.replay(entries); err != nil {
 		return nil, err
 	}
-	if err := s.materialize(); err != nil {
+	if err := s.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// materialize decodes the recovered page set into the working-set node
-// map, with the misdirected-read identity check on every slot.
-func (s *DurableStore) materialize() error {
+// load decodes the checkpointed pages replay did not replace or free.
+// The slot of a page the log names is stale, or torn by a crash
+// mid-checkpoint, and is not read.
+func (s *DurableStore) load() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range sortedIDs(nil, s.cur.pages) {
-		n, err := s.codec.DecodeNode(s.cur.pages[id])
-		if err != nil {
-			return fmt.Errorf("pagestore: recovering page %d: %w", id, err)
+	err := s.fs.ScanPages(func(id rtree.PageID, img []byte) error {
+		if _, logged := s.tail[id]; logged || s.ckptFreed[id] {
+			return nil
 		}
-		if n.ID != id {
-			return &IntegrityError{Want: id, Got: n.ID}
+		n, err := recovered(s.codec, id, img)
+		if err != nil {
+			return err
 		}
 		s.nodes[id] = n
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
+		s.nextID = max(s.nextID, id+1)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	// A committed tree whose root was still an empty fresh node has no
 	// root image; synthesize the empty node so rtree.Restore can walk.
@@ -212,7 +193,22 @@ func (s *DurableStore) materialize() error {
 	return nil
 }
 
-// replay applies the WAL's committed batches to the base page set and
+// recovered decodes a recovered image of page id, with the
+// misdirected-read identity check.
+func recovered(codec Codec, id rtree.PageID, img []byte) (*rtree.Node, error) {
+	n, err := codec.DecodeNode(img)
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: recovering page %d: %w", id, err)
+	}
+	if n.ID != id {
+		return nil, &IntegrityError{Want: id, Got: n.ID}
+	}
+	return n, nil
+}
+
+// replay applies the WAL's committed batches in LSN order — each page
+// record noted in tail, each free record dropping its page — decodes
+// the last image of each page the log holds into the node map, and
 // truncates the log past the last commit record. Runs at open, before
 // the store is shared; it takes the lock anyway to keep the locking
 // discipline uniform.
@@ -225,16 +221,15 @@ func (s *DurableStore) replay(entries []walEntry) error {
 	if s.counters != nil {
 		s.counters.Recoveries.Add(1)
 	}
-	type stagedPage struct {
-		rec PageRecord
-		img []byte
+	// Records after the last commit belong to a batch whose commit never
+	// became durable: they are dropped, not applied.
+	committed := len(entries)
+	for committed > 0 && entries[committed-1].rec.Type != WALCommit {
+		committed--
 	}
-	staged := make(map[rtree.PageID]stagedPage)
-	var stagedIDs []rtree.PageID // insertion order: replay preserves LSN order
-	freed := make(map[rtree.PageID]bool)
-	var freedIDs []rtree.PageID
-	lastCommit := -1
-	for i, e := range entries {
+	imgs := make(map[rtree.PageID][]byte)
+	off := int64(walHeaderSize) // where entries[i] starts
+	for _, e := range entries[:committed] {
 		rec := e.rec
 		switch rec.Type {
 		case WALPage:
@@ -244,78 +239,52 @@ func (s *DurableStore) replay(entries []walEntry) error {
 					rec.LSN, len(rec.Payload), head+s.codec.PageSize)
 			}
 			id := rtree.PageID(binary.LittleEndian.Uint64(rec.Payload))
-			if _, ok := staged[id]; !ok {
-				stagedIDs = append(stagedIDs, id)
-			}
-			staged[id] = stagedPage{rec: PageRecord(rec.Payload[8:head]), img: rec.Payload[head:]}
-			delete(freed, id)
+			imgs[id] = rec.Payload[head:]
+			s.tail[id] = off
+			s.recs[id] = PageRecord(rec.Payload[8:head])
+			delete(s.ckptFreed, id)
 		case WALFree:
 			if len(rec.Payload) != 8 {
 				return fmt.Errorf("pagestore: WAL free record lsn %d: payload %d bytes, want 8",
 					rec.LSN, len(rec.Payload))
 			}
 			id := rtree.PageID(binary.LittleEndian.Uint64(rec.Payload))
-			if !freed[id] {
-				freedIDs = append(freedIDs, id)
-			}
-			freed[id] = true
-			delete(staged, id)
+			delete(imgs, id)
+			delete(s.tail, id)
+			delete(s.recs, id)
+			s.ckptFreed[id] = true
 		case WALCommit:
 			if len(rec.Payload) < 24 {
 				return fmt.Errorf("pagestore: WAL commit record lsn %d: payload %d bytes, want at least 24",
 					rec.LSN, len(rec.Payload))
 			}
-			for _, id := range stagedIDs {
-				p, ok := staged[id]
-				if !ok {
-					continue // freed later in the same batch
-				}
-				s.cur.pages[id] = p.img
-				s.recs[id] = p.rec
-				s.ckptDirty[id] = true
-				delete(s.ckptFreed, id)
+			s.cur = storeEpoch{
+				root: rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[0:])),
+				size: int(binary.LittleEndian.Uint64(rec.Payload[8:])),
 			}
-			for _, id := range freedIDs {
-				if !freed[id] {
-					continue // re-written later in the same batch
-				}
-				delete(s.cur.pages, id)
-				delete(s.recs, id)
-				delete(s.ckptDirty, id)
-				s.ckptFreed[id] = true
-			}
-			s.cur.root = rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[0:]))
-			s.cur.size = int(binary.LittleEndian.Uint64(rec.Payload[8:]))
 			s.nextID = rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[16:]))
 			s.state = rec.Payload[24:]
-			staged = make(map[rtree.PageID]stagedPage)
-			stagedIDs = stagedIDs[:0]
-			freed = make(map[rtree.PageID]bool)
-			freedIDs = freedIDs[:0]
-			lastCommit = i
 		}
 		if s.counters != nil {
 			s.counters.ReplayedRecords.Add(1)
 		}
+		off = e.end
 	}
-	// Drop everything after the last commit: those records belong to a
-	// batch whose commit never became durable.
-	if lastCommit < len(entries)-1 {
-		end := int64(walHeaderSize)
-		nextLSN := uint64(1)
-		if lastCommit >= 0 {
-			end = entries[lastCommit].end
-			nextLSN = entries[lastCommit].rec.LSN + 1
+	for id, img := range imgs {
+		n, err := recovered(s.codec, id, img)
+		if err != nil {
+			return err
 		}
-		if err := s.wal.rewind(end, nextLSN); err != nil {
+		s.nodes[id] = n
+	}
+	if committed < len(entries) {
+		// LSNs are contiguous: the first record dropped is the next one.
+		if err := s.wal.rewind(off, entries[committed].rec.LSN); err != nil {
 			return fmt.Errorf("pagestore: rewinding WAL past last commit: %w", err)
 		}
 	}
 	return nil
 }
-
-// Codec returns the store's codec.
-func (s *DurableStore) Codec() Codec { return s.codec }
 
 // Get implements rtree.Store.
 func (s *DurableStore) Get(id rtree.PageID) *rtree.Node {
@@ -370,14 +339,14 @@ func (s *DurableStore) Len() int {
 	return len(s.nodes)
 }
 
-// Commit makes every staged mutation durable and visible: page and
-// free records append to the WAL in sorted page order, a commit record
-// carrying the tree metadata and state terminates the batch, one WAL
-// fsync makes it the new durable state, and the staged images publish
-// as a fresh reader epoch. root and size are the tree's post-batch
+// Commit makes every staged mutation durable: page and free records
+// append to the WAL in sorted page order, a commit record carrying the
+// tree metadata and state terminates the batch, and one WAL fsync makes
+// it the new durable state. root and size are the tree's post-batch
 // metadata (tree.Root(), tree.Len()); state is the commit's state
 // record, and recs gives each dirty page's record (nil: zero records).
-// The store copies state; the caller may reuse it.
+// The store copies state; the caller may reuse it. A Commit that fails
+// to encode or append returns the log to where the batch started.
 func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs PageRecorder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -385,7 +354,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs Pa
 	// rebuild the tree. A fresh empty root never saw Update — stage it
 	// on the spot.
 	if root != 0 && !s.dirty[root] {
-		if _, inEpoch := s.cur.pages[root]; !inEpoch {
+		if _, committed := s.recs[root]; !committed {
 			if _, ok := s.nodes[root]; ok {
 				s.dirty[root] = true
 			}
@@ -395,95 +364,63 @@ func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs Pa
 	s.freedIDs = sortedIDs(s.freedIDs, s.freedStage)
 	dirtyIDs, freedIDs := s.ids, s.freedIDs
 
-	// One image per dirty page, before the log sees any of the batch: an
-	// encoding failure leaves the WAL where it was. The images are the
-	// spares, last first, then fresh pages; the spare list itself changes
-	// only once the batch is published.
-	images, pageRecs := s.images[:0], s.pageRecs[:0]
-	for i, id := range dirtyIDs {
-		var buf []byte
-		if i < len(s.spare) {
-			buf = s.spare[len(s.spare)-1-i]
-		}
-		img, err := s.codec.EncodeInto(buf, s.nodes[id])
+	// Each dirty page is encoded into the page buffer and appended; the
+	// log copies the image into its own record.
+	end, lsn := s.wal.mark()
+	offs, pageRecs := s.offs[:0], s.pageRecs[:0]
+	for _, id := range dirtyIDs {
+		img, err := s.codec.EncodeInto(s.page, s.nodes[id])
 		if err != nil {
-			return err
+			return s.abort(end, lsn, err)
 		}
-		images = append(images, img)
 		var rec PageRecord
 		if recs != nil {
 			rec = recs.PageRecord(id)
 		}
-		pageRecs = append(pageRecs, rec)
-	}
-	s.images, s.pageRecs = images, pageRecs
-
-	for i, id := range dirtyIDs {
-		if err := s.wal.AppendPage(id, pageRecs[i], images[i]); err != nil {
-			return err
+		off, err := s.wal.AppendPage(id, rec, img)
+		if err != nil {
+			return s.abort(end, lsn, err)
 		}
+		offs, pageRecs = append(offs, off), append(pageRecs, rec)
 	}
+	s.offs, s.pageRecs = offs, pageRecs
 	for _, id := range freedIDs {
 		if err := s.wal.appendFree(id); err != nil {
-			return err
+			return s.abort(end, lsn, err)
 		}
 	}
 	if err := s.wal.appendCommit(root, size, s.nextID, state); err != nil {
-		return err
+		return s.abort(end, lsn, err)
 	}
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
 
-	// Durable; now publish. If a reader pinned the current epoch, copy
-	// it — their view must stay frozen, and every image in the copy is
-	// theirs too.
-	target := s.cur
-	if target.pinned {
-		clone := make(map[rtree.PageID][]byte, len(target.pages))
-		for id, img := range target.pages {
-			clone[id] = img
-		}
-		target = &storeEpoch{pages: clone}
-		s.cur = target
-		clear(s.owned)
-	}
-	// The spares encoded into are the epoch's now. The list keeps at most
-	// one image per page of this batch; the rest is the collector's. An
-	// image the epoch drops becomes a spare when the epoch alone held it.
-	bound := len(dirtyIDs)
-	used := min(bound, len(s.spare))
-	keep := min(len(s.spare)-used, bound)
-	clear(s.spare[keep:])
-	s.spare = s.spare[:keep]
-	release := func(id rtree.PageID) {
-		if img, ok := target.pages[id]; ok && s.owned[id] && len(s.spare) < bound {
-			s.spare = append(s.spare, img)
-		}
-	}
+	s.cur = storeEpoch{root: root, size: size}
 	for i, id := range dirtyIDs {
-		release(id)
-		target.pages[id] = images[i]
+		s.tail[id] = offs[i]
 		s.recs[id] = pageRecs[i]
-		s.owned[id] = true
-		s.ckptDirty[id] = true
 		delete(s.ckptFreed, id)
 	}
 	for _, id := range freedIDs {
-		release(id)
-		delete(target.pages, id)
+		delete(s.tail, id)
 		delete(s.recs, id)
-		delete(s.owned, id)
-		delete(s.ckptDirty, id)
 		s.ckptFreed[id] = true
 	}
-	clear(images)
-	target.root = root
-	target.size = size
 	s.state = append(s.state[:0], state...)
 	clear(s.dirty)
 	clear(s.freedStage)
 	return nil
+}
+
+// abort truncates the log back to end (nextLSN lsn), where a failed
+// Commit's batch started, and returns err — joined with the rewind's
+// own error when that fails too.
+func (s *DurableStore) abort(end int64, lsn uint64, err error) error {
+	if rerr := s.wal.rewind(end, lsn); rerr != nil {
+		return errors.Join(err, fmt.Errorf("pagestore: rewinding the failed batch: %w", rerr))
+	}
+	return err
 }
 
 // sortedIDs refills dst with the pages of set in ascending order.
@@ -496,22 +433,24 @@ func sortedIDs[V any](dst []rtree.PageID, set map[rtree.PageID]V) []rtree.PageID
 	return dst
 }
 
-// Checkpoint folds every committed-since-last-checkpoint page into the
-// data file, zeroes freed slots, writes the record table into the table
-// file the superblock does not name, persists the tree metadata (now
-// naming that table), fsyncs, and resets the WAL. Crash-safe at any
-// point: until the WAL reset the log still holds every batch, redo
-// replay over an arbitrarily partial checkpoint converges to the same
-// state (records are idempotent page images), and until the superblock
-// flip the old table is the live one.
+// Checkpoint copies every page committed since the last checkpoint
+// from its WAL record into the data file, zeroes freed slots, writes the
+// record table into the table file the superblock does not name,
+// persists the tree metadata (now naming that table), fsyncs, and resets
+// the WAL. A record that fails its checksum, or is not the page's, stops
+// it before the superblock moves. Crash-safe at any point: until the WAL
+// reset the log still holds every batch, redo replay over an
+// arbitrarily partial checkpoint converges to the same state (records
+// are idempotent page images), and until the superblock flip the old
+// table is the live one.
 func (s *DurableStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ids = sortedIDs(s.ids, s.ckptDirty)
+	s.ids = sortedIDs(s.ids, s.tail)
 	for _, id := range s.ids {
-		img, ok := s.cur.pages[id]
-		if !ok {
-			continue
+		img, err := s.wal.readPage(s.tail[id], id, s.page)
+		if err != nil {
+			return err
 		}
 		if err := s.fs.WriteImage(id, img); err != nil {
 			return err
@@ -547,7 +486,7 @@ func (s *DurableStore) Checkpoint() error {
 	if err := s.wal.Reset(); err != nil {
 		return err
 	}
-	clear(s.ckptDirty)
+	clear(s.tail)
 	clear(s.ckptFreed)
 	if s.counters != nil {
 		s.counters.Checkpoints.Add(1)
@@ -579,101 +518,9 @@ func (s *DurableStore) Meta() FileMeta {
 	return FileMeta{Root: s.cur.root, Size: s.cur.size, NextID: s.nextID}
 }
 
-// Snapshot pins the current committed epoch and returns an immutable
-// reader over it. The view stays valid (and frozen) across any number
-// of later Commits; it costs the next Commit one page-map copy.
-func (s *DurableStore) Snapshot() *EpochView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.pinned = true
-	return &EpochView{codec: s.codec, epoch: s.cur}
-}
-
-// ReadPage implements Reader against the committed epoch: uncommitted
-// staged pages are invisible, exactly like a reader that snapshotted
-// this instant. It decodes under the lock: the next Commit may reuse
-// the image once the epoch has replaced it.
-func (s *DurableStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	buf, ok := s.cur.pages[id]
-	if !ok {
-		return nil, fmt.Errorf("pagestore: page %d not in committed epoch", id)
-	}
-	return decodeChecked(s.codec, id, buf)
-}
-
-// VerifyShadow checks every working-set node against its committed
-// image, bitwise. A page updated since the last Commit has no image to
-// be checked against yet: the Commit encodes it from the node.
-func (s *DurableStore) VerifyShadow() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for id, n := range s.nodes {
-		if s.dirty[id] {
-			continue
-		}
-		buf, ok := s.cur.pages[id]
-		if !ok {
-			if len(n.Entries) != 0 {
-				return fmt.Errorf("pagestore: page %d has entries but no encoded image", id)
-			}
-			continue
-		}
-		if err := verifyShadowNode(s.codec, n, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Close closes the WAL, the data file and the record tables. It does
 // not commit or checkpoint — callers decide what the final durable
 // state is.
 func (s *DurableStore) Close() error {
 	return errors.Join(s.wal.Close(), s.fs.Close(), s.tables[0].Close(), s.tables[1].Close())
-}
-
-// decodeChecked is the one decode of every Reader in this package: it
-// builds the page's view from an image and enforces the misdirected-read
-// identity check.
-func decodeChecked(codec Codec, id rtree.PageID, buf []byte) (*rtree.FlatNode, error) {
-	f, err := codec.Decode(buf)
-	if err != nil {
-		var ie *IntegrityError
-		if errors.As(err, &ie) {
-			ie.Want = id // the decoder's own error, not yet shared
-			return nil, ie
-		}
-		return nil, fmt.Errorf("pagestore: page %d: %w", id, err)
-	}
-	if f.ID != id {
-		return nil, &IntegrityError{Want: id, Got: f.ID}
-	}
-	return f, nil
-}
-
-// EpochView is an immutable reader over one committed epoch. Safe for
-// concurrent use.
-type EpochView struct {
-	codec Codec
-	epoch *storeEpoch
-}
-
-// Root returns the epoch's root page.
-func (v *EpochView) Root() rtree.PageID { return v.epoch.root }
-
-// Size returns the epoch's object count.
-func (v *EpochView) Size() int { return v.epoch.size }
-
-// Pages returns the number of pages in the epoch.
-func (v *EpochView) Pages() int { return len(v.epoch.pages) }
-
-// ReadPage implements Reader over the frozen page set.
-func (v *EpochView) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
-	buf, ok := v.epoch.pages[id]
-	if !ok {
-		return nil, fmt.Errorf("pagestore: page %d not in epoch", id)
-	}
-	return decodeChecked(v.codec, id, buf)
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -165,124 +164,6 @@ func TestDurableStoreFreshIsEmpty(t *testing.T) {
 	defer ds2.Close()
 	if m := ds2.Meta(); m.Root != 0 || m.Size != 0 {
 		t.Errorf("fresh store recovered to %+v", m)
-	}
-}
-
-// Epoch isolation: a snapshotted view stays bit-stable while inserts
-// and deletes commit concurrently. Run with -race; this is the
-// torn-split gate — a reader must never observe a parent/child pair
-// from different commits.
-func TestDurableStoreEpochIsolation(t *testing.T) {
-	dir := t.TempDir()
-	ds := openDurableT(t, dir, nil)
-	defer ds.Close()
-	tr := treeOver(t, ds)
-	rnd := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		if err := tr.InsertPoint(geom.Point{rnd.Float64() * 100, rnd.Float64() * 100}, rtree.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	view := ds.Snapshot()
-	wantRoot, wantSize, wantPages := view.Root(), view.Size(), view.Pages()
-
-	// walkView counts objects reachable from the view's root and checks
-	// every parent/child edge resolves inside the epoch.
-	walkView := func() int {
-		var count int
-		var rec func(id rtree.PageID)
-		rec = func(id rtree.PageID) {
-			n, err := view.ReadPage(id)
-			if err != nil {
-				t.Errorf("view read %d: %v", id, err)
-				return
-			}
-			for i := 0; i < n.Len(); i++ {
-				if n.IsLeaf() {
-					count++
-				} else {
-					rec(n.Child(i))
-				}
-			}
-		}
-		rec(view.Root())
-		return count
-	}
-	if got := walkView(); got != wantSize {
-		t.Fatalf("view walk found %d objects, size says %d", got, wantSize)
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if view.Root() != wantRoot || view.Size() != wantSize || view.Pages() != wantPages {
-					t.Error("pinned view drifted during concurrent commits")
-					return
-				}
-				if got := walkView(); got != wantSize {
-					t.Errorf("view walk found %d objects mid-commit, want %d", got, wantSize)
-					return
-				}
-			}
-		}()
-	}
-	for i := 200; i < 600; i++ {
-		if err := tr.InsertPoint(geom.Point{rnd.Float64() * 100, rnd.Float64() * 100}, rtree.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-		if i%20 == 0 {
-			if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	close(stop)
-	wg.Wait()
-
-	// A fresh snapshot sees the new state.
-	after := ds.Snapshot()
-	if after.Size() != tr.Len() {
-		t.Errorf("fresh snapshot size %d, want %d", after.Size(), tr.Len())
-	}
-}
-
-// The committed-epoch reader hides staged writes until Commit.
-func TestDurableStoreReadPageSeesOnlyCommitted(t *testing.T) {
-	dir := t.TempDir()
-	ds := openDurableT(t, dir, nil)
-	defer ds.Close()
-	tr := treeOver(t, ds)
-	if err := tr.InsertPoint(geom.Point{1, 2}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.ReadPage(tr.Root()); err == nil {
-		t.Error("ReadPage served an uncommitted page")
-	}
-	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	n, err := ds.ReadPage(tr.Root())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.ID != tr.Root() {
-		t.Errorf("ReadPage returned node %d, want root %d", n.ID, tr.Root())
 	}
 }
 

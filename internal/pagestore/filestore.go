@@ -89,6 +89,7 @@ type FileStore struct {
 	mu   sync.Mutex
 	f    BlockFile // guarded by mu
 	meta FileMeta  // guarded by mu
+	zero []byte    // ZeroPage's page of zeroes, made at its first call; guarded by mu
 }
 
 // OpenFileStore opens (creating if absent) the page file at path. An
@@ -289,8 +290,8 @@ func (fs *FileStore) WriteImage(id rtree.PageID, buf []byte) error {
 }
 
 // ZeroPage overwrites a page slot with zeroes — the on-disk
-// representation of a freed page (LoadPages skips slots without the
-// node magic).
+// representation of a freed page (ScanPages skips slots without the
+// node magic) — from a zero page the store keeps.
 func (fs *FileStore) ZeroPage(id rtree.PageID) error {
 	off, err := fs.pageOffset(id)
 	if err != nil {
@@ -305,8 +306,10 @@ func (fs *FileStore) ZeroPage(id rtree.PageID) error {
 	if off >= size {
 		return nil // never written; nothing to erase
 	}
-	zero := make([]byte, fs.codec.PageSize)
-	if _, err := fs.f.WriteAt(zero, off); err != nil {
+	if fs.zero == nil {
+		fs.zero = make([]byte, fs.codec.PageSize)
+	}
+	if _, err := fs.f.WriteAt(fs.zero, off); err != nil {
 		return fmt.Errorf("pagestore: zeroing page %d: %w", id, err)
 	}
 	if fs.counters != nil {
@@ -376,34 +379,55 @@ func (fs *FileStore) ReadPage(id rtree.PageID) (*rtree.FlatNode, error) {
 	return decodeChecked(fs.codec, id, *bp)
 }
 
-// LoadPages scans every page slot and returns the images that hold an
-// encoded node (slots without the node magic — freed or never written —
-// are skipped). Used at open to rebuild the committed page set.
-func (fs *FileStore) LoadPages() (map[rtree.PageID][]byte, error) {
+// decodeChecked builds the view of page id from its image and enforces
+// the misdirected-read identity check.
+func decodeChecked(codec Codec, id rtree.PageID, buf []byte) (*rtree.FlatNode, error) {
+	f, err := codec.Decode(buf)
+	if err != nil {
+		var ie *IntegrityError
+		if errors.As(err, &ie) {
+			ie.Want = id // the decoder's own error, not yet shared
+			return nil, ie
+		}
+		return nil, fmt.Errorf("pagestore: page %d: %w", id, err)
+	}
+	if f.ID != id {
+		return nil, &IntegrityError{Want: id, Got: f.ID}
+	}
+	return f, nil
+}
+
+// ScanPages reads every page slot, in slot order, into one buffer and
+// hands each slot that holds an encoded node to fn (slots without the
+// node magic — freed or never written — are skipped). The buffer is the
+// next slot's: fn must not keep img. Open decodes the checkpointed pages
+// with it.
+func (fs *FileStore) ScanPages(fn func(id rtree.PageID, img []byte) error) error {
 	fs.mu.Lock()
-	size, err := fs.f.Size()
+	end, err := fs.f.Size()
 	fs.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	pages := make(map[rtree.PageID][]byte)
-	slots := size / int64(fs.codec.PageSize)
-	for slot := int64(1); slot < slots; slot++ {
-		id := rtree.PageID(slot)
-		buf, err := fs.ReadImage(id)
-		if err != nil {
-			return nil, err
+	page := int64(fs.codec.PageSize)
+	buf := make([]byte, page)
+	for off := page; off+page <= end; off += page {
+		id := rtree.PageID(off / page)
+		if err := fs.pread(id, off, buf); err != nil {
+			return err
+		}
+		if fs.counters != nil {
+			fs.counters.PageReads.Add(1)
 		}
 		if buf[0] != magic {
 			continue
 		}
-		pages[id] = buf
+		if err := fn(id, buf); err != nil {
+			return err
+		}
 	}
-	return pages, nil
+	return nil
 }
-
-// Codec returns the store's codec.
-func (fs *FileStore) Codec() Codec { return fs.codec }
 
 // Sync flushes all writes to stable storage.
 func (fs *FileStore) Sync() error {

@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -23,7 +24,7 @@ func leafNode(id rtree.PageID, x float64) *rtree.Node {
 // writeLeaf writes leafNode(id, id) to its slot the way the engine
 // fills a replica: Codec.Encode, then WriteImage.
 func writeLeaf(fs *FileStore, id rtree.PageID) error {
-	buf, err := fs.Codec().Encode(leafNode(id, float64(id)))
+	buf, err := fs.codec.Encode(leafNode(id, float64(id)))
 	if err != nil {
 		return err
 	}
@@ -63,12 +64,9 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if got := fs2.Meta(); got != meta {
 		t.Errorf("Meta = %+v, want %+v", got, meta)
 	}
-	pages, err := fs2.LoadPages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := scanPages(t, fs2)
 	if len(pages) != 5 {
-		t.Fatalf("LoadPages returned %d pages, want 5", len(pages))
+		t.Fatalf("ScanPages found %d pages, want 5", len(pages))
 	}
 	for id := rtree.PageID(1); id <= 5; id++ {
 		n, err := fs2.ReadPage(id)
@@ -137,6 +135,19 @@ func TestFileStoreMisdirectedSlot(t *testing.T) {
 	}
 }
 
+// scanPages collects what ScanPages hands over: a copy of every image.
+func scanPages(t *testing.T, fs *FileStore) map[rtree.PageID][]byte {
+	t.Helper()
+	pages := make(map[rtree.PageID][]byte)
+	if err := fs.ScanPages(func(id rtree.PageID, img []byte) error {
+		pages[id] = bytes.Clone(img)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return pages
+}
+
 func TestFileStoreZeroPageSkippedByLoad(t *testing.T) {
 	dir := t.TempDir()
 	codec := Codec{Dim: 2, PageSize: 512}
@@ -153,12 +164,9 @@ func TestFileStoreZeroPageSkippedByLoad(t *testing.T) {
 	if err := fs.ZeroPage(2); err != nil {
 		t.Fatal(err)
 	}
-	pages, err := fs.LoadPages()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pages := scanPages(t, fs)
 	if _, ok := pages[2]; ok || len(pages) != 2 {
-		t.Errorf("LoadPages = %d pages (freed slot present: %v), want 2 without slot 2", len(pages), ok)
+		t.Errorf("ScanPages found %d pages (freed slot present: %v), want 2 without slot 2", len(pages), ok)
 	}
 }
 

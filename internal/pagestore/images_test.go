@@ -9,17 +9,16 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/rtree"
 )
 
-// Who owns a committed page image (DESIGN.md, decision 17): Commit
-// encodes into the images earlier Commits released, and it releases
-// only images no pinned epoch can reach.
+// Where a committed page image lives (DESIGN.md, decision 17): in its
+// WAL record until a Checkpoint copies it into the data file. Memory
+// holds the node and one page buffer, nothing else.
 
 // An image recycled from a full node and re-encoded with a few entries
 // is the page Encode makes, to the last byte.
@@ -100,117 +99,14 @@ func (c *churn) round(n int) {
 	}
 }
 
-// addrs identifies images by their first byte.
-func addrs(images map[rtree.PageID][]byte) map[*byte]bool {
-	out := make(map[*byte]bool, len(images))
-	for _, img := range images {
-		out[&img[0]] = true
-	}
-	return out
-}
-
-// A Snapshot's pages stay the bytes they were when it was taken, across
-// commits that rewrite or free every one of them and that reuse images
-// all the while — read between the commits, or (under -race) while they
-// run, beside readers of the current epoch.
-func TestDurableStoreSnapshotSurvivesRecycling(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
-			ds := openDurableT(t, t.TempDir(), nil)
-			defer ds.Close()
-			c := &churn{t: t, ds: ds, tr: treeOver(t, ds), rnd: rand.New(rand.NewSource(5))}
-			// Two rounds first: the epoch about to be pinned holds images
-			// its own commits encoded, the ones recycling would take.
-			c.round(300)
-			c.round(300)
-			if len(ds.owned) == 0 {
-				t.Fatal("no image is the current epoch's own")
-			}
-
-			view := ds.Snapshot()
-			want := make(map[rtree.PageID][]byte, view.Pages())
-			for id, img := range view.epoch.pages {
-				want[id] = bytes.Clone(img)
-			}
-			check := func() {
-				for id, img := range want {
-					if got := view.epoch.pages[id]; !bytes.Equal(got, img) {
-						t.Errorf("pinned image of page %d changed", id)
-						return
-					}
-					if f, err := view.ReadPage(id); err != nil || f.ID != id {
-						t.Errorf("pinned page %d: %v", id, err)
-						return
-					}
-				}
-			}
-
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			if concurrent {
-				for g := 0; g < 2; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							check()
-							// The current epoch's newest pages, whose images the
-							// commits do reuse.
-							next := ds.Meta().NextID
-							for id := max(1, next-100); id < next; id++ {
-								if f, err := ds.ReadPage(id); err != nil {
-									if !strings.Contains(err.Error(), "not in committed epoch") {
-										t.Errorf("ReadPage(%d): %v", id, err)
-									}
-								} else if f.ID != id {
-									t.Errorf("ReadPage(%d) decoded page %d", id, f.ID)
-								}
-							}
-						}
-					}()
-				}
-			}
-			reused := 0
-			for k := 0; k < 4; k++ {
-				spare := make(map[*byte]bool)
-				for _, img := range ds.spare {
-					spare[&img[0]] = true
-				}
-				c.round(300)
-				for a := range addrs(ds.cur.pages) {
-					if spare[a] {
-						reused++
-					}
-				}
-				if !concurrent {
-					check()
-				}
-			}
-			close(stop)
-			wg.Wait()
-			check()
-			if reused == 0 {
-				t.Error("no commit encoded into a spare image: the test checked nothing")
-			}
-			pinned := addrs(view.epoch.pages)
-			for a := range addrs(ds.cur.pages) {
-				if pinned[a] {
-					t.Fatal("every page was rewritten, yet the current epoch shares an image with the pinned one")
-				}
-			}
-		})
-	}
-}
-
-// memFile is an in-memory BlockFile whose writes fail while fail is set.
+// memFile is an in-memory BlockFile. While fail is set its writes fail,
+// after the first okWrites of them; while truncErr is set so do its
+// truncations.
 type memFile struct {
-	buf  []byte
-	fail error
+	buf      []byte
+	fail     error
+	okWrites int
+	truncErr error
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
@@ -226,7 +122,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.fail != nil {
-		return 0, f.fail
+		if f.okWrites == 0 {
+			return 0, f.fail
+		}
+		f.okWrites--
 	}
 	if end := off + int64(len(p)); end > int64(len(f.buf)) {
 		f.buf = append(f.buf, make([]byte, end-int64(len(f.buf)))...)
@@ -237,6 +136,9 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 func (f *memFile) Sync() error { return nil }
 
 func (f *memFile) Truncate(size int64) error {
+	if f.truncErr != nil {
+		return f.truncErr
+	}
 	f.buf = f.buf[:min(size, int64(len(f.buf)))]
 	return nil
 }
@@ -244,55 +146,56 @@ func (f *memFile) Truncate(size int64) error {
 func (f *memFile) Size() (int64, error) { return int64(len(f.buf)), nil }
 func (f *memFile) Close() error         { return nil }
 
-// A Commit that fails to encode a page, or to append to the log, leaves
-// the published pages (the same images, the same bytes), the spare list
-// and the log as they were; the next Commit publishes the whole batch.
-func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
-	wal := &memFile{}
-	ds, err := OpenDurableOn(&memFile{}, wal, [2]BlockFile{&memFile{}, &memFile{}}, durableCodec(), DurableOptions{})
+// memFiles are the four files of a DurableStore, in memory.
+type memFiles struct {
+	data, wal *memFile
+	tables    [2]*memFile
+}
+
+func newMemFiles() memFiles {
+	return memFiles{&memFile{}, &memFile{}, [2]*memFile{{}, {}}}
+}
+
+func (f memFiles) open(t *testing.T, counters *obs.StorageCounters) *DurableStore {
+	t.Helper()
+	ds, err := OpenDurableOn(f.data, f.wal, [2]BlockFile{f.tables[0], f.tables[1]}, durableCodec(),
+		DurableOptions{Counters: counters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
+	return ds
+}
+
+// A Commit that fails to encode a page, or to append any of its records
+// to the log, leaves the committed state and the log as they were — the
+// records it did append are truncated away and their LSNs reused — and
+// the next Commit publishes the whole batch. When the truncation fails
+// too, both errors are returned.
+func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
+	files := newMemFiles()
+	var counters obs.StorageCounters
+	ds := files.open(t, &counters)
 	c := &churn{t: t, ds: ds, tr: treeOver(t, ds), rnd: rand.New(rand.NewSource(9))}
 	c.round(200)
 	c.round(200)
-	if len(ds.spare) == 0 {
-		t.Fatal("no spare image to lose")
-	}
-	pages := maps.Clone(ds.cur.pages)
-	images := make(map[rtree.PageID][]byte, len(pages))
-	for id, img := range pages {
-		images[id] = bytes.Clone(img)
-	}
-	spare := slices.Clone(ds.spare)
+	wal := files.wal
+	tail, recs, cur := maps.Clone(ds.tail), maps.Clone(ds.recs), ds.cur
 	log, end, lsn := bytes.Clone(wal.buf), ds.wal.end, ds.wal.nextLSN
 	unchanged := func(label string) {
 		t.Helper()
-		if len(ds.cur.pages) != len(pages) {
-			t.Fatalf("%s: %d published pages, want %d", label, len(ds.cur.pages), len(pages))
-		}
-		for id, img := range pages {
-			got := ds.cur.pages[id]
-			if &got[0] != &img[0] || !bytes.Equal(got, images[id]) {
-				t.Fatalf("%s: published image of page %d changed", label, id)
-			}
-		}
-		if len(ds.spare) != len(spare) {
-			t.Fatalf("%s: %d spare images, want %d", label, len(ds.spare), len(spare))
-		}
-		for i := range spare {
-			if &ds.spare[i][0] != &spare[i][0] {
-				t.Fatalf("%s: spare image %d replaced", label, i)
-			}
+		if !maps.Equal(ds.tail, tail) || !maps.Equal(ds.recs, recs) || ds.cur != cur {
+			t.Fatalf("%s: the committed state changed", label)
 		}
 		if !bytes.Equal(wal.buf, log) || ds.wal.end != end || ds.wal.nextLSN != lsn {
-			t.Fatalf("%s: the log moved", label)
+			t.Fatalf("%s: the log moved (end %d → %d, next LSN %d → %d)", label, end, ds.wal.end, lsn, ds.wal.nextLSN)
+		}
+		if err := ds.VerifyShadow(); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 
-	// A batch that dirties more pages than there are spares, the last
-	// of them (the highest id) unencodable.
+	// A batch of many dirty pages, the last of them (the highest id)
+	// unencodable: every other page is appended before it fails.
 	for i := 0; i < 60; i++ {
 		p := geom.Point{c.rnd.Float64() * 100, c.rnd.Float64() * 100}
 		if err := c.tr.InsertPoint(p, rtree.ObjectID(c.base+len(c.live))); err != nil {
@@ -303,20 +206,36 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	bad := ds.Allocate(0)
 	bad.Entries = append(bad.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1))
 	ds.Update(bad)
+	before := counters.WALAppends.Load()
 	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err == nil {
 		t.Fatal("Commit encoded a 3-d entry into a 2-d page")
+	}
+	if appended := counters.WALAppends.Load() - before; int(appended) != len(ds.dirty)-1 {
+		t.Fatalf("the failed Commit appended %d records before the bad page, want %d", appended, len(ds.dirty)-1)
 	}
 	unchanged("encode error")
 
 	ds.Free(bad.ID)
 	errFull := errors.New("disk full")
-	wal.fail = errFull
-	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); !errors.Is(err, errFull) {
-		t.Fatalf("Commit with a failing log returned %v", err)
+	last := len(ds.dirty) + len(ds.freedStage) + 1 // page records, free records, the commit record
+	for _, k := range []int{1, 4, last} {
+		wal.fail, wal.okWrites = errFull, k-1
+		before := counters.WALAppends.Load()
+		if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); !errors.Is(err, errFull) {
+			t.Fatalf("Commit whose append %d of %d fails returned %v", k, last, err)
+		}
+		if appended := counters.WALAppends.Load() - before; int(appended) != k-1 {
+			t.Fatalf("append %d of %d failed after %d appends", k, last, appended)
+		}
+		unchanged(fmt.Sprintf("append %d of %d fails", k, last))
 	}
-	unchanged("append error")
 
-	wal.fail = nil
+	errTrunc := errors.New("truncate refused")
+	wal.fail, wal.okWrites, wal.truncErr = errFull, 3, errTrunc
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); !errors.Is(err, errFull) || !errors.Is(err, errTrunc) {
+		t.Fatalf("Commit whose append and rewind fail returned %v, want both errors", err)
+	}
+	wal.fail, wal.truncErr = nil, nil
 	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -326,61 +245,31 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	if err := c.tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Across a script that only deletes, the spare list never holds more
-// images than the last batch dirtied, and never an image an epoch holds.
-func TestDurableStoreSpareListIsBounded(t *testing.T) {
-	ds := openDurableT(t, t.TempDir(), nil)
-	defer ds.Close()
-	tr := treeOver(t, ds)
-	rnd := rand.New(rand.NewSource(13))
-	pts := make([]geom.Point, 600)
-	for i := range pts {
-		pts[i] = geom.Point{rnd.Float64() * 100, rnd.Float64() * 100}
-		if err := tr.InsertPoint(pts[i], rtree.ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+	// The three records the unrewound batch left are replayed before the
+	// batch that re-logged them: recovery restores the committed tree.
+	want := c.tr.Len()
+	ds = files.open(t, nil)
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, ds, ds.Meta().Root, ds.Meta().Size)
+	if err != nil {
 		t.Fatal(err)
 	}
-	most := 0
-	for i := range pts {
-		if !tr.DeletePoint(pts[i], rtree.ObjectID(i)) {
-			t.Fatalf("delete of live object %d failed", i)
-		}
-		if i%25 != 24 && i != len(pts)-1 {
-			continue
-		}
-		if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		if len(ds.spare) > len(ds.ids) {
-			t.Fatalf("after deleting %d objects: %d spare images, the batch dirtied %d pages",
-				i+1, len(ds.spare), len(ds.ids))
-		}
-		published := addrs(ds.cur.pages)
-		for _, img := range ds.spare {
-			if published[&img[0]] {
-				t.Fatal("a spare image is still published")
-			}
-		}
-		most = max(most, len(ds.spare))
+	if err := tr.CheckInvariants(); err != nil || tr.Len() != want {
+		t.Fatalf("reopened tree: %d objects, want %d (%v)", tr.Len(), want, err)
 	}
-	if most == 0 {
-		t.Error("the script never released an image")
+	if err := ds.VerifyShadow(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCommitAllocBudget: in a steady state of the write path's unit of
 // work (45 inserts, 5 deletes, Commit — BenchmarkDurableIngest's batch),
-// a Commit with as many spare images as dirty pages allocates no page
-// image, and such commits allocate fewer than 0.5 objects on average (a
-// bookkeeping map grows now and then; nothing else allocates). Commits
-// with fewer spares than dirty pages make one image per missing spare;
-// with the spare list bounded by the last batch, that is one per page
-// the batch dirtied beyond the last one's, and one per new page.
+// no Commit allocates a page image (each page is encoded into the
+// store's one page buffer, and the log copies it into its own record
+// buffer), and commits allocate fewer than 0.5 objects on average (a
+// bookkeeping map or list grows now and then; nothing else allocates).
+// Nor does a Checkpoint allocate a page: it reads each record back into
+// the same buffer, and zeroes freed slots from a page the data file
+// keeps.
 func TestCommitAllocBudget(t *testing.T) {
 	codec := Codec{Dim: 2, PageSize: 4096}
 	ds, err := OpenDurable(t.TempDir(), codec, DurableOptions{})
@@ -403,8 +292,29 @@ func TestCommitAllocBudget(t *testing.T) {
 			pts = append(pts, p)
 		}
 	}
-	insert(2000)
+	victim := 0
+	remove := func(n int) {
+		for j := 0; j < n; j++ {
+			if !tr.DeletePoint(pts[victim], rtree.ObjectID(victim)) {
+				t.Fatalf("delete of live object %d failed", victim)
+			}
+			victim++
+		}
+	}
+	// Warm up: a checkpoint that zeroes freed slots makes the data
+	// file's zero page.
+	insert(3000)
 	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	remove(1000)
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.ckptFreed) == 0 {
+		t.Fatal("deleting a third of the objects freed no page")
+	}
+	if err := ds.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
@@ -418,34 +328,232 @@ func TestCommitAllocBudget(t *testing.T) {
 	if class < 0 {
 		t.Fatalf("no %d-byte size class", codec.PageSize)
 	}
-	victim, measured, allocs := 0, 0, uint64(0)
+	measured, allocs, checkpoints := 0, uint64(0), 0
 	for b := 0; b < 80; b++ {
 		insert(45)
-		for j := 0; j < 5; j++ {
-			if !tr.DeletePoint(pts[victim], rtree.ObjectID(victim)) {
-				t.Fatalf("delete of live object %d failed", victim)
-			}
-			victim++
-		}
-		covered := len(ds.dirty) <= len(ds.spare)
+		remove(5)
 		runtime.ReadMemStats(&before)
 		if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if b < 10 || !covered {
+		if images := after.BySize[class].Mallocs - before.BySize[class].Mallocs; images != 0 {
+			t.Errorf("batch %d: Commit allocated %d page images", b, images)
+		}
+		if b >= 10 {
+			measured++
+			allocs += after.Mallocs - before.Mallocs
+		}
+		if b%10 != 9 {
 			continue
 		}
-		measured++
-		allocs += after.Mallocs - before.Mallocs
-		if images := after.BySize[class].Mallocs - before.BySize[class].Mallocs; images != 0 {
-			t.Errorf("batch %d: Commit allocated %d page images with a spare for every dirty page", b, images)
+		checkpoints++
+		runtime.ReadMemStats(&before)
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if pages := after.BySize[class].Mallocs - before.BySize[class].Mallocs; pages != 0 {
+			t.Errorf("batch %d: Checkpoint allocated %d page-sized buffers", b, pages)
 		}
 	}
-	if measured < 20 {
-		t.Fatalf("only %d of 70 steady-state commits had a spare image for every dirty page", measured)
-	}
 	if mean := float64(allocs) / float64(measured); mean >= 0.5 {
-		t.Errorf("Commit allocated %.2f objects on average, want < 0.5", mean)
+		t.Errorf("Commit allocated %.2f objects on average over %d commits, want < 0.5", mean, measured)
+	}
+}
+
+// TestDurableStoreHoldsNoImages: a store holds its pages as nodes and
+// nothing else — no encoded copy after Commit and Checkpoint, and none
+// after a reopen that replays a WAL tail. What a Commit and a Checkpoint
+// leave on the heap, and what a reopen keeps beyond the nodes it decodes
+// (measured against a copy of the same nodes), must stay under an
+// eighth of the page images.
+func TestDurableStoreHoldsNoImages(t *testing.T) {
+	codec := Codec{Dim: 2, PageSize: 4096}
+	dir := t.TempDir()
+	ds, err := OpenDurable(dir, codec, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := rand.New(rand.NewSource(23))
+	for i := 0; ds.Len() < 400; i++ {
+		if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := ds.Len()
+	images := uint64(pages * codec.PageSize)
+	retained := heapGrowth(func() {
+		if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Commit and Checkpoint of %d pages retain %d B; the images are %d B", pages, retained, images)
+	if retained >= images/8 {
+		t.Errorf("Commit and Checkpoint retain %d B, want < %d (an eighth of the page images)", retained, images/8)
+	}
+
+	// A WAL tail: a tenth of the objects again, committed, not
+	// checkpointed.
+	for i := 0; i < tr.Len()/10; i++ {
+		if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(1<<30+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	logged := len(ds.tail)
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, tr = nil, nil
+	var reopened *DurableStore
+	opened := heapGrowth(func() {
+		if reopened, err = OpenDurable(dir, codec, DurableOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer reopened.Close()
+	if len(reopened.tail) != logged {
+		t.Fatalf("reopen replayed %d pages, want the %d of the WAL tail", len(reopened.tail), logged)
+	}
+	var copies map[rtree.PageID]*rtree.Node
+	nodes := heapGrowth(func() {
+		copies = make(map[rtree.PageID]*rtree.Node, len(reopened.nodes))
+		for id, n := range reopened.nodes {
+			img, err := codec.Encode(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if copies[id], err = codec.DecodeNode(img); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	pages, images = len(copies), uint64(len(copies)*codec.PageSize)
+	t.Logf("reopen with %d logged pages retains %d B; its %d nodes are %d B, their images %d B",
+		logged, opened, pages, nodes, images)
+	if opened >= nodes+images/8 {
+		t.Errorf("reopen retains %d B beyond its nodes, want < %d (an eighth of the page images)", opened-nodes, images/8)
+	}
+	runtime.KeepAlive(copies)
+}
+
+// heapGrowth is the live heap f leaves behind, measured after a forced
+// collection on either side of it.
+func heapGrowth(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc < before.HeapAlloc {
+		return 0
+	}
+	return after.HeapAlloc - before.HeapAlloc
+}
+
+// TestCheckpointRefusesBadWALRecord: Checkpoint reads each page back
+// from its WAL record and refuses one whose bytes no longer check out,
+// or that is another page's, before the superblock moves: the record
+// tables, the superblock and the log stay as they were, and no slot of
+// the data file changes but those of pages copied before the bad one
+// (with the committed images the log still holds).
+func TestCheckpointRefusesBadWALRecord(t *testing.T) {
+	files := newMemFiles()
+	ds := files.open(t, nil)
+	defer ds.Close()
+	tr := treeOver(t, ds)
+	rnd := rand.New(rand.NewSource(29))
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(tr.Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ds.Commit(tr.Root(), tr.Len(), []byte{byte(tr.Len())}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	insert(300)
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert(300)
+	ids := sortedIDs(nil, ds.tail)
+	if len(ids) < 3 {
+		t.Fatalf("only %d pages in the WAL tail", len(ids))
+	}
+	tables := [2][]byte{bytes.Clone(files.tables[0].buf), bytes.Clone(files.tables[1].buf)}
+	log, end := bytes.Clone(files.wal.buf), ds.wal.end
+	slot := func(buf []byte, id rtree.PageID) []byte {
+		off := int(id) * durableTestPage
+		if off >= len(buf) {
+			return nil
+		}
+		return buf[off:min(off+durableTestPage, len(buf))]
+	}
+	refused := func(label string, bad int) {
+		t.Helper()
+		data := bytes.Clone(files.data.buf)
+		err := ds.Checkpoint()
+		if err == nil {
+			t.Fatalf("%s: Checkpoint accepted it", label)
+		}
+		if !bytes.Equal(files.tables[0].buf, tables[0]) || !bytes.Equal(files.tables[1].buf, tables[1]) {
+			t.Errorf("%s: a record table changed", label)
+		}
+		if !bytes.Equal(files.data.buf[:durableTestPage], data[:durableTestPage]) {
+			t.Errorf("%s: the superblock changed", label)
+		}
+		if ds.wal.end != end || len(files.wal.buf) != len(log) {
+			t.Errorf("%s: the WAL was reset", label)
+		}
+		for id := rtree.PageID(1); int(id)*durableTestPage < max(len(data), len(files.data.buf)); id++ {
+			got, was := slot(files.data.buf, id), slot(data, id)
+			if bytes.Equal(got, was) {
+				continue
+			}
+			i, copied := slices.BinarySearch(ids, id)
+			if !copied || i >= bad {
+				t.Fatalf("%s: slot %d changed; only the %d pages before the bad one may be copied", label, id, bad)
+			}
+			img, _, err := ds.committedImage(id)
+			if err != nil || !bytes.Equal(got, img) {
+				t.Fatalf("%s: slot %d holds other bytes than the page's committed image (%v)", label, id, err)
+			}
+		}
+		t.Logf("%s: %v", label, err)
+	}
+
+	for _, bad := range []int{0, len(ids) / 2} {
+		at := int(ds.tail[ids[bad]]) + walRecHeader + 8 + PageRecordSize + 20 // in the image
+		files.wal.buf[at] ^= 0x10
+		refused(fmt.Sprintf("flipped byte in the record of page %d of %d", bad+1, len(ids)), bad)
+		files.wal.buf[at] ^= 0x10
+	}
+	a, b := ids[0], ids[1]
+	ds.tail[a], ds.tail[b] = ds.tail[b], ds.tail[a]
+	refused("the first page's record names the second", 0)
+	var ie *IntegrityError
+	if err := ds.Checkpoint(); !errors.As(err, &ie) || ie.Want != a || ie.Got != b {
+		t.Errorf("Checkpoint over another page's record: %v, want *IntegrityError{Want: %d, Got: %d}", err, a, b)
+	}
+	ds.tail[a], ds.tail[b] = ds.tail[b], ds.tail[a]
+
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.VerifyShadow(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -34,11 +34,11 @@ func TestWALAppendPageWritesTheSameBytes(t *testing.T) {
 			if err := page(w, rtree.PageID(i+7), img); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
+			if _, err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.appendRecord(WALCommit, commitRecordPayload(7, 4, 11), nil); err != nil {
+		if _, err := w.appendRecord(WALCommit, commitRecordPayload(7, 4, 11), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := errors.Join(w.Sync(), w.Close()); err != nil {
@@ -51,10 +51,12 @@ func TestWALAppendPageWritesTheSameBytes(t *testing.T) {
 		return b
 	}
 	joined := write(func(w *WAL, id rtree.PageID, img []byte) error {
-		return w.appendRecord(WALPage, pageRecordPayload(id, PageRecord{byte(id)}, img), nil)
+		_, err := w.appendRecord(WALPage, pageRecordPayload(id, PageRecord{byte(id)}, img), nil)
+		return err
 	})
 	inPlace := write(func(w *WAL, id rtree.PageID, img []byte) error {
-		return w.AppendPage(id, PageRecord{byte(id)}, img)
+		_, err := w.AppendPage(id, PageRecord{byte(id)}, img)
+		return err
 	})
 	if !bytes.Equal(joined, inPlace) {
 		t.Fatalf("AppendPage wrote %d bytes that differ from the joined payload's %d", len(inPlace), len(joined))
@@ -76,7 +78,7 @@ func TestDurableStoreEncodesDirtyPageOnceAtCommit(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { ds.Update(n) }); allocs != 0 {
 		t.Errorf("Update of a dirty page allocates %.0f times, want 0 (no image before Commit)", allocs)
 	}
-	if _, err := ds.ReadPage(n.ID); err == nil {
+	if _, err := ds.committedPage(n.ID); err == nil {
 		t.Error("an uncommitted page is readable")
 	}
 	if err := ds.VerifyShadow(); err != nil {
@@ -88,7 +90,7 @@ func TestDurableStoreEncodesDirtyPageOnceAtCommit(t *testing.T) {
 	if got := counters.WALAppends.Load(); got != 2 {
 		t.Errorf("Commit appended %d WAL records, want 2 (one page, one commit)", got)
 	}
-	f, err := ds.ReadPage(n.ID)
+	f, err := ds.committedPage(n.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +115,7 @@ func TestDurableStoreUpdatePanicsOverCapacity(t *testing.T) {
 	ds := openDurableT(t, t.TempDir(), nil)
 	defer ds.Close()
 	n := ds.Allocate(0)
-	for i := 0; i <= ds.Codec().Capacity(); i++ {
+	for i := 0; i <= ds.codec.Capacity(); i++ {
 		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2}), rtree.ObjectID(i)))
 	}
 	defer func() {

@@ -2,6 +2,7 @@ package pagestore
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -31,18 +32,26 @@ func committed(t *testing.T, rects ...geom.Rect) (*DurableStore, []rtree.PageID)
 	return ds, ids
 }
 
-// Regression (satellite 1): a misdirected read — a well-formed page
-// served from the wrong slot — must surface as a typed IntegrityError,
-// not as a silently wrong node. Before the fix ReadPage returned
-// whatever node the image decoded to.
+// Regression: a misdirected read — a well-formed page served from the
+// wrong slot — must surface as a typed IntegrityError, not as a silently
+// wrong node. Before the fix ReadPage returned whatever node the image
+// decoded to. The read path is the data file's, where a checkpoint put
+// both pages.
 func TestReadPageDetectsMisdirectedRead(t *testing.T) {
 	ds, ids := committed(t, geom.PointRect(geom.Point{1, 1}), geom.PointRect(geom.Point{2, 2}))
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	aID, bID := ids[0], ids[1]
 	// Simulate the faulty disk: slot a now holds b's (valid!) image.
-	ds.mu.Lock()
-	ds.cur.pages[aID] = ds.cur.pages[bID]
-	ds.mu.Unlock()
-	_, err := ds.ReadPage(aID)
+	img, err := ds.fs.ReadImage(bID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.fs.WriteImage(aID, img); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ds.fs.ReadPage(aID)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("ReadPage after misdirection: err = %v, want *IntegrityError", err)
@@ -51,7 +60,7 @@ func TestReadPageDetectsMisdirectedRead(t *testing.T) {
 		t.Errorf("IntegrityError = want %d got %d; expected want %d got %d", ie.Want, ie.Got, aID, bID)
 	}
 	// The untouched slot still reads fine.
-	if _, err := ds.ReadPage(bID); err != nil {
+	if _, err := ds.fs.ReadPage(bID); err != nil {
 		t.Fatalf("ReadPage(%d) = %v", bID, err)
 	}
 }
@@ -81,7 +90,7 @@ func TestDecodeRejectsOversizedBuffer(t *testing.T) {
 	}
 }
 
-// Satellite 3's second half: VerifyShadow compares geometry bitwise, so
+// VerifyShadow compares geometry bitwise, so
 // a NaN coordinate (equal to nothing, including itself) still verifies
 // against its own round trip, and a -0/+0 substitution is corruption.
 func TestVerifyShadowBitwise(t *testing.T) {
@@ -99,12 +108,19 @@ func TestVerifyShadowBitwise(t *testing.T) {
 	if err := ds.Commit(n.ID, 1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	ds.mu.Lock()
-	img := ds.cur.pages[n.ID]
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	img, err := ds.fs.ReadImage(n.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
 	img[headerSize+2*8] = 0x00 // lo byte of Hi[0] stays 0
 	img[headerSize+3*8-1] = 0x80
-	ds.mu.Unlock()
-	if err := ds.VerifyShadow(); err == nil {
-		t.Error("VerifyShadow missed a -0/+0 substitution")
+	if err := ds.fs.WriteImage(n.ID, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.VerifyShadow(); err == nil || !strings.Contains(err.Error(), "shadow mismatch") {
+		t.Errorf("VerifyShadow over a -0/+0 substitution: %v, want a shadow mismatch", err)
 	}
 }

@@ -315,51 +315,3 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 	}
 	return n, nil
 }
-
-// verifyShadowNode checks one node against its encoded shadow image.
-// Geometry compares bitwise (Float64bits, not geometric tolerance): the
-// shadow is a codec round trip of the exact in-memory floats, so any
-// difference at all — including a NaN payload or a -0/+0 flip — is
-// corruption, not numeric noise.
-func verifyShadowNode(codec Codec, n *rtree.Node, buf []byte) error {
-	dec, err := codec.DecodeNode(buf)
-	if err != nil {
-		return fmt.Errorf("pagestore: page %d: %v", n.ID, err)
-	}
-	if dec.ID != n.ID || dec.Level != n.Level || len(dec.Entries) != len(n.Entries) {
-		return fmt.Errorf("pagestore: page %d: shadow header mismatch", n.ID)
-	}
-	for i := range n.Entries {
-		a, b := n.Entries[i], dec.Entries[i]
-		if !rectBitsEqual(a.Rect, b.Rect) || a.Child != b.Child || a.Object != b.Object || a.Count != b.Count {
-			return fmt.Errorf("pagestore: page %d entry %d: shadow mismatch", n.ID, i)
-		}
-		if codec.Spheres {
-			if !pointBitsEqual(a.Sphere.Center, b.Sphere.Center) ||
-				math.Float64bits(a.Sphere.Radius) != math.Float64bits(b.Sphere.Radius) {
-				return fmt.Errorf("pagestore: page %d entry %d: sphere shadow mismatch", n.ID, i)
-			}
-		}
-	}
-	return nil
-}
-
-// pointBitsEqual reports exact bit-level equality of two coordinate
-// vectors (IEEE-754 bit patterns, so NaNs compare by payload and
-// -0 != +0 — stricter than geometric equality, which is the point).
-func pointBitsEqual(a, b geom.Point) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// rectBitsEqual is pointBitsEqual over both corners.
-func rectBitsEqual(a, b geom.Rect) bool {
-	return pointBitsEqual(a.Lo, b.Lo) && pointBitsEqual(a.Hi, b.Hi)
-}

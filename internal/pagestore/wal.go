@@ -243,8 +243,9 @@ func (w *WAL) resetFileLocked() error {
 // the next LSN, without syncing: durability requires a following Sync —
 // the commit protocol appends the whole batch, then syncs once. Header,
 // page id, record, image and checksum are put together in the log's own
-// buffer, the image copied once.
-func (w *WAL) AppendPage(id rtree.PageID, rec PageRecord, image []byte) error {
+// buffer, the image copied once. It returns the record's offset, where
+// readPage finds it again.
+func (w *WAL) AppendPage(id rtree.PageID, rec PageRecord, image []byte) (int64, error) {
 	var head [8 + PageRecordSize]byte
 	binary.LittleEndian.PutUint64(head[:], uint64(id))
 	copy(head[8:], rec[:])
@@ -255,7 +256,8 @@ func (w *WAL) AppendPage(id rtree.PageID, rec PageRecord, image []byte) error {
 func (w *WAL) appendFree(id rtree.PageID) error {
 	var head [8]byte
 	binary.LittleEndian.PutUint64(head[:], uint64(id))
-	return w.appendRecord(WALFree, head[:], nil)
+	_, err := w.appendRecord(WALFree, head[:], nil)
+	return err
 }
 
 // appendCommit appends a commit record: the tree metadata, then the
@@ -265,24 +267,55 @@ func (w *WAL) appendCommit(root rtree.PageID, size int, nextID rtree.PageID, sta
 	binary.LittleEndian.PutUint64(head[0:], uint64(root))
 	binary.LittleEndian.PutUint64(head[8:], uint64(size))
 	binary.LittleEndian.PutUint64(head[16:], uint64(nextID))
-	return w.appendRecord(WALCommit, head[:], state)
+	_, err := w.appendRecord(WALCommit, head[:], state)
+	return err
 }
 
-// appendRecord writes one record whose payload is head then tail: the
-// one append of every record type.
-func (w *WAL) appendRecord(typ byte, head, tail []byte) error {
+// appendRecord writes one record whose payload is head then tail, and
+// returns its offset: the one append of every record type.
+func (w *WAL) appendRecord(typ byte, head, tail []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rec = appendWALRecord(w.rec[:0], w.nextLSN, typ, head, tail)
-	if _, err := w.f.WriteAt(w.rec, w.end); err != nil {
-		return fmt.Errorf("pagestore: appending WAL record lsn %d: %w", w.nextLSN, err)
+	off := w.end
+	if _, err := w.f.WriteAt(w.rec, off); err != nil {
+		return 0, fmt.Errorf("pagestore: appending WAL record lsn %d: %w", w.nextLSN, err)
 	}
 	w.end += int64(len(w.rec))
 	w.nextLSN++
 	if w.counters != nil {
 		w.counters.WALAppends.Add(1)
 	}
-	return nil
+	return off, nil
+}
+
+// pageRecordLen is the length of a WALPage record of a pageSize page.
+func pageRecordLen(pageSize int) int {
+	return walRecHeader + 8 + PageRecordSize + pageSize + walRecTrailer
+}
+
+// readPage reads the WALPage record of page id at off back into buf,
+// which must hold pageRecordLen bytes, and returns the page image
+// within it. A record that fails its checksum or is no page record is
+// refused, and so, with an *IntegrityError, is another page's.
+func (w *WAL) readPage(off int64, id rtree.PageID, buf []byte) ([]byte, error) {
+	n := pageRecordLen(w.pageSize)
+	buf = buf[:n]
+	w.mu.Lock()
+	_, err := w.f.ReadAt(buf, off)
+	w.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: reading the WAL record of page %d at offset %d: %w", id, off, err)
+	}
+	body := buf[:n-walRecTrailer]
+	if binary.LittleEndian.Uint32(buf[len(body):]) != crc32.ChecksumIEEE(body) ||
+		buf[8] != WALPage || int(binary.LittleEndian.Uint32(buf[12:])) != len(body)-walRecHeader {
+		return nil, fmt.Errorf("pagestore: WAL record of page %d at offset %d: %w", id, off, errTornRecord)
+	}
+	if got := rtree.PageID(binary.LittleEndian.Uint64(buf[walRecHeader:])); got != id {
+		return nil, &IntegrityError{Want: id, Got: got}
+	}
+	return body[walRecHeader+8+PageRecordSize:], nil
 }
 
 // Sync makes all appended records durable: the commit point.
@@ -306,9 +339,18 @@ func (w *WAL) Reset() error {
 	return w.resetFileLocked()
 }
 
+// mark returns the append offset and the next LSN: the point rewind
+// returns the log to.
+func (w *WAL) mark() (int64, uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.end, w.nextLSN
+}
+
 // rewind truncates the log back to a record boundary (end offset of the
-// last record to keep, with nextLSN the LSN that follows it). The
-// DurableStore uses it at open to drop records after the last commit.
+// last record to keep, with nextLSN the LSN that follows it): at open,
+// past the last commit; in a failed Commit, back to where its batch
+// started.
 func (w *WAL) rewind(end int64, nextLSN uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

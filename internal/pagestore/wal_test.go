@@ -88,7 +88,7 @@ func TestWALAppendScanTornTail(t *testing.T) {
 		t.Fatalf("fresh WAL returned %d entries", len(entries))
 	}
 	for i := 0; i < 5; i++ {
-		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
+		if _, err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestWALAppendScanTornTail(t *testing.T) {
 			t.Fatalf("cut %d: %d entries, want %d", cut, len(entries), wantRecs)
 		}
 		// Appends after a torn tail must land on a record boundary.
-		if err := w2.appendRecord(WALCommit, commitRecordPayload(1, 1, 2), nil); err != nil {
+		if _, err := w2.appendRecord(WALCommit, commitRecordPayload(1, 1, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 		w2.Close()
@@ -142,7 +142,7 @@ func TestWALScanStopsAtCorruptRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
+		if _, err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,14 +185,14 @@ func TestWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
+		if _, err := w.appendRecord(WALFree, freeRecordPayload(rtree.PageID(i+1)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.appendRecord(WALCommit, commitRecordPayload(0, 0, 1), nil); err != nil {
+	if _, err := w.appendRecord(WALCommit, commitRecordPayload(0, 0, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
