@@ -90,12 +90,12 @@ BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
 BENCH_JSON_NEW_TIME ?= 20x
-# The baseline report also carries the parent commit's DurableIngest and
-# IndexReopen rows as `…/at=parent-0143c59`, and the change's as
-# `…/at=change-rounds`, five rounds measured alternately; bench-check
-# lists them as missing from a new report (informational) until the
-# baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-17-pr40.json
+# The baseline report also carries the parent commit's EngineThroughput,
+# EngineMissPath and EngineNew rows as `…/at=parent-befa4d9`, and the
+# change's as `…/at=change-rounds`, five rounds measured alternately;
+# bench-check lists them as missing from a new report (informational)
+# until the baseline moves on.
+BENCH_BASELINE   ?= BENCH_2026-10-17-pr41.json
 BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN|BenchmarkHedgeDelay'
 BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:

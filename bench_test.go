@@ -357,10 +357,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		})
 	}
 
-	// The miss path: file-backed replicas and a cache of 5 % of the
-	// pages, so nearly every page request reads (pread) and decodes. One
-	// client: which pages hit then depends on the queries alone, and
-	// allocs/op repeats closely enough for the bench-check gate.
+	// The miss path: file-backed replicas and CachePages 5 % of the
+	// pages, so the engine is framed and every leaf request reads (pread)
+	// and decodes into a recycled frame. One client keeps allocs/op
+	// repeatable enough for the bench-check gate.
 	b.Run("engine-store=file-cache=5pct", func(b *testing.B) {
 		eng, err := exec.New(knnTree, exec.Config{
 			DataDir: b.TempDir(), CachePages: knnTree.Store().Len() / 20})
@@ -381,11 +381,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineMissPath is the engine where a leaf request is almost
-// always a physical read: 8-d Gaussian points (a query touches a third
-// of the tree's pages), file-backed pread replicas, a cache of 5 % of
-// the pages with fetch coalescing on, two client goroutines. What it
-// tracks is what the engine spends around each read — ns/op and above
+// BenchmarkEngineMissPath is the engine where a leaf request is a
+// physical read: 8-d Gaussian points (a query touches a third of the
+// tree's pages), file-backed pread replicas, CachePages 5 % of the
+// pages (a framed engine) with fetch coalescing on, two client
+// goroutines. What it tracks is what the engine spends around each read — ns/op and above
 // all B/op and allocs/op, which say whether decoded views are recycled
 // or left to the collector, and views/query, the frames made after
 // warm-up, which reads 0 when they are — against pages/query, the leaf

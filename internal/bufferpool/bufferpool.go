@@ -39,16 +39,14 @@ func newLRU[K comparable, V any](capacity int) lru[K, V] {
 }
 
 // lookup returns key's value, promoting it to most-recently-used and
-// counting a hit; a miss is counted only when countMiss is set.
-func (c *lru[K, V]) lookup(key K, countMiss bool) (V, bool) {
+// counting a hit or a miss.
+func (c *lru[K, V]) lookup(key K) (V, bool) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.stats.Hits++
 		return el.Value.(*lruEntry[K, V]).val, true
 	}
-	if countMiss {
-		c.stats.Misses++
-	}
+	c.stats.Misses++
 	var zero V
 	return zero, false
 }
@@ -56,26 +54,23 @@ func (c *lru[K, V]) lookup(key K, countMiss bool) (V, bool) {
 // put inserts or refreshes key. When the cache is full the least
 // recently used entry is evicted: its list element and record are
 // re-keyed for the newcomer, so an insert into a full cache allocates
-// nothing. The evicted value is returned; a value replaced by a refresh
-// is not (it is left to the collector).
-func (c *lru[K, V]) put(key K, val V) (evicted V, ok bool) {
+// nothing.
+func (c *lru[K, V]) put(key K, val V) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*lruEntry[K, V]).val = val
-		return evicted, false
+		return
 	}
 	c.stats.Inserts++
 	if c.ll.Len() < c.capacity {
 		c.items[key] = c.ll.PushFront(&lruEntry[K, V]{key, val})
-		return evicted, false
+		return
 	}
 	oldest := c.ll.Back()
 	ent := oldest.Value.(*lruEntry[K, V])
 	delete(c.items, ent.key)
-	evicted = ent.val
 	ent.key, ent.val = key, val
 	c.ll.MoveToFront(oldest)
 	c.items[key] = oldest
 	c.stats.Evictions++
-	return evicted, true
 }

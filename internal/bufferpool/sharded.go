@@ -9,17 +9,14 @@ import (
 // shards of the package's LRU core, with singleflight-style fetch
 // deduplication: when many goroutines miss on the same key
 // simultaneously, exactly one runs the fetch and the rest wait for its
-// result. The concurrent query engine (package exec) uses it as its
-// shared decoded-page cache — the paper's model has no buffer pool, but
-// a real multi-client server would thrash the disks without one.
+// result. Queries share one as their residency model
+// (query.Options.SharedCache); the benchmark times its hit path.
 //
 // Keys are mapped to shards by the caller-supplied hash function, so
 // the type works for any comparable key without reflection.
 type Sharded[K comparable, V any] struct {
-	hash      func(K) uint64
-	shards    []*shard[K, V]
-	onEvict   func(V)      // see OnEvict
-	onHandOut func(V, int) // see OnHandOut
+	hash   func(K) uint64
+	shards []*shard[K, V]
 }
 
 // shard is one lock's worth of the cache: every operation on a key
@@ -72,36 +69,6 @@ func NewSharded[K comparable, V any](capacity, numShards int, hash func(K) uint6
 	return s
 }
 
-// OnEvict installs a hook that receives every value the LRU evicts to
-// make room, exactly once, after the value has left the cache and
-// outside the shard lock (so the hook may take locks of its own). It is
-// the hand-over point for an owner that recycles values. A value
-// replaced by a refreshing Put is not reported: it goes to the
-// collector. Call it once, before the cache is shared between
-// goroutines.
-func (s *Sharded[K, V]) OnEvict(hook func(V)) { s.onEvict = hook }
-
-// OnHandOut installs a hook that is told of every value the cache hands
-// to a caller, with the number of callers it goes to: 1 for a resident
-// entry (Get, Probe, GetOrFetchHit), and for a fetched value the fetching
-// caller plus everyone who waited on its flight — exact, because the
-// hook runs as the flight leaves the map. It runs under the shard's
-// lock, before the value can be evicted, so an owner that counts its
-// values' readers (and learns of evictions through OnEvict) never sees
-// an eviction overtake the count. It must take no lock and not call
-// back into the cache: one atomic add is what it is for. Call it once,
-// before the cache is shared between goroutines.
-func (s *Sharded[K, V]) OnHandOut(hook func(v V, callers int)) { s.onHandOut = hook }
-
-// handOut reports a resident value about to be returned to one caller.
-// The shard's lock is held.
-func (s *Sharded[K, V]) handOut(v V, ok bool) (V, bool) {
-	if ok && s.onHandOut != nil {
-		s.onHandOut(v, 1)
-	}
-	return v, ok
-}
-
 func (s *Sharded[K, V]) shardOf(key K) *shard[K, V] {
 	return s.shards[s.hash(key)%uint64(len(s.shards))]
 }
@@ -111,35 +78,15 @@ func (s *Sharded[K, V]) Get(key K) (V, bool) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return s.handOut(sh.lru.lookup(key, true))
-}
-
-// Probe is Get without the miss accounting: a hit is promoted and
-// counted, a miss counts nothing. The engine probes on the querying
-// goroutine and sends a miss to the page's disk worker, whose
-// GetOrFetchHit then counts the request's one miss — or its one hit,
-// when another fetch filled the page in between.
-func (s *Sharded[K, V]) Probe(key K) (V, bool) {
-	sh := s.shardOf(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return s.handOut(sh.lru.lookup(key, false))
+	return sh.lru.lookup(key)
 }
 
 // Put inserts or refreshes key. Safe for concurrent use.
 func (s *Sharded[K, V]) Put(key K, val V) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	evicted, ok := sh.lru.put(key, val)
-	sh.mu.Unlock()
-	s.evicted(evicted, ok)
-}
-
-// evicted hands a value the LRU just pushed out to the hook, if any.
-func (s *Sharded[K, V]) evicted(v V, ok bool) {
-	if ok && s.onEvict != nil {
-		s.onEvict(v)
-	}
+	defer sh.mu.Unlock()
+	sh.lru.put(key, val)
 }
 
 // GetOrFetchHit returns the cached value for key, or runs fetch to
@@ -149,14 +96,13 @@ func (s *Sharded[K, V]) evicted(v V, ok bool) {
 // is returned to every waiter of that flight (later callers retry). hit
 // is true when the value was served without running fetch in this call
 // — a resident entry, or the shared result of another caller's
-// in-progress flight. The engine's telemetry uses it to label
-// per-fetch trace events without a second cache probe. A miss takes the
+// in-progress flight. A miss takes the
 // shard lock twice (lookup, admit) and allocates nothing beyond what
 // fetch does.
 func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit bool, err error) {
 	sh := s.shardOf(key)
 	sh.mu.Lock()
-	if v, ok := s.handOut(sh.lru.lookup(key, true)); ok {
+	if v, ok := sh.lru.lookup(key); ok {
 		sh.mu.Unlock()
 		return v, true, nil
 	}
@@ -186,23 +132,15 @@ func (s *Sharded[K, V]) GetOrFetchHit(key K, fetch func() (V, error)) (v V, hit 
 
 	sh.mu.Lock()
 	f.val, f.err = v, err
-	var old V
-	var full bool
 	if err == nil {
-		old, full = sh.lru.put(key, v)
-		if s.onHandOut != nil {
-			s.onHandOut(v, 1+f.waiters)
-		}
+		sh.lru.put(key, v)
 	}
-	// Off the map under the lock that admitted the value: nobody joins
-	// the flight from here on, so the waiter count just reported is final.
 	delete(sh.inflight, key)
 	f.done.Done() // never blocks; Wait is what may not run under mu
 	if f.waiters == 0 {
 		sh.free = f.recycled(sh.free)
 	}
 	sh.mu.Unlock()
-	s.evicted(old, full)
 	return v, false, err
 }
 

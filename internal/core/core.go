@@ -362,7 +362,7 @@ type EngineConfig = exec.Config
 type EngineStats = exec.Stats
 
 // EngineSnapshot is a diffable observability snapshot of the engine:
-// counters, cache traffic, per-disk gauges with the declustering
+// counters, frame counts, per-disk gauges with the declustering
 // balance ratio, and wall-clock latency histograms (p50/p95/p99).
 type EngineSnapshot = exec.Snapshot
 
@@ -375,9 +375,11 @@ type EngineSnapshot = exec.Snapshot
 // The engine snapshots the index's pages when it is created and
 // queries answer as of that snapshot. With EngineConfig.DataDir the
 // snapshot is the replica files under it — NewEngine replaces files of
-// the same name, an engine still open on them keeps its own — and the
-// engine's memory is the tree plus its page cache plus the pages being
-// read in. Do not mutate the index while an engine is open — structural
+// the same name, an engine still open on them keeps its own. When
+// EngineConfig.CachePages covers the index's leaves the engine serves
+// them from the tree in memory; otherwise every leaf is a read into one
+// of a fixed set of recycled frames, and a file-backed engine's memory
+// is the tree plus those frames. Do not mutate the index while an engine is open — structural
 // changes (splits, frees) invalidate the snapshot; build a new engine
 // after loading data. Each engine query holds the index's read lock, so
 // an accidental concurrent mutation is a stale-snapshot error, not a

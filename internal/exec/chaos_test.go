@@ -39,7 +39,9 @@ func (r *diskRecorder) Observe(ev obs.Event) {
 // many seeded fault schedules, a RAID-1 engine with one fail-stopped
 // physical drive must return every kNN result bit-identical to the
 // sequential Driver — at least one replica of every page survives, so
-// degraded mode must never change an answer.
+// degraded mode must never change an answer. The engines are framed
+// (CachePages 0: every leaf is a drive read), and over the seeds the
+// dead drives must have shown: a degraded replica or a redirected read.
 func TestChaosMirroredFailStop(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -54,6 +56,7 @@ func TestChaosMirroredFailStop(t *testing.T) {
 		want[i], _ = drv.Run(query.CRSS{}, q, k, query.Options{})
 	}
 
+	var seen int64 // Faults.DisksDegraded + Faults.Redirects, over the seeds
 	for seed := 0; seed < seeds; seed++ {
 		inj := fault.NewInjector(int64(seed))
 		drive := seed % (disks * mirrors)
@@ -73,7 +76,12 @@ func TestChaosMirroredFailStop(t *testing.T) {
 			sameNeighbors(t, fmt.Sprintf("seed %d q%d", seed, qi), want[qi], got)
 		}
 		cancel()
+		f := eng.Snapshot().Faults
+		seen += f.DisksDegraded + int64(f.Redirects)
 		eng.Close()
+	}
+	if seen == 0 {
+		t.Fatal("no seed degraded a replica or redirected a read: the fail-stops were never reached")
 	}
 }
 

@@ -7,17 +7,14 @@ import (
 )
 
 // coalescer is the cross-request page-fetch coalescing layer
-// (Config.CoalesceFetches): when concurrent queries miss the page cache
-// on the same page at the same time, exactly one fetch job goes through
-// the disk queue — the others join the in-flight "flight" and share its
-// result. This is singleflight at the *request* level, one layer above
-// the decoded-page cache's singleflight (bufferpool.Sharded): the cache
-// deduplicates decodes once a job reaches a worker, while the
-// coalescer deduplicates the jobs themselves, so merged fetches share
-// one queue slot and one in-flight semaphore slot. Under a saturated
-// array that is the difference between N queries queueing N copies of
-// a cold leaf and all of them riding one fetch. Requests the cache
-// serves never get here.
+// (Config.CoalesceFetches): when concurrent queries of a framed engine
+// read the same leaf at the same time, exactly one fetch job goes
+// through the disk queue — the others join the in-flight "flight" and
+// share its result, its decode and its one queue and in-flight
+// semaphore slot. It is the engine's only singleflight. Under a
+// saturated array that is the difference between N queries queueing N
+// copies of a cold leaf and all of them riding one fetch. Pages served
+// inline never get here.
 //
 // A flight is keyed by page id (pages live on exactly one logical
 // disk, so the page identifies the disk too) and lives in a sharded
@@ -110,10 +107,9 @@ func (sh *coShard) recycle(waiters []flightWaiter) {
 // leader's: however fast the leader's stage moves on, the view is not
 // recycled under a joiner. Joined deliveries are marked coalesced (for
 // the cancellation-retry path in fetchStage) and, on success, count as
-// served-without-a-decode for trace attribution, mirroring the cache's
-// shared-flight hits. A delivery never blocks: it is a slot write and,
-// from whoever completes the stage, one send on a channel with room
-// for it.
+// served-without-a-decode for trace attribution. A delivery never
+// blocks: it is a slot write and, from whoever completes the stage, one
+// send on a channel with room for it.
 func (e *Engine) resolveFlight(sh *coShard, page rtree.PageID, res fetchResult) {
 	waiters := sh.resolve(page)
 	if len(waiters) == 0 {

@@ -9,16 +9,20 @@
 // read enters a disk queue. The directory (every level above the
 // leaves) is memory-resident, like the upper levels of the paper's
 // multiplexed R-tree: the engine pins it as query.Options.CachedLevels
-// and serves it from the live tree, so the drives serve only leaves. A
-// leaf resident in the decoded-page cache is served on the querying
-// goroutine too.
+// and serves it from the live tree, so the drives serve only leaves.
+// The paper's model has no buffer pool, and neither has the engine: New
+// decides once whether a leaf is resident or framed. An engine whose
+// Config.CachePages covers the leaves serves them from the live tree
+// too, on the querying goroutine. Otherwise every leaf is a read on its
+// disk's worker, decoded into one of a fixed set of recycled frames
+// (retire.go).
 //
 // The same stage-driven query.Execution state machines that run under
 // the immediate Driver and the system simulator run here unchanged: the
 // Engine resolves each stage's batched page requests by serving the
-// pinned and cached pages inline and fanning the rest out to the disk
-// workers, collecting completions asynchronously, and delivering the
-// nodes in request order so results are bit-for-bit identical to the
+// in-memory pages inline and fanning the rest out to the disk workers,
+// collecting completions asynchronously, and delivering the nodes in
+// request order so results are bit-for-bit identical to the
 // sequential paths. Many client goroutines may query a shared Engine
 // concurrently; total outstanding page reads are bounded, and queries
 // honor context cancellation mid-flight.
@@ -34,7 +38,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -50,10 +53,8 @@ var ErrClosed = errors.New("exec: engine closed")
 const (
 	// queueDepth is the per-disk fetch channel buffer. When a disk's
 	// queue is full, request submission blocks — natural backpressure
-	// against one hot disk. Only cache misses are queued.
+	// against one hot disk. Only a framed engine's leaves are queued.
 	queueDepth = 32
-	// cacheShards is the lock sharding of the page cache.
-	cacheShards = 8
 	// slotsPerWorker is how many outstanding page reads each disk
 	// worker is allowed (the in-flight bound, see Engine.sem).
 	slotsPerWorker = 4
@@ -70,21 +71,20 @@ type Config struct {
 	// disk's fetch queue (default 1 — the paper's one-arm-per-disk
 	// model; more overlaps page decodes on multi-core hosts).
 	WorkersPerDisk int
-	// CachePages enables a shared decoded-page LRU cache of that many
-	// leaves with singleflight fetch deduplication (0 = no cache; every
-	// leaf request decodes from its disk's page image). A resident page is
-	// served on the querying goroutine; only a miss goes to the page's
-	// disk worker, which fills the cache.
+	// CachePages is how many leaves the engine may keep in memory. When
+	// it covers every leaf the engine is resident: leaves are served from
+	// the live tree on the querying goroutine, no drive is read and, in
+	// memory mode, no leaf image is encoded. Otherwise (0 included) the
+	// engine is framed: every leaf request is a read on its disk's worker,
+	// decoded into a recycled frame. No other value changes anything.
 	CachePages int
-	// CoalesceFetches merges concurrent fetches of the same uncached
-	// page across queries into one disk job: later requests join the
-	// in-flight fetch and share its result instead of queueing their
-	// own copy. This is request-level singleflight, one layer above
-	// the decoded-page cache's (which deduplicates decodes, not queue
-	// and in-flight slots) — the network query service enables it so
-	// concurrent clients missing on the same pages share fan-outs
-	// instead of multiplying queue depth. Results are bit-identical
-	// with or without coalescing.
+	// CoalesceFetches merges concurrent fetches of the same leaf across
+	// queries into one disk job: later requests join the in-flight fetch
+	// and share its result instead of queueing their own copy. This is
+	// request-level singleflight — the network query service enables it
+	// so concurrent clients reading the same pages share fan-outs instead
+	// of multiplying queue depth. Results are bit-identical with or
+	// without coalescing.
 	CoalesceFetches bool
 	// Mirrors is the number of physical replicas of every logical
 	// disk's page store (default 1 — the paper's RAID-0; 2 models
@@ -94,7 +94,8 @@ type Config struct {
 	Mirrors int
 	// Fault, when non-nil, injects failures and latency spikes into
 	// every replica read (drives are keyed disk*Mirrors+mirror). Nil
-	// injects nothing and costs nothing.
+	// injects nothing and costs nothing. A resident engine (CachePages)
+	// reads no leaf from its drives, so nothing is injected into it.
 	Fault *fault.Injector
 	// RetryLimit is how many times a transiently failed read is
 	// re-attempted on the same replica before redirecting to a mirror
@@ -148,8 +149,8 @@ func (c *Config) fill() {
 type Stats struct {
 	Queries      uint64 // queries completed successfully
 	Cancelled    uint64 // queries aborted by context or Close
-	PagesFetched uint64 // leaf fetches served: by a disk worker, or from the page cache on the querying goroutine
-	Decodes      uint64 // physical page decodes (cache misses when caching)
+	PagesFetched uint64 // leaf fetches served: by a disk worker, or from the live tree on the querying goroutine
+	Decodes      uint64 // physical page decodes: one per successful replica read, none on a resident engine
 	// FetchesCancelled counts fetch jobs abandoned on a cancelled
 	// query context — either before a worker picked them up or while
 	// the fetch was in flight. No page is delivered for them and they
@@ -163,8 +164,7 @@ type Stats struct {
 	// FetchesCoalesced counts fetch requests served by joining another
 	// query's in-flight fetch of the same page (Config.CoalesceFetches)
 	// instead of queueing their own disk job. They do not count as
-	// PagesFetched (nor as a cache hit or miss) — the flight's leader
-	// did.
+	// PagesFetched — the flight's leader did.
 	FetchesCoalesced uint64
 }
 
@@ -215,9 +215,8 @@ type replica struct {
 	degraded atomic.Bool
 }
 
-// fetchJob asks a disk worker for one leaf of a stage batch — a page
-// the querying goroutine did not find in the cache. It travels through
-// the disk queue by value.
+// fetchJob asks a disk worker for one leaf of a stage batch (a framed
+// engine's). It travels through the disk queue by value.
 type fetchJob struct {
 	page      rtree.PageID
 	idx       int // position in the stage's request slice
@@ -234,8 +233,8 @@ type fetchResult struct {
 	node *rtree.FlatNode
 	err  error
 	wall time.Duration // queue wait + service, worker-measured
-	hit  bool          // served without a decode: page cache or a coalesced flight
-	done bool          // the slot was processed: by a worker, or inline from the cache
+	hit  bool          // served without a decode: from the live tree or through a coalesced flight
+	done bool          // the slot was processed: by a worker, or inline
 	// coalesced marks a result delivered through another request's
 	// flight (request-level coalescing). A coalesced cancellation may
 	// be the flight leader's, not this query's — fetchStage refetches
@@ -245,11 +244,12 @@ type fetchResult struct {
 
 // Engine executes k-NN queries concurrently against a shared parallel
 // R*-tree. The tree must stay in memory and unmutated while the engine
-// is open: the engine serves the directory from it, snapshots the leaves
-// at construction — into per-disk page images, or with Config.DataDir
-// into the replica files — and reads tree placement metadata without
-// locks. A file-backed engine's memory is the tree plus the page cache
-// plus the frames being read in.
+// is open: the engine serves the directory (and a resident engine's
+// leaves) from it, snapshots the leaves at construction (a framed
+// engine's into per-disk page images, or with Config.DataDir every
+// engine's into the replica files) and reads tree placement metadata
+// without locks. A framed file-backed engine's memory is the tree plus
+// its frames.
 type Engine struct {
 	tree     *parallel.Tree
 	cfg      Config
@@ -257,15 +257,14 @@ type Engine struct {
 	files    []*pagestore.FileStore // file-backed replica stores (DataDir mode), closed by Close
 	queues   []chan fetchJob
 	// sem bounds the outstanding page reads across all queries to
-	// slotsPerWorker per disk worker: requests the page cache could not
-	// serve, each holding a slot from submission until its disk worker
-	// delivers. Cache hits are served on the querying goroutine and take
-	// no slot. Admission of further reads blocks once the bound is
-	// reached.
-	sem     chan struct{}
-	cache   *bufferpool.Sharded[rtree.PageID, *rtree.FlatNode]
-	co      *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
-	scratch sync.Pool  // *stageScratch, one per running query
+	// slotsPerWorker per disk worker: a framed engine's leaf requests,
+	// each holding a slot from submission until its disk worker delivers.
+	// Pages served inline take no slot. Admission of further reads blocks
+	// once the bound is reached.
+	sem      chan struct{}
+	resident bool       // leaves are served from the live tree (Config.CachePages)
+	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
+	scratch  sync.Pool  // *stageScratch, one per running query
 
 	mu       sync.Mutex
 	isClosed bool          // guarded by mu
@@ -274,7 +273,7 @@ type Engine struct {
 	running  sync.WaitGroup // admitted queries; raised under mu (begin)
 
 	// Ownership of decoded page views (retire.go).
-	views  *rtree.ViewPool // where recycled views go and decodes come from; nil when nothing is recycled
+	views  *rtree.ViewPool // the frames decodes come from and go back to; nil when resident
 	poison bool            // tests: scribble over a view as it is recycled
 
 	stats counters
@@ -299,13 +298,16 @@ type Engine struct {
 
 // New builds an engine over a tree and starts the disk workers; Close
 // releases them. One walk of the tree places every leaf on its disk (per
-// the tree's declustering placements); the directory is served from the
-// tree. In memory mode each disk keeps the images of its leaves — they
-// are its disk. With Config.DataDir each page is encoded once, into one
-// reused buffer, and written to the replica file of every mirror of its
-// disk; nothing keeps the image afterwards. The files are the tree's
-// snapshot, so they also hold the directory pages that fit one page (all
-// but X-tree supernodes), which no query reads from them.
+// the tree's declustering placements) and counts the leaves, which
+// decides whether the engine is resident (Config.CachePages covers them)
+// or framed; the directory is served from the tree either way. In
+// memory mode each disk of a framed engine keeps the images of its
+// leaves — they are its disk; a resident engine encodes none. With
+// Config.DataDir each page is encoded once, into one reused buffer, and
+// written to the replica file of every mirror of its disk; nothing keeps
+// the image afterwards. The files are the tree's snapshot, so they also
+// hold the directory pages that fit one page (all but X-tree
+// supernodes), which no query reads from them.
 func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	cfg.fill()
 	n := t.NumDisks()
@@ -350,13 +352,15 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 	if buildErr != nil {
 		return nil, buildErr
 	}
-	if cfg.CachePages > 0 && cfg.CachePages < leaves {
-		// The cache cannot hold the leaves, so it will evict: the
-		// engine owns the decoded views and the decoders reuse them: about
-		// as many as the cache holds plus what is being read in. Decided
-		// before any replica opens: a FileStore keeps a copy of the codec.
-		e.views = rtree.NewViewPool(cfg.CachePages + maxInFlight)
+	// Decided before any replica opens: a FileStore keeps a copy of the
+	// codec.
+	e.resident = cfg.CachePages >= leaves // a tree has a leaf: 0 is framed
+	switch {
+	case !e.resident:
+		e.views = rtree.NewViewPool(maxInFlight)
 		codec.Views = e.views
+	case cfg.DataDir == "":
+		clear(stored) // memory mode stores leaves only, and a resident engine reads none
 	}
 	// RAID-1 replica set: mirrors hold the disk's content but carry
 	// independent fault programs and health state. In DataDir mode each
@@ -374,15 +378,6 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 				rd = cfg.Fault.Reader(d*cfg.Mirrors+m, rd)
 			}
 			e.replicas[d][m] = &replica{disk: d, mirror: m, reader: rd}
-		}
-	}
-	if cfg.CachePages > 0 {
-		e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](
-			cfg.CachePages, cacheShards,
-			func(id rtree.PageID) uint64 { return uint64(uint32(id)) * 0x9e3779b97f4a7c15 })
-		if e.views != nil {
-			e.cache.OnHandOut((*rtree.FlatNode).Hold)
-			e.cache.OnEvict(e.retire)
 		}
 	}
 	if cfg.CoalesceFetches {
@@ -480,13 +475,13 @@ func (e *Engine) Stats() Stats { return obs.Load[Stats](&e.stats) }
 
 // QueueDepths reports each logical disk's current read backlog: jobs
 // sitting in (or blocked entering) the disk's queue plus jobs a worker
-// is serving right now. Only leaves the page cache misses become jobs,
-// so an engine answering from its pinned directory and its page cache
-// reports zero however busy it is — the depth measures the disks, as in
-// the paper's model. The network query service's admission control
-// sheds load when any disk's depth crosses its watermark — queue depth
-// is the earliest saturation signal the array gives (the paper's
-// queueing collapse shows up here before it shows up in latency).
+// is serving right now. Only a framed engine's leaves become jobs, so a
+// resident engine reports zero however busy it is — the depth measures
+// the disks, as in the paper's model. The network query service's
+// admission control sheds load when any disk's depth crosses its
+// watermark — queue depth is the earliest saturation signal the array
+// gives (the paper's queueing collapse shows up here before it shows up
+// in latency).
 func (e *Engine) QueueDepths() []int64 {
 	out := make([]int64, len(e.gauges))
 	for d := range e.gauges {
@@ -510,7 +505,7 @@ func (e *Engine) ReplicaHealth() [][]bool {
 }
 
 // ViewStats returns the counts of the frames decoded pages live in
-// (zero when the engine recycles none).
+// (zero on a resident engine).
 func (e *Engine) ViewStats() rtree.ViewStats { return e.views.Stats() }
 
 // worker serves one disk's fetch queue until Close drains it. A job
@@ -521,7 +516,8 @@ func (e *Engine) ViewStats() rtree.ViewStats { return e.views.Stats() }
 // error telemetry — the two classes never mix. The worker that served
 // a coalesced flight's leader also resolves the flight, handing the
 // same result to every request that joined it — before it delivers to
-// the leader, whose hold on the view (retire.go) it is still carrying.
+// the leader, whose hold on the view (retire.go) it takes as the read
+// returns.
 func (e *Engine) worker(d int) {
 	defer e.workers.Done()
 	g := &e.gauges[d]
@@ -534,10 +530,11 @@ func (e *Engine) worker(d int) {
 			e.stats.FetchesCancelled.Add(1)
 		} else {
 			g.InFlight.Add(1)
-			res.node, res.hit, res.err = e.readPage(job.ctx, d, job.page)
+			res.node, res.err = e.readReplicated(job.ctx, d, job.page)
 			g.InFlight.Add(-1)
 			switch {
 			case res.err == nil:
+				res.node.Hold(1) // the request's
 				e.stats.PagesFetched.Add(1)
 				g.Served.Add(1)
 				res.wall = time.Since(job.submitted)
@@ -561,23 +558,6 @@ func (e *Engine) worker(d int) {
 // isCancellation classifies context noise apart from real I/O errors.
 func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// readPage resolves one page on its disk worker: through the shared
-// cache (singleflight deduplicated) or straight from the disk's replica
-// set. The querying goroutine already probed the cache and missed, so
-// this lookup counts the request's one cache miss — or its one hit,
-// when another query's fetch filled the page in between. hit reports
-// whether the page was served without a decode in this call. A view
-// the engine recycles comes with one hold, the request's (retire.go).
-func (e *Engine) readPage(ctx context.Context, d int, id rtree.PageID) (*rtree.FlatNode, bool, error) {
-	if e.cache == nil {
-		n, err := e.readReplicated(ctx, d, id)
-		return n, false, err
-	}
-	return e.cache.GetOrFetchHit(id, func() (*rtree.FlatNode, error) {
-		return e.readReplicated(ctx, d, id)
-	})
 }
 
 // readReplicated is the degraded-mode read path: it resolves one page
@@ -842,9 +822,9 @@ func batchError(ioErr, submitErr, cancelErr error) error {
 	return cancelErr
 }
 
-// submitOne sends one page request the cache could not serve to its
-// disk: it acquires an in-flight slot and enqueues a job on the page's
-// disk, whose worker delivers the result to slot idx of sc. With
+// submitOne sends one leaf request of a framed engine to its disk: it
+// acquires an in-flight slot and enqueues a job on the page's disk,
+// whose worker delivers the result to slot idx of sc. With
 // request-level coalescing enabled it first tries to join an in-flight
 // fetch of the same page — a join consumes no semaphore slot and no
 // queue slot, and the shared result is delivered like any other. When
@@ -976,8 +956,8 @@ func (sc *stageScratch) deliver(idx int, res fetchResult) {
 }
 
 // liveErr is the inline path's once-per-stage liveness check: a stage
-// served entirely from the cache passes no select on the query context
-// or the engine's close signal, and must still fail a cancelled query
+// served entirely inline passes no select on the query context or the
+// engine's close signal, and must still fail a cancelled query
 // or a closed engine with the error a submission would have returned.
 func (e *Engine) liveErr(ctx context.Context) error {
 	select {
@@ -1006,24 +986,24 @@ func foreignCancellation(ctx context.Context, res *fetchResult) bool {
 // where it can. A Cached request (a pinned level: the directory, see
 // KNN) is served from the live node's view — no in-flight slot, no
 // coalescer, no queue hop, no decode — and counts as a visit, not a
-// fetch. Every other page is looked up in the decoded-page cache: a
-// resident page fills its result slot at once and counts as a fetch its
-// disk served, so the counters, gauges and traces of a warm engine read
-// as they would had a worker answered. Only the misses fan out to the
-// per-disk queues (respecting the in-flight bound); their results are
-// written into the stage's slots by whoever serves them, and the stage
-// waits once, for the last one (stageScratch). It then reads the slots
-// in request order: a slot that joined another query's flight and got
-// that query's cancellation is refetched under a fresh countdown while
-// this query is live — another query's cancellation must never fail an
-// innocent bystander — and the stage's error is picked by batchError
-// from the first I/O error and the first cancellation in request order.
+// fetch. A resident engine serves every leaf the same way, but counts
+// it as a fetch its disk served, so its counters, gauges and traces read
+// as they would had a worker answered. A framed engine fans the leaves
+// out to the per-disk queues (respecting the in-flight bound); their
+// results are written into the stage's slots by whoever serves them, and
+// the stage waits once, for the last one (stageScratch). It then reads
+// the slots in request order: a slot that joined another query's flight
+// and got that query's cancellation is refetched under a fresh countdown
+// while this query is live — another query's cancellation must never
+// fail an innocent bystander — and the stage's error is picked by
+// batchError from the first I/O error and the first cancellation in
+// request order.
 // Nodes are delivered in request order — executions depend on that for
 // deterministic tie-breaking, which is what makes engine results
 // identical to the sequential Driver's. With an observer attached the
 // stage emits SemWait (every in-flight-slot wait of the stage, refetches
 // included), per-fetch FetchDone (request order, wall-clock latency and
-// cache attribution, completed fetches only) and StageDone events on
+// whether a decode served it, completed fetches only) and StageDone events on
 // every exit path, success or failure, so traces stay well-formed under
 // cancellation and injected faults. The returned slice belongs to sc and
 // is overwritten by the next stage, which is also when the views this
@@ -1034,9 +1014,9 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 	e.releaseStage(sc)
 	results := sc.reset(len(reqs))
 	submitErr := e.liveErr(ctx)
-	hits := uint64(0) // requests served inline
+	hits := uint64(0) // leaves served inline
 	var semWait time.Duration
-	mark := start // when the previous request was dealt with: a hit's latency runs from here
+	mark := start // when the previous request was dealt with: an inline leaf's latency runs from here
 	owed := 0     // deliveries to wait for
 	for i := 0; i < len(reqs) && submitErr == nil; i++ {
 		r := reqs[i]
@@ -1044,16 +1024,15 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 			results[i] = fetchResult{node: e.tree.Store().Get(r.Page).Flat(), done: true}
 			continue
 		}
-		if e.cache != nil {
-			if n, ok := e.cache.Probe(r.Page); ok {
-				now := time.Now()
-				results[i] = fetchResult{node: n, wall: now.Sub(mark), hit: true, done: true}
-				mark = now
-				hits++
-				e.gauges[r.Disk].Served.Add(1)
-				e.fetchLat.Observe(results[i].wall.Seconds())
-				continue
-			}
+		if e.resident {
+			n := e.tree.Store().Get(r.Page).Flat()
+			now := time.Now()
+			results[i] = fetchResult{node: n, wall: now.Sub(mark), hit: true, done: true}
+			mark = now
+			hits++
+			e.gauges[r.Disk].Served.Add(1)
+			e.fetchLat.Observe(results[i].wall.Seconds())
+			continue
 		}
 		if submitErr = e.submitOne(ctx, r, sc, i, &semWait); submitErr == nil {
 			owed++
@@ -1128,15 +1107,16 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 // KNN answers one k-nearest-neighbor query. It is safe to call from many
 // goroutines concurrently. The directory is pinned: opts.CachedLevels is
 // raised to at least the tree's height − 1, so the query's Stats charge
-// only leaf reads, as query.Driver's do at that setting. Pinned pages
-// and leaves resident in the engine's cache are served on the calling
-// goroutine, the rest of the query's page fetches execute on the
-// per-disk workers. The context cancels the query between (and during)
+// only leaf reads, as query.Driver's do at that setting — a resident
+// engine's leaves included, which are served from memory but charged
+// as reads. Pinned pages and a resident engine's leaves are served on
+// the calling goroutine; a framed engine's leaves are read on the
+// per-disk workers, and the query's last stage lets go of its frames
+// before KNN returns. The context cancels the query between (and during)
 // fetch stages. opts.SharedCache may be shared across concurrent queries
 // (bufferpool.Sharded is internally locked); residency accounting is
 // admit-on-delivery, so a cancelled query never plants a page it did not
-// fetch. For a decoded-page cache prefer the engine's own
-// Config.CachePages, which also deduplicates concurrent fetches.
+// fetch.
 func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k int, opts query.Options) ([]query.Neighbor, *query.Stats, error) {
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err

@@ -171,8 +171,10 @@ func TestEngineSpheresAndSupernodes(t *testing.T) {
 }
 
 // TestEngineConcurrentClients is the multi-client stress gate: many
-// goroutines fire queries at one shared engine; under -race it proves
-// the read path is thread-safe end to end.
+// goroutines fire queries at one shared resident engine; under -race it
+// proves the read path is thread-safe end to end. At rest the engine
+// decoded nothing and its disks served exactly the reads the queries'
+// Stats charge.
 func TestEngineConcurrentClients(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 6, false, 0)
 	queries := dataset.SampleQueries(pts, 64, 5)
@@ -194,6 +196,7 @@ func TestEngineConcurrentClients(t *testing.T) {
 		clients, perClient = 4, 10
 	}
 	algs := []query.Algorithm{query.CRSS{}, query.FPSS{}, query.BBSS{}}
+	charged := make([]uint64, clients) // Stats.DiskAccesses per client
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -202,11 +205,12 @@ func TestEngineConcurrentClients(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				qi := (c*perClient + i*13) % len(queries)
 				alg := algs[(c+i)%len(algs)]
-				got, _, err := eng.KNN(context.Background(), alg, queries[qi], 10, query.Options{})
+				got, st, err := eng.KNN(context.Background(), alg, queries[qi], 10, query.Options{})
 				if err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return
 				}
+				charged[c] += uint64(st.DiskAccesses)
 				if alg.Name() == "CRSS" {
 					for j := range got {
 						if got[j].Object != want[qi][j].Object || got[j].DistSq != want[qi][j].DistSq {
@@ -223,11 +227,19 @@ func TestEngineConcurrentClients(t *testing.T) {
 	if st.Queries != uint64(clients*perClient) {
 		t.Fatalf("Queries = %d, want %d", st.Queries, clients*perClient)
 	}
-	if st.PagesFetched == 0 {
-		t.Fatal("no pages fetched")
+	if !eng.resident || st.PagesFetched == 0 || st.Decodes != 0 {
+		t.Fatalf("resident = %v, %d pages fetched with %d decodes: want a resident engine that fetched and decoded nothing",
+			eng.resident, st.PagesFetched, st.Decodes)
 	}
-	if cs := eng.Snapshot().Cache; cs.Hits == 0 {
-		t.Error("shared cache saw no hits under concurrent load")
+	var reads, served uint64
+	for _, n := range charged {
+		reads += n
+	}
+	for _, d := range eng.Snapshot().Disks {
+		served += d.Served
+	}
+	if served != reads || st.PagesFetched != reads {
+		t.Errorf("disks served %d pages, PagesFetched %d, the queries' Stats charge %d", served, st.PagesFetched, reads)
 	}
 }
 

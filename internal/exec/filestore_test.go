@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -197,12 +196,12 @@ func TestEngineFileBackedSupernodes(t *testing.T) {
 	}
 }
 
-// Decoded views against live-node views, where nearly every page is a
-// miss: a file-backed engine with a 16-page cache must return the
-// driver's neighbours — rectangles included — and the driver's Stats,
-// on a cold cache and again once the cache has churned, for every
-// access method the codec has a layout for and the X-tree's resident
-// supernodes.
+// Decoded views against live-node views, where every leaf is a read: a
+// framed file-backed engine must return the driver's neighbours —
+// rectangles included — and the driver's Stats, on a first pass and
+// again once its frames are recycled, for every access method the codec
+// has a layout for and the X-tree's resident supernodes. Every fetch is
+// one decode, and at rest every frame is back in the pool.
 func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 	xtree, xpts := xtreeWithSupernodes(t, 4000)
 	rstar, pts := buildTree(t, 2500, 4, false, 0)
@@ -235,8 +234,12 @@ func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 				}
 			}
 		}
-		if cs := eng.Snapshot().Cache; cs.Evictions == 0 || cs.Hits == 0 {
-			t.Errorf("%s: cache stats %+v: the 16-page cache never churned", tc.name, cs)
+		s := eng.Snapshot()
+		if s.Views.Reused == 0 || unrecycled(eng) != 0 {
+			t.Errorf("%s: frames %+v: none recycled, or some not back at rest", tc.name, s.Views)
+		}
+		if s.Stats.Decodes != s.Stats.PagesFetched {
+			t.Errorf("%s: %d decodes for %d pages fetched", tc.name, s.Stats.Decodes, s.Stats.PagesFetched)
 		}
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
@@ -246,12 +249,13 @@ func TestEngineFileBackedSmallCacheMatchesDriver(t *testing.T) {
 
 // TestEngineServesDirectoryInline: no query reads the directory from a
 // drive. Over an X-tree whose supernodes exceed a page, each disk's
-// store holds exactly its leaves in memory mode; a replica file also
-// keeps the directory pages that fit one (the tree's snapshot). Before
-// anything is cached, a query that pins the leaves too decodes nothing.
-// Concurrent clients then get the driver's answers and Stats at the
-// pinned setting, and at rest every decode was a leaf's and the disks
-// served exactly the reads the Stats charge.
+// store holds exactly its leaves in memory mode when the engine is
+// framed, and nothing when it is resident; a replica file also keeps the
+// directory pages that fit one (the tree's snapshot). A query that pins
+// the leaves too decodes nothing. Concurrent clients then get the
+// driver's answers and Stats at the pinned setting, and at rest the
+// disks served exactly the reads the Stats charge: a framed engine with
+// one decode each, a resident one with none.
 func TestEngineServesDirectoryInline(t *testing.T) {
 	const k, clients = 10, 4
 	tree, pts := xtreeWithSupernodes(t, 4000)
@@ -279,21 +283,28 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 	allPinned := query.Options{CachedLevels: tree.Height()}
 	wantRes, wantStats := query.Driver{Tree: tree}.Run(query.CRSS{}, queries[0], k, allPinned)
 
-	for _, dataDir := range []string{"", t.TempDir()} {
+	for _, tc := range []struct {
+		dataDir    string
+		cachePages int
+	}{{"", 0}, {"", 2 * leaves}, {t.TempDir(), 0}, {t.TempDir(), 2 * leaves}} {
 		mode := "mem"
-		if dataDir != "" {
+		if tc.dataDir != "" {
 			mode = "file"
 		}
-		eng, err := New(tree, Config{DataDir: dataDir, CachePages: 2 * leaves})
+		eng, err := New(tree, Config{DataDir: tc.dataDir, CachePages: tc.cachePages})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mode = fmt.Sprintf("%s resident=%v", mode, eng.resident)
 		for d, reps := range eng.replicas {
 			held, wantHeld := map[rtree.PageID]bool{}, leavesOn[d]
 			switch st := reps[0].reader.(type) {
 			case *diskStore:
 				for id := range st.pages {
 					held[id] = true
+				}
+				if eng.resident {
+					wantHeld = nil
 				}
 			case *pagestore.FileStore:
 				if err := st.ScanPages(func(id rtree.PageID, _ []byte) error {
@@ -321,41 +332,16 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 			t.Errorf("%s: a query that pins every level decoded %d pages and fetched %d", mode, s.Decodes, s.PagesFetched)
 		}
 
-		charged := make([]uint64, clients) // Stats.DiskAccesses per client
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for i := range queries {
-					qi := (i + c*3) % len(queries)
-					for a, alg := range retireAlgs {
-						label := fmt.Sprintf("%s %s q%d", mode, alg.Name(), qi)
-						got, st, err := eng.KNN(context.Background(), alg, queries[qi], k, query.Options{})
-						if err != nil {
-							t.Errorf("%s: %v", label, err)
-							return
-						}
-						w := want[a][qi]
-						sameNeighbors(t, label, w.res, got)
-						if !reflect.DeepEqual(w.stats, st) {
-							t.Errorf("%s: stats differ: driver %+v, engine %+v", label, w.stats, st)
-							return
-						}
-						charged[c] += uint64(st.DiskAccesses)
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
+		reads := askClients(t, eng, mode, queries, want, k, clients)
 		s := eng.Snapshot()
-		if s.Stats.Decodes == 0 || s.Stats.Decodes > uint64(leaves) {
-			t.Errorf("%s: %d decodes after a cold pass, want 1..%d (the leaves)", mode, s.Stats.Decodes, leaves)
+		wantDecodes := s.Stats.PagesFetched
+		if eng.resident {
+			wantDecodes = 0
 		}
-		var served, reads uint64
-		for c := range charged {
-			reads += charged[c]
+		if s.Stats.PagesFetched == 0 || s.Stats.Decodes != wantDecodes {
+			t.Errorf("%s: %d decodes for %d pages fetched, want %d", mode, s.Stats.Decodes, s.Stats.PagesFetched, wantDecodes)
 		}
+		var served uint64
 		for _, d := range s.Disks {
 			served += d.Served
 		}
@@ -519,6 +505,56 @@ func TestFileBackedEngineHoldsNoImages(t *testing.T) {
 		if tc.cfg.DataDir == "" && retained < images {
 			t.Errorf("memory-mode engine retains %d B, want ≥ %d: the control holds no images", retained, images)
 		}
+	}
+}
+
+// TestResidentEngineHoldsNoImages: a memory-mode engine whose
+// CachePages covers the leaves is resident — one fewer and it is framed.
+// Its disks store no leaf image, concurrent clients get the driver's
+// answers and per-query Stats without a decode, and PagesFetched, the
+// disks' Served gauges and the queries' Stats count the same reads.
+func TestResidentEngineHoldsNoImages(t *testing.T) {
+	const k = 10
+	tree, pts := buildTree(t, 3000, 5, false, 0)
+	queries := dataset.SampleQueries(pts, 10, 59)
+	want := driverAnswers(tree, queries, k)
+	leaves := 0
+	tree.Walk(func(n *rtree.Node, _ int) bool {
+		if n.IsLeaf() {
+			leaves++
+		}
+		return true
+	})
+	framed, err := New(tree, Config{CachePages: leaves - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if framed.views == nil {
+		t.Errorf("CachePages %d over %d leaves: the engine is not framed", leaves-1, leaves)
+	}
+	if err := framed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	eng, err := New(tree, Config{CachePages: leaves})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for d, reps := range eng.replicas {
+		if n := len(reps[0].reader.(*diskStore).pages); n != 0 {
+			t.Errorf("disk %d of a resident engine stores %d leaf images", d, n)
+		}
+	}
+	reads := askClients(t, eng, "resident", queries, want, k, 3)
+	s := eng.Snapshot()
+	var served uint64
+	for _, d := range s.Disks {
+		served += d.Served
+	}
+	if reads == 0 || s.Stats.Decodes != 0 || s.Stats.PagesFetched != reads || served != reads {
+		t.Errorf("%d decodes; PagesFetched %d, disks served %d, the queries' Stats charge %d",
+			s.Stats.Decodes, s.Stats.PagesFetched, served, reads)
 	}
 }
 

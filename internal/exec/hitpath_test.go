@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -17,16 +18,16 @@ import (
 	"repro/internal/rtree"
 )
 
-// These tests pin the contract of the engine's hit path: a page
-// resident in the decoded-page cache is served on the querying
-// goroutine, and nothing an outside observer can read — results,
-// per-query stats, engine counters, gauges, typed errors — tells that
-// apart from a disk worker having answered.
+// These tests pin the contract of the engine's inline path: a resident
+// engine serves its leaves from the live tree on the querying goroutine,
+// and nothing an outside observer can read — results, per-query stats,
+// engine counters, gauges, typed errors — tells that apart from a disk
+// worker having answered.
 
-// TestCachedEngineMatchesDriver: with a cache that holds the whole
-// tree, every algorithm returns the Driver's neighbors and the Driver's
-// per-query stats bit for bit, on the cold pass (every page through a
-// worker) and on the warm pass (every page inline).
+// TestCachedEngineMatchesDriver: on a resident engine every algorithm
+// returns the Driver's neighbors and the Driver's per-query stats bit
+// for bit, on the first pass as on the second, and no pass decodes a
+// page: every leaf comes from the live tree.
 func TestCachedEngineMatchesDriver(t *testing.T) {
 	tree, pts := buildTree(t, 4000, 5, false, 0)
 	queries := dataset.SampleQueries(pts, 30, 3)
@@ -54,15 +55,9 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 				}
 			}
 			d := eng.Stats().Sub(before)
-			if pass == "cold" && d.Decodes == 0 {
-				t.Fatal("cold pass decoded nothing: the test exercised no worker read")
+			if d.PagesFetched == 0 || d.Decodes != 0 {
+				t.Fatalf("%s pass fetched %d leaves with %d decodes, want some and none", pass, d.PagesFetched, d.Decodes)
 			}
-			if pass == "warm" && d.Decodes != 0 {
-				t.Fatalf("warm pass decoded %d pages of a fully cached tree", d.Decodes)
-			}
-		}
-		if got := eng.Stats().Decodes; got > uint64(pages) {
-			t.Errorf("decoded %d pages of a %d-page tree whose cache never evicts", got, pages)
 		}
 		eng.Close()
 	}
@@ -71,9 +66,9 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 // TestWarmCachedEngineAllocBudget: a query over decoded pages that are
 // all resident allocates what the sequential driver's does — the
 // execution, its per-disk counters, the best list and the results. The
-// entry-major rectangles the results carry were gathered once per page
-// while the cache warmed up, not per query. Such an engine evicts
-// nothing, so it builds no pool of frames and counts no holds.
+// entry-major rectangles the results carry alias the live tree's
+// entries. A resident engine builds no pool of frames and counts no
+// holds.
 func TestWarmCachedEngineAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -87,7 +82,7 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		if eng.views != nil {
-			t.Errorf("file=%v: an engine whose cache holds the tree built a view pool", dataDir != "")
+			t.Errorf("file=%v: a resident engine built a view pool", dataDir != "")
 		}
 		for _, alg := range []query.Algorithm{query.BBSS{}, query.FPSS{}, query.CRSS{}} {
 			run := func() {
@@ -99,7 +94,7 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 				run()
 			}
 			if got := testing.AllocsPerRun(200, run); got > budget {
-				t.Errorf("file=%v %s: %.1f allocations per warm cached query, budget %d",
+				t.Errorf("file=%v %s: %.1f allocations per warm resident query, budget %d",
 					dataDir != "", alg.Name(), got, budget)
 			}
 		}
@@ -110,13 +105,14 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 	}
 }
 
-// TestHitPathAccounting drives concurrent clients through caches that
-// hold everything and nearly nothing, with and without coalescing, and
-// checks the books at rest: every page request that was not coalesced
-// counted exactly one cache hit or one cache miss, every delivered page
-// counted once under PagesFetched, its disk's Served gauge and the
-// fetch-latency histogram, and no disk reports a backlog. On the fully
-// cached engine a further warm wave decodes nothing.
+// TestHitPathAccounting drives concurrent clients through a resident
+// and a framed engine, with and without coalescing, and checks the
+// books at rest: every delivered page that was not coalesced counted
+// once under PagesFetched, its disk's Served gauge and the fetch-latency
+// histogram; the framed engine decoded each of those exactly once, the
+// resident engine none; the cache counters stay zero; and no disk
+// reports a backlog. On the resident engine no wave waits for an
+// in-flight slot or coalesces a fetch.
 func TestHitPathAccounting(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 5, false, 0)
 	queries := dataset.SampleQueries(pts, 48, 19)
@@ -130,9 +126,9 @@ func TestHitPathAccounting(t *testing.T) {
 		cache    int
 		coalesce bool
 	}{
-		{"whole tree", 2 * pages, false},
+		{"whole tree", 2 * pages, false}, // resident
 		{"whole tree coalesced", 2 * pages, true},
-		{"tiny cache", 8, false},
+		{"tiny cache", 8, false}, // framed
 		{"tiny cache coalesced", 8, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,9 +167,8 @@ func TestHitPathAccounting(t *testing.T) {
 			}
 			check := func(label string, s Snapshot, delivered uint64) {
 				t.Helper()
-				if got := s.Cache.Hits + s.Cache.Misses; got != s.Stats.PagesFetched {
-					t.Errorf("%s: cache hits %d + misses %d = %d, PagesFetched = %d",
-						label, s.Cache.Hits, s.Cache.Misses, got, s.Stats.PagesFetched)
+				if s.Cache != (bufferpool.Stats{}) {
+					t.Errorf("%s: cache counters %+v on an engine with no cache", label, s.Cache)
 				}
 				if got := s.Stats.PagesFetched + s.Stats.FetchesCoalesced; got != delivered {
 					t.Errorf("%s: PagesFetched %d + FetchesCoalesced %d = %d, queries were delivered %d pages",
@@ -193,10 +188,14 @@ func TestHitPathAccounting(t *testing.T) {
 					t.Errorf("%s: fetch histogram holds %d observations, PagesFetched = %d",
 						label, s.FetchLatency.Count, s.Stats.PagesFetched)
 				}
-				// One decode per cache fill; a miss that found another
-				// worker mid-fetch shares that worker's decode.
-				if s.Stats.Decodes > s.Cache.Misses {
-					t.Errorf("%s: %d decodes for %d cache misses", label, s.Stats.Decodes, s.Cache.Misses)
+				// A framed fetch is one read, hence one decode; a resident
+				// engine reads nothing.
+				wantDecodes := s.Stats.PagesFetched
+				if eng.resident {
+					wantDecodes = 0
+				}
+				if s.Stats.Decodes != wantDecodes {
+					t.Errorf("%s: %d decodes for %d pages fetched, want %d", label, s.Stats.Decodes, s.Stats.PagesFetched, wantDecodes)
 				}
 				for d, depth := range eng.QueueDepths() {
 					if depth != 0 {
@@ -215,24 +214,21 @@ func TestHitPathAccounting(t *testing.T) {
 			delivered = wave()
 			second := eng.Snapshot().Sub(first)
 			check("second wave", second, delivered)
-			if tc.cache >= pages {
-				if second.Stats.Decodes != 0 || second.Cache.Misses != 0 || second.Stats.FetchesCoalesced != 0 {
-					t.Errorf("warm wave on a fully cached tree: %d decodes, %d misses, %d coalesced",
-						second.Stats.Decodes, second.Cache.Misses, second.Stats.FetchesCoalesced)
-				}
-				if second.Cache.Hits != delivered {
-					t.Errorf("warm wave: %d cache hits for %d delivered pages", second.Cache.Hits, delivered)
-				}
-				if second.SemWait.Sum != 0 {
-					t.Errorf("warm wave waited %gs for in-flight slots it never needs", second.SemWait.Sum)
+			if eng.resident != (tc.cache >= pages) {
+				t.Fatalf("CachePages %d over %d pages: resident = %v", tc.cache, pages, eng.resident)
+			}
+			if eng.resident {
+				if second.Stats.FetchesCoalesced != 0 || second.SemWait.Sum != 0 {
+					t.Errorf("resident wave: %d coalesced, waited %gs for in-flight slots it never needs",
+						second.Stats.FetchesCoalesced, second.SemWait.Sum)
 				}
 			}
 		})
 	}
 }
 
-// TestHitPathTypedErrors: a query that would be answered entirely from
-// the cache still fails with the typed error when its context is
+// TestHitPathTypedErrors: a query a resident engine would answer
+// entirely inline still fails with the typed error when its context is
 // already cancelled or the engine is closed, fetches nothing, and
 // leaves a well-formed trace.
 func TestHitPathTypedErrors(t *testing.T) {
@@ -243,7 +239,7 @@ func TestHitPathTypedErrors(t *testing.T) {
 	}
 	defer eng.Close()
 	q := pts[0]
-	for i := 0; i < 2; i++ { // the second run is all hits
+	for i := 0; i < 2; i++ {
 		if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{}); err != nil {
 			t.Fatal(err)
 		}
@@ -254,17 +250,17 @@ func TestHitPathTypedErrors(t *testing.T) {
 	cancel()
 	var col obs.Collector
 	if _, _, err := eng.KNN(ctx, query.CRSS{}, q, 10, query.Options{Observer: &col}); err != context.Canceled {
-		t.Fatalf("cancelled context on a cached tree: err = %v, want context.Canceled", err)
+		t.Fatalf("cancelled context on a resident engine: err = %v, want context.Canceled", err)
 	}
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelExpired()
 	if _, _, err := eng.KNN(expired, query.CRSS{}, q, 10, query.Options{}); err != context.DeadlineExceeded {
-		t.Fatalf("expired context on a cached tree: err = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("expired context on a resident engine: err = %v, want context.DeadlineExceeded", err)
 	}
 	d := eng.Snapshot().Sub(warm)
-	if d.Stats.PagesFetched != 0 || d.Cache.Hits != 0 || d.Stats.Cancelled != 2 {
-		t.Errorf("dead queries fetched %d pages (%d cache hits), Cancelled = %d, want 0, 0, 2",
-			d.Stats.PagesFetched, d.Cache.Hits, d.Stats.Cancelled)
+	if d.Stats.PagesFetched != 0 || d.Stats.Cancelled != 2 {
+		t.Errorf("dead queries fetched %d pages, Cancelled = %d, want 0 and 2",
+			d.Stats.PagesFetched, d.Stats.Cancelled)
 	}
 	var issues, dones, fetched int
 	for _, e := range col.Events() {
@@ -281,32 +277,32 @@ func TestHitPathTypedErrors(t *testing.T) {
 		t.Errorf("cancelled query's trace: %d StageIssue, %d StageDone, %d FetchDone, want 1, 1, 0", issues, dones, fetched)
 	}
 
-	// The engine still answers, from the cache.
+	// The engine still answers.
 	if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A stage of a query that was admitted before Close sees the close
-	// signal even though the cache could serve it.
+	// signal even though it would be served inline.
 	root := tree.Root()
 	pl, _ := tree.Placement(root)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.fetchBatch(context.Background(), 0, []query.PageRequest{{Page: root, Disk: pl.Disk, Pages: 1}}, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("cached stage on a closed engine: err = %v, want ErrClosed", err)
+		t.Fatalf("inline stage on a closed engine: err = %v, want ErrClosed", err)
 	}
 	if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("KNN on a closed engine: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestCoalescedColdPageOneDecode races two stages on one cold page
-// with coalescing on and the read slowed so they overlap: the page is
-// decoded once, the second request is coalesced, both get the node, the
-// cache counts one miss — and while the flight is open no goroutine
-// exists beyond the two callers and the engine's workers: the worker
-// that serves the flight resolves it.
+// TestCoalescedColdPageOneDecode races two stages of a framed engine on
+// one page with coalescing on and the read slowed so they overlap: the
+// page is decoded once, the second request is coalesced, both get the
+// node — and while the flight is open no goroutine exists beyond the two
+// callers and the engine's workers: the worker that serves the flight
+// resolves it. A third, later request reads the page again.
 func TestCoalescedColdPageOneDecode(t *testing.T) {
 	tree, _ := buildTree(t, 400, 3, false, 0)
 	leaf := firstLeaf(t, tree)
@@ -316,7 +312,7 @@ func TestCoalescedColdPageOneDecode(t *testing.T) {
 	}
 	inj := fault.NewInjector(3)
 	inj.Set(pl.Disk, fault.Faults{SpikeProb: 1, SpikeDelay: 50 * time.Millisecond})
-	eng, err := New(tree, Config{CoalesceFetches: true, CachePages: 64, Fault: inj})
+	eng, err := New(tree, Config{CoalesceFetches: true, Fault: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +364,6 @@ func TestCoalescedColdPageOneDecode(t *testing.T) {
 		t.Errorf("Decodes = %d, FetchesCoalesced = %d, PagesFetched = %d, want 1, 1, 1",
 			s.Stats.Decodes, s.Stats.FetchesCoalesced, s.Stats.PagesFetched)
 	}
-	if s.Cache.Misses != 1 || s.Cache.Hits != 0 {
-		t.Errorf("cache counted %d misses and %d hits for one led and one joined request, want 1 and 0",
-			s.Cache.Misses, s.Cache.Hits)
-	}
 	sh.mu.Lock()
 	open := len(sh.flights)
 	sh.mu.Unlock()
@@ -385,12 +377,12 @@ func TestCoalescedColdPageOneDecode(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// The page is resident now: a third request is an inline hit.
+	// Nothing keeps the page: a third request is a read of its own.
 	if _, err := eng.fetchBatch(context.Background(), 0, req, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s := eng.Snapshot(); s.Stats.Decodes != 1 || s.Cache.Hits != 1 || s.Stats.PagesFetched != 2 {
-		t.Errorf("after a third, cached request: Decodes = %d, cache hits = %d, PagesFetched = %d, want 1, 1, 2",
-			s.Stats.Decodes, s.Cache.Hits, s.Stats.PagesFetched)
+	if s := eng.Snapshot(); s.Stats.Decodes != 2 || s.Stats.FetchesCoalesced != 1 || s.Stats.PagesFetched != 2 {
+		t.Errorf("after a third request: Decodes = %d, FetchesCoalesced = %d, PagesFetched = %d, want 2, 1, 2",
+			s.Stats.Decodes, s.Stats.FetchesCoalesced, s.Stats.PagesFetched)
 	}
 }

@@ -276,7 +276,7 @@ func TestCancelledQueryNeverDecodes(t *testing.T) {
 func TestSnapshotSub(t *testing.T) {
 	tree, pts := buildTree(t, 2000, 4, false, 0)
 	queries := dataset.SampleQueries(pts, 12, 31)
-	eng, err := New(tree, Config{CachePages: 8}) // evicts: decoded pages live in frames
+	eng, err := New(tree, Config{CachePages: 8}) // framed: decoded pages live in frames
 	if err != nil {
 		t.Fatal(err)
 	}

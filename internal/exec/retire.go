@@ -4,42 +4,35 @@ import "repro/internal/rtree"
 
 // Who owns a decoded page view (DESIGN decision 15).
 //
-// On a cache much smaller than the leaf set, evicted views are all a
-// query would allocate. The engine therefore owns the views its decoders
-// draw from rtree.ViewPool (through pagestore.Codec.Views) and hands one
-// back the moment nobody can read it: when the cache has evicted it and
-// the last hold on it (rtree.FlatNode.Hold), one per result slot of a
-// running stage that carries it, is gone.
+// A framed engine's leaves are read into frames: views its decoders
+// draw from rtree.ViewPool (through pagestore.Codec.Views), one per
+// read in flight or result slot that carries it, handed back the moment
+// the last hold on it (rtree.FlatNode.Hold) is gone.
 //
 //   - A hold is taken where a view is handed out, never later: by the
-//     page cache under the shard lock that finds the view resident or
-//     admits it (the hand-out hook; at admission one for the fetching
-//     request and one for each that waited on the cache's flight), and
-//     by resolveFlight, one per joiner, while the serving worker still
-//     carries the leader's. Eviction takes the same shard lock after
-//     admission, so it never overtakes a hold.
+//     disk worker as its read returns (the request's), and by
+//     resolveFlight, one per joiner, while the worker still carries the
+//     leader's.
 //   - A hold is dropped in one place, the stage's result slots, when the
 //     query's next stage begins or the query returns, failed or not
 //     (releaseStage): a stage has waited for every delivery it is owed,
 //     so its slots are final by then.
-//   - The eviction hook (retire) marks the view. Whoever brings it to
-//     "evicted, no holds" — the hook or the last release; the count is
-//     one atomic word — alone sees that and recycles it.
+//   - Whoever drops the last hold — the count is one atomic word — alone
+//     sees that and recycles the view.
 //
-// The views alive are therefore those the cache holds, those the slots
-// of running stages hold and those being read in: a fixed set of frames
-// once the engine is warm (Snapshot().Views.Made stops growing). And
-// doubt still goes to the collector: the count never travels the read
-// path — a hedge's loser, a view the id check rejected, one never
-// admitted, one replaced by Put or dropped by Remove is never evicted,
-// hence never recycled, and a hold nobody drops (a panicked query,
+// The views alive are therefore those the slots of running stages hold
+// and those being read in: a fixed set of frames once the engine is warm
+// (Snapshot().Views.Made stops growing). Doubt still goes to the
+// collector: a hedge's loser or a view the id check rejected is never
+// held, hence never recycled, and a hold nobody drops (a panicked query,
 // fetchBatch's one-shot scratch) keeps its view out of the pool for
 // good. Only recycle can hand memory out early.
 //
 // What a query returns never aliases a frame: executions keep no view
 // past the Step it was delivered to, candidates copy scalars, accepted
-// neighbours copy their rectangle (query.base.offerLeaf). Views of
-// live nodes (the pinned directory) are neither pooled nor counted.
+// neighbours copy their rectangle (query.base.offerLeaf). Views of live
+// nodes (the pinned directory, a resident engine's leaves) are neither
+// pooled nor counted.
 
 // begin admits a query unless the engine is closed. Close waits for
 // every admitted query to call e.running.Done.
@@ -53,16 +46,9 @@ func (e *Engine) begin() error {
 	return nil
 }
 
-// retire is the page cache's eviction hook: v has just left the cache
-// and is reported here exactly once.
-func (e *Engine) retire(v *rtree.FlatNode) {
-	if v.Evict() {
-		e.recycle(v)
-	}
-}
-
 // releaseStage drops the holds of the stage whose results sc still
-// carries. Only an engine that recycles views counts holds at all.
+// carries, recycling each view whose last hold that was. A resident
+// engine counts no holds.
 func (e *Engine) releaseStage(sc *stageScratch) {
 	if e.views == nil {
 		return
@@ -71,16 +57,10 @@ func (e *Engine) releaseStage(sc *stageScratch) {
 		v := sc.results[i].node
 		sc.results[i].node = nil // a slot is released once
 		if v != nil && v.Release() {
-			e.recycle(v)
+			if e.poison {
+				rtree.PoisonView(v)
+			}
+			e.views.Put(v)
 		}
 	}
-}
-
-// recycle hands a view that was evicted and has no hold left back to
-// the decoders.
-func (e *Engine) recycle(v *rtree.FlatNode) {
-	if e.poison {
-		rtree.PoisonView(v)
-	}
-	e.views.Put(v)
 }

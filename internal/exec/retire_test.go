@@ -8,13 +8,11 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/fault"
@@ -26,8 +24,8 @@ import (
 	"repro/internal/rtree"
 )
 
-// newPoisoned builds an engine that recycles views and scribbles over
-// every view at the moment it declares it unreachable: a reader whose
+// newPoisoned builds a framed engine that scribbles over every view at
+// the moment it declares it unreachable: a reader whose
 // hold the engine failed to count computes with NaN coordinates and -1
 // references at once, whether or not the memory has been refilled yet.
 func newPoisoned(t testing.TB, tree *parallel.Tree, cfg Config) *Engine {
@@ -37,7 +35,7 @@ func newPoisoned(t testing.TB, tree *parallel.Tree, cfg Config) *Engine {
 		t.Fatal(err)
 	}
 	if eng.views == nil {
-		t.Fatalf("engine with CachePages %d over %d pages recycles no views", cfg.CachePages, tree.Store().Len())
+		t.Fatalf("engine with CachePages %d over %d pages is not framed", cfg.CachePages, tree.Store().Len())
 	}
 	eng.poison = true
 	return eng
@@ -63,6 +61,42 @@ func driverAnswers(tree *parallel.Tree, queries []geom.Point, k int) [][]expecte
 		}
 	}
 	return want
+}
+
+// askClients runs every query under every algorithm of retireAlgs on
+// clients goroutines, each from its own offset into queries, and fails
+// on an answer or a Stats that differs from want. It returns the disk
+// accesses the queries' Stats charge.
+func askClients(t *testing.T, eng *Engine, label string, queries []geom.Point, want [][]expected, k, clients int) uint64 {
+	t.Helper()
+	var charged atomic.Uint64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := range queries {
+				qi := (i + c*3) % len(queries)
+				for a, alg := range retireAlgs {
+					l := fmt.Sprintf("%s %s q%d", label, alg.Name(), qi)
+					got, st, err := eng.KNN(context.Background(), alg, queries[qi], k, query.Options{})
+					if err != nil {
+						t.Errorf("%s: %v", l, err)
+						return
+					}
+					w := want[a][qi]
+					sameNeighbors(t, l, w.res, got)
+					if !reflect.DeepEqual(w.stats, st) {
+						t.Errorf("%s: stats differ: driver %+v, engine %+v", l, w.stats, st)
+						return
+					}
+					charged.Add(uint64(st.DiskAccesses))
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	return charged.Load()
 }
 
 // xtreeWithSupernodes is an X-tree over n 10-d uniform points: they
@@ -95,12 +129,13 @@ func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 }
 
 // TestRecycledViewsMatchDriver is the ownership gate: with every
-// retired view poisoned, four concurrent clients on a file-backed
-// engine whose cache holds 8 or 32 pages get the driver's neighbours —
-// rectangles included — and the driver's Stats, bit for bit, for every
-// access method, every stage-driven algorithm, with and without fetch
-// coalescing. Run it under -race: a view recycled while a query reads
-// it is also a data race.
+// recycled view poisoned, four concurrent clients on a framed
+// file-backed engine get the driver's neighbours — rectangles included —
+// and the driver's Stats, bit for bit, for every access method, every
+// stage-driven algorithm, with and without fetch coalescing. At rest
+// every frame is back in the pool and every fetch was one decode. Run
+// it under -race: a view recycled while a query reads it is also a data
+// race.
 func TestRecycledViewsMatchDriver(t *testing.T) {
 	const k, clients = 10, 4
 	nq := 10
@@ -117,43 +152,54 @@ func TestRecycledViewsMatchDriver(t *testing.T) {
 	}{{"rstar", rstar, pts}, {"sr", sr, pts}, {"xtree", xtree, xpts}} {
 		queries := dataset.SampleQueries(tc.pts, nq, 23)
 		want := driverAnswers(tc.tree, queries, k)
-		for _, cache := range []int{8, 32} {
-			for _, coalesce := range []bool{false, true} {
-				label := fmt.Sprintf("%s cache=%d coalesce=%v", tc.name, cache, coalesce)
-				eng := newPoisoned(t, tc.tree, Config{DataDir: t.TempDir(), CachePages: cache, CoalesceFetches: coalesce})
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for i := range queries {
-							qi := (i + c*3) % len(queries)
-							for a, alg := range retireAlgs {
-								got, st, err := eng.KNN(context.Background(), alg, queries[qi], k, query.Options{})
-								if err != nil {
-									t.Errorf("%s %s q%d: %v", label, alg.Name(), qi, err)
-									return
-								}
-								w := want[a][qi]
-								sameNeighbors(t, fmt.Sprintf("%s %s q%d", label, alg.Name(), qi), w.res, got)
-								if !reflect.DeepEqual(w.stats, st) {
-									t.Errorf("%s %s q%d: stats differ: driver %+v, engine %+v", label, alg.Name(), qi, w.stats, st)
-									return
-								}
-							}
-						}
-					}(c)
-				}
-				wg.Wait()
-				if eng.ViewStats().Reused == 0 {
-					t.Errorf("%s: no view was ever recycled: the test exercised nothing", label)
-				}
-				if s := eng.Snapshot(); s.Cache.Hits+s.Cache.Misses != s.Stats.PagesFetched {
-					t.Errorf("%s: cache hits %d + misses %d != pages fetched %d", label, s.Cache.Hits, s.Cache.Misses, s.Stats.PagesFetched)
-				}
-				if err := eng.Close(); err != nil {
-					t.Fatal(err)
-				}
+		for _, coalesce := range []bool{false, true} {
+			label := fmt.Sprintf("%s coalesce=%v", tc.name, coalesce)
+			eng := newPoisoned(t, tc.tree, Config{DataDir: t.TempDir(), CachePages: 8, CoalesceFetches: coalesce})
+			askClients(t, eng, label, queries, want, k, clients)
+			if eng.ViewStats().Reused == 0 {
+				t.Errorf("%s: no view was ever recycled: the test exercised nothing", label)
+			}
+			if n := unrecycled(eng); n != 0 {
+				t.Errorf("%s: %d views out of the pool at rest", label, n)
+			}
+			if s := eng.Stats(); s.Decodes != s.PagesFetched {
+				t.Errorf("%s: %d decodes for %d pages fetched", label, s.Decodes, s.PagesFetched)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestFramedEngineMatchesDriver: an engine with CachePages 0 is framed,
+// in memory mode as in file mode. With every recycled view poisoned,
+// concurrent clients get the driver's answers and Stats, with and
+// without coalescing; frames are recycled; and once the clients have
+// warmed the engine, a further pass of every query makes no frame.
+func TestFramedEngineMatchesDriver(t *testing.T) {
+	const k, clients = 10, 3
+	tree, pts := buildTree(t, 2500, 4, false, 0)
+	queries := dataset.SampleQueries(pts, 8, 53)
+	want := driverAnswers(tree, queries, k)
+	for _, dataDir := range []string{"", t.TempDir()} {
+		for _, coalesce := range []bool{false, true} {
+			label := fmt.Sprintf("file=%v coalesce=%v", dataDir != "", coalesce)
+			eng := newPoisoned(t, tree, Config{DataDir: dataDir, CoalesceFetches: coalesce})
+			askClients(t, eng, label+" warm", queries, want, k, clients)
+			warm := eng.ViewStats()
+			// One client needs no more frames at once than the clients
+			// before it had out: each of its stages ran among theirs.
+			askClients(t, eng, label, queries, want, k, 1)
+			vs := eng.ViewStats()
+			if vs.Reused == 0 || vs.Made != warm.Made {
+				t.Errorf("%s: frames %+v after the warm pass, %+v after another: none recycled, or more made", label, warm, vs)
+			}
+			if n := unrecycled(eng); n != 0 {
+				t.Errorf("%s: %d views out of the pool at rest", label, n)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -327,21 +373,22 @@ func stagesOf(tree *parallel.Tree, q geom.Point, k int) [][]rtree.PageID {
 	return stages
 }
 
-// unrecycled is the number of views the cache has evicted that have not
-// come back to the pool: every view the pool was given is idle in it or
-// was handed out again, so that is evictions − (reused + idle). With no
-// query running it counts the evicted views somebody forgot to release.
+// unrecycled is the number of views the pool has made that are not idle
+// in it: those held by a running stage or being read in. With no query
+// running it counts the views somebody forgot to release (or a read path
+// left to the collector: a hedge's loser, a rejected read).
 func unrecycled(eng *Engine) int {
 	vs := eng.ViewStats()
-	return int(eng.cache.Stats().Evictions) - int(vs.Reused) - vs.Idle
+	return int(vs.Made) - vs.Idle
 }
 
 // TestStalledStageHoldsOnlyItsViews: a query stalls inside a stage —
 // its slots holding the views of the stage's other pages — while other
-// clients churn the cache many times over. Every view evicted meanwhile
-// goes back to the pool except exactly those the stalled stage holds,
-// and the stalled query still computes the driver's answer from its
-// poisoned-if-recycled views. Once it returns, its views come back too.
+// clients read many times more pages than there are frames. Every view
+// read meanwhile goes back to the pool except exactly those the stalled
+// stage holds, and the stalled query still computes the driver's answer
+// from its poisoned-if-recycled views. Once it returns, its views come
+// back too.
 func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	const k = 10
 	tree, pts := buildTree(t, 4000, 4, false, 0)
@@ -361,21 +408,7 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 		t.Fatalf("the widest stage has %d requests: nothing to hold", len(stage))
 	}
 	victim, held := stage[len(stage)-1], len(stage)-1
-	// Churn with queries that never ask for the stalled page: they would
-	// wait for its fetch in the cache's own singleflight.
-	var churn []geom.Point
-	for _, q := range queries {
-		touches := false
-		for _, s := range stagesOf(tree, q, k) {
-			touches = touches || slices.Contains(s, victim)
-		}
-		if !touches {
-			churn = append(churn, q)
-		}
-	}
-	if len(churn) < 10 {
-		t.Fatalf("only %d of %d queries avoid page %d", len(churn), len(queries), victim)
-	}
+	churn := queries
 	want := driverAnswers(tree, append([]geom.Point{stalled}, churn...), k)[2] // CRSS
 
 	eng := newPoisoned(t, tree, Config{CachePages: 16, WorkersPerDisk: 2})
@@ -409,11 +442,11 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 		t.Fatal("warm-up recycled nothing")
 	}
 	if n := unrecycled(eng); n != 0 {
-		t.Fatalf("%d evicted views missing from the pool with no query running", n)
+		t.Fatalf("%d views missing from the pool with no query running", n)
 	}
-	// No query has asked for the victim yet, so it is not cached: the
-	// stalled query's run stalls on it with the views of the victim's
-	// stage-mates in its slots.
+	// The stalled query's run stalls on the victim's first read with the
+	// views of the victim's stage-mates in its slots; the gate lets every
+	// later read of the victim through.
 	g.armed.Store(true)
 	type answer struct {
 		res []query.Neighbor
@@ -431,9 +464,9 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	}
 
 	for round := 0; round < 2; round++ {
-		runChurn(3) // the first evicts everything the stalled stage holds
+		runChurn(3)
 		if n := unrecycled(eng); n != held {
-			t.Errorf("%d evicted views are out of the pool beside a stage stalled with %d in its slots", n, held)
+			t.Errorf("%d views are out of the pool beside a stage stalled with %d in its slots", n, held)
 		}
 	}
 
@@ -444,112 +477,12 @@ func TestStalledStageHoldsOnlyItsViews(t *testing.T) {
 	}
 	sameNeighbors(t, "stalled query", want[0].res, a.res)
 	if n := unrecycled(eng); n != 0 {
-		t.Errorf("%d evicted views still out of the pool after the stalled query returned", n)
+		t.Errorf("%d views still out of the pool after the stalled query returned", n)
 	}
 }
 
-// TestHoldRacesEvict: readers taking the cached view as a cache hit
-// does — a hold under the shard lock — and reading it until they drop
-// the hold, against a fetcher that admits a new view and evicts the old
-// as fast as it can. Whoever brings a view to "evicted, no holds"
-// recycles it, poisoned, so a view recycled under a reader shows as a
-// changed id (and, under -race, as a race); a view recycled twice
-// panics in the pool. The frames stay as few as the cache, the fetch in
-// flight and the readers can have out at once.
-func TestHoldRacesEvict(t *testing.T) {
-	const clients = 8
-	iters := 100000
-	if testing.Short() || raceEnabled {
-		iters = 20000
-	}
-	e := &Engine{views: rtree.NewViewPool(clients + 2), poison: true}
-	e.cache = bufferpool.NewSharded[rtree.PageID, *rtree.FlatNode](1, 1, func(rtree.PageID) uint64 { return 0 })
-	e.cache.OnHandOut((*rtree.FlatNode).Hold)
-	e.cache.OnEvict(e.retire)
-	newView := func(id rtree.PageID) *rtree.FlatNode {
-		f, refs := rtree.NewPageView(e.views, id, 0, 2, 4, false)
-		for i := range refs {
-			refs[i] = rtree.PageRef{Ref: int64(id), Count: 1}
-			f.Rects.Lo[0][i], f.Rects.Hi[0][i] = float64(id), float64(id)
-			f.Rects.Lo[1][i], f.Rects.Hi[1][i] = float64(id), float64(id)
-		}
-		return f
-	}
-	// read checks a held view and drops the hold the way a stage does.
-	read := func(sc *stageScratch, v *rtree.FlatNode, id rtree.PageID) bool {
-		ok := true
-		for r := 0; r < 4 && ok; r++ {
-			if v.ID != id || v.Object(r) != rtree.ObjectID(id) || v.Rects.Lo[1][r] != float64(id) {
-				t.Errorf("view of page %d changed under a hold: id %d object %d lo %g", id, v.ID, v.Object(r), v.Rects.Lo[1][r])
-				ok = false
-			}
-		}
-		sc.reset(1)[0].node = v
-		e.releaseStage(sc)
-		sc.unpin()
-		return ok
-	}
-	var current atomic.Int64 // the page that is cached, give or take an eviction
-	stop := make(chan struct{})
-	var fetcher sync.WaitGroup
-	fetcher.Add(1)
-	go func() {
-		defer fetcher.Done()
-		sc := newStageScratch()
-		for id := rtree.PageID(1); ; id++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v, _, _ := e.cache.GetOrFetchHit(id, func() (*rtree.FlatNode, error) { return newView(id), nil })
-			current.Store(int64(id))
-			if !read(sc, v, id) {
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newStageScratch()
-			for i := 0; i < iters; i++ {
-				id := rtree.PageID(current.Load())
-				v, ok := e.cache.Probe(id)
-				if !ok {
-					continue // evicted since: a miss takes no hold
-				}
-				hits.Add(1)
-				if !read(sc, v, id) {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	fetcher.Wait()
-	if hits.Load() == 0 {
-		t.Error("no reader ever hit the cached view")
-	}
-	vs := e.ViewStats()
-	if vs.Reused == 0 {
-		t.Error("no view was ever recycled")
-	}
-	if vs.Made > clients+2 {
-		t.Errorf("%d views made for a 1-page cache, one fetch in flight and %d readers", vs.Made, clients)
-	}
-	if n := unrecycled(e); n != 0 {
-		t.Errorf("%d evicted views missing from the pool at rest", n)
-	}
-}
-
-// missPathTree is the 8-d tree of the miss-path tests: with a cache of a
-// twentieth of its pages a query reads a hundred pages and more and
-// misses on most of them.
+// missPathTree is the 8-d tree of the miss-path tests: a query of a
+// framed engine reads a hundred leaves and more.
 func missPathTree(t testing.TB) (*parallel.Tree, []geom.Point) {
 	t.Helper()
 	pts := dataset.Gaussian(6000, 8, 1998)
@@ -590,11 +523,11 @@ func mallocsPerQuery(t testing.TB, eng *Engine, queries []geom.Point, clients, r
 	return float64(after.Mallocs-before.Mallocs) / float64(clients*rounds*len(queries))
 }
 
-// TestMissPathAllocBudget: on a file-backed engine whose cache holds a
-// twentieth of the pages, a steady-state query allocates a constant —
-// the four objects every query hands its caller, the result's
-// rectangles, and a margin for a pool the collector emptied — however
-// many pages it misses and however many clients run beside it. Views,
+// TestMissPathAllocBudget: on a framed file-backed engine a
+// steady-state query allocates a constant — the four objects every query
+// hands its caller, the result's rectangles, and a margin for a pool the
+// collector emptied — however many pages it reads and however many
+// clients run beside it. Views,
 // flight records, waiter lists, stage state and rectangle slots are all
 // reused, so what a query allocates is code, not timing: a second
 // measurement over the same query list agrees with the first within 1 %.
@@ -645,10 +578,9 @@ func TestMissPathAllocBudget(t *testing.T) {
 }
 
 // TestFramesAreBounded: while clients run, the views idle in the pool
-// and the views resident in the cache never number more than the cache
-// holds, plus the reads that can be in flight, plus what the running
-// stages can hold — and neither do the views ever made, since the pool
-// makes one only when every other is out.
+// never number more than the reads that can be in flight plus what the
+// running stages can hold — and neither do the views ever made, since
+// the pool makes one only when every other is out.
 func TestFramesAreBounded(t *testing.T) {
 	const clients = 4
 	tree, queries := missPathTree(t)
@@ -663,7 +595,7 @@ func TestFramesAreBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound := eng.cache.Capacity() + cap(eng.sem) + clients*widest
+		bound := cap(eng.sem) + clients*widest
 		stop := make(chan struct{})
 		var sampler sync.WaitGroup
 		sampler.Add(1)
@@ -675,8 +607,8 @@ func TestFramesAreBounded(t *testing.T) {
 					return
 				default:
 				}
-				if n := eng.ViewStats().Idle + eng.cache.Len(); n > bound {
-					t.Errorf("coalesce=%v: %d views idle or resident, bound %d", coalesce, n, bound)
+				if n := eng.ViewStats().Idle; n > bound {
+					t.Errorf("coalesce=%v: %d views idle, bound %d", coalesce, n, bound)
 					return
 				}
 				runtime.Gosched()
@@ -691,11 +623,11 @@ func TestFramesAreBounded(t *testing.T) {
 		sampler.Wait()
 		vs := eng.ViewStats()
 		if int(vs.Made) > bound {
-			t.Errorf("coalesce=%v: %d views made, bound %d (cache %d + in flight %d + %d stages of %d)",
-				coalesce, vs.Made, bound, eng.cache.Capacity(), cap(eng.sem), clients, widest)
+			t.Errorf("coalesce=%v: %d views made, bound %d (in flight %d + %d stages of %d)",
+				coalesce, vs.Made, bound, cap(eng.sem), clients, widest)
 		}
 		if n := unrecycled(eng); n != 0 {
-			t.Errorf("coalesce=%v: %d evicted views missing from the pool at rest", coalesce, n)
+			t.Errorf("coalesce=%v: %d views missing from the pool at rest", coalesce, n)
 		}
 		t.Logf("coalesce=%v: views %+v, bound %d", coalesce, vs, bound)
 		eng.Close()
@@ -705,9 +637,8 @@ func TestFramesAreBounded(t *testing.T) {
 // TestFailedStageLeavesNoHold: queries that fail in mid-stage — an
 // injected I/O error on one page, a context cancelled while the others
 // are in flight — drop the holds on the views their slots did get. Once
-// clean queries have churned the cache past everything the failed ones
-// touched, every evicted view is back in the pool; a hold left behind
-// would keep its view out for good.
+// clean queries have run beside and after them, every view is back in
+// the pool; a hold left behind would keep its view out for good.
 func TestFailedStageLeavesNoHold(t *testing.T) {
 	const k, disks = 10, 4
 	tree, pts := buildTree(t, 2500, disks, false, 0)
@@ -724,7 +655,7 @@ func TestFailedStageLeavesNoHold(t *testing.T) {
 			}
 		}
 		if n := unrecycled(eng); n != 0 {
-			t.Errorf("%d evicted views never came back to the pool", n)
+			t.Errorf("%d views never came back to the pool", n)
 		}
 	}
 	t.Run("io error", func(t *testing.T) {

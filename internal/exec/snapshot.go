@@ -10,15 +10,18 @@ import (
 )
 
 // Snapshot is a diffable point-in-time view of the engine: cumulative
-// counters, shared-cache traffic, per-disk gauges with the
+// counters, frame counts, per-disk gauges with the
 // declustering balance ratio, and the wall-clock latency histograms
 // with their p50/p95/p99. Take one before and one after an interval
 // and Sub them to get the interval's distribution.
 type Snapshot struct {
 	Stats Stats
+	// Cache is always zero: the engine keeps no page cache (a leaf is
+	// resident or framed, see Config.CachePages). The field stays for
+	// readers that report cache traffic.
 	Cache bufferpool.Stats
 	// Views counts the frames decoded pages live in (retire.go): all zero
-	// unless the cache is smaller than the leaf set.
+	// on a resident engine.
 	Views rtree.ViewStats
 	Disks []obs.DiskSnapshot
 	// BalanceRatio is the busiest disk's served pages over the
@@ -60,9 +63,6 @@ func (e *Engine) Snapshot() Snapshot {
 		ReadLatency:  e.readLat.Snapshot(),
 		StageLatency: e.stageLat.Snapshot(),
 		SemWait:      e.semWait.Snapshot(),
-	}
-	if e.cache != nil {
-		s.Cache = e.cache.Stats()
 	}
 	for d := range e.gauges {
 		s.Disks[d] = e.gauges[d].Snapshot()

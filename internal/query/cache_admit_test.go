@@ -68,7 +68,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 		t.Fatal("test never reached stage 2; tree too shallow")
 	}
 	for _, id := range inFlight {
-		if _, ok := pool.Probe(id); ok {
+		if _, ok := pool.Get(id); ok {
 			t.Errorf("page %d admitted although its fetch failed", id)
 		}
 	}
@@ -76,7 +76,7 @@ func TestSharedCacheAdmitsOnDelivery(t *testing.T) {
 	// delivered batch is admitted when the next stage runs — which
 	// here was the failing one, so it is admitted too).
 	for _, id := range delivered[:len(delivered)-1] {
-		if _, ok := pool.Probe(id); !ok {
+		if _, ok := pool.Get(id); !ok {
 			t.Errorf("delivered page %d missing from the shared cache", id)
 		}
 	}

@@ -21,8 +21,8 @@ import (
 // builds the view straight from a page image through NewPageView: one
 // axis-major slab, one compact identity array, no Entry per slot. What
 // Rect and Sphere hand out for a decoded page depends on who owns the
-// view. A view nobody recycles is expected to stay (a cache that holds
-// the tree, a store's working set): its entry-major coordinates are
+// view. A view nobody recycles is expected to stay (a store's working
+// set, a one-off read): its entry-major coordinates are
 // gathered from the slab once, on the first call, and published through
 // an atomic pointer. A view drawn from a ViewPool (Pooled) is a frame:
 // its memory is refilled once its owner has seen the last hold on it

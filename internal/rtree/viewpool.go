@@ -18,49 +18,35 @@ type pageView struct {
 	slab []float64   // backs every SoA column
 	hdr  [][]float64 // the column headers
 	refs []PageRef   // the identity column at full capacity
-	// state is the owner's count of the view's readers: the number of
-	// holds in the low half, viewEvicted once the owner's cache has let
-	// go of it (see FlatNode.Hold). Zeroed each time the pool hands the
-	// view out.
-	state  atomic.Int64
+	// holds is the owner's count of the view's readers (see
+	// FlatNode.Hold). Zeroed each time the pool hands the view out.
+	holds  atomic.Int64
 	pooled bool // in the pool's free list (guards against a double Put)
 }
 
-// viewEvicted is the bit of pageView.state above any hold count.
-const viewEvicted = 1 << 32
-
 // Hold takes n holds on a pooled view, one for each reader it is about
-// to be handed to. The owner calls it where the view cannot be evicted
-// in between — under the lock of the cache that holds it, or while it
-// has a hold of its own that is not yet given away. A view no pool owns
-// is not counted.
+// to be handed to. The owner calls it while the view cannot be released
+// in between: as it decodes the view, or while it has a hold of its own
+// that is not yet given away. A view no pool owns is not counted.
 func (f *FlatNode) Hold(n int) {
 	if v := f.owner; v != nil {
-		v.state.Add(int64(n))
+		v.holds.Add(int64(n))
 	}
 }
 
-// Release drops one hold and Evict records that the owner's cache has
-// let go of the view (once per hand-out of the memory). Each reports
-// whether it brought the view to "evicted, no holds": nobody can reach
-// it any more, no later Release or Evict will report true, and the
-// caller — alone — may Put it back. A view that is never evicted, or
-// whose holds are never all dropped, is simply collected.
+// Release drops one hold and reports whether it was the last: nobody
+// can reach the view any more, and the caller — alone — may Put it
+// back. A view whose holds are never all dropped is simply collected.
 func (f *FlatNode) Release() bool {
 	v := f.owner
 	if v == nil {
 		return false
 	}
-	s := v.state.Add(-1)
-	if int32(s) < 0 {
+	n := v.holds.Add(-1)
+	if n < 0 {
 		panic("rtree: page view released more often than held")
 	}
-	return s == viewEvicted
-}
-
-func (f *FlatNode) Evict() bool {
-	v := f.owner
-	return v != nil && v.state.Add(viewEvicted) == viewEvicted
+	return n == 0
 }
 
 // Pooled reports whether the view's memory belongs to a ViewPool and
@@ -70,9 +56,9 @@ func (f *FlatNode) Pooled() bool { return f.owner != nil }
 
 // ViewPool recycles the memory of decoded page views — the FlatNode,
 // its axis-major slab, its column headers and its identity column — for
-// an owner that knows when a view has no reader left (Hold, Release,
-// Evict). The pool itself knows nothing about readers: Put is a promise
-// by the caller that the view is unreachable, and the next NewPageView
+// an owner that knows when a view has no reader left (Hold, Release).
+// The pool itself knows nothing about readers: Put is a promise by the
+// caller that the view is unreachable, and the next NewPageView
 // overwrites every byte of it. An owner in doubt must not Put; a view
 // that is never put back is simply collected. The pool makes a view
 // only when none is idle and keeps every one it is given back, so the
@@ -145,7 +131,7 @@ func (p *ViewPool) take(m int) (*pageView, int) {
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	v.pooled = false
-	v.state.Store(0)
+	v.holds.Store(0)
 	p.reused++
 	return v, p.entries
 }

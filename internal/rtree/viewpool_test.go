@@ -148,10 +148,9 @@ func TestViewPoolSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The owner's count: whoever brings a view to "evicted, no holds" —
-// the eviction when nobody holds it, else the last release — is told
-// so, once; a view that is only ever one of the two is nobody's to put
-// back; and a release too many is the owner's bug.
+// The owner's count: the release of the last hold — the view's
+// eviction from its readers — is reported, once; a release too many is
+// the owner's bug; a view no pool owns is not counted.
 func TestViewHoldsAndEviction(t *testing.T) {
 	pool := NewViewPool(1)
 	newView := func() *FlatNode {
@@ -162,18 +161,13 @@ func TestViewHoldsAndEviction(t *testing.T) {
 	if !f.Pooled() {
 		t.Fatal("a view drawn from a pool does not say so")
 	}
-	f.Hold(3)
-	if f.Release() {
+	f.Hold(1)
+	f.Hold(2)
+	if f.Release() || f.Release() {
 		t.Error("a release with holds left reported the view free")
 	}
-	if f.Evict() {
-		t.Error("the eviction of a held view reported it free")
-	}
-	if f.Release() {
-		t.Error("a release with a hold left reported the view free")
-	}
 	if !f.Release() {
-		t.Error("the last release of an evicted view did not report it free")
+		t.Error("the last release did not report the view free")
 	}
 	pool.Put(f)
 
@@ -182,11 +176,8 @@ func TestViewHoldsAndEviction(t *testing.T) {
 		t.Fatal("the view put back was not handed out again")
 	}
 	g.Hold(1)
-	if g.Release() {
-		t.Error("the last release of a view still cached reported it free")
-	}
-	if !g.Evict() {
-		t.Error("the eviction of a view nobody holds did not report it free")
+	if !g.Release() {
+		t.Error("the release of a recycled view's only hold did not report it free")
 	}
 	func() {
 		defer func() {
@@ -199,7 +190,7 @@ func TestViewHoldsAndEviction(t *testing.T) {
 
 	plain, _ := NewPageView(nil, 2, 0, 2, 3, false)
 	plain.Hold(1)
-	if plain.Pooled() || plain.Release() || plain.Evict() {
+	if plain.Pooled() || plain.Release() {
 		t.Error("a view no pool owns was counted")
 	}
 }
