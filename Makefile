@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Duration per fuzz target in the `fuzz` smoke target.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet analyze analyze-budget test race lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
+.PHONY: all build vet analyze analyze-budget test race lockrank lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
 
 all: build vet analyze test
 
@@ -21,8 +21,8 @@ vet:
 	$(GO) vet ./...
 
 ## analyze: the repo-specific analyzer suite (internal/lint: simdeterminism,
-## floatcmp, lockcheck, fsyncorder, errlost, lockorder), run once over
-## the whole module with the suppression audit
+## floatcmp, lockcheck, fsyncorder, errlost), run once over the whole
+## module with the suppression audit
 ## (stale //lint:allow directives fail the build). CI's lint job runs the
 ## same command with -github and -sarif added. Cancel-func hygiene is
 ## `go vet`'s lostcancel (the vet target), not this suite's.
@@ -31,8 +31,8 @@ analyze:
 	bin/simquerylint -source . -audit
 
 ## analyze-budget: `make analyze` under a wall-clock ceiling. The
-## interprocedural analyzers (call graph + fixpoint summaries) must stay
-## cheap enough to run on every PR; the nightly job fails when the whole
+## whole-module load and the CFG dataflow analyzers must stay cheap
+## enough to run on every PR; the nightly job fails when the whole
 ## suite takes longer than ANALYZE_BUDGET_SECS.
 ANALYZE_BUDGET_SECS ?= 120
 analyze-budget:
@@ -50,6 +50,17 @@ test:
 ## race: the CI race-detector gate for the concurrent engine.
 race:
 	$(GO) test -race -short ./...
+
+## lockrank: lock order, checked where the locks are taken. Under the
+## lockrank tag every product mutex (internal/lockrank) panics when a
+## goroutine takes it while holding one of equal or higher rank. Vet
+## type-checks the tagged half; the tests are the packages that take
+## ranked locks.
+LOCKRANK_PKGS = ./internal/pagestore ./internal/core ./internal/exec ./internal/bufferpool \
+	./internal/rtree ./internal/obs ./internal/fault ./internal/server
+lockrank:
+	$(GO) vet -tags lockrank ./...
+	$(GO) test -race -short -tags lockrank ./internal/lockrank $(LOCKRANK_PKGS)
 
 ## lint: gofmt cleanliness + pinned staticcheck (installed on demand).
 lint:

@@ -8,10 +8,11 @@
 //	simquerylint -source . -sarif findings.sarif  # SARIF 2.1.0 artifact
 //
 // or simply `make analyze`. See internal/lint for the analyzers: the
-// AST-local suite (simdeterminism, floatcmp, lockcheck), the
-// CFG/dataflow protocol suite (fsyncorder, errlost) and the
-// interprocedural lock-order check (lockorder). Cancel-func hygiene is
-// go vet's job (lostcancel), not this suite's.
+// AST-local suite (simdeterminism, floatcmp) and the CFG/dataflow
+// protocol suite (fsyncorder, errlost, and lockcheck, which also
+// checks guarded-field annotations). Cancel-func hygiene is go vet's
+// job (lostcancel), and lock order is checked at run time under the
+// lockrank build tag (make lockrank), not by this suite.
 package main
 
 import (

@@ -3,6 +3,8 @@ package bufferpool
 import (
 	"fmt"
 	"sync"
+
+	"repro/internal/lockrank"
 )
 
 // Sharded is a thread-safe LRU cache built from independently locked
@@ -22,7 +24,7 @@ type Sharded[K comparable, V any] struct {
 // shard is one lock's worth of the cache: every operation on a key
 // takes exactly this mutex.
 type shard[K comparable, V any] struct {
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.Leaf]
 	lru      lru[K, V]        // guarded by mu
 	inflight map[K]*flight[V] // guarded by mu
 	free     *flight[V]       // guarded by mu: recycled flight records

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/bufferpool"
 	"repro/internal/decluster"
@@ -19,6 +18,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/pagestore"
 	"repro/internal/parallel"
@@ -97,7 +97,7 @@ type IndexConfig struct {
 // with a readers-writer lock.
 type Index struct {
 	cfg  IndexConfig
-	mu   sync.RWMutex
+	mu   lockrank.RWMutex[lockrank.IndexMu]
 	tree *parallel.Tree // guarded by mu (read lock for queries, write lock for mutations)
 
 	// Durable backing (DataDir mode); nil for a memory index.

@@ -1,8 +1,7 @@
 package exec
 
 import (
-	"sync"
-
+	"repro/internal/lockrank"
 	"repro/internal/rtree"
 )
 
@@ -31,7 +30,7 @@ type coalescer struct {
 // immutable and delivered, and then handed back (recycle) for the next
 // flight somebody joins, so a join on a warm shard allocates nothing.
 type coShard struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Leaf]
 	flights map[rtree.PageID][]flightWaiter // guarded by mu
 	spare   [][]flightWaiter                // guarded by mu: delivered waiter lists, emptied
 }

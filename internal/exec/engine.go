@@ -40,6 +40,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/pagestore"
 	"repro/internal/parallel"
@@ -266,7 +267,7 @@ type Engine struct {
 	co       *coalescer // request-level fetch coalescing (nil unless Config.CoalesceFetches)
 	scratch  sync.Pool  // *stageScratch, one per running query
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.EngineMu]
 	isClosed bool          // guarded by mu
 	closed   chan struct{} // signals Close to blocked submitters
 	workers  sync.WaitGroup

@@ -17,9 +17,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
+	"repro/internal/lockrank"
 	"repro/internal/pagestore"
 	"repro/internal/rtree"
 )
@@ -96,7 +96,7 @@ type driveState struct {
 type Injector struct {
 	seed int64
 
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.Leaf]
 	drives map[int]*driveState // guarded by mu
 }
 

@@ -2,8 +2,8 @@
 // invariants this reproduction depends on: bit-identical results across
 // the immediate driver, the event-driven simulator and the concurrent
 // engine (determinism), exact float comparison discipline, documented
-// mutex protection, durable-write ordering, storage errors that are
-// never dropped, and a consistent lock order.
+// mutex protection with no blocking under a lock, durable-write
+// ordering, and storage errors that are never dropped.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library only — the build
@@ -84,7 +84,6 @@ func All() []*Analyzer {
 		LockCheck,
 		FsyncOrder,
 		ErrLost,
-		LockOrder,
 	}
 }
 

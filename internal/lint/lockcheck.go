@@ -2,25 +2,39 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"regexp"
+	"slices"
+	"strings"
 )
 
-// LockCheck enforces documented mutex protection: a struct field whose
-// doc or line comment says "guarded by <mu>" may only be read or
-// written inside a function that visibly acquires <mu> on the same
-// receiver path (x.mu.Lock() or x.mu.RLock()). This is the bug class
-// fixed by hand in PR 2, where bufferpool residency accounting was
-// mutated off-lock by a cancelled query.
+// LockCheck enforces two rules about mutexes, each within one function.
 //
-// The check is syntactic and per-function: it does not prove the lock
-// is held at the access (no flow analysis), it proves the function at
-// least participates in the locking discipline. Helpers that rely on a
-// caller-held lock document that with //lint:allow lockcheck.
+// Documented protection: a struct field whose doc or line comment says
+// "guarded by <mu>" may only be read or written inside a function that
+// visibly acquires <mu> on the same receiver path (x.mu.Lock() or
+// x.mu.RLock()). This is the bug class once fixed by hand, where
+// bufferpool residency accounting was mutated off-lock by a cancelled
+// query. The check is syntactic: it does not prove the lock is held at
+// the access, it proves the function at least participates in the
+// locking discipline. Helpers that rely on a caller-held lock document
+// that with //lint:allow lockcheck.
+//
+// No blocking under a lock: a held-lock may-analysis over the CFG
+// reports a channel send, receive or range, a select without default,
+// WaitGroup.Wait, time.Sleep, or file I/O outside the store locks
+// (ioBearingLocks), reached on some path while the function holds a
+// sync or lockrank mutex. A deferred Unlock releases at exit, so the
+// lock is held to the end of the body. Blocking inside a helper called
+// under the lock is not seen; lock order itself is checked at run time
+// by the lockrank build tag.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc: "accesses to struct fields documented as \"guarded by <mu>\" must " +
-		"occur in functions that acquire <mu> on the same receiver",
+		"occur in functions that acquire <mu> on the same receiver, and a " +
+		"function must not block on a channel, WaitGroup, sleep or " +
+		"hot-path file I/O while it holds a lock",
 	Run: runLockCheck,
 }
 
@@ -35,20 +49,16 @@ type guardedField struct {
 
 func runLockCheck(pass *Pass) error {
 	guarded := collectGuardedFields(pass)
-	if len(guarded) == 0 {
-		return nil
-	}
 	for _, f := range pass.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+		funcBodies(f, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
+			if lit == nil && len(guarded) > 0 {
+				checkLockedAccesses(pass, decl, guarded)
 			}
-			checkLockedAccesses(pass, fd, guarded)
-		}
+			checkBlocking(pass, declName(decl, lit), body)
+		})
 	}
 	return nil
 }
@@ -162,4 +172,173 @@ func checkLockedAccesses(pass *Pass, fd *ast.FuncDecl, guarded map[*types.Var]gu
 			g.structName, fieldObj.Name(), g.mutex, root, g.mutex)
 		return true
 	})
+}
+
+// ioBearingLocks are the store locks whose purpose is serializing file
+// I/O: holding one across WriteAt or Sync is the design, and fsyncorder
+// owns their write/sync order. I/O under any other lock stalls every
+// acquirer behind the disk.
+var ioBearingLocks = map[string]bool{
+	"DurableStore.mu": true,
+	"FileStore.mu":    true,
+	"WAL.mu":          true,
+}
+
+// ioMethods matches file-I/O calls by method name, whatever the
+// receiver, so the golden mocks and the BlockFile seam both match.
+var ioMethods = map[string]bool{
+	"WriteAt":    true,
+	"ReadAt":     true,
+	"Truncate":   true,
+	"Sync":       true,
+	"WriteImage": true,
+	"ZeroPage":   true,
+	"WriteMeta":  true,
+	"ReadPage":   true,
+}
+
+// lockCall reports whether call locks or unlocks a sync or lockrank
+// Mutex/RWMutex, returning the method and the lock's class: "Type.field"
+// for a mutex field, the expression as written otherwise.
+func lockCall(pass *Pass, call *ast.CallExpr) (method, class string) {
+	fn := callee(pass.TypesInfo, call)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || fn == nil || fn.Pkg() == nil ||
+		(fn.Pkg().Path() != "sync" && fn.Pkg().Name() != "lockrank") {
+		return "", ""
+	}
+	if rt := recvTypeName(fn); rt != "Mutex" && rt != "RWMutex" {
+		return "", ""
+	}
+	switch fn.Name() {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+	default:
+		return "", ""
+	}
+	if x, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
+		if s := pass.TypesInfo.Selections[x]; s != nil {
+			owner := types.TypeString(s.Recv(), func(*types.Package) string { return "" })
+			return fn.Name(), strings.TrimPrefix(owner, "*") + "." + x.Sel.Name
+		}
+	}
+	return fn.Name(), exprString(sel.X)
+}
+
+// checkBlocking runs the held-lock may-analysis over one body. Each
+// function literal is its own body: a goroutine or callback does not run
+// under its creator's locks.
+func checkBlocking(pass *Pass, name string, body *ast.BlockStmt) {
+	var classes []string // bit i: classes[i] may be held
+	// A select's communications block only when it has no default; they
+	// are reported once, at the select. commOf maps each communication
+	// to its select, or to nil when the select has a default.
+	commOf := map[ast.Node]*ast.SelectStmt{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			if _, class := lockCall(pass, n); class != "" && !slices.Contains(classes, class) {
+				classes = append(classes, class)
+			}
+		case *ast.SelectStmt:
+			sel := n
+			for _, c := range n.Body.List {
+				if c.(*ast.CommClause).Comm == nil {
+					sel = nil
+				}
+			}
+			for _, c := range n.Body.List {
+				if comm := c.(*ast.CommClause).Comm; comm != nil {
+					commOf[comm] = sel
+				}
+			}
+		}
+		return true
+	})
+	if len(classes) == 0 {
+		return
+	}
+
+	reported := map[token.Pos]bool{}
+	apply := func(n ast.Node, held BitSet, report bool) {
+		blocked := func(pos token.Pos, what string, io bool) {
+			var names []string
+			for i, c := range classes {
+				if held.Has(i) && !(io && ioBearingLocks[c]) {
+					names = append(names, c)
+				}
+			}
+			if !report || len(names) == 0 || reported[pos] {
+				return
+			}
+			reported[pos] = true
+			pass.Reportf(pos, "%s: %s while holding %s: every other acquirer waits "+
+				"behind it; release the lock first", name, what, strings.Join(names, ", "))
+		}
+		var visit func(ast.Node) bool
+		visit = func(m ast.Node) bool {
+			if sel, ok := commOf[m]; ok {
+				if sel != nil {
+					blocked(sel.Pos(), "select without default", false)
+				}
+				return false
+			}
+			switch m := m.(type) {
+			case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+				return false
+			case *ast.RangeStmt:
+				// The CFG evaluates a range statement's operand in its
+				// head; the body has blocks of its own.
+				if _, ok := pass.TypesInfo.TypeOf(m.X).Underlying().(*types.Chan); ok {
+					blocked(m.Pos(), "range over channel", false)
+				}
+				ast.Inspect(m.X, visit)
+				return false
+			case *ast.SendStmt:
+				blocked(m.Pos(), "channel send", false)
+			case *ast.UnaryExpr:
+				if m.Op == token.ARROW {
+					blocked(m.Pos(), "channel receive", false)
+				}
+			case *ast.CallExpr:
+				if method, class := lockCall(pass, m); class != "" {
+					i := slices.Index(classes, class)
+					if method == "Lock" || method == "RLock" {
+						held.Set(i)
+					} else {
+						held.Clear(i)
+					}
+					return true
+				}
+				fn := callee(pass.TypesInfo, m)
+				if fn == nil || fn.Pkg() == nil {
+					return true
+				}
+				switch {
+				case fn.Pkg().Path() == "sync" && recvTypeName(fn) == "WaitGroup" && fn.Name() == "Wait":
+					blocked(m.Pos(), "WaitGroup.Wait", false)
+				case fn.Pkg().Path() == "time" && fn.Name() == "Sleep":
+					blocked(m.Pos(), "time.Sleep", false)
+				case fn.Type().(*types.Signature).Recv() != nil && ioMethods[fn.Name()]:
+					blocked(m.Pos(), "file I/O ("+fn.Name()+")", true)
+				}
+			}
+			return true
+		}
+		ast.Inspect(n, visit)
+	}
+
+	cfg := BuildCFG(body)
+	ins := cfg.Flow(FlowSpec{Bits: len(classes), Transfer: func(b *Block, in BitSet) BitSet {
+		for _, n := range b.Nodes {
+			apply(n, in, false)
+		}
+		return in
+	}})
+	for i, b := range cfg.Blocks {
+		for _, n := range b.Nodes {
+			apply(n, ins[i], true)
+		}
+	}
 }

@@ -121,10 +121,10 @@ func TestSortFindings(t *testing.T) {
 	}
 	findings := []Finding{
 		{Position: pos("b.go", 3, 1), Analyzer: "lockcheck", Message: "m1"},
-		{Position: pos("a.go", 9, 2), Analyzer: "lockorder", Message: "m2"},
+		{Position: pos("a.go", 9, 2), Analyzer: "simdeterminism", Message: "m2"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m3"},
 		{Position: pos("a.go", 9, 1), Analyzer: "fsyncorder", Message: "m4"},
-		{Position: pos("a.go", 2, 5), Analyzer: "lockorder", Message: "m5"},
+		{Position: pos("a.go", 2, 5), Analyzer: "floatcmp", Message: "m5"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m0"},
 	}
 	sortFindings(findings)
@@ -202,8 +202,8 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"lockcheck", "fsyncorder", "errlost",
-		"lockorder", "audit", "lint"} {
+	for _, want := range []string{"simdeterminism", "floatcmp", "lockcheck",
+		"fsyncorder", "errlost", "audit", "lint"} {
 		if !ruleIDs[want] {
 			t.Errorf("rule table missing %q", want)
 		}

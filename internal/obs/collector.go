@@ -1,12 +1,12 @@
 package obs
 
-import "sync"
+import "repro/internal/lockrank"
 
 // Collector is a QueryObserver that records every event, safe for
 // concurrent use. Tests use it to assert on trace sequences; it is
 // also handy for ad-hoc profiling of a single query.
 type Collector struct {
-	mu     sync.Mutex
+	mu     lockrank.Mutex[lockrank.Leaf]
 	events []Event // guarded by mu
 }
 

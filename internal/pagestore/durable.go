@@ -9,8 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -44,7 +44,7 @@ type DurableStore struct {
 	tables   [2]BlockFile // record tables; the superblock names the live one
 	counters *obs.StorageCounters
 
-	mu         sync.RWMutex
+	mu         lockrank.RWMutex[lockrank.DurableMu]
 	nodes      map[rtree.PageID]*rtree.Node // every page, decoded; guarded by mu
 	dirty      map[rtree.PageID]bool        // pages updated since last Commit; guarded by mu
 	freedStage map[rtree.PageID]bool        // staged frees since last Commit; guarded by mu

@@ -10,6 +10,7 @@ import (
 
 	"encoding/binary"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -86,7 +87,7 @@ type FileStore struct {
 	counters *obs.StorageCounters
 	images   sync.Pool // *[]byte page buffers for ReadPage, which decodes and drops the image
 
-	mu   sync.Mutex
+	mu   lockrank.Mutex[lockrank.FileStoreMu]
 	f    BlockFile // guarded by mu
 	meta FileMeta  // guarded by mu
 	zero []byte    // ZeroPage's page of zeroes, made at its first call; guarded by mu

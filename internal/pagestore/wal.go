@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -138,7 +138,7 @@ type WAL struct {
 	counters *obs.StorageCounters
 	pageSize int
 
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.WALMu]
 	f       BlockFile // guarded by mu
 	end     int64     // append offset; guarded by mu
 	nextLSN uint64    // guarded by mu

@@ -2,10 +2,10 @@ package rtree
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/lockrank"
 )
 
 // pageView is a decoded page's view together with the memory behind it:
@@ -65,7 +65,7 @@ func (f *FlatNode) Pooled() bool { return f.owner != nil }
 // views it has made number what its owner had out at once at most — a
 // fixed set of frames once the owner is warm. Safe for concurrent use.
 type ViewPool struct {
-	mu      sync.Mutex
+	mu      lockrank.Mutex[lockrank.Leaf]
 	free    []*pageView // guarded by mu
 	entries int         // guarded by mu: the fullest page seen; fresh columns are cut for it
 	made    uint64      // guarded by mu

@@ -1,9 +1,9 @@
 package server
 
 import (
-	"sync"
 	"time"
 
+	"repro/internal/lockrank"
 	"repro/internal/obs"
 )
 
@@ -25,7 +25,7 @@ type TenantTable struct {
 	burst float64 // bucket capacity
 	now   func() time.Time
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex[lockrank.Leaf]
 	rows     map[string]*tenant // guarded by mu; at most maxTenants rows
 	overflow *tenant            // guarded by mu; nil until a key overflows
 }
