@@ -135,6 +135,7 @@ bench-check:
 fuzz:
 	$(GO) test -fuzz=FuzzPageCodec -fuzztime=$(FUZZTIME) ./internal/pagestore/
 	$(GO) test -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME) ./internal/pagestore/
+	$(GO) test -fuzz=FuzzRecordTable -fuzztime=$(FUZZTIME) ./internal/pagestore/
 	$(GO) test -fuzz=FuzzGeomMetrics -fuzztime=$(FUZZTIME) ./internal/geom/
 	$(GO) test -fuzz=FuzzRTreeOps -fuzztime=$(FUZZTIME) ./internal/rtree/
 	$(GO) test -fuzz=FuzzKNNRequest -fuzztime=$(FUZZTIME) ./internal/server/
@@ -153,7 +154,7 @@ chaos-full:
 ## crash: the crash-recovery torture suite under the race detector —
 ## kill the durable store at programmed fsyncs, reboot from exactly the
 ## bytes that were durable, and require a consistent committed tree,
-## plus the WAL / superblock / durable-store unit tests around it.
+## plus the WAL / record-table / durable-store unit tests around it.
 ## Short mode samples the kill points (the PR CI job); `crash-full`
 ## kills at every sync point in the schedule (the nightly job).
 CRASH_RUN = 'CrashRecovery|DurableStore|FileStore|FileBacked|IndexDurable|WAL'

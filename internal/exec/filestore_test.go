@@ -110,7 +110,7 @@ func TestEngineFileBackedTruncatedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	// Chop every mirror-0 file down to its superblock: every page read
+	// Chop every mirror-0 file down to its unused slot 0: every page read
 	// against mirror 0 is now a real short read.
 	for d := 0; d < 3; d++ {
 		path := filepath.Join(dir, ReplicaFileName(d, 0))

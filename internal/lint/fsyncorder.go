@@ -9,8 +9,8 @@ import (
 // FsyncOrder verifies the crash-consistency ordering discipline of
 // internal/pagestore: every durable write must be followed by the
 // matching Sync before any publish point — the WAL epoch publish
-// (assignment to the `cur` field), the superblock flip (WriteMeta), or
-// a WAL reset — on every path. The protocol is declared as an ordered
+// (assignment to the `cur` field), the record-table write
+// (tableFiles.write), or a WAL reset — on every path. The protocol is declared as an ordered
 // op table (fsyncOps) so new durable operations extend it in one place.
 //
 // The analysis is a may-analysis over the CFG: a "possibly unsynced
@@ -22,7 +22,7 @@ import (
 var FsyncOrder = &Analyzer{
 	Name: "fsyncorder",
 	Doc: "durable writes (WAL append, page image, block write) must be " +
-		"fsynced before any epoch publish, superblock flip, or WAL reset " +
+		"fsynced before any epoch publish, record-table write, or WAL reset " +
 		"on every path",
 	Run: runFsyncOrder,
 }
@@ -45,7 +45,7 @@ type fsyncOp struct {
 	method string
 	class  fsyncOpClass
 	// alsoWrites marks publish ops that themselves dirty the store
-	// (WriteMeta writes the superblock it just flipped to).
+	// (tableFiles.write leaves the table it wrote unsynced).
 	alsoWrites bool
 }
 
@@ -65,7 +65,7 @@ var fsyncOps = []fsyncOp{
 	{recv: "", method: "Sync", class: fsyncSync},
 	// Publish class: the crash-atomicity hinge points.
 	{recv: "WAL", method: "Reset", class: fsyncPublish},
-	{recv: "FileStore", method: "WriteMeta", class: fsyncPublish, alsoWrites: true},
+	{recv: "tableFiles", method: "write", class: fsyncPublish, alsoWrites: true},
 }
 
 // fsyncPublishField: an assignment to a field with this name is the

@@ -180,7 +180,6 @@ func checkLockedAccesses(pass *Pass, fd *ast.FuncDecl, guarded map[*types.Var]gu
 // acquirer behind the disk.
 var ioBearingLocks = map[string]bool{
 	"DurableStore.mu": true,
-	"FileStore.mu":    true,
 	"WAL.mu":          true,
 }
 
@@ -193,7 +192,6 @@ var ioMethods = map[string]bool{
 	"Sync":       true,
 	"WriteImage": true,
 	"ZeroPage":   true,
-	"WriteMeta":  true,
 	"ReadPage":   true,
 }
 

@@ -1,5 +1,5 @@
 // Package fsyncorder is golden-test input for the fsyncorder analyzer.
-// The mock WAL/FileStore/BlockFile types mirror internal/pagestore's
+// The mock WAL/FileStore/tableFiles/BlockFile types mirror internal/pagestore's
 // protocol surface by name — the analyzer's op table matches on
 // receiver type and method names, so these stdlib-only mocks exercise
 // the same rows as the real store.
@@ -18,7 +18,6 @@ type FileStore struct{}
 func (f *FileStore) WriteImage(page int, b []byte) error { return nil }
 func (f *FileStore) ZeroPage(page int) error             { return nil }
 func (f *FileStore) Sync() error                         { return nil }
-func (f *FileStore) WriteMeta(b []byte) error            { return nil }
 
 type BlockFile interface {
 	WriteAt(b []byte, off int64) (int, error)
@@ -26,10 +25,15 @@ type BlockFile interface {
 	Sync() error
 }
 
+type tableFiles [2]BlockFile
+
+func (t tableFiles) write(seq uint64, b []byte) error { return nil }
+
 type store struct {
-	wal *WAL
-	fs  *FileStore
-	cur int
+	wal    *WAL
+	fs     *FileStore
+	tables tableFiles
+	cur    int
 }
 
 var errBoom = errors.New("boom")
@@ -74,9 +78,9 @@ func (s *store) skippedSyncOnOnePath(rec []byte, fast bool) error {
 	return nil
 }
 
-// goodCheckpoint mirrors DurableStore.Checkpoint: images, sync, meta
-// flip, sync, WAL reset.
-func (s *store) goodCheckpoint(pages map[int][]byte, meta []byte) error {
+// goodCheckpoint mirrors DurableStore.Checkpoint: images, sync, table
+// write, table sync, WAL reset.
+func (s *store) goodCheckpoint(pages map[int][]byte, seq uint64, table []byte) error {
 	for p, b := range pages {
 		if err := s.fs.WriteImage(p, b); err != nil {
 			return err
@@ -85,37 +89,37 @@ func (s *store) goodCheckpoint(pages map[int][]byte, meta []byte) error {
 	if err := s.fs.Sync(); err != nil {
 		return err
 	}
-	if err := s.fs.WriteMeta(meta); err != nil {
+	if err := s.tables.write(seq, table); err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
+	if err := s.tables[seq%2].Sync(); err != nil {
 		return err
 	}
 	return s.wal.Reset()
 }
 
-// unsyncedMetaFlip writes images and flips the superblock without the
-// intervening sync.
-func (s *store) unsyncedMetaFlip(pages map[int][]byte, meta []byte) error {
+// unsyncedTableWrite writes images and then the table that names them
+// without the intervening sync.
+func (s *store) unsyncedTableWrite(pages map[int][]byte, seq uint64, table []byte) error {
 	for p, b := range pages {
 		if err := s.fs.WriteImage(p, b); err != nil {
 			return err
 		}
 	}
-	if err := s.fs.WriteMeta(meta); err != nil { // want "reaches WriteMeta with a possibly unsynced durable write"
+	if err := s.tables.write(seq, table); err != nil { // want "reaches write with a possibly unsynced durable write"
 		return err
 	}
 	return nil
 }
 
-// metaFlipItselfDirties: WriteMeta writes the superblock it published —
-// resetting the WAL right after it without a sync is a torn-meta
+// tableWriteItselfDirties: the table write leaves the table unsynced —
+// resetting the WAL right after it without a sync is a torn-table
 // window.
-func (s *store) metaFlipItselfDirties(meta []byte) error {
+func (s *store) tableWriteItselfDirties(seq uint64, table []byte) error {
 	if err := s.fs.Sync(); err != nil {
 		return err
 	}
-	if err := s.fs.WriteMeta(meta); err != nil {
+	if err := s.tables.write(seq, table); err != nil {
 		return err
 	}
 	return s.wal.Reset() // want "reaches Reset with a possibly unsynced durable write"

@@ -7,9 +7,9 @@ import (
 	"lockcheck/lockrank"
 )
 
-// FileStore mirrors pagestore.FileStore by name: the rule knows the
-// store locks by "Type.field".
-type FileStore struct {
+// WAL mirrors pagestore.WAL by name: the rule knows the store locks by
+// "Type.field".
+type WAL struct {
 	mu sync.Mutex
 	f  blockFile
 }
@@ -99,11 +99,11 @@ func ioUnderHotLock(c *hot, f blockFile, b []byte) {
 // ioUnderStoreLock holds an I/O-bearing lock across file I/O — the
 // pagestore design (fsyncorder owns the write/sync ordering) — and is
 // clean here.
-func (fs *FileStore) ioUnderStoreLock(b []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, _ = fs.f.WriteAt(b, 0)
-	_ = fs.f.Sync()
+func (w *WAL) ioUnderStoreLock(b []byte) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, _ = w.f.WriteAt(b, 0)
+	_ = w.f.Sync()
 }
 
 // allowedSend documents an intentional handoff under the lock.

@@ -13,11 +13,10 @@ type Rank interface{ rank() int }
 
 // The ranks, lowest first.
 type (
-	IndexMu     struct{} // core.Index.mu
-	EngineMu    struct{} // exec.Engine.mu
-	DurableMu   struct{} // pagestore.DurableStore.mu
-	WALMu       struct{} // pagestore.WAL.mu
-	FileStoreMu struct{} // pagestore.FileStore.mu
+	IndexMu   struct{} // core.Index.mu
+	EngineMu  struct{} // exec.Engine.mu
+	DurableMu struct{} // pagestore.DurableStore.mu
+	WALMu     struct{} // pagestore.WAL.mu
 	// Leaf ranks every lock that takes no ranked lock while held: the
 	// coalescer shard, the view pool, the bufferpool shard,
 	// fault.Injector, obs.Collector and server.TenantTable. Two leaf
@@ -25,9 +24,8 @@ type (
 	Leaf struct{}
 )
 
-func (IndexMu) rank() int     { return 1 }
-func (EngineMu) rank() int    { return 2 }
-func (DurableMu) rank() int   { return 3 }
-func (WALMu) rank() int       { return 4 }
-func (FileStoreMu) rank() int { return 5 }
-func (Leaf) rank() int        { return 6 }
+func (IndexMu) rank() int   { return 1 }
+func (EngineMu) rank() int  { return 2 }
+func (DurableMu) rank() int { return 3 }
+func (WALMu) rank() int     { return 4 }
+func (Leaf) rank() int      { return 5 }

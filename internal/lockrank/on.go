@@ -31,7 +31,7 @@ func (m *RWMutex[R]) RUnlock() { release(*new(R)); m.mu.RUnlock() }
 type held struct {
 	gid   uint64
 	n     int
-	ranks [6]Rank
+	ranks [5]Rank
 }
 
 // rankTracker maps goroutines to their held ranks. The allocation-budget

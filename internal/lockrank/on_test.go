@@ -79,7 +79,6 @@ func TestAscendingOrderAllocatesNothing(t *testing.T) {
 		engine  lockrank.Mutex[lockrank.EngineMu]
 		durable lockrank.RWMutex[lockrank.DurableMu]
 		wal     lockrank.Mutex[lockrank.WALMu]
-		file    lockrank.Mutex[lockrank.FileStoreMu]
 		leaf    lockrank.Mutex[lockrank.Leaf]
 	)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -87,13 +86,11 @@ func TestAscendingOrderAllocatesNothing(t *testing.T) {
 		engine.Lock()
 		durable.Lock()
 		wal.Lock()
-		file.Lock()
 		leaf.Lock()
 		engine.Unlock()
 		index.RUnlock()
 		wal.Unlock()
 		leaf.Unlock()
-		file.Unlock()
 		durable.Unlock()
 	})
 	if allocs != 0 {

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -28,11 +27,11 @@ import (
 // encodes and Checkpoint copies through one page buffer (DESIGN.md,
 // decision 17).
 //
-// Recovery: OpenDurable decodes the checkpointed pages and reads the
-// record table, then replays the WAL's committed batches in LSN order
-// (redo only — every record is idempotent, so replaying after a crash
-// mid-checkpoint is safe), and truncates whatever follows the last
-// commit record.
+// Recovery: OpenDurable reads the newest valid record table, replays
+// the WAL's committed batches in LSN order (redo only — every record is
+// idempotent, so replaying after a crash mid-checkpoint is safe),
+// decodes the checkpointed pages the log does not name, and truncates
+// whatever follows the last commit record.
 //
 // Beside every page the store keeps the page's opaque record, and beside
 // the committed state the last commit's state record (records.go): the
@@ -41,17 +40,18 @@ type DurableStore struct {
 	codec    Codec
 	fs       *FileStore
 	wal      *WAL
-	tables   [2]BlockFile // record tables; the superblock names the live one
+	tables   tableFiles
 	counters *obs.StorageCounters
 
 	mu         lockrank.RWMutex[lockrank.DurableMu]
 	nodes      map[rtree.PageID]*rtree.Node // every page, decoded; guarded by mu
 	dirty      map[rtree.PageID]bool        // pages updated since last Commit; guarded by mu
 	freedStage map[rtree.PageID]bool        // staged frees since last Commit; guarded by mu
-	cur        storeEpoch                   // committed root and size; guarded by mu
+	cur        treeMeta                     // committed; Commit assigns it once its batch is durable; guarded by mu
 	tail       map[rtree.PageID]int64       // WAL offset of each page committed since the last checkpoint; guarded by mu
 	ckptFreed  map[rtree.PageID]bool        // freed since last checkpoint; guarded by mu
 	nextID     rtree.PageID                 // guarded by mu
+	ckpt       uint64                       // the checkpoint the log follows: the next writes table ckpt+1; guarded by mu
 	recs       map[rtree.PageID]PageRecord  // committed record of every committed page; guarded by mu
 	state      []byte                       // the last commit's state record; guarded by mu
 
@@ -65,13 +65,6 @@ type DurableStore struct {
 	offs          []int64        // guarded by mu
 	pageRecs      []PageRecord   // guarded by mu
 	table         []byte         // guarded by mu
-}
-
-// storeEpoch is the committed tree metadata: what recovery would
-// restore. Commit assigns it once its batch is durable.
-type storeEpoch struct {
-	root rtree.PageID
-	size int
 }
 
 // DurableOptions configures OpenDurable. The zero value is valid.
@@ -117,27 +110,19 @@ func OpenDurable(dir string, codec Codec, opts DurableOptions) (*DurableStore, e
 // the dependency-injection seam the crash-recovery torture tests use to
 // run the full commit/checkpoint/recover protocol against in-memory
 // files that tear their writes at programmed sync points — and recovers
-// it.
+// it. It checks the whole directory before it writes a byte.
 func OpenDurableOn(data, wal BlockFile, tables [2]BlockFile, codec Codec, opts DurableOptions) (*DurableStore, error) {
-	fs, err := NewFileStoreOn(data, codec, FileStoreOptions{Counters: opts.Counters})
+	w, entries, follows, err := newWAL(wal, codec, opts.Counters)
 	if err != nil {
 		return nil, err
 	}
-	w, entries, err := newWAL(wal, codec.PageSize, opts.Counters)
-	if err != nil {
-		return nil, err
-	}
-	meta := fs.Meta()
-	if meta.table.file > 1 {
-		return nil, fmt.Errorf("pagestore: superblock names record table %d", meta.table.file)
-	}
-	state, recs, err := readTable(tables[meta.table.file], meta.table)
+	t, ckpt, err := tableFiles(tables).newest(codec, follows)
 	if err != nil {
 		return nil, err
 	}
 	s := &DurableStore{
 		codec:    codec,
-		fs:       fs,
+		fs:       &FileStore{codec: codec, counters: opts.Counters, f: data},
 		wal:      w,
 		counters: opts.Counters,
 		nodes:    make(map[rtree.PageID]*rtree.Node),
@@ -146,31 +131,92 @@ func OpenDurableOn(data, wal BlockFile, tables [2]BlockFile, codec Codec, opts D
 		freedStage: make(map[rtree.PageID]bool),
 		tail:       make(map[rtree.PageID]int64),
 		ckptFreed:  make(map[rtree.PageID]bool),
-		cur:        storeEpoch{root: meta.Root, size: meta.Size},
-		nextID:     max(meta.NextID, 1),
-		recs:       recs,
-		state:      state,
+		cur:        t.meta,
+		nextID:     max(t.meta.NextID, 1),
+		ckpt:       ckpt,
+		recs:       t.recs,
+		state:      t.state,
 		tables:     tables,
 		page:       make([]byte, pageRecordLen(codec.PageSize)),
 	}
-	if err := s.replay(entries); err != nil {
+	end, lsn, err := s.replay(entries)
+	if err != nil {
 		return nil, err
 	}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
+	// A log with no header starts over after the newest checkpoint; any
+	// other is cut back to its last commit.
+	if follows < 0 {
+		err = w.Reset(t.seq)
+	} else {
+		err = w.rewind(end, lsn)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("pagestore: recovering the WAL: %w", err)
+	}
 	return s, nil
+}
+
+// putLayout writes c's page layout into bytes 5–11 of a header: the
+// WAL's and every record table's.
+//
+//	offset 5  uint8   bit 0: spheres flag
+//	offset 6  uint16  dimension
+//	offset 8  uint32  page size
+func putLayout(hdr []byte, c Codec) {
+	hdr[5] = 0
+	if c.Spheres {
+		hdr[5] = 1
+	}
+	binary.LittleEndian.PutUint16(hdr[6:], uint16(c.Dim))
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(c.PageSize))
+}
+
+// headerLayout reads the page layout in bytes 5–11 of a header.
+func headerLayout(hdr []byte) Codec {
+	return Codec{
+		Dim:      int(binary.LittleEndian.Uint16(hdr[6:])),
+		PageSize: int(binary.LittleEndian.Uint32(hdr[8:])),
+		Spheres:  hdr[5]&1 == 1,
+	}
+}
+
+// checkLayout refuses a directory written with another page layout
+// than open's, naming the first field that differs.
+func checkLayout(dir, open Codec) error {
+	for _, f := range []struct {
+		name      string
+		dir, open any
+	}{
+		{"Dim", dir.Dim, open.Dim},
+		{"PageSize", dir.PageSize, open.PageSize},
+		{"UseSpheres", dir.Spheres, open.Spheres},
+	} {
+		if f.dir != f.open {
+			return fmt.Errorf("pagestore: directory was written with %s %v, opened with %v", f.name, f.dir, f.open)
+		}
+	}
+	return nil
 }
 
 // load decodes the checkpointed pages replay did not replace or free.
 // The slot of a page the log names is stale, or torn by a crash
-// mid-checkpoint, and is not read.
+// mid-checkpoint, and is not read; a page that nothing names refuses
+// the directory.
 func (s *DurableStore) load() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.fs.ScanPages(func(id rtree.PageID, img []byte) error {
 		if _, logged := s.tail[id]; logged || s.ckptFreed[id] {
 			return nil
+		}
+		if _, ok := s.recs[id]; !ok {
+			// Every checkpointed page is in the table that checkpoint
+			// wrote: a page neither it nor the log names belongs to a
+			// table that is lost.
+			return fmt.Errorf("pagestore: the data file holds page %d, which neither the record table nor the WAL names", id)
 		}
 		n, err := recovered(s.codec, id, img)
 		if err != nil {
@@ -185,9 +231,9 @@ func (s *DurableStore) load() error {
 	}
 	// A committed tree whose root was still an empty fresh node has no
 	// root image; synthesize the empty node so rtree.Restore can walk.
-	if s.cur.root != 0 {
-		if _, ok := s.nodes[s.cur.root]; !ok && s.cur.size == 0 {
-			s.nodes[s.cur.root] = &rtree.Node{ID: s.cur.root}
+	if s.cur.Root != 0 {
+		if _, ok := s.nodes[s.cur.Root]; !ok && s.cur.Size == 0 {
+			s.nodes[s.cur.Root] = &rtree.Node{ID: s.cur.Root}
 		}
 	}
 	return nil
@@ -207,14 +253,15 @@ func recovered(codec Codec, id rtree.PageID, img []byte) (*rtree.Node, error) {
 }
 
 // replay applies the WAL's committed batches in LSN order — each page
-// record noted in tail, each free record dropping its page — decodes
-// the last image of each page the log holds into the node map, and
-// truncates the log past the last commit record. Runs at open, before
-// the store is shared; it takes the lock anyway to keep the locking
-// discipline uniform.
-func (s *DurableStore) replay(entries []walEntry) error {
+// record noted in tail, each free record dropping its page — and
+// decodes the last image of each page the log holds into the node map.
+// It returns where the last commit record ends and the LSN after it:
+// what follows is a batch whose commit never became durable. Runs at
+// open, before the store is shared; it takes the lock anyway to keep
+// the locking discipline uniform.
+func (s *DurableStore) replay(entries []walEntry) (end int64, nextLSN uint64, err error) {
 	if len(entries) == 0 {
-		return nil
+		return walHeaderSize, 1, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,7 +282,7 @@ func (s *DurableStore) replay(entries []walEntry) error {
 		case WALPage:
 			const head = 8 + PageRecordSize
 			if len(rec.Payload) != head+s.codec.PageSize {
-				return fmt.Errorf("pagestore: WAL page record lsn %d: payload %d bytes, want %d",
+				return 0, 0, fmt.Errorf("pagestore: WAL page record lsn %d: payload %d bytes, want %d",
 					rec.LSN, len(rec.Payload), head+s.codec.PageSize)
 			}
 			id := rtree.PageID(binary.LittleEndian.Uint64(rec.Payload))
@@ -245,7 +292,7 @@ func (s *DurableStore) replay(entries []walEntry) error {
 			delete(s.ckptFreed, id)
 		case WALFree:
 			if len(rec.Payload) != 8 {
-				return fmt.Errorf("pagestore: WAL free record lsn %d: payload %d bytes, want 8",
+				return 0, 0, fmt.Errorf("pagestore: WAL free record lsn %d: payload %d bytes, want 8",
 					rec.LSN, len(rec.Payload))
 			}
 			id := rtree.PageID(binary.LittleEndian.Uint64(rec.Payload))
@@ -255,14 +302,15 @@ func (s *DurableStore) replay(entries []walEntry) error {
 			s.ckptFreed[id] = true
 		case WALCommit:
 			if len(rec.Payload) < 24 {
-				return fmt.Errorf("pagestore: WAL commit record lsn %d: payload %d bytes, want at least 24",
+				return 0, 0, fmt.Errorf("pagestore: WAL commit record lsn %d: payload %d bytes, want at least 24",
 					rec.LSN, len(rec.Payload))
 			}
-			s.cur = storeEpoch{
-				root: rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[0:])),
-				size: int(binary.LittleEndian.Uint64(rec.Payload[8:])),
+			s.cur = treeMeta{
+				Root:   rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[0:])),
+				Size:   int(binary.LittleEndian.Uint64(rec.Payload[8:])),
+				NextID: rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[16:])),
 			}
-			s.nextID = rtree.PageID(binary.LittleEndian.Uint64(rec.Payload[16:]))
+			s.nextID = s.cur.NextID
 			s.state = rec.Payload[24:]
 		}
 		if s.counters != nil {
@@ -273,17 +321,12 @@ func (s *DurableStore) replay(entries []walEntry) error {
 	for id, img := range imgs {
 		n, err := recovered(s.codec, id, img)
 		if err != nil {
-			return err
+			return 0, 0, err
 		}
 		s.nodes[id] = n
 	}
-	if committed < len(entries) {
-		// LSNs are contiguous: the first record dropped is the next one.
-		if err := s.wal.rewind(off, entries[committed].rec.LSN); err != nil {
-			return fmt.Errorf("pagestore: rewinding WAL past last commit: %w", err)
-		}
-	}
-	return nil
+	// LSNs are contiguous from 1.
+	return off, uint64(committed) + 1, nil
 }
 
 // Get implements rtree.Store.
@@ -396,7 +439,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs Pa
 		return err
 	}
 
-	s.cur = storeEpoch{root: root, size: size}
+	s.cur = treeMeta{Root: root, Size: size, NextID: s.nextID}
 	for i, id := range dirtyIDs {
 		s.tail[id] = offs[i]
 		s.recs[id] = pageRecs[i]
@@ -434,15 +477,19 @@ func sortedIDs[V any](dst []rtree.PageID, set map[rtree.PageID]V) []rtree.PageID
 }
 
 // Checkpoint copies every page committed since the last checkpoint
-// from its WAL record into the data file, zeroes freed slots, writes the
-// record table into the table file the superblock does not name,
-// persists the tree metadata (now naming that table), fsyncs, and resets
-// the WAL. A record that fails its checksum, or is not the page's, stops
-// it before the superblock moves. Crash-safe at any point: until the WAL
-// reset the log still holds every batch, redo replay over an
+// from its WAL record into the data file, zeroes freed slots and syncs
+// it; then writes the record table of the next checkpoint — the tree
+// metadata, the state and every page's record — into the table file
+// the newest does not occupy, syncs that, and resets the WAL. A record
+// that fails its checksum, or is not the page's, stops it before the
+// table is written. Crash-safe at any point: until the table's sync the
+// previous table is the newest that checks out, and until the WAL reset
+// the log still holds every batch since it — redo replay over an
 // arbitrarily partial checkpoint converges to the same state (records
-// are idempotent page images), and until the superblock flip the old
-// table is the live one.
+// are idempotent page images). The table written is always the one
+// after the checkpoint the log follows: after a failed reset, or a
+// reopen of a log that follows the table before the newest, the next
+// Checkpoint rewrites the newest table rather than the older one.
 func (s *DurableStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -465,27 +512,28 @@ func (s *DurableStore) Checkpoint() error {
 	if err := s.fs.Sync(); err != nil {
 		return err
 	}
+	seq := s.ckpt + 1
 	s.ids = sortedIDs(s.ids, s.recs)
-	s.table = appendTable(s.table[:0], s.state, s.ids, s.recs)
-	table := tableRef{file: 1 - s.fs.Meta().table.file, size: uint32(len(s.table)), crc: crc32.ChecksumIEEE(s.table)}
-	if _, err := s.tables[table.file].WriteAt(s.table, 0); err != nil {
-		return fmt.Errorf("pagestore: writing record table %d: %w", table.file, err)
+	s.table = appendTable(s.table[:0], &recordTable{
+		seq:    seq,
+		layout: s.codec,
+		meta:   s.cur,
+		state:  s.state,
+		recs:   s.recs,
+	}, s.ids)
+	if err := s.tables.write(seq, s.table); err != nil {
+		return err
 	}
-	if err := s.tables[table.file].Sync(); err != nil {
+	if err := s.tables[seq%2].Sync(); err != nil {
 		return err
 	}
 	if s.counters != nil {
 		s.counters.DataSyncs.Add(1)
 	}
-	if err := s.fs.WriteMeta(FileMeta{Root: s.cur.root, Size: s.cur.size, NextID: s.nextID, table: table}); err != nil {
+	if err := s.wal.Reset(seq); err != nil {
 		return err
 	}
-	if err := s.fs.Sync(); err != nil {
-		return err
-	}
-	if err := s.wal.Reset(); err != nil {
-		return err
-	}
+	s.ckpt = seq
 	clear(s.tail)
 	clear(s.ckptFreed)
 	if s.counters != nil {
@@ -512,10 +560,10 @@ func (s *DurableStore) State() []byte {
 
 // Meta returns the committed tree metadata (what recovery would
 // restore right now).
-func (s *DurableStore) Meta() FileMeta {
+func (s *DurableStore) Meta() treeMeta {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return FileMeta{Root: s.cur.root, Size: s.cur.size, NextID: s.nextID}
+	return s.cur
 }
 
 // Close closes the WAL, the data file and the record tables. It does

@@ -3,11 +3,13 @@ package pagestore
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,44 +169,143 @@ func TestDurableStoreFreshIsEmpty(t *testing.T) {
 	}
 }
 
-// A directory written before pages carried records (superblock and log
-// version 1) is refused with an error naming its version: there is no
-// second restore path that would re-derive what it lacks.
+// A directory of an earlier format — version 1, whose pages carry no
+// records, or version 2, whose data file began with a superblock — is
+// refused with an error naming its version: there is no second restore
+// path that would re-derive what it lacks. Its log's header names the
+// version; without a log, its pages are ones no record table names.
 func TestDurableStoreRefusesVersion1(t *testing.T) {
-	// The version-1 superblock: 36 bytes and their CRC-32, in both copies.
-	sb := append([]byte("SQFS\x01\x00"), make([]byte, 30)...)
-	binary.LittleEndian.PutUint16(sb[6:], 2)
-	binary.LittleEndian.PutUint32(sb[8:], durableTestPage)
-	binary.LittleEndian.PutUint64(sb[12:], 1)  // root
-	binary.LittleEndian.PutUint64(sb[20:], 40) // objects
-	binary.LittleEndian.PutUint64(sb[28:], 5)  // next page id
-	sb = binary.LittleEndian.AppendUint32(sb, crc32.ChecksumIEEE(sb))
-	page := make([]byte, durableTestPage)
-	copy(page, sb)
-	copy(page[superblockBackupOff:], sb)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, DataFileName), page, 0o644); err != nil {
+	img, err := durableCodec().Encode(leafNode(1, 1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := OpenDurable(dir, durableCodec(), DurableOptions{})
-	if err == nil {
-		ds.Close()
-		t.Fatal("opened a version-1 directory")
-	}
-	if msg := err.Error(); !strings.Contains(msg, "version 1") || strings.Contains(msg, "invalid") {
-		t.Errorf("error %q, want one that names version 1", msg)
-	}
-
-	// A version-1 log on its own is refused the same way.
-	hdr := append([]byte("SQWL\x01\x00\x00\x00"), binary.LittleEndian.AppendUint32(nil, durableTestPage)...)
-	if _, _, err := newWAL(&memFile{buf: hdr}, durableTestPage, nil); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Errorf("version-1 WAL: err = %v, want one that names version 1", err)
+	for _, version := range []byte{1, 2} {
+		t.Run(fmt.Sprintf("version%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			data := make([]byte, 2*durableTestPage) // the superblock's slot, then a page
+			copy(data, append([]byte("SQFS"), version))
+			copy(data[durableTestPage:], img)
+			hdr := append([]byte{'S', 'Q', 'W', 'L', version, 0, 0, 0}, binary.LittleEndian.AppendUint32(nil, durableTestPage)...)
+			for name, b := range map[string][]byte{DataFileName: data, WALFileName: hdr} {
+				if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := fmt.Sprintf("version %d", version)
+			ds, err := OpenDurable(dir, durableCodec(), DurableOptions{})
+			if err == nil {
+				ds.Close()
+				t.Fatalf("opened a version-%d directory", version)
+			}
+			if msg := err.Error(); !strings.Contains(msg, want) || strings.Contains(msg, "invalid") {
+				t.Errorf("error %q, want one that names %s", msg, want)
+			}
+			if _, _, _, err := newWAL(&memFile{buf: hdr}, durableCodec(), nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("version-%d WAL: err = %v, want one that names %s", version, err, want)
+			}
+			if err := os.Remove(filepath.Join(dir, WALFileName)); err != nil {
+				t.Fatal(err)
+			}
+			if ds, err := OpenDurable(dir, durableCodec(), DurableOptions{}); err == nil {
+				ds.Close()
+				t.Errorf("opened a version-%d directory without its log", version)
+			}
+		})
 	}
 }
 
-// A checkpoint makes its record table live, with the state and every
-// committed page's record; a table whose bytes no longer match the
-// superblock's checksum is refused, never read.
+// A torn newest table is passed over for the older one, and the log,
+// which still holds every batch since the older one, is replayed. Both
+// tables invalid over a data file holding pages the log does not name
+// is refused, as is a log that was reset after a table that is now
+// invalid; a refused open writes nothing. A fresh directory opens
+// empty.
+func TestDurableStoreTableCorruption(t *testing.T) {
+	files := newMemFiles()
+	ds := files.open(t, nil)
+	tr := treeOver(t, ds)
+	rnd := rand.New(rand.NewSource(5))
+	batch := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(tr.Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ds.Commit(tr.Root(), tr.Len(), []byte{byte(tr.Len())}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch(200)
+	if err := ds.Checkpoint(); err != nil { // checkpoint 1: records-1
+		t.Fatal(err)
+	}
+	batch(200)
+	// Checkpoint 2 writes records-0 and dies at its sync: the log is not
+	// reset. Tear the table it wrote.
+	files.tables[0].syncErr = errors.New("sync: device lost")
+	if err := ds.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint survived a failed table sync")
+	}
+	files.tables[0].syncErr = nil
+	files.tables[0].buf = files.tables[0].buf[:len(files.tables[0].buf)/2]
+	want := committedObjects(t, ds)
+	ds.Close()
+
+	reopened := files.clone().open(t, nil)
+	if reopened.ckpt != 1 || len(reopened.tail) == 0 {
+		t.Errorf("reopen took checkpoint %d with %d logged pages, want checkpoint 1 and the log replayed",
+			reopened.ckpt, len(reopened.tail))
+	}
+	if got := committedObjects(t, reopened); !slices.Equal(got, want) {
+		t.Errorf("reopen over a torn newest table holds %d objects, want the %d committed", len(got), len(want))
+	}
+	reopened.Close()
+
+	refused := func(label string, f memFiles, why string) {
+		t.Helper()
+		before := f.clone()
+		ds, err := OpenDurableOn(f.data, f.wal, [2]BlockFile{f.tables[0], f.tables[1]}, durableCodec(), DurableOptions{})
+		if err == nil {
+			ds.Close()
+			t.Fatalf("%s: opened", label)
+		}
+		if !strings.Contains(err.Error(), why) {
+			t.Errorf("%s: error %q, want it to say %q", label, err, why)
+		}
+		if !f.equal(before) {
+			t.Errorf("%s: the refused open wrote to the directory", label)
+		}
+	}
+	// A complete checkpoint, then both tables damaged.
+	ds = files.open(t, nil)
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ds.Close()
+	bad := files.clone()
+	bad.tables[0].buf[tableHeaderSize] ^= 1
+	bad.tables[1].buf[tableHeaderSize] ^= 1
+	refused("both tables invalid after the log was reset", bad, "checksum")
+	bad.wal.buf = nil
+	refused("both tables invalid, no log", bad, "neither the record table nor the WAL names")
+	bad = files.clone()
+	bad.tables[0].buf[tableHeaderSize] ^= 1
+	refused("the newest table invalid after the log was reset", bad, "checksum")
+
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		ds := openDurableT(t, dir, nil)
+		if m := ds.Meta(); m.Root != 0 || m.Size != 0 || ds.Len() != 0 || ds.ckpt != 0 {
+			t.Errorf("open %d of a fresh directory: %+v, %d pages, checkpoint %d", i+1, m, ds.Len(), ds.ckpt)
+		}
+		ds.Close()
+	}
+}
+
+// A checkpoint makes its record table the newest, with the state and
+// every committed page's record. Once the log is reset past it, that
+// table damaged is refused: the older table would miss a checkpoint.
 func TestDurableStoreRecordTable(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurableT(t, dir, nil)
@@ -226,7 +327,7 @@ func TestDurableStoreRecordTable(t *testing.T) {
 			}
 		}
 	}
-	live := ds.Meta().table.file
+	live := ds.ckpt % 2
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}

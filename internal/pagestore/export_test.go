@@ -123,3 +123,9 @@ func pointBitsEqual(a, b geom.Point) bool {
 func rectBitsEqual(a, b geom.Rect) bool {
 	return pointBitsEqual(a.Lo, b.Lo) && pointBitsEqual(a.Hi, b.Hi)
 }
+
+// AppendWALRecord serializes rec and appends it to buf, returning the
+// extended slice: appendWALRecord with the payload in one part.
+func AppendWALRecord(buf []byte, rec WALRecord) []byte {
+	return appendWALRecord(buf, rec.LSN, rec.Type, rec.Payload, nil)
+}

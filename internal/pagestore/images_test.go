@@ -101,12 +101,13 @@ func (c *churn) round(n int) {
 
 // memFile is an in-memory BlockFile. While fail is set its writes fail,
 // after the first okWrites of them; while truncErr is set so do its
-// truncations.
+// truncations, and while syncErr is set its syncs.
 type memFile struct {
 	buf      []byte
 	fail     error
 	okWrites int
 	truncErr error
+	syncErr  error
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
@@ -133,7 +134,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	return copy(f.buf[off:], p), nil
 }
 
-func (f *memFile) Sync() error { return nil }
+func (f *memFile) Sync() error { return f.syncErr }
 
 func (f *memFile) Truncate(size int64) error {
 	if f.truncErr != nil {
@@ -164,6 +165,41 @@ func (f memFiles) open(t *testing.T, counters *obs.StorageCounters) *DurableStor
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// clone copies the files' bytes: the directory as a reboot would find
+// it.
+func (f memFiles) clone() memFiles {
+	c := func(m *memFile) *memFile { return &memFile{buf: bytes.Clone(m.buf)} }
+	return memFiles{c(f.data), c(f.wal), [2]*memFile{c(f.tables[0]), c(f.tables[1])}}
+}
+
+// equal reports whether f and g hold the same bytes.
+func (f memFiles) equal(g memFiles) bool {
+	return bytes.Equal(f.data.buf, g.data.buf) && bytes.Equal(f.wal.buf, g.wal.buf) &&
+		bytes.Equal(f.tables[0].buf, g.tables[0].buf) && bytes.Equal(f.tables[1].buf, g.tables[1].buf)
+}
+
+// committedObjects restores the tree ds holds and lists its objects,
+// sorted.
+func committedObjects(t *testing.T, ds *DurableStore) []rtree.ObjectID {
+	t.Helper()
+	m := ds.Meta()
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, ds, m.Root, m.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var objs []rtree.ObjectID
+	tr.Walk(func(n *rtree.Node, _ int) bool {
+		for _, e := range n.Entries {
+			if n.IsLeaf() {
+				objs = append(objs, e.Object)
+			}
+		}
+		return true
+	})
+	slices.Sort(objs)
+	return objs
 }
 
 // A Commit that fails to encode a page, or to append any of its records
@@ -464,10 +500,10 @@ func heapGrowth(f func()) uint64 {
 
 // TestCheckpointRefusesBadWALRecord: Checkpoint reads each page back
 // from its WAL record and refuses one whose bytes no longer check out,
-// or that is another page's, before the superblock moves: the record
-// tables, the superblock and the log stay as they were, and no slot of
-// the data file changes but those of pages copied before the bad one
-// (with the committed images the log still holds).
+// or that is another page's, before a table is written: the record
+// tables and the log stay as they were, and no slot of the data file
+// changes but those of pages copied before the bad one (with the
+// committed images the log still holds).
 func TestCheckpointRefusesBadWALRecord(t *testing.T) {
 	files := newMemFiles()
 	ds := files.open(t, nil)
@@ -512,9 +548,6 @@ func TestCheckpointRefusesBadWALRecord(t *testing.T) {
 		if !bytes.Equal(files.tables[0].buf, tables[0]) || !bytes.Equal(files.tables[1].buf, tables[1]) {
 			t.Errorf("%s: a record table changed", label)
 		}
-		if !bytes.Equal(files.data.buf[:durableTestPage], data[:durableTestPage]) {
-			t.Errorf("%s: the superblock changed", label)
-		}
 		if ds.wal.end != end || len(files.wal.buf) != len(log) {
 			t.Errorf("%s: the WAL was reset", label)
 		}
@@ -555,5 +588,168 @@ func TestCheckpointRefusesBadWALRecord(t *testing.T) {
 	}
 	if err := ds.VerifyShadow(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A checkpoint whose record-table write, or the table's sync, fails
+// returns the error and leaves the log as it was: the store still
+// counts the previous table as its newest, and a reboot recovers the
+// last committed tree whether or not the unsynced table reached the
+// disk. A checkpoint syncs the data files twice: the pages, then the
+// table.
+func TestDurableStoreCheckpointTableFaults(t *testing.T) {
+	files := newMemFiles()
+	var counters obs.StorageCounters
+	ds := files.open(t, &counters)
+	defer ds.Close()
+	c := &churn{t: t, ds: ds, tr: treeOver(t, ds), rnd: rand.New(rand.NewSource(31))}
+	c.round(200)
+	syncs := counters.DataSyncs.Load()
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := counters.DataSyncs.Load() - syncs; got != 2 {
+		t.Errorf("a checkpoint took %d data-file syncs, want 2", got)
+	}
+	c.round(200)
+	want := committedObjects(t, ds)
+	recovered := func(label string, disk memFiles, ckpt uint64) {
+		t.Helper()
+		ds := disk.open(t, nil)
+		defer ds.Close()
+		if ds.ckpt != ckpt {
+			t.Errorf("%s: reopen took checkpoint %d, want %d", label, ds.ckpt, ckpt)
+		}
+		if got := committedObjects(t, ds); !slices.Equal(got, want) {
+			t.Errorf("%s: reopen holds %d objects, want the %d committed", label, len(got), len(want))
+		}
+	}
+
+	errFault := errors.New("injected fault")
+	for _, fault := range []struct {
+		name string
+		set  func(f *memFile, err error)
+	}{
+		{"WriteAt", func(f *memFile, err error) { f.fail = err }},
+		{"Sync", func(f *memFile, err error) { f.syncErr = err }},
+	} {
+		before, end := files.clone(), ds.wal.end
+		next := (ds.ckpt + 1) % 2
+		fault.set(files.tables[next], errFault)
+		err := ds.Checkpoint()
+		fault.set(files.tables[next], nil)
+		if !errors.Is(err, errFault) {
+			t.Fatalf("%s fault: Checkpoint returned %v", fault.name, err)
+		}
+		if ds.ckpt != 1 || ds.wal.end != end || !bytes.Equal(files.wal.buf, before.wal.buf) {
+			t.Fatalf("%s fault: checkpoint %d, log of %d bytes; want checkpoint 1 and the log unchanged",
+				fault.name, ds.ckpt, len(files.wal.buf))
+		}
+		if fault.name == "WriteAt" {
+			recovered("failed table write", files.clone(), 1)
+			continue
+		}
+		// The log still follows checkpoint 1: the next Checkpoint
+		// rewrites table 2.
+		recovered("failed table sync, the table on disk", files.clone(), 1)
+		lost := files.clone()
+		lost.tables[next].buf = before.tables[next].buf
+		recovered("failed table sync, the table lost", lost, 1)
+	}
+
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ds.ckpt != 2 || len(files.wal.buf) != walHeaderSize {
+		t.Errorf("after the faults: checkpoint %d, log of %d bytes; want checkpoint 2 and the log reset", ds.ckpt, len(files.wal.buf))
+	}
+	recovered("after the faults", files.clone(), 2)
+}
+
+// The checkpoint a store writes is always the one after the checkpoint
+// its log follows, also when the log lags the newest table: after a
+// reset that failed, and after a reopen of a directory whose log was
+// not reset. Writing the table after the newest instead would overwrite
+// the table the log follows, and a crash before the next reset would
+// leave a directory open refuses.
+func TestDurableStoreCheckpointAfterLaggingLog(t *testing.T) {
+	files := newMemFiles()
+	ds := files.open(t, nil)
+	defer ds.Close()
+	c := &churn{t: t, ds: ds, tr: treeOver(t, ds), rnd: rand.New(rand.NewSource(37))}
+	c.round(200)
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	errFault := errors.New("injected fault")
+	// failedReset commits a round, then checkpoints with the log's
+	// truncate failing: the new table is durable, the log still
+	// follows the one before. A reboot must find the committed tree.
+	failedReset := func(label string, c *churn, disk memFiles) {
+		t.Helper()
+		c.round(150)
+		want := committedObjects(t, c.ds)
+		disk.wal.truncErr = errFault
+		err := c.ds.Checkpoint()
+		disk.wal.truncErr = nil
+		if !errors.Is(err, errFault) {
+			t.Fatalf("%s: Checkpoint returned %v", label, err)
+		}
+		if c.ds.ckpt != 1 {
+			t.Fatalf("%s: the log follows checkpoint 1, the store says %d", label, c.ds.ckpt)
+		}
+		re := disk.clone().open(t, nil)
+		defer re.Close()
+		if got := committedObjects(t, re); !slices.Equal(got, want) {
+			t.Errorf("%s: reopen holds %d objects, want the %d committed", label, len(got), len(want))
+		}
+	}
+
+	// In one process: two failed resets in a row.
+	failedReset("first failed reset", c, files)
+	failedReset("second failed reset", c, files)
+
+	// Across a reopen: a log that lags the newest table.
+	lagging := files.clone()
+	re := lagging.open(t, nil)
+	defer re.Close()
+	m := re.Meta()
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, re, m.Root, m.Size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedReset("failed reset after a reopen", &churn{t: t, ds: re, tr: tr, rnd: rand.New(rand.NewSource(41)), base: 1 << 20}, lagging)
+
+	// A reset that empties the log and cannot write its header: the
+	// log takes no commit, and a reboot finds the tree of the table.
+	want := committedObjects(t, re)
+	lagging.wal.fail = errFault
+	err = re.Checkpoint()
+	lagging.wal.fail = nil
+	if !errors.Is(err, errFault) {
+		t.Fatalf("header write fault: Checkpoint returned %v", err)
+	}
+	if m := re.Meta(); re.Commit(m.Root, m.Size, nil, nil) == nil {
+		t.Errorf("a log with no header took a commit")
+	}
+	lost := lagging.clone().open(t, nil)
+	defer lost.Close()
+	if got := committedObjects(t, lost); !slices.Equal(got, want) {
+		t.Errorf("header write fault: reopen holds %d objects, want the %d committed", len(got), len(want))
+	}
+
+	// A checkpoint that completes catches the log up.
+	c.round(100)
+	want = committedObjects(t, ds)
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ds.ckpt != 2 || len(files.wal.buf) != walHeaderSize {
+		t.Errorf("checkpoint %d, log of %d bytes; want checkpoint 2 and the log reset", ds.ckpt, len(files.wal.buf))
+	}
+	re2 := files.clone().open(t, nil)
+	defer re2.Close()
+	if got := committedObjects(t, re2); !slices.Equal(got, want) {
+		t.Errorf("after a full checkpoint: reopen holds %d objects, want the %d committed", len(got), len(want))
 	}
 }

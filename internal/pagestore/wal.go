@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/lockrank"
 	"repro/internal/obs"
@@ -24,9 +23,9 @@ import (
 //
 //	header (12 bytes):
 //	  offset 0  4 bytes  magic "SQWL"
-//	  offset 4  uint8    version (2; a version-1 log is refused)
-//	  offset 5  3 bytes  reserved (zero)
-//	  offset 8  uint32   page size
+//	  offset 4  uint8    version (3; an older log is refused)
+//	  offset 5  7 bytes  page layout (see putLayout); bits 1–7 of byte 5
+//	                     hold the checkpoint the log follows, mod 128
 //	records, back to back; each record is
 //	  offset 0   uint64  LSN (1-based, contiguous within the log)
 //	  offset 8   uint8   type (WALPage, WALFree, WALCommit)
@@ -45,7 +44,7 @@ import (
 var walMagic = [4]byte{'S', 'Q', 'W', 'L'}
 
 const (
-	walVersion    = 2
+	walVersion    = 3
 	walHeaderSize = 12
 	walRecHeader  = 16
 	walRecTrailer = 4
@@ -66,14 +65,10 @@ type WALRecord struct {
 	Payload []byte
 }
 
-// AppendWALRecord serializes rec and appends it to buf, returning the
-// extended slice. The inverse of DecodeWALRecord.
-func AppendWALRecord(buf []byte, rec WALRecord) []byte {
-	return appendWALRecord(buf, rec.LSN, rec.Type, rec.Payload, nil)
-}
-
-// appendWALRecord is AppendWALRecord for a payload in two parts (a page
-// record's id and image), so that no caller has to join them first.
+// appendWALRecord serializes a record whose payload is head then tail
+// (a page record's id and image, so that no caller has to join them
+// first) and appends it to buf, returning the extended slice. The
+// inverse of DecodeWALRecord.
 func appendWALRecord(buf []byte, lsn uint64, typ byte, head, tail []byte) []byte {
 	start := len(buf)
 	var hdr [walRecHeader]byte
@@ -136,7 +131,7 @@ type walEntry struct {
 // concurrent use, though the DurableStore serializes appends itself.
 type WAL struct {
 	counters *obs.StorageCounters
-	pageSize int
+	codec    Codec // the page layout the header records
 
 	mu      lockrank.Mutex[lockrank.WALMu]
 	f       BlockFile // guarded by mu
@@ -145,98 +140,52 @@ type WAL struct {
 	rec     []byte    // the record being written, reused by the next; guarded by mu
 }
 
-// newWAL builds a WAL over a block file and performs the open-time
-// scan: the returned entries are the surviving whole records in order,
-// any torn tail discarded; the DurableStore replays the committed
-// prefix.
-func newWAL(f BlockFile, pageSize int, counters *obs.StorageCounters) (*WAL, []walEntry, error) {
-	w := &WAL{counters: counters, pageSize: pageSize, f: f}
+// newWAL builds a WAL over a block file and reads it: the header,
+// checked against codec, and the whole records after it, in order. It
+// writes nothing; OpenDurableOn readies the file once it has checked
+// the whole directory. follows is the checkpoint the log follows, mod
+// 128, or -1 when the file holds no header (never written, or torn).
+func newWAL(f BlockFile, codec Codec, counters *obs.StorageCounters) (w *WAL, entries []walEntry, follows int, err error) {
+	w = &WAL{counters: counters, codec: codec, f: f}
 	// Open-time: not shared yet, locked anyway for a uniform discipline.
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	size, err := f.Size()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	if size == 0 {
-		if err := w.writeHeaderLocked(); err != nil {
-			return nil, nil, err
-		}
-		w.end = walHeaderSize
-		w.nextLSN = 1
-		return w, nil, nil
+	w.nextLSN = 1
+	if size < walHeaderSize {
+		return w, nil, -1, nil
 	}
 	buf := make([]byte, size)
-	if n, err := f.ReadAt(buf, 0); err != nil && !errors.Is(err, io.EOF) {
-		return nil, nil, fmt.Errorf("pagestore: reading WAL: %w", err)
-	} else {
-		buf = buf[:n]
-	}
-	if len(buf) < walHeaderSize {
-		// A header torn mid-write: the log never held a record.
-		if err := w.resetFileLocked(); err != nil {
-			return nil, nil, err
-		}
-		return w, nil, nil
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, nil, 0, fmt.Errorf("pagestore: reading WAL: %w", err)
 	}
 	if [4]byte(buf[0:4]) != walMagic {
-		return nil, nil, fmt.Errorf("pagestore: bad WAL magic %q", buf[0:4])
+		return nil, nil, 0, fmt.Errorf("pagestore: bad WAL magic %q", buf[0:4])
 	}
 	if buf[4] != walVersion {
-		return nil, nil, fmt.Errorf("pagestore: WAL version %d, want %d", buf[4], walVersion)
+		return nil, nil, 0, fmt.Errorf("pagestore: WAL version %d, want %d: the directory predates "+
+			"the current format and cannot be opened; rebuild it", buf[4], walVersion)
 	}
-	if ps := int(binary.LittleEndian.Uint32(buf[8:])); ps != pageSize {
-		return nil, nil, fmt.Errorf("pagestore: WAL page size %d, codec page size %d", ps, pageSize)
+	if err := checkLayout(headerLayout(buf), codec); err != nil {
+		return nil, nil, 0, err
 	}
-	var entries []walEntry
 	off := int64(walHeaderSize)
-	wantLSN := uint64(1)
 	for int(off) < len(buf) {
 		rec, n, err := DecodeWALRecord(buf[off:])
-		if err != nil || rec.LSN != wantLSN {
-			// Torn tail (or garbage past a crash point): stop here and
-			// truncate it away so future appends extend a clean prefix.
+		if err != nil || rec.LSN != w.nextLSN {
+			// Torn tail (or garbage past a crash point): open
+			// truncates it away so appends extend a clean prefix.
 			break
 		}
 		off += int64(n)
-		wantLSN++
+		w.nextLSN++
 		entries = append(entries, walEntry{rec: rec, end: off})
 	}
-	if off < size {
-		if err := f.Truncate(off); err != nil {
-			return nil, nil, fmt.Errorf("pagestore: truncating torn WAL tail: %w", err)
-		}
-	}
 	w.end = off
-	w.nextLSN = wantLSN
-	return w, entries, nil
-}
-
-// writeHeaderLocked writes the log header at offset 0. Callers hold
-// w.mu or have exclusive open-time access.
-func (w *WAL) writeHeaderLocked() error {
-	var hdr [walHeaderSize]byte
-	copy(hdr[0:4], walMagic[:])
-	hdr[4] = walVersion
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(w.pageSize))
-	if _, err := w.f.WriteAt(hdr[:], 0); err != nil { //lint:allow lockcheck callers hold w.mu or have exclusive open-time access
-		return fmt.Errorf("pagestore: writing WAL header: %w", err)
-	}
-	return nil
-}
-
-// resetFileLocked truncates the log to an empty (header-only) state.
-// Callers hold w.mu or have exclusive open-time access.
-func (w *WAL) resetFileLocked() error {
-	if err := w.f.Truncate(0); err != nil { //lint:allow lockcheck callers hold w.mu or have exclusive open-time access
-		return err
-	}
-	if err := w.writeHeaderLocked(); err != nil {
-		return err
-	}
-	w.end = walHeaderSize //lint:allow lockcheck callers hold w.mu or have exclusive open-time access
-	w.nextLSN = 1         //lint:allow lockcheck callers hold w.mu or have exclusive open-time access
-	return nil
+	return w, entries, int(buf[5] >> 1), nil
 }
 
 // AppendPage appends the WALPage record of a page image, assigning it
@@ -276,6 +225,9 @@ func (w *WAL) appendCommit(root rtree.PageID, size int, nextID rtree.PageID, sta
 func (w *WAL) appendRecord(typ byte, head, tail []byte) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.end < walHeaderSize {
+		return 0, errors.New("pagestore: the WAL lost its header in a failed reset; reopen the store")
+	}
 	w.rec = appendWALRecord(w.rec[:0], w.nextLSN, typ, head, tail)
 	off := w.end
 	if _, err := w.f.WriteAt(w.rec, off); err != nil {
@@ -299,7 +251,7 @@ func pageRecordLen(pageSize int) int {
 // within it. A record that fails its checksum or is no page record is
 // refused, and so, with an *IntegrityError, is another page's.
 func (w *WAL) readPage(off int64, id rtree.PageID, buf []byte) ([]byte, error) {
-	n := pageRecordLen(w.pageSize)
+	n := pageRecordLen(w.codec.PageSize)
 	buf = buf[:n]
 	w.mu.Lock()
 	_, err := w.f.ReadAt(buf, off)
@@ -331,12 +283,29 @@ func (w *WAL) Sync() error {
 	return nil
 }
 
-// Reset discards the whole log — valid only after a checkpoint has
-// made every committed batch durable in the data file.
-func (w *WAL) Reset() error {
+// Reset discards the whole log and starts it over, following
+// checkpoint ckpt — valid only once that checkpoint's record table is
+// durable. When the header cannot be written after the log was emptied,
+// the log takes no record until a reopen writes it: open starts a log
+// with no header over after the newest table.
+func (w *WAL) Reset(ckpt uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.resetFileLocked()
+	if err := w.f.Truncate(0); err != nil {
+		return err
+	}
+	w.end = 0
+	var hdr [walHeaderSize]byte
+	copy(hdr[0:4], walMagic[:])
+	hdr[4] = walVersion
+	putLayout(hdr[:], w.codec)
+	hdr[5] |= byte(ckpt%128) << 1
+	if _, err := w.f.WriteAt(hdr[:], 0); err != nil {
+		return fmt.Errorf("pagestore: writing WAL header: %w", err)
+	}
+	w.end = walHeaderSize
+	w.nextLSN = 1
+	return nil
 }
 
 // mark returns the append offset and the next LSN: the point rewind

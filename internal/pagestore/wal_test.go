@@ -31,14 +31,22 @@ func commitRecordPayload(root rtree.PageID, size int, nextID rtree.PageID) []byt
 }
 
 // openWAL opens (creating if absent) the log at path, scans it, and
-// discards any torn tail. The returned entries are the surviving whole
-// records in order; the DurableStore replays the committed prefix.
+// discards any torn tail, as DurableStore's open does. The returned
+// entries are the surviving whole records in order; the DurableStore
+// replays the committed prefix.
 func openWAL(path string, pageSize int, counters *obs.StorageCounters) (*WAL, []walEntry, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	w, entries, err := newWAL(osBlockFile{f: f}, pageSize, counters)
+	w, entries, follows, err := newWAL(osBlockFile{f: f}, Codec{Dim: 2, PageSize: pageSize}, counters)
+	if err == nil {
+		if follows < 0 {
+			err = w.Reset(0)
+		} else {
+			err = w.rewind(w.end, w.nextLSN)
+		}
+	}
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -189,7 +197,7 @@ func TestWALReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Reset(); err != nil {
+	if err := w.Reset(1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.appendRecord(WALCommit, commitRecordPayload(0, 0, 1), nil); err != nil {
