@@ -24,7 +24,7 @@ vet:
 ## floatcmp, lockcheck, fsyncorder, errlost), run once over the whole
 ## module with the suppression audit
 ## (stale //lint:allow directives fail the build). CI's lint job runs the
-## same command with -github and -sarif added. Cancel-func hygiene is
+## same command with -github added. Cancel-func hygiene is
 ## `go vet`'s lostcancel (the vet target), not this suite's.
 analyze:
 	$(GO) build -o bin/simquerylint ./cmd/simquerylint

@@ -2,10 +2,9 @@
 // loads every package of the module from source and runs the whole
 // suite once, in one process, which the cross-package modes need:
 //
-//	simquerylint -source .                        # findings to stdout
-//	simquerylint -source . -audit                 # + stale //lint:allow report
-//	simquerylint -source . -github                # GitHub Actions annotations
-//	simquerylint -source . -sarif findings.sarif  # SARIF 2.1.0 artifact
+//	simquerylint -source .          # findings to stdout
+//	simquerylint -source . -audit   # + stale //lint:allow report
+//	simquerylint -source . -github  # GitHub Actions annotations
 //
 // or simply `make analyze`. See internal/lint for the analyzers: the
 // AST-local suite (simdeterminism, floatcmp) and the CFG/dataflow

@@ -1,8 +1,6 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -113,7 +111,7 @@ func Stale() int {
 
 // TestSortFindings pins the module-wide output order: findings are
 // sorted by file, line, column, analyzer, then message — independent of
-// package load order — so the text, -github and SARIF outputs are
+// package load order — so the text and -github outputs are
 // byte-stable across runs.
 func TestSortFindings(t *testing.T) {
 	pos := func(file string, line, col int) token.Position {
@@ -137,87 +135,5 @@ func TestSortFindings(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
-	}
-}
-
-// TestWriteSARIF round-trips a small findings set through the writer
-// and checks the 2.1.0 shape GitHub ingests: version, rule table,
-// per-result level and repo-relative location.
-func TestWriteSARIF(t *testing.T) {
-	findings := []Finding{
-		{
-			Position: token.Position{Filename: "/repo/internal/exec/engine.go", Line: 42, Column: 3},
-			Analyzer: "lockcheck",
-			Message:  "access to engine.isClosed (guarded by mu)",
-		},
-		{
-			Position: token.Position{Filename: "/repo/a_test.go", Line: 7, Column: 1},
-			Analyzer: "audit",
-			Message:  "stale //lint:allow",
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, "/repo", All(), findings); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Schema  string `json:"$schema"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &log); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("version/schema = %q/%q", log.Version, log.Schema)
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "simquerylint" {
-		t.Errorf("driver name %q", run.Tool.Driver.Name)
-	}
-	ruleIDs := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	for _, want := range []string{"simdeterminism", "floatcmp", "lockcheck",
-		"fsyncorder", "errlost", "audit", "lint"} {
-		if !ruleIDs[want] {
-			t.Errorf("rule table missing %q", want)
-		}
-	}
-	if len(run.Results) != 2 {
-		t.Fatalf("got %d results, want 2", len(run.Results))
-	}
-	if got := run.Results[0].Locations[0].PhysicalLocation.ArtifactLocation.URI; got != "internal/exec/engine.go" {
-		t.Errorf("result URI %q not repo-relative", got)
-	}
-	if run.Results[0].Level != "error" || run.Results[1].Level != "warning" {
-		t.Errorf("levels = %q/%q, want error/warning", run.Results[0].Level, run.Results[1].Level)
-	}
-	if run.Results[0].Locations[0].PhysicalLocation.Region.StartLine != 42 {
-		t.Errorf("startLine = %d", run.Results[0].Locations[0].PhysicalLocation.Region.StartLine)
 	}
 }

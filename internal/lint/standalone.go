@@ -3,26 +3,32 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/token"
 	"io"
-	"os"
 	"sort"
 	"strings"
 )
 
+// Finding is one resolved diagnostic with its file position, the unit
+// the standalone driver sorts and renders.
+type Finding struct {
+	Position token.Position
+	Analyzer string
+	Message  string
+}
+
 // Standalone is the whole-module driver behind cmd/simquerylint. It
 // loads every package under -source from source (LoadModule), runs the
-// full analyzer suite, and renders the findings as plain text, GitHub
-// workflow annotations (-github), and/or a SARIF 2.1.0 artifact
-// (-sarif). With -audit it additionally reports stale //lint:allow
-// suppressions. The exit code is 1 when anything is found, 2 on driver
-// errors.
+// full analyzer suite, and renders the findings as plain text and, with
+// -github, as GitHub workflow annotations. With -audit it additionally
+// reports stale //lint:allow suppressions. The exit code is 1 when
+// anything is found, 2 on driver errors.
 func Standalone(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simquerylint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		source = fs.String("source", ".", "module root directory to analyze")
 		mod    = fs.String("module", "repro", "module import path of -source")
-		sarif  = fs.String("sarif", "", "write a SARIF 2.1.0 report to this file")
 		audit  = fs.Bool("audit", false, "also report stale //lint:allow suppressions")
 		github = fs.Bool("github", false, "emit GitHub Actions ::error/::warning annotations")
 	)
@@ -67,8 +73,11 @@ func Standalone(args []string, stdout, stderr io.Writer) int {
 	for _, f := range findings {
 		fmt.Fprintf(stdout, "%s: [%s] %s\n", f.Position, f.Analyzer, f.Message)
 		if *github {
+			// Real findings are errors; stale suppressions (the audit
+			// pseudo-analyzer) are warnings — they block the nightly
+			// audit job, not correctness.
 			level := "error"
-			if sarifLevel(f.Analyzer) == "warning" {
+			if f.Analyzer == "audit" {
 				level = "warning"
 			}
 			// ::error file=...,line=...,col=...::message — GitHub
@@ -76,22 +85,6 @@ func Standalone(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "::%s file=%s,line=%d,col=%d::[%s] %s\n",
 				level, f.Position.Filename, f.Position.Line, f.Position.Column,
 				f.Analyzer, githubEscape(f.Message))
-		}
-	}
-
-	if *sarif != "" {
-		out, err := os.Create(*sarif)
-		if err != nil {
-			fmt.Fprintf(stderr, "simquerylint: %v\n", err)
-			return 2
-		}
-		werr := WriteSARIF(out, *source, analyzers, findings)
-		if cerr := out.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "simquerylint: writing %s: %v\n", *sarif, werr)
-			return 2
 		}
 	}
 
@@ -106,7 +99,7 @@ func Standalone(args []string, stdout, stderr io.Writer) int {
 // analyzer, then message. Within one package diagnostics are already
 // position-sorted, but token.Pos values are FileSet-relative, so the
 // concatenation across packages follows load order; sorting on the
-// resolved positions makes the text, -github and SARIF outputs stable
+// resolved positions makes the text and -github outputs stable
 // run to run and diffable across runs.
 func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {

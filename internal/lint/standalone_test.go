@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,7 +57,7 @@ func Sum(t *m.T) int {
 
 // TestStandalone drives cmd/simquerylint's entry point over a two-file
 // module: the exit codes, the text and -github renderings of a finding,
-// the stale-directive audit and the SARIF artifact.
+// and the stale-directive audit, whose -github annotation is a warning.
 func TestStandalone(t *testing.T) {
 	run := func(args ...string) (code int, stdout string) {
 		var out, errOut bytes.Buffer
@@ -91,26 +90,6 @@ func TestStandalone(t *testing.T) {
 		t.Errorf("annotation %q, want %q", lines[1], annotation)
 	}
 
-	// The SARIF artifact is written although the run fails.
-	sarif := filepath.Join(t.TempDir(), "lint.sarif")
-	if code, _ := run(append(mod, "-sarif", sarif)...); code != 1 {
-		t.Errorf("-sarif with a finding: exit %d, want 1", code)
-	}
-	var log struct {
-		Runs []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if data, err := os.ReadFile(sarif); err != nil {
-		t.Error(err)
-	} else if err := json.Unmarshal(data, &log); err != nil {
-		t.Errorf("SARIF artifact is not JSON: %v", err)
-	} else if len(log.Runs) != 1 || len(log.Runs[0].Results) != 1 || log.Runs[0].Results[0].RuleID != "lockcheck" {
-		t.Errorf("SARIF results %+v, want the one lockcheck finding", log.Runs)
-	}
-
 	// A directive that suppresses nothing is news only to the audit.
 	writeModule(t, dir, locked, "//lint:allow floatcmp nothing here compares floats")
 	if code, out := run(mod...); code != 0 || out != "" {
@@ -119,6 +98,10 @@ func TestStandalone(t *testing.T) {
 	if code, out := run(append(mod, "-audit")...); code != 1 ||
 		!regexp.MustCompile(`^.*q\.go:\d+:\d+: \[audit\] stale //lint:allow floatcmp`).MatchString(out) {
 		t.Errorf("stale directive under -audit: exit %d, output %q", code, out)
+	}
+	if code, out := run(append(mod, "-audit", "-github")...); code != 1 ||
+		!regexp.MustCompile(`(?m)^::warning file=.*q\.go,line=\d+,col=\d+::\[audit\] stale`).MatchString(out) {
+		t.Errorf("stale directive under -audit -github: exit %d, output %q; want a ::warning annotation", code, out)
 	}
 
 	// Driver errors: an unknown flag, a directory that does not load.

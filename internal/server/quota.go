@@ -7,11 +7,16 @@ import (
 	"repro/internal/obs"
 )
 
-// maxTenants caps the tenant table. The API key is chosen by the
-// client, and every key the table admits keeps a latency histogram and a
-// bucket for the life of the server; keys that arrive once the table is
-// full share one overflow row, its metrics and its bucket.
-const maxTenants = 1024
+// maxTenants caps the tenant table and maxTenantKeyBytes the keys it
+// stores. The API key is chosen by the client, and every key the table
+// admits keeps itself, a latency histogram and a bucket for the life of
+// the server (and /v1/stats echoes it); keys that arrive once the table
+// is full, and keys longer than maxTenantKeyBytes, share one overflow
+// row, its metrics and its bucket.
+const (
+	maxTenants        = 1024
+	maxTenantKeyBytes = 256
+)
 
 // TenantTable is the server's per-tenant state: a row per API key with
 // the tenant's service metrics and, when quotas are on, its token
@@ -52,11 +57,11 @@ func newTenantTable(rate, burst float64, now func() time.Time) *TenantTable {
 	}
 }
 
-// admit finds key's row, creating it (or, in a full table, the overflow
-// row) on first sight, and when quotas are on spends one token from its
-// bucket. It returns the row's metrics and whether the request may
-// proceed; a refused request also gets how long until the next token
-// accrues — the Retry-After hint. The clock is read before the lock is
+// admit finds key's row, creating it (or, in a full table or for a
+// long key, the overflow row) on first sight, and when quotas are on
+// spends one token from its bucket. It returns the row's metrics and
+// whether the request may proceed; a refused request also gets how long
+// until the next token accrues — the Retry-After hint. The clock is read before the lock is
 // taken, so a request may bring an older reading than the bucket's last
 // refill: it refills nothing and leaves last where it is, or the next
 // request would be credited the same interval again.
@@ -70,7 +75,7 @@ func (t *TenantTable) admit(key string) (*obs.TenantMetrics, bool, time.Duration
 	row, ok := t.rows[key]
 	if !ok {
 		switch {
-		case len(t.rows) < maxTenants:
+		case len(t.rows) < maxTenants && len(key) <= maxTenantKeyBytes:
 			row = t.newRow(now)
 			t.rows[key] = row
 		case t.overflow == nil:

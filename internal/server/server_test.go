@@ -831,6 +831,34 @@ func TestServerCapsTenants(t *testing.T) {
 	}
 }
 
+// TestServerBoundsTenantKeys: a key longer than maxTenantKeyBytes gets
+// no row of its own, which would keep it for the life of the server,
+// and counts under the overflow row; a key of exactly that length is a
+// tenant.
+func TestServerBoundsTenantKeys(t *testing.T) {
+	srv, err := New(Config{Backend: &fakeBackend{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	longest, long := strings.Repeat("a", maxTenantKeyBytes), strings.Repeat("b", 64<<10)
+	for _, key := range []string{longest, long} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/knn", strings.NewReader(`{"point":[0.5,0.5],"k":1}`))
+		req.Header.Set("X-API-Key", key)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("key of %d bytes: status %d", len(key), rec.Code)
+		}
+	}
+	named, overflow := srv.Tenants().snapshot()
+	if _, ok := named[long]; ok || len(named) != 1 || named[longest].Served != 1 {
+		t.Fatalf("named rows %d, want one: the %d-byte key's", len(named), len(longest))
+	}
+	if overflow == nil || overflow.Served != 1 {
+		t.Fatalf("overflow row %+v, want the %d-byte key's query", overflow, len(long))
+	}
+}
+
 // TestTenantTableConcurrent: concurrent admissions and snapshots see
 // every admitted query exactly once.
 func TestTenantTableConcurrent(t *testing.T) {

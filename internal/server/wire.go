@@ -2,31 +2,28 @@ package server
 
 import (
 	"bytes"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/query"
 )
 
-// The /v1/knn wire format is read and written here without
-// encoding/json. A request has four fields and a 200 response has one
-// fixed shape, so a decoder and an encoder written for them need no
-// reflection, and over buffers a request borrows from a pool they
-// allocate nothing. Both follow encoding/json to the byte:
-// knnScratch.decode accepts exactly the bodies json.Decoder.Decode
-// accepts into the four fields, and yields the same values
-// (FuzzKNNRequest); appendKNN writes what json.Marshal writes
-// (TestAppendKNNMatchesMarshal). Error bodies and /v1/stats stay on
-// encoding/json: they are cold, and they carry the only strings that
-// need escaping.
+// The /v1/knn wire format. A request body of the shape encoders write
+// — one object of point, k, algorithm and trace with plain values — is
+// read by hand over buffers the request borrows from a pool, so it
+// allocates nothing; every other body goes to encoding/json, whose
+// verdict and error text it gets (knnScratch.decode, FuzzKNNRequest).
+// A 200 answer has one fixed shape, and appendKNN writes it byte for
+// byte as json.Marshal would (TestAppendKNNMatchesMarshal). Error
+// bodies and /v1/stats stay on encoding/json: they are cold, and they
+// carry the only strings that need escaping.
 
 // maxKNNBodyBytes bounds the POST /v1/knn body: the server buffers a
 // request's body while decoding, so an unbounded body is memory a
@@ -34,9 +31,13 @@ import (
 // 32 KiB of JSON; a larger body is refused with 413.
 const maxKNNBodyBytes = 64 << 10
 
-// maxNestingDepth is encoding/json's bound on nested arrays and
-// objects: a deeper body is a syntax error there, so it is one here.
-const maxNestingDepth = 10000
+// knnRequest is the POST /v1/knn body as encoding/json decodes it.
+type knnRequest struct {
+	Point     []float64 `json:"point"`
+	K         int       `json:"k"`
+	Algorithm string    `json:"algorithm,omitempty"`
+	Trace     bool      `json:"trace,omitempty"`
+}
 
 // knnScratch is one /v1/knn request's memory, taken from scratchPool
 // for the request and put back when its answer is written. Nothing in
@@ -44,21 +45,15 @@ const maxNestingDepth = 10000
 // keeps no reference once KNN returns.
 type knnScratch struct {
 	body []byte // the request body as read
-	r    reader // decode's position in body
 
-	// The decoded request. point and alg alias pts, algBuf or body.
+	// The decoded request. On the hand path point and alg alias pts and
+	// body.
 	point []float64
 	k     int
 	alg   []byte
 	trace bool
 
-	// pts backs point; len(pts) == cap(pts). Its first pointHW entries
-	// hold what this request's "point" arrays last wrote there, the rest
-	// count as zero (see decodePoint).
-	pts     []float64
-	pointHW int
-	key     []byte // an object key, when it had to be unescaped
-	algBuf  []byte // the algorithm name, when it had to be unescaped
+	pts []float64 // backs point on the hand path
 
 	out []byte // the 200 body
 }
@@ -92,6 +87,21 @@ func (s *knnScratch) readBody(body io.Reader) error {
 	}
 }
 
+// decode parses s.body as json.Decoder.Decode parses it into a
+// knnRequest: on the hand path when the body has its shape, else with
+// encoding/json itself.
+func (s *knnScratch) decode() error {
+	if s.decodeHand() {
+		return nil
+	}
+	var req knnRequest
+	if err := json.NewDecoder(bytes.NewReader(s.body)).Decode(&req); err != nil {
+		return err
+	}
+	s.point, s.k, s.alg, s.trace = req.Point, req.K, []byte(req.Algorithm), req.Trace
+	return nil
+}
+
 // Keys are matched the way encoding/json matches a key to a field
 // without an exact match: bytes.EqualFold, so "POINT" and "K" (the
 // Kelvin sign, which folds to k) select point and k.
@@ -100,220 +110,110 @@ var (
 	keyK         = []byte("k")
 	keyAlgorithm = []byte("algorithm")
 	keyTrace     = []byte("trace")
+	litTrue      = []byte("true")
+	litFalse     = []byte("false")
 )
 
-// decode parses s.body as json.Decoder.Decode parses it into
-// struct{Point []float64; K int; Algorithm string; Trace bool} with
-// keys point, k, algorithm and trace: one JSON value after optional
-// whitespace, nothing read past it; the object's duplicate keys decode
-// in order, so the last one wins; null leaves a field as it is, except
-// that it empties point; a body of null decodes to the zero request.
-func (s *knnScratch) decode() error {
-	s.point, s.k, s.alg, s.trace, s.pointHW = nil, 0, nil, false, 0
-	r := &s.r
-	r.b, r.i = s.body, 0
-	r.ws()
-	switch r.peek() {
-	case '{':
-	case 'n':
-		return r.literal("null")
-	default:
-		if r.i == len(r.b) {
-			return errUnexpectedEnd
-		}
-		return errors.New("request body is not a JSON object")
+// decodeHand decodes s.body when it is one object whose keys are point,
+// k, algorithm and trace, with JSON whitespace between any two tokens,
+// and whose values are: for point, an array of numbers; for k, an
+// integer literal in int's range; for algorithm, a string with no
+// escape, no control byte and valid UTF-8, which is then its own value;
+// for trace, true or false. A repeated key decodes again, so the last
+// wins, and nothing past the object is read: encoding/json does both
+// the same. On any other body it reports false, and what it left in s
+// does not count.
+func (s *knnScratch) decodeHand() bool {
+	s.point, s.k, s.alg, s.trace = nil, 0, nil, false
+	r := reader{b: s.body}
+	if !r.token('{') {
+		return false
 	}
-	r.i++
-	r.ws()
-	if r.peek() == '}' {
-		return nil
+	if r.token('}') {
+		return true
 	}
 	for {
-		key, clean, err := r.str("looking for beginning of object key string")
-		if err != nil {
-			return err
+		key, ok := r.str()
+		if !ok || !r.token(':') {
+			return false
 		}
-		if !clean {
-			s.key = unquote(s.key[:0], key)
-			key = s.key
-		}
-		r.ws()
-		if err := r.expect(':', "after object key"); err != nil {
-			return err
-		}
-		r.ws()
 		switch {
 		case bytes.EqualFold(key, keyPoint):
-			err = s.decodePoint()
+			ok = s.decodePoint(&r)
 		case bytes.EqualFold(key, keyK):
-			err = s.decodeK()
+			ok = s.decodeK(&r)
 		case bytes.EqualFold(key, keyAlgorithm):
-			err = s.decodeAlgorithm()
+			s.alg, ok = r.str()
+			ok = ok && utf8.Valid(s.alg)
 		case bytes.EqualFold(key, keyTrace):
-			err = s.decodeTrace()
+			s.trace, ok = r.boolean()
 		default:
-			err = r.skip(1)
+			return false
 		}
-		if err != nil {
-			return err
+		if !ok {
+			return false
 		}
-		r.ws()
-		switch r.peek() {
-		case ',':
-			r.i++
-			r.ws()
-		case '}':
-			return nil
-		default:
-			return r.fail("after object key:value pair")
+		if r.token('}') {
+			return true
+		}
+		if !r.token(',') {
+			return false
 		}
 	}
 }
 
-// decodePoint decodes point's value. encoding/json decodes an array
-// into the slice the field already holds, so a duplicate key reuses the
-// earlier array's memory, and a null element leaves what is there: the
-// value the last earlier array wrote at that index, or zero where none
-// did (memory a slice grows into is zeroed, and growing keeps the old
-// backing array's contents). null and [] replace the slice, so the next
-// array starts over on zeroed memory.
-func (s *knnScratch) decodePoint() error {
-	r := &s.r
-	switch r.peek() {
-	case 'n':
-		s.point, s.pointHW = nil, 0
-		return r.literal("null")
-	case '[':
-	default:
-		return r.typeError("point", "[]float64")
+// decodePoint decodes point's value, an array of numbers, into pts.
+func (s *knnScratch) decodePoint(r *reader) bool {
+	if !r.token('[') {
+		return false
 	}
-	r.i++
-	r.ws()
-	if r.peek() == ']' {
-		r.i++
-		s.point, s.pointHW = s.pts[:0], 0
-		return nil
+	pts := s.pts[:0]
+	for !r.token(']') {
+		if len(pts) > 0 && !r.token(',') {
+			return false
+		}
+		num, ok := r.number()
+		if !ok {
+			return false
+		}
+		f, err := strconv.ParseFloat(string(num), 64)
+		if err != nil {
+			return false
+		}
+		pts = append(pts, f)
 	}
-	for n := 0; ; n++ {
-		if n == len(s.pts) {
-			s.pts = append(s.pts, 0)
-			s.pts = s.pts[:cap(s.pts)]
-		}
-		if n >= s.pointHW {
-			s.pts[n] = 0
-			s.pointHW = n + 1
-		}
-		switch c := r.peek(); {
-		case c == 'n':
-			if err := r.literal("null"); err != nil {
-				return err
-			}
-		case c == '-' || isDigit(c):
-			num, err := r.number()
-			if err != nil {
-				return err
-			}
-			f, err := strconv.ParseFloat(string(num), 64)
-			if err != nil {
-				return fmt.Errorf("json: cannot unmarshal number %s into point of type float64", num)
-			}
-			s.pts[n] = f
-		default:
-			return r.typeError("point", "float64")
-		}
-		r.ws()
-		switch r.peek() {
-		case ',':
-			r.i++
-			r.ws()
-		case ']':
-			r.i++
-			s.point = s.pts[:n+1]
-			return nil
-		default:
-			return r.fail("after array element")
-		}
-	}
+	s.pts, s.point = pts, pts
+	return true
 }
 
 // decodeK decodes k's value: an integer literal in int's range, as
-// strconv.ParseInt reads it (so "1.0" and "1e1" are refused).
-func (s *knnScratch) decodeK() error {
-	r := &s.r
-	switch c := r.peek(); {
-	case c == 'n':
-		return r.literal("null")
-	case c == '-' || isDigit(c):
-		num, err := r.number()
-		if err != nil {
-			return err
-		}
-		k, err := strconv.ParseInt(string(num), 10, strconv.IntSize)
-		if err != nil {
-			return fmt.Errorf("json: cannot unmarshal number %s into k of type int", num)
-		}
-		s.k = int(k)
-		return nil
-	default:
-		return r.typeError("k", "int")
+// strconv.ParseInt reads it (so "1.0" and "1e1" are declined).
+func (s *knnScratch) decodeK(r *reader) bool {
+	num, ok := r.number()
+	if !ok {
+		return false
 	}
+	k, err := strconv.ParseInt(string(num), 10, strconv.IntSize)
+	s.k = int(k)
+	return err == nil
 }
 
-func (s *knnScratch) decodeAlgorithm() error {
-	r := &s.r
-	switch r.peek() {
-	case 'n':
-		return r.literal("null")
-	case '"':
-		name, clean, err := r.str("")
-		if err != nil {
-			return err
-		}
-		if !clean {
-			s.algBuf = unquote(s.algBuf[:0], name)
-			name = s.algBuf
-		}
-		s.alg = name
-		return nil
-	default:
-		return r.typeError("algorithm", "string")
-	}
-}
-
-func (s *knnScratch) decodeTrace() error {
-	r := &s.r
-	switch r.peek() {
-	case 'n':
-		return r.literal("null")
-	case 't':
-		s.trace = true
-		return r.literal("true")
-	case 'f':
-		s.trace = false
-		return r.literal("false")
-	default:
-		return r.typeError("trace", "bool")
-	}
-}
-
-var errUnexpectedEnd = errors.New("unexpected end of JSON input")
-
-// reader walks a JSON text, checking it as strictly as encoding/json's
-// scanner does.
+// reader walks a body on the hand path.
 type reader struct {
-	b    []byte
-	i    int
-	nest []byte // the open arrays and objects while skipping a value
+	b []byte
+	i int
 }
 
-// peek returns the next byte, or 0 at the end (0 begins no JSON token).
-func (r *reader) peek() byte {
-	if r.i < len(r.b) {
-		return r.b[r.i]
+// accept consumes c if it is the next byte.
+func (r *reader) accept(c byte) bool {
+	if r.i < len(r.b) && r.b[r.i] == c {
+		r.i++
+		return true
 	}
-	return 0
+	return false
 }
 
+// ws skips JSON whitespace.
 func (r *reader) ws() {
 	for r.i < len(r.b) {
 		switch r.b[r.i] {
@@ -325,285 +225,76 @@ func (r *reader) ws() {
 	}
 }
 
-func (r *reader) fail(context string) error {
-	if r.i >= len(r.b) {
-		return errUnexpectedEnd
-	}
-	return fmt.Errorf("invalid character %q %s (offset %d)", r.b[r.i], context, r.i)
+// token skips JSON whitespace and consumes c if it comes next.
+func (r *reader) token(c byte) bool {
+	r.ws()
+	return r.accept(c)
 }
 
-// typeError refuses a value of the wrong JSON type for field. The value
-// may also be malformed; encoding/json refuses such a body too.
-func (r *reader) typeError(field, goType string) error {
-	if r.i >= len(r.b) {
-		return errUnexpectedEnd
-	}
-	return fmt.Errorf("json: cannot unmarshal value starting %q into %s of type %s", r.b[r.i], field, goType)
-}
-
-func (r *reader) expect(c byte, context string) error {
-	if r.peek() != c {
-		return r.fail(context)
-	}
-	r.i++
-	return nil
-}
-
-// literal consumes lit: true, false or null.
-func (r *reader) literal(lit string) error {
-	for j := 0; j < len(lit); j++ {
-		if r.peek() != lit[j] {
-			return r.fail("in literal " + lit)
-		}
+// digits consumes a run of decimal digits and reports its length.
+func (r *reader) digits() int {
+	start := r.i
+	for r.i < len(r.b) && '0' <= r.b[r.i] && r.b[r.i] <= '9' {
 		r.i++
 	}
-	return nil
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func isHex(c byte) bool { return isDigit(c) || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F' }
-
-func (r *reader) digits() {
-	for isDigit(r.peek()) {
-		r.i++
-	}
+	return r.i - start
 }
 
 // number consumes a number in JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its text.
 // Checking the grammar first matters: strconv also reads "+1", "1.",
 // "0x1p0", "1_0" and "Inf".
-func (r *reader) number() ([]byte, error) {
+func (r *reader) number() ([]byte, bool) {
+	r.ws()
 	start := r.i
-	if r.peek() == '-' {
-		r.i++
+	r.accept('-')
+	if !r.accept('0') && r.digits() == 0 {
+		return nil, false
 	}
-	switch c := r.peek(); {
-	case c == '0':
-		r.i++
-	case isDigit(c):
-		r.digits()
-	default:
-		return nil, r.fail("in numeric literal")
+	if r.accept('.') && r.digits() == 0 {
+		return nil, false
 	}
-	if r.peek() == '.' {
-		r.i++
-		if !isDigit(r.peek()) {
-			return nil, r.fail("after decimal point in numeric literal")
+	if r.accept('e') || r.accept('E') {
+		if !r.accept('+') {
+			r.accept('-')
 		}
-		r.digits()
-	}
-	if c := r.peek(); c == 'e' || c == 'E' {
-		r.i++
-		if c := r.peek(); c == '+' || c == '-' {
-			r.i++
+		if r.digits() == 0 {
+			return nil, false
 		}
-		if !isDigit(r.peek()) {
-			return nil, r.fail("in exponent of numeric literal")
-		}
-		r.digits()
 	}
-	return r.b[start:r.i], nil
+	return r.b[start:r.i], true
 }
 
-// str consumes a string and returns what is between its quotes. clean
-// reports that the text is its own value — no escapes, valid UTF-8 —
-// else the caller unquotes it.
-func (r *reader) str(context string) (raw []byte, clean bool, err error) {
-	if r.peek() != '"' {
-		return nil, false, r.fail(context)
+// str consumes a string with no escape and no control byte and returns
+// what is between its quotes.
+func (r *reader) str() ([]byte, bool) {
+	if !r.token('"') {
+		return nil, false
 	}
-	r.i++
-	start, escaped, ascii := r.i, false, true
-	for {
-		switch c := r.peek(); {
+	for start := r.i; r.i < len(r.b); r.i++ {
+		switch c := r.b[r.i]; {
 		case c == '"':
-			raw = r.b[start:r.i]
 			r.i++
-			return raw, !escaped && (ascii || utf8.Valid(raw)), nil
-		case c == '\\':
-			escaped = true
-			r.i++
-			switch r.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				r.i++
-			case 'u':
-				r.i++
-				for j := 0; j < 4; j++ {
-					if !isHex(r.peek()) {
-						return nil, false, r.fail("in \\u hexadecimal character escape")
-					}
-					r.i++
-				}
-			default:
-				return nil, false, r.fail("in string escape code")
-			}
-		case c < 0x20:
-			// Control characters are invalid in a string; so is the end.
-			return nil, false, r.fail("in string literal")
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			r.i++
+			return r.b[start : r.i-1], true
+		case c == '\\' || c < 0x20:
+			return nil, false
 		}
 	}
+	return nil, false
 }
 
-// unquote appends the value of raw — the inside of a string str
-// accepted — to dst, as encoding/json unquotes it: escapes resolved, a
-// surrogate pair joined, an unpaired surrogate and every byte of invalid
-// UTF-8 replaced by U+FFFD.
-func unquote(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		switch c := raw[i]; {
-		case c == '\\':
-			switch e := raw[i+1]; e {
-			case 'u':
-				rr := hex4(raw[i+2:])
-				i += 6
-				if utf16.IsSurrogate(rr) {
-					if i+6 <= len(raw) && raw[i] == '\\' && raw[i+1] == 'u' {
-						if pair := utf16.DecodeRune(rr, hex4(raw[i+2:])); pair != utf8.RuneError {
-							dst = utf8.AppendRune(dst, pair)
-							i += 6
-							continue
-						}
-					}
-					rr = utf8.RuneError
-				}
-				dst = utf8.AppendRune(dst, rr)
-				continue
-			case 'b':
-				dst = append(dst, '\b')
-			case 'f':
-				dst = append(dst, '\f')
-			case 'n':
-				dst = append(dst, '\n')
-			case 'r':
-				dst = append(dst, '\r')
-			case 't':
-				dst = append(dst, '\t')
-			default: // '"', '\\', '/'
-				dst = append(dst, e)
-			}
-			i += 2
-		case c < utf8.RuneSelf:
-			dst = append(dst, c)
-			i++
-		default:
-			rr, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, rr)
-			i += size
-		}
-	}
-	return dst
-}
-
-// hex4 reads the four hex digits str checked after a \u.
-func hex4(b []byte) rune {
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case c <= '9':
-			c -= '0'
-		case c >= 'a':
-			c -= 'a' - 10
-		default:
-			c -= 'A' - 10
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// key consumes an object key and its colon, inside a skipped value.
-func (r *reader) key() error {
-	if _, _, err := r.str("looking for beginning of object key string"); err != nil {
-		return err
-	}
+// boolean consumes true or false.
+func (r *reader) boolean() (v, ok bool) {
 	r.ws()
-	if err := r.expect(':', "after object key"); err != nil {
-		return err
+	switch rest := r.b[r.i:]; {
+	case bytes.HasPrefix(rest, litTrue):
+		r.i += len(litTrue)
+		return true, true
+	case bytes.HasPrefix(rest, litFalse):
+		r.i += len(litFalse)
+		return false, true
 	}
-	r.ws()
-	return nil
-}
-
-// skip consumes one value of any type — an unknown key's — with depth
-// arrays and objects around it, checking it as encoding/json's scanner
-// does, nesting bound included. It keeps the open containers in r.nest
-// rather than on the call stack.
-func (r *reader) skip(depth int) error {
-	r.nest = r.nest[:0]
-	for {
-		switch c := r.peek(); {
-		case c == '{' || c == '[':
-			if depth+len(r.nest)+1 > maxNestingDepth {
-				return r.fail("exceeded max depth")
-			}
-			r.i++
-			r.ws()
-			if r.peek() == c+2 { // '}' and ']' follow '{' and '[' by two
-				r.i++
-				break
-			}
-			r.nest = append(r.nest, c)
-			if c == '{' {
-				if err := r.key(); err != nil {
-					return err
-				}
-			}
-			continue
-		case c == '"':
-			if _, _, err := r.str(""); err != nil {
-				return err
-			}
-		case c == 't':
-			if err := r.literal("true"); err != nil {
-				return err
-			}
-		case c == 'f':
-			if err := r.literal("false"); err != nil {
-				return err
-			}
-		case c == 'n':
-			if err := r.literal("null"); err != nil {
-				return err
-			}
-		case c == '-' || isDigit(c):
-			if _, err := r.number(); err != nil {
-				return err
-			}
-		default:
-			return r.fail("looking for beginning of value")
-		}
-		// A value is complete: close what it completes, up to the next one.
-		for {
-			if len(r.nest) == 0 {
-				return nil
-			}
-			r.ws()
-			open := r.nest[len(r.nest)-1]
-			c := r.peek()
-			if c == ',' {
-				r.i++
-				r.ws()
-				if open == '{' {
-					if err := r.key(); err != nil {
-						return err
-					}
-				}
-				break
-			}
-			if c != open+2 {
-				return r.fail("after array element or object value")
-			}
-			r.i++
-			r.nest = r.nest[:len(r.nest)-1]
-		}
-	}
+	return false, false
 }
 
 // algorithms holds every name query.AlgorithmByName resolves among the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -20,15 +21,8 @@ import (
 )
 
 // The /v1/knn wire structs, decoded and encoded with encoding/json: the
-// codec's oracle, and the client side of the HTTP tests.
-
-// knnRequest is the POST /v1/knn body.
-type knnRequest struct {
-	Point     []float64 `json:"point"`
-	K         int       `json:"k"`
-	Algorithm string    `json:"algorithm,omitempty"`
-	Trace     bool      `json:"trace,omitempty"`
-}
+// codec's oracle, and the client side of the HTTP tests. knnRequest,
+// the request, is in wire.go: the decoder's fallback decodes into it.
 
 // knnNeighbor is one result: the object id and its squared distance.
 // float64 JSON round-trips exactly (shortest-representation encoding),
@@ -104,27 +98,43 @@ func oracleEncode(t *testing.T, alg string, ns []query.Neighbor, st *query.Stats
 
 // checkDecode fails unless the wire decoder and encoding/json agree on
 // body: both accept it or both refuse it, and an accepted body decodes
-// to bitwise-equal fields. sc is reused across calls on purpose: what an
-// earlier body left in it must not show in a later one's point.
-func checkDecode(t *testing.T, sc *knnScratch, body []byte) {
+// to bitwise-equal fields. The hand path is checked on its own, since
+// the decoder's fallback is encoding/json itself: a body it takes must
+// be one encoding/json accepts, with the same fields. It reports
+// whether the hand path took body. sc is reused across calls on
+// purpose: what an earlier body left in it must not show in a later
+// one's point.
+func checkDecode(t *testing.T, sc *knnScratch, body []byte) (hand bool) {
 	t.Helper()
 	want, wantErr := oracleDecode(body)
 	sc.body = append(sc.body[:0], body...)
+	if hand = sc.decodeHand(); hand {
+		if wantErr != nil {
+			t.Fatalf("body %q: the hand path takes it, encoding/json refuses it: %v", body, wantErr)
+		}
+		checkFields(t, "hand path", sc, body, want)
+	}
 	err := sc.decode()
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("body %q: decode error %v, encoding/json error %v", body, err, wantErr)
 	}
-	if err != nil {
-		return
+	if err == nil {
+		checkFields(t, "decode", sc, body, want)
 	}
+	return hand
+}
+
+// checkFields fails unless sc holds want's fields, bitwise.
+func checkFields(t *testing.T, path string, sc *knnScratch, body []byte, want knnRequest) {
+	t.Helper()
 	same := len(sc.point) == len(want.Point) && sc.k == want.K &&
 		string(sc.alg) == want.Algorithm && sc.trace == want.Trace
 	for i := 0; same && i < len(sc.point); i++ {
 		same = math.Float64bits(sc.point[i]) == math.Float64bits(want.Point[i])
 	}
 	if !same {
-		t.Fatalf("body %q: decoded point %v k %d algorithm %q trace %v, encoding/json %v %d %q %v",
-			body, sc.point, sc.k, sc.alg, sc.trace, want.Point, want.K, want.Algorithm, want.Trace)
+		t.Fatalf("body %q: %s decoded point %v k %d algorithm %q trace %v, encoding/json %v %d %q %v",
+			body, path, sc.point, sc.k, sc.alg, sc.trace, want.Point, want.K, want.Algorithm, want.Trace)
 	}
 }
 
@@ -196,9 +206,10 @@ var knnRequestSeeds = []string{
 }
 
 // FuzzKNNRequest is the decoder's differential: on any body of at most
-// maxKNNBodyBytes, the wire decoder and encoding/json accept and refuse
-// the same bodies with bitwise-equal fields, and the handler answers
-// with the status the encoding/json rules give.
+// maxKNNBodyBytes, the hand path takes only bodies encoding/json
+// accepts, with bitwise-equal fields; the wire decoder and encoding/json
+// accept and refuse the same bodies; and the handler answers with the
+// status the encoding/json rules give.
 func FuzzKNNRequest(f *testing.F) {
 	for _, body := range knnRequestSeeds {
 		f.Add([]byte(body))
@@ -224,6 +235,7 @@ func FuzzKNNRequest(f *testing.F) {
 // TestDecodeNestingBound: an unknown key's value may nest as deep as
 // encoding/json's scanner allows, and not one level deeper.
 func TestDecodeNestingBound(t *testing.T) {
+	const maxNestingDepth = 10000 // encoding/json's bound
 	sc := new(knnScratch)
 	for _, depth := range []int{maxNestingDepth - 2, maxNestingDepth - 1, maxNestingDepth} {
 		for _, open := range []string{"[", `{"a":`} {
@@ -235,6 +247,65 @@ func TestDecodeNestingBound(t *testing.T) {
 			checkDecode(t, sc, []byte(body))
 			if err := sc.decode(); (err == nil) != (depth < maxNestingDepth) {
 				t.Fatalf("%d levels of %s under the body's object: error %v", depth, open, err)
+			}
+		}
+	}
+}
+
+// TestHandPathTakesEncodedRequests: the hand path takes every body an
+// encoder writes for a request — json.Marshal of knnRequest, of a map
+// (sorted keys: the body the benchmark's HTTP client sends), with
+// json.MarshalIndent, and in a ", "/": "-spaced form — over random
+// requests with the floats where encoding/json's format changes, every
+// registry name in both cases and trace on and off, and yields the
+// fields encoding/json does, bitwise.
+func TestHandPathTakesEncodedRequests(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), 5e-324, -2.2250738585072014e-308, 1e-7, -1e-7,
+		1e-6, math.Nextafter(1e-6, 0), 1e21, -1e21, math.MaxFloat64, 0.1,
+	}
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var names []string
+	for _, name := range query.AlgorithmNames() {
+		names = append(names, name, strings.ToUpper(name))
+	}
+	rng := rand.New(rand.NewSource(44))
+	sc := new(knnScratch)
+	for trial := 0; trial < 2000; trial++ {
+		req := knnRequest{
+			Point:     make([]float64, 1+rng.Intn(16)),
+			K:         1 + rng.Intn(maxK),
+			Algorithm: names[trial%len(names)],
+			Trace:     rng.Intn(2) == 0,
+		}
+		coords := make([]string, len(req.Point))
+		for i := range req.Point {
+			if rng.Intn(2) == 0 {
+				req.Point[i] = specials[rng.Intn(len(specials))]
+			} else {
+				req.Point[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+			}
+			coords[i] = string(marshal(req.Point[i]))
+		}
+		asMap := map[string]any{"point": req.Point, "k": req.K, "algorithm": req.Algorithm}
+		if req.Trace {
+			asMap["trace"] = true
+		}
+		indented, err := json.MarshalIndent(req, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spaced := fmt.Sprintf(`{"point": [%s], "k": %d, "algorithm": %q, "trace": %t}`,
+			strings.Join(coords, ", "), req.K, req.Algorithm, req.Trace)
+		for _, body := range [][]byte{marshal(req), marshal(asMap), indented, []byte(spaced)} {
+			if !checkDecode(t, sc, body) {
+				t.Fatalf("the hand path declines %s", body)
 			}
 		}
 	}
@@ -371,11 +442,14 @@ func (b *staticBackend) KNN(context.Context, query.Algorithm, geom.Point, int, q
 
 func (b *staticBackend) QueueDepths() []int64 { return b.depths }
 
-// TestKNNHandlerAllocatesNothing: with trace off, serving a query from
-// a backend that allocates nothing allocates nothing in the server —
-// quota and watermark on, a named tenant and the anonymous one, a body
-// with escapes and an unknown key. Run with the collector off, as the
-// engine's allocation budgets are: a collection empties the pool.
+// TestKNNHandlerAllocatesNothing: with trace off, serving a query whose
+// body has the shape encoders write (compact, spaced, keys in another
+// case) from a backend that allocates nothing allocates nothing in the
+// server — quota and watermark on, named tenants and the anonymous one.
+// A body of another shape (bob's, with an unknown key) goes to
+// encoding/json, which allocates; it only has to be answered. Run with
+// the collector off, as the engine's allocation budgets are: a
+// collection empties the pool.
 func TestKNNHandlerAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -394,10 +468,15 @@ func TestKNNHandlerAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, tc := range []struct{ tenant, body string }{
-		{"", `{"point":[0.5,0.5],"k":2}`},
-		{"alice", `{"algorithm":"crss","k":2,"point":[0.25,0.75]}`},
-		{"bob", `{"Point":[1e-3,-2.5E+2],"k":2,"algorithm":"crss","x":{"y":[null,true,"é"]}}`},
+	for _, tc := range []struct {
+		tenant, body string
+		fallback     bool
+	}{
+		{"", `{"point":[0.5,0.5],"k":2}`, false},
+		{"alice", `{"algorithm":"crss","k":2,"point":[0.25,0.75]}`, false},
+		{"carol", "{\n  \"point\": [ 0.5, -2.5E+2 ],\n  \"k\": 2, \"algorithm\": \"CRSS\", \"trace\": false\n}", false},
+		{"dave", "{\"POINT\":[1e-3],\"\u212a\":2,\"Algorithm\":\"crss\",\"Trace\":false}", false},
+		{"bob", `{"Point":[1e-3,-2.5E+2],"k":2,"algorithm":"crss","x":{"y":[null,true,"é"]}}`, true},
 	} {
 		w, r := newReplayWriter(), newReplayRequest(tc.body, tc.tenant)
 		serve := func() {
@@ -409,6 +488,9 @@ func TestKNNHandlerAllocatesNothing(t *testing.T) {
 			}
 		}
 		serve() // creates the tenant's row and grows the scratch
+		if tc.fallback {
+			continue
+		}
 		if n := testing.AllocsPerRun(200, serve); n != 0 {
 			t.Errorf("tenant %q, body %s: %.2f allocations per request, want 0", tc.tenant, tc.body, n)
 		}
