@@ -20,12 +20,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-## analyze: the repo-specific analyzer suite (internal/lint: simdeterminism,
-## floatcmp, lockcheck, fsyncorder, errlost), run once over the whole
-## module with the suppression audit
-## (stale //lint:allow directives fail the build). CI's lint job runs the
-## same command with -github added. Cancel-func hygiene is
-## `go vet`'s lostcancel (the vet target), not this suite's.
+## analyze: the repo-specific analyzer suite (internal/lint: floatcmp,
+## lockcheck, errlost), run once over the whole module with the
+## suppression audit (stale //lint:allow directives fail the build).
+## CI's lint job runs the same command with -github added. Cancel-func
+## hygiene is `go vet`'s lostcancel (the vet target), determinism the
+## run-twice tests' (the test target) and durable-write order the crash
+## torture's (the crash target), not this suite's.
 analyze:
 	$(GO) build -o bin/simquerylint ./cmd/simquerylint
 	bin/simquerylint -source . -audit
@@ -154,9 +155,14 @@ chaos-full:
 ## crash: the crash-recovery torture suite under the race detector —
 ## kill the durable store at programmed fsyncs, reboot from exactly the
 ## bytes that were durable, and require a consistent committed tree,
-## plus the WAL / record-table / durable-store unit tests around it.
-## Short mode samples the kill points (the PR CI job); `crash-full`
-## kills at every sync point in the schedule (the nightly job).
+## plus the WAL / record-table / durable-store unit tests around it
+## (a Commit whose WAL sync fails must publish nothing). At each kill
+## every file keeps a seeded FIFO prefix of its un-synced writes, the
+## frontier one possibly torn, and the kill runs twice more with every
+## other file keeping all of them and none: a write, sync or publish
+## out of order fails here. Short mode runs every fourth kill point (the
+## PR CI job); `crash-full` kills at every sync point in the schedule
+## (the nightly job).
 CRASH_RUN = 'CrashRecovery|DurableStore|FileStore|FileBacked|IndexDurable|WAL'
 crash:
 	$(GO) test -race -short -run $(CRASH_RUN) ./internal/pagestore/ ./internal/exec/ ./internal/core/

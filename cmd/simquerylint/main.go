@@ -6,12 +6,13 @@
 //	simquerylint -source . -audit   # + stale //lint:allow report
 //	simquerylint -source . -github  # GitHub Actions annotations
 //
-// or simply `make analyze`. See internal/lint for the analyzers: the
-// AST-local suite (simdeterminism, floatcmp) and the CFG/dataflow
-// protocol suite (fsyncorder, errlost, and lockcheck, which also
-// checks guarded-field annotations). Cancel-func hygiene is go vet's
-// job (lostcancel), and lock order is checked at run time under the
-// lockrank build tag (make lockrank), not by this suite.
+// or simply `make analyze`. See internal/lint for the three analyzers:
+// floatcmp (AST-local), and errlost and lockcheck (CFG/dataflow;
+// lockcheck also checks guarded-field annotations). Cancel-func hygiene
+// is go vet's job (lostcancel), lock order is checked at run time under
+// the lockrank build tag (make lockrank), determinism by the run-twice
+// parity tests and durable-write order by the crash-recovery torture
+// (make crash), not by this suite.
 package main
 
 import (

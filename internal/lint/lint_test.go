@@ -154,9 +154,9 @@ func (t *T) Stats() int {
 }
 
 // TestSelfCheck runs the whole suite over a real dependency-free repo
-// package (geom is both a determinism-scope package and the home of the
-// approved Equal helpers) and requires it to be clean — the same gate
-// `make analyze` enforces over the whole module.
+// package (geom, the home of the approved Equal helpers) and requires
+// it to be clean — the same gate `make analyze` enforces over the whole
+// module.
 func TestSelfCheck(t *testing.T) {
 	pkg, err := loadDir(filepath.Join("..", "geom"), "repro/internal/geom")
 	if err != nil {

@@ -175,9 +175,9 @@ func checkLockedAccesses(pass *Pass, fd *ast.FuncDecl, guarded map[*types.Var]gu
 }
 
 // ioBearingLocks are the store locks whose purpose is serializing file
-// I/O: holding one across WriteAt or Sync is the design, and fsyncorder
-// owns their write/sync order. I/O under any other lock stalls every
-// acquirer behind the disk.
+// I/O: holding one across WriteAt or Sync is the design, and the
+// crash-recovery torture checks their write/sync order. I/O under any
+// other lock stalls every acquirer behind the disk.
 var ioBearingLocks = map[string]bool{
 	"DurableStore.mu": true,
 	"WAL.mu":          true,

@@ -119,9 +119,9 @@ func TestSortFindings(t *testing.T) {
 	}
 	findings := []Finding{
 		{Position: pos("b.go", 3, 1), Analyzer: "lockcheck", Message: "m1"},
-		{Position: pos("a.go", 9, 2), Analyzer: "simdeterminism", Message: "m2"},
+		{Position: pos("a.go", 9, 2), Analyzer: "lockcheck", Message: "m2"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m3"},
-		{Position: pos("a.go", 9, 1), Analyzer: "fsyncorder", Message: "m4"},
+		{Position: pos("a.go", 9, 1), Analyzer: "floatcmp", Message: "m4"},
 		{Position: pos("a.go", 2, 5), Analyzer: "floatcmp", Message: "m5"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m0"},
 	}

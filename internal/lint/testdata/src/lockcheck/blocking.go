@@ -97,8 +97,8 @@ func ioUnderHotLock(c *hot, f blockFile, b []byte) {
 }
 
 // ioUnderStoreLock holds an I/O-bearing lock across file I/O — the
-// pagestore design (fsyncorder owns the write/sync ordering) — and is
-// clean here.
+// pagestore design (the crash-recovery torture checks the write/sync
+// ordering) — and is clean here.
 func (w *WAL) ioUnderStoreLock(b []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

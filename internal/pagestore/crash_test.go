@@ -7,10 +7,14 @@
 // boundary.
 //
 // The device model: writes land in a volatile cache (the live view)
-// and drain to stable storage in FIFO order; at the crash an arbitrary
-// seeded prefix of the un-synced ops is durable and the frontier op may
-// itself be torn mid-write. Everything after the crash fails with a
-// permanent error, like a dead drive.
+// and each file drains its own to stable storage in FIFO order. At the
+// crash every file — the one whose fsync the power died in and every
+// other — keeps a seeded prefix of its un-synced ops, and its frontier
+// op may be torn mid-write. Each kill point also runs with every other
+// file keeping all of its un-synced ops and with none kept: a protocol
+// that syncs its files in the wrong order recovers cleanly only while
+// the files it forgot lose their writes. Everything after the crash
+// fails with a permanent error, like a dead drive.
 package pagestore_test
 
 import (
@@ -46,15 +50,28 @@ type writeOp struct {
 	size int64
 }
 
+// keepMode says how much of its un-synced tail a file keeps at the
+// crash.
+type keepMode int
+
+const (
+	keepSeeded keepMode = iota // a seeded FIFO prefix; the frontier op may be torn
+	keepAll                    // every op
+	keepNone                   // none
+)
+
 // crashEnv is the power supply shared by all files of one store: a
-// global fsync counter, the ordinal to kill at, and the RNG that picks
-// how much of the un-synced tail survived.
+// global fsync counter, the ordinal to kill at, the RNG that picks how
+// much of each file's un-synced tail survived, and how much the files
+// other than the syncing one keep.
 type crashEnv struct {
 	mu      sync.Mutex
-	rng     *rand.Rand // picks the durable frontier at the crash; guarded by mu
-	crashAt int        // 1-based sync ordinal to kill at; 0 = never
-	syncs   int        // completed sync points across all files; guarded by mu
-	dead    bool       // post-crash: every op fails; guarded by mu
+	rng     *rand.Rand   // picks the durable frontiers at the crash; guarded by mu
+	crashAt int          // 1-based sync ordinal to kill at; 0 = never
+	others  keepMode     // what the files not being synced keep at the crash
+	files   []*crashFile // every file on this supply, in creation order; guarded by mu
+	syncs   int          // completed sync points across all files; guarded by mu
+	dead    bool         // post-crash: every op fails; guarded by mu
 }
 
 func (e *crashEnv) failed() bool {
@@ -85,6 +102,9 @@ func newCrashFile(env *crashEnv, seed []byte) *crashFile {
 	f := &crashFile{env: env}
 	f.mem = append(f.mem, seed...)
 	f.durable = append(f.durable, seed...)
+	env.mu.Lock()
+	env.files = append(env.files, f)
+	env.mu.Unlock()
 	return f
 }
 
@@ -155,30 +175,52 @@ func (f *crashFile) Sync() error {
 	f.env.syncs++
 	crash := f.env.crashAt > 0 && f.env.syncs == f.env.crashAt
 	var rng *rand.Rand
+	var files []*crashFile
 	if crash {
 		f.env.dead = true
-		rng = f.env.rng
+		rng, files = f.env.rng, f.env.files
 	}
 	f.env.mu.Unlock()
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if !crash {
+		f.mu.Lock()
+		defer f.mu.Unlock()
 		for _, op := range f.pending {
 			f.applyLocked(op, -1)
 		}
 		f.pending = nil
 		return nil
 	}
-	// Power loss at this fsync: some FIFO prefix of the pending ops had
-	// already drained to the platters, and the frontier op may be torn
-	// mid-write. Note this tears only the file being synced — the other
-	// file's un-synced ops are simply lost, which is strictly harsher.
-	k := rng.Intn(len(f.pending) + 1)
+	// Power loss at this fsync: the file being synced keeps a seeded
+	// prefix of its pending ops, then every other file, in creation
+	// order, keeps what the environment says.
+	f.crash(rng, keepSeeded)
+	for _, g := range files {
+		if g != f {
+			g.crash(rng, f.env.others)
+		}
+	}
+	return errCrashed
+}
+
+// crash folds into the durable image the part of the pending ops that
+// had drained to the platters when the power died — a FIFO prefix as
+// long as keep says — and drops the rest. Under keepSeeded the frontier
+// op may be torn mid-write.
+func (f *crashFile) crash(rng *rand.Rand, keep keepMode) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	k := 0
+	switch keep {
+	case keepSeeded:
+		k = rng.Intn(len(f.pending) + 1)
+	case keepAll:
+		k = len(f.pending)
+	}
 	for _, op := range f.pending[:k] {
 		f.applyLocked(op, -1)
 	}
-	if k < len(f.pending) {
+	if keep == keepSeeded && k < len(f.pending) {
 		if op := f.pending[k]; op.data != nil {
 			if tear := rng.Intn(len(op.data) + 1); tear > 0 {
 				f.applyLocked(op, tear)
@@ -186,7 +228,6 @@ func (f *crashFile) Sync() error {
 		}
 	}
 	f.pending = nil
-	return errCrashed
 }
 
 // applyLocked folds one op into the durable image; tear >= 0 applies
@@ -421,7 +462,7 @@ func recoverAndCheck(t *testing.T, res schedResult, files crashFiles, ref []comm
 		})
 	}
 	if len(got) != meta.Size {
-		t.Fatalf("recovered tree holds %d objects, superblock says %d", len(got), meta.Size)
+		t.Fatalf("recovered tree holds %d objects, the recovered commit metadata says %d", len(got), meta.Size)
 	}
 	commits := len(res.states)
 	switch {
@@ -489,9 +530,10 @@ func recoverAndCheck(t *testing.T, res schedResult, files crashFiles, ref []comm
 }
 
 // TestCrashRecoveryTorture kills the store at every fsync in the
-// schedule (a seeded sample of them under -short) and requires full
-// recovery from each. The dry run both counts the sync points and
-// checks the no-crash baseline.
+// schedule (every fourth under -short), three times each — the files
+// not being synced keeping a seeded prefix of their un-synced ops, all
+// of them, none — and requires full recovery from each. The dry run
+// both counts the sync points and checks the no-crash baseline.
 func TestCrashRecoveryTorture(t *testing.T) {
 	env := &crashEnv{}
 	files := newCrashFiles(env)
@@ -515,17 +557,26 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		kill := kill
 		t.Run(fmt.Sprintf("kill=%02d", kill), func(t *testing.T) {
 			t.Parallel()
-			env := &crashEnv{crashAt: kill, rng: rand.New(rand.NewSource(int64(9000 + kill)))}
-			files := newCrashFiles(env)
-			res := runCrashSchedule(t, files)
-			if !res.crashed {
-				t.Fatalf("schedule survived kill point %d of %d", kill, total)
+			for _, others := range []struct {
+				name string
+				keep keepMode
+			}{{"seeded", keepSeeded}, {"others-keep-all", keepAll}, {"others-keep-none", keepNone}} {
+				others := others
+				t.Run(others.name, func(t *testing.T) {
+					t.Parallel()
+					env := &crashEnv{crashAt: kill, others: others.keep, rng: rand.New(rand.NewSource(int64(9000 + kill)))}
+					files := newCrashFiles(env)
+					res := runCrashSchedule(t, files)
+					if !res.crashed {
+						t.Fatalf("schedule survived kill point %d of %d", kill, total)
+					}
+					var counters obs.StorageCounters
+					recoverAndCheck(t, res, files, ref, &counters)
+					s := counters.Snapshot()
+					recoveries.Add(s.Recoveries)
+					replayed.Add(s.ReplayedRecords)
+				})
 			}
-			var counters obs.StorageCounters
-			recoverAndCheck(t, res, files, ref, &counters)
-			s := counters.Snapshot()
-			recoveries.Add(s.Recoveries)
-			replayed.Add(s.ReplayedRecords)
 		})
 	}
 	t.Cleanup(func() {

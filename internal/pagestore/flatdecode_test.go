@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -124,58 +123,6 @@ func TestDecodedViewMatchesLiveEntries(t *testing.T) {
 						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: decoded vs live view: %v", spheres, leaf, dim, entries, err)
 					}
 				}
-			}
-		}
-	}
-}
-
-// Goroutines racing the first Rect of one decoded page all get corners
-// cut from one published slab, and those corners are right.
-func TestDecodedRectFirstUseRace(t *testing.T) {
-	rnd := rand.New(rand.NewSource(12))
-	for _, spheres := range []bool{false, true} {
-		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
-		n := randomNode(rnd, c.Dim, c.Capacity(), true)
-		if spheres {
-			withSpheres(n, rnd)
-		}
-		buf, err := c.Encode(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 20; round++ {
-			f, err := c.Decode(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const racers = 8
-			first := make([]*float64, racers)
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			for g := 0; g < racers; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					<-start
-					for i := 0; i < f.Len(); i++ {
-						r := f.Rect((i + g) % f.Len())
-						if !rectBitsEqual(r, n.Entries[(i+g)%f.Len()].Rect) {
-							t.Errorf("racer %d: entry %d rect differs", g, (i+g)%f.Len())
-							return
-						}
-					}
-					first[g] = &f.Rect(0).Lo[0]
-				}(g)
-			}
-			close(start)
-			wg.Wait()
-			for g := 1; g < racers; g++ {
-				if first[g] != first[0] {
-					t.Fatalf("spheres=%v: racers %d and 0 hold different slabs", spheres, g)
-				}
-			}
-			if err := viewsNode(f, n); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}

@@ -297,6 +297,62 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	}
 }
 
+// A Commit whose WAL fsync fails returns the error and publishes
+// nothing: the committed metadata, the state record, the log tail and
+// the page records stay what the last durable Commit left, and the
+// batch stays staged for the next Commit. The log is deliberately not
+// rewound: the failed batch's records, its commit record included, stay
+// where they were appended, and what a store does with a log whose sync
+// failed (poisoning it, say) is a question of its own.
+func TestDurableStoreFailedSyncPublishesNothing(t *testing.T) {
+	files := newMemFiles()
+	ds := files.open(t, nil)
+	c := &churn{t: t, ds: ds, tr: treeOver(t, ds), rnd: rand.New(rand.NewSource(11))}
+	c.round(200)
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), []byte("durable"), nil); err != nil {
+		t.Fatal(err)
+	}
+	meta, state := ds.Meta(), ds.State()
+	tail, recs := maps.Clone(ds.tail), maps.Clone(ds.recs)
+	for i := 0; i < 60; i++ {
+		p := geom.Point{c.rnd.Float64() * 100, c.rnd.Float64() * 100}
+		if err := c.tr.InsertPoint(p, rtree.ObjectID(c.base+len(c.live))); err != nil {
+			t.Fatal(err)
+		}
+		c.live = append(c.live, p)
+	}
+	staged := len(ds.dirty)
+
+	errSync := errors.New("fsync: I/O error")
+	files.wal.syncErr = errSync
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), []byte("lost"), nil); !errors.Is(err, errSync) {
+		t.Fatalf("Commit whose WAL sync fails returned %v, want %v", err, errSync)
+	}
+	if got := ds.Meta(); got != meta {
+		t.Fatalf("a failed sync published the batch's metadata: %+v, committed %+v", got, meta)
+	}
+	if got := ds.State(); !bytes.Equal(got, state) {
+		t.Fatalf("a failed sync published state %q, committed %q", got, state)
+	}
+	if !maps.Equal(ds.tail, tail) || !maps.Equal(ds.recs, recs) {
+		t.Fatal("a failed sync published the batch's page records")
+	}
+	if len(ds.dirty) != staged {
+		t.Fatalf("%d pages staged after the failed Commit, %d before", len(ds.dirty), staged)
+	}
+
+	files.wal.syncErr = nil
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), []byte("retried"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.Meta(); got.Root != c.tr.Root() || got.Size != c.tr.Len() {
+		t.Fatalf("the retried Commit published %+v, want root %d size %d", got, c.tr.Root(), c.tr.Len())
+	}
+	if err := ds.VerifyShadow(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCommitAllocBudget: in a steady state of the write path's unit of
 // work (45 inserts, 5 deletes, Commit — BenchmarkDurableIngest's batch),
 // no Commit allocates a page image (each page is encoded into the

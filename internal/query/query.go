@@ -375,14 +375,14 @@ func (bl *bestList) dropped() *Neighbor { return &bl.items[:bl.k+1][bl.k] }
 // list — dists[i] is entry i's squared distance from the query, and an
 // entry is offered when that is within limit and within the list's k-th
 // distance as it stands: the one way an entry becomes a neighbour. A
-// page nobody recycles lends its neighbours their rectangles, in the
-// loop every execution used to run itself; a pooled one is refilled once
-// the next stage begins, so the rectangle of an accepted offer is copied
-// into a slot of the scratch (rectSlots).
+// live node's view lends its neighbours their rectangles, in the loop
+// every execution used to run itself; the rectangle of an accepted
+// offer from a decoded page — a pooled one is refilled once the next
+// stage begins — is copied into a slot of the scratch (rectSlots).
 func (b *base) offerLeaf(bl *bestList, n *rtree.FlatNode, dists []float64, limit float64) {
 	rs := &b.sc.rects
 	if rs.list == nil {
-		if !n.Pooled() {
+		if n.Live() {
 			for i, d := range dists {
 				if d <= limit && d <= bl.kthDistSq() {
 					bl.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
@@ -490,9 +490,8 @@ func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbo
 	buf := deliveredPool.Get().(*[]*rtree.FlatNode)
 	stage := 0
 	_ = RunWith(exec, alg.Name(), func(reqs []PageRequest) ([]*rtree.FlatNode, error) {
-		var start time.Time
+		var start time.Time // the observer's wall-clock latency; never feeds results
 		if opts.Observer != nil {
-			//lint:allow simdeterminism observer wall-clock latency only, never feeds results
 			start = time.Now()
 		}
 		delivered := (*buf)[:0]
@@ -501,7 +500,6 @@ func (d Driver) Run(alg Algorithm, q geom.Point, k int, opts Options) ([]Neighbo
 		}
 		*buf = delivered
 		if ob := opts.Observer; ob != nil {
-			//lint:allow simdeterminism observer wall-clock latency only, never feeds results
 			wall := time.Since(start)
 			for _, r := range reqs {
 				ob.Observe(obs.Event{

@@ -43,16 +43,16 @@ type scratch struct {
 }
 
 // rectSlots is where an execution keeps the rectangles of its best list
-// when they cannot stay where they were read: a pooled page view
-// (rtree.FlatNode.Pooled) is refilled once the stage that was handed it
-// is over, so the rectangle of an accepted neighbour is copied out — not
+// when they cannot stay where they were read: a decoded page view lends
+// none (a pooled one is refilled once the stage that was handed it is
+// over), so the rectangle of an accepted neighbour is copied out — not
 // into memory of its own, which would be one allocation per offer, but
 // into one of cap(list.items) slots cut from a slab that is pooled with
 // the scratch. The list holds at most one neighbour fewer than that, and
 // the slot of a neighbour that falls off the list is the next offer's.
 // The bookkeeping is here and not in bestList or the execution so that
-// a query over views nobody recycles — whose rectangles alias the pages,
-// as ever — pays nothing for it, not even a size class.
+// a query over live nodes (rtree.FlatNode.Live) — whose rectangles alias
+// the nodes, as ever — pays nothing for it, not even a size class.
 type rectSlots struct {
 	list  *bestList // the list whose rectangles are slots; nil while none is
 	width int       // coordinates per slot: 2·dim

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -19,16 +18,12 @@ import (
 // node: the geometry is copied into the SoA slab, identity and
 // entry-major rectangles alias Node.Entries. pagestore.Codec.Decode
 // builds the view straight from a page image through NewPageView: one
-// axis-major slab, one compact identity array, no Entry per slot. What
-// Rect and Sphere hand out for a decoded page depends on who owns the
-// view. A view nobody recycles is expected to stay (a store's working
-// set, a one-off read): its entry-major coordinates are
-// gathered from the slab once, on the first call, and published through
-// an atomic pointer. A view drawn from a ViewPool (Pooled) is a frame:
-// its memory is refilled once its owner has seen the last hold on it
-// dropped, so nothing that outlives the hold may alias it. Rect and
-// Sphere copy the one entry asked for into memory of their own; a
-// reader that has somewhere to keep the copy uses CopyRect.
+// axis-major slab, one compact identity array, no Entry per slot. Only
+// a live node's view lends out its rectangles and spheres (Live). Rect
+// and Sphere on a decoded view copy the one entry asked for into memory
+// of their own: a view drawn from a ViewPool is a frame, refilled once
+// its owner has seen the last hold on it dropped. A reader that has
+// somewhere to keep the copy uses CopyRect.
 //
 // A FlatNode is immutable from the moment it is built until its owner,
 // if it has one, hands it back to the pool (see ViewPool).
@@ -45,10 +40,6 @@ type FlatNode struct {
 	entries []Entry   // view of a live node: alias of Node.Entries
 	refs    []PageRef // decoded page: the identity column
 	sph     geom.SphereSoA
-	// aos is a decoded page's entry-major coordinate slab (lo, hi and,
-	// in the sphere layout, center per entry), nil until the first Rect
-	// or Sphere call. Immutable once published.
-	aos atomic.Pointer[[]float64]
 	// owner is the pooled memory this view is part of; nil for a view
 	// the collector owns (every live-node view, every pool-less decode).
 	owner *pageView
@@ -196,21 +187,24 @@ func (f *FlatNode) Count(i int) int {
 	return int(f.refs[i].Count)
 }
 
-// Rect returns entry i's MBR in entry-major form. The corners may be
-// shared memory — the live node's, or the page's gathered slab — and
-// must not be written; they never alias memory a ViewPool refills (a
-// pooled view allocates the copy: see CopyRect for a reader that brings
-// the memory).
+// Live reports whether f views a live node (BuildFlat), whose
+// rectangles and spheres Rect and Sphere lend out; an empty view has
+// nothing to lend either way.
+func (f *FlatNode) Live() bool { return f.entries != nil }
+
+// Rect returns entry i's MBR in entry-major form. A live node's view
+// lends the node's corners, which must not be written; a decoded view
+// allocates a copy (see CopyRect for a reader that brings the memory).
 func (f *FlatNode) Rect(i int) geom.Rect {
 	if f.entries != nil {
 		return f.entries[i].Rect
 	}
-	return f.gatheredRect(i)
+	return f.copiedRect(i)
 }
 
 // CopyRect copies entry i's MBR out of the columns into c — dim low
 // corners, then dim high corners: how a reader keeps a rectangle of a
-// pooled view past its hold on the view.
+// decoded view.
 func (f *FlatNode) CopyRect(i int, c []float64) {
 	dim := f.Rects.Dim()
 	for a := 0; a < dim; a++ {
@@ -219,75 +213,32 @@ func (f *FlatNode) CopyRect(i int, c []float64) {
 }
 
 // Sphere returns entry i's bounding sphere (the invalid zero Sphere
-// when the page carries none), shared like Rect's corners.
+// when the page carries none), lent or copied like Rect's corners.
 func (f *FlatNode) Sphere(i int) geom.Sphere {
 	if f.entries != nil {
 		return f.entries[i].Sphere
 	}
-	return f.gatheredSphere(i)
+	return f.copiedSphere(i)
 }
 
-// gatheredRect and gatheredSphere are the decoded page's half of Rect
-// and Sphere, apart so that the live half inlines into the executions.
-func (f *FlatNode) gatheredRect(i int) geom.Rect {
+// copiedRect and copiedSphere are the decoded page's half of Rect and
+// Sphere, apart so that the live half inlines into the executions.
+func (f *FlatNode) copiedRect(i int) geom.Rect {
 	dim := f.Rects.Dim()
-	if f.owner != nil {
-		c := make([]float64, 2*dim)
-		f.CopyRect(i, c)
-		return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
-	}
-	c := f.entryMajor()[i*f.stride():]
-	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim : 2*dim : 2*dim]}
+	c := make([]float64, 2*dim)
+	f.CopyRect(i, c)
+	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
 }
 
-func (f *FlatNode) gatheredSphere(i int) geom.Sphere {
+func (f *FlatNode) copiedSphere(i int) geom.Sphere {
 	if f.Spheres == nil {
 		return geom.Sphere{}
 	}
-	dim := f.Rects.Dim()
-	if f.owner != nil {
-		c := make([]float64, dim)
-		for a := range c {
-			c[a] = f.sph.Center[a][i]
-		}
-		return geom.Sphere{Center: c, Radius: f.sph.Radius[i]}
+	c := make([]float64, f.Rects.Dim())
+	for a := range c {
+		c[a] = f.sph.Center[a][i]
 	}
-	c := f.entryMajor()[i*f.stride():]
-	return geom.Sphere{Center: c[2*dim : 3*dim : 3*dim], Radius: f.sph.Radius[i]}
-}
-
-// stride is the number of entry-major coordinates per entry.
-func (f *FlatNode) stride() int {
-	if f.Spheres != nil {
-		return 3 * f.Rects.Dim()
-	}
-	return 2 * f.Rects.Dim()
-}
-
-// entryMajor returns the entry-major coordinates of a decoded page that
-// no pool owns, gathering them from the columns on first use. Racing first callers
-// each gather; one slab is published and all of them return it.
-func (f *FlatNode) entryMajor() []float64 {
-	if p := f.aos.Load(); p != nil {
-		return *p
-	}
-	dim, m, per := f.Rects.Dim(), len(f.refs), f.stride()
-	g := make([]float64, m*per)
-	for a := 0; a < dim; a++ {
-		lo, hi := f.Rects.Lo[a], f.Rects.Hi[a]
-		for i := 0; i < m; i++ {
-			g[i*per+a], g[i*per+dim+a] = lo[i], hi[i]
-		}
-		if f.Spheres != nil {
-			for i, c := range f.sph.Center[a] {
-				g[i*per+2*dim+a] = c
-			}
-		}
-	}
-	if !f.aos.CompareAndSwap(nil, &g) {
-		return *f.aos.Load()
-	}
-	return g
+	return geom.Sphere{Center: c, Radius: f.sph.Radius[i]}
 }
 
 // Flat returns the node's flat view, building and caching it on first

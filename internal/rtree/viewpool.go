@@ -49,11 +49,6 @@ func (f *FlatNode) Release() bool {
 	return n == 0
 }
 
-// Pooled reports whether the view's memory belongs to a ViewPool and
-// may be refilled once its owner lets go of it: what a reader keeps of
-// such a view it must copy (CopyRect).
-func (f *FlatNode) Pooled() bool { return f.owner != nil }
-
 // ViewPool recycles the memory of decoded page views — the FlatNode,
 // its axis-major slab, its column headers and its identity column — for
 // an owner that knows when a view has no reader left (Hold, Release).

@@ -158,7 +158,7 @@ func TestViewHoldsAndEviction(t *testing.T) {
 		return f
 	}
 	f := newView()
-	if !f.Pooled() {
+	if f.owner == nil {
 		t.Fatal("a view drawn from a pool does not say so")
 	}
 	f.Hold(1)
@@ -190,7 +190,7 @@ func TestViewHoldsAndEviction(t *testing.T) {
 
 	plain, _ := NewPageView(nil, 2, 0, 2, 3, false)
 	plain.Hold(1)
-	if plain.Pooled() || plain.Release() {
+	if plain.owner != nil || plain.Release() {
 		t.Error("a view no pool owns was counted")
 	}
 }
