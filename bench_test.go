@@ -148,13 +148,15 @@ func BenchmarkGeomMinMaxDist(b *testing.B) {
 // BenchmarkKernels compares the scalar distance kernels against the
 // batch kernels over one node-sized batch of rectangles (the per-page
 // entry capacity at each dimensionality — the exact shape of the
-// candidate-filtering pass). The bench-json CI job records both series;
+// candidate-filtering pass), and the point-leaf kernel over one point
+// leaf's column set against the scalar Dmin of each point (rows
+// scalar/point and batch/point). The bench-json CI job records both series;
 // cmd/benchjson derives the batch/scalar speedup per metric and
 // dimension from the matching name pairs.
 func BenchmarkKernels(b *testing.B) {
 	rnd := rand.New(rand.NewSource(benchSeed))
 	for _, dim := range []int{2, 3, 4, 8} {
-		n := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity()
+		n := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(1)
 		p := make(geom.Point, dim)
 		for a := range p {
 			p[a] = rnd.Float64()
@@ -172,44 +174,70 @@ func BenchmarkKernels(b *testing.B) {
 			}
 			rects[i] = geom.Rect{Lo: lo, Hi: hi}
 		}
-		out := make([]float64, n)
+		// A point leaf of the default layout: its capacity of points in
+		// one column set, which the leaf kernel reads once.
+		// Drawn from a stream of its own: the rectangle rows keep their
+		// inputs.
+		np := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(0)
+		prnd := rand.New(rand.NewSource(benchSeed + int64(dim)))
+		pts := make([]geom.Point, np)
+		cols := make([][]float64, dim)
+		for a := range cols {
+			cols[a] = make([]float64, np)
+		}
+		for i := range pts {
+			pts[i] = make(geom.Point, dim)
+			for a := range pts[i] {
+				pts[i][a] = prnd.Float64()
+				cols[a][i] = pts[i][a]
+			}
+		}
+		out := make([]float64, max(n, np))
 		kernels := []struct {
-			name   string
-			scalar func()
-			batch  func()
+			name    string
+			entries int
+			scalar  func()
+			batch   func()
 		}{
-			{"dmin",
+			{"dmin", n,
 				func() {
 					for j := range rects {
 						out[j] = geom.MinDistSq(p, rects[j])
 					}
 				},
 				func() { geom.MinDistSqBatch(p, &soa, out) }},
-			{"dmm",
+			{"dmm", n,
 				func() {
 					for j := range rects {
 						out[j] = geom.MinMaxDistSq(p, rects[j])
 					}
 				},
 				func() { geom.MinMaxDistSqBatch(p, &soa, out) }},
-			{"dmax",
+			{"dmax", n,
 				func() {
 					for j := range rects {
 						out[j] = geom.MaxDistSq(p, rects[j])
 					}
 				},
 				func() { geom.MaxDistSqBatch(p, &soa, out) }},
+			{"point", np,
+				func() {
+					for j := range pts {
+						out[j] = geom.MinDistSq(p, geom.PointRect(pts[j]))
+					}
+				},
+				func() { geom.PointDistSqBatch(p, cols, out) }},
 		}
 		for _, k := range kernels {
 			k := k
 			b.Run(fmt.Sprintf("scalar/%s/d=%d", k.name, dim), func(b *testing.B) {
-				b.ReportMetric(float64(n), "entries/batch")
+				b.ReportMetric(float64(k.entries), "entries/batch")
 				for i := 0; i < b.N; i++ {
 					k.scalar()
 				}
 			})
 			b.Run(fmt.Sprintf("batch/%s/d=%d", k.name, dim), func(b *testing.B) {
-				b.ReportMetric(float64(n), "entries/batch")
+				b.ReportMetric(float64(k.entries), "entries/batch")
 				for i := 0; i < b.N; i++ {
 					k.batch()
 				}
@@ -542,7 +570,9 @@ func BenchmarkDurableIngest(b *testing.B) {
 			if err != nil {
 				return durableIngest{}, err
 			}
-			tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+			tr, err := rtree.New(rtree.Config{
+				Dim: 2, MaxEntries: codec.Capacity(1), LeafMaxEntries: codec.Capacity(0), PointLeaves: true,
+			}, ds)
 			if err != nil {
 				return durableIngest{}, errors.Join(err, ds.Close())
 			}
@@ -714,43 +744,63 @@ func benchDurableIngest(b *testing.B, open func(dir string) (durableIngest, erro
 	}
 }
 
+// codecPage is a page of entries random 2-d or 8-d points: a point
+// leaf at level 0, a directory page of degenerate rectangles at level 1.
+func codecPage(dim, entries, level int) *rtree.Node {
+	n := &rtree.Node{ID: 1, Level: level}
+	rnd := rand.New(rand.NewSource(1))
+	for i := 0; i < entries; i++ {
+		p := make(geom.Point, dim)
+		for a := range p {
+			p[a] = rnd.Float64()
+		}
+		e := rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i))
+		if level > 0 {
+			e = rtree.Entry{Rect: geom.PointRect(p), Child: rtree.PageID(i + 1), Count: 1}
+		}
+		n.Entries = append(n.Entries, e)
+	}
+	return n
+}
+
+// BenchmarkPageCodecEncode encodes a full 2-d page: a point leaf (170
+// entries) and, in the dir/ row, a directory page of rectangles (92
+// entries, the page the paper's layout wrote for a leaf too).
 func BenchmarkPageCodecEncode(b *testing.B) {
 	c := pagestore.Codec{Dim: 2, PageSize: 4096}
-	n := &rtree.Node{ID: 1, Level: 0}
-	rnd := rand.New(rand.NewSource(1))
-	for i := 0; i < c.Capacity(); i++ {
-		x, y := rnd.Float64(), rnd.Float64()
-		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{x, y}), rtree.ObjectID(i)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Encode(n); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name  string
+		level int
+	}{{"points", 0}, {"dir", 1}} {
+		n := codecPage(c.Dim, c.Capacity(row.level), row.level)
+		b.Run(fmt.Sprintf("%s/d=2", row.name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Encode(n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkPageDecode measures what a page miss pays to turn an image
 // into something a query can read: the read path's decoder (flat: the
 // kernels' columns straight from the image) beside the write side's
-// (node: a mutable rtree.Node), on leaf pages filled to about 70 %.
+// (node: a mutable rtree.Node), on pages filled to about 70 %: point
+// leaves (points/ rows) and directory pages of rectangles (dir/ rows,
+// the page the paper's layout wrote for a leaf too), which hold about
+// half the entries.
 func BenchmarkPageDecode(b *testing.B) {
-	for _, cfg := range []struct{ dim, entries int }{{2, 64}, {8, 21}} {
+	for _, cfg := range []struct {
+		dim, entries, level int
+		layout              string
+	}{{2, 64, 1, "dir/"}, {8, 21, 1, "dir/"}, {2, 119, 0, "points/"}, {8, 39, 0, "points/"}} {
 		c := pagestore.Codec{Dim: cfg.dim, PageSize: 4096}
-		n := &rtree.Node{ID: 1, Level: 0}
-		rnd := rand.New(rand.NewSource(1))
-		for i := 0; i < cfg.entries; i++ {
-			p := make(geom.Point, cfg.dim)
-			for a := range p {
-				p[a] = rnd.Float64()
-			}
-			n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i)))
-		}
-		buf, err := c.Encode(n)
+		buf, err := c.Encode(codecPage(cfg.dim, cfg.entries, cfg.level))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("flat/d=%d", cfg.dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("flat/%sd=%d", cfg.layout, cfg.dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Decode(buf); err != nil {
@@ -758,7 +808,7 @@ func BenchmarkPageDecode(b *testing.B) {
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("node/d=%d", cfg.dim), func(b *testing.B) {
+		b.Run(fmt.Sprintf("node/%sd=%d", cfg.layout, cfg.dim), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.DecodeNode(buf); err != nil {

@@ -10,6 +10,10 @@
 //	treestat -set longbeach -disks 8 -dir lb.tree
 //	treestat -set longbeach -disks 8 -dir lb.tree   # reopens it
 //
+// Leaves hold points (a point and its object id per entry), directory
+// pages rectangles (spheres too with -sr, whose leaves hold the same),
+// and the header line prints both capacities.
+//
 // With -dir the tree lives in a durable directory: an empty directory
 // gets the tree built, committed and checkpointed into it; a directory
 // that already holds one is reopened instead, every page on the disk
@@ -75,8 +79,7 @@ func main() {
 		if err := os.MkdirAll(*dir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		codec := pagestore.Codec{Dim: treeDim, PageSize: *pageSize, Spheres: *spheres}
-		if ds, err = pagestore.OpenDurable(*dir, codec, pagestore.DurableOptions{}); err != nil {
+		if ds, err = pagestore.OpenDurable(*dir, cfg.Codec(), pagestore.DurableOptions{}); err != nil {
 			log.Fatal(err)
 		}
 		cfg.Store = ds
@@ -109,8 +112,8 @@ func main() {
 	}
 
 	st := tree.ComputeStats()
-	fmt.Printf("set %s: %d points, %d-d, page %dB (capacity %d entries)\n",
-		*set, st.Objects, treeDim, *pageSize, tree.Config().MaxEntries)
+	fmt.Printf("set %s: %d points, %d-d, page %dB (capacity: leaf %d entries, directory %d)\n",
+		*set, st.Objects, treeDim, *pageSize, tree.Capacity(0), tree.Capacity(1))
 	fmt.Printf("height %d, %d nodes (%d leaves, %d internal)\n", st.Height, st.Nodes, st.Leaves, st.Internal)
 	fmt.Printf("fill: leaves %.1f%%, directory %.1f%%\n", st.AvgLeafFill*100, st.AvgDirFill*100)
 
@@ -149,7 +152,7 @@ func main() {
 	fmt.Println("\ninvariants: OK (MBRs, counts, balance, fill, placements)")
 
 	// Page-codec audit: every node must round-trip through a page image.
-	codec := pagestore.Codec{Dim: treeDim, PageSize: *pageSize, Spheres: tree.Config().UseSpheres}
+	codec := tree.Config().Codec()
 	pages := 0
 	var bad error
 	tree.Walk(func(nd *rtree.Node, _ int) bool {

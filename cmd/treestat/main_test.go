@@ -68,3 +68,22 @@ func TestDirReopenPrintsTheSameDistribution(t *testing.T) {
 		}
 	}
 }
+
+// The header line prints the leaf and the directory capacity: at 8-d a
+// 4 KiB page holds 56 points or 29 rectangles, and an SR tree's leaves
+// hold sphere entries like its directory.
+func TestCapacities(t *testing.T) {
+	args := []string{"-set", "gaussian", "-n", "3000", "-dim", "8", "-disks", "4"}
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{nil, "page 4096B (capacity: leaf 56 entries, directory 29)"},
+		{[]string{"-sr"}, "page 4096B (capacity: leaf 19 entries, directory 19)"},
+	} {
+		out := treestat(t, append(args, c.flags...)...)
+		if !strings.Contains(out, c.want) {
+			t.Errorf("treestat %v: no line with %q:\n%s", c.flags, c.want, out)
+		}
+	}
+}

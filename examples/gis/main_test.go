@@ -32,9 +32,9 @@ func TestOutput(t *testing.T) {
 }
 
 // want is what the program prints: a street map: range, CRSS and growing-ε queries and the per-disk accesses.
-const want = `street map: 30000 intersections, 471 pages on 8 disks
+const want = `street map: 30000 intersections, 256 pages on 8 disks
 
-range query r=0.02: 30 intersections, 7 node accesses
+range query r=0.02: 30 intersections, 6 node accesses
 
 5 nearest intersections (CRSS):
   #1 intersection 5312   at (0.4805, 0.5206), 0.0007 away
@@ -44,15 +44,15 @@ range query r=0.02: 30 intersections, 7 node accesses
   #5 intersection 23195  at (0.4811, 0.5137), 0.0064 away
 CRSS I/O: 12 node accesses in 3 rounds
 
-k-NN as growing-ε range series: 44 node accesses (3.7× CRSS)
+k-NN as growing-ε range series: 43 node accesses (3.6× CRSS)
 
 CRSS per-disk accesses for this query:
-  disk 0: 1
+  disk 0: 3
   disk 1: 0
-  disk 2: 3
-  disk 3: 3
-  disk 4: 1
-  disk 5: 2
-  disk 6: 0
-  disk 7: 2
+  disk 2: 2
+  disk 3: 1
+  disk 4: 2
+  disk 5: 0
+  disk 6: 1
+  disk 7: 3
 `

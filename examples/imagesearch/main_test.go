@@ -32,7 +32,7 @@ func TestOutput(t *testing.T) {
 }
 
 // want is what the program prints: image retrieval: the top matches, precision, index I/O and the simulated response times.
-const want = `image library: 8000 images, 16-bin histograms, 759 pages on 10 disks
+const want = `image library: 8000 images, 16-bin histograms, 397 pages on 10 disks
 
 top-12 matches for a theme-3 probe:
   #1  image 6849  theme 3  dist 0.02885 *
@@ -49,7 +49,7 @@ top-12 matches for a theme-3 probe:
   #12 image 4488  theme 3  dist 0.04159 *
 
 retrieval precision: 12/12 from the probe's theme
-index I/O: 167 of 759 pages (22.0%), 30 parallel rounds
-0.25 queries/sec with bbss : mean response 5891.3 ms (max 11440.3 ms)
-0.25 queries/sec with crss : mean response 1734.3 ms (max 3164.2 ms)
+index I/O: 110 of 397 pages (27.7%), 23 parallel rounds
+0.25 queries/sec with bbss : mean response 3592.6 ms (max 6340.4 ms)
+0.25 queries/sec with crss : mean response 1172.9 ms (max 1905.7 ms)
 `

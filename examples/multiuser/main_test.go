@@ -32,24 +32,24 @@ func TestOutput(t *testing.T) {
 	if !strings.HasPrefix(string(out), simulated) {
 		t.Errorf("output\n%s\ndoes not start with\n%s", out, simulated)
 	}
-	engine := regexp.MustCompile(`(?m)^real concurrent engine: 80 queries from 8 clients in \S+ \(\d+ q/s, 3925 page fetches\)$`)
+	engine := regexp.MustCompile(`(?m)^real concurrent engine: 80 queries from 8 clients in \S+ \(\d+ q/s, 2247 page fetches\)$`)
 	if !engine.Match(out) {
 		t.Errorf("output\n%s\nhas no line matching %s", out, engine)
 	}
 }
 
 // simulated is what the program prints before it starts the engine.
-const simulated = `database: 30000 5-d vectors, 955 pages, 10 disks; workload: 80 queries, k=20
+const simulated = `database: 30000 5-d vectors, 502 pages, 10 disks; workload: 80 queries, k=20
 
 λ (q/s)         bbss        fpss        crss      woptss   (mean response, ms)
-1             1598.6     12549.2       497.8       251.2
-5             4016.6     36377.3      1903.9       476.6
-10            7225.8     40036.7      5869.6      2952.6
-20            8896.2     41428.6      8255.9      4603.6
+1              868.0      2943.2       293.2       171.0
+5             1185.5     25792.1       453.7       229.6
+10            2366.0     29128.3      1429.2       611.1
+20            4044.7     30565.3      3515.8      2049.0
 
 device utilization at λ=20:
   fpss : busiest disk 100%, bus 18%, CPU 0%
-  crss : busiest disk 100%, bus 17%, CPU 1%
+  crss : busiest disk 99%, bus 17%, CPU 1%
 
 CRSS keeps response times close to the WOPTSS bound as load grows;
 `

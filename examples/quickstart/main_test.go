@@ -32,9 +32,9 @@ func TestOutput(t *testing.T) {
 }
 
 // want is what the program prints: the quickstart: the index, the CRSS answer and the per-algorithm table.
-const want = `indexed 20000 points across 318 pages on 10 disks
+const want = `indexed 20000 points across 168 pages on 10 disks
 
-CRSS answered k=10 with 13 node accesses in 4 parallel rounds:
+CRSS answered k=10 with 10 node accesses in 4 parallel rounds:
   #1  object 4665   dist 0.00842
   #2  object 14981  dist 0.00897
   #3  object 2065   dist 0.01042
@@ -47,12 +47,12 @@ CRSS answered k=10 with 13 node accesses in 4 parallel rounds:
   #10 object 8552   dist 0.01498
 
 algorithm     node accesses  parallel rounds   sim. response (ms)
-bbss                      6                6               124.30
-fpss                     18                3               100.13
-crss                     13                4               126.99
-woptss                    6                3                61.23
-bfss                      6                6               124.30
-eps-series               30                3               144.76
+bbss                      4                4                86.88
+fpss                     13                3                89.44
+crss                     10                4               114.17
+woptss                    4                3                86.45
+bfss                      4                4                86.88
+eps-series               28                3               142.95
 
 WOPTSS is the oracle lower bound; CRSS is the practical recommendation.
 `

@@ -133,8 +133,7 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 	}
 	ix := &Index{cfg: cfg}
 	if cfg.DataDir != "" {
-		codec := pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
-		ds, err := pagestore.OpenDurable(cfg.DataDir, codec, pagestore.DurableOptions{Counters: &ix.storage})
+		ds, err := pagestore.OpenDurable(cfg.DataDir, pcfg.Codec(), pagestore.DurableOptions{Counters: &ix.storage})
 		if err != nil {
 			return nil, err
 		}

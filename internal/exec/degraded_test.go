@@ -183,7 +183,9 @@ func checkStagesClosed(t *testing.T, label string, evs []obs.Event) {
 // with StageDone, and FetchDone covers exactly the fetches that
 // completed. The immediate driver is held to the same rule.
 func TestTraceTerminalEventsOnFailure(t *testing.T) {
-	tree, pts := buildTree(t, 3000, 8, false, 0)
+	// Enough points for more pages than the in-flight slots
+	// (closed-while-blocked) in the point-leaf layout too.
+	tree, pts := buildTree(t, 6000, 8, false, 0)
 
 	t.Run("dead-disk", func(t *testing.T) {
 		rootPl, ok := tree.Placement(tree.Tree.Root())

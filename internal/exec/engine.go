@@ -13,15 +13,18 @@
 // The paper's model has no buffer pool, and neither has the engine: New
 // decides once whether a leaf is resident or framed. An engine whose
 // Config.CachePages covers the leaves serves them from the live tree
-// too, on the querying goroutine. Otherwise every leaf is a read on its
-// disk's worker, decoded into one of a fixed set of recycled frames
-// (retire.go).
+// too, on the querying goroutine. Otherwise every leaf is a read of its
+// disk, decoded into one of a fixed set of recycled frames (retire.go):
+// on the disk's worker, or on the querying goroutine once the engine's
+// reads have proven cheaper than the hand-off to a worker
+// (serveInline).
 //
 // The same stage-driven query.Execution state machines that run under
 // the immediate Driver and the system simulator run here unchanged: the
 // Engine resolves each stage's batched page requests by serving the
-// in-memory pages inline and fanning the rest out to the disk workers,
-// collecting completions asynchronously, and delivering the nodes in
+// in-memory pages (and, while reads are cheap, the leaves it reads)
+// inline and fanning the rest out to the disk workers, collecting
+// completions asynchronously, and delivering the nodes in
 // request order so results are bit-for-bit identical to the
 // sequential paths. Many client goroutines may query a shared Engine
 // concurrently; total outstanding page reads are bounded, and queries
@@ -64,6 +67,14 @@ const (
 	// the query context's deadline.
 	retryBackoff    = 200 * time.Microsecond
 	retryMaxBackoff = 5 * time.Millisecond
+	// A framed engine reads a leaf on the querying goroutine (serveInline)
+	// once inlineMinReads replica reads have averaged at most
+	// inlineReadMax. A read that cheap costs less than the two goroutine
+	// hand-offs a disk worker adds (queue send, delivery), so reading a
+	// stage's leaves one after the other beats fanning them out; a slower
+	// drive is still read in parallel by its worker.
+	inlineMinReads = 64
+	inlineReadMax  = 50 * time.Microsecond
 )
 
 // Config tunes the engine. The zero value picks sensible defaults.
@@ -76,12 +87,15 @@ type Config struct {
 	// it covers every leaf the engine is resident: leaves are served from
 	// the live tree on the querying goroutine, no drive is read and, in
 	// memory mode, no leaf image is encoded. Otherwise (0 included) the
-	// engine is framed: every leaf request is a read on its disk's worker,
-	// decoded into a recycled frame. No other value changes anything.
+	// engine is framed: every leaf request is a read of its disk, decoded
+	// into a recycled frame, on the disk's worker or, once reads have
+	// proven cheap, on the querying goroutine. No other value changes
+	// anything.
 	CachePages int
 	// CoalesceFetches merges concurrent fetches of the same leaf across
 	// queries into one disk job: later requests join the in-flight fetch
-	// and share its result instead of queueing their own copy. This is
+	// and share its result instead of queueing their own copy. A read on
+	// the querying goroutine neither leads nor joins a flight. This is
 	// request-level singleflight — the network query service enables it
 	// so concurrent clients reading the same pages share fan-outs instead
 	// of multiplying queue depth. Results are bit-identical with or
@@ -150,7 +164,7 @@ func (c *Config) fill() {
 type Stats struct {
 	Queries      uint64 // queries completed successfully
 	Cancelled    uint64 // queries aborted by context or Close
-	PagesFetched uint64 // leaf fetches served: by a disk worker, or from the live tree on the querying goroutine
+	PagesFetched uint64 // leaf fetches served: by a disk worker, or on the querying goroutine (read, or from the live tree)
 	Decodes      uint64 // physical page decodes: one per successful replica read, none on a resident engine
 	// FetchesCancelled counts fetch jobs abandoned on a cancelled
 	// query context — either before a worker picked them up or while
@@ -285,6 +299,11 @@ type Engine struct {
 	hedgeP99Nanos  atomic.Int64
 	hedgeRefreshAt atomic.Uint64
 
+	// inlineMax bounds the mean replica read under which serveInline
+	// reads on the querying goroutine (inlineReadMax; tests raise it to
+	// run that path under the race detector, whose reads are slower).
+	inlineMax time.Duration
+
 	// Observability: per-disk gauges and wall-clock latency
 	// histograms, always on (single atomic ops on the hot path).
 	gauges   []obs.DiskGauges
@@ -326,10 +345,11 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		readLat:  obs.NewLatencyHistogram(),
 		stageLat: obs.NewLatencyHistogram(),
 		semWait:  obs.NewLatencyHistogram(),
+
+		inlineMax: inlineReadMax,
 	}
 	e.scratch.New = func() any { return newStageScratch() }
-	tc := t.Config()
-	codec := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}
+	codec := t.Config().Codec()
 	stored := make([][]*rtree.Node, n) // per disk, the nodes stored as page images
 	for d, pages := range t.PagesPerDisk() {
 		stored[d] = make([]*rtree.Node, 0, pages)
@@ -345,7 +365,7 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		if nd.IsLeaf() {
 			leaves++
 		}
-		if nd.IsLeaf() || cfg.DataDir != "" && len(nd.Entries) <= codec.Capacity() {
+		if nd.IsLeaf() || cfg.DataDir != "" && len(nd.Entries) <= codec.Capacity(nd.Level) {
 			stored[pl.Disk] = append(stored[pl.Disk], nd)
 		}
 		return true
@@ -521,39 +541,65 @@ func (e *Engine) ViewStats() rtree.ViewStats { return e.views.Stats() }
 // returns.
 func (e *Engine) worker(d int) {
 	defer e.workers.Done()
-	g := &e.gauges[d]
 	for job := range e.queues[d] {
-		g.Queued.Add(-1)
-		res := fetchResult{done: true}
-		if err := job.ctx.Err(); err != nil {
-			res.err = err
-			g.Cancelled.Add(1)
-			e.stats.FetchesCancelled.Add(1)
-		} else {
-			g.InFlight.Add(1)
-			res.node, res.err = e.readReplicated(job.ctx, d, job.page)
-			g.InFlight.Add(-1)
-			switch {
-			case res.err == nil:
-				res.node.Hold(1) // the request's
-				e.stats.PagesFetched.Add(1)
-				g.Served.Add(1)
-				res.wall = time.Since(job.submitted)
-				e.fetchLat.Observe(res.wall.Seconds())
-			case isCancellation(res.err):
-				g.Cancelled.Add(1)
-				e.stats.FetchesCancelled.Add(1)
-			default:
-				g.Failed.Add(1)
-				e.stats.FetchErrors.Add(1)
-			}
-		}
+		e.gauges[d].Queued.Add(-1)
+		res := e.serve(job.ctx, d, job.page, job.submitted)
 		if job.flight != nil {
 			e.resolveFlight(job.flight, job.page, res)
 		}
 		job.sc.deliver(job.idx, res)
 		<-e.sem // release the in-flight slot
 	}
+}
+
+// serve reads one leaf of disk d for a request submitted at submitted,
+// on whichever goroutine serves it — the disk's worker, or the querying
+// goroutine (serveInline) — and keeps the disk's gauges and the
+// engine's counters. A successful read comes with the request's hold on
+// the view.
+func (e *Engine) serve(ctx context.Context, d int, page rtree.PageID, submitted time.Time) fetchResult {
+	g := &e.gauges[d]
+	res := fetchResult{done: true}
+	if err := ctx.Err(); err != nil {
+		res.err = err
+		g.Cancelled.Add(1)
+		e.stats.FetchesCancelled.Add(1)
+		return res
+	}
+	g.InFlight.Add(1)
+	res.node, res.err = e.readReplicated(ctx, d, page)
+	g.InFlight.Add(-1)
+	switch {
+	case res.err == nil:
+		res.node.Hold(1) // the request's
+		e.stats.PagesFetched.Add(1)
+		g.Served.Add(1)
+		res.wall = time.Since(submitted)
+		e.fetchLat.Observe(res.wall.Seconds())
+	case isCancellation(res.err):
+		g.Cancelled.Add(1)
+		e.stats.FetchesCancelled.Add(1)
+	default:
+		g.Failed.Add(1)
+		e.stats.FetchErrors.Add(1)
+	}
+	return res
+}
+
+// serveInline reads request r on the calling goroutine when that is
+// cheaper than a disk worker: the engine's replica reads have proven
+// fast (inlineMinReads, inlineReadMax) and no job waits in r's disk
+// queue, so the read overtakes nobody. It reports whether it served r.
+// The read takes no in-flight slot and no coalescing flight: a caller
+// reads one page at a time, and a read this cheap costs less than
+// waiting for another query's.
+func (e *Engine) serveInline(ctx context.Context, r query.PageRequest) (fetchResult, bool) {
+	n := e.readLat.Count()
+	if n < inlineMinReads || e.readLat.Sum() > float64(n)*e.inlineMax.Seconds() ||
+		e.gauges[r.Disk].Queued.Load() != 0 {
+		return fetchResult{}, false
+	}
+	return e.serve(ctx, r.Disk, r.Page, time.Now()), true
 }
 
 // isCancellation classifies context noise apart from real I/O errors.
@@ -823,32 +869,38 @@ func batchError(ioErr, submitErr, cancelErr error) error {
 	return cancelErr
 }
 
-// submitOne sends one leaf request of a framed engine to its disk: it
+// submitOne resolves one leaf request of a framed engine: it reads the
+// page itself when serveInline finds that cheaper, and otherwise
 // acquires an in-flight slot and enqueues a job on the page's disk,
 // whose worker delivers the result to slot idx of sc. With
-// request-level coalescing enabled it first tries to join an in-flight
-// fetch of the same page — a join consumes no semaphore slot and no
-// queue slot, and the shared result is delivered like any other. When
-// this call starts a new flight, later requests may join it until the
-// worker that serves the job resolves it; if the job cannot be enqueued
-// (cancelled context or closed engine), every waiter that joined
-// meanwhile is aborted with the submission error so none is left
-// hanging. The in-flight slot and the queue slot are taken without
-// blocking when they are free — the common case — and only a full
-// semaphore or a full queue pays for a select on the query context and
-// the close signal. A nil return means exactly one delivery to slot idx
-// of sc is owed, which the caller must wait for (stageScratch.wait).
-func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageScratch, idx int, semWait *time.Duration) error {
+// request-level coalescing enabled a queued request first tries to join
+// an in-flight fetch of the same page — a join consumes no semaphore
+// slot and no queue slot, and the shared result is delivered like any
+// other. When this call starts a new flight, later requests may join it
+// until the worker that serves the job resolves it; if the job cannot
+// be enqueued (cancelled context or closed engine), every waiter that
+// joined meanwhile is aborted with the submission error so none is left
+// hanging. The in-flight slot and
+// the queue slot are taken without blocking when they are free — the
+// common case — and only a full semaphore or a full queue pays for a
+// select on the query context and the close signal. With a nil error,
+// served reports that the result is already in slot idx of sc; otherwise
+// exactly one delivery to that slot is owed, which the caller must wait
+// for (stageScratch.wait).
+func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageScratch, idx int, semWait *time.Duration) (served bool, err error) {
+	if res, ok := e.serveInline(ctx, r); ok {
+		sc.results[idx] = res
+		return true, nil
+	}
 	var flight *coShard // set when this request leads a new flight
 	if e.co != nil {
 		sh, joined := e.co.join(r.Page, sc, idx)
 		if joined {
 			e.stats.FetchesCoalesced.Add(1)
-			return nil
+			return false, nil
 		}
 		flight = sh
 	}
-	var err error
 	now := time.Now()
 	select {
 	case e.sem <- struct{}{}:
@@ -870,12 +922,12 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageSc
 		job := fetchJob{page: r.Page, idx: idx, ctx: ctx, sc: sc, submitted: now, flight: flight}
 		select {
 		case e.queues[r.Disk] <- job:
-			return nil
+			return false, nil
 		default:
 		}
 		select {
 		case e.queues[r.Disk] <- job:
-			return nil
+			return false, nil
 		case <-ctx.Done():
 			err = ctx.Err()
 		case <-e.closed:
@@ -887,7 +939,7 @@ func (e *Engine) submitOne(ctx context.Context, r query.PageRequest, sc *stageSc
 	if flight != nil {
 		e.abortFlight(flight, r.Page, err)
 	}
-	return err
+	return false, err
 }
 
 // stageScratch is one query's per-stage fetch state, reused from stage
@@ -989,10 +1041,12 @@ func foreignCancellation(ctx context.Context, res *fetchResult) bool {
 // coalescer, no queue hop, no decode — and counts as a visit, not a
 // fetch. A resident engine serves every leaf the same way, but counts
 // it as a fetch its disk served, so its counters, gauges and traces read
-// as they would had a worker answered. A framed engine fans the leaves
-// out to the per-disk queues (respecting the in-flight bound); their
-// results are written into the stage's slots by whoever serves them, and
-// the stage waits once, for the last one (stageScratch). It then reads
+// as they would had a worker answered. A framed engine reads a leaf
+// itself while that is cheaper than a worker (submitOne, serveInline)
+// and fans the others out to the per-disk queues (respecting the
+// in-flight bound); their results are written into the stage's slots by
+// whoever serves them, and the stage waits once, for the last one
+// (stageScratch). It then reads
 // the slots in request order: a slot that joined another query's flight
 // and got that query's cancellation is refetched under a fresh countdown
 // while this query is live — another query's cancellation must never
@@ -1035,8 +1089,11 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 			e.fetchLat.Observe(results[i].wall.Seconds())
 			continue
 		}
-		if submitErr = e.submitOne(ctx, r, sc, i, &semWait); submitErr == nil {
-			owed++
+		served, err := e.submitOne(ctx, r, sc, i, &semWait)
+		if submitErr = err; err == nil {
+			if !served {
+				owed++
+			}
 			mark = time.Now()
 		}
 	}
@@ -1054,9 +1111,9 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 			}
 			refetch = true
 			results[i] = fetchResult{}
-			if err := e.submitOne(ctx, reqs[i], sc, i, &semWait); err != nil {
+			if served, err := e.submitOne(ctx, reqs[i], sc, i, &semWait); err != nil {
 				results[i] = fetchResult{err: err} // engine closed (or we just got cancelled)
-			} else {
+			} else if !served {
 				owed++
 			}
 		}
@@ -1112,7 +1169,8 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 // engine's leaves included, which are served from memory but charged
 // as reads. Pinned pages and a resident engine's leaves are served on
 // the calling goroutine; a framed engine's leaves are read on the
-// per-disk workers, and the query's last stage lets go of its frames
+// per-disk workers or, while reads are cheap, on the calling goroutine,
+// and the query's last stage lets go of its frames
 // before KNN returns. The context cancels the query between (and during)
 // fetch stages. opts.SharedCache may be shared across concurrent queries
 // (bufferpool.Sharded is internally locked); residency accounting is

@@ -261,8 +261,7 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 	tree, pts := xtreeWithSupernodes(t, 4000)
 	queries := dataset.SampleQueries(pts, 8, 41)
 	want := driverAnswers(tree, queries, k)
-	tc := tree.Config()
-	fits := pagestore.Codec{Dim: tc.Dim, PageSize: tc.PageSize, Spheres: tc.UseSpheres}.Capacity()
+	codec := tree.Config().Codec()
 	leavesOn := map[int]map[rtree.PageID]bool{} // per disk, its leaves
 	fileOf := map[int]map[rtree.PageID]bool{}   // per disk, what its replica file holds
 	leaves := 0
@@ -275,7 +274,7 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 			leaves++
 			leavesOn[pl.Disk][n.ID] = true
 		}
-		if len(n.Entries) <= fits {
+		if len(n.Entries) <= codec.Capacity(n.Level) {
 			fileOf[pl.Disk][n.ID] = true
 		}
 		return true

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +329,9 @@ func TestSnapshotSub(t *testing.T) {
 // TestPublishExpvar checks the /debug/vars contract: the published
 // variable renders as JSON carrying the live snapshot plus pre-derived
 // headline percentiles.
+// publishRuns numbers the runs of TestPublishExpvar in this process.
+var publishRuns atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
 	tree, pts := buildTree(t, 1000, 3, false, 0)
 	eng, err := New(tree, Config{})
@@ -341,9 +345,9 @@ func TestPublishExpvar(t *testing.T) {
 		}
 	}
 
-	// expvar.Publish panics on duplicate names; a test-scoped unique
-	// name keeps reruns within one process safe.
-	const name = "engine-test-publish-expvar"
+	// expvar.Publish panics on duplicate names; a name unique to this
+	// run keeps reruns within one process (-count > 1) safe.
+	name := fmt.Sprintf("engine-test-publish-expvar-%d", publishRuns.Add(1))
 	eng.PublishExpvar(name)
 	v := expvar.Get(name)
 	if v == nil {

@@ -101,12 +101,14 @@ func askClients(t *testing.T, eng *Engine, label string, queries []geom.Point, w
 
 // xtreeWithSupernodes is an X-tree over n 10-d uniform points: they
 // split with heavy overlap, so the tree answers with supernodes, which
-// exceed a page (directory nodes, served from the tree).
+// exceed a page (directory nodes, served from the tree). Its 1 KiB
+// pages (11 points to a leaf, 5 rectangles to a directory node) make
+// the directory deep enough to overflow at a few thousand points.
 func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 	t.Helper()
 	pts := dataset.Uniform(n, 10, 121)
 	tree, err := parallel.New(parallel.Config{
-		Dim: 10, NumDisks: 4, Cylinders: 1449,
+		Dim: 10, NumDisks: 4, Cylinders: 1449, PageSize: 1024,
 		MaxOverlapRatio: 0.2, Policy: decluster.ProximityIndex{}, Seed: 121,
 	})
 	if err != nil {
@@ -117,7 +119,7 @@ func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 	}
 	resident := 0
 	tree.Walk(func(n *rtree.Node, _ int) bool {
-		if n.Pages(tree.Config().MaxEntries) > 1 {
+		if n.Pages(tree.Capacity(n.Level)) > 1 {
 			resident++
 		}
 		return true
@@ -531,6 +533,15 @@ func mallocsPerQuery(t testing.TB, eng *Engine, queries []geom.Point, clients, r
 // flight records, waiter lists, stage state and rectangle slots are all
 // reused, so what a query allocates is code, not timing: a second
 // measurement over the same query list agrees with the first within 1 %.
+//
+// The measurement runs on one P. A sync.Pool keeps a private slot per
+// P that no other P can take from: with several Ps, a query whose
+// goroutine another P ran when it put its scratch back finds none at
+// the next Get and allocates a fresh one, and how often that happens
+// is the scheduler's — under load from other processes it moved the
+// second measurement off the first by more than 1 %. On one P every
+// Put lands where the next Get looks, so once warm the pools always
+// hit. The clients still interleave at every blocking read.
 func TestMissPathAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
@@ -541,6 +552,7 @@ func TestMissPathAllocBudget(t *testing.T) {
 	// the runtime's own caches, and what their refill allocates is not
 	// the engine's.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, coalesce := range []bool{false, true} {
 		for _, clients := range []int{1, 2, 8} {
 			label := fmt.Sprintf("coalesce=%v clients=%d", coalesce, clients)

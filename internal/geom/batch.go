@@ -14,13 +14,15 @@
 //
 // Parity contract: every batch kernel is BIT-IDENTICAL to its scalar
 // counterpart (MinDistSq, MinMaxDistSq, MaxDistSq, Sphere.MinDistSq,
-// Sphere.MaxDistSq, SphereRectMin) for every input, including NaN and
+// Sphere.MaxDistSq, SphereRectMin; MinDistSq of a PointRect for the
+// point kernel) for every input, including NaN and
 // ±Inf coordinates — with all NaNs identified, since IEEE 754 leaves
 // NaN payload propagation to the hardware. The kernels replicate the
 // scalar operation order axis by axis, so no floating-point
 // reassociation can diverge. The contract is enforced by golden tests
-// over the committed fuzz corpora and by FuzzGeomMetrics itself; the
-// driver/simulator/engine parity suites depend on it.
+// over the committed fuzz corpora and by FuzzGeomMetrics and
+// FuzzPointKernel; the driver/simulator/engine parity suites depend on
+// it.
 package geom
 
 import (
@@ -99,10 +101,16 @@ func checkBatch(p Point, dim, n int, out []float64) {
 }
 
 // MinDistSqBatch computes out[i] = MinDistSq(p, r_i) for every
-// rectangle of the view. out must hold at least r.Len() values.
+// rectangle of the view. out must hold at least r.Len() values. A view
+// of points — Hi the same slices as Lo, as a point-leaf page's is — goes
+// to PointDistSqBatch, which reads the one column set once.
 func MinDistSqBatch(p Point, r *RectSoA, out []float64) {
 	n := r.Len()
 	if n == 0 {
+		return
+	}
+	if &r.Lo[0] == &r.Hi[0] {
+		PointDistSqBatch(p, r.Lo, out)
 		return
 	}
 	checkBatch(p, r.Dim(), n, out)
@@ -180,6 +188,103 @@ func minDistSqGeneric(p Point, r *RectSoA, out []float64) {
 		lo, hi := r.Lo[a][:len(out)], r.Hi[a][:len(out)]
 		for i := range out {
 			out[i] += minDistAxis(pa, lo[i], hi[i])
+		}
+	}
+}
+
+// PointDistSqBatch computes out[i] = MinDistSq(p, PointRect(x_i)) for n
+// points laid out axis-major in one column set: point x_i is
+// (pts[0][i], …, pts[dim−1][i]). It is the leaf kernel of a point-leaf
+// page, whose view keeps one column set where a rectangle view keeps a
+// low and a high corner, and MinDistSqBatch hands such a view (Hi the
+// same slices as Lo) to it. Per axis it squares p − x once, where the
+// rectangle kernel tests both corners, and adds the terms in axis order:
+// where p − x is positive the term is minDistAxis's (p − hi)², where
+// negative its (lo − p)² — the same magnitude squared — and where zero
+// +0, as minDistAxis's untouched term is. A NaN p − x, which fails both
+// of minDistAxis's tests and counts 0 there, makes the sum NaN here (no
+// other sum of terms that are never negative is), and such an entry is
+// summed again without it. So for every input, NaN and ±Inf included,
+// it is MinDistSqBatch on the same points as degenerate rectangles in
+// columns of their own, bit for bit. Each square is rounded before it is
+// added (the float64 conversions), so no platform fuses a multiply into
+// the next add. out must hold at least len(pts[0]) values.
+func PointDistSqBatch(p Point, pts [][]float64, out []float64) {
+	if len(pts) == 0 || len(pts[0]) == 0 {
+		return
+	}
+	n := len(pts[0])
+	checkBatch(p, len(pts), n, out)
+	switch len(p) {
+	case 2:
+		pointDistSq2(p, pts[0][:n], pts[1][:n], out[:n])
+	case 3:
+		pointDistSq3(p, pts[0][:n], pts[1][:n], pts[2][:n], out[:n])
+	case 4:
+		pointDistSq4(p, pts[0][:n], pts[1][:n], pts[2][:n], pts[3][:n], out[:n])
+	default:
+		pointDistSqGeneric(p, pts, out[:n])
+	}
+	for i, v := range out[:n] {
+		if math.IsNaN(v) {
+			out[i] = pointDistSqDroppingNaN(p, pts, i)
+		}
+	}
+}
+
+// pointDistSqDroppingNaN is point i's sum with every NaN term left out:
+// from 0, in axis order, as minDistSqGeneric sums.
+func pointDistSqDroppingNaN(p Point, pts [][]float64, i int) float64 {
+	var s float64
+	for a, pa := range p {
+		if d := pa - pts[a][i]; !math.IsNaN(d) {
+			s += float64(d * d)
+		}
+	}
+	return s
+}
+
+func pointDistSq2(p Point, x0, x1, out []float64) {
+	p0, p1 := p[0], p[1]
+	x0, x1 = x0[:len(out)], x1[:len(out)]
+	for i := range out {
+		d0, d1 := p0-x0[i], p1-x1[i]
+		out[i] = float64(d0*d0) + float64(d1*d1)
+	}
+}
+
+func pointDistSq3(p Point, x0, x1, x2, out []float64) {
+	p0, p1, p2 := p[0], p[1], p[2]
+	x0, x1, x2 = x0[:len(out)], x1[:len(out)], x2[:len(out)]
+	for i := range out {
+		d0, d1, d2 := p0-x0[i], p1-x1[i], p2-x2[i]
+		s := float64(d0*d0) + float64(d1*d1)
+		out[i] = s + float64(d2*d2)
+	}
+}
+
+func pointDistSq4(p Point, x0, x1, x2, x3, out []float64) {
+	p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+	x0, x1, x2, x3 = x0[:len(out)], x1[:len(out)], x2[:len(out)], x3[:len(out)]
+	for i := range out {
+		d0, d1, d2, d3 := p0-x0[i], p1-x1[i], p2-x2[i], p3-x3[i]
+		s := float64(d0*d0) + float64(d1*d1)
+		s += float64(d2 * d2)
+		out[i] = s + float64(d3*d3)
+	}
+}
+
+// pointDistSqGeneric is the any-dimension fallback: axis-outer
+// accumulation into out from 0, in axis order, like minDistSqGeneric.
+func pointDistSqGeneric(p Point, pts [][]float64, out []float64) {
+	for i := range out {
+		out[i] = 0
+	}
+	for a, pa := range p {
+		x := pts[a][:len(out)]
+		for i := range out {
+			d := pa - x[i]
+			out[i] += float64(d * d)
 		}
 	}
 }

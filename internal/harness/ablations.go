@@ -41,11 +41,12 @@ func AblationDecluster(opt Options) (*Table, error) {
 		ys := make([]float64, len(diskSweep))
 		for i, disks := range diskSweep {
 			tree, err := parallel.New(parallel.Config{
-				Dim:       2,
-				NumDisks:  disks,
-				Cylinders: disk.HPC2200A().Cylinders,
-				Policy:    policy,
-				Seed:      opt.Seed + 17,
+				Dim:        2,
+				NumDisks:   disks,
+				Cylinders:  disk.HPC2200A().Cylinders,
+				MaxEntries: paperEntries(2, false),
+				Policy:     policy,
+				Seed:       opt.Seed + 17,
 			})
 			if err != nil {
 				return nil, err
@@ -179,11 +180,12 @@ func AblationRange(opt Options) (*Table, error) {
 		ys := make([]float64, len(diskSweep))
 		for i, disks := range diskSweep {
 			tree, err := parallel.New(parallel.Config{
-				Dim:       2,
-				NumDisks:  disks,
-				Cylinders: disk.HPC2200A().Cylinders,
-				Policy:    decluster.ProximityIndex{},
-				Seed:      opt.Seed + 17,
+				Dim:        2,
+				NumDisks:   disks,
+				Cylinders:  disk.HPC2200A().Cylinders,
+				MaxEntries: paperEntries(2, false),
+				Policy:     decluster.ProximityIndex{},
+				Seed:       opt.Seed + 17,
 			})
 			if err != nil {
 				return nil, err
@@ -237,6 +239,7 @@ func AblationXTree(opt Options) (*Table, error) {
 			Dim:             dim,
 			NumDisks:        disks,
 			Cylinders:       disk.HPC2200A().Cylinders,
+			MaxEntries:      paperEntries(dim, false),
 			MaxOverlapRatio: ratio,
 			Policy:          decluster.ProximityIndex{},
 			Seed:            opt.Seed + 17,
@@ -358,11 +361,12 @@ func AblationPacking(opt Options) (*Table, error) {
 
 	mk := func(packed bool) (*parallel.Tree, error) {
 		tree, err := parallel.New(parallel.Config{
-			Dim:       2,
-			NumDisks:  disks,
-			Cylinders: disk.HPC2200A().Cylinders,
-			Policy:    decluster.ProximityIndex{},
-			Seed:      opt.Seed + 17,
+			Dim:        2,
+			NumDisks:   disks,
+			Cylinders:  disk.HPC2200A().Cylinders,
+			MaxEntries: paperEntries(2, false),
+			Policy:     decluster.ProximityIndex{},
+			Seed:       opt.Seed + 17,
 		})
 		if err != nil {
 			return nil, err
@@ -545,11 +549,12 @@ func AblationRAID1(opt Options) (*Table, error) {
 
 	buildN := func(numDisks int) (*parallel.Tree, error) {
 		tree, err := parallel.New(parallel.Config{
-			Dim:       2,
-			NumDisks:  numDisks,
-			Cylinders: disk.HPC2200A().Cylinders,
-			Policy:    decluster.ProximityIndex{},
-			Seed:      opt.Seed + 17,
+			Dim:        2,
+			NumDisks:   numDisks,
+			Cylinders:  disk.HPC2200A().Cylinders,
+			MaxEntries: paperEntries(2, false),
+			Policy:     decluster.ProximityIndex{},
+			Seed:       opt.Seed + 17,
 		})
 		if err != nil {
 			return nil, err
@@ -625,6 +630,7 @@ func AblationSRTree(opt Options) (*Table, error) {
 			Dim:        dim,
 			NumDisks:   disks,
 			Cylinders:  disk.HPC2200A().Cylinders,
+			MaxEntries: paperEntries(dim, spheres),
 			UseSpheres: spheres,
 			Policy:     decluster.ProximityIndex{},
 			Seed:       opt.Seed + 17,

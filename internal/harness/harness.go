@@ -16,6 +16,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/pagestore"
 	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/simarray"
@@ -75,6 +76,15 @@ func scaleKs(ks []int, n int) []int {
 	return out
 }
 
+// paperEntries is the paper's node capacity at dim: what one 4 KiB
+// page holds of rectangle entries (sphere entries in an SR tree), for
+// leaves and directory nodes alike. The experiments set it, and so keep
+// the paper's page counts, where the default layout would fit more
+// points to a leaf.
+func paperEntries(dim int, spheres bool) int {
+	return max(4, pagestore.Codec{Dim: dim, PageSize: 4096, Spheres: spheres}.Capacity(1))
+}
+
 // buildTree constructs the parallel R*-tree for an experiment. The
 // paper's trees use PI declustering and one block per node.
 func buildTree(dsName string, n, dim, disks int, seed int64) (*parallel.Tree, []geom.Point, error) {
@@ -83,11 +93,12 @@ func buildTree(dsName string, n, dim, disks int, seed int64) (*parallel.Tree, []
 		return nil, nil, err
 	}
 	t, err := parallel.New(parallel.Config{
-		Dim:       dim,
-		NumDisks:  disks,
-		Cylinders: disk.HPC2200A().Cylinders,
-		Policy:    decluster.ProximityIndex{},
-		Seed:      seed + 17,
+		Dim:        dim,
+		NumDisks:   disks,
+		Cylinders:  disk.HPC2200A().Cylinders,
+		MaxEntries: paperEntries(dim, false),
+		Policy:     decluster.ProximityIndex{},
+		Seed:       seed + 17,
 	})
 	if err != nil {
 		return nil, nil, err

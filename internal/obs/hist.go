@@ -80,6 +80,9 @@ func (h *Histogram) Observe(v float64) {
 // Count returns the number of observations so far.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
+// Sum returns the total of the observations so far.
+func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+
 // Snapshot captures a point-in-time copy of the histogram. The bucket
 // counts are read individually (not under a lock), so a snapshot taken
 // during concurrent writes is a consistent-enough view for monitoring:

@@ -261,7 +261,7 @@ func crashCodec() pagestore.Codec { return pagestore.Codec{Dim: 2, PageSize: 512
 func crashConfig(store rtree.Store) parallel.Config {
 	return parallel.Config{
 		Dim: 2, NumDisks: 4, Cylinders: disk.HPC2200A().Cylinders,
-		MaxEntries: crashCodec().Capacity(), Seed: 1, Store: store,
+		MaxEntries: crashCodec().Capacity(1), Seed: 1, Store: store,
 	}
 }
 
@@ -444,7 +444,7 @@ func recoverAndCheck(t *testing.T, res schedResult, files crashFiles, ref []comm
 	meta := ds.Meta()
 	got := make(objSet)
 	if meta.Root != 0 {
-		rcfg := rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}
+		rcfg := rtree.Config{Dim: 2, MaxEntries: codec.Capacity(1)}
 		tr, err := rtree.Restore(rcfg, ds, meta.Root, meta.Size)
 		if err != nil {
 			t.Fatalf("restore of recovered tree failed: %v", err)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -33,7 +34,7 @@ func openDurableT(t *testing.T, dir string, counters *obs.StorageCounters) *Dura
 
 func treeOver(t *testing.T, store rtree.Store) *rtree.Tree {
 	t.Helper()
-	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, store)
+	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity(1)}, store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDurableStoreReopen(t *testing.T) {
 	if meta.Size != model.Len() {
 		t.Fatalf("recovered size %d, want %d", meta.Size, model.Len())
 	}
-	tr2, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()},
+	tr2, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity(1)},
 		ds2, meta.Root, meta.Size)
 	if err != nil {
 		t.Fatal(err)
@@ -170,16 +171,20 @@ func TestDurableStoreFreshIsEmpty(t *testing.T) {
 }
 
 // A directory of an earlier format — version 1, whose pages carry no
-// records, or version 2, whose data file began with a superblock — is
-// refused with an error naming its version: there is no second restore
-// path that would re-derive what it lacks. Its log's header names the
-// version; without a log, its pages are ones no record table names.
+// records, version 2, whose data file began with a superblock, or
+// version 3, whose leaves are rectangles — is refused with an error
+// naming its version: there is no second restore path that would
+// re-derive what it lacks, and a version-3 leaf is never read as
+// points. Its log's header names the version; without a log, its pages
+// are ones no record table names, and a version-3 directory whose log a
+// crash emptied (between a checkpoint's truncate and its header write)
+// is refused by its record tables' version.
 func TestDurableStoreRefusesVersion1(t *testing.T) {
 	img, err := durableCodec().Encode(leafNode(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []byte{1, 2} {
+	for _, version := range []byte{1, 2, 3} {
 		t.Run(fmt.Sprintf("version%d", version), func(t *testing.T) {
 			dir := t.TempDir()
 			data := make([]byte, 2*durableTestPage) // the superblock's slot, then a page
@@ -212,6 +217,50 @@ func TestDurableStoreRefusesVersion1(t *testing.T) {
 			}
 		})
 	}
+	t.Run("version3-empty-log", func(t *testing.T) {
+		dir := t.TempDir()
+		data := make([]byte, 2*durableTestPage)
+		copy(data[durableTestPage:], img)
+		files := map[string][]byte{DataFileName: data, WALFileName: nil}
+		for seq, name := range tableFileNames {
+			files[name] = version1Table(uint64(seq+1), durableCodec())
+		}
+		for name, b := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ds, err := OpenDurable(dir, durableCodec(), DurableOptions{})
+		if err == nil {
+			ds.Close()
+			t.Fatal("opened a version-3 directory whose log is empty")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "record table records-0.db version 1, want 2") || !strings.Contains(msg, "predates") {
+			t.Errorf("error %q, want one that names the table's version", msg)
+		}
+		if wal, err := os.ReadFile(filepath.Join(dir, WALFileName)); err != nil || len(wal) != 0 {
+			t.Errorf("the refused open wrote the log: %d bytes, %v", len(wal), err)
+		}
+	})
+}
+
+// version1Table is a record table as directories of version 3 wrote
+// it: checkpoint seq of a tree whose root, page 1, holds one object.
+func version1Table(seq uint64, c Codec) []byte {
+	var hdr [52]byte
+	copy(hdr[:], tableMagic[:])
+	hdr[4] = 1
+	putLayout(hdr[:], c)
+	binary.LittleEndian.PutUint64(hdr[16:], seq)
+	binary.LittleEndian.PutUint64(hdr[24:], 1)
+	binary.LittleEndian.PutUint64(hdr[32:], 1)
+	binary.LittleEndian.PutUint64(hdr[40:], 2)
+	buf := binary.LittleEndian.AppendUint32(hdr[:], 0)
+	buf = binary.LittleEndian.AppendUint64(buf, 1)
+	buf = append(buf, make([]byte, PageRecordSize)...)
+	binary.LittleEndian.PutUint32(buf[12:], uint32(len(buf)))
+	binary.LittleEndian.PutUint32(buf[48:], crc32.Update(crc32.ChecksumIEEE(buf[:48]), crc32.IEEETable, buf[52:]))
+	return buf
 }
 
 // A torn newest table is passed over for the older one, and the log,

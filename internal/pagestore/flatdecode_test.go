@@ -100,8 +100,12 @@ func TestDecodedViewMatchesLiveEntries(t *testing.T) {
 		for _, leaf := range []bool{true, false} {
 			for _, dim := range []int{1, 2, 8} {
 				c := Codec{Dim: dim, PageSize: 4096, Spheres: spheres}
-				for _, entries := range []int{0, 1, c.Capacity()} {
-					n := randomNode(rnd, dim, entries, leaf)
+				level := 1
+				if leaf {
+					level = 0
+				}
+				for _, entries := range []int{0, 1, c.Capacity(level)} {
+					n := randomNodeFor(rnd, c, entries, leaf)
 					if spheres {
 						withSpheres(n, rnd)
 					}
@@ -121,6 +125,10 @@ func TestDecodedViewMatchesLiveEntries(t *testing.T) {
 					}
 					if err := flatEqual(f, n.Flat()); err != nil {
 						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: decoded vs live view: %v", spheres, leaf, dim, entries, err)
+					}
+					if want := c.points(level) && entries > 0; f.Points() != want || n.Flat().Points() != want {
+						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: Points() decoded %v, live %v, want %v",
+							spheres, leaf, dim, entries, f.Points(), n.Flat().Points(), want)
 					}
 				}
 			}
@@ -207,7 +215,7 @@ func TestFlatDecodeBudget(t *testing.T) {
 	rnd := rand.New(rand.NewSource(13))
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
-		n := randomNode(rnd, c.Dim, c.Capacity(), true)
+		n := randomNodeFor(rnd, c, c.Capacity(0), true)
 		if spheres {
 			withSpheres(n, rnd)
 		}
@@ -266,7 +274,12 @@ func TestPooledDecodeMatchesPlain(t *testing.T) {
 		pooled.Views = rtree.NewViewPool(3)
 		var held []*rtree.FlatNode
 		for round := 0; round < 200; round++ {
-			n := randomNode(rnd, plain.Dim, rnd.Intn(plain.Capacity()+1), rnd.Intn(2) == 0)
+			leaf := rnd.Intn(2) == 0
+			level := 1
+			if leaf {
+				level = 0
+			}
+			n := randomNodeFor(rnd, plain, rnd.Intn(plain.Capacity(level)+1), leaf)
 			if spheres {
 				withSpheres(n, rnd)
 			}
@@ -319,7 +332,7 @@ func TestDecodeFromWarmPoolAllocatesNothing(t *testing.T) {
 	rnd := rand.New(rand.NewSource(14))
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres, Views: rtree.NewViewPool(2)}
-		n := randomNode(rnd, c.Dim, c.Capacity(), true)
+		n := randomNodeFor(rnd, c, c.Capacity(0), true)
 		if spheres {
 			withSpheres(n, rnd)
 		}

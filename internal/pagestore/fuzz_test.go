@@ -93,6 +93,11 @@ func FuzzRecordTable(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-1]) // torn
 	f.Add([]byte{})
+	f.Add(appendTable(nil, &recordTable{ // an SR tree's
+		seq: 4, layout: Codec{Dim: 3, PageSize: 512, Spheres: true}, meta: treeMeta{Root: 2, Size: 9, NextID: 3},
+		recs: map[rtree.PageID]PageRecord{2: {9}},
+	}, []rtree.PageID{2}))
+	f.Add(version1Table(4, Codec{Dim: 8, PageSize: 4096})) // an earlier format's
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: arbitrary bytes. A table that decodes is the
@@ -158,8 +163,8 @@ func FuzzRecordTable(f *testing.F) {
 // second Encode pins the codec as a fixpoint: any field a decoder drops
 // or rewrites shows up as a byte diff.
 func FuzzPageCodec(f *testing.F) {
-	// A genuine version-1 page for each shape so coverage starts past
-	// the header checks.
+	// A genuine leaf for each shape so coverage starts past the header
+	// checks: a point leaf (version 3) and an SR tree's (version 2).
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 2, PageSize: 256, Spheres: spheres}
 		n := &rtree.Node{ID: 7, Level: 0, Entries: []rtree.Entry{{
@@ -168,7 +173,7 @@ func FuzzPageCodec(f *testing.F) {
 			Sphere: geom.Sphere{Center: geom.Point{1, 2}, Radius: 1.5},
 		}}}
 		if !spheres {
-			n.Entries[0].Sphere = geom.Sphere{}
+			n.Entries[0] = rtree.LeafEntry(geom.PointRect(geom.Point{0, 1}), 42)
 		}
 		buf, err := c.Encode(n)
 		if err != nil {
@@ -176,6 +181,25 @@ func FuzzPageCodec(f *testing.F) {
 		}
 		f.Add(buf, byte(1), spheres)
 	}
+	// Point leaves, and a directory page beside them, at 2-d and 8-d.
+	for _, dim := range []int{2, 8} {
+		c := Codec{Dim: dim, PageSize: 512}
+		p := make(geom.Point, dim)
+		for a := range p {
+			p[a] = float64(a) - 0.5
+		}
+		for _, n := range []*rtree.Node{
+			{ID: 7, Level: 0, Entries: []rtree.Entry{rtree.LeafEntry(geom.PointRect(p), 42), rtree.LeafEntry(geom.PointRect(p), 43)}},
+			{ID: 8, Level: 1, Entries: []rtree.Entry{{Rect: geom.Rect{Lo: p, Hi: p}, Child: 7, Count: 2}}},
+		} {
+			buf, err := c.Encode(n)
+			if err != nil {
+				f.Fatalf("seed encode: %v", err)
+			}
+			f.Add(buf, byte(dim-1), false)
+		}
+	}
+	f.Add([]byte{magic, versionPoint, 0, 0, 1, 0}, byte(1), false) // truncated point header
 	f.Add([]byte{}, byte(0), false)
 	f.Add([]byte{magic, versionRect, 0, 0, 255, 255}, byte(0), false) // truncated header
 	// Full-size images whose stored page id is 7+2³² and whose child
@@ -239,7 +263,7 @@ func FuzzPageCodec(f *testing.F) {
 		coord := func() float64 { return float64(int16(next())) / 16 }
 
 		level := int(next() % 3)
-		count := int(next() % uint64(c.Capacity()+1))
+		count := int(next() % uint64(c.Capacity(level)+1))
 		n = &rtree.Node{ID: rtree.PageID(next()%(1<<30) + 1), Level: level}
 		for i := 0; i < count; i++ {
 			lo := make(geom.Point, dim)
@@ -252,6 +276,9 @@ func FuzzPageCodec(f *testing.F) {
 				lo[d], hi[d] = a, b
 			}
 			e := rtree.Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Count: int(next() % (1 << 31))}
+			if c.points(level) {
+				e.Rect.Hi, e.Count = lo, 1
+			}
 			if level == 0 {
 				e.Object = rtree.ObjectID(next())
 			} else {

@@ -37,7 +37,7 @@ func TestEncodeIntoRecycledImage(t *testing.T) {
 			}
 			return nd
 		}
-		old, err := c.Encode(node(7, min(90, c.Capacity())))
+		old, err := c.Encode(node(7, min(90, c.Capacity(1))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func (f memFiles) equal(g memFiles) bool {
 func committedObjects(t *testing.T, ds *DurableStore) []rtree.ObjectID {
 	t.Helper()
 	m := ds.Meta()
-	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, ds, m.Root, m.Size)
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity(1)}, ds, m.Root, m.Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 	// batch that re-logged them: recovery restores the committed tree.
 	want := c.tr.Len()
 	ds = files.open(t, nil)
-	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, ds, ds.Meta().Root, ds.Meta().Size)
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity(1)}, ds, ds.Meta().Root, ds.Meta().Size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestCommitAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity(1)}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +467,7 @@ func TestDurableStoreHoldsNoImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity()}, ds)
+	tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity(1)}, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -770,7 +770,7 @@ func TestDurableStoreCheckpointAfterLaggingLog(t *testing.T) {
 	re := lagging.open(t, nil)
 	defer re.Close()
 	m := re.Meta()
-	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity()}, re, m.Root, m.Size)
+	tr, err := rtree.Restore(rtree.Config{Dim: 2, MaxEntries: durableCodec().Capacity(1)}, re, m.Root, m.Size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func TestDurableStoreUpdatePanicsOverCapacity(t *testing.T) {
 	ds := openDurableT(t, t.TempDir(), nil)
 	defer ds.Close()
 	n := ds.Allocate(0)
-	for i := 0; i <= ds.codec.Capacity(); i++ {
+	for i := 0; i <= ds.codec.Capacity(0); i++ {
 		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2}), rtree.ObjectID(i)))
 	}
 	defer func() {

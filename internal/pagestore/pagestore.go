@@ -8,17 +8,28 @@
 // The on-page layout is:
 //
 //	offset 0   uint8   magic (0xA5)
-//	offset 1   uint8   version (1 = rect entries, 2 = SR sphere entries)
+//	offset 1   uint8   version (1 = rect entries, 2 = SR sphere entries,
+//	                   3 = point entries)
 //	offset 2   uint16  level (0 = leaf)
 //	offset 4   uint16  entry count
 //	offset 6   uint16  dimension
 //	offset 8   uint64  page id
-//	offset 16  entries; each entry is
+//	offset 16  entries; a version 1 or 2 entry is
 //	           dim*8 bytes float64 lo corner
 //	           dim*8 bytes float64 hi corner
 //	           8 bytes ref (child page for internal, object id for leaf)
 //	           4 bytes uint32 subtree object count
 //	           [version 2 only] dim*8 bytes sphere center + 8 bytes radius
+//	           and a version 3 entry is
+//	           dim*8 bytes float64 point
+//	           8 bytes object id
+//
+// Directory pages are version 1 (2 in an SR tree). A leaf is version 3:
+// a point and its object id, 8·dim + 8 bytes, where the paper stores
+// the point as a degenerate rectangle with a count that is always 1
+// (16·dim + 12 bytes) — 56 entries on a 4 KiB page at 8-d instead of
+// 29. The paper's leaf capacity is the directory's, Capacity(1). An SR
+// tree's leaves keep the sphere layout (version 2).
 package pagestore
 
 import (
@@ -34,6 +45,7 @@ const (
 	magic         = 0xA5
 	versionRect   = 1 // rectangle-only entries (plain R*-tree)
 	versionSphere = 2 // SR layout: entries carry a bounding sphere too
+	versionPoint  = 3 // point-leaf layout: a point and an object id
 	headerSize    = 16
 )
 
@@ -50,10 +62,11 @@ type Reader interface {
 // Codec encodes and decodes nodes for a fixed page size and
 // dimensionality. Spheres selects the SR-tree on-page layout, where
 // each entry additionally stores a dim-float64 sphere center and a
-// float64 radius. Views, when non-nil, is where Decode draws the memory
-// of the views it builds from — set by a reader that owns its decoded
-// views and returns them (the engine's page cache); everyone else
-// leaves it nil and Decode allocates.
+// float64 radius. Without spheres a leaf holds points (version 3).
+// Views, when non-nil, is where Decode
+// draws the memory of the views it builds from — set by a reader that
+// owns its decoded views and returns them (the engine's page cache);
+// everyone else leaves it nil and Decode allocates.
 type Codec struct {
 	Dim      int
 	PageSize int
@@ -61,8 +74,15 @@ type Codec struct {
 	Views    *rtree.ViewPool
 }
 
-// EntrySize returns the on-page size of one entry.
-func (c Codec) EntrySize() int {
+// points reports whether a page at level holds points: a leaf, unless
+// the codec keeps the SR tree's sphere layout.
+func (c Codec) points(level int) bool { return level == 0 && !c.Spheres }
+
+// EntrySize returns the on-page size of one entry of a page at level.
+func (c Codec) EntrySize(level int) int {
+	if c.points(level) {
+		return c.Dim*8 + 8
+	}
 	n := c.Dim*16 + 12
 	if c.Spheres {
 		n += c.Dim*8 + 8
@@ -70,15 +90,18 @@ func (c Codec) EntrySize() int {
 	return n
 }
 
-func (c Codec) version() byte {
-	if c.Spheres {
+func (c Codec) version(level int) byte {
+	switch {
+	case c.Spheres:
 		return versionSphere
+	case c.points(level):
+		return versionPoint
 	}
 	return versionRect
 }
 
-// Capacity returns the number of entries that fit on one page.
-func (c Codec) Capacity() int { return (c.PageSize - headerSize) / c.EntrySize() }
+// Capacity returns the number of entries that fit on one page at level.
+func (c Codec) Capacity(level int) int { return (c.PageSize - headerSize) / c.EntrySize(level) }
 
 // Encode serializes n into a fresh page-sized buffer. It fails when the
 // node holds more entries than fit on a page or an entry has the wrong
@@ -101,17 +124,34 @@ func (c Codec) EncodeInto(buf []byte, n *rtree.Node) ([]byte, error) {
 	}
 	buf = buf[:c.PageSize]
 	buf[0] = magic
-	buf[1] = c.version()
+	buf[1] = c.version(n.Level)
 	binary.LittleEndian.PutUint16(buf[2:], uint16(n.Level))
 	binary.LittleEndian.PutUint16(buf[4:], uint16(len(n.Entries)))
 	binary.LittleEndian.PutUint16(buf[6:], uint16(c.Dim))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n.ID))
 	off := headerSize
+	points := c.points(n.Level)
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		if e.Rect.Dim() != c.Dim {
+		if e.Rect.Dim() != c.Dim || len(e.Rect.Hi) != c.Dim {
 			return nil, fmt.Errorf("pagestore: node %d entry %d: dim %d, codec dim %d",
 				n.ID, i, e.Rect.Dim(), c.Dim)
+		}
+		if points {
+			// A point leaf stores each entry's point once: Lo and Hi
+			// must be one point, and the count is 1 by definition.
+			for d := 0; d < c.Dim; d++ {
+				lo := math.Float64bits(e.Rect.Lo[d])
+				if lo != math.Float64bits(e.Rect.Hi[d]) || e.Count != 1 {
+					return nil, fmt.Errorf("pagestore: node %d entry %d: %v (count %d) is no point: the page holds points",
+						n.ID, i, e.Rect, e.Count)
+				}
+				binary.LittleEndian.PutUint64(buf[off:], lo)
+				off += 8
+			}
+			binary.LittleEndian.PutUint64(buf[off:], uint64(e.Object))
+			off += 8
+			continue
 		}
 		for d := 0; d < c.Dim; d++ {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Lo[d]))
@@ -152,9 +192,8 @@ func (c Codec) EncodeInto(buf []byte, n *rtree.Node) ([]byte, error) {
 
 // checkCapacity fails when n holds more entries than fit on a page.
 func (c Codec) checkCapacity(n *rtree.Node) error {
-	if len(n.Entries) > c.Capacity() {
-		return fmt.Errorf("pagestore: node %d: %d entries exceed page capacity %d",
-			n.ID, len(n.Entries), c.Capacity())
+	if m := c.Capacity(n.Level); len(n.Entries) > m {
+		return fmt.Errorf("pagestore: node %d: %d entries exceed page capacity %d", n.ID, len(n.Entries), m)
 	}
 	return nil
 }
@@ -180,20 +219,20 @@ func (c Codec) header(buf []byte) (pageHeader, error) {
 	if buf[0] != magic {
 		return pageHeader{}, fmt.Errorf("pagestore: bad magic 0x%02x", buf[0])
 	}
-	if buf[1] != c.version() {
-		return pageHeader{}, fmt.Errorf("pagestore: page version %d, codec expects %d", buf[1], c.version())
-	}
 	h := pageHeader{
 		level: int(binary.LittleEndian.Uint16(buf[2:])),
 		count: int(binary.LittleEndian.Uint16(buf[4:])),
 	}
+	if v := c.version(h.level); buf[1] != v {
+		return pageHeader{}, fmt.Errorf("pagestore: level-%d page version %d, codec expects %d", h.level, buf[1], v)
+	}
 	if dim := int(binary.LittleEndian.Uint16(buf[6:])); dim != c.Dim {
 		return pageHeader{}, fmt.Errorf("pagestore: page dim %d, codec dim %d", dim, c.Dim)
 	}
-	if h.count > c.Capacity() {
-		return pageHeader{}, fmt.Errorf("pagestore: entry count %d exceeds capacity %d", h.count, c.Capacity())
+	if m := c.Capacity(h.level); h.count > m {
+		return pageHeader{}, fmt.Errorf("pagestore: entry count %d exceeds capacity %d", h.count, m)
 	}
-	if need := headerSize + h.count*c.EntrySize(); len(buf) < need {
+	if need := headerSize + h.count*c.EntrySize(h.level); len(buf) < need {
 		return pageHeader{}, fmt.Errorf("pagestore: page truncated: %d bytes, need %d for %d entries",
 			len(buf), need, h.count)
 	}
@@ -240,8 +279,23 @@ func (c Codec) Decode(buf []byte) (*rtree.FlatNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	dim, size := c.Dim, c.EntrySize()
-	f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, c.Spheres)
+	dim, size := c.Dim, c.EntrySize(h.level)
+	if c.points(h.level) {
+		f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, rtree.PointColumns)
+		entries := buf[headerSize : headerSize+h.count*size]
+		for a := 0; a < dim && h.count > 0; a++ {
+			fillColumn(f.Rects.Lo[a], entries, 8*a, size)
+		}
+		for i, off := 0, 8*dim; i < len(refs); i, off = i+1, off+size {
+			refs[i] = rtree.PageRef{Ref: int64(binary.LittleEndian.Uint64(entries[off:])), Count: 1}
+		}
+		return f, nil
+	}
+	cols := rtree.RectColumns
+	if c.Spheres {
+		cols = rtree.SphereColumns
+	}
+	f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, cols)
 	entries := buf[headerSize : headerSize+h.count*size]
 	for a := 0; a < dim && h.count > 0; a++ {
 		fillColumn(f.Rects.Lo[a], entries, 8*a, size)
@@ -279,9 +333,13 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 	// One coordinate slab per page, not two or three slices per entry.
 	// Each point is a capacity-capped sub-slice, so an append to one can
 	// never run into its neighbour.
+	points := c.points(h.level)
 	per := 2 * dim
-	if c.Spheres {
+	switch {
+	case c.Spheres:
 		per += dim
+	case points:
+		per = dim
 	}
 	slab := make([]float64, h.count*per)
 	point := func(off int) (geom.Point, int) {
@@ -297,6 +355,13 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		e.Rect.Lo, off = point(off)
+		if points {
+			// A point stored once, as a tree of point leaves keeps it.
+			e.Rect.Hi, e.Count = e.Rect.Lo, 1
+			e.Object = rtree.ObjectID(binary.LittleEndian.Uint64(buf[off:]))
+			off += 8
+			continue
+		}
 		e.Rect.Hi, off = point(off)
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8

@@ -1,7 +1,9 @@
 package pagestore
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -26,22 +28,40 @@ func TestCodecCapacityMatchesRtree(t *testing.T) {
 		{10, false, 23}, // (4096-16)/(160+12)
 		{2, true, 60},   // (4096-16)/(44+24)
 	} {
-		if got := (Codec{Dim: c.dim, PageSize: 4096, Spheres: c.spheres}).Capacity(); got != c.want {
+		if got := (Codec{Dim: c.dim, PageSize: 4096, Spheres: c.spheres}).Capacity(1); got != c.want {
 			t.Errorf("dim %d spheres %v: capacity %d, want %d", c.dim, c.spheres, got, c.want)
+		}
+	}
+	// A point leaf: 8·dim float64 coordinates and an 8-byte object id.
+	for _, c := range []struct{ dim, want int }{{2, 170}, {8, 56}, {10, 46}} {
+		codec := Codec{Dim: c.dim, PageSize: 4096}
+		if got := codec.Capacity(0); got != c.want {
+			t.Errorf("dim %d: point-leaf capacity %d, want %d", c.dim, got, c.want)
 		}
 	}
 	rnd := rand.New(rand.NewSource(4))
 	for _, dim := range []int{2, 3, 5, 10, 16} {
+		c := Codec{Dim: dim, PageSize: 4096}
+		full := randomNodeFor(rnd, c, c.Capacity(0), true)
+		if _, err := c.Encode(full); err != nil {
+			t.Errorf("dim %d: full point leaf of %d entries: %v", dim, c.Capacity(0), err)
+		}
+		full.Entries = append(full.Entries, full.Entries[0])
+		if _, err := c.Encode(full); err == nil {
+			t.Errorf("dim %d: Encode accepted a point leaf of %d entries", dim, len(full.Entries))
+		}
+	}
+	for _, dim := range []int{2, 3, 5, 10, 16} {
 		for _, spheres := range []bool{false, true} {
 			c := Codec{Dim: dim, PageSize: 4096, Spheres: spheres}
-			full := randomNode(rnd, dim, c.Capacity(), false)
+			full := randomNode(rnd, dim, c.Capacity(1), false)
 			if spheres {
 				for i := range full.Entries {
 					full.Entries[i].Sphere = geom.Sphere{Center: full.Entries[i].Rect.Lo, Radius: 1}
 				}
 			}
 			if _, err := c.Encode(full); err != nil {
-				t.Errorf("dim %d spheres %v: full node of %d entries: %v", dim, spheres, c.Capacity(), err)
+				t.Errorf("dim %d spheres %v: full node of %d entries: %v", dim, spheres, c.Capacity(1), err)
 			}
 			full.Entries = append(full.Entries, full.Entries[0])
 			if _, err := c.Encode(full); err == nil {
@@ -88,15 +108,32 @@ func randomNode(rnd *rand.Rand, dim, entries int, leaf bool) *rtree.Node {
 	return n
 }
 
+// randomNodeFor is randomNode in c's layout: a leaf of a point-leaf
+// codec holds points.
+func randomNodeFor(rnd *rand.Rand, c Codec, entries int, leaf bool) *rtree.Node {
+	n := randomNode(rnd, c.Dim, entries, leaf)
+	if c.points(n.Level) {
+		for i := range n.Entries {
+			n.Entries[i].Rect.Hi = n.Entries[i].Rect.Lo
+		}
+	}
+	return n
+}
+
 // Property: DecodeNode(Encode(n)) == n and Decode(Encode(n)) views n,
-// for random nodes of all shapes.
+// for random nodes of all shapes: point leaves and rectangle
+// directory pages.
 func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64, dimRaw, entRaw uint8, leaf bool) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		dim := int(dimRaw)%10 + 1
 		c := Codec{Dim: dim, PageSize: 4096}
-		entries := int(entRaw) % (c.Capacity() + 1)
-		n := randomNode(rnd, dim, entries, leaf)
+		level := 1
+		if leaf {
+			level = 0
+		}
+		entries := int(entRaw) % (c.Capacity(level) + 1)
+		n := randomNodeFor(rnd, c, entries, leaf)
 		buf, err := c.Encode(n)
 		if err != nil {
 			return false
@@ -117,12 +154,20 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
+		if c.points(n.Level) && len(dec.Entries) > 0 && &dec.Entries[0].Rect.Lo[0] != &dec.Entries[0].Rect.Hi[0] {
+			t.Log("a decoded point is not stored once")
+			return false
+		}
 		view, err := c.Decode(buf)
 		if err != nil {
 			return false
 		}
 		if err := viewsNode(view, n); err != nil {
 			t.Log(err)
+			return false
+		}
+		if view.Points() != (c.points(n.Level) && entries > 0) {
+			t.Logf("view of a level-%d page of %d entries: Points() = %v", n.Level, entries, view.Points())
 			return false
 		}
 		return true
@@ -133,11 +178,33 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 func TestEncodeRejectsOverflow(t *testing.T) {
-	c := Codec{Dim: 2, PageSize: 256} // capacity (256-16)/44 = 5
+	// Capacity (256-16)/24 = 10 points in a leaf, (256-16)/44 = 5
+	// rectangles in a directory page.
+	c := Codec{Dim: 2, PageSize: 256}
 	rnd := rand.New(rand.NewSource(1))
-	n := randomNode(rnd, 2, c.Capacity()+1, true)
+	for _, leaf := range []bool{true, false} {
+		n := randomNodeFor(rnd, c, 11, leaf)
+		if !leaf {
+			n = randomNode(rnd, 2, 6, leaf)
+		}
+		if _, err := c.Encode(n); err == nil {
+			t.Errorf("leaf=%v: Encode accepted overflowing node of %d entries", leaf, len(n.Entries))
+		}
+	}
+}
+
+// A point leaf holds points: a rectangle, or an entry whose count is
+// not 1, is refused rather than stored as its low corner.
+func TestEncodeRejectsRectInPointLeaf(t *testing.T) {
+	c := Codec{Dim: 2, PageSize: 4096}
+	rnd := rand.New(rand.NewSource(7))
+	if _, err := c.Encode(randomNode(rnd, 2, 3, true)); err == nil || !strings.Contains(err.Error(), "no point") {
+		t.Errorf("Encode of rectangles into a point leaf: err = %v", err)
+	}
+	n := randomNodeFor(rnd, c, 3, true)
+	n.Entries[1].Count = 2
 	if _, err := c.Encode(n); err == nil {
-		t.Error("Encode accepted overflowing node")
+		t.Error("Encode accepted a point leaf entry of count 2")
 	}
 }
 
@@ -153,7 +220,7 @@ func TestEncodeRejectsWrongDim(t *testing.T) {
 func TestDecodeRejectsCorruptPages(t *testing.T) {
 	c := Codec{Dim: 2, PageSize: 4096}
 	rnd := rand.New(rand.NewSource(3))
-	buf, err := c.Encode(randomNode(rnd, 2, 5, true))
+	buf, err := c.Encode(randomNodeFor(rnd, c, 5, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +230,16 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 	badVer[1] = 99
 	badDim := append([]byte(nil), buf...)
 	badDim[6] = 7
+	// A version-1 leaf, the rectangle leaf of an earlier format, is
+	// refused by its version byte, never read as points.
+	rectLeaf, err := c.Encode(randomNode(rnd, 2, 5, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(rectLeaf[2:], 0)
 	for what, img := range map[string][]byte{
 		"truncated page": buf[:8], "bad magic": badMagic, "bad version": badVer, "dim mismatch": badDim,
+		"rectangle leaf": rectLeaf,
 	} {
 		for name, decode := range bothDecoders(c) {
 			if decode(img) == nil {
@@ -183,7 +258,7 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
 		rnd := rand.New(rand.NewSource(5))
 		image := func(entries int) []byte {
-			n := randomNode(rnd, c.Dim, entries, true)
+			n := randomNodeFor(rnd, c, entries, true)
 			if spheres {
 				for i := range n.Entries {
 					n.Entries[i].Sphere = geom.Sphere{Center: n.Entries[i].Rect.Lo, Radius: 1}
@@ -203,7 +278,7 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 					}
 				})
 			}
-			one, full := allocs(image(1)), allocs(image(c.Capacity()))
+			one, full := allocs(image(1)), allocs(image(c.Capacity(0)))
 			t.Logf("%s spheres=%v: %.0f allocations per page", name, spheres, full)
 			if full != one {
 				t.Errorf("%s spheres=%v: full page decodes in %.0f allocations, one entry in %.0f", name, spheres, full, one)

@@ -21,7 +21,7 @@ import (
 // A record table fills its file, which holds nothing else:
 //
 //	offset 0   4 bytes  magic "SQRT"
-//	offset 4   uint8    version (1)
+//	offset 4   uint8    version (2; an older table is refused)
 //	offset 5   7 bytes  page layout (see putLayout)
 //	offset 12  uint32   table length, this header included
 //	offset 16  uint64   checkpoint sequence number (1, 2, ...)
@@ -55,8 +55,14 @@ var tableFileNames = [2]string{"records-0.db", "records-1.db"}
 
 var tableMagic = [4]byte{'S', 'Q', 'R', 'T'}
 
+// errPredates refuses a directory whose log or record table carries an
+// earlier format's version: its pages are of another layout (before
+// version 4 of the log and 2 of the tables, leaves held rectangles),
+// and nothing reads them as this format's.
+var errPredates = errors.New("the directory predates the current format and cannot be opened; rebuild it")
+
 const (
-	tableVersion    = 1
+	tableVersion    = 2
 	tableHeaderSize = 52
 	tableEntrySize  = 8 + PageRecordSize
 )
@@ -110,8 +116,12 @@ func tableCRC(buf []byte) uint32 {
 
 // decodeTable decodes a record table from the whole content of its
 // file, or says why the bytes are not one: torn by a crash, never
-// written, or damaged.
+// written, or damaged. A table of an earlier format, torn or whole, is
+// errPredates: its directory is refused, not read.
 func decodeTable(buf []byte) (recordTable, error) {
+	if len(buf) > 4 && [4]byte(buf) == tableMagic && buf[4] > 0 && buf[4] < tableVersion {
+		return recordTable{}, fmt.Errorf("version %d, want %d: %w", buf[4], tableVersion, errPredates)
+	}
 	if len(buf) < tableHeaderSize+4 || [4]byte(buf) != tableMagic {
 		return recordTable{}, fmt.Errorf("%d bytes, no table header", len(buf))
 	}
@@ -179,6 +189,9 @@ func (tf tableFiles) newest(codec Codec, follows int) (recordTable, uint64, erro
 			return recordTable{}, 0, fmt.Errorf("pagestore: reading %s: %w", tableFileNames[i], err)
 		}
 		t, err := decodeTable(buf)
+		if errors.Is(err, errPredates) {
+			return recordTable{}, 0, fmt.Errorf("pagestore: record table %s %w", tableFileNames[i], err)
+		}
 		if err != nil {
 			invalid = append(invalid, fmt.Errorf("pagestore: invalid record table %s: %w", tableFileNames[i], err))
 			continue

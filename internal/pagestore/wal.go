@@ -23,7 +23,7 @@ import (
 //
 //	header (12 bytes):
 //	  offset 0  4 bytes  magic "SQWL"
-//	  offset 4  uint8    version (3; an older log is refused)
+//	  offset 4  uint8    version (4; an older log is refused)
 //	  offset 5  7 bytes  page layout (see putLayout); bits 1–7 of byte 5
 //	                     hold the checkpoint the log follows, mod 128
 //	records, back to back; each record is
@@ -44,7 +44,7 @@ import (
 var walMagic = [4]byte{'S', 'Q', 'W', 'L'}
 
 const (
-	walVersion    = 3
+	walVersion    = 4
 	walHeaderSize = 12
 	walRecHeader  = 16
 	walRecTrailer = 4
@@ -166,8 +166,7 @@ func newWAL(f BlockFile, codec Codec, counters *obs.StorageCounters) (w *WAL, en
 		return nil, nil, 0, fmt.Errorf("pagestore: bad WAL magic %q", buf[0:4])
 	}
 	if buf[4] != walVersion {
-		return nil, nil, 0, fmt.Errorf("pagestore: WAL version %d, want %d: the directory predates "+
-			"the current format and cannot be opened; rebuild it", buf[4], walVersion)
+		return nil, nil, 0, fmt.Errorf("pagestore: WAL version %d, want %d: %w", buf[4], walVersion, errPredates)
 	}
 	if err := checkLayout(headerLayout(buf), codec); err != nil {
 		return nil, nil, 0, err

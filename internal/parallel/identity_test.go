@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -75,6 +76,9 @@ func treeHash(t *parallel.Tree) string {
 //	int64 seed | uint64 root page | uint32 object count | uint32 pages
 //	per page, in walk order: uint64 id | uint16 disk | uint32 cylinder |
 //	          uint32 encoded length | the page encoded at cfg.PageSize
+//
+// The format held every page in the rectangle layout, leaves too:
+// snapshotPage writes a leaf that way.
 func snapshotHash(t *testing.T, tree *parallel.Tree) string {
 	t.Helper()
 	cfg := tree.Config()
@@ -99,9 +103,12 @@ func snapshotHash(t *testing.T, tree *parallel.Tree) string {
 	b = binary.LittleEndian.AppendUint64(b, uint64(tree.Root()))
 	b = binary.LittleEndian.AppendUint32(b, uint32(tree.Len()))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(nodes)))
-	codec := pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
+	codec := cfg.Codec()
 	for _, n := range nodes {
 		img, err := codec.Encode(n)
+		if n.IsLeaf() && !cfg.UseSpheres {
+			img = snapshotLeaf(cfg, n)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,6 +121,29 @@ func snapshotHash(t *testing.T, tree *parallel.Tree) string {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// snapshotLeaf is a leaf of a tree of point leaves as the snapshot
+// format wrote it, in the rectangle layout of directory pages (page
+// version 1): per entry the point as its low and high corner, the
+// object id and a count of 1.
+func snapshotLeaf(cfg parallel.Config, n *rtree.Node) []byte {
+	b := make([]byte, cfg.PageSize)
+	b[0], b[1] = 0xA5, 1
+	binary.LittleEndian.PutUint16(b[4:], uint16(len(n.Entries)))
+	binary.LittleEndian.PutUint16(b[6:], uint16(cfg.Dim))
+	binary.LittleEndian.PutUint64(b[8:], uint64(n.ID))
+	off := 16
+	for _, e := range n.Entries {
+		for _, v := range append(slices.Clone(e.Rect.Lo), e.Rect.Hi...) {
+			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
+			off += 8
+		}
+		binary.LittleEndian.PutUint64(b[off:], uint64(e.Object))
+		binary.LittleEndian.PutUint32(b[off+8:], uint32(e.Count))
+		off += 12
+	}
+	return b
 }
 
 // reopened builds pts into a tree over a durable store in a fresh
@@ -144,10 +174,23 @@ func reopened(t *testing.T, cfg parallel.Config, pts []geom.Point) *parallel.Tre
 	return tree
 }
 
+// identityConfig is the array of the identity goldens at the capacity
+// they were recorded at: the paper's, a page of rectangle entries, for
+// leaves and directory nodes alike.
 func identityConfig(dim int) parallel.Config {
 	return parallel.Config{Dim: dim, NumDisks: 10, Cylinders: disk.HPC2200A().Cylinders,
-		Policy: decluster.ProximityIndex{}, Seed: 1}
+		MaxEntries: pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(1),
+		Policy:     decluster.ProximityIndex{}, Seed: 1}
 }
+
+// spheres selects the SR tree at its derived capacity: a page of sphere
+// entries, leaves and directory nodes alike.
+func spheres(c *parallel.Config) { c.UseSpheres, c.MaxEntries = true, 0 }
+
+// pageCapacities derives each level's capacity from its page layout, as
+// every tree but the paper's experiments does: a leaf of points holds
+// more entries than a directory page of rectangles.
+func pageCapacities(c *parallel.Config) { c.MaxEntries = 0 }
 
 func buildIdentityTree(t *testing.T, cfg parallel.Config, pts []geom.Point) *parallel.Tree {
 	t.Helper()
@@ -217,19 +260,28 @@ func TestTreeIdentity(t *testing.T) {
 		"minoverlap/gaussian-8d": {
 			"5228b188fd51458269b73c857f13e9b8050208078b4ab6a550a9dbfbff8ff0b0",
 			"ec56129ce2159143b6844d64aab053c5856dfbe3e164d55f64eea36a71e7b996"},
+		// Recorded when the point-leaf layout went in: leaves of points
+		// at their own capacity, the directory at the rectangles'.
+		"points/california-2d": {
+			"5b5353d2b11812408230f0431357d35f5e502efc1a7fae0ecdd57e9d3ce6d421",
+			"a88b844b1deb301cc20d27085d90fc6bf761b6a084a1690dbf6276ba3ff392da"},
+		"points/gaussian-8d": {
+			"4c41115c88ceaaf56fc2b689025f6ed3732682d50b52e7777ba245f56288230b",
+			"8b5c9306fd078a4c8e9ccce211cfe7831fc53f578850cbfbda1287ed594f0e16"},
 	}
 	modes := []struct {
 		name string
 		set  func(*parallel.Config)
 	}{
 		{"rstar", func(*parallel.Config) {}},
-		{"sr", func(c *parallel.Config) { c.UseSpheres = true }},
+		{"sr", spheres},
 		// A small fanout and a strict ratio, so that directory nodes
 		// overflow at these sizes and the split-or-supernode rule refuses
 		// some splits and grants others.
 		{"x", func(c *parallel.Config) { c.MaxOverlapRatio, c.MaxEntries = 0.05, 8 }},
 		// The other policy that reads sibling rectangles.
 		{"minoverlap", func(c *parallel.Config) { c.Policy = decluster.MinOverlap{} }},
+		{"points", pageCapacities},
 	}
 	sets := []struct {
 		name string
@@ -306,6 +358,9 @@ func TestPackedTreeIdentity(t *testing.T) {
 		"rstar/gaussian-8d":        "e9c2d40eb8ff821a641f18090cf8f6d874db79326eb1a82bc7e183e8f0ea616d",
 		"sr/gaussian-8d":           "ebac734cb915aa84e388914c4d181fca0ebe06afe7fb1bed11bb6119f12f38bf",
 		"minoverlap/california-2d": "4afb75407c96e0906033b1c61b4ca00b2bc4bdc676d2e1c46782d0b1a68d4d9e",
+		// Recorded when the point-leaf layout went in: STR tiles the
+		// leaves at the point capacity.
+		"points/gaussian-8d": "ad162d07b5921b38dc90c33fb989e544ba1993f74ec33f60150963737a145880",
 	}
 	for name, c := range map[string]struct {
 		set func(*parallel.Config)
@@ -313,8 +368,9 @@ func TestPackedTreeIdentity(t *testing.T) {
 	}{
 		"rstar/california-2d":      {func(*parallel.Config) {}, dataset.CaliforniaLike(3000, 1998)},
 		"rstar/gaussian-8d":        {func(*parallel.Config) {}, dataset.Gaussian(2500, 8, 1998)},
-		"sr/gaussian-8d":           {func(c *parallel.Config) { c.UseSpheres = true }, dataset.Gaussian(2500, 8, 1998)},
+		"sr/gaussian-8d":           {spheres, dataset.Gaussian(2500, 8, 1998)},
 		"minoverlap/california-2d": {func(c *parallel.Config) { c.Policy = decluster.MinOverlap{} }, dataset.CaliforniaLike(3000, 1998)},
+		"points/gaussian-8d":       {pageCapacities, dataset.Gaussian(2500, 8, 1998)},
 	} {
 		cfg := identityConfig(len(c.pts[0]))
 		c.set(&cfg)

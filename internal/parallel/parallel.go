@@ -25,10 +25,16 @@ type Placement struct {
 
 // Config describes the array and tree geometry.
 type Config struct {
-	Dim        int
-	NumDisks   int
-	Cylinders  int // cylinders per disk, for uniform cylinder assignment
-	MaxEntries int // node capacity; 0 derives from PageSize
+	Dim       int
+	NumDisks  int
+	Cylinders int // cylinders per disk, for uniform cylinder assignment
+	// MaxEntries is the node capacity: a leaf's, and a directory
+	// node's too when set. 0 derives both from PageSize and the on-page
+	// layout (pagestore.Codec): a leaf holds points and object ids, a
+	// directory page rectangles, so a leaf holds more. The tree holds
+	// points only (rtree.Config.PointLeaves); an SR tree (UseSpheres)
+	// keeps its sphere layout, one capacity for both.
+	MaxEntries int
 	MinEntries int // 0 = R* default (40% of max)
 	PageSize   int // bytes; used when MaxEntries == 0 (default 4096)
 	Policy     decluster.Policy
@@ -44,6 +50,14 @@ type Config struct {
 	// (e.g. a pagestore.DurableStore for a disk-backed tree). Nil uses
 	// an in-memory store.
 	Store rtree.Store
+
+	// dirEntries is the directory capacity fill derived.
+	dirEntries int
+}
+
+// Codec returns the on-page layout of the tree's pages.
+func (cfg Config) Codec() pagestore.Codec {
+	return pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}
 }
 
 // fill validates the config and applies defaults in place.
@@ -60,10 +74,14 @@ func (cfg *Config) fill() error {
 	if cfg.PageSize == 0 {
 		cfg.PageSize = 4096
 	}
+	cfg.dirEntries = cfg.MaxEntries
 	if cfg.MaxEntries == 0 {
 		// What fits one page of the on-page layout, but never below the
-		// tree's minimum fanout.
-		cfg.MaxEntries = max(4, pagestore.Codec{Dim: cfg.Dim, PageSize: cfg.PageSize, Spheres: cfg.UseSpheres}.Capacity())
+		// tree's minimum fanout: MaxEntries is the leaf capacity, never
+		// below the directory's, so it bounds every page's entries.
+		codec := cfg.Codec()
+		cfg.MaxEntries = max(4, codec.Capacity(0))
+		cfg.dirEntries = max(4, codec.Capacity(1))
 	}
 	return nil
 }
@@ -72,8 +90,10 @@ func (cfg *Config) fill() error {
 func (cfg Config) rtreeConfig() rtree.Config {
 	return rtree.Config{
 		Dim:             cfg.Dim,
-		MaxEntries:      cfg.MaxEntries,
+		MaxEntries:      cfg.dirEntries,
+		LeafMaxEntries:  cfg.MaxEntries,
 		MinEntries:      cfg.MinEntries,
+		PointLeaves:     !cfg.UseSpheres,
 		UseSpheres:      cfg.UseSpheres,
 		MaxOverlapRatio: cfg.MaxOverlapRatio,
 	}

@@ -47,8 +47,31 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pt.Config().MaxEntries; got != 23 { // (4096-16)/(160+12), pagestore.Codec.Capacity
-		t.Errorf("derived capacity = %d, want 23", got)
+	// MaxEntries is the leaf capacity, of points: (4096-16)/(80+8); the
+	// directory's is that of rectangles: (4096-16)/(160+12).
+	if got := pt.Config().MaxEntries; got != 46 {
+		t.Errorf("derived leaf capacity = %d, want 46", got)
+	}
+	if leaf, dir := pt.Capacity(0), pt.Capacity(1); leaf != 46 || dir != 23 {
+		t.Errorf("tree capacities: leaf %d, directory %d, want 46 and 23", leaf, dir)
+	}
+	// An SR tree's leaves hold sphere entries like its directory:
+	// (4096-16)/(160+12+80+8) everywhere.
+	sr, err := New(Config{Dim: 10, NumDisks: 4, Cylinders: 100, UseSpheres: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sr.Config().MaxEntries; got != 15 || sr.Capacity(0) != 15 || sr.Capacity(1) != 15 {
+		t.Errorf("SR tree: MaxEntries %d, capacities %d and %d, want 15 everywhere",
+			got, sr.Capacity(0), sr.Capacity(1))
+	}
+	// An explicit MaxEntries sets both capacities.
+	fixed, err := New(Config{Dim: 10, NumDisks: 4, Cylinders: 100, MaxEntries: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixed.Capacity(0) != 12 || fixed.Capacity(1) != 12 {
+		t.Errorf("MaxEntries 12: capacities %d and %d", fixed.Capacity(0), fixed.Capacity(1))
 	}
 	if pt.Config().Policy == nil {
 		t.Error("no default policy")

@@ -168,8 +168,9 @@ type base struct {
 }
 
 // leafDmin returns Dmin²(q, entry) for every entry of the page, computed
-// with the batch kernel. The returned slice is the execution's scratch
-// buffer, valid until the next scan call.
+// with the batch kernel (over a point leaf's one column set, the point
+// kernel). The returned slice is the execution's scratch buffer, valid
+// until the next scan call.
 func (b *base) leafDmin(n *rtree.FlatNode) []float64 {
 	out := b.scanBuf(n.Len())
 	geom.MinDistSqBatch(b.q, &n.Rects, out)
@@ -263,7 +264,7 @@ func (b *base) request(id rtree.PageID, level int) PageRequest {
 			b.sc.stageRequested = append(b.sc.stageRequested, id)
 		}
 	}
-	pages := b.tree.Store().Get(id).Pages(b.tree.Config().MaxEntries)
+	pages := b.tree.Store().Get(id).Pages(b.tree.Capacity(level))
 	return PageRequest{Page: id, Disk: pl.Disk, Cylinder: pl.Cylinder, Pages: pages, Cached: cached}
 }
 

@@ -32,7 +32,11 @@ func (ff *framesFetcher) fetch(reqs []PageRequest) ([]*rtree.FlatNode, error) {
 			continue
 		}
 		dim := src.Rects.Dim()
-		f, refs := rtree.NewPageView(ff.pool, src.ID, src.Level, dim, src.Len(), false)
+		cols := rtree.RectColumns
+		if src.Points() {
+			cols = rtree.PointColumns
+		}
+		f, refs := rtree.NewPageView(ff.pool, src.ID, src.Level, dim, src.Len(), cols)
 		for a := 0; a < dim; a++ {
 			copy(f.Rects.Lo[a], src.Rects.Lo[a])
 			copy(f.Rects.Hi[a], src.Rects.Hi[a])

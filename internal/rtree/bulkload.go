@@ -16,8 +16,8 @@ import (
 // reorganization would buy — the packing ablation compares query cost
 // on incremental vs packed trees.
 //
-// Packing proceeds bottom-up: the objects are tiled into full leaves by
-// recursive slab sorting, then each level's nodes are tiled the same
+// Packing proceeds bottom-up: the objects are tiled into full leaves (at
+// the leaf capacity) by recursive slab sorting, then each level's nodes are tiled the same
 // way by their MBR centers until one root remains. The structural
 // listener fires for every created page, so declustering policies place
 // packed pages exactly like split-created ones.
@@ -29,6 +29,7 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 		if err := t.checkRect(items[i].Rect); err != nil {
 			return fmt.Errorf("rtree: item %d: %w", i, err)
 		}
+		items[i].Rect = t.leafRect(items[i].Rect)
 		items[i].Count = 1
 		items[i].Child = NilPage
 		if t.cfg.UseSpheres && !items[i].Sphere.Valid() {
@@ -45,7 +46,7 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 	level := 0
 	entries := items
 	for {
-		if len(entries) <= t.cfg.MaxEntries {
+		if len(entries) <= t.cfg.capacity(level) {
 			// Final level: one root node.
 			root := t.store.Allocate(level)
 			// Copy: tiling yields subslices of a shared backing array,
@@ -62,8 +63,8 @@ func (t *Tree) BulkLoadSTR(items []Entry) error {
 			t.listener.RootChanged(root.ID)
 			return nil
 		}
-		groups := strTile(entries, t.cfg.MaxEntries, t.cfg.Dim, 0)
-		groups = fixMinFill(groups, t.cfg.MinEntries, t.cfg.MaxEntries)
+		groups := strTile(entries, t.cfg.capacity(level), t.cfg.Dim, 0)
+		groups = fixMinFill(groups, t.cfg.minFill(level), t.cfg.capacity(level))
 		next := make([]Entry, 0, len(groups))
 		for _, g := range groups {
 			n := t.store.Allocate(level)

@@ -14,9 +14,11 @@ import (
 //  2. every parent entry's Count equals the child's subtree object count
 //     (the SIGMOD'98 modification this reproduction depends on),
 //  3. all leaves sit at level 0 and depth is uniform (height balance),
-//  4. non-root nodes respect the minimum fill, no node exceeds capacity,
+//  4. non-root nodes respect the minimum fill, no node exceeds capacity
+//     (each at its level's: leaves and directory nodes have their own),
 //  5. the recorded tree size matches the number of leaf entries,
-//  6. levels decrease by exactly one per step down.
+//  6. levels decrease by exactly one per step down,
+//  7. with Config.PointLeaves, every leaf entry is a point (Lo = Hi).
 //
 // In SR mode (Config.UseSpheres) it additionally verifies that every
 // directory entry's sphere covers every data point in its subtree.
@@ -79,15 +81,15 @@ func (t *Tree) checkSpheres(n *Node) ([]geom.Point, error) {
 }
 
 func (t *Tree) checkNode(n *Node, isRoot bool) (int, error) {
-	if len(n.Entries) > t.cfg.MaxEntries {
+	if c := t.cfg.capacity(n.Level); len(n.Entries) > c {
 		// X-tree supernodes may legitimately exceed one page — but only
 		// directory nodes, and only when the variant is enabled.
 		if t.cfg.MaxOverlapRatio == 0 || n.IsLeaf() {
-			return 0, fmt.Errorf("node %d: %d entries exceeds capacity %d", n.ID, len(n.Entries), t.cfg.MaxEntries)
+			return 0, fmt.Errorf("node %d: %d entries exceeds capacity %d", n.ID, len(n.Entries), c)
 		}
 	}
-	if !isRoot && len(n.Entries) < t.cfg.MinEntries {
-		return 0, fmt.Errorf("node %d: %d entries below minimum %d", n.ID, len(n.Entries), t.cfg.MinEntries)
+	if m := t.cfg.minFill(n.Level); !isRoot && len(n.Entries) < m {
+		return 0, fmt.Errorf("node %d: %d entries below minimum %d", n.ID, len(n.Entries), m)
 	}
 	if isRoot && n.IsLeaf() && t.size == 0 {
 		return 0, nil // empty tree: bare root leaf
@@ -99,6 +101,9 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (int, error) {
 			}
 			if e.Child != NilPage {
 				return 0, fmt.Errorf("leaf %d entry %d: unexpected child pointer", n.ID, i)
+			}
+			if t.cfg.PointLeaves && !sameBits(e.Rect.Lo, e.Rect.Hi) {
+				return 0, fmt.Errorf("leaf %d entry %d: rectangle %v in a tree of point leaves", n.ID, i, e.Rect)
 			}
 		}
 		return len(n.Entries), nil
@@ -131,8 +136,8 @@ type Stats struct {
 	Leaves      int
 	Internal    int
 	Objects     int
-	AvgLeafFill float64 // mean leaf occupancy as a fraction of capacity
-	AvgDirFill  float64 // mean internal occupancy
+	AvgLeafFill float64 // mean leaf occupancy as a fraction of the leaf capacity
+	AvgDirFill  float64 // mean internal occupancy, of the directory capacity
 	Bounds      geom.Rect
 }
 
@@ -152,7 +157,7 @@ func (t *Tree) ComputeStats() Stats {
 		return true
 	})
 	if s.Leaves > 0 {
-		s.AvgLeafFill = float64(leafEntries) / float64(s.Leaves*t.cfg.MaxEntries)
+		s.AvgLeafFill = float64(leafEntries) / float64(s.Leaves*t.cfg.LeafMaxEntries)
 	}
 	if s.Internal > 0 {
 		s.AvgDirFill = float64(dirEntries) / float64(s.Internal*t.cfg.MaxEntries)

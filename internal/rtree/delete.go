@@ -86,7 +86,7 @@ func (t *Tree) condense(path []PageID) []pendingReinsert {
 			// path) — defensive.
 			continue
 		}
-		if len(n.Entries) < t.cfg.MinEntries {
+		if len(n.Entries) < t.cfg.minFill(n.Level) {
 			// Dissolve n: queue its entries for reinsertion at n's level.
 			for _, e := range n.Entries {
 				orphans = append(orphans, pendingReinsert{e, n.Level})

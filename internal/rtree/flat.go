@@ -25,6 +25,10 @@ import (
 // its owner has seen the last hold on it dropped. A reader that has
 // somewhere to keep the copy uses CopyRect.
 //
+// The view of a point leaf (PointColumns) is one column set: Rects.Hi
+// holds the same slices as Rects.Lo, entry i the point
+// (Rects.Lo[0][i], …), and the leaf kernel reads it once (Points).
+//
 // A FlatNode is immutable from the moment it is built until its owner,
 // if it has one, hands it back to the pool (see ViewPool).
 type FlatNode struct {
@@ -53,51 +57,77 @@ type PageRef struct {
 	Count uint32
 }
 
+// Columns names the column sets of a view: what one entry of the page
+// holds.
+type Columns uint8
+
+const (
+	// RectColumns: a rectangle per entry, low and high corners.
+	RectColumns Columns = iota
+	// SphereColumns: a rectangle and a bounding sphere per entry (the
+	// SR-tree layout).
+	SphereColumns
+	// PointColumns: a point per entry, one column set that is both
+	// corners (a point leaf).
+	PointColumns
+)
+
 // NewPageView returns the view of a decoded page of m entries with its
 // identity column; the decoder fills that column and the SoA columns
-// (Rects, and Spheres when spheres is set) before it lets the view out
-// of its hands. An empty page has no columns, like the view of an empty
-// node. The view's memory is drawn from pool; a nil pool allocates it.
-func NewPageView(pool *ViewPool, id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
+// (Rects — only Rects.Lo for PointColumns — and Spheres for
+// SphereColumns) before it lets the view out of its hands. An empty
+// page has no columns, like the view of an empty node. The view's
+// memory is drawn from pool; a nil pool allocates it.
+func NewPageView(pool *ViewPool, id PageID, level, dim, m int, cols Columns) (*FlatNode, []PageRef) {
 	if pool != nil {
-		return pool.newPageView(id, level, dim, m, spheres)
+		return pool.newPageView(id, level, dim, m, cols)
 	}
 	f := &FlatNode{ID: id, Level: level}
 	if m == 0 {
 		return f, nil
 	}
 	f.refs = make([]PageRef, m)
-	f.allocColumns(dim, m, spheres)
+	f.allocColumns(dim, m, cols)
 	return f, f.refs
 }
 
 // columnCounts returns how many float64 columns of one entry each the
-// SoA layout has — the rectangle axes (lo, hi interleaved per axis),
-// then the sphere center axes and the radii — and how many of them need
-// a column header (the radii are a plain slice).
-func columnCounts(dim int, spheres bool) (cols, hdrs int) {
-	if spheres {
+// SoA layout has — the rectangle axes (lo, hi interleaved per axis) or
+// the point axes, then the sphere center axes and the radii — and how
+// many of them need a column header (the radii are a plain slice).
+func columnCounts(dim int, c Columns) (cols, hdrs int) {
+	switch c {
+	case SphereColumns:
 		return 3*dim + 1, 3 * dim
+	case PointColumns:
+		return dim, dim
 	}
 	return 2 * dim, 2 * dim
 }
 
 // allocColumns backs the SoA columns of m entries with one slab and one
 // array of column headers.
-func (f *FlatNode) allocColumns(dim, m int, spheres bool) {
-	cols, hdrs := columnCounts(dim, spheres)
-	f.setColumns(make([]float64, cols*m), make([][]float64, hdrs), dim, m, spheres)
+func (f *FlatNode) allocColumns(dim, m int, c Columns) {
+	cols, hdrs := columnCounts(dim, c)
+	f.setColumns(make([]float64, cols*m), make([][]float64, hdrs), dim, m, c)
 }
 
 // setColumns cuts the SoA columns of m entries out of slab (at least
-// cols*m long) and hdr (exactly hdrs long).
-func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, spheres bool) {
+// cols*m long) and hdr (at least hdrs long).
+func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, c Columns) {
 	col := func(j int) []float64 { return slab[j*m : (j+1)*m : (j+1)*m] }
+	if c == PointColumns {
+		for a := 0; a < dim; a++ {
+			hdr[a] = col(a)
+		}
+		f.Rects = geom.RectSoA{Lo: hdr[:dim:dim], Hi: hdr[:dim:dim]}
+		return
+	}
 	for a := 0; a < dim; a++ {
 		hdr[a], hdr[dim+a] = col(2*a), col(2*a+1)
 	}
 	f.Rects = geom.RectSoA{Lo: hdr[:dim:dim], Hi: hdr[dim : 2*dim : 2*dim]}
-	if spheres {
+	if c == SphereColumns {
 		for a := 0; a < dim; a++ {
 			hdr[2*dim+a] = col(2*dim + a)
 		}
@@ -109,7 +139,10 @@ func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, spher
 // BuildFlat constructs the view of a live node. The node's entries must
 // share one dimensionality, and either all or none of them carry a
 // sphere (tree invariants, which CheckInvariants enforces); it panics,
-// naming the page, on a node that mixes the two. The view aliases
+// naming the page, on a node that mixes the two. A leaf whose every
+// entry is a point stored once — Rect.Hi the same slice as Rect.Lo, as
+// a tree of point leaves stores them (Config.PointLeaves) — and carries
+// no sphere gets one column set (PointColumns). The view aliases
 // n.Entries, so it is valid only until the node is next mutated — which
 // is when Node.Flat drops it.
 func BuildFlat(n *Node) *FlatNode {
@@ -119,18 +152,35 @@ func BuildFlat(n *Node) *FlatNode {
 		return f
 	}
 	dim := n.Entries[0].Rect.Dim()
-	withSphere := 0
+	withSphere, points := 0, 0
 	for i := range n.Entries {
+		r := &n.Entries[i].Rect
 		if n.Entries[i].Sphere.Valid() {
 			withSphere++
+		}
+		if len(r.Lo) > 0 && len(r.Hi) > 0 && &r.Lo[0] == &r.Hi[0] {
+			points++
 		}
 	}
 	if withSphere != 0 && withSphere != m {
 		panic(fmt.Sprintf("rtree: page %d mixes entries with and without spheres (%d of %d)", n.ID, withSphere, m))
 	}
-	f.allocColumns(dim, m, withSphere == m)
+	cols := RectColumns
+	switch {
+	case withSphere == m:
+		cols = SphereColumns
+	case n.Level == 0 && points == m:
+		cols = PointColumns
+	}
+	f.allocColumns(dim, m, cols)
 	for i := range n.Entries {
 		e := &n.Entries[i]
+		if cols == PointColumns {
+			for a := 0; a < dim; a++ {
+				f.Rects.Lo[a][i] = e.Rect.Lo[a]
+			}
+			continue
+		}
 		for a := 0; a < dim; a++ {
 			f.Rects.Lo[a][i] = e.Rect.Lo[a]
 			f.Rects.Hi[a][i] = e.Rect.Hi[a]
@@ -187,6 +237,13 @@ func (f *FlatNode) Count(i int) int {
 	return int(f.refs[i].Count)
 }
 
+// Points reports whether f is the view of a point leaf: one column set,
+// Rects.Hi the same slices as Rects.Lo, which geom.MinDistSqBatch hands
+// to the point kernel (geom.PointDistSqBatch).
+func (f *FlatNode) Points() bool {
+	return len(f.Rects.Lo) > 0 && &f.Rects.Lo[0] == &f.Rects.Hi[0]
+}
+
 // Live reports whether f views a live node (BuildFlat), whose
 // rectangles and spheres Rect and Sphere lend out; an empty view has
 // nothing to lend either way.
@@ -225,6 +282,13 @@ func (f *FlatNode) Sphere(i int) geom.Sphere {
 // Sphere, apart so that the live half inlines into the executions.
 func (f *FlatNode) copiedRect(i int) geom.Rect {
 	dim := f.Rects.Dim()
+	if f.Points() {
+		p := make(geom.Point, dim)
+		for a := range p {
+			p[a] = f.Rects.Lo[a][i]
+		}
+		return geom.PointRect(p)
+	}
 	c := make([]float64, 2*dim)
 	f.CopyRect(i, c)
 	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}

@@ -32,6 +32,11 @@ import (
 // the grid then holds both zeros, and a cover whose corner is one of
 // them must keep the bits its child's entries give it (CheckInvariants
 // compares covers bit for bit).
+//
+// With bit 0x80 of dimByte set, the tree holds point leaves
+// (Config.PointLeaves) of a larger capacity than its directory nodes,
+// as the default page layout gives it: a leaf splits, condenses and is
+// checked at its own capacity and minimum fill.
 func FuzzRTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 3, 2, 2, 8}, byte(1), byte(1))
@@ -51,11 +56,20 @@ func FuzzRTreeOps(f *testing.F) {
 	// grown by old ∪ new that kept the wrong zero). The same in SR mode.
 	f.Add([]byte("000000010010001001001010001001000000200"), byte(1), byte(0))
 	f.Add([]byte("000000010010001001001010001001000000200"), byte(1), byte(0x20))
+	// Point leaves of 5 to 10 entries under directory nodes of 4 to 8.
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7, 0, 9, 9, 0, 8, 1, 0, 2, 7, 0, 4, 4, 2, 1, 3, 2, 2}, byte(0x81), byte(0))
+	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 0, 8, 8, 0, 9, 9, 0, 3, 3, 2, 1,
+		0, 10, 1, 0, 11, 2, 0, 12, 3, 2, 5, 2, 6, 2, 7, 3, 4, 4, 2}, byte(0x99), byte(0x41))
+	f.Add([]byte("000000010010001001001010001001000000200"), byte(0xA1), byte(0xC2))
 	f.Fuzz(func(t *testing.T, ops []byte, dimByte, cfgByte byte) {
 		dim := 1 + int(dimByte)%3
 		cfg := Config{Dim: dim, MaxEntries: 4 + int(cfgByte)%5}
 		if cfgByte&0x20 != 0 {
 			cfg.UseSpheres = true
+		}
+		if dimByte&0x80 != 0 {
+			cfg.PointLeaves = true
+			cfg.LeafMaxEntries = cfg.MaxEntries + 1 + int(dimByte>>3)%6
 		}
 		tr, err := New(cfg, nil)
 		if err != nil {

@@ -434,7 +434,7 @@ func TestChooseSplitMatchesOracle(t *testing.T) {
 							}
 							n := oracleNode(tr.cfg, level, g.gen(rnd, size, dim))
 							w1, w2 := oracleChooseSplit(tr, n.Entries)
-							g1, g2 := tr.chooseSplit(n.Entries)
+							g1, g2 := tr.chooseSplit(n.Entries, n.Level)
 							if !sameEntries(g1, w1) || !sameEntries(g2, w2) {
 								t.Fatalf("dim %d %s M=%d %s level %d trial %d: groups differ from the oracle's\n got %d+%d\nwant %d+%d",
 									dim, mode.name, maxEntries, g.name, level, trial, len(g1), len(g2), len(w1), len(w2))

@@ -39,8 +39,18 @@ func (nopListener) RootChanged(PageID)                    {}
 // Config controls tree geometry.
 type Config struct {
 	Dim        int // dimensionality of indexed rectangles
-	MaxEntries int // node capacity M
-	MinEntries int // minimum fill m (0 means 40% of M, the R* default)
+	MaxEntries int // directory node capacity M
+	MinEntries int // directory minimum fill m (0 means 40% of M, the R* default)
+	// LeafMaxEntries is the leaf capacity (0 means MaxEntries): a page
+	// of points holds more entries than a page of rectangles. A leaf's
+	// minimum fill is MinEntries when that is set, else 40% of it.
+	LeafMaxEntries int
+	// PointLeaves makes every leaf entry a point: Insert refuses a
+	// rectangle with Lo ≠ Hi, and each point is stored once, Rect.Hi
+	// the same slice as Rect.Lo, so a live leaf's Flat view is one
+	// column set (see BuildFlat). It is the tree half of the point-leaf
+	// page layout (pagestore.Codec).
+	PointLeaves bool
 	// ReinsertFraction is the share of M+1 entries removed by forced
 	// reinsertion (0 means the R* default of 30%).
 	ReinsertFraction float64
@@ -60,6 +70,8 @@ type Config struct {
 	// the query layer via Node.Pages). 0 disables the behavior; the
 	// X-tree's recommended value is 0.2. Leaf nodes always split.
 	MaxOverlapRatio float64
+
+	leafMin int // the leaf minimum fill, set by fill
 }
 
 func (c *Config) fill() error {
@@ -69,11 +81,24 @@ func (c *Config) fill() error {
 	if c.MaxEntries < 4 {
 		return fmt.Errorf("rtree: MaxEntries must be >= 4, got %d", c.MaxEntries)
 	}
+	if c.LeafMaxEntries == 0 {
+		c.LeafMaxEntries = c.MaxEntries
+	}
+	if c.LeafMaxEntries < 4 {
+		return fmt.Errorf("rtree: LeafMaxEntries must be >= 4, got %d", c.LeafMaxEntries)
+	}
+	c.leafMin = c.MinEntries
+	if c.leafMin == 0 {
+		c.leafMin = (c.LeafMaxEntries * 2) / 5 // 40%
+	}
 	if c.MinEntries == 0 {
 		c.MinEntries = (c.MaxEntries * 2) / 5 // 40%
 	}
 	if c.MinEntries < 1 || c.MinEntries > c.MaxEntries/2 {
 		return fmt.Errorf("rtree: MinEntries %d out of range [1, %d]", c.MinEntries, c.MaxEntries/2)
+	}
+	if c.leafMin < 1 || c.leafMin > c.LeafMaxEntries/2 {
+		return fmt.Errorf("rtree: leaf minimum fill %d out of range [1, %d]", c.leafMin, c.LeafMaxEntries/2)
 	}
 	if c.ReinsertFraction == 0 {
 		c.ReinsertFraction = 0.3
@@ -82,6 +107,23 @@ func (c *Config) fill() error {
 		return fmt.Errorf("rtree: ReinsertFraction %g out of range (0, 0.5]", c.ReinsertFraction)
 	}
 	return nil
+}
+
+// capacity is the entry capacity of a node at level: the leaf capacity
+// at level 0, the directory's above.
+func (c *Config) capacity(level int) int {
+	if level == 0 {
+		return c.LeafMaxEntries
+	}
+	return c.MaxEntries
+}
+
+// minFill is the minimum fill of a non-root node at level.
+func (c *Config) minFill(level int) int {
+	if level == 0 {
+		return c.leafMin
+	}
+	return c.MinEntries
 }
 
 // Tree is an R*-tree over a Store.
@@ -236,15 +278,16 @@ func Restore(cfg Config, store Store, root PageID, size int) (*Tree, error) {
 //	E^max(dim, 2) · S ≤ MaxFloat64,  S = 4 · dim · n,
 //
 // where n bounds the entries of a node an insertion works on: M+1 when
-// it overflows; an X-tree supernode has no fixed size, so there n is
-// 2^40 entries, more than any store holds. What an insertion adds up
+// it overflows, M the larger of the leaf and directory capacities; an
+// X-tree supernode has no fixed size, so there n is 2^40 entries, more
+// than any store holds. What an insertion adds up
 // then stays finite: an area is at most E^dim and an overlap sum has
 // fewer than n terms (ChooseSubtree), a margin sum has at most 4·n
 // margins of at most dim·E each (the split), a squared distance is at
 // most dim·E² (forced reinsertion, the SR descent). Rounding cannot
 // close the slack of the factor 4·dim.
 func coordBound(cfg Config) float64 {
-	n := float64(cfg.MaxEntries + 1)
+	n := float64(max(cfg.MaxEntries, cfg.LeafMaxEntries) + 1)
 	if cfg.MaxOverlapRatio > 0 {
 		n = 1 << 40
 	}
@@ -254,6 +297,11 @@ func coordBound(cfg Config) float64 {
 
 // CoordBound returns the largest |coordinate| Insert accepts.
 func (t *Tree) CoordBound() float64 { return t.bound }
+
+// Capacity returns the entry capacity of one page at level: the leaf
+// capacity at level 0, the directory capacity above (an X-tree
+// supernode spans Node.Pages(Capacity(level)) pages).
+func (t *Tree) Capacity(level int) int { return t.cfg.capacity(level) }
 
 // checkRect refuses a rectangle no insertion can handle: the wrong
 // dimensionality, Lo above Hi, or a coordinate that is NaN or outside
@@ -268,7 +316,20 @@ func (t *Tree) checkRect(r geom.Rect) error {
 			return fmt.Errorf("axis %d spans %g..%g, want -%g <= lo <= hi <= %g", a, lo, hi, b, b)
 		}
 	}
+	if t.cfg.PointLeaves && !sameBits(r.Lo, r.Hi) {
+		return fmt.Errorf("rectangle %v in a tree of point leaves", r)
+	}
 	return nil
+}
+
+// leafRect is the rectangle a leaf entry stores for r: its own copy (see
+// copyRect), and in a tree of point leaves one point, Rect.Lo and
+// Rect.Hi the same slice. r has passed checkRect.
+func (t *Tree) leafRect(r geom.Rect) geom.Rect {
+	if t.cfg.PointLeaves {
+		return geom.PointRect(r.Lo.Clone())
+	}
+	return copyRect(r)
 }
 
 // SetListener installs a structural-change listener. It must be called
@@ -345,7 +406,7 @@ func (t *Tree) Insert(r geom.Rect, obj ObjectID) error {
 	if err := t.checkRect(r); err != nil {
 		return fmt.Errorf("rtree: insert of object %d: %w", obj, err)
 	}
-	e := LeafEntry(copyRect(r), obj)
+	e := LeafEntry(t.leafRect(r), obj)
 	if t.cfg.UseSpheres {
 		c := e.Rect.Center()
 		e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(e.Rect.Hi)}
@@ -527,7 +588,7 @@ func (t *Tree) insertEntry(e Entry, level int) {
 func (t *Tree) insertAt(n *Node, e Entry, level int) *Entry {
 	if n.Level == level {
 		n.Entries = append(n.Entries, e)
-		if len(n.Entries) > t.cfg.MaxEntries {
+		if len(n.Entries) > t.cfg.capacity(n.Level) {
 			return t.overflowTreatment(n)
 		}
 		t.store.Update(n)
@@ -556,7 +617,7 @@ func (t *Tree) insertAt(n *Node, e Entry, level int) *Entry {
 		// children).
 		t.listener.NodeCreated(t.store.Get(splitEntry.Child), splitEntry.Rect, n.Entries)
 		n.Entries = append(n.Entries, *splitEntry)
-		if len(n.Entries) > t.cfg.MaxEntries {
+		if len(n.Entries) > t.cfg.capacity(n.Level) {
 			return t.overflowTreatment(n)
 		}
 	}
@@ -726,7 +787,7 @@ func (t *Tree) overflowTreatment(n *Node) *Entry {
 	if t.cfg.MaxOverlapRatio > 0 && !n.IsLeaf() {
 		// X-tree rule: a high-overlap directory split would force
 		// queries to descend both halves anyway — keep a supernode.
-		g1, g2 := t.chooseSplit(n.Entries)
+		g1, g2 := t.chooseSplit(n.Entries, n.Level)
 		if splitOverlapRatio(g1, g2) > t.cfg.MaxOverlapRatio {
 			t.store.Update(n)
 			return nil
@@ -842,7 +903,7 @@ func (t *Tree) reinsert(n *Node) {
 // split performs the R* topological split of an overflowing node and
 // returns the parent entry for the newly created sibling.
 func (t *Tree) split(n *Node) *Entry {
-	group1, group2 := t.chooseSplit(n.Entries)
+	group1, group2 := t.chooseSplit(n.Entries, n.Level)
 	return t.splitInto(n, group1, group2)
 }
 
@@ -863,15 +924,16 @@ func (t *Tree) splitInto(n *Node, group1, group2 []Entry) *Entry {
 
 // chooseSplit implements the R* split algorithm: pick the split axis by
 // minimum margin sum over all distributions, then the distribution on
-// that axis with minimum overlap (ties: minimum total area).
+// that axis with minimum overlap (ties: minimum total area). Each group
+// keeps at least the minimum fill of the entries' level.
 //
 // A distribution cuts one sorted order of the entries into a prefix and
 // a suffix, and both of its MBRs come out of one backward and one
 // forward sweep over that order (min and max are exact, so a swept MBR
 // is the MBR). The margin, overlap and area sums add up in the order
 // they always did.
-func (t *Tree) chooseSplit(entries []Entry) (g1, g2 []Entry) {
-	m := t.cfg.MinEntries
+func (t *Tree) chooseSplit(entries []Entry, level int) (g1, g2 []Entry) {
+	m := t.cfg.minFill(level)
 	total := len(entries) // M+1, or a supernode's size
 	dim := t.cfg.Dim
 	w := &t.w

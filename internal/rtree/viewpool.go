@@ -134,7 +134,7 @@ func (p *ViewPool) take(m int) (*pageView, int) {
 // newPageView is NewPageView on pooled memory: a recycled view is
 // re-pointed at columns of the new page's shape, and whatever part of
 // its memory is too small is replaced.
-func (p *ViewPool) newPageView(id PageID, level, dim, m int, spheres bool) (*FlatNode, []PageRef) {
+func (p *ViewPool) newPageView(id PageID, level, dim, m int, c Columns) (*FlatNode, []PageRef) {
 	v, room := p.take(m)
 	f := &v.FlatNode
 	f.ID, f.Level, f.owner = id, level, v
@@ -142,18 +142,18 @@ func (p *ViewPool) newPageView(id PageID, level, dim, m int, spheres bool) (*Fla
 	if m == 0 {
 		return f, nil
 	}
-	cols, hdrs := columnCounts(dim, spheres)
+	cols, hdrs := columnCounts(dim, c)
 	if cap(v.slab) < cols*m {
 		v.slab = make([]float64, cols*room)
 	}
-	if len(v.hdr) != hdrs {
+	if cap(v.hdr) < hdrs {
 		v.hdr = make([][]float64, hdrs)
 	}
 	if cap(v.refs) < m {
 		v.refs = make([]PageRef, room)
 	}
 	f.refs = v.refs[:m]
-	f.setColumns(v.slab, v.hdr, dim, m, spheres)
+	f.setColumns(v.slab, v.hdr[:hdrs], dim, m, c)
 	return f, f.refs
 }
 

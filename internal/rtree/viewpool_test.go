@@ -36,21 +36,23 @@ func TestViewPoolReusesMemory(t *testing.T) {
 	pool := NewViewPool(4)
 	shapes := []struct {
 		level, dim, m int
-		spheres       bool
-	}{{0, 2, 10, false}, {1, 2, 4, false}, {0, 2, 10, true}, {2, 2, 0, false}, {0, 2, 7, true}}
+		cols          Columns
+	}{{0, 2, 10, RectColumns}, {1, 2, 4, RectColumns}, {0, 2, 10, SphereColumns}, {2, 2, 0, RectColumns},
+		{0, 2, 7, SphereColumns}, {0, 2, 12, PointColumns}, {1, 3, 4, RectColumns}, {0, 3, 9, PointColumns}}
 	var prev *FlatNode
 	for n, sh := range shapes {
-		f, refs := NewPageView(pool, PageID(n+1), sh.level, sh.dim, sh.m, sh.spheres)
+		f, refs := NewPageView(pool, PageID(n+1), sh.level, sh.dim, sh.m, sh.cols)
 		if prev != nil && f != prev {
 			t.Fatalf("shape %d: the view put back was not the one handed out", n)
 		}
-		want, wantRefs := NewPageView(nil, PageID(n+1), sh.level, sh.dim, sh.m, sh.spheres)
+		want, wantRefs := NewPageView(nil, PageID(n+1), sh.level, sh.dim, sh.m, sh.cols)
 		if sh.m > 0 {
 			fillView(f, refs, float64(1000*n))
 			fillView(want, wantRefs, float64(1000*n))
 		}
 		if f.ID != want.ID || f.Level != want.Level || f.Len() != want.Len() ||
-			(f.Spheres == nil) != (want.Spheres == nil) {
+			(f.Spheres == nil) != (want.Spheres == nil) || f.Points() != want.Points() ||
+			f.Points() != (sh.cols == PointColumns && sh.m > 0) {
 			t.Fatalf("shape %d: pooled view %+v, plain view %+v", n, f, want)
 		}
 		for i := 0; i < sh.m; i++ {
@@ -63,7 +65,7 @@ func TestViewPoolReusesMemory(t *testing.T) {
 				if r.Lo[a] != wr.Lo[a] || r.Hi[a] != wr.Hi[a] {
 					t.Fatalf("shape %d entry %d: rect %v, want %v", n, i, r, wr)
 				}
-				if sh.spheres && s.Center[a] != ws.Center[a] {
+				if sh.cols == SphereColumns && s.Center[a] != ws.Center[a] {
 					t.Fatalf("shape %d entry %d: sphere %v, want %v", n, i, s, ws)
 				}
 			}
@@ -83,7 +85,7 @@ func TestViewPoolReusesMemory(t *testing.T) {
 // poisoning and refilling the memory does not reach it.
 func TestPooledViewRectsDoNotAlias(t *testing.T) {
 	pool := NewViewPool(1)
-	f, refs := NewPageView(pool, 7, 0, 3, 5, true)
+	f, refs := NewPageView(pool, 7, 0, 3, 5, SphereColumns)
 	fillView(f, refs, 40)
 	r, s := f.Rect(2), f.Sphere(2)
 	lo, hi, c := r.Lo.Clone(), r.Hi.Clone(), s.Center.Clone()
@@ -92,7 +94,7 @@ func TestPooledViewRectsDoNotAlias(t *testing.T) {
 		t.Fatalf("PoisonView left the view readable: %+v", f)
 	}
 	pool.Put(f)
-	g, grefs := NewPageView(pool, 8, 0, 3, 5, true)
+	g, grefs := NewPageView(pool, 8, 0, 3, 5, SphereColumns)
 	fillView(g, grefs, 900)
 	for a := 0; a < 3; a++ {
 		if r.Lo[a] != lo[a] || r.Hi[a] != hi[a] || s.Center[a] != c[a] {
@@ -108,7 +110,7 @@ func TestPooledViewRectsDoNotAlias(t *testing.T) {
 // view to two decoders, panics.
 func TestViewPoolPutRules(t *testing.T) {
 	pool := NewViewPool(1)
-	plain, _ := NewPageView(nil, 1, 0, 2, 3, false)
+	plain, _ := NewPageView(nil, 1, 0, 2, 3, RectColumns)
 	pool.Put(plain)
 	pool.Put(BuildFlat(&Node{ID: 2}))
 	if st := pool.Stats(); st != (ViewStats{}) {
@@ -118,8 +120,8 @@ func TestViewPoolPutRules(t *testing.T) {
 	if plain.ID != 1 {
 		t.Error("PoisonView touched a view no pool owns")
 	}
-	a, _ := NewPageView(pool, 3, 0, 2, 3, false)
-	b, _ := NewPageView(pool, 4, 0, 2, 3, false)
+	a, _ := NewPageView(pool, 3, 0, 2, 3, RectColumns)
+	b, _ := NewPageView(pool, 4, 0, 2, 3, RectColumns)
 	pool.Put(a)
 	pool.Put(b)
 	if got, want := pool.Stats(), (ViewStats{Made: 2, Idle: 2}); got != want {
@@ -136,11 +138,11 @@ func TestViewPoolPutRules(t *testing.T) {
 // A warm pool serves a page of a shape it has seen without allocating.
 func TestViewPoolSteadyStateAllocatesNothing(t *testing.T) {
 	pool := NewViewPool(2)
-	f, _ := NewPageView(pool, 1, 0, 8, 20, true)
+	f, _ := NewPageView(pool, 1, 0, 8, 20, SphereColumns)
 	pool.Put(f)
 	next := PageID(2)
 	if allocs := testing.AllocsPerRun(500, func() {
-		f, _ := NewPageView(pool, next, 0, 8, int(next)%20+1, true)
+		f, _ := NewPageView(pool, next, 0, 8, int(next)%20+1, SphereColumns)
 		next++
 		pool.Put(f)
 	}); allocs != 0 {
@@ -154,7 +156,7 @@ func TestViewPoolSteadyStateAllocatesNothing(t *testing.T) {
 func TestViewHoldsAndEviction(t *testing.T) {
 	pool := NewViewPool(1)
 	newView := func() *FlatNode {
-		f, _ := NewPageView(pool, 1, 0, 2, 3, false)
+		f, _ := NewPageView(pool, 1, 0, 2, 3, RectColumns)
 		return f
 	}
 	f := newView()
@@ -188,7 +190,7 @@ func TestViewHoldsAndEviction(t *testing.T) {
 		g.Release()
 	}()
 
-	plain, _ := NewPageView(nil, 2, 0, 2, 3, false)
+	plain, _ := NewPageView(nil, 2, 0, 2, 3, RectColumns)
 	plain.Hold(1)
 	if plain.owner != nil || plain.Release() {
 		t.Error("a view no pool owns was counted")
@@ -198,7 +200,7 @@ func TestViewHoldsAndEviction(t *testing.T) {
 // CopyRect writes what Rect returns into the caller's memory.
 func TestCopyRect(t *testing.T) {
 	pool := NewViewPool(1)
-	f, refs := NewPageView(pool, 7, 0, 3, 5, false)
+	f, refs := NewPageView(pool, 7, 0, 3, 5, RectColumns)
 	fillView(f, refs, 40)
 	c := make([]float64, 6)
 	for i := 0; i < f.Len(); i++ {
