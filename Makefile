@@ -115,13 +115,12 @@ BENCH_JSON_TIME  ?= 20000x
 BENCH_JSON_COUNT ?= 5
 BENCH_JSON_OUT   ?= BENCH_$(shell date -u +%F).json
 BENCH_JSON_NEW_TIME ?= 20x
-# The baseline report also carries the parent commit's PageDecode,
-# Kernels, EngineMissPath and EngineThroughput/engine-store=file-cache=5pct
-# rows as `…/at=parent-d989f57`, and the change's as
+# The baseline report also carries the parent commit's EngineThroughput
+# and KNNCRSS rows as `…/at=parent-dd77e38`, and the change's as
 # `…/at=change-rounds`, five rounds measured alternately; bench-check
 # lists them as missing from a new report (informational) until the
 # baseline moves on.
-BENCH_BASELINE   ?= BENCH_2026-10-19-pr48.json
+BENCH_BASELINE   ?= BENCH_2026-10-19-pr50.json
 BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN|BenchmarkHedgeDelay'
 BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,96 +155,134 @@ func BenchmarkGeomMinMaxDist(b *testing.B) {
 // cmd/benchjson derives the batch/scalar speedup per metric and
 // dimension from the matching name pairs.
 func BenchmarkKernels(b *testing.B) {
-	rnd := rand.New(rand.NewSource(benchSeed))
-	for _, dim := range []int{2, 3, 4, 8} {
-		n := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(1)
-		p := make(geom.Point, dim)
-		for a := range p {
-			p[a] = rnd.Float64()
-		}
-		rects := make([]geom.Rect, n)
-		soa := geom.MakeRectSoA(dim, n)
-		for i := range rects {
-			lo := make(geom.Point, dim)
-			hi := make(geom.Point, dim)
-			for a := 0; a < dim; a++ {
-				lo[a] = rnd.Float64() * 0.5
-				hi[a] = lo[a] + rnd.Float64()*0.5
-				soa.Lo[a][i] = lo[a]
-				soa.Hi[a][i] = hi[a]
-			}
-			rects[i] = geom.Rect{Lo: lo, Hi: hi}
-		}
-		// A point leaf of the default layout: its capacity of points in
-		// one column set, which the leaf kernel reads once.
-		// Drawn from a stream of its own: the rectangle rows keep their
-		// inputs.
-		np := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(0)
-		prnd := rand.New(rand.NewSource(benchSeed + int64(dim)))
-		pts := make([]geom.Point, np)
-		cols := make([][]float64, dim)
-		for a := range cols {
-			cols[a] = make([]float64, np)
-		}
-		for i := range pts {
-			pts[i] = make(geom.Point, dim)
-			for a := range pts[i] {
-				pts[i][a] = prnd.Float64()
-				cols[a][i] = pts[i][a]
-			}
-		}
-		out := make([]float64, max(n, np))
-		kernels := []struct {
-			name    string
-			entries int
-			scalar  func()
-			batch   func()
-		}{
-			{"dmin", n,
-				func() {
-					for j := range rects {
-						out[j] = geom.MinDistSq(p, rects[j])
-					}
-				},
-				func() { geom.MinDistSqBatch(p, &soa, out) }},
-			{"dmm", n,
-				func() {
-					for j := range rects {
-						out[j] = geom.MinMaxDistSq(p, rects[j])
-					}
-				},
-				func() { geom.MinMaxDistSqBatch(p, &soa, out) }},
-			{"dmax", n,
-				func() {
-					for j := range rects {
-						out[j] = geom.MaxDistSq(p, rects[j])
-					}
-				},
-				func() { geom.MaxDistSqBatch(p, &soa, out) }},
-			{"point", np,
-				func() {
-					for j := range pts {
-						out[j] = geom.MinDistSq(p, geom.PointRect(pts[j]))
-					}
-				},
-				func() { geom.PointDistSqBatch(p, cols, out) }},
-		}
+	kernels := []struct {
+		name   string
+		scalar func(in *kernelInputs)
+		batch  func(in *kernelInputs)
+	}{
+		{"dmin",
+			func(in *kernelInputs) {
+				p, rects, out := in.p, in.rects, in.out
+				for j := range rects {
+					out[j] = geom.MinDistSq(p, rects[j])
+				}
+			},
+			func(in *kernelInputs) { geom.MinDistSqBatch(in.p, &in.soa, in.out) }},
+		{"dmm",
+			func(in *kernelInputs) {
+				p, rects, out := in.p, in.rects, in.out
+				for j := range rects {
+					out[j] = geom.MinMaxDistSq(p, rects[j])
+				}
+			},
+			func(in *kernelInputs) { geom.MinMaxDistSqBatch(in.p, &in.soa, in.out) }},
+		{"dmax",
+			func(in *kernelInputs) {
+				p, rects, out := in.p, in.rects, in.out
+				for j := range rects {
+					out[j] = geom.MaxDistSq(p, rects[j])
+				}
+			},
+			func(in *kernelInputs) { geom.MaxDistSqBatch(in.p, &in.soa, in.out) }},
+		{"point",
+			func(in *kernelInputs) {
+				p, pts, out := in.p, in.pts, in.out
+				for j := range pts {
+					out[j] = geom.MinDistSq(p, geom.PointRect(pts[j]))
+				}
+			},
+			func(in *kernelInputs) { geom.PointDistSqBatch(in.p, in.cols, in.out) }},
+	}
+	for _, dim := range kernelDims {
 		for _, k := range kernels {
-			k := k
-			b.Run(fmt.Sprintf("scalar/%s/d=%d", k.name, dim), func(b *testing.B) {
-				b.ReportMetric(float64(k.entries), "entries/batch")
-				for i := 0; i < b.N; i++ {
-					k.scalar()
-				}
-			})
-			b.Run(fmt.Sprintf("batch/%s/d=%d", k.name, dim), func(b *testing.B) {
-				b.ReportMetric(float64(k.entries), "entries/batch")
-				for i := 0; i < b.N; i++ {
-					k.batch()
-				}
-			})
+			for _, row := range []struct {
+				kind string
+				run  func(in *kernelInputs)
+			}{{"scalar", k.scalar}, {"batch", k.batch}} {
+				b.Run(fmt.Sprintf("%s/%s/d=%d", row.kind, k.name, dim), func(b *testing.B) {
+					// The row's inputs are its own, built here: which
+					// other rows ran before it decides nothing about where
+					// its columns sit.
+					in := newKernelInputs(dim)
+					entries := len(in.rects)
+					if k.name == "point" {
+						entries = len(in.pts)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						row.run(in)
+					}
+					b.ReportMetric(float64(entries), "entries/batch")
+				})
+			}
 		}
 	}
+}
+
+// kernelDims are BenchmarkKernels' dimensionalities, in the order their
+// rectangles are drawn from one stream.
+var kernelDims = []int{2, 3, 4, 8}
+
+// kernelInputs is the data of BenchmarkKernels' rows of one
+// dimensionality: a query point, one node-sized batch of rectangles
+// entry-major and as columns, one point leaf's points entry-major and as
+// its column set, and the output.
+type kernelInputs struct {
+	p     geom.Point
+	rects []geom.Rect
+	soa   geom.RectSoA
+	pts   []geom.Point
+	cols  [][]float64
+	out   []float64
+}
+
+// newKernelInputs builds the inputs of dimensionality dim. The
+// rectangles of every dimensionality come from one stream, in the order
+// of kernelDims: the draws of the ones before dim are replayed, not
+// kept, so the values are the same whichever rows run.
+func newKernelInputs(dim int) *kernelInputs {
+	rnd := rand.New(rand.NewSource(benchSeed))
+	for _, d := range kernelDims[:slices.Index(kernelDims, dim)] {
+		n := pagestore.Codec{Dim: d, PageSize: 4096}.Capacity(1)
+		for i := 0; i < d+2*d*n; i++ {
+			rnd.Float64()
+		}
+	}
+	n := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(1)
+	in := &kernelInputs{p: make(geom.Point, dim), rects: make([]geom.Rect, n), soa: geom.MakeRectSoA(dim, n)}
+	for a := range in.p {
+		in.p[a] = rnd.Float64()
+	}
+	for i := range in.rects {
+		lo := make(geom.Point, dim)
+		hi := make(geom.Point, dim)
+		for a := 0; a < dim; a++ {
+			lo[a] = rnd.Float64() * 0.5
+			hi[a] = lo[a] + rnd.Float64()*0.5
+			in.soa.Lo[a][i] = lo[a]
+			in.soa.Hi[a][i] = hi[a]
+		}
+		in.rects[i] = geom.Rect{Lo: lo, Hi: hi}
+	}
+	// A point leaf of the default layout: its capacity of points in one
+	// column set, which the leaf kernel reads once. Drawn from a stream
+	// of its own: the rectangle rows keep their inputs.
+	np := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(0)
+	prnd := rand.New(rand.NewSource(benchSeed + int64(dim)))
+	in.pts = make([]geom.Point, np)
+	in.cols = make([][]float64, dim)
+	for a := range in.cols {
+		in.cols[a] = make([]float64, np)
+	}
+	for i := range in.pts {
+		in.pts[i] = make(geom.Point, dim)
+		for a := range in.pts[i] {
+			in.pts[i][a] = prnd.Float64()
+			in.cols[a][i] = in.pts[i][a]
+		}
+	}
+	in.out = make([]float64, max(n, np))
+	return in
 }
 
 func BenchmarkRStarInsert2D(b *testing.B) {

@@ -65,7 +65,7 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 
 // TestWarmCachedEngineAllocBudget: a query over decoded pages that are
 // all resident allocates what the sequential driver's does — the
-// execution, its per-disk counters, the best list and the results. The
+// execution, its per-disk counters and the results. The
 // entry-major rectangles the results carry alias the live tree's
 // entries. A resident engine builds no pool of frames and counts no
 // holds.
@@ -73,7 +73,7 @@ func TestWarmCachedEngineAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}
-	const budget = 4
+	const budget = 3
 	tree, pts := buildTree(t, 4000, 5, false, 0)
 	q := dataset.SampleQueries(pts, 1, 3)[0]
 	for _, dataDir := range []string{"", t.TempDir()} {

@@ -26,7 +26,7 @@ func (BBSS) Name() string { return "BBSS" }
 
 // NewExecution implements Algorithm.
 func (BBSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &bbssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len()), dmmBoundSq: math.Inf(1)}
+	return &bbssExec{base: newBase(t, q, k, opts), dmmBoundSq: math.Inf(1)}
 }
 
 // bbssFrame is one level of the explicit DFS stack (scratch.frames):
@@ -39,20 +39,15 @@ type bbssFrame struct {
 
 type bbssExec struct {
 	base
-	best    bestList
 	started bool
 	// upper bounds the answer distance for k == 1 via Dmm (rule 2).
 	dmmBoundSq float64
 }
 
-func (e *bbssExec) Results() []Neighbor {
-	return e.results(&e.best)
-}
-
 // pruneDistSq is the current rule-3 pruning radius: the k-th best actual
 // distance, tightened for k == 1 by the best Dmm seen (rules 1–2).
 func (e *bbssExec) pruneDistSq() float64 {
-	d := e.best.kthDistSq()
+	d := e.sc.best.kthDistSq()
 	if e.k == 1 && e.dmmBoundSq < d {
 		d = e.dmmBoundSq
 	}
@@ -70,7 +65,7 @@ func (e *bbssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	for ni, n := range delivered {
 		if n.IsLeaf() {
 			scanned += n.Len()
-			e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
+			e.offerLeaf(n, e.leafDmin(n), math.Inf(1))
 		} else {
 			cands := e.sc.makeCandidates(e.q, delivered[ni:ni+1])
 			scanned += len(cands)

@@ -26,7 +26,7 @@ func (BFSS) Name() string { return "BFSS" }
 
 // NewExecution implements Algorithm.
 func (BFSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &bfssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len())}
+	return &bfssExec{base: newBase(t, q, k, opts)}
 }
 
 // bfssItem is a frontier element: a page with the Dmin of its region.
@@ -48,12 +48,7 @@ func nearerPage(a, b bfssItem) bool {
 
 type bfssExec struct {
 	base
-	best    bestList
 	started bool
-}
-
-func (e *bfssExec) Results() []Neighbor {
-	return e.results(&e.best)
 }
 
 func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -66,10 +61,10 @@ func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	for _, n := range delivered {
 		scanned += n.Len()
 		if n.IsLeaf() {
-			e.offerLeaf(&e.best, n, e.entrySphereRectMin(n), math.Inf(1))
+			e.offerLeaf(n, e.entrySphereRectMin(n), math.Inf(1))
 		} else {
 			for i, d := range e.entrySphereRectMin(n) {
-				if d <= e.best.kthDistSq() {
+				if d <= e.sc.best.kthDistSq() {
 					e.sc.frontier = heapPush(e.sc.frontier, bfssItem{distSq: d, page: n.Child(i), level: n.Level - 1}, nearerPage)
 					sorted++ // heap maintenance charged as sort work
 				}
@@ -83,7 +78,7 @@ func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
 		it := e.sc.frontier[0]
 		// Beyond the k-th distance everything else in the heap is at
 		// least as far: done.
-		if it.distSq <= e.best.kthDistSq() {
+		if it.distSq <= e.sc.best.kthDistSq() {
 			e.sc.frontier = heapPop(e.sc.frontier, nearerPage)
 			return e.finishStep(e.single(it.page, it.level), scanned, sorted)
 		}

@@ -48,7 +48,6 @@ func (c CRSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 	}
 	return &crssExec{
 		base:  newBase(t, q, k, opts),
-		best:  newBestList(k, t.Len()),
 		dthSq: math.Inf(1),
 		u:     u,
 	}
@@ -56,15 +55,10 @@ func (c CRSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 
 type crssExec struct {
 	base
-	best          bestList
 	dthSq         float64
 	u             int // activation upper bound: the number of disks
 	started       bool
 	reachedLeaves bool
-}
-
-func (e *crssExec) Results() []Neighbor {
-	return e.results(&e.best)
 }
 
 func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -84,9 +78,9 @@ func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
 			e.reachedLeaves = true
 			for _, n := range delivered {
 				scanned += n.Len()
-				e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
+				e.offerLeaf(n, e.leafDmin(n), math.Inf(1))
 			}
-			if kth := e.best.kthDistSq(); kth < e.dthSq {
+			if kth := e.sc.best.kthDistSq(); kth < e.dthSq {
 				e.dthSq = kth
 			}
 			if e.opts.Trace != nil {
@@ -183,7 +177,7 @@ func (e *crssExec) Step(delivered []*rtree.FlatNode) StepResult {
 
 	e.done = true
 	if e.opts.Trace != nil {
-		e.tracef("TERMINATE: %d results, %d nodes visited", len(e.best.items), e.stats.NodesVisited)
+		e.tracef("TERMINATE: %d results, %d nodes visited", len(e.sc.best.items), e.stats.NodesVisited)
 	}
 	return e.finishStep(nil, scanned, sorted)
 }

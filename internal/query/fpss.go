@@ -22,18 +22,13 @@ func (FPSS) Name() string { return "FPSS" }
 
 // NewExecution implements Algorithm.
 func (FPSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	return &fpssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len()), dthSq: math.Inf(1)}
+	return &fpssExec{base: newBase(t, q, k, opts), dthSq: math.Inf(1)}
 }
 
 type fpssExec struct {
 	base
-	best    bestList
 	dthSq   float64
 	started bool
-}
-
-func (e *fpssExec) Results() []Neighbor {
-	return e.results(&e.best)
 }
 
 func (e *fpssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -49,7 +44,7 @@ func (e *fpssExec) Step(delivered []*rtree.FlatNode) StepResult {
 		// list exact.
 		for _, n := range delivered {
 			scanned += n.Len()
-			e.offerLeaf(&e.best, n, e.leafDmin(n), math.Inf(1))
+			e.offerLeaf(n, e.leafDmin(n), math.Inf(1))
 		}
 		e.done = true
 		return e.finishStep(nil, scanned, 0)

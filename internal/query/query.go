@@ -161,6 +161,8 @@ type base struct {
 	done  bool
 	// sc is the query's pooled working memory; nil once released.
 	sc *scratch
+	// res is what Results returned once the query was done.
+	res []Neighbor
 	// stage numbers the fetch rounds for trace events; started flags
 	// the QueryStart emission.
 	stage      int
@@ -199,13 +201,15 @@ func (b *base) entrySphereRectMin(f *rtree.FlatNode) []float64 {
 }
 
 func newBase(t *parallel.Tree, q geom.Point, k int, opts Options) base {
+	sc := scratchPool.Get().(*scratch)
+	sc.best.reset(k, t.Len(), len(q))
 	return base{
 		tree:  t,
 		q:     q,
 		k:     k,
 		opts:  opts,
 		stats: Stats{PerDisk: make([]int, t.NumDisks())},
-		sc:    scratchPool.Get().(*scratch),
+		sc:    sc,
 	}
 }
 
@@ -214,7 +218,9 @@ func (b *base) Release() {
 	if b.sc == nil {
 		return
 	}
-	b.sc.rects.detach()
+	if b.done {
+		b.Results() // the list is the scratch's: keep what it answered
+	}
 	b.sc.reset()
 	scratchPool.Put(b.sc)
 	b.sc = nil
@@ -341,80 +347,95 @@ func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
 	return StepResult{Requests: reqs, Instructions: inst}
 }
 
-// bestList maintains the k current best object distances, sorted.
+// ranked is one entry of a best list: an object, its squared distance
+// and the slot of the list's slot table that holds its rectangle. It
+// holds no pointer, so moving it down the list is a plain copy.
+type ranked struct {
+	distSq float64
+	object rtree.ObjectID
+	slot   int
+}
+
+// bestList maintains the k current best object distances, sorted. It
+// lives in the query's scratch; newBase sets it up.
+//
+// A rectangle is written once, when its offer is accepted, into the
+// slot table: rects[s] aliases a live node's rectangle, or the
+// coordinates coords[s·2·dim:(s+1)·2·dim] that a decoded page's were
+// copied into (a pooled view is refilled once its stage is over). The
+// array items[:cap] holds every slot exactly once, so the free slot is
+// always the one the spare element items[len] holds — at first a fresh
+// one, once the list is full the slot of the entry the last offer
+// pushed off.
 type bestList struct {
-	k     int
-	items []Neighbor
+	k      int
+	items  []ranked    // cap min(k, n)+1
+	rects  []geom.Rect // the slot table
+	coords []float64
+	dim    int
+	copied bool // some rectangle was copied into coords
 }
 
-// newBestList sizes the list for the k nearest of n objects: one slot
-// beyond the most it holds, so offer never grows it.
-func newBestList(k, n int) bestList {
-	return bestList{k: k, items: make([]Neighbor, 0, min(k, n)+1)}
+// reset sets the list up for the k nearest of n objects in dim
+// dimensions: one slot beyond the most it holds, so offer never grows
+// it.
+func (bl *bestList) reset(k, n, dim int) {
+	m := min(k, n) + 1
+	bl.k, bl.dim, bl.copied = k, dim, false
+	if cap(bl.items) < m {
+		bl.items = make([]ranked, m)
+		bl.rects = make([]geom.Rect, m)
+	}
+	if need := m * 2 * dim; cap(bl.coords) < need {
+		bl.coords = make([]float64, need)
+	}
+	bl.items = bl.items[:m]
+	for i := range bl.items {
+		bl.items[i].slot = i
+	}
+	bl.items = bl.items[:0]
+	bl.rects = bl.rects[:m]
 }
 
-// offer inserts a candidate object behind every one at most as far,
-// keeping only the k nearest.
-func (bl *bestList) offer(n Neighbor) {
-	i := len(bl.items)
-	bl.items = append(bl.items, n)
-	for ; i > 0 && bl.items[i-1].DistSq > n.DistSq; i-- {
+// offer inserts an object behind every one at most as far, keeping only
+// the k nearest, and returns the slot that holds the object's rectangle
+// — the spare's when the object itself is the one pushed off.
+func (bl *bestList) offer(distSq float64, object rtree.ObjectID) int {
+	n := len(bl.items)
+	bl.items = bl.items[:n+1]
+	slot := bl.items[n].slot
+	i := n
+	for ; i > 0 && bl.items[i-1].distSq > distSq; i-- {
 		bl.items[i] = bl.items[i-1]
 	}
-	bl.items[i] = n
-	if len(bl.items) > bl.k {
-		bl.items = bl.items[:bl.k]
+	bl.items[i] = ranked{distSq: distSq, object: object, slot: slot}
+	if n == bl.k {
+		bl.items = bl.items[:n]
 	}
+	return slot
 }
-
-// dropped returns the neighbour the last offer pushed off the list, for
-// an offer made to a full list: it stays in the array's spare element
-// until the next offer overwrites it.
-func (bl *bestList) dropped() *Neighbor { return &bl.items[:bl.k+1][bl.k] }
 
 // offerLeaf offers the entries of leaf page n to the execution's best
 // list — dists[i] is entry i's squared distance from the query, and an
 // entry is offered when that is within limit and within the list's k-th
-// distance as it stands: the one way an entry becomes a neighbour. A
-// live node's view lends its neighbours their rectangles, in the loop
-// every execution used to run itself; the rectangle of an accepted
-// offer from a decoded page — a pooled one is refilled once the next
-// stage begins — is copied into a slot of the scratch (rectSlots).
-func (b *base) offerLeaf(bl *bestList, n *rtree.FlatNode, dists []float64, limit float64) {
-	rs := &b.sc.rects
-	if rs.list == nil {
-		if n.Live() {
-			for i, d := range dists {
-				if d <= limit && d <= bl.kthDistSq() {
-					bl.offer(Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
-				}
-			}
-			return
-		}
-		rs.adopt(bl, 2*len(b.q))
-	}
-	dim := len(b.q)
+// distance as it stands: the one way an entry becomes a neighbour — and
+// writes the rectangle of every accepted offer into its slot.
+func (b *base) offerLeaf(n *rtree.FlatNode, dists []float64, limit float64) {
+	bl := &b.sc.best
+	live, dim := n.Live(), bl.dim
 	for i, d := range dists {
 		if d <= limit && d <= bl.kthDistSq() {
-			c := rs.slot()
-			n.CopyRect(i, c)
-			full := len(bl.items) == bl.k
-			bl.offer(Neighbor{Object: n.Object(i), Rect: geom.Rect{Lo: c[:dim], Hi: c[dim:]}, DistSq: d})
-			if full {
-				rs.spare = bl.dropped().Rect.Lo[:rs.width]
+			s := bl.offer(d, n.Object(i))
+			if live {
+				bl.rects[s] = n.Rect(i)
+				continue
 			}
+			c := bl.coords[s*2*dim : (s+1)*2*dim : (s+1)*2*dim]
+			n.CopyRect(i, c)
+			bl.rects[s] = geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
+			bl.copied = true
 		}
 	}
-}
-
-// results is every best-list execution's Results: the list in the
-// canonical result order, as memory the caller owns (the rectangles
-// read-only, like the pages' they may alias).
-func (b *base) results(bl *bestList) []Neighbor {
-	if b.sc != nil {
-		b.sc.rects.detach()
-	}
-	return bl.results()
 }
 
 // kthDistSq returns the current k-th best squared distance, or +Inf when
@@ -423,15 +444,45 @@ func (bl *bestList) kthDistSq() float64 {
 	if len(bl.items) < bl.k {
 		return math.Inf(1)
 	}
-	return bl.items[len(bl.items)-1].DistSq
+	return bl.items[len(bl.items)-1].distSq
 }
 
-// results returns the list in the canonical result order, as memory
-// the caller owns.
+// results returns the list in the canonical result order, as memory the
+// caller owns: the rectangles of live nodes are lent, read-only, like
+// the nodes', and when some rectangle was copied out of a decoded page
+// all of them are copied once more, into one slab of the caller's.
 func (bl *bestList) results() []Neighbor {
-	out := slices.Clone(bl.items)
+	out := make([]Neighbor, len(bl.items))
+	w := 2 * bl.dim
+	var own []float64
+	if bl.copied {
+		own = make([]float64, len(bl.items)*w)
+	}
+	for i, it := range bl.items {
+		r := bl.rects[it.slot]
+		if own != nil {
+			c := own[i*w : (i+1)*w : (i+1)*w]
+			copy(c, r.Lo)
+			copy(c[bl.dim:], r.Hi)
+			r = geom.Rect{Lo: c[:bl.dim:bl.dim], Hi: c[bl.dim:]}
+		}
+		out[i] = Neighbor{Object: it.object, Rect: r, DistSq: it.distSq}
+	}
 	sortNeighbors(out)
 	return out
+}
+
+// Results implements Execution for the best-list algorithms: the list's
+// results, computed once and kept, so that they outlive the scratch.
+func (b *base) Results() []Neighbor {
+	if b.res == nil && b.sc != nil {
+		res := b.sc.best.results()
+		if !b.done {
+			return res
+		}
+		b.res = res
+	}
+	return b.res
 }
 
 // Fetcher resolves one batch of page requests into page views. The

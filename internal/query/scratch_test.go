@@ -21,7 +21,7 @@ func warmAllocs(d Driver, alg Algorithm, q geom.Point, k int, opts Options) floa
 
 // TestWarmRunAllocBudget pins what a warm query allocates to what it
 // hands its caller — the execution (whose Stats the caller keeps), the
-// per-disk counters, the best list and the results copied out of it —
+// per-disk counters and the results built from the pooled best list —
 // whatever the size of the tree and however many stages the query runs.
 // WOPTSS is measured apart from its oracle, which is not part of the
 // stage loop (it searches the tree with rtree's own sequential k-NN).
@@ -29,7 +29,7 @@ func TestWarmRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}
-	const k, budget = 10, 4
+	const k, budget = 10, 3
 	for _, n := range []int{1500, 12000} {
 		pts := dataset.CaliforniaLike(n, 501)
 		tree := buildTree(t, pts, 2, 5, 8) // small fanout: many stages, deep stacks

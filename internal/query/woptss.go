@@ -24,7 +24,7 @@ func (WOPTSS) Name() string { return "WOPTSS" }
 // charged to the execution's statistics (the paper assumes the distance
 // is simply known).
 func (WOPTSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) Execution {
-	e := &woptssExec{base: newBase(t, q, k, opts), best: newBestList(k, t.Len())}
+	e := &woptssExec{base: newBase(t, q, k, opts)}
 	nn, _ := t.NearestNeighbors(q, k)
 	if len(nn) > 0 {
 		e.dkSq = nn[len(nn)-1].DistSq
@@ -35,14 +35,9 @@ func (WOPTSS) NewExecution(t *parallel.Tree, q geom.Point, k int, opts Options) 
 
 type woptssExec struct {
 	base
-	best       bestList
 	dkSq       float64
 	haveOracle bool
 	started    bool
-}
-
-func (e *woptssExec) Results() []Neighbor {
-	return e.results(&e.best)
 }
 
 func (e *woptssExec) Step(delivered []*rtree.FlatNode) StepResult {
@@ -60,7 +55,7 @@ func (e *woptssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
 		for _, n := range delivered {
 			scanned += n.Len()
-			e.offerLeaf(&e.best, n, e.leafDmin(n), e.dkSq)
+			e.offerLeaf(n, e.leafDmin(n), e.dkSq)
 		}
 		e.done = true
 		return e.finishStep(nil, scanned, 0)
