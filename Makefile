@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Duration per fuzz target in the `fuzz` smoke target.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet analyze analyze-budget test flake race lockrank lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
+.PHONY: all build vet analyze analyze-budget test flake race lockrank mutate lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
 
 all: build vet analyze test
 
@@ -20,21 +20,24 @@ build:
 vet:
 	$(GO) vet ./...
 
-## analyze: the repo-specific analyzer suite (internal/lint: floatcmp,
-## lockcheck, errlost), run once over the whole module with the
-## suppression audit (stale //lint:allow directives fail the build).
-## CI's lint job runs the same command with -github added. Cancel-func
-## hygiene is `go vet`'s lostcancel (the vet target), determinism the
-## run-twice tests' (the test target) and durable-write order the crash
-## torture's (the crash target), not this suite's.
+## analyze: the repo-specific analyzer suite (internal/lint: errlost,
+## a storage error dropped at a write site), run once over the whole
+## module with the suppression audit (stale //lint:allow directives fail
+## the build). CI's lint job runs the same command with -github added.
+## Cancel-func hygiene is `go vet`'s lostcancel (the vet target),
+## determinism the run-twice tests' (the test target), durable-write
+## order the crash torture's (the crash target), unlocked reads and
+## blocking under a lock the race and chaos suites', and float ties the
+## identity hashes' and the insert oracle's, not this suite's; the
+## mutate target shows each of those catches.
 analyze:
 	$(GO) build -o bin/simquerylint ./cmd/simquerylint
 	bin/simquerylint -source . -audit
 
 ## analyze-budget: `make analyze` under a wall-clock ceiling. The
-## whole-module load and the CFG dataflow analyzers must stay cheap
-## enough to run on every PR; the nightly job fails when the whole
-## suite takes longer than ANALYZE_BUDGET_SECS.
+## whole-module load and errlost's CFG dataflow must stay cheap enough
+## to run on every PR; the nightly job fails when the suite takes
+## longer than ANALYZE_BUDGET_SECS.
 ANALYZE_BUDGET_SECS ?= 120
 analyze-budget:
 	@start=$$(date +%s); \
@@ -76,6 +79,20 @@ lockrank:
 	$(GO) vet -tags lockrank ./...
 	$(GO) test -race -short -tags lockrank ./internal/lockrank $(LOCKRANK_PKGS)
 
+## mutate: the recorded mutations (internal/mutate). Each row puts one
+## defect back into a copy of the module — a race, a stall, a leak, a
+## wrong answer, a lost write — and requires its check (a test, `make
+## crash`, `make lockrank` or `make analyze`) to fail with the row's
+## substring; a row whose check passes, or whose fragment no longer
+## occurs exactly once, fails. The copy sits at one fixed path under the
+## temp dir, so the build cache serves every package a row leaves
+## unchanged: run one at a time. Budget: 30 minutes on a 2-core box
+## (-timeout fails a run past it). The nightly CI job runs it. A change
+## that deletes a check adds the row that shows what still catches the
+## check's class.
+mutate:
+	$(GO) test -tags mutate -timeout 30m -v -run TestMutations ./internal/mutate
+
 ## lint: gofmt cleanliness + pinned staticcheck (installed on demand).
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -105,7 +122,10 @@ bench:
 ## of a durable core.Index of ingest-mixed's shape with a WAL tail) at
 ## a fixed iteration count with
 ## the deterministic in-repo seeds, and render the output as a
-## schema-versioned JSON report via cmd/benchjson. BenchmarkEngineNew
+## schema-versioned JSON report via cmd/benchjson. BenchmarkKernels runs
+## in an invocation of its own at a fixed 0.5 s a row: a kernel row
+## takes microseconds, so a fixed iteration count gave 10–20 ms samples
+## that the box's load moved by tens of percent. BenchmarkEngineNew
 ## builds a whole engine per op — ten replica files written and synced
 ## in file mode — and BenchmarkIndexReopen recovers a whole index per
 ## op, so both run at their own, smaller iteration count.
@@ -121,12 +141,14 @@ BENCH_JSON_NEW_TIME ?= 20x
 # lists them as missing from a new report (informational) until the
 # baseline moves on.
 BENCH_BASELINE   ?= BENCH_2026-10-19-pr50.json
-BENCH_JSON_SET    = 'BenchmarkKernels|BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN|BenchmarkHedgeDelay'
+BENCH_JSON_SET    = 'BenchmarkKNN|BenchmarkMakeCandidates|BenchmarkEngineThroughput|BenchmarkEngineMissPath|BenchmarkPageDecode|BenchmarkRStarInsert2D|BenchmarkRStarInsert10D|BenchmarkDeclusteredInsert8D|BenchmarkDurableIngest|BenchmarkServerKNN|BenchmarkHedgeDelay'
 BENCH_JSON_NEW_SET = 'BenchmarkEngineNew|BenchmarkIndexReopen'
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run xxx -bench $(BENCH_JSON_SET) -benchtime=$(BENCH_JSON_TIME) \
 		-count=$(BENCH_JSON_COUNT) -benchmem . ./internal/query/ ./internal/server/ ./internal/exec/ | tee bin/bench.out
+	$(GO) test -run xxx -bench BenchmarkKernels -benchtime=0.5s \
+		-count=$(BENCH_JSON_COUNT) -benchmem . | tee -a bin/bench.out
 	$(GO) test -run xxx -bench $(BENCH_JSON_NEW_SET) -benchtime=$(BENCH_JSON_NEW_TIME) \
 		-count=$(BENCH_JSON_COUNT) -benchmem ./internal/exec/ . | tee -a bin/bench.out
 	bin/benchjson parse -o $(BENCH_JSON_OUT) bin/bench.out

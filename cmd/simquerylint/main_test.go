@@ -33,31 +33,33 @@ func simquerylint(args ...string) (string, string, error) {
 }
 
 // The command exits 0 on a clean module and 1, naming the finding, once
-// the module compares two floats exactly. The one-file module is named
-// floatcmp, which puts it in that analyzer's scope.
+// the module drops a storage error. The one-file module is named
+// errlost, which puts its own error results in that analyzer's scope.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	write := func(cmp string) {
+	write := func(body string) {
 		t.Helper()
-		src := "package floatcmp\n\n// Same reports whether two distances are the same.\nfunc Same(a, b float64) bool {\n\treturn " + cmp + "\n}\n"
+		src := "package errlost\n\n// File is a block file.\ntype File struct{ err error }\n\n" +
+			"// Sync flushes the file.\nfunc (f *File) Sync() error { return f.err }\n\n" +
+			"// Flush syncs the file.\nfunc Flush(f *File) error {\n\t" + body + "\n}\n"
 		if err := os.WriteFile(filepath.Join(dir, "d.go"), []byte(src), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
-	args := []string{"-source", dir, "-module", "floatcmp", "-audit"}
+	args := []string{"-source", dir, "-module", "errlost", "-audit"}
 
-	write("a-b < 1e-9 && b-a < 1e-9")
+	write("return f.Sync()")
 	if out, errOut, err := simquerylint(args...); err != nil || out != "" {
 		t.Fatalf("clean module: %v, output %q\n%s", err, out, errOut)
 	}
 
-	write("a == b")
+	write("f.Sync()\n\treturn nil")
 	out, errOut, err := simquerylint(args...)
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-		t.Fatalf("module with a float ==: err %v, want exit status 1\n%s%s", err, out, errOut)
+		t.Fatalf("module with a dropped Sync error: err %v, want exit status 1\n%s%s", err, out, errOut)
 	}
-	want := filepath.Join(dir, "d.go") + ":5:11: [floatcmp] exact == comparison of floating-point values"
+	want := filepath.Join(dir, "d.go") + ":11:2: [errlost] Flush drops the error result of File.Sync"
 	if !strings.HasPrefix(out, want) || strings.Count(out, "\n") != 1 {
 		t.Errorf("output %q, want one finding starting %q", out, want)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -9,8 +11,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestConcurrentReadsAndWrites exercises the index lock: concurrent KNN
-// and RangeSearch readers race with writers; run with -race to verify.
+// TestConcurrentReadsAndWrites exercises the index lock: every reader
+// of the tree — KNN, KNNTraced, RangeSearch, Len, Tree, Check and
+// Distribution — runs beside writers; run with -race to verify. Each
+// reader has a goroutine of its own, so the only lock between its
+// reads and the writers is the one the reader itself takes.
 func TestConcurrentReadsAndWrites(t *testing.T) {
 	ix := newTestIndex(t, 2, 4)
 	pts := dataset.Uniform(3000, 2, 13)
@@ -20,23 +25,63 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 
-	// 4 reader goroutines.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			qs := dataset.SampleQueries(pts, 30, int64(100+g))
-			for _, q := range qs {
-				if _, _, err := ix.KNN(q, 5, "crss"); err != nil {
-					errs <- err
+	readers := []struct {
+		name string
+		read func(q Point) error
+	}{
+		{"KNN", func(q Point) error {
+			_, _, err := ix.KNN(q, 5, "crss")
+			return err
+		}},
+		{"KNNTraced", func(q Point) error {
+			_, _, err := ix.KNNTraced(q, 3, "crss", func(string) {})
+			return err
+		}},
+		{"RangeSearch", func(q Point) error {
+			_, _, err := ix.RangeSearch(q, 0.05)
+			return err
+		}},
+		{"Len", func(Point) error {
+			if n := ix.Len(); n < 2000 {
+				return fmt.Errorf("Len %d mid-insert, want at least 2000", n)
+			}
+			return nil
+		}},
+		{"Tree", func(Point) error {
+			if ix.Tree() == nil {
+				return errors.New("Tree is nil")
+			}
+			return nil
+		}},
+		{"Check", func(Point) error { return ix.Check() }},
+		{"Distribution", func(Point) error {
+			if d := ix.Distribution(); d.Total == 0 {
+				return errors.New("Distribution counts no pages")
+			}
+			return nil
+		}},
+	}
+	// Each reader runs until the writers are done, so its reads
+	// interleave with their writes.
+	stop := make(chan struct{})
+	var readersDone sync.WaitGroup
+	for i, r := range readers {
+		readersDone.Add(1)
+		go func(name string, read func(Point) error, seed int64) {
+			defer readersDone.Done()
+			qs := dataset.SampleQueries(pts, 30, seed)
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
 					return
+				default:
 				}
-				if _, _, err := ix.RangeSearch(q, 0.05); err != nil {
-					errs <- err
+				if err := read(qs[i%len(qs)]); err != nil {
+					errs <- fmt.Errorf("%s: %w", name, err)
 					return
 				}
 			}
-		}(g)
+		}(r.name, r.read, int64(101+i))
 	}
 	// 2 writer goroutines inserting disjoint ranges.
 	for g := 0; g < 2; g++ {
@@ -45,7 +90,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 			defer wg.Done()
 			base := 2000 + g*500
 			for i := 0; i < 500; i++ {
-				if err := ix.Insert(pts[base%3000], ObjectID(10000+base+i)); err != nil {
+				if err := ix.Insert(pts[base+i], ObjectID(10000+base+i)); err != nil {
 					errs <- err
 					return
 				}
@@ -53,6 +98,8 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	readersDone.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)

@@ -141,12 +141,10 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 		if meta := ds.Meta(); meta.Root != 0 {
 			// The directory holds a committed tree: restore it instead of
 			// starting empty.
-			//lint:allow lockcheck construction: ix is not shared until NewIndex returns
 			ix.tree, err = parallel.Open(pcfg, ds)
 			ix.recovered = meta.Size
 		} else {
 			pcfg.Store = ds
-			//lint:allow lockcheck construction: ix is not shared until NewIndex returns
 			ix.tree, err = parallel.New(pcfg)
 		}
 		if err != nil {
@@ -154,7 +152,6 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 		}
 		return ix, nil
 	}
-	//lint:allow lockcheck construction: ix is not shared until NewIndex returns
 	ix.tree, err = parallel.New(pcfg)
 	if err != nil {
 		return nil, err

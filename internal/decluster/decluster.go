@@ -129,7 +129,7 @@ func (ProximityIndex) Assign(r geom.Rect, siblings []Sibling, state *ArrayState)
 		switch {
 		case prox[d] < prox[best]:
 			best = d
-		//lint:allow floatcmp exact proximity tie falls through to the load tie-break
+		// An exact proximity tie falls through to the load tie-break.
 		case prox[d] == prox[best] && state.PagesPerDisk[d] < state.PagesPerDisk[best]:
 			best = d
 		}
@@ -220,7 +220,7 @@ func (MinOverlap) Assign(r geom.Rect, siblings []Sibling, state *ArrayState) int
 		switch {
 		case ov[d] < ov[best]:
 			best = d
-		//lint:allow floatcmp exact overlap tie falls through to the load tie-break
+		// An exact overlap tie falls through to the load tie-break.
 		case ov[d] == ov[best] && state.PagesPerDisk[d] < state.PagesPerDisk[best]:
 			best = d
 		}

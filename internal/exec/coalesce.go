@@ -47,7 +47,7 @@ const coalesceShards = 16
 func newCoalescer() *coalescer {
 	c := &coalescer{shards: make([]coShard, coalesceShards)}
 	for i := range c.shards {
-		c.shards[i].flights = make(map[rtree.PageID][]flightWaiter) //lint:allow lockcheck construction: no other goroutine can hold the shard yet
+		c.shards[i].flights = make(map[rtree.PageID][]flightWaiter)
 	}
 	return c
 }

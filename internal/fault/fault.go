@@ -107,10 +107,10 @@ func NewInjector(seed int64) *Injector {
 
 // drive returns (creating on first use) a drive's state. Callers hold mu.
 func (in *Injector) drive(id int) *driveState {
-	st, ok := in.drives[id] //lint:allow lockcheck every caller holds in.mu (see doc comment)
+	st, ok := in.drives[id]
 	if !ok {
 		st = &driveState{rng: rand.New(rand.NewSource(in.seed + int64(id)*104729 + 13))}
-		in.drives[id] = st //lint:allow lockcheck every caller holds in.mu (see doc comment)
+		in.drives[id] = st
 	}
 	return st
 }

@@ -158,6 +158,41 @@ func TestSpikes(t *testing.T) {
 	}
 }
 
+// TestSpikeStallsOnlyItsDrive: a spiked read pays its delay outside
+// the injector's lock, so reads on another drive, issued back to back
+// while the spike sleeps, are never held behind it.
+func TestSpikeStallsOnlyItsDrive(t *testing.T) {
+	const spike = 200 * time.Millisecond
+	in := NewInjector(1)
+	in.Set(0, Faults{SpikeProb: 1, SpikeDelay: spike})
+	slow := in.Reader(0, &fakeReader{node: &rtree.FlatNode{ID: 1}})
+	fast := in.Reader(1, &fakeReader{node: &rtree.FlatNode{ID: 1}})
+	done := make(chan error, 1)
+	go func() {
+		_, err := slow.ReadPage(1)
+		done <- err
+	}()
+	var slowest time.Duration
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slowest > spike/2 {
+				t.Errorf("a read on an unspiked drive took %v: held behind drive 0's %v spike", slowest, spike)
+			}
+			return
+		default:
+		}
+		start := time.Now()
+		if _, err := fast.ReadPage(1); err != nil {
+			t.Fatal(err)
+		}
+		slowest = max(slowest, time.Since(start))
+	}
+}
+
 // fakeReader serves a fixed page and counts calls.
 type fakeReader struct {
 	node  *rtree.FlatNode

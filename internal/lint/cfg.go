@@ -6,7 +6,7 @@ import (
 )
 
 // This file is the control-flow layer under the path-sensitive
-// analyzers (errlost, lockcheck): a basic-block
+// analyzer (errlost, its one user): a basic-block
 // CFG built from a function body's syntax, standing in for
 // golang.org/x/tools/go/cfg (unavailable offline). The builder handles
 // if/for/range/switch/type-switch/select, labeled and unlabeled

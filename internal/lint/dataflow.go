@@ -1,10 +1,10 @@
 package lint
 
-// The forward dataflow engine under the path-sensitive analyzers: a
+// The forward dataflow engine under the path-sensitive analyzer: a
 // classic iterative fixpoint over the CFG with bitset fact lattices.
-// Every analyzer asks a may-question (can a dirty write, an unchecked
-// error, a held lock reach this point on some path?), so the meet is
-// union and a block's facts flow unchanged along each of its edges.
+// errlost asks a may-question (can an unchecked error reach this point
+// on some path?), so the meet is union and a block's facts flow
+// unchanged along each of its edges.
 
 // BitSet is a fixed-capacity fact set. Analyzers allocate one bit per
 // tracked fact (an obligation, a variable's state); functions with more

@@ -1,9 +1,11 @@
-// Package lint is a repo-specific static-analysis suite guarding
-// invariants no test runs into by itself: exact float comparison
-// discipline, documented mutex protection with no blocking under a
-// lock, and storage errors that are never dropped. Determinism and
-// durable-write order are checked by the tests that run them (the
-// run-twice parity tests and the crash-recovery torture).
+// Package lint is a repo-specific static-analysis suite guarding an
+// invariant no test runs into by itself at every site: storage errors
+// that are never dropped (errlost). Every other class it once checked
+// is caught by the tests that run it — float ties by the identity
+// hashes and the insert oracle, unlocked reads and blocking under a
+// lock by the -race suites and the chaos tests, determinism by the
+// run-twice parity tests, durable-write order by the crash-recovery
+// torture — and internal/mutate's table shows each catch.
 //
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) but is built on the standard library only — the build
@@ -80,8 +82,6 @@ type Diagnostic struct {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		FloatCmp,
-		LockCheck,
 		ErrLost,
 	}
 }
@@ -276,29 +276,4 @@ func recvTypeName(fn *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// exprString renders the stable "root path" of an expression for
-// matching lock receivers: identifiers and field selections print as
-// written; anything more dynamic (calls, indexing) collapses to "".
-func exprString(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		base := exprString(e.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return exprString(e.X)
-	}
-	return ""
-}
-
-// isFloat reports whether t's underlying type is float32 or float64.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }

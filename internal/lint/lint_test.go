@@ -84,24 +84,26 @@ func checkWants(t *testing.T, pkg *Package, diags []Diagnostic) {
 	}
 }
 
+// storageSrc prefixes the inline packages of the suppression tests: a
+// file whose Sync error errlost tracks, because parseOnly loads the
+// package under the analyzer's name.
+const storageSrc = `package p
+
+type file struct{ err error }
+
+func (f file) Sync() error { return f.err }
+`
+
 // TestSuppressionRequiresReason verifies a //lint:allow directive
 // without a reason is itself reported and does not suppress.
 func TestSuppressionRequiresReason(t *testing.T) {
-	pkg := parseOnly(t, "p.go", `package p
-
-import "sync"
-
-type T struct {
-	mu sync.Mutex
-	n  int // guarded by mu
-}
-
-func (t *T) Snapshot() int {
-	//lint:allow lockcheck
-	return t.n
+	pkg := parseOnly(t, "p.go", storageSrc+`
+func Flush(f file) {
+	//lint:allow errlost
+	f.Sync()
 }
 `)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{LockCheck})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{ErrLost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func (t *T) Snapshot() int {
 		switch d.Analyzer {
 		case "lint":
 			sawMalformed = strings.Contains(d.Message, "malformed")
-		case "lockcheck":
+		case "errlost":
 			sawFinding = true
 		}
 	}
@@ -126,25 +128,17 @@ func (t *T) Snapshot() int {
 // directive may take: trailing on the flagged line or alone on the
 // line above.
 func TestSuppressionSameAndPreviousLine(t *testing.T) {
-	pkg := parseOnly(t, "p.go", `package p
-
-import "sync"
-
-type T struct {
-	mu sync.Mutex
-	n  int // guarded by mu
+	pkg := parseOnly(t, "p.go", storageSrc+`
+func Flush(f file) {
+	f.Sync() //lint:allow errlost the caller syncs again
 }
 
-func (t *T) Snapshot() int {
-	return t.n //lint:allow lockcheck the caller holds t.mu
-}
-
-func (t *T) Stats() int {
-	//lint:allow lockcheck second helper, same contract
-	return t.n
+func Close(f file) {
+	//lint:allow errlost second helper, same contract
+	f.Sync()
 }
 `)
-	diags, err := RunAnalyzers(pkg, []*Analyzer{LockCheck})
+	diags, err := RunAnalyzers(pkg, []*Analyzer{ErrLost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +172,15 @@ func loadDir(dir, importPath string) (*Package, error) {
 }
 
 // parseOnly type-checks an inline single-file package for framework
-// tests.
+// tests, under the import path errlost, which puts its own error
+// results in that analyzer's scope.
 func parseOnly(t *testing.T, name, src string) *Package {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := loadDir(dir, "p")
+	pkg, err := loadDir(dir, ErrLost.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

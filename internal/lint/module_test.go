@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// TestRepoProtocolsClean is the standing gate behind the PR 8 fixes: it
-// loads the whole module from source and requires the full analyzer
-// suite — including the suppression audit — to come back empty. Any
-// reintroduced unpaired trace event, unsynced publish, leaked cancel,
-// dropped storage error, or stale //lint:allow fails this test (and
-// `make analyze`/`make audit`, which run the same code).
+// TestRepoProtocolsClean loads the whole module from source and
+// requires the analyzer suite — including the suppression audit — to
+// come back empty. A dropped storage error or a stale //lint:allow
+// fails this test (and `make analyze`, which runs the same code).
 func TestRepoProtocolsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module source load")
@@ -74,25 +72,17 @@ func TestLoadModuleExternalTestSeesExportTest(t *testing.T) {
 // that suppresses a live finding is kept silent, one that suppresses
 // nothing is reported as stale at its own position.
 func TestAuditReportsStaleDirective(t *testing.T) {
-	pkg := parseOnly(t, "p.go", `package p
-
-import "sync"
-
-type T struct {
-	mu sync.Mutex
-	n  int // guarded by mu
-}
-
-func (t *T) Snapshot() int {
-	return t.n //lint:allow lockcheck the caller holds t.mu
+	pkg := parseOnly(t, "p.go", storageSrc+`
+func Flush(f file) {
+	f.Sync() //lint:allow errlost the caller syncs again
 }
 
 func Stale() int {
-	//lint:allow floatcmp nothing here ever compared floats
+	//lint:allow errlost nothing here ever dropped an error
 	return 1
 }
 `)
-	diags, err := Audit(pkg, []*Analyzer{LockCheck, FloatCmp})
+	diags, err := Audit(pkg, []*Analyzer{ErrLost})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +94,8 @@ func Stale() int {
 		}
 		stale = append(stale, d.Message)
 	}
-	if len(stale) != 1 || !strings.Contains(stale[0], "stale //lint:allow floatcmp") {
-		t.Errorf("want exactly one stale floatcmp directive, got %v", stale)
+	if len(stale) != 1 || !strings.Contains(stale[0], "stale //lint:allow errlost") {
+		t.Errorf("want exactly one stale errlost directive, got %v", stale)
 	}
 }
 
@@ -118,11 +108,11 @@ func TestSortFindings(t *testing.T) {
 		return token.Position{Filename: file, Line: line, Column: col}
 	}
 	findings := []Finding{
-		{Position: pos("b.go", 3, 1), Analyzer: "lockcheck", Message: "m1"},
-		{Position: pos("a.go", 9, 2), Analyzer: "lockcheck", Message: "m2"},
+		{Position: pos("b.go", 3, 1), Analyzer: "lint", Message: "m1"},
+		{Position: pos("a.go", 9, 2), Analyzer: "lint", Message: "m2"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m3"},
-		{Position: pos("a.go", 9, 1), Analyzer: "floatcmp", Message: "m4"},
-		{Position: pos("a.go", 2, 5), Analyzer: "floatcmp", Message: "m5"},
+		{Position: pos("a.go", 9, 1), Analyzer: "audit", Message: "m4"},
+		{Position: pos("a.go", 2, 5), Analyzer: "audit", Message: "m5"},
 		{Position: pos("a.go", 9, 2), Analyzer: "errlost", Message: "m0"},
 	}
 	sortFindings(findings)

@@ -10,37 +10,34 @@ import (
 	"testing"
 )
 
-// writeModule lays out a two-file module "m": the root package's Stats
-// runs lock before reading a field guarded by mu, and package q, which
-// imports it, carries the given directive above its call.
-func writeModule(t *testing.T, dir, lock, directive string) {
+// writeModule lays out a two-file module "errlost" (the name puts its
+// own error results in that analyzer's scope): the root package's
+// Flush runs body, and package q, which imports it, carries the given
+// directive above its call.
+func writeModule(t *testing.T, dir, body, directive string) {
 	t.Helper()
 	files := map[string]string{
-		"t.go": fmt.Sprintf(`package m
+		"t.go": fmt.Sprintf(`package errlost
 
-import "sync"
+// File is a block file.
+type File struct{ err error }
 
-// T holds the counters.
-type T struct {
-	mu sync.Mutex
-	A  int
-	B  int // guarded by mu
-}
+// Sync flushes the file.
+func (f *File) Sync() error { return f.err }
 
-// Stats reports the counters.
-func (t *T) Stats() int {
+// Flush syncs the file.
+func Flush(f *File) error {
 	%s
-	return t.A + t.B
 }
-`, lock),
+`, body),
 		"q/q.go": fmt.Sprintf(`package q
 
-import "m"
+import "errlost"
 
-// Sum adds the counters.
-func Sum(t *m.T) int {
+// Save flushes f.
+func Save(f *errlost.File) error {
 	%s
-	return t.Stats()
+	return errlost.Flush(f)
 }
 `, directive),
 	}
@@ -66,37 +63,37 @@ func TestStandalone(t *testing.T) {
 		return code, out.String()
 	}
 	dir := t.TempDir()
-	mod := []string{"-source", dir, "-module", "m"}
-	const locked = "t.mu.Lock()\n\tdefer t.mu.Unlock()"
+	mod := []string{"-source", dir, "-module", "errlost"}
+	const checked = "return f.Sync()"
 
-	writeModule(t, dir, locked, "")
+	writeModule(t, dir, checked, "")
 	if code, out := run(append(mod, "-audit")...); code != 0 || out != "" {
 		t.Errorf("clean module: exit %d, output %q; want 0 and nothing", code, out)
 	}
 
-	// A seeded finding: Stats reads B without its lock.
-	writeModule(t, dir, "", "")
+	// A seeded finding: Flush drops the Sync error.
+	writeModule(t, dir, "f.Sync()\n\treturn nil", "")
 	code, out := run(append(mod, "-github")...)
 	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
 	if code != 1 || len(lines) != 2 {
 		t.Fatalf("seeded finding under -github: exit %d, %d lines; want 1 and a finding plus its annotation", code, len(lines))
 	}
-	m := regexp.MustCompile(`^(.*t\.go):(\d+):(\d+): \[lockcheck\] (.*B.*)$`).FindStringSubmatch(lines[0])
+	m := regexp.MustCompile(`^(.*t\.go):(\d+):(\d+): \[errlost\] (.*Sync.*)$`).FindStringSubmatch(lines[0])
 	if m == nil {
-		t.Fatalf("finding line %q is not file:line:col: [lockcheck] message", lines[0])
+		t.Fatalf("finding line %q is not file:line:col: [errlost] message", lines[0])
 	}
-	annotation := fmt.Sprintf("::error file=%s,line=%s,col=%s::[lockcheck] %s", m[1], m[2], m[3], m[4])
+	annotation := fmt.Sprintf("::error file=%s,line=%s,col=%s::[errlost] %s", m[1], m[2], m[3], m[4])
 	if lines[1] != annotation {
 		t.Errorf("annotation %q, want %q", lines[1], annotation)
 	}
 
 	// A directive that suppresses nothing is news only to the audit.
-	writeModule(t, dir, locked, "//lint:allow floatcmp nothing here compares floats")
+	writeModule(t, dir, checked, "//lint:allow errlost nothing here drops an error")
 	if code, out := run(mod...); code != 0 || out != "" {
 		t.Errorf("stale directive without -audit: exit %d, output %q", code, out)
 	}
 	if code, out := run(append(mod, "-audit")...); code != 1 ||
-		!regexp.MustCompile(`^.*q\.go:\d+:\d+: \[audit\] stale //lint:allow floatcmp`).MatchString(out) {
+		!regexp.MustCompile(`^.*q\.go:\d+:\d+: \[audit\] stale //lint:allow errlost`).MatchString(out) {
 		t.Errorf("stale directive under -audit: exit %d, output %q", code, out)
 	}
 	if code, out := run(append(mod, "-audit", "-github")...); code != 1 ||
@@ -108,7 +105,7 @@ func TestStandalone(t *testing.T) {
 	if code, _ := run("-nope"); code != 2 {
 		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
-	writeModule(t, dir, "undefined()", "")
+	writeModule(t, dir, "return undefined()", "")
 	if code, _ := run(mod...); code != 2 {
 		t.Errorf("module that does not type-check: exit %d, want 2", code)
 	}

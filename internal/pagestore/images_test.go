@@ -651,8 +651,9 @@ func TestCheckpointRefusesBadWALRecord(t *testing.T) {
 // returns the error and leaves the log as it was: the store still
 // counts the previous table as its newest, and a reboot recovers the
 // last committed tree whether or not the unsynced table reached the
-// disk. A checkpoint syncs the data files twice: the pages, then the
-// table.
+// disk. So does one whose data file fails: a page's writeback, the
+// zeroing of a freed slot, or the sync. A checkpoint syncs the data
+// files twice: the pages, then the table.
 func TestDurableStoreCheckpointTableFaults(t *testing.T) {
 	files := newMemFiles()
 	var counters obs.StorageCounters
@@ -720,6 +721,46 @@ func TestDurableStoreCheckpointTableFaults(t *testing.T) {
 		t.Errorf("after the faults: checkpoint %d, log of %d bytes; want checkpoint 2 and the log reset", ds.ckpt, len(files.wal.buf))
 	}
 	recovered("after the faults", files.clone(), 2)
+
+	// The data file: each fault fails the one write site it names. A
+	// round of inserts alone frees no page, so its checkpoint writes
+	// pages back and zeroes nothing; a round with deletes zeroes the
+	// freed slots after the writeback.
+	for _, fault := range []struct {
+		name    string
+		deletes bool
+		set     func(err error)
+	}{
+		{"data-file write", false, func(err error) { files.data.fail = err }},
+		{"freed-slot zeroing", true, func(err error) { files.data.fail, files.data.okWrites = err, len(ds.tail) }},
+		{"data-file sync", true, func(err error) { files.data.syncErr = err }},
+	} {
+		if !fault.deletes {
+			c.base += len(c.live)
+			c.live = c.live[:0]
+		}
+		c.round(100)
+		if freed := len(ds.ckptFreed) > 0; freed != fault.deletes {
+			t.Fatalf("%s fault: %d pages freed since the checkpoint", fault.name, len(ds.ckptFreed))
+		}
+		want = committedObjects(t, ds)
+		before, end := files.clone(), ds.wal.end
+		fault.set(errFault)
+		err := ds.Checkpoint()
+		fault.set(nil)
+		if !errors.Is(err, errFault) {
+			t.Fatalf("%s fault: Checkpoint returned %v", fault.name, err)
+		}
+		if ds.ckpt != 2 || ds.wal.end != end || !bytes.Equal(files.wal.buf, before.wal.buf) {
+			t.Fatalf("%s fault: checkpoint %d, log of %d bytes; want checkpoint 2 and the log unchanged",
+				fault.name, ds.ckpt, len(files.wal.buf))
+		}
+		recovered(fault.name+" fault", files.clone(), 2)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	recovered("after the data-file faults", files.clone(), 3)
 }
 
 // The checkpoint a store writes is always the one after the checkpoint

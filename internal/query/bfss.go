@@ -39,7 +39,6 @@ type bfssItem struct {
 // nearerPage orders the frontier (scratch.frontier, a min-heap): by
 // distance, exact ties deliberately broken by the page ID.
 func nearerPage(a, b bfssItem) bool {
-	//lint:allow floatcmp exact-equal distances deliberately fall through to the page-ID tie-break
 	if a.distSq != b.distSq {
 		return a.distSq < b.distSq
 	}

@@ -765,7 +765,6 @@ func chooseByCentroid(n *Node, c geom.Point) int {
 	bestRadius := math.Inf(1)
 	for i, e := range n.Entries {
 		d := c.DistSq(e.Sphere.Center)
-		//lint:allow floatcmp exact distance tie deliberately broken by the smaller radius
 		if d < bestDist || (d == bestDist && e.Sphere.Radius < bestRadius) {
 			best, bestDist, bestRadius = i, d, e.Sphere.Radius
 		}
@@ -984,7 +983,6 @@ func (t *Tree) chooseSplit(entries []Entry, level int) (g1, g2 []Entry) {
 			r1, r2 := geom.Rect{Lo: lo1, Hi: hi1}, geom.Rect{Lo: lo2, Hi: hi2}
 			overlap := r1.OverlapArea(r2)
 			area := r1.Area() + r2.Area()
-			//lint:allow floatcmp exact overlap tie deliberately broken by the smaller total area
 			if overlap < bestOverlap || (overlap == bestOverlap && area < bestArea) {
 				bestOverlap, bestArea = overlap, area
 				bestOrder, bestSplit = order, split

@@ -28,7 +28,7 @@ type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
-	//lint:allow floatcmp exact-equal event times deliberately fall through to the FIFO seq tie-break
+	// Exact-equal event times fall through to the FIFO seq tie-break.
 	if h[i].time != h[j].time {
 		return h[i].time < h[j].time
 	}

@@ -278,7 +278,7 @@ func (s *System) pickMirror(d, cylinder int) (m int, ok bool) {
 			}
 			free := s.disks[d][m].FreeAt()
 			dist := armDist(s.drive[d][m], cylinder)
-			//lint:allow floatcmp exact free-time tie deliberately broken by the nearer arm
+			// An exact free-time tie is broken by the nearer arm.
 			if best < 0 || free < bestFree || (free == bestFree && dist < bestDist) {
 				best, bestFree, bestDist = m, free, dist
 			}
