@@ -10,42 +10,15 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Duration per fuzz target in the `fuzz` smoke target.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet analyze analyze-budget test flake race lockrank mutate lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
+.PHONY: all build vet test flake race lockrank mutate lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
 
-all: build vet analyze test
+all: build vet test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
-
-## analyze: the repo-specific analyzer suite (internal/lint: errlost,
-## a storage error dropped at a write site), run once over the whole
-## module with the suppression audit (stale //lint:allow directives fail
-## the build). CI's lint job runs the same command with -github added.
-## Cancel-func hygiene is `go vet`'s lostcancel (the vet target),
-## determinism the run-twice tests' (the test target), durable-write
-## order the crash torture's (the crash target), unlocked reads and
-## blocking under a lock the race and chaos suites', and float ties the
-## identity hashes' and the insert oracle's, not this suite's; the
-## mutate target shows each of those catches.
-analyze:
-	$(GO) build -o bin/simquerylint ./cmd/simquerylint
-	bin/simquerylint -source . -audit
-
-## analyze-budget: `make analyze` under a wall-clock ceiling. The
-## whole-module load and errlost's CFG dataflow must stay cheap enough
-## to run on every PR; the nightly job fails when the suite takes
-## longer than ANALYZE_BUDGET_SECS.
-ANALYZE_BUDGET_SECS ?= 120
-analyze-budget:
-	@start=$$(date +%s); \
-	$(MAKE) analyze || exit $$?; \
-	elapsed=$$(( $$(date +%s) - start )); \
-	echo "make analyze took $${elapsed}s (budget $(ANALYZE_BUDGET_SECS)s)"; \
-	if [ $$elapsed -gt $(ANALYZE_BUDGET_SECS) ]; then \
-		echo "analyzer runtime budget exceeded"; exit 1; fi
 
 ## test: the CI test job (short mode — slow simulations skipped).
 test:
@@ -81,8 +54,8 @@ lockrank:
 
 ## mutate: the recorded mutations (internal/mutate). Each row puts one
 ## defect back into a copy of the module — a race, a stall, a leak, a
-## wrong answer, a lost write — and requires its check (a test, `make
-## crash`, `make lockrank` or `make analyze`) to fail with the row's
+## wrong answer, a lost write, a dropped storage error — and requires
+## its check (a test, `make crash` or `go vet`) to fail with the row's
 ## substring; a row whose check passes, or whose fragment no longer
 ## occurs exactly once, fails. The copy sits at one fixed path under the
 ## temp dir, so the build cache serves every package a row leaves
@@ -192,14 +165,16 @@ chaos-full:
 ## kill the durable store at programmed fsyncs, reboot from exactly the
 ## bytes that were durable, and require a consistent committed tree,
 ## plus the WAL / record-table / durable-store unit tests around it
-## (a Commit whose WAL sync fails must publish nothing). At each kill
+## (a Commit whose WAL sync fails must publish nothing) and the fault
+## sweep, which fails each file operation of the same schedule once and
+## requires the error returned and the last commit recovered. At each kill
 ## every file keeps a seeded FIFO prefix of its un-synced writes, the
 ## frontier one possibly torn, and the kill runs twice more with every
 ## other file keeping all of them and none: a write, sync or publish
 ## out of order fails here. Short mode runs every fourth kill point (the
 ## PR CI job); `crash-full` kills at every sync point in the schedule
 ## (the nightly job).
-CRASH_RUN = 'CrashRecovery|DurableStore|FileStore|FileBacked|IndexDurable|WAL'
+CRASH_RUN = 'CrashRecovery|FaultSweep|DurableStore|FileStore|FileBacked|IndexDurable|WAL'
 crash:
 	$(GO) test -race -short -run $(CRASH_RUN) ./internal/pagestore/ ./internal/exec/ ./internal/core/
 
@@ -227,7 +202,6 @@ serve-soak:
 full:
 	$(GO) test ./...
 	$(GO) test -race ./...
-	$(MAKE) analyze
 	$(MAKE) chaos-full
 	$(MAKE) crash-full
 	$(MAKE) serve-test

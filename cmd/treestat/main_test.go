@@ -20,17 +20,23 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// run runs the command with args and returns its output.
+func run(args ...string) (string, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
 // treestat runs the command with args, requires it to succeed and
 // returns its output.
 func treestat(t *testing.T, args ...string) string {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), runMainEnv+"=1")
-	out, err := cmd.CombinedOutput()
+	out, err := run(args...)
 	if err != nil {
 		t.Fatalf("treestat %v: %v\n%s", args, err, out)
 	}
-	return string(out)
+	return out
 }
 
 // placementLines are the per-disk distribution lines and the invariant
@@ -85,5 +91,44 @@ func TestCapacities(t *testing.T) {
 		if !strings.Contains(out, c.want) {
 			t.Errorf("treestat %v: no line with %q:\n%s", c.flags, c.want, out)
 		}
+	}
+}
+
+// A directory written with another page layout, or another array, is
+// refused: treestat exits non-zero, naming the field, and builds no
+// tree in its place.
+func TestDirMismatchExitsNonZero(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "tree")
+	args := []string{"-set", "california", "-n", "2000", "-disks", "4", "-dir", dir}
+	treestat(t, args...)
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-page", "1024"}, "PageSize"},
+		{[]string{"-sr"}, "UseSpheres"},
+		{[]string{"-disks", "5"}, "NumDisks"},
+	} {
+		out, err := run(append(args, c.flags...)...)
+		if err == nil || !strings.Contains(out, c.want) || strings.Contains(out, "invariants: OK") {
+			t.Errorf("treestat %v over a directory written without them: %v\n%s", c.flags, err, out)
+		}
+	}
+}
+
+// A build whose checkpoint cannot write the data file exits non-zero:
+// the directory's page file is /dev/full, where every write fails with
+// ENOSPC while the log and the record tables are real files.
+func TestDirFullDiskExitsNonZero(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "pages.db")); err != nil {
+		t.Fatal(err)
+	}
+	out, err := run("-set", "california", "-n", "2000", "-disks", "4", "-dir", dir)
+	if err == nil || !strings.Contains(out, "no space left on device") {
+		t.Errorf("treestat -dir over a full disk: %v\n%s", err, out)
 	}
 }

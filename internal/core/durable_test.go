@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -191,5 +193,60 @@ func TestIndexDurableGeometryMismatch(t *testing.T) {
 	ix.Close()
 	if _, err := NewIndex(IndexConfig{Dim: 3, NumDisks: 4, Seed: 3, DataDir: dir}); err == nil {
 		t.Error("reopen with a different dimensionality succeeded")
+	}
+}
+
+// An index whose page file cannot take a write (it is /dev/full, where
+// every write fails with ENOSPC) commits into its log and fails its
+// checkpoint with the device's error; a reopen recovers the commit from
+// the log.
+func TestIndexDurableFullDisk(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "pages.db")); err != nil {
+		t.Fatal(err)
+	}
+	cfg := IndexConfig{Dim: 2, NumDisks: 4, Seed: 3, DataDir: dir}
+	ix, err := NewIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := dataset.Uniform(300, 2, 5)
+	if err := ix.InsertAll(pts, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Checkpoint(); err == nil || !strings.Contains(err.Error(), "no space left on device") {
+		t.Errorf("Checkpoint onto a full disk: %v", err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewIndex(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != len(pts) {
+		t.Errorf("reopen holds %d points, want the %d committed", re.Len(), len(pts))
+	}
+}
+
+// Index.Close reports its store's close error: an index whose store was
+// closed under it fails its own Close.
+func TestIndexDurableCloseReportsStoreErrors(t *testing.T) {
+	ix, err := NewIndex(IndexConfig{Dim: 2, NumDisks: 4, Seed: 3, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Errorf("Close over a closed store: %v, want os.ErrClosed", err)
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -135,36 +137,81 @@ func TestEngineFileBackedTruncatedReplica(t *testing.T) {
 	}
 }
 
-// Without a mirror, a truncated file is unrecoverable: the query must
-// fail with the typed degraded-mode error, never a partial answer.
+// Without a mirror, a replica missing its pages is unrecoverable: the
+// query must fail with the typed degraded-mode error, never a partial
+// answer. The pages are missing from a file cut short, from a file of
+// the right length whose slots were never written (what a page write
+// that failed unnoticed would leave), and from a memory-mode replica
+// whose images are damaged.
 func TestEngineFileBackedTruncatedNoMirror(t *testing.T) {
 	tree, pts := buildTree(t, 2000, 3, false, 0)
 	queries := dataset.SampleQueries(pts, 10, 13)
 
-	dir := t.TempDir()
-	eng, err := New(tree, Config{DataDir: dir, RetryLimit: -1, DegradeAfter: 1})
-	if err != nil {
-		t.Fatal(err)
+	zero := func(path string) error {
+		info, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, make([]byte, info.Size()), 0o644)
 	}
-	defer eng.Close()
-	for d := 0; d < 3; d++ {
-		if err := os.Truncate(filepath.Join(dir, ReplicaFileName(d, 0)), 512); err != nil {
+	for _, damage := range []struct {
+		name  string
+		files bool
+		do    func(eng *Engine, d int, path string) error
+	}{
+		{"truncated", true, func(_ *Engine, _ int, path string) error { return os.Truncate(path, 512) }},
+		{"zeroed", true, func(_ *Engine, _ int, path string) error { return zero(path) }},
+		{"damaged images", false, func(eng *Engine, d int, _ string) error {
+			for _, img := range eng.replicas[d][0].reader.(*diskStore).pages {
+				img[0] ^= 0xff // the page magic
+			}
+			return nil
+		}},
+	} {
+		cfg := Config{RetryLimit: -1, DegradeAfter: 1}
+		if damage.files {
+			cfg.DataDir = t.TempDir()
+		}
+		eng, err := New(tree, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < 3; d++ {
+			if err := damage.do(eng, d, filepath.Join(cfg.DataDir, ReplicaFileName(d, 0))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sawUnavailable := false
+		for _, q := range queries {
+			_, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
+			if err == nil {
+				t.Fatalf("%s: query over an unmirrored store missing its pages succeeded", damage.name)
+			}
+			var unavail *fault.ErrDataUnavailable
+			if errors.As(err, &unavail) {
+				sawUnavailable = true
+			}
+		}
+		if !sawUnavailable {
+			t.Errorf("%s: no query failed with the typed ErrDataUnavailable", damage.name)
+		}
+		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sawUnavailable := false
-	for _, q := range queries {
-		_, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{})
-		if err == nil {
-			t.Fatal("query over a truncated, unmirrored store succeeded")
-		}
-		var unavail *fault.ErrDataUnavailable
-		if errors.As(err, &unavail) {
-			sawUnavailable = true
-		}
+}
+
+// An engine over a DataDir that does not exist fails in New, naming the
+// replica file it could not create.
+func TestEngineFileBackedMissingDataDir(t *testing.T) {
+	tree, _ := buildTree(t, 500, 2, false, 0)
+	eng, err := New(tree, Config{DataDir: filepath.Join(t.TempDir(), "absent")})
+	if err == nil {
+		eng.Close()
+		t.Fatal("New built an engine over a DataDir that does not exist")
 	}
-	if !sawUnavailable {
-		t.Error("no query failed with the typed ErrDataUnavailable")
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "replica 0/0") {
+		t.Errorf("New: %v, want the missing replica file named", err)
 	}
 }
 
@@ -354,7 +401,7 @@ func TestEngineServesDirectoryInline(t *testing.T) {
 }
 
 // Engine.Close must surface replica-store close errors instead of
-// dropping them (the errlost fix): a store whose file was already
+// dropping them: a store whose file was already
 // closed under the engine yields a non-nil Close, a healthy engine a
 // nil one, and a second Close is a nil no-op either way.
 func TestEngineCloseReportsFileErrors(t *testing.T) {

@@ -1,10 +1,9 @@
 // Package mutate is the table of recorded mutations: each row is one
 // defect written as an exact edit of one source file, with the check
 // that must fail once the edit is made and a substring of that
-// failure. A row shows that some test (or `make crash`, `make
-// lockrank`, `make analyze`) still catches its bug class; a check that
-// goes vacuous, or a refactor that drops the code a row edits, fails
-// the row.
+// failure. A row shows that some test (or `make crash`, or `go vet`)
+// still catches its bug class; a check that goes vacuous, or a
+// refactor that drops the code a row edits, fails the row.
 //
 // `make mutate` runs the table (the mutate build tag's TestMutations):
 // per row it copies the module's tracked sources to a scratch
@@ -14,7 +13,7 @@
 // refactor that moves a fragment carries its row forward in the same
 // change.
 //
-// A change that deletes a check (an analyzer, a test, an assertion)
+// A change that deletes a check (a test, an assertion, a tool)
 // adds the row that shows what still catches the deleted check's
 // class.
 package mutate

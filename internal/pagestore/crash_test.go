@@ -15,6 +15,11 @@
 // that syncs its files in the wrong order recovers cleanly only while
 // the files it forgot lose their writes. Everything after the crash
 // fails with a permanent error, like a dead drive.
+//
+// The same files fail one operation on a healthy machine for the fault
+// sweep: the n-th WriteAt, Sync, Truncate, Size or ReadAt of the
+// schedule returns an injected error, once, and the store restarts
+// from the bytes the files hold.
 package pagestore_test
 
 import (
@@ -40,7 +45,10 @@ import (
 	"repro/internal/rtree"
 )
 
-var errCrashed = errors.New("crash: simulated power loss")
+var (
+	errCrashed  = errors.New("crash: simulated power loss")
+	errInjected = errors.New("fault: injected I/O error")
+)
 
 // writeOp is one buffered mutation: a positional write (data non-nil)
 // or a truncate (data nil, size the new length).
@@ -63,21 +71,42 @@ const (
 // crashEnv is the power supply shared by all files of one store: a
 // global fsync counter, the ordinal to kill at, the RNG that picks how
 // much of each file's un-synced tail survived, and how much the files
-// other than the syncing one keep.
+// other than the syncing one keep; and a global operation counter with
+// the ordinal of the one operation to fail.
 type crashEnv struct {
 	mu      sync.Mutex
 	rng     *rand.Rand   // picks the durable frontiers at the crash; guarded by mu
 	crashAt int          // 1-based sync ordinal to kill at; 0 = never
 	others  keepMode     // what the files not being synced keep at the crash
+	failAt  int          // 1-based file operation to fail, once; 0 = none
 	files   []*crashFile // every file on this supply, in creation order; guarded by mu
 	syncs   int          // completed sync points across all files; guarded by mu
+	ops     int          // file operations across all files; guarded by mu
+	failed  string       // the operation failAt failed, as "file Op"; guarded by mu
 	dead    bool         // post-crash: every op fails; guarded by mu
 }
 
-func (e *crashEnv) failed() bool {
+// begin counts one operation of f and returns the error it fails with:
+// errCrashed once the power is gone, errInjected if it is the one the
+// fault sweep fails.
+func (e *crashEnv) begin(f *crashFile, op string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dead
+	if e.dead {
+		return errCrashed
+	}
+	e.ops++
+	if e.ops == e.failAt {
+		e.failed = f.name + " " + op
+		return errInjected
+	}
+	return nil
+}
+
+func (e *crashEnv) opCount() (int, string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ops, e.failed
 }
 
 func (e *crashEnv) syncCount() int {
@@ -92,14 +121,15 @@ func (e *crashEnv) syncCount() int {
 // seeded torn prefix of them.
 type crashFile struct {
 	env     *crashEnv
+	name    string
 	mu      sync.Mutex
 	mem     []byte    // live view; guarded by mu
 	durable []byte    // what survives a crash; guarded by mu
 	pending []writeOp // un-synced ops in FIFO order; guarded by mu
 }
 
-func newCrashFile(env *crashEnv, seed []byte) *crashFile {
-	f := &crashFile{env: env}
+func newCrashFile(env *crashEnv, name string, seed []byte) *crashFile {
+	f := &crashFile{env: env, name: name}
 	f.mem = append(f.mem, seed...)
 	f.durable = append(f.durable, seed...)
 	env.mu.Lock()
@@ -114,9 +144,15 @@ func (f *crashFile) durableBytes() []byte {
 	return append([]byte(nil), f.durable...)
 }
 
+func (f *crashFile) liveBytes() []byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]byte(nil), f.mem...)
+}
+
 func (f *crashFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.env.failed() {
-		return 0, errCrashed
+	if err := f.env.begin(f, "ReadAt"); err != nil {
+		return 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -131,8 +167,8 @@ func (f *crashFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.env.failed() {
-		return 0, errCrashed
+	if err := f.env.begin(f, "WriteAt"); err != nil {
+		return 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -145,8 +181,8 @@ func (f *crashFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (f *crashFile) Truncate(size int64) error {
-	if f.env.failed() {
-		return errCrashed
+	if err := f.env.begin(f, "Truncate"); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -156,8 +192,8 @@ func (f *crashFile) Truncate(size int64) error {
 }
 
 func (f *crashFile) Size() (int64, error) {
-	if f.env.failed() {
-		return 0, errCrashed
+	if err := f.env.begin(f, "Size"); err != nil {
+		return 0, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -167,11 +203,10 @@ func (f *crashFile) Size() (int64, error) {
 func (f *crashFile) Close() error { return nil }
 
 func (f *crashFile) Sync() error {
-	f.env.mu.Lock()
-	if f.env.dead {
-		f.env.mu.Unlock()
-		return errCrashed
+	if err := f.env.begin(f, "Sync"); err != nil {
+		return err
 	}
+	f.env.mu.Lock()
 	f.env.syncs++
 	crash := f.env.crashAt > 0 && f.env.syncs == f.env.crashAt
 	var rng *rand.Rand
@@ -273,15 +308,21 @@ type crashFiles struct {
 }
 
 func newCrashFiles(env *crashEnv) crashFiles {
-	return crashFiles{newCrashFile(env, nil), newCrashFile(env, nil),
-		[2]*crashFile{newCrashFile(env, nil), newCrashFile(env, nil)}}
+	return crashFiles{newCrashFile(env, "data", nil), newCrashFile(env, "wal", nil),
+		[2]*crashFile{newCrashFile(env, "records-0", nil), newCrashFile(env, "records-1", nil)}}
 }
 
 // rebooted returns files on a healthy machine holding exactly what was
 // durable on f.
-func (f crashFiles) rebooted() crashFiles {
+func (f crashFiles) rebooted() crashFiles { return f.boot((*crashFile).durableBytes) }
+
+// restarted returns files on a healthy machine holding what f holds
+// now: a restart of the process, not of the machine.
+func (f crashFiles) restarted() crashFiles { return f.boot((*crashFile).liveBytes) }
+
+func (f crashFiles) boot(bytes func(*crashFile) []byte) crashFiles {
 	env := &crashEnv{}
-	boot := func(c *crashFile) *crashFile { return newCrashFile(env, c.durableBytes()) }
+	boot := func(c *crashFile) *crashFile { return newCrashFile(env, c.name, bytes(c)) }
 	return crashFiles{boot(f.data), boot(f.wal), [2]*crashFile{boot(f.tables[0]), boot(f.tables[1])}}
 }
 
@@ -330,14 +371,14 @@ func (s objSet) equal(o objSet) bool {
 
 // schedResult is the ground truth the recovered store is checked
 // against: the object set as of the last durable-acknowledged Commit,
-// plus — when the crash hit inside a Commit — the set that commit was
-// trying to make durable. Recovery must land on one of the two
-// (whether the commit record made it to the platters is exactly the
+// plus — when the crash or fault hit inside a Commit — the set that
+// commit was trying to make durable. Recovery must land on one of the
+// two (whether the commit record made it to the platters is exactly the
 // bit the crash tears).
 type schedResult struct {
 	committed objSet
-	inflight  objSet // non-nil only when the crash hit inside Commit
-	crashed   bool
+	inflight  objSet // non-nil only when the schedule stopped inside Commit
+	stopped   bool   // a crash or an injected fault stopped the schedule
 	// states holds, per acknowledged Commit in order, the placements and
 	// state record it made durable.
 	states []committedState
@@ -346,17 +387,28 @@ type schedResult struct {
 // runCrashSchedule drives a fixed, seeded insert/delete workload over a
 // declustered tree in a DurableStore on the given files: a Commit every
 // 7 ops, checkpoints a third and two thirds of the way in, and a final
-// Commit. The schedule is identical on every run; only the kill point
-// differs.
+// Commit; then it closes the store, reopens it, checkpoints the log's
+// tail and reads every page back from the data file, the way a replica
+// serves it. The schedule is identical on every run; only the kill
+// point or the failed operation differs, and the first error stops it.
 func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 	t.Helper()
 	const (
 		ops         = 160
 		commitEvery = 7
 	)
+	committed := make(objSet)
+	var states []committedState
+	stopped := func(err error) schedResult {
+		if !errors.Is(err, errCrashed) && !errors.Is(err, errInjected) {
+			t.Fatalf("schedule failed with an error no crash or fault caused: %v", err)
+		}
+		return schedResult{committed: committed, stopped: true, states: states}
+	}
+
 	ds, err := files.open(pagestore.DurableOptions{})
 	if err != nil {
-		t.Fatalf("initial open: %v", err)
+		return stopped(err)
 	}
 	tr, err := parallel.New(crashConfig(ds))
 	if err != nil {
@@ -366,19 +418,17 @@ func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 	rng := rand.New(rand.NewSource(424242)) // workload seed, fixed across kill points
 	live := make(objSet)
 	var liveIDs []rtree.ObjectID
-	committed := make(objSet)
-	var states []committedState
-
-	crashed := func(err error) schedResult {
-		if !errors.Is(err, errCrashed) {
-			t.Fatalf("schedule failed with a non-crash error: %v", err)
-		}
-		return schedResult{committed: committed, crashed: true, states: states}
-	}
 
 	for i := 0; i < ops; i++ {
-		if i%10 == 3 && len(liveIDs) > 20 {
-			j := rng.Intn(len(liveIDs))
+		if i%5 == 3 && len(liveIDs) > 20 {
+			// The westmost object: the deletes empty the same leaves,
+			// and a checkpoint zeroes the slots they free.
+			j := 0
+			for k, id := range liveIDs {
+				if live[id][0] < live[liveIDs[j]][0] {
+					j = k
+				}
+			}
 			id := liveIDs[j]
 			if !tr.DeletePoint(live[id], id) {
 				t.Fatalf("op %d: delete of live object %d failed", i, id)
@@ -398,7 +448,7 @@ func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 		if i%commitEvery == commitEvery-1 {
 			inflight := live.clone()
 			if err := tr.Commit(ds); err != nil {
-				res := crashed(err)
+				res := stopped(err)
 				res.inflight = inflight
 				return res
 			}
@@ -407,32 +457,60 @@ func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 		}
 		if i == ops/3 || i == 2*ops/3 {
 			if err := ds.Checkpoint(); err != nil {
-				return crashed(err)
+				return stopped(err)
 			}
 		}
 	}
 	inflight := live.clone()
 	if err := tr.Commit(ds); err != nil {
-		res := crashed(err)
+		res := stopped(err)
 		res.inflight = inflight
 		return res
 	}
 	committed = inflight
 	states = append(states, stateOf(tr, ds))
+
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = files.open(pagestore.DurableOptions{}); err != nil {
+		return stopped(err)
+	}
+	if err := ds.Checkpoint(); err != nil {
+		return stopped(err)
+	}
+	// The reopened store holds tr's pages: every one is in the data file
+	// now.
+	pages := pagestore.FileStoreOn(files.data, crashCodec())
+	var readErr error
+	tr.Walk(func(n *rtree.Node, _ int) bool {
+		f, err := pages.ReadPage(n.ID)
+		if err != nil {
+			readErr = err
+			return false
+		}
+		if f.ID != n.ID || f.Len() != len(n.Entries) {
+			t.Fatalf("page %d read back as page %d of %d entries, want %d", n.ID, f.ID, f.Len(), len(n.Entries))
+		}
+		return true
+	})
+	if readErr != nil {
+		return stopped(readErr)
+	}
 	return schedResult{committed: committed, states: states}
 }
 
-// recoverAndCheck reboots from the durable images, recovers, and runs
-// the full gauntlet: open must succeed, the tree must restore with
-// clean invariants and a bitwise shadow, the recovered object set must
-// be one of the two legal states, every page's placement and the state
-// record must be what the same commit made durable on a run that never
-// crashed (ref), and the concurrent engine must agree with the serial
-// driver on the recovered tree, bit for bit.
+// recoverAndCheck opens the store on files, which a reboot or a restart
+// left, and runs the full gauntlet: open must succeed, the tree must
+// restore with clean invariants and a bitwise shadow, the recovered
+// object set must be one of the two legal states, every page's
+// placement and the state record must be what the same commit made
+// durable on a run that never crashed (ref), and the concurrent engine
+// must agree with the serial driver on the recovered tree, bit for bit.
 func recoverAndCheck(t *testing.T, res schedResult, files crashFiles, ref []committedState, counters *obs.StorageCounters) {
 	t.Helper()
 	codec := crashCodec()
-	ds, err := files.rebooted().open(pagestore.DurableOptions{Counters: counters})
+	ds, err := files.open(pagestore.DurableOptions{Counters: counters})
 	if err != nil {
 		t.Fatalf("recovery open failed: %v", err)
 	}
@@ -538,7 +616,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	env := &crashEnv{}
 	files := newCrashFiles(env)
 	res := runCrashSchedule(t, files)
-	if res.crashed {
+	if res.stopped {
 		t.Fatal("dry run crashed")
 	}
 	total := env.syncCount()
@@ -546,7 +624,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		t.Fatalf("schedule produced only %d sync points — not much of a torture", total)
 	}
 	ref := res.states
-	recoverAndCheck(t, res, files, ref, nil)
+	recoverAndCheck(t, res, files.rebooted(), ref, nil)
 
 	step := 1
 	if testing.Short() {
@@ -567,11 +645,11 @@ func TestCrashRecoveryTorture(t *testing.T) {
 					env := &crashEnv{crashAt: kill, others: others.keep, rng: rand.New(rand.NewSource(int64(9000 + kill)))}
 					files := newCrashFiles(env)
 					res := runCrashSchedule(t, files)
-					if !res.crashed {
+					if !res.stopped {
 						t.Fatalf("schedule survived kill point %d of %d", kill, total)
 					}
 					var counters obs.StorageCounters
-					recoverAndCheck(t, res, files, ref, &counters)
+					recoverAndCheck(t, res, files.rebooted(), ref, &counters)
 					s := counters.Snapshot()
 					recoveries.Add(s.Recoveries)
 					replayed.Add(s.ReplayedRecords)
@@ -598,10 +676,45 @@ func TestCrashRecoveryIsRepeatable(t *testing.T) {
 	env := &crashEnv{crashAt: 7, rng: rand.New(rand.NewSource(77))}
 	files := newCrashFiles(env)
 	res := runCrashSchedule(t, files)
-	if !res.crashed {
+	if !res.stopped {
 		t.Skip("schedule has fewer than 7 sync points")
 	}
 	for i := 0; i < 3; i++ {
-		recoverAndCheck(t, res, files, ref, nil)
+		recoverAndCheck(t, res, files.rebooted(), ref, nil)
+	}
+}
+
+// TestFaultSweep fails each file operation of the schedule in turn —
+// every WriteAt, Sync, Truncate, Size and ReadAt on the four files, one
+// per run, once — and requires the call in flight to return the
+// injected error, and a restart on the same files to recover the last
+// acknowledged commit: or the batch of the commit in flight when the
+// failed operation was its WAL sync, which leaves the batch in the log.
+// A storage error dropped anywhere on the way shows here as a schedule
+// that runs through its fault, a stray error, or a recovery that finds
+// another tree.
+func TestFaultSweep(t *testing.T) {
+	env := &crashEnv{}
+	dry := runCrashSchedule(t, newCrashFiles(env))
+	if dry.stopped {
+		t.Fatal("dry run failed")
+	}
+	total, _ := env.opCount()
+	for n := 1; n <= total; n++ {
+		t.Run(fmt.Sprintf("op=%03d", n), func(t *testing.T) {
+			t.Parallel()
+			env := &crashEnv{failAt: n}
+			files := newCrashFiles(env)
+			res := runCrashSchedule(t, files)
+			_, failed := env.opCount()
+			if !res.stopped {
+				t.Fatalf("the schedule ran through the failed %s: its error was dropped", failed)
+			}
+			if res.inflight != nil && failed != "wal Sync" {
+				res.inflight = nil
+			}
+			t.Logf("failed %s", failed)
+			recoverAndCheck(t, res, files.restarted(), dry.states, nil)
+		})
 	}
 }

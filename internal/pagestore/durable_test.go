@@ -352,6 +352,137 @@ func TestDurableStoreTableCorruption(t *testing.T) {
 	}
 }
 
+// Recovery refuses records whose checksums hold but whose contents do
+// not fit: a WAL page record of the wrong payload length, or holding
+// another page's image; a data-file slot holding another page's image,
+// or one that does not decode; and a record table written with another
+// page layout than its log's. A refused open writes nothing.
+func TestDurableStoreRefusesWellFormedCorruption(t *testing.T) {
+	// build commits a tree in two batches and checkpoints the first: the
+	// second, a few inserts, stays in the log.
+	build := func(codec Codec) memFiles {
+		t.Helper()
+		files := newMemFiles()
+		ds, err := OpenDurableOn(files.data, files.wal, [2]BlockFile{files.tables[0], files.tables[1]}, codec, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := rtree.New(rtree.Config{Dim: 2, MaxEntries: codec.Capacity(1)}, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := rand.New(rand.NewSource(43))
+		for _, n := range []int{300, 5} {
+			for i := 0; i < n; i++ {
+				if err := tr.InsertPoint(geom.Point{rnd.Float64(), rnd.Float64()}, rtree.ObjectID(tr.Len())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ds.Commit(tr.Root(), tr.Len(), nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if n == 300 {
+				if err := ds.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	files := build(durableCodec())
+	ds := files.clone().open(t, nil)
+	var logged, checkpointed []rtree.PageID
+	for id := range ds.recs {
+		if _, ok := ds.tail[id]; ok {
+			logged = append(logged, id)
+		} else {
+			checkpointed = append(checkpointed, id)
+		}
+	}
+	ds.Close()
+	slices.Sort(checkpointed)
+	if len(logged) == 0 || len(checkpointed) < 2 {
+		t.Fatalf("%d pages in the log, %d only in the data file; want both", len(logged), len(checkpointed))
+	}
+	a, b := checkpointed[0], checkpointed[1]
+
+	// relog rewrites the log with edit applied to the payload of its
+	// first page record, every checksum recomputed.
+	relog := func(edit func(payload []byte) []byte) memFiles {
+		t.Helper()
+		f := files.clone()
+		log, edited := bytes.Clone(f.wal.buf[:walHeaderSize]), false
+		for off := walHeaderSize; off < len(f.wal.buf); {
+			rec, n, err := DecodeWALRecord(f.wal.buf[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += n
+			if rec.Type == WALPage && !edited {
+				rec.Payload, edited = edit(rec.Payload), true
+			}
+			log = AppendWALRecord(log, rec)
+		}
+		f.wal.buf = log
+		return f
+	}
+	// reslot edits the data file through slot, which returns a page's
+	// slot.
+	reslot := func(edit func(slot func(rtree.PageID) []byte)) memFiles {
+		f := files.clone()
+		edit(func(id rtree.PageID) []byte { return f.data.buf[int(id)*durableTestPage:][:durableTestPage] })
+		return f
+	}
+	misdirected := func(want, got rtree.PageID) func(error) bool {
+		return func(err error) bool {
+			var ie *IntegrityError
+			return errors.As(err, &ie) && ie.Want == want && ie.Got == got
+		}
+	}
+	says := func(why string) func(error) bool {
+		return func(err error) bool { return strings.Contains(err.Error(), why) }
+	}
+	other := build(Codec{Dim: 2, PageSize: 2 * durableTestPage})
+	var logID rtree.PageID
+	for _, c := range []struct {
+		name  string
+		files memFiles
+		ok    func(error) bool
+	}{
+		{"a page record one byte short", relog(func(p []byte) []byte { return p[:len(p)-1] }), says("payload")},
+		{"a page record holding another page's image", relog(func(p []byte) []byte {
+			logID = rtree.PageID(binary.LittleEndian.Uint64(p))
+			binary.LittleEndian.PutUint64(p, uint64(a))
+			return p
+		}), misdirected(a, logID)}, // relog has set logID: calls run left to right
+		{"a slot holding another page's image", reslot(func(slot func(rtree.PageID) []byte) {
+			copy(slot(b), slot(a))
+		}), misdirected(b, a)},
+		{"a slot that does not decode", reslot(func(slot func(rtree.PageID) []byte) {
+			binary.LittleEndian.PutUint16(slot(b)[4:], 0xffff) // the entry count
+		}), says("exceeds capacity")},
+		{"a record table of another page layout", memFiles{files.data, files.wal, other.tables}.clone(),
+			says("directory was written with PageSize 1024, opened with 512")},
+	} {
+		before := c.files.clone()
+		ds, err := OpenDurableOn(c.files.data, c.files.wal, [2]BlockFile{c.files.tables[0], c.files.tables[1]}, durableCodec(), DurableOptions{})
+		if err == nil {
+			ds.Close()
+			t.Errorf("%s: opened", c.name)
+			continue
+		}
+		if !c.ok(err) {
+			t.Errorf("%s: refused with %v", c.name, err)
+		}
+		if !c.files.equal(before) {
+			t.Errorf("%s: the refused open wrote to the directory", c.name)
+		}
+	}
+}
+
 // A checkpoint makes its record table the newest, with the state and
 // every committed page's record. Once the log is reset past it, that
 // table damaged is refused: the older table would miss a checkpoint.

@@ -1,10 +1,8 @@
 package pagestore_test
 
-// Regression tests for the error-propagation fixes surfaced by the
-// errlost analyzer (PR 8): DurableStore.Close must report BOTH file
-// close errors instead of the WAL error masking the data file's.
-// Before the fix, Close returned only the first failure, so a torn-down
-// store could swallow the data file's close diagnostics.
+// DurableStore.Close must report every file's close error instead of
+// the first masking the rest: a Close that returned only the WAL's would
+// swallow the data file's and the record tables' close diagnostics.
 
 import (
 	"errors"
@@ -52,24 +50,24 @@ func (f *failCloseFile) Close() error { return f.closeErr }
 func TestDurableCloseJoinsBothErrors(t *testing.T) {
 	errData := errors.New("data close failed")
 	errWAL := errors.New("wal close failed")
+	errTables := [2]error{errors.New("records-0 close failed"), errors.New("records-1 close failed")}
 	data := &failCloseFile{closeErr: errData}
 	wal := &failCloseFile{closeErr: errWAL}
+	tables := [2]pagestore.BlockFile{&failCloseFile{closeErr: errTables[0]}, &failCloseFile{closeErr: errTables[1]}}
 	codec := pagestore.Codec{Dim: 2, PageSize: 512}
 
-	ds, err := pagestore.OpenDurableOn(data, wal, [2]pagestore.BlockFile{&failCloseFile{}, &failCloseFile{}}, codec, pagestore.DurableOptions{})
+	ds, err := pagestore.OpenDurableOn(data, wal, tables, codec, pagestore.DurableOptions{})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	err = ds.Close()
 	if err == nil {
-		t.Fatal("Close returned nil with both files failing")
+		t.Fatal("Close returned nil with every file failing")
 	}
-	if !errors.Is(err, errWAL) {
-		t.Errorf("Close error %v does not report the WAL close failure", err)
-	}
-	if !errors.Is(err, errData) {
-		// The pre-fix code returned only the WAL error, masking this one.
-		t.Errorf("Close error %v does not report the data-file close failure", err)
+	for _, want := range []error{errWAL, errData, errTables[0], errTables[1]} {
+		if !errors.Is(err, want) {
+			t.Errorf("Close error %v does not report %q", err, want)
+		}
 	}
 }
 

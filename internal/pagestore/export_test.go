@@ -124,6 +124,10 @@ func rectBitsEqual(a, b geom.Rect) bool {
 	return pointBitsEqual(a.Lo, b.Lo) && pointBitsEqual(a.Hi, b.Hi)
 }
 
+// FileStoreOn is a FileStore on f: a store's data file read the way an
+// engine's replica is.
+func FileStoreOn(f BlockFile, codec Codec) *FileStore { return &FileStore{codec: codec, f: f} }
+
 // AppendWALRecord serializes rec and appends it to buf, returning the
 // extended slice: appendWALRecord with the payload in one part.
 func AppendWALRecord(buf []byte, rec WALRecord) []byte {

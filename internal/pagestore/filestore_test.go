@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,6 +110,44 @@ func TestFileStoreShortRead(t *testing.T) {
 	}
 	if _, err := fs.ReadImage(1); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("torn page: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// Page ids start at 1: every FileStore call refuses one below, which
+// would name slot 0 or bytes before the file, and writes nothing.
+func TestFileStoreRefusesInvalidPageIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "drive.pages")
+	codec := Codec{Dim: 2, PageSize: 512}
+	fs, err := OpenFileStore(path, codec, FileStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	if err := writeLeaf(fs, 1); err != nil {
+		t.Fatal(err)
+	}
+	img, err := codec.Encode(leafNode(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []rtree.PageID{0, -1, math.MinInt32} {
+		for name, call := range map[string]func() error{
+			"WriteImage": func() error { return fs.WriteImage(id, img) },
+			"ZeroPage":   func() error { return fs.ZeroPage(id) },
+			"ReadImage":  func() error { _, err := fs.ReadImage(id); return err },
+			"ReadPage":   func() error { _, err := fs.ReadPage(id); return err },
+		} {
+			if err := call(); err == nil || !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("%s(%d): err = %v, want the id refused", name, id, err)
+			}
+		}
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused calls changed the file (%v)", err)
 	}
 }
 

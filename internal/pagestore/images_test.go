@@ -99,9 +99,9 @@ func (c *churn) round(n int) {
 	}
 }
 
-// memFile is an in-memory BlockFile. While fail is set its writes fail,
-// after the first okWrites of them; while truncErr is set so do its
-// truncations, and while syncErr is set its syncs.
+// memFile is an in-memory BlockFile. When fail is set, its write after
+// the next okWrites fails, once, and fail is cleared; while truncErr is
+// set its truncations fail, and while syncErr is set its syncs.
 type memFile struct {
 	buf      []byte
 	fail     error
@@ -124,7 +124,9 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.fail != nil {
 		if f.okWrites == 0 {
-			return 0, f.fail
+			err := f.fail
+			f.fail = nil
+			return 0, err
 		}
 		f.okWrites--
 	}

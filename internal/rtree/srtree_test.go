@@ -17,6 +17,41 @@ func srTree(t *testing.T, dim, maxEntries int) *Tree {
 	return tr
 }
 
+// The SR-tree descends into the entry whose sphere center is nearest to
+// the new point; among centers at the same distance, into the smallest
+// sphere, and among equal spheres into the first.
+func TestSRChooseSubtreeTieBreak(t *testing.T) {
+	node := func(radii ...float64) *Node {
+		n := &Node{Level: 1}
+		centers := []geom.Point{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
+		for i, r := range radii {
+			n.Entries = append(n.Entries, Entry{Sphere: geom.Sphere{Center: centers[i], Radius: r}})
+		}
+		return n
+	}
+	tr := srTree(t, 2, 8)
+	for _, c := range []struct {
+		radii []float64
+		want  int
+	}{
+		{[]float64{2, 1, 3}, 1},
+		{[]float64{1, 2, 3}, 0},
+		{[]float64{3, 2, 1}, 2},
+		{[]float64{2, 1, 1, 3}, 1},
+	} {
+		e := Entry{Sphere: geom.Sphere{Center: geom.Point{0, 0}}}
+		if got := tr.chooseSubtree(node(c.radii...), e); got != c.want {
+			t.Errorf("centers equidistant, radii %v: chose entry %d, want %d", c.radii, got, c.want)
+		}
+	}
+	// Nearer wins over smaller.
+	n := node(5, 1)
+	n.Entries[0].Sphere.Center = geom.Point{0.5, 0}
+	if got := tr.chooseSubtree(n, Entry{Sphere: geom.Sphere{Center: geom.Point{0, 0}}}); got != 0 {
+		t.Errorf("chose entry %d, want the nearer center 0", got)
+	}
+}
+
 func TestSRInvariantsUnderInserts(t *testing.T) {
 	tr := srTree(t, 3, 10)
 	pts := randPoints(21, 1500, 3)
