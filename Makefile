@@ -10,7 +10,7 @@ GOVULNCHECK_VERSION ?= v1.1.4
 # Duration per fuzz target in the `fuzz` smoke target.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test flake race lockrank mutate lint bench bench-json bench-check fuzz chaos chaos-full crash crash-full serve-test serve-soak full
+.PHONY: all build vet test flake race lockrank mutate lint bench bench-json bench-check bench-pair fuzz chaos chaos-full crash crash-full serve-test serve-soak full
 
 all: build vet test
 
@@ -138,6 +138,41 @@ bench-json:
 bench-check:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	bin/benchjson compare -threshold 10 $(BENCH_BASELINE) $(BENCH_JSON_OUT)
+
+## bench-pair: BENCHMARK.json's comparison, run by hand. BASE (a git
+## revision) is checked out in a git worktree under bin/bench-pair/src,
+## both sides' ./bench are built once, and PAIRS pairs of runs of
+## WORKLOAD alternate which side runs first (odd pairs base first). Each
+## run is `bench -workload WORKLOAD -trace 0 -repeat 1`, the base's in
+## its own checkout; its result.json becomes run-NN.json in
+## bin/bench-pair/base or bin/bench-pair/change (the working tree).
+## It ends with `bench -compare base change` and removes the worktree.
+## An A/A run, BASE=HEAD on a clean tree, is the tool's own check: any
+## verdict but "same" there is the box's noise, not a change.
+BASE     ?= HEAD
+WORKLOAD ?= knn-mem
+PAIRS    ?= 10
+PAIR_DIR  = bin/bench-pair
+bench-pair:
+	rm -rf $(PAIR_DIR)
+	git worktree prune
+	mkdir -p $(PAIR_DIR)/base $(PAIR_DIR)/change
+	git worktree add --detach $(PAIR_DIR)/src $(BASE)
+	set -e; dir=$$(pwd)/$(PAIR_DIR); \
+	trap 'git worktree remove --force $(PAIR_DIR)/src' EXIT; \
+	(cd $$dir/src && GOTOOLCHAIN=local $(GO) build -o $$dir/base.bin ./bench); \
+	GOTOOLCHAIN=local $(GO) build -o $$dir/change.bin ./bench; \
+	run() { \
+		if [ $$1 = base ]; then (cd $$dir/src && $$dir/base.bin -workload $(WORKLOAD) -trace 0 -repeat 1 -out $$dir/out-base); \
+		else $$dir/change.bin -workload $(WORKLOAD) -trace 0 -repeat 1 -out $$dir/out-change; fi; \
+		mv $$dir/out-$$1/result.json $$dir/$$1/run-$$2.json; \
+	}; \
+	i=1; while [ $$i -le $(PAIRS) ]; do \
+		n=$$(printf %02d $$i); \
+		if [ $$((i % 2)) -eq 1 ]; then run base $$n; run change $$n; else run change $$n; run base $$n; fi; \
+		i=$$((i + 1)); \
+	done; \
+	$$dir/change.bin -compare $$dir/base $$dir/change
 
 ## fuzz: run each fuzz target for FUZZTIME (committed seed corpora under
 ## testdata/fuzz already run during plain `go test`).

@@ -1,8 +1,7 @@
 // Package bufferpool provides a small LRU page cache with hit/miss
-// accounting. The query executors use it to model memory-resident
-// directory pages: the paper's multiplexed R*-tree keeps the root at the
-// CPU, and caching further directory levels is a natural extension
-// studied by the ablation benchmarks.
+// accounting. The paper's model has no buffer pool and neither have the
+// executions or the engine (levels are pinned with
+// query.Options.CachedLevels); the benchmark times the cache's hit path.
 //
 // There is one LRU implementation (lru) and one locked front over it:
 // Sharded spreads keys over independently locked shards and adds

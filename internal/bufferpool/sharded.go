@@ -11,8 +11,8 @@ import (
 // shards of the package's LRU core, with singleflight-style fetch
 // deduplication: when many goroutines miss on the same key
 // simultaneously, exactly one runs the fetch and the rest wait for its
-// result. Queries share one as their residency model
-// (query.Options.SharedCache); the benchmark times its hit path.
+// result. No query path keeps a page cache; the benchmark times its hit
+// path.
 //
 // Keys are mapped to shards by the caller-supplied hash function, so
 // the type works for any comparable key without reflection.

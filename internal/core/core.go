@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bufferpool"
 	"repro/internal/decluster"
 	"repro/internal/disk"
 	"repro/internal/exec"
@@ -106,6 +105,10 @@ type Index struct {
 	recovered int // objects restored from DataDir at open
 }
 
+// openDurable opens a durable index's store; tests replace it to fail
+// the store's files.
+var openDurable = pagestore.OpenDurable
+
 // NewIndex creates an index: empty and volatile by default, or durable
 // (and possibly recovered from a previous run) with IndexConfig.DataDir.
 func NewIndex(cfg IndexConfig) (*Index, error) {
@@ -133,7 +136,7 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 	}
 	ix := &Index{cfg: cfg}
 	if cfg.DataDir != "" {
-		ds, err := pagestore.OpenDurable(cfg.DataDir, pcfg.Codec(), pagestore.DurableOptions{Counters: &ix.storage})
+		ds, err := openDurable(cfg.DataDir, pcfg.Codec(), pagestore.DurableOptions{Counters: &ix.storage})
 		if err != nil {
 			return nil, err
 		}
@@ -315,10 +318,6 @@ type SimulatedWorkload struct {
 	ArrivalRate float64
 	// CachedLevels pins the top tree levels in memory (0 = paper model).
 	CachedLevels int
-	// SharedCachePages enables an LRU buffer pool of that many pages
-	// shared across all queries of the workload (0 = no buffer pool,
-	// the paper's model).
-	SharedCachePages int
 }
 
 // Simulate runs the workload through the event-driven disk-array
@@ -335,18 +334,12 @@ func (ix *Index) Simulate(w SimulatedWorkload) (RunResult, error) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	opts := query.Options{CachedLevels: w.CachedLevels}
-	if w.SharedCachePages > 0 {
-		// One shard: a single LRU behind a single lock.
-		opts.SharedCache = bufferpool.NewSharded[rtree.PageID, struct{}](w.SharedCachePages, 1,
-			func(rtree.PageID) uint64 { return 0 })
-	}
 	return sys.Run(simarray.Workload{
 		Algorithm:   alg,
 		K:           w.K,
 		Queries:     w.Queries,
 		ArrivalRate: w.ArrivalRate,
-		Options:     opts,
+		Options:     query.Options{CachedLevels: w.CachedLevels},
 	})
 }
 

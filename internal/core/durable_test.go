@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/geom"
+	"repro/internal/pagestore"
 )
 
 // The durable index round trip: build, commit, checkpoint, close,
@@ -248,5 +249,78 @@ func TestIndexDurableCloseReportsStoreErrors(t *testing.T) {
 	}
 	if err := ix.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Errorf("Close over a closed store: %v, want os.ErrClosed", err)
+	}
+}
+
+// blockFile is a DurableStore file on disk whose Sync fails while
+// syncErr is set.
+type blockFile struct {
+	*os.File
+	syncErr error
+}
+
+func (f *blockFile) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+func (f *blockFile) Size() (int64, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
+}
+
+// An index whose WAL sync fails returns the sync's error from that
+// Commit, and from every later Commit and Checkpoint: it neither hangs
+// nor takes a later batch. Reads and Close keep working.
+func TestIndexDurableFailedSyncRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	var files [4]*blockFile
+	for i, name := range []string{pagestore.DataFileName, pagestore.WALFileName, "records-0.db", "records-1.db"} {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = &blockFile{File: f}
+	}
+	openDurable = func(_ string, codec pagestore.Codec, opts pagestore.DurableOptions) (*pagestore.DurableStore, error) {
+		return pagestore.OpenDurableOn(files[0], files[1], [2]pagestore.BlockFile{files[2], files[3]}, codec, opts)
+	}
+	defer func() { openDurable = pagestore.OpenDurable }()
+	ix, err := NewIndex(IndexConfig{Dim: 2, NumDisks: 4, Seed: 3, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := dataset.Uniform(300, 2, 5)
+	if err := ix.InsertAll(pts, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	errSync := errors.New("fsync: input/output error")
+	files[1].syncErr = errSync
+	if err := ix.Insert(Point{0.5, 0.5}, ObjectID(len(pts))); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Commit(); !errors.Is(err, errSync) {
+		t.Fatalf("Commit whose WAL sync fails: %v, want %v", err, errSync)
+	}
+	files[1].syncErr = nil
+	if err := ix.Commit(); !errors.Is(err, errSync) {
+		t.Errorf("Commit after a failed sync: %v, want %v", err, errSync)
+	}
+	if err := ix.Checkpoint(); !errors.Is(err, errSync) {
+		t.Errorf("Checkpoint after a failed sync: %v, want %v", err, errSync)
+	}
+	if got, _, err := ix.KNN(Point{0.5, 0.5}, 3, "crss"); err != nil || len(got) != 3 {
+		t.Errorf("KNN after a failed sync: %d neighbours, %v", len(got), err)
+	}
+	if err := ix.Close(); err != nil {
+		t.Errorf("Close after a failed sync: %v", err)
 	}
 }

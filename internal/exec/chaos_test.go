@@ -210,11 +210,12 @@ func TestChaosHedgedReads(t *testing.T) {
 	}
 	eng, err := New(tree, Config{
 		Mirrors: mirrors, Fault: inj,
-		HedgeReads: true, HedgeDelayFloor: 200 * time.Microsecond,
+		HedgeReads: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.hedgeFloor = 200 * time.Microsecond
 	defer eng.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), chaosTimeout)

@@ -67,6 +67,17 @@ const (
 	// the query context's deadline.
 	retryBackoff    = 200 * time.Microsecond
 	retryMaxBackoff = 5 * time.Millisecond
+	// retryLimit is how many times a transiently failed read is
+	// re-attempted on the same replica before redirecting to a mirror.
+	retryLimit = 2
+	// degradeAfter marks a replica degraded — skipped by all future
+	// reads — after that many consecutive failed I/Os. A fail-stop
+	// error (fault.ErrDiskDead) degrades immediately.
+	degradeAfter = 4
+	// hedgeDelayFloor is the minimum hedge delay, used verbatim until
+	// the replica-read latency histogram has enough samples for a
+	// meaningful p99.
+	hedgeDelayFloor = time.Millisecond
 	// A framed engine reads a leaf on the querying goroutine (serveInline)
 	// once inlineMinReads replica reads have averaged at most
 	// inlineReadMax. A read that cheap costs less than the two goroutine
@@ -112,22 +123,11 @@ type Config struct {
 	// injects nothing and costs nothing. A resident engine (CachePages)
 	// reads no leaf from its drives, so nothing is injected into it.
 	Fault *fault.Injector
-	// RetryLimit is how many times a transiently failed read is
-	// re-attempted on the same replica before redirecting to a mirror
-	// (default 2; negative disables retries).
-	RetryLimit int
-	// DegradeAfter marks a replica degraded — skipped by all future
-	// reads — after that many consecutive failed I/Os (default 4). A
-	// fail-stop error (fault.ErrDiskDead) degrades immediately.
-	DegradeAfter int
 	// HedgeReads fires a duplicate read at a mirror when the primary
-	// has not answered within a p99-derived delay (needs Mirrors > 1).
-	// The first answer wins; the loser is discarded.
+	// has not answered within a p99-derived delay (needs Mirrors > 1),
+	// at least hedgeDelayFloor. The first answer wins; the loser is
+	// discarded.
 	HedgeReads bool
-	// HedgeDelayFloor is the minimum hedge delay, used verbatim until
-	// the replica-read latency histogram has enough samples for a
-	// meaningful p99 (default 1ms).
-	HedgeDelayFloor time.Duration
 	// DataDir, when non-empty, backs every replica with a real
 	// file-backed page store (one file per disk×mirror, created under
 	// DataDir at construction, closed by Close) instead of in-memory
@@ -146,17 +146,6 @@ func (c *Config) fill() {
 	}
 	if c.Mirrors <= 0 {
 		c.Mirrors = 1
-	}
-	if c.RetryLimit == 0 {
-		c.RetryLimit = 2
-	} else if c.RetryLimit < 0 {
-		c.RetryLimit = 0
-	}
-	if c.DegradeAfter <= 0 {
-		c.DegradeAfter = 4
-	}
-	if c.HedgeDelayFloor <= 0 {
-		c.HedgeDelayFloor = time.Millisecond
 	}
 }
 
@@ -224,7 +213,7 @@ type replica struct {
 	mirror int
 	reader pagestore.Reader
 	// consecFails counts consecutive failed I/Os; any success resets
-	// it, and crossing Config.DegradeAfter marks the replica degraded.
+	// it, and crossing Engine.degradeAfter marks the replica degraded.
 	consecFails atomic.Int64
 	// degraded replicas are skipped by all future reads.
 	degraded atomic.Bool
@@ -303,6 +292,11 @@ type Engine struct {
 	// reads on the querying goroutine (inlineReadMax; tests raise it to
 	// run that path under the race detector, whose reads are slower).
 	inlineMax time.Duration
+	// retryLimit, degradeAfter and hedgeFloor are the constants of the
+	// same names; tests change them after New to reach other paths.
+	retryLimit   int
+	degradeAfter int64
+	hedgeFloor   time.Duration
 
 	// Observability: per-disk gauges and wall-clock latency
 	// histograms, always on (single atomic ops on the hot path).
@@ -346,7 +340,10 @@ func New(t *parallel.Tree, cfg Config) (*Engine, error) {
 		stageLat: obs.NewLatencyHistogram(),
 		semWait:  obs.NewLatencyHistogram(),
 
-		inlineMax: inlineReadMax,
+		inlineMax:    inlineReadMax,
+		retryLimit:   retryLimit,
+		degradeAfter: degradeAfter,
+		hedgeFloor:   hedgeDelayFloor,
 	}
 	e.scratch.New = func() any { return newStageScratch() }
 	codec := t.Config().Codec()
@@ -765,7 +762,7 @@ func (e *Engine) readHedged(ctx context.Context, d int, order []*replica, id rtr
 }
 
 // hedgeMinSamples is how many replica-read observations the latency
-// histogram needs before its p99 is trusted over the configured floor;
+// histogram needs before its p99 is trusted over hedgeDelayFloor;
 // hedgeRefreshEvery is how many further observations a cached p99
 // stays valid for before it is recomputed.
 const (
@@ -774,7 +771,7 @@ const (
 )
 
 // hedgeDelay derives the hedge trigger from the replica-read latency
-// p99, floored by Config.HedgeDelayFloor while the histogram is too
+// p99, floored by Engine.hedgeFloor while the histogram is too
 // thin to trust. The p99 is cached and refreshed every
 // hedgeRefreshEvery observations: snapshotting the full histogram
 // (25-bucket copy plus quantile walk) on every hedged read made the
@@ -782,7 +779,7 @@ const (
 // serves the previous cached value — the delay is a heuristic trigger
 // and never affects results.
 func (e *Engine) hedgeDelay() time.Duration {
-	delay := e.cfg.HedgeDelayFloor
+	delay := e.hedgeFloor
 	c := e.readLat.Count()
 	if c < hedgeMinSamples {
 		return delay
@@ -799,7 +796,7 @@ func (e *Engine) hedgeDelay() time.Duration {
 
 // readReplica performs one replica's read with bounded retries and
 // capped exponential backoff. A success resets the replica's
-// consecutive-failure count; crossing Config.DegradeAfter (or a
+// consecutive-failure count; crossing Engine.degradeAfter (or a
 // fail-stop error) marks the replica degraded and returns immediately
 // so the caller redirects to a mirror. A decoded page whose id differs
 // from the requested page — a misdirected read the reader underneath
@@ -825,11 +822,11 @@ func (e *Engine) readReplica(ctx context.Context, rep *replica, id rtree.PageID)
 			e.faults.IntegrityFailures.Add(1)
 		}
 		dead := errors.Is(err, fault.ErrDiskDead)
-		if fails := rep.consecFails.Add(1); dead || fails >= int64(e.cfg.DegradeAfter) {
+		if fails := rep.consecFails.Add(1); dead || fails >= e.degradeAfter {
 			e.degrade(rep)
 			return nil, err
 		}
-		if attempt >= e.cfg.RetryLimit {
+		if attempt >= e.retryLimit {
 			return nil, err
 		}
 		e.faults.Retries.Add(1)
@@ -1172,10 +1169,7 @@ func (e *Engine) fetchStage(ctx context.Context, sc *stageScratch, stage int, re
 // per-disk workers or, while reads are cheap, on the calling goroutine,
 // and the query's last stage lets go of its frames
 // before KNN returns. The context cancels the query between (and during)
-// fetch stages. opts.SharedCache may be shared across concurrent queries
-// (bufferpool.Sharded is internally locked); residency accounting is
-// admit-on-delivery, so a cancelled query never plants a page it did not
-// fetch.
+// fetch stages.
 func (e *Engine) KNN(ctx context.Context, alg query.Algorithm, q geom.Point, k int, opts query.Options) ([]query.Neighbor, *query.Stats, error) {
 	if err := query.ValidateKNN(e.tree, q, k); err != nil {
 		return nil, nil, err

@@ -5,21 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/disk"
 	"repro/internal/geom"
 	"repro/internal/parallel"
 	"repro/internal/query"
-	"repro/internal/rtree"
 	"repro/internal/simarray"
 )
 
@@ -240,103 +237,6 @@ func TestEngineConcurrentClients(t *testing.T) {
 	}
 	if served != reads || st.PagesFetched != reads {
 		t.Errorf("disks served %d pages, PagesFetched %d, the queries' Stats charge %d", served, st.PagesFetched, reads)
-	}
-}
-
-// TestEngineSharedCacheStatsParity is the admit-on-delivery parity
-// gate: the same query sequence run through a shared buffer pool must
-// produce bit-identical per-query stats (including the per-disk read
-// vectors) under the immediate Driver, the system simulator and the
-// concurrent engine. Each driver gets its own fresh pool; because the
-// pool's residency now evolves only with delivered pages, all three
-// see the identical hit sequence.
-func TestEngineSharedCacheStatsParity(t *testing.T) {
-	tree, pts := buildTree(t, 3000, 5, false, 0)
-	queries := dataset.SampleQueries(pts, 20, 13)
-	newPool := func() *bufferpool.Sharded[rtree.PageID, struct{}] {
-		return bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
-	}
-
-	drv := query.Driver{Tree: tree}
-	pool := newPool()
-	want := make([]*query.Stats, len(queries))
-	wantRes := make([][]query.Neighbor, len(queries))
-	hits := 0
-	for i, q := range queries {
-		opts := pinnedDir(tree)
-		_, plain := drv.Run(query.CRSS{}, q, 10, opts)
-		opts.SharedCache = pool
-		wantRes[i], want[i] = drv.Run(query.CRSS{}, q, 10, opts)
-		hits += plain.DiskAccesses - want[i].DiskAccesses
-	}
-	if hits == 0 {
-		t.Fatal("query sequence produced no shared-cache hits; parity is vacuous")
-	}
-
-	sys, err := simarray.NewSystem(tree, simarray.Config{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Run(simarray.Workload{
-		Algorithm: query.CRSS{}, K: 10, Queries: queries,
-		Options: query.Options{CachedLevels: tree.Height() - 1, SharedCache: newPool()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range queries {
-		if !reflect.DeepEqual(res.Outcomes[i].Stats, want[i]) {
-			t.Fatalf("simulator stats for q%d: %+v, driver %+v", i, res.Outcomes[i].Stats, want[i])
-		}
-	}
-
-	eng, err := New(tree, Config{WorkersPerDisk: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	engPool := newPool()
-	for i, q := range queries {
-		got, st, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, query.Options{SharedCache: engPool})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameNeighbors(t, fmt.Sprintf("cached q%d", i), wantRes[i], got)
-		if !reflect.DeepEqual(st, want[i]) {
-			t.Fatalf("engine stats for q%d: %+v, driver %+v", i, st, want[i])
-		}
-	}
-}
-
-// TestEngineCancelledQueryDoesNotPoisonSharedCache: a cancelled query
-// must not leave pages it never fetched resident in a shared pool —
-// the failure mode of admit-before-fetch.
-func TestEngineCancelledQueryDoesNotPoisonSharedCache(t *testing.T) {
-	tree, pts := buildTree(t, 2000, 4, false, 0)
-	eng, err := New(tree, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	pool := bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := eng.KNN(ctx, query.CRSS{}, pts[0], 10, query.Options{SharedCache: pool}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := pool.Len(); n != 0 {
-		t.Fatalf("cancelled query planted %d pages in the shared pool", n)
-	}
-
-	// The pool is still usable and fills with exactly the pages a
-	// successful query physically reads.
-	_, st, err := eng.KNN(context.Background(), query.CRSS{}, pts[0], 10, query.Options{SharedCache: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Len() != st.DiskAccesses {
-		t.Fatalf("pool holds %d pages, query fetched %d", pool.Len(), st.DiskAccesses)
 	}
 }
 

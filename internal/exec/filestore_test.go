@@ -107,11 +107,12 @@ func TestEngineFileBackedTruncatedReplica(t *testing.T) {
 	drv := query.Driver{Tree: tree}
 
 	dir := t.TempDir()
-	eng, err := New(tree, Config{DataDir: dir, Mirrors: 2, RetryLimit: -1, DegradeAfter: 1})
+	eng, err := New(tree, Config{DataDir: dir, Mirrors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	eng.retryLimit, eng.degradeAfter = 0, 1
 	// Chop every mirror-0 file down to its unused slot 0: every page read
 	// against mirror 0 is now a real short read.
 	for d := 0; d < 3; d++ {
@@ -168,7 +169,7 @@ func TestEngineFileBackedTruncatedNoMirror(t *testing.T) {
 			return nil
 		}},
 	} {
-		cfg := Config{RetryLimit: -1, DegradeAfter: 1}
+		var cfg Config
 		if damage.files {
 			cfg.DataDir = t.TempDir()
 		}
@@ -176,6 +177,7 @@ func TestEngineFileBackedTruncatedNoMirror(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		eng.retryLimit, eng.degradeAfter = 0, 1
 		for d := 0; d < 3; d++ {
 			if err := damage.do(eng, d, filepath.Join(cfg.DataDir, ReplicaFileName(d, 0))); err != nil {
 				t.Fatal(err)

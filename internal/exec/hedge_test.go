@@ -28,10 +28,11 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 
 	// Primary-wins path: a huge delay floor means the timer would sit
 	// in the heap for a minute per read if any path failed to stop it.
-	eng, err := New(tree, Config{Mirrors: mirrors, HedgeReads: true, HedgeDelayFloor: time.Minute})
+	eng, err := New(tree, Config{Mirrors: mirrors, HedgeReads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.hedgeFloor = time.Minute
 	for _, q := range queries {
 		if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 5, query.Options{}); err != nil {
 			t.Fatal(err)
@@ -53,11 +54,12 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 	}
 	eng, err = New(tree, Config{
 		Mirrors: mirrors, Fault: inj,
-		HedgeReads: true, HedgeDelayFloor: 100 * time.Microsecond,
+		HedgeReads: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.hedgeFloor = 100 * time.Microsecond
 	for _, q := range queries {
 		// Errors are fine (transients may exhaust retries); the timer
 		// accounting must balance regardless.
@@ -80,11 +82,12 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 	}
 	eng, err = New(tree, Config{
 		Mirrors: mirrors, Fault: inj,
-		HedgeReads: true, HedgeDelayFloor: time.Minute,
+		HedgeReads: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.hedgeFloor = time.Minute
 	for _, q := range queries {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		_, _, _ = eng.KNN(ctx, query.CRSS{}, q, 5, query.Options{})
@@ -105,13 +108,14 @@ func TestHedgeTimerLifecycle(t *testing.T) {
 // threshold passes.
 func TestHedgeDelayCached(t *testing.T) {
 	tree, _ := buildTree(t, 400, 2, false, 0)
-	eng, err := New(tree, Config{HedgeDelayFloor: time.Microsecond})
+	eng, err := New(tree, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	eng.hedgeFloor = time.Microsecond
 
-	// Below the sample floor the configured floor rules.
+	// Below the sample floor the floor rules.
 	if d := eng.hedgeDelay(); d != time.Microsecond {
 		t.Fatalf("thin histogram: delay = %v, want the 1µs floor", d)
 	}
@@ -162,7 +166,7 @@ func BenchmarkHedgeDelay(b *testing.B) {
 
 	b.Run("snapshot-per-call", func(b *testing.B) {
 		b.ReportAllocs()
-		delay := eng.cfg.HedgeDelayFloor
+		delay := eng.hedgeFloor
 		for i := 0; i < b.N; i++ {
 			// The pre-fix hedgeDelay body, verbatim.
 			d := delay

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -167,7 +166,7 @@ func TestHitPathAccounting(t *testing.T) {
 			}
 			check := func(label string, s Snapshot, delivered uint64) {
 				t.Helper()
-				if s.Cache != (bufferpool.Stats{}) {
+				if s.Cache != (Snapshot{}).Cache {
 					t.Errorf("%s: cache counters %+v on an engine with no cache", label, s.Cache)
 				}
 				if got := s.Stats.PagesFetched + s.Stats.FetchesCoalesced; got != delivered {

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -114,12 +113,12 @@ func checkTrace(t *testing.T, label string, evs []obs.Event) {
 	}
 }
 
-// TestObservedConcurrentSharedCache runs concurrent clients against a
-// shared engine with a shared query-level buffer pool, checking the
+// TestObservedConcurrentClients runs concurrent clients against a
+// shared engine with one shared trace collector, checking the
 // observability accounting closes: the query-latency histogram counts
 // exactly Stats.Queries and the per-disk Served gauges sum to
 // PagesFetched. Under -race this is also the obs-layer race gate.
-func TestObservedConcurrentSharedCache(t *testing.T) {
+func TestObservedConcurrentClients(t *testing.T) {
 	tree, pts := buildTree(t, 3000, 5, false, 0)
 	queries := dataset.SampleQueries(pts, 32, 21)
 	eng, err := New(tree, Config{WorkersPerDisk: 2})
@@ -128,7 +127,6 @@ func TestObservedConcurrentSharedCache(t *testing.T) {
 	}
 	defer eng.Close()
 
-	pool := bufferpool.NewSharded[rtree.PageID, struct{}](512, 1, func(rtree.PageID) uint64 { return 0 })
 	var col obs.Collector
 	clients, perClient := 6, 20
 	if testing.Short() {
@@ -141,7 +139,7 @@ func TestObservedConcurrentSharedCache(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				q := queries[(c*perClient+i)%len(queries)]
-				opts := query.Options{SharedCache: pool, Observer: &col}
+				opts := query.Options{Observer: &col}
 				if _, _, err := eng.KNN(context.Background(), query.CRSS{}, q, 10, opts); err != nil {
 					t.Errorf("client %d: %v", c, err)
 					return

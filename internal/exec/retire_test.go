@@ -224,9 +224,9 @@ func TestRecycledViewsUnderFaults(t *testing.T) {
 	}
 	eng := newPoisoned(t, tree, Config{
 		DataDir: t.TempDir(), CachePages: 8, CoalesceFetches: true,
-		Mirrors: mirrors, Fault: inj, HedgeReads: true, HedgeDelayFloor: 200 * time.Microsecond,
-		DegradeAfter: 1 << 30,
+		Mirrors: mirrors, Fault: inj, HedgeReads: true,
 	})
+	eng.hedgeFloor, eng.degradeAfter = 200*time.Microsecond, 1<<30
 	defer eng.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), chaosTimeout)
 	defer cancel()
@@ -675,7 +675,8 @@ func TestFailedStageLeavesNoHold(t *testing.T) {
 		for d := 0; d < disks; d++ {
 			inj.Set(d, fault.Faults{Transient: 0.05})
 		}
-		eng := newPoisoned(t, tree, Config{CachePages: 8, CoalesceFetches: true, Fault: inj, RetryLimit: -1, DegradeAfter: 1 << 30})
+		eng := newPoisoned(t, tree, Config{CachePages: 8, CoalesceFetches: true, Fault: inj})
+		eng.retryLimit, eng.degradeAfter = 0, 1<<30
 		defer eng.Close()
 		var wg sync.WaitGroup
 		var failed atomic.Int64

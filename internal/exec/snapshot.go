@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 
-	"repro/internal/bufferpool"
 	"repro/internal/obs"
 	"repro/internal/rtree"
 )
@@ -18,8 +17,9 @@ type Snapshot struct {
 	Stats Stats
 	// Cache is always zero: the engine keeps no page cache (a leaf is
 	// resident or framed, see Config.CachePages). The field stays for
-	// readers that report cache traffic.
-	Cache bufferpool.Stats
+	// readers that report cache traffic; its fields are
+	// bufferpool.Stats's.
+	Cache struct{ Hits, Misses, Evictions, Inserts uint64 }
 	// Views counts the frames decoded pages live in (retire.go): all zero
 	// on a resident engine.
 	Views rtree.ViewStats

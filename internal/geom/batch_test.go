@@ -88,6 +88,19 @@ func checkRectParity(t *testing.T, p Point, rects []Rect) {
 	}
 }
 
+// SphereRectMin intersects the two lower bounds of an SR-tree entry:
+// the tightest admissible Dmin² is the larger of the rectangle's and
+// the sphere's.
+func SphereRectMin(p Point, r Rect, s Sphere) float64 {
+	m := MinDistSq(p, r)
+	if s.Valid() {
+		if sm := s.MinDistSq(p); sm > m {
+			m = sm
+		}
+	}
+	return m
+}
+
 // checkSphereParity asserts the sphere batch kernels agree bit-for-bit
 // with the scalar Sphere methods and with SphereRectMin.
 func checkSphereParity(t *testing.T, p Point, rects []Rect, spheres []Sphere) {

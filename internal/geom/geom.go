@@ -134,16 +134,6 @@ func (r Rect) Margin() float64 {
 	return m
 }
 
-// UnionInto writes the minimum bounding rectangle of r and s into a
-// rectangle the caller owns: it overwrites dst's coordinates, which must
-// have r's dimensionality.
-func (r Rect) UnionInto(s, dst Rect) {
-	for i := range r.Lo {
-		dst.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
-		dst.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
-	}
-}
-
 // UnionInPlace grows r to enclose s, reusing r's backing arrays.
 func (r *Rect) UnionInPlace(s Rect) {
 	for i := range r.Lo {

@@ -81,6 +81,16 @@ func TestRectBasics(t *testing.T) {
 	}
 }
 
+// UnionInto writes the minimum bounding rectangle of r and s into a
+// rectangle the caller owns: it overwrites dst's coordinates, which must
+// have r's dimensionality.
+func (r Rect) UnionInto(s, dst Rect) {
+	for i := range r.Lo {
+		dst.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
+		dst.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
+	}
+}
+
 func TestRectUnion(t *testing.T) {
 	a := NewRect(Point{0, 0}, Point{1, 1})
 	b := NewRect(Point{2, -1}, Point{3, 0.5})

@@ -77,19 +77,6 @@ func CoveringRadius(center Point, spheres []Sphere) float64 {
 	return r
 }
 
-// SphereRectMin intersects the two lower bounds of an SR-tree entry:
-// the tightest admissible Dmin² is the larger of the rectangle's and
-// the sphere's.
-func SphereRectMin(p Point, r Rect, s Sphere) float64 {
-	m := MinDistSq(p, r)
-	if s.Valid() {
-		if sm := s.MinDistSq(p); sm > m {
-			m = sm
-		}
-	}
-	return m
-}
-
 // SphereEps is the tolerance used when verifying maintained spheres in
 // invariant checks (radii accumulate floating-point error through
 // centroid updates).

@@ -87,13 +87,14 @@ type Event struct {
 	Page  int64 // page id (FetchIssue / FetchDone)
 	Disk  int   // disk holding the page
 	Pages int   // sequential disk pages the node occupies
-	// Cached marks a request served without disk I/O (level cache or
-	// shared buffer pool residency).
+	// Cached marks a request served without disk I/O: its page is on a
+	// pinned level (query.Options.CachedLevels).
 	Cached bool
 	// Batch is the stage's request count (StageIssue / StageDone).
 	Batch int
-	// CacheHit marks a FetchDone served by the engine's shared
-	// decoded-page cache (engine only).
+	// CacheHit marks a FetchDone the engine served without a decode: a
+	// leaf a resident engine served from the live tree, or one delivered
+	// through another query's coalesced fetch (engine only).
 	CacheHit bool
 	// Wall is real elapsed time (engine and immediate driver).
 	Wall time.Duration

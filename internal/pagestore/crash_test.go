@@ -390,7 +390,11 @@ type schedResult struct {
 // Commit; then it closes the store, reopens it, checkpoints the log's
 // tail and reads every page back from the data file, the way a replica
 // serves it. The schedule is identical on every run; only the kill
-// point or the failed operation differs, and the first error stops it.
+// point or the failed operation differs, and the first error stops it,
+// but for a failed WAL sync: that poisons the store, and the schedule
+// runs on to require that every later Commit and Checkpoint fails with
+// the sync's error and touches no file, and stops at the end with the
+// failed Commit's result.
 func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 	t.Helper()
 	const (
@@ -419,6 +423,38 @@ func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 	live := make(objSet)
 	var liveIDs []rtree.ObjectID
 
+	env := files.wal.env
+	var poisoned *schedResult // the result of the Commit whose WAL sync failed
+	refused := func(call string, write func() error) {
+		before, _ := env.opCount()
+		err := write()
+		if after, _ := env.opCount(); !errors.Is(err, errInjected) || after != before {
+			t.Fatalf("%s after the failed WAL sync returned %v after %d file operations, want the sync's error after none",
+				call, err, after-before)
+		}
+	}
+	// commit commits the ops so far, and returns the schedule's result
+	// when that stops it.
+	commit := func() *schedResult {
+		if poisoned != nil {
+			refused("Commit", func() error { return tr.Commit(ds) })
+			return nil
+		}
+		inflight := live.clone()
+		if err := tr.Commit(ds); err != nil {
+			res := stopped(err)
+			res.inflight = inflight
+			if _, failed := env.opCount(); failed == "wal Sync" {
+				poisoned = &res
+				return nil
+			}
+			return &res
+		}
+		committed = inflight
+		states = append(states, stateOf(tr, ds))
+		return nil
+	}
+
 	for i := 0; i < ops; i++ {
 		if i%5 == 3 && len(liveIDs) > 20 {
 			// The westmost object: the deletes empty the same leaves,
@@ -446,29 +482,30 @@ func runCrashSchedule(t *testing.T, files crashFiles) schedResult {
 			liveIDs = append(liveIDs, id)
 		}
 		if i%commitEvery == commitEvery-1 {
-			inflight := live.clone()
-			if err := tr.Commit(ds); err != nil {
-				res := stopped(err)
-				res.inflight = inflight
-				return res
+			if res := commit(); res != nil {
+				return *res
 			}
-			committed = inflight
-			states = append(states, stateOf(tr, ds))
 		}
 		if i == ops/3 || i == 2*ops/3 {
-			if err := ds.Checkpoint(); err != nil {
+			if poisoned != nil {
+				refused("Checkpoint", ds.Checkpoint)
+			} else if err := ds.Checkpoint(); err != nil {
 				return stopped(err)
 			}
 		}
 	}
-	inflight := live.clone()
-	if err := tr.Commit(ds); err != nil {
-		res := stopped(err)
-		res.inflight = inflight
-		return res
+	if res := commit(); res != nil {
+		return *res
 	}
-	committed = inflight
-	states = append(states, stateOf(tr, ds))
+	if poisoned != nil {
+		// Once more each, for a sync that failed in the last Commit.
+		refused("Commit", func() error { return tr.Commit(ds) })
+		refused("Checkpoint", ds.Checkpoint)
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return *poisoned
+	}
 
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
@@ -690,6 +727,8 @@ func TestCrashRecoveryIsRepeatable(t *testing.T) {
 // injected error, and a restart on the same files to recover the last
 // acknowledged commit: or the batch of the commit in flight when the
 // failed operation was its WAL sync, which leaves the batch in the log.
+// A failed WAL sync does not stop the schedule: every later Commit and
+// Checkpoint must fail with it and write nothing (runCrashSchedule).
 // A storage error dropped anywhere on the way shows here as a schedule
 // that runs through its fault, a stray error, or a recovery that finds
 // another tree.

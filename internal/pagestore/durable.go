@@ -54,6 +54,10 @@ type DurableStore struct {
 	ckpt       uint64                       // the checkpoint the log follows: the next writes table ckpt+1; guarded by mu
 	recs       map[rtree.PageID]PageRecord  // committed record of every committed page; guarded by mu
 	state      []byte                       // the last commit's state record; guarded by mu
+	// syncErr is the first failed WAL sync's error: the log's unsynced
+	// bytes may or may not be on the drive, and no later sync says
+	// which, so every later Commit and Checkpoint returns it; guarded by mu.
+	syncErr error
 
 	// page is the one page buffer, sized for a whole WAL page record:
 	// Commit encodes each dirty page into it, Checkpoint reads each
@@ -390,9 +394,17 @@ func (s *DurableStore) Len() int {
 // record, and recs gives each dirty page's record (nil: zero records).
 // The store copies state; the caller may reuse it. A Commit that fails
 // to encode or append returns the log to where the batch started.
+//
+// A Commit whose WAL sync fails publishes nothing, yet its batch may or
+// may not survive a reopen. Every later Commit and Checkpoint returns
+// that error and writes nothing; Get, Record, State, Meta and Close
+// keep working, and a reopen is the way on.
 func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs PageRecorder) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	// The root must always have a durable image, or recovery cannot
 	// rebuild the tree. A fresh empty root never saw Update — stage it
 	// on the spot.
@@ -436,6 +448,7 @@ func (s *DurableStore) Commit(root rtree.PageID, size int, state []byte, recs Pa
 		return s.abort(end, lsn, err)
 	}
 	if err := s.wal.Sync(); err != nil {
+		s.syncErr = err
 		return err
 	}
 
@@ -489,10 +502,14 @@ func sortedIDs[V any](dst []rtree.PageID, set map[rtree.PageID]V) []rtree.PageID
 // are idempotent page images). The table written is always the one
 // after the checkpoint the log follows: after a failed reset, or a
 // reopen of a log that follows the table before the newest, the next
-// Checkpoint rewrites the newest table rather than the older one.
+// Checkpoint rewrites the newest table rather than the older one. After
+// a failed WAL sync it fails and writes nothing (see Commit).
 func (s *DurableStore) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.syncErr != nil {
+		return s.syncErr
+	}
 	s.ids = sortedIDs(s.ids, s.tail)
 	for _, id := range s.ids {
 		img, err := s.wal.readPage(s.tail[id], id, s.page)

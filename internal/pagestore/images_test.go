@@ -301,11 +301,12 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 
 // A Commit whose WAL fsync fails returns the error and publishes
 // nothing: the committed metadata, the state record, the log tail and
-// the page records stay what the last durable Commit left, and the
-// batch stays staged for the next Commit. The log is deliberately not
-// rewound: the failed batch's records, its commit record included, stay
-// where they were appended, and what a store does with a log whose sync
-// failed (poisoning it, say) is a question of its own.
+// the page records stay what the last durable Commit left. The log is
+// deliberately not rewound: the failed batch's records, its commit
+// record included, stay where they were appended, so a reopen may find
+// the batch. The store is poisoned: a retried Commit and a Checkpoint
+// fail with the sync's error and write nothing, though the drive would
+// now sync, and the reads and Close keep working.
 func TestDurableStoreFailedSyncPublishesNothing(t *testing.T) {
 	files := newMemFiles()
 	ds := files.open(t, nil)
@@ -344,13 +345,35 @@ func TestDurableStoreFailedSyncPublishesNothing(t *testing.T) {
 	}
 
 	files.wal.syncErr = nil
-	if err := ds.Commit(c.tr.Root(), c.tr.Len(), []byte("retried"), nil); err != nil {
-		t.Fatal(err)
+	images := func() [][]byte {
+		return [][]byte{bytes.Clone(files.data.buf), bytes.Clone(files.wal.buf),
+			bytes.Clone(files.tables[0].buf), bytes.Clone(files.tables[1].buf)}
 	}
-	if got := ds.Meta(); got.Root != c.tr.Root() || got.Size != c.tr.Len() {
-		t.Fatalf("the retried Commit published %+v, want root %d size %d", got, c.tr.Root(), c.tr.Len())
+	before := images()
+	if err := ds.Commit(c.tr.Root(), c.tr.Len(), []byte("retried"), nil); !errors.Is(err, errSync) {
+		t.Fatalf("the retried Commit after a failed sync returned %v, want %v", err, errSync)
 	}
-	if err := ds.VerifyShadow(); err != nil {
+	if err := ds.Checkpoint(); !errors.Is(err, errSync) {
+		t.Fatalf("a Checkpoint after a failed sync returned %v, want %v", err, errSync)
+	}
+	if !slices.EqualFunc(images(), before, bytes.Equal) {
+		t.Fatal("a refused Commit or Checkpoint wrote to the store's files")
+	}
+	if got := ds.Meta(); got != meta {
+		t.Fatalf("a refused Commit published %+v, committed %+v", got, meta)
+	}
+	if got := ds.State(); !bytes.Equal(got, state) {
+		t.Fatalf("State after the refusals: %q, committed %q", got, state)
+	}
+	for id, want := range recs {
+		if got, ok := ds.Record(id); !ok || got != want {
+			t.Fatalf("Record(%d) after the refusals: %+v, %v, want %+v", id, got, ok, want)
+		}
+	}
+	if ds.Get(c.tr.Root()) == nil {
+		t.Fatal("Get of the root after the refusals: nil")
+	}
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

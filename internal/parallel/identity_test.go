@@ -92,7 +92,7 @@ func snapshotHash(t *testing.T, tree *parallel.Tree) string {
 	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.NumDisks))
 	b = binary.LittleEndian.AppendUint32(b, uint32(cfg.Cylinders))
 	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.MaxEntries))
-	b = binary.LittleEndian.AppendUint16(b, uint16(cfg.MinEntries))
+	b = binary.LittleEndian.AppendUint16(b, 0) // the minimum fill, always the R* default
 	b = append(b, 0)
 	if cfg.UseSpheres {
 		b[len(b)-1] = 1

@@ -35,7 +35,6 @@ type Config struct {
 	// points only (rtree.Config.PointLeaves); an SR tree (UseSpheres)
 	// keeps its sphere layout, one capacity for both.
 	MaxEntries int
-	MinEntries int // 0 = R* default (40% of max)
 	PageSize   int // bytes; used when MaxEntries == 0 (default 4096)
 	Policy     decluster.Policy
 	Seed       int64 // drives cylinder assignment (and Random policy if shared)
@@ -92,7 +91,6 @@ func (cfg Config) rtreeConfig() rtree.Config {
 		Dim:             cfg.Dim,
 		MaxEntries:      cfg.dirEntries,
 		LeafMaxEntries:  cfg.MaxEntries,
-		MinEntries:      cfg.MinEntries,
 		PointLeaves:     !cfg.UseSpheres,
 		UseSpheres:      cfg.UseSpheres,
 		MaxOverlapRatio: cfg.MaxOverlapRatio,

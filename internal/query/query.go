@@ -32,7 +32,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bufferpool"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -122,11 +121,6 @@ type Options struct {
 	// reproduces the paper (every page, including the root, is read
 	// from its disk).
 	CachedLevels int
-	// SharedCache, when non-nil, is an LRU page cache shared across
-	// queries (a buffer pool): a request for a cached page skips disk
-	// I/O, and every fetched page enters the cache. The paper's model
-	// has no buffer pool; this drives the inter-query caching ablation.
-	SharedCache *bufferpool.Sharded[rtree.PageID, struct{}]
 	// Trace, when non-nil, receives one line per algorithm stage —
 	// CRSS reports its operating mode transitions (ADAPTIVE, UPDATE,
 	// NORMAL, TERMINATE; the paper's Figure 6 state machine). For
@@ -235,41 +229,14 @@ func (b *base) tracef(format string, args ...interface{}) {
 	b.opts.Trace(fmt.Sprintf(format, args...))
 }
 
-// admitDelivered moves the previous stage's fetched pages into the
-// shared cache. It runs once the pages are known to have arrived — the
-// first request() of the following stage, or finishStep on query
-// completion — so a failed or cancelled fetch never admits anything.
-func (b *base) admitDelivered() {
-	if len(b.sc.pendingAdmit) == 0 {
-		return
-	}
-	if b.opts.SharedCache != nil {
-		for _, id := range b.sc.pendingAdmit {
-			b.opts.SharedCache.Put(id, struct{}{})
-		}
-	}
-	b.sc.pendingAdmit = b.sc.pendingAdmit[:0]
-}
-
 // request builds a PageRequest for a page, honoring level caching, and
 // accounts for the upcoming visit.
 func (b *base) request(id rtree.PageID, level int) PageRequest {
-	b.admitDelivered()
 	pl, ok := b.tree.Placement(id)
 	if !ok {
 		panic(fmt.Sprintf("query: page %d unplaced", id))
 	}
 	cached := b.opts.CachedLevels > 0 && level >= b.tree.Height()-b.opts.CachedLevels
-	if !cached && b.opts.SharedCache != nil {
-		if _, hit := b.opts.SharedCache.Get(id); hit {
-			cached = true
-		} else {
-			// The page will be admitted when its fetch delivers — see
-			// admitDelivered; admitting here would let a failed or
-			// cancelled fetch masquerade as resident to later queries.
-			b.sc.stageRequested = append(b.sc.stageRequested, id)
-		}
-	}
 	pages := b.tree.Store().Get(id).Pages(b.tree.Capacity(level))
 	return PageRequest{Page: id, Disk: pl.Disk, Cylinder: pl.Cylinder, Pages: pages, Cached: cached}
 }
@@ -303,7 +270,7 @@ func (b *base) account(reqs []PageRequest) {
 }
 
 // finishStep tallies CPU cost for a stage, emits the stage's trace
-// events, rotates the cache-admission lists and stamps the result. reqs
+// events and stamps the result. reqs
 // is nil or built on the scratch's request buffer.
 func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
 	if b.sc == nil {
@@ -330,17 +297,10 @@ func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
 		}
 	}
 	if len(reqs) == 0 {
-		// Query complete: the final batch was delivered before this
-		// stage ran, so its pages may now enter the shared cache.
-		b.admitDelivered()
 		if ob := b.opts.Observer; ob != nil && b.done {
 			ob.Observe(obs.Event{Type: obs.QueryEnd, Stage: b.stage})
 		}
 	} else {
-		// This stage's disk requests become admissible once the next
-		// stage runs (pendingAdmit is empty here: either request()
-		// flushed it, or no pages were requested).
-		b.sc.pendingAdmit, b.sc.stageRequested = b.sc.stageRequested, b.sc.pendingAdmit[:0]
 		b.sc.reqs = reqs[:0] // keep what the stage grew
 		b.stage++
 	}

@@ -1,10 +1,6 @@
 package query
 
-import (
-	"sync"
-
-	"repro/internal/rtree"
-)
+import "sync"
 
 // scratch is the working memory of one query: every buffer a stage
 // fills and the traversal state that outlives a stage. newBase takes
@@ -36,10 +32,6 @@ type scratch struct {
 	reqs []PageRequest // backing of StepResult.Requests
 
 	best bestList // the best-list executions' k best objects and their rectangles
-
-	// Shared-cache admission lists, see base.admitDelivered.
-	pendingAdmit   []rtree.PageID
-	stageRequested []rtree.PageID
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -59,8 +51,6 @@ func (s *scratch) reset() {
 	s.stack.runs = s.stack.runs[:0]
 	s.frames = s.frames[:0]
 	s.frontier = s.frontier[:0]
-	s.pendingAdmit = s.pendingAdmit[:0]
-	s.stageRequested = s.stageRequested[:0]
 	clear(s.best.rects) // a pooled scratch must not pin the tree's nodes
 }
 

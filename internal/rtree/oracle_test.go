@@ -18,6 +18,14 @@ import (
 // them. Tree.chooseSubtree must return the oracle's index and
 // Tree.chooseSplit the oracle's two groups, entry for entry.
 
+// unionInto writes the minimum bounding rectangle of r and s into dst.
+func unionInto(r, s, dst geom.Rect) {
+	for i := range r.Lo {
+		dst.Lo[i] = math.Min(r.Lo[i], s.Lo[i])
+		dst.Hi[i] = math.Max(r.Hi[i], s.Hi[i])
+	}
+}
+
 // oracleChooseSubtree is the R* descent rule with no pruning: every
 // entry's overlap enlargement against every sibling.
 func oracleChooseSubtree(t *Tree, n *Node, newEntry Entry) int {
@@ -33,7 +41,7 @@ func oracleChooseSubtree(t *Tree, n *Node, newEntry Entry) int {
 
 	enlarged := geom.Rect{Lo: make(geom.Point, t.cfg.Dim), Hi: make(geom.Point, t.cfg.Dim)}
 	for i, e := range n.Entries {
-		e.Rect.UnionInto(r, enlarged)
+		unionInto(e.Rect, r, enlarged)
 		enlarge := enlarged.Area() - e.Rect.Area()
 		area := e.Rect.Area()
 		var overlap float64
@@ -456,7 +464,7 @@ func TestReinsertOrderMatchesOracle(t *testing.T) {
 				for trial := 0; trial < 20; trial++ {
 					n := oracleNode(tr.cfg, trial%2, g.gen(rnd, tr.cfg.MaxEntries+1, dim))
 					want := oracleReinsertOrder(n)
-					p := int(tr.cfg.ReinsertFraction * float64(len(n.Entries)))
+					p := int(reinsertFraction * float64(len(n.Entries)))
 					tr.reinsert(n)
 					// Kept entries stay in the node, farthest first; the
 					// evicted ones queue nearest first.

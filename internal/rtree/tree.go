@@ -36,6 +36,10 @@ func (nopListener) NodeCreated(*Node, geom.Rect, []Entry) {}
 func (nopListener) NodeFreed(PageID)                      {}
 func (nopListener) RootChanged(PageID)                    {}
 
+// reinsertFraction is the share of M+1 entries removed by forced
+// reinsertion, the R* default.
+const reinsertFraction = 0.3
+
 // Config controls tree geometry.
 type Config struct {
 	Dim        int // dimensionality of indexed rectangles
@@ -51,9 +55,6 @@ type Config struct {
 	// column set (see BuildFlat). It is the tree half of the point-leaf
 	// page layout (pagestore.Codec).
 	PointLeaves bool
-	// ReinsertFraction is the share of M+1 entries removed by forced
-	// reinsertion (0 means the R* default of 30%).
-	ReinsertFraction float64
 	// UseSpheres turns the tree into an SR-tree variant (Katayama &
 	// Satoh, SIGMOD 1997): every entry additionally maintains a
 	// bounding sphere centered at its subtree's point centroid, the
@@ -99,12 +100,6 @@ func (c *Config) fill() error {
 	}
 	if c.leafMin < 1 || c.leafMin > c.LeafMaxEntries/2 {
 		return fmt.Errorf("rtree: leaf minimum fill %d out of range [1, %d]", c.leafMin, c.LeafMaxEntries/2)
-	}
-	if c.ReinsertFraction == 0 {
-		c.ReinsertFraction = 0.3
-	}
-	if c.ReinsertFraction < 0 || c.ReinsertFraction > 0.5 {
-		return fmt.Errorf("rtree: ReinsertFraction %g out of range (0, 0.5]", c.ReinsertFraction)
 	}
 	return nil
 }
@@ -872,7 +867,7 @@ func (w *writeScratch) sortedKeys(m int, fill func(k *sortKey)) []sortKey {
 // fully unwound and every ancestor MBR/count is consistent.
 func (t *Tree) reinsert(n *Node) {
 	t.restructures++
-	p := int(t.cfg.ReinsertFraction * float64(len(n.Entries)))
+	p := int(reinsertFraction * float64(len(n.Entries)))
 	if p < 1 {
 		p = 1
 	}

@@ -44,15 +44,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Dim: 2, MaxEntries: 10, MinEntries: 6}, nil); err == nil {
 		t.Error("accepted min > max/2")
 	}
-	if _, err := New(Config{Dim: 2, MaxEntries: 10, ReinsertFraction: 0.9}, nil); err == nil {
-		t.Error("accepted reinsert fraction 0.9")
-	}
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 10})
 	if tr.cfg.MinEntries != 4 {
 		t.Errorf("default min = %d, want 4 (40%% of 10)", tr.cfg.MinEntries)
-	}
-	if tr.cfg.ReinsertFraction != 0.3 {
-		t.Errorf("default reinsert fraction = %g", tr.cfg.ReinsertFraction)
 	}
 }
 

@@ -10,39 +10,24 @@ import (
 	"repro/internal/query"
 )
 
-// --- pickMirror policy coverage -------------------------------------
+// --- pickMirror ------------------------------------------------------
 
 // newMirrorSystem builds a small system purely to poke pickMirror.
-func newMirrorSystem(t *testing.T, mirrors int, policy string, faults []DriveFault) *System {
+func newMirrorSystem(t *testing.T, mirrors int, faults []DriveFault) *System {
 	t.Helper()
 	tree := buildTree(t, 500, 2, 2, 31)
-	sys, err := NewSystem(tree, Config{Seed: 1, Mirrors: mirrors, MirrorPolicy: policy, Faults: faults})
+	sys, err := NewSystem(tree, Config{Seed: 1, Mirrors: mirrors, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sys
 }
 
-// TestPickMirrorRoundRobinAdvances: the cursor alternates 0,1,2,0,...
-// per logical disk and disks keep independent cursors.
-func TestPickMirrorRoundRobinAdvances(t *testing.T) {
-	sys := newMirrorSystem(t, 3, "roundrobin", nil)
-	for i := 0; i < 7; i++ {
-		m, ok := sys.pickMirror(0, 100)
-		if !ok || m != i%3 {
-			t.Fatalf("pick %d on disk 0: (%d, %v), want (%d, true)", i, m, ok, i%3)
-		}
-	}
-	// Disk 1's cursor is untouched by disk 0's picks.
-	if m, ok := sys.pickMirror(1, 100); !ok || m != 0 {
-		t.Fatalf("disk 1 first pick: (%d, %v), want (0, true)", m, ok)
-	}
-}
-
-// TestPickMirrorNearestArm: the mirror whose arm is closest to the
-// target cylinder wins; exact distance ties go to the lower index.
+// TestPickMirrorNearestArm: among mirrors whose queues drain at the
+// same time, the one whose arm is closest to the target cylinder wins;
+// exact distance ties go to the lower index.
 func TestPickMirrorNearestArm(t *testing.T) {
-	sys := newMirrorSystem(t, 2, "nearest-arm", nil)
+	sys := newMirrorSystem(t, 2, nil)
 
 	// All arms start at cylinder 0: a tie, resolved to mirror 0.
 	if m, ok := sys.pickMirror(0, 50); !ok || m != 0 {
@@ -65,7 +50,7 @@ func TestPickMirrorNearestArm(t *testing.T) {
 // TestPickMirrorShortestQueue: the less-loaded mirror wins; an exact
 // free-time tie is broken by the nearer arm.
 func TestPickMirrorShortestQueue(t *testing.T) {
-	sys := newMirrorSystem(t, 2, "shortest-queue", nil)
+	sys := newMirrorSystem(t, 2, nil)
 
 	// Load mirror 0 with a pending job; mirror 1 is idle and must win.
 	sys.disks[0][0].Submit(0.5, nil)
@@ -84,37 +69,23 @@ func TestPickMirrorShortestQueue(t *testing.T) {
 	}
 }
 
-// TestPickMirrorSkipsDeadDrives: every policy must route around a
-// fail-stopped drive, and report !ok when no live mirror remains.
+// TestPickMirrorSkipsDeadDrives: a read routes around a fail-stopped
+// drive, and !ok reports that no live mirror remains.
 func TestPickMirrorSkipsDeadDrives(t *testing.T) {
-	for _, policy := range []string{"roundrobin", "nearest-arm", "shortest-queue"} {
-		t.Run(policy, func(t *testing.T) {
-			sys := newMirrorSystem(t, 2, policy, []DriveFault{{Disk: 0, Mirror: 0}})
-			for i := 0; i < 4; i++ {
-				if m, ok := sys.pickMirror(0, 100); !ok || m != 1 {
-					t.Fatalf("pick %d: (%d, %v), want the live mirror 1", i, m, ok)
-				}
-			}
-			// The untouched logical disk is unaffected by disk 0's fault.
-			seen := map[int]bool{}
-			for i := 0; i < 8; i++ {
-				m, ok := sys.pickMirror(1, 100)
-				if !ok {
-					t.Fatal("healthy disk reported no live mirror")
-				}
-				seen[m] = true
-			}
-			// Only round-robin guarantees alternation; ties on the idle
-			// deterministic policies legitimately stick to mirror 0.
-			if policy == "roundrobin" && (!seen[0] || !seen[1]) {
-				t.Fatalf("healthy disk used mirrors %v, want both", seen)
-			}
-		})
+	sys := newMirrorSystem(t, 2, []DriveFault{{Disk: 0, Mirror: 0}})
+	for i := 0; i < 4; i++ {
+		if m, ok := sys.pickMirror(0, 100); !ok || m != 1 {
+			t.Fatalf("pick %d: (%d, %v), want the live mirror 1", i, m, ok)
+		}
+	}
+	// The untouched logical disk is unaffected by disk 0's fault: both
+	// mirrors are idle with their arms at 0, so the tie goes to mirror 0.
+	if m, ok := sys.pickMirror(1, 100); !ok || m != 0 {
+		t.Fatalf("healthy disk: (%d, %v), want (0, true)", m, ok)
 	}
 
 	// Both mirrors dead: no pick is possible.
-	sys := newMirrorSystem(t, 2, "shortest-queue",
-		[]DriveFault{{Disk: 0, Mirror: 0}, {Disk: 0, Mirror: 1}})
+	sys = newMirrorSystem(t, 2, []DriveFault{{Disk: 0, Mirror: 0}, {Disk: 0, Mirror: 1}})
 	if _, ok := sys.pickMirror(0, 100); ok {
 		t.Fatal("picked a mirror on a fully dead disk")
 	}
@@ -123,7 +94,7 @@ func TestPickMirrorSkipsDeadDrives(t *testing.T) {
 // TestPickMirrorRAID0Dead: with one copy per disk, a dead drive means
 // the read cannot be served at all.
 func TestPickMirrorRAID0Dead(t *testing.T) {
-	sys := newMirrorSystem(t, 1, "", []DriveFault{{Disk: 1, Mirror: 0}})
+	sys := newMirrorSystem(t, 1, []DriveFault{{Disk: 1, Mirror: 0}})
 	if m, ok := sys.pickMirror(0, 50); !ok || m != 0 {
 		t.Fatalf("healthy RAID-0 disk: (%d, %v), want (0, true)", m, ok)
 	}

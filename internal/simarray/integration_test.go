@@ -3,18 +3,15 @@ package simarray
 import (
 	"testing"
 
-	"repro/internal/bufferpool"
 	"repro/internal/dataset"
 	"repro/internal/decluster"
 	"repro/internal/disk"
 	"repro/internal/parallel"
 	"repro/internal/query"
-	"repro/internal/rtree"
 )
 
 // TestKitchenSink combines every extension at once: an SR-tree bulk
-// packed over mirrored disks with multiple CPUs, a shared page cache,
-// level caching, and a mixed insert+query workload. Everything must
+// packed over mirrored disks with multiple CPUs, level caching and a mixed insert+query workload. Everything must
 // complete, conserve I/O, and leave the tree structurally sound.
 func TestKitchenSink(t *testing.T) {
 	pts := dataset.Clustered(8000, 6, 12, 91)
@@ -37,23 +34,21 @@ func TestKitchenSink(t *testing.T) {
 	}
 
 	sys, err := NewSystem(tree, Config{
-		Seed:         91,
-		Mirrors:      2,
-		MirrorPolicy: "shortest-queue",
-		CPUs:         2,
+		Seed:    91,
+		Mirrors: 2,
+		CPUs:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cache := bufferpool.NewSharded[rtree.PageID, struct{}](256, 1, func(rtree.PageID) uint64 { return 0 })
 	res, err := sys.RunMixed(MixedWorkload{
 		Queries: Workload{
 			Algorithm:   query.CRSS{},
 			K:           15,
 			Queries:     dataset.SampleQueries(pts, 40, 92),
 			ArrivalRate: 8,
-			Options:     query.Options{CachedLevels: 1, SharedCache: cache},
+			Options:     query.Options{CachedLevels: 1},
 		},
 		Inserts:    dataset.Clustered(300, 6, 12, 93),
 		InsertBase: 1 << 20,
@@ -78,10 +73,6 @@ func TestKitchenSink(t *testing.T) {
 	}
 	if err := tree.CheckPlacements(); err != nil {
 		t.Fatal(err)
-	}
-	// The shared cache saw traffic.
-	if cache.Stats().Hits == 0 {
-		t.Error("shared cache never hit")
 	}
 	// Physical drive reports: 6 logical × 2 mirrors.
 	if len(res.Disks) != 12 {

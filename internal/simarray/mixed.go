@@ -93,7 +93,7 @@ func (s *System) runInsert(p geom.Point, id rtree.ObjectID, out *InsertOutcome) 
 			drv := s.drive[pl.Disk][m]
 			svc := drv.ServiceTime(pl.Cylinder, s.rot[pl.Disk])
 			s.disks[pl.Disk][m].Submit(svc, func(_, _ float64) {
-				s.bus.Submit(s.cfg.BusTime, func(_, _ float64) {
+				s.bus.Submit(s.busTime, func(_, _ float64) {
 					pending--
 					if pending == 0 {
 						next()
@@ -123,7 +123,7 @@ func (s *System) runInsert(p geom.Point, id rtree.ObjectID, out *InsertOutcome) 
 				drv := s.drive[pl.Disk][m]
 				svc := drv.ServiceTime(pl.Cylinder, s.rot[pl.Disk])
 				s.disks[pl.Disk][m].Submit(svc, func(_, _ float64) {
-					s.bus.Submit(s.cfg.BusTime, func(_, _ float64) {
+					s.bus.Submit(s.busTime, func(_, _ float64) {
 						pending--
 						if pending == 0 {
 							finish()

@@ -31,24 +31,21 @@ import (
 	"repro/internal/sim"
 )
 
-// Config fixes the hardware model. Zero fields take the paper's values
-// (Table 1 and Table 2).
+// queryStartup is the CPU time a query pays before its first stage
+// (Qstartup, Table 1), in seconds.
+const queryStartup = 0.001
+
+// Config varies the hardware model. Zero fields take the paper's values
+// (Table 1 and Table 2); the drives are HP C2200A (disk.HPC2200A) and
+// a page crosses the bus in its size ÷ 10 MB/s (SCSI-2).
 type Config struct {
-	Disk         disk.Params // per-drive model; zero value = HP C2200A
-	MIPS         float64     // CPU speed; default 100 (CPUspeed, Table 1)
-	QueryStartup float64     // seconds; default 0.001 (Qstartup, Table 1)
-	BusTime      float64     // seconds to move one page over the bus;
-	// default = page size / 10 MB/s (SCSI-2)
+	MIPS float64 // CPU speed; default 100 (CPUspeed, Table 1)
 	Seed int64
 	// Mirrors is the number of physical copies of every logical disk:
 	// 1 (default) models the paper's RAID-0; 2 models RAID-1 shadowed
 	// disks, the paper's "future research" item — a read is served by
-	// whichever mirror the MirrorPolicy selects.
+	// the mirror with the shortest queue, ties going to the nearer arm.
 	Mirrors int
-	// MirrorPolicy selects the mirror for a read: "shortest-queue"
-	// (default; falls back to the nearer arm on ties), "nearest-arm",
-	// or "roundrobin".
-	MirrorPolicy string
 	// CPUs is the number of processors sharing the workload (default
 	// 1, the paper's machine). More processors model the paper's last
 	// future-research item, "the impact of increasing the number of
@@ -74,23 +71,11 @@ type DriveFault struct {
 }
 
 func (c *Config) fill() {
-	if c.Disk.Cylinders == 0 {
-		c.Disk = disk.HPC2200A()
-	}
 	if c.MIPS == 0 {
 		c.MIPS = 100
 	}
-	if c.QueryStartup == 0 {
-		c.QueryStartup = 0.001
-	}
-	if c.BusTime == 0 {
-		c.BusTime = float64(c.Disk.BlockSize) / 10e6
-	}
 	if c.Mirrors == 0 {
 		c.Mirrors = 1
-	}
-	if c.MirrorPolicy == "" {
-		c.MirrorPolicy = "shortest-queue"
 	}
 	if c.CPUs == 0 {
 		c.CPUs = 1
@@ -147,15 +132,15 @@ type RunResult struct {
 // Mirrors > 1 each logical disk is backed by that many physical drives
 // holding identical content (RAID-1 shadowing).
 type System struct {
-	cfg    Config
-	tree   *parallel.Tree
-	sim    *sim.Simulator
-	cpus   []*sim.Station
-	bus    *sim.Station
-	disks  [][]*sim.Station // [logical disk][mirror]
-	drive  [][]*disk.Drive
-	rot    []*rand.Rand // per-logical-disk rotational latency streams
-	rrNext []int        // round-robin cursor per logical disk
+	cfg     Config
+	tree    *parallel.Tree
+	sim     *sim.Simulator
+	cpus    []*sim.Station
+	bus     *sim.Station
+	busTime float64          // seconds to move one page over the bus
+	disks   [][]*sim.Station // [logical disk][mirror]
+	drive   [][]*disk.Drive
+	rot     []*rand.Rand // per-logical-disk rotational latency streams
 	// failAfter[d][m] is the drive's read budget before it fail-stops
 	// (-1 = never); served[d][m] counts reads issued to it so far.
 	failAfter [][]int
@@ -166,17 +151,10 @@ type System struct {
 // from the tree's configuration.
 func NewSystem(tree *parallel.Tree, cfg Config) (*System, error) {
 	cfg.fill()
-	if err := cfg.Disk.Validate(); err != nil {
-		return nil, err
-	}
-	if tree.Config().Cylinders > cfg.Disk.Cylinders {
+	params := disk.HPC2200A()
+	if tree.Config().Cylinders > params.Cylinders {
 		return nil, fmt.Errorf("simarray: tree placed on %d cylinders but drive has %d",
-			tree.Config().Cylinders, cfg.Disk.Cylinders)
-	}
-	switch cfg.MirrorPolicy {
-	case "shortest-queue", "nearest-arm", "roundrobin":
-	default:
-		return nil, fmt.Errorf("simarray: unknown mirror policy %q", cfg.MirrorPolicy)
+			tree.Config().Cylinders, params.Cylinders)
 	}
 	if cfg.Mirrors < 1 {
 		return nil, fmt.Errorf("simarray: mirrors must be >= 1, got %d", cfg.Mirrors)
@@ -184,7 +162,7 @@ func NewSystem(tree *parallel.Tree, cfg Config) (*System, error) {
 	if cfg.CPUs < 1 {
 		return nil, fmt.Errorf("simarray: CPUs must be >= 1, got %d", cfg.CPUs)
 	}
-	s := &System{cfg: cfg, tree: tree, sim: sim.New()}
+	s := &System{cfg: cfg, tree: tree, sim: sim.New(), busTime: float64(params.BlockSize) / 10e6}
 	s.cpus = make([]*sim.Station, cfg.CPUs)
 	for i := range s.cpus {
 		s.cpus[i] = sim.NewStation(s.sim)
@@ -194,13 +172,12 @@ func NewSystem(tree *parallel.Tree, cfg Config) (*System, error) {
 	s.disks = make([][]*sim.Station, n)
 	s.drive = make([][]*disk.Drive, n)
 	s.rot = make([]*rand.Rand, n)
-	s.rrNext = make([]int, n)
 	for i := 0; i < n; i++ {
 		s.disks[i] = make([]*sim.Station, cfg.Mirrors)
 		s.drive[i] = make([]*disk.Drive, cfg.Mirrors)
 		for m := 0; m < cfg.Mirrors; m++ {
 			s.disks[i][m] = sim.NewStation(s.sim)
-			d, err := disk.NewDrive(i*cfg.Mirrors+m, cfg.Disk)
+			d, err := disk.NewDrive(i*cfg.Mirrors+m, params)
 			if err != nil {
 				return nil, err
 			}
@@ -234,60 +211,27 @@ func (s *System) driveDead(d, m int) bool {
 }
 
 // pickMirror selects the physical drive serving a read from logical
-// disk d at the given cylinder, per the configured policy. Dead drives
-// are skipped; ok is false when no live mirror remains, in which case
-// the read cannot be served (RAID-0 data loss, or a fully dead mirror
-// set).
+// disk d at the given cylinder: the live mirror whose queue drains
+// first, an exact tie going to the nearer arm, then to the lower index.
+// ok is false when no live mirror remains, in which case the read
+// cannot be served (RAID-0 data loss, or a fully dead mirror set).
 func (s *System) pickMirror(d, cylinder int) (m int, ok bool) {
-	if s.cfg.Mirrors == 1 {
-		return 0, !s.driveDead(d, 0)
-	}
-	switch s.cfg.MirrorPolicy {
-	case "roundrobin":
-		// Advance the cursor past dead drives so the live ones still
-		// alternate.
-		for i := 0; i < s.cfg.Mirrors; i++ {
-			m := s.rrNext[d]
-			s.rrNext[d] = (m + 1) % s.cfg.Mirrors
-			if !s.driveDead(d, m) {
-				return m, true
-			}
+	best, bestDist := -1, 0
+	bestFree := 0.0
+	for m := 0; m < s.cfg.Mirrors; m++ {
+		if s.driveDead(d, m) {
+			continue
 		}
+		free := s.disks[d][m].FreeAt()
+		dist := armDist(s.drive[d][m], cylinder)
+		if best < 0 || free < bestFree || (free == bestFree && dist < bestDist) {
+			best, bestFree, bestDist = m, free, dist
+		}
+	}
+	if best < 0 {
 		return 0, false
-	case "nearest-arm":
-		best, bestDist := -1, -1
-		for m, drv := range s.drive[d] {
-			if s.driveDead(d, m) {
-				continue
-			}
-			dist := armDist(drv, cylinder)
-			if bestDist < 0 || dist < bestDist {
-				best, bestDist = m, dist
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		return best, true
-	default: // shortest-queue, ties to the nearer arm
-		best, bestDist := -1, 0
-		bestFree := 0.0
-		for m := 0; m < s.cfg.Mirrors; m++ {
-			if s.driveDead(d, m) {
-				continue
-			}
-			free := s.disks[d][m].FreeAt()
-			dist := armDist(s.drive[d][m], cylinder)
-			// An exact free-time tie is broken by the nearer arm.
-			if best < 0 || free < bestFree || (free == bestFree && dist < bestDist) {
-				best, bestFree, bestDist = m, free, dist
-			}
-		}
-		if best < 0 {
-			return 0, false
-		}
-		return best, true
 	}
+	return best, true
 }
 
 func armDist(d *disk.Drive, cylinder int) int {
@@ -342,7 +286,7 @@ type fetchArrival struct {
 // runs on the CPU, then the first stage executes.
 func (p *queryProc) start() {
 	p.out.Arrival = p.sys.sim.Now()
-	p.sys.cpu().Submit(p.sys.cfg.QueryStartup, func(_, _ float64) {
+	p.sys.cpu().Submit(queryStartup, func(_, _ float64) {
 		p.advance(nil)
 	})
 }
@@ -396,7 +340,7 @@ func (p *queryProc) issue(reqs []query.PageRequest) {
 			svc += float64(r.Pages-1) * drv.TransferTime
 		}
 		p.sys.disks[r.Disk][m].Submit(svc, func(_, _ float64) {
-			p.sys.bus.Submit(p.sys.cfg.BusTime, func(_, _ float64) {
+			p.sys.bus.Submit(p.sys.busTime, func(_, _ float64) {
 				p.deliver(node, i, r)
 			})
 		})
