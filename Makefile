@@ -146,7 +146,10 @@ bench-check:
 ## run is `bench -workload WORKLOAD -trace 0 -repeat 1`, the base's in
 ## its own checkout; its result.json becomes run-NN.json in
 ## bin/bench-pair/base or bin/bench-pair/change (the working tree).
-## It ends with `bench -compare base change` and removes the worktree.
+## It ends with `bench -compare base change`, then `benchjson pairs`,
+## which judges the pairs as a claimed gain is judged (wins of N, both
+## medians, the base's IQR: won, worse, unresolved or same), and removes
+## the worktree; it fails when either comparison finds a regression.
 ## An A/A run, BASE=HEAD on a clean tree, is the tool's own check: any
 ## verdict but "same" there is the box's noise, not a change.
 BASE     ?= HEAD
@@ -162,6 +165,7 @@ bench-pair:
 	trap 'git worktree remove --force $(PAIR_DIR)/src' EXIT; \
 	(cd $$dir/src && GOTOOLCHAIN=local $(GO) build -o $$dir/base.bin ./bench); \
 	GOTOOLCHAIN=local $(GO) build -o $$dir/change.bin ./bench; \
+	GOTOOLCHAIN=local $(GO) build -o $$dir/benchjson ./cmd/benchjson; \
 	run() { \
 		if [ $$1 = base ]; then (cd $$dir/src && $$dir/base.bin -workload $(WORKLOAD) -trace 0 -repeat 1 -out $$dir/out-base); \
 		else $$dir/change.bin -workload $(WORKLOAD) -trace 0 -repeat 1 -out $$dir/out-change; fi; \
@@ -172,7 +176,9 @@ bench-pair:
 		if [ $$((i % 2)) -eq 1 ]; then run base $$n; run change $$n; else run change $$n; run base $$n; fi; \
 		i=$$((i + 1)); \
 	done; \
-	$$dir/change.bin -compare $$dir/base $$dir/change
+	status=0; $$dir/change.bin -compare $$dir/base $$dir/change || status=$$?; \
+	$$dir/benchjson pairs $$dir/base $$dir/change || status=1; \
+	exit $$status
 
 ## fuzz: run each fuzz target for FUZZTIME (committed seed corpora under
 ## testdata/fuzz already run during plain `go test`).

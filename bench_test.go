@@ -99,11 +99,7 @@ func BenchmarkBulkLoadSTR(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		items := make([]rtree.Entry, len(pts))
-		for j, p := range pts {
-			items[j] = rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(j))
-		}
-		if err := tr.BulkLoadSTR(items); err != nil {
+		if err := tr.BulkLoadSTR(pts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -610,7 +606,7 @@ func BenchmarkDurableIngest(b *testing.B) {
 				return durableIngest{}, err
 			}
 			tr, err := rtree.New(rtree.Config{
-				Dim: 2, MaxEntries: codec.Capacity(1), LeafMaxEntries: codec.Capacity(0), PointLeaves: true,
+				Dim: 2, MaxEntries: codec.Capacity(1), LeafMaxEntries: codec.Capacity(0),
 			}, ds)
 			if err != nil {
 				return durableIngest{}, errors.Join(err, ds.Close())
@@ -793,7 +789,7 @@ func codecPage(dim, entries, level int) *rtree.Node {
 		for a := range p {
 			p[a] = rnd.Float64()
 		}
-		e := rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i))
+		e := rtree.LeafEntry(p, rtree.ObjectID(i))
 		if level > 0 {
 			e = rtree.Entry{Rect: geom.PointRect(p), Child: rtree.PageID(i + 1), Count: 1}
 		}

@@ -27,6 +27,11 @@
 // block merges, it should only leave a visible trail. Under GitHub
 // Actions (GITHUB_ACTIONS=true, or -github) both are emitted as
 // workflow annotations (::error:: and ::warning::).
+//
+// Pairs mode judges the paired end-to-end runs of `make bench-pair`
+// (see pairs.go):
+//
+//	benchjson pairs bin/bench-pair/base bin/bench-pair/change
 package main
 
 import (
@@ -101,6 +106,8 @@ func main() {
 		err = runParse(os.Args[2:])
 	case "compare":
 		err = runCompare(os.Args[2:])
+	case "pairs":
+		err = runPairs(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -117,6 +124,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   benchjson parse   [-o FILE] [-date YYYY-MM-DD] [INPUT...]
   benchjson compare [-threshold PCT] [-github] BASELINE.json NEW.json
+  benchjson pairs   BASE_DIR CHANGE_DIR   (reads ./BENCHMARK.json)
 `)
 	os.Exit(2)
 }

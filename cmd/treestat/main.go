@@ -11,8 +11,8 @@
 //	treestat -set longbeach -disks 8 -dir lb.tree   # reopens it
 //
 // Leaves hold points (a point and its object id per entry), directory
-// pages rectangles (spheres too with -sr, whose leaves hold the same),
-// and the header line prints both capacities.
+// pages rectangles (spheres too with -sr), and the header line prints
+// both capacities.
 //
 // With -dir the tree lives in a durable directory: an empty directory
 // gets the tree built, committed and checkpointed into it; a directory
@@ -96,7 +96,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *packed {
-			err = tree.BuildPointsPacked(pts)
+			err = tree.BulkLoadSTR(pts)
 		} else {
 			err = tree.BuildPoints(pts)
 		}

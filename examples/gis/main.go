@@ -51,7 +51,7 @@ func main() {
 	fmt.Println("\n5 nearest intersections (CRSS):")
 	for i, r := range res {
 		fmt.Printf("  #%d intersection %-6d at (%.4f, %.4f), %.4f away\n",
-			i+1, r.Object, r.Rect.Lo[0], r.Rect.Lo[1], math.Sqrt(r.DistSq))
+			i+1, r.Object, r.Point[0], r.Point[1], math.Sqrt(r.DistSq))
 	}
 	fmt.Printf("CRSS I/O: %d node accesses in %d rounds\n\n", stats.NodesVisited, stats.Batches)
 

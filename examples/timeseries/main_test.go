@@ -32,9 +32,9 @@ func TestOutput(t *testing.T) {
 }
 
 // want is what the program prints: time-series search: the filtered matches and the simulated response times.
-const want = `time-series library: 6000 days × 96 samples, 8-d Fourier index, 442 pages
+const want = `time-series library: 6000 days × 96 samples, 8-d Fourier index, 148 pages
 
-top-8 most similar days (filter: 24 candidates via index, 52 node accesses):
+top-8 most similar days (filter: 24 candidates via index, 18 node accesses):
   #1 day 3810  regime 4  true dist 0.970 *
   #2 day 1855  regime 4  true dist 0.977 *
   #3 day 3588  regime 4  true dist 1.009 *
@@ -45,6 +45,6 @@ top-8 most similar days (filter: 24 candidates via index, 52 node accesses):
   #8 day 4457  regime 4  true dist 1.050 *
 
 8/8 matches from the probe's regime
-λ=2 q/s with bbss: mean response 1043.4 ms
-λ=2 q/s with crss: mean response 389.2 ms
+λ=2 q/s with bbss: mean response 367.7 ms
+λ=2 q/s with crss: mean response 151.2 ms
 `

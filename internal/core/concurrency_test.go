@@ -162,7 +162,7 @@ func TestReopenedIndexEngineAnswersAlike(t *testing.T) {
 			}
 			for j := range got {
 				g := got[j]
-				if g.Object != w[j].Object || math.Float64bits(g.DistSq) != math.Float64bits(w[j].DistSq) || !g.Rect.Equal(w[j].Rect) {
+				if g.Object != w[j].Object || math.Float64bits(g.DistSq) != math.Float64bits(w[j].DistSq) || !g.Point.Equal(w[j].Point) {
 					t.Fatalf("engine %d q%d: result %d is %+v over the reopened index, %+v before", i, qi, j, g, w[j])
 				}
 			}

@@ -30,8 +30,6 @@ import (
 type (
 	// Point is an n-dimensional query or data point.
 	Point = geom.Point
-	// Rect is an axis-aligned minimum bounding rectangle.
-	Rect = geom.Rect
 	// ObjectID identifies an indexed object.
 	ObjectID = rtree.ObjectID
 	// Neighbor is one k-NN answer.
@@ -300,7 +298,7 @@ func (ix *Index) RangeSearch(q Point, eps float64) ([]Neighbor, int, error) {
 	matches, nodes := ix.tree.SearchSphere(q, eps, nil)
 	out := make([]Neighbor, len(matches))
 	for i, m := range matches {
-		out[i] = Neighbor{Object: m.Object, Rect: m.Rect, DistSq: geom.MinDistSq(q, m.Rect)}
+		out[i] = Neighbor{Object: m.Object, Point: m.Point, DistSq: m.Point.DistSq(q)}
 	}
 	return out, nodes, nil
 }

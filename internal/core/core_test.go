@@ -53,7 +53,7 @@ func TestInsertQueryDelete(t *testing.T) {
 		}
 		want := bruteforce.KNN(pts, q, 7)
 		for i := range res {
-			if math.Abs(res[i].DistSq-want[i].DistSq) > 1e-9 {
+			if math.Float64bits(res[i].DistSq) != math.Float64bits(want[i].DistSq) {
 				t.Fatalf("%s: rank %d mismatch", name, i)
 			}
 		}

@@ -49,7 +49,7 @@ func pinnedDir(tree *parallel.Tree) query.Options {
 }
 
 // sameNeighbors fails unless a and b are the identical result set:
-// objects, distances and the rectangles the results carry, bitwise.
+// objects, distances and the points the results carry, bitwise.
 func sameNeighbors(t *testing.T, label string, a, b []query.Neighbor) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -60,8 +60,8 @@ func sameNeighbors(t *testing.T, label string, a, b []query.Neighbor) {
 			t.Fatalf("%s: result %d differs: (%d, %g) vs (%d, %g)",
 				label, i, a[i].Object, a[i].DistSq, b[i].Object, b[i].DistSq)
 		}
-		if !sameBits(a[i].Rect.Lo, b[i].Rect.Lo) || !sameBits(a[i].Rect.Hi, b[i].Rect.Hi) {
-			t.Fatalf("%s: result %d rect differs: %v vs %v", label, i, a[i].Rect, b[i].Rect)
+		if !sameBits(a[i].Point, b[i].Point) {
+			t.Fatalf("%s: result %d point differs: %v vs %v", label, i, a[i].Point, b[i].Point)
 		}
 	}
 }

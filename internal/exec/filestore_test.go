@@ -247,7 +247,7 @@ func TestEngineFileBackedSupernodes(t *testing.T) {
 
 // Decoded views against live-node views, where every leaf is a read: a
 // framed file-backed engine must return the driver's neighbours —
-// rectangles included — and the driver's Stats, on a first pass and
+// points included — and the driver's Stats, on a first pass and
 // again once its frames are recycled, for every access method the codec
 // has a layout for and the X-tree's resident supernodes. Every fetch is
 // one decode, and at rest every frame is back in the pool.

@@ -64,10 +64,9 @@ func TestCachedEngineMatchesDriver(t *testing.T) {
 
 // TestWarmCachedEngineAllocBudget: a query over decoded pages that are
 // all resident allocates what the sequential driver's does — the
-// execution, its per-disk counters and the results. The
-// entry-major rectangles the results carry alias the live tree's
-// entries. A resident engine builds no pool of frames and counts no
-// holds.
+// execution, its per-disk counters and the results. The points the
+// results carry alias the live tree's entries. A resident engine builds
+// no pool of frames and counts no holds.
 func TestWarmCachedEngineAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")

@@ -30,7 +30,7 @@ import "repro/internal/rtree"
 //
 // What a query returns never aliases a frame: executions keep no view
 // past the Step it was delivered to, candidates copy scalars, accepted
-// neighbours copy their rectangle (query.base.offerLeaf). Views of live
+// neighbours copy their point (query.base.offerLeaf). Views of live
 // nodes (the pinned directory, a resident engine's leaves) are neither
 // pooled nor counted.
 

@@ -132,7 +132,7 @@ func xtreeWithSupernodes(t testing.TB, n int) (*parallel.Tree, []geom.Point) {
 
 // TestRecycledViewsMatchDriver is the ownership gate: with every
 // recycled view poisoned, four concurrent clients on a framed
-// file-backed engine get the driver's neighbours — rectangles included —
+// file-backed engine get the driver's neighbours — points included —
 // and the driver's Stats, bit for bit, for every access method, every
 // stage-driven algorithm, with and without fetch coalescing. At rest
 // every frame is back in the pool and every fetch was one decode. Run
@@ -528,7 +528,7 @@ func mallocsPerQuery(t testing.TB, eng *Engine, queries []geom.Point, clients, r
 // TestMissPathAllocBudget: on a framed file-backed engine a
 // steady-state query allocates a constant — the three objects every
 // query hands its caller (the execution, its per-disk counters and the
-// results), the slab of the result's rectangles, and a margin below one
+// results), the slab of the results' points, and a margin below one
 // allocation — however many pages it reads and however many clients run
 // beside it (it measures 4.01 to 4.04). Views, flight records, waiter
 // lists, stage state and the best list's slot table are all reused, so what a query allocates is code, not timing: a second

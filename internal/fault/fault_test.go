@@ -313,7 +313,7 @@ func fileStoreOf(t *testing.T, ids ...rtree.PageID) *pagestore.FileStore {
 	for _, id := range ids {
 		n := &rtree.Node{ID: id}
 		x := float64(id)
-		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{x, x}), rtree.ObjectID(id)))
+		n.Entries = append(n.Entries, rtree.LeafEntry(geom.Point{x, x}, rtree.ObjectID(id)))
 		buf, err := codec.Encode(n)
 		if err != nil {
 			t.Fatal(err)

@@ -372,7 +372,7 @@ func AblationPacking(opt Options) (*Table, error) {
 			return nil, err
 		}
 		if packed {
-			return tree, tree.BuildPointsPacked(pts)
+			return tree, tree.BulkLoadSTR(pts)
 		}
 		return tree, tree.BuildPoints(pts)
 	}

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -242,6 +243,72 @@ func TestDurableStoreRefusesVersion1(t *testing.T) {
 			t.Errorf("the refused open wrote the log: %d bytes, %v", len(wal), err)
 		}
 	})
+}
+
+// A durable SR directory whose leaf is in the sphere layout of an
+// earlier format (page version 2) is refused, naming the version, and
+// the refused open writes nothing — also when a crash left its log
+// empty, between a checkpoint's truncate and its header write: every
+// page of the directory passes the page header's version check.
+func TestDurableStoreRefusesSphereLeaves(t *testing.T) {
+	c := Codec{Dim: 2, PageSize: durableTestPage, Spheres: true}
+	pts := []geom.Point{{1, 2}, {3, 4}}
+	for _, emptyLog := range []bool{false, true} {
+		dir := t.TempDir()
+		ds, err := OpenDurable(dir, c, DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := ds.Allocate(0)
+		for i, p := range pts {
+			leaf.Entries = append(leaf.Entries, rtree.LeafEntry(p, rtree.ObjectID(i+1)))
+		}
+		ds.Update(leaf)
+		if err := errors.Join(ds.Commit(leaf.ID, len(pts), nil, nil), ds.Checkpoint(), ds.Close()); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.OpenFile(filepath.Join(dir, DataFileName), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = data.WriteAt(sphereLeafImage(t, c, leaf.ID, pts...), int64(leaf.ID)*durableTestPage)
+		if err := errors.Join(err, data.Close()); err != nil {
+			t.Fatal(err)
+		}
+		if emptyLog {
+			if err := os.Truncate(filepath.Join(dir, WALFileName), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dirFiles(t, dir)
+		if ds, err := OpenDurable(dir, c, DurableOptions{}); err == nil {
+			ds.Close()
+			t.Fatalf("empty log %v: opened a directory whose leaf is a version-2 page", emptyLog)
+		} else if !strings.Contains(err.Error(), "version 2") {
+			t.Errorf("empty log %v: error %q, want one that names version 2", emptyLog, err)
+		}
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("empty log %v: the refused open wrote the directory", emptyLog)
+		}
+	}
+}
+
+// dirFiles returns the contents of every file in dir by name.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
 }
 
 // version1Table is a record table as directories of version 3 wrote

@@ -124,6 +124,12 @@ func rectBitsEqual(a, b geom.Rect) bool {
 	return pointBitsEqual(a.Lo, b.Lo) && pointBitsEqual(a.Hi, b.Hi)
 }
 
+// pointColumns reports whether f is one column set, Rects.Hi the same
+// slices as Rects.Lo: the view of a leaf that holds entries.
+func pointColumns(f *rtree.FlatNode) bool {
+	return len(f.Rects.Lo) > 0 && &f.Rects.Lo[0] == &f.Rects.Hi[0]
+}
+
 // FileStoreOn is a FileStore on f: a store's data file read the way an
 // engine's replica is.
 func FileStoreOn(f BlockFile, codec Codec) *FileStore { return &FileStore{codec: codec, f: f} }

@@ -19,7 +19,7 @@ import (
 
 func leafNode(id rtree.PageID, x float64) *rtree.Node {
 	n := &rtree.Node{ID: id, Level: 0}
-	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{x, x + 1}), rtree.ObjectID(id)))
+	n.Entries = append(n.Entries, rtree.LeafEntry(geom.Point{x, x + 1}, rtree.ObjectID(id)))
 	return n
 }
 
@@ -240,10 +240,10 @@ func TestFileStoreReadersWhileWriting(t *testing.T) {
 					t.Errorf("ReadPage(%d): %v", id, err)
 					return
 				}
-				want := geom.PointRect(geom.Point{float64(id), float64(id) + 1})
-				if f.ID != id || f.Len() != 1 || f.Object(0) != rtree.ObjectID(id) || !rectBitsEqual(f.Rect(0), want) {
-					t.Errorf("ReadPage(%d) returned page %d, %d entries, object %d, rect %v",
-						id, f.ID, f.Len(), f.Object(0), f.Rect(0))
+				want := geom.Point{float64(id), float64(id) + 1}
+				if f.ID != id || f.Len() != 1 || f.Object(0) != rtree.ObjectID(id) || !pointBitsEqual(f.Point(0), want) {
+					t.Errorf("ReadPage(%d) returned page %d, %d entries, object %d, point %v",
+						id, f.ID, f.Len(), f.Object(0), f.Point(0))
 					return
 				}
 			}

@@ -25,13 +25,27 @@ func viewsNode(f *rtree.FlatNode, n *rtree.Node) error {
 			return fmt.Errorf("entry %d identity: view (%d,%d,%d), node (%d,%d,%d)",
 				i, f.Child(i), f.Object(i), f.Count(i), e.Child, e.Object, e.Count)
 		}
-		if !rectBitsEqual(f.Rect(i), e.Rect) {
-			return fmt.Errorf("entry %d rect: view %v, node %v", i, f.Rect(i), e.Rect)
+		for a := range e.Rect.Lo {
+			if math.Float64bits(f.Rects.Lo[a][i]) != math.Float64bits(e.Rect.Lo[a]) ||
+				math.Float64bits(f.Rects.Hi[a][i]) != math.Float64bits(e.Rect.Hi[a]) {
+				return fmt.Errorf("entry %d axis %d: view [%g, %g], node %v", i, a, f.Rects.Lo[a][i], f.Rects.Hi[a][i], e.Rect)
+			}
 		}
-		s := f.Sphere(i)
-		if s.Valid() != e.Sphere.Valid() || !pointBitsEqual(s.Center, e.Sphere.Center) ||
-			math.Float64bits(s.Radius) != math.Float64bits(e.Sphere.Radius) {
-			return fmt.Errorf("entry %d sphere: view %v, node %v", i, s, e.Sphere)
+		if f.IsLeaf() && !pointBitsEqual(f.Point(i), e.Rect.Lo) {
+			return fmt.Errorf("entry %d point: view %v, node %v", i, f.Point(i), e.Rect.Lo)
+		}
+		if (f.Spheres != nil) != e.Sphere.Valid() {
+			return fmt.Errorf("entry %d sphere: view has spheres %v, node %v", i, f.Spheres != nil, e.Sphere)
+		}
+		if s := f.Spheres; s != nil {
+			for a := range e.Sphere.Center {
+				if math.Float64bits(s.Center[a][i]) != math.Float64bits(e.Sphere.Center[a]) {
+					return fmt.Errorf("entry %d sphere center axis %d: view %g, node %v", i, a, s.Center[a][i], e.Sphere)
+				}
+			}
+			if math.Float64bits(s.Radius[i]) != math.Float64bits(e.Sphere.Radius) {
+				return fmt.Errorf("entry %d sphere radius: view %g, node %v", i, s.Radius[i], e.Sphere)
+			}
 		}
 	}
 	return nil
@@ -69,20 +83,20 @@ func flatEqual(a, b *rtree.FlatNode) error {
 		if a.Child(i) != b.Child(i) || a.Object(i) != b.Object(i) || a.Count(i) != b.Count(i) {
 			return fmt.Errorf("entry %d identity differs", i)
 		}
-		if !rectBitsEqual(a.Rect(i), b.Rect(i)) {
-			return fmt.Errorf("entry %d rect differs", i)
-		}
-		sa, sb := a.Sphere(i), b.Sphere(i)
-		if !pointBitsEqual(sa.Center, sb.Center) || math.Float64bits(sa.Radius) != math.Float64bits(sb.Radius) {
-			return fmt.Errorf("entry %d sphere differs", i)
+		if a.IsLeaf() && !pointBitsEqual(a.Point(i), b.Point(i)) {
+			return fmt.Errorf("entry %d point differs", i)
 		}
 	}
 	return nil
 }
 
-// withSpheres gives every entry a sphere, as the SR layout requires.
+// withSpheres gives every entry of a directory node a sphere, as the SR
+// layout requires.
 func withSpheres(n *rtree.Node, rnd *rand.Rand) *rtree.Node {
 	for i := range n.Entries {
+		if n.IsLeaf() {
+			break
+		}
 		c := make(geom.Point, len(n.Entries[i].Rect.Lo))
 		for a := range c {
 			c[a] = rnd.NormFloat64() * 100
@@ -126,9 +140,9 @@ func TestDecodedViewMatchesLiveEntries(t *testing.T) {
 					if err := flatEqual(f, n.Flat()); err != nil {
 						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: decoded vs live view: %v", spheres, leaf, dim, entries, err)
 					}
-					if want := c.points(level) && entries > 0; f.Points() != want || n.Flat().Points() != want {
-						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: Points() decoded %v, live %v, want %v",
-							spheres, leaf, dim, entries, f.Points(), n.Flat().Points(), want)
+					if want := leaf && entries > 0; pointColumns(f) != want || pointColumns(n.Flat()) != want {
+						t.Errorf("spheres=%v leaf=%v dim=%d m=%d: point columns decoded %v, live %v, want %v",
+							spheres, leaf, dim, entries, pointColumns(f), pointColumns(n.Flat()), want)
 					}
 				}
 			}
@@ -142,7 +156,7 @@ func TestDecodedViewMatchesLiveEntries(t *testing.T) {
 func TestDecodeRejectsWidePageReferences(t *testing.T) {
 	c := Codec{Dim: 2, PageSize: 512}
 	leaf := &rtree.Node{ID: 7, Level: 0}
-	leaf.Entries = append(leaf.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{3, 4}), 5))
+	leaf.Entries = append(leaf.Entries, rtree.LeafEntry(geom.Point{3, 4}, 5))
 	dir := &rtree.Node{ID: 7, Level: 1, Entries: []rtree.Entry{
 		{Rect: geom.PointRect(geom.Point{3, 4}), Child: 9, Count: 3},
 	}}

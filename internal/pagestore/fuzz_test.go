@@ -163,23 +163,28 @@ func FuzzRecordTable(f *testing.F) {
 // second Encode pins the codec as a fixpoint: any field a decoder drops
 // or rewrites shows up as a byte diff.
 func FuzzPageCodec(f *testing.F) {
-	// A genuine leaf for each shape so coverage starts past the header
-	// checks: a point leaf (version 3) and an SR tree's (version 2).
+	// A genuine page of each layout so coverage starts past the header
+	// checks: a leaf (version 3, an SR tree's too) and an SR directory
+	// page (version 2).
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 2, PageSize: 256, Spheres: spheres}
-		n := &rtree.Node{ID: 7, Level: 0, Entries: []rtree.Entry{{
-			Rect:   geom.Rect{Lo: geom.Point{0, 1}, Hi: geom.Point{2, 3}},
-			Object: 42, Count: 1,
-			Sphere: geom.Sphere{Center: geom.Point{1, 2}, Radius: 1.5},
-		}}}
-		if !spheres {
-			n.Entries[0] = rtree.LeafEntry(geom.PointRect(geom.Point{0, 1}), 42)
+		for _, n := range []*rtree.Node{
+			{ID: 7, Level: 0, Entries: []rtree.Entry{rtree.LeafEntry(geom.Point{0, 1}, 42)}},
+			{ID: 8, Level: 1, Entries: []rtree.Entry{{
+				Rect:  geom.Rect{Lo: geom.Point{0, 1}, Hi: geom.Point{2, 3}},
+				Child: 7, Count: 1,
+				Sphere: geom.Sphere{Center: geom.Point{1, 2}, Radius: 1.5},
+			}}},
+		} {
+			if !spheres && n.Level > 0 {
+				continue
+			}
+			buf, err := c.Encode(n)
+			if err != nil {
+				f.Fatalf("seed encode: %v", err)
+			}
+			f.Add(buf, byte(1), spheres)
 		}
-		buf, err := c.Encode(n)
-		if err != nil {
-			f.Fatalf("seed encode: %v", err)
-		}
-		f.Add(buf, byte(1), spheres)
 	}
 	// Point leaves, and a directory page beside them, at 2-d and 8-d.
 	for _, dim := range []int{2, 8} {
@@ -189,7 +194,7 @@ func FuzzPageCodec(f *testing.F) {
 			p[a] = float64(a) - 0.5
 		}
 		for _, n := range []*rtree.Node{
-			{ID: 7, Level: 0, Entries: []rtree.Entry{rtree.LeafEntry(geom.PointRect(p), 42), rtree.LeafEntry(geom.PointRect(p), 43)}},
+			{ID: 7, Level: 0, Entries: []rtree.Entry{rtree.LeafEntry(p, 42), rtree.LeafEntry(p, 43)}},
 			{ID: 8, Level: 1, Entries: []rtree.Entry{{Rect: geom.Rect{Lo: p, Hi: p}, Child: 7, Count: 2}}},
 		} {
 			buf, err := c.Encode(n)
@@ -276,7 +281,7 @@ func FuzzPageCodec(f *testing.F) {
 				lo[d], hi[d] = a, b
 			}
 			e := rtree.Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, Count: int(next() % (1 << 31))}
-			if c.points(level) {
+			if level == 0 {
 				e.Rect.Hi, e.Count = lo, 1
 			}
 			if level == 0 {
@@ -284,7 +289,7 @@ func FuzzPageCodec(f *testing.F) {
 			} else {
 				e.Child = rtree.PageID(next()%(1<<30) + 1)
 			}
-			if spheres {
+			if spheres && level > 0 {
 				center := make(geom.Point, dim)
 				for d := range center {
 					center[d] = coord()

@@ -29,15 +29,11 @@ func TestEncodeIntoRecycledImage(t *testing.T) {
 			nd := &rtree.Node{ID: id}
 			for i := 0; i < n; i++ {
 				p := geom.Point{float64(i) + 0.25, -float64(i)}
-				e := rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i+1))
-				if spheres {
-					e.Sphere = geom.Sphere{Center: p}
-				}
-				nd.Entries = append(nd.Entries, e)
+				nd.Entries = append(nd.Entries, rtree.LeafEntry(p, rtree.ObjectID(i+1)))
 			}
 			return nd
 		}
-		old, err := c.Encode(node(7, min(90, c.Capacity(1))))
+		old, err := c.Encode(node(7, min(90, c.Capacity(0))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +238,7 @@ func TestDurableStoreFailedCommitChangesNothing(t *testing.T) {
 		c.live = append(c.live, p)
 	}
 	bad := ds.Allocate(0)
-	bad.Entries = append(bad.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1))
+	bad.Entries = append(bad.Entries, rtree.LeafEntry(geom.Point{1, 2, 3}, 1))
 	ds.Update(bad)
 	before := counters.WALAppends.Load()
 	if err := ds.Commit(c.tr.Root(), c.tr.Len(), nil, nil); err == nil {

@@ -72,7 +72,7 @@ func TestDurableStoreEncodesDirtyPageOnceAtCommit(t *testing.T) {
 	n := ds.Allocate(0)
 	for i := 0; i < 5; i++ {
 		p := geom.Point{float64(i), float64(i)}
-		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(p), rtree.ObjectID(i)))
+		n.Entries = append(n.Entries, rtree.LeafEntry(p, rtree.ObjectID(i)))
 		ds.Update(n)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { ds.Update(n) }); allocs != 0 {
@@ -116,7 +116,7 @@ func TestDurableStoreUpdatePanicsOverCapacity(t *testing.T) {
 	defer ds.Close()
 	n := ds.Allocate(0)
 	for i := 0; i <= ds.codec.Capacity(0); i++ {
-		n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2}), rtree.ObjectID(i)))
+		n.Entries = append(n.Entries, rtree.LeafEntry(geom.Point{1, 2}, rtree.ObjectID(i)))
 	}
 	defer func() {
 		err, _ := recover().(error)
@@ -134,7 +134,7 @@ func TestDurableStoreCommitReportsEncodeError(t *testing.T) {
 	ds := openDurableT(t, t.TempDir(), &counters)
 	defer ds.Close()
 	n := ds.Allocate(0)
-	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1)) // 3-d in a 2-d store
+	n.Entries = append(n.Entries, rtree.LeafEntry(geom.Point{1, 2, 3}, 1)) // 3-d in a 2-d store
 	ds.Update(n)
 	if err := ds.Commit(n.ID, 1, nil, nil); err == nil {
 		t.Fatal("Commit encoded a 3-d entry into a 2-d page")

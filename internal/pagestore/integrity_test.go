@@ -11,7 +11,7 @@ import (
 
 // committed opens a durable store under a fresh directory and commits
 // the given single-entry leaves to it, returning their page ids.
-func committed(t *testing.T, rects ...geom.Rect) (*DurableStore, []rtree.PageID) {
+func committed(t *testing.T, pts ...geom.Point) (*DurableStore, []rtree.PageID) {
 	t.Helper()
 	ds := openDurableT(t, t.TempDir(), nil)
 	t.Cleanup(func() {
@@ -19,10 +19,10 @@ func committed(t *testing.T, rects ...geom.Rect) (*DurableStore, []rtree.PageID)
 			t.Error(err)
 		}
 	})
-	ids := make([]rtree.PageID, len(rects))
-	for i, r := range rects {
+	ids := make([]rtree.PageID, len(pts))
+	for i, p := range pts {
 		n := ds.Allocate(0)
-		n.Entries = append(n.Entries, rtree.LeafEntry(r, rtree.ObjectID(i+1)))
+		n.Entries = append(n.Entries, rtree.LeafEntry(p, rtree.ObjectID(i+1)))
 		ds.Update(n)
 		ids[i] = n.ID
 	}
@@ -38,7 +38,7 @@ func committed(t *testing.T, rects ...geom.Rect) (*DurableStore, []rtree.PageID)
 // decoded to. The read path is the data file's, where a checkpoint put
 // both pages.
 func TestReadPageDetectsMisdirectedRead(t *testing.T) {
-	ds, ids := committed(t, geom.PointRect(geom.Point{1, 1}), geom.PointRect(geom.Point{2, 2}))
+	ds, ids := committed(t, geom.Point{1, 1}, geom.Point{2, 2})
 	if err := ds.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReadPageDetectsMisdirectedRead(t *testing.T) {
 func TestDecodeRejectsOversizedBuffer(t *testing.T) {
 	c := Codec{Dim: 2, PageSize: 512}
 	n := &rtree.Node{ID: 9, Level: 0}
-	n.Entries = append(n.Entries, rtree.LeafEntry(geom.PointRect(geom.Point{3, 4}), 5))
+	n.Entries = append(n.Entries, rtree.LeafEntry(geom.Point{3, 4}, 5))
 	buf, err := c.Encode(n)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestDecodeRejectsOversizedBuffer(t *testing.T) {
 func TestVerifyShadowBitwise(t *testing.T) {
 	nan := geom.Point{0, 0}
 	nan[0] = nan[0] / nan[0] // NaN without the compiler folding a constant
-	ds, ids := committed(t, geom.PointRect(nan))
+	ds, ids := committed(t, nan)
 	if err := ds.VerifyShadow(); err != nil {
 		t.Fatalf("NaN round trip failed bitwise shadow check: %v", err)
 	}

@@ -17,19 +17,19 @@
 //	offset 16  entries; a version 1 or 2 entry is
 //	           dim*8 bytes float64 lo corner
 //	           dim*8 bytes float64 hi corner
-//	           8 bytes ref (child page for internal, object id for leaf)
+//	           8 bytes child page
 //	           4 bytes uint32 subtree object count
 //	           [version 2 only] dim*8 bytes sphere center + 8 bytes radius
 //	           and a version 3 entry is
 //	           dim*8 bytes float64 point
 //	           8 bytes object id
 //
-// Directory pages are version 1 (2 in an SR tree). A leaf is version 3:
-// a point and its object id, 8·dim + 8 bytes, where the paper stores
-// the point as a degenerate rectangle with a count that is always 1
-// (16·dim + 12 bytes) — 56 entries on a 4 KiB page at 8-d instead of
-// 29. The paper's leaf capacity is the directory's, Capacity(1). An SR
-// tree's leaves keep the sphere layout (version 2).
+// Every leaf is version 3: a point and its object id, 8·dim + 8 bytes,
+// where the paper stores the point as a degenerate rectangle with a
+// count that is always 1 (16·dim + 12 bytes) — 56 entries on a 4 KiB
+// page at 8-d instead of 29. Directory pages are version 1, and version
+// 2 in an SR tree. The paper's leaf capacity is the directory's,
+// Capacity(1).
 package pagestore
 
 import (
@@ -43,9 +43,9 @@ import (
 
 const (
 	magic         = 0xA5
-	versionRect   = 1 // rectangle-only entries (plain R*-tree)
-	versionSphere = 2 // SR layout: entries carry a bounding sphere too
-	versionPoint  = 3 // point-leaf layout: a point and an object id
+	versionRect   = 1 // directory: rectangle-only entries (plain R*-tree)
+	versionSphere = 2 // SR directory: entries carry a bounding sphere too
+	versionPoint  = 3 // leaf: a point and an object id
 	headerSize    = 16
 )
 
@@ -60,9 +60,9 @@ type Reader interface {
 }
 
 // Codec encodes and decodes nodes for a fixed page size and
-// dimensionality. Spheres selects the SR-tree on-page layout, where
-// each entry additionally stores a dim-float64 sphere center and a
-// float64 radius. Without spheres a leaf holds points (version 3).
+// dimensionality. Spheres selects the SR-tree directory layout, where
+// each directory entry additionally stores a dim-float64 sphere center
+// and a float64 radius. A leaf holds points (version 3) either way.
 // Views, when non-nil, is where Decode
 // draws the memory of the views it builds from — set by a reader that
 // owns its decoded views and returns them (the engine's page cache);
@@ -74,28 +74,23 @@ type Codec struct {
 	Views    *rtree.ViewPool
 }
 
-// points reports whether a page at level holds points: a leaf, unless
-// the codec keeps the SR tree's sphere layout.
-func (c Codec) points(level int) bool { return level == 0 && !c.Spheres }
-
 // EntrySize returns the on-page size of one entry of a page at level.
 func (c Codec) EntrySize(level int) int {
-	if c.points(level) {
+	switch {
+	case level == 0:
 		return c.Dim*8 + 8
+	case c.Spheres:
+		return c.Dim*16 + 12 + c.Dim*8 + 8 // a directory entry and its sphere
 	}
-	n := c.Dim*16 + 12
-	if c.Spheres {
-		n += c.Dim*8 + 8
-	}
-	return n
+	return c.Dim*16 + 12
 }
 
 func (c Codec) version(level int) byte {
 	switch {
+	case level == 0:
+		return versionPoint
 	case c.Spheres:
 		return versionSphere
-	case c.points(level):
-		return versionPoint
 	}
 	return versionRect
 }
@@ -130,20 +125,19 @@ func (c Codec) EncodeInto(buf []byte, n *rtree.Node) ([]byte, error) {
 	binary.LittleEndian.PutUint16(buf[6:], uint16(c.Dim))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(n.ID))
 	off := headerSize
-	points := c.points(n.Level)
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		if e.Rect.Dim() != c.Dim || len(e.Rect.Hi) != c.Dim {
 			return nil, fmt.Errorf("pagestore: node %d entry %d: dim %d, codec dim %d",
 				n.ID, i, e.Rect.Dim(), c.Dim)
 		}
-		if points {
-			// A point leaf stores each entry's point once: Lo and Hi
-			// must be one point, and the count is 1 by definition.
+		if n.IsLeaf() {
+			// A leaf stores each entry's point once: Lo and Hi must be
+			// one point, and the count is 1 by definition.
 			for d := 0; d < c.Dim; d++ {
 				lo := math.Float64bits(e.Rect.Lo[d])
 				if lo != math.Float64bits(e.Rect.Hi[d]) || e.Count != 1 {
-					return nil, fmt.Errorf("pagestore: node %d entry %d: %v (count %d) is no point: the page holds points",
+					return nil, fmt.Errorf("pagestore: node %d entry %d: %v (count %d) is no point: a leaf holds points",
 						n.ID, i, e.Rect, e.Count)
 				}
 				binary.LittleEndian.PutUint64(buf[off:], lo)
@@ -161,13 +155,7 @@ func (c Codec) EncodeInto(buf []byte, n *rtree.Node) ([]byte, error) {
 			binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Hi[d]))
 			off += 8
 		}
-		var ref uint64
-		if n.IsLeaf() {
-			ref = uint64(e.Object)
-		} else {
-			ref = uint64(e.Child)
-		}
-		binary.LittleEndian.PutUint64(buf[off:], ref)
+		binary.LittleEndian.PutUint64(buf[off:], uint64(e.Child))
 		off += 8
 		if e.Count < 0 || e.Count > math.MaxUint32 {
 			return nil, fmt.Errorf("pagestore: node %d entry %d: count %d out of range", n.ID, i, e.Count)
@@ -280,9 +268,9 @@ func (c Codec) Decode(buf []byte) (*rtree.FlatNode, error) {
 		return nil, err
 	}
 	dim, size := c.Dim, c.EntrySize(h.level)
-	if c.points(h.level) {
+	entries := buf[headerSize : headerSize+h.count*size]
+	if h.level == 0 {
 		f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, rtree.PointColumns)
-		entries := buf[headerSize : headerSize+h.count*size]
 		for a := 0; a < dim && h.count > 0; a++ {
 			fillColumn(f.Rects.Lo[a], entries, 8*a, size)
 		}
@@ -296,19 +284,16 @@ func (c Codec) Decode(buf []byte) (*rtree.FlatNode, error) {
 		cols = rtree.SphereColumns
 	}
 	f, refs := rtree.NewPageView(c.Views, h.id, h.level, dim, h.count, cols)
-	entries := buf[headerSize : headerSize+h.count*size]
 	for a := 0; a < dim && h.count > 0; a++ {
 		fillColumn(f.Rects.Lo[a], entries, 8*a, size)
 		fillColumn(f.Rects.Hi[a], entries, 8*(dim+a), size)
 	}
 	for i, off := 0, 16*dim; i < len(refs); i, off = i+1, off+size {
-		ref := binary.LittleEndian.Uint64(entries[off:])
-		if h.level != 0 {
-			if _, err := pageRef(ref); err != nil {
-				return nil, err
-			}
+		child, err := pageRef(binary.LittleEndian.Uint64(entries[off:]))
+		if err != nil {
+			return nil, err
 		}
-		refs[i] = rtree.PageRef{Ref: int64(ref), Count: binary.LittleEndian.Uint32(entries[off+8:])}
+		refs[i] = rtree.PageRef{Ref: int64(child), Count: binary.LittleEndian.Uint32(entries[off+8:])}
 	}
 	if s := f.Spheres; s != nil {
 		for a := 0; a < dim; a++ {
@@ -333,13 +318,12 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 	// One coordinate slab per page, not two or three slices per entry.
 	// Each point is a capacity-capped sub-slice, so an append to one can
 	// never run into its neighbour.
-	points := c.points(h.level)
-	per := 2 * dim
-	switch {
-	case c.Spheres:
-		per += dim
-	case points:
-		per = dim
+	per := dim // a leaf's points
+	if h.level != 0 {
+		per = 2 * dim
+		if c.Spheres {
+			per = 3 * dim
+		}
 	}
 	slab := make([]float64, h.count*per)
 	point := func(off int) (geom.Point, int) {
@@ -355,15 +339,17 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 	for i := range n.Entries {
 		e := &n.Entries[i]
 		e.Rect.Lo, off = point(off)
-		if points {
-			// A point stored once, as a tree of point leaves keeps it.
+		if h.level == 0 {
+			// A point stored once, as a leaf keeps it.
 			e.Rect.Hi, e.Count = e.Rect.Lo, 1
 			e.Object = rtree.ObjectID(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 			continue
 		}
 		e.Rect.Hi, off = point(off)
-		ref := binary.LittleEndian.Uint64(buf[off:])
+		if e.Child, err = pageRef(binary.LittleEndian.Uint64(buf[off:])); err != nil {
+			return nil, err
+		}
 		off += 8
 		e.Count = int(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
@@ -371,11 +357,6 @@ func (c Codec) DecodeNode(buf []byte) (*rtree.Node, error) {
 			e.Sphere.Center, off = point(off)
 			e.Sphere.Radius = float64At(buf, off)
 			off += 8
-		}
-		if h.level == 0 {
-			e.Object = rtree.ObjectID(ref)
-		} else if e.Child, err = pageRef(ref); err != nil {
-			return nil, err
 		}
 	}
 	return n, nil

@@ -108,11 +108,10 @@ func randomNode(rnd *rand.Rand, dim, entries int, leaf bool) *rtree.Node {
 	return n
 }
 
-// randomNodeFor is randomNode in c's layout: a leaf of a point-leaf
-// codec holds points.
+// randomNodeFor is randomNode in c's layout: a leaf holds points.
 func randomNodeFor(rnd *rand.Rand, c Codec, entries int, leaf bool) *rtree.Node {
 	n := randomNode(rnd, c.Dim, entries, leaf)
-	if c.points(n.Level) {
+	if leaf {
 		for i := range n.Entries {
 			n.Entries[i].Rect.Hi = n.Entries[i].Rect.Lo
 		}
@@ -154,7 +153,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		if c.points(n.Level) && len(dec.Entries) > 0 && &dec.Entries[0].Rect.Lo[0] != &dec.Entries[0].Rect.Hi[0] {
+		if leaf && len(dec.Entries) > 0 && &dec.Entries[0].Rect.Lo[0] != &dec.Entries[0].Rect.Hi[0] {
 			t.Log("a decoded point is not stored once")
 			return false
 		}
@@ -166,8 +165,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if view.Points() != (c.points(n.Level) && entries > 0) {
-			t.Logf("view of a level-%d page of %d entries: Points() = %v", n.Level, entries, view.Points())
+		if pointColumns(view) != (leaf && entries > 0) {
+			t.Logf("view of a level-%d page of %d entries: point columns %v", n.Level, entries, pointColumns(view))
 			return false
 		}
 		return true
@@ -205,6 +204,40 @@ func TestEncodeRejectsRectInPointLeaf(t *testing.T) {
 	n.Entries[1].Count = 2
 	if _, err := c.Encode(n); err == nil {
 		t.Error("Encode accepted a point leaf entry of count 2")
+	}
+}
+
+// sphereLeafImage is the leaf of pts as an SR tree wrote it before its
+// leaves held points: page version 2, per entry the point as both
+// corners, the object id i+1, a count of 1 and a sphere of radius 0 at
+// the point — the sphere layout's directory entry at level 0.
+func sphereLeafImage(t *testing.T, c Codec, id rtree.PageID, pts ...geom.Point) []byte {
+	t.Helper()
+	n := &rtree.Node{ID: id, Level: 1}
+	for i, p := range pts {
+		n.Entries = append(n.Entries, rtree.Entry{Rect: geom.PointRect(p), Child: rtree.PageID(i + 1), Count: 1,
+			Sphere: geom.Sphere{Center: p}})
+	}
+	img, err := c.Encode(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(img[2:], 0) // the level: a leaf
+	return img
+}
+
+// A version-2 leaf, an SR tree's leaf of an earlier format, is refused
+// by its version byte in an SR codec and in a plain one, never read as
+// points.
+func TestDecodeRefusesSphereLeaf(t *testing.T) {
+	for _, spheres := range []bool{true, false} {
+		c := Codec{Dim: 2, PageSize: 512, Spheres: spheres}
+		img := sphereLeafImage(t, Codec{Dim: 2, PageSize: 512, Spheres: true}, 7, geom.Point{1, 2}, geom.Point{3, 4})
+		for name, decode := range bothDecoders(c) {
+			if err := decode(img); err == nil || !strings.Contains(err.Error(), "level-0 page version 2, codec expects 3") {
+				t.Errorf("spheres=%v: %s of a version-2 leaf: err = %v, want the version refused", spheres, name, err)
+			}
+		}
 	}
 }
 
@@ -250,15 +283,19 @@ func TestDecodeRejectsCorruptPages(t *testing.T) {
 }
 
 // TestDecodeAllocsIndependentOfEntryCount pins both decoders' slabs: a
-// full page costs the same few allocations as a page with one entry,
-// and the points DecodeNode cuts from its slab cannot grow into each
-// other.
+// full page — a leaf, or an SR directory page — costs the same few
+// allocations as a page with one entry, and the points DecodeNode cuts
+// from its slab cannot grow into each other.
 func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 	for _, spheres := range []bool{false, true} {
 		c := Codec{Dim: 8, PageSize: 4096, Spheres: spheres}
 		rnd := rand.New(rand.NewSource(5))
+		level := 0
+		if spheres {
+			level = 1
+		}
 		image := func(entries int) []byte {
-			n := randomNodeFor(rnd, c, entries, true)
+			n := randomNodeFor(rnd, c, entries, level == 0)
 			if spheres {
 				for i := range n.Entries {
 					n.Entries[i].Sphere = geom.Sphere{Center: n.Entries[i].Rect.Lo, Radius: 1}
@@ -278,7 +315,7 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 					}
 				})
 			}
-			one, full := allocs(image(1)), allocs(image(c.Capacity(0)))
+			one, full := allocs(image(1)), allocs(image(c.Capacity(level)))
 			t.Logf("%s spheres=%v: %.0f allocations per page", name, spheres, full)
 			if full != one {
 				t.Errorf("%s spheres=%v: full page decodes in %.0f allocations, one entry in %.0f", name, spheres, full, one)
@@ -290,7 +327,7 @@ func TestDecodeAllocsIndependentOfEntryCount(t *testing.T) {
 	}
 
 	c := Codec{Dim: 2, PageSize: 4096, Spheres: true}
-	n := randomNode(rand.New(rand.NewSource(6)), 2, 3, true)
+	n := randomNode(rand.New(rand.NewSource(6)), 2, 3, false)
 	for i := range n.Entries {
 		n.Entries[i].Sphere = geom.Sphere{Center: n.Entries[i].Rect.Hi, Radius: 2}
 	}

@@ -27,7 +27,8 @@ import (
 
 // treeHash is SHA-256 over root, height, size and every page in walk
 // order: id, level, placement, then per entry the coordinate bits, the
-// sphere bits (SR mode), child, object and count. Unlike snapshotHash
+// sphere bits (SR mode; a leaf entry's radius only, its centre being its
+// point), child, object and count. Unlike snapshotHash
 // it also covers X-tree supernodes, which no page image holds.
 func treeHash(t *parallel.Tree) string {
 	h := sha256.New()
@@ -54,7 +55,9 @@ func treeHash(t *parallel.Tree) string {
 		for _, e := range n.Entries {
 			floats(e.Rect.Lo)
 			floats(e.Rect.Hi)
-			floats(e.Sphere.Center)
+			if !n.IsLeaf() {
+				floats(e.Sphere.Center)
+			}
 			u64(math.Float64bits(e.Sphere.Radius))
 			u64(uint64(e.Child))
 			u64(uint64(e.Object))
@@ -183,9 +186,15 @@ func identityConfig(dim int) parallel.Config {
 		Policy:     decluster.ProximityIndex{}, Seed: 1}
 }
 
-// spheres selects the SR tree at its derived capacity: a page of sphere
-// entries, leaves and directory nodes alike.
+// spheres selects the SR tree at its derived capacities: a page of
+// points for a leaf, of sphere entries for a directory node.
 func spheres(c *parallel.Config) { c.UseSpheres, c.MaxEntries = true, 0 }
+
+// spheresFixed selects the SR tree at one capacity for both levels, a
+// page of sphere entries, as the SR ablation (abl-sr) builds it.
+func spheresFixed(c *parallel.Config) {
+	c.UseSpheres, c.MaxEntries = true, pagestore.Codec{Dim: c.Dim, PageSize: 4096, Spheres: true}.Capacity(1)
+}
 
 // pageCapacities derives each level's capacity from its page layout, as
 // every tree but the paper's experiments does: a leaf of points holds
@@ -240,12 +249,22 @@ func TestTreeIdentity(t *testing.T) {
 		"rstar/gaussian-8d": {
 			"1c7ea41e6c3896fe5ed247ed494901c2c7acb8cb57d63c5dd617b49bbbe124b0",
 			"373554f2fc17ffc95c455c625d4629d89324c758a8131bc7ee52a21021607ec2"},
+		// Recorded when an SR leaf began to hold points: leaves of
+		// points at their own capacity, the directory at the spheres'.
 		"sr/california-2d": {
-			"5d0cad1a79021f23f9ea45af2168a2ab2bba98f1c92504e1a4e7fd1eca1ac2b9",
-			"694b5c9563d236580c333ac492201ef00563c04645d1795e834cf61db73c8755"},
+			"750ac0b90127e02788d63957298822d02a460e114fa2d0ecd92cc8e717dbcee1",
+			"71bedc3836a36ffab9b3df9448ceec56b9f4e4353d86926d8acaacddf74de9e2"},
 		"sr/gaussian-8d": {
-			"e2f3c81d7a58e80a2fddac91ace7b7f6b51841f8682fe34102b5fd1864271b0b",
-			"7b313c2cffcffe1597fd3969d973c8aa49cc18704a41e0258c442a4d8dfbc722"},
+			"d3346e7b755fa59f9cf52d0bba847a00e2457467e006f4521c1bb79d01de98af",
+			"5ffc66aa12b5ed4692aeefc9705ff43255e57290d692e93bf46247ad47816ead"},
+		// Recorded before an SR leaf held points, when both capacities
+		// were a page of sphere entries: the tree is the same.
+		"sr-fixed/california-2d": {
+			"a2d52d6e5b349df53a8a41bb338fe46fc6c4300c5ed3663f6de483137f2e64ac",
+			"e5cec1d9532db2894514649c0a1724c869ecedffdaf79cc49ac78251d629ddee"},
+		"sr-fixed/gaussian-8d": {
+			"f1dc3dac18327cc722e7a432f5643558ec0b91fbbcd9f94b3ab221185e8dac6e",
+			"56ad6ac0529393629d94c42772d4c768032bea5682a6ec35bf38a0610611f061"},
 		"x/california-2d": {
 			"0fb3f4896d9c0de3ae987712e99dc5832272528c33392723a02615bdc1397441",
 			"98b18162c92dac056f64c3e1067e64b6fb5fc926acfa8a801f3018e544542e1c"},
@@ -275,6 +294,7 @@ func TestTreeIdentity(t *testing.T) {
 	}{
 		{"rstar", func(*parallel.Config) {}},
 		{"sr", spheres},
+		{"sr-fixed", spheresFixed},
 		// A small fanout and a strict ratio, so that directory nodes
 		// overflow at these sizes and the split-or-supernode rule refuses
 		// some splits and grants others.
@@ -354,9 +374,10 @@ func TestTreeIdentity(t *testing.T) {
 // NodeCreated still read every sibling back from the store.
 func TestPackedTreeIdentity(t *testing.T) {
 	want := map[string]string{
-		"rstar/california-2d":      "6ca2e7b79b354c3a3f3644b2fe2351c87a21d87db7746413bc24abe9741e3c15",
-		"rstar/gaussian-8d":        "e9c2d40eb8ff821a641f18090cf8f6d874db79326eb1a82bc7e183e8f0ea616d",
-		"sr/gaussian-8d":           "ebac734cb915aa84e388914c4d181fca0ebe06afe7fb1bed11bb6119f12f38bf",
+		"rstar/california-2d": "6ca2e7b79b354c3a3f3644b2fe2351c87a21d87db7746413bc24abe9741e3c15",
+		"rstar/gaussian-8d":   "e9c2d40eb8ff821a641f18090cf8f6d874db79326eb1a82bc7e183e8f0ea616d",
+		// Recorded when an SR leaf began to hold points.
+		"sr/gaussian-8d":           "b8747fbd3939d1e601fcbd7cc1af36adb125d0bbb17515e862c4c144927c22a6",
 		"minoverlap/california-2d": "4afb75407c96e0906033b1c61b4ca00b2bc4bdc676d2e1c46782d0b1a68d4d9e",
 		// Recorded when the point-leaf layout went in: STR tiles the
 		// leaves at the point capacity.
@@ -378,7 +399,7 @@ func TestPackedTreeIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.BuildPointsPacked(c.pts); err != nil {
+		if err := tree.BulkLoadSTR(c.pts); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.CheckPlacements(); err != nil {

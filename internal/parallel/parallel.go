@@ -31,16 +31,15 @@ type Config struct {
 	// MaxEntries is the node capacity: a leaf's, and a directory
 	// node's too when set. 0 derives both from PageSize and the on-page
 	// layout (pagestore.Codec): a leaf holds points and object ids, a
-	// directory page rectangles, so a leaf holds more. The tree holds
-	// points only (rtree.Config.PointLeaves); an SR tree (UseSpheres)
-	// keeps its sphere layout, one capacity for both.
+	// directory page rectangles (and spheres in an SR tree), so a leaf
+	// holds more.
 	MaxEntries int
 	PageSize   int // bytes; used when MaxEntries == 0 (default 4096)
 	Policy     decluster.Policy
 	Seed       int64 // drives cylinder assignment (and Random policy if shared)
-	// UseSpheres selects the SR-tree variant: entries carry bounding
-	// spheres (reducing fanout accordingly) and queries intersect the
-	// rectangle and sphere bounds.
+	// UseSpheres selects the SR-tree variant: directory entries carry
+	// bounding spheres (reducing the directory fanout accordingly) and
+	// queries intersect the rectangle and sphere bounds.
 	UseSpheres bool
 	// MaxOverlapRatio enables the X-tree supernode variant (see
 	// rtree.Config.MaxOverlapRatio); 0 disables it.
@@ -91,7 +90,6 @@ func (cfg Config) rtreeConfig() rtree.Config {
 		Dim:             cfg.Dim,
 		MaxEntries:      cfg.dirEntries,
 		LeafMaxEntries:  cfg.MaxEntries,
-		PointLeaves:     !cfg.UseSpheres,
 		UseSpheres:      cfg.UseSpheres,
 		MaxOverlapRatio: cfg.MaxOverlapRatio,
 	}
@@ -257,18 +255,6 @@ func (t *Tree) BuildPoints(pts []geom.Point) error {
 		}
 	}
 	return nil
-}
-
-// BuildPointsPacked bulk-loads points with STR packing (the "complete
-// reorganization" the paper's dynamic setting rules out — provided here
-// so the packing ablation can measure what it would buy). Object IDs
-// are the point indices. The tree must be empty.
-func (t *Tree) BuildPointsPacked(pts []geom.Point) error {
-	items := make([]rtree.Entry, len(pts))
-	for i, p := range pts {
-		items[i] = rtree.LeafEntry(geom.PointRect(p.Clone()), rtree.ObjectID(i))
-	}
-	return t.Tree.BulkLoadSTR(items)
 }
 
 // CheckPlacements verifies that every live page has a placement and that

@@ -55,14 +55,14 @@ func TestDefaultsApplied(t *testing.T) {
 	if leaf, dir := pt.Capacity(0), pt.Capacity(1); leaf != 46 || dir != 23 {
 		t.Errorf("tree capacities: leaf %d, directory %d, want 46 and 23", leaf, dir)
 	}
-	// An SR tree's leaves hold sphere entries like its directory:
-	// (4096-16)/(160+12+80+8) everywhere.
+	// An SR tree's leaves hold points like every tree's, its directory
+	// sphere entries: (4096-16)/(160+12+80+8).
 	sr, err := New(Config{Dim: 10, NumDisks: 4, Cylinders: 100, UseSpheres: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sr.Config().MaxEntries; got != 15 || sr.Capacity(0) != 15 || sr.Capacity(1) != 15 {
-		t.Errorf("SR tree: MaxEntries %d, capacities %d and %d, want 15 everywhere",
+	if got := sr.Config().MaxEntries; got != 46 || sr.Capacity(0) != 46 || sr.Capacity(1) != 15 {
+		t.Errorf("SR tree: MaxEntries %d, capacities %d and %d, want 46 and 15",
 			got, sr.Capacity(0), sr.Capacity(1))
 	}
 	// An explicit MaxEntries sets both capacities.

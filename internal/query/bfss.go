@@ -60,7 +60,7 @@ func (e *bfssExec) Step(delivered []*rtree.FlatNode) StepResult {
 	for _, n := range delivered {
 		scanned += n.Len()
 		if n.IsLeaf() {
-			e.offerLeaf(n, e.entrySphereRectMin(n), math.Inf(1))
+			e.offerLeaf(n, e.leafDmin(n), math.Inf(1))
 		} else {
 			for i, d := range e.entrySphereRectMin(n) {
 				if d <= e.sc.best.kthDistSq() {

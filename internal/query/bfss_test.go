@@ -21,7 +21,7 @@ func TestBFSSExact(t *testing.T) {
 				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
 			}
 			for i := range got {
-				if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+				if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 					t.Fatalf("k=%d rank %d mismatch", k, i)
 				}
 			}
@@ -65,7 +65,7 @@ func TestBFSSOnSRTree(t *testing.T) {
 		got, _ := d.Run(BFSS{}, q, 12, Options{})
 		want := bruteforce.KNN(pts, q, 12)
 		for i := range got {
-			if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+			if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 				t.Fatal("SR BFSS mismatch")
 			}
 		}

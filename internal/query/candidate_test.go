@@ -20,11 +20,34 @@ func makeCandidatesScalar(q geom.Point, nodes []*rtree.FlatNode) []candidate {
 	return out
 }
 
+// entryRect reads directory entry i's MBR back out of the view's columns.
+func entryRect(f *rtree.FlatNode, i int) geom.Rect {
+	dim := f.Rects.Dim()
+	r := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+	for a := 0; a < dim; a++ {
+		r.Lo[a], r.Hi[a] = f.Rects.Lo[a][i], f.Rects.Hi[a][i]
+	}
+	return r
+}
+
+// entrySphere reads directory entry i's sphere back out of the view's
+// columns: the invalid zero Sphere on a page without spheres.
+func entrySphere(f *rtree.FlatNode, i int) geom.Sphere {
+	if f.Spheres == nil {
+		return geom.Sphere{}
+	}
+	c := make(geom.Point, f.Rects.Dim())
+	for a := range c {
+		c[a] = f.Spheres.Center[a][i]
+	}
+	return geom.Sphere{Center: c, Radius: f.Spheres.Radius[i]}
+}
+
 // appendCandidatesScalar is the per-entry scalar candidate pass: the
 // reference implementation the batch path is tested against.
 func appendCandidatesScalar(out []candidate, q geom.Point, n *rtree.FlatNode) []candidate {
 	for i, m := 0, n.Len(); i < m; i++ {
-		rect, sphere := n.Rect(i), n.Sphere(i)
+		rect, sphere := entryRect(n, i), entrySphere(n, i)
 		c := candidate{
 			child:  n.Child(i),
 			count:  n.Count(i),

@@ -74,7 +74,7 @@ func (e *epsExec) Step(delivered []*rtree.FlatNode) StepResult {
 			scanned += n.Len()
 			for i, d := range e.leafDmin(n) {
 				if d <= e.epsSq {
-					e.found = append(e.found, Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
+					e.found = append(e.found, Neighbor{Object: n.Object(i), Point: n.Point(i), DistSq: d})
 				}
 			}
 		}

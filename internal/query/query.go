@@ -86,10 +86,11 @@ type Execution interface {
 	Release()
 }
 
-// Neighbor is one answer: an object and its squared distance.
+// Neighbor is one answer: an object, its point and its squared
+// distance from the query.
 type Neighbor struct {
 	Object rtree.ObjectID
-	Rect   geom.Rect
+	Point  geom.Point
 	DistSq float64
 }
 
@@ -164,9 +165,9 @@ type base struct {
 }
 
 // leafDmin returns Dmin²(q, entry) for every entry of the page, computed
-// with the batch kernel (over a point leaf's one column set, the point
-// kernel). The returned slice is the execution's scratch buffer, valid
-// until the next scan call.
+// with the batch kernel (over a leaf's one column set, the point kernel:
+// every algorithm scores a leaf with it). The returned slice is the
+// execution's scratch buffer, valid until the next scan call.
 func (b *base) leafDmin(n *rtree.FlatNode) []float64 {
 	out := b.scanBuf(n.Len())
 	geom.MinDistSqBatch(b.q, &n.Rects, out)
@@ -308,8 +309,8 @@ func (b *base) finishStep(reqs []PageRequest, scanned, sorted int) StepResult {
 }
 
 // ranked is one entry of a best list: an object, its squared distance
-// and the slot of the list's slot table that holds its rectangle. It
-// holds no pointer, so moving it down the list is a plain copy.
+// and the slot of the list's slot table that holds its point. It holds
+// no pointer, so moving it down the list is a plain copy.
 type ranked struct {
 	distSq float64
 	object rtree.ObjectID
@@ -319,21 +320,21 @@ type ranked struct {
 // bestList maintains the k current best object distances, sorted. It
 // lives in the query's scratch; newBase sets it up.
 //
-// A rectangle is written once, when its offer is accepted, into the
-// slot table: rects[s] aliases a live node's rectangle, or the
-// coordinates coords[s·2·dim:(s+1)·2·dim] that a decoded page's were
-// copied into (a pooled view is refilled once its stage is over). The
-// array items[:cap] holds every slot exactly once, so the free slot is
-// always the one the spare element items[len] holds — at first a fresh
-// one, once the list is full the slot of the entry the last offer
-// pushed off.
+// A point is written once, when its offer is accepted, into the slot
+// table: points[s] aliases a live leaf's point, or the coordinates
+// coords[s·dim:(s+1)·dim] that a decoded page's were copied into (a
+// pooled view is refilled once its stage is over). The array
+// items[:cap] holds every slot exactly once, so the free slot is always
+// the one the spare element items[len] holds — at first a fresh one,
+// once the list is full the slot of the entry the last offer pushed
+// off.
 type bestList struct {
 	k      int
-	items  []ranked    // cap min(k, n)+1
-	rects  []geom.Rect // the slot table
+	items  []ranked     // cap min(k, n)+1
+	points []geom.Point // the slot table
 	coords []float64
 	dim    int
-	copied bool // some rectangle was copied into coords
+	copied bool // some point was copied into coords
 }
 
 // reset sets the list up for the k nearest of n objects in dim
@@ -344,9 +345,9 @@ func (bl *bestList) reset(k, n, dim int) {
 	bl.k, bl.dim, bl.copied = k, dim, false
 	if cap(bl.items) < m {
 		bl.items = make([]ranked, m)
-		bl.rects = make([]geom.Rect, m)
+		bl.points = make([]geom.Point, m)
 	}
-	if need := m * 2 * dim; cap(bl.coords) < need {
+	if need := m * dim; cap(bl.coords) < need {
 		bl.coords = make([]float64, need)
 	}
 	bl.items = bl.items[:m]
@@ -354,12 +355,12 @@ func (bl *bestList) reset(k, n, dim int) {
 		bl.items[i].slot = i
 	}
 	bl.items = bl.items[:0]
-	bl.rects = bl.rects[:m]
+	bl.points = bl.points[:m]
 }
 
 // offer inserts an object behind every one at most as far, keeping only
-// the k nearest, and returns the slot that holds the object's rectangle
-// — the spare's when the object itself is the one pushed off.
+// the k nearest, and returns the slot that holds the object's point —
+// the spare's when the object itself is the one pushed off.
 func (bl *bestList) offer(distSq float64, object rtree.ObjectID) int {
 	n := len(bl.items)
 	bl.items = bl.items[:n+1]
@@ -379,7 +380,7 @@ func (bl *bestList) offer(distSq float64, object rtree.ObjectID) int {
 // list — dists[i] is entry i's squared distance from the query, and an
 // entry is offered when that is within limit and within the list's k-th
 // distance as it stands: the one way an entry becomes a neighbour — and
-// writes the rectangle of every accepted offer into its slot.
+// writes the point of every accepted offer into its slot.
 func (b *base) offerLeaf(n *rtree.FlatNode, dists []float64, limit float64) {
 	bl := &b.sc.best
 	live, dim := n.Live(), bl.dim
@@ -387,12 +388,12 @@ func (b *base) offerLeaf(n *rtree.FlatNode, dists []float64, limit float64) {
 		if d <= limit && d <= bl.kthDistSq() {
 			s := bl.offer(d, n.Object(i))
 			if live {
-				bl.rects[s] = n.Rect(i)
+				bl.points[s] = n.Point(i)
 				continue
 			}
-			c := bl.coords[s*2*dim : (s+1)*2*dim : (s+1)*2*dim]
-			n.CopyRect(i, c)
-			bl.rects[s] = geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
+			c := bl.coords[s*dim : (s+1)*dim : (s+1)*dim]
+			n.CopyPoint(i, c)
+			bl.points[s] = c
 			bl.copied = true
 		}
 	}
@@ -408,25 +409,24 @@ func (bl *bestList) kthDistSq() float64 {
 }
 
 // results returns the list in the canonical result order, as memory the
-// caller owns: the rectangles of live nodes are lent, read-only, like
-// the nodes', and when some rectangle was copied out of a decoded page
-// all of them are copied once more, into one slab of the caller's.
+// caller owns: the points of live leaves are lent, read-only, like the
+// nodes', and when some point was copied out of a decoded page all of
+// them are copied once more, into one slab of the caller's.
 func (bl *bestList) results() []Neighbor {
 	out := make([]Neighbor, len(bl.items))
-	w := 2 * bl.dim
+	dim := bl.dim
 	var own []float64
 	if bl.copied {
-		own = make([]float64, len(bl.items)*w)
+		own = make([]float64, len(bl.items)*dim)
 	}
 	for i, it := range bl.items {
-		r := bl.rects[it.slot]
+		p := bl.points[it.slot]
 		if own != nil {
-			c := own[i*w : (i+1)*w : (i+1)*w]
-			copy(c, r.Lo)
-			copy(c[bl.dim:], r.Hi)
-			r = geom.Rect{Lo: c[:bl.dim:bl.dim], Hi: c[bl.dim:]}
+			c := own[i*dim : (i+1)*dim : (i+1)*dim]
+			copy(c, p)
+			p = c
 		}
-		out[i] = Neighbor{Object: it.object, Rect: r, DistSq: it.distSq}
+		out[i] = Neighbor{Object: it.object, Point: p, DistSq: it.distSq}
 	}
 	sortNeighbors(out)
 	return out

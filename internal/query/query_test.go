@@ -35,11 +35,12 @@ func buildTree(t testing.TB, pts []geom.Point, dim, disks, maxEntries int) *para
 }
 
 func allAlgorithms() []Algorithm {
-	return []Algorithm{BBSS{}, FPSS{}, CRSS{}, WOPTSS{}}
+	return []Algorithm{BBSS{}, FPSS{}, CRSS{}, WOPTSS{}, BFSS{}}
 }
 
 // assertMatchesBruteForce verifies that results equal the exact k-NN
-// answer in distance profile (object identity may differ on exact ties).
+// answer's distances bit for bit (object identity may differ on exact
+// ties).
 func assertMatchesBruteForce(t *testing.T, alg Algorithm, got []Neighbor, pts []geom.Point, q geom.Point, k int) {
 	t.Helper()
 	want := bruteforce.KNN(pts, q, k)
@@ -47,7 +48,7 @@ func assertMatchesBruteForce(t *testing.T, alg Algorithm, got []Neighbor, pts []
 		t.Fatalf("%s: got %d results, want %d", alg.Name(), len(got), len(want))
 	}
 	for i := range got {
-		if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+		if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 			t.Fatalf("%s: rank %d dist² = %g, want %g", alg.Name(), i, got[i].DistSq, want[i].DistSq)
 		}
 	}
@@ -301,7 +302,7 @@ func TestAlgorithmsEquivalenceProperty(t *testing.T) {
 				return false
 			}
 			for i := range got {
-				if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+				if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 					return false
 				}
 			}

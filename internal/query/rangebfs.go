@@ -50,9 +50,9 @@ func (e *rangeExec) Step(delivered []*rtree.FlatNode) StepResult {
 	if len(delivered) > 0 && delivered[0].IsLeaf() {
 		for _, n := range delivered {
 			scanned += n.Len()
-			for i, d := range e.entrySphereRectMin(n) {
+			for i, d := range e.leafDmin(n) {
 				if d <= e.epsSq {
-					e.found = append(e.found, Neighbor{Object: n.Object(i), Rect: n.Rect(i), DistSq: d})
+					e.found = append(e.found, Neighbor{Object: n.Object(i), Point: n.Point(i), DistSq: d})
 				}
 			}
 		}

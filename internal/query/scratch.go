@@ -31,7 +31,7 @@ type scratch struct {
 
 	reqs []PageRequest // backing of StepResult.Requests
 
-	best bestList // the best-list executions' k best objects and their rectangles
+	best bestList // the best-list executions' k best objects and their points
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -51,7 +51,7 @@ func (s *scratch) reset() {
 	s.stack.runs = s.stack.runs[:0]
 	s.frames = s.frames[:0]
 	s.frontier = s.frontier[:0]
-	clear(s.best.rects) // a pooled scratch must not pin the tree's nodes
+	clear(s.best.points) // a pooled scratch must not pin the tree's nodes
 }
 
 // heapPush adds x to the binary heap h, ordered so that the element

@@ -35,7 +35,7 @@ func (ff *framesFetcher) fetch(reqs []PageRequest) ([]*rtree.FlatNode, error) {
 		}
 		dim := src.Rects.Dim()
 		cols := rtree.RectColumns
-		if src.Points() {
+		if src.IsLeaf() {
 			cols = rtree.PointColumns
 		}
 		f, refs := rtree.NewPageView(ff.pool, src.ID, src.Level, dim, src.Len(), cols)
@@ -64,11 +64,11 @@ func (ff *framesFetcher) recycle() {
 }
 
 // TestNeighboursOutliveTheirFrames: every best-list execution returns
-// the driver's neighbours — rectangles included, bit for bit — when its
+// the driver's neighbours — points included, bit for bit — when its
 // pages are frames that are poisoned and refilled a stage later, whether
 // all pages are frames or only some, for k below, at and above what the
 // tree holds; and what Results returned stays what it was while the
-// scratch that held the rectangles serves other queries.
+// scratch that held the points serves other queries.
 func TestNeighboursOutliveTheirFrames(t *testing.T) {
 	algs := []Algorithm{BBSS{}, FPSS{}, CRSS{}, WOPTSS{}, BFSS{}}
 	for _, n := range []int{40, 3000} {
@@ -111,7 +111,7 @@ func TestNeighboursOutliveTheirFrames(t *testing.T) {
 }
 
 // TestFramesAllocBudget: over frames a warm query allocates one object
-// more than over views it may alias — the slab its k rectangles are
+// more than over views it may alias — the slab its k points are
 // copied into when Results hands them out — however many offers its
 // best list accepted on the way.
 func TestFramesAllocBudget(t *testing.T) {
@@ -145,14 +145,14 @@ func TestFramesAllocBudget(t *testing.T) {
 
 // TestRankedHoldsNoPointer: a best list's entry is moved down the list
 // at every accepted offer, and a pointer in it would make every move a
-// write the collector must see. Its rectangle stays in the slot table.
+// write the collector must see. Its point stays in the slot table.
 func TestRankedHoldsNoPointer(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
 		switch ty.Kind() {
 		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
 			reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
-			t.Errorf("%s is a %s: a best list's entry must hold no pointer (keep rectangles in the slot table)", path, ty.Kind())
+			t.Errorf("%s is a %s: a best list's entry must hold no pointer (keep points in the slot table)", path, ty.Kind())
 		case reflect.Array:
 			walk(path+"[i]", ty.Elem())
 		case reflect.Struct:
@@ -166,7 +166,7 @@ func TestRankedHoldsNoPointer(t *testing.T) {
 }
 
 // TestReleasedScratchPinsNothing: the slot table aliases the live
-// nodes' rectangles while a query runs; once the execution is released,
+// leaves' points while a query runs; once the execution is released,
 // no slot holds a pointer, so a pooled scratch keeps no node alive.
 func TestReleasedScratchPinsNothing(t *testing.T) {
 	pts := dataset.CaliforniaLike(3000, 131)
@@ -191,25 +191,25 @@ func TestReleasedScratchPinsNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := 0
-		for _, r := range sc.best.rects {
-			if r.Lo != nil {
+		for _, p := range sc.best.points {
+			if p != nil {
 				held++
 			}
 		}
 		if held < 25 {
-			t.Fatalf("%s: %d slots hold a rectangle before Release, want at least 25", alg.Name(), held)
+			t.Fatalf("%s: %d slots hold a point before Release, want at least 25", alg.Name(), held)
 		}
 		ex.Release()
-		for s, r := range sc.best.rects[:cap(sc.best.rects)] {
-			if r.Lo != nil || r.Hi != nil {
-				t.Errorf("%s: slot %d still holds a rectangle after Release", alg.Name(), s)
+		for s, p := range sc.best.points[:cap(sc.best.points)] {
+			if p != nil {
+				t.Errorf("%s: slot %d still holds a point after Release", alg.Name(), s)
 			}
 		}
 	}
 }
 
 // TestTiedOfferLendsItsSlot: an offer that ties the k-th distance goes
-// behind it and is itself the entry pushed off; the slot its rectangle
+// behind it and is itself the entry pushed off; the slot its point
 // was written into is the spare's, and the next offer's.
 func TestTiedOfferLendsItsSlot(t *testing.T) {
 	var bl bestList
@@ -233,7 +233,7 @@ func TestTiedOfferLendsItsSlot(t *testing.T) {
 // TestSlotTableMatchesBruteForce: on a grid of points, where many
 // objects share a distance and an offer that ties the k-th distance is
 // pushed off at once, every best-list execution returns brute force's
-// answer bit for bit — objects, distances and rectangles — over live
+// answer bit for bit — objects, distances and points — over live
 // nodes, over frames and over a mix, for a k at the edge of a ring of
 // equal distances and for a k larger than the tree holds.
 func TestSlotTableMatchesBruteForce(t *testing.T) {
@@ -269,7 +269,7 @@ func TestSlotTableMatchesBruteForce(t *testing.T) {
 		for _, k := range append(ks, len(pts)+5) {
 			want := make([]Neighbor, 0, k)
 			for _, r := range bruteforce.KNN(pts, q, k) {
-				want = append(want, Neighbor{Object: rtree.ObjectID(r.Index), Rect: geom.PointRect(pts[r.Index]), DistSq: r.DistSq})
+				want = append(want, Neighbor{Object: rtree.ObjectID(r.Index), Point: pts[r.Index], DistSq: r.DistSq})
 			}
 			for _, alg := range []Algorithm{BBSS{}, FPSS{}, CRSS{}, WOPTSS{}, BFSS{}} {
 				for mix, fetch := range fetchers {

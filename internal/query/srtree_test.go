@@ -47,7 +47,7 @@ func TestAllAlgorithmsExactOnSRTree(t *testing.T) {
 					t.Fatalf("SR %s k=%d: %d results, want %d", alg.Name(), k, len(got), len(want))
 				}
 				for i := range got {
-					if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+					if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 						t.Fatalf("SR %s k=%d rank %d: %g want %g",
 							alg.Name(), k, i, got[i].DistSq, want[i].DistSq)
 					}

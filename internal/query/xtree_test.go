@@ -35,7 +35,7 @@ func TestAllAlgorithmsExactOnXTree(t *testing.T) {
 				t.Fatalf("X %s: %d results", alg.Name(), len(got))
 			}
 			for i := range got {
-				if math.Abs(got[i].DistSq-want[i].DistSq) > 1e-9 {
+				if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i].DistSq) {
 					t.Fatalf("X %s rank %d mismatch", alg.Name(), i)
 				}
 			}

@@ -16,26 +16,22 @@ import (
 // reorganization would buy — the packing ablation compares query cost
 // on incremental vs packed trees.
 //
-// Packing proceeds bottom-up: the objects are tiled into full leaves (at
-// the leaf capacity) by recursive slab sorting, then each level's nodes are tiled the same
-// way by their MBR centers until one root remains. The structural
-// listener fires for every created page, so declustering policies place
-// packed pages exactly like split-created ones.
-func (t *Tree) BulkLoadSTR(items []Entry) error {
+// Packing proceeds bottom-up: the objects — object i at pts[i] — are
+// tiled into full leaves (at the leaf capacity) by recursive slab
+// sorting, then each level's nodes are tiled the same way by their MBR
+// centers until one root remains. The structural listener fires for
+// every created page, so declustering policies place packed pages
+// exactly like split-created ones. The leaves keep copies of the points.
+func (t *Tree) BulkLoadSTR(pts []geom.Point) error {
 	if t.size != 0 {
 		return fmt.Errorf("rtree: BulkLoadSTR requires an empty tree, have %d objects", t.size)
 	}
-	for i := range items {
-		if err := t.checkRect(items[i].Rect); err != nil {
+	items := make([]Entry, len(pts))
+	for i, p := range pts {
+		if err := t.checkPoint(p); err != nil {
 			return fmt.Errorf("rtree: item %d: %w", i, err)
 		}
-		items[i].Rect = t.leafRect(items[i].Rect)
-		items[i].Count = 1
-		items[i].Child = NilPage
-		if t.cfg.UseSpheres && !items[i].Sphere.Valid() {
-			c := items[i].Rect.Center()
-			items[i].Sphere = geom.Sphere{Center: c, Radius: c.Dist(items[i].Rect.Hi)}
-		}
+		items[i] = LeafEntry(p.Clone(), ObjectID(i))
 	}
 	if len(items) == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,11 +16,7 @@ func packedTree(t *testing.T, cfg Config, pts []geom.Point) *Tree {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := make([]Entry, len(pts))
-	for i, p := range pts {
-		items[i] = LeafEntry(geom.PointRect(p), ObjectID(i))
-	}
-	if err := tr.BulkLoadSTR(items); err != nil {
+	if err := tr.BulkLoadSTR(pts); err != nil {
 		t.Fatal(err)
 	}
 	return tr
@@ -48,7 +45,7 @@ func TestBulkLoadQueriesExact(t *testing.T) {
 		got, _ := tr.NearestNeighbors(q, k)
 		want := bruteKNN(pts, q, k)
 		for i := range got {
-			if d := got[i].DistSq - want[i]; d > 1e-9 || d < -1e-9 {
+			if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d rank %d: %g want %g", trial, i, got[i].DistSq, want[i])
 			}
 		}
@@ -58,14 +55,14 @@ func TestBulkLoadQueriesExact(t *testing.T) {
 func TestBulkLoadRejectsNonEmpty(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
 	_ = tr.InsertPoint(geom.Point{1, 1}, 1)
-	if err := tr.BulkLoadSTR([]Entry{LeafEntry(geom.PointRect(geom.Point{2, 2}), 2)}); err == nil {
+	if err := tr.BulkLoadSTR([]geom.Point{{2, 2}}); err == nil {
 		t.Error("bulk load accepted non-empty tree")
 	}
 }
 
 func TestBulkLoadRejectsWrongDim(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
-	if err := tr.BulkLoadSTR([]Entry{LeafEntry(geom.PointRect(geom.Point{1, 2, 3}), 1)}); err == nil {
+	if err := tr.BulkLoadSTR([]geom.Point{{1, 2, 3}}); err == nil {
 		t.Error("bulk load accepted wrong-dim item")
 	}
 }
@@ -145,11 +142,7 @@ func TestBulkLoadContentProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		items := make([]Entry, n)
-		for i, p := range pts {
-			items[i] = LeafEntry(geom.PointRect(p), ObjectID(i))
-		}
-		if err := tr.BulkLoadSTR(items); err != nil {
+		if err := tr.BulkLoadSTR(pts); err != nil {
 			return false
 		}
 		if tr.CheckInvariants() != nil {

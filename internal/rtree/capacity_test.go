@@ -18,7 +18,7 @@ func fillAtPageFanout(t *testing.T, c pagestore.Codec, n int) {
 	st := rtree.NewMemStore()
 	tr, err := rtree.New(rtree.Config{
 		Dim: c.Dim, MaxEntries: c.Capacity(1), LeafMaxEntries: c.Capacity(0),
-		UseSpheres: c.Spheres, PointLeaves: !c.Spheres,
+		UseSpheres: c.Spheres,
 	}, st)
 	if err != nil {
 		t.Fatalf("dim %d spheres %v: New at page fanout %d/%d: %v", c.Dim, c.Spheres, c.Capacity(0), c.Capacity(1), err)
@@ -82,15 +82,20 @@ func TestPointLeafCapacity(t *testing.T) {
 	}
 }
 
-// TestSRCapacitySmaller checks that sphere entries cost page space, so
-// the SR-tree's fanout is below the R*-tree's, and that an SR-tree at
-// its fanout keeps every node, spheres included, within a page.
+// TestSRCapacitySmaller checks that sphere entries cost directory page
+// space, so the SR-tree's directory fanout is below the R*-tree's while
+// its leaves, points like every tree's, hold as many, and that an
+// SR-tree at its fanout keeps every node, spheres included, within a
+// page.
 func TestSRCapacitySmaller(t *testing.T) {
 	for _, dim := range []int{2, 5, 10} {
-		r := pagestore.Codec{Dim: dim, PageSize: 4096}.Capacity(1)
-		s := pagestore.Codec{Dim: dim, PageSize: 4096, Spheres: true}.Capacity(0)
-		if s >= r {
-			t.Errorf("dim %d: SR capacity %d not below rect capacity %d", dim, s, r)
+		r := pagestore.Codec{Dim: dim, PageSize: 4096}
+		s := pagestore.Codec{Dim: dim, PageSize: 4096, Spheres: true}
+		if s.Capacity(1) >= r.Capacity(1) {
+			t.Errorf("dim %d: SR directory capacity %d not below rect capacity %d", dim, s.Capacity(1), r.Capacity(1))
+		}
+		if s.Capacity(0) != r.Capacity(0) {
+			t.Errorf("dim %d: SR leaf capacity %d, R* %d", dim, s.Capacity(0), r.Capacity(0))
 		}
 	}
 	fillAtPageFanout(t, pagestore.Codec{Dim: 2, PageSize: 4096, Spheres: true}, 1500)

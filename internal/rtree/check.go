@@ -18,10 +18,11 @@ import (
 //     (each at its level's: leaves and directory nodes have their own),
 //  5. the recorded tree size matches the number of leaf entries,
 //  6. levels decrease by exactly one per step down,
-//  7. with Config.PointLeaves, every leaf entry is a point (Lo = Hi).
+//  7. every leaf entry is a point (Lo = Hi) and carries no sphere.
 //
 // In SR mode (Config.UseSpheres) it additionally verifies that every
-// directory entry's sphere covers every data point in its subtree.
+// directory entry carries a sphere that covers every data point in its
+// subtree.
 //
 // It is exported (rather than test-local) so integration tests in other
 // packages can assert tree health after builds and mixed workloads.
@@ -46,15 +47,13 @@ func (t *Tree) CheckInvariants() error {
 }
 
 // checkSpheres verifies sphere containment bottom-up and returns all
-// data-point centers in the subtree.
+// data points in the subtree: a leaf's points are checked against the
+// spheres above them only, having none of their own.
 func (t *Tree) checkSpheres(n *Node) ([]geom.Point, error) {
 	if n.IsLeaf() {
 		pts := make([]geom.Point, len(n.Entries))
 		for i, e := range n.Entries {
-			if !e.Sphere.Valid() {
-				return nil, fmt.Errorf("leaf %d entry %d: missing sphere in SR mode", n.ID, i)
-			}
-			pts[i] = e.Rect.Center()
+			pts[i] = e.Rect.Lo
 		}
 		return pts, nil
 	}
@@ -102,8 +101,11 @@ func (t *Tree) checkNode(n *Node, isRoot bool) (int, error) {
 			if e.Child != NilPage {
 				return 0, fmt.Errorf("leaf %d entry %d: unexpected child pointer", n.ID, i)
 			}
-			if t.cfg.PointLeaves && !sameBits(e.Rect.Lo, e.Rect.Hi) {
-				return 0, fmt.Errorf("leaf %d entry %d: rectangle %v in a tree of point leaves", n.ID, i, e.Rect)
+			if !sameBits(e.Rect.Lo, e.Rect.Hi) {
+				return 0, fmt.Errorf("leaf %d entry %d: rectangle %v in a leaf of points", n.ID, i, e.Rect)
+			}
+			if e.Sphere.Valid() {
+				return 0, fmt.Errorf("leaf %d entry %d: a sphere on a leaf point", n.ID, i)
 			}
 		}
 		return len(n.Entries), nil

@@ -182,3 +182,26 @@ func TestCheckInvariantsDetectsMissingSphere(t *testing.T) {
 		t.Fatalf("wrong violation reported: %v", err)
 	}
 }
+
+// TestCheckInvariantsDetectsLeafRectangle widens a leaf point into a
+// rectangle, and gives another a sphere: a leaf holds points only.
+func TestCheckInvariantsDetectsLeafRectangle(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		spoil      func(e *Entry)
+	}{
+		{"rectangle", "rectangle", func(e *Entry) { e.Rect = geom.NewRect(e.Rect.Lo, geom.Point{e.Rect.Lo[0] + 1, e.Rect.Lo[1]}) }},
+		{"sphere", "a sphere on a leaf point", func(e *Entry) { e.Sphere = geom.Sphere{Center: e.Rect.Lo} }},
+	} {
+		tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
+		for i := 0; i < 5; i++ {
+			if err := tr.InsertPoint(geom.Point{float64(i), 0}, ObjectID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.spoil(&rootNode(t, tr).Entries[2])
+		if err := tr.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: CheckInvariants = %v, want a violation naming %q", c.name, err, c.want)
+		}
+	}
+}

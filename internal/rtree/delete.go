@@ -4,13 +4,13 @@ import (
 	"repro/internal/geom"
 )
 
-// Delete removes one object with the given MBR and ObjectID. It returns
-// false when no matching entry exists. Underfull nodes on the deletion
-// path are dissolved and their entries reinserted at their original
-// level (Guttman's CondenseTree), and the root is collapsed when it is
-// internal with a single child.
-func (t *Tree) Delete(r geom.Rect, obj ObjectID) bool {
-	orphans, ok := t.remove(r, obj)
+// DeletePoint removes one object at point p with ObjectID obj. It
+// returns false when no matching entry exists. Underfull nodes on the
+// deletion path are dissolved and their entries reinserted at their
+// original level (Guttman's CondenseTree), and the root is collapsed
+// when it is internal with a single child.
+func (t *Tree) DeletePoint(p geom.Point, obj ObjectID) bool {
+	orphans, ok := t.remove(p, obj)
 	if !ok {
 		return false
 	}
@@ -23,18 +23,18 @@ func (t *Tree) Delete(r geom.Rect, obj ObjectID) bool {
 	return true
 }
 
-// remove takes the (r, obj) entry out of its leaf and condenses the
+// remove takes the (p, obj) entry out of its leaf and condenses the
 // path, returning the entries of the nodes it dissolved; false when no
 // such entry exists.
-func (t *Tree) remove(r geom.Rect, obj ObjectID) ([]pendingReinsert, bool) {
-	leafID, path := t.findLeaf(t.store.Get(t.root), r, obj, t.w.path[:0])
+func (t *Tree) remove(p geom.Point, obj ObjectID) ([]pendingReinsert, bool) {
+	leafID, path := t.findLeaf(t.store.Get(t.root), p, obj, t.w.path[:0])
 	if leafID == NilPage {
 		return nil, false
 	}
 	t.w.path = path[:0] // keep the backing for the next Delete; condense only reads path
 	leaf := t.store.Get(leafID)
 	for i, e := range leaf.Entries {
-		if e.Object == obj && e.Rect.Equal(r) {
+		if e.Object == obj && e.Rect.Lo.Equal(p) {
 			leaf.removeEntry(i)
 			t.store.Update(leaf)
 			break
@@ -44,26 +44,21 @@ func (t *Tree) remove(r geom.Rect, obj ObjectID) ([]pendingReinsert, bool) {
 	return t.condense(path), true
 }
 
-// DeletePoint removes a point object.
-func (t *Tree) DeletePoint(p geom.Point, obj ObjectID) bool {
-	return t.Delete(geom.PointRect(p), obj)
-}
-
-// findLeaf locates the leaf containing the (r, obj) entry. It returns
+// findLeaf locates the leaf containing the (p, obj) entry. It returns
 // the leaf's page ID and the root-to-leaf path (inclusive of the leaf).
-func (t *Tree) findLeaf(n *Node, r geom.Rect, obj ObjectID, path []PageID) (PageID, []PageID) {
+func (t *Tree) findLeaf(n *Node, p geom.Point, obj ObjectID, path []PageID) (PageID, []PageID) {
 	path = append(path, n.ID)
 	if n.IsLeaf() {
 		for _, e := range n.Entries {
-			if e.Object == obj && e.Rect.Equal(r) {
+			if e.Object == obj && e.Rect.Lo.Equal(p) {
 				return n.ID, path
 			}
 		}
 		return NilPage, nil
 	}
 	for _, e := range n.Entries {
-		if e.Rect.Contains(r) {
-			if id, p := t.findLeaf(t.store.Get(e.Child), r, obj, path); id != NilPage {
+		if e.Rect.Contains(geom.PointRect(p)) {
+			if id, p := t.findLeaf(t.store.Get(e.Child), p, obj, path); id != NilPage {
 				return id, p
 			}
 		}

@@ -9,36 +9,35 @@ import (
 // FlatNode is the read-only form of a page that every query execution
 // consumes: the page's identity, its entries' geometry laid out
 // struct-of-arrays — the input format of the batch distance kernels in
-// package geom, entry i's MBR spanning Rects.Lo[a][i]..Rects.Hi[a][i]
-// on axis a — and per-entry accessors for what the kernels do not read
-// (child pages, object ids, counts, and the entry-major rectangle a
-// result carries).
+// package geom, directory entry i's MBR spanning
+// Rects.Lo[a][i]..Rects.Hi[a][i] on axis a — and per-entry accessors
+// for what the kernels do not read (child pages, object ids, counts,
+// and the point a result carries).
 //
 // There are two builders. BuildFlat (behind Node.Flat) views a live
-// node: the geometry is copied into the SoA slab, identity and
-// entry-major rectangles alias Node.Entries. pagestore.Codec.Decode
-// builds the view straight from a page image through NewPageView: one
-// axis-major slab, one compact identity array, no Entry per slot. Only
-// a live node's view lends out its rectangles and spheres (Live). Rect
-// and Sphere on a decoded view copy the one entry asked for into memory
-// of their own: a view drawn from a ViewPool is a frame, refilled once
-// its owner has seen the last hold on it dropped. A reader that has
-// somewhere to keep the copy uses CopyRect.
+// node: the geometry is copied into the SoA slab, identity and points
+// alias Node.Entries. pagestore.Codec.Decode builds the view straight
+// from a page image through NewPageView: one axis-major slab, one
+// compact identity array, no Entry per slot. Only a live node's view
+// lends out its points (Live). Point on a decoded view copies the one
+// entry asked for into memory of its own: a view drawn from a ViewPool
+// is a frame, refilled once its owner has seen the last hold on it
+// dropped. A reader that has somewhere to keep the copy uses CopyPoint.
 //
-// The view of a point leaf (PointColumns) is one column set: Rects.Hi
-// holds the same slices as Rects.Lo, entry i the point
-// (Rects.Lo[0][i], …), and the leaf kernel reads it once (Points).
+// The view of a leaf is one column set (PointColumns): Rects.Hi holds
+// the same slices as Rects.Lo, entry i the point (Rects.Lo[0][i], …),
+// and the leaf kernel reads it once (geom.PointDistSqBatch).
 //
 // A FlatNode is immutable from the moment it is built until its owner,
 // if it has one, hands it back to the pool (see ViewPool).
 type FlatNode struct {
 	ID    PageID
 	Level int
-	// Rects is the SoA view of every entry's MBR.
+	// Rects is the SoA view of every entry's MBR (a leaf's: its points).
 	Rects geom.RectSoA
-	// Spheres is non-nil iff every entry carries a valid bounding
-	// sphere (the SR-tree layout guarantees this for encoded nodes; see
-	// pagestore.Codec.Encode). When nil, entries have no spheres.
+	// Spheres is non-nil on the directory page of an SR tree, whose
+	// every entry carries a bounding sphere (see pagestore.Codec.Encode).
+	// When nil, entries have no spheres.
 	Spheres *geom.SphereSoA
 
 	entries []Entry   // view of a live node: alias of Node.Entries
@@ -65,10 +64,10 @@ const (
 	// RectColumns: a rectangle per entry, low and high corners.
 	RectColumns Columns = iota
 	// SphereColumns: a rectangle and a bounding sphere per entry (the
-	// SR-tree layout).
+	// SR-tree directory layout).
 	SphereColumns
 	// PointColumns: a point per entry, one column set that is both
-	// corners (a point leaf).
+	// corners (a leaf).
 	PointColumns
 )
 
@@ -136,13 +135,11 @@ func (f *FlatNode) setColumns(slab []float64, hdr [][]float64, dim, m int, c Col
 	}
 }
 
-// BuildFlat constructs the view of a live node. The node's entries must
-// share one dimensionality, and either all or none of them carry a
+// BuildFlat constructs the view of a live node. A leaf's view is one
+// column set of its points (PointColumns). A directory node's entries
+// must share one dimensionality, and either all or none of them carry a
 // sphere (tree invariants, which CheckInvariants enforces); it panics,
-// naming the page, on a node that mixes the two. A leaf whose every
-// entry is a point stored once — Rect.Hi the same slice as Rect.Lo, as
-// a tree of point leaves stores them (Config.PointLeaves) — and carries
-// no sphere gets one column set (PointColumns). The view aliases
+// naming the page, on a node that mixes the two. The view aliases
 // n.Entries, so it is valid only until the node is next mutated — which
 // is when Node.Flat drops it.
 func BuildFlat(n *Node) *FlatNode {
@@ -152,35 +149,32 @@ func BuildFlat(n *Node) *FlatNode {
 		return f
 	}
 	dim := n.Entries[0].Rect.Dim()
-	withSphere, points := 0, 0
+	if n.Level == 0 {
+		f.allocColumns(dim, m, PointColumns)
+		for i := range n.Entries {
+			for a, x := range n.Entries[i].Rect.Lo[:dim] {
+				f.Rects.Lo[a][i] = x
+			}
+		}
+		return f
+	}
+	withSphere := 0
 	for i := range n.Entries {
-		r := &n.Entries[i].Rect
 		if n.Entries[i].Sphere.Valid() {
 			withSphere++
 		}
-		if len(r.Lo) > 0 && len(r.Hi) > 0 && &r.Lo[0] == &r.Hi[0] {
-			points++
-		}
-	}
-	if withSphere != 0 && withSphere != m {
-		panic(fmt.Sprintf("rtree: page %d mixes entries with and without spheres (%d of %d)", n.ID, withSphere, m))
 	}
 	cols := RectColumns
-	switch {
-	case withSphere == m:
+	switch withSphere {
+	case 0:
+	case m:
 		cols = SphereColumns
-	case n.Level == 0 && points == m:
-		cols = PointColumns
+	default:
+		panic(fmt.Sprintf("rtree: page %d mixes entries with and without spheres (%d of %d)", n.ID, withSphere, m))
 	}
 	f.allocColumns(dim, m, cols)
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		if cols == PointColumns {
-			for a := 0; a < dim; a++ {
-				f.Rects.Lo[a][i] = e.Rect.Lo[a]
-			}
-			continue
-		}
 		for a := 0; a < dim; a++ {
 			f.Rects.Lo[a][i] = e.Rect.Lo[a]
 			f.Rects.Hi[a][i] = e.Rect.Hi[a]
@@ -237,72 +231,28 @@ func (f *FlatNode) Count(i int) int {
 	return int(f.refs[i].Count)
 }
 
-// Points reports whether f is the view of a point leaf: one column set,
-// Rects.Hi the same slices as Rects.Lo, which geom.MinDistSqBatch hands
-// to the point kernel (geom.PointDistSqBatch).
-func (f *FlatNode) Points() bool {
-	return len(f.Rects.Lo) > 0 && &f.Rects.Lo[0] == &f.Rects.Hi[0]
-}
-
-// Live reports whether f views a live node (BuildFlat), whose
-// rectangles and spheres Rect and Sphere lend out; an empty view has
-// nothing to lend either way.
+// Live reports whether f views a live node (BuildFlat), whose points
+// Point lends out; an empty view has nothing to lend either way.
 func (f *FlatNode) Live() bool { return f.entries != nil }
 
-// Rect returns entry i's MBR in entry-major form. A live node's view
-// lends the node's corners, which must not be written; a decoded view
-// allocates a copy (see CopyRect for a reader that brings the memory).
-func (f *FlatNode) Rect(i int) geom.Rect {
+// Point returns leaf entry i's point. A live node's view lends the
+// leaf's point, which must not be written; a decoded view allocates a
+// copy (see CopyPoint for a reader that brings the memory).
+func (f *FlatNode) Point(i int) geom.Point {
 	if f.entries != nil {
-		return f.entries[i].Rect
+		return f.entries[i].Rect.Lo
 	}
-	return f.copiedRect(i)
+	p := make(geom.Point, f.Rects.Dim())
+	f.CopyPoint(i, p)
+	return p
 }
 
-// CopyRect copies entry i's MBR out of the columns into c — dim low
-// corners, then dim high corners: how a reader keeps a rectangle of a
-// decoded view.
-func (f *FlatNode) CopyRect(i int, c []float64) {
-	dim := f.Rects.Dim()
-	for a := 0; a < dim; a++ {
-		c[a], c[dim+a] = f.Rects.Lo[a][i], f.Rects.Hi[a][i]
+// CopyPoint copies leaf entry i's point out of the columns into c, dim
+// long: how a reader keeps a point of a decoded view.
+func (f *FlatNode) CopyPoint(i int, c []float64) {
+	for a, col := range f.Rects.Lo {
+		c[a] = col[i]
 	}
-}
-
-// Sphere returns entry i's bounding sphere (the invalid zero Sphere
-// when the page carries none), lent or copied like Rect's corners.
-func (f *FlatNode) Sphere(i int) geom.Sphere {
-	if f.entries != nil {
-		return f.entries[i].Sphere
-	}
-	return f.copiedSphere(i)
-}
-
-// copiedRect and copiedSphere are the decoded page's half of Rect and
-// Sphere, apart so that the live half inlines into the executions.
-func (f *FlatNode) copiedRect(i int) geom.Rect {
-	dim := f.Rects.Dim()
-	if f.Points() {
-		p := make(geom.Point, dim)
-		for a := range p {
-			p[a] = f.Rects.Lo[a][i]
-		}
-		return geom.PointRect(p)
-	}
-	c := make([]float64, 2*dim)
-	f.CopyRect(i, c)
-	return geom.Rect{Lo: c[:dim:dim], Hi: c[dim:]}
-}
-
-func (f *FlatNode) copiedSphere(i int) geom.Sphere {
-	if f.Spheres == nil {
-		return geom.Sphere{}
-	}
-	c := make([]float64, f.Rects.Dim())
-	for a := range c {
-		c[a] = f.sph.Center[a][i]
-	}
-	return geom.Sphere{Center: c, Radius: f.sph.Radius[i]}
 }
 
 // Flat returns the node's flat view, building and caching it on first

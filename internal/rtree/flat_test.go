@@ -8,8 +8,8 @@ import (
 )
 
 // The view of a live node copies the geometry into columns and nothing
-// else: identity and entry-major rectangles are the node's own entries,
-// and an update replaces the view.
+// else: identity and leaf points are the node's own entries, and an
+// update replaces the view.
 func TestFlatViewAliasesLiveEntries(t *testing.T) {
 	st := NewMemStore()
 	n := st.Allocate(1)
@@ -19,30 +19,43 @@ func TestFlatViewAliasesLiveEntries(t *testing.T) {
 	}
 	st.Update(n)
 	f := n.Flat()
-	if f.ID != n.ID || f.Level != 1 || f.IsLeaf() || f.Len() != 2 {
+	if f.ID != n.ID || f.Level != 1 || f.IsLeaf() || f.Len() != 2 || f.Spheres != nil {
 		t.Fatalf("view header: %+v", f)
 	}
 	for i, e := range n.Entries {
 		if f.Child(i) != e.Child || f.Count(i) != e.Count || f.Object(i) != e.Object {
 			t.Errorf("entry %d identity differs", i)
 		}
-		if r := f.Rect(i); &r.Lo[0] != &e.Rect.Lo[0] || &r.Hi[0] != &e.Rect.Hi[0] {
-			t.Errorf("entry %d: Rect copied the node's corners", i)
-		}
 		if f.Rects.Lo[0][i] != e.Rect.Lo[0] || f.Rects.Hi[1][i] != e.Rect.Hi[1] {
 			t.Errorf("entry %d: columns differ from the entry", i)
 		}
-		if f.Sphere(i).Valid() {
-			t.Errorf("entry %d: sphere on a rectangle-only node", i)
-		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = f.Rect(1) }); allocs != 0 {
-		t.Errorf("Rect of a live view allocates %.0f times", allocs)
 	}
 	n.Entries = n.Entries[:1]
 	st.Update(n)
 	if g := n.Flat(); g == f || g.Len() != 1 {
 		t.Errorf("update kept the stale view")
+	}
+
+	leaf := st.Allocate(0)
+	leaf.Entries = []Entry{LeafEntry(geom.Point{1, 2}, 3), LeafEntry(geom.Point{4, 5}, 6)}
+	st.Update(leaf)
+	f = leaf.Flat()
+	if &f.Rects.Lo[0][0] != &f.Rects.Hi[0][0] {
+		t.Fatal("a leaf's view has two column sets")
+	}
+	for i, e := range leaf.Entries {
+		if f.Object(i) != e.Object || f.Child(i) != NilPage || f.Count(i) != 1 {
+			t.Errorf("leaf entry %d identity differs", i)
+		}
+		if p := f.Point(i); &p[0] != &e.Rect.Lo[0] {
+			t.Errorf("leaf entry %d: Point copied the node's point", i)
+		}
+		if f.Rects.Lo[0][i] != e.Rect.Lo[0] || f.Rects.Lo[1][i] != e.Rect.Lo[1] {
+			t.Errorf("leaf entry %d: columns differ from the point", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = f.Point(1) }); allocs != 0 {
+		t.Errorf("Point of a live view allocates %.0f times", allocs)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 // ties legitimately permute.
 //
 // With bit 0x40 of cfgByte set, every structural op is preceded by the
-// insert of a rectangle no tree may hold — a NaN, an infinity or Lo
-// above Hi on one axis — which must fail and leave the tree as it was
-// (a NaN used to panic in ChooseSubtree, an infinity to poison every
-// ancestor MBR) — or a finite one just outside CoordBound.
+// insert of a point no tree may hold — a NaN or an infinity on one
+// axis — which must fail and leave the tree as it was (a NaN used to
+// panic in ChooseSubtree, an infinity to poison every ancestor MBR) —
+// or a finite one just outside CoordBound, on either side.
 //
 // With bit 0x80 of cfgByte set, the grid is stretched over the whole
 // accepted range: coordinate c becomes (c−8)/8 · CoordBound, so the
@@ -33,10 +33,9 @@ import (
 // them must keep the bits its child's entries give it (CheckInvariants
 // compares covers bit for bit).
 //
-// With bit 0x80 of dimByte set, the tree holds point leaves
-// (Config.PointLeaves) of a larger capacity than its directory nodes,
-// as the default page layout gives it: a leaf splits, condenses and is
-// checked at its own capacity and minimum fill.
+// With bit 0x80 of dimByte set, the leaves have a larger capacity than
+// the directory nodes, as the page layout gives them: a leaf splits,
+// condenses and is checked at its own capacity and minimum fill.
 func FuzzRTreeOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7}, byte(2), byte(0))
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 3, 2, 2, 8}, byte(1), byte(1))
@@ -56,7 +55,7 @@ func FuzzRTreeOps(f *testing.F) {
 	// grown by old ∪ new that kept the wrong zero). The same in SR mode.
 	f.Add([]byte("000000010010001001001010001001000000200"), byte(1), byte(0))
 	f.Add([]byte("000000010010001001001010001001000000200"), byte(1), byte(0x20))
-	// Point leaves of 5 to 10 entries under directory nodes of 4 to 8.
+	// Leaves of 5 to 10 entries under directory nodes of 4 to 8.
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 0, 5, 6, 2, 0, 3, 0, 1, 1, 7, 0, 9, 9, 0, 8, 1, 0, 2, 7, 0, 4, 4, 2, 1, 3, 2, 2}, byte(0x81), byte(0))
 	f.Add([]byte{0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 0, 8, 8, 0, 9, 9, 0, 3, 3, 2, 1,
 		0, 10, 1, 0, 11, 2, 0, 12, 3, 2, 5, 2, 6, 2, 7, 3, 4, 4, 2}, byte(0x99), byte(0x41))
@@ -68,7 +67,6 @@ func FuzzRTreeOps(f *testing.F) {
 			cfg.UseSpheres = true
 		}
 		if dimByte&0x80 != 0 {
-			cfg.PointLeaves = true
 			cfg.LeafMaxEntries = cfg.MaxEntries + 1 + int(dimByte>>3)%6
 		}
 		tr, err := New(cfg, nil)
@@ -105,25 +103,25 @@ func FuzzRTreeOps(f *testing.F) {
 			return p
 		}
 		poison := func(n int) {
-			r := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
-			for d := 0; d < dim; d++ {
-				r.Lo[d], r.Hi[d] = 3, 4
+			p := make(geom.Point, dim)
+			for d := range p {
+				p[d] = 3
 			}
 			axis := n % dim
 			switch (n / dim) % 5 {
 			case 0:
-				r.Lo[axis] = math.NaN()
+				p[axis] = math.NaN()
 			case 1:
-				r.Hi[axis] = math.Inf(1)
+				p[axis] = math.Inf(1)
 			case 2:
-				r.Lo[axis] = math.Inf(-1)
+				p[axis] = math.Inf(-1)
 			case 3:
-				r.Lo[axis], r.Hi[axis] = 4, 3
+				p[axis] = math.Nextafter(bound, math.Inf(1))
 			case 4:
-				r.Lo[axis] = -math.Nextafter(bound, math.Inf(1))
+				p[axis] = -math.Nextafter(bound, math.Inf(1))
 			}
-			if err := tr.Insert(r, -1); err == nil {
-				t.Fatalf("Insert accepted %v", r)
+			if err := tr.InsertPoint(p, -1); err == nil {
+				t.Fatalf("InsertPoint accepted %v", p)
 			}
 		}
 		structural := 0
@@ -180,8 +178,8 @@ func FuzzRTreeOps(f *testing.F) {
 // checkKNN compares NearestNeighbors against brute force over the
 // model. Ties make object order unspecified, so it compares the sorted
 // squared-distance sequences, which are exact: the tree computes leaf
-// distances with MinDistSq over degenerate rectangles, term-for-term
-// the same arithmetic as Point.DistSq.
+// distances with the point kernel, term-for-term the same arithmetic as
+// Point.DistSq.
 func checkKNN(t *testing.T, tr *Tree, model map[ObjectID]geom.Point, q geom.Point, k int) {
 	t.Helper()
 	got, _ := tr.NearestNeighbors(q, k)

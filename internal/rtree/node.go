@@ -34,11 +34,16 @@ type ObjectID int64
 // leaf nodes Object identifies the data object, Child is NilPage and
 // Count is 1.
 //
+// A leaf entry is a point: Rect.Lo and Rect.Hi are the same slice (see
+// LeafEntry), the paper's degenerate MBR stored once.
+//
 // When the tree is configured as an SR-tree variant (Config.UseSpheres),
-// every entry additionally carries a bounding sphere centered at the
-// centroid of the subtree's points; query algorithms then intersect the
-// rectangle and sphere bounds, which prunes markedly better in high
-// dimensionality. Sphere.Valid() is false on plain R*-tree entries.
+// every directory entry additionally carries a bounding sphere centered
+// at the centroid of the subtree's points; query algorithms then
+// intersect the rectangle and sphere bounds, which prunes markedly
+// better in high dimensionality. A leaf entry carries none: its point is
+// its own sphere, of radius 0. Sphere.Valid() is false on plain R*-tree
+// entries and on every leaf entry.
 type Entry struct {
 	Rect   geom.Rect
 	Sphere geom.Sphere
@@ -47,9 +52,19 @@ type Entry struct {
 	Count  int
 }
 
-// LeafEntry builds a leaf entry for an object with the given MBR.
-func LeafEntry(r geom.Rect, obj ObjectID) Entry {
-	return Entry{Rect: r, Object: obj, Count: 1}
+// LeafEntry builds the leaf entry of an object at point p. The entry
+// keeps p, as both corners of its rectangle.
+func LeafEntry(p geom.Point, obj ObjectID) Entry {
+	return Entry{Rect: geom.PointRect(p), Object: obj, Count: 1}
+}
+
+// sphere returns e's bounding sphere in an SR tree: a directory entry's
+// own, and a leaf entry's point with radius 0.
+func (e *Entry) sphere() geom.Sphere {
+	if e.Child == NilPage {
+		return geom.Sphere{Center: e.Rect.Lo}
+	}
+	return e.Sphere
 }
 
 // Node is an R*-tree node. Level 0 is the leaf level; the root has the

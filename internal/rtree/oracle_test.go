@@ -30,7 +30,7 @@ func unionInto(r, s, dst geom.Rect) {
 // entry's overlap enlargement against every sibling.
 func oracleChooseSubtree(t *Tree, n *Node, newEntry Entry) int {
 	if t.cfg.UseSpheres {
-		return chooseByCentroid(n, newEntry.Sphere.Center)
+		return chooseByCentroid(n, newEntry.sphere().Center)
 	}
 	r := newEntry.Rect
 	best := -1
@@ -300,8 +300,7 @@ var nodeGens = []nodeGen{
 }
 
 // oracleNode wraps rects as the entries of a node at the given level.
-// Directory entries get children and counts, and in SR mode every entry
-// gets a sphere.
+// Directory entries get children and counts, and in SR mode a sphere.
 func oracleNode(cfg Config, level int, rects []geom.Rect) *Node {
 	n := &Node{ID: 1, Level: level}
 	for i, r := range rects {
@@ -311,7 +310,7 @@ func oracleNode(cfg Config, level int, rects []geom.Rect) *Node {
 		} else {
 			e.Child = PageID(i + 2)
 		}
-		if cfg.UseSpheres {
+		if cfg.UseSpheres && level > 0 {
 			c := r.Center()
 			e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(r.Hi)}
 		}
@@ -357,13 +356,14 @@ func TestChooseSubtreeMatchesOracle(t *testing.T) {
 						}
 						rects := g.gen(rnd, size+1, dim)
 						n := oracleNode(tr.cfg, level, rects[:size])
-						// The new entry: drawn by the same generator, or an
-						// exact copy of one the node already holds.
+						// The new entry, a directory entry on its way back
+						// in: drawn by the same generator, or an exact copy
+						// of one the node already holds.
 						r := rects[size]
 						if trial%4 == 0 {
 							r = rects[rnd.Intn(size)].Clone()
 						}
-						e := LeafEntry(r, 999)
+						e := Entry{Rect: r, Child: 999, Count: 1}
 						if tr.cfg.UseSpheres {
 							c := r.Center()
 							e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(r.Hi)}
@@ -393,7 +393,7 @@ func TestChooseSubtreeZeroAreaBeatsCovering(t *testing.T) {
 		box(0, 0, 1, 1),     // covers the new point, area 1
 		box(0.2, 1, 0.4, 1), // a segment on the clamped edge y = 1
 	})
-	e := LeafEntry(geom.PointRect(geom.Point{0.5, 1}), 7)
+	e := LeafEntry(geom.Point{0.5, 1}, 7)
 	if want := oracleChooseSubtree(tr, n, e); want != 1 {
 		t.Fatalf("oracle picked %d: the counter-example no longer holds", want)
 	}
@@ -418,7 +418,7 @@ func TestChooseSubtreeOverlapTieAfterReplacement(t *testing.T) {
 	n := oracleNode(tr.cfg, 1, []geom.Rect{
 		box(0, 1, 2, 2), box(4, 1, 5, 4), box(2, 6, 3, 7), box(1, 5, 4, 7), box(3, 7, 4, 8), box(0, 0, 1, 1),
 	})
-	e := LeafEntry(geom.PointRect(geom.Point{6, 6}), 7)
+	e := LeafEntry(geom.Point{6, 6}, 7)
 	if want := oracleChooseSubtree(tr, n, e); want != 3 {
 		t.Fatalf("oracle picked %d: the case no longer shows what it was built for", want)
 	}
@@ -488,7 +488,7 @@ func TestReinsertOrderMatchesOracle(t *testing.T) {
 }
 
 // TestInsertMatchesOracleBuild grows two trees side by side — one
-// through Insert, one through a descent that asks the oracles — and
+// through InsertPoint, one through a descent that asks the oracles — and
 // requires the same pages. It covers what the per-call tests cannot: the
 // pruned scan's scratch carried from one call to the next.
 func TestInsertMatchesOracleBuild(t *testing.T) {
@@ -504,10 +504,7 @@ func TestInsertMatchesOracleBuild(t *testing.T) {
 					p[a] = float64(rnd.Intn(64)) / 64 // ties are common
 				}
 				// Every descent step of this insert, checked as it happens.
-				e := LeafEntry(geom.PointRect(p), ObjectID(i))
-				if cfg.UseSpheres {
-					e.Sphere = geom.Sphere{Center: p, Radius: 0}
-				}
+				e := LeafEntry(p, ObjectID(i))
 				for n := tr.store.Get(tr.root); n.Level > 0; {
 					want := oracleChooseSubtree(tr, n, e)
 					if got := tr.chooseSubtree(n, e); got != want {
@@ -526,22 +523,17 @@ func TestInsertMatchesOracleBuild(t *testing.T) {
 	}
 }
 
-// The insert path's reference: Insert as it ran before growEntry, every
-// ancestor entry recomputed from its child at every level of every
-// insert, and Delete with its orphans reinserted the same way. The
-// oracle's trees have no listener. Insert and Delete must build the
-// oracle's tree bit for bit.
+// The insert path's reference: InsertPoint as it ran before growEntry,
+// every ancestor entry recomputed from its child at every level of every
+// insert, and DeletePoint with its orphans reinserted the same way. The
+// oracle's trees have no listener. InsertPoint and DeletePoint must
+// build the oracle's tree bit for bit.
 
-func oracleInsert(t *Tree, r geom.Rect, obj ObjectID) error {
-	if err := t.checkRect(r); err != nil {
+func oracleInsert(t *Tree, p geom.Point, obj ObjectID) error {
+	if err := t.checkPoint(p); err != nil {
 		return err
 	}
-	e := LeafEntry(copyRect(r), obj)
-	if t.cfg.UseSpheres {
-		c := e.Rect.Center()
-		e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(e.Rect.Hi)}
-	}
-	oracleInsertTopLevel(t, e, 0)
+	oracleInsertTopLevel(t, LeafEntry(p.Clone(), obj), 0)
 	t.size++
 	return nil
 }
@@ -592,8 +584,8 @@ func oracleInsertAt(t *Tree, n *Node, e Entry, level int) *Entry {
 	return nil
 }
 
-func oracleDelete(t *Tree, r geom.Rect, obj ObjectID) bool {
-	orphans, ok := t.remove(r, obj)
+func oracleDelete(t *Tree, p geom.Point, obj ObjectID) bool {
+	orphans, ok := t.remove(p, obj)
 	if !ok {
 		return false
 	}
@@ -740,15 +732,14 @@ func TestInsertMatchesRefreshOracle(t *testing.T) {
 				tr, oracle := mustTree(t, cfg), mustTree(t, cfg)
 				fallbacks := 0
 				for i, o := range script.ops {
-					r := geom.PointRect(o.p)
 					if o.del {
-						if tr.Delete(r, o.obj) != oracleDelete(oracle, r, o.obj) {
-							t.Fatalf("op %d: Delete and the oracle disagree on object %d", i, o.obj)
+						if tr.DeletePoint(o.p, o.obj) != oracleDelete(oracle, o.p, o.obj) {
+							t.Fatalf("op %d: DeletePoint and the oracle disagree on object %d", i, o.obj)
 						}
 					} else {
-						tie := !cfg.UseSpheres && zeroTieOnPath(tr, LeafEntry(r, o.obj))
+						tie := !cfg.UseSpheres && zeroTieOnPath(tr, LeafEntry(o.p, o.obj))
 						restructures := tr.restructures
-						if err := errors.Join(tr.Insert(r, o.obj), oracleInsert(oracle, r, o.obj)); err != nil {
+						if err := errors.Join(tr.InsertPoint(o.p, o.obj), oracleInsert(oracle, o.p, o.obj)); err != nil {
 							t.Fatal(err)
 						}
 						if tie && tr.restructures == restructures {

@@ -2,17 +2,16 @@ package rtree
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/geom"
 )
 
-// pointTree is a 2-d tree of point leaves holding 20 entries under
-// directory nodes of 8, as the point-leaf page layout sizes them.
-func pointTree(t *testing.T) *Tree {
+// pointTree is a 2-d tree whose leaves hold 20 points under directory
+// nodes of 8, as the page layout sizes them; an SR tree with spheres.
+func pointTree(t *testing.T, spheres bool) *Tree {
 	t.Helper()
-	tr, err := New(Config{Dim: 2, MaxEntries: 8, LeafMaxEntries: 20, PointLeaves: true}, nil)
+	tr, err := New(Config{Dim: 2, MaxEntries: 8, LeafMaxEntries: 20, UseSpheres: spheres}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,21 +26,22 @@ func randomPoints(rnd *rand.Rand, n int) []geom.Point {
 	return pts
 }
 
-// A tree of point leaves stores each point once, refuses a rectangle,
-// keeps every leaf within the leaf capacity and every directory node
-// within the directory's, and its live leaves view as one column set.
+// A tree, R* or SR, stores each point once and with no sphere, keeps
+// every leaf within the leaf capacity and every directory node within
+// the directory's, and its live leaves view as one column set.
 func TestPointLeavesTree(t *testing.T) {
-	tr := pointTree(t)
+	for _, spheres := range []bool{false, true} {
+		testPointLeaves(t, pointTree(t, spheres))
+	}
+}
+
+func testPointLeaves(t *testing.T, tr *Tree) {
 	rnd := rand.New(rand.NewSource(48))
 	pts := randomPoints(rnd, 2000)
 	for i, p := range pts {
 		if err := tr.InsertPoint(p, ObjectID(i)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	err := tr.Insert(geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}}, -1)
-	if err == nil || !strings.Contains(err.Error(), "point leaves") {
-		t.Errorf("Insert of a rectangle: err = %v, want a refusal", err)
 	}
 	for i := 0; i < 600; i++ {
 		if !tr.DeletePoint(pts[i], ObjectID(i)) {
@@ -57,8 +57,8 @@ func TestPointLeavesTree(t *testing.T) {
 			if len(n.Entries) > 8 {
 				t.Errorf("directory node %d holds %d entries, capacity 8", n.ID, len(n.Entries))
 			}
-			if f := n.Flat(); f.Points() {
-				t.Errorf("directory node %d views as points", n.ID)
+			if f := n.Flat(); &f.Rects.Lo[0] == &f.Rects.Hi[0] || (f.Spheres != nil) != tr.cfg.UseSpheres {
+				t.Errorf("directory node %d views as points, or its spheres are wrong", n.ID)
 			}
 			return true
 		}
@@ -67,12 +67,12 @@ func TestPointLeavesTree(t *testing.T) {
 			fuller++ // only the leaf capacity allows it
 		}
 		for i := range n.Entries {
-			if r := n.Entries[i].Rect; &r.Lo[0] != &r.Hi[0] {
-				t.Fatalf("leaf %d entry %d: the point is stored twice", n.ID, i)
+			if e := n.Entries[i]; &e.Rect.Lo[0] != &e.Rect.Hi[0] || e.Sphere.Valid() {
+				t.Fatalf("leaf %d entry %d: the point is stored twice, or with a sphere", n.ID, i)
 			}
 		}
 		f := n.Flat()
-		if !f.Points() || &f.Rects.Lo[0] != &f.Rects.Hi[0] {
+		if &f.Rects.Lo[0] != &f.Rects.Hi[0] || f.Spheres != nil {
 			t.Errorf("leaf %d: live view is not one column set", n.ID)
 		}
 		out := make([]float64, f.Len())
@@ -95,7 +95,7 @@ func TestPointLeavesTree(t *testing.T) {
 // ComputeStats measures leaves against the leaf capacity and the
 // directory against its own.
 func TestStatsFillPerLevel(t *testing.T) {
-	tr := pointTree(t)
+	tr := pointTree(t, false)
 	for i, p := range randomPoints(rand.New(rand.NewSource(1)), 3000) {
 		if err := tr.InsertPoint(p, ObjectID(i)); err != nil {
 			t.Fatal(err)
@@ -122,13 +122,9 @@ func TestStatsFillPerLevel(t *testing.T) {
 // An STR bulk load tiles the leaves at the leaf capacity and the levels
 // above at the directory's.
 func TestBulkLoadTilesLeavesAtLeafCapacity(t *testing.T) {
-	tr := pointTree(t)
+	tr := pointTree(t, false)
 	pts := randomPoints(rand.New(rand.NewSource(2)), 1000)
-	items := make([]Entry, len(pts))
-	for i, p := range pts {
-		items[i] = LeafEntry(geom.PointRect(p), ObjectID(i))
-	}
-	if err := tr.BulkLoadSTR(items); err != nil {
+	if err := tr.BulkLoadSTR(pts); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -138,7 +134,7 @@ func TestBulkLoadTilesLeavesAtLeafCapacity(t *testing.T) {
 	tr.Walk(func(n *Node, _ int) bool {
 		if n.IsLeaf() {
 			leaves++
-			if !n.Flat().Points() {
+			if f := n.Flat(); &f.Rects.Lo[0] != &f.Rects.Hi[0] {
 				t.Errorf("packed leaf %d is not one column set", n.ID)
 			}
 		} else if len(n.Entries) > 8 {

@@ -7,13 +7,14 @@ import (
 	"repro/internal/geom"
 )
 
-// Match is one search hit.
+// Match is one search hit: an object and its point, which aliases the
+// leaf's and must not be written.
 type Match struct {
-	Rect   geom.Rect
+	Point  geom.Point
 	Object ObjectID
 }
 
-// SearchRect reports all objects whose MBR intersects query. The visit
+// SearchRect reports all objects whose point lies in query. The visit
 // callback may be nil when only counting matters; it returns false to
 // stop early. SearchRect returns the matches and the number of nodes
 // accessed.
@@ -29,7 +30,7 @@ func (t *Tree) SearchRect(query geom.Rect, visit func(Match) bool) (matches []Ma
 				continue
 			}
 			if n.IsLeaf() {
-				m := Match{Rect: e.Rect, Object: e.Object}
+				m := Match{Point: e.Rect.Lo, Object: e.Object}
 				matches = append(matches, m)
 				if visit != nil && !visit(m) {
 					return matches, nodesAccessed
@@ -43,8 +44,8 @@ func (t *Tree) SearchRect(query geom.Rect, visit func(Match) bool) (matches []Ma
 }
 
 // SearchSphere reports all objects within distance eps of center (the
-// paper's range similarity query, Definition 1): every object whose MBR
-// has Dmin <= eps. For point data this is exactly the epsilon-ball.
+// paper's range similarity query, Definition 1): every object whose
+// point lies in the epsilon-ball.
 func (t *Tree) SearchSphere(center geom.Point, eps float64, visit func(Match) bool) (matches []Match, nodesAccessed int) {
 	epsSq := eps * eps
 	stack := []PageID{t.root}
@@ -64,7 +65,7 @@ func (t *Tree) SearchSphere(center geom.Point, eps float64, visit func(Match) bo
 				continue
 			}
 			if n.IsLeaf() {
-				m := Match{Rect: e.Rect, Object: e.Object}
+				m := Match{Point: e.Rect.Lo, Object: e.Object}
 				matches = append(matches, m)
 				if visit != nil && !visit(m) {
 					return matches, nodesAccessed
@@ -136,7 +137,7 @@ func (t *Tree) NearestNeighbors(q geom.Point, k int) ([]Neighbor, int) {
 		geom.MinDistSqBatch(q, &n.Flat().Rects, d)
 		for i, e := range n.Entries {
 			if n.IsLeaf() {
-				heap.Push(&frontier, nnHeapItem{distSq: d[i], match: Match{Rect: e.Rect, Object: e.Object}})
+				heap.Push(&frontier, nnHeapItem{distSq: d[i], match: Match{Point: e.Rect.Lo, Object: e.Object}})
 			} else {
 				heap.Push(&frontier, nnHeapItem{distSq: d[i], isNode: true, page: e.Child})
 			}

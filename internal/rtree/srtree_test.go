@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,7 +40,7 @@ func TestSRChooseSubtreeTieBreak(t *testing.T) {
 		{[]float64{3, 2, 1}, 2},
 		{[]float64{2, 1, 1, 3}, 1},
 	} {
-		e := Entry{Sphere: geom.Sphere{Center: geom.Point{0, 0}}}
+		e := LeafEntry(geom.Point{0, 0}, 1)
 		if got := tr.chooseSubtree(node(c.radii...), e); got != c.want {
 			t.Errorf("centers equidistant, radii %v: chose entry %d, want %d", c.radii, got, c.want)
 		}
@@ -47,7 +48,7 @@ func TestSRChooseSubtreeTieBreak(t *testing.T) {
 	// Nearer wins over smaller.
 	n := node(5, 1)
 	n.Entries[0].Sphere.Center = geom.Point{0.5, 0}
-	if got := tr.chooseSubtree(n, Entry{Sphere: geom.Sphere{Center: geom.Point{0, 0}}}); got != 0 {
+	if got := tr.chooseSubtree(n, LeafEntry(geom.Point{0, 0}, 1)); got != 0 {
 		t.Errorf("chose entry %d, want the nearer center 0", got)
 	}
 }
@@ -68,11 +69,11 @@ func TestSRInvariantsUnderInserts(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// Every entry must carry a sphere.
+	// Every directory entry must carry a sphere, and no leaf entry.
 	tr.Walk(func(n *Node, _ int) bool {
 		for i, e := range n.Entries {
-			if !e.Sphere.Valid() {
-				t.Errorf("node %d entry %d: no sphere", n.ID, i)
+			if e.Sphere.Valid() == n.IsLeaf() {
+				t.Errorf("node %d (level %d) entry %d: sphere %v", n.ID, n.Level, i, e.Sphere)
 			}
 		}
 		return true
@@ -114,7 +115,7 @@ func TestSRNearestNeighborsExact(t *testing.T) {
 			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
 		}
 		for i := range got {
-			if diff := got[i].DistSq - want[i]; diff > 1e-9 || diff < -1e-9 {
+			if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d rank %d: %g want %g", trial, i, got[i].DistSq, want[i])
 			}
 		}

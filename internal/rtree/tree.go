@@ -42,25 +42,20 @@ const reinsertFraction = 0.3
 
 // Config controls tree geometry.
 type Config struct {
-	Dim        int // dimensionality of indexed rectangles
+	Dim        int // dimensionality of the indexed points
 	MaxEntries int // directory node capacity M
 	MinEntries int // directory minimum fill m (0 means 40% of M, the R* default)
 	// LeafMaxEntries is the leaf capacity (0 means MaxEntries): a page
 	// of points holds more entries than a page of rectangles. A leaf's
 	// minimum fill is MinEntries when that is set, else 40% of it.
 	LeafMaxEntries int
-	// PointLeaves makes every leaf entry a point: Insert refuses a
-	// rectangle with Lo ≠ Hi, and each point is stored once, Rect.Hi
-	// the same slice as Rect.Lo, so a live leaf's Flat view is one
-	// column set (see BuildFlat). It is the tree half of the point-leaf
-	// page layout (pagestore.Codec).
-	PointLeaves bool
 	// UseSpheres turns the tree into an SR-tree variant (Katayama &
-	// Satoh, SIGMOD 1997): every entry additionally maintains a
-	// bounding sphere centered at its subtree's point centroid, the
+	// Satoh, SIGMOD 1997): every directory entry additionally maintains
+	// a bounding sphere centered at its subtree's point centroid, the
 	// descent follows nearest centroids, and queries intersect the
-	// rectangle and sphere bounds. Spheres consume page space, so the
-	// fanout shrinks (see pagestore.Codec.Capacity).
+	// rectangle and sphere bounds. Spheres consume directory page
+	// space, so the directory fanout shrinks (see
+	// pagestore.Codec.Capacity); leaves hold points in every tree.
 	UseSpheres bool
 	// MaxOverlapRatio enables the X-tree variant (Berchtold, Keim &
 	// Kriegel, VLDB 1996): when splitting a directory node would
@@ -298,33 +293,20 @@ func (t *Tree) CoordBound() float64 { return t.bound }
 // supernode spans Node.Pages(Capacity(level)) pages).
 func (t *Tree) Capacity(level int) int { return t.cfg.capacity(level) }
 
-// checkRect refuses a rectangle no insertion can handle: the wrong
-// dimensionality, Lo above Hi, or a coordinate that is NaN or outside
-// ±bound (infinities included).
-func (t *Tree) checkRect(r geom.Rect) error {
-	if r.Dim() != t.cfg.Dim || len(r.Hi) != t.cfg.Dim {
-		return fmt.Errorf("dim %d in a %d-d tree", r.Dim(), t.cfg.Dim)
+// checkPoint refuses a point no insertion can handle: the wrong
+// dimensionality, or a coordinate that is NaN or outside ±bound
+// (infinities included).
+func (t *Tree) checkPoint(p geom.Point) error {
+	if len(p) != t.cfg.Dim {
+		return fmt.Errorf("dim %d in a %d-d tree", len(p), t.cfg.Dim)
 	}
 	b := t.bound
-	for a := range r.Lo {
-		if lo, hi := r.Lo[a], r.Hi[a]; !(-b <= lo && lo <= hi && hi <= b) {
-			return fmt.Errorf("axis %d spans %g..%g, want -%g <= lo <= hi <= %g", a, lo, hi, b, b)
+	for a, x := range p {
+		if !(-b <= x && x <= b) {
+			return fmt.Errorf("axis %d at %g, want -%g <= x <= %g", a, x, b, b)
 		}
 	}
-	if t.cfg.PointLeaves && !sameBits(r.Lo, r.Hi) {
-		return fmt.Errorf("rectangle %v in a tree of point leaves", r)
-	}
 	return nil
-}
-
-// leafRect is the rectangle a leaf entry stores for r: its own copy (see
-// copyRect), and in a tree of point leaves one point, Rect.Lo and
-// Rect.Hi the same slice. r has passed checkRect.
-func (t *Tree) leafRect(r geom.Rect) geom.Rect {
-	if t.cfg.PointLeaves {
-		return geom.PointRect(r.Lo.Clone())
-	}
-	return copyRect(r)
 }
 
 // SetListener installs a structural-change listener. It must be called
@@ -391,22 +373,16 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return root.MBR(), true
 }
 
-// Insert adds an object with the given MBR. A rectangle is refused,
-// before the tree is touched, when Lo is above Hi on some axis or a
-// coordinate is NaN or outside ±CoordBound(): every comparison
-// ChooseSubtree and the split make assumes ordered corners and finite
-// areas, margins and overlap sums, and within the bound none of them
-// can overflow (see coordBound).
-func (t *Tree) Insert(r geom.Rect, obj ObjectID) error {
-	if err := t.checkRect(r); err != nil {
+// InsertPoint adds a point object. A point is refused, before the tree
+// is touched, when a coordinate is NaN or outside ±CoordBound(): every
+// comparison ChooseSubtree and the split make assumes finite areas,
+// margins and overlap sums, and within the bound none of them can
+// overflow (see coordBound). The leaf keeps a copy of p.
+func (t *Tree) InsertPoint(p geom.Point, obj ObjectID) error {
+	if err := t.checkPoint(p); err != nil {
 		return fmt.Errorf("rtree: insert of object %d: %w", obj, err)
 	}
-	e := LeafEntry(t.leafRect(r), obj)
-	if t.cfg.UseSpheres {
-		c := e.Rect.Center()
-		e.Sphere = geom.Sphere{Center: c, Radius: c.Dist(e.Rect.Hi)}
-	}
-	t.insertTopLevel(e, 0)
+	t.insertTopLevel(LeafEntry(p.Clone(), obj), 0)
 	t.size++
 	return nil
 }
@@ -420,9 +396,10 @@ func (t *Tree) insertTopLevel(e Entry, level int) {
 }
 
 // copyRect returns a rectangle of its own with r's corners, both in one
-// allocation. Every rectangle the tree stores is made here and never
-// written again: a live node's Flat view, and every geom.Rect a query
-// got from one, aliases the corners it was built over.
+// allocation. Every directory rectangle the tree stores is made here,
+// every leaf point is a copy of the caller's, and neither is written
+// again: a live node's Flat view, and every point a query got from one,
+// aliases the coordinates it was built over.
 func copyRect(r geom.Rect) geom.Rect {
 	dim := len(r.Lo)
 	c := make([]float64, 2*dim)
@@ -434,14 +411,16 @@ func copyRect(r geom.Rect) geom.Rect {
 // sphereOf computes a node's SR-sphere: the weighted centroid of its
 // entries' sphere centers (weights are the subtree object counts, so
 // the center tracks the centroid of the underlying points) with the
-// smallest maintained radius covering every entry sphere.
+// smallest maintained radius covering every entry sphere — in a leaf,
+// every point.
 func (t *Tree) sphereOf(n *Node) geom.Sphere {
 	w := &t.w
 	w.centers, w.weights, w.spheres = w.centers[:0], w.weights[:0], w.spheres[:0]
 	for i := range n.Entries {
-		w.centers = append(w.centers, n.Entries[i].Sphere.Center)
+		s := n.Entries[i].sphere()
+		w.centers = append(w.centers, s.Center)
 		w.weights = append(w.weights, n.Entries[i].Count)
-		w.spheres = append(w.spheres, n.Entries[i].Sphere)
+		w.spheres = append(w.spheres, s)
 	}
 	c := geom.WeightedCentroid(w.centers, w.weights)
 	return geom.Sphere{Center: c, Radius: geom.CoveringRadius(c, w.spheres)}
@@ -552,11 +531,6 @@ func (t *Tree) drainPending() {
 	t.pending, t.pendingHead = t.pending[:0], 0
 }
 
-// InsertPoint adds a point object.
-func (t *Tree) InsertPoint(p geom.Point, obj ObjectID) error {
-	return t.Insert(geom.PointRect(p), obj)
-}
-
 // insertEntry places e at the given level, handling overflow all the way
 // to the root.
 func (t *Tree) insertEntry(e Entry, level int) {
@@ -644,7 +618,7 @@ func (t *Tree) insertAt(n *Node, e Entry, level int) *Entry {
 //     else can win on a tie, so nothing else is summed at all.
 func (t *Tree) chooseSubtree(n *Node, newEntry Entry) int {
 	if t.cfg.UseSpheres {
-		return chooseByCentroid(n, newEntry.Sphere.Center)
+		return chooseByCentroid(n, newEntry.sphere().Center)
 	}
 	r := newEntry.Rect
 	m := len(n.Entries)

@@ -182,7 +182,7 @@ func TestNearestNeighborsMatchesBruteForce(t *testing.T) {
 			t.Fatal("no nodes accessed")
 		}
 		for i := range got {
-			if diff := got[i].DistSq - want[i]; diff > 1e-9 || diff < -1e-9 {
+			if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d rank %d: dist² %g, want %g", trial, i, got[i].DistSq, want[i])
 			}
 		}
@@ -355,34 +355,6 @@ func TestCountMaintenanceAcrossShapes(t *testing.T) {
 	}
 }
 
-func TestRectObjects(t *testing.T) {
-	// The tree must also handle non-degenerate rectangles.
-	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
-	rnd := rand.New(rand.NewSource(11))
-	rects := make([]geom.Rect, 300)
-	for i := range rects {
-		x, y := rnd.Float64()*100, rnd.Float64()*100
-		rects[i] = geom.NewRect(geom.Point{x, y}, geom.Point{x + rnd.Float64()*5, y + rnd.Float64()*5})
-		if err := tr.Insert(rects[i], ObjectID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	q := geom.NewRect(geom.Point{20, 20}, geom.Point{40, 40})
-	got, _ := tr.SearchRect(q, nil)
-	want := 0
-	for _, r := range rects {
-		if r.Intersects(q) {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("rect search: got %d, want %d", len(got), want)
-	}
-}
-
 func TestWalkVisitsEveryNodeOnce(t *testing.T) {
 	tr := mustTree(t, Config{Dim: 2, MaxEntries: 8})
 	pts := randPoints(8, 500, 2)
@@ -523,8 +495,9 @@ func TestListenerFreeOnDelete(t *testing.T) {
 // TestInsertRejectsNonFiniteRect: a NaN coordinate used to panic in
 // ChooseSubtree (no entry ever compared better, so the descent indexed
 // with −1), and an infinite one was stored, after which every ancestor
-// MBR was infinite and later enlargements computed Inf − Inf. Both, and
-// a rectangle with Lo above Hi, are refused before the tree is touched.
+// MBR was infinite and later enlargements computed Inf − Inf. Both are
+// refused before the tree is touched, as is a point of the wrong
+// dimensionality, by InsertPoint and by BulkLoadSTR.
 func TestInsertRejectsNonFiniteRect(t *testing.T) {
 	for _, cfg := range []Config{
 		{Dim: 2, MaxEntries: 8},
@@ -537,20 +510,20 @@ func TestInsertRejectsNonFiniteRect(t *testing.T) {
 			}
 		}
 		before, _ := tr.Bounds()
-		nan, inf := math.NaN(), math.Inf(1)
-		for _, bad := range []struct{ lo, hi float64 }{
-			{nan, 1}, {1, nan}, {nan, nan}, {1, inf}, {-inf, 1}, {inf, inf}, {2, 1},
-		} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			for axis := 0; axis < cfg.Dim; axis++ {
-				r := geom.Rect{Lo: make(geom.Point, cfg.Dim), Hi: make(geom.Point, cfg.Dim)}
-				r.Lo[axis], r.Hi[axis] = bad.lo, bad.hi
-				if err := tr.Insert(r, 9999); err == nil {
-					t.Errorf("Insert accepted %v", r)
+				p := make(geom.Point, cfg.Dim)
+				p[axis] = bad
+				if err := mustTree(t, cfg).BulkLoadSTR([]geom.Point{make(geom.Point, cfg.Dim), p}); err == nil {
+					t.Fatalf("BulkLoadSTR accepted %v", p)
+				}
+				if err := tr.InsertPoint(p, 9999); err == nil {
+					t.Errorf("InsertPoint accepted %v", p)
 				}
 			}
 		}
-		if err := tr.InsertPoint(geom.Point{nan, 0, 0}[:cfg.Dim], 9999); err == nil {
-			t.Error("InsertPoint accepted a NaN coordinate")
+		if err := tr.InsertPoint(make(geom.Point, cfg.Dim+1), 9999); err == nil {
+			t.Error("InsertPoint accepted a point of the wrong dimension")
 		}
 		if tr.Len() != 300 {
 			t.Errorf("Len = %d after rejected inserts, want 300", tr.Len())
@@ -567,41 +540,40 @@ func TestInsertRejectsNonFiniteRect(t *testing.T) {
 // TestInsertNearCoordBound: finite coordinates whose areas overflow used
 // to panic the split — 2 000 points uniform in [−1e200, 1e200]² made
 // every margin +Inf and every overlap sum NaN, no distribution won, and
-// chooseSplit grew a slice by −1. Inside the bound, a tree of points and
-// of boxes as large as the bound allows builds, shrinks and checks out;
-// just outside it, and at 1e200, Insert refuses and the tree is as it
-// was.
+// chooseSplit grew a slice by −1. Inside the bound, a tree of points
+// spread over the whole accepted range, its corners included, builds,
+// shrinks and checks out; just outside it, and at 1e200, InsertPoint
+// refuses and the tree is as it was.
 func TestInsertNearCoordBound(t *testing.T) {
 	for _, cfg := range []Config{{Dim: 2, MaxEntries: 8}, {Dim: 8, MaxEntries: 8}} {
 		tr := mustTree(t, cfg)
 		b := tr.CoordBound()
 		rnd := rand.New(rand.NewSource(3))
 		coord := func() float64 { return (2*rnd.Float64() - 1) * b }
-		rects := make([]geom.Rect, 2000)
-		for i := range rects {
-			r := geom.Rect{Lo: make(geom.Point, cfg.Dim), Hi: make(geom.Point, cfg.Dim)}
-			for a := range r.Lo {
+		pts := make([]geom.Point, 2000)
+		for i := range pts {
+			p := make(geom.Point, cfg.Dim)
+			for a := range p {
 				switch {
-				case i%100 == 0: // the largest box there is
-					r.Lo[a], r.Hi[a] = -b, b
-				case i%10 == 0:
-					x, y := coord(), coord()
-					r.Lo[a], r.Hi[a] = min(x, y), max(x, y)
+				case i%10 == 0: // a corner of the accepted range
+					p[a] = b
+					if rnd.Intn(2) == 0 {
+						p[a] = -b
+					}
 				default:
-					r.Lo[a] = coord()
-					r.Hi[a] = r.Lo[a]
+					p[a] = coord()
 				}
 			}
-			if err := tr.Insert(r, ObjectID(i)); err != nil {
+			if err := tr.InsertPoint(p, ObjectID(i)); err != nil {
 				t.Fatalf("%d-d: insert %d inside the bound %g: %v", cfg.Dim, i, b, err)
 			}
-			rects[i] = r
+			pts[i] = p
 		}
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("%d-d: %v", cfg.Dim, err)
 		}
-		for i := 0; i < len(rects); i += 3 {
-			if !tr.Delete(rects[i], ObjectID(i)) {
+		for i := 0; i < len(pts); i += 3 {
+			if !tr.DeletePoint(pts[i], ObjectID(i)) {
 				t.Fatalf("%d-d: delete of live object %d failed", cfg.Dim, i)
 			}
 		}

@@ -37,8 +37,8 @@ func TestViewPoolReusesMemory(t *testing.T) {
 	shapes := []struct {
 		level, dim, m int
 		cols          Columns
-	}{{0, 2, 10, RectColumns}, {1, 2, 4, RectColumns}, {0, 2, 10, SphereColumns}, {2, 2, 0, RectColumns},
-		{0, 2, 7, SphereColumns}, {0, 2, 12, PointColumns}, {1, 3, 4, RectColumns}, {0, 3, 9, PointColumns}}
+	}{{0, 2, 10, PointColumns}, {1, 2, 4, RectColumns}, {1, 2, 10, SphereColumns}, {2, 2, 0, RectColumns},
+		{1, 2, 7, SphereColumns}, {0, 2, 12, PointColumns}, {1, 3, 4, RectColumns}, {0, 3, 9, PointColumns}}
 	var prev *FlatNode
 	for n, sh := range shapes {
 		f, refs := NewPageView(pool, PageID(n+1), sh.level, sh.dim, sh.m, sh.cols)
@@ -50,27 +50,28 @@ func TestViewPoolReusesMemory(t *testing.T) {
 			fillView(f, refs, float64(1000*n))
 			fillView(want, wantRefs, float64(1000*n))
 		}
+		points := sh.m > 0 && &f.Rects.Lo[0][0] == &f.Rects.Hi[0][0]
 		if f.ID != want.ID || f.Level != want.Level || f.Len() != want.Len() ||
-			(f.Spheres == nil) != (want.Spheres == nil) || f.Points() != want.Points() ||
-			f.Points() != (sh.cols == PointColumns && sh.m > 0) {
+			(f.Spheres == nil) != (want.Spheres == nil) || points != (sh.cols == PointColumns && sh.m > 0) {
 			t.Fatalf("shape %d: pooled view %+v, plain view %+v", n, f, want)
 		}
 		for i := 0; i < sh.m; i++ {
 			if f.Child(i) != want.Child(i) || f.Object(i) != want.Object(i) || f.Count(i) != want.Count(i) {
 				t.Fatalf("shape %d entry %d: identity differs", n, i)
 			}
-			r, wr := f.Rect(i), want.Rect(i)
-			s, ws := f.Sphere(i), want.Sphere(i)
 			for a := 0; a < sh.dim; a++ {
-				if r.Lo[a] != wr.Lo[a] || r.Hi[a] != wr.Hi[a] {
-					t.Fatalf("shape %d entry %d: rect %v, want %v", n, i, r, wr)
+				if f.Rects.Lo[a][i] != want.Rects.Lo[a][i] || f.Rects.Hi[a][i] != want.Rects.Hi[a][i] {
+					t.Fatalf("shape %d entry %d axis %d: columns differ", n, i, a)
 				}
-				if sh.cols == SphereColumns && s.Center[a] != ws.Center[a] {
-					t.Fatalf("shape %d entry %d: sphere %v, want %v", n, i, s, ws)
+				if sh.cols == SphereColumns && f.Spheres.Center[a][i] != want.Spheres.Center[a][i] {
+					t.Fatalf("shape %d entry %d axis %d: sphere centers differ", n, i, a)
 				}
 			}
-			if s.Radius != ws.Radius || s.Valid() != ws.Valid() {
-				t.Fatalf("shape %d entry %d: sphere %v, want %v", n, i, s, ws)
+			if sh.cols == SphereColumns && f.Spheres.Radius[i] != want.Spheres.Radius[i] {
+				t.Fatalf("shape %d entry %d: radii differ", n, i)
+			}
+			if points && !f.Point(i).Equal(want.Point(i)) {
+				t.Fatalf("shape %d entry %d: point %v, want %v", n, i, f.Point(i), want.Point(i))
 			}
 		}
 		pool.Put(f)
@@ -81,25 +82,23 @@ func TestViewPoolReusesMemory(t *testing.T) {
 	}
 }
 
-// What Rect and Sphere hand out for a pooled view survives the view:
-// poisoning and refilling the memory does not reach it.
+// What Point hands out for a pooled view survives the view: poisoning
+// and refilling the memory does not reach it.
 func TestPooledViewRectsDoNotAlias(t *testing.T) {
 	pool := NewViewPool(1)
-	f, refs := NewPageView(pool, 7, 0, 3, 5, SphereColumns)
+	f, refs := NewPageView(pool, 7, 0, 3, 5, PointColumns)
 	fillView(f, refs, 40)
-	r, s := f.Rect(2), f.Sphere(2)
-	lo, hi, c := r.Lo.Clone(), r.Hi.Clone(), s.Center.Clone()
+	p := f.Point(2)
+	was := p.Clone()
 	PoisonView(f)
-	if f.ID != -1 || f.Level != -1 || !math.IsNaN(f.Rects.Lo[0][0]) || !math.IsNaN(f.Spheres.Radius[4]) || f.Child(0) != -1 {
+	if f.ID != -1 || f.Level != -1 || !math.IsNaN(f.Rects.Lo[0][0]) || !math.IsNaN(f.Rects.Lo[2][4]) || f.Child(0) != -1 {
 		t.Fatalf("PoisonView left the view readable: %+v", f)
 	}
 	pool.Put(f)
-	g, grefs := NewPageView(pool, 8, 0, 3, 5, SphereColumns)
+	g, grefs := NewPageView(pool, 8, 0, 3, 5, PointColumns)
 	fillView(g, grefs, 900)
-	for a := 0; a < 3; a++ {
-		if r.Lo[a] != lo[a] || r.Hi[a] != hi[a] || s.Center[a] != c[a] {
-			t.Fatalf("a rectangle handed out earlier changed with the pooled memory: %v %v", r, s)
-		}
+	if !p.Equal(was) {
+		t.Fatalf("a point handed out earlier changed with the pooled memory: %v, was %v", p, was)
 	}
 }
 
@@ -138,11 +137,11 @@ func TestViewPoolPutRules(t *testing.T) {
 // A warm pool serves a page of a shape it has seen without allocating.
 func TestViewPoolSteadyStateAllocatesNothing(t *testing.T) {
 	pool := NewViewPool(2)
-	f, _ := NewPageView(pool, 1, 0, 8, 20, SphereColumns)
+	f, _ := NewPageView(pool, 1, 1, 8, 20, SphereColumns)
 	pool.Put(f)
 	next := PageID(2)
 	if allocs := testing.AllocsPerRun(500, func() {
-		f, _ := NewPageView(pool, next, 0, 8, int(next)%20+1, SphereColumns)
+		f, _ := NewPageView(pool, next, 1, 8, int(next)%20+1, SphereColumns)
 		next++
 		pool.Put(f)
 	}); allocs != 0 {
@@ -197,19 +196,16 @@ func TestViewHoldsAndEviction(t *testing.T) {
 	}
 }
 
-// CopyRect writes what Rect returns into the caller's memory.
-func TestCopyRect(t *testing.T) {
+// CopyPoint writes what Point returns into the caller's memory.
+func TestCopyPoint(t *testing.T) {
 	pool := NewViewPool(1)
-	f, refs := NewPageView(pool, 7, 0, 3, 5, RectColumns)
+	f, refs := NewPageView(pool, 7, 0, 3, 5, PointColumns)
 	fillView(f, refs, 40)
-	c := make([]float64, 6)
+	c := make([]float64, 3)
 	for i := 0; i < f.Len(); i++ {
-		f.CopyRect(i, c)
-		r := f.Rect(i)
-		for a := 0; a < 3; a++ {
-			if c[a] != r.Lo[a] || c[3+a] != r.Hi[a] {
-				t.Fatalf("entry %d: CopyRect %v, Rect %v", i, c, r)
-			}
+		f.CopyPoint(i, c)
+		if p := f.Point(i); !p.Equal(c) {
+			t.Fatalf("entry %d: CopyPoint %v, Point %v", i, c, p)
 		}
 	}
 }

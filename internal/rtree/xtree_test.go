@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestXTreeQueriesExact(t *testing.T) {
 		got, _ := tr.NearestNeighbors(q, k)
 		want := bruteKNN(pts, q, k)
 		for i := range got {
-			if d := got[i].DistSq - want[i]; d > 1e-9 || d < -1e-9 {
+			if math.Float64bits(got[i].DistSq) != math.Float64bits(want[i]) {
 				t.Fatalf("trial %d rank %d mismatch", trial, i)
 			}
 		}

@@ -26,7 +26,7 @@ func TestKitchenSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BuildPointsPacked(pts); err != nil {
+	if err := tree.BulkLoadSTR(pts); err != nil {
 		t.Fatal(err)
 	}
 	if err := tree.Tree.CheckInvariants(); err != nil {

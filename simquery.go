@@ -27,11 +27,10 @@ import (
 type (
 	// Point is an n-dimensional query or data point.
 	Point = core.Point
-	// Rect is an axis-aligned minimum bounding rectangle.
-	Rect = core.Rect
 	// ObjectID identifies an indexed object.
 	ObjectID = core.ObjectID
-	// Neighbor is one k-NN answer: an object and its squared distance.
+	// Neighbor is one k-NN answer: an object, its point and its squared
+	// distance.
 	Neighbor = core.Neighbor
 	// QueryStats counts node accesses, parallel batches and CPU work.
 	QueryStats = core.QueryStats
